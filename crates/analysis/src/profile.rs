@@ -6,14 +6,16 @@
 //! expose (paper §1).
 //!
 //! Profiles are accumulated by [`ProfileBuilder`], which consumes events
-//! one at a time — feed it a whole [`Trace`] ([`Profile::from_trace`]) or
-//! stream a chunk-indexed store through it ([`Profile::from_store`])
-//! without ever materializing the event array.
+//! one at a time. It has three feeders: a merged [`Trace`]
+//! ([`Profile::from_trace`]), a chunk-indexed store streamed rank by rank
+//! ([`Profile::from_store`]), and a live [`VtLib`]'s per-rank buffers
+//! replayed in place ([`Profile::from_vt`]) — the last two never
+//! materialize the event array.
 
 use std::collections::BTreeMap;
 
 use dynprof_sim::SimTime;
-use dynprof_vt::{Event, Trace, VtFuncId};
+use dynprof_vt::{Event, Trace, VtFuncId, VtLib};
 
 use crate::error::TraceError;
 use crate::store::EventSource;
@@ -53,21 +55,89 @@ pub struct Profile {
 /// An open call frame: (func, entry time, time attributed to callees).
 type Frame = (VtFuncId, SimTime, SimTime);
 
+/// Rank ids below this are array-indexed by [`ProfileBuilder`]; the
+/// paper's machine has 1152 and the ROADMAP ladder tops out at 16384.
+const DENSE_RANKS: usize = 1 << 16;
+/// Thread ids below this are array-indexed (the paper's nodes are 8-way).
+const DENSE_THREADS: usize = 64;
+
+/// A map keyed by small integers that is an array below `limit` and a
+/// `BTreeMap` from there on. Rank, thread and function ids are dense and
+/// small in every trace this tool records, but they arrive as arbitrary
+/// integers from trace *files*, so the array part must stay bounded: a
+/// store chunk claiming rank `u32::MAX` costs one tree node, not 4 G
+/// slots.
+struct DenseMap<V> {
+    limit: usize,
+    dense: Vec<Option<V>>,
+    spill: BTreeMap<u32, V>,
+}
+
+impl<V> DenseMap<V> {
+    fn new(limit: usize) -> DenseMap<V> {
+        DenseMap {
+            limit,
+            dense: Vec::new(),
+            spill: BTreeMap::new(),
+        }
+    }
+
+    /// The value at `key`, inserted as `init()` if absent.
+    fn entry(&mut self, key: u32, init: impl FnOnce() -> V) -> &mut V {
+        let i = key as usize;
+        if i >= self.limit {
+            return self.spill.entry(key).or_insert_with(init);
+        }
+        if i >= self.dense.len() {
+            self.dense.resize_with(i + 1, || None);
+        }
+        self.dense[i].get_or_insert_with(init)
+    }
+
+    fn get_mut(&mut self, key: u32) -> Option<&mut V> {
+        if (key as usize) < self.limit {
+            self.dense.get_mut(key as usize)?.as_mut()
+        } else {
+            self.spill.get_mut(&key)
+        }
+    }
+
+    /// Present entries in ascending key order.
+    fn into_sorted(self) -> impl Iterator<Item = (u32, V)> {
+        let dense = self.dense.into_iter().enumerate();
+        dense
+            .filter_map(|(k, v)| Some((k as u32, v?)))
+            .chain(self.spill)
+    }
+}
+
+/// Everything the builder keeps for one rank.
+struct RankState {
+    /// Open frames per thread.
+    stacks: DenseMap<Vec<Frame>>,
+    /// Statistics per function, present once an exit or batch touched it.
+    funcs: DenseMap<FuncProfile>,
+}
+
+/// Per-rank instrumenter-suspension windows.
+type Windows = BTreeMap<u32, Vec<(SimTime, SimTime)>>;
+
 /// Streaming profile accumulator: feed events in each rank's causal
 /// order via [`ProfileBuilder::push`], then [`ProfileBuilder::finish`].
-/// Memory is `O(functions × ranks + open frames)` — independent of
-/// trace length.
+/// Ranks may interleave freely (a time-sorted [`Trace`]) or arrive one
+/// after another (a store, a [`VtLib`]): only the order *within* a rank
+/// matters. Memory is `O(functions × ranks + open frames)` — independent
+/// of trace length — and a push on an already-seen rank, thread and
+/// function is three array indexings: no search, no allocation.
 ///
 /// To honor [`ProfileOptions::exclude_suspensions`], install the
 /// per-rank suspension windows (a cheap pre-pass) with
 /// [`ProfileBuilder::set_suspensions`] before pushing events.
 pub struct ProfileBuilder {
     opts: ProfileOptions,
-    suspensions: BTreeMap<u32, Vec<(SimTime, SimTime)>>,
-    per_rank: BTreeMap<(u32, VtFuncId), FuncProfile>,
-    /// Open frames per (rank, thread).
-    stacks: BTreeMap<(u32, u16), Vec<Frame>>,
-    ranks: Vec<u32>,
+    suspensions: Windows,
+    /// Present for every rank any event named.
+    ranks: DenseMap<RankState>,
     functions: Vec<String>,
 }
 
@@ -77,9 +147,7 @@ impl ProfileBuilder {
         ProfileBuilder {
             opts,
             suspensions: BTreeMap::new(),
-            per_rank: BTreeMap::new(),
-            stacks: BTreeMap::new(),
-            ranks: Vec::new(),
+            ranks: DenseMap::new(DENSE_RANKS),
             functions,
         }
     }
@@ -90,32 +158,28 @@ impl ProfileBuilder {
         self.suspensions = windows;
     }
 
-    fn discount(&self, rank: u32, a: SimTime, b: SimTime) -> SimTime {
-        if !self.opts.exclude_suspensions {
-            return SimTime::ZERO;
-        }
-        match self.suspensions.get(&rank) {
-            Some(ws) => overlap_with(a, b, ws),
-            None => SimTime::ZERO,
-        }
-    }
-
     /// Account one event.
     pub fn push(&mut self, ev: &Event) {
-        let rank = ev.rank();
-        if !self.ranks.contains(&rank) {
-            self.ranks.push(rank);
-        }
+        let windows = self.opts.exclude_suspensions.then_some(&self.suspensions);
+        let discount = |rank: u32, a: SimTime, b: SimTime| {
+            windows
+                .and_then(|w| w.get(&rank))
+                .map_or(SimTime::ZERO, |ws| overlap_with(a, b, ws))
+        };
+        // Function ids are array-indexed up to the dictionary's length;
+        // a file naming one beyond it reads as "<unknown>" and spills.
+        let known_funcs = self.functions.len();
+        let state = self.ranks.entry(ev.rank(), || RankState {
+            stacks: DenseMap::new(DENSE_THREADS),
+            funcs: DenseMap::new(known_funcs),
+        });
         match *ev {
             Event::FuncEnter {
-                t,
-                rank,
-                thread,
-                func,
+                t, thread, func, ..
             } => {
-                self.stacks
-                    .entry((rank, thread))
-                    .or_default()
+                state
+                    .stacks
+                    .entry(thread.into(), Vec::new)
                     .push((func, t, SimTime::ZERO));
             }
             Event::FuncExit {
@@ -124,23 +188,19 @@ impl ProfileBuilder {
                 thread,
                 func,
             } => {
-                let popped = self.stacks.get_mut(&(rank, thread)).and_then(Vec::pop);
-                if let Some((f, t0, child)) = popped {
+                let Some(stack) = state.stacks.get_mut(thread.into()) else {
+                    return;
+                };
+                if let Some((f, t0, child)) = stack.pop() {
                     debug_assert_eq!(f, func, "trace stack mismatch");
-                    let span = t
-                        .saturating_sub(t0)
-                        .saturating_sub(self.discount(rank, t0, t));
-                    let e = self.per_rank.entry((rank, func)).or_default();
+                    let span = t.saturating_sub(t0).saturating_sub(discount(rank, t0, t));
+                    if let Some(parent) = stack.last_mut() {
+                        parent.2 += span;
+                    }
+                    let e = state.funcs.entry(func.0, FuncProfile::default);
                     e.count += 1;
                     e.incl += span;
                     e.excl += span.saturating_sub(child);
-                    if let Some(parent) = self
-                        .stacks
-                        .get_mut(&(rank, thread))
-                        .and_then(|s| s.last_mut())
-                    {
-                        parent.2 += span;
-                    }
                 }
             }
             // A suppressed-count record carries exactly the cumulative
@@ -163,12 +223,13 @@ impl ProfileBuilder {
                 count,
                 span,
             } => {
-                let span = span.saturating_sub(self.discount(rank, t, t + span));
-                let e = self.per_rank.entry((rank, func)).or_default();
+                let span = span.saturating_sub(discount(rank, t, t + span));
+                let e = state.funcs.entry(func.0, FuncProfile::default);
                 e.count += count;
                 e.incl += span;
                 e.excl += span;
-                if let Some(parent) = self.stacks.entry((rank, thread)).or_default().last_mut() {
+                let stack = state.stacks.get_mut(thread.into());
+                if let Some(parent) = stack.and_then(|s| s.last_mut()) {
                     parent.2 += span;
                 }
             }
@@ -176,13 +237,19 @@ impl ProfileBuilder {
         }
     }
 
-    /// Finish: sort the rank list and produce the [`Profile`].
-    pub fn finish(mut self) -> Profile {
-        self.ranks.sort_unstable();
+    /// Finish: produce the [`Profile`], ranks and rows in ascending order.
+    pub fn finish(self) -> Profile {
+        let mut ranks = Vec::new();
+        let mut per_rank = BTreeMap::new();
+        for (rank, state) in self.ranks.into_sorted() {
+            ranks.push(rank);
+            let rows = state.funcs.into_sorted();
+            per_rank.extend(rows.map(|(f, row)| ((rank, VtFuncId(f)), row)));
+        }
         Profile {
-            per_rank: self.per_rank,
+            per_rank,
             functions: self.functions,
-            ranks: self.ranks,
+            ranks,
         }
     }
 }
@@ -216,21 +283,37 @@ impl Profile {
     ) -> Result<Profile, TraceError> {
         let mut b = ProfileBuilder::new(reader.functions().to_vec(), opts);
         if opts.exclude_suspensions {
-            let mut windows: BTreeMap<u32, Vec<(SimTime, SimTime)>> = BTreeMap::new();
-            reader.query(None, None, &mut |ev| {
-                if let Event::Suspended { t, t_end, rank } = *ev {
-                    windows.entry(rank).or_default().push((t, t_end));
-                }
-            })?;
-            for ws in windows.values_mut() {
-                ws.sort_unstable();
-            }
-            b.set_suspensions(windows);
+            let mut windows = Windows::new();
+            reader.query(None, None, &mut |ev| note_suspension(&mut windows, ev))?;
+            b.set_suspensions(sorted_windows(windows));
         }
         for rank in reader.source_ranks() {
             reader.rank_events(rank, &mut |ev| b.push(ev))?;
         }
         Ok(b.finish())
+    }
+
+    /// Replay a live library's per-rank buffers in place, rank by rank in
+    /// append order — the session summary's path. Nothing is cloned,
+    /// merged or sorted: a profile needs each rank's causal order and no
+    /// cross-rank order at all, so the result equals
+    /// `Profile::from_trace_opts(&vt.build_trace(), opts)` without the
+    /// merged event array ever existing.
+    pub fn from_vt(vt: &VtLib, opts: ProfileOptions) -> Profile {
+        let mut b = ProfileBuilder::new(vt.function_names(), opts);
+        if opts.exclude_suspensions {
+            let mut windows = Windows::new();
+            for rank in 0..vt.ranks() {
+                vt.with_rank_events(rank, |evs| {
+                    evs.iter().for_each(|ev| note_suspension(&mut windows, ev))
+                });
+            }
+            b.set_suspensions(sorted_windows(windows));
+        }
+        for rank in 0..vt.ranks() {
+            vt.with_rank_events(rank, |evs| evs.iter().for_each(|ev| b.push(ev)));
+        }
+        b.finish()
     }
 
     /// Function name lookup.
@@ -315,16 +398,26 @@ impl Profile {
 
 /// Per-rank instrumenter-suspension windows found in a trace.
 pub fn suspension_windows(trace: &Trace) -> BTreeMap<u32, Vec<(SimTime, SimTime)>> {
-    let mut out: BTreeMap<u32, Vec<(SimTime, SimTime)>> = BTreeMap::new();
+    let mut out = Windows::new();
     for ev in &trace.events {
-        if let Event::Suspended { t, t_end, rank } = *ev {
-            out.entry(rank).or_default().push((t, t_end));
-        }
+        note_suspension(&mut out, ev);
     }
-    for ws in out.values_mut() {
+    sorted_windows(out)
+}
+
+/// Record `ev`'s window if it is a suspension record.
+fn note_suspension(windows: &mut Windows, ev: &Event) {
+    if let Event::Suspended { t, t_end, rank } = *ev {
+        windows.entry(rank).or_default().push((t, t_end));
+    }
+}
+
+/// Put each rank's windows in the order [`overlap_with`] expects.
+fn sorted_windows(mut windows: Windows) -> Windows {
+    for ws in windows.values_mut() {
         ws.sort_unstable();
     }
-    out
+    windows
 }
 
 /// Total overlap of `[a, b]` with the (sorted, disjoint) windows.

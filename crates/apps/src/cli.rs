@@ -23,6 +23,13 @@
 //!
 //! The script file holds Table-1 commands (`insert-file subset`, `start`,
 //! `wait 2`, `remove ...`, `quit`); `-` reads it from stdin.
+//!
+//! Everything an invocation reports is read from the trace library's
+//! per-rank buffers where they lie: [`run_cli`] renders the summary's
+//! function table with `Profile::from_vt` and [`write_outputs`] streams a
+//! `.vgvs` store rank by rank. Only the legacy flat `VGVT` file, whose
+//! format is the merged time-sorted event array, has that array built
+//! for it — the one `build_trace` call in this module (DESIGN §14).
 
 use std::io::Read;
 use std::sync::Arc;
@@ -259,7 +266,9 @@ pub fn run_cli(args: &CliArgs) -> Result<CliOutput, String> {
         summary.push_str(&format!("warning          : {w}\n"));
     }
     summary.push('\n');
-    let profile = dynprof_analysis::Profile::from_trace(&report.vt.build_trace());
+    // Straight from the per-rank buffers: a function table needs no
+    // cross-rank order, so no merged trace is built for it.
+    let profile = dynprof_analysis::Profile::from_vt(&report.vt, Default::default());
     summary.push_str(&profile.render_top(15));
 
     let timefile = report.timefile.render();
@@ -319,6 +328,8 @@ pub fn write_outputs(args: &CliArgs, out: &CliOutput) -> Result<(), String> {
             )
             .map_err(|e| format!("writing store {trace_path:?}: {e}"))?;
         } else {
+            // Legacy flat file: the format is the merged, time-sorted
+            // event array, so this branch alone assembles one.
             let trace = out.report.vt.build_trace();
             dynprof_analysis::write_trace(&trace, trace_path)
                 .map_err(|e| format!("writing trace {trace_path:?}: {e}"))?;
@@ -372,7 +383,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let script = dir.join(format!("s-{}.dp", std::process::id()));
         std::fs::write(&script, "insert-file subset\nstart\nquit\n").unwrap();
-        let trace = dir.join(format!("t-{}.vgvt", std::process::id()));
+        let path = dir.join(format!("t-{}.vgvt", std::process::id()));
         let args = CliArgs::parse(&strs(&[
             script.to_str().unwrap(),
             "-",
@@ -382,7 +393,7 @@ mod tests {
             "seed=5",
         ]))
         .map(|mut a| {
-            a.trace = Some(trace.to_str().unwrap().to_string());
+            a.trace = Some(path.to_str().unwrap().to_string());
             a
         })
         .unwrap();
@@ -394,6 +405,12 @@ mod tests {
         );
         assert!(out.summary.contains("sweep"));
         assert!(out.timefile.contains("instrument"));
+        // The summary's table, built from the per-rank buffers, is the one
+        // the merged time-sorted trace renders.
+        let trace = out.report.vt.build_trace();
+        let table = dynprof_analysis::Profile::from_trace(&trace).render_top(15);
+        assert!(table.lines().count() > 1, "{table}");
+        assert!(out.summary.ends_with(&format!("\n\n{table}")));
         // Trace file written and readable.
         write_outputs(
             &CliArgs {
@@ -404,10 +421,10 @@ mod tests {
             &out,
         )
         .unwrap();
-        let back = dynprof_analysis::read_trace(&trace).unwrap();
-        assert_eq!(back.program, "sweep3d");
+        // The legacy `.vgvt` branch still writes the whole merged trace.
+        assert_eq!(dynprof_analysis::read_trace(&path).unwrap(), trace);
         std::fs::remove_file(&script).ok();
-        std::fs::remove_file(&trace).ok();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! on the engine's hot paths (`alloc/*` rows): a counting
 //! `#[global_allocator]` measures exactly how many heap allocations one
 //! steady-state operation performs — control-plane send, probe fire,
-//! trace append, coroutine handoff — and the run fails if a path gains
-//! an allocation. Timing rows tolerate noise; the allocation ledger is
-//! exact, so an accidental `clone()` or `Box::new` on a fast path is a
-//! deterministic failure rather than a 3%-slower shrug.
+//! trace append, profile push, coroutine handoff — and the run fails if a
+//! path gains an allocation. Timing rows tolerate noise; the allocation
+//! ledger is exact, so an accidental `clone()` or `Box::new` on a fast
+//! path is a deterministic failure rather than a 3%-slower shrug.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -821,6 +821,42 @@ fn alloc_trace_append() {
     pinned_allocs("alloc/trace_append", total, OPS, 0, OPS / 4);
 }
 
+/// The session summary's accumulator: a `ProfileBuilder::push` on a rank,
+/// thread and function it has already seen is three array indexings —
+/// **zero** allocations, whatever order the ranks arrive in.
+fn alloc_profile_push() {
+    use dynprof_analysis::{ProfileBuilder, ProfileOptions};
+    use dynprof_vt::{Event, VtFuncId};
+
+    const OPS: u64 = 8192;
+    // Enter/exit pairs cycle through 64 interleaved ranks x 4 threads x
+    // 199 functions; 64 and 199 are coprime, so this many pairs visit
+    // every (rank, function) row and every (rank, thread) stack.
+    const WARM_PAIRS: u64 = 64 * 199;
+    let functions = (0..199).map(|i| format!("fn_{i}")).collect();
+    let mut b = ProfileBuilder::new(functions, ProfileOptions::default());
+    let mut push_pair = |pair: u64| {
+        let (rank, thread) = ((pair % 64) as u32, (pair / 64 % 4) as u16);
+        let func = VtFuncId((pair % 199) as u32);
+        b.push(&Event::FuncEnter {
+            t: SimTime::from_nanos(pair * 200),
+            rank,
+            thread,
+            func,
+        });
+        b.push(&Event::FuncExit {
+            t: SimTime::from_nanos(pair * 200 + 100),
+            rank,
+            thread,
+            func,
+        });
+    };
+    (0..WARM_PAIRS).for_each(&mut push_pair);
+    let total = alloc_delta(|| (WARM_PAIRS..WARM_PAIRS + OPS / 2).for_each(&mut push_pair));
+    black_box(b.finish());
+    pinned_allocs("alloc/profile_push", total, OPS, 0, 0);
+}
+
 /// The headline ledger of the threadless engine: one steady-state
 /// coroutine handoff — block the receiver, pop the next event, pre-set
 /// its clock, swap stacks — performs **zero** heap allocations. (On the
@@ -870,6 +906,7 @@ fn bench_alloc_ledger() {
     alloc_send_ctl_nofault();
     alloc_probe_fire();
     alloc_trace_append();
+    alloc_profile_push();
     alloc_coroutine_handoff();
 }
 

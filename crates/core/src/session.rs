@@ -20,14 +20,14 @@ use dynprof_dpcl::{
     AckResult, DegradedPolicy, DpclClient, DpclSystem, HeartbeatConfig, HeartbeatMonitor,
     InstrumentationTxn, ProcessHandle, TxnOptions, TxnOutcome,
 };
-use dynprof_image::ProbePoint;
+use dynprof_image::{ProbePoint, Snippet};
 use dynprof_mpi::{launch_from, JobSpec, MpiHooks};
 use dynprof_sim::hb::Finding;
 use dynprof_sim::sync::SimGate;
 use dynprof_sim::{Machine, Proc, Sim, SimTime};
 use dynprof_vt::{
     vt_begin_snippet, vt_end_snippet, ControllerConfig, MonitorLink, OverheadController, Policy,
-    VtLib, VtMpiHooks, VtStaticHooks,
+    VtFuncId, VtLib, VtMpiHooks, VtStaticHooks,
 };
 
 use crate::app::{AdaptiveRuntime, AppCtx, AppMode, AppSpec};
@@ -466,18 +466,19 @@ pub fn run_attach_session(
                     None => continue,
                 };
                 let vtid = vt.funcdef(p, fname);
+                let (begin, end) = vt_snippet_pair(&vt, vtid);
                 for h in &handles {
                     reqs.push(client.install_probe(
                         p,
                         h,
                         dynprof_image::ProbePoint::entry(fid),
-                        vt_begin_snippet(Arc::clone(&vt), vtid),
+                        begin.clone(),
                     ));
                     reqs.push(client.install_probe(
                         p,
                         h,
                         dynprof_image::ProbePoint::exit(fid),
-                        vt_end_snippet(Arc::clone(&vt), vtid),
+                        end.clone(),
                     ));
                     pairs += 1;
                 }
@@ -528,6 +529,16 @@ pub fn run_attach_session(
         images: images.to_vec(),
         controller,
     }
+}
+
+/// The `VT_begin`/`VT_end` snippets of one function, compiled and
+/// verified once; installs clone the pair per process (a `Snippet` is
+/// all `Arc`s) instead of rebuilding it for each of up to 1152 handles.
+fn vt_snippet_pair(vt: &Arc<VtLib>, func: VtFuncId) -> (Snippet, Snippet) {
+    (
+        vt_begin_snippet(Arc::clone(vt), func),
+        vt_end_snippet(Arc::clone(vt), func),
+    )
 }
 
 /// Summarize failed install acks: the count plus each distinct typed
@@ -742,19 +753,16 @@ impl DynState {
             };
             // dynprof registers the symbol with Vampirtrace (§3.4).
             let vtid = self.vt.funcdef(p, name);
+            let (begin, end) = vt_snippet_pair(&self.vt, vtid);
             for h in &self.handles {
-                reqs.push(self.client.install_probe(
-                    p,
-                    h,
-                    ProbePoint::entry(fid),
-                    vt_begin_snippet(Arc::clone(&self.vt), vtid),
-                ));
-                reqs.push(self.client.install_probe(
-                    p,
-                    h,
-                    ProbePoint::exit(fid),
-                    vt_end_snippet(Arc::clone(&self.vt), vtid),
-                ));
+                reqs.push(
+                    self.client
+                        .install_probe(p, h, ProbePoint::entry(fid), begin.clone()),
+                );
+                reqs.push(
+                    self.client
+                        .install_probe(p, h, ProbePoint::exit(fid), end.clone()),
+                );
             }
             self.pairs_installed += self.handles.len();
         }
@@ -784,17 +792,10 @@ impl DynState {
                 }
             };
             let vtid = self.vt.funcdef(p, name);
+            let (begin, end) = vt_snippet_pair(&self.vt, vtid);
             for h in &self.handles {
-                txn.stage_install(
-                    h,
-                    ProbePoint::entry(fid),
-                    vt_begin_snippet(Arc::clone(&self.vt), vtid),
-                );
-                txn.stage_install(
-                    h,
-                    ProbePoint::exit(fid),
-                    vt_end_snippet(Arc::clone(&self.vt), vtid),
-                );
+                txn.stage_install(h, ProbePoint::entry(fid), begin.clone());
+                txn.stage_install(h, ProbePoint::exit(fid), end.clone());
             }
             self.pairs_installed += self.handles.len();
             staged_names.push(name.clone());

@@ -42,7 +42,6 @@ fn note_events(n: u64) {
 
 struct Frame {
     func: VtFuncId,
-    thread: u16,
     t0: SimTime,
     reps: u64,
     active: bool,
@@ -57,8 +56,8 @@ struct Frame {
 #[derive(Default)]
 struct ProcBuf {
     events: Vec<Event>,
-    /// Call stacks keyed by OpenMP thread id.
-    stacks: HashMap<u16, Vec<Frame>>,
+    /// Call stacks indexed by OpenMP thread id.
+    stacks: Vec<Vec<Frame>>,
     stats: Vec<FuncStat>,
     trace_bytes: u64,
     deactivated_lookups: u64,
@@ -73,6 +72,17 @@ struct ProcBuf {
     /// Pending MPI operations (op code, entry time), a stack because
     /// `MPI_Init`'s inserted snippet issues nested `MPI_Barrier`s.
     mpi_stack: Vec<(u8, SimTime)>,
+}
+
+impl ProcBuf {
+    /// `thread`'s call stack (threads are few and numbered from 0).
+    fn stack_of(&mut self, thread: u16) -> &mut Vec<Frame> {
+        let i = usize::from(thread);
+        if i >= self.stacks.len() {
+            self.stacks.resize_with(i + 1, Vec::new);
+        }
+        &mut self.stacks[i]
+    }
 }
 
 struct ProcState {
@@ -417,9 +427,8 @@ impl VtLib {
                     .add(reps);
             }
         }
-        buf.stacks.entry(thread).or_default().push(Frame {
+        buf.stack_of(thread).push(Frame {
             func,
-            thread,
             t0: p.now(),
             reps,
             active,
@@ -440,7 +449,7 @@ impl VtLib {
         self.assert_ready(rank);
         let mut buf = self.procs[rank].buf.lock();
         {
-            let stack = buf.stacks.entry(thread).or_default();
+            let stack = buf.stack_of(thread);
             match stack.last() {
                 Some(top) if top.func == func => {}
                 Some(top) => {
@@ -459,11 +468,7 @@ impl VtLib {
                 }
             }
         }
-        let frame = buf
-            .stacks
-            .get_mut(&thread)
-            .and_then(Vec::pop)
-            .expect("frame checked above");
+        let frame = buf.stack_of(thread).pop().expect("frame checked above");
         if frame.active {
             p.advance(self.costs.vt_end_active.mul_f64(frame.reps as f64));
             let now = p.now();
@@ -482,11 +487,7 @@ impl VtLib {
                 && frame.child == SimTime::ZERO
                 && frame.enter_idx.is_some_and(|i| i + 1 == buf.events.len());
             if elide {
-                let parent_func = buf
-                    .stacks
-                    .get(&thread)
-                    .and_then(|s| s.last())
-                    .map(|f| f.func.0);
+                let parent_func = buf.stack_of(thread).last().map(|f| f.func.0);
                 let enter = buf.events.pop().expect("enter checked to be last");
                 debug_assert!(matches!(enter, Event::FuncEnter { .. }));
                 buf.trace_bytes -= enter.trace_bytes_of(self.costs.event_bytes);
@@ -558,7 +559,7 @@ impl VtLib {
             s.incl += span;
             s.excl += span.saturating_sub(frame.child);
             // Attribute our inclusive time to the parent's child-time.
-            if let Some(parent) = buf.stacks.get_mut(&frame.thread).and_then(|s| s.last_mut()) {
+            if let Some(parent) = buf.stack_of(thread).last_mut() {
                 parent.child += span;
             }
         }
@@ -626,7 +627,7 @@ impl VtLib {
             .buf
             .lock()
             .stacks
-            .values()
+            .iter()
             .map(Vec::len)
             .sum()
     }

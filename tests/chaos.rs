@@ -907,7 +907,9 @@ fn store_round_trip_survives_fault_runs() {
     use dynprof::analysis::store::{write_store_from_vt, StoreOptions, StoreReader};
     use dynprof::analysis::{Profile, ProfileOptions};
 
-    let _g = OBS_GATE.read().unwrap();
+    // Write side: `set_global_spec` below would leak this test's fault
+    // plan into any `Sim` a concurrent test constructs.
+    let _g = OBS_GATE.write().unwrap();
     let dir = std::env::temp_dir().join("dynprof-chaos-store");
     std::fs::create_dir_all(&dir).unwrap();
     for seed in seeds() {
@@ -948,6 +950,11 @@ fn store_round_trip_survives_fault_runs() {
             from_store.per_rank, from_trace.per_rank,
             "streaming profile under faults, seed {seed}"
         );
+        // So does the session summary's merge-free replay of the buffers.
+        let from_vt = Profile::from_vt(&report.vt, ProfileOptions::default());
+        assert_eq!(from_vt.per_rank, from_trace.per_rank, "seed {seed}");
+        assert_eq!(from_vt.ranks, from_trace.ranks, "seed {seed}");
+        assert_eq!(from_vt.render_top(15), from_trace.render_top(15));
         std::fs::remove_file(&path).ok();
     }
 }

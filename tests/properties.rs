@@ -5,8 +5,10 @@
 //! property-testing framework is available in this build environment), so
 //! failures reproduce exactly from the fixed seeds below.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use dynprof::analysis::{FuncProfile, ProfileBuilder, ProfileOptions};
 use dynprof::dpcl::{BackoffSchedule, DpclClient, DpclSystem};
 use dynprof::image::{FunctionInfo, ImageBuilder, ProbePoint, Snippet};
 use dynprof::mpi::{launch, JobSpec};
@@ -116,6 +118,197 @@ fn trace_encode_decode_round_trip() {
         };
         let decoded = Trace::decode(trace.encode()).expect("decode");
         assert_eq!(decoded, trace);
+    }
+}
+
+/// The profile accumulator the dense `ProfileBuilder` replaced: plain
+/// ordered maps keyed `(rank, thread)` and `(rank, func)`, one search per
+/// event. Kept here as the reference the dense builder is tested against.
+#[derive(Default)]
+struct MapProfile {
+    windows: Option<BTreeMap<u32, Vec<(SimTime, SimTime)>>>,
+    stacks: BTreeMap<(u32, u16), Vec<(SimTime, SimTime)>>,
+    per_rank: BTreeMap<(u32, VtFuncId), FuncProfile>,
+    ranks: BTreeSet<u32>,
+}
+
+impl MapProfile {
+    fn discount(&self, rank: u32, a: SimTime, b: SimTime) -> SimTime {
+        let ws = self.windows.as_ref().and_then(|w| w.get(&rank));
+        let overlap = |&(w0, w1): &(SimTime, SimTime)| b.min(w1).saturating_sub(a.max(w0));
+        ws.map_or(SimTime::ZERO, |ws| {
+            ws.iter().map(overlap).fold(SimTime::ZERO, |x, y| x + y)
+        })
+    }
+
+    fn push(&mut self, ev: &Event) {
+        self.ranks.insert(ev.rank());
+        match *ev {
+            Event::FuncEnter {
+                t, rank, thread, ..
+            } => self
+                .stacks
+                .entry((rank, thread))
+                .or_default()
+                .push((t, SimTime::ZERO)),
+            Event::FuncExit {
+                t,
+                rank,
+                thread,
+                func,
+            } => {
+                let stack = self.stacks.entry((rank, thread)).or_default();
+                let Some((t0, child)) = stack.pop() else {
+                    return;
+                };
+                let span = t.saturating_sub(t0);
+                let span = span.saturating_sub(self.discount(rank, t0, t));
+                let row = self.per_rank.entry((rank, func)).or_default();
+                row.count += 1;
+                row.incl += span;
+                row.excl += span.saturating_sub(child);
+                self.credit_parent(rank, thread, span);
+            }
+            Event::FuncBatch {
+                t,
+                rank,
+                thread,
+                func,
+                count,
+                span,
+            }
+            | Event::FuncSuppressed {
+                t,
+                rank,
+                thread,
+                func,
+                count,
+                span,
+            } => {
+                let span = span.saturating_sub(self.discount(rank, t, t + span));
+                let row = self.per_rank.entry((rank, func)).or_default();
+                row.count += count;
+                row.incl += span;
+                row.excl += span;
+                self.credit_parent(rank, thread, span);
+            }
+            _ => {}
+        }
+    }
+
+    fn credit_parent(&mut self, rank: u32, thread: u16, span: SimTime) {
+        if let Some(parent) = self
+            .stacks
+            .get_mut(&(rank, thread))
+            .and_then(|s| s.last_mut())
+        {
+            parent.1 += span;
+        }
+    }
+}
+
+/// `ProfileBuilder` indexes arrays by rank, thread and function id where
+/// they are small and spills where they are not; whatever ids a trace
+/// names — interleaved, sparse, descending, up to the type's maximum,
+/// beyond the function dictionary — it must produce exactly what the
+/// map-based reference does, and feeding the same events grouped by rank
+/// (the order `Profile::from_vt` and `from_store` use) must change nothing.
+#[test]
+fn profile_builder_matches_map_reference_on_arbitrary_ids() {
+    // Both sides of every dense/spill boundary, listed descending.
+    const RANKS: [u32; 8] = [u32::MAX, 1 << 20, 65_536, 65_535, 1_152, 7, 1, 0];
+    const THREADS: [u16; 6] = [u16::MAX, 256, 64, 63, 1, 0];
+    const FUNCS: [u32; 6] = [0, 1, 5, 6, 4_000, u32::MAX];
+    let functions: Vec<String> = (0..6).map(|i| format!("f{i}")).collect();
+    let mut r = rng(12);
+    for case in 0..150 {
+        let ranks: Vec<u32> = RANKS
+            .iter()
+            .copied()
+            .filter(|_| r.gen_index(2) == 0)
+            .collect();
+        if ranks.is_empty() {
+            continue;
+        }
+        // Two disjoint suspension windows per rank, used by half the cases.
+        let ms = SimTime::from_millis;
+        let windows: BTreeMap<u32, Vec<(SimTime, SimTime)>> = ranks
+            .iter()
+            .map(|&rank| (rank, vec![(ms(2), ms(3)), (ms(6), ms(9))]))
+            .collect();
+        let opts = ProfileOptions {
+            exclude_suspensions: case % 2 == 0,
+        };
+
+        // Well-nested per-(rank, thread) streams on one per-rank clock,
+        // interleaved across ranks at random.
+        let mut clock: BTreeMap<u32, SimTime> = BTreeMap::new();
+        let mut open: BTreeMap<(u32, u16), Vec<VtFuncId>> = BTreeMap::new();
+        let mut events = Vec::new();
+        for _ in 0..r.gen_index(400) {
+            let rank = ranks[r.gen_index(ranks.len())];
+            let thread = THREADS[r.gen_index(THREADS.len())];
+            let func = VtFuncId(FUNCS[r.gen_index(FUNCS.len())]);
+            let now = clock.entry(rank).or_default();
+            *now += SimTime::from_micros(r.gen_range_u64(0..=400));
+            let t = *now;
+            let stack = open.entry((rank, thread)).or_default();
+            let span = SimTime::from_micros(r.gen_range_u64(0..=2_000));
+            events.push(match r.gen_index(7) {
+                0 | 1 => {
+                    stack.push(func);
+                    Event::FuncEnter {
+                        t,
+                        rank,
+                        thread,
+                        func,
+                    }
+                }
+                // An exit on an empty stack is a stray: ignored by both.
+                2 | 3 => Event::FuncExit {
+                    t,
+                    rank,
+                    thread,
+                    func: stack.pop().unwrap_or(func),
+                },
+                4 => Event::FuncBatch {
+                    t,
+                    rank,
+                    thread,
+                    func,
+                    count: r.gen_range_u64(0..=9),
+                    span,
+                },
+                5 => Event::FuncSuppressed {
+                    t,
+                    rank,
+                    thread,
+                    func,
+                    count: r.gen_range_u64(1..=9),
+                    span,
+                },
+                // Names the rank without touching any function row.
+                _ => Event::ConfSync { t, rank, epoch: 1 },
+            });
+        }
+
+        let mut reference = MapProfile {
+            windows: opts.exclude_suspensions.then(|| windows.clone()),
+            ..MapProfile::default()
+        };
+        events.iter().for_each(|ev| reference.push(ev));
+
+        let mut by_rank = events.clone();
+        by_rank.sort_by_key(Event::rank); // stable: per-rank order kept
+        for (feed, order) in [(&events, "interleaved"), (&by_rank, "by rank")] {
+            let mut b = ProfileBuilder::new(functions.clone(), opts);
+            b.set_suspensions(windows.clone());
+            feed.iter().for_each(|ev| b.push(ev));
+            let got = b.finish();
+            assert_eq!(got.per_rank, reference.per_rank, "case {case} {order}");
+            let want: Vec<u32> = reference.ranks.iter().copied().collect();
+            assert_eq!(got.ranks, want, "case {case} {order}");
+        }
     }
 }
 

@@ -1,12 +1,15 @@
 //! The full data path: instrumented run → trace → file → analysis.
 
-use dynprof::analysis::{read_trace, render, trace_volume, write_trace, Profile, TimelineOptions};
+use dynprof::analysis::store::{write_store_from_vt, StoreOptions, StoreReader};
+use dynprof::analysis::{
+    read_trace, render, trace_volume, write_trace, Profile, ProfileOptions, TimelineOptions,
+};
 use dynprof::apps::test_app;
-use dynprof::core::{run_session, SessionConfig};
-use dynprof::sim::Machine;
+use dynprof::core::{run_session, Command, SessionConfig, SessionReport};
+use dynprof::sim::{Machine, SimTime};
 use dynprof::vt::{Event, Policy, Trace};
 
-fn traced_run(app: &str, cpus: usize, policy: Policy) -> (Trace, dynprof::core::SessionReport) {
+fn traced_run(app: &str, cpus: usize, policy: Policy) -> (Trace, SessionReport) {
     let spec = test_app(app, cpus).unwrap();
     let report = run_session(
         &spec,
@@ -26,6 +29,81 @@ fn profile_agrees_with_vt_statistics() {
         let from_vt: u64 = (0..4).map(|r| vt.stat_of(r, id).count).sum();
         assert_eq!(from_trace.count, from_vt, "{name} counts disagree");
     }
+}
+
+/// The three feeders of `ProfileBuilder` — the live buffers, the merged
+/// time-sorted trace, the store streamed rank by rank — must agree on
+/// everything a `Profile` exposes, rendered bytes included.
+fn assert_feeders_agree(report: &SessionReport, opts: ProfileOptions, ctx: &str) {
+    let vt = &report.vt;
+    let from_vt = Profile::from_vt(vt, opts);
+    let from_trace = Profile::from_trace_opts(&vt.build_trace(), opts);
+    let dir = std::env::temp_dir().join("dynprof-pipeline");
+    std::fs::create_dir_all(&dir).unwrap();
+    let tag: String = ctx.chars().filter(char::is_ascii_alphanumeric).collect();
+    let path = dir.join(format!("feeders-{tag}-{}.vgvs", std::process::id()));
+    write_store_from_vt(vt, &path, StoreOptions { chunk_events: 64 }).unwrap();
+    let from_store = Profile::from_store(&mut StoreReader::open(&path).unwrap(), opts).unwrap();
+    std::fs::remove_file(&path).ok();
+
+    assert!(!from_vt.per_rank.is_empty(), "{ctx}: empty profile");
+    for (other, name) in [(&from_trace, "from_trace"), (&from_store, "from_store")] {
+        assert_eq!(
+            from_vt.per_rank, other.per_rank,
+            "{ctx}: per_rank vs {name}"
+        );
+        assert_eq!(from_vt.ranks, other.ranks, "{ctx}: ranks vs {name}");
+        assert_eq!(
+            from_vt.render_top(15),
+            other.render_top(15),
+            "{ctx}: render_top vs {name}"
+        );
+    }
+}
+
+#[test]
+fn profile_feeders_agree_on_every_app_and_policy() {
+    let cfg = |policy| SessionConfig::new(Machine::ibm_power3_colony(), policy).with_seed(12);
+    for app in ["smg98", "sppm", "sweep3d", "umt98"] {
+        for policy in [Policy::Dynamic, Policy::Full, Policy::Subset] {
+            let report = run_session(&test_app(app, 4).unwrap(), cfg(policy));
+            let ctx = format!("{app} {policy}");
+            assert_feeders_agree(&report, ProfileOptions::default(), &ctx);
+        }
+    }
+
+    // Suppressed-count records (`floor=10`) are accounted like batches.
+    let report = run_session(
+        &test_app("sweep3d", 4).unwrap(),
+        cfg(Policy::Full).with_suppress_floor(SimTime::from_micros(10)),
+    );
+    assert!((0..4).any(|r| report.vt.suppressed_pairs(r) > 0));
+    assert_feeders_agree(&report, ProfileOptions::default(), "sweep3d floor");
+
+    // A mid-run removal suspends every rank; discounting those windows
+    // needs the pre-pass each feeder does its own way.
+    let mut params = dynprof::apps::SppmParams::test();
+    params.scale = 0.25;
+    params.base_steps = 6;
+    let report = run_session(
+        &dynprof::apps::sppm(2, params),
+        cfg(Policy::Dynamic).with_script(vec![
+            Command::InsertFile(vec!["subset".into()]),
+            Command::Start,
+            Command::Wait(SimTime::from_millis(40)),
+            Command::RemoveFile(vec!["subset".into()]),
+            Command::Quit,
+        ]),
+    );
+    let fair = ProfileOptions {
+        exclude_suspensions: true,
+    };
+    assert_ne!(
+        Profile::from_vt(&report.vt, fair).per_rank,
+        Profile::from_vt(&report.vt, ProfileOptions::default()).per_rank,
+        "the suspension must overlap some call"
+    );
+    assert_feeders_agree(&report, fair, "sppm suspended");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! Goldens live in `tests/golden/`; regenerate intentional changes with
 //! `UPDATE_GOLDENS=1 cargo test --test trace_store golden_`.
 
-use std::sync::Mutex;
+use std::sync::RwLock;
 
 use dynprof::analysis::store::{
     compact, event_overlaps, write_store_from_trace, StoreOptions, StoreReader, StoreWriter,
@@ -17,9 +17,11 @@ use dynprof::sim::rng::SimRng;
 use dynprof::sim::SimTime;
 use dynprof::vt::{Event, Trace, VtFuncId};
 
-/// The obs registry is process-global; tests that flip the recording flag
-/// must not overlap each other.
-static OBS_GATE: Mutex<()> = Mutex::new(());
+/// The obs registry is process-global, and the obs test asserts exact
+/// counter values (`store_bytes == file size`), so it must not overlap any
+/// test that moves store counters: it takes `write()`, every other test
+/// here takes `read()`.
+static OBS_GATE: RwLock<()> = RwLock::new(());
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("dynprof-store-it");
@@ -120,6 +122,7 @@ fn reference_sorted(trace: &Trace) -> Trace {
 
 #[test]
 fn seeded_round_trip_matches_reference() {
+    let _gate = OBS_GATE.read().unwrap();
     for seed in [1u64, 7, 42] {
         let trace = synth_trace(seed, 8, 200);
         let path = tmp(&format!("rt-{seed}"));
@@ -149,6 +152,7 @@ fn seeded_round_trip_matches_reference() {
 
 #[test]
 fn suspension_exclusion_agrees_between_paths() {
+    let _gate = OBS_GATE.read().unwrap();
     let trace = synth_trace(5, 6, 150);
     let path = tmp("suspend");
     write_store_from_trace(&trace, &path, StoreOptions { chunk_events: 32 }).unwrap();
@@ -164,6 +168,7 @@ fn suspension_exclusion_agrees_between_paths() {
 
 #[test]
 fn store_files_are_byte_identical_for_same_seed() {
+    let _gate = OBS_GATE.read().unwrap();
     let opts = StoreOptions { chunk_events: 48 };
     let (a, b, c) = (tmp("det-a"), tmp("det-b"), tmp("det-c"));
     write_store_from_trace(&synth_trace(9, 10, 120), &a, opts).unwrap();
@@ -188,6 +193,7 @@ fn store_files_are_byte_identical_for_same_seed() {
 /// reference computes.
 #[test]
 fn thousand_rank_slice_decodes_only_overlapping_chunks() {
+    let _gate = OBS_GATE.read().unwrap();
     let ranks = 1_000u32;
     let trace = synth_trace(42, ranks, 40);
     let path = tmp("kilo");
@@ -274,6 +280,7 @@ fn thousand_rank_slice_decodes_only_overlapping_chunks() {
 
 #[test]
 fn compaction_merges_segments_and_remaps_dictionaries() {
+    let _gate = OBS_GATE.read().unwrap();
     // Three per-rank-group segments with different dictionary orders.
     let mut paths = Vec::new();
     for (i, names) in [
@@ -337,6 +344,7 @@ fn compaction_merges_segments_and_remaps_dictionaries() {
 
 #[test]
 fn corrupt_stores_fail_with_typed_errors() {
+    let _gate = OBS_GATE.read().unwrap();
     let trace = synth_trace(3, 2, 40);
     let path = tmp("corrupt");
     write_store_from_trace(&trace, &path, StoreOptions { chunk_events: 16 }).unwrap();
@@ -415,7 +423,7 @@ fn corrupt_stores_fail_with_typed_errors() {
 
 #[test]
 fn obs_counters_track_store_traffic() {
-    let _gate = OBS_GATE.lock().unwrap();
+    let _gate = OBS_GATE.write().unwrap();
     obs::reset();
     obs::set_enabled(true);
     let trace = synth_trace(11, 6, 100);
@@ -464,8 +472,9 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
-fn golden_store() -> std::path::PathBuf {
-    let path = tmp("golden");
+/// `name` keeps the two golden tests, which run concurrently, off one file.
+fn golden_store(name: &str) -> std::path::PathBuf {
+    let path = tmp(name);
     write_store_from_trace(
         &synth_trace(42, 4, 60),
         &path,
@@ -477,7 +486,8 @@ fn golden_store() -> std::path::PathBuf {
 
 #[test]
 fn golden_vgv_top() {
-    let path = golden_store();
+    let _gate = OBS_GATE.read().unwrap();
+    let path = golden_store("golden-top");
     let mut r = StoreReader::open(&path).unwrap();
     let report = top_report(&mut r, 10, ProfileOptions::default()).unwrap();
     check_golden("vgv_top.txt", &report);
@@ -486,7 +496,8 @@ fn golden_vgv_top() {
 
 #[test]
 fn golden_vgv_slice() {
-    let path = golden_store();
+    let _gate = OBS_GATE.read().unwrap();
+    let path = golden_store("golden-slice");
     let mut r = StoreReader::open(&path).unwrap();
     let info = r.info();
     let span = info.t_end.saturating_sub(info.t_min);
@@ -604,6 +615,7 @@ fn check_golden_bytes(name: &str, actual: &[u8]) {
 
 #[test]
 fn v1_stores_still_open_read_only() {
+    let _gate = OBS_GATE.read().unwrap();
     let trace = synth_trace(9, 3, 50);
     let bytes = build_v1_store(&trace, 32);
     check_golden_bytes("store_v1.vgvs", &bytes);
@@ -630,6 +642,7 @@ fn v1_stores_still_open_read_only() {
 
 #[test]
 fn v1_store_without_footer_salvages_by_decoding() {
+    let _gate = OBS_GATE.read().unwrap();
     let trace = synth_trace(10, 2, 40);
     let bytes = build_v1_store(&trace, 16);
     let path = tmp("v1-salvage");
@@ -670,6 +683,7 @@ fn v1_store_without_footer_salvages_by_decoding() {
 
 #[test]
 fn compact_reverifies_and_rewrites_crcs() {
+    let _gate = OBS_GATE.read().unwrap();
     let t1 = synth_trace(21, 2, 40);
     let t2 = synth_trace(22, 2, 40);
     let (p1, p2, out) = (tmp("cmp-a"), tmp("cmp-b"), tmp("cmp-out"));
