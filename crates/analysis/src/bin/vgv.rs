@@ -7,14 +7,16 @@
 //! $ vgv slice run.vgvs --t0 2ms --t1 5ms [--rank N] [--width N]
 //! $ vgv comm run.vgvs                 # rank x rank byte matrix
 //! $ vgv fsck run.vgvs [--repair [--out fixed.vgvs]]
-//! $ vgv convert run.vgvt run.vgvs [--chunk-events N]
-//! $ vgv view run.vgvt [--width N] [--per-thread] [--top N]
-//! $ vgv run.vgvt                      # same as `vgv view` (legacy)
+//! $ vgv convert run.vgvt|run.vgvs out.vgvs [--chunk-events N]
+//! $ vgv view run.vgvs [--width N] [--per-thread] [--top N]
+//! $ vgv run.vgvs                      # same as `vgv view`
 //! ```
 //!
 //! Subcommands other than `view`/`convert` operate on chunk-indexed
-//! `VGVS` stores and decode only what the query needs; `view` is the
-//! legacy load-everything path for flat `VGVT` traces. A store argument
+//! `VGVS` stores and decode only what the query needs; `view` (whole
+//! time-line, matrix and statistics) and `convert` are the
+//! load-everything paths and take a store file or a legacy flat `VGVT`
+//! trace, told apart by their magic. A store argument
 //! names either one file or a rotated segment family (`run.vgvs` finds
 //! `run.0000.vgvs`, `run.0001.vgvs`, …); `--salvage` opens crashed
 //! captures without a footer, `--degraded` skips (and reports) corrupt
@@ -22,7 +24,7 @@
 
 use dynprof_analysis::store::{fsck, repair, SegmentSet, StoreOptions};
 use dynprof_analysis::{
-    comm_report, convert, info_report, ranks_report, read_trace, render, slice_report, top_report,
+    comm_report, convert, info_report, load_trace, ranks_report, render, slice_report, top_report,
     trace_volume, Profile, ProfileOptions, TimelineOptions,
 };
 use dynprof_sim::SimTime;
@@ -37,8 +39,8 @@ fn usage() -> ! {
          \x20 slice <store.vgvs> --t0 T --t1 T [--rank N] [--width N]\n\
          \x20 comm <store.vgvs>                    communication matrix\n\
          \x20 fsck <store.vgvs> [--repair] [--out F]  verify chunks, footer; rebuild if asked\n\
-         \x20 convert <in.vgvt> <out.vgvs> [--chunk-events N]\n\
-         \x20 view <trace.vgvt> [--width N] [--per-thread] [--top N] [--exclude-suspensions]\n\
+         \x20 convert <in.vgvt|in.vgvs> <out.vgvs> [--chunk-events N]   re-encode / re-chunk\n\
+         \x20 view <store.vgvs|trace.vgvt> [--width N] [--per-thread] [--top N] [--exclude-suspensions]\n\
          store commands also take --salvage (open footer-less captures) and\n\
          --degraded (skip corrupt chunks, reporting the loss); a store path\n\
          may name a rotated segment family (run.vgvs -> run.0000.vgvs, ...)\n\
@@ -196,7 +198,7 @@ fn main() {
     let Some(command) = args.first().cloned() else {
         usage();
     };
-    // `vgv <file.vgvt>` (no subcommand) keeps working as the legacy view.
+    // `vgv <file>` (no subcommand) keeps working as the whole-trace view.
     let (command, rest): (&str, &[String]) = if command.starts_with('-') || command.contains('.') {
         ("view", &args)
     } else {
@@ -271,7 +273,7 @@ fn main() {
         }
         "view" => {
             let [path] = &f.positional[..] else { usage() };
-            let trace = read_trace(path).unwrap_or_else(|e| fail(path, e));
+            let trace = load_trace(path).unwrap_or_else(|e| fail(path, e));
             print!(
                 "{}",
                 render(

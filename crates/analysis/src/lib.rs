@@ -14,7 +14,7 @@
 //! | layout | one flat event array | fixed-size chunks + footer index |
 //! | read cost | whole file, always | only chunks overlapping the query |
 //! | memory | `O(trace)` | `O(chunk)` |
-//! | written by | [`write_trace`] | [`store::StoreWriter`] |
+//! | written by | [`write_trace`] | [`store::StoreWriter`] (what `dynprof trace=` streams) |
 //!
 //! The analyses consume **event streams**, not materialized traces:
 //! [`ProfileBuilder`], [`TimelineBuilder`] and [`CommStats::push`] accept
@@ -75,4 +75,4 @@ pub use profile::{
 };
 pub use query::{comm_report, info_report, ranks_report, slice_report, top_report};
 pub use timeline::{render, TimelineBuilder, TimelineOptions};
-pub use tracefile::{convert, decode_legacy, read_trace, write_trace};
+pub use tracefile::{convert, decode_legacy, load_trace, read_trace, write_trace};

@@ -6,16 +6,18 @@
 //! expose (paper §1).
 //!
 //! Profiles are accumulated by [`ProfileBuilder`], which consumes events
-//! one at a time. It has three feeders: a merged [`Trace`]
+//! one at a time. It has four feeders: a merged [`Trace`]
 //! ([`Profile::from_trace`]), a chunk-indexed store streamed rank by rank
-//! ([`Profile::from_store`]), and a live [`VtLib`]'s per-rank buffers
-//! replayed in place ([`Profile::from_vt`]) — the last two never
-//! materialize the event array.
+//! ([`Profile::from_store`]), a [`VtLib`]'s per-rank buffers replayed in
+//! place ([`Profile::from_vt`]), and the running library itself — the
+//! builder is an [`EventSink`], which is how `dynprof` computes its
+//! summary without ever holding the trace. Only the first materializes
+//! the event array.
 
 use std::collections::BTreeMap;
 
 use dynprof_sim::SimTime;
-use dynprof_vt::{Event, Trace, VtFuncId, VtLib};
+use dynprof_vt::{Event, EventSink, Trace, VtFuncId, VtLib};
 
 use crate::error::TraceError;
 use crate::store::EventSource;
@@ -166,8 +168,11 @@ impl ProfileBuilder {
                 .and_then(|w| w.get(&rank))
                 .map_or(SimTime::ZERO, |ws| overlap_with(a, b, ws))
         };
-        // Function ids are array-indexed up to the dictionary's length;
-        // a file naming one beyond it reads as "<unknown>" and spills.
+        // Function ids are array-indexed up to the dictionary's length at
+        // the rank's first event; one beyond it spills — a file naming an
+        // id it never defined (read as "<unknown>"), or a name registered
+        // later in a live capture (2 % of a `policy=full` umt98 session,
+        // not worth re-homing the spilled rows).
         let known_funcs = self.functions.len();
         let state = self.ranks.entry(ev.rank(), || RankState {
             stacks: DenseMap::new(DENSE_THREADS),
@@ -251,6 +256,20 @@ impl ProfileBuilder {
             functions: self.functions,
             ranks,
         }
+    }
+}
+
+/// Live accumulation: installed on a trace library (alone or teed with a
+/// store writer) the builder profiles the run as it happens, the
+/// dictionary growing as `VT_funcdef` registers names.
+impl EventSink for ProfileBuilder {
+    fn funcdef(&mut self, id: VtFuncId, name: &str) {
+        debug_assert_eq!(id.0 as usize, self.functions.len(), "ids arrive in order");
+        self.functions.push(name.to_string());
+    }
+
+    fn push(&mut self, ev: &Event) {
+        ProfileBuilder::push(self, ev);
     }
 }
 

@@ -55,9 +55,12 @@
 //! tail of the *newest* segment. Torn-write behaviour is tested through
 //! the seeded [`iofault::FaultyFile`] layer.
 //!
-//! **Writing.** [`StoreWriter`] streams events (see
-//! [`write_store_from_vt`] for the `VtLib` flush path and
-//! [`write_store_from_trace`] for legacy conversion); [`compact`] merges
+//! **Writing.** [`StoreWriter`] and [`RotatingWriter`] are
+//! [`EventSink`](dynprof_vt::EventSink)s: installed on a `VtLib` they
+//! capture a run as it happens, which is how `dynprof trace=` writes
+//! ([`write_store_from_vt`] flushes a buffered library after the run — the
+//! reference path — and [`write_store_from_trace`] converts legacy
+//! traces); [`compact`] merges
 //! small per-rank segment files into one indexed store, re-mapping
 //! function ids when the segments' dictionaries differ and re-verifying
 //! every input CRC on the way through.
@@ -123,10 +126,7 @@ pub use crc::{crc32, Crc32};
 pub use iofault::{FaultScript, FaultyFile};
 pub use reader::{QueryStats, SalvageSummary, StoreInfo, StoreReader};
 pub use salvage::{fsck, repair, ChunkFault, FooterState, FsckReport};
-pub use segment::{
-    write_store_from_vt_rotating, RetentionPolicy, RotatingWriter, RotationPolicy, SegmentSet,
-    SegmentStats,
-};
+pub use segment::{RetentionPolicy, RotatingWriter, RotationPolicy, SegmentSet, SegmentStats};
 pub use writer::{compact, write_store_from_trace, write_store_from_vt, StoreStats, StoreWriter};
 
 use dynprof_sim::SimTime;

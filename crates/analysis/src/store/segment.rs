@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 
 use dynprof_obs as obs;
 use dynprof_sim::SimTime;
-use dynprof_vt::{Event, VtLib};
+use dynprof_vt::{Event, EventSink, VtFuncId};
 
 use super::reader::{QueryStats, StoreInfo, StoreReader};
 use super::writer::{remap_func, StoreStats, StoreWriter};
@@ -36,8 +36,8 @@ fn obs_segments_rotated(n: u64) {
 }
 
 /// When to roll to a new segment. A cap of `None` never triggers; the
-/// default policy never rotates (single-file behaviour, byte-identical
-/// to a plain [`StoreWriter`](super::StoreWriter) run).
+/// default policy never rotates: one file, named as given, byte-identical
+/// to a plain [`StoreWriter`](super::StoreWriter) run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RotationPolicy {
     /// Roll once the open segment holds at least this many bytes
@@ -123,6 +123,9 @@ pub struct RotatingWriter {
     rotated: usize,
     deleted: usize,
     events: u64,
+    /// First failure met while fed as an [`EventSink`]; capture stops
+    /// there and [`RotatingWriter::finish`] reports it.
+    deferred_err: Option<TraceError>,
 }
 
 /// `base` = `trace.vgvs`, `seg` = 3 → `trace.0003.vgvs`.
@@ -134,7 +137,8 @@ pub(crate) fn segment_path(base: &Path, seg: usize) -> PathBuf {
 
 impl RotatingWriter {
     /// Start a rotating capture. `base` names the segment family:
-    /// `trace.vgvs` produces `trace.0000.vgvs`, `trace.0001.vgvs`, ….
+    /// `trace.vgvs` produces `trace.0000.vgvs`, `trace.0001.vgvs`, … —
+    /// or, under a policy that never rotates, the one file `trace.vgvs`.
     pub fn create(
         base: impl AsRef<Path>,
         program: impl Into<String>,
@@ -144,7 +148,11 @@ impl RotatingWriter {
     ) -> Result<RotatingWriter, TraceError> {
         let base = base.as_ref().to_path_buf();
         let program = program.into();
-        let first = segment_path(&base, 0);
+        let first = if rotation == RotationPolicy::default() {
+            base.clone()
+        } else {
+            segment_path(&base, 0)
+        };
         let writer = StoreWriter::create(&first, program.clone(), opts)?;
         Ok(RotatingWriter {
             base,
@@ -160,6 +168,7 @@ impl RotatingWriter {
             rotated: 0,
             deleted: 0,
             events: 0,
+            deferred_err: None,
         })
     }
 
@@ -177,18 +186,18 @@ impl RotatingWriter {
         &self.live
     }
 
-    /// Append one event, rolling to a new segment when the open one
-    /// crosses the rotation caps.
+    /// Append one event, first rolling to a new segment if the open one
+    /// has crossed the rotation caps (so a segment is only ever opened for
+    /// an event to go into it — no empty tail segment).
     pub fn append(&mut self, ev: &Event) -> Result<(), TraceError> {
-        let w = self.current.as_mut().expect("writer present until finish");
-        w.append(ev);
-        self.events += 1;
-        if self
-            .rotation
-            .should_roll(w.bytes_written(), w.events_written())
-        {
+        let w = self.current.as_ref().expect("writer present until finish");
+        let (bytes, events) = (w.bytes_written(), w.events_written());
+        if events > 0 && self.rotation.should_roll(bytes, events) {
             self.roll()?;
         }
+        let w = self.current.as_mut().expect("roll opened the next segment");
+        w.append(ev);
+        self.events += 1;
         Ok(())
     }
 
@@ -230,6 +239,9 @@ impl RotatingWriter {
 
     /// Seal the final segment and report what the capture produced.
     pub fn finish(mut self) -> Result<SegmentStats, TraceError> {
+        if let Some(e) = self.deferred_err.take() {
+            return Err(e);
+        }
         let w = self.current.take().expect("writer present until finish");
         self.sealed.push(w.finish()?);
         let chunks = self.sealed.iter().map(|s| s.chunks).sum();
@@ -245,30 +257,25 @@ impl RotatingWriter {
     }
 }
 
-/// Flush a [`VtLib`]'s per-rank buffers through a [`RotatingWriter`] —
-/// the rotating twin of
-/// [`write_store_from_vt`](super::write_store_from_vt).
-pub fn write_store_from_vt_rotating(
-    vt: &VtLib,
-    base: impl AsRef<Path>,
-    opts: StoreOptions,
-    rotation: RotationPolicy,
-    retention: RetentionPolicy,
-) -> Result<SegmentStats, TraceError> {
-    let mut w = RotatingWriter::create(base, vt.program(), opts, rotation, retention)?;
-    w.set_functions(vt.function_names());
-    for rank in 0..vt.ranks() {
-        let mut res: Result<(), TraceError> = Ok(());
-        vt.with_rank_events(rank, |events| {
-            for ev in events {
-                if res.is_ok() {
-                    res = w.append(ev);
-                }
-            }
-        });
-        res?;
+/// Live capture: because events arrive in execution order, each segment
+/// is a slice of the run's *time* across all ranks, and retention keeps
+/// the end of the run. Every new segment starts from the dictionary so
+/// far. The first seal/open/prune failure ends the capture and is
+/// reported by [`RotatingWriter::finish`]; sealed segments stay valid.
+impl EventSink for RotatingWriter {
+    fn funcdef(&mut self, id: VtFuncId, name: &str) {
+        debug_assert_eq!(id.0 as usize, self.functions.len(), "ids arrive in order");
+        self.functions.push(name.to_string());
+        if let Some(w) = self.current.as_mut() {
+            w.funcdef(id, name);
+        }
     }
-    w.finish()
+
+    fn push(&mut self, ev: &Event) {
+        if self.deferred_err.is_none() {
+            self.deferred_err = self.append(ev).err();
+        }
+    }
 }
 
 /// One member of a [`SegmentSet`].

@@ -1,5 +1,7 @@
 //! The streaming store writer: bounded memory per rank, chunks flushed
-//! the moment they fill, footer index written once at `finish()`.
+//! the moment they fill, footer index written once at `finish()`. It is
+//! an [`EventSink`]: installed on a trace library it captures the run as
+//! it happens, the dictionary arriving name by name.
 //!
 //! Crash-consistency discipline (DESIGN §17): the salvageable preamble
 //! (program + function dictionary) is written before the first chunk;
@@ -17,7 +19,7 @@ use std::sync::OnceLock;
 use bytes::{BufMut, BytesMut};
 use dynprof_obs as obs;
 use dynprof_sim::SimTime;
-use dynprof_vt::{Event, Trace, VtFuncId, VtLib};
+use dynprof_vt::{Event, EventSink, Trace, VtFuncId, VtLib};
 
 use super::codec::{encode_event, event_end};
 use super::crc::{crc32, Crc32};
@@ -300,6 +302,21 @@ impl<W: Write + Seek> StoreWriter<W> {
     }
 }
 
+/// Live capture: events are appended as the trace library settles them,
+/// names join the dictionary as `VT_funcdef` registers them (those known
+/// when the first chunk is flushed make the salvage preamble, all of them
+/// the footer), and I/O errors wait for [`StoreWriter::finish`].
+impl<W: Write + Seek + Send> EventSink for StoreWriter<W> {
+    fn funcdef(&mut self, id: VtFuncId, name: &str) {
+        debug_assert_eq!(id.0 as usize, self.functions.len(), "ids arrive in order");
+        self.functions.push(name.to_string());
+    }
+
+    fn push(&mut self, ev: &Event) {
+        self.append(ev);
+    }
+}
+
 /// Encode the version-2 chunk header for `meta`, computing and stamping
 /// `meta.crc` (CRC-32 over the header's non-crc bytes then the payload).
 pub(crate) fn encode_chunk_header(meta: &mut ChunkMeta, payload: &[u8]) -> BytesMut {
@@ -374,9 +391,10 @@ pub(crate) fn put_string(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-/// Flush a [`VtLib`]'s per-rank trace buffers straight into a store file —
-/// the figure-run path. Events stream rank by rank through the bounded
-/// writer; no merged `O(trace)` vector is ever built.
+/// Flush a [`VtLib`]'s per-rank trace buffers into a store file after the
+/// run — the buffered reference a live capture (the writer installed as
+/// the library's sink) is tested against. Events stream rank by rank
+/// through the bounded writer; no merged `O(trace)` vector is ever built.
 pub fn write_store_from_vt(
     vt: &VtLib,
     path: impl AsRef<Path>,

@@ -3,8 +3,9 @@
 //! This is the load-everything path the chunk-indexed store
 //! ([`crate::store`]) supersedes: [`read_trace`] materializes the whole
 //! event array in memory. It is kept as the compatibility decoder behind
-//! `vgv convert` and for small traces; new code should write `VGVS`
-//! stores ([`crate::store::StoreWriter`]) and stream queries instead.
+//! `vgv convert`/`vgv view` and for small traces; `dynprof` itself only
+//! writes `VGVS` stores ([`crate::store::StoreWriter`]), and
+//! [`load_trace`] reads either format for the whole-trace views.
 //!
 //! Corruption is reported through the typed [`TraceError`] shared with
 //! the store reader, so callers can tell a truncated copy
@@ -36,6 +37,22 @@ pub fn read_trace(path: impl AsRef<Path>) -> Result<Trace, TraceError> {
     let mut buf = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut buf)?;
     decode_legacy(Bytes::from(buf))
+}
+
+/// Load a whole trace from either format, told apart by the file magic:
+/// a `VGVS` store is decoded in full
+/// ([`StoreReader::read_all`](crate::store::StoreReader::read_all)),
+/// anything else is read as legacy `VGVT`. Memory is `O(trace)` — this is
+/// `vgv view`'s loader, not a query path.
+pub fn load_trace(path: impl AsRef<Path>) -> Result<Trace, TraceError> {
+    let mut magic = [0u8; 4];
+    let is_store = std::fs::File::open(&path)?.read_exact(&mut magic).is_ok()
+        && &magic == crate::store::STORE_MAGIC;
+    if is_store {
+        crate::store::StoreReader::open(path)?.read_all()
+    } else {
+        read_trace(path)
+    }
 }
 
 /// Decode the legacy format from memory (typed twin of
@@ -81,14 +98,15 @@ pub fn decode_legacy(mut buf: Bytes) -> Result<Trace, TraceError> {
     })
 }
 
-/// Convert a legacy `VGVT` file into a chunk-indexed `VGVS` store — the
-/// migration path for traces recorded before the store existed.
+/// Re-encode a trace as a chunk-indexed `VGVS` store: the migration path
+/// for legacy `VGVT` files recorded before the store existed, and a way
+/// to re-chunk an existing store (`opts.chunk_events`) for finer skips.
 pub fn convert(
     from: impl AsRef<Path>,
     to: impl AsRef<Path>,
     opts: crate::store::StoreOptions,
 ) -> Result<crate::store::StoreStats, TraceError> {
-    let trace = read_trace(from)?;
+    let trace = load_trace(from)?;
     crate::store::write_store_from_trace(&trace, to, opts)
 }
 
@@ -228,5 +246,30 @@ mod tests {
         assert_eq!(r.read_all().unwrap(), trace);
         std::fs::remove_file(&src).ok();
         std::fs::remove_file(&dst).ok();
+    }
+
+    #[test]
+    fn load_trace_tells_the_formats_apart_by_magic() {
+        let trace = tiny_trace();
+        // Both files carry the "wrong" extension on purpose.
+        let flat = tmp("load-flat");
+        write_trace(&trace, &flat).unwrap();
+        let store = tmp("load-store");
+        crate::store::write_store_from_trace(&trace, &store, Default::default()).unwrap();
+        assert_eq!(load_trace(&flat).unwrap(), trace);
+        assert_eq!(load_trace(&store).unwrap(), trace);
+        std::fs::write(&flat, b"not a trace").unwrap();
+        assert!(matches!(load_trace(&flat), Err(TraceError::BadMagic)));
+        std::fs::write(&flat, b"VG").unwrap();
+        assert!(matches!(
+            load_trace(&flat),
+            Err(TraceError::TruncatedHeader)
+        ));
+        assert!(matches!(
+            load_trace("/nonexistent/definitely/not/here.vgvs"),
+            Err(TraceError::Io(_))
+        ));
+        std::fs::remove_file(&flat).ok();
+        std::fs::remove_file(&store).ok();
     }
 }

@@ -17,26 +17,29 @@
 //!   machine=M  ibm | ia32 | test                    (default ibm)
 //!   seed=N     simulation seed                      (default 42)
 //!   policy=P   dynamic | full | full-off | subset | none (default dynamic)
-//!   trace=F    also write the trace to F (`.vgvs` = chunk-indexed
-//!              store, anything else = legacy flat `VGVT`)
+//!   trace=F    also capture the trace to F, a chunk-indexed `VGVS` store
+//!   rotate=B   roll the store into F.0000.vgvs, … segments of B bytes
+//!   keep=N     with rotate: retain only the newest N segments
 //! ```
 //!
 //! The script file holds Table-1 commands (`insert-file subset`, `start`,
 //! `wait 2`, `remove ...`, `quit`); `-` reads it from stdin.
 //!
-//! Everything an invocation reports is read from the trace library's
-//! per-rank buffers where they lie: [`run_cli`] renders the summary's
-//! function table with `Profile::from_vt` and [`write_outputs`] streams a
-//! `.vgvs` store rank by rank. Only the legacy flat `VGVT` file, whose
-//! format is the merged time-sorted event array, has that array built
-//! for it — the one `build_trace` call in this module (DESIGN §14).
+//! An invocation never holds its trace in memory: [`run_cli`] installs a
+//! capture sink on the session's trace library, and every event goes, as
+//! it happens, into the summary's `ProfileBuilder` and — with `trace=` —
+//! into a store writer opened before the session starts. The summary is
+//! rendered from that builder and the store's footer sealed last, so a
+//! run that dies midway leaves a salvageable store (DESIGN §14, §17).
 
 use std::io::Read;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use dynprof_analysis::store::{RetentionPolicy, RotatingWriter, RotationPolicy, StoreOptions};
+use dynprof_analysis::ProfileBuilder;
 use dynprof_core::{run_session, AdaptiveSettings, AppSpec, Command, SessionConfig, SessionReport};
 use dynprof_sim::{Machine, SimTime};
-use dynprof_vt::Policy;
+use dynprof_vt::{Event, EventSink, Policy, VtFuncId};
 
 use crate::workload::Outputs;
 
@@ -61,17 +64,18 @@ pub struct CliArgs {
     pub seed: u64,
     /// Instrumentation policy.
     pub policy: Policy,
-    /// Optional trace-file output path.
+    /// Optional trace-store (`VGVS`) output path.
     pub trace: Option<String>,
     /// Overhead budget (percent) for closed-loop adaptive
     /// instrumentation; `None` = no controller.
     pub budget: Option<f64>,
     /// Redundancy-suppression floor in microseconds (0 = off).
     pub floor_us: u64,
-    /// Rotate `.vgvs` output into segments of at most this many bytes
-    /// (`None` = single file).
+    /// Rotate the trace store into segments of at most this many bytes
+    /// (`None` = single file). Requires `trace`.
     pub rotate_bytes: Option<u64>,
     /// Keep only the newest N segments when rotating (`None` = all).
+    /// Requires `rotate_bytes`.
     pub keep_segments: Option<usize>,
 }
 
@@ -85,6 +89,10 @@ pub struct CliOutput {
     pub timefile: String,
     /// Application outputs (numerics).
     pub outputs: Arc<Outputs>,
+    /// Why the `trace=` store could not be completed, if it could not
+    /// (the capture's deferred I/O error; what reached the disk before it
+    /// salvages). [`write_outputs`] reports it after the other outputs.
+    pub trace_error: Option<String>,
 }
 
 /// The usage text.
@@ -93,8 +101,8 @@ usage: dynprof <script|-> <stdout-file|-> <timefile|-> <app> [key=value ...]
   app:      smg98 | sppm | sweep3d | umt98
   options:  cpus=N scale=X machine=ibm|ia32|test seed=N
             policy=dynamic|full|full-off|subset|none
-            trace=FILE (.vgvs = chunk-indexed store, else legacy VGVT)
-            rotate=BYTES (roll .vgvs output into FILE.0000.vgvs segments)
+            trace=FILE (capture the trace to a chunk-indexed VGVS store)
+            rotate=BYTES (with trace: roll into FILE.0000.vgvs, ... segments)
             keep=N (with rotate: retain only the newest N segments)
             budget=PCT (adaptive: keep probe overhead under PCT%)
             floor=US (suppress entry/exit pairs shorter than US microseconds)
@@ -160,6 +168,14 @@ impl CliArgs {
                 other => return Err(format!("unknown option {other:?}\n{USAGE}")),
             }
         }
+        if out.rotate_bytes.is_some() && out.trace.is_none() {
+            return Err(format!("rotate= needs a trace=FILE to rotate\n{USAGE}"));
+        }
+        if out.keep_segments.is_some() && out.rotate_bytes.is_none() {
+            return Err(format!(
+                "keep= only applies to a rotating capture (rotate=BYTES)\n{USAGE}"
+            ));
+        }
         Ok(out)
     }
 
@@ -212,8 +228,47 @@ fn read_script(path: &str) -> Result<Vec<Command>, String> {
     Command::parse_script(&text).map_err(|e| format!("script {path:?}: {e}"))
 }
 
-/// Run one dynprof invocation. Does not touch the filesystem except to
-/// read the script (callers write the outputs — see [`write_outputs`]).
+/// Open the store `args` asks for (if any) for `program`: one file, or
+/// with `rotate=` a family of segments sealed at the byte cap, the oldest
+/// pruned per `keep=N`, readable as one store via `SegmentSet`.
+fn open_trace(args: &CliArgs, program: &str) -> Result<Option<RotatingWriter>, String> {
+    let Some(path) = &args.trace else {
+        return Ok(None);
+    };
+    let rotation = RotationPolicy {
+        max_bytes: args.rotate_bytes,
+        max_events: None,
+    };
+    let retention = RetentionPolicy {
+        keep_last: args.keep_segments,
+    };
+    RotatingWriter::create(path, program, StoreOptions::default(), rotation, retention)
+        .map(Some)
+        .map_err(|e| format!("creating store {path:?}: {e}"))
+}
+
+/// The session's capture sink: every event is teed into the summary's
+/// profile and, with `trace=`, into the store.
+struct Capture {
+    profile: ProfileBuilder,
+    store: Option<RotatingWriter>,
+}
+
+impl EventSink for Capture {
+    fn funcdef(&mut self, id: VtFuncId, name: &str) {
+        self.profile.funcdef(id, name);
+        self.store.funcdef(id, name);
+    }
+
+    fn push(&mut self, ev: &Event) {
+        self.profile.push(ev);
+        self.store.push(ev);
+    }
+}
+
+/// Run one dynprof invocation. Reads the script and, with `trace=`,
+/// creates and writes the trace store while the session runs; callers
+/// write the text outputs (see [`write_outputs`]).
 pub fn run_cli(args: &CliArgs) -> Result<CliOutput, String> {
     let (app, outputs) = build_app(args)?;
     let script = read_script(&args.script)?;
@@ -228,7 +283,17 @@ pub fn run_cli(args: &CliArgs) -> Result<CliOutput, String> {
     if args.floor_us > 0 {
         cfg = cfg.with_suppress_floor(SimTime::from_micros(args.floor_us));
     }
-    let report = run_session(&app, cfg);
+    let capture = Arc::new(Mutex::new(Some(Capture {
+        profile: ProfileBuilder::new(Vec::new(), Default::default()),
+        store: open_trace(args, &app.name)?,
+    })));
+    let report = run_session(&app, cfg.with_capture(Arc::clone(&capture) as _));
+    // The library keeps its handle on the slot; the sink comes back out.
+    let Capture { profile, store } = capture
+        .lock()
+        .expect("a panicking sink would have failed the session")
+        .take()
+        .expect("nobody else empties the slot");
 
     let mut summary = String::new();
     summary.push_str(&format!(
@@ -266,21 +331,42 @@ pub fn run_cli(args: &CliArgs) -> Result<CliOutput, String> {
         summary.push_str(&format!("warning          : {w}\n"));
     }
     summary.push('\n');
-    // Straight from the per-rank buffers: a function table needs no
-    // cross-rank order, so no merged trace is built for it.
-    let profile = dynprof_analysis::Profile::from_vt(&report.vt, Default::default());
-    summary.push_str(&profile.render_top(15));
+    // Accumulated while the session ran: a function table needs no
+    // cross-rank order, so no trace was ever held for it.
+    summary.push_str(&profile.finish().render_top(15));
 
+    // Only now is the capture complete: flush the open chunks, seal the
+    // footer.
+    let trace_error = store.and_then(|w| match w.finish() {
+        Ok(stats) if args.rotate_bytes.is_some() => {
+            eprintln!(
+                "dynprof: {} segments on disk ({} rotated, {} retired), {} bytes",
+                stats.segments.len(),
+                stats.rotated,
+                stats.deleted,
+                stats.bytes
+            );
+            None
+        }
+        Ok(_) => None,
+        Err(e) => {
+            let path = args.trace.as_deref().unwrap_or_default();
+            Some(format!("writing store {path:?}: {e}"))
+        }
+    });
     let timefile = report.timefile.render();
     Ok(CliOutput {
         report,
         summary,
         timefile,
         outputs,
+        trace_error,
     })
 }
 
-/// Write an invocation's outputs to the requested destinations.
+/// Write an invocation's text outputs to the requested destinations. The
+/// trace store was written by [`run_cli`] as the session ran; if that
+/// failed, this reports it once the summary and timefile are out.
 pub fn write_outputs(args: &CliArgs, out: &CliOutput) -> Result<(), String> {
     let emit = |path: &str, text: &str| -> Result<(), String> {
         if path == "-" {
@@ -292,50 +378,7 @@ pub fn write_outputs(args: &CliArgs, out: &CliOutput) -> Result<(), String> {
     };
     emit(&args.stdout_file, &out.summary)?;
     emit(&args.timefile, &out.timefile)?;
-    if let Some(trace_path) = &args.trace {
-        if trace_path.ends_with(".vgvs") && args.rotate_bytes.is_some() {
-            // Rotating capture: segments sealed at the byte cap, oldest
-            // pruned per keep=N; readable as one store via SegmentSet.
-            let rotation = dynprof_analysis::store::RotationPolicy {
-                max_bytes: args.rotate_bytes,
-                max_events: None,
-            };
-            let retention = dynprof_analysis::store::RetentionPolicy {
-                keep_last: args.keep_segments,
-            };
-            let stats = dynprof_analysis::store::write_store_from_vt_rotating(
-                &out.report.vt,
-                trace_path,
-                dynprof_analysis::store::StoreOptions::default(),
-                rotation,
-                retention,
-            )
-            .map_err(|e| format!("writing store {trace_path:?}: {e}"))?;
-            eprintln!(
-                "dynprof: {} segments on disk ({} rotated, {} retired), {} bytes",
-                stats.segments.len(),
-                stats.rotated,
-                stats.deleted,
-                stats.bytes
-            );
-        } else if trace_path.ends_with(".vgvs") {
-            // Chunk-indexed store, streamed straight from the trace
-            // buffers without materializing the merged event array.
-            dynprof_analysis::store::write_store_from_vt(
-                &out.report.vt,
-                trace_path,
-                dynprof_analysis::store::StoreOptions::default(),
-            )
-            .map_err(|e| format!("writing store {trace_path:?}: {e}"))?;
-        } else {
-            // Legacy flat file: the format is the merged, time-sorted
-            // event array, so this branch alone assembles one.
-            let trace = out.report.vt.build_trace();
-            dynprof_analysis::write_trace(&trace, trace_path)
-                .map_err(|e| format!("writing trace {trace_path:?}: {e}"))?;
-        }
-    }
-    Ok(())
+    out.trace_error.clone().map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -378,25 +421,45 @@ mod tests {
     }
 
     #[test]
-    fn end_to_end_invocation() {
+    fn parse_rejects_rotation_options_that_would_do_nothing() {
+        let base = ["a", "b", "c", "smg98"];
+        let with = |extra: &[&str]| CliArgs::parse(&strs(&[&base[..], extra].concat()));
+        let err = with(&["keep=2"]).unwrap_err();
+        assert!(err.contains("keep=") && err.contains("rotate="), "{err}");
+        let err = with(&["trace=t.vgvs", "keep=2"]).unwrap_err();
+        assert!(err.contains("rotate="), "{err}");
+        let err = with(&["rotate=4096"]).unwrap_err();
+        assert!(err.contains("trace="), "{err}");
+        let err = with(&["rotate=4096", "keep=2"]).unwrap_err();
+        assert!(err.contains("trace="), "{err}");
+        let ok = with(&["trace=t.vgvs", "rotate=4096", "keep=2"]).unwrap();
+        assert_eq!(ok.rotate_bytes, Some(4096));
+        assert_eq!(ok.keep_segments, Some(2));
+        assert!(with(&["trace=t.vgvs", "rotate=4096"]).is_ok());
+    }
+
+    /// `args` for a 2-rank sweep3d session driven by the default script,
+    /// plus the script's path (for cleanup).
+    fn sweep3d_args(tag: &str, extra: &[&str]) -> (CliArgs, std::path::PathBuf) {
         let dir = std::env::temp_dir().join("dynprof-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let script = dir.join(format!("s-{}.dp", std::process::id()));
+        let script = dir.join(format!("{tag}-{}.dp", std::process::id()));
         std::fs::write(&script, "insert-file subset\nstart\nquit\n").unwrap();
-        let path = dir.join(format!("t-{}.vgvt", std::process::id()));
-        let args = CliArgs::parse(&strs(&[
+        let mut argv = vec![
             script.to_str().unwrap(),
             "-",
             "-",
             "sweep3d",
             "cpus=2",
             "seed=5",
-        ]))
-        .map(|mut a| {
-            a.trace = Some(path.to_str().unwrap().to_string());
-            a
-        })
-        .unwrap();
+        ];
+        argv.extend(extra);
+        (CliArgs::parse(&strs(&argv)).unwrap(), script)
+    }
+
+    #[test]
+    fn end_to_end_invocation() {
+        let (args, script) = sweep3d_args("s", &[]);
         let out = run_cli(&args).unwrap();
         assert!(
             out.summary.contains("probe pairs      : 42"),
@@ -405,62 +468,65 @@ mod tests {
         );
         assert!(out.summary.contains("sweep"));
         assert!(out.timefile.contains("instrument"));
-        // The summary's table, built from the per-rank buffers, is the one
-        // the merged time-sorted trace renders.
-        let trace = out.report.vt.build_trace();
+        assert!(out.trace_error.is_none());
+        // The summary's table was accumulated while the session ran; the
+        // library buffered nothing for it.
+        assert!(out.report.vt.build_trace().events.is_empty());
+        // It is the table a buffered run of the same session renders from
+        // its merged, time-sorted trace.
+        let (app, _) = build_app(&args).unwrap();
+        let cfg = SessionConfig::new(args.machine_model().unwrap(), args.policy)
+            .with_seed(args.seed)
+            .with_script(SessionConfig::default_dynamic_script());
+        let trace = run_session(&app, cfg).vt.build_trace();
         let table = dynprof_analysis::Profile::from_trace(&trace).render_top(15);
         assert!(table.lines().count() > 1, "{table}");
         assert!(out.summary.ends_with(&format!("\n\n{table}")));
-        // Trace file written and readable.
-        write_outputs(
-            &CliArgs {
-                stdout_file: "-".into(),
-                timefile: "-".into(),
-                ..args.clone()
-            },
-            &out,
-        )
-        .unwrap();
-        // The legacy `.vgvt` branch still writes the whole merged trace.
-        assert_eq!(dynprof_analysis::read_trace(&path).unwrap(), trace);
+        write_outputs(&args, &out).unwrap();
         std::fs::remove_file(&script).ok();
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn vgvs_extension_writes_chunk_indexed_store() {
+    fn trace_option_streams_a_store_identical_to_the_buffered_flush() {
         let dir = std::env::temp_dir().join("dynprof-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let script = dir.join(format!("vs-{}.dp", std::process::id()));
-        std::fs::write(&script, "insert-file subset\nstart\nquit\n").unwrap();
-        let store = dir.join(format!("vs-{}.vgvs", std::process::id()));
-        let mut args = CliArgs::parse(&strs(&[
-            script.to_str().unwrap(),
-            "-",
-            "-",
-            "sweep3d",
-            "cpus=2",
-            "seed=5",
-        ]))
-        .unwrap();
-        args.trace = Some(store.to_str().unwrap().to_string());
+        // Whatever the extension says, `trace=` writes a VGVS store.
+        let store = dir.join(format!("vs-{}.vgvt", std::process::id()));
+        let trace_opt = format!("trace={}", store.display());
+        let (args, script) = sweep3d_args("vs", &[&trace_opt]);
         let out = run_cli(&args).unwrap();
-        write_outputs(
-            &CliArgs {
-                stdout_file: "-".into(),
-                timefile: "-".into(),
-                ..args.clone()
-            },
-            &out,
+        write_outputs(&args, &out).unwrap();
+        assert!(out.report.vt.build_trace().events.is_empty());
+
+        // The reference: the same session buffered, flushed after the run.
+        let (app, _) = build_app(&args).unwrap();
+        let cfg = SessionConfig::new(args.machine_model().unwrap(), args.policy)
+            .with_seed(args.seed)
+            .with_script(SessionConfig::default_dynamic_script());
+        let buffered = run_session(&app, cfg);
+        let reference = dir.join(format!("vs-ref-{}.vgvs", std::process::id()));
+        dynprof_analysis::store::write_store_from_vt(
+            &buffered.vt,
+            &reference,
+            StoreOptions::default(),
         )
         .unwrap();
-        // The store holds the same events as the legacy trace build.
+        assert_eq!(
+            std::fs::read(&store).unwrap(),
+            std::fs::read(&reference).unwrap()
+        );
         let mut r = dynprof_analysis::store::StoreReader::open(&store).unwrap();
-        let trace = out.report.vt.build_trace();
-        assert_eq!(r.info().events as usize, trace.events.len());
-        assert_eq!(r.read_all().unwrap().events.len(), trace.events.len());
+        assert_eq!(r.read_all().unwrap(), buffered.vt.build_trace());
+        for p in [script, store, reference] {
+            std::fs::remove_file(&p).ok();
+        }
+    }
+
+    #[test]
+    fn unwritable_trace_path_fails_before_the_session_runs() {
+        let (args, script) = sweep3d_args("nw", &["trace=/nonexistent-dir/x.vgvs"]);
+        let err = run_cli(&args).err().expect("cannot create the store");
+        assert!(err.contains("creating store"), "{err}");
         std::fs::remove_file(&script).ok();
-        std::fs::remove_file(&store).ok();
     }
 
     #[test]

@@ -233,6 +233,28 @@ fn bench_vt_fast_paths() {
             t.elapsed()
         })
     });
+    // One recorded event (half a begin/end pair), buffered in the library
+    // and captured live through a store-writer sink: the delta is what
+    // encoding, checksumming and writing an event costs on the spot
+    // instead of after the run.
+    for (name, live) in [("vt/record", false), ("vt/record_to_store", true)] {
+        bench(name, |iters| {
+            in_real_proc(move |p| {
+                let vt = VtLib::new("b", 1, VtConfig::all_on(), ProbeCosts::power3());
+                if live {
+                    vt.set_sink(store_slot(2048) as _);
+                }
+                vt.init(p, 0);
+                let f = vt.funcdef(p, "hot");
+                let t = Instant::now();
+                for _ in 0..iters.div_ceil(2) {
+                    vt.begin(p, 0, 0, f, 1);
+                    vt.end(p, 0, 0, f);
+                }
+                t.elapsed()
+            })
+        });
+    }
     // Same active path with runtime observation on: the delta against
     // vt/begin_end_active is the cost of live metric updates.
     bench("vt/begin_end_active_obs_on", |iters| {
@@ -784,41 +806,74 @@ fn alloc_probe_fire() {
     pinned_allocs("alloc/probe_fire", total, OPS, 0, 16);
 }
 
-/// Appending events through the full chunked store writer (delta encode,
-/// varint, CRC, buffered sink): zero allocations per event, with an
-/// amortized remainder for the per-chunk flushes and buffer doublings.
-fn alloc_trace_append() {
-    use std::io::Cursor;
+/// A store writer over an in-memory file, in the slot a capture sink is
+/// shared through (the owner takes it back out to finish it).
+type StoreSlot =
+    Arc<std::sync::Mutex<Option<dynprof_analysis::store::StoreWriter<std::io::Cursor<Vec<u8>>>>>>;
 
+fn store_slot(chunk_events: usize) -> StoreSlot {
     use dynprof_analysis::store::{StoreOptions, StoreWriter};
-
-    const OPS: u64 = 8192;
-    const WARM: u64 = 512;
-    let mut w = StoreWriter::new(
-        Cursor::new(Vec::new()),
+    let w = StoreWriter::new(
+        std::io::Cursor::new(Vec::new()),
         "ledger".to_string(),
-        StoreOptions { chunk_events: 256 },
+        StoreOptions { chunk_events },
     )
     .expect("in-memory sink");
-    w.set_functions((0..199).map(|i| format!("fn_{i}")).collect());
-    let ev = |i: u64| dynprof_vt::Event::FuncEnter {
-        t: SimTime::from_nanos(i * 100),
-        rank: (i % 64) as u32,
-        thread: 0,
-        func: dynprof_vt::VtFuncId((i % 199) as u32),
-    };
-    for i in 0..WARM {
-        w.append(&ev(i));
-    }
-    let total = alloc_delta(|| {
-        for i in 0..OPS {
-            w.append(&ev(WARM + i));
-        }
+    Arc::new(std::sync::Mutex::new(Some(w)))
+}
+
+/// The live capture path end to end — `VT_begin`/`VT_end` through the one
+/// emit path into a store writer installed as the library's sink (delta
+/// encode, varint, CRC, buffered file): zero allocations per event. The
+/// amortized remainder is chunk growth, and its budget is stated per
+/// sealed chunk: a rank's payload buffer starts empty after every flush
+/// and doubles its way up to the chunk's ~1.5 KB (≤ 10 reallocations),
+/// the flush stages one header, and the in-memory file doubles now and
+/// then — ≤ 12 per chunk, for the 32 chunks sealed in the window plus the
+/// 16 (one per rank) left open at its end.
+fn alloc_trace_append() {
+    const OPS: u64 = 8192;
+    const WARM: u64 = 512;
+    const RANKS: u64 = 16;
+    const CHUNK_EVENTS: u64 = 256;
+    let slot = store_slot(CHUNK_EVENTS as usize);
+    let vt = VtLib::new(
+        "ledger",
+        RANKS as usize,
+        VtConfig::all_on(),
+        ProbeCosts::power3(),
+    );
+    vt.set_sink(Arc::clone(&slot) as _);
+    let out = Arc::new(Mutex::new(0u64));
+    let out2 = Arc::clone(&out);
+    let sim = Sim::virtual_time(Machine::test_machine(), 1);
+    sim.spawn("ledger", 0, move |p| {
+        (0..RANKS as usize).for_each(|r| vt.init(p, r));
+        let funcs: Vec<_> = (0..199)
+            .map(|i| vt.funcdef(p, &format!("fn_{i}")))
+            .collect();
+        let pair = |i: u64| {
+            let (rank, f) = ((i % RANKS) as usize, funcs[(i % 199) as usize]);
+            vt.begin(p, rank, 0, f, 1);
+            p.advance(SimTime::from_nanos(100));
+            vt.end(p, rank, 0, f);
+        };
+        (0..WARM / 2).for_each(pair);
+        *out2.lock() = alloc_delta(|| (WARM / 2..(WARM + OPS) / 2).for_each(pair));
+        vt.with_rank_events(0, |evs| assert!(evs.is_empty(), "nothing is buffered"));
     });
-    black_box(w.finish().expect("in-memory finish"));
-    // ~32 chunk flushes land in the window; each may stage fresh chunk
-    // buffers, and the in-memory sink doubles a few times.
-    pinned_allocs("alloc/trace_append", total, OPS, 0, OPS / 4);
+    sim.run();
+    let total = *out.lock();
+    let writer = slot.lock().expect("slot").take().expect("sink comes back");
+    let stats = writer.finish().expect("in-memory finish");
+    assert_eq!(stats.events, WARM + OPS);
+    pinned_allocs(
+        "alloc/trace_append",
+        total,
+        OPS,
+        0,
+        12 * (OPS / CHUNK_EVENTS + RANKS),
+    );
 }
 
 /// The session summary's accumulator: a `ProfileBuilder::push` on a rank,

@@ -27,7 +27,7 @@ use dynprof_sim::sync::SimGate;
 use dynprof_sim::{Machine, Proc, Sim, SimTime};
 use dynprof_vt::{
     vt_begin_snippet, vt_end_snippet, ControllerConfig, MonitorLink, OverheadController, Policy,
-    VtFuncId, VtLib, VtMpiHooks, VtStaticHooks,
+    SharedSink, VtConfig, VtFuncId, VtLib, VtMpiHooks, VtStaticHooks,
 };
 
 use crate::app::{AdaptiveRuntime, AppCtx, AppMode, AppSpec};
@@ -76,6 +76,12 @@ pub struct SessionConfig {
     /// Closed-loop adaptive instrumentation (`None`: no controller, no
     /// confsync at safe points — byte-identical to earlier sessions).
     pub adaptive: Option<AdaptiveSettings>,
+    /// Capture sink: the session's trace library sends every event here
+    /// as it happens and buffers none (`None`: events stay in the
+    /// library's per-rank buffers, readable from [`SessionReport::vt`]
+    /// after the run). The caller keeps a handle and finishes the sink
+    /// once the session returns. Costs no virtual time either way.
+    pub capture: Option<SharedSink>,
 }
 
 /// Settings of the closed-loop overhead controller attached to an
@@ -154,7 +160,15 @@ impl SessionConfig {
             txn: None,
             suppress_floor: SimTime::ZERO,
             adaptive: None,
+            capture: None,
         }
+    }
+
+    /// Capture the run through `sink` as it happens instead of buffering
+    /// the trace in the library.
+    pub fn with_capture(mut self, sink: SharedSink) -> SessionConfig {
+        self.capture = Some(sink);
+        self
     }
 
     /// Run instrumentation changes through the 2PC transactional control
@@ -226,7 +240,9 @@ pub struct SessionReport {
     pub probe_pairs_installed: usize,
     /// dynprof's internal timefile.
     pub timefile: Arc<Timefile>,
-    /// The trace library (trace + stats access for analysis).
+    /// The trace library: runtime statistics, and the buffered trace
+    /// unless the session ran with a [`SessionConfig::capture`] sink (the
+    /// events went there; the library then holds none).
     pub vt: Arc<VtLib>,
     /// Diagnostics (unknown functions, failed installs, ...).
     pub warnings: Vec<String>,
@@ -273,6 +289,16 @@ impl BodyTimes {
             max - min
         }
     }
+}
+
+/// The session's trace library, its capture sink (if any) installed
+/// before anything can record.
+fn new_vt(app: &AppSpec, cfg: &SessionConfig, config: VtConfig) -> Arc<VtLib> {
+    let vt = VtLib::new(&app.name, app.mode.processes(), config, cfg.machine.probe);
+    if let Some(sink) = &cfg.capture {
+        vt.set_sink(Arc::clone(sink));
+    }
+    vt
 }
 
 /// Instantiate the adaptive runtime of a session: set the trace library's
@@ -332,12 +358,7 @@ pub fn run_attach_session(
     observe: SimTime,
 ) -> SessionReport {
     let processes = app.mode.processes();
-    let vt = VtLib::new(
-        &app.name,
-        processes,
-        dynprof_vt::VtConfig::all_on(),
-        cfg.machine.probe,
-    );
+    let vt = new_vt(app, &cfg, VtConfig::all_on());
     let images: Arc<Vec<_>> = Arc::new(
         (0..processes)
             .map(|rank| {
@@ -581,12 +602,7 @@ fn make_function_files(app: &AppSpec, cfg: &SessionConfig) -> BTreeMap<String, V
 
 fn run_static(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
     let processes = app.mode.processes();
-    let vt = VtLib::new(
-        &app.name,
-        processes,
-        cfg.policy.config(&app.subset),
-        cfg.machine.probe,
-    );
+    let vt = new_vt(app, &cfg, cfg.policy.config(&app.subset));
     let static_instr = cfg.policy.static_instrumentation();
     let images: Arc<Vec<_>> = Arc::new(
         (0..processes)
@@ -888,12 +904,7 @@ impl DynState {
 
 fn run_dynamic(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
     let processes = app.mode.processes();
-    let vt = VtLib::new(
-        &app.name,
-        processes,
-        cfg.policy.config(&app.subset),
-        cfg.machine.probe,
-    );
+    let vt = new_vt(app, &cfg, cfg.policy.config(&app.subset));
     let images: Arc<Vec<_>> = Arc::new(
         (0..processes)
             .map(|rank| {

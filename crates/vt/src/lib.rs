@@ -6,6 +6,9 @@
 //!   `VT_begin`/`VT_end` fast paths with the activation-table lookup that
 //!   makes deactivated probes cheap (but not free), per-rank trace
 //!   buffers, statistics, and trace assembly.
+//! * [`EventSink`] — where events go as they happen when the run is
+//!   captured live (a store writer, a profile accumulator) instead of
+//!   buffered per rank.
 //! * [`VtConfig`] — the configuration file controlling which symbols are
 //!   active, with exact and prefix rules.
 //! * [`confsync`] — `VT_confsync`, the safe-point protocol for *dynamic
@@ -32,6 +35,7 @@ mod event;
 mod hooks;
 mod policy;
 mod sampling;
+mod sink;
 mod vtlib;
 
 pub use config::{ConfigDelta, ConfigError, VtConfig};
@@ -44,4 +48,5 @@ pub use hooks::{
 };
 pub use policy::{Policy, ALL_POLICIES};
 pub use sampling::{sample_image, SampleProfile, SAMPLE_INTERRUPT_COST};
+pub use sink::{EventSink, SharedSink};
 pub use vtlib::{FuncStat, FuncStatRow, VtLib};

@@ -5,10 +5,14 @@
 //! instrumentation. Each rank owns a private buffer/stack/stats area; the
 //! function registry and activation table are global (they are identical
 //! on every rank between safe points by construction of `VT_confsync`).
+//!
+//! Every event leaves the library through one path ([`VtLib::emit`]):
+//! into the capture sink when one is installed ([`VtLib::set_sink`]),
+//! into the rank's in-memory buffer — the default sink — otherwise.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, MutexGuard, OnceLock, PoisonError};
 
 use dynprof_obs as obs;
 use parking_lot::{Mutex, RwLock};
@@ -17,6 +21,7 @@ use dynprof_sim::{ProbeCosts, Proc, SimTime};
 
 use crate::config::{ConfigDelta, VtConfig};
 use crate::event::{Event, Trace, VtFuncId};
+use crate::sink::{EventSink, SharedSink};
 
 /// Per-function statistics accumulated while probes are active — the data
 /// `VT_confsync` can write out at runtime (paper §5, Experiment 3).
@@ -33,11 +38,55 @@ pub struct FuncStat {
 /// Wire row of one function's statistics: `(func, count, incl_ns, excl_ns)`.
 pub type FuncStatRow = (u32, u64, u64, u64);
 
-/// Count `n` trace events appended (cached handle; callers guard with
+/// Count one settled trace event (cached handle; callers guard with
 /// [`obs::enabled`]).
-fn note_events(n: u64) {
+fn note_event() {
     static EVENTS: OnceLock<&'static obs::Counter> = OnceLock::new();
-    EVENTS.get_or_init(|| obs::counter("vt.events")).add(n);
+    EVENTS.get_or_init(|| obs::counter("vt.events")).add(1);
+}
+
+/// Lock a capture sink, poisoned or not. A sink that panicked in one
+/// rank's push has already failed the run (the panic poisons the
+/// simulation); refusing the lock afterwards would only turn the other
+/// ranks' pushes during teardown into panics inside an unwind.
+fn locked(sink: &SharedSink) -> MutexGuard<'_, dyn EventSink + 'static> {
+    sink.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Fold one elided `func` pair on `thread` into `pending`, the coalesced
+/// [`Event::FuncSuppressed`] records waiting to be sealed.
+fn coalesce(
+    pending: &mut Vec<Event>,
+    rank: u32,
+    thread: u16,
+    func: VtFuncId,
+    t0: SimTime,
+    pair: SimTime,
+) {
+    for ev in pending.iter_mut() {
+        if let Event::FuncSuppressed {
+            thread: th,
+            func: f,
+            count,
+            span,
+            ..
+        } = ev
+        {
+            if (*th, *f) == (thread, func) {
+                *count += 1;
+                *span += pair;
+                return;
+            }
+        }
+    }
+    pending.push(Event::FuncSuppressed {
+        t: t0,
+        rank,
+        thread,
+        func,
+        count: 1,
+        span: pair,
+    });
 }
 
 struct Frame {
@@ -46,16 +95,20 @@ struct Frame {
     reps: u64,
     active: bool,
     child: SimTime,
-    /// Index of this frame's `FuncEnter` in the rank's event buffer
-    /// (active single-invocation frames only) — the redundancy
-    /// suppressor may pop it again if the pair turns out shorter than
-    /// the duration floor and the enter is still the last event.
-    enter_idx: Option<usize>,
+    /// Pairs elided directly under this frame, coalesced per function;
+    /// sealed into the trace when the frame closes.
+    suppressed: Vec<Event>,
 }
 
 #[derive(Default)]
 struct ProcBuf {
+    /// The default in-memory sink: this rank's settled events in append
+    /// order. Stays empty once a capture sink is installed.
     events: Vec<Event>,
+    /// The one event not settled yet: a trailing `FuncEnter` that `VT_end`
+    /// may still elide (suppression floor > 0 only). Anything else the
+    /// rank emits settles it first.
+    held: Option<Event>,
     /// Call stacks indexed by OpenMP thread id.
     stacks: Vec<Vec<Frame>>,
     stats: Vec<FuncStat>,
@@ -64,11 +117,9 @@ struct ProcBuf {
     stray_ends: u64,
     /// Entry/exit pairs elided by the redundancy suppressor.
     suppressed_pairs: u64,
-    /// Coalesced suppressed-count records: `(thread, func, parent func)`
-    /// → index of the `FuncSuppressed` event in `events`. Indices stay
-    /// valid because only a trailing `FuncEnter` is ever popped and
-    /// `FuncSuppressed` records are never removed.
-    suppressed_idx: HashMap<(u16, u32, Option<u32>), usize>,
+    /// Pairs elided with no frame open above them, coalesced per
+    /// (thread, function); sealed at `VT_finalize`.
+    orphans: Vec<Event>,
     /// Pending MPI operations (op code, entry time), a stack because
     /// `MPI_Init`'s inserted snippet issues nested `MPI_Barrier`s.
     mpi_stack: Vec<(u8, SimTime)>,
@@ -134,6 +185,8 @@ pub struct VtLib {
     /// The overhead controller prefers these over the declared
     /// [`ProbeCosts`] pair — derived bounds are checked, not trusted.
     derived_costs: Mutex<(Option<SimTime>, Option<SimTime>)>,
+    /// Where settled events go instead of the per-rank buffers.
+    sink: OnceLock<SharedSink>,
     /// Identity of this library in happens-before reports (`check`).
     pub(crate) check_id: u64,
 }
@@ -171,8 +224,31 @@ impl VtLib {
             degraded: Mutex::new(Vec::new()),
             suppress_floor: AtomicU64::new(0),
             derived_costs: Mutex::new((None, None)),
+            sink: OnceLock::new(),
             check_id: dynprof_sim::hb::unique_id(),
         })
+    }
+
+    /// Send every event to `sink` as it settles instead of buffering it
+    /// per rank: the library then holds no trace at all
+    /// ([`VtLib::with_rank_events`] and [`VtLib::build_trace`] see nothing).
+    /// Install it before the run starts; names already registered are
+    /// replayed to the sink first. Feeding the sink costs no virtual time.
+    pub fn set_sink(&self, sink: SharedSink) {
+        // Under the registry lock, so no `VT_funcdef` slips between the
+        // replay and the installation.
+        let reg = self.registry.write();
+        assert!(
+            self.procs.iter().all(|st| st.buf.lock().events.is_empty()),
+            "capture sink installed after events were buffered"
+        );
+        {
+            let mut s = locked(&sink);
+            for (i, name) in reg.names.iter().enumerate() {
+                s.funcdef(VtFuncId(i as u32), name);
+            }
+        }
+        assert!(self.sink.set(sink).is_ok(), "capture sink installed twice");
     }
 
     /// Program name.
@@ -324,6 +400,9 @@ impl VtLib {
         let id = VtFuncId(reg.names.len() as u32);
         reg.names.push(name.to_string());
         reg.ids.insert(name.to_string(), id);
+        if let Some(sink) = self.sink.get() {
+            locked(sink).funcdef(id, name);
+        }
         id
     }
 
@@ -397,8 +476,8 @@ impl VtLib {
     pub fn begin(&self, p: &Proc, rank: usize, thread: u16, func: VtFuncId, reps: u64) {
         self.assert_ready(rank);
         let active = self.is_active(rank, func);
-        let mut buf = self.procs[rank].buf.lock();
-        let mut enter_idx = None;
+        let st = &self.procs[rank];
+        let mut buf = st.buf.lock();
         if active {
             p.advance(self.costs.vt_begin_active.mul_f64(reps as f64));
             if reps == 1 {
@@ -408,11 +487,17 @@ impl VtLib {
                     thread,
                     func,
                 };
-                buf.trace_bytes += ev.trace_bytes_of(self.costs.event_bytes);
-                enter_idx = Some(buf.events.len());
-                buf.events.push(ev);
-                if obs::enabled() {
-                    note_events(1);
+                // Redundancy suppression may take this entry back: hold it
+                // (and only it) until the rank's next event or `VT_end`
+                // decides. Nothing is held once the rank has finalized.
+                let hold =
+                    self.suppress_floor() > SimTime::ZERO && !st.finalized.load(Ordering::Acquire);
+                if hold {
+                    if let Some(prev) = buf.held.replace(ev) {
+                        self.settle(&mut buf, prev);
+                    }
+                } else {
+                    self.emit(&mut buf, ev);
                 }
             }
         } else {
@@ -433,7 +518,7 @@ impl VtLib {
             reps,
             active,
             child: SimTime::ZERO,
-            enter_idx,
+            suppressed: Vec::new(),
         });
     }
 
@@ -469,54 +554,38 @@ impl VtLib {
             }
         }
         let frame = buf.stack_of(thread).pop().expect("frame checked above");
+        // Pairs elided under this frame are sealed while it is still the
+        // innermost open one, so a profile charges them to it. (A frame
+        // that collected any has settled its own entry long before.)
+        for ev in frame.suppressed {
+            self.emit(&mut buf, ev);
+        }
         if frame.active {
             p.advance(self.costs.vt_end_active.mul_f64(frame.reps as f64));
             let now = p.now();
             let span = now.saturating_sub(frame.t0);
             // Redundancy suppression: a single pair shorter than the floor
-            // whose enter is still the newest event (so nothing — child
-            // events, MPI records — happened inside it) is popped again
-            // and folded into a coalesced suppressed-count record. The
-            // `child == ZERO` guard additionally excludes pairs whose
-            // instrumented children were themselves suppressed, keeping
-            // exclusive-time reconstruction from the trace exact.
-            let floor = self.suppress_floor();
-            let elide = frame.reps == 1
-                && floor > SimTime::ZERO
-                && span < floor
-                && frame.child == SimTime::ZERO
-                && frame.enter_idx.is_some_and(|i| i + 1 == buf.events.len());
+            // whose enter is still held back (so nothing — child events,
+            // MPI records, another thread — happened on the rank since) is
+            // dropped and folded into a suppressed-count record under the
+            // enclosing frame. An instrumented child always emits, so a
+            // pair with children is never elided and exclusive-time
+            // reconstruction from the trace stays exact.
+            let elide = span < self.suppress_floor()
+                && matches!(
+                    buf.held,
+                    Some(Event::FuncEnter { thread: th, func: f, .. }) if th == thread && f == func
+                );
             if elide {
-                let parent_func = buf.stack_of(thread).last().map(|f| f.func.0);
-                let enter = buf.events.pop().expect("enter checked to be last");
-                debug_assert!(matches!(enter, Event::FuncEnter { .. }));
-                buf.trace_bytes -= enter.trace_bytes_of(self.costs.event_bytes);
-                let key = (thread, func.0, parent_func);
-                match buf.suppressed_idx.get(&key).copied() {
-                    Some(i) => {
-                        if let Event::FuncSuppressed {
-                            count, span: total, ..
-                        } = &mut buf.events[i]
-                        {
-                            *count += 1;
-                            *total += span;
-                        }
-                    }
-                    None => {
-                        let ev = Event::FuncSuppressed {
-                            t: frame.t0,
-                            rank: rank as u32,
-                            thread,
-                            func,
-                            count: 1,
-                            span,
-                        };
-                        buf.trace_bytes += ev.trace_bytes_of(self.costs.event_bytes);
-                        let idx = buf.events.len();
-                        buf.events.push(ev);
-                        buf.suppressed_idx.insert(key, idx);
-                    }
-                }
+                buf.held = None;
+                let ProcBuf {
+                    stacks, orphans, ..
+                } = &mut *buf;
+                let pending = match stacks[usize::from(thread)].last_mut() {
+                    Some(parent) => &mut parent.suppressed,
+                    None => orphans,
+                };
+                coalesce(pending, rank as u32, thread, func, frame.t0, span);
                 buf.suppressed_pairs += 1;
                 if obs::enabled() {
                     static SUPPRESSED: OnceLock<&'static obs::Counter> = OnceLock::new();
@@ -542,11 +611,7 @@ impl VtLib {
                         span,
                     }
                 };
-                buf.trace_bytes += ev.trace_bytes_of(self.costs.event_bytes);
-                buf.events.push(ev);
-                if obs::enabled() {
-                    note_events(1);
-                }
+                self.emit(&mut buf, ev);
             }
             // Statistics (identical whether or not the pair was elided —
             // suppression changes the trace, never the runtime stats).
@@ -567,11 +632,29 @@ impl VtLib {
 
     /// Record a raw event (used by the MPI/OMP hook implementations).
     pub(crate) fn record(&self, rank: usize, ev: Event) {
-        let mut buf = self.procs[rank].buf.lock();
+        self.emit(&mut self.procs[rank].buf.lock(), ev);
+    }
+
+    /// The one path out of the library: settle whatever the rank still
+    /// holds back, then `ev`. `VT_begin`, `VT_end` and the MPI/OpenMP
+    /// hooks all end here.
+    fn emit(&self, buf: &mut ProcBuf, ev: Event) {
+        if let Some(held) = buf.held.take() {
+            self.settle(buf, held);
+        }
+        self.settle(buf, ev);
+    }
+
+    /// Account one event that will never be taken back and hand it to the
+    /// capture sink, or to the rank's buffer when none is installed.
+    fn settle(&self, buf: &mut ProcBuf, ev: Event) {
         buf.trace_bytes += ev.trace_bytes_of(self.costs.event_bytes);
-        buf.events.push(ev);
         if obs::enabled() {
-            note_events(1);
+            note_event();
+        }
+        match self.sink.get() {
+            Some(sink) => locked(sink).push(&ev),
+            None => buf.events.push(ev),
         }
     }
 
@@ -591,7 +674,21 @@ impl VtLib {
         if st.finalized.swap(true, Ordering::AcqRel) {
             return;
         }
-        let bytes = st.buf.lock().trace_bytes;
+        let mut buf = st.buf.lock();
+        // Settle what suppression still holds back: the trailing entry,
+        // the pairs elided under frames left open, the top-level ones.
+        if let Some(held) = buf.held.take() {
+            self.settle(&mut buf, held);
+        }
+        let mut pending = std::mem::take(&mut buf.orphans);
+        for frame in buf.stacks.iter_mut().flatten() {
+            pending.append(&mut frame.suppressed);
+        }
+        for ev in pending {
+            self.settle(&mut buf, ev);
+        }
+        let bytes = buf.trace_bytes;
+        drop(buf);
         p.advance(self.costs.flush_per_byte.mul_f64(bytes as f64));
         if obs::enabled() {
             obs::counter("vt.bytes_flushed").add(bytes);
@@ -656,14 +753,16 @@ impl VtLib {
         self.registry.read().names.clone()
     }
 
-    /// Visit `rank`'s recorded events in causal (append) order without
-    /// cloning them — the streaming trace-store flush path. Frames still
-    /// open are not visible here (same contract as [`VtLib::build_trace`]).
+    /// Visit `rank`'s buffered events in causal (append) order without
+    /// cloning them. Frames still open are not visible here (same contract
+    /// as [`VtLib::build_trace`]), and with a capture sink installed
+    /// nothing is: the events went to the sink.
     pub fn with_rank_events<R>(&self, rank: usize, f: impl FnOnce(&[Event]) -> R) -> R {
         f(&self.procs[rank].buf.lock().events)
     }
 
-    /// Assemble the postmortem trace (merged across ranks, time-sorted).
+    /// Assemble the postmortem trace (merged across ranks, time-sorted)
+    /// from the per-rank buffers — empty with a capture sink installed.
     pub fn build_trace(&self) -> Trace {
         let mut events = Vec::new();
         for st in self.procs.iter() {
@@ -898,6 +997,9 @@ mod tests {
             p.advance(SimTime::from_micros(50));
             vt2.end(p, 0, 0, f);
             assert_eq!(vt2.stat_of(0, f).count, 4, "stats are never suppressed");
+            // Top-level elisions are sealed when the rank finalizes.
+            vt2.with_rank_events(0, |evs| assert_eq!(evs.len(), 2));
+            vt2.finalize(p, 0);
         });
         assert_eq!(vt.suppressed_pairs(0), 3);
         let trace = vt.build_trace();
@@ -964,6 +1066,136 @@ mod tests {
         assert!(matches!(trace.events[0], Event::FuncEnter { .. }));
         assert!(matches!(trace.events[1], Event::FuncSuppressed { .. }));
         assert!(matches!(trace.events[2], Event::FuncExit { .. }));
+    }
+
+    #[test]
+    fn suppression_seals_one_record_per_enclosing_frame() {
+        let vt = lib(VtConfig::all_on());
+        vt.set_suppress_floor(SimTime::from_micros(10));
+        let vt2 = Arc::clone(&vt);
+        in_sim(move |p| {
+            vt2.init(p, 0);
+            let outer = vt2.funcdef(p, "outer");
+            let tiny = vt2.funcdef(p, "tiny");
+            for _ in 0..2 {
+                vt2.begin(p, 0, 0, outer, 1);
+                for _ in 0..3 {
+                    vt2.begin(p, 0, 0, tiny, 1);
+                    p.advance(SimTime::from_micros(1));
+                    vt2.end(p, 0, 0, tiny);
+                }
+                vt2.end(p, 0, 0, outer);
+            }
+        });
+        assert_eq!(vt.suppressed_pairs(0), 6);
+        // Each `outer` invocation closes over its own coalesced record,
+        // placed just before its exit.
+        let kinds: Vec<u64> = vt.with_rank_events(0, |evs| {
+            evs.iter()
+                .map(|e| match e {
+                    Event::FuncEnter { .. } => 0,
+                    Event::FuncSuppressed { count, .. } => *count,
+                    Event::FuncExit { .. } => 9,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect()
+        });
+        assert_eq!(kinds, [0, 3, 9, 0, 3, 9]);
+        assert_eq!(vt.trace_bytes(0), 6 * 24);
+    }
+
+    /// A sink that keeps what it is given, to look at afterwards.
+    #[derive(Default)]
+    struct Recorder {
+        names: Vec<String>,
+        events: Vec<Event>,
+    }
+
+    impl EventSink for Recorder {
+        fn funcdef(&mut self, id: VtFuncId, name: &str) {
+            assert_eq!(id.0 as usize, self.names.len(), "ids arrive in order");
+            self.names.push(name.to_string());
+        }
+
+        fn push(&mut self, ev: &Event) {
+            self.events.push(ev.clone());
+        }
+    }
+
+    #[test]
+    fn sink_gets_dictionary_and_events_and_nothing_is_buffered() {
+        let run = |sink: Option<Arc<std::sync::Mutex<Recorder>>>| {
+            let vt = lib(VtConfig::all_on());
+            let vt2 = Arc::clone(&vt);
+            in_sim(move |p| {
+                // One name is registered before the sink arrives.
+                let early = vt2.funcdef(p, "early");
+                if let Some(sink) = sink {
+                    vt2.set_sink(sink);
+                }
+                vt2.init(p, 0);
+                let late = vt2.funcdef(p, "late");
+                vt2.begin(p, 0, 0, early, 1);
+                vt2.begin(p, 0, 0, late, 40);
+                vt2.end(p, 0, 0, late);
+                vt2.end(p, 0, 0, early);
+                vt2.finalize(p, 0);
+            });
+            vt
+        };
+        let buffered = run(None);
+        let recorder = Arc::new(std::sync::Mutex::new(Recorder::default()));
+        let live = run(Some(Arc::clone(&recorder)));
+        let rec = recorder.lock().unwrap();
+        assert_eq!(rec.names, ["early", "late"]);
+        assert_eq!(rec.events, buffered.build_trace().events);
+        assert_eq!(rec.events.len(), 3);
+        live.with_rank_events(0, |evs| assert!(evs.is_empty()));
+        assert!(live.build_trace().events.is_empty());
+        // The accounting does not depend on where the events went.
+        assert_eq!(live.trace_bytes(0), buffered.trace_bytes(0));
+        assert_eq!(
+            live.stat_of(0, VtFuncId(1)),
+            buffered.stat_of(0, VtFuncId(1))
+        );
+    }
+
+    #[test]
+    fn sink_sees_only_settled_events() {
+        let recorder = Arc::new(std::sync::Mutex::new(Recorder::default()));
+        let vt = lib(VtConfig::all_on());
+        vt.set_suppress_floor(SimTime::from_micros(10));
+        vt.set_sink(Arc::clone(&recorder) as SharedSink);
+        let seen = {
+            let recorder = Arc::clone(&recorder);
+            move || recorder.lock().unwrap().events.len()
+        };
+        in_sim(move |p| {
+            vt.init(p, 0);
+            let f = vt.funcdef(p, "f");
+            // An entry that may still be elided is held back…
+            vt.begin(p, 0, 0, f, 1);
+            assert_eq!(seen(), 0);
+            p.advance(SimTime::from_micros(1));
+            vt.end(p, 0, 0, f);
+            assert_eq!(seen(), 0, "…and an elided pair never reaches the sink");
+            // …at most one per rank: the next entry settles it.
+            vt.begin(p, 0, 0, f, 1);
+            vt.begin(p, 0, 1, f, 1);
+            assert_eq!(seen(), 1);
+            p.advance(SimTime::from_micros(50));
+            vt.end(p, 0, 1, f);
+            vt.end(p, 0, 0, f);
+            assert_eq!(seen(), 4);
+            vt.finalize(p, 0);
+            assert_eq!(seen(), 5, "the top-level record is sealed at finalize");
+        });
+        let rec = recorder.lock().unwrap();
+        assert!(
+            matches!(rec.events[4], Event::FuncSuppressed { count: 1, .. }),
+            "{:?}",
+            rec.events[4]
+        );
     }
 
     #[test]

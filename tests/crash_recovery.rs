@@ -1,7 +1,9 @@
 //! Crash-consistency suite for the `VGVS` store: truncation fuzzing,
 //! deferred writer I/O errors, a seeded kill-point chaos matrix against
-//! the fault-injectable I/O layer, `fsck --repair` round trips over the
-//! four canonical corruption fixtures, and rotation/retention.
+//! the fault-injectable I/O layer — over a finished trace and over a
+//! *running simulation* whose capture sink dies under it —, `fsck
+//! --repair` round trips over the four canonical corruption fixtures, and
+//! rotation/retention, post-run and live.
 //!
 //! The invariant under test (DESIGN §17): for every seed × fault script
 //! × kill point, `open_salvage` recovers exactly the fully-flushed
@@ -10,18 +12,20 @@
 //! match the salvaged view byte-for-byte.
 
 use std::io::Write as _;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use dynprof::analysis::store::{
     fsck, repair, write_store_from_trace, EventSource, FaultScript, FaultyFile, FooterState,
     RetentionPolicy, RotatingWriter, RotationPolicy, SegmentSet, StoreOptions, StoreReader,
     StoreWriter,
 };
-use dynprof::analysis::{top_report, ProfileOptions};
+use dynprof::analysis::{top_report, ProfileOptions, TraceError};
+use dynprof::apps::test_app;
+use dynprof::core::{run_session, SessionConfig, SessionReport};
 use dynprof::obs;
 use dynprof::sim::rng::SimRng;
-use dynprof::sim::SimTime;
-use dynprof::vt::{Event, Trace, VtFuncId};
+use dynprof::sim::{Machine, SimTime};
+use dynprof::vt::{Event, Policy, Trace, VtFuncId};
 
 /// The obs registry is process-global; tests that flip the recording
 /// flag must not overlap each other.
@@ -274,60 +278,237 @@ fn chaos_matrix_salvage_recovers_every_flushed_chunk() {
         for (k, script) in scripts.into_iter().enumerate() {
             let path = tmp(&format!("chaos-{seed}-{k}"));
             let lossy = script.is_lossy();
-            let (finished, file_len) = faulty_capture(&trace, &path, opts, script);
+            let (finished, _) = faulty_capture(&trace, &path, opts, script);
             let ctx = format!("seed {seed} cell {k}");
-
-            if finished {
-                // The script never tripped (or was lossless): the store
-                // must be complete and bit-exact with the reference.
-                assert!(!lossy || file_len == ref_len, "{ctx}");
-                assert_eq!(
-                    std::fs::read(&path).unwrap(),
-                    std::fs::read(&ref_path).unwrap(),
-                    "{ctx}: clean runs are byte-identical"
-                );
-                std::fs::remove_file(&path).ok();
-                continue;
-            }
-
-            let (exp_chunks, exp_events, data_end) = expected_recovery(&mut reference, file_len);
-            let mut r = StoreReader::open_salvage(&path).unwrap();
-            let s = r.salvage().expect("salvage summary");
-            assert_eq!(s.chunks_recovered, exp_chunks, "{ctx}");
-            assert_eq!(s.events_recovered, exp_events, "{ctx}");
-            if exp_chunks > 0 {
-                // Every byte past the last provable chunk is accounted
-                // for as dropped tail — nothing vanishes silently.
-                assert_eq!(s.tail_bytes_dropped, file_len - data_end, "{ctx}");
-            }
-            assert_eq!(r.read_all().unwrap().events.len(), exp_events as usize);
-
-            // fsck agrees, and repair round-trips: the repaired file
-            // opens plainly and reports exactly what salvage saw.
-            let report = fsck(&path).unwrap();
-            assert!(!report.is_clean(), "{ctx}");
-            assert_eq!(report.events_ok, exp_events, "{ctx}");
-            if exp_chunks > 0 {
-                let fixed = tmp(&format!("chaos-fix-{seed}-{k}"));
-                repair(&path, &fixed).unwrap();
-                let mut rep = StoreReader::open(&fixed).unwrap();
-                assert_eq!(
-                    rep.read_all().unwrap(),
-                    r.read_all().unwrap(),
-                    "{ctx}: repaired contents"
-                );
-                let opts = ProfileOptions::default();
-                assert_eq!(
-                    top_report(&mut rep, 10, opts).unwrap(),
-                    top_report(&mut r, 10, opts).unwrap(),
-                    "{ctx}: repaired queries must match the salvaged view"
-                );
-                std::fs::remove_file(&fixed).ok();
-            }
+            check_kill_cell(&ctx, &path, &ref_path, &mut reference, finished, lossy);
             std::fs::remove_file(&path).ok();
         }
         std::fs::remove_file(&ref_path).ok();
     }
+}
+
+/// The kill-point invariant for one cell: `path` holds what a capture
+/// under a fault script left on disk, `ref_path`/`reference` the same
+/// capture fault-free. A capture that finished must be bit-exact; a
+/// killed one must salvage to exactly the chunks fully on disk, account
+/// the torn tail, and repair into a store whose queries match the
+/// salvaged view.
+fn check_kill_cell(
+    ctx: &str,
+    path: &std::path::Path,
+    ref_path: &std::path::Path,
+    reference: &mut StoreReader,
+    finished: bool,
+    lossy: bool,
+) {
+    let file_len = std::fs::metadata(path).unwrap().len();
+    if finished {
+        // The script never tripped (or was lossless): the store must be
+        // complete and bit-exact with the reference.
+        let ref_len = std::fs::metadata(ref_path).unwrap().len();
+        assert!(!lossy || file_len == ref_len, "{ctx}");
+        assert_eq!(
+            std::fs::read(path).unwrap(),
+            std::fs::read(ref_path).unwrap(),
+            "{ctx}: clean runs are byte-identical"
+        );
+        return;
+    }
+
+    let (exp_chunks, exp_events, data_end) = expected_recovery(reference, file_len);
+    let mut r = StoreReader::open_salvage(path).unwrap();
+    let s = r.salvage().expect("salvage summary");
+    assert_eq!(s.chunks_recovered, exp_chunks, "{ctx}");
+    assert_eq!(s.events_recovered, exp_events, "{ctx}");
+    if exp_chunks > 0 {
+        // Every byte past the last provable chunk is accounted for as
+        // dropped tail — nothing vanishes silently.
+        assert_eq!(s.tail_bytes_dropped, file_len - data_end, "{ctx}");
+    }
+    assert_eq!(r.read_all().unwrap().events.len(), exp_events as usize);
+
+    // fsck agrees, and repair round-trips: the repaired file opens
+    // plainly and reports exactly what salvage saw.
+    let report = fsck(path).unwrap();
+    assert!(!report.is_clean(), "{ctx}");
+    assert_eq!(report.events_ok, exp_events, "{ctx}");
+    if exp_chunks > 0 {
+        let fixed = path.with_extension("fixed.vgvs");
+        repair(path, &fixed).unwrap();
+        let mut rep = StoreReader::open(&fixed).unwrap();
+        assert_eq!(
+            rep.read_all().unwrap(),
+            r.read_all().unwrap(),
+            "{ctx}: repaired contents"
+        );
+        let opts = ProfileOptions::default();
+        assert_eq!(
+            top_report(&mut rep, 10, opts).unwrap(),
+            top_report(&mut r, 10, opts).unwrap(),
+            "{ctx}: repaired queries must match the salvaged view"
+        );
+        std::fs::remove_file(&fixed).ok();
+    }
+}
+
+// ---- mid-run kills: the capture sink dies under a running simulation --
+
+/// A 4-rank dynamic sweep3d session whose capture sink is a store writer
+/// over a [`FaultyFile`] running `script`. Returns the session's report
+/// (it must always come back) and what `finish()` said afterwards.
+fn faulty_session(
+    seed: u64,
+    path: &std::path::Path,
+    opts: StoreOptions,
+    script: FaultScript,
+) -> (SessionReport, Result<(), TraceError>) {
+    let app = test_app("sweep3d", 4).unwrap();
+    let cfg = SessionConfig::new(Machine::ibm_power3_colony(), Policy::Dynamic).with_seed(seed);
+    let file = FaultyFile::new(std::fs::File::create(path).unwrap(), script);
+    let slot = Arc::new(Mutex::new(Some(
+        StoreWriter::new(file, &app.name, opts).unwrap(),
+    )));
+    let report = run_session(&app, cfg.with_capture(Arc::clone(&slot) as _));
+    let writer = slot.lock().unwrap().take().expect("the sink comes back");
+    (report, writer.finish().map(drop))
+}
+
+/// Kill the *simulation's* disk mid-run, for every seed × {chunk boundary
+/// ±1, scripted kills}: the session itself runs to completion with the
+/// measurements of an undisturbed run (the dead sink swallows events, the
+/// error waits for `finish()` and is typed), every chunk sealed before
+/// the kill salvages, and `fsck --repair` → re-query equals the salvaged
+/// view. Streaming means the chunks of different ranks interleave on
+/// disk, so a kill point leaves a *time* prefix of the run, not a rank
+/// prefix.
+#[test]
+fn simulation_killed_mid_run_salvages_every_sealed_chunk() {
+    let opts = StoreOptions { chunk_events: 16 };
+    for seed in seeds() {
+        let ref_path = tmp(&format!("midrun-ref-{seed}"));
+        let (undisturbed, finished) = faulty_session(seed, &ref_path, opts, FaultScript::default());
+        finished.expect("fault-free capture");
+        let ref_len = std::fs::metadata(&ref_path).unwrap().len();
+        let mut reference = StoreReader::open(&ref_path).unwrap();
+        let chunks = reference.chunks().to_vec();
+        assert!(
+            chunks.len() > 8,
+            "seed {seed}: too few chunks to be a matrix"
+        );
+        assert!(
+            chunks.windows(2).any(|w| w[0].rank > w[1].rank),
+            "seed {seed}: a live capture interleaves ranks"
+        );
+
+        // Kill points: ±1 around a spread of chunk ends (always the first
+        // and the last), plus seeded draws from the fault-script stream.
+        let stride = (chunks.len() / 10).max(1);
+        let mut scripts: Vec<FaultScript> = Vec::new();
+        for (i, m) in chunks.iter().enumerate() {
+            if i % stride == 0 || i + 1 == chunks.len() {
+                let end = m.offset + CHUNK_HDR + m.enc_len as u64;
+                scripts.extend([end - 1, end, end + 1].map(FaultScript::torn_at));
+            }
+        }
+        let mut rng = SimRng::new(seed, 101);
+        for _ in 0..6 {
+            scripts.push(FaultScript::from_rng(&mut rng, ref_len));
+        }
+
+        for (k, script) in scripts.into_iter().enumerate() {
+            let ctx = format!("seed {seed} cell {k} ({script:?})");
+            let path = tmp(&format!("midrun-{seed}-{k}"));
+            let (report, finished) = faulty_session(seed, &path, opts, script);
+            // The run neither noticed nor paid for its sink dying.
+            assert_eq!(report.app_time, undisturbed.app_time, "{ctx}");
+            assert_eq!(report.total_time, undisturbed.total_time, "{ctx}");
+            assert_eq!(report.trace_bytes, undisturbed.trace_bytes, "{ctx}");
+            if let Err(e) = &finished {
+                assert!(matches!(e, TraceError::Io(_)), "{ctx}: untyped {e}");
+                assert!(script.is_lossy(), "{ctx}: {e}");
+            }
+            check_kill_cell(
+                &ctx,
+                &path,
+                &ref_path,
+                &mut reference,
+                finished.is_ok(),
+                script.is_lossy(),
+            );
+            std::fs::remove_file(&path).ok();
+        }
+        std::fs::remove_file(&ref_path).ok();
+    }
+}
+
+/// A capture torn before a late `VT_funcdef` reached the footer names the
+/// function `<unknown>`: the salvage preamble is the dictionary as of the
+/// first chunk flush, and ids beyond it render as unknown, never panic.
+#[test]
+fn salvaged_capture_names_late_functions_unknown() {
+    let path = tmp("late-names");
+    let mut w = StoreWriter::create(&path, "late", StoreOptions { chunk_events: 4 }).unwrap();
+    let pair = |w: &mut StoreWriter<_>, i: u64, func: u32| {
+        for (k, enter) in [(0, true), (1, false)] {
+            let (t, rank, thread) = (SimTime::from_micros(10 * i + 5 * k), 0, 0);
+            let func = VtFuncId(func);
+            dynprof::vt::EventSink::push(
+                w,
+                &if enter {
+                    Event::FuncEnter {
+                        t,
+                        rank,
+                        thread,
+                        func,
+                    }
+                } else {
+                    Event::FuncExit {
+                        t,
+                        rank,
+                        thread,
+                        func,
+                    }
+                },
+            );
+        }
+    };
+    dynprof::vt::EventSink::funcdef(&mut w, VtFuncId(0), "early");
+    (0..4).for_each(|i| pair(&mut w, i, 0)); // two chunks flushed: preamble is out
+    dynprof::vt::EventSink::funcdef(&mut w, VtFuncId(1), "late");
+    (4..8).for_each(|i| pair(&mut w, i, 1));
+    let complete = w.finish().unwrap();
+    assert_eq!(complete.events, 16);
+
+    // The finished store knows both names…
+    let mut whole = StoreReader::open(&path).unwrap();
+    assert_eq!(whole.functions(), ["early", "late"]);
+    let last_chunk_end = whole
+        .chunks()
+        .iter()
+        .map(|m| m.offset + CHUNK_HDR + m.enc_len as u64)
+        .max()
+        .unwrap();
+    let named = top_report(&mut whole, 5, ProfileOptions::default()).unwrap();
+    assert!(
+        named.contains("late") && !named.contains("<unknown>"),
+        "{named}"
+    );
+    drop(whole);
+
+    // …the same capture without its footer only the preamble's.
+    let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    f.set_len(last_chunk_end).unwrap();
+    drop(f);
+    let mut torn = StoreReader::open_salvage(&path).unwrap();
+    assert_eq!(torn.functions(), ["early"]);
+    assert_eq!(torn.salvage().unwrap().events_recovered, 16);
+    let salvaged = top_report(&mut torn, 5, ProfileOptions::default()).unwrap();
+    assert!(salvaged.contains("early"), "{salvaged}");
+    assert!(salvaged.contains("<unknown>"), "{salvaged}");
+    assert!(!salvaged.contains("late"), "{salvaged}");
+    // Apart from the name, the rows are the complete store's.
+    assert_eq!(salvaged.replace("<unknown>", "late     "), named);
+    std::fs::remove_file(&path).ok();
 }
 
 // ---- tentpole (b): fsck fixtures ------------------------------------
@@ -554,6 +735,94 @@ fn crash_loses_only_the_newest_segments_tail() {
         "the family reports the newest member's salvage"
     );
     for p in stats.segments.iter() {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+/// A 4-rank sweep3d session captured live through a rotating writer.
+fn live_rotating_capture(
+    base: &std::path::Path,
+    rotation: RotationPolicy,
+    retention: RetentionPolicy,
+) -> dynprof::analysis::store::SegmentStats {
+    let app = test_app("sweep3d", 4).unwrap();
+    let cfg = SessionConfig::new(Machine::ibm_power3_colony(), Policy::Full).with_seed(35);
+    let opts = StoreOptions { chunk_events: 16 };
+    let w = RotatingWriter::create(base, &app.name, opts, rotation, retention).unwrap();
+    let slot = Arc::new(Mutex::new(Some(w)));
+    run_session(&app, cfg.with_capture(Arc::clone(&slot) as _));
+    let w = slot.lock().unwrap().take().expect("the sink comes back");
+    w.finish().unwrap()
+}
+
+/// Fed live, a rotating capture's segments are slices of the run's *time*
+/// across all ranks (a post-run flush, rank by rank, made them slices of
+/// the rank list): the `[min_t, max_end]` envelopes never step backwards
+/// from one member to the next, and `keep=2` retains the end of the run
+/// for every rank.
+#[test]
+fn live_rotation_slices_time_and_retention_keeps_the_end_of_the_run() {
+    // The buffered reference: what each rank recorded, first to last.
+    let app = test_app("sweep3d", 4).unwrap();
+    let cfg = SessionConfig::new(Machine::ibm_power3_colony(), Policy::Full).with_seed(35);
+    let buffered = run_session(&app, cfg);
+    let per_rank: Vec<Vec<Event>> = (0..4)
+        .map(|r| buffered.vt.with_rank_events(r, <[Event]>::to_vec))
+        .collect();
+    let total: usize = per_rank.iter().map(Vec::len).sum();
+    let rotation = RotationPolicy::by_events(total as u64 / 6);
+
+    // Keep everything: the family is the whole run, in time order.
+    let base = tmp("live-rot");
+    let stats = live_rotating_capture(&base, rotation, RetentionPolicy::default());
+    assert!(stats.segments.len() >= 5, "{stats:?}");
+    assert_eq!(stats.events as usize, total);
+    let envelopes: Vec<(SimTime, SimTime)> = stats
+        .segments
+        .iter()
+        .map(|p| {
+            let r = StoreReader::open(p).unwrap();
+            assert_eq!(r.ranks(), [0, 1, 2, 3], "every segment spans every rank");
+            let info = r.info();
+            (info.t_min, info.t_end)
+        })
+        .collect();
+    for w in envelopes.windows(2) {
+        assert!(
+            w[0].0 <= w[1].0 && w[0].1 <= w[1].1,
+            "segment envelopes must not step backwards: {envelopes:?}"
+        );
+    }
+    let mut set = SegmentSet::open(&base).unwrap();
+    for (rank, expect) in per_rank.iter().enumerate() {
+        let mut got = Vec::new();
+        set.rank_events(rank as u32, &mut |ev| got.push(ev.clone()))
+            .unwrap();
+        assert_eq!(&got, expect, "rank {rank}: the family replays the run");
+    }
+    for p in &stats.segments {
+        std::fs::remove_file(p).ok();
+    }
+
+    // keep=2: the flight recorder holds the *end* of the run, every rank's.
+    let base = tmp("live-keep");
+    let stats = live_rotating_capture(&base, rotation, RetentionPolicy::keep_last(2));
+    assert!(stats.deleted >= 3, "{stats:?}");
+    assert_eq!(stats.segments.len(), 2);
+    let mut set = SegmentSet::open(&base).unwrap();
+    assert_eq!(set.source_ranks(), [0, 1, 2, 3]);
+    for (rank, expect) in per_rank.iter().enumerate() {
+        let mut got = Vec::new();
+        set.rank_events(rank as u32, &mut |ev| got.push(ev.clone()))
+            .unwrap();
+        assert!(!got.is_empty() && got.len() < expect.len(), "rank {rank}");
+        assert_eq!(
+            got,
+            expect[expect.len() - got.len()..],
+            "rank {rank}: retained events are the tail of its run"
+        );
+    }
+    for p in &stats.segments {
         std::fs::remove_file(p).ok();
     }
 }

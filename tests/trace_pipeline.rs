@@ -1,11 +1,16 @@
 //! The full data path: instrumented run → trace → file → analysis.
 
-use dynprof::analysis::store::{write_store_from_vt, StoreOptions, StoreReader};
+use std::sync::{Arc, Mutex};
+
+use dynprof::analysis::store::{
+    write_store_from_vt, EventSource, StoreOptions, StoreReader, StoreStats, StoreWriter,
+};
 use dynprof::analysis::{
-    read_trace, render, trace_volume, write_trace, Profile, ProfileOptions, TimelineOptions,
+    read_trace, render, top_report, trace_volume, write_trace, Profile, ProfileBuilder,
+    ProfileOptions, TimelineOptions,
 };
 use dynprof::apps::test_app;
-use dynprof::core::{run_session, Command, SessionConfig, SessionReport};
+use dynprof::core::{run_session, AppSpec, Command, SessionConfig, SessionReport};
 use dynprof::sim::{Machine, SimTime};
 use dynprof::vt::{Event, Policy, Trace};
 
@@ -38,10 +43,7 @@ fn assert_feeders_agree(report: &SessionReport, opts: ProfileOptions, ctx: &str)
     let vt = &report.vt;
     let from_vt = Profile::from_vt(vt, opts);
     let from_trace = Profile::from_trace_opts(&vt.build_trace(), opts);
-    let dir = std::env::temp_dir().join("dynprof-pipeline");
-    std::fs::create_dir_all(&dir).unwrap();
-    let tag: String = ctx.chars().filter(char::is_ascii_alphanumeric).collect();
-    let path = dir.join(format!("feeders-{tag}-{}.vgvs", std::process::id()));
+    let path = tmp_store(&format!("feeders {ctx}"));
     write_store_from_vt(vt, &path, StoreOptions { chunk_events: 64 }).unwrap();
     let from_store = Profile::from_store(&mut StoreReader::open(&path).unwrap(), opts).unwrap();
     std::fs::remove_file(&path).ok();
@@ -104,6 +106,187 @@ fn profile_feeders_agree_on_every_app_and_policy() {
         "the suspension must overlap some call"
     );
     assert_feeders_agree(&report, fair, "sppm suspended");
+}
+
+fn tmp_store(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("dynprof-pipeline");
+    std::fs::create_dir_all(&dir).unwrap();
+    let tag: String = tag.chars().filter(char::is_ascii_alphanumeric).collect();
+    dir.join(format!("{tag}-{}.vgvs", std::process::id()))
+}
+
+/// Run `app` under `cfg` with a store writer installed as the capture
+/// sink: the store at `path` is written while the session runs.
+fn live_capture(
+    app: &AppSpec,
+    cfg: SessionConfig,
+    path: &std::path::Path,
+    opts: StoreOptions,
+) -> (SessionReport, StoreStats) {
+    let writer = StoreWriter::create(path, &app.name, opts).unwrap();
+    let slot = Arc::new(Mutex::new(Some(writer)));
+    let report = run_session(app, cfg.with_capture(Arc::clone(&slot) as _));
+    let writer = slot.lock().unwrap().take().expect("the sink comes back");
+    (report, writer.finish().unwrap())
+}
+
+/// One session, twice: buffered in the library and flushed afterwards
+/// (`write_store_from_vt`, the reference), and captured through the live
+/// sink. Both stores must decode to the same per-rank event sequences, the
+/// same `Profile` and the same `vgv top`; the live session's library must
+/// have buffered nothing.
+fn assert_live_capture_matches_buffered(
+    app: &AppSpec,
+    cfg: SessionConfig,
+    opts: ProfileOptions,
+    ctx: &str,
+) {
+    // Small chunks, so the live store's chunks interleave across ranks.
+    let chunks = StoreOptions { chunk_events: 64 };
+    let buffered = run_session(app, cfg.clone());
+    let ref_path = tmp_store(&format!("ref {ctx}"));
+    let ref_stats = write_store_from_vt(&buffered.vt, &ref_path, chunks).unwrap();
+    let live_path = tmp_store(&format!("live {ctx}"));
+    let (live, live_stats) = live_capture(app, cfg.clone(), &live_path, chunks);
+
+    assert!(ref_stats.events > 0, "{ctx}: empty trace");
+    assert_eq!(live_stats.events, ref_stats.events, "{ctx}: event count");
+    assert_eq!(live_stats.chunks, ref_stats.chunks, "{ctx}: chunk count");
+    // Never larger: the same chunks and footer, and a salvage preamble that
+    // lists only the names registered before the first chunk was flushed.
+    assert!(live_stats.bytes <= ref_stats.bytes, "{ctx}: store size");
+    for rank in 0..live.vt.ranks() {
+        live.vt.with_rank_events(rank, |evs| {
+            assert!(evs.is_empty(), "{ctx}: rank {rank} buffered {}", evs.len())
+        });
+    }
+    // Where the events went changes nothing the session measures.
+    assert_eq!(live.app_time, buffered.app_time, "{ctx}");
+    assert_eq!(live.total_time, buffered.total_time, "{ctx}");
+    assert_eq!(live.trace_bytes, buffered.trace_bytes, "{ctx}");
+
+    let mut from_live = StoreReader::open(&live_path).unwrap();
+    let mut from_ref = StoreReader::open(&ref_path).unwrap();
+    assert_eq!(from_live.functions(), from_ref.functions(), "{ctx}");
+    assert_eq!(from_live.source_ranks(), from_ref.source_ranks(), "{ctx}");
+    for rank in from_ref.source_ranks() {
+        let mut streamed = Vec::new();
+        from_live
+            .rank_events(rank, &mut |ev| streamed.push(ev.clone()))
+            .unwrap();
+        buffered.vt.with_rank_events(rank as usize, |evs| {
+            assert_eq!(streamed, evs, "{ctx}: rank {rank} event sequence")
+        });
+    }
+    let (p_live, p_ref) = (
+        Profile::from_store(&mut from_live, opts).unwrap(),
+        Profile::from_store(&mut from_ref, opts).unwrap(),
+    );
+    assert_eq!(p_live.per_rank, p_ref.per_rank, "{ctx}: profile");
+    assert_eq!(p_live.ranks, p_ref.ranks, "{ctx}: ranks");
+    assert_eq!(
+        top_report(&mut from_live, 15, opts).unwrap(),
+        top_report(&mut from_ref, 15, opts).unwrap(),
+        "{ctx}: vgv top"
+    );
+
+    // The summary's feeder: a `ProfileBuilder` fed by the running library
+    // (no pre-pass, so default options only).
+    let slot = Arc::new(Mutex::new(Some(ProfileBuilder::new(
+        Vec::new(),
+        ProfileOptions::default(),
+    ))));
+    run_session(app, cfg.with_capture(Arc::clone(&slot) as _));
+    let fed_live = slot.lock().unwrap().take().unwrap().finish();
+    let replayed = Profile::from_vt(&buffered.vt, ProfileOptions::default());
+    assert_eq!(fed_live.per_rank, replayed.per_rank, "{ctx}: live builder");
+    assert_eq!(fed_live.functions, replayed.functions, "{ctx}: dictionary");
+    assert_eq!(
+        fed_live.render_top(15),
+        replayed.render_top(15),
+        "{ctx}: table"
+    );
+    for p in [ref_path, live_path] {
+        std::fs::remove_file(&p).ok();
+    }
+}
+
+#[test]
+fn live_capture_matches_buffered_flush_on_every_app_and_policy() {
+    let cfg = |policy| SessionConfig::new(Machine::ibm_power3_colony(), policy).with_seed(12);
+    for app in ["smg98", "sppm", "sweep3d", "umt98"] {
+        for policy in [Policy::Dynamic, Policy::Full, Policy::Subset] {
+            assert_live_capture_matches_buffered(
+                &test_app(app, 4).unwrap(),
+                cfg(policy),
+                ProfileOptions::default(),
+                &format!("{app} {policy}"),
+            );
+        }
+    }
+
+    // `floor=10`: the sink sees only settled events, so the held-back
+    // entries and the sealed suppressed-count records must come out the
+    // same through either path.
+    assert_live_capture_matches_buffered(
+        &test_app("sweep3d", 4).unwrap(),
+        cfg(Policy::Full).with_suppress_floor(SimTime::from_micros(10)),
+        ProfileOptions::default(),
+        "sweep3d floor",
+    );
+
+    // A mid-run removal: suspension records, frames left open.
+    let mut params = dynprof::apps::SppmParams::test();
+    params.scale = 0.25;
+    params.base_steps = 6;
+    assert_live_capture_matches_buffered(
+        &dynprof::apps::sppm(2, params),
+        cfg(Policy::Dynamic).with_script(vec![
+            Command::InsertFile(vec!["subset".into()]),
+            Command::Start,
+            Command::Wait(SimTime::from_millis(40)),
+            Command::RemoveFile(vec!["subset".into()]),
+            Command::Quit,
+        ]),
+        ProfileOptions {
+            exclude_suspensions: true,
+        },
+        "sppm suspended",
+    );
+}
+
+/// The capture's memory does not grow with the run: umt98 (one process)
+/// run three times as long records over twice the events through a writer
+/// whose buffered high-water mark stays within one chunk.
+#[test]
+fn live_capture_memory_is_independent_of_run_length() {
+    let opts = StoreOptions { chunk_events: 64 };
+    let capture = |length: usize| {
+        let mut params = dynprof::apps::Umt98Params::test();
+        params.iterations *= length;
+        let app = dynprof::apps::umt98(4, params);
+        let cfg = SessionConfig::new(Machine::ibm_power3_colony(), Policy::Full).with_seed(12);
+        let path = tmp_store(&format!("runlength {length}"));
+        let (_, stats) = live_capture(&app, cfg, &path, opts);
+        std::fs::remove_file(&path).ok();
+        stats
+    };
+    let (short, long) = (capture(1), capture(3));
+    assert!(
+        long.events >= 2 * short.events,
+        "events should more than double: {} vs {}",
+        short.events,
+        long.events
+    );
+    assert!(short.chunks > 4, "several chunks even in the short run");
+    // One encoded event is at most a few dozen bytes; a chunk of them
+    // bounds what one rank ever holds.
+    let one_chunk = opts.chunk_events * 40;
+    assert!(long.peak_buffered_bytes <= one_chunk, "{long:?}");
+    assert!(
+        long.peak_buffered_bytes.abs_diff(short.peak_buffered_bytes) <= one_chunk,
+        "{short:?} vs {long:?}"
+    );
 }
 
 #[test]
