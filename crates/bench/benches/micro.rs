@@ -109,6 +109,30 @@ fn in_real_proc(f: impl FnOnce(&Proc) -> Duration + Send + 'static) -> Duration 
     d
 }
 
+/// A timestamp and a charge on the virtual clock (in real-clock mode
+/// `now` reads the host's and `advance` does nothing): what every
+/// simulated probe pays, several times over, in host time.
+fn bench_clock() {
+    bench("sim/now", |iters| {
+        in_virtual_proc(move |p| {
+            let t = Instant::now();
+            for _ in 0..iters {
+                black_box(p.now());
+            }
+            t.elapsed()
+        })
+    });
+    bench("sim/advance", |iters| {
+        in_virtual_proc(move |p| {
+            let t = Instant::now();
+            for _ in 0..iters {
+                p.advance(black_box(SimTime::from_nanos(1)));
+            }
+            t.elapsed()
+        })
+    });
+}
+
 fn bench_obs_primitives() {
     // The branch every instrumented layer pays when observation is off:
     // a relaxed atomic load + test. This is the whole disabled-obs cost.
@@ -969,6 +993,7 @@ fn main() {
     println!("micro-benchmarks (best of 5 calibrated samples)\n");
     bench_obs_primitives();
     bench_check_primitives();
+    bench_clock();
     bench_vt_fast_paths();
     bench_image_call();
     bench_verifier();

@@ -17,7 +17,7 @@
 //! deliberately constructed to trip one detector class — and therefore
 //! exits nonzero. Fixtures: `collective-mismatch`, `epoch-unsafe`,
 //! `unsafe-probe`, `banned-source`, `unbalanced-timer`,
-//! `unbounded-loop`, `oob-write`, `branch-into-patch`.
+//! `unbounded-loop`, `oob-write`, `branch-into-patch`, `clock-under-lock`.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -54,11 +54,12 @@ fn main() -> ExitCode {
             Some("collective-mismatch") => fixture_collective_mismatch(),
             Some("epoch-unsafe") => fixture_epoch_unsafe(),
             Some("unsafe-probe") => fixture_unsafe_probe(),
-            Some("banned-source") => fixture_banned_source(),
+            Some("banned-source") => fixture_source("bad_instant.rs"),
             Some("unbalanced-timer") => fixture_unbalanced_timer(),
             Some("unbounded-loop") => fixture_unbounded_loop(),
             Some("oob-write") => fixture_oob_write(),
             Some("branch-into-patch") => fixture_branch_into_patch(),
+            Some("clock-under-lock") => fixture_source("clock_under_lock.rs"),
             other => {
                 eprintln!("dynlint: unknown fixture {other:?}");
                 return ExitCode::from(2);
@@ -221,12 +222,15 @@ fn fixture_unsafe_probe() -> Vec<Finding> {
     analyze("fixture", &manifest, &plan, &Budget::default())
 }
 
-/// A source file using a banned wall clock.
-fn fixture_banned_source() -> Vec<Finding> {
-    let path = repo_root().join("crates/check/fixtures/bad_instant.rs");
+/// A source file that breaks a source-lint rule: `bad_instant.rs` reads a
+/// banned wall clock, `clock_under_lock.rs` takes the engine mutex inside
+/// `Proc::now`.
+fn fixture_source(file: &str) -> Vec<Finding> {
+    let rel = format!("crates/check/fixtures/{file}");
+    let path = repo_root().join(&rel);
     let src = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
-    lint::lint_source("crates/check/fixtures/bad_instant.rs", &src, &[])
+    lint::lint_source(&rel, &src, &[])
 }
 
 /// A snippet program that stops a timer it never started: every path

@@ -22,7 +22,11 @@
 //!   round trip per event);
 //! * `heaps-before-inner` — acquiring `inner` while a `heaps` guard is
 //!   live inverts the one allowed nesting order (`inner` before `heaps`)
-//!   and can deadlock against the dispatch path.
+//!   and can deadlock against the dispatch path;
+//! * `clock-under-lock` — the bodies of `Proc::now` and `Proc::advance`
+//!   acquire nothing (`.lock()`, `.read()`, `.write()`): a process owns
+//!   its clock, and every timestamp and every charge of every simulated
+//!   probe goes through those two methods.
 //!
 //! Audited exceptions live in an allowlist file (`dynlint.allow`), one
 //! `path-suffix rule` pair per line.
@@ -202,6 +206,82 @@ pub fn lint_source(path: &str, src: &str, allow: &[Allow]) -> Vec<Finding> {
     }
     out.extend(lint_hash_iteration(path, &stripped, allow));
     out.extend(lint_lock_discipline(path, &stripped, allow));
+    out.extend(lint_clock_under_lock(path, &stripped, allow));
+    out
+}
+
+/// The `{ … }` block opening at or after byte `from`, as a byte range of
+/// `src` (braces included). Comments and literals are already stripped,
+/// so every brace counts.
+fn brace_block(src: &str, from: usize) -> Option<std::ops::Range<usize>> {
+    let open = from + src[from..].find('{')?;
+    let mut depth = 0usize;
+    for (i, c) in src[open..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(open..open + i + 1);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Methods of `Proc` that read or charge the process's own clock and so
+/// must take no lock.
+const LOCK_FREE_PROC_METHODS: [&str; 2] = ["now", "advance"];
+
+/// In a file that implements the engine's `Proc`, the bodies of
+/// [`LOCK_FREE_PROC_METHODS`] must contain no lock acquisition. A method
+/// that has gone missing is reported too: a rename must move the rule
+/// with it, not switch it off.
+fn lint_clock_under_lock(path: &str, stripped: &str, allow: &[Allow]) -> Vec<Finding> {
+    let mut out = Vec::new();
+    if allowed(allow, path, "clock-under-lock") {
+        return out;
+    }
+    let Some(block) = stripped
+        .find("impl Proc {")
+        .and_then(|at| brace_block(stripped, at))
+    else {
+        return out;
+    };
+    let line_of = |at: usize| stripped[..at].matches('\n').count() + 1;
+    let mut error = |at: usize, what: String| {
+        out.push(Finding {
+            severity: Severity::Error,
+            detector: "lint:clock-under-lock",
+            message: format!("{path}:{}: {what}", line_of(at)),
+        });
+    };
+    for method in LOCK_FREE_PROC_METHODS {
+        let header = format!(" fn {method}(");
+        let body = stripped[block.clone()]
+            .find(&header)
+            .and_then(|at| brace_block(stripped, block.start + at));
+        let Some(body) = body else {
+            error(
+                block.start,
+                format!("`Proc::{method}` not found — the rule has nothing to check"),
+            );
+            continue;
+        };
+        for acquire in [".lock()", ".read()", ".write()"] {
+            for (at, _) in stripped[body.clone()].match_indices(acquire) {
+                error(
+                    body.start + at,
+                    format!(
+                        "`{acquire}` inside `Proc::{method}` — a process owns its clock; \
+                         reading or charging it takes no lock"
+                    ),
+                );
+            }
+        }
+    }
     out
 }
 
@@ -601,6 +681,44 @@ mod tests {
             !f.iter().any(|x| x.detector == "lint:heaps-before-inner"),
             "{f:?}"
         );
+    }
+
+    #[test]
+    fn clock_methods_must_not_lock() {
+        let clean = "impl Proc {\n    pub fn now(&self) -> T {\n        self.clock.get()\n    }\n    \
+                     pub fn advance(&self, dt: T) {\n        self.clock.set(dt);\n    }\n    \
+                     pub fn name(&self) -> String {\n        self.eng.inner.lock().name()\n    }\n}\n";
+        assert!(lint_source("x.rs", clean, &[]).is_empty());
+        let bad = clean.replace("self.clock.get()", "self.eng.inner.lock().clock");
+        let f = lint_source("x.rs", &bad, &[]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].detector, "lint:clock-under-lock");
+        assert!(f[0].message.contains("x.rs:3"), "{}", f[0].message);
+        assert!(f[0].message.contains("Proc::now"), "{}", f[0].message);
+        // A vanished method is a finding, not a pass.
+        let renamed = clean.replace("fn advance(", "fn charge(");
+        let f = lint_source("x.rs", &renamed, &[]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("not found"), "{}", f[0].message);
+        // Files without an `impl Proc` are not subject to the rule.
+        assert!(lint_source("x.rs", "fn now() { m.lock(); }\n", &[]).is_empty());
+    }
+
+    #[test]
+    fn engine_rs_clock_methods_are_found_and_lock_free() {
+        // The rule is only worth something if it sees the real methods:
+        // renaming one away from under it must fail here, loudly.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../sim/src/engine.rs");
+        let src = std::fs::read_to_string(path).expect("engine.rs readable");
+        let stripped = strip_code(&src);
+        // Without the `impl` the rule would pass by not applying; with
+        // it, a missing method is itself a finding.
+        assert!(
+            stripped.contains("impl Proc {"),
+            "engine.rs implements Proc"
+        );
+        let f = lint_clock_under_lock("engine.rs", &stripped, &[]);
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

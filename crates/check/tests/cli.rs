@@ -54,6 +54,14 @@ fn banned_source_fixture_fails() {
 }
 
 #[test]
+fn clock_under_lock_fixture_fails() {
+    let (ok, text) = dynlint(&["--fixture", "clock-under-lock"]);
+    assert!(!ok);
+    assert!(text.contains("lint:clock-under-lock"), "{text}");
+    assert!(text.contains("Proc::now"), "{text}");
+}
+
+#[test]
 fn unbalanced_timer_fixture_fails() {
     let (ok, text) = dynlint(&["--fixture", "unbalanced-timer"]);
     assert!(!ok);

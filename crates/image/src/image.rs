@@ -304,17 +304,7 @@ impl Image {
     pub fn remove_function_instr(&self, fid: FuncId) -> usize {
         let mut probes = self.probes.write();
         let pair = &mut probes[fid.index()];
-        let mut n = 0;
-        for base in [&mut pair.entry, &mut pair.exit] {
-            loop {
-                let id = match base.iter().next() {
-                    Some(m) => m.id,
-                    None => break,
-                };
-                base.remove(id);
-                n += 1;
-            }
-        }
+        let n = pair.entry.clear() + pair.exit.clear();
         if n > 0 {
             self.patches.fetch_add(n as u64, Ordering::Relaxed);
         }
@@ -499,42 +489,31 @@ impl Image {
 
     fn fire_point(&self, p: &Proc, cc: CallerCtx, fid: FuncId, kind: ProbePointKind, reps: u64) {
         // Snippet code must run outside the `probes` read guard (a snippet
-        // may itself insert/remove probes), so the chain is cloned out
-        // first — one Arc bump per chained snippet. Chains are almost
-        // always short, so short chains borrow this stack buffer and only
-        // longer ones spill to the heap: the occupied fire path then makes
-        // zero allocations per traversal (pinned by `alloc/probe_fire` in
-        // the micro bench ledger).
-        const INLINE_CHAIN: usize = 4;
-        let mut inline: [Option<Arc<Snippet>>; INLINE_CHAIN] = [None, None, None, None];
-        let mut spill: Vec<Arc<Snippet>> = Vec::new();
-        let len = {
+        // may itself insert/remove probes), so the traversal takes the
+        // point's chain — immutable, shared, swapped whole on insert and
+        // remove — with it: one reference-count bump whatever the chain's
+        // length, and no allocation (pinned by `alloc/probe_fire` in the
+        // micro bench ledger).
+        let chain = {
             let probes = self.probes.read();
             let pair = &probes[fid.index()];
             let base = match kind {
                 ProbePointKind::Entry => &pair.entry,
                 ProbePointKind::Exit => &pair.exit,
             };
-            if !base.occupied() {
-                return;
+            match base.snapshot() {
+                Some(chain) => chain,
+                None => return,
             }
-            for (i, m) in base.iter().enumerate() {
-                if i < INLINE_CHAIN {
-                    inline[i] = Some(m.snippet.clone());
-                } else {
-                    spill.push(m.snippet.clone());
-                }
-            }
-            base.chain_len()
         };
         // Base trampoline dispatch: jump, save regs, relocated instruction,
         // restore regs, jump back — once per traversal, times reps.
         let dispatch = p.machine().probe.trampoline_dispatch;
         p.advance(dispatch * reps);
         let ctx = self.ctx(p, cc, fid, kind, reps);
-        for s in inline.iter().take(len).flatten().chain(spill.iter()) {
-            p.advance(s.cost * reps);
-            (s.code)(&ctx);
+        for m in chain.iter() {
+            p.advance(m.snippet.cost * reps);
+            (m.snippet.code)(&ctx);
         }
     }
 }
@@ -706,6 +685,51 @@ mod tests {
         });
         sim.run();
         assert_eq!(*order.lock(), ["first", "second", "third"]);
+    }
+
+    #[test]
+    fn a_snippet_may_repatch_its_own_point_while_it_runs() {
+        // The traversal in flight runs the chain it took; the change a
+        // snippet makes shows from the next traversal on.
+        let img = two_fn_image();
+        let f = img.func("test").unwrap();
+        let point = ProbePoint::entry(f);
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        let victim = Arc::new(Mutex::new(None));
+        let (img2, fired2, victim2) = (Arc::clone(&img), Arc::clone(&fired), Arc::clone(&victim));
+        img.insert(
+            point,
+            Snippet::new("patcher", SimTime::ZERO, move |_| {
+                fired2.lock().push("patcher");
+                if let Some(id) = victim2.lock().take() {
+                    assert!(img2.remove(point, id));
+                    let fired3 = Arc::clone(&fired2);
+                    img2.insert(
+                        point,
+                        Snippet::new("late", SimTime::ZERO, move |_| fired3.lock().push("late")),
+                    );
+                }
+            }),
+        );
+        let fired2 = Arc::clone(&fired);
+        *victim.lock() = Some(img.insert(
+            point,
+            Snippet::new("victim", SimTime::ZERO, move |_| {
+                fired2.lock().push("victim")
+            }),
+        ));
+        let img2 = Arc::clone(&img);
+        let sim = Sim::virtual_time(Machine::test_machine(), 1);
+        sim.spawn("p", 0, move |p| {
+            img2.call(p, CallerCtx::default(), f, || ());
+            img2.call(p, CallerCtx::default(), f, || ());
+        });
+        sim.run();
+        assert_eq!(
+            *fired.lock(),
+            ["patcher", "victim", "patcher", "late"],
+            "first traversal ran the chain as taken, second the chain as patched"
+        );
     }
 
     #[test]

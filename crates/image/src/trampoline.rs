@@ -36,10 +36,8 @@ pub const MIN_PATCHABLE_BYTES: usize = 16;
 pub struct MiniTrampoline {
     /// Removal handle.
     pub id: SnippetId,
-    /// The instrumentation primitive, shared so the fire path clones a
-    /// single refcount per chained snippet (a `Snippet` holds several
-    /// `Arc`s — name, code, and optionally its IR program).
-    pub snippet: Arc<Snippet>,
+    /// The instrumentation primitive.
+    pub snippet: Snippet,
 }
 
 /// A base trampoline with its chain of mini-trampolines.
@@ -47,68 +45,101 @@ pub struct MiniTrampoline {
 /// The base exists only while at least one mini-trampoline is installed;
 /// when the chain empties, the jump at the probe point is removed and the
 /// probe costs nothing again.
+///
+/// **The chain is immutable and shared.** Inserting or removing a snippet
+/// builds a new chain and swaps it in; a traversal in flight keeps the one
+/// it took ([`BaseTrampoline::snapshot`], one reference-count bump
+/// whatever the chain's length) and runs it to the end. That is what lets
+/// a snippet insert or remove probes — at its own point included — while
+/// it runs: the change shows from the next traversal on.
 #[derive(Clone, Debug, Default)]
 pub struct BaseTrampoline {
-    chain: Vec<MiniTrampoline>,
+    /// `None` while nothing is installed (no allocation per idle point).
+    chain: Option<Arc<[MiniTrampoline]>>,
 }
 
 impl BaseTrampoline {
     /// An empty (uninstalled) base trampoline.
     pub fn new() -> BaseTrampoline {
-        BaseTrampoline { chain: Vec::new() }
+        BaseTrampoline::default()
+    }
+
+    fn chain(&self) -> &[MiniTrampoline] {
+        self.chain.as_deref().unwrap_or(&[])
+    }
+
+    /// Swap in `chain` (empty = uninstall the base).
+    fn set_chain(&mut self, chain: Vec<MiniTrampoline>) {
+        self.chain = (!chain.is_empty()).then(|| chain.into());
     }
 
     /// Is any instrumentation installed at this point?
     pub fn occupied(&self) -> bool {
-        !self.chain.is_empty()
+        self.chain.is_some()
     }
 
     /// Number of chained mini-trampolines.
     pub fn chain_len(&self) -> usize {
-        self.chain.len()
+        self.chain().len()
+    }
+
+    /// The chain as installed right now, for a traversal to run outside
+    /// whatever lock guards this trampoline; `None` if the point is idle.
+    pub fn snapshot(&self) -> Option<Arc<[MiniTrampoline]>> {
+        self.chain.clone()
     }
 
     /// Append a mini-trampoline to the end of the chain (Dyninst appends;
     /// the last trampoline jumps back to the base).
     pub fn push(&mut self, id: SnippetId, snippet: Snippet) {
-        self.chain.push(MiniTrampoline {
-            id,
-            snippet: Arc::new(snippet),
-        });
+        let mut chain = self.chain().to_vec();
+        chain.push(MiniTrampoline { id, snippet });
+        self.set_chain(chain);
+    }
+
+    /// Remove every mini-trampoline `doomed` picks, splicing the chain;
+    /// returns how many went.
+    fn remove_where(&mut self, doomed: impl Fn(&MiniTrampoline) -> bool) -> usize {
+        let kept: Vec<_> = self.iter().filter(|m| !doomed(m)).cloned().collect();
+        let gone = self.chain_len() - kept.len();
+        if gone > 0 {
+            self.set_chain(kept);
+        }
+        gone
     }
 
     /// Remove the mini-trampoline with the given id, splicing the chain.
     /// Returns `true` if found.
     pub fn remove(&mut self, id: SnippetId) -> bool {
-        let before = self.chain.len();
-        self.chain.retain(|m| m.id != id);
-        self.chain.len() != before
+        self.remove_where(|m| m.id == id) > 0
     }
 
     /// Remove every mini-trampoline whose snippet name matches.
     pub fn remove_named(&mut self, name: &str) -> usize {
-        let before = self.chain.len();
-        self.chain.retain(|m| &*m.snippet.name != name);
-        before - self.chain.len()
+        self.remove_where(|m| &*m.snippet.name == name)
+    }
+
+    /// Uninstall the whole chain; returns how many mini-trampolines went.
+    pub fn clear(&mut self) -> usize {
+        self.chain.take().map_or(0, |c| c.len())
     }
 
     /// Iterate the chain in execution order.
     pub fn iter(&self) -> impl Iterator<Item = &MiniTrampoline> {
-        self.chain.iter()
+        self.chain().iter()
     }
 
     /// Total simulated snippet cost of one traversal (sum over the chain),
     /// excluding the base-trampoline dispatch cost which the image charges.
     pub fn chain_cost(&self) -> SimTime {
-        self.chain.iter().map(|m| m.snippet.cost).sum()
+        self.iter().map(|m| m.snippet.cost).sum()
     }
 
     /// Bytes of dynamically allocated code this point accounts for.
     pub fn allocated_bytes(&self) -> usize {
-        if self.chain.is_empty() {
-            0
-        } else {
-            BASE_TRAMPOLINE_BYTES + MINI_TRAMPOLINE_BYTES * self.chain.len()
+        match self.chain_len() {
+            0 => 0,
+            n => BASE_TRAMPOLINE_BYTES + MINI_TRAMPOLINE_BYTES * n,
         }
     }
 }

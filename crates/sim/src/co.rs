@@ -87,6 +87,7 @@ mod imp {
         ) -> *mut c_void;
         fn munmap(addr: *mut c_void, len: usize) -> i32;
         fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
+        fn mincore(addr: *mut c_void, len: usize, vec: *mut u8) -> i32;
     }
 
     /// x86-64 page size (the kernel ABI constant for this target).
@@ -301,6 +302,33 @@ mod imp {
         pub(crate) fn usable_bytes(&self) -> usize {
             self.stack.len - GUARD_BYTES
         }
+
+        /// Deepest this stack has ever been written, in bytes below its
+        /// top. The mapping starts zeroed and is committed lazily, so
+        /// the answer is the lowest non-zero byte of the lowest resident
+        /// page (`mincore`): one syscall and at most one page read, and
+        /// no page is touched that was not resident already. A frame
+        /// that reserved space without writing it does not count — what
+        /// is measured is what costs memory.
+        pub(crate) fn stack_high_water(&self) -> usize {
+            let usable = self.usable_bytes();
+            let mut resident = vec![0u8; usable / PAGE];
+            // SAFETY: `low..low + usable` is this stack's own readable
+            // mapping (everything above the guard), page-aligned, and
+            // `resident` has one byte per page of it, as `mincore` asks.
+            // The one page read is resident, hence mapped and written.
+            unsafe {
+                let low = self.stack.map.add(GUARD_BYTES);
+                let rc = mincore(low as *mut c_void, usable, resident.as_mut_ptr());
+                assert_eq!(rc, 0, "coroutine stack mincore failed");
+                let Some(page) = resident.iter().position(|r| r & 1 != 0) else {
+                    return 0;
+                };
+                let page = std::slice::from_raw_parts(low.add(page * PAGE), PAGE);
+                let clean = page.iter().take_while(|&&b| b == 0).count();
+                self.stack.top() as usize - (page.as_ptr() as usize + clean)
+            }
+        }
     }
 }
 
@@ -325,6 +353,10 @@ mod imp {
 
     impl RawCo {
         pub(crate) fn new(_usable_stack: usize, _boot_raw: *mut c_void) -> RawCo {
+            unreachable!("coroutine backend unsupported on this target")
+        }
+
+        pub(crate) fn stack_high_water(&self) -> usize {
             unreachable!("coroutine backend unsupported on this target")
         }
     }
@@ -377,6 +409,50 @@ mod tests {
             drop(Box::from_raw(slots));
         }
         drop(co); // finished; unmapping its stack is safe now
+    }
+
+    /// Recurse `depth` frames, each writing `FRAME` bytes of its own.
+    #[inline(never)]
+    fn dig(depth: usize) -> u64 {
+        const FRAME: usize = 512;
+        let mut pad = [1u8; FRAME];
+        std::hint::black_box(&mut pad);
+        let below = if depth > 1 { dig(depth - 1) } else { 0 };
+        below + u64::from(std::hint::black_box(pad)[FRAME - 1])
+    }
+
+    #[test]
+    fn stack_high_water_reports_at_least_the_depth_reached() {
+        struct Hop {
+            main_sp: *mut u8,
+            co_sp: *mut u8,
+        }
+        const USABLE: usize = 256 * 1024;
+        // 40 frames of ≥ 512 written bytes each: five pages down.
+        const DEPTH: usize = 40;
+        let hop = Box::into_raw(Box::new(Hop {
+            main_sp: core::ptr::null_mut(),
+            co_sp: core::ptr::null_mut(),
+        }));
+        let boot: BootFn = Box::new(move || unsafe {
+            assert_eq!(dig(DEPTH), DEPTH as u64);
+            FinalSwitch {
+                save: &mut (*hop).co_sp,
+                to: (*hop).main_sp,
+            }
+        });
+        let boot_raw = Box::into_raw(Box::new(boot)) as *mut c_void;
+        let co = RawCo::new(USABLE, boot_raw);
+        // Never run: only the fabricated 64-byte root frame is written.
+        assert_eq!(co.stack_high_water(), 64);
+        unsafe {
+            switch(&mut (*hop).main_sp, co.resume_sp);
+            drop(Box::from_raw(hop));
+        }
+        let deepest = co.stack_high_water();
+        assert!(deepest >= DEPTH * 512, "{deepest} bytes for {DEPTH} frames");
+        assert!(deepest < USABLE, "{deepest}");
+        drop(co);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! startup dispatch, detects deadlock, and tears the run down — it is
 //! not on the per-event path. Computation between simulator operations
 //! executes natively (results are real) while simulated time advances
-//! only through explicit charges. Ties in the event queue are broken by
-//! insertion sequence number, which makes every run with the same seed
+//! only through explicit charges — to a clock the running process owns,
+//! so neither a charge nor a timestamp takes a lock. Ties in the event
+//! queue are broken by insertion sequence number, which makes every run with the same seed
 //! bit-for-bit deterministic; because the dispatch decision always
 //! happens under the same lock hold that blocked the yielding process,
 //! the event *order* is identical on every backend (and to the
@@ -49,7 +50,7 @@ use core::ffi::c_void;
 use std::cell::UnsafeCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -176,11 +177,52 @@ enum PState {
     Done,
 }
 
+/// A simulated process's virtual clock: one cell per process, shared by
+/// its [`ProcSlot`] and its [`Proc`] handle.
+///
+/// **Exactly one writer at a time.** While the process runs it alone
+/// reads and writes the cell ([`Proc::now`], [`Proc::advance`]), taking
+/// no lock. While it is blocked only a dispatcher does, under the
+/// `inner` mutex, lifting the clock to the time of the wake it pops
+/// (that is how a sender that ran meanwhile moves a receiver's clock).
+/// The handoff orders the two: on the `threads` backend the yielder's
+/// last write precedes its `inner` acquisition, and the dispatcher's
+/// lift precedes the `current_word` release-store the resumed process
+/// acquire-loads before it touches the cell again; the `coroutine`
+/// backend never leaves one OS thread. Relaxed accesses are therefore
+/// enough — the atomic exists to make the sharing sound, not to order
+/// anything.
+struct Clock(AtomicU64);
+
+impl Clock {
+    fn new(t: SimTime) -> Arc<Clock> {
+        Arc::new(Clock(AtomicU64::new(t.as_nanos())))
+    }
+
+    #[inline]
+    fn get(&self) -> SimTime {
+        SimTime::from_nanos(self.0.load(Ordering::Relaxed))
+    }
+
+    #[inline]
+    fn set(&self, t: SimTime) {
+        self.0.store(t.as_nanos(), Ordering::Relaxed);
+    }
+
+    /// Raise the clock to at least `t`; returns the result.
+    #[inline]
+    fn lift(&self, t: SimTime) -> SimTime {
+        let t = self.get().max(t);
+        self.set(t);
+        t
+    }
+}
+
 struct ProcSlot {
     name: String,
     node: usize,
     state: PState,
-    clock: SimTime,
+    clock: Arc<Clock>,
     /// OS thread backing this process, for `unpark` wakes. Registered by
     /// `spawn_at` (under the `inner` lock) before any dispatch can target
     /// the pid, so the dispatcher never races a missing handle.
@@ -190,7 +232,7 @@ struct ProcSlot {
 /// The event heaps, split from [`EngineInner`] so that scheduling a wake
 /// (`send`, `wake_other`, timer arming — the hottest producers) touches
 /// only this small mutex and never contends with per-process bookkeeping
-/// (clock charges, state flips, handoff accounting).
+/// (state flips, handoff accounting).
 ///
 /// **Lock order**: `inner` before `heaps`, never the reverse. The
 /// dispatcher holds `inner` and briefly takes `heaps` to pop; producers
@@ -338,9 +380,6 @@ struct CoSlot {
     /// The `Box<co::BootFn>` pointer parked in the fabricated r12 slot;
     /// owned here until `started`.
     boot_raw: *mut c_void,
-    /// Clock at resumption, written by the dispatcher just before the
-    /// switch so the resumed coroutine reads it without taking a lock.
-    resume_clock: SimTime,
 }
 
 impl Drop for CoSlot {
@@ -379,6 +418,18 @@ struct CoPoolInner {
     /// point — a context that is provably not one of theirs (the
     /// scheduler loop, or a just-resumed process).
     retired: Vec<Pid>,
+    /// Deepest any freed coroutine's stack was ever written, in bytes
+    /// (tracked only while observation is enabled).
+    stack_hw: usize,
+}
+
+impl CoPoolInner {
+    /// Note how deep `slot`'s stack got, on its way out.
+    fn note_stack(&mut self, slot: &CoSlot) {
+        if obs::enabled() {
+            self.stack_hw = self.stack_hw.max(slot.raw.stack_high_water());
+        }
+    }
 }
 
 pub(crate) struct Engine {
@@ -459,6 +510,7 @@ impl Engine {
                 slots: Vec::new(),
                 sched_sp: core::ptr::null_mut(),
                 retired: Vec::new(),
+                stack_hw: 0,
             })),
             sched_cv: Condvar::new(),
             current_word: AtomicUsize::new(usize::MAX),
@@ -516,7 +568,9 @@ impl Engine {
     }
 
     /// Pop the earliest runnable event and dispatch it: lift the target's
-    /// clock, account the dispatch, and set `current`. Returns the
+    /// clock, mark it `Running`, account the dispatch, and set `current`
+    /// — so the resumed process finds everything in place and takes no
+    /// lock on its way back into its body. Returns the
     /// dispatched pid and its wake handle, or `None` if no useful event
     /// is pending (the caller decides whether that means deadlock).
     ///
@@ -574,13 +628,14 @@ impl Engine {
                     unreachable!("running proc has queued wake while scheduler active")
                 }
                 PState::Blocked => {
-                    let c = g.procs[pid].clock;
-                    g.procs[pid].clock = c.max(t);
-                    g.horizon = g.horizon.max(g.procs[pid].clock);
+                    // The target is blocked, so its clock is ours to
+                    // write (see [`Clock`]).
+                    let clock = g.procs[pid].clock.lift(t);
+                    g.procs[pid].state = PState::Running;
+                    g.horizon = g.horizon.max(clock);
                     g.dispatched += 1;
                     if let Some(log) = &g.dispatch_log {
-                        let entry = (pid, g.procs[pid].clock);
-                        log.lock().push(entry);
+                        log.lock().push((pid, clock));
                     }
                     if g.last_pid != Some(pid) {
                         g.ctx_switches += 1;
@@ -594,8 +649,8 @@ impl Engine {
         }
     }
 
-    /// Yield the calling process and wait to be resumed. Returns the
-    /// (updated) local clock at resumption.
+    /// Yield the calling process and wait to be resumed; by then the
+    /// dispatcher has lifted its clock to the wake time.
     ///
     /// The caller must have arranged to be woken: either by scheduling its
     /// own wake, or because another process will `schedule` it.
@@ -610,7 +665,7 @@ impl Engine {
     /// business: a futex `park`/`unpark` pair on `threads`, a userspace
     /// stack swap on `coroutine` — the dispatch decision is this shared
     /// code either way.
-    pub(crate) fn yield_and_wait(&self, pid: Pid) -> SimTime {
+    pub(crate) fn yield_and_wait(&self, pid: Pid) {
         debug_assert_eq!(self.mode, ClockMode::Virtual);
         match self.backend {
             ProcBackend::Threads => self.yield_and_wait_threads(pid),
@@ -619,10 +674,8 @@ impl Engine {
     }
 
     /// [`Engine::yield_and_wait`], coroutine backend: the successor is
-    /// resumed by swapping stacks in userspace. The dispatcher pre-marks
-    /// the successor `Running` and hands it its resumption clock through
-    /// its [`CoSlot`], so the resumed side re-acquires no lock at all.
-    fn yield_and_wait_co(&self, pid: Pid) -> SimTime {
+    /// resumed by swapping stacks in userspace.
+    fn yield_and_wait_co(&self, pid: Pid) {
         let mut g = self.inner.lock();
         debug_assert_eq!(g.current, Some(pid), "yield by non-running process");
         g.procs[pid].state = PState::Blocked;
@@ -631,18 +684,15 @@ impl Engine {
         match self.dispatch_next(&mut g) {
             Some((next, _)) if next == pid => {
                 // Popped our own wake (a timed sleep): no switch at all.
-                g.procs[pid].state = PState::Running;
-                return g.procs[pid].clock;
+                return;
             }
             Some((next, _)) => {
                 g.direct_handoffs += 1;
-                g.procs[next].state = PState::Running;
-                let clock = g.procs[next].clock;
                 drop(g);
                 // SAFETY: we are the driving thread, the guard is
                 // dropped, and no reference into shared state is live
                 // across the switch.
-                unsafe { self.co_transfer(Some(pid), next, clock) };
+                unsafe { self.co_transfer(Some(pid), next) };
             }
             None => {
                 // Nothing runnable: hand the verdict (deadlock or
@@ -652,21 +702,11 @@ impl Engine {
             }
         }
         // Resumed. Teardown poison unwinds us before anything else;
-        // otherwise reclaim stacks that finished while we were
-        // suspended, then read the clock the dispatcher wrote (our state
-        // was pre-set to `Running` under the dispatcher's lock hold, so
-        // this path takes no lock).
+        // otherwise reclaim stacks that finished while we were suspended.
         if self.panicked_word.load(Ordering::Acquire) {
             std::panic::resume_unwind(Box::new(CoPoison));
         }
-        unsafe {
-            self.co_drain_retired();
-            let pool = &*self.co.0.get();
-            pool.slots[pid]
-                .as_deref()
-                .expect("own coroutine slot")
-                .resume_clock
-        }
+        unsafe { self.co_drain_retired() };
     }
 
     /// Register a coroutine slot for the next pid. Must be called under
@@ -685,11 +725,10 @@ impl Engine {
             raw: co::RawCo::new(co::stack_bytes(), boot_raw),
             started: false,
             boot_raw,
-            resume_clock: SimTime::ZERO,
         })));
     }
 
-    /// Resume `next` (already marked `Running`, clock already lifted)
+    /// Resume `next` (just dispatched: marked `Running`, clock lifted)
     /// from the context `from` (`None` = the scheduler in `run()`).
     /// Returns when something later switches back to the saved context.
     ///
@@ -697,20 +736,13 @@ impl Engine {
     ///
     /// Driving thread only; no lock guard may be held and no reference
     /// into engine state may be live across the call.
-    unsafe fn co_transfer(&self, from: Option<Pid>, next: Pid, clock: SimTime) {
+    unsafe fn co_transfer(&self, from: Option<Pid>, next: Pid) {
         debug_assert_ne!(from, Some(next), "self-transfer is the lock-held fast path");
         let (save, to) = {
             let p = &mut *self.co.0.get();
-            {
-                let slot = p.slots[next].as_deref_mut().expect("successor slot");
-                slot.resume_clock = clock;
-                slot.started = true;
-            }
-            let to = p.slots[next]
-                .as_deref()
-                .expect("successor slot")
-                .raw
-                .resume_sp;
+            let slot = p.slots[next].as_deref_mut().expect("successor slot");
+            slot.started = true;
+            let to = slot.raw.resume_sp;
             let save: *mut *mut u8 = match from {
                 Some(y) => {
                     &mut p.slots[y]
@@ -755,7 +787,9 @@ impl Engine {
     unsafe fn co_drain_retired(&self) {
         let pool = &mut *self.co.0.get();
         while let Some(pid) = pool.retired.pop() {
-            pool.slots[pid] = None;
+            if let Some(slot) = pool.slots[pid].take() {
+                pool.note_stack(&slot);
+            }
         }
     }
 
@@ -779,7 +813,7 @@ impl Engine {
         };
         g.procs[pid].state = PState::Done;
         g.live -= 1;
-        let clock = g.procs[pid].clock;
+        let clock = g.procs[pid].clock.get();
         g.horizon = g.horizon.max(clock);
         g.current = None;
         self.current_word.store(usize::MAX, Ordering::Relaxed);
@@ -787,8 +821,7 @@ impl Engine {
         if !teardown && !g.panicked && g.live > 0 {
             if let Some((next, _)) = self.dispatch_next(&mut g) {
                 g.direct_handoffs += 1;
-                g.procs[next].state = PState::Running;
-                target = Some((next, g.procs[next].clock));
+                target = Some(next);
             }
         }
         drop(g);
@@ -801,9 +834,8 @@ impl Engine {
             let save: *mut *mut u8 =
                 &mut p.slots[pid].as_deref_mut().expect("own slot").raw.resume_sp;
             let to = match target {
-                Some((next, clock)) => {
+                Some(next) => {
                     let slot = p.slots[next].as_deref_mut().expect("successor slot");
-                    slot.resume_clock = clock;
                     slot.started = true;
                     slot.raw.resume_sp
                 }
@@ -854,14 +886,16 @@ impl Engine {
         }
         let pool = &mut *self.co.0.get();
         pool.retired.clear();
-        pool.slots.clear();
+        for slot in std::mem::take(&mut pool.slots).into_iter().flatten() {
+            pool.note_stack(&slot);
+        }
     }
 
     /// [`Engine::yield_and_wait`], threads backend: the successor is
     /// woken with `unpark` (after the lock drops — see
     /// [`Engine::dispatch_next`]) and the yielder spins briefly, then
     /// parks until its pid appears in the current-word mirror.
-    fn yield_and_wait_threads(&self, pid: Pid) -> SimTime {
+    fn yield_and_wait_threads(&self, pid: Pid) {
         let mut g = self.inner.lock();
         debug_assert_eq!(g.current, Some(pid), "yield by non-running process");
         g.procs[pid].state = PState::Blocked;
@@ -870,8 +904,7 @@ impl Engine {
         let successor = match self.dispatch_next(&mut g) {
             Some((next, _)) if next == pid => {
                 // Popped our own wake (a timed sleep): no handoff at all.
-                g.procs[pid].state = PState::Running;
-                return g.procs[pid].clock;
+                return;
             }
             Some((_, t)) => {
                 g.direct_handoffs += 1;
@@ -908,10 +941,6 @@ impl Engine {
             }
             std::thread::park();
         }
-        let mut g = self.inner.lock();
-        debug_assert_eq!(g.current, Some(pid), "woken without being dispatched");
-        g.procs[pid].state = PState::Running;
-        g.procs[pid].clock
     }
 
     /// Push the bookkeeping for a new process — slot, liveness, heap
@@ -923,7 +952,7 @@ impl Engine {
         &self,
         name: &str,
         node: usize,
-        start: SimTime,
+        clock: Arc<Clock>,
         boot: Option<co::BootFn>,
     ) -> Pid {
         let mut g = self.inner.lock();
@@ -931,11 +960,12 @@ impl Engine {
         if crate::hb::compiled() {
             self.hb.register(pid, name);
         }
+        let start = clock.get();
         g.procs.push(ProcSlot {
             name: name.to_string(),
             node,
             state: PState::Blocked,
-            clock: start,
+            clock,
             thread: None,
         });
         g.live += 1;
@@ -965,7 +995,7 @@ impl Engine {
         let mut g = self.inner.lock();
         g.procs[pid].state = PState::Done;
         g.live -= 1;
-        let clock = g.procs[pid].clock;
+        let clock = g.procs[pid].clock.get();
         g.horizon = g.horizon.max(clock);
         if self.mode == ClockMode::Virtual {
             debug_assert_eq!(g.current, Some(pid));
@@ -1009,39 +1039,6 @@ impl Engine {
             }
         }
         self.sched_cv.notify_one();
-    }
-
-    pub(crate) fn clock_of(&self, pid: Pid) -> SimTime {
-        match self.mode {
-            ClockMode::Virtual => self.inner.lock().procs[pid].clock,
-            ClockMode::Real => self.real_now(),
-        }
-    }
-
-    /// Advance `pid`'s clock in place without yielding (cheap charge while
-    /// the process is running). Virtual mode only; no-op in real mode.
-    pub(crate) fn charge(&self, pid: Pid, dt: SimTime) {
-        if self.mode == ClockMode::Real || dt == SimTime::ZERO {
-            return;
-        }
-        let mut g = self.inner.lock();
-        debug_assert_eq!(g.current, Some(pid), "charge by non-running process");
-        let dt = match self.faults.get() {
-            Some(plan) => plan.scale_work(g.procs[pid].node, dt),
-            None => dt,
-        };
-        g.procs[pid].clock += dt;
-    }
-
-    /// Set `pid`'s clock to `max(clock, t)` (used when a wake event carries
-    /// an arrival time computed by another process).
-    pub(crate) fn lift_clock(&self, pid: Pid, t: SimTime) {
-        if self.mode == ClockMode::Real {
-            return;
-        }
-        let mut g = self.inner.lock();
-        let c = g.procs[pid].clock;
-        g.procs[pid].clock = c.max(t);
     }
 }
 
@@ -1181,6 +1178,10 @@ impl Sim {
             self.eng.machine.nodes
         );
         let eng = Arc::clone(&self.eng);
+        // The process's clock: one cell, shared by its engine slot and
+        // the `Proc` handle its body gets (see [`Clock`]).
+        let clock = Clock::new(start);
+        let proc_clock = Arc::clone(&clock);
         if eng.mode == ClockMode::Virtual && eng.backend == ProcBackend::Coroutine {
             // Coroutine backend: no thread, no handshake. The body is
             // wrapped in a boot closure that catches every unwind,
@@ -1203,6 +1204,7 @@ impl Sim {
                     eng: Arc::clone(&eng2),
                     pid,
                     node,
+                    clock: proc_clock,
                     rng: Mutex::new(SimRng::for_process(eng2.seed, pid)),
                 };
                 let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&proc_)));
@@ -1218,9 +1220,9 @@ impl Sim {
                 // it, and `run()` holds a strong engine reference.
                 unsafe { (*eng_ptr).co_finish(pid, exit) }
             });
-            return eng.register_proc(&name, node, start, Some(boot));
+            return eng.register_proc(&name, node, clock, Some(boot));
         }
-        let pid = eng.register_proc(&name, node, start, None);
+        let pid = eng.register_proc(&name, node, clock, None);
         let eng2 = Arc::clone(&self.eng);
         let handle = std::thread::Builder::new()
             .name(format!("sim-{name}"))
@@ -1229,6 +1231,7 @@ impl Sim {
                     eng: Arc::clone(&eng2),
                     pid,
                     node,
+                    clock: proc_clock,
                     rng: Mutex::new(SimRng::for_process(eng2.seed, pid)),
                 };
                 if eng2.mode == ClockMode::Virtual {
@@ -1240,10 +1243,6 @@ impl Sim {
                         }
                         std::thread::park();
                     }
-                    let mut g = eng2.inner.lock();
-                    debug_assert_eq!(g.current, Some(pid));
-                    g.procs[pid].state = PState::Running;
-                    drop(g);
                 }
                 let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&proc_)));
                 match res {
@@ -1339,7 +1338,9 @@ impl Sim {
                                 .procs
                                 .iter()
                                 .filter(|p| p.state == PState::Blocked)
-                                .map(|p| format!("{} (node {}, t={})", p.name, p.node, p.clock))
+                                .map(|p| {
+                                    format!("{} (node {}, t={})", p.name, p.node, p.clock.get())
+                                })
                                 .collect();
                             g.panicked = true;
                             self.eng.panicked_word.store(true, Ordering::Release);
@@ -1419,15 +1420,13 @@ impl Sim {
             match self.eng.dispatch_next(&mut g) {
                 Some((next, _)) => {
                     g.sched_fallbacks += 1;
-                    g.procs[next].state = PState::Running;
-                    let clock = g.procs[next].clock;
                     drop(g);
                     // SAFETY: this is the driving thread, the guard is
                     // dropped, and no reference into engine state is live
                     // across the switch. The drain runs with every
                     // coroutine suspended, so no retired stack is current.
                     unsafe {
-                        self.eng.co_transfer(None, next, clock);
+                        self.eng.co_transfer(None, next);
                         self.eng.co_drain_retired();
                     }
                 }
@@ -1438,7 +1437,7 @@ impl Sim {
                         .procs
                         .iter()
                         .filter(|p| p.state == PState::Blocked)
-                        .map(|p| format!("{} (node {}, t={})", p.name, p.node, p.clock))
+                        .map(|p| format!("{} (node {}, t={})", p.name, p.node, p.clock.get()))
                         .collect();
                     g.panicked = true;
                     self.eng.panicked_word.store(true, Ordering::Release);
@@ -1490,6 +1489,14 @@ impl Sim {
             obs::counter("sim.sched_fallbacks").add(g.sched_fallbacks);
             obs::counter("sim.timers_cancelled_eagerly").add(timers_cancelled);
             obs::gauge("sim.queue_depth_high_water").set(queue_hw as u64);
+            if eng.backend == ProcBackend::Coroutine {
+                // A host-side reading (it moves with the compiler, the
+                // build profile and the backend), hence `real` in the
+                // name: outside every deterministic snapshot.
+                // SAFETY: the run is over; only this thread is left.
+                let stack_hw = unsafe { (*eng.co.0.get()).stack_hw };
+                obs::gauge("sim.co_stack_high_water_real_bytes").set(stack_hw as u64);
+            }
             obs::gauge("sim.virtual_horizon_ns").set(g.horizon.as_nanos());
             obs::gauge("sim.real_elapsed_ns").set(eng.epoch.elapsed().as_nanos() as u64);
         }
@@ -1549,6 +1556,8 @@ pub struct Proc {
     eng: Arc<Engine>,
     pid: Pid,
     node: usize,
+    /// This process's clock, shared with its engine slot (see [`Clock`]).
+    clock: Arc<Clock>,
     rng: Mutex<SimRng>,
 }
 
@@ -1578,9 +1587,14 @@ impl Proc {
         self.eng.mode
     }
 
-    /// Current local time.
+    /// Current local time: a load of this process's own clock (the wall
+    /// clock in real mode). Takes no lock.
+    #[inline]
     pub fn now(&self) -> SimTime {
-        self.eng.clock_of(self.pid)
+        match self.eng.mode {
+            ClockMode::Virtual => self.clock.get(),
+            ClockMode::Real => self.eng.real_now(),
+        }
     }
 
     /// Charge `dt` of simulated work to this process's clock.
@@ -1590,15 +1604,32 @@ impl Proc {
     /// (processes are assumed pinned to dedicated CPUs, as on the paper's
     /// batch system). In real mode this is a no-op: real work takes real
     /// time.
+    ///
+    /// Takes no lock: a running process is its clock's only writer. A
+    /// fault plan's node slowdown still scales the charge.
+    #[inline]
     pub fn advance(&self, dt: SimTime) {
-        self.eng.charge(self.pid, dt);
+        if self.eng.mode == ClockMode::Real || dt == SimTime::ZERO {
+            return;
+        }
+        debug_assert_eq!(
+            self.eng.current_word.load(Ordering::Relaxed),
+            self.pid,
+            "charge by non-running process"
+        );
+        let dt = match self.eng.faults.get() {
+            Some(plan) => plan.scale_work(self.node, dt),
+            None => dt,
+        };
+        self.clock.set(self.clock.get() + dt);
     }
 
     /// Block until another process (or a primitive) schedules a wake for
     /// this pid. Returns the resumption time. Virtual mode only; the sync
     /// primitives never call this in real mode.
     pub(crate) fn block(&self) -> SimTime {
-        self.eng.yield_and_wait(self.pid)
+        self.eng.yield_and_wait(self.pid);
+        self.clock.get()
     }
 
     /// Like [`Proc::block`], but also arm a deadline timer: if nothing
@@ -1607,7 +1638,7 @@ impl Proc {
     /// timer that never fires leaves the event-queue metrics untouched.
     pub(crate) fn block_until_deadline(&self, deadline: SimTime) -> SimTime {
         self.eng.schedule_timer(self.pid, deadline.max(self.now()));
-        let t = self.eng.yield_and_wait(self.pid);
+        let t = self.block();
         self.eng.cancel_timers(self.pid);
         t
     }
@@ -1658,9 +1689,12 @@ impl Proc {
         self.eng.schedule(pid, at);
     }
 
-    /// Raise `pid`'s clock to at least `t` (message arrival semantics).
-    pub(crate) fn lift_other_clock(&self, pid: Pid, t: SimTime) {
-        self.eng.lift_clock(pid, t);
+    /// Raise this process's own clock to at least `t` (the last arriver
+    /// of a barrier leaves at the release time). No-op in real mode.
+    pub(crate) fn lift_clock(&self, t: SimTime) {
+        if self.eng.mode == ClockMode::Virtual {
+            self.clock.lift(t);
+        }
     }
 
     /// Spawn a child process starting at this process's current time.
@@ -1762,17 +1796,112 @@ mod tests {
         assert_eq!(sim.run(), SimTime::from_micros(70));
     }
 
+    // -- clock ownership, on both backends ---------------------------------
+
+    /// Run `f` against a fresh simulation on each process backend.
+    fn on_both_backends(f: impl Fn(Sim)) {
+        for backend in [ProcBackend::Coroutine, ProcBackend::Threads] {
+            f(Sim::virtual_time_with_backend(machine(), 1, backend));
+        }
+    }
+
+    #[test]
+    fn advance_applies_the_fault_plans_slowdown() {
+        use crate::fault::{FaultProfile, FaultSpec};
+        on_both_backends(|sim| {
+            let spec = FaultSpec {
+                seed: 1,
+                profile_name: "slow-all".into(),
+                profile: FaultProfile {
+                    slow_node_ppm: 1_000_000,
+                    slowdown_permille: 2000,
+                    ..FaultProfile::none()
+                },
+            };
+            assert!(sim.set_fault_plan(FaultPlan::new(&spec, sim.machine())));
+            sim.spawn("slowed", 0, |p| {
+                p.advance(SimTime::from_micros(5));
+                p.advance(SimTime::from_micros(3));
+                assert_eq!(p.now(), SimTime::from_micros(16), "2 x (5 + 3)");
+            });
+            assert_eq!(sim.run(), SimTime::from_micros(16));
+        });
+    }
+
+    #[test]
+    fn a_sender_that_ran_meanwhile_lifts_the_blocked_receivers_clock() {
+        on_both_backends(|sim| {
+            let ch: Arc<crate::sync::SimChannel<u32>> = Arc::new(crate::sync::SimChannel::new());
+            let rx = Arc::clone(&ch);
+            sim.spawn("receiver", 0, move |p| {
+                p.advance(SimTime::from_micros(2));
+                assert_eq!(rx.recv(p), 9);
+                // Blocked at 2 us; the message left at 50 us and took 7.
+                assert_eq!(p.now(), SimTime::from_micros(57));
+                p.advance(SimTime::from_micros(1));
+                assert_eq!(p.now(), SimTime::from_micros(58));
+            });
+            sim.spawn("sender", 1, move |p| {
+                p.advance(SimTime::from_micros(50));
+                ch.send(p, 9, SimTime::from_micros(7));
+                assert_eq!(
+                    p.now(),
+                    SimTime::from_micros(50),
+                    "sending is not receiving"
+                );
+            });
+            assert_eq!(sim.run(), SimTime::from_micros(58));
+        });
+    }
+
     #[test]
     fn spawn_child_starts_at_parent_time() {
-        let sim = Sim::virtual_time(machine(), 1);
-        sim.spawn("parent", 0, |p| {
-            p.advance(SimTime::from_millis(1));
-            p.spawn_child("child", 1, |c| {
-                assert_eq!(c.now(), SimTime::from_millis(1));
-                c.advance(SimTime::from_millis(2));
+        on_both_backends(|sim| {
+            sim.spawn("parent", 0, |p| {
+                p.advance(SimTime::from_millis(1));
+                p.spawn_child("child", 1, |c| {
+                    assert_eq!(c.now(), SimTime::from_millis(1));
+                    c.advance(SimTime::from_millis(2));
+                });
+                // The child's clock is its own: charging it moved nothing here.
+                p.sleep(SimTime::from_millis(5));
+                assert_eq!(p.now(), SimTime::from_millis(6));
             });
+            assert_eq!(sim.run(), SimTime::from_millis(6));
         });
-        assert_eq!(sim.run(), SimTime::from_millis(3));
+    }
+
+    /// A process charging a clock that is not its own to charge: the
+    /// parent parks its handle where the child can reach it and blocks;
+    /// the child, now the running process, charges through it.
+    #[cfg(debug_assertions)]
+    fn charge_through_a_blocked_processs_handle(backend: ProcBackend) {
+        let sim = Sim::virtual_time_with_backend(machine(), 1, backend);
+        sim.spawn("parent", 0, |p| {
+            let handle = p as *const Proc as usize;
+            p.spawn_child("child", 0, move |_| {
+                // SAFETY: the parent is blocked in `sleep` below for the
+                // whole of this body, so its `Proc` is alive and idle.
+                let parent = unsafe { &*(handle as *const Proc) };
+                parent.advance(SimTime::from_micros(1));
+            });
+            p.sleep(SimTime::from_millis(1));
+        });
+        sim.run();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "charge by non-running process")]
+    fn charge_by_non_running_process_is_caught_coroutine() {
+        charge_through_a_blocked_processs_handle(ProcBackend::Coroutine);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "charge by non-running process")]
+    fn charge_by_non_running_process_is_caught_threads() {
+        charge_through_a_blocked_processs_handle(ProcBackend::Threads);
     }
 
     #[test]

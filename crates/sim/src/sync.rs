@@ -433,7 +433,7 @@ impl SimBarrier {
                     for pid in waiters {
                         p.wake_other(pid, release);
                     }
-                    p.lift_other_clock(p.pid(), release);
+                    p.lift_clock(release);
                     if hb::on(p) {
                         hb::barrier_depart(p, self.id, my_gen);
                     }

@@ -250,23 +250,12 @@ impl MpiHooks for VtMpiHooks {
             return;
         }
         p.advance(self.vt.costs().mpi_wrapper_event);
-        let t_end = p.now();
-        let t = match self.vt.mpi_pop(rank) {
-            Some((code, t0)) if code == op_code(op) => t0,
-            // MPI_Init's end has no matching begin (VT came up mid-call);
-            // log it as a point event.
-            _ => t_end,
-        };
-        self.vt.record(
+        self.vt.mpi_end(
             rank,
-            Event::MpiCall {
-                t,
-                t_end,
-                rank: rank as u32,
-                op: op_code(op),
-                peer: peer.map_or(-1, |r| r as i32),
-                bytes: bytes as u64,
-            },
+            op_code(op),
+            p.now(),
+            peer.map_or(-1, |r| r as i32),
+            bytes as u64,
         );
     }
 

@@ -123,6 +123,9 @@ struct ProcBuf {
     /// Pending MPI operations (op code, entry time), a stack because
     /// `MPI_Init`'s inserted snippet issues nested `MPI_Barrier`s.
     mpi_stack: Vec<(u8, SimTime)>,
+    /// Resolved activation per registered function: this rank's table,
+    /// filled lazily against its configuration ([`VtLib::active_in`]).
+    active: Vec<bool>,
 }
 
 impl ProcBuf {
@@ -136,6 +139,20 @@ impl ProcBuf {
     }
 }
 
+/// One rank's share of the library.
+///
+/// **One guard per call.** Everything `VT_begin`, `VT_end` and the
+/// MPI/OpenMP hooks touch on their way to the sink — the event buffer,
+/// the call stacks, the pending MPI operations, the activation table —
+/// lives in `buf`, and each of those calls takes that lock exactly once.
+///
+/// **Lock order**: `buf` → `registry` (read) → `config`, then the capture
+/// sink innermost. The first three nest only when a lookup meets a
+/// function registered since the rank last resolved its table
+/// ([`VtLib::active_in`], [`VtLib::reresolve`]). Nothing that holds the
+/// `registry` *write* lock may take a `buf` lock (`VT_funcdef` takes the
+/// sink, which takes nothing; [`VtLib::set_sink`] looks at the buffers
+/// before it takes the registry, never under it).
 struct ProcState {
     initialized: AtomicBool,
     finalized: AtomicBool,
@@ -145,8 +162,6 @@ struct ProcState {
     /// exactly as the real library's per-process tables do — and the
     /// simulator's causality depends on it.
     config: Mutex<VtConfig>,
-    /// Resolved activation per registered function (lazy, per rank).
-    active: RwLock<Vec<bool>>,
     /// Safe points this rank has entered (drives the fault plan's
     /// missed-epoch decision; consistent across ranks because
     /// `VT_confsync` is collective).
@@ -214,7 +229,6 @@ impl VtLib {
                     finalized: AtomicBool::new(false),
                     buf: Mutex::new(ProcBuf::default()),
                     config: Mutex::new(config.clone()),
-                    active: RwLock::new(Vec::new()),
                     sync_round: AtomicU64::new(0),
                     deferred: Mutex::new(Vec::new()),
                 })
@@ -235,13 +249,18 @@ impl VtLib {
     /// Install it before the run starts; names already registered are
     /// replayed to the sink first. Feeding the sink costs no virtual time.
     pub fn set_sink(&self, sink: SharedSink) {
-        // Under the registry lock, so no `VT_funcdef` slips between the
-        // replay and the installation.
-        let reg = self.registry.write();
+        // Looked at before the registry lock is taken, not under it: a
+        // rank resolving its activation table holds `buf` and wants the
+        // registry (see the lock order on `ProcState`). The check guards
+        // the "before the run starts" contract; it needs no atomicity
+        // with the installation.
         assert!(
             self.procs.iter().all(|st| st.buf.lock().events.is_empty()),
             "capture sink installed after events were buffered"
         );
+        // Under the registry lock, so no `VT_funcdef` slips between the
+        // replay and the installation.
+        let reg = self.registry.write();
         {
             let mut s = locked(&sink);
             for (i, name) in reg.names.iter().enumerate() {
@@ -418,31 +437,33 @@ impl VtLib {
     /// each rank as the safe point reaches it (paper §4.2, §5).
     pub fn is_active(&self, rank: usize, func: VtFuncId) -> bool {
         let st = &self.procs[rank];
-        {
-            let a = st.active.read();
-            if let Some(&v) = a.get(func.0 as usize) {
-                return v;
-            }
+        self.active_in(st, &mut st.buf.lock(), func)
+    }
+
+    /// [`VtLib::is_active`] for a caller that already holds the rank's
+    /// `buf` guard (the `VT_begin` path). Functions registered since the
+    /// rank last looked are resolved against its configuration first.
+    fn active_in(&self, st: &ProcState, buf: &mut ProcBuf, func: VtFuncId) -> bool {
+        if let Some(&on) = buf.active.get(func.0 as usize) {
+            return on;
         }
-        // Lazily resolve newly registered functions against this rank's
-        // configuration.
-        let mut a = st.active.write();
         let reg = self.registry.read();
         let cfg = st.config.lock();
-        while a.len() < reg.names.len() {
-            let on = cfg.resolve(&reg.names[a.len()]);
-            a.push(on);
+        while buf.active.len() < reg.names.len() {
+            let on = cfg.resolve(&reg.names[buf.active.len()]);
+            buf.active.push(on);
         }
-        a.get(func.0 as usize).copied().unwrap_or(false)
+        buf.active.get(func.0 as usize).copied().unwrap_or(false)
     }
 
     /// Re-resolve `rank`'s activation table after a configuration change;
     /// returns how many functions changed state.
     pub(crate) fn reresolve(&self, rank: usize) -> usize {
         let st = &self.procs[rank];
-        let mut a = st.active.write();
+        let mut buf = st.buf.lock();
         let reg = self.registry.read();
         let cfg = st.config.lock();
+        let a = &mut buf.active;
         let mut changed = 0;
         a.resize(reg.names.len(), false);
         for (i, name) in reg.names.iter().enumerate() {
@@ -475,9 +496,9 @@ impl VtLib {
     /// `VT_begin` for `reps` aggregated invocations.
     pub fn begin(&self, p: &Proc, rank: usize, thread: u16, func: VtFuncId, reps: u64) {
         self.assert_ready(rank);
-        let active = self.is_active(rank, func);
         let st = &self.procs[rank];
         let mut buf = st.buf.lock();
+        let active = self.active_in(st, &mut buf, func);
         if active {
             p.advance(self.costs.vt_begin_active.mul_f64(reps as f64));
             if reps == 1 {
@@ -662,8 +683,26 @@ impl VtLib {
         self.procs[rank].buf.lock().mpi_stack.push((op, t));
     }
 
-    pub(crate) fn mpi_pop(&self, rank: usize) -> Option<(u8, SimTime)> {
-        self.procs[rank].buf.lock().mpi_stack.pop()
+    /// Close the MPI operation `op` on `rank` at `t_end`: pop its pending
+    /// entry and record the call as one time-spanned event, under one
+    /// `buf` guard.
+    pub(crate) fn mpi_end(&self, rank: usize, op: u8, t_end: SimTime, peer: i32, bytes: u64) {
+        let mut buf = self.procs[rank].buf.lock();
+        let t = match buf.mpi_stack.pop() {
+            Some((code, t0)) if code == op => t0,
+            // MPI_Init's end has no matching begin (VT came up mid-call);
+            // log it as a point event.
+            _ => t_end,
+        };
+        let ev = Event::MpiCall {
+            t,
+            t_end,
+            rank: rank as u32,
+            op,
+            peer,
+            bytes,
+        };
+        self.emit(&mut buf, ev);
     }
 
     /// `VT_finalize` on `rank`: flush the rank's buffer to the trace file

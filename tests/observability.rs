@@ -69,6 +69,58 @@ fn counters_cover_every_layer() {
     }
 }
 
+/// The deepest coroutine stack of a run is a reported limit, not one to
+/// be discovered by a guard-page fault: coroutine-backed runs set the
+/// gauge, it lies inside the stack, and — being a host-side reading that
+/// moves with the build — it stays out of every deterministic snapshot.
+#[test]
+fn coroutine_stack_high_water_is_reported() {
+    use dynprof::sim::{ProcBackend, Sim, SimTime};
+    let _g = REGISTRY_LOCK.lock().unwrap();
+    if !obs_compiled_in() {
+        return;
+    }
+    const GAUGE: &str = "sim.co_stack_high_water_real_bytes";
+    let reading = |backend| {
+        obs::reset();
+        obs::set_enabled(true);
+        let sim = Sim::virtual_time_with_backend(Machine::test_machine(), 3, backend);
+        let backend = sim.backend();
+        for i in 0..4u64 {
+            sim.spawn(format!("p{i}"), 0, move |p| {
+                p.sleep(SimTime::from_micros(i + 1))
+            });
+        }
+        sim.run();
+        obs::set_enabled(false);
+        let snap = obs::snapshot();
+        assert!(snap.deterministic().metrics.iter().all(|m| m.name != GAUGE));
+        let deepest = snap.metrics.iter().find_map(|m| match m.value {
+            obs::MetricValue::Gauge(v, _) if m.name == GAUGE => Some(v),
+            _ => None,
+        });
+        (backend, deepest.unwrap_or(0))
+    };
+    let (backend, deepest) = reading(ProcBackend::Coroutine);
+    if backend == ProcBackend::Coroutine {
+        assert!(
+            deepest > 64,
+            "a started coroutine writes past its root frame"
+        );
+        assert!(deepest < 1024 * 1024, "{deepest} bytes: outside the stack");
+    }
+    let (_, deepest) = reading(ProcBackend::Threads);
+    assert_eq!(deepest, 0, "threads have no coroutine stacks to measure");
+}
+
+/// Is the obs feature compiled in? (Compiled out ⇒ enabling is a no-op.)
+fn obs_compiled_in() -> bool {
+    obs::set_enabled(true);
+    let live = obs::enabled();
+    obs::set_enabled(false);
+    live
+}
+
 #[test]
 fn disabled_observation_is_invisible() {
     let _g = REGISTRY_LOCK.lock().unwrap();
