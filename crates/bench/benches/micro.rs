@@ -4,8 +4,9 @@
 //! deactivated probes pay a table lookup, active probes pay timestamp +
 //! event append, dynamic probes add trampoline dispatch. The figure
 //! harnesses *model* those costs on the virtual clock; these benchmarks
-//! *measure* the real Rust implementations in real-clock mode, validating
-//! that the implementation itself exhibits the hierarchy — including the
+//! *measure* the host time of the real Rust implementations running on
+//! that same clock — the one every session runs on — validating that
+//! the implementation itself exhibits the hierarchy — including the
 //! observability layer's own hierarchy (a disabled `obs` site costs one
 //! relaxed load + branch).
 //!
@@ -95,23 +96,8 @@ fn bench(name: &str, mut f: impl FnMut(u64) -> Duration) {
     println!("{name:<34} {ns_per_iter:>12.1} ns/iter   ({iters} iters)");
 }
 
-/// Run `f` inside a real-clock simulated process and return its measured
-/// duration (setup excluded).
-fn in_real_proc(f: impl FnOnce(&Proc) -> Duration + Send + 'static) -> Duration {
-    let out = Arc::new(Mutex::new(Duration::ZERO));
-    let out2 = Arc::clone(&out);
-    let sim = Sim::real_time(Machine::test_machine());
-    sim.spawn("bench", 0, move |p| {
-        *out2.lock() = f(p);
-    });
-    sim.run();
-    let d = *out.lock();
-    d
-}
-
-/// A timestamp and a charge on the virtual clock (in real-clock mode
-/// `now` reads the host's and `advance` does nothing): what every
-/// simulated probe pays, several times over, in host time.
+/// A timestamp and a charge on the virtual clock: what every simulated
+/// probe pays, several times over, in host time.
 fn bench_clock() {
     bench("sim/now", |iters| {
         in_virtual_proc(move |p| {
@@ -161,9 +147,8 @@ fn bench_obs_primitives() {
     });
 }
 
-/// Run `f` inside a *virtual*-clock simulated process and return its
-/// measured host duration. Happens-before recording only arms in virtual
-/// mode, so the `check` rows must measure there.
+/// Run `f` inside a simulated process and return the host duration it
+/// measured (setup excluded).
 fn in_virtual_proc(f: impl FnOnce(&Proc) -> Duration + Send + 'static) -> Duration {
     let out = Arc::new(Mutex::new(Duration::ZERO));
     let out2 = Arc::clone(&out);
@@ -232,7 +217,7 @@ fn bench_check_primitives() {
 
 fn bench_vt_fast_paths() {
     bench("vt/begin_end_active", |iters| {
-        in_real_proc(move |p| {
+        in_virtual_proc(move |p| {
             let vt = VtLib::new("b", 1, VtConfig::all_on(), ProbeCosts::power3());
             vt.init(p, 0);
             let f = vt.funcdef(p, "hot");
@@ -245,7 +230,7 @@ fn bench_vt_fast_paths() {
         })
     });
     bench("vt/begin_end_deactivated", |iters| {
-        in_real_proc(move |p| {
+        in_virtual_proc(move |p| {
             let vt = VtLib::new("b", 1, VtConfig::all_off(), ProbeCosts::power3());
             vt.init(p, 0);
             let f = vt.funcdef(p, "cold");
@@ -263,7 +248,7 @@ fn bench_vt_fast_paths() {
     // instead of after the run.
     for (name, live) in [("vt/record", false), ("vt/record_to_store", true)] {
         bench(name, |iters| {
-            in_real_proc(move |p| {
+            in_virtual_proc(move |p| {
                 let vt = VtLib::new("b", 1, VtConfig::all_on(), ProbeCosts::power3());
                 if live {
                     vt.set_sink(store_slot(2048) as _);
@@ -282,7 +267,7 @@ fn bench_vt_fast_paths() {
     // Same active path with runtime observation on: the delta against
     // vt/begin_end_active is the cost of live metric updates.
     bench("vt/begin_end_active_obs_on", |iters| {
-        in_real_proc(move |p| {
+        in_virtual_proc(move |p| {
             obs::set_enabled(true);
             let vt = VtLib::new("b", 1, VtConfig::all_on(), ProbeCosts::power3());
             vt.init(p, 0);
@@ -301,7 +286,7 @@ fn bench_vt_fast_paths() {
 
 fn bench_image_call() {
     bench("image/call_unprobed", |iters| {
-        in_real_proc(move |p| {
+        in_virtual_proc(move |p| {
             let mut bld = ImageBuilder::new("b");
             let f = bld.add(FunctionInfo::new("f"));
             let img = bld.build();
@@ -313,7 +298,7 @@ fn bench_image_call() {
         })
     });
     bench("image/call_trampolined_vt", |iters| {
-        in_real_proc(move |p| {
+        in_virtual_proc(move |p| {
             let mut bld = ImageBuilder::new("b");
             let f = bld.add(FunctionInfo::new("f"));
             let img = bld.build();
@@ -343,7 +328,7 @@ fn bench_image_call() {
 fn paired_counting_fire_ns() -> (f64, f64, f64) {
     let out = Arc::new(Mutex::new((f64::NAN, f64::NAN, f64::INFINITY)));
     let out2 = Arc::clone(&out);
-    let sim = Sim::real_time(Machine::test_machine());
+    let sim = Sim::virtual_time(Machine::test_machine(), 1);
     sim.spawn("bench", 0, move |p| {
         let mut bld = ImageBuilder::new("b");
         let f_ir = bld.add(FunctionInfo::new("f_ir"));
@@ -694,7 +679,7 @@ fn bench_runtimes() {
     // the per-epoch bookkeeping VT_confsync pays when an overhead budget
     // is set (scan every rank's stat table, compute deltas, score, sort).
     bench("controller/decide_64ranks", |iters| {
-        in_real_proc(move |p| {
+        in_virtual_proc(move |p| {
             let vt = VtLib::new("b", 64, VtConfig::all_on(), ProbeCosts::power3());
             for r in 0..64 {
                 vt.init(p, r);

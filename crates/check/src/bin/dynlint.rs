@@ -17,7 +17,8 @@
 //! deliberately constructed to trip one detector class — and therefore
 //! exits nonzero. Fixtures: `collective-mismatch`, `epoch-unsafe`,
 //! `unsafe-probe`, `banned-source`, `unbalanced-timer`,
-//! `unbounded-loop`, `oob-write`, `branch-into-patch`, `clock-under-lock`.
+//! `unbounded-loop`, `oob-write`, `branch-into-patch`, `clock-under-lock`,
+//! `stale-allow`.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -60,6 +61,7 @@ fn main() -> ExitCode {
             Some("oob-write") => fixture_oob_write(),
             Some("branch-into-patch") => fixture_branch_into_patch(),
             Some("clock-under-lock") => fixture_source("clock_under_lock.rs"),
+            Some("stale-allow") => fixture_stale_allow(),
             other => {
                 eprintln!("dynlint: unknown fixture {other:?}");
                 return ExitCode::from(2);
@@ -231,6 +233,15 @@ fn fixture_source(file: &str) -> Vec<Finding> {
     let src = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
     lint::lint_source(&rel, &src, &[])
+}
+
+/// A tree linted against an allowlist with an entry that excuses nothing
+/// in it (`fixtures/stale_allow`): the dead exception is the error.
+fn fixture_stale_allow() -> Vec<Finding> {
+    let dir = "crates/check/fixtures/stale_allow";
+    let allow_text = std::fs::read_to_string(repo_root().join(dir).join("dynlint.allow"))
+        .unwrap_or_else(|e| panic!("fixture allowlist unreadable: {e}"));
+    lint::lint_tree(repo_root(), &[dir], &lint::parse_allowlist(&allow_text))
 }
 
 /// A snippet program that stops a timer it never started: every path

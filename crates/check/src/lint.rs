@@ -8,7 +8,7 @@
 //! of banned constructs:
 //!
 //! * `Instant::now` / `SystemTime` — wall clocks in simulation code;
-//! * `thread::sleep` — real sleeping outside the real-threads mode;
+//! * `thread::sleep` — real sleeping in simulation code;
 //! * `rand::` — ambient randomness instead of `dynprof_sim::rng`;
 //! * iterating a `HashMap`/`HashSet` in a file that produces figure/JSON
 //!   output, without sorting — nondeterministic output order.
@@ -29,7 +29,10 @@
 //!   probe goes through those two methods.
 //!
 //! Audited exceptions live in an allowlist file (`dynlint.allow`), one
-//! `path-suffix rule` pair per line.
+//! `path-suffix rule` pair per line. An entry that suppresses no finding
+//! anywhere in the linted tree is itself an error (`stale-allow`): the
+//! code it excused is gone, and a dead exception would silently excuse
+//! whatever is written there next.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -63,10 +66,11 @@ pub fn parse_allowlist(text: &str) -> Vec<Allow> {
         .collect()
 }
 
-fn allowed(allow: &[Allow], path: &str, rule: &str) -> bool {
+/// Index of the first allowlist entry covering `rule` in `path`.
+fn allowed(allow: &[Allow], path: &str, rule: &str) -> Option<usize> {
     allow
         .iter()
-        .any(|a| path.ends_with(&a.path_suffix) && (a.rule == "*" || a.rule == rule))
+        .position(|a| path.ends_with(&a.path_suffix) && (a.rule == "*" || a.rule == rule))
 }
 
 /// Blank out comments and string literals, preserving line structure so
@@ -138,7 +142,7 @@ pub fn strip_code(src: &str) -> String {
 }
 
 struct Rule {
-    name: &'static str,
+    /// `lint:<rule name>`; the allowlist names the rule without the prefix.
     detector: &'static str,
     token: &'static str,
     why: &'static str,
@@ -146,25 +150,21 @@ struct Rule {
 
 const RULES: &[Rule] = &[
     Rule {
-        name: "instant-now",
         detector: "lint:instant-now",
         token: "Instant::now",
         why: "wall clock in simulation code breaks reproducibility",
     },
     Rule {
-        name: "system-time",
         detector: "lint:system-time",
         token: "SystemTime",
         why: "wall clock in simulation code breaks reproducibility",
     },
     Rule {
-        name: "thread-sleep",
         detector: "lint:thread-sleep",
         token: "thread::sleep",
-        why: "real sleeping is only legal in real-threads mode",
+        why: "real sleeping stalls the host without moving the virtual clock",
     },
     Rule {
-        name: "rand-crate",
         detector: "lint:rand-crate",
         token: "rand::",
         why: "ambient randomness: use dynprof_sim::rng instead",
@@ -191,11 +191,17 @@ fn token_match(hay: &str, needle: &str) -> bool {
 /// Lint one file's source. `path` is the repo-relative display path used
 /// in messages and matched against the allowlist.
 pub fn lint_source(path: &str, src: &str, allow: &[Allow]) -> Vec<Finding> {
+    lint_source_marking(path, src, allow, &mut vec![false; allow.len()])
+}
+
+/// [`lint_source`], setting `used[i]` for every allowlist entry `i` that
+/// suppressed a finding.
+fn lint_source_marking(path: &str, src: &str, allow: &[Allow], used: &mut [bool]) -> Vec<Finding> {
     let stripped = strip_code(src);
     let mut out = Vec::new();
     for (lineno, line) in stripped.lines().enumerate() {
         for rule in RULES {
-            if token_match(line, rule.token) && !allowed(allow, path, rule.name) {
+            if token_match(line, rule.token) {
                 out.push(Finding {
                     severity: Severity::Error,
                     detector: rule.detector,
@@ -204,9 +210,19 @@ pub fn lint_source(path: &str, src: &str, allow: &[Allow]) -> Vec<Finding> {
             }
         }
     }
-    out.extend(lint_hash_iteration(path, &stripped, allow));
-    out.extend(lint_lock_discipline(path, &stripped, allow));
-    out.extend(lint_clock_under_lock(path, &stripped, allow));
+    out.extend(lint_hash_iteration(path, &stripped));
+    out.extend(lint_lock_discipline(path, &stripped));
+    out.extend(lint_clock_under_lock(path, &stripped));
+    out.retain(|f| {
+        let rule = f.detector.strip_prefix("lint:").unwrap_or(f.detector);
+        match allowed(allow, path, rule) {
+            Some(i) => {
+                used[i] = true;
+                false
+            }
+            None => true,
+        }
+    });
     out
 }
 
@@ -239,11 +255,8 @@ const LOCK_FREE_PROC_METHODS: [&str; 2] = ["now", "advance"];
 /// [`LOCK_FREE_PROC_METHODS`] must contain no lock acquisition. A method
 /// that has gone missing is reported too: a rename must move the rule
 /// with it, not switch it off.
-fn lint_clock_under_lock(path: &str, stripped: &str, allow: &[Allow]) -> Vec<Finding> {
+fn lint_clock_under_lock(path: &str, stripped: &str) -> Vec<Finding> {
     let mut out = Vec::new();
-    if allowed(allow, path, "clock-under-lock") {
-        return out;
-    }
     let Some(block) = stripped
         .find("impl Proc {")
         .and_then(|at| brace_block(stripped, at))
@@ -339,9 +352,7 @@ fn binding_name(line: &str, pos: usize) -> Option<String> {
 /// order). Guards bound by `let` are tracked through nested blocks;
 /// `drop(guard)` releases them for the remainder of that block only, so
 /// a sibling `match` arm still sees the guard as held.
-fn lint_lock_discipline(path: &str, stripped: &str, allow: &[Allow]) -> Vec<Finding> {
-    let unpark_allowed = allowed(allow, path, "unpark-under-lock");
-    let order_allowed = allowed(allow, path, "heaps-before-inner");
+fn lint_lock_discipline(path: &str, stripped: &str) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut depth: usize = 0;
     let mut guards: Vec<Guard> = Vec::new();
@@ -367,22 +378,20 @@ fn lint_lock_discipline(path: &str, stripped: &str, allow: &[Allow]) -> Vec<Find
             }
             let rest = &line[i..];
             if rest.starts_with(".inner.lock()") {
-                if !order_allowed {
-                    if let Some(h) = guards
-                        .iter()
-                        .find(|g| g.kind == LockKind::Heaps && g.live())
-                    {
-                        out.push(Finding {
-                            severity: Severity::Error,
-                            detector: "lint:heaps-before-inner",
-                            message: format!(
-                                "{path}:{}: acquiring `inner` while heaps guard `{}` is \
-                                 held — the allowed nesting order is inner before heaps",
-                                lineno + 1,
-                                h.name
-                            ),
-                        });
-                    }
+                if let Some(h) = guards
+                    .iter()
+                    .find(|g| g.kind == LockKind::Heaps && g.live())
+                {
+                    out.push(Finding {
+                        severity: Severity::Error,
+                        detector: "lint:heaps-before-inner",
+                        message: format!(
+                            "{path}:{}: acquiring `inner` while heaps guard `{}` is \
+                             held — the allowed nesting order is inner before heaps",
+                            lineno + 1,
+                            h.name
+                        ),
+                    });
                 }
                 if let Some(name) = binding_name(line, i) {
                     guards.push(Guard {
@@ -408,19 +417,17 @@ fn lint_lock_discipline(path: &str, stripped: &str, allow: &[Allow]) -> Vec<Find
                 continue;
             }
             if rest.starts_with(".unpark()") {
-                if !unpark_allowed {
-                    if let Some(g) = guards.iter().find(|g| g.live()) {
-                        out.push(Finding {
-                            severity: Severity::Error,
-                            detector: "lint:unpark-under-lock",
-                            message: format!(
-                                "{path}:{}: `unpark` while mutex guard `{}` is held — \
-                                 the woken thread blocks straight back on the lock",
-                                lineno + 1,
-                                g.name
-                            ),
-                        });
-                    }
+                if let Some(g) = guards.iter().find(|g| g.live()) {
+                    out.push(Finding {
+                        severity: Severity::Error,
+                        detector: "lint:unpark-under-lock",
+                        message: format!(
+                            "{path}:{}: `unpark` while mutex guard `{}` is held — \
+                             the woken thread blocks straight back on the lock",
+                            lineno + 1,
+                            g.name
+                        ),
+                    });
                 }
                 i += ".unpark()".len();
                 continue;
@@ -453,10 +460,10 @@ fn lint_lock_discipline(path: &str, stripped: &str, allow: &[Allow]) -> Vec<Find
 
 /// Files that produce figure/JSON output must not iterate hash containers
 /// without sorting: the iteration order would leak into the artifact.
-fn lint_hash_iteration(path: &str, stripped: &str, allow: &[Allow]) -> Vec<Finding> {
+fn lint_hash_iteration(path: &str, stripped: &str) -> Vec<Finding> {
     let lower = stripped.to_lowercase();
     let produces_output = lower.contains("json") || lower.contains("fig");
-    if !produces_output || allowed(allow, path, "hash-iter-output") {
+    if !produces_output {
         return Vec::new();
     }
     // Collect identifiers bound to hash containers.
@@ -503,16 +510,29 @@ fn lint_hash_iteration(path: &str, stripped: &str, allow: &[Allow]) -> Vec<Findi
 }
 
 /// Lint every `.rs` file under `root/<dir>` for each of `dirs`.
-/// Returns findings with repo-relative paths.
+/// Returns findings with repo-relative paths, plus one `stale-allow`
+/// error per allowlist entry that suppressed nothing in the whole tree.
 pub fn lint_tree(root: &Path, dirs: &[&str], allow: &[Allow]) -> Vec<Finding> {
     let mut out = Vec::new();
+    let mut used = vec![false; allow.len()];
     for dir in dirs {
-        walk(&root.join(dir), root, allow, &mut out);
+        walk(&root.join(dir), root, allow, &mut used, &mut out);
+    }
+    for (a, _) in allow.iter().zip(&used).filter(|(_, used)| !**used) {
+        out.push(Finding {
+            severity: Severity::Error,
+            detector: "lint:stale-allow",
+            message: format!(
+                "allowlist entry `{} {}` suppressed no finding — the code it \
+                 excused is gone; delete the entry",
+                a.path_suffix, a.rule
+            ),
+        });
     }
     out
 }
 
-fn walk(dir: &Path, root: &Path, allow: &[Allow], out: &mut Vec<Finding>) {
+fn walk(dir: &Path, root: &Path, allow: &[Allow], used: &mut [bool], out: &mut Vec<Finding>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
@@ -523,7 +543,7 @@ fn walk(dir: &Path, root: &Path, allow: &[Allow], out: &mut Vec<Finding>) {
             if path.file_name().is_some_and(|n| n == "target") {
                 continue;
             }
-            walk(&path, root, allow, out);
+            walk(&path, root, allow, used, out);
         } else if path.extension().is_some_and(|e| e == "rs") {
             let Ok(src) = fs::read_to_string(&path) else {
                 continue;
@@ -533,7 +553,7 @@ fn walk(dir: &Path, root: &Path, allow: &[Allow], out: &mut Vec<Finding>) {
                 .unwrap_or(&path)
                 .to_string_lossy()
                 .replace('\\', "/");
-            out.extend(lint_source(&rel, &src, allow));
+            out.extend(lint_source_marking(&rel, &src, allow, used));
         }
     }
 }
@@ -663,11 +683,13 @@ mod tests {
     }
 
     #[test]
-    fn engine_rs_has_exactly_the_two_audited_unpark_sites() {
-        // The allowlist entry for engine.rs covers two audited sites:
-        // `abort()`'s panic teardown and `run()`'s deadlock verdict.
-        // Lint the real source *without* the allowlist and pin that
-        // count — a third site must be a fresh audit, not a free pass.
+    fn engine_rs_unparks_only_with_no_guard_held() {
+        // The engine's two audited unpark-under-lock sites (`abort()`'s
+        // panic teardown, `run()`'s deadlock verdict) went when the
+        // carriers got one exit protocol: teardown unparks with no guard
+        // held, and the allowlist has no entry. Lint the real source
+        // *without* the allowlist and pin that count — a new site must
+        // be a fresh audit, not a free pass.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../sim/src/engine.rs");
         let src = std::fs::read_to_string(path).expect("engine.rs readable");
         let f = lint_source("crates/sim/src/engine.rs", &src, &[]);
@@ -675,12 +697,36 @@ mod tests {
             .iter()
             .filter(|x| x.detector == "lint:unpark-under-lock")
             .collect();
-        assert_eq!(unparks.len(), 2, "{unparks:?}");
+        assert_eq!(unparks.len(), 0, "{unparks:?}");
+        // The scan does see the carrier's wake-ups: they exist, unlocked.
+        assert!(strip_code(&src).matches(".unpark()").count() >= 3);
         // And the nesting order is never inverted, allowlist or not.
         assert!(
             !f.iter().any(|x| x.detector == "lint:heaps-before-inner"),
             "{f:?}"
         );
+    }
+
+    #[test]
+    fn allowlist_entry_that_suppresses_nothing_is_stale() {
+        let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        let dirs = ["crates/check/fixtures/stale_allow"];
+        // `clean.rs` reads a wall clock once: the entry for it is live,
+        // the other two excuse nothing.
+        let allow = parse_allowlist(
+            "stale_allow/clean.rs instant-now\n\
+             stale_allow/clean.rs thread-sleep\n\
+             stale_allow/gone.rs *\n",
+        );
+        let f = lint_tree(root, &dirs, &allow);
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.iter().all(|x| x.detector == "lint:stale-allow"), "{f:?}");
+        assert!(f[0].message.contains("clean.rs thread-sleep"), "{f:?}");
+        assert!(f[1].message.contains("gone.rs *"), "{f:?}");
+        // Without the live entry the finding it suppressed comes back.
+        let f = lint_tree(root, &dirs, &[]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].detector, "lint:instant-now");
     }
 
     #[test]
@@ -717,7 +763,7 @@ mod tests {
             stripped.contains("impl Proc {"),
             "engine.rs implements Proc"
         );
-        let f = lint_clock_under_lock("engine.rs", &stripped, &[]);
+        let f = lint_clock_under_lock("engine.rs", &stripped);
         assert!(f.is_empty(), "{f:?}");
     }
 

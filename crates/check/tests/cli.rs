@@ -62,6 +62,16 @@ fn clock_under_lock_fixture_fails() {
 }
 
 #[test]
+fn stale_allow_fixture_fails() {
+    let (ok, text) = dynlint(&["--fixture", "stale-allow"]);
+    assert!(!ok);
+    assert!(text.contains("lint:stale-allow"), "{text}");
+    assert!(text.contains("clean.rs thread-sleep"), "{text}");
+    // The live entry next to it is not reported, and still suppresses.
+    assert!(text.contains("1 error(s)"), "{text}");
+}
+
+#[test]
 fn unbalanced_timer_fixture_fails() {
     let (ok, text) = dynlint(&["--fixture", "unbalanced-timer"]);
     assert!(!ok);

@@ -450,8 +450,9 @@ impl Image {
     }
 
     /// The function `thread` is currently executing, if any (what a
-    /// statistical sampler's interrupt would see as the PC). Meaningful
-    /// in real-clock mode; virtual-time samplers use the PC journal.
+    /// statistical sampler's interrupt would see as the PC). A sampler
+    /// outside the simulation reads this; virtual-time samplers use the
+    /// PC journal.
     pub fn current_function(&self, thread: usize) -> Option<FuncId> {
         let v = self.pc.get(thread)?.load(Ordering::Relaxed);
         (v != 0).then(|| FuncId(v - 1))

@@ -44,8 +44,8 @@ pub struct Snippet {
     pub name: Arc<str>,
     /// The instrumentation code itself.
     pub code: Arc<dyn Fn(&ProbeCtx<'_>) + Send + Sync>,
-    /// Simulated cost of one execution of the snippet body (the closure's
-    /// real cost is measured separately in real-clock mode).
+    /// Simulated cost of one execution of the snippet body (what the
+    /// closure costs the host is measured separately, by `micro.rs`).
     pub cost: SimTime,
     /// The typed IR this snippet was compiled from, when it was built via
     /// [`SnippetProgram::compile`]. Install-time verification

@@ -173,8 +173,8 @@ mod tests {
     #[test]
     fn critical_serializes() {
         // A non-atomic read-modify-write under critical must not lose
-        // updates even in real-thread mode.
-        let sim = Sim::real_time(Machine::test_machine());
+        // updates.
+        let sim = Sim::virtual_time(Machine::test_machine(), 1);
         let value = Arc::new(Mutex::new(0u64));
         let v2 = Arc::clone(&value);
         sim.spawn("app", 0, move |p| {

@@ -116,14 +116,11 @@ impl<'a> RegionCtx<'a> {
         self.yield_point();
     }
 
-    /// A cooperative scheduling point: charges the claim cost and, on the
-    /// virtual clock, yields so team threads interleave in virtual-time
-    /// order (shared-cursor constructs are unfair without it).
+    /// A cooperative scheduling point: charges the claim cost and yields,
+    /// so team threads interleave in virtual-time order (shared-cursor
+    /// constructs are unfair without it).
     pub fn yield_point(&self) {
-        match self.proc.mode() {
-            dynprof_sim::ClockMode::Virtual => self.proc.sleep(DYN_CHUNK_COST),
-            dynprof_sim::ClockMode::Real => self.proc.advance(DYN_CHUNK_COST),
-        }
+        self.proc.sleep(DYN_CHUNK_COST);
     }
 
     /// `#pragma omp master`: only thread 0 runs `f`, no synchronization.

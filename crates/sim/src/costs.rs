@@ -9,9 +9,9 @@
 //! entire argument — `Dynamic` ≈ `None` ≪ `Full-Off` ≈ `Subset` ≪ `Full` —
 //! follows from this hierarchy multiplied by per-function call rates.
 //!
-//! In the simulator's virtual-clock mode these costs are charged to the
-//! virtual clock; in real-clock mode the actual Rust implementations run
-//! and criterion measures them directly (see `dynprof-bench`).
+//! These costs are charged to the virtual clock; what the actual Rust
+//! implementations cost the host is measured separately (`micro.rs` in
+//! `dynprof-bench`).
 
 use crate::time::SimTime;
 

@@ -1,8 +1,8 @@
 //! # dynprof-sim — simulation kernel
 //!
 //! The substrate every other `dynprof-rs` crate runs on: a deterministic
-//! discrete-event simulator of a clustered SMP machine, with an alternative
-//! real-time mode for measuring the genuine cost of instrumentation code.
+//! discrete-event simulator of a clustered SMP machine, on one virtual
+//! clock.
 //!
 //! The paper this workspace reproduces (Thiffault, Voss, Healey, Kim,
 //! *Dynamic Instrumentation of Large-Scale MPI and OpenMP Applications*,
@@ -12,7 +12,8 @@
 //!
 //! ## Architecture
 //!
-//! * [`engine`] — process scheduler and dual clock ([`Sim`], [`Proc`]).
+//! * [`engine`] — process scheduler and per-process virtual clocks
+//!   ([`Sim`], [`Proc`]).
 //! * [`fault`] — deterministic seed-driven fault-injection plans.
 //! * [`hb`] — happens-before recording and correctness detectors
 //!   (`check` feature; zero-cost when off).
@@ -56,7 +57,7 @@ pub mod time;
 pub mod topology;
 
 pub use costs::ProbeCosts;
-pub use engine::{ClockMode, Pid, Proc, ProcBackend, Sim};
+pub use engine::{Pid, Proc, ProcBackend, Sim};
 pub use fault::{FaultPlan, FaultProfile, FaultSpec};
 pub use stats::OnlineStats;
 pub use time::SimTime;

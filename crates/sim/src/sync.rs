@@ -12,14 +12,12 @@
 //!   released when it opens (the `DYNVT_spin` spin-variable and the
 //!   `configuration_break` breakpoint resume are gates).
 //!
-//! Each primitive has two internal implementations selected by the
-//! simulation's [`ClockMode`]: in virtual mode blocking is mediated by the
-//! discrete-event scheduler (one runnable process at a time, so the
-//! unlock-then-yield pattern is race-free by construction); in real mode
-//! the primitives are ordinary mutex/condvar constructions.
+//! Blocking is mediated by the discrete-event scheduler: one process runs
+//! at a time, so the unlock-then-yield pattern every primitive uses is
+//! race-free by construction.
 //!
-//! No primitive here suspends a process on its own: every virtual-mode
-//! blocking path releases its internal lock and then calls the engine's
+//! No primitive here suspends a process on its own: every blocking path
+//! releases its internal lock and then calls the engine's
 //! `yield_and_wait`, which is the *only* suspension point in the crate
 //! (DESIGN §18's suspension-point inventory). The engine's process
 //! backend — OS threads or stackful coroutines — is therefore invisible
@@ -29,9 +27,9 @@
 use std::collections::VecDeque;
 
 use dynprof_obs as obs;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
-use crate::engine::{ClockMode, Pid, Proc};
+use crate::engine::{Pid, Proc};
 use crate::hb;
 use crate::time::SimTime;
 
@@ -53,6 +51,20 @@ struct ChannelState<T> {
     last_arrival: SimTime,
 }
 
+impl<T> ChannelState<T> {
+    /// Queue index and arrival time of the earliest message satisfying
+    /// `pred`, by `(arrival, seq)`. One O(queue) scan, `pred` called once
+    /// per queued message in queue order.
+    fn earliest_match(&self, mut pred: impl FnMut(&T) -> bool) -> Option<(usize, SimTime)> {
+        self.queue
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| pred(&e.msg))
+            .min_by_key(|(_, e)| (e.arrival, e.seq))
+            .map(|(i, e)| (i, e.arrival))
+    }
+}
+
 /// A latency-aware mailbox. Any process may send; any process may receive.
 /// Messages become visible to receivers only once the receiver's clock has
 /// reached the message's arrival time.
@@ -63,7 +75,6 @@ struct ChannelState<T> {
 /// use this; MPI mailboxes do not (the network may reorder).
 pub struct SimChannel<T> {
     state: Mutex<ChannelState<T>>,
-    cv: Condvar,
     fifo: bool,
     /// Identity for happens-before recording (0 when `check` is off).
     id: u64,
@@ -94,14 +105,12 @@ impl<T> SimChannel<T> {
                 seq: 0,
                 last_arrival: SimTime::ZERO,
             }),
-            cv: Condvar::new(),
             fifo,
             id: hb::unique_id(),
         }
     }
 
     /// Send `msg`, arriving `latency` after the sender's current time.
-    /// In real mode the latency is ignored (delivery is immediate).
     pub fn send(&self, p: &Proc, msg: T, latency: SimTime) {
         let mut arrival = p.now() + latency;
         let mut s = self.state.lock();
@@ -115,15 +124,8 @@ impl<T> SimChannel<T> {
             hb::chan_send(p, self.id, seq);
         }
         s.queue.push(Envelope { arrival, seq, msg });
-        match p.mode() {
-            ClockMode::Virtual => {
-                for pid in s.waiters.drain(..) {
-                    p.wake_other(pid, arrival);
-                }
-            }
-            ClockMode::Real => {
-                self.cv.notify_all();
-            }
+        for pid in s.waiters.drain(..) {
+            p.wake_other(pid, arrival);
         }
     }
 
@@ -142,7 +144,7 @@ impl<T> SimChannel<T> {
         T: Clone,
     {
         let plan = match p.fault_plan() {
-            Some(plan) if plan.links_enabled() && p.mode() == ClockMode::Virtual => plan,
+            Some(plan) if plan.links_enabled() => plan,
             _ => return self.send(p, msg, latency),
         };
         let d = plan.decide_link();
@@ -174,6 +176,15 @@ impl<T> SimChannel<T> {
         self.len() == 0
     }
 
+    /// Take message `i` out of the queue, recording the receive.
+    fn take(&self, p: &Proc, s: &mut ChannelState<T>, i: usize) -> T {
+        let env = s.queue.swap_remove(i);
+        if hb::on(p) {
+            hb::chan_recv(p, self.id, env.seq);
+        }
+        env.msg
+    }
+
     /// Receive the earliest-arriving message. Blocks until one arrives.
     pub fn recv(&self, p: &Proc) -> T {
         self.recv_match(p, |_| true)
@@ -182,62 +193,30 @@ impl<T> SimChannel<T> {
     /// Receive the earliest-arriving message satisfying `pred`.
     /// Blocks until such a message arrives.
     pub fn recv_match(&self, p: &Proc, mut pred: impl FnMut(&T) -> bool) -> T {
-        match p.mode() {
-            ClockMode::Virtual => loop {
-                let mut s = self.state.lock();
-                // Earliest matching message, by (arrival, seq).
-                let best = s
-                    .queue
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| pred(&e.msg))
-                    .min_by_key(|(_, e)| (e.arrival, e.seq))
-                    .map(|(i, e)| (i, e.arrival));
-                match best {
-                    Some((i, arrival)) if arrival <= p.now() => {
-                        let env = s.queue.swap_remove(i);
-                        if hb::on(p) {
-                            hb::chan_recv(p, self.id, env.seq);
-                        }
-                        return env.msg;
-                    }
-                    Some((_, arrival)) => {
-                        // Matching message still in flight: sleep to it.
-                        // (If an even earlier-arriving match is enqueued
-                        // while we sleep, we take it on re-check but our
-                        // clock has already advanced to `arrival` — a
-                        // bounded conservative skew, never a rewind.)
-                        drop(s);
-                        p.sleep_until(arrival);
-                    }
-                    None => {
-                        let pid = p.pid();
-                        if !s.waiters.contains(&pid) {
-                            s.waiters.push(pid);
-                        }
-                        drop(s);
-                        // Race-free: no other process can run between the
-                        // drop above and this yield in virtual mode.
-                        p.block();
-                        // Deregister (we may have been woken spuriously).
-                        let mut s = self.state.lock();
-                        s.waiters.retain(|&w| w != pid);
-                    }
+        loop {
+            let mut s = self.state.lock();
+            match s.earliest_match(&mut pred) {
+                Some((i, arrival)) if arrival <= p.now() => return self.take(p, &mut s, i),
+                Some((_, arrival)) => {
+                    // Matching message still in flight: sleep to it.
+                    // (If an even earlier-arriving match is enqueued
+                    // while we sleep, we take it on re-check but our
+                    // clock has already advanced to `arrival` — a
+                    // bounded conservative skew, never a rewind.)
+                    drop(s);
+                    p.sleep_until(arrival);
                 }
-            },
-            ClockMode::Real => {
-                let mut s = self.state.lock();
-                loop {
-                    if let Some((i, _)) = s
-                        .queue
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, e)| pred(&e.msg))
-                        .min_by_key(|(_, e)| (e.arrival, e.seq))
-                    {
-                        return s.queue.swap_remove(i).msg;
+                None => {
+                    let pid = p.pid();
+                    if !s.waiters.contains(&pid) {
+                        s.waiters.push(pid);
                     }
-                    self.cv.wait(&mut s);
+                    drop(s);
+                    // Race-free: no other process can run between the
+                    // drop above and this yield.
+                    p.block();
+                    // Deregister (we may have been woken spuriously).
+                    self.state.lock().waiters.retain(|&w| w != pid);
                 }
             }
         }
@@ -256,88 +235,39 @@ impl<T> SimChannel<T> {
         mut pred: impl FnMut(&T) -> bool,
         deadline: SimTime,
     ) -> Option<T> {
-        match p.mode() {
-            ClockMode::Virtual => loop {
-                let mut s = self.state.lock();
-                let best = s
-                    .queue
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| pred(&e.msg))
-                    .min_by_key(|(_, e)| (e.arrival, e.seq))
-                    .map(|(i, e)| (i, e.arrival));
-                match best {
-                    Some((i, arrival)) if arrival <= p.now() => {
-                        let env = s.queue.swap_remove(i);
-                        if hb::on(p) {
-                            hb::chan_recv(p, self.id, env.seq);
-                        }
-                        return Some(env.msg);
-                    }
-                    Some((_, arrival)) if arrival <= deadline => {
-                        // In flight and due before the deadline: sleep to it.
-                        drop(s);
-                        p.sleep_until(arrival);
-                    }
-                    _ => {
-                        // No match, or the only matches arrive too late.
-                        if p.now() >= deadline {
-                            return None;
-                        }
-                        let pid = p.pid();
-                        if !s.waiters.contains(&pid) {
-                            s.waiters.push(pid);
-                        }
-                        drop(s);
-                        p.block_until_deadline(deadline);
-                        let mut s = self.state.lock();
-                        s.waiters.retain(|&w| w != pid);
-                    }
+        loop {
+            let mut s = self.state.lock();
+            match s.earliest_match(&mut pred) {
+                Some((i, arrival)) if arrival <= p.now() => return Some(self.take(p, &mut s, i)),
+                Some((_, arrival)) if arrival <= deadline => {
+                    // In flight and due before the deadline: sleep to it.
+                    drop(s);
+                    p.sleep_until(arrival);
                 }
-            },
-            ClockMode::Real => {
-                let mut s = self.state.lock();
-                loop {
-                    if let Some((i, _)) = s
-                        .queue
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, e)| pred(&e.msg))
-                        .min_by_key(|(_, e)| (e.arrival, e.seq))
-                    {
-                        return Some(s.queue.swap_remove(i).msg);
-                    }
-                    let now = p.now();
-                    if now >= deadline {
+                _ => {
+                    // No match, or the only matches arrive too late.
+                    if p.now() >= deadline {
                         return None;
                     }
-                    self.cv.wait_for(
-                        &mut s,
-                        std::time::Duration::from_nanos((deadline - now).as_nanos()),
-                    );
+                    let pid = p.pid();
+                    if !s.waiters.contains(&pid) {
+                        s.waiters.push(pid);
+                    }
+                    drop(s);
+                    p.block_until_deadline(deadline);
+                    self.state.lock().waiters.retain(|&w| w != pid);
                 }
             }
         }
     }
 
     /// Receive a matching message if one has already arrived.
-    pub fn try_recv_match(&self, p: &Proc, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
+    pub fn try_recv_match(&self, p: &Proc, pred: impl FnMut(&T) -> bool) -> Option<T> {
         let mut s = self.state.lock();
-        let now = p.now();
-        let best = s
-            .queue
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| pred(&e.msg) && (p.mode() == ClockMode::Real || e.arrival <= now))
-            .min_by_key(|(_, e)| (e.arrival, e.seq))
-            .map(|(i, _)| i);
-        best.map(|i| {
-            let env = s.queue.swap_remove(i);
-            if hb::on(p) {
-                hb::chan_recv(p, self.id, env.seq);
-            }
-            env.msg
-        })
+        match s.earliest_match(pred) {
+            Some((i, arrival)) if arrival <= p.now() => Some(self.take(p, &mut s, i)),
+            _ => None,
+        }
     }
 
     /// Receive a message if one has already arrived.
@@ -363,7 +293,7 @@ impl<T> SimChannel<T> {
 struct BarrierState {
     generation: u64,
     arrived: usize,
-    /// Max arrival time within the current generation (virtual mode).
+    /// Max arrival time within the current generation.
     latest: SimTime,
     waiters: Vec<Pid>,
     /// Release time of the previous generation, for stragglers re-checking.
@@ -372,14 +302,13 @@ struct BarrierState {
 
 /// A cyclic barrier over `n` participants.
 ///
-/// In virtual mode the barrier releases every participant at
-/// `max(arrival times) + cost`, modelling a synchronization whose cost is
-/// set at construction (e.g. `O(log n)` tree barrier time).
+/// The barrier releases every participant at `max(arrival times) + cost`,
+/// modelling a synchronization whose cost is set at construction (e.g.
+/// `O(log n)` tree barrier time).
 pub struct SimBarrier {
     n: usize,
     cost: SimTime,
     state: Mutex<BarrierState>,
-    cv: Condvar,
     /// Identity for happens-before recording (0 when `check` is off).
     id: u64,
 }
@@ -399,7 +328,6 @@ impl SimBarrier {
                 waiters: Vec::new(),
                 release_time: SimTime::ZERO,
             }),
-            cv: Condvar::new(),
             id: hb::unique_id(),
         }
     }
@@ -412,71 +340,51 @@ impl SimBarrier {
     /// Enter the barrier; returns the release time. The calling process's
     /// clock is raised to the release time.
     pub fn wait(&self, p: &Proc) -> SimTime {
-        match p.mode() {
-            ClockMode::Virtual => {
-                let mut s = self.state.lock();
-                let my_gen = s.generation;
-                s.arrived += 1;
-                s.latest = s.latest.max(p.now());
-                if hb::on(p) {
-                    hb::barrier_arrive(p, self.id, my_gen);
-                }
-                if s.arrived == self.n {
-                    // Last arriver releases the episode.
-                    let release = s.latest + self.cost;
-                    s.generation += 1;
-                    s.arrived = 0;
-                    s.latest = SimTime::ZERO;
-                    s.release_time = release;
-                    let waiters = std::mem::take(&mut s.waiters);
+        let mut s = self.state.lock();
+        let my_gen = s.generation;
+        s.arrived += 1;
+        s.latest = s.latest.max(p.now());
+        if hb::on(p) {
+            hb::barrier_arrive(p, self.id, my_gen);
+        }
+        if s.arrived == self.n {
+            // Last arriver releases the episode.
+            let release = s.latest + self.cost;
+            s.generation += 1;
+            s.arrived = 0;
+            s.latest = SimTime::ZERO;
+            s.release_time = release;
+            let waiters = std::mem::take(&mut s.waiters);
+            drop(s);
+            for pid in waiters {
+                p.wake_other(pid, release);
+            }
+            p.lift_clock(release);
+            if hb::on(p) {
+                hb::barrier_depart(p, self.id, my_gen);
+            }
+            release
+        } else {
+            let pid = p.pid();
+            s.waiters.push(pid);
+            drop(s);
+            loop {
+                let t = p.block();
+                let s = self.state.lock();
+                if s.generation > my_gen {
+                    let release = t.max(s.release_time);
                     drop(s);
-                    for pid in waiters {
-                        p.wake_other(pid, release);
-                    }
-                    p.lift_clock(release);
                     if hb::on(p) {
                         hb::barrier_depart(p, self.id, my_gen);
                     }
-                    release
-                } else {
-                    let pid = p.pid();
-                    s.waiters.push(pid);
-                    drop(s);
-                    loop {
-                        let t = p.block();
-                        let s = self.state.lock();
-                        if s.generation > my_gen {
-                            let release = t.max(s.release_time);
-                            drop(s);
-                            if hb::on(p) {
-                                hb::barrier_depart(p, self.id, my_gen);
-                            }
-                            return release;
-                        }
-                        // Spurious wake: re-register and keep waiting.
-                        drop(s);
-                        let mut s = self.state.lock();
-                        if !s.waiters.contains(&pid) {
-                            s.waiters.push(pid);
-                        }
-                    }
+                    return release;
                 }
-            }
-            ClockMode::Real => {
-                let mut s = self.state.lock();
-                let my_gen = s.generation;
-                s.arrived += 1;
-                if s.arrived == self.n {
-                    s.generation += 1;
-                    s.arrived = 0;
-                    self.cv.notify_all();
-                } else {
-                    while s.generation == my_gen {
-                        self.cv.wait(&mut s);
-                    }
-                }
+                // Spurious wake: re-register and keep waiting.
                 drop(s);
-                p.now()
+                let mut s = self.state.lock();
+                if !s.waiters.contains(&pid) {
+                    s.waiters.push(pid);
+                }
             }
         }
     }
@@ -496,7 +404,6 @@ struct GateState {
 /// through immediately (their clocks raised to the opening time).
 pub struct SimGate {
     state: Mutex<GateState>,
-    cv: Condvar,
     /// Identity for happens-before recording (0 when `check` is off).
     id: u64,
 }
@@ -515,7 +422,6 @@ impl SimGate {
                 open_at: None,
                 waiters: Vec::new(),
             }),
-            cv: Condvar::new(),
             id: hb::unique_id(),
         }
     }
@@ -536,15 +442,8 @@ impl SimGate {
             Some(prev) => prev.min(at),
             None => at,
         });
-        match p.mode() {
-            ClockMode::Virtual => {
-                for pid in s.waiters.drain(..) {
-                    p.wake_other(pid, at);
-                }
-            }
-            ClockMode::Real => {
-                self.cv.notify_all();
-            }
+        for pid in s.waiters.drain(..) {
+            p.wake_other(pid, at);
         }
     }
 
@@ -556,40 +455,30 @@ impl SimGate {
     /// Block until the gate is open; returns the time at which the caller
     /// passed through.
     pub fn wait_open(&self, p: &Proc) -> SimTime {
-        match p.mode() {
-            ClockMode::Virtual => loop {
-                let mut s = self.state.lock();
-                if let Some(at) = s.open_at {
-                    if at <= p.now() {
-                        if hb::on(p) {
-                            hb::gate_pass(p, self.id);
-                        }
-                        return p.now();
-                    }
-                    drop(s);
-                    p.sleep_until(at);
+        loop {
+            let mut s = self.state.lock();
+            if let Some(at) = s.open_at {
+                if at <= p.now() {
                     if hb::on(p) {
                         hb::gate_pass(p, self.id);
                     }
                     return p.now();
                 }
-                let pid = p.pid();
-                if !s.waiters.contains(&pid) {
-                    s.waiters.push(pid);
-                }
                 drop(s);
-                p.block();
-                let mut s = self.state.lock();
-                s.waiters.retain(|&w| w != pid);
-            },
-            ClockMode::Real => {
-                let mut s = self.state.lock();
-                while s.open_at.is_none() {
-                    self.cv.wait(&mut s);
+                p.sleep_until(at);
+                if hb::on(p) {
+                    hb::gate_pass(p, self.id);
                 }
-                drop(s);
-                p.now()
+                return p.now();
             }
+            let pid = p.pid();
+            if !s.waiters.contains(&pid) {
+                s.waiters.push(pid);
+            }
+            drop(s);
+            p.block();
+            let mut s = self.state.lock();
+            s.waiters.retain(|&w| w != pid);
         }
     }
 }
@@ -603,7 +492,6 @@ impl SimGate {
 /// arrival latency; a `None` sentinel (closed queue) releases poppers.
 pub struct SimQueue<T> {
     state: Mutex<(VecDeque<T>, bool, Vec<Pid>)>,
-    cv: Condvar,
     /// Identity for happens-before recording (0 when `check` is off).
     id: u64,
 }
@@ -619,7 +507,6 @@ impl<T> SimQueue<T> {
     pub fn new() -> SimQueue<T> {
         SimQueue {
             state: Mutex::new((VecDeque::new(), false, Vec::new())),
-            cv: Condvar::new(),
             id: hb::unique_id(),
         }
     }
@@ -631,7 +518,7 @@ impl<T> SimQueue<T> {
         }
         let mut s = self.state.lock();
         s.0.push_back(item);
-        self.notify(p, &mut s);
+        Self::notify(p, &mut s);
     }
 
     /// Close the queue: poppers drain remaining items, then observe `None`.
@@ -641,59 +528,38 @@ impl<T> SimQueue<T> {
         }
         let mut s = self.state.lock();
         s.1 = true;
-        self.notify(p, &mut s);
+        Self::notify(p, &mut s);
     }
 
-    fn notify(&self, p: &Proc, s: &mut (VecDeque<T>, bool, Vec<Pid>)) {
-        match p.mode() {
-            ClockMode::Virtual => {
-                let now = p.now();
-                for pid in s.2.drain(..) {
-                    p.wake_other(pid, now);
-                }
-            }
-            ClockMode::Real => {
-                self.cv.notify_all();
-            }
+    fn notify(p: &Proc, s: &mut (VecDeque<T>, bool, Vec<Pid>)) {
+        let now = p.now();
+        for pid in s.2.drain(..) {
+            p.wake_other(pid, now);
         }
     }
 
     /// Pop one item, blocking while the queue is empty and open.
     /// Returns `None` once the queue is closed and drained.
     pub fn pop(&self, p: &Proc) -> Option<T> {
-        match p.mode() {
-            ClockMode::Virtual => loop {
-                let mut s = self.state.lock();
-                if let Some(item) = s.0.pop_front() {
-                    if hb::on(p) {
-                        hb::queue_pop(p, self.id);
-                    }
-                    return Some(item);
+        loop {
+            let mut s = self.state.lock();
+            if let Some(item) = s.0.pop_front() {
+                if hb::on(p) {
+                    hb::queue_pop(p, self.id);
                 }
-                if s.1 {
-                    return None;
-                }
-                let pid = p.pid();
-                if !s.2.contains(&pid) {
-                    s.2.push(pid);
-                }
-                drop(s);
-                p.block();
-                let mut s = self.state.lock();
-                s.2.retain(|&w| w != pid);
-            },
-            ClockMode::Real => {
-                let mut s = self.state.lock();
-                loop {
-                    if let Some(item) = s.0.pop_front() {
-                        return Some(item);
-                    }
-                    if s.1 {
-                        return None;
-                    }
-                    self.cv.wait(&mut s);
-                }
+                return Some(item);
             }
+            if s.1 {
+                return None;
+            }
+            let pid = p.pid();
+            if !s.2.contains(&pid) {
+                s.2.push(pid);
+            }
+            drop(s);
+            p.block();
+            let mut s = self.state.lock();
+            s.2.retain(|&w| w != pid);
         }
     }
 
@@ -1062,28 +928,6 @@ mod tests {
         sim.spawn("receiver", 1, move |p| {
             assert_eq!(rx.recv(p), 2, "earlier arrival wins");
             assert_eq!(rx.recv(p), 1);
-        });
-        sim.run();
-    }
-
-    #[test]
-    fn primitives_work_in_real_mode() {
-        let sim = Sim::real_time(Machine::test_machine());
-        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
-        let bar = Arc::new(SimBarrier::new(2, SimTime::ZERO));
-        let gate = Arc::new(SimGate::new());
-        let (c1, b1, g1) = (Arc::clone(&ch), Arc::clone(&bar), Arc::clone(&gate));
-        sim.spawn("a", 0, move |p| {
-            c1.send(p, 5, SimTime::from_secs(100)); // latency ignored in real mode
-            b1.wait(p);
-            g1.open(p, SimTime::ZERO);
-        });
-        let (c2, b2, g2) = (ch, bar, gate);
-        sim.spawn("b", 1, move |p| {
-            let v = c2.recv(p);
-            assert_eq!(v, 5);
-            b2.wait(p);
-            g2.wait_open(p);
         });
         sim.run();
     }
