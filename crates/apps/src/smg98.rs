@@ -209,13 +209,13 @@ impl Fids {
 /// Build the Smg98 [`AppSpec`] for an MPI job of `ranks` processes.
 pub fn smg98(ranks: usize, params: Smg98Params) -> AppSpec {
     let p = params.clone();
-    AppSpec {
-        name: "smg98".into(),
-        functions: manifest(),
-        subset: subset(),
-        mode: AppMode::Mpi { ranks },
-        body: Arc::new(move |ctx| run_rank(ctx, &p)),
-    }
+    AppSpec::new(
+        "smg98",
+        manifest(),
+        subset(),
+        AppMode::Mpi { ranks },
+        Arc::new(move |ctx| run_rank(ctx, &p)),
+    )
 }
 
 /// Modelled flops of one hypre box-loop call (sets the `None` baseline:

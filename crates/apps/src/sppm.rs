@@ -101,13 +101,13 @@ pub fn subset() -> Vec<String> {
 /// Build the Sppm [`AppSpec`] for an MPI job of `ranks` processes.
 pub fn sppm(ranks: usize, params: SppmParams) -> AppSpec {
     let p = params.clone();
-    AppSpec {
-        name: "sppm".into(),
-        functions: manifest(),
-        subset: subset(),
-        mode: AppMode::Mpi { ranks },
-        body: Arc::new(move |ctx| run_rank(ctx, &p)),
-    }
+    AppSpec::new(
+        "sppm",
+        manifest(),
+        subset(),
+        AppMode::Mpi { ranks },
+        Arc::new(move |ctx| run_rank(ctx, &p)),
+    )
 }
 
 /// A real 1-D periodic advection step (first-order upwind): the genuine

@@ -122,13 +122,13 @@ pub fn subset() -> Vec<String> {
 /// Build the Sweep3d [`AppSpec`] for an MPI job of `ranks` processes.
 pub fn sweep3d(ranks: usize, params: Sweep3dParams) -> AppSpec {
     let p = params.clone();
-    AppSpec {
-        name: "sweep3d".into(),
-        functions: manifest(),
-        subset: subset(),
-        mode: AppMode::Mpi { ranks },
-        body: Arc::new(move |ctx| run_rank(ctx, &p)),
-    }
+    AppSpec::new(
+        "sweep3d",
+        manifest(),
+        subset(),
+        AppMode::Mpi { ranks },
+        Arc::new(move |ctx| run_rank(ctx, &p)),
+    )
 }
 
 /// Modelled flops per cell-angle update.

@@ -129,13 +129,13 @@ pub fn subset() -> Vec<String> {
 /// Build the Umt98 [`AppSpec`] for an OpenMP team of `threads`.
 pub fn umt98(threads: usize, params: Umt98Params) -> AppSpec {
     let p = params.clone();
-    AppSpec {
-        name: "umt98".into(),
-        functions: manifest(),
-        subset: subset(),
-        mode: AppMode::Omp { threads },
-        body: Arc::new(move |ctx| run_process(ctx, &p)),
-    }
+    AppSpec::new(
+        "umt98",
+        manifest(),
+        subset(),
+        AppMode::Omp { threads },
+        Arc::new(move |ctx| run_process(ctx, &p)),
+    )
 }
 
 /// Modelled flops of one zone-angle chunk element in `snswp3d`.

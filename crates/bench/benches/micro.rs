@@ -23,36 +23,46 @@
 //! path gains an allocation. Timing rows tolerate noise; the allocation
 //! ledger is exact, so an accidental `clone()` or `Box::new` on a fast
 //! path is a deterministic failure rather than a 3%-slower shrug.
+//!
+//! The same allocator keeps the **live byte count**, which the `mem/*`
+//! rows read: what one process image holds on the heap, idle and patched
+//! — memory attributed to its owner the way the rows above attribute time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Counts every allocation (and reallocation) so fast paths can pin
-/// their exact per-op heap traffic. Frees are not counted: the pinned
-/// paths are judged on what they *acquire* per op.
+/// their exact per-op heap traffic. Frees are not counted there: the
+/// pinned paths are judged on what they *acquire* per op. `LIVE` is the
+/// heap bytes currently held, for the `mem/*` rows.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicI64 = AtomicI64::new(0);
 
 // SAFETY: defers to `System` for every operation; only bookkeeping is
-// added, and the counter is a relaxed atomic (signal-safe, no locks).
+// added, and the counters are relaxed atomics (signal-safe, no locks).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -67,8 +77,18 @@ fn alloc_delta(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
+/// Heap bytes `build` left allocated, with what it built (nothing else
+/// runs while a `mem/*` row is taken, so the process-wide count is its).
+fn live_delta<T>(build: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE.load(Ordering::Relaxed);
+    let built = build();
+    (built, LIVE.load(Ordering::Relaxed) - before)
+}
+
 use parking_lot::Mutex;
 
+use dynprof_apps::test_app;
+use dynprof_core::AppSpec;
 use dynprof_image::{
     BinOp, CallerCtx, CtxField, Expr, FunctionInfo, ImageBuilder, IntrinsicTable, ProbePoint,
     Snippet, SnippetProgram, Stmt,
@@ -964,6 +984,47 @@ fn alloc_coroutine_handoff() {
     pinned_allocs("alloc/coroutine_handoff", total, 2 * ROUNDS, 0, 16);
 }
 
+/// The footprint ledger: what one process image of a 512-rank job holds
+/// on the heap once the job's program exists — idle (per-rank overlay
+/// only; the symbol table is the program's, shared) and with the smg98
+/// subset's 62 probe pairs installed (chain table + chains). The program
+/// itself is reported once, as the per-job constant it now is.
+fn bench_mem_ledger() {
+    const RANKS: i64 = 512;
+    println!("\nfootprint ledger (live heap bytes, {RANKS} images of one program)\n");
+    let row = |name: &str, bytes: i64, note: String| {
+        println!("{name:<34} {bytes:>12} bytes/image  ({note})");
+    };
+    let images = |app: &AppSpec| -> Vec<_> { (0..RANKS).map(|_| app.build_image(false)).collect() };
+    for (name, app) in [
+        ("mem/image_idle_bytes_smg98", test_app("smg98", 512)),
+        ("mem/image_idle_bytes_sweep3d", test_app("sweep3d", 512)),
+    ] {
+        let app = app.expect("known app");
+        let (_, program) = live_delta(|| Arc::clone(app.program(false)));
+        let (idle, bytes) = live_delta(|| images(&app));
+        let shared = format!("{} functions; program {program} bytes, once", idle[0].len());
+        row(name, bytes / RANKS, shared);
+    }
+    let app = test_app("smg98", 512).expect("known app");
+    let pool = images(&app);
+    let funcs: Vec<_> = app.subset.iter().filter_map(|n| pool[0].func(n)).collect();
+    let probe = Snippet::noop("probe");
+    let ((), bytes) = live_delta(|| {
+        for img in &pool {
+            for point in funcs
+                .iter()
+                .flat_map(|&f| [ProbePoint::entry(f), ProbePoint::exit(f)])
+            {
+                img.try_insert(point, probe.clone())
+                    .expect("patchable subset function");
+            }
+        }
+    });
+    let pairs = format!("{} pairs installed, on top of idle", funcs.len());
+    row("mem/image_patched_bytes_smg98", bytes / RANKS, pairs);
+}
+
 /// The allocation ledger: exact per-op heap traffic of the fast paths.
 fn bench_alloc_ledger() {
     println!("\nallocation ledger (exact counts, pinned)\n");
@@ -988,4 +1049,5 @@ fn main() {
     bench_des_engine();
     bench_runtimes();
     bench_alloc_ledger();
+    bench_mem_ledger();
 }

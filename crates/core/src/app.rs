@@ -6,9 +6,9 @@
 //! execute per process. The `dynprof-apps` crate provides the four ASCI
 //! kernels as `AppSpec`s.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use dynprof_image::{CallerCtx, FuncId, FunctionInfo, Image};
+use dynprof_image::{CallerCtx, FuncId, FunctionInfo, Image, Program};
 use dynprof_mpi::Comm;
 use dynprof_omp::OmpRuntime;
 use dynprof_sim::Proc;
@@ -207,23 +207,57 @@ pub struct AppSpec {
     pub mode: AppMode,
     /// Per-process body.
     pub body: AppBody,
+    /// The two programs `functions` compiles to — without and with static
+    /// instrumentation — each built by the first [`AppSpec::program`] call
+    /// that wants it and shared by every image after that.
+    programs: [OnceLock<Arc<Program>>; 2],
 }
 
 impl AppSpec {
+    /// The application `name`: its manifest, the "important subset", its
+    /// parallel mode and its per-process body.
+    pub fn new(
+        name: impl Into<String>,
+        functions: Vec<FunctionInfo>,
+        subset: Vec<String>,
+        mode: AppMode,
+        body: AppBody,
+    ) -> AppSpec {
+        AppSpec {
+            name: name.into(),
+            functions,
+            subset,
+            mode,
+            body,
+            programs: Default::default(),
+        }
+    }
+
     /// Names of all manifest functions.
     pub fn function_names(&self) -> Vec<String> {
         self.functions.iter().map(|f| f.name.clone()).collect()
     }
 
-    /// Build one process image for this app. `static_instr` selects
-    /// whether the Guide compiler inserted entry/exit instrumentation
-    /// (paper Table 3 policies `Full`/`Full-Off`/`Subset`).
+    /// The app's executable: one [`Program`] that all of its process images
+    /// share, as the ranks of a real job share one text segment and symbol
+    /// table. `static_instr` selects whether the Guide compiler inserted
+    /// entry/exit instrumentation (paper Table 3 policies
+    /// `Full`/`Full-Off`/`Subset`). Built from `functions` as they are at
+    /// the first call and cached, so finish editing the manifest first.
+    pub fn program(&self, static_instr: bool) -> &Arc<Program> {
+        self.programs[usize::from(static_instr)].get_or_init(|| {
+            let manifest = self.functions.iter().cloned();
+            Program::new(
+                self.name.clone(),
+                manifest.map(|f| f.static_instr(static_instr)).collect(),
+            )
+        })
+    }
+
+    /// One process image for this app: a fresh per-process overlay (chains,
+    /// counts, suspend state) over the shared [`AppSpec::program`].
     pub fn build_image(&self, static_instr: bool) -> Arc<Image> {
-        let mut b = dynprof_image::ImageBuilder::new(self.name.clone());
-        for f in &self.functions {
-            b.add(f.clone().static_instr(static_instr));
-        }
-        Arc::new(b.build())
+        Arc::new(Image::new(Arc::clone(self.program(static_instr))))
     }
 }
 
@@ -243,13 +277,13 @@ mod tests {
     use super::*;
 
     fn toy_app() -> AppSpec {
-        AppSpec {
-            name: "toy".into(),
-            functions: vec![FunctionInfo::new("main"), FunctionInfo::new("work")],
-            subset: vec!["work".into()],
-            mode: AppMode::Mpi { ranks: 4 },
-            body: Arc::new(|_| {}),
-        }
+        AppSpec::new(
+            "toy",
+            vec![FunctionInfo::new("main"), FunctionInfo::new("work")],
+            vec!["work".into()],
+            AppMode::Mpi { ranks: 4 },
+            Arc::new(|_| {}),
+        )
     }
 
     #[test]

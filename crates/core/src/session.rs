@@ -20,14 +20,14 @@ use dynprof_dpcl::{
     AckResult, DegradedPolicy, DpclClient, DpclSystem, HeartbeatConfig, HeartbeatMonitor,
     InstrumentationTxn, ProcessHandle, TxnOptions, TxnOutcome,
 };
-use dynprof_image::{ProbePoint, Snippet};
+use dynprof_image::{Image, ProbePoint, Snippet};
 use dynprof_mpi::{launch_from, JobSpec, MpiHooks};
 use dynprof_sim::hb::Finding;
 use dynprof_sim::sync::SimGate;
 use dynprof_sim::{Machine, Proc, Sim, SimTime};
 use dynprof_vt::{
     vt_begin_snippet, vt_end_snippet, ControllerConfig, MonitorLink, OverheadController, Policy,
-    SharedSink, VtConfig, VtFuncId, VtLib, VtMpiHooks, VtStaticHooks,
+    SharedSink, VtConfig, VtFuncId, VtImageObserver, VtLib, VtMpiHooks, VtStaticHooks,
 };
 
 use crate::app::{AdaptiveRuntime, AppCtx, AppMode, AppSpec};
@@ -247,7 +247,7 @@ pub struct SessionReport {
     /// Diagnostics (unknown functions, failed installs, ...).
     pub warnings: Vec<String>,
     /// The per-process images (inspection: call counts, PC journals).
-    pub images: Vec<Arc<dynprof_image::Image>>,
+    pub images: Vec<Arc<Image>>,
     /// The overhead controller, when the session ran adaptively
     /// (decision log, measured-overhead series).
     pub controller: Option<Arc<OverheadController>>,
@@ -299,6 +299,32 @@ fn new_vt(app: &AppSpec, cfg: &SessionConfig, config: VtConfig) -> Arc<VtLib> {
         vt.set_sink(Arc::clone(sink));
     }
     vt
+}
+
+/// The session's process images, one per process — the only place a
+/// session builds images (CI greps for it). All of them share the app's
+/// program; each is its own overlay, wired to the trace library: static
+/// hooks where the policy compiled instrumentation in, and the §5.1
+/// observer that records a suspension window should a daemon ever suspend
+/// the process.
+fn process_images(
+    app: &AppSpec,
+    cfg: &SessionConfig,
+    vt: &Arc<VtLib>,
+    static_instr: bool,
+) -> Arc<Vec<Arc<Image>>> {
+    let image = |rank| {
+        let img = app.build_image(static_instr);
+        if static_instr {
+            img.set_static_hooks(VtStaticHooks::for_image(Arc::clone(vt), &img));
+        }
+        img.set_observer(VtImageObserver::new(Arc::clone(vt), rank));
+        if cfg.enable_pc_log {
+            img.enable_pc_log();
+        }
+        img
+    };
+    Arc::new((0..app.mode.processes()).map(image).collect())
 }
 
 /// Instantiate the adaptive runtime of a session: set the trace library's
@@ -359,15 +385,7 @@ pub fn run_attach_session(
 ) -> SessionReport {
     let processes = app.mode.processes();
     let vt = new_vt(app, &cfg, VtConfig::all_on());
-    let images: Arc<Vec<_>> = Arc::new(
-        (0..processes)
-            .map(|rank| {
-                let img = app.build_image(false);
-                img.set_observer(dynprof_vt::VtImageObserver::new(Arc::clone(&vt), rank));
-                img
-            })
-            .collect(),
-    );
+    let images = process_images(app, &cfg, &vt, false);
     let sim = Sim::virtual_time(cfg.machine.clone(), cfg.seed);
     let times = BodyTimes::new(processes);
     let timefile = Arc::new(Timefile::new());
@@ -489,18 +507,8 @@ pub fn run_attach_session(
                 let vtid = vt.funcdef(p, fname);
                 let (begin, end) = vt_snippet_pair(&vt, vtid);
                 for h in &handles {
-                    reqs.push(client.install_probe(
-                        p,
-                        h,
-                        dynprof_image::ProbePoint::entry(fid),
-                        begin.clone(),
-                    ));
-                    reqs.push(client.install_probe(
-                        p,
-                        h,
-                        dynprof_image::ProbePoint::exit(fid),
-                        end.clone(),
-                    ));
+                    reqs.push(client.install_probe(p, h, ProbePoint::entry(fid), begin.clone()));
+                    reqs.push(client.install_probe(p, h, ProbePoint::exit(fid), end.clone()));
                     pairs += 1;
                 }
             }
@@ -603,21 +611,7 @@ fn make_function_files(app: &AppSpec, cfg: &SessionConfig) -> BTreeMap<String, V
 fn run_static(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
     let processes = app.mode.processes();
     let vt = new_vt(app, &cfg, cfg.policy.config(&app.subset));
-    let static_instr = cfg.policy.static_instrumentation();
-    let images: Arc<Vec<_>> = Arc::new(
-        (0..processes)
-            .map(|_| {
-                let img = app.build_image(static_instr);
-                if static_instr {
-                    img.set_static_hooks(VtStaticHooks::for_image(Arc::clone(&vt), &img));
-                }
-                if cfg.enable_pc_log {
-                    img.enable_pc_log();
-                }
-                img
-            })
-            .collect(),
-    );
+    let images = process_images(app, &cfg, &vt, cfg.policy.static_instrumentation());
     let sim = Sim::virtual_time(cfg.machine.clone(), cfg.seed);
     let times = BodyTimes::new(processes);
     let (adaptive, controller) = make_adaptive(&cfg, &vt);
@@ -905,19 +899,7 @@ impl DynState {
 fn run_dynamic(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
     let processes = app.mode.processes();
     let vt = new_vt(app, &cfg, cfg.policy.config(&app.subset));
-    let images: Arc<Vec<_>> = Arc::new(
-        (0..processes)
-            .map(|rank| {
-                let img = app.build_image(false);
-                // §5.1: record suspension windows into the trace.
-                img.set_observer(dynprof_vt::VtImageObserver::new(Arc::clone(&vt), rank));
-                if cfg.enable_pc_log {
-                    img.enable_pc_log();
-                }
-                img
-            })
-            .collect(),
-    );
+    let images = process_images(app, &cfg, &vt, false);
     let sim = Sim::virtual_time(cfg.machine.clone(), cfg.seed);
     let times = BodyTimes::new(processes);
     let timefile = Arc::new(Timefile::new());

@@ -111,46 +111,32 @@ pub struct CallerCtx {
     pub thread: usize,
 }
 
-struct PointPair {
-    entry: BaseTrampoline,
-    exit: BaseTrampoline,
-}
-
-struct SuspendState {
-    gate: Arc<SimGate>,
-}
-
-/// A process's executable image: functions, probe points, trampolines.
-///
-/// One `Image` per MPI process; OpenMP threads of a process share a single
-/// image (which is why instrumenting an OpenMP application patches one
-/// image regardless of thread count — paper Fig 9).
-pub struct Image {
-    program: String,
+/// What every process running one executable shares: the program's name
+/// and its symbol table. Immutable once built, so one `Arc<Program>`
+/// serves any number of [`Image`]s — as one text segment and symbol table,
+/// mapped once per node, serve every rank of a real job.
+pub struct Program {
+    name: String,
     info: Vec<FunctionInfo>,
     by_name: HashMap<String, FuncId>,
-    probes: RwLock<Vec<PointPair>>,
-    static_hooks: RwLock<Option<Arc<dyn StaticHooks>>>,
-    observer: RwLock<Option<Arc<dyn ImageObserver>>>,
-    suspended: AtomicBool,
-    suspend: Mutex<SuspendState>,
-    next_snippet: AtomicU64,
-    counts: Vec<AtomicU64>,
-    /// Shadow program counter per thread (function id + 1; 0 = outside
-    /// any manifest function). The real machine has a PC for free; this
-    /// is what a statistical sampler reads (paper §2).
-    pc: Vec<AtomicU32>,
-    /// When enabled, every call's `[enter, exit)` interval is journaled
-    /// per thread so an ideal interrupt sampler can be evaluated on the
-    /// virtual timeline (see `dynprof_vt::sampling`).
-    pc_log_enabled: AtomicBool,
-    pc_log: Mutex<PcLog>,
-    /// Count of probe-point patches performed (jump written or removed),
-    /// reported in dynprof's timefile.
-    patches: AtomicU64,
 }
 
-impl Image {
+impl Program {
+    /// The program `name` with symbol table `info` (a function's index is
+    /// its [`FuncId`]). Panics on duplicate symbol names.
+    pub fn new(name: impl Into<String>, info: Vec<FunctionInfo>) -> Arc<Program> {
+        let mut by_name = HashMap::with_capacity(info.len());
+        for (i, f) in info.iter().enumerate() {
+            let prev = by_name.insert(f.name.clone(), FuncId(i as u32));
+            assert!(prev.is_none(), "duplicate function name {:?}", f.name);
+        }
+        Arc::new(Program {
+            name: name.into(),
+            info,
+            by_name,
+        })
+    }
+
     /// Look up a function by symbol name.
     pub fn func(&self, name: &str) -> Option<FuncId> {
         self.by_name.get(name).copied()
@@ -166,24 +152,139 @@ impl Image {
         &self.info[fid.index()].name
     }
 
-    /// Number of functions in the image.
+    /// Number of functions in the program.
     pub fn len(&self) -> usize {
         self.info.len()
     }
 
-    /// True if the image has no functions.
+    /// True if the program has no functions.
     pub fn is_empty(&self) -> bool {
         self.info.is_empty()
     }
 
-    /// The program name this image belongs to.
+    /// The program's name.
     pub fn program(&self) -> &str {
-        &self.program
+        &self.name
     }
 
     /// Iterate all function ids.
     pub fn functions(&self) -> impl Iterator<Item = FuncId> + '_ {
         (0..self.info.len() as u32).map(FuncId)
+    }
+
+    /// Can `fid` legally hold a probe-point patch? False for functions
+    /// whose body is smaller than the jump the patch writes.
+    pub fn patchable(&self, fid: FuncId) -> bool {
+        self.info[fid.index()].size_bytes >= MIN_PATCHABLE_BYTES
+    }
+
+    /// Would installing `snippet` at `point` be a safe patch? Checks the
+    /// target's size against the probe-point jump and, for entry points,
+    /// its CFG for the branch-into-patch hazard — without installing
+    /// anything. DPCL daemons run this (plus snippet-program
+    /// verification) when voting on a transaction's staged installs.
+    pub fn validate_patch(&self, point: ProbePoint, _snippet: &Snippet) -> Result<(), PatchError> {
+        let info = &self.info[point.func.index()];
+        if info.size_bytes < MIN_PATCHABLE_BYTES {
+            return Err(PatchError::FunctionTooSmall {
+                name: info.name.clone(),
+                size_bytes: info.size_bytes,
+                required: MIN_PATCHABLE_BYTES,
+            });
+        }
+        // Only the entry patch overwrites prologue bytes a branch could
+        // re-enter; the exit patch rewrites return sites.
+        if point.kind == ProbePointKind::Entry {
+            if let Some(target) = info.branch_into_patch(MIN_PATCHABLE_BYTES) {
+                return Err(PatchError::BranchIntoPatch {
+                    name: info.name.clone(),
+                    target_offset: target,
+                    patch_len: MIN_PATCHABLE_BYTES,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Index of a probe point in an image's per-point tables: the entry and
+/// exit of function *f* sit at 2*f* and 2*f* + 1.
+fn slot(func: FuncId, kind: ProbePointKind) -> usize {
+    2 * func.index() + kind as usize
+}
+
+/// A process's executable image: a shared [`Program`] (reached through
+/// `Deref`, so `image.func(..)`, `image.info(..)`, `image.len()` read the
+/// symbol table) under a private overlay of what patching and running
+/// change — trampoline chains, call counts, the suspend gate, hooks.
+///
+/// One `Image` per MPI process; OpenMP threads of a process share a single
+/// image (which is why instrumenting an OpenMP application patches one
+/// image regardless of thread count — paper Fig 9).
+pub struct Image {
+    program: Arc<Program>,
+    /// Trampoline chains by [`slot`]. Empty until the first insert: an
+    /// image nobody patches never allocates the table.
+    probes: RwLock<Vec<BaseTrampoline>>,
+    /// `probes[slot].occupied()`, republished by [`Image::patch`] under the
+    /// `probes` write lock (`Release`) and read by the call path without it
+    /// (`Acquire`): a caller that sees `false` ran before the patch, as one
+    /// that won the lock would have; a caller that sees `true` takes the
+    /// lock and runs whatever chain is there by then.
+    occupancy: Box<[AtomicBool]>,
+    static_hooks: RwLock<Option<Arc<dyn StaticHooks>>>,
+    observer: RwLock<Option<Arc<dyn ImageObserver>>>,
+    suspended: AtomicBool,
+    /// The gate suspended callers wait at; replaced at each suspension.
+    suspend: Mutex<Arc<SimGate>>,
+    next_snippet: AtomicU64,
+    counts: Box<[AtomicU64]>,
+    /// Shadow program counter per thread (function id + 1; 0 = outside
+    /// any manifest function). The real machine has a PC for free; this
+    /// is what a statistical sampler reads (paper §2).
+    pc: [AtomicU32; MAX_SAMPLED_THREADS],
+    /// When enabled, every call's `[enter, exit)` interval is journaled
+    /// per thread so an ideal interrupt sampler can be evaluated on the
+    /// virtual timeline (see `dynprof_vt::sampling`).
+    pc_log_enabled: AtomicBool,
+    pc_log: Mutex<PcLog>,
+    /// Count of probe-point patches performed (jump written or removed),
+    /// reported in dynprof's timefile.
+    patches: AtomicU64,
+}
+
+impl std::ops::Deref for Image {
+    type Target = Program;
+
+    fn deref(&self) -> &Program {
+        &self.program
+    }
+}
+
+impl Image {
+    /// A fresh, unpatched process image of `program`.
+    pub fn new(program: Arc<Program>) -> Image {
+        let n = program.len();
+        Image {
+            probes: RwLock::new(Vec::new()),
+            occupancy: (0..2 * n).map(|_| AtomicBool::new(false)).collect(),
+            static_hooks: RwLock::new(None),
+            observer: RwLock::new(None),
+            suspended: AtomicBool::new(false),
+            suspend: Mutex::new(Arc::new(SimGate::new())),
+            next_snippet: AtomicU64::new(1),
+            counts: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            pc: std::array::from_fn(|_| AtomicU32::new(0)),
+            pc_log_enabled: AtomicBool::new(false),
+            pc_log: Mutex::new(HashMap::new()),
+            patches: AtomicU64::new(0),
+            program,
+        }
+    }
+
+    /// The program this image runs, shared with every other image of it.
+    pub fn shared_program(&self) -> &Arc<Program> {
+        &self.program
     }
 
     /// Install image-wide static instrumentation hooks (linking the app
@@ -214,12 +315,6 @@ impl Image {
 
     // -- dynamic instrumentation -------------------------------------------
 
-    /// Can `fid` legally hold a probe-point patch? False for functions
-    /// whose body is smaller than the jump the patch writes.
-    pub fn patchable(&self, fid: FuncId) -> bool {
-        self.info[fid.index()].size_bytes >= MIN_PATCHABLE_BYTES
-    }
-
     /// Insert `snippet` at `point`, returning a handle for removal.
     ///
     /// Panics if the target function is too small to patch; use
@@ -234,32 +329,18 @@ impl Image {
         }
     }
 
-    /// Would installing `snippet` at `point` be a safe patch? Checks the
-    /// target's size against the probe-point jump and, for entry points,
-    /// its CFG for the branch-into-patch hazard — without installing
-    /// anything. DPCL daemons run this (plus snippet-program
-    /// verification) when voting on a transaction's staged installs.
-    pub fn validate_patch(&self, point: ProbePoint, _snippet: &Snippet) -> Result<(), PatchError> {
-        let info = &self.info[point.func.index()];
-        if info.size_bytes < MIN_PATCHABLE_BYTES {
-            return Err(PatchError::FunctionTooSmall {
-                name: info.name.clone(),
-                size_bytes: info.size_bytes,
-                required: MIN_PATCHABLE_BYTES,
-            });
+    /// Run `f` on the trampoline at `point` under the instrumenter lock —
+    /// allocating the chain table if this is the image's first patch — and
+    /// republish the point's occupancy.
+    fn patch<R>(&self, point: ProbePoint, f: impl FnOnce(&mut BaseTrampoline) -> R) -> R {
+        let slot = slot(point.func, point.kind);
+        let mut probes = self.probes.write();
+        if probes.is_empty() {
+            probes.resize_with(self.occupancy.len(), BaseTrampoline::new);
         }
-        // Only the entry patch overwrites prologue bytes a branch could
-        // re-enter; the exit patch rewrites return sites.
-        if point.kind == ProbePointKind::Entry {
-            if let Some(target) = info.branch_into_patch(MIN_PATCHABLE_BYTES) {
-                return Err(PatchError::BranchIntoPatch {
-                    name: info.name.clone(),
-                    target_offset: target,
-                    patch_len: MIN_PATCHABLE_BYTES,
-                });
-            }
-        }
-        Ok(())
+        let r = f(&mut probes[slot]);
+        self.occupancy[slot].store(probes[slot].occupied(), Ordering::Release);
+        r
     }
 
     /// Insert `snippet` at `point` if the target can hold the patch.
@@ -269,30 +350,20 @@ impl Image {
     pub fn try_insert(&self, point: ProbePoint, snippet: Snippet) -> Result<SnippetId, PatchError> {
         self.validate_patch(point, &snippet)?;
         let id = SnippetId(self.next_snippet.fetch_add(1, Ordering::Relaxed));
-        let mut probes = self.probes.write();
-        let pair = &mut probes[point.func.index()];
-        let base = match point.kind {
-            ProbePointKind::Entry => &mut pair.entry,
-            ProbePointKind::Exit => &mut pair.exit,
-        };
-        if !base.occupied() {
-            // Writing the jump instruction at the probe point is a patch.
-            self.patches.fetch_add(1, Ordering::Relaxed);
-        }
-        base.push(id, snippet);
-        self.patches.fetch_add(1, Ordering::Relaxed); // mini-trampoline store
+        // Writing the jump instruction at an idle probe point is a patch,
+        // and so is the mini-trampoline store.
+        let writes = self.patch(point, |base| {
+            let jump = !base.occupied();
+            base.push(id, snippet);
+            1 + u64::from(jump)
+        });
+        self.patches.fetch_add(writes, Ordering::Relaxed);
         Ok(id)
     }
 
     /// Remove the snippet `id` from `point`. Returns `true` if present.
     pub fn remove(&self, point: ProbePoint, id: SnippetId) -> bool {
-        let mut probes = self.probes.write();
-        let pair = &mut probes[point.func.index()];
-        let base = match point.kind {
-            ProbePointKind::Entry => &mut pair.entry,
-            ProbePointKind::Exit => &mut pair.exit,
-        };
-        let removed = base.remove(id);
+        let removed = self.occupied(point) && self.patch(point, |base| base.remove(id));
         if removed {
             self.patches.fetch_add(1, Ordering::Relaxed);
         }
@@ -302,42 +373,30 @@ impl Image {
     /// Remove every snippet at both probe points of `fid`; returns how many
     /// mini-trampolines were deallocated.
     pub fn remove_function_instr(&self, fid: FuncId) -> usize {
-        let mut probes = self.probes.write();
-        let pair = &mut probes[fid.index()];
-        let n = pair.entry.clear() + pair.exit.clear();
-        if n > 0 {
-            self.patches.fetch_add(n as u64, Ordering::Relaxed);
-        }
+        let n = [ProbePoint::entry(fid), ProbePoint::exit(fid)]
+            .into_iter()
+            .filter(|&point| self.occupied(point))
+            .map(|point| self.patch(point, BaseTrampoline::clear))
+            .sum();
+        self.patches.fetch_add(n as u64, Ordering::Relaxed);
         n
     }
 
     /// Is any instrumentation installed at `point`?
     pub fn occupied(&self, point: ProbePoint) -> bool {
-        let probes = self.probes.read();
-        let pair = &probes[point.func.index()];
-        match point.kind {
-            ProbePointKind::Entry => pair.entry.occupied(),
-            ProbePointKind::Exit => pair.exit.occupied(),
-        }
+        self.occupancy[slot(point.func, point.kind)].load(Ordering::Acquire)
     }
 
     /// Total dynamically-allocated trampoline bytes.
     pub fn allocated_trampoline_bytes(&self) -> usize {
         let probes = self.probes.read();
-        probes
-            .iter()
-            .map(|p| p.entry.allocated_bytes() + p.exit.allocated_bytes())
-            .sum()
+        probes.iter().map(BaseTrampoline::allocated_bytes).sum()
     }
 
     /// Functions that currently have instrumentation at entry or exit.
     pub fn instrumented_functions(&self) -> Vec<FuncId> {
-        let probes = self.probes.read();
-        probes
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.entry.occupied() || p.exit.occupied())
-            .map(|(i, _)| FuncId(i as u32))
+        self.functions()
+            .filter(|&f| self.occupied(ProbePoint::entry(f)) || self.occupied(ProbePoint::exit(f)))
             .collect()
     }
 
@@ -350,7 +409,7 @@ impl Image {
     pub fn suspend(&self, p: &Proc) {
         let mut s = self.suspend.lock();
         if !self.suspended.swap(true, Ordering::SeqCst) {
-            s.gate = Arc::new(SimGate::new());
+            *s = Arc::new(SimGate::new());
             if let Some(obs) = self.observer.read().clone() {
                 obs.on_suspend(p);
             }
@@ -361,7 +420,7 @@ impl Image {
     pub fn resume(&self, p: &Proc, latency: SimTime) {
         let s = self.suspend.lock();
         if self.suspended.swap(false, Ordering::SeqCst) {
-            s.gate.open(p, latency);
+            s.open(p, latency);
             if let Some(obs) = self.observer.read().clone() {
                 obs.on_resume(p);
             }
@@ -375,7 +434,7 @@ impl Image {
 
     fn wait_if_suspended(&self, p: &Proc) {
         while self.suspended.load(Ordering::SeqCst) {
-            let gate = Arc::clone(&self.suspend.lock().gate);
+            let gate = Arc::clone(&self.suspend.lock());
             // Recheck under the gate: resume may have happened in between.
             if !self.suspended.load(Ordering::SeqCst) {
                 break;
@@ -416,8 +475,7 @@ impl Image {
         let prev_pc = pc_slot.map(|s| s.swap(fid.0 + 1, Ordering::Relaxed));
         let t_enter = self.pc_log_enabled.load(Ordering::Relaxed).then(|| p.now());
 
-        let info = &self.info[fid.index()];
-        let static_hooks = if info.statically_instrumented {
+        let static_hooks = if self.info(fid).statically_instrumented {
             self.static_hooks.read().clone()
         } else {
             None
@@ -482,30 +540,26 @@ impl Image {
             rank: cc.rank,
             thread: cc.thread,
             func: fid,
-            name: &self.info[fid.index()].name,
+            name: self.name(fid),
             point,
             reps,
         }
     }
 
     fn fire_point(&self, p: &Proc, cc: CallerCtx, fid: FuncId, kind: ProbePointKind, reps: u64) {
-        // Snippet code must run outside the `probes` read guard (a snippet
-        // may itself insert/remove probes), so the traversal takes the
-        // point's chain — immutable, shared, swapped whole on insert and
-        // remove — with it: one reference-count bump whatever the chain's
-        // length, and no allocation (pinned by `alloc/probe_fire` in the
-        // micro bench ledger).
-        let chain = {
-            let probes = self.probes.read();
-            let pair = &probes[fid.index()];
-            let base = match kind {
-                ProbePointKind::Entry => &pair.entry,
-                ProbePointKind::Exit => &pair.exit,
-            };
-            match base.snapshot() {
-                Some(chain) => chain,
-                None => return,
-            }
+        // An idle point costs one load and no lock (see `occupancy`). At an
+        // occupied one, snippet code must run outside the `probes` read
+        // guard (a snippet may itself insert/remove probes), so the
+        // traversal takes the point's chain — immutable, shared, swapped
+        // whole on insert and remove — with it: one reference-count bump
+        // whatever the chain's length, and no allocation (pinned by
+        // `alloc/probe_fire` in the micro bench ledger).
+        let slot = slot(fid, kind);
+        if !self.occupancy[slot].load(Ordering::Acquire) {
+            return;
+        }
+        let Some(chain) = self.probes.read()[slot].snapshot() else {
+            return;
         };
         // Base trampoline dispatch: jump, save regs, relocated instruction,
         // restore regs, jump back — once per traversal, times reps.
@@ -519,7 +573,10 @@ impl Image {
     }
 }
 
-/// Builder for [`Image`].
+/// Builder for a one-off [`Image`] (tests, examples, tools): collects a
+/// symbol table, then builds the [`Program`] and one image of it. A job of
+/// many processes builds the program once and calls [`Image::new`] per
+/// process instead.
 pub struct ImageBuilder {
     program: String,
     info: Vec<FunctionInfo>,
@@ -546,50 +603,9 @@ impl ImageBuilder {
         self.add(FunctionInfo::new(name))
     }
 
-    /// Mark every function as statically instrumented (the Guide compiler
-    /// instruments all subroutines; paper §3.1).
-    pub fn static_instrument_all(&mut self) -> &mut Self {
-        for f in &mut self.info {
-            f.statically_instrumented = true;
-        }
-        self
-    }
-
     /// Finish, producing the image.
     pub fn build(self) -> Image {
-        let mut by_name = HashMap::with_capacity(self.info.len());
-        for (i, f) in self.info.iter().enumerate() {
-            let prev = by_name.insert(f.name.clone(), FuncId(i as u32));
-            assert!(prev.is_none(), "duplicate function name {:?}", f.name);
-        }
-        let n = self.info.len();
-        Image {
-            program: self.program,
-            info: self.info,
-            by_name,
-            probes: RwLock::new(
-                (0..n)
-                    .map(|_| PointPair {
-                        entry: BaseTrampoline::new(),
-                        exit: BaseTrampoline::new(),
-                    })
-                    .collect(),
-            ),
-            static_hooks: RwLock::new(None),
-            observer: RwLock::new(None),
-            suspended: AtomicBool::new(false),
-            suspend: Mutex::new(SuspendState {
-                gate: Arc::new(SimGate::new()),
-            }),
-            next_snippet: AtomicU64::new(1),
-            counts: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            pc: (0..MAX_SAMPLED_THREADS)
-                .map(|_| AtomicU32::new(0))
-                .collect(),
-            pc_log_enabled: AtomicBool::new(false),
-            pc_log: Mutex::new(HashMap::new()),
-            patches: AtomicU64::new(0),
-        }
+        Image::new(Program::new(self.program, self.info))
     }
 }
 
@@ -731,6 +747,72 @@ mod tests {
             ["patcher", "victim", "patcher", "late"],
             "first traversal ran the chain as taken, second the chain as patched"
         );
+    }
+
+    #[test]
+    fn an_unpatched_image_answers_without_a_chain_table() {
+        let img = two_fn_image();
+        let f = img.func("test").unwrap();
+        let (entry, exit) = (ProbePoint::entry(f), ProbePoint::exit(f));
+        assert!(!img.remove(entry, SnippetId(1)));
+        assert!(!img.remove(exit, SnippetId(1)));
+        assert_eq!(img.remove_function_instr(f), 0);
+        assert!(!img.occupied(entry) && !img.occupied(exit));
+        assert!(img.instrumented_functions().is_empty());
+        assert_eq!(img.allocated_trampoline_bytes(), 0);
+        assert_eq!(img.patch_count(), 0);
+        assert!(img.probes.read().is_empty(), "asking allocated nothing");
+        // The first insert allocates the table; emptied again, the image
+        // gives the same answers with the table in place.
+        let id = img.insert(entry, Snippet::noop("n"));
+        assert_eq!(img.probes.read().len(), 2 * img.len());
+        assert_eq!(img.instrumented_functions(), [f]);
+        assert!(img.remove(entry, id));
+        assert!(!img.remove(entry, id), "double remove reports absence");
+        assert_eq!(img.remove_function_instr(f), 0);
+        assert!(img.instrumented_functions().is_empty());
+        assert_eq!(img.allocated_trampoline_bytes(), 0);
+    }
+
+    #[test]
+    fn the_insert_that_allocates_the_table_may_come_from_inside_a_call() {
+        // A static hook patches its own function's exit while the call is
+        // in flight, on an image nothing has patched before: the insert
+        // allocates the chain table, and the exit of that same call — whose
+        // idle entry was passed without the lock — already runs the probe.
+        struct Patcher(Mutex<Option<Arc<Image>>>, Arc<AtomicUsize>);
+        impl StaticHooks for Patcher {
+            fn begin(&self, ctx: &ProbeCtx<'_>) {
+                if let Some(img) = self.0.lock().take() {
+                    let hits = Arc::clone(&self.1);
+                    let late = Snippet::new("late", SimTime::ZERO, move |_| {
+                        hits.fetch_add(1, Ordering::Relaxed);
+                    });
+                    let id = img.insert(ProbePoint::exit(ctx.func), late.clone());
+                    assert!(img.remove(ProbePoint::exit(ctx.func), id));
+                    img.insert(ProbePoint::exit(ctx.func), late);
+                }
+            }
+            fn end(&self, _: &ProbeCtx<'_>) {}
+        }
+        let mut b = ImageBuilder::new("app");
+        let f = b.add(FunctionInfo::new("f").static_instr(true));
+        let img = Arc::new(b.build());
+        let hits = Arc::new(AtomicUsize::new(0));
+        img.set_static_hooks(Arc::new(Patcher(
+            Mutex::new(Some(Arc::clone(&img))),
+            Arc::clone(&hits),
+        )));
+        assert!(img.probes.read().is_empty());
+        let img2 = Arc::clone(&img);
+        let sim = Sim::virtual_time(Machine::test_machine(), 1);
+        sim.spawn("p", 0, move |p| {
+            img2.call(p, CallerCtx::default(), f, || ());
+            img2.call(p, CallerCtx::default(), f, || ());
+        });
+        sim.run();
+        assert_eq!(hits.load(Ordering::Relaxed), 2);
+        assert_eq!(img.patch_count(), 5, "jump + mini, splice, jump + mini");
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! (closures) and an explicit cost model, preserving the property the
 //! paper's results hinge on: *an uninstrumented probe point costs zero*.
 //!
+//! An [`Image`] is two things: the immutable [`Program`] (name, symbol
+//! table) that every process of a job shares behind one `Arc`, and a
+//! per-process overlay of what patching and running change. A job builds
+//! the program once and an `Image::new` per process; [`ImageBuilder`] is
+//! the one-image convenience over the same constructor.
+//!
 //! ```
 //! use dynprof_image::{CallerCtx, FunctionInfo, ImageBuilder, ProbePoint, Snippet};
 //! use dynprof_sim::{Machine, Sim, SimTime};
@@ -41,7 +47,7 @@ mod trampoline;
 
 pub use func::{BasicBlock, FuncId, FunctionInfo, ProbePoint, ProbePointKind};
 pub use image::{
-    CallerCtx, Image, ImageBuilder, ImageObserver, PatchError, PcLog, StaticHooks,
+    CallerCtx, Image, ImageBuilder, ImageObserver, PatchError, PcLog, Program, StaticHooks,
     MAX_SAMPLED_THREADS,
 };
 pub use ir::{

@@ -1,0 +1,204 @@
+//! Per-rank footprint: every image of an application shares one
+//! [`Program`](dynprof::image::Program) and owns only a small overlay.
+//!
+//! The ranks of a real job map one text segment and one symbol table per
+//! node; the simulator used to hand each rank a deep copy (98.8 KB per
+//! smg98 image, 50 MB of a 512-rank session). These tests pin the split
+//! from both sides: what is shared really is one allocation, and nothing
+//! a rank can change — chains, counts, suspension, hooks — leaks through
+//! it to another rank.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use dynprof::apps::cli::{run_cli, CliArgs};
+use dynprof::apps::{smg98, Smg98Params};
+use dynprof::image::{CallerCtx, Image, ProbeCtx, ProbePoint, Snippet, StaticHooks};
+use dynprof::sim::{Machine, Sim, SimTime};
+
+/// Live heap bytes of the *calling thread*: the test harness runs this
+/// file's tests on parallel threads, and a measurement must not see its
+/// neighbours' allocations.
+struct LiveBytes;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+fn note(delta: isize) {
+    // `try_with`: a thread may free memory while its locals are torn down.
+    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+}
+
+// SAFETY: defers to `System` for every operation; the bookkeeping is a
+// const-initialised thread-local `Cell` (no allocation, no destructor).
+unsafe impl GlobalAlloc for LiveBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size() as isize);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(-(layout.size() as isize));
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size() as isize);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size as isize - layout.size() as isize);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LiveBytes = LiveBytes;
+
+/// What `build` left allocated on this thread, with what it built.
+fn live_bytes_of<T>(build: impl FnOnce() -> T) -> (T, isize) {
+    let before = LIVE.with(Cell::get);
+    let built = build();
+    (built, LIVE.with(Cell::get) - before)
+}
+
+fn counting_snippet(hits: &Arc<AtomicUsize>) -> Snippet {
+    let hits = Arc::clone(hits);
+    Snippet::new("count", SimTime::from_nanos(100), move |ctx| {
+        hits.fetch_add(ctx.reps as usize, Ordering::Relaxed);
+    })
+}
+
+/// Run `body` as one simulated process.
+fn in_sim(body: impl FnOnce(&dynprof::sim::Proc) + Send + 'static) {
+    let sim = Sim::virtual_time(Machine::test_machine(), 1);
+    sim.spawn("p", 0, body);
+    sim.run();
+}
+
+#[test]
+fn images_of_one_app_share_the_program_and_nothing_else() {
+    let app = smg98(2, Smg98Params::test());
+    let (a, b) = (app.build_image(false), app.build_image(false));
+    assert!(Arc::ptr_eq(a.shared_program(), b.shared_program()));
+    let f = a
+        .func(&app.subset[0])
+        .expect("subset function in the image");
+    assert_eq!(b.func(&app.subset[0]), Some(f), "one symbol table");
+
+    // Patching `a` leaves `b` unpatched, down to the patch counter.
+    let hits = Arc::new(AtomicUsize::new(0));
+    a.insert(ProbePoint::entry(f), counting_snippet(&hits));
+    assert!(a.occupied(ProbePoint::entry(f)));
+    assert!(!b.occupied(ProbePoint::entry(f)));
+    assert!(b.instrumented_functions().is_empty());
+    assert_eq!((a.patch_count(), b.patch_count()), (2, 0));
+    assert_eq!(b.allocated_trampoline_bytes(), 0);
+
+    // Calls are counted, probed and charged per image; and a suspended
+    // `a` holds nobody up in `b`.
+    let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
+    in_sim(move |p| {
+        for _ in 0..3 {
+            a2.call(p, CallerCtx::default(), f, || ());
+        }
+        let after_a = p.now();
+        assert!(after_a > SimTime::ZERO, "the probe on `a` charged");
+        a2.suspend(p);
+        assert!(a2.is_suspended() && !b2.is_suspended());
+        b2.call(p, CallerCtx::default(), f, || ());
+        assert_eq!(p.now(), after_a, "no probe, no gate: `b` costs nothing");
+        a2.resume(p, SimTime::ZERO);
+    });
+    assert_eq!(hits.load(Ordering::Relaxed), 3);
+    assert_eq!((a.call_count(f), b.call_count(f)), (3, 1));
+}
+
+#[test]
+fn static_hooks_and_static_flags_stay_with_their_image() {
+    struct Count(AtomicUsize);
+    impl StaticHooks for Count {
+        fn begin(&self, _: &ProbeCtx<'_>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+        fn end(&self, _: &ProbeCtx<'_>) {}
+    }
+    let app = smg98(2, Smg98Params::test());
+    let (hooked, bare) = (app.build_image(true), app.build_image(true));
+    assert!(Arc::ptr_eq(hooked.shared_program(), bare.shared_program()));
+    let count = Arc::new(Count(AtomicUsize::new(0)));
+    hooked.set_static_hooks(Arc::clone(&count) as Arc<dyn StaticHooks>);
+    let f = hooked.func(&app.subset[0]).expect("subset function");
+    let (hooked2, bare2) = (Arc::clone(&hooked), Arc::clone(&bare));
+    in_sim(move |p| {
+        bare2.call(p, CallerCtx::default(), f, || ());
+        hooked2.call(p, CallerCtx::default(), f, || ());
+    });
+    assert_eq!(count.0.load(Ordering::Relaxed), 1, "only `hooked` fired");
+
+    // The two flavours of the app are two programs: compiling the
+    // instrumentation in does not flip the flag under a dynamic image.
+    let dynamic = app.build_image(false);
+    assert!(!Arc::ptr_eq(
+        dynamic.shared_program(),
+        bare.shared_program()
+    ));
+    assert!(bare
+        .functions()
+        .all(|f| bare.info(f).statically_instrumented));
+    assert!(dynamic
+        .functions()
+        .all(|f| !dynamic.info(f).statically_instrumented));
+}
+
+#[test]
+fn five_hundred_idle_smg98_images_fit_in_five_megabytes() {
+    const RANKS: usize = 512;
+    let app = smg98(RANKS, Smg98Params::test());
+    let (images, total) = live_bytes_of(|| {
+        (0..RANKS)
+            .map(|_| app.build_image(false))
+            .collect::<Vec<Arc<Image>>>()
+    });
+    let (one_more, each) = live_bytes_of(|| app.build_image(false));
+    println!(
+        "{RANKS} idle smg98 images ({} functions): {total} bytes live, {each} per image",
+        one_more.len()
+    );
+    assert!(each <= 8 << 10, "an idle image holds {each} bytes");
+    assert!(total <= 5 << 20, "{RANKS} idle images hold {total} bytes");
+    assert_eq!(images.len(), RANKS);
+}
+
+#[test]
+fn two_sessions_in_one_process_write_the_same_bytes() {
+    // Each `run_cli` builds its own `AppSpec`, hence its own program: the
+    // cache is per application value, not per process.
+    let dir = std::env::temp_dir().join("dynprof-footprint");
+    std::fs::create_dir_all(&dir).unwrap();
+    let script = dir.join("script.dp");
+    std::fs::write(&script, "insert-file subset\nstart\nquit\n").unwrap();
+    let run = |tag: &str| {
+        let store = dir.join(format!("{tag}.vgvs"));
+        let args = [
+            script.to_str().unwrap(),
+            "-",
+            "-",
+            "smg98",
+            "cpus=64",
+            "policy=dynamic",
+            "seed=42",
+            &format!("trace={}", store.display()),
+        ]
+        .map(String::from);
+        let out = run_cli(&CliArgs::parse(&args).unwrap()).unwrap();
+        assert_eq!(out.trace_error, None);
+        assert_eq!(out.report.probe_pairs_installed, 62 * 64);
+        (out.summary, out.timefile, std::fs::read(store).unwrap())
+    };
+    let (first, second) = (run("first"), run("second"));
+    assert_eq!(first.0, second.0, "summary");
+    assert_eq!(first.1, second.1, "timefile");
+    assert!(first.2 == second.2, ".vgvs bytes differ");
+}
