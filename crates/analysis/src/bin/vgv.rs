@@ -21,11 +21,19 @@
 //! `run.0000.vgvs`, `run.0001.vgvs`, …); `--salvage` opens crashed
 //! captures without a footer, `--degraded` skips (and reports) corrupt
 //! chunks instead of failing.
+//!
+//! Every report goes through one buffered, locked stdout. Exit status: 0
+//! on success — and when the reader of a pipe closes it early
+//! (`vgv comm run.vgvs | head`), which ends the report quietly; 1 on a
+//! trace or write error (`vgv: <file>: <error>` on stderr) and for an
+//! unclean `fsck`; 2 on a usage error.
+
+use std::io::{BufWriter, ErrorKind, Write};
 
 use dynprof_analysis::store::{fsck, repair, SegmentSet, StoreOptions};
 use dynprof_analysis::{
-    comm_report, convert, info_report, load_trace, ranks_report, render, slice_report, top_report,
-    trace_volume, Profile, ProfileOptions, TimelineOptions,
+    convert, info_report, load_trace, ranks_report, render, slice_report, top_report, trace_volume,
+    write_comm_report, CommStats, Profile, ProfileOptions, TimelineOptions, TraceError,
 };
 use dynprof_sim::SimTime;
 
@@ -167,17 +175,16 @@ fn parse_flags(args: &[String]) -> Flags {
 /// Open `path` as an event source: a single store or a rotated segment
 /// family, optionally salvaging footer-less members and/or degrading
 /// (skip + report) around corrupt chunks.
-fn open_source(path: &str, f: &Flags) -> SegmentSet {
+fn open_source(path: &str, f: &Flags) -> Result<SegmentSet, TraceError> {
     let mut set = if f.salvage {
         SegmentSet::open_salvage(path)
     } else {
         SegmentSet::open(path)
-    }
-    .unwrap_or_else(|e| fail(path, e));
+    }?;
     if f.degraded {
         set.set_degraded(true);
     }
-    set
+    Ok(set)
 }
 
 /// After a degraded query, say what was dropped (on stderr, so report
@@ -193,6 +200,98 @@ fn report_drops(set: &SegmentSet) {
     }
 }
 
+/// Run `command` on the file `path`, writing its report to `out`. Returns
+/// the exit status of a run that completed.
+fn run(command: &str, path: &str, f: &Flags, out: &mut impl Write) -> Result<i32, TraceError> {
+    match command {
+        "info" => out.write_all(info_report(&open_source(path, f)?).as_bytes())?,
+        "ranks" => out.write_all(ranks_report(&open_source(path, f)?).as_bytes())?,
+        "top" => {
+            let mut r = open_source(path, f)?;
+            let opts = ProfileOptions {
+                exclude_suspensions: f.exclude,
+            };
+            out.write_all(top_report(&mut r, f.top, opts)?.as_bytes())?;
+            report_drops(&r);
+        }
+        "slice" => {
+            let (Some(t0), Some(t1)) = (f.t0, f.t1) else {
+                eprintln!("vgv slice: --t0 and --t1 are required");
+                usage();
+            };
+            let mut r = open_source(path, f)?;
+            let (report, _) = slice_report(&mut r, t0, t1, f.rank, f.width)?;
+            out.write_all(report.as_bytes())?;
+            report_drops(&r);
+        }
+        "comm" => {
+            let mut r = open_source(path, f)?;
+            write_comm_report(&mut r, out)?;
+            report_drops(&r);
+        }
+        "fsck" => {
+            if f.repair {
+                let to = f.out.clone().unwrap_or_else(|| format!("{path}.repaired"));
+                let report = repair(path, &to)?;
+                out.write_all(report.render().as_bytes())?;
+                writeln!(out, "repaired -> {to}")?;
+            } else {
+                let report = fsck(path)?;
+                out.write_all(report.render().as_bytes())?;
+                if !report.is_clean() {
+                    return Ok(1);
+                }
+            }
+        }
+        "convert" => {
+            let (from, to) = (path, &f.positional[1]);
+            let opts = StoreOptions {
+                chunk_events: f.chunk_events,
+            };
+            let stats = convert(from, to, opts)?;
+            writeln!(
+                out,
+                "converted {from} -> {to}: {} events in {} chunks, {} bytes",
+                stats.events, stats.chunks, stats.bytes
+            )?;
+        }
+        "view" => {
+            let trace = load_trace(path)?;
+            let opts = TimelineOptions {
+                width: f.width,
+                per_thread: f.per_thread,
+            };
+            out.write_all(render(&trace, opts).as_bytes())?;
+            let v = trace_volume(&trace, 24);
+            writeln!(
+                out,
+                "\n{} events, {} modelled bytes, {:.1} KB/s aggregate",
+                trace.events.len(),
+                v.bytes,
+                v.bytes_per_second / 1024.0
+            )?;
+            let comm = CommStats::from_trace(&trace);
+            if comm.has_traffic() {
+                writeln!(out, "\n-- communication --")?;
+                comm.write_matrix(out)?;
+            }
+            writeln!(out, "\n-- statistics (top {}) --", f.top)?;
+            let profile = Profile::from_trace_opts(
+                &trace,
+                ProfileOptions {
+                    exclude_suspensions: f.exclude,
+                },
+            );
+            out.write_all(profile.render_top(f.top).as_bytes())?;
+        }
+        other => {
+            eprintln!("vgv: unknown command {other:?}");
+            usage();
+        }
+    }
+    Ok(0)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first().cloned() else {
@@ -205,110 +304,18 @@ fn main() {
         (command.as_str(), &args[1..])
     };
     let f = parse_flags(rest);
-    match command {
-        "info" => {
-            let [path] = &f.positional[..] else { usage() };
-            let set = open_source(path, &f);
-            print!("{}", info_report(&set));
-        }
-        "ranks" => {
-            let [path] = &f.positional[..] else { usage() };
-            print!("{}", ranks_report(&open_source(path, &f)));
-        }
-        "top" => {
-            let [path] = &f.positional[..] else { usage() };
-            let mut r = open_source(path, &f);
-            let opts = ProfileOptions {
-                exclude_suspensions: f.exclude,
-            };
-            let report = top_report(&mut r, f.top, opts).unwrap_or_else(|e| fail(path, e));
-            print!("{report}");
-            report_drops(&r);
-        }
-        "slice" => {
-            let [path] = &f.positional[..] else { usage() };
-            let (Some(t0), Some(t1)) = (f.t0, f.t1) else {
-                eprintln!("vgv slice: --t0 and --t1 are required");
-                usage();
-            };
-            let mut r = open_source(path, &f);
-            let (report, _) =
-                slice_report(&mut r, t0, t1, f.rank, f.width).unwrap_or_else(|e| fail(path, e));
-            print!("{report}");
-            report_drops(&r);
-        }
-        "comm" => {
-            let [path] = &f.positional[..] else { usage() };
-            let mut r = open_source(path, &f);
-            print!("{}", comm_report(&mut r).unwrap_or_else(|e| fail(path, e)));
-            report_drops(&r);
-        }
-        "fsck" => {
-            let [path] = &f.positional[..] else { usage() };
-            if f.repair {
-                let out = f.out.clone().unwrap_or_else(|| format!("{path}.repaired"));
-                let report = repair(path, &out).unwrap_or_else(|e| fail(path, e));
-                print!("{}", report.render());
-                println!("repaired -> {out}");
-            } else {
-                let report = fsck(path).unwrap_or_else(|e| fail(path, e));
-                print!("{}", report.render());
-                if !report.is_clean() {
-                    std::process::exit(1);
-                }
-            }
-        }
-        "convert" => {
-            let [from, to] = &f.positional[..] else {
-                usage()
-            };
-            let opts = StoreOptions {
-                chunk_events: f.chunk_events,
-            };
-            let stats = convert(from, to, opts).unwrap_or_else(|e| fail(from, e));
-            println!(
-                "converted {from} -> {to}: {} events in {} chunks, {} bytes",
-                stats.events, stats.chunks, stats.bytes
-            );
-        }
-        "view" => {
-            let [path] = &f.positional[..] else { usage() };
-            let trace = load_trace(path).unwrap_or_else(|e| fail(path, e));
-            print!(
-                "{}",
-                render(
-                    &trace,
-                    TimelineOptions {
-                        width: f.width,
-                        per_thread: f.per_thread,
-                    }
-                )
-            );
-            let v = trace_volume(&trace, 24);
-            println!(
-                "\n{} events, {} modelled bytes, {:.1} KB/s aggregate",
-                trace.events.len(),
-                v.bytes,
-                v.bytes_per_second / 1024.0
-            );
-            let comm = dynprof_analysis::CommStats::from_trace(&trace);
-            let matrix = comm.render_matrix();
-            if !matrix.is_empty() {
-                println!("\n-- communication --");
-                print!("{matrix}");
-            }
-            println!("\n-- statistics (top {}) --", f.top);
-            let profile = Profile::from_trace_opts(
-                &trace,
-                ProfileOptions {
-                    exclude_suspensions: f.exclude,
-                },
-            );
-            print!("{}", profile.render_top(f.top));
-        }
-        other => {
-            eprintln!("vgv: unknown command {other:?}");
-            usage();
-        }
+    let files = if command == "convert" { 2 } else { 1 };
+    if f.positional.len() != files {
+        usage();
+    }
+    let path = &f.positional[0];
+    let mut out = BufWriter::with_capacity(1 << 16, std::io::stdout().lock());
+    let status = run(command, path, &f, &mut out)
+        .and_then(|status| out.flush().map(|()| status).map_err(TraceError::Io));
+    match status {
+        Ok(status) => std::process::exit(status),
+        // The reader went away (`| head`): it has what it wanted.
+        Err(TraceError::Io(e)) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => fail(path, e),
     }
 }

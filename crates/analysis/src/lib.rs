@@ -60,6 +60,7 @@
 #![warn(missing_docs)]
 
 mod comm;
+mod dense;
 mod error;
 mod profile;
 mod query;
@@ -73,6 +74,8 @@ pub use profile::{
     suspension_windows, trace_volume, FuncProfile, Profile, ProfileBuilder, ProfileOptions,
     TraceVolume,
 };
-pub use query::{comm_report, info_report, ranks_report, slice_report, top_report};
+pub use query::{
+    comm_report, info_report, ranks_report, slice_report, top_report, write_comm_report,
+};
 pub use timeline::{render, TimelineBuilder, TimelineOptions};
 pub use tracefile::{convert, decode_legacy, load_trace, read_trace, write_trace};

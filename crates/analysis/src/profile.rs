@@ -7,7 +7,7 @@
 //!
 //! Profiles are accumulated by [`ProfileBuilder`], which consumes events
 //! one at a time. It has four feeders: a merged [`Trace`]
-//! ([`Profile::from_trace`]), a chunk-indexed store streamed rank by rank
+//! ([`Profile::from_trace`]), a chunk-indexed store streamed in file order
 //! ([`Profile::from_store`]), a [`VtLib`]'s per-rank buffers replayed in
 //! place ([`Profile::from_vt`]), and the running library itself — the
 //! builder is an [`EventSink`], which is how `dynprof` computes its
@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 use dynprof_sim::SimTime;
 use dynprof_vt::{Event, EventSink, Trace, VtFuncId, VtLib};
 
+use crate::dense::{DenseMap, DENSE_RANKS, DENSE_THREADS};
 use crate::error::TraceError;
 use crate::store::EventSource;
 
@@ -56,62 +57,6 @@ pub struct Profile {
 
 /// An open call frame: (func, entry time, time attributed to callees).
 type Frame = (VtFuncId, SimTime, SimTime);
-
-/// Rank ids below this are array-indexed by [`ProfileBuilder`]; the
-/// paper's machine has 1152 and the ROADMAP ladder tops out at 16384.
-const DENSE_RANKS: usize = 1 << 16;
-/// Thread ids below this are array-indexed (the paper's nodes are 8-way).
-const DENSE_THREADS: usize = 64;
-
-/// A map keyed by small integers that is an array below `limit` and a
-/// `BTreeMap` from there on. Rank, thread and function ids are dense and
-/// small in every trace this tool records, but they arrive as arbitrary
-/// integers from trace *files*, so the array part must stay bounded: a
-/// store chunk claiming rank `u32::MAX` costs one tree node, not 4 G
-/// slots.
-struct DenseMap<V> {
-    limit: usize,
-    dense: Vec<Option<V>>,
-    spill: BTreeMap<u32, V>,
-}
-
-impl<V> DenseMap<V> {
-    fn new(limit: usize) -> DenseMap<V> {
-        DenseMap {
-            limit,
-            dense: Vec::new(),
-            spill: BTreeMap::new(),
-        }
-    }
-
-    /// The value at `key`, inserted as `init()` if absent.
-    fn entry(&mut self, key: u32, init: impl FnOnce() -> V) -> &mut V {
-        let i = key as usize;
-        if i >= self.limit {
-            return self.spill.entry(key).or_insert_with(init);
-        }
-        if i >= self.dense.len() {
-            self.dense.resize_with(i + 1, || None);
-        }
-        self.dense[i].get_or_insert_with(init)
-    }
-
-    fn get_mut(&mut self, key: u32) -> Option<&mut V> {
-        if (key as usize) < self.limit {
-            self.dense.get_mut(key as usize)?.as_mut()
-        } else {
-            self.spill.get_mut(&key)
-        }
-    }
-
-    /// Present entries in ascending key order.
-    fn into_sorted(self) -> impl Iterator<Item = (u32, V)> {
-        let dense = self.dense.into_iter().enumerate();
-        dense
-            .filter_map(|(k, v)| Some((k as u32, v?)))
-            .chain(self.spill)
-    }
-}
 
 /// Everything the builder keeps for one rank.
 struct RankState {
@@ -292,8 +237,9 @@ impl Profile {
         b.finish()
     }
 
-    /// Stream a chunk-indexed store through a [`ProfileBuilder`],
-    /// rank by rank, decoding one chunk at a time. When
+    /// Stream a chunk-indexed store through a [`ProfileBuilder`] in one
+    /// pass in file order — which keeps each rank's own order, all the
+    /// builder needs — decoding one chunk at a time. When
     /// [`ProfileOptions::exclude_suspensions`] is set a pre-pass collects
     /// the suspension windows first (still `O(chunk)` memory).
     pub fn from_store<S: EventSource + ?Sized>(
@@ -306,9 +252,7 @@ impl Profile {
             reader.query(None, None, &mut |ev| note_suspension(&mut windows, ev))?;
             b.set_suspensions(sorted_windows(windows));
         }
-        for rank in reader.source_ranks() {
-            reader.rank_events(rank, &mut |ev| b.push(ev))?;
-        }
+        reader.query(None, None, &mut |ev| b.push(ev))?;
         Ok(b.finish())
     }
 

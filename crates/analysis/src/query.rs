@@ -5,6 +5,8 @@
 //! bytes the CLI prints. Each report states — via [`QueryStats`] where a
 //! query ran — how much of the store it actually decoded.
 
+use std::io::Write;
+
 use dynprof_sim::SimTime;
 
 use crate::error::TraceError;
@@ -120,17 +122,29 @@ pub fn slice_report<S: EventSource + ?Sized>(
 }
 
 /// `vgv comm` on a store: the rank×rank byte matrix plus per-rank MPI
-/// time, streamed one chunk at a time.
-pub fn comm_report<S: EventSource + ?Sized>(reader: &mut S) -> Result<String, TraceError> {
+/// time, read one chunk at a time and written one row at a time — the
+/// report is ranks² cells, so nothing here holds more than a line of it.
+pub fn write_comm_report<S: EventSource + ?Sized>(
+    reader: &mut S,
+    out: &mut impl Write,
+) -> Result<(), TraceError> {
     let stats = CommStats::from_store(reader)?;
-    let mut out = stats.render_matrix();
-    if out.is_empty() {
-        out.push_str("(no point-to-point traffic)\n");
+    if stats.has_traffic() {
+        stats.write_matrix(out)?;
+    } else {
+        out.write_all(b"(no point-to-point traffic)\n")?;
     }
-    for (rank, t) in &stats.mpi_time {
-        out.push_str(&format!("rank {rank:>3} mpi time {t}\n"));
+    for (rank, t) in stats.mpi_times() {
+        writeln!(out, "rank {rank:>3} mpi time {t}")?;
     }
-    Ok(out)
+    Ok(())
+}
+
+/// [`write_comm_report`] as a string.
+pub fn comm_report<S: EventSource + ?Sized>(reader: &mut S) -> Result<String, TraceError> {
+    let mut out = Vec::new();
+    write_comm_report(reader, &mut out)?;
+    Ok(String::from_utf8(out).expect("the report is ASCII"))
 }
 
 #[cfg(test)]

@@ -8,9 +8,11 @@
 //! integer field is a varint. A typical `FuncEnter` costs 4–6 bytes
 //! against 19 in the legacy flat encoding.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use dynprof_sim::SimTime;
 use dynprof_vt::{Event, VtFuncId};
+
+use crate::error::TraceError;
 
 /// Append `v` as an LEB128 varint (7 bits per byte, little-endian).
 pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
@@ -26,7 +28,7 @@ pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
 }
 
 /// Decode one LEB128 varint; `None` on truncation or overlong input.
-pub fn get_varint(buf: &mut Bytes) -> Option<u64> {
+pub fn get_varint(buf: &mut impl Buf) -> Option<u64> {
     let mut v: u64 = 0;
     for shift in (0..64).step_by(7) {
         if buf.remaining() < 1 {
@@ -155,7 +157,7 @@ pub fn encode_event(buf: &mut BytesMut, ev: &Event, prev_t: &mut u64) {
 
 /// Decode one event of `rank` from a chunk payload, advancing `prev_t`.
 /// `None` on truncated or malformed input.
-pub fn decode_event(buf: &mut Bytes, rank: u32, prev_t: &mut u64) -> Option<Event> {
+pub fn decode_event(buf: &mut impl Buf, rank: u32, prev_t: &mut u64) -> Option<Event> {
     if buf.remaining() < 1 {
         return None;
     }
@@ -263,9 +265,39 @@ pub fn decode_event(buf: &mut Bytes, rank: u32, prev_t: &mut u64) -> Option<Even
     })
 }
 
+/// Decode a whole chunk payload — `count` events of `rank` — into `out`,
+/// which is cleared first and keeps its capacity. Whole chunk or nothing:
+/// a malformed event leaves `out` empty and is reported by its position,
+/// so no caller ever acts on the front half of a damaged chunk. Returns
+/// the payload bytes left over after the last event (none in a chunk a
+/// writer produced).
+pub fn decode_chunk(
+    mut payload: &[u8],
+    rank: u32,
+    count: u32,
+    out: &mut Vec<Event>,
+) -> Result<usize, TraceError> {
+    out.clear();
+    // No event is shorter than three bytes, so a lying `count` cannot
+    // reserve more than the payload could hold.
+    out.reserve((count as usize).min(payload.len()));
+    let mut prev_t = 0u64;
+    for n in 0..count {
+        match decode_event(&mut payload, rank, &mut prev_t) {
+            Some(ev) => out.push(ev),
+            None => {
+                out.clear();
+                return Err(TraceError::BadEvent { index: n as u64 });
+            }
+        }
+    }
+    Ok(payload.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     #[test]
     fn varints_round_trip() {
@@ -433,6 +465,42 @@ mod tests {
             span: us(30),
         };
         assert_eq!(event_end(&b), us(40));
+    }
+
+    #[test]
+    fn chunk_decodes_whole_or_not_at_all() {
+        let mut buf = BytesMut::new();
+        let mut prev = 0u64;
+        let events: Vec<Event> = (0..5u64)
+            .map(|i| Event::ConfSync {
+                t: SimTime::from_nanos(i), // three bytes an event
+                rank: 3,
+                epoch: i as u32,
+            })
+            .collect();
+        for e in &events {
+            encode_event(&mut buf, e, &mut prev);
+        }
+        let mut out = Vec::new();
+        assert_eq!(decode_chunk(&buf, 3, 5, &mut out).unwrap(), 0);
+        assert_eq!(out, events);
+        // One event short of the declared count: the bytes run out.
+        assert!(matches!(
+            decode_chunk(&buf, 3, 6, &mut out),
+            Err(TraceError::BadEvent { index: 5 })
+        ));
+        assert!(out.is_empty(), "nothing survives a damaged chunk");
+        // A bad kind byte in the third event.
+        let mut bad = buf.to_vec();
+        bad[2 * 3] = 99;
+        assert!(matches!(
+            decode_chunk(&bad, 3, 5, &mut out),
+            Err(TraceError::BadEvent { index: 2 })
+        ));
+        assert!(out.is_empty());
+        // Fewer events than bytes: the remainder is reported, not decoded.
+        assert_eq!(decode_chunk(&buf, 3, 4, &mut out).unwrap(), 3);
+        assert_eq!(out, events[..4]);
     }
 
     #[test]

@@ -130,7 +130,7 @@ pub use segment::{RetentionPolicy, RotatingWriter, RotationPolicy, SegmentSet, S
 pub use writer::{compact, write_store_from_trace, write_store_from_vt, StoreStats, StoreWriter};
 
 use dynprof_sim::SimTime;
-use dynprof_vt::Event;
+use dynprof_vt::{Event, VtFuncId};
 
 use crate::error::TraceError;
 
@@ -140,6 +140,12 @@ pub const STORE_MAGIC: &[u8; 4] = b"VGVS";
 pub const STORE_VERSION: u16 = 2;
 /// The pre-CRC store format version; such files open read-only.
 pub const STORE_VERSION_V1: u16 = 1;
+/// What [`compact`] and [`SegmentSet`] re-number a function id to when the
+/// member that recorded it never defined it (a capture torn before a late
+/// `VT_funcdef` reached a footer). No dictionary can define it — the
+/// dictionary's length is itself a `u32` — so it reads `<unknown>`, as an
+/// id beyond the dictionary of a single salvaged store does.
+pub const UNKNOWN_FUNC: VtFuncId = VtFuncId(u32::MAX);
 /// Bytes of the fixed file header (magic + version + flags).
 pub(crate) const HEADER_BYTES: u64 = 8;
 
@@ -251,14 +257,13 @@ pub trait EventSource {
     /// Stream every event overlapping `window` (closed interval; `None` =
     /// all time) on `rank` (`None` = all ranks) through `f`, decoding
     /// only chunks whose index envelope overlaps. Returns what it cost.
+    /// Events arrive in file order (a family's segments oldest first), so
+    /// each rank's are in recorded, causal order — all a call-stack replay
+    /// needs.
     fn query(
         &mut self,
         window: Option<(SimTime, SimTime)>,
         rank: Option<u32>,
         f: &mut dyn FnMut(&Event),
     ) -> Result<QueryStats, TraceError>;
-
-    /// Stream all of one rank's events in recorded (causal) order —
-    /// what per-rank call-stack replay (profiles) consumes.
-    fn rank_events(&mut self, rank: u32, f: &mut dyn FnMut(&Event)) -> Result<(), TraceError>;
 }

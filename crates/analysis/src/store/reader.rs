@@ -1,18 +1,25 @@
 //! The seeking store reader: footer-index open, one-chunk-at-a-time
 //! decode, CRC verification, and windowed queries that never touch
 //! non-overlapping chunks.
+//!
+//! Chunk bytes become events in exactly one place,
+//! [`StoreReader::chunk_events`]: one `read_exact` into a buffer the reader
+//! owns, the CRC over that borrowed slice, and the decode into an event
+//! vector the reader also owns. Queries, `fsck`, `repair`, `compact` and
+//! `read_all` all go through it, so a pass over a store allocates nothing
+//! once the largest chunk has been seen.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::OnceLock;
 
-use bytes::{Buf, Bytes};
+use bytes::Buf;
 use dynprof_obs as obs;
 use dynprof_sim::SimTime;
 use dynprof_vt::{Event, Trace};
 
-use super::codec::{decode_event, event_overlaps};
+use super::codec::{decode_chunk, event_overlaps};
 use super::crc::{crc32, Crc32};
 use super::{
     chunk_header_bytes, index_entry_bytes, trailer_bytes, version_supported, ChunkMeta,
@@ -111,6 +118,76 @@ pub struct StoreInfo {
     pub salvage: Option<SalvageSummary>,
 }
 
+/// One chunk's disk bytes and its decoded events: the scratch a chunk
+/// walk reuses from chunk to chunk (a [`StoreReader`] owns one, the salvage
+/// scan another). Both buffers only ever grow.
+#[derive(Default)]
+pub(crate) struct ChunkBuf {
+    /// Header then payload, exactly as on disk.
+    raw: Vec<u8>,
+    /// How much of `raw` the current chunk occupies.
+    len: usize,
+    events: Vec<Event>,
+}
+
+impl ChunkBuf {
+    /// Fill the buffer with the `len` bytes at `offset`: one `read_exact`.
+    /// Callers bound `len` by the file size before asking.
+    pub(crate) fn read(
+        &mut self,
+        file: &mut std::fs::File,
+        offset: u64,
+        len: usize,
+    ) -> std::io::Result<()> {
+        if self.raw.len() < len {
+            self.raw.resize(len, 0);
+        }
+        self.len = len;
+        file.seek(SeekFrom::Start(offset))?;
+        file.read_exact(&mut self.raw[..len])
+    }
+
+    /// The bytes of the last [`ChunkBuf::read`].
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.raw[..self.len]
+    }
+
+    /// The `(rank, count, enc_len)` every chunk header starts with.
+    pub(crate) fn head(&self) -> (u32, u32, u32) {
+        let mut head = self.bytes();
+        (head.get_u32_le(), head.get_u32_le(), head.get_u32_le())
+    }
+
+    /// The CRC-32 a version-2 header stores (bytes 12..16).
+    pub(crate) fn stored_crc(&self) -> u32 {
+        (&self.bytes()[12..16]).get_u32_le()
+    }
+
+    /// The CRC-32 of what was read: the header's non-crc bytes, then the
+    /// payload (they are contiguous past the crc field).
+    pub(crate) fn crc(&self) -> u32 {
+        let raw = self.bytes();
+        Crc32::new().update(&raw[..12]).update(&raw[16..]).finish()
+    }
+
+    /// Decode the payload behind a `header_bytes` header as `count` events
+    /// of `rank` (see [`decode_chunk`]: whole chunk or nothing).
+    pub(crate) fn decode(
+        &mut self,
+        header_bytes: usize,
+        rank: u32,
+        count: u32,
+    ) -> Result<usize, TraceError> {
+        let payload = &self.raw[header_bytes..self.len];
+        decode_chunk(payload, rank, count, &mut self.events)
+    }
+
+    /// The events of the last successful [`ChunkBuf::decode`].
+    pub(crate) fn events(&self) -> &[Event] {
+        &self.events
+    }
+}
+
 /// Reader over a `VGVS` store file. Holds the footer index in memory
 /// (48 bytes per chunk); payloads are decoded one chunk at a time and
 /// verified against their CRC-32 (format version 2).
@@ -126,9 +203,11 @@ pub struct StoreReader {
     salvage: Option<SalvageSummary>,
     dropped_chunks: usize,
     dropped_events: u64,
-    /// Largest single decoded-payload allocation so far — the reader's
+    /// Largest chunk payload decoded so far — the reader's
     /// bounded-memory witness (`O(chunk)`, never `O(trace)`).
     peak_chunk_bytes: usize,
+    /// The one chunk resident at a time.
+    chunk: ChunkBuf,
 }
 
 impl StoreReader {
@@ -187,7 +266,7 @@ impl StoreReader {
                 return Err(TraceError::TruncatedFooter);
             }
         }
-        let mut buf = Bytes::from(footer);
+        let mut buf: &[u8] = &footer;
         let program = take_string(&mut buf)?;
         if buf.remaining() < 4 {
             return Err(TraceError::TruncatedFooter);
@@ -265,6 +344,7 @@ impl StoreReader {
             dropped_chunks: 0,
             dropped_events: 0,
             peak_chunk_bytes: 0,
+            chunk: ChunkBuf::default(),
         }
     }
 
@@ -335,8 +415,8 @@ impl StoreReader {
         self.dropped_events
     }
 
-    /// Largest single chunk-payload allocation made so far — the
-    /// bounded-memory witness for tests.
+    /// Largest chunk payload decoded so far — the bounded-memory witness
+    /// for tests.
     pub fn peak_chunk_bytes(&self) -> usize {
         self.peak_chunk_bytes
     }
@@ -380,9 +460,12 @@ impl StoreReader {
         }
     }
 
-    /// Decode chunk `i`'s events (exactly one chunk resident at a time),
-    /// verifying its CRC-32 on version-2 files.
-    pub fn read_chunk(&mut self, i: usize) -> Result<Vec<Event>, TraceError> {
+    /// Chunk `i`'s events, read into the reader's own buffers (exactly one
+    /// chunk resident at a time): its header checked against the index,
+    /// its CRC-32 verified on version-2 files, and every event decoded
+    /// before any is handed out — a chunk with one malformed event yields
+    /// an error, never its intact front half.
+    pub fn chunk_events(&mut self, i: usize) -> Result<&[Event], TraceError> {
         let meta = *self
             .index
             .get(i)
@@ -393,50 +476,35 @@ impl StoreReader {
             None
         };
         let hbytes = chunk_header_bytes(self.version);
-        self.file.seek(SeekFrom::Start(meta.offset))?;
-        let mut header = vec![0u8; hbytes];
-        self.file
-            .read_exact(&mut header)
+        // `open` checked that the index entry lies inside the file, so the
+        // length is bounded by the file's size.
+        self.chunk
+            .read(&mut self.file, meta.offset, hbytes + meta.enc_len as usize)
             .map_err(|_| TraceError::ShortChunk { index: i })?;
-        let rank = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-        let count = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        let enc_len = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        if rank != meta.rank || count != meta.count || enc_len != meta.enc_len {
+        if self.chunk.head() != (meta.rank, meta.count, meta.enc_len) {
             return Err(TraceError::ShortChunk { index: i });
         }
-        let mut payload = vec![0u8; enc_len as usize];
-        self.file
-            .read_exact(&mut payload)
-            .map_err(|_| TraceError::ShortChunk { index: i })?;
         if self.version >= STORE_VERSION {
-            let header_crc = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-            let mut crc = Crc32::new();
-            crc.update(&header[..12])
-                .update(&header[16..])
-                .update(&payload);
-            let actual = crc.finish();
-            if actual != header_crc || actual != meta.crc {
+            let actual = self.chunk.crc();
+            if actual != self.chunk.stored_crc() || actual != meta.crc {
                 if obs::enabled() {
                     obs_chunks_bad_crc(1);
                 }
                 return Err(TraceError::ChecksumMismatch { index: i });
             }
         }
-        self.peak_chunk_bytes = self.peak_chunk_bytes.max(payload.len());
-        let mut buf = Bytes::from(payload);
-        let mut prev_t = 0u64;
-        let mut events = Vec::with_capacity(count as usize);
-        for n in 0..count {
-            match decode_event(&mut buf, meta.rank, &mut prev_t) {
-                Some(ev) => events.push(ev),
-                None => return Err(TraceError::BadEvent { index: n as u64 }),
-            }
-        }
+        self.peak_chunk_bytes = self.peak_chunk_bytes.max(meta.enc_len as usize);
+        self.chunk.decode(hbytes, meta.rank, meta.count)?;
         if let Some(t0) = start {
             obs::histogram("analysis.decode_real_ns").record(t0.elapsed().as_nanos() as u64);
             obs_chunks_read(1);
         }
-        Ok(events)
+        Ok(self.chunk.events())
+    }
+
+    /// [`StoreReader::chunk_events`] as an owned vector.
+    pub fn read_chunk(&mut self, i: usize) -> Result<Vec<Event>, TraceError> {
+        self.chunk_events(i).map(<[Event]>::to_vec)
     }
 
     /// In degraded mode, absorb a chunk-content error as an accounted
@@ -506,52 +574,23 @@ impl StoreReader {
                     continue;
                 }
             }
-            let events = match self.read_chunk(i) {
-                Ok(events) => events,
-                Err(e) => {
-                    self.degrade(i, e, Some(&mut stats))?;
-                    continue;
-                }
-            };
-            stats.chunks_decoded += 1;
-            for ev in events {
-                if let Some((t0, t1)) = window {
-                    if !event_overlaps(&ev, t0, t1) {
-                        continue;
+            match self.chunk_events(i) {
+                Ok(events) => {
+                    stats.chunks_decoded += 1;
+                    for ev in events {
+                        if let Some((t0, t1)) = window {
+                            if !event_overlaps(ev, t0, t1) {
+                                continue;
+                            }
+                        }
+                        stats.events += 1;
+                        f(ev);
                     }
                 }
-                stats.events += 1;
-                f(&ev);
+                Err(e) => self.degrade(i, e, Some(&mut stats))?,
             }
         }
         Ok(stats)
-    }
-
-    /// Stream all of one rank's events in recorded (causal) order —
-    /// what per-rank call-stack replay (profiles) consumes. Degraded
-    /// mode skips (and accounts) corrupt chunks like
-    /// [`StoreReader::for_each_query`].
-    pub fn for_each_rank_event(
-        &mut self,
-        rank: u32,
-        mut f: impl FnMut(&Event),
-    ) -> Result<(), TraceError> {
-        for i in 0..self.index.len() {
-            if self.index[i].rank != rank {
-                continue;
-            }
-            let events = match self.read_chunk(i) {
-                Ok(events) => events,
-                Err(e) => {
-                    self.degrade(i, e, None)?;
-                    continue;
-                }
-            };
-            for ev in &events {
-                f(ev);
-            }
-        }
-        Ok(())
     }
 
     /// Distinct ranks present, ascending.
@@ -581,8 +620,8 @@ impl StoreReader {
     pub fn read_all(&mut self) -> Result<Trace, TraceError> {
         let mut events = Vec::with_capacity(self.events as usize);
         for i in 0..self.index.len() {
-            match self.read_chunk(i) {
-                Ok(chunk) => events.extend(chunk),
+            match self.chunk_events(i) {
+                Ok(chunk) => events.extend_from_slice(chunk),
                 Err(e) => self.degrade(i, e, None)?,
             }
         }
@@ -624,13 +663,9 @@ impl EventSource for StoreReader {
     ) -> Result<QueryStats, TraceError> {
         self.query_dyn(window, rank, f)
     }
-
-    fn rank_events(&mut self, rank: u32, f: &mut dyn FnMut(&Event)) -> Result<(), TraceError> {
-        self.for_each_rank_event(rank, f)
-    }
 }
 
-pub(crate) fn take_string(buf: &mut Bytes) -> Result<String, TraceError> {
+pub(crate) fn take_string(buf: &mut &[u8]) -> Result<String, TraceError> {
     if buf.remaining() < 4 {
         return Err(TraceError::BadString);
     }
@@ -638,6 +673,5 @@ pub(crate) fn take_string(buf: &mut Bytes) -> Result<String, TraceError> {
     if buf.remaining() < n {
         return Err(TraceError::BadString);
     }
-    let s = buf.split_to(n);
-    String::from_utf8(s.to_vec()).map_err(|_| TraceError::BadString)
+    String::from_utf8(buf.take_front(n).to_vec()).map_err(|_| TraceError::BadString)
 }

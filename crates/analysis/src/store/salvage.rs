@@ -14,14 +14,13 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use dynprof_obs as obs;
 use dynprof_sim::SimTime;
 use dynprof_vt::Event;
 
-use super::codec::decode_event;
-use super::crc::{crc32, Crc32};
-use super::reader::{take_string, SalvageSummary, StoreReader};
+use super::crc::crc32;
+use super::reader::{take_string, ChunkBuf, SalvageSummary, StoreReader};
 use super::writer::{encode_preamble, put_string};
 use super::{
     chunk_header_bytes, trailer_bytes, version_supported, ChunkMeta, HEADER_BYTES, STORE_MAGIC,
@@ -218,28 +217,23 @@ fn forward_scan(file: &mut std::fs::File) -> Result<ScanOutcome, TraceError> {
         }
     }
 
-    let hbytes = chunk_header_bytes(version) as u64;
+    let hbytes = chunk_header_bytes(version);
     let mut chunks: Vec<ChunkMeta> = Vec::new();
     let mut max_func: Option<u32> = None;
+    let mut chunk = ChunkBuf::default();
     loop {
         let remaining = file_bytes - pos;
-        if remaining < hbytes {
+        if remaining < hbytes as u64 {
             if remaining > 0 {
                 stop_reason = Some(format!("{remaining} trailing bytes, no chunk header"));
             }
             break;
         }
-        let mut header = vec![0u8; hbytes as usize];
-        file.seek(SeekFrom::Start(pos))?;
-        file.read_exact(&mut header)?;
-        let rank = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-        let count = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        let enc_len = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        let times_at = hbytes as usize - 24;
-        let min_t = u64::from_le_bytes(header[times_at..times_at + 8].try_into().expect("8"));
-        let max_t = u64::from_le_bytes(header[times_at + 8..times_at + 16].try_into().expect("8"));
-        let max_end =
-            u64::from_le_bytes(header[times_at + 16..times_at + 24].try_into().expect("8"));
+        // The header alone first: nothing else says how long the chunk is.
+        chunk.read(file, pos, hbytes)?;
+        let (rank, count, enc_len) = chunk.head();
+        let mut times = &chunk.bytes()[hbytes - 24..];
+        let (min_t, max_t, max_end) = (times.get_u64_le(), times.get_u64_le(), times.get_u64_le());
         // A writer never flushes an empty chunk; zero fields mean we are
         // looking at footer bytes or a torn header.
         if count == 0 || enc_len == 0 {
@@ -247,7 +241,7 @@ fn forward_scan(file: &mut std::fs::File) -> Result<ScanOutcome, TraceError> {
             break;
         }
         let end = match pos
-            .checked_add(hbytes)
+            .checked_add(hbytes as u64)
             .and_then(|v| v.checked_add(enc_len as u64))
         {
             Some(end) if end <= file_bytes => end,
@@ -258,37 +252,24 @@ fn forward_scan(file: &mut std::fs::File) -> Result<ScanOutcome, TraceError> {
                 break;
             }
         };
-        let mut payload = vec![0u8; enc_len as usize];
-        file.read_exact(&mut payload)?;
+        chunk.read(file, pos, hbytes + enc_len as usize)?;
         let crc_field;
         if version >= STORE_VERSION {
-            crc_field = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-            let mut crc = Crc32::new();
-            crc.update(&header[..12])
-                .update(&header[16..])
-                .update(&payload);
-            if crc.finish() != crc_field {
+            crc_field = chunk.stored_crc();
+            if chunk.crc() != crc_field {
                 stop_reason = Some("chunk CRC-32 mismatch".to_string());
                 break;
             }
         } else {
-            // Version 1 has no checksum: prove the chunk by decoding it.
+            // Version 1 has no checksum: prove the chunk by decoding it,
+            // to the last byte.
             crc_field = 0;
-            let mut buf = Bytes::from(payload);
-            let mut prev_t = 0u64;
-            let mut ok = true;
-            for _ in 0..count {
-                match decode_event(&mut buf, rank, &mut prev_t) {
-                    Some(ev) => track_max_func(&ev, &mut max_func),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok || buf.remaining() > 0 {
+            if !matches!(chunk.decode(hbytes, rank, count), Ok(0)) {
                 stop_reason = Some("chunk does not decode".to_string());
                 break;
+            }
+            for ev in chunk.events() {
+                track_max_func(ev, &mut max_func);
             }
         }
         chunks.push(ChunkMeta {
@@ -360,7 +341,7 @@ fn read_preamble(
     if crc32(&payload) != crc {
         return Err("preamble CRC-32 mismatch (torn first write?)".to_string());
     }
-    let mut buf = Bytes::from(payload);
+    let mut buf: &[u8] = &payload;
     let program = take_string(&mut buf).map_err(|_| "bad preamble program string".to_string())?;
     if buf.remaining() < 4 {
         return Err("preamble dictionary truncated".to_string());
@@ -453,7 +434,7 @@ pub fn fsck(path: impl AsRef<Path>) -> Result<FsckReport, TraceError> {
             let mut events_ok = 0u64;
             for i in 0..r.chunks().len() {
                 let meta = r.chunks()[i];
-                match r.read_chunk(i) {
+                match r.chunk_events(i) {
                     Ok(events) => {
                         chunks_ok += 1;
                         events_ok += events.len() as u64;
@@ -524,7 +505,7 @@ pub fn repair(path: impl AsRef<Path>, out: impl AsRef<Path>) -> Result<FsckRepor
                 let mut good = Vec::new();
                 for i in 0..r.chunks().len() {
                     let meta = r.chunks()[i];
-                    if r.read_chunk(i).is_ok() {
+                    if r.chunk_events(i).is_ok() {
                         good.push(meta);
                     }
                 }

@@ -282,7 +282,10 @@ impl EventSink for RotatingWriter {
 struct Member {
     reader: StoreReader,
     /// Maps this member's function ids into the set's union dictionary.
-    remap: Vec<u32>,
+    /// `None` when the member's dictionary *is* the union (always, for a
+    /// single store): its events pass through as they are, and an id beyond
+    /// its dictionary is beyond the union too.
+    remap: Option<Vec<u32>>,
 }
 
 /// A reader over a whole segment family that behaves like one store.
@@ -375,7 +378,16 @@ impl SegmentSet {
                     }
                 }
             }
-            members.push(Member { reader, remap });
+            members.push(Member {
+                reader,
+                remap: Some(remap),
+            });
+        }
+        for m in &mut members {
+            let same = |r: &Vec<u32>| (0..functions.len() as u32).eq(r.iter().copied());
+            if m.remap.as_ref().is_some_and(same) {
+                m.remap = None;
+            }
         }
         Ok(SegmentSet {
             members,
@@ -487,13 +499,17 @@ impl EventSource for SegmentSet {
         f: &mut dyn FnMut(&Event),
     ) -> Result<QueryStats, TraceError> {
         let mut total = QueryStats::default();
+        // Segments are sealed in time order, so members in order keep each
+        // rank's causal event order.
         for m in &mut self.members {
-            let remap = &m.remap;
-            let stats = m.reader.for_each_query(window, rank, |ev| {
-                let mut ev = ev.clone();
-                remap_func(&mut ev, remap);
-                f(&ev);
-            })?;
+            let stats = match &m.remap {
+                None => m.reader.query(window, rank, f)?,
+                Some(remap) => m.reader.for_each_query(window, rank, |ev| {
+                    let mut ev = ev.clone();
+                    remap_func(&mut ev, remap);
+                    f(&ev);
+                })?,
+            };
             total.chunks_considered += stats.chunks_considered;
             total.chunks_decoded += stats.chunks_decoded;
             total.chunks_skipped += stats.chunks_skipped;
@@ -502,19 +518,5 @@ impl EventSource for SegmentSet {
             total.events += stats.events;
         }
         Ok(total)
-    }
-
-    fn rank_events(&mut self, rank: u32, f: &mut dyn FnMut(&Event)) -> Result<(), TraceError> {
-        // Segments are sealed in time order, so concatenating members in
-        // order preserves each rank's causal event order.
-        for m in &mut self.members {
-            let remap = &m.remap;
-            m.reader.for_each_rank_event(rank, |ev| {
-                let mut ev = ev.clone();
-                remap_func(&mut ev, remap);
-                f(&ev);
-            })?;
-        }
-        Ok(())
     }
 }

@@ -24,7 +24,7 @@ use dynprof_vt::{Event, EventSink, Trace, VtFuncId, VtLib};
 use super::codec::{encode_event, event_end};
 use super::crc::{crc32, Crc32};
 use super::reader::StoreReader;
-use super::{ChunkMeta, StoreOptions, HEADER_BYTES, STORE_MAGIC, STORE_VERSION};
+use super::{ChunkMeta, StoreOptions, HEADER_BYTES, STORE_MAGIC, STORE_VERSION, UNKNOWN_FUNC};
 use crate::error::TraceError;
 
 fn obs_chunks_written(n: u64) {
@@ -474,14 +474,18 @@ pub fn compact(
     w.finish()
 }
 
+/// Re-number `ev`'s function id from its member's dictionary into the
+/// union's. An id the member never defined becomes [`UNKNOWN_FUNC`]: left
+/// as it was, it would name whichever function holds that slot in the
+/// union.
 pub(crate) fn remap_func(ev: &mut Event, remap: &[u32]) {
     if let Event::FuncEnter { func, .. }
     | Event::FuncExit { func, .. }
     | Event::FuncBatch { func, .. }
     | Event::FuncSuppressed { func, .. } = ev
     {
-        if let Some(&to) = remap.get(func.0 as usize) {
-            *func = VtFuncId(to);
-        }
+        *func = remap
+            .get(func.0 as usize)
+            .map_or(UNKNOWN_FUNC, |&to| VtFuncId(to));
     }
 }

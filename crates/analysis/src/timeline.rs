@@ -17,10 +17,12 @@
 //! and assembles the rows at [`TimelineBuilder::finish`]. Memory is
 //! `O(rows × width)` — the size of the picture, not of the trace.
 
-use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use dynprof_sim::SimTime;
 use dynprof_vt::{Event, Trace};
+
+use crate::dense::{DenseMap, DENSE_RANKS, DENSE_THREADS};
 
 /// Timeline rendering options.
 #[derive(Clone, Copy, Debug)]
@@ -64,21 +66,89 @@ impl Glyph {
     }
 }
 
+/// Where a time falls among the columns of the window `[t0, t0 + span]`.
+#[derive(Clone, Copy)]
+struct Scale {
+    t0: u64,
+    /// The window's length in nanoseconds, at least 1.
+    span: u64,
+    width: usize,
+}
+
+impl Scale {
+    fn new(t0: SimTime, t1: SimTime, width: usize) -> Scale {
+        Scale {
+            t0: t0.as_nanos(),
+            span: t1.saturating_sub(t0).as_nanos().max(1),
+            width,
+        }
+    }
+
+    /// `(t - t0) × width / span`, clamped into the picture.
+    fn bucket_of(self, t: SimTime) -> usize {
+        let rel = t.as_nanos().saturating_sub(self.t0);
+        let bucket = match rel.checked_mul(self.width as u64) {
+            Some(scaled) => (scaled / self.span) as usize,
+            // Only a time centuries past `t0` gets here.
+            None => (rel as u128 * self.width as u128 / self.span as u128) as usize,
+        };
+        bucket.min(self.width - 1)
+    }
+
+    /// Raise the cells of `row` covering `[a, b]` to at least `g`. A row
+    /// is allocated by its first paint.
+    fn paint(self, row: &mut Vec<Glyph>, a: SimTime, b: SimTime, g: Glyph) {
+        if row.is_empty() {
+            row.resize(self.width, Glyph::Blank);
+        }
+        for cell in &mut row[self.bucket_of(a)..=self.bucket_of(b)] {
+            if (*cell as u8) < (g as u8) {
+                *cell = g;
+            }
+        }
+    }
+}
+
+/// One thread of a rank: its open function frames and, in a per-thread
+/// picture, its row (empty until something paints it).
+#[derive(Default)]
+struct ThreadRows {
+    stack: Vec<SimTime>,
+    row: Vec<Glyph>,
+}
+
+/// Everything the builder keeps for one rank.
+struct RankRows {
+    /// First and last event time, painted as the idle baseline.
+    first: SimTime,
+    last: SimTime,
+    row: Vec<Glyph>,
+    threads: DenseMap<ThreadRows>,
+}
+
+impl RankRows {
+    /// Paint a span of `thread` on the rank's row and, in a per-thread
+    /// picture, on the thread's own.
+    fn paint(&mut self, scale: Scale, thread: Option<u16>, a: SimTime, b: SimTime, g: Glyph) {
+        scale.paint(&mut self.row, a, b, g);
+        if let Some(thread) = thread {
+            let thread = self.threads.entry(thread.into(), ThreadRows::default);
+            scale.paint(&mut thread.row, a, b, g);
+        }
+    }
+}
+
 /// Streaming timeline accumulator over a fixed time window `[t0, t1]`.
+/// A push on a rank and thread already seen is two array indexings and
+/// the painting: no search, no allocation.
 pub struct TimelineBuilder {
     program: String,
     t0: SimTime,
     t1: SimTime,
-    width: usize,
+    scale: Scale,
     per_thread: bool,
-    /// Row grids keyed `(rank, None)` for the rank row, `(rank,
-    /// Some(thread))` for per-thread rows; `BTreeMap` order is already
-    /// display order (rank row first, then its threads ascending).
-    grids: BTreeMap<(u32, Option<u16>), Vec<Glyph>>,
-    /// Per-rank first/last event time, painted as the idle baseline.
-    first_last: BTreeMap<u32, (SimTime, SimTime)>,
-    /// Open function frames per (rank, thread).
-    func_stack: BTreeMap<(u32, u16), Vec<SimTime>>,
+    /// Present for every rank any event named.
+    ranks: DenseMap<RankRows>,
     events: u64,
 }
 
@@ -94,32 +164,10 @@ impl TimelineBuilder {
             program: program.into(),
             t0,
             t1,
-            width: opts.width.max(8),
+            scale: Scale::new(t0, t1, opts.width.max(8)),
             per_thread: opts.per_thread,
-            grids: BTreeMap::new(),
-            first_last: BTreeMap::new(),
-            func_stack: BTreeMap::new(),
+            ranks: DenseMap::new(DENSE_RANKS),
             events: 0,
-        }
-    }
-
-    fn bucket_of(&self, t: SimTime) -> usize {
-        let span = self.t1.saturating_sub(self.t0).max(SimTime::from_nanos(1));
-        let rel = t.saturating_sub(self.t0).as_nanos() as u128;
-        ((rel * self.width as u128 / span.as_nanos().max(1) as u128) as usize).min(self.width - 1)
-    }
-
-    fn paint(&mut self, rank: u32, thread: Option<u16>, a: SimTime, b: SimTime, g: Glyph) {
-        let (ba, bb) = (self.bucket_of(a), self.bucket_of(b));
-        let width = self.width;
-        let grid = self
-            .grids
-            .entry((rank, thread))
-            .or_insert_with(|| vec![Glyph::Blank; width]);
-        for cell in grid[ba..=bb].iter_mut() {
-            if (*cell as u8) < (g as u8) {
-                *cell = g;
-            }
         }
     }
 
@@ -128,94 +176,78 @@ impl TimelineBuilder {
     /// causal order — what traces and store chunks both provide).
     pub fn push(&mut self, ev: &Event) {
         self.events += 1;
-        let rank = ev.rank();
-        let entry = self
-            .first_last
-            .entry(rank)
-            .or_insert((ev.time(), ev.time()));
-        entry.0 = entry.0.min(ev.time());
-        entry.1 = entry.1.max(ev.time());
+        let scale = self.scale;
+        // The thread whose row a span also lands on: none in a rank-only
+        // picture.
+        let own_row = |thread: u16| self.per_thread.then_some(thread);
+        let at = ev.time();
+        let state = self.ranks.entry(ev.rank(), || RankRows {
+            first: at,
+            last: at,
+            row: Vec::new(),
+            threads: DenseMap::new(DENSE_THREADS),
+        });
+        state.first = state.first.min(at);
+        state.last = state.last.max(at);
         match *ev {
-            Event::FuncEnter {
-                t, rank, thread, ..
-            } => {
-                self.func_stack.entry((rank, thread)).or_default().push(t);
+            Event::FuncEnter { t, thread, .. } => {
+                let thread = state.threads.entry(thread.into(), ThreadRows::default);
+                thread.stack.push(t);
             }
-            Event::FuncExit {
-                t, rank, thread, ..
-            } => {
-                if let Some(t0) = self.func_stack.entry((rank, thread)).or_default().pop() {
-                    self.paint(rank, None, t0, t, Glyph::Func);
-                    if self.per_thread {
-                        self.paint(rank, Some(thread), t0, t, Glyph::Func);
-                    }
+            Event::FuncExit { t, thread, .. } => {
+                let open = state.threads.get_mut(thread.into());
+                if let Some(t0) = open.and_then(|th| th.stack.pop()) {
+                    state.paint(scale, own_row(thread), t0, t, Glyph::Func);
                 }
             }
             Event::FuncBatch {
-                t,
-                rank,
-                thread,
-                span,
-                ..
-            } => {
-                self.paint(rank, None, t, t + span, Glyph::Func);
-                if self.per_thread {
-                    self.paint(rank, Some(thread), t, t + span, Glyph::Func);
-                }
-            }
-            Event::MpiCall { t, t_end, rank, .. } => {
-                self.paint(rank, None, t, t_end, Glyph::Mpi);
-            }
+                t, thread, span, ..
+            } => state.paint(scale, own_row(thread), t, t + span, Glyph::Func),
+            Event::MpiCall { t, t_end, .. } => state.paint(scale, None, t, t_end, Glyph::Mpi),
             Event::OmpThread {
-                t,
-                t_end,
-                rank,
-                thread,
-                ..
-            } => {
-                self.paint(rank, None, t, t_end, Glyph::Wiggle);
-                if self.per_thread {
-                    self.paint(rank, Some(thread), t, t_end, Glyph::Wiggle);
-                }
-            }
-            Event::Suspended { t, t_end, rank } => {
-                self.paint(rank, None, t, t_end, Glyph::Suspended);
+                t, t_end, thread, ..
+            } => state.paint(scale, own_row(thread), t, t_end, Glyph::Wiggle),
+            Event::Suspended { t, t_end, .. } => {
+                state.paint(scale, None, t, t_end, Glyph::Suspended)
             }
             _ => {}
         }
     }
 
-    /// Assemble the picture. Returns `"(empty trace)\n"` when nothing
-    /// was pushed.
-    pub fn finish(mut self) -> String {
+    /// Assemble the picture: one row a rank in ascending order, each
+    /// followed by its threads' rows. Returns `"(empty trace)\n"` when
+    /// nothing was pushed.
+    pub fn finish(self) -> String {
         if self.events == 0 {
             return String::from("(empty trace)\n");
         }
-        // Idle baseline: each rank's first..last event span.
-        let spans: Vec<(u32, SimTime, SimTime)> = self
-            .first_last
-            .iter()
-            .map(|(&r, &(a, b))| (r, a, b))
-            .collect();
-        for (r, a, b) in spans {
-            self.paint(r, None, a, b, Glyph::Idle);
-        }
-        let ranks = self.first_last.len();
+        let ranks: Vec<(u32, RankRows)> = self.ranks.into_sorted().collect();
         let mut out = String::new();
-        out.push_str(&format!(
-            "time-line of {:?}: {} .. {} ({} ranks)\n",
-            self.program, self.t0, self.t1, ranks
-        ));
+        let _ = writeln!(
+            out,
+            "time-line of {:?}: {} .. {} ({} ranks)",
+            self.program,
+            self.t0,
+            self.t1,
+            ranks.len()
+        );
         out.push_str("legend: M=MPI call  ~=OpenMP region  #=function  S=suspended  .=traced\n");
-        for (&(rank, thread), grid) in &self.grids {
-            let label = match thread {
-                None => format!("rank {rank:>3}      "),
-                Some(t) => format!("  thread {t:>2}   "),
-            };
-            out.push_str(&label);
+        let mut push_row = |label: std::fmt::Arguments<'_>, row: &[Glyph]| {
+            let _ = out.write_fmt(label);
             out.push('|');
-            out.extend(grid.iter().map(|g| g.ch()));
+            out.extend(row.iter().map(|g| g.ch()));
             out.push_str("|\n");
+        };
+        for (rank, mut state) in ranks {
+            // Idle baseline: the rank's first..last event span.
+            let (first, last) = (state.first, state.last);
+            state.paint(self.scale, None, first, last, Glyph::Idle);
+            push_row(format_args!("rank {rank:>3}      "), &state.row);
+            for (thread, rows) in state.threads.iter() {
+                if !rows.row.is_empty() {
+                    push_row(format_args!("  thread {thread:>2}   "), &rows.row);
+                }
+            }
         }
         out
     }
@@ -384,6 +416,45 @@ mod tests {
         let row = s.lines().find(|l| l.starts_with("rank")).unwrap();
         let inner: String = row.split('|').nth(1).unwrap().into();
         assert_eq!(inner, "MMMMMMMMMM", "span clamps to the window: {s}");
+    }
+
+    #[test]
+    fn bucket_math_equals_the_wide_formula() {
+        use dynprof_sim::rng::SimRng;
+        // What `bucket_of` computed before the span was hoisted and the
+        // multiply narrowed: every step in `u128`.
+        let wide = |t0: SimTime, t1: SimTime, t: SimTime, width: usize| {
+            let span = t1.saturating_sub(t0).max(SimTime::from_nanos(1));
+            let rel = t.saturating_sub(t0).as_nanos() as u128;
+            ((rel * width as u128 / span.as_nanos().max(1) as u128) as usize).min(width - 1)
+        };
+        let mut r = SimRng::new(0xB0C4E7, 3);
+        // Magnitudes from a nanosecond to the end of the clock; the last
+        // two make `rel × width` overflow 64 bits.
+        let time = |r: &mut SimRng| {
+            let top = [1u64 << 10, 1 << 30, 1 << 44, 1 << 58, u64::MAX - 1][r.gen_index(5)];
+            SimTime::from_nanos(r.gen_range_u64(0..=top) + r.gen_range_u64(0..=1))
+        };
+        let mut fallbacks = 0;
+        for case in 0..20_000 {
+            let (a, b, t) = (time(&mut r), time(&mut r), time(&mut r));
+            // Mostly ordered windows; now and then empty or inverted.
+            let (t0, t1) = match case % 8 {
+                0 => (a, a),
+                1 => (a.max(b), a.min(b)),
+                _ => (a.min(b), a.max(b)),
+            };
+            let width = [8, 72, 96, 97, 4_096][r.gen_index(5)];
+            let scale = Scale::new(t0, t1, width);
+            let rel = t.saturating_sub(t0).as_nanos();
+            fallbacks += usize::from(rel.checked_mul(width as u64).is_none());
+            assert_eq!(
+                scale.bucket_of(t),
+                wide(t0, t1, t, width),
+                "t0 {t0:?} t1 {t1:?} t {t:?} width {width}"
+            );
+        }
+        assert!(fallbacks > 1_000, "the overflow path ran: {fallbacks}");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! on the engine's hot paths (`alloc/*` rows): a counting
 //! `#[global_allocator]` measures exactly how many heap allocations one
 //! steady-state operation performs — control-plane send, probe fire,
-//! trace append, profile push, coroutine handoff — and the run fails if a
+//! trace append, profile push, query pass, coroutine handoff — and the run fails if a
 //! path gains an allocation. Timing rows tolerate noise; the allocation
 //! ledger is exact, so an accidental `clone()` or `Box::new` on a fast
 //! path is a deterministic failure rather than a 3%-slower shrug.
@@ -587,6 +587,132 @@ fn bench_store_crc() {
     );
 }
 
+/// A 64-rank store of one full default-size chunk (2 048 events) a rank,
+/// a third of them sends to the four neighbours of a 2-D stencil; removed
+/// when dropped.
+struct QueryStore {
+    path: std::path::PathBuf,
+    events: Vec<dynprof_vt::Event>,
+}
+
+impl QueryStore {
+    const RANKS: u32 = 64;
+    const CHUNK: u64 = 2048;
+
+    fn create() -> QueryStore {
+        use dynprof_analysis::store::{write_store_from_trace, StoreOptions};
+        use dynprof_vt::{Event, VtFuncId};
+
+        let mut events = Vec::new();
+        for rank in 0..Self::RANKS {
+            for i in 0..Self::CHUNK / 4 {
+                let t = SimTime::from_nanos(i * 4_000);
+                let func = VtFuncId((i % 21) as u32);
+                let (thread, us) = (0, SimTime::from_micros);
+                events.push(Event::FuncEnter {
+                    t,
+                    rank,
+                    thread,
+                    func,
+                });
+                events.push(Event::MpiCall {
+                    t: t + us(1),
+                    t_end: t + us(2),
+                    rank,
+                    op: 2,
+                    peer: ((rank + [1, 8, 56, 63][(i % 4) as usize]) % Self::RANKS) as i32,
+                    bytes: 4_096,
+                });
+                events.push(Event::FuncExit {
+                    t: t + us(3),
+                    rank,
+                    thread,
+                    func,
+                });
+                events.push(Event::MpiCall {
+                    t: t + us(3),
+                    t_end: t + us(4),
+                    rank,
+                    op: 7,
+                    peer: -1,
+                    bytes: 8,
+                });
+            }
+        }
+        let trace = Trace {
+            program: "query".into(),
+            functions: (0..21).map(|i| format!("fn_{i}")).collect(),
+            events,
+        };
+        let path =
+            std::env::temp_dir().join(format!("dynprof-bench-query-{}.vgvs", std::process::id()));
+        let opts = StoreOptions {
+            chunk_events: Self::CHUNK as usize,
+        };
+        let stats = write_store_from_trace(&trace, &path, opts).expect("bench store");
+        assert_eq!(stats.chunks as u32, Self::RANKS, "one full chunk a rank");
+        QueryStore {
+            path,
+            events: trace.events,
+        }
+    }
+}
+
+impl Drop for QueryStore {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.path).ok();
+    }
+}
+
+/// [`bench`] for work that comes `batch` operations at a time (a chunk of
+/// events, a matrix of cells): whole batches run, one operation is
+/// reported.
+fn bench_batched(name: &str, batch: u64, mut run_batch: impl FnMut()) {
+    bench(name, |iters| {
+        let batches = iters.div_ceil(batch);
+        let t = Instant::now();
+        (0..batches).for_each(|_| run_batch());
+        t.elapsed().mul_f64(iters as f64 / (batches * batch) as f64)
+    });
+}
+
+/// The steps a `vgv` query is made of, each per unit of its work: the
+/// verified read of a chunk (file read, CRC-32, decode) per event, the two
+/// streaming builders per push, and the comm matrix per rendered cell.
+fn bench_query_path() {
+    use dynprof_analysis::store::StoreReader;
+    use dynprof_analysis::{CommStats, TimelineBuilder, TimelineOptions};
+
+    let store = QueryStore::create();
+    let mut reader = StoreReader::open(&store.path).expect("bench store opens");
+    let mut next = 0;
+    bench_batched("analysis/decode_chunk", QueryStore::CHUNK, || {
+        black_box(reader.chunk_events(next).expect("chunk verifies"));
+        next = (next + 1) % QueryStore::RANKS as usize;
+    });
+
+    let events = &store.events;
+    let end = events.iter().map(|ev| ev.time()).max().expect("events");
+    let mut timeline = TimelineBuilder::new("q", SimTime::ZERO, end, TimelineOptions::default());
+    bench_batched("analysis/timeline_push", events.len() as u64, || {
+        events.iter().for_each(|ev| timeline.push(black_box(ev)));
+    });
+    black_box(timeline.finish());
+
+    let mut comm = CommStats::default();
+    bench_batched("analysis/comm_push", events.len() as u64, || {
+        events.iter().for_each(|ev| comm.push(black_box(ev)));
+    });
+
+    let cells = u64::from(QueryStore::RANKS).pow(2);
+    let mut rendered = Vec::new();
+    bench_batched("analysis/matrix_cell", cells, || {
+        rendered.clear();
+        comm.write_matrix(&mut rendered).expect("in-memory write");
+        black_box(&rendered);
+    });
+}
+
 fn bench_config_resolve() {
     let mut cfg = VtConfig::all_off();
     for i in 0..60 {
@@ -941,6 +1067,27 @@ fn alloc_profile_push() {
     pinned_allocs("alloc/profile_push", total, OPS, 0, 0);
 }
 
+/// A pass of a query over a store the reader has already walked once —
+/// chunk reads into the reader's own buffers, decode, the callback — is
+/// **zero** allocations: none per event, none per chunk.
+fn alloc_query_pass() {
+    use dynprof_analysis::store::StoreReader;
+
+    let store = QueryStore::create();
+    let mut reader = StoreReader::open(&store.path).expect("bench store opens");
+    let pass = |reader: &mut StoreReader| {
+        let mut seen = 0u64;
+        let stats = reader.for_each_query(None, None, |ev| seen += u64::from(ev.rank() < 64));
+        assert_eq!(stats.expect("clean store").events, seen);
+        seen
+    };
+    let events = pass(&mut reader);
+    let total = alloc_delta(|| {
+        black_box(pass(&mut reader));
+    });
+    pinned_allocs("alloc/query_pass", total, events, 0, 0);
+}
+
 /// The headline ledger of the threadless engine: one steady-state
 /// coroutine handoff — block the receiver, pop the next event, pre-set
 /// its clock, swap stacks — performs **zero** heap allocations. (On the
@@ -1032,6 +1179,7 @@ fn bench_alloc_ledger() {
     alloc_probe_fire();
     alloc_trace_append();
     alloc_profile_push();
+    alloc_query_pass();
     alloc_coroutine_handoff();
 }
 
@@ -1045,6 +1193,7 @@ fn main() {
     bench_verifier();
     bench_trace_codec();
     bench_store_crc();
+    bench_query_path();
     bench_config_resolve();
     bench_des_engine();
     bench_runtimes();

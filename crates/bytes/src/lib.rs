@@ -4,7 +4,9 @@
 //! workspace vendors the slice of the `bytes` crate API its trace codec
 //! uses: [`BytesMut`] for little-endian encoding, [`Bytes`] for zero-copy
 //! reads (an `Arc<[u8]>` window advanced by the [`Buf`] getters), and the
-//! [`Buf`]/[`BufMut`] traits those methods live on.
+//! [`Buf`]/[`BufMut`] traits those methods live on. As in the real crate,
+//! a plain `&[u8]` is a [`Buf`] too: decoding a buffer somebody else owns
+//! needs no `Bytes` (and so no copy into shared storage) at all.
 //!
 //! Semantics match the real crate for every call site in this repository:
 //! `freeze` is O(1), `clone`/`slice`/`split_to` share the same allocation,
@@ -222,6 +224,27 @@ impl Buf for Bytes {
     }
 }
 
+/// A borrowed slice as a cursor: the getters shrink the slice from the
+/// front.
+impl Buf for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+
+    fn take_front(&mut self, n: usize) -> &[u8] {
+        assert!(n <= self.len(), "buffer underflow");
+        let (head, tail) = self.split_at(n);
+        *self = tail;
+        head
+    }
+
+    fn get_u8(&mut self) -> u8 {
+        let (&byte, tail) = self.split_first().expect("buffer underflow");
+        *self = tail;
+        byte
+    }
+}
+
 impl Default for Bytes {
     fn default() -> Bytes {
         Bytes::new()
@@ -313,5 +336,26 @@ mod tests {
     #[should_panic(expected = "underflow")]
     fn underflow_panics() {
         Bytes::from(vec![1]).get_u32_le();
+    }
+
+    #[test]
+    fn slices_read_like_bytes() {
+        let mut b = BytesMut::new();
+        b.put_u8(7);
+        b.put_u32_le(0xDEAD_BEEF);
+        b.put_u64_le(u64::MAX - 1);
+        let mut r: &[u8] = &b;
+        assert_eq!(r.remaining(), 13);
+        assert_eq!(r.get_u8(), 7);
+        assert_eq!(r.get_u32_le(), 0xDEAD_BEEF);
+        assert_eq!(r.get_u64_le(), u64::MAX - 1);
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "underflow")]
+    fn slice_underflow_panics() {
+        let mut r: &[u8] = &[];
+        r.get_u8();
     }
 }

@@ -3,6 +3,8 @@
 //! `slice` (short window), on a legacy `.vgvt` flat file vs a `.vgvs`
 //! store of the same events. Feeds the EXPERIMENTS.md "Trace store"
 //! table; run each mode in a fresh process so `VmHWM` isolates one path.
+//! The `stream` mode goes through the entry points `vgv top`, `vgv slice`
+//! and `vgv comm` call, the last written to a sink as `vgv` streams it.
 //!
 //! ```console
 //! $ cargo run --release --example store_bench -- gen 1000 40 42 /tmp/synth
@@ -19,8 +21,8 @@ use std::time::Instant;
 
 use dynprof::analysis::store::{write_store_from_trace, StoreOptions, StoreReader};
 use dynprof::analysis::{
-    read_trace, slice_report, top_report, write_trace, Profile, ProfileOptions, TimelineBuilder,
-    TimelineOptions,
+    read_trace, slice_report, top_report, write_comm_report, write_trace, Profile, ProfileOptions,
+    TimelineBuilder, TimelineOptions,
 };
 use dynprof::sim::rng::SimRng;
 use dynprof::sim::SimTime;
@@ -200,8 +202,12 @@ fn main() {
             .unwrap();
             let slice_t = start.elapsed();
 
+            let start = Instant::now();
+            write_comm_report(&mut reader, &mut std::io::sink()).unwrap();
+            let comm = start.elapsed();
+
             println!(
-                "stream: open {:.2} ms | top {:.1} ms ({} lines) | slice {:.1} ms ({} of {} chunks decoded, {} skipped) | peak chunk {} kB | peak RSS {} kB",
+                "stream: open {:.2} ms | top {:.1} ms ({} lines) | slice {:.1} ms ({} of {} chunks decoded, {} skipped) | comm {:.1} ms | peak chunk {} kB | peak RSS {} kB",
                 open.as_secs_f64() * 1e3,
                 top.as_secs_f64() * 1e3,
                 report.lines().count(),
@@ -209,6 +215,7 @@ fn main() {
                 stats.chunks_decoded,
                 stats.chunks_considered,
                 stats.chunks_skipped,
+                comm.as_secs_f64() * 1e3,
                 reader.peak_chunk_bytes() / 1024,
                 peak_rss_kb(),
             );

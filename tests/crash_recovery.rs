@@ -796,7 +796,7 @@ fn live_rotation_slices_time_and_retention_keeps_the_end_of_the_run() {
     let mut set = SegmentSet::open(&base).unwrap();
     for (rank, expect) in per_rank.iter().enumerate() {
         let mut got = Vec::new();
-        set.rank_events(rank as u32, &mut |ev| got.push(ev.clone()))
+        set.query(None, Some(rank as u32), &mut |ev| got.push(ev.clone()))
             .unwrap();
         assert_eq!(&got, expect, "rank {rank}: the family replays the run");
     }
@@ -813,7 +813,7 @@ fn live_rotation_slices_time_and_retention_keeps_the_end_of_the_run() {
     assert_eq!(set.source_ranks(), [0, 1, 2, 3]);
     for (rank, expect) in per_rank.iter().enumerate() {
         let mut got = Vec::new();
-        set.rank_events(rank as u32, &mut |ev| got.push(ev.clone()))
+        set.query(None, Some(rank as u32), &mut |ev| got.push(ev.clone()))
             .unwrap();
         assert!(!got.is_empty() && got.len() < expect.len(), "rank {rank}");
         assert_eq!(

@@ -7,29 +7,39 @@
 //! from both sides: what is shared really is one allocation, and nothing
 //! a rank can change — chains, counts, suspension, hooks — leaks through
 //! it to another rank.
+//!
+//! The same allocator pins the read side's footprint: a store reader owns
+//! its chunk buffers, so a pass over a store it has already walked once
+//! allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use dynprof::analysis::store::{StoreOptions, StoreReader, StoreWriter};
 use dynprof::apps::cli::{run_cli, CliArgs};
 use dynprof::apps::{smg98, Smg98Params};
 use dynprof::image::{CallerCtx, Image, ProbeCtx, ProbePoint, Snippet, StaticHooks};
 use dynprof::sim::{Machine, Sim, SimTime};
+use dynprof::vt::{Event, VtFuncId};
 
-/// Live heap bytes of the *calling thread*: the test harness runs this
-/// file's tests on parallel threads, and a measurement must not see its
-/// neighbours' allocations.
+/// Live heap bytes, and allocator calls that obtained memory, of the
+/// *calling thread*: the test harness runs this file's tests on parallel
+/// threads, and a measurement must not see its neighbours' allocations.
 struct LiveBytes;
 
 thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
 fn note(delta: isize) {
     // `try_with`: a thread may free memory while its locals are torn down.
     let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+    if delta > 0 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 // SAFETY: defers to `System` for every operation; the bookkeeping is a
@@ -61,6 +71,13 @@ fn live_bytes_of<T>(build: impl FnOnce() -> T) -> (T, isize) {
     let before = LIVE.with(Cell::get);
     let built = build();
     (built, LIVE.with(Cell::get) - before)
+}
+
+/// Allocations (and growing reallocations) `work` made on this thread.
+fn allocations_of<T>(work: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCS.with(Cell::get);
+    let done = work();
+    (done, ALLOCS.with(Cell::get) - before)
 }
 
 fn counting_snippet(hits: &Arc<AtomicUsize>) -> Snippet {
@@ -201,4 +218,59 @@ fn two_sessions_in_one_process_write_the_same_bytes() {
     assert_eq!(first.0, second.0, "summary");
     assert_eq!(first.1, second.1, "timefile");
     assert!(first.2 == second.2, ".vgvs bytes differ");
+}
+
+#[test]
+fn a_second_pass_over_a_store_allocates_nothing() {
+    // 64 ranks, chunks of every size up to 256 events: rank r records
+    // 260 + 3r events, so each leaves one full chunk and a shorter one.
+    let path = std::env::temp_dir().join(format!("dynprof-footprint-{}.vgvs", std::process::id()));
+    let mut w = StoreWriter::create(&path, "pass", StoreOptions { chunk_events: 256 }).unwrap();
+    w.set_functions(vec!["step".to_string()]);
+    let mut events = 0u64;
+    for rank in 0..64u32 {
+        for i in 0..260 + 3 * u64::from(rank) {
+            let t = SimTime::from_micros(3 * i);
+            w.append(&Event::FuncEnter {
+                t,
+                rank,
+                thread: 0,
+                func: VtFuncId(0),
+            });
+            w.append(&Event::MpiCall {
+                t: t + SimTime::from_micros(1),
+                t_end: t + SimTime::from_micros(2),
+                rank,
+                op: 2,
+                peer: (rank as i32 + 1) % 64,
+                bytes: 1 << (i % 40),
+            });
+            events += 2;
+        }
+    }
+    let stats = w.finish().unwrap();
+    assert_eq!(stats.events, events);
+    assert!(stats.chunks > 2 * 64, "{stats:?}");
+
+    let mut r = StoreReader::open(&path).unwrap();
+    let pass = |r: &mut StoreReader| {
+        let mut seen = 0u64;
+        let q = r.for_each_query(None, None, |_| seen += 1).unwrap();
+        assert_eq!(
+            (seen, q.events, q.chunks_decoded),
+            (events, events, stats.chunks)
+        );
+    };
+    // The first pass grows the reader's buffers to the largest chunk…
+    let ((), first) = allocations_of(|| pass(&mut r));
+    assert!(first > 0, "the buffers came from somewhere");
+    // …and that is the last the allocator hears of it: nothing per event,
+    // nothing per chunk.
+    let ((), second) = allocations_of(|| pass(&mut r));
+    assert_eq!(
+        second, 0,
+        "a steady-state pass over {} chunks",
+        stats.chunks
+    );
+    std::fs::remove_file(&path).ok();
 }

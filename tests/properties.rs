@@ -8,7 +8,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dynprof::analysis::{FuncProfile, ProfileBuilder, ProfileOptions};
+use dynprof::analysis::{
+    CommStats, FuncProfile, ProfileBuilder, ProfileOptions, TimelineBuilder, TimelineOptions,
+};
 use dynprof::dpcl::{BackoffSchedule, DpclClient, DpclSystem};
 use dynprof::image::{FunctionInfo, ImageBuilder, ProbePoint, Snippet};
 use dynprof::mpi::{launch, JobSpec};
@@ -308,6 +310,353 @@ fn profile_builder_matches_map_reference_on_arbitrary_ids() {
             assert_eq!(got.per_rank, reference.per_rank, "case {case} {order}");
             let want: Vec<u32> = reference.ranks.iter().copied().collect();
             assert_eq!(got.ranks, want, "case {case} {order}");
+        }
+    }
+}
+
+/// The time-line accumulator the dense `TimelineBuilder` replaced: rows,
+/// first/last times and frame stacks in ordered maps keyed `(rank, …)`,
+/// two searches per event, and `u128` bucket arithmetic. Kept here as the
+/// reference the dense builder is tested against.
+struct MapTimeline {
+    program: String,
+    t0: SimTime,
+    t1: SimTime,
+    width: usize,
+    per_thread: bool,
+    grids: BTreeMap<(u32, Option<u16>), Vec<u8>>,
+    first_last: BTreeMap<u32, (SimTime, SimTime)>,
+    func_stack: BTreeMap<(u32, u16), Vec<SimTime>>,
+    events: u64,
+}
+
+impl MapTimeline {
+    const GLYPHS: [char; 6] = [' ', '.', '#', '~', 'M', 'S'];
+    const IDLE: u8 = 1;
+    const FUNC: u8 = 2;
+    const WIGGLE: u8 = 3;
+    const MPI: u8 = 4;
+    const SUSPENDED: u8 = 5;
+
+    fn new(program: &str, t0: SimTime, t1: SimTime, opts: TimelineOptions) -> MapTimeline {
+        MapTimeline {
+            program: program.to_string(),
+            t0,
+            t1,
+            width: opts.width.max(8),
+            per_thread: opts.per_thread,
+            grids: BTreeMap::new(),
+            first_last: BTreeMap::new(),
+            func_stack: BTreeMap::new(),
+            events: 0,
+        }
+    }
+
+    fn bucket_of(&self, t: SimTime) -> usize {
+        let span = self.t1.saturating_sub(self.t0).max(SimTime::from_nanos(1));
+        let rel = t.saturating_sub(self.t0).as_nanos() as u128;
+        ((rel * self.width as u128 / span.as_nanos().max(1) as u128) as usize).min(self.width - 1)
+    }
+
+    fn paint(&mut self, rank: u32, thread: Option<u16>, a: SimTime, b: SimTime, g: u8) {
+        let (ba, bb) = (self.bucket_of(a), self.bucket_of(b));
+        let width = self.width;
+        let grid = self
+            .grids
+            .entry((rank, thread))
+            .or_insert_with(|| vec![0; width]);
+        for cell in grid[ba..=bb].iter_mut() {
+            *cell = (*cell).max(g);
+        }
+    }
+
+    fn push(&mut self, ev: &Event) {
+        self.events += 1;
+        let entry = self
+            .first_last
+            .entry(ev.rank())
+            .or_insert((ev.time(), ev.time()));
+        entry.0 = entry.0.min(ev.time());
+        entry.1 = entry.1.max(ev.time());
+        match *ev {
+            Event::FuncEnter {
+                t, rank, thread, ..
+            } => {
+                self.func_stack.entry((rank, thread)).or_default().push(t);
+            }
+            Event::FuncExit {
+                t, rank, thread, ..
+            } => {
+                if let Some(t0) = self.func_stack.entry((rank, thread)).or_default().pop() {
+                    self.paint(rank, None, t0, t, Self::FUNC);
+                    if self.per_thread {
+                        self.paint(rank, Some(thread), t0, t, Self::FUNC);
+                    }
+                }
+            }
+            Event::FuncBatch {
+                t,
+                rank,
+                thread,
+                span,
+                ..
+            } => {
+                self.paint(rank, None, t, t + span, Self::FUNC);
+                if self.per_thread {
+                    self.paint(rank, Some(thread), t, t + span, Self::FUNC);
+                }
+            }
+            Event::MpiCall { t, t_end, rank, .. } => {
+                self.paint(rank, None, t, t_end, Self::MPI);
+            }
+            Event::OmpThread {
+                t,
+                t_end,
+                rank,
+                thread,
+                ..
+            } => {
+                self.paint(rank, None, t, t_end, Self::WIGGLE);
+                if self.per_thread {
+                    self.paint(rank, Some(thread), t, t_end, Self::WIGGLE);
+                }
+            }
+            Event::Suspended { t, t_end, rank } => {
+                self.paint(rank, None, t, t_end, Self::SUSPENDED);
+            }
+            _ => {}
+        }
+    }
+
+    fn finish(mut self) -> String {
+        if self.events == 0 {
+            return String::from("(empty trace)\n");
+        }
+        let spans: Vec<(u32, SimTime, SimTime)> = self
+            .first_last
+            .iter()
+            .map(|(&r, &(a, b))| (r, a, b))
+            .collect();
+        for (r, a, b) in spans {
+            self.paint(r, None, a, b, Self::IDLE);
+        }
+        let ranks = self.first_last.len();
+        let mut out = String::new();
+        out.push_str(&format!(
+            "time-line of {:?}: {} .. {} ({} ranks)\n",
+            self.program, self.t0, self.t1, ranks
+        ));
+        out.push_str("legend: M=MPI call  ~=OpenMP region  #=function  S=suspended  .=traced\n");
+        for (&(rank, thread), grid) in &self.grids {
+            let label = match thread {
+                None => format!("rank {rank:>3}      "),
+                Some(t) => format!("  thread {t:>2}   "),
+            };
+            out.push_str(&label);
+            out.push('|');
+            out.extend(grid.iter().map(|&g| Self::GLYPHS[g as usize]));
+            out.push_str("|\n");
+        }
+        out
+    }
+}
+
+/// The message statistics the dense `CommStats` replaced: four ordered
+/// maps, a search per event, and a matrix rendered with one `format!` and
+/// one `(sender, receiver)` search per cell.
+#[derive(Default)]
+struct MapComm {
+    bytes: BTreeMap<(u32, u32), u64>,
+    messages: BTreeMap<(u32, u32), u64>,
+    mpi_time: BTreeMap<u32, SimTime>,
+    collectives: BTreeMap<u32, u64>,
+}
+
+impl MapComm {
+    fn push(&mut self, ev: &Event) {
+        if let Event::MpiCall {
+            t,
+            t_end,
+            rank,
+            op,
+            peer,
+            bytes,
+        } = *ev
+        {
+            *self.mpi_time.entry(rank).or_insert(SimTime::ZERO) += t_end.saturating_sub(t);
+            match op {
+                2 if peer >= 0 => {
+                    *self.bytes.entry((rank, peer as u32)).or_insert(0) += bytes;
+                    *self.messages.entry((rank, peer as u32)).or_insert(0) += 1;
+                }
+                4..=11 => *self.collectives.entry(rank).or_insert(0) += 1,
+                _ => {}
+            }
+        }
+    }
+
+    fn render_matrix(&self) -> String {
+        let mut ranks: Vec<u32> = self.bytes.keys().flat_map(|&(a, b)| [a, b]).collect();
+        ranks.sort_unstable();
+        ranks.dedup();
+        if ranks.is_empty() {
+            return String::new();
+        }
+        let mut out = String::from("bytes sent (row = sender, col = receiver)\n");
+        out.push_str("        ");
+        for &c in &ranks {
+            out.push_str(&format!("{c:>12}"));
+        }
+        out.push('\n');
+        for &r in &ranks {
+            out.push_str(&format!("rank {r:>3}"));
+            for &c in &ranks {
+                let v = self.bytes.get(&(r, c)).copied().unwrap_or(0);
+                out.push_str(&format!("{v:>12}"));
+            }
+            out.push('\n');
+        }
+        out
+    }
+}
+
+/// `TimelineBuilder` and `CommStats` keep their per-event state in arrays
+/// indexed by rank and thread where the ids are small and spill where they
+/// are not. Over random traces naming ranks and threads on both sides of
+/// every dense/spill boundary — for whole, inner, disjoint and zero-length
+/// windows, rank-only and per-thread pictures, widths at and off the
+/// default — they must render, byte for byte, what the map-based
+/// references render.
+#[test]
+fn timeline_and_comm_match_map_references_on_arbitrary_ids() {
+    const RANKS: [u32; 7] = [u32::MAX, 1 << 20, 65_536, 65_535, 1_152, 7, 0];
+    const THREADS: [u16; 6] = [u16::MAX, 65, 64, 63, 1, 0];
+    // Receivers include ranks that record nothing, and `MPI_PROC_NULL`.
+    const PEERS: [i32; 9] = [-2, -1, 0, 5, 7, 1_152, 65_535, 65_536, i32::MAX];
+    let us = SimTime::from_micros;
+    let mut r = rng(19);
+    for case in 0..40 {
+        let ranks: Vec<u32> = RANKS
+            .iter()
+            .copied()
+            .filter(|_| r.gen_index(2) == 0)
+            .collect();
+        // Per-rank clocks; frames nest per (rank, thread).
+        let mut clock: BTreeMap<u32, SimTime> = BTreeMap::new();
+        let mut events = Vec::new();
+        for _ in 0..r.gen_index(300) * ranks.len().min(1) {
+            let rank = ranks[r.gen_index(ranks.len())];
+            let thread = THREADS[r.gen_index(THREADS.len())];
+            let now = clock.entry(rank).or_default();
+            *now += us(r.gen_range_u64(0..=300));
+            let t = *now;
+            let span = us(r.gen_range_u64(0..=1_500));
+            let func = VtFuncId(0);
+            // Now and then wider than a 12-column cell.
+            let bytes_bits = [10, 45][r.gen_index(2)];
+            events.push(match r.gen_index(8) {
+                0 | 1 => Event::FuncEnter {
+                    t,
+                    rank,
+                    thread,
+                    func,
+                },
+                // Unmatched exits are strays: ignored by both.
+                2 | 3 => Event::FuncExit {
+                    t,
+                    rank,
+                    thread,
+                    func,
+                },
+                4 => Event::FuncBatch {
+                    t,
+                    rank,
+                    thread,
+                    func,
+                    count: 3,
+                    span,
+                },
+                5 => Event::MpiCall {
+                    t,
+                    t_end: t + span,
+                    rank,
+                    // Every known op and two unknown codes.
+                    op: r.gen_index(14) as u8,
+                    peer: PEERS[r.gen_index(PEERS.len())],
+                    bytes: r.gen_range_u64(0..=1 << bytes_bits),
+                },
+                6 => Event::OmpThread {
+                    t,
+                    t_end: t + span,
+                    rank,
+                    thread,
+                    region: 1,
+                },
+                _ if r.gen_index(2) == 0 => Event::Suspended {
+                    t,
+                    t_end: t + span,
+                    rank,
+                },
+                _ => Event::ConfSync { t, rank, epoch: 1 },
+            });
+        }
+
+        let mut comm = CommStats::default();
+        let mut comm_ref = MapComm::default();
+        for ev in &events {
+            comm.push(ev);
+            comm_ref.push(ev);
+        }
+        assert_eq!(
+            comm.render_matrix(),
+            comm_ref.render_matrix(),
+            "case {case}"
+        );
+        assert_eq!(
+            comm.has_traffic(),
+            !comm_ref.bytes.is_empty(),
+            "case {case}"
+        );
+        let times: Vec<(u32, SimTime)> = comm.mpi_times().collect();
+        let want: Vec<(u32, SimTime)> = comm_ref.mpi_time.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(times, want, "case {case}");
+        for &sender in &RANKS {
+            let count = comm_ref.collectives.get(&sender).copied().unwrap_or(0);
+            assert_eq!(comm.collectives(sender), count, "case {case}");
+            for &peer in PEERS.iter().filter(|&&p| p >= 0) {
+                let key = (sender, peer as u32);
+                let (bytes, messages) = (comm_ref.bytes.get(&key), comm_ref.messages.get(&key));
+                assert_eq!(comm.bytes(key.0, key.1), bytes.copied().unwrap_or(0));
+                assert_eq!(comm.messages(key.0, key.1), messages.copied().unwrap_or(0));
+            }
+        }
+
+        let end = clock.values().copied().max().unwrap_or_default() + us(1_500);
+        let windows = [
+            (SimTime::ZERO, end),           // everything
+            (end / 4, end / 2),             // inside
+            (end + us(10), end + us(20)),   // after the last event
+            (end / 2, end / 2),             // zero length, inside
+            (SimTime::ZERO, SimTime::ZERO), // zero length, at the start
+            (end * 3, end * 3),             // zero length, outside
+        ];
+        for (t0, t1) in windows {
+            for width in [3, 8, 96, 97] {
+                for per_thread in [false, true] {
+                    let opts = TimelineOptions { width, per_thread };
+                    let mut b = TimelineBuilder::new("prop", t0, t1, opts);
+                    let mut reference = MapTimeline::new("prop", t0, t1, opts);
+                    for ev in &events {
+                        b.push(ev);
+                        reference.push(ev);
+                    }
+                    assert_eq!(
+                        b.finish(),
+                        reference.finish(),
+                        "case {case} window {t0}..{t1} width {width} per_thread {per_thread}"
+                    );
+                }
+            }
         }
     }
 }

@@ -172,7 +172,7 @@ fn assert_live_capture_matches_buffered(
     for rank in from_ref.source_ranks() {
         let mut streamed = Vec::new();
         from_live
-            .rank_events(rank, &mut |ev| streamed.push(ev.clone()))
+            .query(None, Some(rank), &mut |ev| streamed.push(ev.clone()))
             .unwrap();
         buffered.vt.with_rank_events(rank as usize, |evs| {
             assert_eq!(streamed, evs, "{ctx}: rank {rank} event sequence")

@@ -9,9 +9,12 @@
 use std::sync::RwLock;
 
 use dynprof::analysis::store::{
-    compact, event_overlaps, write_store_from_trace, StoreOptions, StoreReader, StoreWriter,
+    compact, event_overlaps, write_store_from_trace, SegmentSet, StoreOptions, StoreReader,
+    StoreWriter, UNKNOWN_FUNC,
 };
-use dynprof::analysis::{slice_report, top_report, CommStats, Profile, ProfileOptions, TraceError};
+use dynprof::analysis::{
+    comm_report, slice_report, top_report, CommStats, Profile, ProfileOptions, TraceError,
+};
 use dynprof::obs;
 use dynprof::sim::rng::SimRng;
 use dynprof::sim::SimTime;
@@ -144,8 +147,8 @@ fn seeded_round_trip_matches_reference() {
         assert_eq!(from_store.per_rank, from_trace.per_rank, "seed {seed}");
         let comm_store = CommStats::from_store(&mut r).unwrap();
         let comm_trace = CommStats::from_trace(&trace);
-        assert_eq!(comm_store.bytes, comm_trace.bytes, "seed {seed}");
-        assert_eq!(comm_store.mpi_time, comm_trace.mpi_time, "seed {seed}");
+        assert_eq!(comm_store, comm_trace, "seed {seed}");
+        assert!(comm_store.has_traffic(), "seed {seed}");
         std::fs::remove_file(&path).ok();
     }
 }
@@ -509,6 +512,53 @@ fn golden_vgv_slice() {
     std::fs::remove_file(&path).ok();
 }
 
+/// `vgv comm` pinned on the shapes the matrix renderer has to get right:
+/// non-contiguous rank ids (one beyond the dense bound), a receive-only
+/// rank (7), a receiver that recorded nothing (5), a collective-only rank
+/// (9, absent from the matrix), a send to `MPI_PROC_NULL`, and a cell wider
+/// than its 12-column field. The golden was written by the renderer this
+/// one replaced.
+#[test]
+fn golden_vgv_comm() {
+    let _gate = OBS_GATE.read().unwrap();
+    let us = SimTime::from_micros;
+    let mpi = |rank: u32, at: u64, op: u8, peer: i32, bytes: u64| Event::MpiCall {
+        t: us(at),
+        t_end: us(at + 7 + u64::from(op)),
+        rank,
+        op,
+        peer,
+        bytes,
+    };
+    let trace = Trace {
+        program: "comm".into(),
+        functions: vec![],
+        events: vec![
+            mpi(0, 10, 2, 3, 4_096),
+            mpi(0, 30, 2, 7, 1_234_567_890_123),
+            mpi(0, 50, 2, 3, 904),
+            mpi(0, 70, 2, -1, 64),
+            mpi(0, 90, 7, -1, 8),
+            mpi(3, 10, 3, 0, 4_096),
+            mpi(3, 40, 2, 0, 17),
+            mpi(3, 60, 2, 200, 999_999_999_999),
+            mpi(3, 80, 2, 5, 1),
+            mpi(7, 30, 3, 0, 1_234_567_890_123),
+            mpi(9, 20, 4, -1, 0),
+            mpi(9, 90, 7, -1, 8),
+            mpi(200, 60, 3, 3, 999_999_999_999),
+            mpi(200, 95, 2, 70_000, 65_536),
+            mpi(70_000, 99, 2, 0, 12),
+            mpi(70_000, 120, 11, -1, 0),
+        ],
+    };
+    let path = tmp("golden-comm");
+    write_store_from_trace(&trace, &path, StoreOptions { chunk_events: 2 }).unwrap();
+    let mut r = StoreReader::open(&path).unwrap();
+    check_golden("vgv_comm.txt", &comm_report(&mut r).unwrap());
+    std::fs::remove_file(&path).ok();
+}
+
 // ---- format back-compat: version-1 (pre-CRC) stores ------------------
 
 /// Hand-encode a version-1 store: 36-byte chunk headers (no CRC field),
@@ -677,6 +727,146 @@ fn v1_store_without_footer_salvages_by_decoding() {
     assert!(r.functions().iter().all(|f| f.starts_with("fn#")));
     assert_eq!(r.read_all().unwrap().events.len(), trace.events.len());
     std::fs::remove_file(&path).ok();
+}
+
+/// A chunk is delivered whole or not at all: one malformed event in the
+/// middle of a chunk means no callback for the four intact events before
+/// it either, strict or degraded. (A version-1 chunk, so that no CRC
+/// catches the damage first.)
+#[test]
+fn corrupt_event_mid_chunk_yields_nothing_from_that_chunk() {
+    let _gate = OBS_GATE.read().unwrap();
+    // Three bytes an event (kind, 1-byte delta, 1-byte epoch), five events
+    // a chunk, three chunks a rank.
+    let event = |rank: u32, i: u64| Event::ConfSync {
+        t: SimTime::from_nanos(i),
+        rank,
+        epoch: i as u32,
+    };
+    let trace = Trace {
+        program: "mid".into(),
+        functions: vec![],
+        events: (0..3)
+            .flat_map(|rank| (0..15).map(move |i| event(rank, i)))
+            .collect(),
+    };
+    let mut bytes = build_v1_store(&trace, 5);
+    let path = tmp("mid-chunk");
+    std::fs::write(&path, &bytes).unwrap();
+    let clean = StoreReader::open(&path).unwrap();
+    let bad_chunk = 4; // rank 1's middle chunk
+    let meta = clean.chunks()[bad_chunk];
+    assert_eq!((meta.rank, meta.count, meta.enc_len), (1, 5, 15));
+    drop(clean);
+    bytes[meta.offset as usize + 36 + 2 * 3] = 99; // third event's kind
+    std::fs::write(&path, &bytes).unwrap();
+    let from_bad_chunk = |ev: &Event| ev.rank() == 1 && (5..10).contains(&ev.time().as_nanos());
+
+    let mut strict = StoreReader::open(&path).unwrap();
+    let mut seen = Vec::new();
+    let err = strict.for_each_query(None, None, |ev| seen.push(ev.clone()));
+    assert!(
+        matches!(err, Err(TraceError::BadEvent { index: 2 })),
+        "{err:?}"
+    );
+    assert_eq!(seen.len(), 4 * 5, "the four chunks before it, whole");
+    assert!(!seen.iter().any(from_bad_chunk));
+    assert!(matches!(
+        strict.read_chunk(bad_chunk),
+        Err(TraceError::BadEvent { index: 2 })
+    ));
+
+    let mut degraded = StoreReader::open(&path).unwrap();
+    degraded.set_degraded(true);
+    let mut seen = Vec::new();
+    let stats = degraded
+        .for_each_query(None, None, |ev| seen.push(ev.clone()))
+        .unwrap();
+    let want: Vec<Event> = trace
+        .events
+        .iter()
+        .filter(|ev| !from_bad_chunk(ev))
+        .cloned()
+        .collect();
+    assert_eq!(seen, want, "every other chunk, whole and in file order");
+    assert_eq!(
+        (
+            stats.chunks_considered,
+            stats.chunks_decoded,
+            stats.chunks_skipped
+        ),
+        (9, 8, 0),
+        "{stats:?}"
+    );
+    assert_eq!((stats.chunks_bad, stats.events_lost), (1, 5), "{stats:?}");
+    assert_eq!(stats.events, 40, "{stats:?}");
+    assert_eq!(
+        (degraded.dropped_chunks(), degraded.dropped_events()),
+        (1, 5)
+    );
+    assert_eq!(degraded.peak_chunk_bytes(), 15, "the largest payload read");
+    std::fs::remove_file(&path).ok();
+}
+
+/// A function id its own store never defined must not borrow another
+/// member's name when dictionaries are unioned: `compact` and a segment
+/// family both read it as `<unknown>`.
+#[test]
+fn undefined_function_ids_stay_unknown_across_a_union() {
+    let _gate = OBS_GATE.read().unwrap();
+    // The family `base` names: base.0000.vgvs defines two names, and
+    // base.0001.vgvs one — but calls id 1 as well, which it never defined
+    // and which is "beta" in the union.
+    let base = tmp("undefined-id");
+    let stem = base.file_stem().unwrap().to_str().unwrap();
+    let seg = |n: usize| base.with_file_name(format!("{stem}.{n:04}.vgvs"));
+    let write = |path: &std::path::Path, names: &[&str], rank: u32, calls: &[u32]| {
+        let mut w = StoreWriter::create(path, "union", StoreOptions::default()).unwrap();
+        w.set_functions(names.iter().map(|s| s.to_string()).collect());
+        for (i, &func) in calls.iter().enumerate() {
+            let t = SimTime::from_micros(10 * i as u64);
+            w.append(&Event::FuncBatch {
+                t,
+                rank,
+                thread: 0,
+                func: VtFuncId(func),
+                count: 1,
+                span: SimTime::from_micros(5),
+            });
+        }
+        w.finish().unwrap();
+    };
+    write(&seg(0), &["alpha", "beta"], 0, &[0, 1, 1]);
+    write(&seg(1), &["gamma"], 1, &[0, 1, 1, 1, 1]);
+
+    let check = |profile: &Profile, how: &str| {
+        assert_eq!(profile.functions, ["alpha", "beta", "gamma"], "{how}");
+        let calls = |id: VtFuncId| profile.aggregate(id).count;
+        assert_eq!(calls(VtFuncId(0)), 1, "{how}: alpha");
+        assert_eq!(
+            calls(VtFuncId(1)),
+            2,
+            "{how}: beta keeps only its own calls"
+        );
+        assert_eq!(calls(VtFuncId(2)), 1, "{how}: gamma");
+        assert_eq!(calls(UNKNOWN_FUNC), 4, "{how}: the undefined id");
+        assert_eq!(profile.name(UNKNOWN_FUNC), "<unknown>", "{how}");
+    };
+    let mut set = SegmentSet::open(&base).unwrap();
+    assert_eq!(set.len(), 2);
+    let opts = ProfileOptions::default();
+    check(&Profile::from_store(&mut set, opts).unwrap(), "segment set");
+
+    let out = tmp("undefined-id-compacted");
+    compact(&[seg(0), seg(1)], &out, StoreOptions::default()).unwrap();
+    let mut compacted = StoreReader::open(&out).unwrap();
+    check(
+        &Profile::from_store(&mut compacted, opts).unwrap(),
+        "compact",
+    );
+    for p in [seg(0), seg(1), out] {
+        std::fs::remove_file(&p).ok();
+    }
 }
 
 // ---- compaction preserves checksums ---------------------------------
