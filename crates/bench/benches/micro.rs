@@ -18,8 +18,8 @@
 //! Besides timing, this binary pins **per-operation allocation counts**
 //! on the engine's hot paths (`alloc/*` rows): a counting
 //! `#[global_allocator]` measures exactly how many heap allocations one
-//! steady-state operation performs — control-plane send, probe fire,
-//! trace append, profile push, query pass, coroutine handoff — and the run fails if a
+//! steady-state operation performs — control-plane send, probe fire and
+//! insert, a message through a channel, trace append, profile push, query pass, coroutine handoff — and the run fails if a
 //! path gains an allocation. Timing rows tolerate noise; the allocation
 //! ledger is exact, so an accidental `clone()` or `Box::new` on a fast
 //! path is a deterministic failure rather than a 3%-slower shrug.
@@ -785,6 +785,86 @@ fn bench_des_engine() {
         }
         t.elapsed()
     });
+    bench_channel_backlog();
+}
+
+/// What a receive costs with other messages queued around the one it
+/// wants (ns per send + receive). A round queues `backlog` messages and
+/// then receives them all, so a receive meets half of them on average:
+///
+/// * `des/fifo_recv_backlog_*` — a FIFO channel drained from the front,
+///   as a daemon drains its inbox: `recv`;
+/// * `des/keyed_recv_backlog_*` — a keyed FIFO channel whose messages
+///   arrive in the opposite order to the one they are asked for in, as
+///   acks reach a client that waits for them request by request:
+///   `recv_key_deadline`;
+/// * `des/mpi_recv_match` — an unordered mailbox, depth 8, matched by
+///   tag out of arrival order: `recv_match`.
+///
+/// The first two read the same at a backlog of 10 and of 1 000; before
+/// the queue kept its order they grew with it.
+fn bench_channel_backlog() {
+    use dynprof_sim::sync::SimChannel;
+    let far = SimTime::from_secs(3600);
+    for backlog in [10u64, 1_000] {
+        let name = format!(
+            "des/fifo_recv_backlog_{}",
+            if backlog == 10 { "10" } else { "1k" }
+        );
+        bench(&name, move |iters| {
+            in_virtual_proc(move |p| {
+                let ch: SimChannel<u64> = SimChannel::new_fifo();
+                let rounds = iters.div_ceil(backlog);
+                let t = Instant::now();
+                for _ in 0..rounds {
+                    for v in 0..backlog {
+                        ch.send(p, v, SimTime::ZERO);
+                    }
+                    for _ in 0..backlog {
+                        black_box(ch.recv(p));
+                    }
+                }
+                t.elapsed() * iters as u32 / (rounds * backlog) as u32
+            })
+        });
+        let name = format!(
+            "des/keyed_recv_backlog_{}",
+            if backlog == 10 { "10" } else { "1k" }
+        );
+        bench(&name, move |iters| {
+            in_virtual_proc(move |p| {
+                let ch: SimChannel<u64> = SimChannel::new_fifo_keyed(|&v| Some(v));
+                let rounds = iters.div_ceil(backlog);
+                let t = Instant::now();
+                for _ in 0..rounds {
+                    for v in (0..backlog).rev() {
+                        ch.send(p, v, SimTime::ZERO);
+                    }
+                    for v in 0..backlog {
+                        black_box(ch.recv_key_deadline(p, v, far));
+                    }
+                }
+                t.elapsed() * iters as u32 / (rounds * backlog) as u32
+            })
+        });
+    }
+    bench("des/mpi_recv_match", |iters| {
+        in_virtual_proc(move |p| {
+            const DEPTH: u64 = 8;
+            let ch: SimChannel<u64> = SimChannel::new();
+            let rounds = iters.div_ceil(DEPTH);
+            let t = Instant::now();
+            for _ in 0..rounds {
+                for tag in 0..DEPTH {
+                    ch.send(p, tag, SimTime::ZERO);
+                }
+                for tag in (0..DEPTH).map(|i| (i * 3) % DEPTH) {
+                    black_box(ch.recv_match(p, |&v| v == tag));
+                }
+            }
+            t.elapsed() * iters as u32 / (rounds * DEPTH) as u32
+        })
+    });
 }
 
 fn bench_runtimes() {
@@ -959,6 +1039,72 @@ fn alloc_probe_fire() {
     sim.run();
     let total = *out.lock();
     pinned_allocs("alloc/probe_fire", total, OPS, 0, 16);
+}
+
+/// Installing a probe at an idle point swaps in a one-snippet chain: one
+/// allocation, the chain's `Arc<[MiniTrampoline]>` (the snippet is all
+/// `Arc`s, and the image's chain table exists from its first patch on).
+fn alloc_probe_insert() {
+    const OPS: u64 = 2048;
+    const WARM: u64 = 64;
+    let mut bld = ImageBuilder::new("ledger");
+    let funcs: Vec<_> = (0..(WARM + OPS) / 2)
+        .map(|i| bld.add(FunctionInfo::new(format!("f{i}"))))
+        .collect();
+    let img = bld.build();
+    let probe = Snippet::noop("probe");
+    let mut points = funcs
+        .iter()
+        .flat_map(|&f| [ProbePoint::entry(f), ProbePoint::exit(f)]);
+    let mut insert = |n: u64| {
+        for point in points.by_ref().take(n as usize) {
+            img.try_insert(point, probe.clone())
+                .expect("patchable target");
+        }
+    };
+    insert(WARM);
+    let total = alloc_delta(|| insert(OPS));
+    pinned_allocs("alloc/probe_insert", total, OPS, 1, 0);
+}
+
+/// A message through a channel in steady state — a keyed FIFO channel
+/// (send, index, receive by key and from the front) and an unordered
+/// mailbox (send, receive by predicate) — allocates nothing: queue and
+/// index keep their capacity, and a hole costs no more than a message.
+fn alloc_chan_send_recv() {
+    use dynprof_sim::sync::SimChannel;
+    const OPS: u64 = 4096;
+    const WARM: u64 = 256;
+    const DEPTH: u64 = 8;
+    let out = Arc::new(Mutex::new(0u64));
+    let out2 = Arc::clone(&out);
+    let sim = Sim::virtual_time(Machine::test_machine(), 1);
+    sim.spawn("ledger", 0, move |p| {
+        let keyed: SimChannel<u64> = SimChannel::new_fifo_keyed(|&v| (v % 2 == 0).then_some(v));
+        let mailbox: SimChannel<u64> = SimChannel::new();
+        let far = SimTime::from_secs(3600);
+        let round = |base: u64| {
+            for v in base..base + DEPTH {
+                keyed.send(p, v, SimTime::ZERO);
+                mailbox.send(p, v, SimTime::ZERO);
+            }
+            for v in (base..base + DEPTH).rev() {
+                match v % 2 {
+                    0 => black_box(keyed.recv_key_deadline(p, v, far)),
+                    _ => black_box(keyed.try_recv_match(p, |&m| m == v)),
+                };
+                black_box(mailbox.recv_match(p, |&m| m == v));
+            }
+        };
+        (0..WARM / DEPTH).for_each(|r| round(r * DEPTH));
+        *out2.lock() = alloc_delta(|| {
+            (WARM / DEPTH..(WARM + OPS) / DEPTH).for_each(|r| round(r * DEPTH));
+        });
+    });
+    sim.run();
+    let total = *out.lock();
+    // OPS messages through each of the two channels.
+    pinned_allocs("alloc/chan_send_recv", total, 2 * OPS, 0, 0);
 }
 
 /// A store writer over an in-memory file, in the slot a capture sink is
@@ -1177,6 +1323,8 @@ fn bench_alloc_ledger() {
     println!("\nallocation ledger (exact counts, pinned)\n");
     alloc_send_ctl_nofault();
     alloc_probe_fire();
+    alloc_probe_insert();
+    alloc_chan_send_recv();
     alloc_trace_append();
     alloc_profile_push();
     alloc_query_pass();

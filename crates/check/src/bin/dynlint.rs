@@ -18,7 +18,7 @@
 //! exits nonzero. Fixtures: `collective-mismatch`, `epoch-unsafe`,
 //! `unsafe-probe`, `banned-source`, `unbalanced-timer`,
 //! `unbounded-loop`, `oob-write`, `branch-into-patch`, `clock-under-lock`,
-//! `stale-allow`.
+//! `trace-readback`, `stale-allow`.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -61,6 +61,7 @@ fn main() -> ExitCode {
             Some("oob-write") => fixture_oob_write(),
             Some("branch-into-patch") => fixture_branch_into_patch(),
             Some("clock-under-lock") => fixture_source("clock_under_lock.rs"),
+            Some("trace-readback") => fixture_source("trace_readback/crates/apps/src/cli.rs"),
             Some("stale-allow") => fixture_stale_allow(),
             other => {
                 eprintln!("dynlint: unknown fixture {other:?}");

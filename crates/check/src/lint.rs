@@ -28,6 +28,14 @@
 //!   its clock, and every timestamp and every charge of every simulated
 //!   probe goes through those two methods.
 //!
+//! One architectural rule is path-scoped:
+//!
+//! * `trace-readback` — the shipped (non-test) code under
+//!   `crates/apps/src` calls none of `build_trace`, `with_rank_events`,
+//!   `write_store_from_vt`: `dynprof` streams events into its capture
+//!   sink while the session runs and never reads the trace back out of
+//!   the library, which would hold all of it in memory at once.
+//!
 //! Audited exceptions live in an allowlist file (`dynlint.allow`), one
 //! `path-suffix rule` pair per line. An entry that suppresses no finding
 //! anywhere in the linted tree is itself an error (`stale-allow`): the
@@ -213,6 +221,7 @@ fn lint_source_marking(path: &str, src: &str, allow: &[Allow], used: &mut [bool]
     out.extend(lint_hash_iteration(path, &stripped));
     out.extend(lint_lock_discipline(path, &stripped));
     out.extend(lint_clock_under_lock(path, &stripped));
+    out.extend(lint_trace_readback(path, &stripped));
     out.retain(|f| {
         let rule = f.detector.strip_prefix("lint:").unwrap_or(f.detector);
         match allowed(allow, path, rule) {
@@ -292,6 +301,36 @@ fn lint_clock_under_lock(path: &str, stripped: &str) -> Vec<Finding> {
                          reading or charging it takes no lock"
                     ),
                 );
+            }
+        }
+    }
+    out
+}
+
+/// Calls that hand a caller the whole trace the library has buffered.
+const TRACE_READBACKS: [&str; 3] = ["build_trace", "with_rank_events", "write_store_from_vt"];
+
+/// `dynprof` never holds its trace: in files under `crates/apps/src`,
+/// everything before the first `#[cfg(test)]` must be free of
+/// [`TRACE_READBACKS`] (tests may read a trace back to check it).
+fn lint_trace_readback(path: &str, stripped: &str) -> Vec<Finding> {
+    if !path.contains("crates/apps/src/") {
+        return Vec::new();
+    }
+    let shipped = stripped.split("#[cfg(test)]").next().unwrap_or("");
+    let mut out = Vec::new();
+    for (lineno, line) in shipped.lines().enumerate() {
+        for call in TRACE_READBACKS {
+            if token_match(line, call) {
+                out.push(Finding {
+                    severity: Severity::Error,
+                    detector: "lint:trace-readback",
+                    message: format!(
+                        "{path}:{}: `{call}` — dynprof streams its trace into the capture \
+                         sink; reading it back out of the library holds all of it at once",
+                        lineno + 1
+                    ),
+                });
             }
         }
     }
@@ -680,6 +719,23 @@ mod tests {
         assert!(lint_source("crates/sim/src/engine.rs", src, &allow).is_empty());
         // Other files still flagged.
         assert_eq!(lint_source("x.rs", src, &allow).len(), 1);
+    }
+
+    #[test]
+    fn trace_readback_is_flagged_in_shipped_apps_code_only() {
+        let src = "fn run() {\n    let t = report.vt.build_trace();\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() { vt.with_rank_events(0, |_| ()); }\n}\n";
+        let f = lint_source("crates/apps/src/cli.rs", src, &[]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].detector, "lint:trace-readback");
+        assert!(f[0].message.contains("cli.rs:2"), "{}", f[0].message);
+        // Other crates may read traces back; comments never count.
+        assert!(lint_source("crates/vt/src/lib.rs", src, &[]).is_empty());
+        let doc = "/// Unlike `build_trace`, this streams.\nfn run() {}\n";
+        assert!(lint_source("crates/apps/src/cli.rs", doc, &[]).is_empty());
+        // A longer identifier is not the call.
+        let other = "fn rebuild_trace_index() {}\n";
+        assert!(lint_source("crates/apps/src/cli.rs", other, &[]).is_empty());
     }
 
     #[test]

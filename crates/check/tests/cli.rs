@@ -62,6 +62,16 @@ fn clock_under_lock_fixture_fails() {
 }
 
 #[test]
+fn trace_readback_fixture_fails() {
+    let (ok, text) = dynlint(&["--fixture", "trace-readback"]);
+    assert!(!ok);
+    assert!(text.contains("lint:trace-readback"), "{text}");
+    assert!(text.contains("`build_trace`"), "{text}");
+    // The same call inside the fixture's test module is not reported.
+    assert!(text.contains("1 error(s)"), "{text}");
+}
+
+#[test]
 fn stale_allow_fixture_fails() {
     let (ok, text) = dynlint(&["--fixture", "stale-allow"]);
     assert!(!ok);

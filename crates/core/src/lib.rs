@@ -29,7 +29,7 @@ pub use app::{AdaptiveRuntime, AppBody, AppCtx, AppMode, AppSpec};
 pub use command::{Command, ParseError, HELP_TEXT};
 pub use initsync::{InitSync, InitSyncHook, INIT_CALLBACK_TAG};
 pub use session::{
-    run_attach_session, run_session, AdaptiveSettings, SessionConfig, SessionReport, TxnSettings,
-    POE_BASE, POE_PER_PROC,
+    run_attach_session, run_session, AdaptiveSettings, RecvCost, SessionConfig, SessionReport,
+    TxnSettings, POE_BASE, POE_PER_PROC,
 };
 pub use timefile::{Timefile, TimefileEntry};

@@ -21,7 +21,7 @@ use dynprof_dpcl::{
     InstrumentationTxn, ProcessHandle, TxnOptions, TxnOutcome,
 };
 use dynprof_image::{Image, ProbePoint, Snippet};
-use dynprof_mpi::{launch_from, JobSpec, MpiHooks};
+use dynprof_mpi::{launch_from, Job, JobSpec, MpiHooks};
 use dynprof_sim::hb::Finding;
 use dynprof_sim::sync::SimGate;
 use dynprof_sim::{Machine, Proc, Sim, SimTime};
@@ -251,6 +251,20 @@ pub struct SessionReport {
     /// The overhead controller, when the session ran adaptively
     /// (decision log, measured-overhead series).
     pub controller: Option<Arc<OverheadController>>,
+    /// What the session's receives cost (inspection: the queue-discipline
+    /// bounds).
+    pub recv_cost: RecvCost,
+}
+
+/// What receiving cost a session, per kind of channel: `(examined,
+/// received)` — queued messages that receives looked at, and messages they
+/// delivered — or `(0, 0)` where the session had no such channel.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RecvCost {
+    /// The DPCL control plane's FIFO channels (`DpclSystem::recv_cost`).
+    pub fifo: (u64, u64),
+    /// The MPI job's unordered mailboxes (`Job::recv_cost`).
+    pub mpi: (u64, u64),
 }
 
 impl SessionReport {
@@ -393,6 +407,7 @@ pub fn run_attach_session(
     let warnings: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let pairs_out: Arc<Mutex<usize>> = Arc::new(Mutex::new(0));
     let (adaptive, controller) = make_adaptive(&cfg, &vt);
+    let mut job_out = None;
 
     // The application starts on its own — nobody is holding it.
     let nodes_of: Vec<usize> = match app.mode {
@@ -426,7 +441,9 @@ pub fn run_attach_session(
                     comm.finalize(p);
                 },
             );
-            (0..ranks).map(|r| job.node_of(r, &cfg.machine)).collect()
+            let nodes = (0..ranks).map(|r| job.node_of(r, &cfg.machine)).collect();
+            job_out = Some(job);
+            nodes
         }
         AppMode::Omp { threads } => {
             let (vt3, imgs, times3, body) = (
@@ -466,6 +483,7 @@ pub fn run_attach_session(
         let name = app.name.clone();
         let warnings2 = Arc::clone(&warnings);
         let pairs2 = Arc::clone(&pairs_out);
+        let system = Arc::clone(&system);
         sim.spawn("dynprof-attach", cfg.instrumenter_node, move |p| {
             p.sleep_until(attach_at);
             let client = DpclClient::new(system, "dynprof");
@@ -557,6 +575,10 @@ pub fn run_attach_session(
         warnings,
         images: images.to_vec(),
         controller,
+        recv_cost: RecvCost {
+            fifo: system.recv_cost(),
+            mpi: job_out.map_or((0, 0), |job| job.recv_cost()),
+        },
     }
 }
 
@@ -616,7 +638,7 @@ fn run_static(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
     let times = BodyTimes::new(processes);
     let (adaptive, controller) = make_adaptive(&cfg, &vt);
 
-    match app.mode {
+    let job = match app.mode {
         AppMode::Mpi { ranks } => {
             let (vt2, imgs, times2, body) = (
                 Arc::clone(&vt),
@@ -626,7 +648,7 @@ fn run_static(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
             );
             let adaptive2 = adaptive.clone();
             let omp_threads = 1;
-            dynprof_mpi::launch(
+            let job = dynprof_mpi::launch(
                 &sim,
                 JobSpec::new(&app.name, ranks).on_node(cfg.app_base_node),
                 vec![VtMpiHooks::new(Arc::clone(&vt))],
@@ -648,6 +670,7 @@ fn run_static(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
                     comm.finalize(p);
                 },
             );
+            Some(job)
         }
         AppMode::Omp { threads } => {
             let (vt2, imgs, times2, body) = (
@@ -676,8 +699,9 @@ fn run_static(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
                 times2.record(0, t0, p.now());
                 vt2.finalize(p, 0);
             });
+            None
         }
-    }
+    };
     let total = sim.run();
     SessionReport {
         policy: cfg.policy,
@@ -692,6 +716,10 @@ fn run_static(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
         warnings: Vec::new(),
         images: images.to_vec(),
         controller,
+        recv_cost: RecvCost {
+            fifo: (0, 0),
+            mpi: job.map_or((0, 0), |job| job.recv_cost()),
+        },
     }
 }
 
@@ -912,6 +940,7 @@ fn run_dynamic(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
     let start_gate = Arc::new(SimGate::new());
     let warnings: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let pairs_out: Arc<Mutex<usize>> = Arc::new(Mutex::new(0));
+    let job_out: Arc<Mutex<Option<Job>>> = Arc::new(Mutex::new(None));
     let (adaptive, controller) = make_adaptive(&cfg, &vt);
 
     {
@@ -924,6 +953,8 @@ fn run_dynamic(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
         let start_gate2 = Arc::clone(&start_gate);
         let warnings2 = Arc::clone(&warnings);
         let pairs_out2 = Arc::clone(&pairs_out);
+        let job_out2 = Arc::clone(&job_out);
+        let system = Arc::clone(&system);
         let app_base = cfg.app_base_node;
         let txn_settings = cfg.txn.clone();
         let adaptive = adaptive.clone();
@@ -969,7 +1000,9 @@ fn run_dynamic(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
                             comm.finalize(ap);
                         },
                     );
-                    (0..ranks).map(|r| job.node_of(r, &machine)).collect()
+                    let nodes = (0..ranks).map(|r| job.node_of(r, &machine)).collect();
+                    *job_out2.lock() = Some(job);
+                    nodes
                 }
                 AppMode::Omp { threads } => {
                     let (vt3, imgs, times3, body) = (
@@ -1130,6 +1163,7 @@ fn run_dynamic(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
     let total = sim.run();
     let pairs = *pairs_out.lock();
     let warnings = std::mem::take(&mut *warnings.lock());
+    let job = job_out.lock().take();
     SessionReport {
         policy: cfg.policy,
         app_time: times.app_time(),
@@ -1143,5 +1177,9 @@ fn run_dynamic(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
         warnings,
         images: images.to_vec(),
         controller,
+        recv_cost: RecvCost {
+            fifo: system.recv_cost(),
+            mpi: job.map_or((0, 0), |job| job.recv_cost()),
+        },
     }
 }

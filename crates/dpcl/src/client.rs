@@ -182,12 +182,18 @@ impl DpclClient {
         user: impl Into<String>,
         policy: RetryPolicy,
     ) -> DpclClient {
+        // FIFO: acks and callbacks arrive stream-ordered, as over the
+        // client's socket to each daemon. Keyed: an ack is found by its
+        // request, however many others are queued around it.
+        let inbox = Arc::new(SimChannel::new_fifo_keyed(|m| match m {
+            UpMsg::Ack { req, .. } => Some(req.0),
+            _ => None,
+        }));
+        system.watch(&inbox);
         DpclClient {
             system,
             user: user.into(),
-            // FIFO: acks and callbacks arrive stream-ordered, as over the
-            // client's socket to each daemon.
-            inbox: Arc::new(SimChannel::new_fifo()),
+            inbox,
             daemons: Mutex::new(BTreeMap::new()),
             next_req: AtomicU64::new(1),
             next_target: AtomicU32::new(1),
@@ -515,11 +521,7 @@ impl DpclClient {
             BackoffSchedule::new(self.policy.backoff_base, self.policy.backoff_cap, req.0);
         for attempt in 1..=self.policy.max_attempts {
             let deadline = p.now() + self.policy.timeout;
-            let msg = self.inbox.recv_match_deadline(
-                p,
-                |m| matches!(m, UpMsg::Ack { req: r, .. } if *r == req),
-                deadline,
-            );
+            let msg = self.inbox.recv_key_deadline(p, req.0, deadline);
             match msg {
                 Some(UpMsg::Ack {
                     result,
@@ -577,11 +579,7 @@ impl DpclClient {
             self.pending.lock().remove(&req);
             return Some(AckResult::Error { message });
         }
-        let msg = self.inbox.recv_match_deadline(
-            p,
-            |m| matches!(m, UpMsg::Ack { req: r, .. } if *r == req),
-            deadline,
-        );
+        let msg = self.inbox.recv_key_deadline(p, req.0, deadline);
         self.pending.lock().remove(&req);
         match msg {
             Some(UpMsg::Ack {

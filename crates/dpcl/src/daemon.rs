@@ -19,7 +19,8 @@ use std::sync::Arc;
 use dynprof_obs as obs;
 use parking_lot::Mutex;
 
-use dynprof_image::{verify_snippet, Image};
+use dynprof_image::ir::SnippetProgram;
+use dynprof_image::{verify_snippet, Image, Snippet};
 use dynprof_sim::sync::SimChannel;
 use dynprof_sim::{hb, Proc, SimTime};
 
@@ -81,7 +82,12 @@ pub struct DpclSystem {
     /// journal survives daemon crashes — it is the model of a
     /// write-ahead log on the node's local disk.
     journals: Mutex<BTreeMap<(usize, String), Arc<ProbeJournal>>>,
+    /// One `(examined, received)` probe per control-plane channel: every
+    /// daemon, client and heartbeat inbox made against this system.
+    channels: Mutex<Vec<ChannelProbe>>,
 }
+
+type ChannelProbe = Box<dyn Fn() -> (u64, u64) + Send + Sync>;
 
 impl DpclSystem {
     /// A system that authenticates exactly `allowed_users`.
@@ -90,7 +96,27 @@ impl DpclSystem {
             allowed_users: allowed_users.into_iter().map(Into::into).collect(),
             supers: Mutex::new(BTreeMap::new()),
             journals: Mutex::new(BTreeMap::new()),
+            channels: Mutex::new(Vec::new()),
         })
+    }
+
+    /// Count `ch` in [`DpclSystem::recv_cost`] from now on.
+    pub(crate) fn watch<T: Send + 'static>(&self, ch: &Arc<SimChannel<T>>) {
+        let ch = Arc::clone(ch);
+        let probe = move || (ch.examined(), ch.received());
+        self.channels.lock().push(Box::new(probe));
+    }
+
+    /// What receiving has cost on the control plane's FIFO channels so
+    /// far: `(examined, received)` — queued messages that receives looked
+    /// at, and messages they delivered ([`SimChannel::examined`],
+    /// [`SimChannel::received`]), summed over every inbox.
+    pub fn recv_cost(&self) -> (u64, u64) {
+        let probes = self.channels.lock();
+        probes
+            .iter()
+            .map(|probe| probe())
+            .fold((0, 0), |sum, c| (sum.0 + c.0, sum.1 + c.1))
     }
 
     /// Number of super daemons currently running.
@@ -128,6 +154,7 @@ impl DpclSystem {
             return Arc::clone(ch);
         }
         let inbox: Arc<SimChannel<SuperMsg>> = Arc::new(SimChannel::new_fifo());
+        self.watch(&inbox);
         let inbox2 = Arc::clone(&inbox);
         let system = Arc::clone(self);
         p.spawn_child(format!("dpcl-super@{node}"), node, move |dp| {
@@ -148,6 +175,28 @@ impl DpclSystem {
                 machine.daemon.base_delay + p.jitter(machine.daemon.jitter),
             );
         }
+    }
+}
+
+/// [`verify_snippet`] verdicts of the programs one daemon process has
+/// judged. A program is immutable, so one abstract interpretation per
+/// program is enough, however many processes and points it is installed
+/// at; it is known by the address of its `Arc`, which the memo keeps so
+/// that the address cannot be recycled for another program while the
+/// verdict — a rejection as much as a pass — is remembered.
+#[derive(Default)]
+struct VerifyMemo(BTreeMap<usize, (Arc<SnippetProgram>, Result<(), String>)>);
+
+impl VerifyMemo {
+    fn verdict(&mut self, snippet: &Snippet) -> Result<(), String> {
+        let Some(program) = &snippet.program else {
+            return verify_snippet(snippet);
+        };
+        let judged = self
+            .0
+            .entry(Arc::as_ptr(program) as usize)
+            .or_insert_with(|| (Arc::clone(program), verify_snippet(snippet)));
+        judged.1.clone()
     }
 }
 
@@ -198,6 +247,7 @@ fn super_daemon_loop(dp: &Proc, inbox: &SimChannel<SuperMsg>, system: &Arc<DpclS
                 dp.advance(SPAWN_DAEMON_COST);
                 let daemon_inbox: Arc<SimChannel<DownMsgEnvelope>> =
                     Arc::new(SimChannel::new_fifo());
+                system.watch(&daemon_inbox);
                 let di2 = Arc::clone(&daemon_inbox);
                 let reply2 = Arc::clone(&reply);
                 let user2 = user.clone();
@@ -261,6 +311,7 @@ fn comm_daemon_loop(
     // being applied a second time — this is what makes client resends
     // under the same `ReqId` idempotent.
     let mut done: BTreeMap<ReqId, AckResult> = BTreeMap::new();
+    let mut verified = VerifyMemo::default();
     let ack = |cp: &Proc, req: ReqId, result: AckResult| {
         let delay = machine.daemon.base_delay + cp.jitter(machine.daemon.jitter);
         reply.send_ctl(
@@ -310,6 +361,8 @@ fn comm_daemon_loop(
             // Back from the crash window: replay the probe journal to
             // re-synchronize with the last committed epoch before serving
             // the first post-restart request.
+            // What the crashed process had verified died with it.
+            verified = VerifyMemo::default();
             let records = journal.replay();
             cp.advance(SimTime::from_nanos(
                 JOURNAL_REPLAY_COST.as_nanos() * records as u64,
@@ -366,7 +419,7 @@ fn comm_daemon_loop(
                     // Snippets carrying a typed IR program must verify
                     // before the patch is attempted (paper §5's "know what
                     // the snippet can do before it runs" safety story).
-                    match verify_snippet(&snippet) {
+                    match verified.verdict(&snippet) {
                         Err(message) => {
                             if obs::enabled() {
                                 obs::counter("dpcl.installs_rejected").inc();
@@ -452,7 +505,7 @@ fn comm_daemon_loop(
                             return Some(format!("vote abort: no attached target {target:?}"));
                         };
                         if let StagedOp::Install { point, snippet, .. } = op {
-                            if let Err(e) = verify_snippet(snippet) {
+                            if let Err(e) = verified.verdict(snippet) {
                                 return Some(format!("vote abort: {e}"));
                             }
                             if let Err(e) = img.validate_patch(*point, snippet) {

@@ -119,11 +119,13 @@ impl HeartbeatMonitor {
                 )
             })
             .collect();
+        let inbox = Arc::new(SimChannel::new_fifo());
+        system.watch(&inbox);
         Arc::new(HeartbeatMonitor {
             system,
             nodes,
             cfg,
-            inbox: Arc::new(SimChannel::new_fifo()),
+            inbox,
             state: Mutex::new(state),
             transitions: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),

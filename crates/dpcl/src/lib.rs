@@ -304,6 +304,76 @@ mod tests {
     }
 
     #[test]
+    fn daemon_verifies_a_program_once_and_again_after_a_restart() {
+        use dynprof_image::ir::{IntrinsicTable, SnippetProgram, Stmt};
+        use dynprof_sim::{FaultPlan, FaultProfile, FaultSpec};
+        // Every node's daemons crash once, for 40 ms, somewhere in the
+        // first two seconds; take a plan that lets node 1 be attached to
+        // first.
+        let spec = |seed| FaultSpec {
+            seed,
+            profile_name: "crash-all".into(),
+            profile: FaultProfile {
+                crash_node_ppm: 1_000_000,
+                crash_start_max: SimTime::from_secs(2),
+                crash_downtime: SimTime::from_millis(40),
+                ..FaultProfile::none()
+            },
+        };
+        let machine = Machine::test_machine();
+        let (seed, (start, end)) = (0..64)
+            .find_map(|seed| {
+                let window = FaultPlan::new(&spec(seed), &machine).daemon_outage(1)?;
+                (window.0 >= SimTime::from_millis(500)).then_some((seed, window))
+            })
+            .expect("some plan crashes node 1 late enough");
+        let sim = Sim::virtual_time(machine, 5);
+        assert!(sim.set_fault_plan(FaultPlan::new(&spec(seed), sim.machine())));
+        let system = DpclSystem::new(["u"]);
+        let image = image_with(&["f"]);
+        let f = image.func("f").unwrap();
+        let img2 = Arc::clone(&image);
+        sim.spawn("instrumenter", 0, move |p| {
+            let client = DpclClient::new(system, "u");
+            let h = client.attach(p, 1, Arc::clone(&img2), "t").unwrap();
+            let install = |s: Snippet| {
+                let req = client.install_probe(p, &h, ProbePoint::entry(f), s);
+                client.wait_ack(p, req)
+            };
+            let program =
+                SnippetProgram::new("rogue", 0, vec![Stmt::StopTimer], IntrinsicTable::empty());
+            let bad = program.compile_unchecked();
+            // Who holds the program tells whether the daemon remembers it:
+            // this test and its snippet do, and a memo entry would.
+            let held = Arc::strong_count(&program);
+            let rejected = |r: AckResult| {
+                assert!(
+                    matches!(&r, AckResult::Error { message } if message.contains("unbalanced timer")),
+                    "{r:?}"
+                );
+            };
+            for _ in 0..3 {
+                rejected(install(bad.clone()));
+                assert_eq!(Arc::strong_count(&program), held + 1, "judged once, remembered");
+            }
+            assert!(p.now() < start, "all of that before the crash");
+            p.sleep_until(end + SimTime::from_millis(1));
+            // The first request after the window restarts the daemon.
+            assert!(install(Snippet::noop("fine")).is_ok());
+            assert_eq!(Arc::strong_count(&program), held, "verdicts died with the process");
+            rejected(install(bad.clone()));
+            assert_eq!(Arc::strong_count(&program), held + 1, "judged again");
+            client.shutdown(p);
+        });
+        sim.run();
+        assert_eq!(
+            image.allocated_trampoline_bytes(),
+            dynprof_image::BASE_TRAMPOLINE_BYTES + dynprof_image::MINI_TRAMPOLINE_BYTES,
+            "only the no-op went in"
+        );
+    }
+
+    #[test]
     fn txn_prepare_votes_abort_on_branch_into_patch_hazard() {
         use dynprof_image::BasicBlock;
         use dynprof_sim::{FaultPlan, FaultProfile, FaultSpec};

@@ -68,11 +68,6 @@ impl BaseTrampoline {
         self.chain.as_deref().unwrap_or(&[])
     }
 
-    /// Swap in `chain` (empty = uninstall the base).
-    fn set_chain(&mut self, chain: Vec<MiniTrampoline>) {
-        self.chain = (!chain.is_empty()).then(|| chain.into());
-    }
-
     /// Is any instrumentation installed at this point?
     pub fn occupied(&self) -> bool {
         self.chain.is_some()
@@ -91,19 +86,22 @@ impl BaseTrampoline {
 
     /// Append a mini-trampoline to the end of the chain (Dyninst appends;
     /// the last trampoline jumps back to the base).
+    ///
+    /// The new chain is collected straight into its `Arc` — both halves
+    /// know their length, so that is the swap's one allocation.
     pub fn push(&mut self, id: SnippetId, snippet: Snippet) {
-        let mut chain = self.chain().to_vec();
-        chain.push(MiniTrampoline { id, snippet });
-        self.set_chain(chain);
+        let grown = self.iter().cloned().chain([MiniTrampoline { id, snippet }]);
+        self.chain = Some(grown.collect());
     }
 
     /// Remove every mini-trampoline `doomed` picks, splicing the chain;
     /// returns how many went.
     fn remove_where(&mut self, doomed: impl Fn(&MiniTrampoline) -> bool) -> usize {
-        let kept: Vec<_> = self.iter().filter(|m| !doomed(m)).cloned().collect();
+        let kept: Arc<[_]> = self.iter().filter(|m| !doomed(m)).cloned().collect();
         let gone = self.chain_len() - kept.len();
         if gone > 0 {
-            self.set_chain(kept);
+            // Empty = uninstall the base.
+            self.chain = (!kept.is_empty()).then_some(kept);
         }
         gone
     }

@@ -86,6 +86,16 @@ impl Job {
         Comm::new(Arc::clone(&self.state), rank)
     }
 
+    /// What receiving has cost on the job's mailboxes so far: `(examined,
+    /// received)`, [`SimChannel::examined`] and [`SimChannel::received`]
+    /// summed over the ranks.
+    pub fn recv_cost(&self) -> (u64, u64) {
+        let boxes = self.state.mailboxes.iter();
+        boxes.fold((0, 0), |sum, m| {
+            (sum.0 + m.examined(), sum.1 + m.received())
+        })
+    }
+
     /// The machine node hosting `rank`.
     pub fn node_of(&self, rank: usize, machine: &dynprof_sim::Machine) -> usize {
         self.state.node_of(rank, machine)

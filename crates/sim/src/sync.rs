@@ -5,7 +5,9 @@
 //! * [`SimChannel`] — a mailbox whose messages carry *arrival times*
 //!   (`sender.now() + latency`). Receivers cannot observe a message before
 //!   it arrives. MPI point-to-point, DPCL daemon traffic, and the
-//!   instrumenter callback path are all built on it.
+//!   instrumenter callback path are all built on it. A receive costs
+//!   what it looks at, not what is queued: the front of a FIFO channel,
+//!   one index entry of a keyed one (DESIGN, "SimChannel queue discipline").
 //! * [`SimBarrier`] — a cyclic barrier over a fixed participant count with
 //!   a configurable release cost; used by `MPI_Barrier` and OpenMP joins.
 //! * [`SimGate`] — a broadcast flag: processes blocked on the gate are all
@@ -24,7 +26,9 @@
 //! at this layer: these primitives behave identically on both, and the
 //! differential suite in `tests/backend_diff.rs` holds them to that.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
 
 use dynprof_obs as obs;
 use parking_lot::Mutex;
@@ -39,29 +43,64 @@ use crate::time::SimTime;
 
 struct Envelope<T> {
     arrival: SimTime,
-    seq: u64,
+    /// Never 0, so a queue slot can be a hole (`None`) at no cost in size.
+    seq: NonZeroU64,
     msg: T,
 }
 
+/// A keyed channel's key function and, per queued key, the `seq` of its
+/// earliest message and how many messages carry it.
+type KeyIndex<T> = (fn(&T) -> Option<u64>, HashMap<u64, (u64, u32)>);
+
 struct ChannelState<T> {
-    queue: Vec<Envelope<T>>,
+    /// FIFO: insertion order from `head` on, which is `(arrival, seq)`
+    /// order. A take from the middle leaves a hole, passed over when it
+    /// reaches `head`, so message `seq` stays at [`ChannelState::slot_of`].
+    /// Unordered: dense, `head` 0.
+    queue: Vec<Option<Envelope<T>>>,
+    head: usize,
     waiters: Vec<Pid>,
     seq: u64,
+    fifo: bool,
     /// FIFO mode: latest enqueued arrival time (delivery never reorders).
     last_arrival: SimTime,
+    /// Queued messages a receive has looked at: arrival, key or predicate.
+    examined: u64,
+    keys: Option<Box<KeyIndex<T>>>,
 }
 
 impl<T> ChannelState<T> {
     /// Queue index and arrival time of the earliest message satisfying
-    /// `pred`, by `(arrival, seq)`. One O(queue) scan, `pred` called once
-    /// per queued message in queue order.
-    fn earliest_match(&self, mut pred: impl FnMut(&T) -> bool) -> Option<(usize, SimTime)> {
-        self.queue
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| pred(&e.msg))
-            .min_by_key(|(_, e)| (e.arrival, e.seq))
-            .map(|(i, e)| (i, e.arrival))
+    /// `pred`, by `(arrival, seq)`: the first match of a FIFO queue, found
+    /// by a scan of the whole of an unordered one. `pred` must be pure —
+    /// which messages it is shown, and in what order, is not promised.
+    fn earliest_match(&mut self, mut pred: impl FnMut(&T) -> bool) -> Option<(usize, SimTime)> {
+        let mut hit: Option<(usize, SimTime, NonZeroU64)> = None;
+        for (i, e) in (self.head..).zip(&self.queue[self.head..]) {
+            let Some(e) = e else { continue };
+            self.examined += 1;
+            if pred(&e.msg) && hit.is_none_or(|h| (e.arrival, e.seq) < (h.1, h.2)) {
+                hit = Some((i, e.arrival, e.seq));
+                if self.fifo {
+                    break;
+                }
+            }
+        }
+        hit.map(|(i, arrival, _)| (i, arrival))
+    }
+
+    /// FIFO queue index of message `seq`: slots enter at the back, one per
+    /// send, and leave at the front only, so the back is `self.seq`.
+    fn slot_of(&self, seq: u64) -> usize {
+        (seq + self.queue.len() as u64 - self.seq - 1) as usize
+    }
+
+    /// [`ChannelState::earliest_match`] of "has `key`", from the index.
+    fn earliest_keyed(&mut self, key: u64) -> Option<(usize, SimTime)> {
+        let &(seq, _) = self.keys.as_ref()?.1.get(&key)?;
+        self.examined += 1;
+        let i = self.slot_of(seq);
+        self.queue[i].as_ref().map(|e| (i, e.arrival))
     }
 }
 
@@ -75,7 +114,6 @@ impl<T> ChannelState<T> {
 /// use this; MPI mailboxes do not (the network may reorder).
 pub struct SimChannel<T> {
     state: Mutex<ChannelState<T>>,
-    fifo: bool,
     /// Identity for happens-before recording (0 when `check` is off).
     id: u64,
 }
@@ -89,23 +127,33 @@ impl<T> Default for SimChannel<T> {
 impl<T> SimChannel<T> {
     /// An empty channel.
     pub fn new() -> SimChannel<T> {
-        Self::with_fifo(false)
+        Self::with_fifo(false, None)
     }
 
     /// An empty FIFO channel (stream-ordered delivery).
     pub fn new_fifo() -> SimChannel<T> {
-        Self::with_fifo(true)
+        Self::with_fifo(true, None)
     }
 
-    fn with_fifo(fifo: bool) -> SimChannel<T> {
+    /// An empty FIFO channel that indexes its messages by `key_of` (`None`:
+    /// not indexed) for [`SimChannel::recv_key_deadline`]; every other
+    /// receive sees a keyed message as it would any other.
+    pub fn new_fifo_keyed(key_of: fn(&T) -> Option<u64>) -> SimChannel<T> {
+        Self::with_fifo(true, Some(Box::new((key_of, HashMap::new()))))
+    }
+
+    fn with_fifo(fifo: bool, keys: Option<Box<KeyIndex<T>>>) -> SimChannel<T> {
         SimChannel {
             state: Mutex::new(ChannelState {
                 queue: Vec::new(),
+                head: 0,
                 waiters: Vec::new(),
                 seq: 0,
+                fifo,
                 last_arrival: SimTime::ZERO,
+                examined: 0,
+                keys,
             }),
-            fifo,
             id: hb::unique_id(),
         }
     }
@@ -114,7 +162,7 @@ impl<T> SimChannel<T> {
     pub fn send(&self, p: &Proc, msg: T, latency: SimTime) {
         let mut arrival = p.now() + latency;
         let mut s = self.state.lock();
-        if self.fifo {
+        if s.fifo {
             arrival = arrival.max(s.last_arrival);
             s.last_arrival = arrival;
         }
@@ -123,7 +171,13 @@ impl<T> SimChannel<T> {
         if hb::on(p) {
             hb::chan_send(p, self.id, seq);
         }
-        s.queue.push(Envelope { arrival, seq, msg });
+        if let Some((key_of, index)) = s.keys.as_deref_mut() {
+            if let Some(key) = key_of(&msg) {
+                index.entry(key).or_insert((seq, 0)).1 += 1;
+            }
+        }
+        let seq = NonZeroU64::new(seq).expect("seq counts from 1");
+        s.queue.push(Some(Envelope { arrival, seq, msg }));
         for pid in s.waiters.drain(..) {
             p.wake_other(pid, arrival);
         }
@@ -168,7 +222,7 @@ impl<T> SimChannel<T> {
 
     /// Number of messages currently queued (arrived or in flight).
     pub fn len(&self) -> usize {
-        self.state.lock().queue.len()
+        self.state.lock().queue.iter().flatten().count()
     }
 
     /// True if no messages are queued.
@@ -176,11 +230,52 @@ impl<T> SimChannel<T> {
         self.len() == 0
     }
 
+    /// Queued messages that receives on this channel have looked at so
+    /// far: what delivering [`SimChannel::received`] messages cost.
+    pub fn examined(&self) -> u64 {
+        self.state.lock().examined
+    }
+
+    /// Messages taken off this channel so far.
+    pub fn received(&self) -> u64 {
+        let s = self.state.lock();
+        s.seq - s.queue.iter().flatten().count() as u64
+    }
+
     /// Take message `i` out of the queue, recording the receive.
     fn take(&self, p: &Proc, s: &mut ChannelState<T>, i: usize) -> T {
-        let env = s.queue.swap_remove(i);
+        let slot = match s.fifo {
+            true => s.queue[i].take(),
+            false => s.queue.swap_remove(i),
+        };
+        let env = slot.expect("a receive found this message");
+        if let Some((key_of, index)) = s.keys.as_deref_mut() {
+            if let Some(Entry::Occupied(mut held)) = key_of(&env.msg).map(|k| index.entry(k)) {
+                held.get_mut().1 -= 1;
+                if held.get().1 == 0 {
+                    held.remove();
+                } else if held.get().0 == env.seq.get() {
+                    // The earliest of several went: the next is behind it.
+                    let key = Some(*held.key());
+                    let behind = s.queue.iter().skip(i + 1).flatten();
+                    let mut behind = behind.inspect(|_| s.examined += 1);
+                    let next = behind.find(|e| key_of(&e.msg) == key);
+                    held.get_mut().0 = next.expect("counted, so queued").seq.get();
+                }
+            }
+        }
+        while let Some(None) = s.queue.get(s.head) {
+            s.head += 1;
+        }
+        if s.head > s.queue.len() / 2 {
+            s.queue.drain(..s.head); // less than was passed over moves up
+            s.head = 0;
+        }
+        if s.queue.is_empty() && s.queue.capacity() > 64 {
+            s.queue = Vec::new(); // a drained burst gives its buffer back
+        }
         if hb::on(p) {
-            hb::chan_recv(p, self.id, env.seq);
+            hb::chan_recv(p, self.id, env.seq.get());
         }
         env.msg
     }
@@ -235,9 +330,27 @@ impl<T> SimChannel<T> {
         mut pred: impl FnMut(&T) -> bool,
         deadline: SimTime,
     ) -> Option<T> {
+        self.recv_by(p, |s| s.earliest_match(&mut pred), deadline)
+    }
+
+    /// [`SimChannel::recv_match_deadline`] for "the key function gives
+    /// `key`", answered from a [`SimChannel::new_fifo_keyed`] channel's
+    /// index (on any other channel nothing has a key).
+    pub fn recv_key_deadline(&self, p: &Proc, key: u64, deadline: SimTime) -> Option<T> {
+        self.recv_by(p, |s| s.earliest_keyed(key), deadline)
+    }
+
+    /// The deadline receive: take the message `find` names once it has
+    /// arrived; with none due in time, wait for a send or the deadline.
+    fn recv_by(
+        &self,
+        p: &Proc,
+        mut find: impl FnMut(&mut ChannelState<T>) -> Option<(usize, SimTime)>,
+        deadline: SimTime,
+    ) -> Option<T> {
         loop {
             let mut s = self.state.lock();
-            match s.earliest_match(&mut pred) {
+            match find(&mut s) {
                 Some((i, arrival)) if arrival <= p.now() => return Some(self.take(p, &mut s, i)),
                 Some((_, arrival)) if arrival <= deadline => {
                     // In flight and due before the deadline: sleep to it.
@@ -280,6 +393,7 @@ impl<T> SimChannel<T> {
         let s = self.state.lock();
         s.queue
             .iter()
+            .flatten()
             .filter(|e| pred(&e.msg))
             .map(|e| e.arrival)
             .min()
@@ -886,6 +1000,210 @@ mod tests {
         sim.spawn("sender", 1, move |p| {
             p.sleep_until(SimTime::from_micros(51));
             tx.send(p, 7, SimTime::ZERO);
+        });
+        sim.run();
+    }
+
+    /// Slots (holes included) and index entries a channel holds right now.
+    fn footprint<T>(ch: &SimChannel<T>) -> (usize, usize) {
+        let s = ch.state.lock();
+        (
+            s.queue.len() - s.head,
+            s.keys.as_ref().map_or(0, |k| k.1.len()),
+        )
+    }
+
+    /// `(key, payload)` messages keyed by their first field; key 0 = none.
+    fn keyed_channel() -> Arc<SimChannel<(u64, u32)>> {
+        Arc::new(SimChannel::new_fifo_keyed(|m| (m.0 != 0).then_some(m.0)))
+    }
+
+    #[test]
+    fn holes_are_skipped_and_trimmed_when_they_reach_the_front() {
+        let sim = vsim(1);
+        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new_fifo());
+        let c = Arc::clone(&ch);
+        sim.spawn("solo", 0, move |p| {
+            for v in 0..6 {
+                c.send(p, v, SimTime::ZERO);
+            }
+            // Out of order, from the middle: holes, nothing trimmed.
+            assert_eq!(c.try_recv_match(p, |&v| v == 3), Some(3));
+            assert_eq!(c.try_recv_match(p, |&v| v == 1), Some(1));
+            assert_eq!((c.len(), footprint(&c).0), (4, 6));
+            // The front goes, and the hole behind it with it.
+            assert_eq!(c.recv(p), 0);
+            assert_eq!((c.len(), footprint(&c).0), (3, 4));
+            // A walk steps over the remaining hole (2, [3], 4, 5).
+            let before = c.examined();
+            assert_eq!(c.try_recv_match(p, |&v| v == 4), Some(4));
+            assert_eq!(c.examined() - before, 2, "holes are not examined");
+            assert_eq!(c.recv(p), 2);
+            assert_eq!(
+                (c.len(), footprint(&c).0),
+                (1, 1),
+                "two holes trimmed at once"
+            );
+            assert_eq!(c.recv(p), 5);
+            assert_eq!(footprint(&c).0, 0);
+            assert_eq!(c.received(), 6);
+            // Message numbering survives an emptied queue.
+            c.send(p, 6, SimTime::ZERO);
+            assert_eq!(c.recv(p), 6);
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn a_predicate_is_shown_only_what_the_walk_needs() {
+        // The old queue called the predicate once per queued message; a
+        // FIFO walk stops at the first match, an unordered scan still has
+        // to see everything.
+        for (fifo, calls_expected) in [(true, 3), (false, 10)] {
+            let sim = vsim(1);
+            let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::with_fifo(fifo, None));
+            let c = Arc::clone(&ch);
+            sim.spawn("solo", 0, move |p| {
+                for v in 0..10 {
+                    c.send(p, v, SimTime::ZERO);
+                }
+                let mut calls = 0;
+                let got = c.try_recv_match(p, |&v| {
+                    calls += 1;
+                    v >= 2
+                });
+                assert_eq!(got, Some(2));
+                assert_eq!(calls, calls_expected, "fifo={fifo}");
+                assert_eq!(c.examined(), calls_expected);
+            });
+            sim.run();
+        }
+    }
+
+    #[test]
+    fn keyed_receive_finds_its_message_behind_any_backlog() {
+        let sim = vsim(1);
+        let ch = keyed_channel();
+        let c = Arc::clone(&ch);
+        sim.spawn("solo", 0, move |p| {
+            for k in 1..=1000u64 {
+                c.send(p, (k, k as u32), SimTime::ZERO);
+            }
+            let far = SimTime::from_secs(1);
+            assert_eq!(c.recv_key_deadline(p, 1000, far), Some((1000, 1000)));
+            assert_eq!(c.recv_key_deadline(p, 500, far), Some((500, 500)));
+            assert_eq!(c.examined(), 2, "one index entry per keyed receive");
+            // A key nobody sent: nothing examined, the deadline passes.
+            let t0 = p.now();
+            assert_eq!(
+                c.recv_key_deadline(p, 7777, t0 + SimTime::from_micros(5)),
+                None
+            );
+            assert_eq!(p.now(), t0 + SimTime::from_micros(5));
+            assert_eq!(c.examined(), 2);
+            assert_eq!(footprint(&c), (1000, 998));
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn duplicate_keys_come_out_in_order_and_the_index_drains_empty() {
+        let sim = vsim(1);
+        let ch = keyed_channel();
+        let c = Arc::clone(&ch);
+        sim.spawn("solo", 0, move |p| {
+            // Key 7 three times (a `dup` fault and a resend), others between.
+            for m in [(7, 1), (8, 2), (7, 3), (0, 4), (7, 5), (9, 6)] {
+                c.send(p, m, SimTime::from_micros(1));
+            }
+            let far = SimTime::from_secs(1);
+            // In flight and due: the keyed receive sleeps to the arrival.
+            assert_eq!(c.recv_key_deadline(p, 7, far), Some((7, 1)));
+            assert_eq!(p.now(), SimTime::from_micros(1));
+            assert_eq!(c.len(), 5, "the other two stay queued");
+            assert_eq!(c.recv_key_deadline(p, 7, far), Some((7, 3)));
+            assert_eq!(c.recv_key_deadline(p, 7, far), Some((7, 5)));
+            let t0 = p.now();
+            assert_eq!(c.recv_key_deadline(p, 7, t0), None, "none left");
+            assert_eq!(c.recv_key_deadline(p, 9, far), Some((9, 6)));
+            assert_eq!(c.recv_key_deadline(p, 8, far), Some((8, 2)));
+            // The unkeyed message is left, with two holes behind it.
+            assert_eq!((c.len(), footprint(&c)), (1, (3, 0)));
+            assert_eq!(c.recv(p), (0, 4));
+            assert_eq!(footprint(&c), (0, 0));
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn keyed_messages_are_ordinary_messages_to_every_other_receive() {
+        let sim = vsim(1);
+        let ch = keyed_channel();
+        let c = Arc::clone(&ch);
+        sim.spawn("solo", 0, move |p| {
+            for m in [(5, 1), (6, 2), (5, 3), (6, 4)] {
+                c.send(p, m, SimTime::ZERO);
+            }
+            assert_eq!(c.peek_arrival(|m| m.0 == 6), Some(SimTime::ZERO));
+            // `recv` takes the earliest (5, 1); the index moves on to (5, 3).
+            assert_eq!(c.recv(p), (5, 1));
+            // A predicate takes the *later* duplicate of key 6 ...
+            assert_eq!(c.recv_match(p, |m| m.1 == 4), (6, 4));
+            // ... and the keyed receives still find what is left, in order.
+            let far = SimTime::from_secs(1);
+            assert_eq!(c.recv_key_deadline(p, 6, far), Some((6, 2)));
+            assert_eq!(c.recv_key_deadline(p, 5, far), Some((5, 3)));
+            assert_eq!(footprint(&c), (0, 0));
+            // On a channel without a key function nothing has a key.
+            let plain: SimChannel<(u64, u32)> = SimChannel::new_fifo();
+            plain.send(p, (5, 1), SimTime::ZERO);
+            assert_eq!(plain.recv_key_deadline(p, 5, p.now()), None);
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn deadline_expires_behind_a_backlog_that_does_not_match() {
+        let sim = vsim(1);
+        let ch = keyed_channel();
+        let rx = Arc::clone(&ch);
+        sim.spawn("receiver", 0, move |p| {
+            for k in 1..=50u64 {
+                rx.send(p, (k, 0), SimTime::ZERO);
+            }
+            // Wanted messages that arrive after the deadline do not count.
+            rx.send(p, (99, 1), SimTime::from_micros(80));
+            let deadline = SimTime::from_micros(40);
+            assert_eq!(rx.recv_match_deadline(p, |m| m.0 == 99, deadline), None);
+            assert_eq!(p.now(), deadline);
+            let deadline = SimTime::from_micros(60);
+            assert_eq!(rx.recv_key_deadline(p, 99, deadline), None);
+            assert_eq!(p.now(), deadline);
+            assert_eq!(rx.len(), 51, "a timed-out receive takes nothing");
+            // Woken by a send that does not match, the receive keeps waiting.
+            assert_eq!(rx.recv_key_deadline(p, 77, SimTime::from_micros(70)), None);
+            assert_eq!(p.now(), SimTime::from_micros(70));
+        });
+        let tx = Arc::clone(&ch);
+        sim.spawn("sender", 1, move |p| {
+            p.sleep_until(SimTime::from_micros(65));
+            tx.send(p, (78, 0), SimTime::ZERO);
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn a_drained_burst_gives_its_buffer_back() {
+        let sim = vsim(1);
+        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new_fifo());
+        let c = Arc::clone(&ch);
+        sim.spawn("solo", 0, move |p| {
+            for v in 0..1000 {
+                c.send(p, v, SimTime::ZERO);
+            }
+            assert!(c.state.lock().queue.capacity() >= 1000);
+            while c.try_recv(p).is_some() {}
+            assert_eq!(c.state.lock().queue.capacity(), 0);
         });
         sim.run();
     }

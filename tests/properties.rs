@@ -1405,3 +1405,364 @@ fn compile_fire_round_trip_is_deterministic() {
     });
     sim.run();
 }
+
+// ---------------------------------------------------------------------
+// SimChannel against the queue it replaced
+// ---------------------------------------------------------------------
+
+mod channel_oracle {
+    use std::sync::{Arc, Mutex, MutexGuard};
+
+    use dynprof::sim::fault::{FaultPlan, FaultSpec};
+    use dynprof::sim::rng::SimRng;
+    use dynprof::sim::sync::SimChannel;
+    use dynprof::sim::{Machine, Proc, ProcBackend, Sim, SimTime};
+
+    /// `(key, id)`; key 0 is "no key".
+    type Msg = (u64, u32);
+    type Pred<'a> = &'a dyn Fn(&Msg) -> bool;
+
+    fn key_of(m: &Msg) -> Option<u64> {
+        (m.0 != 0).then_some(m.0)
+    }
+
+    /// The channel operations the programs below use, so one program can
+    /// drive the real channel and the oracle.
+    trait Chan: Send + Sync {
+        fn send(&self, p: &Proc, m: Msg, latency: SimTime);
+        fn send_ctl(&self, p: &Proc, m: Msg, latency: SimTime);
+        fn recv(&self, p: &Proc) -> Msg;
+        fn recv_match(&self, p: &Proc, pred: Pred) -> Msg;
+        fn recv_match_deadline(&self, p: &Proc, pred: Pred, deadline: SimTime) -> Option<Msg>;
+        fn recv_key_deadline(&self, p: &Proc, key: u64, deadline: SimTime) -> Option<Msg>;
+        fn try_recv_match(&self, p: &Proc, pred: Pred) -> Option<Msg>;
+        fn peek_arrival(&self, pred: Pred) -> Option<SimTime>;
+        fn len(&self) -> usize;
+    }
+
+    impl Chan for SimChannel<Msg> {
+        fn send(&self, p: &Proc, m: Msg, latency: SimTime) {
+            SimChannel::send(self, p, m, latency)
+        }
+        fn send_ctl(&self, p: &Proc, m: Msg, latency: SimTime) {
+            SimChannel::send_ctl(self, p, m, latency)
+        }
+        fn recv(&self, p: &Proc) -> Msg {
+            SimChannel::recv(self, p)
+        }
+        fn recv_match(&self, p: &Proc, pred: Pred) -> Msg {
+            SimChannel::recv_match(self, p, pred)
+        }
+        fn recv_match_deadline(&self, p: &Proc, pred: Pred, deadline: SimTime) -> Option<Msg> {
+            SimChannel::recv_match_deadline(self, p, pred, deadline)
+        }
+        fn recv_key_deadline(&self, p: &Proc, key: u64, deadline: SimTime) -> Option<Msg> {
+            SimChannel::recv_key_deadline(self, p, key, deadline)
+        }
+        fn try_recv_match(&self, p: &Proc, pred: Pred) -> Option<Msg> {
+            SimChannel::try_recv_match(self, p, pred)
+        }
+        fn peek_arrival(&self, pred: Pred) -> Option<SimTime> {
+            SimChannel::peek_arrival(self, pred)
+        }
+        fn len(&self) -> usize {
+            SimChannel::len(self)
+        }
+    }
+
+    /// The queue `SimChannel` had before PR 21, kept as the oracle: a
+    /// `Vec` in whatever order `swap_remove` leaves it, and every receive
+    /// one `min_by_key` over all of it, the predicate called once per
+    /// queued message.
+    ///
+    /// What it cannot do from outside the `sim` crate is block
+    /// (`Proc::block` and `wake_other` are private). A wait is therefore a
+    /// receive on a one-shot token channel, to which the next send posts a
+    /// token arriving when its own message does: that registers, blocks
+    /// (arming the deadline timer), and is woken at the arrival — the very
+    /// engine events the old code scheduled, so the dispatch logs compare.
+    struct OldChannel {
+        fifo: bool,
+        state: Mutex<OldState>,
+    }
+
+    #[derive(Default)]
+    struct OldState {
+        queue: Vec<(SimTime, u64, Msg)>,
+        waiters: Vec<Arc<SimChannel<()>>>,
+        seq: u64,
+        last_arrival: SimTime,
+    }
+
+    impl OldState {
+        fn earliest_match(&self, pred: Pred) -> Option<(usize, SimTime)> {
+            self.queue
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| pred(&e.2))
+                .min_by_key(|(_, e)| (e.0, e.1))
+                .map(|(i, e)| (i, e.0))
+        }
+    }
+
+    impl OldChannel {
+        fn wait(&self, p: &Proc, mut s: MutexGuard<'_, OldState>, until: Option<SimTime>) {
+            let token = Arc::new(SimChannel::new());
+            s.waiters.push(Arc::clone(&token));
+            drop(s);
+            match until {
+                Some(deadline) => drop(token.recv_match_deadline(p, |_| true, deadline)),
+                None => token.recv(p),
+            }
+            self.state
+                .lock()
+                .unwrap()
+                .waiters
+                .retain(|w| !Arc::ptr_eq(w, &token));
+        }
+    }
+
+    impl Chan for OldChannel {
+        fn send(&self, p: &Proc, m: Msg, latency: SimTime) {
+            let mut arrival = p.now() + latency;
+            let mut s = self.state.lock().unwrap();
+            if self.fifo {
+                arrival = arrival.max(s.last_arrival);
+                s.last_arrival = arrival;
+            }
+            s.seq += 1;
+            let seq = s.seq;
+            s.queue.push((arrival, seq, m));
+            for w in s.waiters.drain(..) {
+                w.send(p, (), arrival - p.now());
+            }
+        }
+
+        fn send_ctl(&self, p: &Proc, m: Msg, latency: SimTime) {
+            let plan = match p.fault_plan() {
+                Some(plan) if plan.links_enabled() => plan,
+                _ => return self.send(p, m, latency),
+            };
+            let d = plan.decide_link();
+            if d.drop {
+                return;
+            }
+            if d.duplicate {
+                self.send(p, m, latency + d.extra_delay);
+            }
+            self.send(p, m, latency + d.extra_delay);
+        }
+
+        fn recv(&self, p: &Proc) -> Msg {
+            self.recv_match(p, &|_| true)
+        }
+
+        fn recv_match(&self, p: &Proc, pred: Pred) -> Msg {
+            loop {
+                let mut s = self.state.lock().unwrap();
+                match s.earliest_match(pred) {
+                    Some((i, arrival)) if arrival <= p.now() => return s.queue.swap_remove(i).2,
+                    Some((_, arrival)) => {
+                        drop(s);
+                        p.sleep_until(arrival);
+                    }
+                    None => self.wait(p, s, None),
+                }
+            }
+        }
+
+        fn recv_match_deadline(&self, p: &Proc, pred: Pred, deadline: SimTime) -> Option<Msg> {
+            loop {
+                let mut s = self.state.lock().unwrap();
+                match s.earliest_match(pred) {
+                    Some((i, arrival)) if arrival <= p.now() => {
+                        return Some(s.queue.swap_remove(i).2)
+                    }
+                    Some((_, arrival)) if arrival <= deadline => {
+                        drop(s);
+                        p.sleep_until(arrival);
+                    }
+                    _ => {
+                        if p.now() >= deadline {
+                            return None;
+                        }
+                        self.wait(p, s, Some(deadline));
+                    }
+                }
+            }
+        }
+
+        fn recv_key_deadline(&self, p: &Proc, key: u64, deadline: SimTime) -> Option<Msg> {
+            self.recv_match_deadline(p, &|m| key_of(m) == Some(key), deadline)
+        }
+
+        fn try_recv_match(&self, p: &Proc, pred: Pred) -> Option<Msg> {
+            let mut s = self.state.lock().unwrap();
+            match s.earliest_match(pred) {
+                Some((i, arrival)) if arrival <= p.now() => Some(s.queue.swap_remove(i).2),
+                _ => None,
+            }
+        }
+
+        fn peek_arrival(&self, pred: Pred) -> Option<SimTime> {
+            let s = self.state.lock().unwrap();
+            s.queue.iter().filter(|e| pred(&e.2)).map(|e| e.0).min()
+        }
+
+        fn len(&self) -> usize {
+            self.state.lock().unwrap().queue.len()
+        }
+    }
+
+    const SENDERS: usize = 3;
+    const RECEIVERS: usize = 3;
+    const SENDS_EACH: usize = 60;
+    const OPS_EACH: usize = 50;
+    /// Key of the closing messages, which every predicate accepts.
+    const WILD: u64 = 999;
+
+    /// Everything a run shows: per operation `(process, op, outcome,
+    /// clock)`, the dispatch log, the event count, the horizon and what is
+    /// left queued.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        ops: Vec<(usize, usize, i64, u64)>,
+        dispatches: Vec<(usize, u64)>,
+        events: u64,
+        horizon: u64,
+        left: usize,
+    }
+
+    /// One seeded program — three senders, three receivers sharing the
+    /// channel, and a closer whose late messages every blocked receive
+    /// accepts — run on `ch`.
+    fn run(
+        ch: Arc<dyn Chan>,
+        keyed: bool,
+        seed: u64,
+        faults: &str,
+        backend: ProcBackend,
+    ) -> Outcome {
+        let sim = Sim::virtual_time_with_backend(Machine::test_machine(), seed, backend);
+        if faults != "none" {
+            let spec = FaultSpec::parse(&format!("{seed}:{faults}")).expect("fault profile");
+            assert!(sim.set_fault_plan(FaultPlan::new(&spec, sim.machine())));
+        }
+        let dispatches = sim.record_dispatches();
+        let stats = sim.stats();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let us = |r: &mut SimRng, max: u64| SimTime::from_nanos(r.gen_range_u64(0..=max * 1000));
+        for i in 0..SENDERS {
+            let ch = Arc::clone(&ch);
+            sim.spawn(format!("send{i}"), i % 4, move |p| {
+                let mut r = SimRng::new(seed, 100 + i as u64);
+                for n in 0..SENDS_EACH {
+                    p.advance(us(&mut r, 3));
+                    let m = (r.gen_range_u64(0..=6), (i * SENDS_EACH + n) as u32);
+                    let latency = us(&mut r, 10);
+                    match r.gen_index(3) {
+                        0 => ch.send_ctl(p, m, latency),
+                        _ => ch.send(p, m, latency),
+                    }
+                }
+            });
+        }
+        for i in 0..RECEIVERS {
+            let (ch, log) = (Arc::clone(&ch), Arc::clone(&log));
+            sim.spawn(format!("recv{i}"), (i + 1) % 4, move |p| {
+                let mut r = SimRng::new(seed, 200 + i as u64);
+                for n in 0..OPS_EACH {
+                    p.advance(us(&mut r, 4));
+                    let class = r.gen_range_u64(0..=2) as u32;
+                    let key = r.gen_range_u64(1..=6);
+                    let deadline = p.now() + us(&mut r, 30);
+                    let of_class = move |m: &Msg| m.1 % 3 == class || m.0 == WILD;
+                    let has_key = move |m: &Msg| key_of(m) == Some(key);
+                    let id = |m: Option<Msg>| m.map_or(-1, |m| i64::from(m.1));
+                    let outcome = match r.gen_index(10) {
+                        0 | 1 => id(Some(ch.recv(p))),
+                        2 => id(Some(ch.recv_match(p, &of_class))),
+                        3 | 4 => id(ch.recv_match_deadline(p, &of_class, deadline)),
+                        5 | 6 if keyed => id(ch.recv_key_deadline(p, key, deadline)),
+                        // Without a key function nothing has a key: the
+                        // same question as a predicate, then.
+                        5 | 6 => id(ch.recv_match_deadline(p, &has_key, deadline)),
+                        7 => id(ch.try_recv_match(p, &of_class)),
+                        8 => ch
+                            .peek_arrival(&of_class)
+                            .map_or(-1, |t| t.as_nanos() as i64),
+                        _ => ch.len() as i64,
+                    };
+                    log.lock()
+                        .unwrap()
+                        .push((i, n, outcome, p.now().as_nanos()));
+                }
+            });
+        }
+        let closer = Arc::clone(&ch);
+        sim.spawn("closer", 3, move |p| {
+            p.sleep_until(SimTime::from_millis(50));
+            for n in 0..RECEIVERS * OPS_EACH {
+                closer.send(p, (WILD, 10_000 + n as u32), SimTime::from_micros(1));
+                p.advance(SimTime::from_micros(1));
+            }
+        });
+        let horizon = sim.run();
+        let ops = std::mem::take(&mut *log.lock().unwrap());
+        Outcome {
+            ops,
+            dispatches: dispatches
+                .entries()
+                .iter()
+                .map(|&(pid, t)| (pid, t.as_nanos()))
+                .collect(),
+            events: stats.events_dispatched(),
+            horizon: horizon.as_nanos(),
+            left: ch.len(),
+        }
+    }
+
+    /// The real channel and the old queue, given the same program, deliver
+    /// the same messages to the same receivers at the same clocks through
+    /// the same dispatch sequence — FIFO (keyed) and unordered, with and
+    /// without link faults, on both carriers.
+    #[test]
+    fn sim_channel_matches_the_queue_it_replaced() {
+        let mut taken = 0;
+        for fifo in [true, false] {
+            for faults in ["none", "dup", "delay", "lossy"] {
+                for seed in 1..=12u64 {
+                    let mut per_backend = Vec::new();
+                    for backend in [ProcBackend::Threads, ProcBackend::Coroutine] {
+                        let new: Arc<dyn Chan> = match fifo {
+                            true => Arc::new(SimChannel::new_fifo_keyed(key_of)),
+                            false => Arc::new(SimChannel::new()),
+                        };
+                        let old = Arc::new(OldChannel {
+                            fifo,
+                            state: Mutex::default(),
+                        });
+                        let new = run(new, fifo, seed, faults, backend);
+                        let old = run(old, fifo, seed, faults, backend);
+                        let what = format!("fifo={fifo} faults={faults} seed={seed} {backend:?}");
+                        if let Some(i) = (0..new.ops.len()).find(|&i| new.ops[i] != old.ops[i]) {
+                            panic!(
+                                "{what}: op {i} (process, op, outcome, clock) is {:?}, the old queue gave {:?}",
+                                new.ops[i], old.ops[i]
+                            );
+                        }
+                        assert_eq!(new.ops.len(), RECEIVERS * OPS_EACH, "{what}");
+                        assert!(new == old, "{what}: same operations, different schedule");
+                        taken += new.ops.iter().filter(|o| o.2 >= 0).count();
+                        per_backend.push(new);
+                    }
+                    assert!(per_backend[0] == per_backend[1], "carriers differ");
+                }
+            }
+        }
+        assert!(
+            taken > 10_000,
+            "the programs must actually receive: {taken}"
+        );
+    }
+}
