@@ -66,6 +66,14 @@ impl<V> DenseMap<V> {
             .chain(self.spill.iter().map(|(&k, v)| (k, v)))
     }
 
+    /// Present entries in ascending key order, mutably.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (u32, &mut V)> {
+        let dense = self.dense.iter_mut().enumerate();
+        dense
+            .filter_map(|(k, v)| Some((k as u32, v.as_mut()?)))
+            .chain(self.spill.iter_mut().map(|(&k, v)| (k, v)))
+    }
+
     /// Present entries in ascending key order, by value.
     pub(crate) fn into_sorted(self) -> impl Iterator<Item = (u32, V)> {
         let dense = self.dense.into_iter().enumerate();
@@ -93,6 +101,8 @@ mod tests {
         *m.get_mut(4).unwrap() += 10;
         let seen: Vec<(u32, u32)> = m.iter().map(|(k, &v)| (k, v)).collect();
         assert_eq!(seen, [(0, 1), (3, 2), (4, 11), (u32::MAX, 1)]);
+        let seen_mut: Vec<(u32, u32)> = m.iter_mut().map(|(k, v)| (k, *v)).collect();
+        assert_eq!(seen_mut, seen);
         assert_eq!(m.into_sorted().collect::<Vec<_>>(), seen);
     }
 }

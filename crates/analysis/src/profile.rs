@@ -10,14 +10,17 @@
 //! ([`Profile::from_trace`]), a chunk-indexed store streamed in file order
 //! ([`Profile::from_store`]), a [`VtLib`]'s per-rank buffers replayed in
 //! place ([`Profile::from_vt`]), and the running library itself — the
-//! builder is an [`EventSink`], which is how `dynprof` computes its
-//! summary without ever holding the trace. Only the first materializes
-//! the event array.
+//! builder is an [`EventSink`] whose per-rank state goes out to the rank
+//! as its [`Lane`] and comes home when the lane closes, which is how
+//! `dynprof` computes its summary without ever holding the trace or
+//! taking a shared lock per event. Only the first materializes the event
+//! array.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use dynprof_sim::SimTime;
-use dynprof_vt::{Event, EventSink, Trace, VtFuncId, VtLib};
+use dynprof_vt::{locked, Event, EventSink, Lane, Trace, VtFuncId, VtLib};
 
 use crate::dense::{DenseMap, DENSE_RANKS, DENSE_THREADS};
 use crate::error::TraceError;
@@ -58,7 +61,8 @@ pub struct Profile {
 /// An open call frame: (func, entry time, time attributed to callees).
 type Frame = (VtFuncId, SimTime, SimTime);
 
-/// Everything the builder keeps for one rank.
+/// Everything the builder keeps for one rank — and, in a live capture,
+/// the rank's lane.
 struct RankState {
     /// Open frames per thread.
     stacks: DenseMap<Vec<Frame>>,
@@ -66,8 +70,95 @@ struct RankState {
     funcs: DenseMap<FuncProfile>,
 }
 
+impl RankState {
+    /// Function ids are array-indexed up to `known_funcs`, the dictionary's
+    /// length at the rank's first event; one beyond it spills — a file
+    /// naming an id it never defined (read as "<unknown>"), or a name
+    /// registered later in a live capture (2 % of a `policy=full` umt98
+    /// session, not worth re-homing the spilled rows).
+    fn new(known_funcs: usize) -> RankState {
+        RankState {
+            stacks: DenseMap::new(DENSE_THREADS),
+            funcs: DenseMap::new(known_funcs),
+        }
+    }
+
+    /// Account one event of this rank, discounting the rank's suspension
+    /// `windows` (sorted, disjoint) if given.
+    fn push(&mut self, ev: &Event, windows: Option<&[(SimTime, SimTime)]>) {
+        let discount =
+            |a: SimTime, b: SimTime| windows.map_or(SimTime::ZERO, |ws| overlap_with(a, b, ws));
+        match *ev {
+            Event::FuncEnter {
+                t, thread, func, ..
+            } => {
+                self.stacks
+                    .entry(thread.into(), Vec::new)
+                    .push((func, t, SimTime::ZERO));
+            }
+            Event::FuncExit {
+                t, thread, func, ..
+            } => {
+                let Some(stack) = self.stacks.get_mut(thread.into()) else {
+                    return;
+                };
+                if let Some((f, t0, child)) = stack.pop() {
+                    debug_assert_eq!(f, func, "trace stack mismatch");
+                    let span = t.saturating_sub(t0).saturating_sub(discount(t0, t));
+                    if let Some(parent) = stack.last_mut() {
+                        parent.2 += span;
+                    }
+                    let e = self.funcs.entry(func.0, FuncProfile::default);
+                    e.count += 1;
+                    e.incl += span;
+                    e.excl += span.saturating_sub(child);
+                }
+            }
+            // A suppressed-count record carries exactly the cumulative
+            // wall time of its elided entry/exit pairs, so it is accounted
+            // like a batch: profiles from a suppressed trace match the
+            // unsuppressed ones in inclusive/exclusive time.
+            Event::FuncBatch {
+                t,
+                thread,
+                func,
+                count,
+                span,
+                ..
+            }
+            | Event::FuncSuppressed {
+                t,
+                thread,
+                func,
+                count,
+                span,
+                ..
+            } => {
+                let span = span.saturating_sub(discount(t, t + span));
+                let e = self.funcs.entry(func.0, FuncProfile::default);
+                e.count += count;
+                e.incl += span;
+                e.excl += span;
+                let stack = self.stacks.get_mut(thread.into());
+                if let Some(parent) = stack.and_then(|s| s.last_mut()) {
+                    parent.2 += span;
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 /// Per-rank instrumenter-suspension windows.
 type Windows = BTreeMap<u32, Vec<(SimTime, SimTime)>>;
+
+/// `rank`'s windows, if `opts` wants them discounted.
+fn windows_of(opts: ProfileOptions, all: &Windows, rank: u32) -> Option<&[(SimTime, SimTime)]> {
+    if !opts.exclude_suspensions {
+        return None;
+    }
+    all.get(&rank).map(Vec::as_slice)
+}
 
 /// Streaming profile accumulator: feed events in each rank's causal
 /// order via [`ProfileBuilder::push`], then [`ProfileBuilder::finish`].
@@ -85,6 +176,8 @@ pub struct ProfileBuilder {
     suspensions: Windows,
     /// Present for every rank any event named.
     ranks: DenseMap<RankState>,
+    /// Where a closed lane leaves its rank's state.
+    home: Arc<Mutex<Vec<(u32, RankState)>>>,
     functions: Vec<String>,
 }
 
@@ -95,6 +188,7 @@ impl ProfileBuilder {
             opts,
             suspensions: BTreeMap::new(),
             ranks: DenseMap::new(DENSE_RANKS),
+            home: Arc::default(),
             functions,
         }
     }
@@ -107,88 +201,19 @@ impl ProfileBuilder {
 
     /// Account one event.
     pub fn push(&mut self, ev: &Event) {
-        let windows = self.opts.exclude_suspensions.then_some(&self.suspensions);
-        let discount = |rank: u32, a: SimTime, b: SimTime| {
-            windows
-                .and_then(|w| w.get(&rank))
-                .map_or(SimTime::ZERO, |ws| overlap_with(a, b, ws))
-        };
-        // Function ids are array-indexed up to the dictionary's length at
-        // the rank's first event; one beyond it spills — a file naming an
-        // id it never defined (read as "<unknown>"), or a name registered
-        // later in a live capture (2 % of a `policy=full` umt98 session,
-        // not worth re-homing the spilled rows).
+        let rank = ev.rank();
+        let windows = windows_of(self.opts, &self.suspensions, rank);
         let known_funcs = self.functions.len();
-        let state = self.ranks.entry(ev.rank(), || RankState {
-            stacks: DenseMap::new(DENSE_THREADS),
-            funcs: DenseMap::new(known_funcs),
-        });
-        match *ev {
-            Event::FuncEnter {
-                t, thread, func, ..
-            } => {
-                state
-                    .stacks
-                    .entry(thread.into(), Vec::new)
-                    .push((func, t, SimTime::ZERO));
-            }
-            Event::FuncExit {
-                t,
-                rank,
-                thread,
-                func,
-            } => {
-                let Some(stack) = state.stacks.get_mut(thread.into()) else {
-                    return;
-                };
-                if let Some((f, t0, child)) = stack.pop() {
-                    debug_assert_eq!(f, func, "trace stack mismatch");
-                    let span = t.saturating_sub(t0).saturating_sub(discount(rank, t0, t));
-                    if let Some(parent) = stack.last_mut() {
-                        parent.2 += span;
-                    }
-                    let e = state.funcs.entry(func.0, FuncProfile::default);
-                    e.count += 1;
-                    e.incl += span;
-                    e.excl += span.saturating_sub(child);
-                }
-            }
-            // A suppressed-count record carries exactly the cumulative
-            // wall time of its elided entry/exit pairs, so it is accounted
-            // like a batch: profiles from a suppressed trace match the
-            // unsuppressed ones in inclusive/exclusive time.
-            Event::FuncBatch {
-                t,
-                rank,
-                thread,
-                func,
-                count,
-                span,
-            }
-            | Event::FuncSuppressed {
-                t,
-                rank,
-                thread,
-                func,
-                count,
-                span,
-            } => {
-                let span = span.saturating_sub(discount(rank, t, t + span));
-                let e = state.funcs.entry(func.0, FuncProfile::default);
-                e.count += count;
-                e.incl += span;
-                e.excl += span;
-                let stack = state.stacks.get_mut(thread.into());
-                if let Some(parent) = stack.and_then(|s| s.last_mut()) {
-                    parent.2 += span;
-                }
-            }
-            _ => {}
-        }
+        self.ranks
+            .entry(rank, || RankState::new(known_funcs))
+            .push(ev, windows);
     }
 
     /// Finish: produce the [`Profile`], ranks and rows in ascending order.
-    pub fn finish(self) -> Profile {
+    pub fn finish(mut self) -> Profile {
+        for (rank, state) in locked(&self.home).drain(..) {
+            self.ranks.entry(rank, || state);
+        }
         let mut ranks = Vec::new();
         let mut per_rank = BTreeMap::new();
         for (rank, state) in self.ranks.into_sorted() {
@@ -204,17 +229,44 @@ impl ProfileBuilder {
     }
 }
 
-/// Live accumulation: installed on a trace library (alone or teed with a
+/// Live accumulation: installed on a trace library (alone or beside a
 /// store writer) the builder profiles the run as it happens, the
-/// dictionary growing as `VT_funcdef` registers names.
+/// dictionary growing as `VT_funcdef` registers names. A rank's state
+/// *is* its lane; closing the lane brings it home for
+/// [`ProfileBuilder::finish`].
 impl EventSink for ProfileBuilder {
     fn funcdef(&mut self, id: VtFuncId, name: &str) {
         debug_assert_eq!(id.0 as usize, self.functions.len(), "ids arrive in order");
         self.functions.push(name.to_string());
     }
 
-    fn push(&mut self, ev: &Event) {
-        ProfileBuilder::push(self, ev);
+    fn lane(&mut self, rank: u32) -> Box<dyn Lane> {
+        Box::new(ProfileLane {
+            rank,
+            state: RankState::new(self.functions.len()),
+            windows: windows_of(self.opts, &self.suspensions, rank).map(<[_]>::to_vec),
+            home: Arc::clone(&self.home),
+        })
+    }
+}
+
+struct ProfileLane {
+    rank: u32,
+    state: RankState,
+    windows: Option<Vec<(SimTime, SimTime)>>,
+    home: Arc<Mutex<Vec<(u32, RankState)>>>,
+}
+
+impl Lane for ProfileLane {
+    fn push(&mut self, ev: &Event) -> bool {
+        self.state.push(ev, self.windows.as_deref());
+        true
+    }
+
+    fn switch(&mut self) {}
+
+    fn close(self: Box<Self>) {
+        locked(&self.home).push((self.rank, self.state));
     }
 }
 

@@ -15,6 +15,7 @@ use dynprof_vt::{Event, VtFuncId};
 use crate::error::TraceError;
 
 /// Append `v` as an LEB128 varint (7 bits per byte, little-endian).
+#[inline]
 pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;

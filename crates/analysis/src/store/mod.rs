@@ -127,7 +127,9 @@ pub use iofault::{FaultScript, FaultyFile};
 pub use reader::{QueryStats, SalvageSummary, StoreInfo, StoreReader};
 pub use salvage::{fsck, repair, ChunkFault, FooterState, FsckReport};
 pub use segment::{RetentionPolicy, RotatingWriter, RotationPolicy, SegmentSet, SegmentStats};
-pub use writer::{compact, write_store_from_trace, write_store_from_vt, StoreStats, StoreWriter};
+pub use writer::{
+    compact, write_store_from_trace, write_store_from_vt, ChunkBuf, StoreStats, StoreWriter,
+};
 
 use dynprof_sim::SimTime;
 use dynprof_vt::{Event, VtFuncId};
@@ -149,11 +151,14 @@ pub const UNKNOWN_FUNC: VtFuncId = VtFuncId(u32::MAX);
 /// Bytes of the fixed file header (magic + version + flags).
 pub(crate) const HEADER_BYTES: u64 = 8;
 
+/// Bytes of the per-chunk on-disk header the writer emits (version 2).
+pub(crate) const CHUNK_HEADER_BYTES: usize = 40;
+
 /// Bytes of the per-chunk on-disk header for format `version`.
 pub(crate) fn chunk_header_bytes(version: u16) -> usize {
     match version {
         STORE_VERSION_V1 => 36,
-        _ => 40,
+        _ => CHUNK_HEADER_BYTES,
     }
 }
 

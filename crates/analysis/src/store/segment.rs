@@ -16,17 +16,19 @@
 //! the streaming profile/comm builders work across segments untouched.
 
 use std::collections::BTreeMap;
-use std::io::ErrorKind;
+use std::fs::File;
+use std::io::{BufWriter, ErrorKind};
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use dynprof_obs as obs;
 use dynprof_sim::SimTime;
-use dynprof_vt::{Event, EventSink, VtFuncId};
+use dynprof_vt::{locked, Event, EventSink, Lane, VtFuncId};
 
 use super::reader::{QueryStats, StoreInfo, StoreReader};
-use super::writer::{remap_func, StoreStats, StoreWriter};
+use super::writer::{remap_func, ChunkBuf, FileHalf, Meter, Seal, StoreLane, StoreStats};
 use super::{EventSource, StoreOptions};
+use crate::dense::{DenseMap, DENSE_RANKS};
 use crate::error::TraceError;
 
 fn obs_segments_rotated(n: u64) {
@@ -62,11 +64,6 @@ impl RotationPolicy {
             max_bytes: None,
             max_events: Some(max_events.max(1)),
         }
-    }
-
-    fn should_roll(&self, bytes: u64, events: u64) -> bool {
-        self.max_bytes.is_some_and(|cap| bytes >= cap)
-            || self.max_events.is_some_and(|cap| events >= cap)
     }
 }
 
@@ -105,26 +102,25 @@ pub struct SegmentStats {
     pub bytes: u64,
 }
 
-/// A [`StoreWriter`](super::StoreWriter) that rolls across
-/// `name.NNNN.vgvs` segments per a [`RotationPolicy`], sealing each
-/// closed segment with a full footer and pruning old ones per a
-/// [`RetentionPolicy`].
-pub struct RotatingWriter {
+/// The shared half of a rotating capture: the open segment's file and the
+/// family's bookkeeping.
+struct Rotor {
     base: PathBuf,
     program: String,
     functions: Vec<String>,
-    opts: StoreOptions,
-    rotation: RotationPolicy,
     retention: RetentionPolicy,
-    current: Option<StoreWriter<std::io::BufWriter<std::fs::File>>>,
+    /// The open segment; `None` once a roll has failed.
+    current: Option<FileHalf<BufWriter<File>>>,
     next_seg: usize,
     live: Vec<PathBuf>,
     sealed: Vec<StoreStats>,
     rotated: usize,
     deleted: usize,
     events: u64,
-    /// First failure met while fed as an [`EventSink`]; capture stops
-    /// there and [`RotatingWriter::finish`] reports it.
+    /// Present when the rotation policy has a cap.
+    meter: Option<Arc<Meter>>,
+    /// First seal/open/prune failure met while fed by lanes; the capture
+    /// stops there and [`RotatingWriter::finish`] reports it.
     deferred_err: Option<TraceError>,
 }
 
@@ -135,76 +131,14 @@ pub(crate) fn segment_path(base: &Path, seg: usize) -> PathBuf {
     base.with_file_name(format!("{stem}.{seg:04}.{ext}"))
 }
 
-impl RotatingWriter {
-    /// Start a rotating capture. `base` names the segment family:
-    /// `trace.vgvs` produces `trace.0000.vgvs`, `trace.0001.vgvs`, … —
-    /// or, under a policy that never rotates, the one file `trace.vgvs`.
-    pub fn create(
-        base: impl AsRef<Path>,
-        program: impl Into<String>,
-        opts: StoreOptions,
-        rotation: RotationPolicy,
-        retention: RetentionPolicy,
-    ) -> Result<RotatingWriter, TraceError> {
-        let base = base.as_ref().to_path_buf();
-        let program = program.into();
-        let first = if rotation == RotationPolicy::default() {
-            base.clone()
-        } else {
-            segment_path(&base, 0)
-        };
-        let writer = StoreWriter::create(&first, program.clone(), opts)?;
-        Ok(RotatingWriter {
-            base,
-            program,
-            functions: Vec::new(),
-            opts,
-            rotation,
-            retention,
-            current: Some(writer),
-            next_seg: 1,
-            live: vec![first],
-            sealed: Vec::new(),
-            rotated: 0,
-            deleted: 0,
-            events: 0,
-            deferred_err: None,
-        })
-    }
-
-    /// Install the function dictionary (forwarded to every segment's
-    /// writer, so each segment is self-contained and salvageable).
-    pub fn set_functions(&mut self, names: Vec<String>) {
-        self.functions = names.clone();
-        if let Some(w) = self.current.as_mut() {
-            w.set_functions(names);
-        }
-    }
-
-    /// Segment files currently on disk, oldest first.
-    pub fn segments(&self) -> &[PathBuf] {
-        &self.live
-    }
-
-    /// Append one event, first rolling to a new segment if the open one
-    /// has crossed the rotation caps (so a segment is only ever opened for
-    /// an event to go into it — no empty tail segment).
-    pub fn append(&mut self, ev: &Event) -> Result<(), TraceError> {
-        let w = self.current.as_ref().expect("writer present until finish");
-        let (bytes, events) = (w.bytes_written(), w.events_written());
-        if events > 0 && self.rotation.should_roll(bytes, events) {
-            self.roll()?;
-        }
-        let w = self.current.as_mut().expect("roll opened the next segment");
-        w.append(ev);
-        self.events += 1;
-        Ok(())
-    }
-
-    /// Seal the open segment (full footer) and start the next one.
+impl Rotor {
+    /// Seal the open segment (full footer) and start the next one, from
+    /// the dictionary so far. Every stage has been handed over.
     fn roll(&mut self) -> Result<(), TraceError> {
-        let w = self.current.take().expect("writer present until finish");
-        self.sealed.push(w.finish()?);
+        let Some(mut file) = self.current.take() else {
+            return Ok(());
+        };
+        self.sealed.push(file.finish()?);
         self.rotated += 1;
         if obs::enabled() {
             obs_segments_rotated(1);
@@ -212,9 +146,12 @@ impl RotatingWriter {
         self.prune()?;
         let next = segment_path(&self.base, self.next_seg);
         self.next_seg += 1;
-        let mut writer = StoreWriter::create(&next, self.program.clone(), self.opts)?;
-        writer.set_functions(self.functions.clone());
-        self.current = Some(writer);
+        let mut file = FileHalf::create(&next, self.program.clone())?;
+        file.set_functions(self.functions.clone());
+        if let Some(meter) = &self.meter {
+            meter.reset(file.pos());
+        }
+        self.current = Some(file);
         self.live.push(next);
         Ok(())
     }
@@ -236,45 +173,178 @@ impl RotatingWriter {
         }
         Ok(())
     }
+}
+
+impl Seal for Rotor {
+    fn seal(&mut self, rank: u32, chunk: &mut ChunkBuf) {
+        let (events, staged) = (chunk.len() as u64, chunk.staged_bytes());
+        match &mut self.current {
+            Some(file) => file.seal(rank, chunk),
+            // The capture failed: what arrives is dropped.
+            None => chunk.clear(),
+        }
+        self.events += events;
+        if let Some(meter) = &self.meter {
+            let pos = self.current.as_ref().map_or(0, FileHalf::pos);
+            meter.note_sealed(staged, pos);
+        }
+    }
+
+    fn roll(&mut self) {
+        if let Err(e) = Rotor::roll(self) {
+            self.deferred_err.get_or_insert(e);
+        }
+    }
+}
+
+/// A [`StoreWriter`](super::StoreWriter) that rolls across
+/// `name.NNNN.vgvs` segments per a [`RotationPolicy`], sealing each
+/// closed segment with a full footer and pruning old ones per a
+/// [`RetentionPolicy`].
+///
+/// A roll is a sub-buffer switch: every rank's open chunk is sealed into
+/// the closing segment, in ascending rank order, before the next opens —
+/// so segments are slices of the run's *time* across all ranks.
+pub struct RotatingWriter {
+    rotor: Arc<Mutex<Rotor>>,
+    /// The offline feeder's stages, by rank.
+    stages: DenseMap<ChunkBuf>,
+    chunk_events: usize,
+    meter: Option<Arc<Meter>>,
+}
+
+impl RotatingWriter {
+    /// Start a rotating capture. `base` names the segment family:
+    /// `trace.vgvs` produces `trace.0000.vgvs`, `trace.0001.vgvs`, … —
+    /// or, under a policy that never rotates, the one file `trace.vgvs`.
+    pub fn create(
+        base: impl AsRef<Path>,
+        program: impl Into<String>,
+        opts: StoreOptions,
+        rotation: RotationPolicy,
+        retention: RetentionPolicy,
+    ) -> Result<RotatingWriter, TraceError> {
+        let base = base.as_ref().to_path_buf();
+        let program = program.into();
+        let rotates = rotation != RotationPolicy::default();
+        let first = if rotates {
+            segment_path(&base, 0)
+        } else {
+            base.clone()
+        };
+        let file = FileHalf::create(&first, program.clone())?;
+        let meter = rotates.then(|| {
+            Arc::new(Meter::new(
+                rotation.max_bytes,
+                rotation.max_events,
+                file.pos(),
+            ))
+        });
+        let rotor = Rotor {
+            base,
+            program,
+            functions: Vec::new(),
+            retention,
+            current: Some(file),
+            next_seg: 1,
+            live: vec![first],
+            sealed: Vec::new(),
+            rotated: 0,
+            deleted: 0,
+            events: 0,
+            meter: meter.clone(),
+            deferred_err: None,
+        };
+        Ok(RotatingWriter {
+            rotor: Arc::new(Mutex::new(rotor)),
+            stages: DenseMap::new(DENSE_RANKS),
+            chunk_events: opts.chunk_events.max(1),
+            meter,
+        })
+    }
+
+    /// Install the function dictionary (forwarded to every segment's
+    /// file, so each segment is self-contained and salvageable).
+    pub fn set_functions(&mut self, names: Vec<String>) {
+        let mut rotor = locked(&self.rotor);
+        rotor.functions = names.clone();
+        if let Some(file) = rotor.current.as_mut() {
+            file.set_functions(names);
+        }
+    }
+
+    /// Append one event, first rolling to a new segment if the open one
+    /// has crossed the rotation caps (so a segment is only ever opened for
+    /// an event to go into it — no empty tail segment).
+    pub fn append(&mut self, ev: &Event) -> Result<(), TraceError> {
+        if self.meter.as_ref().is_some_and(|m| m.at_cap()) {
+            let mut rotor = locked(&self.rotor);
+            for (rank, stage) in self.stages.iter_mut() {
+                rotor.seal(rank, stage);
+            }
+            Rotor::roll(&mut rotor)?;
+        }
+        let rank = ev.rank();
+        let stage = self.stages.entry(rank, ChunkBuf::default);
+        let bytes = stage.stage(ev);
+        if let Some(meter) = &self.meter {
+            meter.note_staged(bytes);
+        }
+        if stage.len() >= self.chunk_events {
+            locked(&self.rotor).seal(rank, stage);
+        }
+        Ok(())
+    }
 
     /// Seal the final segment and report what the capture produced.
     pub fn finish(mut self) -> Result<SegmentStats, TraceError> {
-        if let Some(e) = self.deferred_err.take() {
+        let mut rotor = locked(&self.rotor);
+        for (rank, stage) in self.stages.iter_mut() {
+            rotor.seal(rank, stage);
+        }
+        if let Some(e) = rotor.deferred_err.take() {
             return Err(e);
         }
-        let w = self.current.take().expect("writer present until finish");
-        self.sealed.push(w.finish()?);
-        let chunks = self.sealed.iter().map(|s| s.chunks).sum();
-        let bytes = self.sealed.iter().map(|s| s.bytes).sum();
+        let Some(mut file) = rotor.current.take() else {
+            return Err(TraceError::Io(std::io::Error::other(
+                "rotating capture ended by a failed roll",
+            )));
+        };
+        let last = file.finish()?;
+        rotor.sealed.push(last);
         Ok(SegmentStats {
-            segments: self.live,
-            rotated: self.rotated,
-            deleted: self.deleted,
-            events: self.events,
-            chunks,
-            bytes,
+            segments: std::mem::take(&mut rotor.live),
+            rotated: rotor.rotated,
+            deleted: rotor.deleted,
+            events: rotor.events,
+            chunks: rotor.sealed.iter().map(|s| s.chunks).sum(),
+            bytes: rotor.sealed.iter().map(|s| s.bytes).sum(),
         })
     }
 }
 
-/// Live capture: because events arrive in execution order, each segment
-/// is a slice of the run's *time* across all ranks, and retention keeps
-/// the end of the run. Every new segment starts from the dictionary so
-/// far. The first seal/open/prune failure ends the capture and is
-/// reported by [`RotatingWriter::finish`]; sealed segments stay valid.
+/// Live capture: a roll is the library's switch (see [`Lane::push`]), and
+/// every new segment starts from the dictionary so far. The first
+/// seal/open/prune failure ends the capture and is reported by
+/// [`RotatingWriter::finish`]; sealed segments stay valid.
 impl EventSink for RotatingWriter {
     fn funcdef(&mut self, id: VtFuncId, name: &str) {
-        debug_assert_eq!(id.0 as usize, self.functions.len(), "ids arrive in order");
-        self.functions.push(name.to_string());
-        if let Some(w) = self.current.as_mut() {
-            w.funcdef(id, name);
+        let mut rotor = locked(&self.rotor);
+        debug_assert_eq!(id.0 as usize, rotor.functions.len(), "ids arrive in order");
+        rotor.functions.push(name.to_string());
+        if let Some(file) = rotor.current.as_mut() {
+            file.funcdef(id, name);
         }
     }
 
-    fn push(&mut self, ev: &Event) {
-        if self.deferred_err.is_none() {
-            self.deferred_err = self.append(ev).err();
-        }
+    fn lane(&mut self, rank: u32) -> Box<dyn Lane> {
+        Box::new(StoreLane {
+            rank,
+            stage: ChunkBuf::default(),
+            chunk_events: self.chunk_events,
+            shared: Arc::clone(&self.rotor) as _,
+            meter: self.meter.clone(),
+        })
     }
 }
 

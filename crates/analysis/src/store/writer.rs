@@ -1,7 +1,13 @@
-//! The streaming store writer: bounded memory per rank, chunks flushed
-//! the moment they fill, footer index written once at `finish()`. It is
-//! an [`EventSink`]: installed on a trace library it captures the run as
-//! it happens, the dictionary arriving name by name.
+//! The streaming store writer: bounded memory per rank, chunks sealed the
+//! moment they fill, footer index written once at `finish()`.
+//!
+//! A rank's open chunk — its **stage**, a [`ChunkBuf`] — is private to
+//! whoever feeds that rank: the writer's own rank-indexed table for the
+//! offline feeders, a [`Lane`] held by the trace library for a live
+//! capture (the writer is an [`EventSink`]). The **file half** is shared
+//! behind a mutex taken once per sealed chunk, never per event.
+//! [`ChunkBuf::stage`] is the only encoder and `FileHalf::seal` the only
+//! writer of a chunk, whoever calls them.
 //!
 //! Crash-consistency discipline (DESIGN §17): the salvageable preamble
 //! (program + function dictionary) is written before the first chunk;
@@ -11,20 +17,24 @@
 //! [`StoreReader::open_salvage`](super::StoreReader::open_salvage), and
 //! only the unflushed tail is at risk.
 
-use std::collections::HashMap;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use bytes::{BufMut, BytesMut};
 use dynprof_obs as obs;
 use dynprof_sim::SimTime;
-use dynprof_vt::{Event, EventSink, Trace, VtFuncId, VtLib};
+use dynprof_vt::{locked, Event, EventSink, Lane, Trace, VtFuncId, VtLib};
 
 use super::codec::{encode_event, event_end};
 use super::crc::{crc32, Crc32};
 use super::reader::StoreReader;
-use super::{ChunkMeta, StoreOptions, HEADER_BYTES, STORE_MAGIC, STORE_VERSION, UNKNOWN_FUNC};
+use super::{
+    ChunkMeta, StoreOptions, CHUNK_HEADER_BYTES, HEADER_BYTES, STORE_MAGIC, STORE_VERSION,
+    UNKNOWN_FUNC,
+};
+use crate::dense::{DenseMap, DENSE_RANKS};
 use crate::error::TraceError;
 
 fn obs_chunks_written(n: u64) {
@@ -48,24 +58,29 @@ pub struct StoreStats {
     pub events: u64,
     /// Total file size in bytes.
     pub bytes: u64,
-    /// High-water mark of encoder memory held across all open chunks —
-    /// the writer's bounded-memory witness: `O(ranks × chunk_events)`
-    /// regardless of trace length.
+    /// The largest payload each rank handed over, summed: an upper bound on
+    /// the encoder memory ever held in open chunks — the bounded-memory
+    /// witness, `O(ranks × chunk_events)` regardless of trace length.
     pub peak_buffered_bytes: usize,
 }
 
-/// An open, per-rank chunk being encoded incrementally.
-struct ChunkBuf {
+/// One rank's open chunk, encoded incrementally: a stage. Sealing it
+/// empties it and keeps its allocation for the rank's next chunk.
+pub struct ChunkBuf {
     payload: BytesMut,
     count: u32,
     min_t: SimTime,
     max_t: SimTime,
     max_end: SimTime,
     prev_t: u64,
+    /// The largest payload this stage has handed over
+    /// ([`StoreStats::peak_buffered_bytes`]).
+    high_water: usize,
 }
 
-impl ChunkBuf {
-    fn new() -> ChunkBuf {
+impl Default for ChunkBuf {
+    /// An empty stage; allocates at the first event.
+    fn default() -> ChunkBuf {
         ChunkBuf {
             payload: BytesMut::new(),
             count: 0,
@@ -73,122 +88,217 @@ impl ChunkBuf {
             max_t: SimTime::ZERO,
             max_end: SimTime::ZERO,
             prev_t: 0,
+            high_water: 0,
         }
     }
 }
 
-/// Streaming writer of the `VGVS` chunk-indexed store format
-/// (version 2: CRC-32 chunks + salvageable preamble).
-///
-/// Append events in any rank order; each rank accumulates into its own
-/// chunk, flushed to disk when [`StoreOptions::chunk_events`] is reached.
-/// Call [`StoreWriter::finish`] to flush partial chunks and write the
-/// footer index — a file without a footer is detected as
-/// [`TraceError::TruncatedFooter`] by the reader and remains salvageable
-/// chunk by chunk.
-pub struct StoreWriter<W: Write + Seek> {
+impl ChunkBuf {
+    /// Events staged since the last seal.
+    pub fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// Whether nothing is staged.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Encode `ev` onto the open chunk and widen its envelope; returns the
+    /// bytes it took.
+    #[inline]
+    pub fn stage(&mut self, ev: &Event) -> usize {
+        let before = self.payload.len();
+        encode_event(&mut self.payload, ev, &mut self.prev_t);
+        self.count += 1;
+        let t = ev.time();
+        self.min_t = self.min_t.min(t);
+        self.max_t = self.max_t.max(t);
+        self.max_end = self.max_end.max(event_end(ev));
+        self.payload.len() - before
+    }
+
+    /// Encoded bytes staged since the last seal.
+    pub(crate) fn staged_bytes(&self) -> usize {
+        self.payload.len()
+    }
+
+    /// Start the next chunk in the same allocation.
+    pub fn clear(&mut self) {
+        self.payload.clear();
+        *self = ChunkBuf {
+            payload: std::mem::take(&mut self.payload),
+            high_water: self.high_water,
+            ..ChunkBuf::default()
+        };
+    }
+}
+
+/// Where sealed chunks go: the half of a capture its lanes share.
+pub(crate) trait Seal {
+    /// Write `chunk` out as one chunk of `rank` and empty it (no-op if it
+    /// is empty). Infallible: an I/O error waits for `finish()`.
+    fn seal(&mut self, rank: u32, chunk: &mut ChunkBuf);
+
+    /// Every stage is empty and the [`Meter`] is at its cap: close the
+    /// sub-buffer generation.
+    fn roll(&mut self) {}
+}
+
+/// What a capture *with a cap* and its lanes share so the cap trips before
+/// an event is staged without asking the shared half: the caps, and the
+/// open generation's bytes (on disk + staged) and events. `Relaxed`: one
+/// simulated process executes at a time.
+pub(crate) struct Meter {
+    max_bytes: Option<u64>,
+    max_events: Option<u64>,
+    disk: AtomicU64,
+    staged: AtomicU64,
+    events: AtomicU64,
+}
+
+impl Meter {
+    /// A meter over a generation whose file holds `pos` bytes so far.
+    pub(crate) fn new(max_bytes: Option<u64>, max_events: Option<u64>, pos: u64) -> Meter {
+        Meter {
+            max_bytes,
+            max_events,
+            disk: AtomicU64::new(pos),
+            staged: AtomicU64::new(0),
+            events: AtomicU64::new(0),
+        }
+    }
+
+    /// One event of `bytes` encoded bytes was staged.
+    #[inline]
+    pub(crate) fn note_staged(&self, bytes: usize) {
+        self.staged.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.events.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A stage of `payload` bytes was sealed; the file now ends at `pos`.
+    pub(crate) fn note_sealed(&self, payload: usize, pos: u64) {
+        self.staged.fetch_sub(payload as u64, Ordering::Relaxed);
+        self.disk.store(pos, Ordering::Relaxed);
+    }
+
+    /// A fresh generation whose file holds `pos` bytes so far.
+    pub(crate) fn reset(&self, pos: u64) {
+        self.disk.store(pos, Ordering::Relaxed);
+        self.events.store(0, Ordering::Relaxed);
+    }
+
+    /// Bytes still in stages.
+    pub(crate) fn staged(&self) -> u64 {
+        self.staged.load(Ordering::Relaxed)
+    }
+
+    /// Has the open generation — never an empty one — reached a cap?
+    #[inline]
+    pub(crate) fn at_cap(&self) -> bool {
+        let events = self.events.load(Ordering::Relaxed);
+        let bytes = self.disk.load(Ordering::Relaxed) + self.staged();
+        events > 0
+            && (self.max_bytes.is_some_and(|cap| bytes >= cap)
+                || self.max_events.is_some_and(|cap| events >= cap))
+    }
+}
+
+/// One rank's lane into a store: its stage, and a handle on the shared
+/// half that is locked once per sealed chunk.
+pub(crate) struct StoreLane {
+    pub(crate) rank: u32,
+    pub(crate) stage: ChunkBuf,
+    pub(crate) chunk_events: usize,
+    pub(crate) shared: Arc<Mutex<dyn Seal + Send>>,
+    /// Present when the capture has a cap.
+    pub(crate) meter: Option<Arc<Meter>>,
+}
+
+impl Lane for StoreLane {
+    fn push(&mut self, ev: &Event) -> bool {
+        if let Some(meter) = &self.meter {
+            if meter.at_cap() {
+                if meter.staged() > 0 {
+                    return false;
+                }
+                locked(&self.shared).roll();
+            }
+        }
+        let bytes = self.stage.stage(ev);
+        if let Some(meter) = &self.meter {
+            meter.note_staged(bytes);
+        }
+        if self.stage.len() >= self.chunk_events {
+            locked(&self.shared).seal(self.rank, &mut self.stage);
+        }
+        true
+    }
+
+    fn switch(&mut self) {
+        if !self.stage.is_empty() {
+            locked(&self.shared).seal(self.rank, &mut self.stage);
+        }
+    }
+
+    fn close(mut self: Box<Self>) {
+        self.switch();
+    }
+}
+
+/// The file half of a store being written: everything but the open chunks.
+pub(crate) struct FileHalf<W: Write + Seek> {
     out: W,
     pos: u64,
-    opts: StoreOptions,
     program: String,
     functions: Vec<String>,
     preamble_written: bool,
-    open: HashMap<u32, ChunkBuf>,
     index: Vec<ChunkMeta>,
     events: u64,
-    buffered: usize,
     peak_buffered: usize,
     obs_counted: u64,
     deferred_err: Option<std::io::Error>,
 }
 
-impl StoreWriter<BufWriter<std::fs::File>> {
-    /// Create a store file at `path`.
-    pub fn create(
-        path: impl AsRef<Path>,
-        program: impl Into<String>,
-        opts: StoreOptions,
-    ) -> Result<Self, TraceError> {
-        let file = std::fs::File::create(path)?;
-        StoreWriter::new(BufWriter::new(file), program, opts)
+impl FileHalf<BufWriter<std::fs::File>> {
+    /// The file half of a new store file at `path`.
+    pub(crate) fn create(path: &Path, program: String) -> Result<Self, TraceError> {
+        FileHalf::new(BufWriter::new(std::fs::File::create(path)?), program)
     }
 }
 
-impl<W: Write + Seek> StoreWriter<W> {
-    /// Wrap any seekable sink.
-    pub fn new(
-        mut out: W,
-        program: impl Into<String>,
-        opts: StoreOptions,
-    ) -> Result<Self, TraceError> {
+impl<W: Write + Seek> FileHalf<W> {
+    fn new(mut out: W, program: String) -> Result<Self, TraceError> {
         let mut header = [0u8; HEADER_BYTES as usize];
         header[..4].copy_from_slice(STORE_MAGIC);
         header[4..6].copy_from_slice(&STORE_VERSION.to_le_bytes());
         out.write_all(&header)?;
-        Ok(StoreWriter {
+        Ok(FileHalf {
             out,
             pos: HEADER_BYTES,
-            opts: StoreOptions {
-                chunk_events: opts.chunk_events.max(1),
-            },
-            program: program.into(),
+            program,
             functions: Vec::new(),
             preamble_written: false,
-            open: HashMap::new(),
             index: Vec::new(),
             events: 0,
-            buffered: 0,
             peak_buffered: 0,
             obs_counted: 0,
             deferred_err: None,
         })
     }
 
-    /// Install the function dictionary (names indexed by `VtFuncId`).
-    /// Names installed before the first chunk is flushed land in the
-    /// salvageable preamble; later additions only reach the footer.
-    pub fn set_functions(&mut self, names: Vec<String>) {
+    /// Bytes written to the file so far.
+    pub(crate) fn pos(&self) -> u64 {
+        self.pos
+    }
+
+    pub(crate) fn set_functions(&mut self, names: Vec<String>) {
         self.functions = names;
     }
 
-    /// Register one function name, returning its id (append-only; no
-    /// dedup — callers that may repeat names should dedup themselves).
-    pub fn define_function(&mut self, name: impl Into<String>) -> VtFuncId {
-        self.functions.push(name.into());
-        VtFuncId(self.functions.len() as u32 - 1)
-    }
-
-    /// Events appended so far.
-    pub fn events_written(&self) -> u64 {
-        self.events
-    }
-
-    /// Bytes this store occupies right now: what is on disk plus the
-    /// open per-rank chunk buffers (the footer will add more at
-    /// [`StoreWriter::finish`]). Rotation policies poll this.
-    pub fn bytes_written(&self) -> u64 {
-        self.pos + self.buffered as u64
-    }
-
-    /// Append one event to its rank's open chunk, flushing the chunk to
-    /// disk if it reaches the configured size.
-    pub fn append(&mut self, ev: &Event) {
-        let rank = ev.rank();
-        let buf = self.open.entry(rank).or_insert_with(ChunkBuf::new);
-        let before = buf.payload.len();
-        encode_event(&mut buf.payload, ev, &mut buf.prev_t);
-        buf.count += 1;
-        let t = ev.time();
-        buf.min_t = buf.min_t.min(t);
-        buf.max_t = buf.max_t.max(t);
-        buf.max_end = buf.max_end.max(event_end(ev));
-        self.events += 1;
-        let full = buf.count as usize >= self.opts.chunk_events;
-        self.buffered += buf.payload.len() - before;
-        self.peak_buffered = self.peak_buffered.max(self.buffered);
-        if full {
-            self.flush_rank(rank);
-        }
+    pub(crate) fn funcdef(&mut self, id: VtFuncId, name: &str) {
+        debug_assert_eq!(id.0 as usize, self.functions.len(), "ids arrive in order");
+        self.functions.push(name.to_string());
     }
 
     /// Write the salvage preamble (program + dictionary snapshot) if it
@@ -203,75 +313,34 @@ impl<W: Write + Seek> StoreWriter<W> {
         self.write_all_tracked(&framed)
     }
 
-    /// Flush `rank`'s open chunk (no-op if empty). Errors are deferred to
-    /// `finish()` so the hot path stays infallible.
-    fn flush_rank(&mut self, rank: u32) {
-        let Some(buf) = self.open.remove(&rank) else {
-            return;
-        };
-        if buf.count == 0 {
-            return;
-        }
-        let start = if obs::enabled() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        // Deferred error handling: remember the first failure, surface it
-        // from finish(). (A wedged disk mid-run must not panic the sim.)
-        if let Err(e) = self.ensure_preamble() {
-            self.buffered -= buf.payload.len();
-            if self.deferred_err.is_none() {
-                self.deferred_err = Some(e);
-            }
-            return;
-        }
-        let mut meta = ChunkMeta {
-            rank,
-            offset: self.pos,
-            enc_len: buf.payload.len() as u32,
-            count: buf.count,
-            crc: 0,
-            min_t: buf.min_t,
-            max_t: buf.max_t,
-            max_end: buf.max_end,
-        };
-        let header = encode_chunk_header(&mut meta, &buf.payload);
-        self.buffered -= buf.payload.len();
-        let wrote = self
-            .write_all_tracked(&header)
-            .and_then(|()| self.write_all_tracked(&buf.payload));
-        if let Err(e) = wrote {
-            if self.deferred_err.is_none() {
-                self.deferred_err = Some(e);
-            }
-            return;
-        }
-        self.index.push(meta);
-        if let Some(t0) = start {
-            obs::histogram("analysis.encode_real_ns").record(t0.elapsed().as_nanos() as u64);
-            obs_chunks_written(1);
-            let disk = header.len() as u64 + buf.payload.len() as u64;
-            obs_store_bytes(disk);
-            self.obs_counted += disk;
-        }
-    }
-
     fn write_all_tracked(&mut self, bytes: &[u8]) -> std::io::Result<()> {
         self.out.write_all(bytes)?;
         self.pos += bytes.len() as u64;
         Ok(())
     }
 
-    /// Flush every partial chunk, write the footer index and trailer, and
-    /// return the write statistics.
-    pub fn finish(mut self) -> Result<StoreStats, TraceError> {
-        // Deterministic flush order for partial chunks: ascending rank.
-        let mut pending: Vec<u32> = self.open.keys().copied().collect();
-        pending.sort_unstable();
-        for rank in pending {
-            self.flush_rank(rank);
-        }
+    fn write_chunk(&mut self, rank: u32, chunk: &ChunkBuf) -> std::io::Result<()> {
+        self.ensure_preamble()?;
+        let mut meta = ChunkMeta {
+            rank,
+            offset: self.pos,
+            enc_len: chunk.payload.len() as u32,
+            count: chunk.count,
+            crc: 0,
+            min_t: chunk.min_t,
+            max_t: chunk.max_t,
+            max_end: chunk.max_end,
+        };
+        let header = encode_chunk_header(&mut meta, &chunk.payload);
+        self.write_all_tracked(&header)?;
+        self.write_all_tracked(&chunk.payload)?;
+        self.index.push(meta);
+        Ok(())
+    }
+
+    /// Write the footer index and trailer, and return the write
+    /// statistics. Every stage has been sealed by now.
+    pub(crate) fn finish(&mut self) -> Result<StoreStats, TraceError> {
         if let Some(e) = self.deferred_err.take() {
             return Err(TraceError::Io(e));
         }
@@ -302,32 +371,142 @@ impl<W: Write + Seek> StoreWriter<W> {
     }
 }
 
-/// Live capture: events are appended as the trace library settles them,
-/// names join the dictionary as `VT_funcdef` registers them (those known
-/// when the first chunk is flushed make the salvage preamble, all of them
-/// the footer), and I/O errors wait for [`StoreWriter::finish`].
-impl<W: Write + Seek + Send> EventSink for StoreWriter<W> {
-    fn funcdef(&mut self, id: VtFuncId, name: &str) {
-        debug_assert_eq!(id.0 as usize, self.functions.len(), "ids arrive in order");
-        self.functions.push(name.to_string());
+impl<W: Write + Seek> Seal for FileHalf<W> {
+    /// Write `chunk` out as one chunk of `rank` — header + CRC + payload +
+    /// index entry, the only place that does — and empty it (no-op if it
+    /// is empty). The first failure is remembered for `finish()`: a wedged
+    /// disk mid-run must not panic the sim.
+    fn seal(&mut self, rank: u32, chunk: &mut ChunkBuf) {
+        if chunk.is_empty() {
+            return;
+        }
+        let start = obs::enabled().then(std::time::Instant::now);
+        let len = chunk.payload.len();
+        self.events += u64::from(chunk.count);
+        if len > chunk.high_water {
+            self.peak_buffered += len - chunk.high_water;
+            chunk.high_water = len;
+        }
+        match self.write_chunk(rank, chunk) {
+            Ok(()) => {
+                if let Some(t0) = start {
+                    obs::histogram("analysis.encode_real_ns")
+                        .record(t0.elapsed().as_nanos() as u64);
+                    obs_chunks_written(1);
+                    let disk = (CHUNK_HEADER_BYTES + len) as u64;
+                    obs_store_bytes(disk);
+                    self.obs_counted += disk;
+                }
+            }
+            Err(e) => {
+                self.deferred_err.get_or_insert(e);
+            }
+        }
+        chunk.clear();
+    }
+}
+
+/// Streaming writer of the `VGVS` chunk-indexed store format
+/// (version 2: CRC-32 chunks + salvageable preamble).
+///
+/// Append events in any rank order; each rank accumulates into its own
+/// stage, sealed to disk when [`StoreOptions::chunk_events`] is reached.
+/// Call [`StoreWriter::finish`] to seal partial chunks and write the
+/// footer index — a file without a footer is detected as
+/// [`TraceError::TruncatedFooter`] by the reader and remains salvageable
+/// chunk by chunk.
+pub struct StoreWriter<W: Write + Seek> {
+    file: Arc<Mutex<FileHalf<W>>>,
+    /// The offline feeders' stages, by rank.
+    stages: DenseMap<ChunkBuf>,
+    chunk_events: usize,
+}
+
+impl StoreWriter<BufWriter<std::fs::File>> {
+    /// Create a store file at `path`.
+    pub fn create(
+        path: impl AsRef<Path>,
+        program: impl Into<String>,
+        opts: StoreOptions,
+    ) -> Result<Self, TraceError> {
+        let file = std::fs::File::create(path)?;
+        StoreWriter::new(BufWriter::new(file), program, opts)
+    }
+}
+
+impl<W: Write + Seek> StoreWriter<W> {
+    /// Wrap any seekable sink.
+    pub fn new(out: W, program: impl Into<String>, opts: StoreOptions) -> Result<Self, TraceError> {
+        Ok(StoreWriter {
+            file: Arc::new(Mutex::new(FileHalf::new(out, program.into())?)),
+            stages: DenseMap::new(DENSE_RANKS),
+            chunk_events: opts.chunk_events.max(1),
+        })
     }
 
-    fn push(&mut self, ev: &Event) {
-        self.append(ev);
+    /// Install the function dictionary (names indexed by `VtFuncId`).
+    /// Names installed before the first chunk is flushed land in the
+    /// salvageable preamble; later additions only reach the footer.
+    pub fn set_functions(&mut self, names: Vec<String>) {
+        locked(&self.file).set_functions(names);
+    }
+
+    /// Append one event to its rank's stage, sealing the chunk to disk if
+    /// it reaches the configured size.
+    pub fn append(&mut self, ev: &Event) {
+        let rank = ev.rank();
+        let stage = self.stages.entry(rank, ChunkBuf::default);
+        stage.stage(ev);
+        if stage.len() >= self.chunk_events {
+            locked(&self.file).seal(rank, stage);
+        }
+    }
+
+    /// Seal every partial chunk, write the footer index and trailer, and
+    /// return the write statistics.
+    pub fn finish(mut self) -> Result<StoreStats, TraceError> {
+        let mut file = locked(&self.file);
+        // Deterministic order for partial chunks: ascending rank.
+        for (rank, stage) in self.stages.iter_mut() {
+            file.seal(rank, stage);
+        }
+        file.finish()
+    }
+}
+
+/// Live capture: names join the dictionary as `VT_funcdef` registers them
+/// (those known at the first seal make the salvage preamble, all of them
+/// the footer), and I/O errors wait for [`StoreWriter::finish`].
+impl<W: Write + Seek + Send + 'static> EventSink for StoreWriter<W> {
+    fn funcdef(&mut self, id: VtFuncId, name: &str) {
+        locked(&self.file).funcdef(id, name);
+    }
+
+    fn lane(&mut self, rank: u32) -> Box<dyn Lane> {
+        Box::new(StoreLane {
+            rank,
+            stage: ChunkBuf::default(),
+            chunk_events: self.chunk_events,
+            shared: Arc::clone(&self.file) as _,
+            meter: None,
+        })
     }
 }
 
 /// Encode the version-2 chunk header for `meta`, computing and stamping
 /// `meta.crc` (CRC-32 over the header's non-crc bytes then the payload).
-pub(crate) fn encode_chunk_header(meta: &mut ChunkMeta, payload: &[u8]) -> BytesMut {
-    let mut header = BytesMut::with_capacity(super::chunk_header_bytes(STORE_VERSION));
-    header.put_u32_le(meta.rank);
-    header.put_u32_le(meta.count);
-    header.put_u32_le(meta.enc_len);
-    header.put_u32_le(0); // crc placeholder at bytes 12..16
-    header.put_u64_le(meta.min_t.as_nanos());
-    header.put_u64_le(meta.max_t.as_nanos());
-    header.put_u64_le(meta.max_end.as_nanos());
+pub(crate) fn encode_chunk_header(
+    meta: &mut ChunkMeta,
+    payload: &[u8],
+) -> [u8; CHUNK_HEADER_BYTES] {
+    let mut header = [0u8; CHUNK_HEADER_BYTES];
+    header[0..4].copy_from_slice(&meta.rank.to_le_bytes());
+    header[4..8].copy_from_slice(&meta.count.to_le_bytes());
+    header[8..12].copy_from_slice(&meta.enc_len.to_le_bytes());
+    // crc at bytes 12..16, stamped below
+    header[16..24].copy_from_slice(&meta.min_t.as_nanos().to_le_bytes());
+    header[24..32].copy_from_slice(&meta.max_t.as_nanos().to_le_bytes());
+    header[32..40].copy_from_slice(&meta.max_end.as_nanos().to_le_bytes());
     let mut crc = Crc32::new();
     crc.update(&header[..12])
         .update(&header[16..])
@@ -487,5 +666,37 @@ pub(crate) fn remap_func(ev: &mut Event, remap: &[u32]) {
         *func = remap
             .get(func.0 as usize)
             .map_or(UNKNOWN_FUNC, |&to| VtFuncId(to));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sealed stage starts its next chunk in the allocation the last one
+    /// grew: nothing is dropped and regrown by doubling.
+    #[test]
+    fn a_sealed_stage_keeps_its_allocation() {
+        let opts = StoreOptions { chunk_events: 64 };
+        let mut w = StoreWriter::new(std::io::Cursor::new(Vec::new()), "t", opts).unwrap();
+        let chunk = |w: &mut StoreWriter<_>| {
+            for i in 0..64 {
+                w.append(&Event::ConfSync {
+                    t: SimTime::from_micros(i),
+                    rank: 0,
+                    epoch: i as u32,
+                });
+            }
+            let stage = w.stages.get(0).expect("rank 0 staged");
+            assert!(stage.is_empty(), "the 64th event sealed the chunk");
+            stage.payload.capacity()
+        };
+        let cap = chunk(&mut w);
+        assert!(cap >= 64 * 3, "{cap}");
+        assert_eq!(chunk(&mut w), cap);
+        assert_eq!(chunk(&mut w), cap);
+        let stats = w.finish().unwrap();
+        assert_eq!((stats.chunks, stats.events), (3, 192));
+        assert!(stats.peak_buffered_bytes <= cap);
     }
 }

@@ -27,19 +27,22 @@
 //!
 //! An invocation never holds its trace in memory: [`run_cli`] installs a
 //! capture sink on the session's trace library, and every event goes, as
-//! it happens, into the summary's `ProfileBuilder` and — with `trace=` —
-//! into a store writer opened before the session starts. The summary is
-//! rendered from that builder and the store's footer sealed last, so a
-//! run that dies midway leaves a salvageable store (DESIGN §14, §17).
+//! it happens, into its rank's lane: the rank's share of the summary's
+//! `ProfileBuilder` and — with `trace=` — its open chunk of a store
+//! opened before the session starts. The summary is rendered from that
+//! builder and the store's footer sealed last, so a run that dies midway
+//! leaves a salvageable store (DESIGN §14, §17).
 
 use std::io::Read;
 use std::sync::{Arc, Mutex};
 
-use dynprof_analysis::store::{RetentionPolicy, RotatingWriter, RotationPolicy, StoreOptions};
+use dynprof_analysis::store::{
+    RetentionPolicy, RotatingWriter, RotationPolicy, SegmentStats, StoreOptions,
+};
 use dynprof_analysis::ProfileBuilder;
 use dynprof_core::{run_session, AdaptiveSettings, AppSpec, Command, SessionConfig, SessionReport};
 use dynprof_sim::{Machine, SimTime};
-use dynprof_vt::{Event, EventSink, Policy, VtFuncId};
+use dynprof_vt::{Event, EventSink, Lane, Policy, VtFuncId};
 
 use crate::workload::Outputs;
 
@@ -89,6 +92,8 @@ pub struct CliOutput {
     pub timefile: String,
     /// Application outputs (numerics).
     pub outputs: Arc<Outputs>,
+    /// What a `rotate=` capture left on disk (also reported on stderr).
+    pub segments: Option<SegmentStats>,
     /// Why the `trace=` store could not be completed, if it could not
     /// (the capture's deferred I/O error; what reached the disk before it
     /// salvages). [`write_outputs`] reports it after the other outputs.
@@ -247,11 +252,13 @@ fn open_trace(args: &CliArgs, program: &str) -> Result<Option<RotatingWriter>, S
         .map_err(|e| format!("creating store {path:?}: {e}"))
 }
 
-/// The session's capture sink: every event is teed into the summary's
-/// profile and, with `trace=`, into the store.
-struct Capture {
-    profile: ProfileBuilder,
-    store: Option<RotatingWriter>,
+/// The session's capture sink: the summary's profile and, with `trace=`,
+/// the store. A rank's lane is the pair of theirs.
+pub struct Capture {
+    /// What the summary's function table is rendered from.
+    pub profile: ProfileBuilder,
+    /// The `trace=` store, if one was asked for.
+    pub store: Option<RotatingWriter>,
 }
 
 impl EventSink for Capture {
@@ -260,9 +267,33 @@ impl EventSink for Capture {
         self.store.funcdef(id, name);
     }
 
-    fn push(&mut self, ev: &Event) {
-        self.profile.push(ev);
-        self.store.push(ev);
+    fn lane(&mut self, rank: u32) -> Box<dyn Lane> {
+        Box::new(CaptureLane {
+            profile: self.profile.lane(rank),
+            store: self.store.lane(rank),
+        })
+    }
+}
+
+struct CaptureLane {
+    profile: Box<dyn Lane>,
+    store: Box<dyn Lane>,
+}
+
+impl Lane for CaptureLane {
+    fn push(&mut self, ev: &Event) -> bool {
+        // Only a store can refuse (at a rotation cap); ask it first so a
+        // refused event is not profiled twice.
+        self.store.push(ev) && self.profile.push(ev)
+    }
+
+    fn switch(&mut self) {
+        self.store.switch();
+    }
+
+    fn close(self: Box<Self>) {
+        self.profile.close();
+        self.store.close();
     }
 }
 
@@ -337,18 +368,21 @@ pub fn run_cli(args: &CliArgs) -> Result<CliOutput, String> {
 
     // Only now is the capture complete: flush the open chunks, seal the
     // footer.
+    let mut segments = None;
     let trace_error = store.and_then(|w| match w.finish() {
-        Ok(stats) if args.rotate_bytes.is_some() => {
-            eprintln!(
-                "dynprof: {} segments on disk ({} rotated, {} retired), {} bytes",
-                stats.segments.len(),
-                stats.rotated,
-                stats.deleted,
-                stats.bytes
-            );
+        Ok(stats) => {
+            if args.rotate_bytes.is_some() {
+                eprintln!(
+                    "dynprof: {} segments on disk ({} rotated, {} retired), {} bytes",
+                    stats.segments.len(),
+                    stats.rotated,
+                    stats.deleted,
+                    stats.bytes
+                );
+                segments = Some(stats);
+            }
             None
         }
-        Ok(_) => None,
         Err(e) => {
             let path = args.trace.as_deref().unwrap_or_default();
             Some(format!("writing store {path:?}: {e}"))
@@ -360,6 +394,7 @@ pub fn run_cli(args: &CliArgs) -> Result<CliOutput, String> {
         summary,
         timefile,
         outputs,
+        segments,
         trace_error,
     })
 }

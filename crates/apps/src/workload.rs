@@ -306,7 +306,7 @@ impl Outputs {
 
 /// Scale a `u64` count by the params' scale factor (min 1).
 pub fn scaled(count: u64, scale: f64) -> u64 {
-    ((count as f64 * scale).round() as u64).max(1)
+    dynprof_sim::time::round_to_u64(count as f64 * scale).max(1)
 }
 
 /// Scale a [`SimTime`].

@@ -19,7 +19,8 @@
 //! on the engine's hot paths (`alloc/*` rows): a counting
 //! `#[global_allocator]` measures exactly how many heap allocations one
 //! steady-state operation performs — control-plane send, probe fire and
-//! insert, a message through a channel, trace append, profile push, query pass, coroutine handoff — and the run fails if a
+//! insert, a message through a channel, trace append, a captured event,
+//! profile push, query pass, coroutine handoff — and the run fails if a
 //! path gains an allocation. Timing rows tolerate noise; the allocation
 //! ledger is exact, so an accidental `clone()` or `Box::new` on a fast
 //! path is a deterministic failure rather than a 3%-slower shrug.
@@ -262,16 +263,23 @@ fn bench_vt_fast_paths() {
             t.elapsed()
         })
     });
-    // One recorded event (half a begin/end pair), buffered in the library
-    // and captured live through a store-writer sink: the delta is what
-    // encoding, checksumming and writing an event costs on the spot
-    // instead of after the run.
-    for (name, live) in [("vt/record", false), ("vt/record_to_store", true)] {
+    // One recorded event (half a begin/end pair): buffered in the library,
+    // captured live through a store writer's lane, and through the pair
+    // `dynprof trace=` installs (store + summary profile). The delta to
+    // `vt/record` is what capturing an event costs on the spot instead of
+    // after the run.
+    for (name, sink) in [
+        ("vt/record", None),
+        ("vt/record_to_store", Some(false)),
+        ("vt/record_captured", Some(true)),
+    ] {
         bench(name, |iters| {
             in_virtual_proc(move |p| {
                 let vt = VtLib::new("b", 1, VtConfig::all_on(), ProbeCosts::power3());
-                if live {
-                    vt.set_sink(store_slot(2048) as _);
+                match sink {
+                    None => {}
+                    Some(false) => vt.set_sink(store_slot(2048) as _),
+                    Some(true) => vt.set_sink(capture_slot("micro") as _),
                 }
                 vt.init(p, 0);
                 let f = vt.funcdef(p, "hot");
@@ -280,7 +288,9 @@ fn bench_vt_fast_paths() {
                     vt.begin(p, 0, 0, f, 1);
                     vt.end(p, 0, 0, f);
                 }
-                t.elapsed()
+                let d = t.elapsed();
+                vt.close_lanes();
+                d
             })
         });
     }
@@ -310,6 +320,30 @@ fn bench_image_call() {
             let mut bld = ImageBuilder::new("b");
             let f = bld.add(FunctionInfo::new("f"));
             let img = bld.build();
+            let t = Instant::now();
+            for _ in 0..iters {
+                img.call(p, CallerCtx::default(), f, || black_box(1));
+            }
+            t.elapsed()
+        })
+    });
+    // A statically instrumented call whose hooks do nothing: what the
+    // call path itself pays to reach them.
+    bench("image/call_static_hooked", |iters| {
+        struct Nop;
+        impl dynprof_image::StaticHooks for Nop {
+            fn begin(&self, ctx: &dynprof_image::ProbeCtx<'_>) {
+                black_box(ctx.reps);
+            }
+            fn end(&self, ctx: &dynprof_image::ProbeCtx<'_>) {
+                black_box(ctx.reps);
+            }
+        }
+        in_virtual_proc(move |p| {
+            let mut bld = ImageBuilder::new("b");
+            let f = bld.add(FunctionInfo::new("f").static_instr(true));
+            let img = bld.build();
+            img.set_static_hooks(Arc::new(Nop));
             let t = Instant::now();
             for _ in 0..iters {
                 img.call(p, CallerCtx::default(), f, || black_box(1));
@@ -585,6 +619,30 @@ fn bench_store_crc() {
         overhead * 100.0,
         tolerance * 100.0
     );
+}
+
+/// One event onto a rank's open chunk — delta, varints, envelope — the
+/// whole of what a store lane does per event below its chunk size.
+fn bench_stage_event() {
+    use dynprof_analysis::store::ChunkBuf;
+    use dynprof_vt::{Event, VtFuncId};
+
+    bench("store/stage_event", |iters| {
+        let mut stage = ChunkBuf::default();
+        let t = Instant::now();
+        for i in 0..iters {
+            if stage.len() == 2048 {
+                stage.clear();
+            }
+            black_box(stage.stage(black_box(&Event::FuncEnter {
+                t: SimTime::from_nanos(i * 100),
+                rank: 0,
+                thread: 0,
+                func: VtFuncId((i % 199) as u32),
+            })));
+        }
+        t.elapsed()
+    });
 }
 
 /// A 64-rank store of one full default-size chunk (2 048 events) a rank,
@@ -1123,28 +1181,47 @@ fn store_slot(chunk_events: usize) -> StoreSlot {
     Arc::new(std::sync::Mutex::new(Some(w)))
 }
 
-/// The live capture path end to end — `VT_begin`/`VT_end` through the one
-/// emit path into a store writer installed as the library's sink (delta
-/// encode, varint, CRC, buffered file): zero allocations per event. The
-/// amortized remainder is chunk growth, and its budget is stated per
-/// sealed chunk: a rank's payload buffer starts empty after every flush
-/// and doubles its way up to the chunk's ~1.5 KB (≤ 10 reallocations),
-/// the flush stages one header, and the in-memory file doubles now and
-/// then — ≤ 12 per chunk, for the 32 chunks sealed in the window plus the
-/// 16 (one per rank) left open at its end.
-fn alloc_trace_append() {
+/// The pair `dynprof trace=` installs — summary profile + store, here a
+/// temporary file — in the slot a capture sink is shared through.
+type CaptureSlot = Arc<std::sync::Mutex<Option<dynprof_apps::cli::Capture>>>;
+
+fn capture_slot(tag: &str) -> CaptureSlot {
+    use dynprof_analysis::store::{RotatingWriter, StoreOptions};
+    use dynprof_analysis::ProfileBuilder;
+
+    let path =
+        std::env::temp_dir().join(format!("dynprof-bench-{tag}-{}.vgvs", std::process::id()));
+    let store = RotatingWriter::create(
+        &path,
+        "ledger",
+        StoreOptions::default(),
+        Default::default(),
+        Default::default(),
+    )
+    .expect("temporary store");
+    // Unlinked at once: the open file is all the capture needs.
+    std::fs::remove_file(&path).ok();
+    Arc::new(std::sync::Mutex::new(Some(dynprof_apps::cli::Capture {
+        profile: ProfileBuilder::new(Vec::new(), Default::default()),
+        store: Some(store),
+    })))
+}
+
+/// Allocations of `OPS` steady-state events — `VT_begin`/`VT_end` through
+/// the one emit path into `sink`'s lanes — after a warm-up in which every
+/// rank has sealed a chunk, so its stage has reached its size. Returns
+/// `(allocations, ops, ranks)`.
+fn capture_allocs(sink: dynprof_vt::SharedSink, chunk_events: u64) -> (u64, u64, u64) {
     const OPS: u64 = 8192;
-    const WARM: u64 = 512;
     const RANKS: u64 = 16;
-    const CHUNK_EVENTS: u64 = 256;
-    let slot = store_slot(CHUNK_EVENTS as usize);
+    let warm = 2 * RANKS * chunk_events;
     let vt = VtLib::new(
         "ledger",
         RANKS as usize,
         VtConfig::all_on(),
         ProbeCosts::power3(),
     );
-    vt.set_sink(Arc::clone(&slot) as _);
+    vt.set_sink(sink);
     let out = Arc::new(Mutex::new(0u64));
     let out2 = Arc::clone(&out);
     let sim = Sim::virtual_time(Machine::test_machine(), 1);
@@ -1159,22 +1236,44 @@ fn alloc_trace_append() {
             p.advance(SimTime::from_nanos(100));
             vt.end(p, rank, 0, f);
         };
-        (0..WARM / 2).for_each(pair);
-        *out2.lock() = alloc_delta(|| (WARM / 2..(WARM + OPS) / 2).for_each(pair));
+        (0..warm / 2).for_each(pair);
+        *out2.lock() = alloc_delta(|| (warm / 2..(warm + OPS) / 2).for_each(pair));
         vt.with_rank_events(0, |evs| assert!(evs.is_empty(), "nothing is buffered"));
+        vt.close_lanes();
     });
     sim.run();
     let total = *out.lock();
+    (total, OPS, RANKS)
+}
+
+/// The live capture path end to end into a store writer installed as the
+/// library's sink (delta encode, varint, CRC, buffered file): zero
+/// allocations per event. A sealed stage keeps its allocation and the
+/// chunk header is built on the stack, so the amortized remainder is what
+/// the in-memory file and the chunk index grow by — a constant — plus at
+/// most one regrowth per rank whose later chunk runs longer than its
+/// first.
+fn alloc_trace_append() {
+    const CHUNK_EVENTS: u64 = 256;
+    let slot = store_slot(CHUNK_EVENTS as usize);
+    let (total, ops, ranks) = capture_allocs(Arc::clone(&slot) as _, CHUNK_EVENTS);
     let writer = slot.lock().expect("slot").take().expect("sink comes back");
     let stats = writer.finish().expect("in-memory finish");
-    assert_eq!(stats.events, WARM + OPS);
-    pinned_allocs(
-        "alloc/trace_append",
-        total,
-        OPS,
-        0,
-        12 * (OPS / CHUNK_EVENTS + RANKS),
-    );
+    assert_eq!(stats.events, 2 * ranks * CHUNK_EVENTS + ops);
+    pinned_allocs("alloc/trace_append", total, ops, 0, ranks + 8);
+}
+
+/// The same through the pair `dynprof trace=` installs: a rank's lane is
+/// its profile state and its store stage, and an event allocates in
+/// neither.
+fn alloc_capture_event() {
+    let slot = capture_slot("ledger");
+    let (total, ops, ranks) = capture_allocs(Arc::clone(&slot) as _, 2048);
+    let capture = slot.lock().expect("slot").take().expect("sink comes back");
+    let stats = capture.store.expect("installed").finish().expect("finish");
+    assert_eq!(stats.events, 2 * ranks * 2048 + ops);
+    black_box(capture.profile.finish());
+    pinned_allocs("alloc/capture_event", total, ops, 0, ranks + 8);
 }
 
 /// The session summary's accumulator: a `ProfileBuilder::push` on a rank,
@@ -1326,6 +1425,7 @@ fn bench_alloc_ledger() {
     alloc_probe_insert();
     alloc_chan_send_recv();
     alloc_trace_append();
+    alloc_capture_event();
     alloc_profile_push();
     alloc_query_pass();
     alloc_coroutine_handoff();
@@ -1341,6 +1441,7 @@ fn main() {
     bench_verifier();
     bench_trace_codec();
     bench_store_crc();
+    bench_stage_event();
     bench_query_path();
     bench_config_resolve();
     bench_des_engine();

@@ -112,6 +112,16 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
+    /// Bytes the buffer can hold without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Forget what was written, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Convert into an immutable [`Bytes`] without copying.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
@@ -121,6 +131,13 @@ impl BytesMut {
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.buf.extend_from_slice(src);
+    }
+
+    /// A byte is pushed, not copied from a one-byte slice: the varint
+    /// codec's whole output goes through here.
+    #[inline]
+    fn put_u8(&mut self, v: u8) {
+        self.buf.push(v);
     }
 }
 

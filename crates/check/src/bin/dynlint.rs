@@ -18,7 +18,7 @@
 //! exits nonzero. Fixtures: `collective-mismatch`, `epoch-unsafe`,
 //! `unsafe-probe`, `banned-source`, `unbalanced-timer`,
 //! `unbounded-loop`, `oob-write`, `branch-into-patch`, `clock-under-lock`,
-//! `trace-readback`, `stale-allow`.
+//! `trace-readback`, `image-construction`, `stale-allow`.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -40,6 +40,7 @@ const LINT_DIRS: &[&str] = &[
     "crates/dpcl",
     "crates/image",
     "crates/apps",
+    "crates/core",
     "crates/bench",
 ];
 
@@ -62,6 +63,9 @@ fn main() -> ExitCode {
             Some("branch-into-patch") => fixture_branch_into_patch(),
             Some("clock-under-lock") => fixture_source("clock_under_lock.rs"),
             Some("trace-readback") => fixture_source("trace_readback/crates/apps/src/cli.rs"),
+            Some("image-construction") => {
+                fixture_source("image_construction/crates/core/src/session.rs")
+            }
             Some("stale-allow") => fixture_stale_allow(),
             other => {
                 eprintln!("dynlint: unknown fixture {other:?}");

@@ -28,8 +28,14 @@
 //!   its clock, and every timestamp and every charge of every simulated
 //!   probe goes through those two methods.
 //!
-//! One architectural rule is path-scoped:
+//! Two architectural rules are path-scoped:
 //!
+//! * `image-construction` — the shipped (non-test) code under
+//!   `crates/core/src` builds process images in one place: outside
+//!   `AppSpec::build_image` and `session::process_images` it names none of
+//!   `Image::new`, `build_image`, `ImageBuilder`. Every rank's image is
+//!   one overlay on the app's shared program, wired to the trace library
+//!   the same way; a second construction site is where that stops holding.
 //! * `trace-readback` — the shipped (non-test) code under
 //!   `crates/apps/src` calls none of `build_trace`, `with_rank_events`,
 //!   `write_store_from_vt`: `dynprof` streams events into its capture
@@ -222,6 +228,7 @@ fn lint_source_marking(path: &str, src: &str, allow: &[Allow], used: &mut [bool]
     out.extend(lint_lock_discipline(path, &stripped));
     out.extend(lint_clock_under_lock(path, &stripped));
     out.extend(lint_trace_readback(path, &stripped));
+    out.extend(lint_image_construction(path, &stripped));
     out.retain(|f| {
         let rule = f.detector.strip_prefix("lint:").unwrap_or(f.detector);
         match allowed(allow, path, rule) {
@@ -333,6 +340,65 @@ fn lint_trace_readback(path: &str, stripped: &str) -> Vec<Finding> {
                 });
             }
         }
+    }
+    out
+}
+
+/// Names that construct a process image.
+const IMAGE_CONSTRUCTORS: [&str; 3] = ["Image::new", "build_image", "ImageBuilder"];
+
+/// The two functions of `crates/core/src` that may name them.
+const IMAGE_BUILDERS: [&str; 2] = ["fn process_images(", "pub fn build_image("];
+
+/// A session builds its images in one place: in files under
+/// `crates/core/src`, everything before the first `#[cfg(test)]` and
+/// outside the bodies of [`IMAGE_BUILDERS`] must be free of
+/// [`IMAGE_CONSTRUCTORS`]. `session.rs` without a `process_images` is
+/// reported too: a rename must move the rule with it, not switch it off.
+fn lint_image_construction(path: &str, stripped: &str) -> Vec<Finding> {
+    if !path.contains("crates/core/src/") {
+        return Vec::new();
+    }
+    let shipped = stripped.split("#[cfg(test)]").next().unwrap_or("");
+    let exempt: Vec<std::ops::Range<usize>> = IMAGE_BUILDERS
+        .iter()
+        .filter_map(|header| {
+            let at = shipped.find(header)?;
+            let line_start = shipped[..at].rfind('\n').map_or(0, |nl| nl + 1);
+            Some(line_start..brace_block(shipped, at)?.end)
+        })
+        .collect();
+    let mut out = Vec::new();
+    let mut error = |lineno: usize, what: String| {
+        out.push(Finding {
+            severity: Severity::Error,
+            detector: "lint:image-construction",
+            message: format!("{path}:{lineno}: {what}"),
+        });
+    };
+    if path.ends_with("session.rs") && !shipped.contains(IMAGE_BUILDERS[0]) {
+        error(
+            1,
+            "`process_images` not found — the rule has nothing to check".to_string(),
+        );
+    }
+    let mut at = 0;
+    for (lineno, line) in shipped.split('\n').enumerate() {
+        if !exempt.iter().any(|r| r.contains(&at)) {
+            for name in IMAGE_CONSTRUCTORS {
+                if token_match(line, name) {
+                    error(
+                        lineno + 1,
+                        format!(
+                            "`{name}` — a session builds its process images in \
+                             `session::process_images` (through `AppSpec::build_image`) \
+                             and nowhere else"
+                        ),
+                    );
+                }
+            }
+        }
+        at += line.len() + 1;
     }
     out
 }
@@ -736,6 +802,27 @@ mod tests {
         // A longer identifier is not the call.
         let other = "fn rebuild_trace_index() {}\n";
         assert!(lint_source("crates/apps/src/cli.rs", other, &[]).is_empty());
+    }
+
+    #[test]
+    fn image_construction_is_flagged_outside_the_two_builders() {
+        let src = "fn process_images(app: &AppSpec) {\n    let img = app.build_image(true);\n}\n\
+                   fn run_static() {\n    let extra = Image::new(program);\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() { ImageBuilder::new(\"t\"); }\n}\n";
+        let f = lint_source("crates/core/src/session.rs", src, &[]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].detector, "lint:image-construction");
+        assert!(f[0].message.contains("session.rs:5"), "{}", f[0].message);
+        // Other crates build images as they like.
+        assert!(lint_source("crates/bench/src/lib.rs", src, &[]).is_empty());
+        // The method that wraps the constructor may name it; a session
+        // file that lost its helper is itself a finding.
+        let app = "impl AppSpec {\n    pub fn build_image(&self) -> Arc<Image> {\n        \
+                   Arc::new(Image::new(self.program()))\n    }\n}\n";
+        assert!(lint_source("crates/core/src/app.rs", app, &[]).is_empty());
+        let f = lint_source("crates/core/src/session.rs", "fn run() {}\n", &[]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("not found"), "{}", f[0].message);
     }
 
     #[test]

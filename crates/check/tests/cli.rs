@@ -72,6 +72,16 @@ fn trace_readback_fixture_fails() {
 }
 
 #[test]
+fn image_construction_fixture_fails() {
+    let (ok, text) = dynlint(&["--fixture", "image-construction"]);
+    assert!(!ok);
+    assert!(text.contains("lint:image-construction"), "{text}");
+    assert!(text.contains("`Image::new`"), "{text}");
+    // `process_images` itself and the fixture's test module are not reported.
+    assert!(text.contains("1 error(s)"), "{text}");
+}
+
+#[test]
 fn stale_allow_fixture_fails() {
     let (ok, text) = dynlint(&["--fixture", "stale-allow"]);
     assert!(!ok);

@@ -76,10 +76,11 @@ pub struct SessionConfig {
     /// Closed-loop adaptive instrumentation (`None`: no controller, no
     /// confsync at safe points — byte-identical to earlier sessions).
     pub adaptive: Option<AdaptiveSettings>,
-    /// Capture sink: the session's trace library sends every event here
-    /// as it happens and buffers none (`None`: events stay in the
-    /// library's per-rank buffers, readable from [`SessionReport::vt`]
-    /// after the run). The caller keeps a handle and finishes the sink
+    /// Capture sink: the session's trace library sends every event into
+    /// this sink's per-rank lanes as it happens and buffers none (`None`:
+    /// events stay in the library's per-rank buffers, readable from
+    /// [`SessionReport::vt`] after the run). The session closes the lanes
+    /// when the run ends; the caller keeps a handle and finishes the sink
     /// once the session returns. Costs no virtual time either way.
     pub capture: Option<SharedSink>,
 }
@@ -316,11 +317,11 @@ fn new_vt(app: &AppSpec, cfg: &SessionConfig, config: VtConfig) -> Arc<VtLib> {
 }
 
 /// The session's process images, one per process — the only place a
-/// session builds images (CI greps for it). All of them share the app's
-/// program; each is its own overlay, wired to the trace library: static
-/// hooks where the policy compiled instrumentation in, and the §5.1
-/// observer that records a suspension window should a daemon ever suspend
-/// the process.
+/// session builds images (dynlint's `image-construction` rule). All of
+/// them share the app's program; each is its own overlay, wired to the
+/// trace library: static hooks where the policy compiled instrumentation
+/// in, and the §5.1 observer that records a suspension window should a
+/// daemon ever suspend the process.
 fn process_images(
     app: &AppSpec,
     cfg: &SessionConfig,
@@ -560,6 +561,7 @@ pub fn run_attach_session(
     }
 
     let total = sim.run();
+    vt.close_lanes();
     let pairs = *pairs_out.lock();
     let warnings = std::mem::take(&mut *warnings.lock());
     SessionReport {
@@ -703,6 +705,7 @@ fn run_static(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
         }
     };
     let total = sim.run();
+    vt.close_lanes();
     SessionReport {
         policy: cfg.policy,
         app_time: times.app_time(),
@@ -1161,6 +1164,7 @@ fn run_dynamic(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
     }
 
     let total = sim.run();
+    vt.close_lanes();
     let pairs = *pairs_out.lock();
     let warnings = std::mem::take(&mut *warnings.lock());
     let job = job_out.lock().take();

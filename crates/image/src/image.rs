@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
@@ -232,7 +232,10 @@ pub struct Image {
     /// that won the lock would have; a caller that sees `true` takes the
     /// lock and runs whatever chain is there by then.
     occupancy: Box<[AtomicBool]>,
-    static_hooks: RwLock<Option<Arc<dyn StaticHooks>>>,
+    /// Link-time state: the paper links the target against the trace
+    /// library when it is compiled, so the hooks are published once and the
+    /// call path borrows them — no lock, no reference count.
+    static_hooks: OnceLock<Arc<dyn StaticHooks>>,
     observer: RwLock<Option<Arc<dyn ImageObserver>>>,
     suspended: AtomicBool,
     /// The gate suspended callers wait at; replaced at each suspension.
@@ -268,7 +271,7 @@ impl Image {
         Image {
             probes: RwLock::new(Vec::new()),
             occupancy: (0..2 * n).map(|_| AtomicBool::new(false)).collect(),
-            static_hooks: RwLock::new(None),
+            static_hooks: OnceLock::new(),
             observer: RwLock::new(None),
             suspended: AtomicBool::new(false),
             suspend: Mutex::new(Arc::new(SimGate::new())),
@@ -288,9 +291,14 @@ impl Image {
     }
 
     /// Install image-wide static instrumentation hooks (linking the app
-    /// against the trace library at "compile" time).
+    /// against the trace library at "compile" time). An image is linked
+    /// once: a second call panics.
     pub fn set_static_hooks(&self, hooks: Arc<dyn StaticHooks>) {
-        *self.static_hooks.write() = Some(hooks);
+        assert!(
+            self.static_hooks.set(hooks).is_ok(),
+            "static hooks installed twice on an image of {:?} (an image is linked once)",
+            self.program.name
+        );
     }
 
     /// Install a process-state observer (suspension tracking, §5.1).
@@ -476,7 +484,7 @@ impl Image {
         let t_enter = self.pc_log_enabled.load(Ordering::Relaxed).then(|| p.now());
 
         let static_hooks = if self.info(fid).statically_instrumented {
-            self.static_hooks.read().clone()
+            self.static_hooks.get()
         } else {
             None
         };
@@ -484,13 +492,13 @@ impl Image {
         // Entry: dynamic probe fires at the entry instruction, then the
         // compiler-inserted static prologue.
         self.fire_point(p, cc, fid, ProbePointKind::Entry, reps);
-        if let Some(h) = &static_hooks {
+        if let Some(h) = static_hooks {
             h.begin(&self.ctx(p, cc, fid, ProbePointKind::Entry, reps));
         }
 
         let r = body(reps);
 
-        if let Some(h) = &static_hooks {
+        if let Some(h) = static_hooks {
             h.end(&self.ctx(p, cc, fid, ProbePointKind::Exit, reps));
         }
         self.fire_point(p, cc, fid, ProbePointKind::Exit, reps);
@@ -860,6 +868,19 @@ mod tests {
         sim.run();
         assert_eq!(counter.0.load(Ordering::Relaxed), 1);
         assert_eq!(counter.1.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "static hooks installed twice")]
+    fn static_hooks_are_installed_once() {
+        struct Nop;
+        impl StaticHooks for Nop {
+            fn begin(&self, _: &ProbeCtx<'_>) {}
+            fn end(&self, _: &ProbeCtx<'_>) {}
+        }
+        let img = two_fn_image();
+        img.set_static_hooks(Arc::new(Nop));
+        img.set_static_hooks(Arc::new(Nop));
     }
 
     #[test]

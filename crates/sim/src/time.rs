@@ -102,8 +102,20 @@ impl SimTime {
     /// Scale a duration by a floating-point factor (rounds to nearest ns).
     #[inline]
     pub fn mul_f64(self, k: f64) -> SimTime {
-        SimTime((self.0 as f64 * k).round() as u64)
+        SimTime(round_to_u64(self.0 as f64 * k))
     }
+}
+
+/// `x.round() as u64` — nearest, halves away from zero; negatives and NaN
+/// to 0; saturating — in integer arithmetic. `f64::round` is a call into
+/// libm wherever SSE4.1 cannot be assumed, and the workload models scale a
+/// count or price a unit of work on every simulated call.
+#[inline]
+pub fn round_to_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    // Exact: below 2^52 a double's fraction is representable, above it
+    // there is none.
+    whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
 }
 
 impl Add for SimTime {
@@ -206,9 +218,66 @@ mod tests {
     }
 
     #[test]
+    fn round_to_u64_is_f64_round() {
+        let mut rng = crate::rng::SimRng::new(7, 0);
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            0.49999999999999994,
+            1.5,
+            2.5,
+            -0.3,
+            -0.7,
+            4503599627370495.5, // 2^52 - 0.5
+            4503599627370496.0,
+            9007199254740993.0,
+            1.8446744073709552e19,
+            1e30,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let draws = (0..20_000).map(|i| {
+            let mantissa = rng.gen_range_u64(0..=u64::MAX >> 11) as f64;
+            mantissa / (1u64 << (i % 53)) as f64
+        });
+        for x in edges.into_iter().chain(draws) {
+            assert_eq!(round_to_u64(x), x.round() as u64, "{x:e}");
+        }
+    }
+
+    #[test]
     fn mul_f64_rounds() {
         assert_eq!(SimTime::from_nanos(10).mul_f64(1.26).as_nanos(), 13);
         assert_eq!(SimTime::from_nanos(10).mul_f64(0.0).as_nanos(), 0);
+    }
+
+    /// `VT_begin`/`VT_end` scale their cost by the aggregated repetition
+    /// count with the integer multiply. The float path it replaced was
+    /// exact wherever the product fits a double's 53 bits — every per-call
+    /// cost at any repetition count a run can reach — so nothing moved.
+    #[test]
+    fn integer_scaling_equals_mul_f64_for_probe_costs() {
+        let c = crate::ProbeCosts::power3();
+        let fields = [
+            c.vt_begin_active,
+            c.vt_end_active,
+            c.vt_deactivated,
+            c.trampoline_dispatch,
+            c.vt_funcdef,
+            c.mpi_wrapper_event,
+            c.omp_region_event,
+            c.flush_per_byte,
+            c.confsync_poll,
+            c.stats_format_per_rank,
+            c.stats_write_base,
+        ];
+        for cost in fields {
+            for reps in [1u64, 2, 1_000, 1_000_000, 1 << 32] {
+                assert_eq!(cost * reps, cost.mul_f64(reps as f64), "{cost} x {reps}");
+            }
+        }
     }
 
     #[test]

@@ -43,10 +43,9 @@ impl CpuModel {
     /// Time to execute `flops` floating point operations touching
     /// `mem_bytes` of main memory.
     pub fn work(&self, flops: u64, mem_bytes: u64) -> SimTime {
-        SimTime::from_nanos(
-            (flops as f64 * self.ns_per_flop + mem_bytes as f64 * self.ns_per_mem_byte).round()
-                as u64,
-        )
+        SimTime::from_nanos(crate::time::round_to_u64(
+            flops as f64 * self.ns_per_flop + mem_bytes as f64 * self.ns_per_mem_byte,
+        ))
     }
 }
 

@@ -6,9 +6,10 @@
 //!   `VT_begin`/`VT_end` fast paths with the activation-table lookup that
 //!   makes deactivated probes cheap (but not free), per-rank trace
 //!   buffers, statistics, and trace assembly.
-//! * [`EventSink`] — where events go as they happen when the run is
-//!   captured live (a store writer, a profile accumulator) instead of
-//!   buffered per rank.
+//! * [`EventSink`] / [`Lane`] — where events go as they happen when the
+//!   run is captured live (a store writer, a profile accumulator) instead
+//!   of buffered per rank: a shared half, and one private lane per rank
+//!   that an event reaches under no shared lock.
 //! * [`VtConfig`] — the configuration file controlling which symbols are
 //!   active, with exact and prefix rules.
 //! * [`confsync`] — `VT_confsync`, the safe-point protocol for *dynamic
@@ -48,5 +49,5 @@ pub use hooks::{
 };
 pub use policy::{Policy, ALL_POLICIES};
 pub use sampling::{sample_image, SampleProfile, SAMPLE_INTERRUPT_COST};
-pub use sink::{EventSink, SharedSink};
+pub use sink::{locked, EventSink, Lane, SharedSink};
 pub use vtlib::{FuncStat, FuncStatRow, VtLib};

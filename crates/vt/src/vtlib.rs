@@ -7,12 +7,13 @@
 //! on every rank between safe points by construction of `VT_confsync`).
 //!
 //! Every event leaves the library through one path ([`VtLib::emit`]):
-//! into the capture sink when one is installed ([`VtLib::set_sink`]),
-//! into the rank's in-memory buffer — the default sink — otherwise.
+//! into the rank's capture lane when a sink is installed
+//! ([`VtLib::set_sink`]), into the rank's in-memory buffer — the default
+//! sink — otherwise. Either way under the rank's own guard and no other.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 use dynprof_obs as obs;
 use parking_lot::{Mutex, RwLock};
@@ -21,7 +22,7 @@ use dynprof_sim::{ProbeCosts, Proc, SimTime};
 
 use crate::config::{ConfigDelta, VtConfig};
 use crate::event::{Event, Trace, VtFuncId};
-use crate::sink::{EventSink, SharedSink};
+use crate::sink::{locked, Lane, SharedSink};
 
 /// Per-function statistics accumulated while probes are active — the data
 /// `VT_confsync` can write out at runtime (paper §5, Experiment 3).
@@ -43,14 +44,6 @@ pub type FuncStatRow = (u32, u64, u64, u64);
 fn note_event() {
     static EVENTS: OnceLock<&'static obs::Counter> = OnceLock::new();
     EVENTS.get_or_init(|| obs::counter("vt.events")).add(1);
-}
-
-/// Lock a capture sink, poisoned or not. A sink that panicked in one
-/// rank's push has already failed the run (the panic poisons the
-/// simulation); refusing the lock afterwards would only turn the other
-/// ranks' pushes during teardown into panics inside an unwind.
-fn locked(sink: &SharedSink) -> MutexGuard<'_, dyn EventSink + 'static> {
-    sink.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Fold one elided `func` pair on `thread` into `pending`, the coalesced
@@ -105,6 +98,9 @@ struct ProcBuf {
     /// The default in-memory sink: this rank's settled events in append
     /// order. Stays empty once a capture sink is installed.
     events: Vec<Event>,
+    /// This rank's private half of the capture, opened at its first
+    /// settled event and closed by [`VtLib::close_lanes`].
+    lane: Option<Box<dyn Lane>>,
     /// The one event not settled yet: a trailing `FuncEnter` that `VT_end`
     /// may still elide (suppression floor > 0 only). Anything else the
     /// rank emits settles it first.
@@ -142,17 +138,24 @@ impl ProcBuf {
 /// One rank's share of the library.
 ///
 /// **One guard per call.** Everything `VT_begin`, `VT_end` and the
-/// MPI/OpenMP hooks touch on their way to the sink — the event buffer,
-/// the call stacks, the pending MPI operations, the activation table —
-/// lives in `buf`, and each of those calls takes that lock exactly once.
+/// MPI/OpenMP hooks touch on their way out — the event buffer or the
+/// capture lane, the call stacks, the pending MPI operations, the
+/// activation table — lives in `buf`, and each of those calls takes that
+/// lock exactly once and no other: an event reaches its lane's open chunk
+/// under the guard the rank already holds.
 ///
 /// **Lock order**: `buf` → `registry` (read) → `config`, then the capture
-/// sink innermost. The first three nest only when a lookup meets a
+/// sink innermost — per lane opened, and inside a lane per chunk handed
+/// over, never per event. The first three nest only when a lookup meets a
 /// function registered since the rank last resolved its table
-/// ([`VtLib::active_in`], [`VtLib::reresolve`]). Nothing that holds the
-/// `registry` *write* lock may take a `buf` lock (`VT_funcdef` takes the
-/// sink, which takes nothing; [`VtLib::set_sink`] looks at the buffers
-/// before it takes the registry, never under it).
+/// ([`VtLib::active_in`], [`VtLib::reresolve`]). `buf` → *another rank's*
+/// `buf` happens in one place, the sub-buffer switch
+/// ([`VtLib::switch_lanes`]), in ascending rank order; it is legal because
+/// one simulated process runs at a time on either carrier and none yields
+/// with its `buf` held. Nothing that holds the `registry` *write* lock may
+/// take a `buf` lock (`VT_funcdef` takes the sink, which takes nothing;
+/// [`VtLib::set_sink`] looks at the buffers before it takes the registry,
+/// never under it).
 struct ProcState {
     initialized: AtomicBool,
     finalized: AtomicBool,
@@ -243,11 +246,12 @@ impl VtLib {
         })
     }
 
-    /// Send every event to `sink` as it settles instead of buffering it
-    /// per rank: the library then holds no trace at all
+    /// Send every event into `sink`'s lanes as it settles instead of
+    /// buffering it per rank: the library then holds no trace at all
     /// ([`VtLib::with_rank_events`] and [`VtLib::build_trace`] see nothing).
     /// Install it before the run starts; names already registered are
-    /// replayed to the sink first. Feeding the sink costs no virtual time.
+    /// replayed to the sink first. Call [`VtLib::close_lanes`] once the run
+    /// has ended. Feeding a capture costs no virtual time.
     pub fn set_sink(&self, sink: SharedSink) {
         // Looked at before the registry lock is taken, not under it: a
         // rank resolving its activation table holds `buf` and wants the
@@ -500,7 +504,7 @@ impl VtLib {
         let mut buf = st.buf.lock();
         let active = self.active_in(st, &mut buf, func);
         if active {
-            p.advance(self.costs.vt_begin_active.mul_f64(reps as f64));
+            p.advance(self.costs.vt_begin_active * reps);
             if reps == 1 {
                 let ev = Event::FuncEnter {
                     t: p.now(),
@@ -524,7 +528,7 @@ impl VtLib {
         } else {
             // Deactivated: the call still happens, pays the table lookup,
             // and bails out (paper §4.2).
-            p.advance(self.costs.vt_deactivated.mul_f64(reps as f64));
+            p.advance(self.costs.vt_deactivated * reps);
             buf.deactivated_lookups += reps;
             if obs::enabled() {
                 static LOOKUPS: OnceLock<&'static obs::Counter> = OnceLock::new();
@@ -582,7 +586,7 @@ impl VtLib {
             self.emit(&mut buf, ev);
         }
         if frame.active {
-            p.advance(self.costs.vt_end_active.mul_f64(frame.reps as f64));
+            p.advance(self.costs.vt_end_active * frame.reps);
             let now = p.now();
             let span = now.saturating_sub(frame.t0);
             // Redundancy suppression: a single pair shorter than the floor
@@ -666,16 +670,48 @@ impl VtLib {
         self.settle(buf, ev);
     }
 
-    /// Account one event that will never be taken back and hand it to the
-    /// capture sink, or to the rank's buffer when none is installed.
+    /// Account one event that will never be taken back and put it in the
+    /// rank's capture lane (opened here, at the rank's first), or in the
+    /// rank's buffer when no sink is installed.
     fn settle(&self, buf: &mut ProcBuf, ev: Event) {
         buf.trace_bytes += ev.trace_bytes_of(self.costs.event_bytes);
         if obs::enabled() {
             note_event();
         }
-        match self.sink.get() {
-            Some(sink) => locked(sink).push(&ev),
-            None => buf.events.push(ev),
+        let Some(sink) = self.sink.get() else {
+            buf.events.push(ev);
+            return;
+        };
+        let lane = buf.lane.get_or_insert_with(|| locked(sink).lane(ev.rank()));
+        if !lane.push(&ev) {
+            self.switch_lanes(ev.rank() as usize, buf);
+            let lane = buf.lane.as_mut().expect("opened above");
+            assert!(lane.push(&ev), "a lane refused an event after a switch");
+        }
+    }
+
+    /// Sub-buffer switch: every open lane hands its partial chunk over, in
+    /// ascending rank order. `mine` is the guard `me` already holds; the
+    /// other ranks' are taken one at a time (see the lock order on
+    /// [`ProcState`]).
+    fn switch_lanes(&self, me: usize, mine: &mut ProcBuf) {
+        for (rank, st) in self.procs.iter().enumerate() {
+            if rank == me {
+                mine.lane.iter_mut().for_each(|lane| lane.switch());
+            } else {
+                st.buf.lock().lane.iter_mut().for_each(|lane| lane.switch());
+            }
+        }
+    }
+
+    /// Close every rank's capture lane, in ascending rank order. Call it
+    /// once the run has ended, before the sink is finished.
+    pub fn close_lanes(&self) {
+        for st in &self.procs {
+            let lane = st.buf.lock().lane.take();
+            if let Some(lane) = lane {
+                lane.close();
+            }
         }
     }
 
@@ -823,6 +859,7 @@ impl VtLib {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::EventSink;
     use dynprof_sim::{Machine, Sim};
 
     fn lib(config: VtConfig) -> Arc<VtLib> {
@@ -1143,12 +1180,15 @@ mod tests {
         assert_eq!(vt.trace_bytes(0), 6 * 24);
     }
 
-    /// A sink that keeps what it is given, to look at afterwards.
+    /// A sink that keeps what it is given, to look at afterwards. Its lanes
+    /// append to the one shared list, a lock per event.
     #[derive(Default)]
     struct Recorder {
         names: Vec<String>,
-        events: Vec<Event>,
+        events: Arc<std::sync::Mutex<Vec<Event>>>,
     }
+
+    struct RecorderLane(Arc<std::sync::Mutex<Vec<Event>>>);
 
     impl EventSink for Recorder {
         fn funcdef(&mut self, id: VtFuncId, name: &str) {
@@ -1156,9 +1196,20 @@ mod tests {
             self.names.push(name.to_string());
         }
 
-        fn push(&mut self, ev: &Event) {
-            self.events.push(ev.clone());
+        fn lane(&mut self, _rank: u32) -> Box<dyn Lane> {
+            Box::new(RecorderLane(Arc::clone(&self.events)))
         }
+    }
+
+    impl Lane for RecorderLane {
+        fn push(&mut self, ev: &Event) -> bool {
+            self.0.lock().unwrap().push(ev.clone());
+            true
+        }
+
+        fn switch(&mut self) {}
+
+        fn close(self: Box<Self>) {}
     }
 
     #[test]
@@ -1187,8 +1238,9 @@ mod tests {
         let live = run(Some(Arc::clone(&recorder)));
         let rec = recorder.lock().unwrap();
         assert_eq!(rec.names, ["early", "late"]);
-        assert_eq!(rec.events, buffered.build_trace().events);
-        assert_eq!(rec.events.len(), 3);
+        let events = rec.events.lock().unwrap();
+        assert_eq!(*events, buffered.build_trace().events);
+        assert_eq!(events.len(), 3);
         live.with_rank_events(0, |evs| assert!(evs.is_empty()));
         assert!(live.build_trace().events.is_empty());
         // The accounting does not depend on where the events went.
@@ -1205,9 +1257,10 @@ mod tests {
         let vt = lib(VtConfig::all_on());
         vt.set_suppress_floor(SimTime::from_micros(10));
         vt.set_sink(Arc::clone(&recorder) as SharedSink);
+        let events = Arc::clone(&recorder.lock().unwrap().events);
         let seen = {
-            let recorder = Arc::clone(&recorder);
-            move || recorder.lock().unwrap().events.len()
+            let events = Arc::clone(&events);
+            move || events.lock().unwrap().len()
         };
         in_sim(move |p| {
             vt.init(p, 0);
@@ -1229,11 +1282,11 @@ mod tests {
             vt.finalize(p, 0);
             assert_eq!(seen(), 5, "the top-level record is sealed at finalize");
         });
-        let rec = recorder.lock().unwrap();
+        let events = events.lock().unwrap();
         assert!(
-            matches!(rec.events[4], Event::FuncSuppressed { count: 1, .. }),
+            matches!(events[4], Event::FuncSuppressed { count: 1, .. }),
             "{:?}",
-            rec.events[4]
+            events[4]
         );
     }
 

@@ -1,152 +1,116 @@
 #!/usr/bin/env bash
-# profile_pipeline.sh — reproducible CPU/syscall profiling for the engine bench.
+# profile_pipeline.sh — sampled CPU profiles of the three session workloads,
+# on a host with no perf: an LD_PRELOAD SIGPROF sampler (scripts/sprof.c)
+# and an offline symboliser (scripts/sprof_sym.py).
 #
-# Produces timestamped artifacts under results/profiles/ so optimization
-# rounds (threads vs coroutine backend, before/after a scheduler change)
-# can be compared across sessions. Tools that are absent degrade
-# gracefully: the bench always runs and its JSON + log are always
-# captured; perf/strace/time layers are added only when available.
+# Produces timestamped artefacts under target/profiles/<ts>/ so optimisation
+# rounds can be compared:
+#
+#   target/profiles/<ts>/meta.txt
+#   target/profiles/<ts>/<workload>/raw/s.<pid>   one dump per run
+#   target/profiles/<ts>/<workload>/self.txt      samples by innermost symbol
+#   target/profiles/<ts>/<workload>/inclusive.txt samples by any frame's symbol
 #
 # Usage:
 #   scripts/profile_pipeline.sh
-#   BACKENDS=coroutine PROFILE_FREQ=499 scripts/profile_pipeline.sh
-#   OUT_ROOT=/tmp/profiles scripts/profile_pipeline.sh
+#   WORKLOADS=deep RUNS=60 HZ=250 scripts/profile_pipeline.sh
 #
 # Environment:
-#   BACKENDS      Space-delimited backends to profile: threads coroutine
-#                 (default: "threads coroutine")
-#   PROFILE_FREQ  perf sampling frequency for perf record (default: 199)
-#   OUT_ROOT      Output root directory (default: results/profiles)
-#   RUN_TS        Override the UTC run timestamp (default: now)
-#   BENCH_JSON    Where the bench writes its machine-readable rows
-#                 (default: <run dir>/BENCH_engine.json); the checked-in
-#                 BENCH_engine.json is never touched by this script.
+#   WORKLOADS  Space-delimited: deep wide control (default: all three; the
+#              benchmark's deep_umt98_full, wide_sweep3d_1152,
+#              control_smg98_512 command lines)
+#   RUNS       Sessions sampled per workload (default: 20; a session is
+#              0.06-0.5 s, so at 250 Hz one run is 15-120 samples)
+#   HZ         Sampling frequency (default: 250)
+#   OUT_ROOT   Output root (default: target/profiles)
+#   RUN_TS     Override the UTC run timestamp (default: now)
+#
+# Reading the output:
+# - The profiled binary is built with frame pointers into its own target
+#   directory (target/profiles/build), so inclusive.txt can walk 12 frames.
+#   A simulated process runs on a coroutine stack: its unwind ends at
+#   `dynprof_sim_co_entry`, and the engine's run loop above it is absent.
+# - sprof_sym.py symbolises every dump against its own mappings (and applies
+#   the PIE text bias, `.text` vaddr != file offset), so runs merge by symbol.
+#   To merge or diff runs by raw *address*, ASLR must be off: the sessions run
+#   under `setarch -R` when it is available.
 
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-BACKENDS="${BACKENDS:-threads coroutine}"
-PROFILE_FREQ="${PROFILE_FREQ:-199}"
-OUT_ROOT="${OUT_ROOT:-results/profiles}"
+WORKLOADS="${WORKLOADS:-deep wide control}"
+RUNS="${RUNS:-20}"
+HZ="${HZ:-250}"
+OUT_ROOT="${OUT_ROOT:-target/profiles}"
 RUN_TS="${RUN_TS:-$(date -u +%Y%m%dT%H%M%SZ)}"
 
-for b in ${BACKENDS}; do
-    if [[ "${b}" != "threads" && "${b}" != "coroutine" ]]; then
-        echo "ERROR: BACKENDS entries must be threads or coroutine (got: ${b})" >&2
+workload_args() {
+    case "$1" in
+        deep) echo "umt98 cpus=8 policy=full scale=1" ;;
+        wide) echo "sweep3d cpus=1152 policy=dynamic" ;;
+        control) echo "smg98 cpus=512 policy=dynamic" ;;
+        *) echo "ERROR: unknown workload $1 (deep wide control)" >&2; return 1 ;;
+    esac
+}
+
+for w in ${WORKLOADS}; do workload_args "${w}" >/dev/null; done
+for tool in cargo gcc python3 nm readelf; do
+    if ! command -v "${tool}" >/dev/null 2>&1; then
+        echo "ERROR: ${tool} not found in PATH" >&2
         exit 1
     fi
 done
-
-if ! command -v cargo >/dev/null 2>&1; then
-    echo "ERROR: cargo not found in PATH" >&2
-    exit 1
+NOASLR=()
+if command -v setarch >/dev/null 2>&1 && setarch "$(uname -m)" -R true 2>/dev/null; then
+    NOASLR=(setarch "$(uname -m)" -R)
 fi
-
-HAVE_PERF=0
-HAVE_STRACE=0
-HAVE_TIME=0
-command -v perf >/dev/null 2>&1 && HAVE_PERF=1
-command -v strace >/dev/null 2>&1 && HAVE_STRACE=1
-[[ -x /usr/bin/time ]] && HAVE_TIME=1
-
-# perf needs kernel.perf_event_paranoid <= 2 for userspace sampling; lower
-# it for the run if we can, and always restore the original value.
-ORIG_PERF_PARANOID=""
-PARANOID_ADJUSTED=0
-if [[ "${HAVE_PERF}" -eq 1 && -r /proc/sys/kernel/perf_event_paranoid ]]; then
-    ORIG_PERF_PARANOID="$(cat /proc/sys/kernel/perf_event_paranoid)"
-    if [[ "${ORIG_PERF_PARANOID}" -gt 2 ]]; then
-        if sudo -n true >/dev/null 2>&1; then
-            sudo -n sysctl -w kernel.perf_event_paranoid=2 >/dev/null
-            PARANOID_ADJUSTED=1
-        else
-            echo "WARN: perf_event_paranoid=${ORIG_PERF_PARANOID} and no sudo -n; skipping perf layers" >&2
-            HAVE_PERF=0
-        fi
-    fi
-fi
-restore_perf_paranoid() {
-    if [[ "${PARANOID_ADJUSTED}" -eq 1 && -n "${ORIG_PERF_PARANOID}" ]]; then
-        sudo -n sysctl -w "kernel.perf_event_paranoid=${ORIG_PERF_PARANOID}" >/dev/null || true
-    fi
-}
-trap restore_perf_paranoid EXIT
 
 RUN_DIR="${OUT_ROOT}/${RUN_TS}"
+BUILD_DIR="${OUT_ROOT}/build"
 mkdir -p "${RUN_DIR}"
-BENCH_JSON="${BENCH_JSON:-${RUN_DIR}/BENCH_engine.json}"
 
 echo "== profile_pipeline ${RUN_TS} =="
-echo "   backends: ${BACKENDS}"
-echo "   perf=${HAVE_PERF} strace=${HAVE_STRACE} time=${HAVE_TIME}"
-echo "   artifacts: ${RUN_DIR}/"
+echo "   workloads: ${WORKLOADS}  runs: ${RUNS}  hz: ${HZ}  aslr off: ${#NOASLR[@]}"
+echo "   artefacts: ${RUN_DIR}/"
 
-# One release build up front so timed runs never include compilation.
-cargo build --release -p dynprof-bench --benches >"${RUN_DIR}/build.log" 2>&1
-BENCH_BIN="$(ls -t target/release/deps/engine_bench-* 2>/dev/null \
-    | grep -v '\.d$' | head -1 || true)"
-if [[ -z "${BENCH_BIN}" ]]; then
-    echo "ERROR: engine_bench binary not found under target/release/deps" >&2
-    exit 1
-fi
-chmod +x "${BENCH_BIN}" 2>/dev/null || true
-echo "   bench bin: ${BENCH_BIN}"
+# One release build with frame pointers, apart from the everyday target
+# directory so neither build invalidates the other.
+CARGO_TARGET_DIR="${BUILD_DIR}" RUSTFLAGS="-C force-frame-pointers=yes" \
+    cargo build --release --offline -p dynprof-apps --bin dynprof >"${RUN_DIR}/build.log" 2>&1
+BIN="${BUILD_DIR}/release/dynprof"
+gcc -O2 -shared -fPIC -o "${RUN_DIR}/sprof.so" scripts/sprof.c
 
 {
     echo "run_ts=${RUN_TS}"
-    echo "backends=${BACKENDS}"
-    echo "bench_bin=${BENCH_BIN}"
+    echo "workloads=${WORKLOADS}"
+    echo "runs=${RUNS}"
+    echo "hz=${HZ}"
+    echo "aslr_off=${#NOASLR[@]}"
     echo "rustc=$(rustc --version)"
     echo "host=$(uname -srm)"
     echo "nproc=$(nproc 2>/dev/null || echo '?')"
     echo "git=$(git rev-parse --short HEAD 2>/dev/null || echo 'no-git')"
 } >"${RUN_DIR}/meta.txt"
 
-# Pass 1: the full bench — every workload on both backends, in-bench
-# cross-backend event-count check, JSON dump to the run dir (the
-# checked-in BENCH_engine.json is untouched because BENCH_ENGINE_OUT
-# points into RUN_DIR). Wall-clock/RSS via /usr/bin/time when present.
-echo "-- bench (all workloads, both backends) --"
-if [[ "${HAVE_TIME}" -eq 1 ]]; then
-    /usr/bin/time -v -o "${RUN_DIR}/time.txt" \
-        env BENCH_ENGINE_OUT="${BENCH_JSON}" "${BENCH_BIN}" --bench \
-        | tee "${RUN_DIR}/bench.log"
-else
-    BENCH_ENGINE_OUT="${BENCH_JSON}" "${BENCH_BIN}" --bench \
-        | tee "${RUN_DIR}/bench.log"
-fi
+SCRIPT="${RUN_DIR}/script.dp"
+printf 'insert-file subset\nstart\nquit\n' >"${SCRIPT}"
 
-# Pass 2: one backend at a time (BENCH_ENGINE_BACKENDS restricts the
-# bench, which then skips its JSON dump) under perf/strace so the
-# samples and syscall counts are attributable to a single backend. The
-# strace layer is the motivating measurement: per-event futex pairs on
-# the threads backend vs. none on the coroutine backend.
-for backend in ${BACKENDS}; do
-    if [[ "${HAVE_PERF}" -eq 1 ]]; then
-        echo "-- perf stat (${backend}) --"
-        perf stat -o "${RUN_DIR}/perf_stat_${backend}.txt" -- \
-            env BENCH_ENGINE_BACKENDS="${backend}" "${BENCH_BIN}" --bench \
-            >/dev/null 2>>"${RUN_DIR}/perf_stat_${backend}.txt" || \
-            echo "WARN: perf stat failed for ${backend}" >&2
-        echo "-- perf record -F ${PROFILE_FREQ} (${backend}) --"
-        if perf record -F "${PROFILE_FREQ}" -g \
-            -o "${RUN_DIR}/perf_${backend}.data" -- \
-            env BENCH_ENGINE_BACKENDS="${backend}" "${BENCH_BIN}" --bench \
-            >/dev/null 2>&1; then
-            perf report --stdio -i "${RUN_DIR}/perf_${backend}.data" \
-                >"${RUN_DIR}/perf_report_${backend}.txt" 2>/dev/null || true
-        else
-            echo "WARN: perf record failed for ${backend}" >&2
-        fi
-    fi
-    if [[ "${HAVE_STRACE}" -eq 1 ]]; then
-        echo "-- strace -c (${backend}) --"
-        strace -f -c -o "${RUN_DIR}/strace_${backend}.txt" \
-            env BENCH_ENGINE_BACKENDS="${backend}" "${BENCH_BIN}" --bench \
-            >/dev/null 2>&1 || \
-            echo "WARN: strace failed for ${backend}" >&2
-    fi
+for w in ${WORKLOADS}; do
+    dir="${RUN_DIR}/${w}"
+    mkdir -p "${dir}/raw"
+    read -r -a args <<<"$(workload_args "${w}")"
+    echo "-- ${w}: ${RUNS} x dynprof ${args[*]} --"
+    for i in $(seq 1 "${RUNS}"); do
+        "${NOASLR[@]}" env LD_PRELOAD="${RUN_DIR}/sprof.so" SPROF_OUT="${dir}/raw/s" \
+            SPROF_HZ="${HZ}" SPROF_FRAMES=1 \
+            "${BIN}" "${SCRIPT}" /dev/null /dev/null "${args[@]}" "seed=${i}" \
+            "trace=${dir}/t.vgvs" 2>>"${dir}/stderr.log"
+    done
+    rm -f "${dir}/t.vgvs"
+    python3 scripts/sprof_sym.py --self "${dir}/self.txt" \
+        --inclusive "${dir}/inclusive.txt" "${dir}"/raw/s.*
+    head -12 "${dir}/self.txt"
 done
 
-echo "== done: $(ls "${RUN_DIR}" | wc -l) artifacts in ${RUN_DIR}/ =="
+echo "== done: ${RUN_DIR}/ =="

@@ -452,24 +452,21 @@ fn salvaged_capture_names_late_functions_unknown() {
         for (k, enter) in [(0, true), (1, false)] {
             let (t, rank, thread) = (SimTime::from_micros(10 * i + 5 * k), 0, 0);
             let func = VtFuncId(func);
-            dynprof::vt::EventSink::push(
-                w,
-                &if enter {
-                    Event::FuncEnter {
-                        t,
-                        rank,
-                        thread,
-                        func,
-                    }
-                } else {
-                    Event::FuncExit {
-                        t,
-                        rank,
-                        thread,
-                        func,
-                    }
-                },
-            );
+            w.append(&if enter {
+                Event::FuncEnter {
+                    t,
+                    rank,
+                    thread,
+                    func,
+                }
+            } else {
+                Event::FuncExit {
+                    t,
+                    rank,
+                    thread,
+                    func,
+                }
+            });
         }
     };
     dynprof::vt::EventSink::funcdef(&mut w, VtFuncId(0), "early");

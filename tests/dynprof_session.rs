@@ -246,3 +246,175 @@ fn attach_to_running_application() {
         assert_eq!(windows.len(), 2, "rank {rank}: {windows:?}");
     }
 }
+
+// ---- `rotate=` / `keep=` through the product surface ---------------------
+
+/// The carrier override is process-global; the tests that set it take
+/// turns. (Every other test here gives the same answer on either carrier.)
+static CARRIER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+const SCRIPT: &str = "insert-file subset\nstart\nquit\n";
+
+/// `dynprof <script> - - <app args…> trace=<base>` in-process on `carrier`,
+/// as `main` runs it; returns what it produced and the family's base path.
+fn dynprof_cli(
+    tag: &str,
+    carrier: dynprof::sim::engine::ProcBackend,
+    app_args: &[&str],
+) -> (dynprof::apps::cli::CliOutput, std::path::PathBuf) {
+    use dynprof::apps::cli::{run_cli, CliArgs};
+    let dir = std::env::temp_dir().join(format!("dynprof-session-{}-{tag}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let script = dir.join("script.dp");
+    std::fs::write(&script, SCRIPT).unwrap();
+    let base = dir.join("r.vgvs");
+    let mut argv = vec![script.to_str().unwrap().to_string(), "-".into(), "-".into()];
+    argv.extend(app_args.iter().map(|s| s.to_string()));
+    argv.push(format!("trace={}", base.display()));
+    let args = CliArgs::parse(&argv).unwrap();
+    dynprof::sim::engine::set_backend_override(Some(carrier));
+    let out = run_cli(&args);
+    dynprof::sim::engine::set_backend_override(None);
+    let out = out.unwrap();
+    assert!(out.trace_error.is_none(), "{:?}", out.trace_error);
+    (out, base)
+}
+
+/// Each rank's events in the family at `base`, and the family as `vgv info`
+/// sees it.
+fn family(base: &std::path::Path) -> (Vec<Vec<Event>>, dynprof::analysis::store::StoreInfo) {
+    use dynprof::analysis::store::{EventSource, SegmentSet};
+    let mut set = SegmentSet::open(base).unwrap();
+    let info = set.source_info();
+    let per_rank = set
+        .source_ranks()
+        .into_iter()
+        .map(|rank| {
+            let mut got = Vec::new();
+            set.query(None, Some(rank), &mut |ev| got.push(ev.clone()))
+                .unwrap();
+            got
+        })
+        .collect();
+    (per_rank, info)
+}
+
+/// The flight recorder on the paper's wide shape: no rank ever fills a
+/// chunk, so every roll is a sub-buffer switch. The line is the one the
+/// shared-lock capture printed; the family reads as one store of 64
+/// ranks, each holding the tail of what it recorded; and the threads
+/// carrier writes the same files.
+#[test]
+fn rotating_session_keeps_the_tail_of_every_rank() {
+    use dynprof::sim::engine::ProcBackend;
+    let _turn = CARRIER.lock().unwrap_or_else(|e| e.into_inner());
+    let app_args = [
+        "sweep3d",
+        "cpus=64",
+        "policy=dynamic",
+        "seed=42",
+        "rotate=65536",
+        "keep=2",
+    ];
+    let (out, base) = dynprof_cli("rot-co", ProcBackend::Coroutine, &app_args);
+    let stats = out.segments.expect("a rotating capture reports its family");
+    assert_eq!(
+        (
+            stats.segments.len(),
+            stats.rotated,
+            stats.deleted,
+            stats.bytes
+        ),
+        (2, 9, 8, 88_577),
+        "2 segments on disk (9 rotated, 8 retired), 88577 bytes"
+    );
+
+    let (retained, info) = family(&base);
+    assert_eq!((info.ranks, info.segments), (64, 2), "{info:?}");
+    assert_eq!(info.file_bytes, 88_577);
+    let buffered = run_session(
+        &test_app("sweep3d", 64).unwrap(),
+        SessionConfig::new(Machine::ibm_power3_colony(), Policy::Dynamic)
+            .with_seed(42)
+            .with_script(Command::parse_script(SCRIPT).unwrap()),
+    );
+    for (rank, got) in retained.iter().enumerate() {
+        assert!(!got.is_empty(), "rank {rank} retained nothing");
+        buffered.vt.with_rank_events(rank, |all| {
+            assert!(all.len() > got.len(), "rank {rank}: nothing was retired");
+            assert!(
+                all.ends_with(got),
+                "rank {rank}: not the tail of its stream"
+            );
+        });
+    }
+
+    let (_, base_th) = dynprof_cli("rot-th", ProcBackend::Threads, &app_args);
+    for seg in &stats.segments {
+        let name = seg.file_name().unwrap();
+        assert!(
+            std::fs::read(seg).unwrap() == std::fs::read(base_th.with_file_name(name)).unwrap(),
+            "{name:?} differs between carriers"
+        );
+    }
+    for base in [base, base_th] {
+        std::fs::remove_dir_all(base.parent().unwrap()).ok();
+    }
+}
+
+/// The deep shape: one rank that fills chunk after chunk, so rolls and
+/// ordinary seals interleave. Nothing is retired, so the family is the
+/// whole buffered stream.
+#[test]
+fn rotating_session_interleaves_rolls_and_seals() {
+    use dynprof::analysis::store::StoreReader;
+    use dynprof::sim::engine::ProcBackend;
+    let _turn = CARRIER.lock().unwrap_or_else(|e| e.into_inner());
+    let app_args = [
+        "umt98",
+        "cpus=8",
+        "policy=full",
+        "scale=1",
+        "rotate=1000000",
+    ];
+    let (out, base) = dynprof_cli("rot-deep", ProcBackend::default_backend(), &app_args);
+    let stats = out.segments.expect("a rotating capture reports its family");
+    assert_eq!(
+        (
+            stats.segments.len(),
+            stats.rotated,
+            stats.deleted,
+            stats.bytes
+        ),
+        ROLLED,
+        "segments on disk, rotated, retired, bytes"
+    );
+    for seg in &stats.segments[..stats.segments.len() - 1] {
+        let r = StoreReader::open(seg).unwrap();
+        assert!(
+            r.chunks().len() > 2,
+            "{}: full chunks and a switch",
+            seg.display()
+        );
+        let full = r.chunks().iter().filter(|m| m.count == 2048).count();
+        assert_eq!(full + 1, r.chunks().len(), "{}", seg.display());
+    }
+    let (retained, info) = family(&base);
+    assert_eq!((info.ranks, info.segments), (1, stats.segments.len()));
+
+    let mut params = dynprof::apps::Umt98Params::paper();
+    params.scale = 1.0;
+    let buffered = run_session(
+        &dynprof::apps::umt98(8, params),
+        SessionConfig::new(Machine::ibm_power3_colony(), Policy::Full).with_seed(42),
+    );
+    buffered.vt.with_rank_events(0, |all| {
+        assert!(all == retained[0], "the whole stream, in order")
+    });
+    std::fs::remove_dir_all(base.parent().unwrap()).ok();
+}
+
+/// `(segments on disk, rotated, retired, bytes)` of `umt98 cpus=8
+/// policy=full scale=1 rotate=1000000` with the shared-lock capture.
+const ROLLED: (usize, usize, usize, u64) = (6, 5, 0, 5_122_394);
