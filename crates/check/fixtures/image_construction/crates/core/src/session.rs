@@ -1,6 +1,6 @@
 // Seeded negative for `dynlint --fixture image-construction`. NOT compiled:
 // this file exists only to be linted, under a path that ends like the real
-// `crates/core/src/session.rs`. It is a session runner that builds one
+// `crates/core/src/session.rs`. It is a session driver that builds one
 // more image on the side — a copy of the symbol table per rank, with no
 // hooks and no observer — next to the one helper that may.
 
@@ -13,7 +13,7 @@ fn process_images(app: &AppSpec, vt: &Arc<VtLib>, static_instr: bool) -> Arc<Vec
     Arc::new((0..app.mode.processes()).map(image).collect())
 }
 
-fn run_static(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
+fn drive(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
     let images = process_images(app, &vt, true);
     let scratch = Image::new(Program::new(app.name.clone(), app.functions.clone()));
     run(images, scratch)

@@ -18,7 +18,8 @@
 //! exits nonzero. Fixtures: `collective-mismatch`, `epoch-unsafe`,
 //! `unsafe-probe`, `banned-source`, `unbalanced-timer`,
 //! `unbounded-loop`, `oob-write`, `branch-into-patch`, `clock-under-lock`,
-//! `trace-readback`, `image-construction`, `stale-allow`.
+//! `trace-readback`, `image-construction`, `query-dense-state`,
+//! `stale-allow`.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -33,6 +34,7 @@ use dynprof_sim::{Machine, Sim, SimTime};
 
 /// Crates whose sources must stay deterministic.
 const LINT_DIRS: &[&str] = &[
+    "crates/analysis",
     "crates/sim",
     "crates/mpi",
     "crates/omp",
@@ -65,6 +67,9 @@ fn main() -> ExitCode {
             Some("trace-readback") => fixture_source("trace_readback/crates/apps/src/cli.rs"),
             Some("image-construction") => {
                 fixture_source("image_construction/crates/core/src/session.rs")
+            }
+            Some("query-dense-state") => {
+                fixture_source("query_dense_state/crates/analysis/src/comm.rs")
             }
             Some("stale-allow") => fixture_stale_allow(),
             other => {

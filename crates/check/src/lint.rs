@@ -28,7 +28,7 @@
 //!   its clock, and every timestamp and every charge of every simulated
 //!   probe goes through those two methods.
 //!
-//! Two architectural rules are path-scoped:
+//! Three architectural rules are path-scoped:
 //!
 //! * `image-construction` — the shipped (non-test) code under
 //!   `crates/core/src` builds process images in one place: outside
@@ -41,6 +41,10 @@
 //!   `write_store_from_vt`: `dynprof` streams events into its capture
 //!   sink while the session runs and never reads the trace back out of
 //!   the library, which would hold all of it in memory at once.
+//! * `query-dense-state` — the shipped (non-test) code of
+//!   `crates/analysis/src/{timeline,comm}.rs` names no `BTreeMap`, and
+//!   `write_matrix` in `comm.rs` no `format!`: queries keep per-rank state
+//!   in dense arrays and stream the comm matrix at decode speed.
 //!
 //! Audited exceptions live in an allowlist file (`dynlint.allow`), one
 //! `path-suffix rule` pair per line. An entry that suppresses no finding
@@ -229,6 +233,7 @@ fn lint_source_marking(path: &str, src: &str, allow: &[Allow], used: &mut [bool]
     out.extend(lint_clock_under_lock(path, &stripped));
     out.extend(lint_trace_readback(path, &stripped));
     out.extend(lint_image_construction(path, &stripped));
+    out.extend(lint_query_dense_state(path, &stripped));
     out.retain(|f| {
         let rule = f.detector.strip_prefix("lint:").unwrap_or(f.detector);
         match allowed(allow, path, rule) {
@@ -401,6 +406,50 @@ fn lint_image_construction(path: &str, stripped: &str) -> Vec<Finding> {
         at += line.len() + 1;
     }
     out
+}
+
+/// Queries run at decode speed: the shipped code of `timeline.rs` and
+/// `comm.rs` names no `BTreeMap` (per-rank state lives in dense arrays),
+/// and `write_matrix` no `format!` (the matrix streams its cells). A
+/// `comm.rs` without `write_matrix` is a finding too: a rename must move
+/// the rule with it.
+fn lint_query_dense_state(path: &str, stripped: &str) -> Vec<Finding> {
+    let files = [
+        "crates/analysis/src/timeline.rs",
+        "crates/analysis/src/comm.rs",
+    ];
+    if !files.iter().any(|f| path.ends_with(f)) {
+        return Vec::new();
+    }
+    let shipped = stripped.split("#[cfg(test)]").next().unwrap_or("");
+    let tree = "`BTreeMap` — a query keeps per-rank state in dense, rank-indexed arrays";
+    let mut hits: Vec<(usize, &str)> = shipped
+        .match_indices("BTreeMap")
+        .map(|(at, _)| (at, tree))
+        .collect();
+    if path.ends_with("comm.rs") {
+        let cell = "`format!` inside `write_matrix` — the matrix streams its cells";
+        match shipped
+            .find("fn write_matrix(")
+            .and_then(|at| brace_block(shipped, at))
+        {
+            None => hits.push((
+                0,
+                "`write_matrix` not found — the rule has nothing to check",
+            )),
+            Some(body) => {
+                let found = shipped[body.clone()].match_indices("format!");
+                hits.extend(found.map(|(at, _)| (body.start + at, cell)));
+            }
+        }
+    }
+    let line_of = |at: usize| shipped[..at].matches('\n').count() + 1;
+    let finding = |(at, what)| Finding {
+        severity: Severity::Error,
+        detector: "lint:query-dense-state",
+        message: format!("{path}:{}: {what}", line_of(at)),
+    };
+    hits.into_iter().map(finding).collect()
 }
 
 /// Which engine mutex a tracked guard holds.
@@ -807,7 +856,7 @@ mod tests {
     #[test]
     fn image_construction_is_flagged_outside_the_two_builders() {
         let src = "fn process_images(app: &AppSpec) {\n    let img = app.build_image(true);\n}\n\
-                   fn run_static() {\n    let extra = Image::new(program);\n}\n\
+                   fn drive() {\n    let extra = Image::new(program);\n}\n\
                    #[cfg(test)]\nmod tests {\n    fn t() { ImageBuilder::new(\"t\"); }\n}\n";
         let f = lint_source("crates/core/src/session.rs", src, &[]);
         assert_eq!(f.len(), 1, "{f:?}");
@@ -821,6 +870,32 @@ mod tests {
                    Arc::new(Image::new(self.program()))\n    }\n}\n";
         assert!(lint_source("crates/core/src/app.rs", app, &[]).is_empty());
         let f = lint_source("crates/core/src/session.rs", "fn run() {}\n", &[]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("not found"), "{}", f[0].message);
+    }
+
+    #[test]
+    fn query_state_is_dense_and_the_matrix_streams() {
+        let comm = "pub struct CommBuilder {\n    ranks: BTreeMap<u32, State>,\n}\n\
+                    impl CommBuilder {\n    pub fn write_matrix(&self) {\n        \
+                    let cell = format!(\"{}\", 1);\n    }\n    \
+                    pub fn label(&self) -> String {\n        format!(\"{}\", 2)\n    }\n}\n\
+                    #[cfg(test)]\nmod tests {\n    fn t() { let m = BTreeMap::new(); }\n}\n";
+        let f = lint_source("crates/analysis/src/comm.rs", comm, &[]);
+        let lines: Vec<_> = f.iter().map(|x| (x.detector, x.message.clone())).collect();
+        assert_eq!(f.len(), 2, "{lines:?}");
+        assert!(f.iter().all(|x| x.detector == "lint:query-dense-state"));
+        assert!(f[0].message.contains("comm.rs:2"), "{}", f[0].message);
+        assert!(f[1].message.contains("comm.rs:6"), "{}", f[1].message);
+        // The tree rule covers timeline.rs too; other files keep their maps.
+        let timeline = "use std::collections::BTreeMap;\n";
+        assert_eq!(
+            lint_source("crates/analysis/src/timeline.rs", timeline, &[]).len(),
+            1
+        );
+        assert!(lint_source("crates/analysis/src/profile.rs", timeline, &[]).is_empty());
+        // A comm.rs that lost `write_matrix` is a finding, not a pass.
+        let f = lint_source("crates/analysis/src/comm.rs", "fn rows() {}\n", &[]);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("not found"), "{}", f[0].message);
     }

@@ -82,6 +82,16 @@ fn image_construction_fixture_fails() {
 }
 
 #[test]
+fn query_dense_state_fixture_fails() {
+    let (ok, text) = dynlint(&["--fixture", "query-dense-state"]);
+    assert!(!ok);
+    assert!(text.contains("lint:query-dense-state"), "{text}");
+    assert!(text.contains("`format!` inside `write_matrix`"), "{text}");
+    // The `use`, the field and the `format!`; not the test module's tree.
+    assert!(text.contains("3 error(s)"), "{text}");
+}
+
+#[test]
 fn stale_allow_fixture_fails() {
     let (ok, text) = dynlint(&["--fixture", "stale-allow"]);
     assert!(!ok);

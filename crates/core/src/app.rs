@@ -12,7 +12,7 @@ use dynprof_image::{CallerCtx, FuncId, FunctionInfo, Image, Program};
 use dynprof_mpi::Comm;
 use dynprof_omp::OmpRuntime;
 use dynprof_sim::Proc;
-use dynprof_vt::{VtLib, VtOmpHooks};
+use dynprof_vt::{MonitorLink, VtLib, VtOmpHooks};
 
 /// Parallel execution mode of the target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,19 +48,6 @@ impl AppMode {
     }
 }
 
-/// The session-side state behind [`AppCtx::safe_point`]: the monitoring
-/// link that `VT_confsync` polls (carrying any attached
-/// [`dynprof_vt::OverheadController`]) plus the per-epoch statistics
-/// switch. Present only when the session enabled adaptive
-/// instrumentation — bodies of unadaptive runs see `None` and their safe
-/// points are no-ops, so those runs stay byte-identical.
-pub struct AdaptiveRuntime {
-    /// Change feed polled by rank 0 at every safe point.
-    pub monitor: Arc<dynprof_vt::MonitorLink>,
-    /// Write runtime statistics at each safe point (Fig 8 Experiment 3).
-    pub write_stats: bool,
-}
-
 /// Per-process execution context handed to the application body.
 pub struct AppCtx<'a> {
     /// The executing simulated process.
@@ -77,8 +64,11 @@ pub struct AppCtx<'a> {
     pub nranks: usize,
     /// OpenMP team size (1 for pure MPI apps).
     pub omp_threads: usize,
-    /// Adaptive-instrumentation hooks (None outside adaptive sessions).
-    pub adaptive: Option<Arc<AdaptiveRuntime>>,
+    /// The monitoring link `VT_confsync` polls at every safe point,
+    /// carrying any attached [`dynprof_vt::OverheadController`]. `None`
+    /// outside adaptive sessions: their safe points are no-ops, so those
+    /// runs stay byte-identical.
+    pub adaptive: Option<Arc<MonitorLink>>,
 }
 
 impl<'a> AppCtx<'a> {
@@ -168,8 +158,8 @@ impl<'a> AppCtx<'a> {
     /// sprinkling safe points through an application body cannot move a
     /// byte of an unadaptive run.
     pub fn safe_point(&self) {
-        if let (Some(ar), Some(comm)) = (&self.adaptive, self.comm) {
-            dynprof_vt::confsync(self.vt, &ar.monitor, self.p, comm, ar.write_stats);
+        if let (Some(monitor), Some(comm)) = (&self.adaptive, self.comm) {
+            dynprof_vt::confsync(self.vt, monitor, self.p, comm, false);
         }
     }
 

@@ -58,10 +58,10 @@ impl InitSync {
         self.gates[0].wait_open(p);
     }
 
-    /// Instrumenter side: block until all `n` processes have reached the
+    /// Instrumenter side: block until every process has reached the
     /// callback; returns the reporting ranks.
-    pub fn await_ready(&self, client: &DpclClient, p: &Proc, n: usize) -> Vec<u64> {
-        client.recv_callbacks(p, INIT_CALLBACK_TAG, n)
+    pub fn await_ready(&self, client: &DpclClient, p: &Proc) -> Vec<u64> {
+        client.recv_callbacks(p, INIT_CALLBACK_TAG, self.gates.len())
     }
 
     /// Instrumenter side: reset the spin variable in every process. Each
@@ -73,11 +73,6 @@ impl InitSync {
             p.advance(dynprof_dpcl::CLIENT_SEND_COST);
             gate.open(p, d.base_delay + p.jitter(d.jitter));
         }
-    }
-
-    /// Number of processes participating.
-    pub fn processes(&self) -> usize {
-        self.gates.len()
     }
 }
 
@@ -137,7 +132,7 @@ mod tests {
 
         let (c2, s3) = (Arc::clone(&client), Arc::clone(&sync));
         sim.spawn("instrumenter", 3, move |p| {
-            let ranks = s3.await_ready(&c2, p, 4);
+            let ranks = s3.await_ready(&c2, p);
             assert_eq!(ranks.len(), 4);
             // "Instrument" for a while, then release.
             p.advance(SimTime::from_millis(40));
@@ -176,7 +171,7 @@ mod tests {
         });
         let (c2, s3) = (client, sync);
         sim.spawn("instrumenter", 0, move |p| {
-            s3.await_ready(&c2, p, 1);
+            s3.await_ready(&c2, p);
             p.advance(SimTime::from_millis(10));
             s3.release_all(p);
         });

@@ -25,7 +25,7 @@ mod initsync;
 mod session;
 mod timefile;
 
-pub use app::{AdaptiveRuntime, AppBody, AppCtx, AppMode, AppSpec};
+pub use app::{AppBody, AppCtx, AppMode, AppSpec};
 pub use command::{Command, ParseError, HELP_TEXT};
 pub use initsync::{InitSync, InitSyncHook, INIT_CALLBACK_TAG};
 pub use session::{

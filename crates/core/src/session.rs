@@ -1,17 +1,17 @@
-//! A dynprof session: spawn the target (held), attach, run the command
-//! script, and collect measurements (paper §3.3, §4.2).
+//! A dynprof session (paper §3.3, §3.4, §4.2), run by one staged driver:
+//! create the trace library, images and simulation; launch the
+//! application; let dynprof instrument it by running its script; run;
+//! close the capture lanes and assemble the one report.
 //!
-//! Two paths exist, matching the paper's methodology (Table 3):
-//!
-//! * **static policies** (`Full`, `Full-Off`, `Subset`, `None`): the
-//!   application runs alone, with static instrumentation and the VT
-//!   configuration file chosen by the policy — no dynprof, no DPCL.
-//! * **`Dynamic`**: dynprof spawns the target suspended, attaches through
-//!   DPCL, queues instrumentation requests until the MPI_Init callback
-//!   confirms it is safe (Fig 6), patches every process image, and
-//!   releases the application.
+//! A `Launch`, chosen by the entry point and the policy, says who spawns
+//! what: `Static` (`Full`, `Full-Off`, `Subset`, `None`) runs the
+//! application alone, with the policy's static instrumentation and VT
+//! configuration; `Held` (`Dynamic`) starts dynprof, which spawns the
+//! target suspended, attaches, defers its requests until the `MPI_Init`
+//! callback says patching is safe (Fig 6) and releases it; `Running`
+//! ([`run_attach_session`]) starts the application, then dynprof attaches
+//! mid-run and applies every command while the target is suspended.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -20,17 +20,17 @@ use dynprof_dpcl::{
     AckResult, DegradedPolicy, DpclClient, DpclSystem, HeartbeatConfig, HeartbeatMonitor,
     InstrumentationTxn, ProcessHandle, TxnOptions, TxnOutcome,
 };
-use dynprof_image::{Image, ProbePoint, Snippet};
-use dynprof_mpi::{launch_from, Job, JobSpec, MpiHooks};
+use dynprof_image::{Image, ProbePoint};
+use dynprof_mpi::{launch, launch_from, Comm, Job, JobSpec, MpiHooks};
 use dynprof_sim::hb::Finding;
 use dynprof_sim::sync::SimGate;
 use dynprof_sim::{Machine, Proc, Sim, SimTime};
 use dynprof_vt::{
     vt_begin_snippet, vt_end_snippet, ControllerConfig, MonitorLink, OverheadController, Policy,
-    SharedSink, VtConfig, VtFuncId, VtImageObserver, VtLib, VtMpiHooks, VtStaticHooks,
+    SharedSink, VtConfig, VtImageObserver, VtLib, VtMpiHooks, VtStaticHooks,
 };
 
-use crate::app::{AdaptiveRuntime, AppCtx, AppMode, AppSpec};
+use crate::app::{AppCtx, AppMode, AppSpec};
 use crate::command::Command;
 use crate::initsync::InitSync;
 use crate::timefile::Timefile;
@@ -43,30 +43,25 @@ pub const POE_PER_PROC: SimTime = SimTime::from_millis(30);
 /// Configuration of one session run.
 #[derive(Clone)]
 pub struct SessionConfig {
-    /// Machine model to simulate.
+    /// Machine model to simulate. The application is placed from node 0;
+    /// dynprof runs on the machine's last node (the paper used the few
+    /// interactive nodes of the batch system).
     pub machine: Machine,
     /// Simulation seed.
     pub seed: u64,
     /// Instrumentation policy (Table 3).
     pub policy: Policy,
     /// dynprof command script; `None` uses the policy's default
-    /// (`insert-file subset`, `start`, `quit` for `Dynamic`).
+    /// (`insert-file subset`, `start`, `quit` for `Dynamic`). The function
+    /// lists `insert-file`/`remove-file` know are `subset` (the app's
+    /// important subset) and `all` (every manifest function).
     pub script: Option<Vec<Command>>,
-    /// Named function-list files for `insert-file`/`remove-file`. The
-    /// session pre-defines `subset` (the app's important subset) and
-    /// `all` (every manifest function).
-    pub function_files: BTreeMap<String, Vec<String>>,
-    /// First node of the application placement.
-    pub app_base_node: usize,
-    /// Node the instrumenter runs on (the paper used the few interactive
-    /// nodes of the batch system).
-    pub instrumenter_node: usize,
     /// Journal per-call PC intervals in every image (enables post-run
     /// evaluation of an ideal statistical sampler; see
     /// `dynprof_vt::sample_image`).
     pub enable_pc_log: bool,
     /// Run multi-node instrumentation changes as 2PC transactions
-    /// (`None`: the classic multicast path).
+    /// (`None`: plain installs).
     pub txn: Option<TxnSettings>,
     /// Redundancy-suppression floor: entry/exit pairs shorter than this
     /// are elided from the trace (coalesced into per-function
@@ -115,15 +110,13 @@ impl AdaptiveSettings {
     }
 }
 
-/// Transactional-epoch settings for the `Dynamic` policy.
+/// Transactional-epoch settings for instrumented sessions. Under a live
+/// fault plan the session also runs a heartbeat failure detector, which
+/// feeds the coordinator's dead-node pre-check.
 #[derive(Clone)]
 pub struct TxnSettings {
     /// Reaction to a failed participant.
     pub policy: DegradedPolicy,
-    /// Run a heartbeat failure detector alongside the session (it feeds
-    /// the coordinator's dead-node pre-check). Only spawned under a
-    /// non-inert fault plan — undisturbed runs stay byte-identical.
-    pub heartbeat: bool,
     /// Pre-flight probe-plan validator (normally `dynprof-check`'s
     /// analyzer, injected as a closure to keep the crate graph acyclic);
     /// called with the function names about to be instrumented. Any
@@ -133,30 +126,23 @@ pub struct TxnSettings {
 }
 
 impl TxnSettings {
-    /// Settings with the given degraded-mode policy, heartbeat on, no
-    /// validator.
+    /// Settings with the given degraded-mode policy and no validator.
     pub fn new(policy: DegradedPolicy) -> TxnSettings {
         TxnSettings {
             policy,
-            heartbeat: true,
             validator: None,
         }
     }
 }
 
 impl SessionConfig {
-    /// Defaults for `machine`/`policy`: seed 42, app on node 0, the
-    /// instrumenter on the machine's last node.
+    /// Defaults for `machine`/`policy`: seed 42, the default script.
     pub fn new(machine: Machine, policy: Policy) -> SessionConfig {
-        let instrumenter_node = machine.nodes - 1;
         SessionConfig {
             machine,
             seed: 42,
             policy,
             script: None,
-            function_files: BTreeMap::new(),
-            app_base_node: 0,
-            instrumenter_node,
             enable_pc_log: false,
             txn: None,
             suppress_floor: SimTime::ZERO,
@@ -275,45 +261,175 @@ impl SessionReport {
     }
 }
 
-struct BodyTimes {
-    times: Mutex<Vec<Option<(SimTime, SimTime)>>>,
+/// Run one session of `app` under `cfg` and return the measurements.
+pub fn run_session(app: &AppSpec, mut cfg: SessionConfig) -> SessionReport {
+    let launch = match cfg.policy {
+        Policy::Dynamic => Launch::Held,
+        _ => Launch::Static,
+    };
+    let script = cfg.script.take();
+    let script = script.unwrap_or_else(SessionConfig::default_dynamic_script);
+    drive(app, cfg, launch, script)
 }
 
-impl BodyTimes {
-    fn new(n: usize) -> Arc<BodyTimes> {
-        Arc::new(BodyTimes {
-            times: Mutex::new(vec![None; n]),
-        })
-    }
-
-    fn record(&self, rank: usize, start: SimTime, end: SimTime) {
-        self.times.lock()[rank] = Some((start, end));
-    }
-
-    fn app_time(&self) -> SimTime {
-        let times = self.times.lock();
-        let mut min = SimTime::MAX;
-        let mut max = SimTime::ZERO;
-        for t in times.iter().flatten() {
-            min = min.min(t.0);
-            max = max.max(t.1);
-        }
-        if min == SimTime::MAX {
-            SimTime::ZERO
-        } else {
-            max - min
-        }
-    }
+/// Attach to an *already executing* application (the extension paper §3.3
+/// leaves as future work: "we do not foresee any difficult issues in
+/// extending our tool to support dynamic attachment").
+///
+/// The target launches normally (no hold gate, no startup deferral); at
+/// `attach_at`, dynprof attaches through DPCL and runs `insert-file
+/// subset`, `wait <observe>`, `remove-file subset`, `quit` — an ephemeral
+/// observation window in the middle of an uninstrumented run.
+pub fn run_attach_session(
+    app: &AppSpec,
+    cfg: SessionConfig,
+    attach_at: SimTime,
+    observe: SimTime,
+) -> SessionReport {
+    let subset = vec!["subset".to_string()];
+    let script = vec![
+        Command::InsertFile(subset.clone()),
+        Command::Wait(observe),
+        Command::RemoveFile(subset),
+        Command::Quit,
+    ];
+    drive(app, cfg, Launch::Running { attach_at }, script)
 }
 
-/// The session's trace library, its capture sink (if any) installed
-/// before anything can record.
-fn new_vt(app: &AppSpec, cfg: &SessionConfig, config: VtConfig) -> Arc<VtLib> {
-    let vt = VtLib::new(&app.name, app.mode.processes(), config, cfg.machine.probe);
+/// How the target starts, and so who spawns what, in which order (spawn
+/// order fixes every pid, and with it every per-process random stream).
+#[derive(Clone, Copy, PartialEq)]
+enum Launch {
+    /// The application alone, spawned by the simulation.
+    Static,
+    /// dynprof, which spawns the application held from inside itself.
+    Held,
+    /// The application, then dynprof, which attaches at `attach_at`.
+    Running { attach_at: SimTime },
+}
+
+/// What dynprof hands back when it quits, and the job however launched.
+#[derive(Default)]
+struct Outcome {
+    warnings: Vec<String>,
+    pairs_installed: usize,
+    job: Option<Job>,
+}
+
+/// The staged driver behind both entry points.
+fn drive(app: &AppSpec, cfg: SessionConfig, launch: Launch, script: Vec<Command>) -> SessionReport {
+    // ---- create: trace library, images, simulation.
+    let processes = app.mode.processes();
+    let (config, static_instr) = if launch == Launch::Static {
+        (
+            cfg.policy.config(&app.subset),
+            cfg.policy.static_instrumentation(),
+        )
+    } else {
+        (VtConfig::all_on(), false)
+    };
+    let vt = VtLib::new(&app.name, processes, config, cfg.machine.probe);
     if let Some(sink) = &cfg.capture {
+        // Installed before anything can record.
         vt.set_sink(Arc::clone(sink));
     }
-    vt
+    let images = process_images(app, &cfg, &vt, static_instr);
+    let sim = Sim::virtual_time(cfg.machine.clone(), cfg.seed);
+    let (adaptive, controller) = make_adaptive(&cfg, &vt);
+    let target = Target {
+        app: Arc::new(app.clone()),
+        vt: Arc::clone(&vt),
+        images: Arc::clone(&images),
+        times: Arc::new(Mutex::new(vec![None; processes])),
+        adaptive,
+    };
+    let timefile = Arc::new(Timefile::new());
+    let system = DpclSystem::new(["dynprof"]);
+    let outcome = Arc::new(Mutex::new(Outcome::default()));
+
+    // ---- launch: the application first unless dynprof spawns it.
+    let mut nodes = Vec::new();
+    if launch != Launch::Held {
+        let (job, at) = launch_app(&target, Spawner::Sim(&sim), None);
+        outcome.lock().job = job;
+        nodes = at;
+    }
+    if launch != Launch::Static {
+        let (target, timefile, outcome) =
+            (target.clone(), Arc::clone(&timefile), Arc::clone(&outcome));
+        let (system, txn) = (Arc::clone(&system), cfg.txn.clone());
+        let gate = (launch == Launch::Held).then(|| Arc::new(SimGate::new()));
+        sim.spawn("dynprof", cfg.machine.nodes - 1, move |p| {
+            if let Launch::Running { attach_at } = launch {
+                p.sleep_until(attach_at);
+            }
+            let client = DpclClient::new(system, "dynprof");
+            let hold = gate.map(|gate| Hold {
+                gate,
+                sync: InitSync::new(&client, processes),
+            });
+            let t0 = p.now();
+            if let Some(hold) = &hold {
+                p.advance(POE_BASE + POE_PER_PROC * processes as u64);
+                let (job, at) = launch_app(&target, Spawner::Proc(p), Some(hold));
+                outcome.lock().job = job;
+                nodes = at;
+            }
+            let mut dynprof = Instrumenter {
+                target,
+                client,
+                handles: Vec::with_capacity(processes),
+                timefile: Arc::clone(&timefile),
+                hold,
+                pending: Vec::new(),
+                txn,
+                monitor: None,
+                warnings: Vec::new(),
+                pairs_installed: 0,
+            };
+            dynprof.attach(p, &nodes);
+            timefile.record("create", t0, p.now());
+            dynprof.run(p, &nodes, &script);
+            let mut out = outcome.lock();
+            out.warnings = dynprof.warnings;
+            out.pairs_installed = dynprof.pairs_installed;
+        });
+    }
+
+    // ---- run, then close.
+    let total = sim.run();
+    vt.close_lanes();
+    let out = std::mem::take(&mut *outcome.lock());
+    SessionReport {
+        policy: cfg.policy,
+        app_time: app_time(&target.times),
+        total_time: total,
+        create_time: timefile.total("create"),
+        instrument_time: timefile.total("instrument"),
+        trace_bytes: vt.total_trace_bytes(),
+        probe_pairs_installed: out.pairs_installed,
+        timefile,
+        vt,
+        warnings: out.warnings,
+        images: images.to_vec(),
+        controller,
+        recv_cost: RecvCost {
+            fifo: system.recv_cost(),
+            mpi: out.job.map_or((0, 0), |job| job.recv_cost()),
+        },
+    }
+}
+
+/// When each process ran its body: `(start, end)` per rank.
+type BodyTimes = Mutex<Vec<Option<(SimTime, SimTime)>>>;
+
+/// Application main-computation time: latest body end minus earliest body
+/// start (zero if no body ran).
+fn app_time(times: &BodyTimes) -> SimTime {
+    let times = times.lock();
+    let start = times.iter().flatten().map(|t| t.0).min();
+    let end = times.iter().flatten().map(|t| t.1).max();
+    start.zip(end).map_or(SimTime::ZERO, |(s, e)| e - s)
 }
 
 /// The session's process images, one per process — the only place a
@@ -349,10 +465,7 @@ fn process_images(
 fn make_adaptive(
     cfg: &SessionConfig,
     vt: &Arc<VtLib>,
-) -> (
-    Option<Arc<AdaptiveRuntime>>,
-    Option<Arc<OverheadController>>,
-) {
+) -> (Option<Arc<MonitorLink>>, Option<Arc<OverheadController>>) {
     if cfg.suppress_floor > SimTime::ZERO {
         vt.set_suppress_floor(cfg.suppress_floor);
     }
@@ -366,399 +479,271 @@ fn make_adaptive(
             });
             let monitor = MonitorLink::new();
             monitor.attach_controller(Arc::clone(&ctrl));
-            let runtime = AdaptiveRuntime {
-                monitor,
-                write_stats: false,
-            };
-            (Some(Arc::new(runtime)), Some(ctrl))
+            (Some(monitor), Some(ctrl))
         }
     }
 }
 
-/// Run one session of `app` under `cfg` and return the measurements.
-pub fn run_session(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
-    match cfg.policy {
-        Policy::Dynamic => run_dynamic(app, cfg),
-        _ => run_static(app, cfg),
-    }
-}
+/// Node the application is placed from.
+const APP_NODE: usize = 0;
 
-/// Attach to an *already executing* application (the extension paper §3.3
-/// leaves as future work: "we do not foresee any difficult issues in
-/// extending our tool to support dynamic attachment").
-///
-/// The target launches normally (no hold gate, no startup deferral); at
-/// `attach_at`, dynprof attaches through DPCL, suspends every process,
-/// installs entry/exit probes for the app's subset, resumes, waits for
-/// `observe`, removes its instrumentation again, and detaches — an
-/// ephemeral observation window in the middle of an uninstrumented run.
-pub fn run_attach_session(
-    app: &AppSpec,
-    cfg: SessionConfig,
-    attach_at: SimTime,
-    observe: SimTime,
-) -> SessionReport {
-    let processes = app.mode.processes();
-    let vt = new_vt(app, &cfg, VtConfig::all_on());
-    let images = process_images(app, &cfg, &vt, false);
-    let sim = Sim::virtual_time(cfg.machine.clone(), cfg.seed);
-    let times = BodyTimes::new(processes);
-    let timefile = Arc::new(Timefile::new());
-    let system = DpclSystem::new(["dynprof"]);
-    let warnings: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let pairs_out: Arc<Mutex<usize>> = Arc::new(Mutex::new(0));
-    let (adaptive, controller) = make_adaptive(&cfg, &vt);
-    let mut job_out = None;
-
-    // The application starts on its own — nobody is holding it.
-    let nodes_of: Vec<usize> = match app.mode {
-        AppMode::Mpi { ranks } => {
-            let (vt3, imgs, times3, body) = (
-                Arc::clone(&vt),
-                Arc::clone(&images),
-                Arc::clone(&times),
-                Arc::clone(&app.body),
-            );
-            let adaptive2 = adaptive.clone();
-            let job = dynprof_mpi::launch(
-                &sim,
-                JobSpec::new(&app.name, ranks).on_node(cfg.app_base_node),
-                vec![VtMpiHooks::new(Arc::clone(&vt))],
-                move |p, comm| {
-                    comm.init(p);
-                    let rank = comm.rank();
-                    let t0 = p.now();
-                    body(&AppCtx {
-                        p,
-                        comm: Some(comm),
-                        image: &imgs[rank],
-                        vt: &vt3,
-                        rank,
-                        nranks: ranks,
-                        omp_threads: 1,
-                        adaptive: adaptive2.clone(),
-                    });
-                    times3.record(rank, t0, p.now());
-                    comm.finalize(p);
-                },
-            );
-            let nodes = (0..ranks).map(|r| job.node_of(r, &cfg.machine)).collect();
-            job_out = Some(job);
-            nodes
-        }
-        AppMode::Omp { threads } => {
-            let (vt3, imgs, times3, body) = (
-                Arc::clone(&vt),
-                Arc::clone(&images),
-                Arc::clone(&times),
-                Arc::clone(&app.body),
-            );
-            let adaptive2 = adaptive.clone();
-            let name = app.name.clone();
-            let node = cfg.app_base_node;
-            sim.spawn(name, node, move |p| {
-                vt3.init(p, 0);
-                let t0 = p.now();
-                body(&AppCtx {
-                    p,
-                    comm: None,
-                    image: &imgs[0],
-                    vt: &vt3,
-                    rank: 0,
-                    nranks: 1,
-                    omp_threads: threads,
-                    adaptive: adaptive2.clone(),
-                });
-                times3.record(0, t0, p.now());
-                vt3.finalize(p, 0);
-            });
-            vec![node]
-        }
-    };
-
-    {
-        let vt = Arc::clone(&vt);
-        let images = Arc::clone(&images);
-        let timefile = Arc::clone(&timefile);
-        let subset = app.subset.clone();
-        let name = app.name.clone();
-        let warnings2 = Arc::clone(&warnings);
-        let pairs2 = Arc::clone(&pairs_out);
-        let system = Arc::clone(&system);
-        sim.spawn("dynprof-attach", cfg.instrumenter_node, move |p| {
-            p.sleep_until(attach_at);
-            let client = DpclClient::new(system, "dynprof");
-            // Attach to the live processes.
-            let t0 = p.now();
-            let mut handles = Vec::new();
-            for (i, &node) in nodes_of.iter().enumerate() {
-                match client.attach(p, node, Arc::clone(&images[i]), format!("{name}:{i}")) {
-                    Ok(h) => handles.push(h),
-                    Err(e) => {
-                        warnings2.lock().push(format!("attach failed: {e}"));
-                        client.shutdown(p);
-                        return;
-                    }
-                }
-            }
-            timefile.record("attach", t0, p.now());
-            // Instrument only if VT is up everywhere (it initializes inside
-            // MPI_Init / at the start of main; attaching that early would
-            // be unsafe — the same constraint as §3.4).
-            if !(0..handles.len()).all(|r| vt.is_initialized(r)) {
-                warnings2
-                    .lock()
-                    .push("attach: VT not initialized everywhere; skipping".into());
-                client.shutdown(p);
-                return;
-            }
-            // Suspend, install subset probes, resume.
-            let t0 = p.now();
-            let reqs: Vec<_> = handles.iter().map(|h| client.suspend(p, h)).collect();
-            client.wait_all(p, &reqs);
-            let mut reqs = Vec::new();
-            let mut pairs = 0usize;
-            for fname in &subset {
-                let fid = match handles[0].image.func(fname) {
-                    Some(f) => f,
-                    None => continue,
-                };
-                let vtid = vt.funcdef(p, fname);
-                let (begin, end) = vt_snippet_pair(&vt, vtid);
-                for h in &handles {
-                    reqs.push(client.install_probe(p, h, ProbePoint::entry(fid), begin.clone()));
-                    reqs.push(client.install_probe(p, h, ProbePoint::exit(fid), end.clone()));
-                    pairs += 1;
-                }
-            }
-            let failures = install_failures(&client.wait_all(p, &reqs));
-            if !failures.is_empty() {
-                warnings2.lock().push(failures);
-            }
-            *pairs2.lock() = pairs;
-            let resumes: Vec<_> = handles.iter().map(|h| client.resume(p, h)).collect();
-            client.wait_all(p, &resumes);
-            timefile.record("instrument", t0, p.now());
-            // Observe, then remove everything and detach.
-            p.sleep(observe);
-            let t0 = p.now();
-            let reqs: Vec<_> = handles.iter().map(|h| client.suspend(p, h)).collect();
-            client.wait_all(p, &reqs);
-            let mut reqs = Vec::new();
-            for fname in &subset {
-                if let Some(fid) = handles[0].image.func(fname) {
-                    for h in &handles {
-                        reqs.push(client.remove_function(p, h, fid));
-                    }
-                }
-            }
-            client.wait_all(p, &reqs);
-            let resumes: Vec<_> = handles.iter().map(|h| client.resume(p, h)).collect();
-            client.wait_all(p, &resumes);
-            timefile.record("remove", t0, p.now());
-            client.shutdown(p);
-        });
-    }
-
-    let total = sim.run();
-    vt.close_lanes();
-    let pairs = *pairs_out.lock();
-    let warnings = std::mem::take(&mut *warnings.lock());
-    SessionReport {
-        policy: cfg.policy,
-        app_time: times.app_time(),
-        total_time: total,
-        create_time: timefile.total("attach"),
-        instrument_time: timefile.total("instrument"),
-        trace_bytes: vt.total_trace_bytes(),
-        probe_pairs_installed: pairs,
-        timefile,
-        vt,
-        warnings,
-        images: images.to_vec(),
-        controller,
-        recv_cost: RecvCost {
-            fifo: system.recv_cost(),
-            mpi: job_out.map_or((0, 0), |job| job.recv_cost()),
-        },
-    }
-}
-
-/// The `VT_begin`/`VT_end` snippets of one function, compiled and
-/// verified once; installs clone the pair per process (a `Snippet` is
-/// all `Arc`s) instead of rebuilding it for each of up to 1152 handles.
-fn vt_snippet_pair(vt: &Arc<VtLib>, func: VtFuncId) -> (Snippet, Snippet) {
-    (
-        vt_begin_snippet(Arc::clone(vt), func),
-        vt_end_snippet(Arc::clone(vt), func),
-    )
-}
-
-/// Summarize failed install acks: the count plus each distinct typed
-/// reason (verifier rejections, patch hazards, timeouts). Empty when
-/// every ack succeeded.
-fn install_failures(acks: &[(dynprof_dpcl::ReqId, AckResult)]) -> String {
-    let mut reasons: Vec<String> = acks
-        .iter()
-        .filter_map(|(_, r)| match r {
-            AckResult::Ok { .. } => None,
-            AckResult::Error { message } => Some(message.clone()),
-            AckResult::TimedOut { attempts } => {
-                Some(format!("timed out after {attempts} attempt(s)"))
-            }
-        })
-        .collect();
-    if reasons.is_empty() {
-        return String::new();
-    }
-    let n = reasons.len();
-    reasons.sort_unstable();
-    reasons.dedup();
-    format!("{n} probe installs failed: {}", reasons.join("; "))
-}
-
-fn make_function_files(app: &AppSpec, cfg: &SessionConfig) -> BTreeMap<String, Vec<String>> {
-    let mut files = cfg.function_files.clone();
-    files
-        .entry("subset".into())
-        .or_insert_with(|| app.subset.clone());
-    files
-        .entry("all".into())
-        .or_insert_with(|| app.function_names());
-    files
-}
-
-// ---------------------------------------------------------------------------
-// Static policies: plain (instrumented) runs, no dynprof.
-// ---------------------------------------------------------------------------
-
-fn run_static(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
-    let processes = app.mode.processes();
-    let vt = new_vt(app, &cfg, cfg.policy.config(&app.subset));
-    let images = process_images(app, &cfg, &vt, cfg.policy.static_instrumentation());
-    let sim = Sim::virtual_time(cfg.machine.clone(), cfg.seed);
-    let times = BodyTimes::new(processes);
-    let (adaptive, controller) = make_adaptive(&cfg, &vt);
-
-    let job = match app.mode {
-        AppMode::Mpi { ranks } => {
-            let (vt2, imgs, times2, body) = (
-                Arc::clone(&vt),
-                Arc::clone(&images),
-                Arc::clone(&times),
-                Arc::clone(&app.body),
-            );
-            let adaptive2 = adaptive.clone();
-            let omp_threads = 1;
-            let job = dynprof_mpi::launch(
-                &sim,
-                JobSpec::new(&app.name, ranks).on_node(cfg.app_base_node),
-                vec![VtMpiHooks::new(Arc::clone(&vt))],
-                move |p, comm| {
-                    comm.init(p);
-                    let rank = comm.rank();
-                    let t0 = p.now();
-                    body(&AppCtx {
-                        p,
-                        comm: Some(comm),
-                        image: &imgs[rank],
-                        vt: &vt2,
-                        rank,
-                        nranks: ranks,
-                        omp_threads,
-                        adaptive: adaptive2.clone(),
-                    });
-                    times2.record(rank, t0, p.now());
-                    comm.finalize(p);
-                },
-            );
-            Some(job)
-        }
-        AppMode::Omp { threads } => {
-            let (vt2, imgs, times2, body) = (
-                Arc::clone(&vt),
-                Arc::clone(&images),
-                Arc::clone(&times),
-                Arc::clone(&app.body),
-            );
-            let adaptive2 = adaptive.clone();
-            let name = app.name.clone();
-            let node = cfg.app_base_node;
-            sim.spawn(name, node, move |p| {
-                // Guide statically inserts VT_init at the start of main.
-                vt2.init(p, 0);
-                let t0 = p.now();
-                body(&AppCtx {
-                    p,
-                    comm: None,
-                    image: &imgs[0],
-                    vt: &vt2,
-                    rank: 0,
-                    nranks: 1,
-                    omp_threads: threads,
-                    adaptive: adaptive2.clone(),
-                });
-                times2.record(0, t0, p.now());
-                vt2.finalize(p, 0);
-            });
-            None
-        }
-    };
-    let total = sim.run();
-    vt.close_lanes();
-    SessionReport {
-        policy: cfg.policy,
-        app_time: times.app_time(),
-        total_time: total,
-        create_time: SimTime::ZERO,
-        instrument_time: SimTime::ZERO,
-        trace_bytes: vt.total_trace_bytes(),
-        probe_pairs_installed: 0,
-        timefile: Arc::new(Timefile::new()),
-        vt,
-        warnings: Vec::new(),
-        images: images.to_vec(),
-        controller,
-        recv_cost: RecvCost {
-            fifo: (0, 0),
-            mpi: job.map_or((0, 0), |job| job.recv_cost()),
-        },
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dynamic policy: a full dynprof session.
-// ---------------------------------------------------------------------------
-
-struct DynState {
-    client: DpclClient,
-    sync: Arc<InitSync>,
-    handles: Vec<ProcessHandle>,
+/// What a launched process runs: the app's body over its image, wired to
+/// the session's trace library and adaptive runtime, timed into the
+/// session's body-time log.
+#[derive(Clone)]
+struct Target {
+    app: Arc<AppSpec>,
     vt: Arc<VtLib>,
+    images: Arc<Vec<Arc<Image>>>,
+    times: Arc<BodyTimes>,
+    adaptive: Option<Arc<MonitorLink>>,
+}
+
+impl Target {
+    /// Run the body as process `rank` of `nranks`.
+    fn run_body(&self, p: &Proc, comm: Option<&Comm>, rank: usize, nranks: usize, threads: usize) {
+        let t0 = p.now();
+        (self.app.body)(&AppCtx {
+            p,
+            comm,
+            image: &self.images[rank],
+            vt: &self.vt,
+            rank,
+            nranks,
+            omp_threads: threads,
+            adaptive: self.adaptive.clone(),
+        });
+        self.times.lock()[rank] = Some((t0, p.now()));
+    }
+}
+
+/// Where a launch spawns the application's processes from.
+enum Spawner<'a> {
+    /// The simulation, before it runs.
+    Sim(&'a Sim),
+    /// dynprof's process (`poe` run by the instrumenter).
+    Proc(&'a Proc),
+}
+
+/// A held launch's start protocol: the gate every process waits on before
+/// its first instruction, and the Fig 6 callback + spin dynprof inserts.
+#[derive(Clone)]
+struct Hold {
+    gate: Arc<SimGate>,
+    sync: Arc<InitSync>,
+}
+
+/// Launch the application from `from`: one MPI rank per process, or the
+/// single OpenMP process. Returns the MPI job, if any, and each process's
+/// node.
+fn launch_app(
+    target: &Target,
+    from: Spawner<'_>,
+    hold: Option<&Hold>,
+) -> (Option<Job>, Vec<usize>) {
+    let app = &target.app;
+    match app.mode {
+        AppMode::Mpi { ranks } => {
+            let mut spec = JobSpec::new(&app.name, ranks).on_node(APP_NODE);
+            let mut hooks: Vec<Arc<dyn MpiHooks>> = vec![VtMpiHooks::new(Arc::clone(&target.vt))];
+            if let Some(hold) = hold {
+                spec = spec.held_by(Arc::clone(&hold.gate));
+                hooks.push(hold.sync.mpi_hook());
+            }
+            let target = target.clone();
+            let body = move |p: &Proc, comm: &Comm| {
+                comm.init(p);
+                target.run_body(p, Some(comm), comm.rank(), ranks, 1);
+                comm.finalize(p);
+            };
+            let (job, machine) = match from {
+                Spawner::Sim(sim) => (launch(sim, spec, hooks, body), sim.machine()),
+                Spawner::Proc(p) => (launch_from(p, spec, hooks, body), p.machine()),
+            };
+            let nodes = (0..ranks).map(|r| job.node_of(r, machine)).collect();
+            (Some(job), nodes)
+        }
+        AppMode::Omp { threads } => {
+            let (target, hold) = (target.clone(), hold.cloned());
+            let body = move |p: &Proc| {
+                if let Some(hold) = &hold {
+                    hold.gate.wait_open(p);
+                }
+                // VT_init at the start of main (Guide), then, when held, the
+                // dynamically inserted callback + spin (Fig 6 variant
+                // without barriers, §3.4).
+                target.vt.init(p, 0);
+                if let Some(hold) = &hold {
+                    hold.sync.omp_init(p);
+                }
+                target.run_body(p, None, 0, 1, threads);
+                target.vt.finalize(p, 0);
+            };
+            let name = app.name.clone();
+            match from {
+                Spawner::Sim(sim) => sim.spawn(name, APP_NODE, body),
+                Spawner::Proc(p) => p.spawn_child(name, APP_NODE, body),
+            };
+            (None, vec![APP_NODE])
+        }
+    }
+}
+
+/// dynprof after it has started: its DPCL connection, the processes it
+/// attached, and what the script has asked of it so far.
+struct Instrumenter {
+    target: Target,
+    client: DpclClient,
+    handles: Vec<ProcessHandle>,
     timefile: Arc<Timefile>,
-    files: BTreeMap<String, Vec<String>>,
-    warnings: Vec<String>,
-    pairs_installed: usize,
-    started: bool,
+    /// The held target's start protocol; `start` takes it, so it is
+    /// `None` once the target runs (from the beginning, for an attach).
+    hold: Option<Hold>,
+    /// Insert requests queued until the target is safe to patch (§3.4).
+    pending: Vec<String>,
     txn: Option<TxnSettings>,
     monitor: Option<Arc<HeartbeatMonitor>>,
+    warnings: Vec<String>,
+    pairs_installed: usize,
 }
 
-impl DynState {
-    fn resolve_files(&mut self, files: &[String]) -> Vec<String> {
+/// Does `p` run under a fault plan that can inject something?
+fn live_faults(p: &Proc) -> bool {
+    p.fault_plan().is_some_and(|plan| !plan.is_inert())
+}
+
+impl Instrumenter {
+    /// Attach to every process of the target (at `nodes`); a process that
+    /// cannot be attached is left out of instrumentation.
+    fn attach(&mut self, p: &Proc, nodes: &[usize]) {
+        for (i, &node) in nodes.iter().enumerate() {
+            let image = Arc::clone(&self.target.images[i]);
+            let name = format!("{}:{i}", self.target.app.name);
+            match self.client.attach(p, node, image, name) {
+                Ok(h) => self.handles.push(h),
+                Err(e) => self.warnings.push(format!(
+                    "attach failed for process {i}: {e}; excluded from instrumentation"
+                )),
+            }
+        }
+    }
+
+    /// Run `script` against the target's processes (at `nodes`), then
+    /// quit: detach, leaving active instrumentation in place.
+    fn run(&mut self, p: &Proc, nodes: &[usize], script: &[Command]) {
+        // Heartbeat failure detection backs the 2PC coordinator, so it
+        // runs only when that engages: a transacted session under a live
+        // fault plan (an undisturbed run must stay byte-identical).
+        if self.txn.is_some() && live_faults(p) {
+            let mut nodes = nodes.to_vec();
+            nodes.sort_unstable();
+            nodes.dedup();
+            let system = Arc::clone(self.client.system());
+            let m = HeartbeatMonitor::new(system, nodes, HeartbeatConfig::default());
+            let m2 = Arc::clone(&m);
+            p.spawn_child("dynprof-hb", p.node(), move |hp| m2.run(hp));
+            self.monitor = Some(m);
+        }
+        // An attach is only safe once VT is up everywhere (it initializes
+        // inside MPI_Init / at the start of main — the constraint of §3.4).
+        let vt = &self.target.vt;
+        if self.hold.is_none() && !(0..self.handles.len()).all(|r| vt.is_initialized(r)) {
+            self.warnings
+                .push("attach: VT not initialized everywhere; skipping".into());
+        } else {
+            self.script(p, script);
+        }
+        if let Some(m) = &self.monitor {
+            m.stop();
+        }
+        self.client.shutdown(p);
+    }
+
+    /// The command loop (Table 1).
+    fn script(&mut self, p: &Proc, script: &[Command]) {
+        for cmd in script {
+            match cmd {
+                Command::Help => { /* prints HELP_TEXT interactively */ }
+                Command::Insert(names) => self.insert(p, names.clone()),
+                Command::InsertFile(files) => {
+                    let names = self.resolve_files("insert-file", files);
+                    self.insert(p, names);
+                }
+                Command::Remove(names) => self.remove(p, names),
+                Command::RemoveFile(files) => {
+                    let names = self.resolve_files("remove-file", files);
+                    self.remove(p, &names);
+                }
+                Command::Start => self.start(p),
+                Command::Wait(d) => p.sleep(*d),
+                Command::Quit => break,
+            }
+        }
+        if self.hold.is_some() {
+            // A script that never starts the target would deadlock it;
+            // dynprof's interactive loop effectively always starts.
+            self.warnings
+                .push("script had no `start`; target started at script end".into());
+            self.start(p);
+        }
+    }
+
+    /// The functions of the lists `command` names: `subset` or `all`.
+    fn resolve_files(&mut self, command: &str, files: &[String]) -> Vec<String> {
         let mut names = Vec::new();
         for f in files {
-            match self.files.get(f) {
-                Some(list) => names.extend(list.iter().cloned()),
-                None => self
+            match f.as_str() {
+                "subset" => names.extend(self.target.app.subset.iter().cloned()),
+                "all" => names.extend(self.target.app.function_names()),
+                _ => self
                     .warnings
-                    .push(format!("insert-file: unknown function list {f:?}")),
+                    .push(format!("{command}: unknown function list {f:?}")),
             }
         }
         names
     }
 
-    /// Install entry/exit VT probes for `names` in every process.
+    /// `insert`: queue `names` until `start`, or patch them in now.
+    fn insert(&mut self, p: &Proc, names: Vec<String>) {
+        if self.hold.is_some() {
+            self.pending.extend(names);
+        } else {
+            self.while_suspended(p, |st, p| st.install(p, &names));
+        }
+    }
+
+    /// `remove`: drop `names` from the queue before `start`, or remove
+    /// their instrumentation now.
+    fn remove(&mut self, p: &Proc, names: &[String]) {
+        if self.hold.is_some() {
+            self.pending.retain(|n| !names.contains(n));
+        } else {
+            self.while_suspended(p, |st, p| st.uninstall(p, names));
+        }
+    }
+
+    /// `start`: open the hold gate, wait for every process's init
+    /// callback, act on the queued requests — safe now (paper §3.4) — and
+    /// release the target. A no-op once the target runs.
+    fn start(&mut self, p: &Proc) {
+        let Some(hold) = self.hold.take() else {
+            return;
+        };
+        let t0 = p.now();
+        hold.gate.open(p, SimTime::from_micros(50));
+        hold.sync.await_ready(&self.client, p);
+        self.timefile.record("start-to-callback", t0, p.now());
+        let names = std::mem::take(&mut self.pending);
+        self.install(p, &names);
+        let t_rel = p.now();
+        hold.sync.release_all(p);
+        self.timefile.record("release", t_rel, p.now());
+    }
+
+    /// Install entry/exit VT probes for `names` in every process: stage
+    /// the batch, then run it through 2PC where that can protect something
+    /// — a transacted session under a live fault plan — and send it plain
+    /// everywhere else (an inert plan cannot produce a partial epoch).
     fn install(&mut self, p: &Proc, names: &[String]) {
         let t0 = p.now();
         if self.handles.is_empty() {
@@ -766,95 +751,70 @@ impl DynState {
                 .push("install: no attached processes; nothing to do".into());
             return;
         }
-        // The 2PC control plane only engages under a live fault plan: an
-        // inert plan cannot produce a partial epoch, so transactional
-        // sessions take the classic path and stay byte-identical to
-        // untransacted runs (the `InstrumentationTxn` fast path guards
-        // direct library users the same way).
-        let faulty = p.fault_plan().is_some_and(|plan| !plan.is_inert());
-        match self.txn.clone() {
-            Some(settings) if faulty => self.install_txn(p, names, &settings),
-            _ => self.install_multicast(p, names),
-        }
-        self.timefile.record("instrument", t0, p.now());
-    }
-
-    /// The classic path: multicast install requests, then wait for every
-    /// ack.
-    fn install_multicast(&mut self, p: &Proc, names: &[String]) {
-        let mut reqs = Vec::new();
-        for name in names {
-            let fid = match self.handles[0].image.func(name) {
-                Some(f) => f,
-                None => {
-                    self.warnings
-                        .push(format!("insert: unknown function {name:?}"));
-                    continue;
-                }
-            };
-            // dynprof registers the symbol with Vampirtrace (§3.4).
-            let vtid = self.vt.funcdef(p, name);
-            let (begin, end) = vt_snippet_pair(&self.vt, vtid);
-            for h in &self.handles {
-                reqs.push(
-                    self.client
-                        .install_probe(p, h, ProbePoint::entry(fid), begin.clone()),
-                );
-                reqs.push(
-                    self.client
-                        .install_probe(p, h, ProbePoint::exit(fid), end.clone()),
-                );
-            }
-            self.pairs_installed += self.handles.len();
-        }
-        let failures = install_failures(&self.client.wait_all(p, &reqs));
-        if !failures.is_empty() {
-            self.warnings.push(failures);
-        }
-    }
-
-    /// The transactional path: stage the same probe batch, then run the
-    /// 2PC protocol so either every process gets the epoch or none does
-    /// (or, under `exclude-node`, the run is explicitly degraded).
-    fn install_txn(&mut self, p: &Proc, names: &[String], settings: &TxnSettings) {
+        let policy = self
+            .txn
+            .as_ref()
+            .map_or(DegradedPolicy::AbortTxn, |s| s.policy);
         let mut txn = InstrumentationTxn::new(TxnOptions {
-            policy: settings.policy,
+            policy,
             ..TxnOptions::default()
         });
-        let pairs_before = self.pairs_installed;
-        let mut staged_names: Vec<String> = Vec::new();
+        let two_phase = self.txn.clone().filter(|_| live_faults(p));
+        let mut staged = Vec::new();
         for name in names {
-            let fid = match self.handles[0].image.func(name) {
-                Some(f) => f,
-                None => {
-                    self.warnings
-                        .push(format!("insert: unknown function {name:?}"));
-                    continue;
-                }
+            let Some(fid) = self.handles[0].image.func(name) else {
+                self.warnings
+                    .push(format!("insert: unknown function {name:?}"));
+                continue;
             };
-            let vtid = self.vt.funcdef(p, name);
-            let (begin, end) = vt_snippet_pair(&self.vt, vtid);
+            // dynprof registers the symbol with Vampirtrace (§3.4), then
+            // compiles its snippet pair once; every process gets a clone (a
+            // `Snippet` is all `Arc`s).
+            let vt = &self.target.vt;
+            let vtid = vt.funcdef(p, name);
+            let begin = vt_begin_snippet(Arc::clone(vt), vtid);
+            let end = vt_end_snippet(Arc::clone(vt), vtid);
             for h in &self.handles {
                 txn.stage_install(h, ProbePoint::entry(fid), begin.clone());
                 txn.stage_install(h, ProbePoint::exit(fid), end.clone());
             }
-            self.pairs_installed += self.handles.len();
-            staged_names.push(name.clone());
+            staged.push(name.clone());
+            if two_phase.is_none() {
+                // A function's probes leave before the next one is
+                // registered.
+                txn.send_plain(p, &self.client);
+            }
         }
-        let v = settings.validator.clone();
-        let validator_closure = v.map(|v| move || v(&staged_names));
-        let validator: Option<&dyn Fn() -> Vec<Finding>> = validator_closure
-            .as_ref()
-            .map(|c| c as &dyn Fn() -> Vec<Finding>);
+        let pairs = staged.len() * self.handles.len();
+        self.pairs_installed += match two_phase {
+            Some(settings) => self.commit(p, txn, staged, &settings, pairs),
+            None => {
+                let (_, failed) = txn.wait_plain(p, &self.client);
+                self.warnings.extend(install_failures(&failed));
+                pairs
+            }
+        };
+        self.timefile.record("instrument", t0, p.now());
+    }
+
+    /// Run a staged batch through the 2PC protocol, so either every
+    /// process gets the epoch or none does (or, under `exclude-node`, the
+    /// run is explicitly degraded). Returns the pairs that landed.
+    fn commit(
+        &mut self,
+        p: &Proc,
+        txn: InstrumentationTxn,
+        staged: Vec<String>,
+        settings: &TxnSettings,
+        pairs: usize,
+    ) -> usize {
+        let validator = settings.validator.clone().map(|v| move || v(&staged));
+        let validator = validator.as_ref().map(|c| c as &dyn Fn() -> Vec<Finding>);
         let report = txn.execute(p, &self.client, validator, self.monitor.as_deref());
-        if report.two_phase {
-            // Actual coverage: each committed op is one probe.
-            self.pairs_installed = pairs_before + (report.applied / 2) as usize;
-        }
         match &report.outcome {
             TxnOutcome::Committed => {}
             TxnOutcome::CommittedDegraded { excluded } => {
-                self.vt.note_degraded(report.epoch, excluded);
+                self.target.vt.note_degraded(report.epoch, excluded);
                 self.warnings.push(format!(
                     "txn epoch {} committed degraded; excluded nodes {excluded:?}",
                     report.epoch
@@ -877,10 +837,16 @@ impl DynState {
             self.warnings
                 .push(format!("txn decision to node {node} unconfirmed"));
         }
+        // Actual coverage: each committed op is one probe.
+        if report.two_phase {
+            (report.applied / 2) as usize
+        } else {
+            pairs
+        }
     }
 
     /// Remove all instrumentation from `names` in every process.
-    fn remove(&mut self, p: &Proc, names: &[String]) {
+    fn uninstall(&mut self, p: &Proc, names: &[String]) {
         let t0 = p.now();
         if self.handles.is_empty() {
             self.warnings
@@ -889,13 +855,10 @@ impl DynState {
         }
         let mut reqs = Vec::new();
         for name in names {
-            let fid = match self.handles[0].image.func(name) {
-                Some(f) => f,
-                None => {
-                    self.warnings
-                        .push(format!("remove: unknown function {name:?}"));
-                    continue;
-                }
+            let Some(fid) = self.handles[0].image.func(name) else {
+                self.warnings
+                    .push(format!("remove: unknown function {name:?}"));
+                continue;
             };
             for h in &self.handles {
                 reqs.push(self.client.remove_function(p, h, fid));
@@ -927,263 +890,22 @@ impl DynState {
     }
 }
 
-fn run_dynamic(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
-    let processes = app.mode.processes();
-    let vt = new_vt(app, &cfg, cfg.policy.config(&app.subset));
-    let images = process_images(app, &cfg, &vt, false);
-    let sim = Sim::virtual_time(cfg.machine.clone(), cfg.seed);
-    let times = BodyTimes::new(processes);
-    let timefile = Arc::new(Timefile::new());
-    let system = DpclSystem::new(["dynprof"]);
-    let script = cfg
-        .script
-        .clone()
-        .unwrap_or_else(SessionConfig::default_dynamic_script);
-    let files = make_function_files(app, &cfg);
-    let start_gate = Arc::new(SimGate::new());
-    let warnings: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let pairs_out: Arc<Mutex<usize>> = Arc::new(Mutex::new(0));
-    let job_out: Arc<Mutex<Option<Job>>> = Arc::new(Mutex::new(None));
-    let (adaptive, controller) = make_adaptive(&cfg, &vt);
-
-    {
-        let vt = Arc::clone(&vt);
-        let images = Arc::clone(&images);
-        let times = Arc::clone(&times);
-        let timefile = Arc::clone(&timefile);
-        let app = app.clone();
-        let machine = cfg.machine.clone();
-        let start_gate2 = Arc::clone(&start_gate);
-        let warnings2 = Arc::clone(&warnings);
-        let pairs_out2 = Arc::clone(&pairs_out);
-        let job_out2 = Arc::clone(&job_out);
-        let system = Arc::clone(&system);
-        let app_base = cfg.app_base_node;
-        let txn_settings = cfg.txn.clone();
-        let adaptive = adaptive.clone();
-        sim.spawn("dynprof", cfg.instrumenter_node, move |p| {
-            let client = DpclClient::new(system, "dynprof");
-            let sync = InitSync::new(&client, processes);
-
-            // ---- create: spawn the target suspended, attach everywhere.
-            let t_create = p.now();
-            p.advance(POE_BASE + POE_PER_PROC * processes as u64);
-            let nodes_of: Vec<usize> = match app.mode {
-                AppMode::Mpi { ranks } => {
-                    let (vt3, imgs, times3, body) = (
-                        Arc::clone(&vt),
-                        Arc::clone(&images),
-                        Arc::clone(&times),
-                        Arc::clone(&app.body),
-                    );
-                    let hooks: Vec<Arc<dyn MpiHooks>> =
-                        vec![VtMpiHooks::new(Arc::clone(&vt)), sync.mpi_hook()];
-                    let adaptive2 = adaptive.clone();
-                    let job = launch_from(
-                        p,
-                        JobSpec::new(&app.name, ranks)
-                            .on_node(app_base)
-                            .held_by(Arc::clone(&start_gate2)),
-                        hooks,
-                        move |ap, comm| {
-                            comm.init(ap);
-                            let rank = comm.rank();
-                            let t0 = ap.now();
-                            body(&AppCtx {
-                                p: ap,
-                                comm: Some(comm),
-                                image: &imgs[rank],
-                                vt: &vt3,
-                                rank,
-                                nranks: ranks,
-                                omp_threads: 1,
-                                adaptive: adaptive2.clone(),
-                            });
-                            times3.record(rank, t0, ap.now());
-                            comm.finalize(ap);
-                        },
-                    );
-                    let nodes = (0..ranks).map(|r| job.node_of(r, &machine)).collect();
-                    *job_out2.lock() = Some(job);
-                    nodes
-                }
-                AppMode::Omp { threads } => {
-                    let (vt3, imgs, times3, body) = (
-                        Arc::clone(&vt),
-                        Arc::clone(&images),
-                        Arc::clone(&times),
-                        Arc::clone(&app.body),
-                    );
-                    let sync2 = Arc::clone(&sync);
-                    let gate = Arc::clone(&start_gate2);
-                    let name = app.name.clone();
-                    let adaptive2 = adaptive.clone();
-                    p.spawn_child(name, app_base, move |ap| {
-                        gate.wait_open(ap);
-                        // VT_init at the start of main (Guide), then the
-                        // dynamically inserted callback + spin (Fig 6
-                        // variant without barriers, §3.4).
-                        vt3.init(ap, 0);
-                        sync2.omp_init(ap);
-                        let t0 = ap.now();
-                        body(&AppCtx {
-                            p: ap,
-                            comm: None,
-                            image: &imgs[0],
-                            vt: &vt3,
-                            rank: 0,
-                            nranks: 1,
-                            omp_threads: threads,
-                            adaptive: adaptive2.clone(),
-                        });
-                        times3.record(0, t0, ap.now());
-                        vt3.finalize(ap, 0);
-                    });
-                    vec![app_base]
-                }
-            };
-            let mut handles = Vec::with_capacity(processes);
-            let mut attach_warnings = Vec::new();
-            for (i, &node) in nodes_of.iter().enumerate() {
-                match client.attach(p, node, Arc::clone(&images[i]), format!("{}:{i}", app.name)) {
-                    Ok(h) => handles.push(h),
-                    Err(e) => attach_warnings.push(format!(
-                        "attach failed for process {i}: {e}; excluded from instrumentation"
-                    )),
-                }
+/// Summarize failed install acks: the count plus each distinct typed
+/// reason (verifier rejections, patch hazards, timeouts). `None` when
+/// there are none.
+fn install_failures(acks: &[(usize, AckResult)]) -> Option<String> {
+    let mut reasons: Vec<String> = acks
+        .iter()
+        .filter_map(|(_, r)| match r {
+            AckResult::Ok { .. } => None,
+            AckResult::Error { message } => Some(message.clone()),
+            AckResult::TimedOut { attempts } => {
+                Some(format!("timed out after {attempts} attempt(s)"))
             }
-            timefile.record("create", t_create, p.now());
-
-            // Heartbeat failure detection: only under a non-inert fault
-            // plan (an undisturbed run must stay byte-identical), and only
-            // when the transactional control plane asked for it.
-            let faulty = p.fault_plan().is_some_and(|plan| !plan.is_inert());
-            let monitor = match &txn_settings {
-                Some(s) if s.heartbeat && faulty => {
-                    let mut nodes = nodes_of.clone();
-                    nodes.sort_unstable();
-                    nodes.dedup();
-                    let m = HeartbeatMonitor::new(
-                        Arc::clone(client.system()),
-                        nodes,
-                        HeartbeatConfig::default(),
-                    );
-                    let m2 = Arc::clone(&m);
-                    p.spawn_child("dynprof-hb", p.node(), move |hp| m2.run(hp));
-                    Some(m)
-                }
-                _ => None,
-            };
-
-            let mut st = DynState {
-                client,
-                sync: Arc::clone(&sync),
-                handles,
-                vt: Arc::clone(&vt),
-                timefile: Arc::clone(&timefile),
-                files,
-                warnings: attach_warnings,
-                pairs_installed: 0,
-                started: false,
-                txn: txn_settings,
-                monitor,
-            };
-            let mut pending: Vec<String> = Vec::new();
-            let do_start = |st: &mut DynState, p: &Proc, pending: &mut Vec<String>| {
-                let t0 = p.now();
-                start_gate2.open(p, SimTime::from_micros(50));
-                st.sync.await_ready(&st.client, p, processes);
-                timefile.record("start-to-callback", t0, p.now());
-                // Safe now: act on the queued requests (paper §3.4).
-                let names = std::mem::take(pending);
-                st.install(p, &names);
-                let t_rel = p.now();
-                st.sync.release_all(p);
-                st.timefile.record("release", t_rel, p.now());
-                st.started = true;
-            };
-            for cmd in &script {
-                match cmd {
-                    Command::Help => { /* prints HELP_TEXT interactively */ }
-                    Command::Insert(names) => {
-                        if st.started {
-                            let names = names.clone();
-                            st.while_suspended(p, |st, p| st.install(p, &names));
-                        } else {
-                            pending.extend(names.iter().cloned());
-                        }
-                    }
-                    Command::InsertFile(fs) => {
-                        let names = st.resolve_files(fs);
-                        if st.started {
-                            st.while_suspended(p, |st, p| st.install(p, &names));
-                        } else {
-                            pending.extend(names);
-                        }
-                    }
-                    Command::Remove(names) => {
-                        if st.started {
-                            let names = names.clone();
-                            st.while_suspended(p, |st, p| st.remove(p, &names));
-                        } else {
-                            pending.retain(|n| !names.contains(n));
-                        }
-                    }
-                    Command::RemoveFile(fs) => {
-                        let names = st.resolve_files(fs);
-                        if st.started {
-                            st.while_suspended(p, |st, p| st.remove(p, &names));
-                        } else {
-                            pending.retain(|n| !names.contains(n));
-                        }
-                    }
-                    Command::Start => {
-                        if !st.started {
-                            do_start(&mut st, p, &mut pending);
-                        }
-                    }
-                    Command::Wait(d) => p.sleep(*d),
-                    Command::Quit => break,
-                }
-            }
-            if !st.started {
-                // A script that never starts the target would deadlock it;
-                // dynprof's interactive loop effectively always starts.
-                st.warnings
-                    .push("script had no `start`; target started at script end".into());
-                do_start(&mut st, p, &mut pending);
-            }
-            // quit: detach, leaving active instrumentation in place.
-            if let Some(m) = &st.monitor {
-                m.stop();
-            }
-            st.client.shutdown(p);
-            warnings2.lock().extend(st.warnings);
-            *pairs_out2.lock() = st.pairs_installed;
-        });
-    }
-
-    let total = sim.run();
-    vt.close_lanes();
-    let pairs = *pairs_out.lock();
-    let warnings = std::mem::take(&mut *warnings.lock());
-    let job = job_out.lock().take();
-    SessionReport {
-        policy: cfg.policy,
-        app_time: times.app_time(),
-        total_time: total,
-        create_time: timefile.total("create"),
-        instrument_time: timefile.total("instrument"),
-        trace_bytes: vt.total_trace_bytes(),
-        probe_pairs_installed: pairs,
-        timefile,
-        vt,
-        warnings,
-        images: images.to_vec(),
-        controller,
-        recv_cost: RecvCost {
-            fifo: system.recv_cost(),
-            mpi: job.map_or((0, 0), |job| job.recv_cost()),
-        },
-    }
+        })
+        .collect();
+    let n = reasons.len();
+    reasons.sort_unstable();
+    reasons.dedup();
+    (n > 0).then(|| format!("{n} probe installs failed: {}", reasons.join("; ")))
 }

@@ -388,46 +388,29 @@ impl DpclClient {
         point: ProbePoint,
         snippet: Snippet,
     ) -> ReqId {
-        let req = self.req();
-        self.note_issue(p, req, "dpcl.install_latency_ns");
-        self.send_down(
-            p,
-            h.node,
-            DownMsg::Install {
-                req,
-                target: h.target,
-                point,
-                snippet,
-            },
-        );
-        req
+        self.install_at(p, h.node, h.target, point, snippet)
     }
 
-    /// Install identically to [`DpclClient::install_probe`] but addressed
-    /// by raw `(node, op)`: the transaction fast path replays staged ops
-    /// byte-for-byte through this, so an inert-fault transactional run
-    /// emits exactly the untransacted message sequence.
-    pub(crate) fn install_raw(&self, p: &Proc, node: usize, op: StagedOp) -> ReqId {
-        let StagedOp::Install {
+    /// [`DpclClient::install_probe`] addressed by `(node, target)`: a
+    /// staged batch sent plain goes over the wire through here, so it is
+    /// exactly the message sequence of untransacted installs.
+    pub(crate) fn install_at(
+        &self,
+        p: &Proc,
+        node: usize,
+        target: TargetId,
+        point: ProbePoint,
+        snippet: Snippet,
+    ) -> ReqId {
+        let req = self.req();
+        self.note_issue(p, req, "dpcl.install_latency_ns");
+        let msg = DownMsg::Install {
+            req,
             target,
             point,
             snippet,
-        } = op
-        else {
-            unreachable!("only install ops go over the fast-path wire");
         };
-        let req = self.req();
-        self.note_issue(p, req, "dpcl.install_latency_ns");
-        self.send_down(
-            p,
-            node,
-            DownMsg::Install {
-                req,
-                target,
-                point,
-                snippet,
-            },
-        );
+        self.send_down(p, node, msg);
         req
     }
 

@@ -173,11 +173,16 @@ impl TxnReport {
 ///
 /// Build with [`InstrumentationTxn::stage_install`] (insertion order is
 /// preserved — the fast path replays it exactly), then run with
-/// [`InstrumentationTxn::execute`].
+/// [`InstrumentationTxn::execute`] or send plain with
+/// [`InstrumentationTxn::send_plain`].
 pub struct InstrumentationTxn {
     opts: TxnOptions,
     /// `(node, op)` in staging order.
     staged: Vec<(usize, StagedOp)>,
+    /// Installs sent plain, in staging order: `(node, pending request)`.
+    sent: Vec<(usize, ReqId)>,
+    /// Activation swaps sent plain (applied in place).
+    swapped: u64,
 }
 
 impl InstrumentationTxn {
@@ -186,11 +191,14 @@ impl InstrumentationTxn {
         InstrumentationTxn {
             opts,
             staged: Vec::new(),
+            sent: Vec::new(),
+            swapped: 0,
         }
     }
 
     /// Queue an install of `snippet` at `point` of `h`. Nothing is sent
-    /// until [`InstrumentationTxn::execute`].
+    /// until [`InstrumentationTxn::execute`] or
+    /// [`InstrumentationTxn::send_plain`].
     pub fn stage_install(&mut self, h: &ProcessHandle, point: ProbePoint, snippet: Snippet) {
         self.staged.push((
             h.node,
@@ -235,6 +243,45 @@ impl InstrumentationTxn {
         v
     }
 
+    /// Send the ops staged so far without the protocol, for a batch 2PC
+    /// has nothing to protect: installs go out in staging order as
+    /// [`DpclClient::install_probe`] sends them, activation swaps apply in
+    /// place. Stage and send may alternate (the caller's work in between
+    /// keeps its place in virtual time); [`InstrumentationTxn::wait_plain`]
+    /// then collects every ack.
+    pub fn send_plain(&mut self, p: &Proc, client: &DpclClient) {
+        for (node, op) in self.staged.drain(..) {
+            match op {
+                StagedOp::Install {
+                    target,
+                    point,
+                    snippet,
+                } => self
+                    .sent
+                    .push((node, client.install_at(p, node, target, point, snippet))),
+                StagedOp::Activation { apply, .. } => {
+                    apply();
+                    self.swapped += 1;
+                }
+            }
+        }
+    }
+
+    /// Wait for the ack of every install [`InstrumentationTxn::send_plain`]
+    /// sent. Returns the ops applied (swaps, and installs acknowledged
+    /// `Ok`) and each failed install's `(node, ack)`, in staging order.
+    pub fn wait_plain(self, p: &Proc, client: &DpclClient) -> (u64, Vec<(usize, AckResult)>) {
+        let mut applied = self.swapped;
+        let mut failed = Vec::new();
+        for (node, req) in self.sent {
+            match client.wait_ack(p, req) {
+                AckResult::Ok { .. } => applied += 1,
+                ack => failed.push((node, ack)),
+            }
+        }
+        (applied, failed)
+    }
+
     /// Run the transaction to completion on the coordinator process `p`.
     ///
     /// `validator` (normally `dynprof-check`'s analyzer, closed over the
@@ -242,7 +289,7 @@ impl InstrumentationTxn {
     /// coordinator act on heartbeat verdicts *before* wasting a vote
     /// round on a node already declared dead.
     pub fn execute(
-        self,
+        mut self,
         p: &Proc,
         client: &DpclClient,
         validator: Option<&dyn Fn() -> Vec<Finding>>,
@@ -279,37 +326,19 @@ impl InstrumentationTxn {
 
         // Fast path: with no fault plan (or an inert one) there is nothing
         // 2PC can protect against, and the whole point is to change *zero*
-        // bytes of undisturbed runs. Issue the exact message sequence the
-        // untransacted client would: plain installs, then one wait.
+        // bytes of undisturbed runs.
         let inert = p.fault_plan().is_none_or(|plan| plan.is_inert());
         if inert {
-            // Installs go over the wire exactly as the untransacted
-            // client would send them; activation swaps (pure data writes)
-            // apply directly — with no faults possible there is nothing
-            // for the daemon-side commit to protect.
-            let mut applied = 0u64;
-            let mut op_failures = Vec::new();
-            let mut reqs: Vec<(usize, ReqId)> = Vec::new();
-            for (node, op) in &self.staged {
-                match op {
-                    StagedOp::Install { .. } => {
-                        reqs.push((*node, client.install_raw(p, *node, op.clone())));
-                    }
-                    StagedOp::Activation { apply, .. } => {
-                        apply();
-                        applied += 1;
-                    }
-                }
-            }
-            for (node, req) in reqs {
-                match client.wait_ack(p, req) {
-                    AckResult::Ok { .. } => applied += 1,
-                    AckResult::Error { message } => op_failures.push(message),
-                    AckResult::TimedOut { attempts } => op_failures.push(format!(
-                        "install on node {node} unacknowledged after {attempts} attempts"
-                    )),
-                }
-            }
+            self.send_plain(p, client);
+            let (applied, failed) = self.wait_plain(p, client);
+            let reason = |(node, ack)| match ack {
+                AckResult::Ok { .. } => None,
+                AckResult::Error { message } => Some(message),
+                AckResult::TimedOut { attempts } => Some(format!(
+                    "install on node {node} unacknowledged after {attempts} attempts"
+                )),
+            };
+            let op_failures = failed.into_iter().filter_map(reason).collect();
             return TxnReport {
                 txn: TxnId(0),
                 epoch: 0,

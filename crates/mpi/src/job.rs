@@ -9,7 +9,7 @@ use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 
 use dynprof_sim::sync::{SimChannel, SimGate};
-use dynprof_sim::{Proc, Sim, SimTime};
+use dynprof_sim::{Machine, Pid, Proc, Sim, SimTime};
 
 use crate::comm::{Comm, JobState};
 use crate::hooks::{HookChain, MpiHooks};
@@ -97,17 +97,32 @@ impl Job {
     }
 
     /// The machine node hosting `rank`.
-    pub fn node_of(&self, rank: usize, machine: &dynprof_sim::Machine) -> usize {
+    pub fn node_of(&self, rank: usize, machine: &Machine) -> usize {
         self.state.node_of(rank, machine)
     }
 }
 
-fn build_state(spec: &JobSpec, hooks: Vec<Arc<dyn MpiHooks>>) -> Arc<JobState> {
+/// A rank's process: wait on the hold gate, if any, then run the body.
+type RankMain = Box<dyn FnOnce(&Proc) + Send>;
+
+/// Build the job on `machine` and spawn its ranks, in rank order, through
+/// `spawn(name, node, main)` — the one loop behind [`launch`] and
+/// [`launch_from`].
+fn spawn_ranks<F>(
+    machine: &Machine,
+    spec: JobSpec,
+    hooks: Vec<Arc<dyn MpiHooks>>,
+    body: F,
+    mut spawn: impl FnMut(String, usize, RankMain) -> Pid,
+) -> Job
+where
+    F: Fn(&Proc, &Comm) + Send + Sync + 'static,
+{
     let mut chain = HookChain::new();
     for h in hooks {
         chain.push(h);
     }
-    Arc::new(JobState {
+    let state = Arc::new(JobState {
         name: spec.name.clone(),
         size: spec.ranks,
         base_node: spec.base_node,
@@ -117,7 +132,21 @@ fn build_state(spec: &JobSpec, hooks: Vec<Arc<dyn MpiHooks>>) -> Arc<JobState> {
         call_overhead: spec.call_overhead,
         rndv_ids: AtomicU32::new(0),
         check_id: dynprof_sim::hb::unique_id(),
-    })
+    });
+    let body = Arc::new(body);
+    for rank in 0..spec.ranks {
+        let comm = Comm::new(Arc::clone(&state), rank);
+        let (body, hold) = (Arc::clone(&body), spec.hold.clone());
+        let main: RankMain = Box::new(move |p| {
+            if let Some(gate) = hold {
+                gate.wait_open(p);
+            }
+            body(p, &comm);
+        });
+        let node = state.node_of(rank, machine);
+        spawn(format!("{}:{rank}", spec.name), node, main);
+    }
+    Job { state }
 }
 
 /// Launch a job from outside the simulation (before `run`).
@@ -127,22 +156,9 @@ pub fn launch<F>(sim: &Sim, spec: JobSpec, hooks: Vec<Arc<dyn MpiHooks>>, body: 
 where
     F: Fn(&Proc, &Comm) + Send + Sync + 'static,
 {
-    let state = build_state(&spec, hooks);
-    let body = Arc::new(body);
-    let machine = sim.machine().clone();
-    for rank in 0..spec.ranks {
-        let node = state.node_of(rank, &machine);
-        let comm = Comm::new(Arc::clone(&state), rank);
-        let body = Arc::clone(&body);
-        let hold = spec.hold.clone();
-        sim.spawn(format!("{}:{rank}", spec.name), node, move |p| {
-            if let Some(gate) = hold {
-                gate.wait_open(p);
-            }
-            body(p, &comm);
-        });
-    }
-    Job { state }
+    spawn_ranks(sim.machine(), spec, hooks, body, |n, node, main| {
+        sim.spawn(n, node, main)
+    })
 }
 
 /// Launch a job from within a running simulated process (e.g. the dynprof
@@ -152,29 +168,15 @@ pub fn launch_from<F>(p: &Proc, spec: JobSpec, hooks: Vec<Arc<dyn MpiHooks>>, bo
 where
     F: Fn(&Proc, &Comm) + Send + Sync + 'static,
 {
-    let state = build_state(&spec, hooks);
-    let body = Arc::new(body);
-    let machine = p.machine().clone();
-    for rank in 0..spec.ranks {
-        let node = state.node_of(rank, &machine);
-        let comm = Comm::new(Arc::clone(&state), rank);
-        let body = Arc::clone(&body);
-        let hold = spec.hold.clone();
-        p.spawn_child(format!("{}:{rank}", spec.name), node, move |p| {
-            if let Some(gate) = hold {
-                gate.wait_open(p);
-            }
-            body(p, &comm);
-        });
-    }
-    Job { state }
+    spawn_ranks(p.machine(), spec, hooks, body, |n, node, main| {
+        p.spawn_child(n, node, main)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::types::{Source, Tag, TagSel};
-    use dynprof_sim::Machine;
     use parking_lot::Mutex;
 
     fn run_job<F>(ranks: usize, body: F) -> SimTime

@@ -100,6 +100,39 @@ fn unknown_functions_produce_warnings_not_failures() {
 }
 
 #[test]
+fn unknown_function_lists_are_named_by_the_command_that_asked() {
+    // Queued before `start` and acted on after it: both paths resolve the
+    // list, and each warning names its own command.
+    let app = test_app("sweep3d", 2).unwrap();
+    let script = vec![
+        Command::InsertFile(vec!["subset".into(), "nosuch".into()]),
+        Command::RemoveFile(vec!["gone".into()]),
+        Command::Start,
+        Command::RemoveFile(vec!["missing".into()]),
+        Command::Quit,
+    ];
+    let report = run_session(
+        &app,
+        SessionConfig::new(Machine::ibm_power3_colony(), Policy::Dynamic)
+            .with_script(script)
+            .with_seed(8),
+    );
+    assert_eq!(
+        report.warnings,
+        [
+            "insert-file: unknown function list \"nosuch\"",
+            "remove-file: unknown function list \"gone\"",
+            "remove-file: unknown function list \"missing\"",
+        ],
+    );
+    assert_eq!(
+        report.probe_pairs_installed,
+        21 * 2,
+        "the known list still lands"
+    );
+}
+
+#[test]
 fn script_without_start_still_releases_target() {
     // A script that forgets `start` must not deadlock the held target.
     let app = test_app("sweep3d", 2).unwrap();
