@@ -1,123 +1,29 @@
 //! Regenerate paper Fig 7 (a–d): execution time of the instrumented ASCI
 //! kernels under the five Table-3 policies.
 //!
-//! Usage: `fig7 [--app smg98|sppm|sweep3d|umt98] [--json]
-//!              [--parallel [N]] [--metrics out.json]
-//!              [--faults seed[:profile]] [--txn]
+//! Usage: `fig7 [--app smg98|sppm|sweep3d|umt98] [--json] [--parallel [N]]
+//!              [--metrics out.json] [--faults seed[:profile]] [--txn]
 //!              [--degraded-policy abort-txn|exclude-node]
 //!              [--overhead-budget pct]`
 //!
-//! `--parallel` fans the independent (app, policy, P) runs across a
-//! worker-thread pool (N workers; default = available cores). Output is
-//! byte-identical to the serial runner. `--metrics` enables the
-//! self-observability layer and dumps its counters to a JSON file.
-//! `--faults` installs a deterministic fault-injection plan (see
-//! `dynprof_sim::fault`); profiles: none, drop, dup, delay, slow, crash,
-//! epochs, lossy (default). `--txn` routes instrumentation through the
-//! two-phase-commit control plane; `--degraded-policy` (implies `--txn`)
-//! picks the reaction to failed participants — series that committed with
-//! excluded nodes are labelled `[degraded]`. `--overhead-budget pct`
-//! attaches the closed-loop overhead controller to every session; 100 or
-//! more is inert (byte-identical output).
+//! `--app` regenerates one panel; the other flags are
+//! `dynprof_bench::FigureArgs`'.
 
-use dynprof_bench::{
-    fig7_with_workers, parallel, set_overhead_budget, set_txn_policy, write_metrics,
-};
-use dynprof_dpcl::DegradedPolicy;
+use dynprof_bench::{fig7, usage_error, FigureArgs};
+
+const APPS: [&str; 4] = ["smg98", "sppm", "sweep3d", "umt98"];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut apps = vec!["smg98", "sppm", "sweep3d", "umt98"];
-    let mut json = false;
-    let mut workers = 1;
-    let mut metrics: Option<String> = None;
-    let mut txn = false;
-    let mut policy: Option<DegradedPolicy> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--txn" => txn = true,
-            "--overhead-budget" => {
-                i += 1;
-                let pct = args.get(i).expect("--overhead-budget needs a percent");
-                match pct.parse::<f64>() {
-                    Ok(p) if p >= 0.0 => set_overhead_budget(Some(p)),
-                    _ => {
-                        eprintln!("bad --overhead-budget value {pct:?} (percent, >= 0)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--degraded-policy" => {
-                i += 1;
-                let p = args.get(i).expect("--degraded-policy needs a value");
-                policy = match DegradedPolicy::parse(p) {
-                    Some(p) => Some(p),
-                    None => {
-                        eprintln!("unknown policy {p:?} (abort-txn|exclude-node)");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--app" => {
-                i += 1;
-                let a = args.get(i).expect("--app needs a value").clone();
-                if !["smg98", "sppm", "sweep3d", "umt98"].contains(&a.as_str()) {
-                    eprintln!("unknown app {a:?} (smg98|sppm|sweep3d|umt98)");
-                    std::process::exit(2);
-                }
-                apps = vec![Box::leak(a.into_boxed_str())];
-            }
-            "--json" => json = true,
-            "--parallel" => {
-                // Optional worker count; defaults to the host parallelism.
-                workers = match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) => {
-                        i += 1;
-                        n.max(1)
-                    }
-                    None => parallel::default_workers(),
-                };
-            }
-            "--metrics" => {
-                i += 1;
-                let path = args.get(i).expect("--metrics needs a path").clone();
-                dynprof_obs::set_enabled(true);
-                metrics = Some(path);
-            }
-            "--faults" => {
-                i += 1;
-                let spec = args.get(i).expect("--faults needs seed[:profile]");
-                match dynprof_sim::fault::FaultSpec::parse(spec) {
-                    Ok(s) => dynprof_sim::fault::set_global_spec(Some(s)),
-                    Err(e) => {
-                        eprintln!("bad --faults value: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
+    let args = FigureArgs::from_env(&["--app"], true);
+    let mut apps = APPS.to_vec();
+    for (_, app) in &args.own {
+        if !APPS.contains(&app.as_str()) {
+            usage_error(&format!("unknown app {app:?} (smg98|sppm|sweep3d|umt98)"));
         }
-        i += 1;
+        apps = vec![app.as_str()];
     }
-    if txn || policy.is_some() {
-        set_txn_policy(Some(policy.unwrap_or(DegradedPolicy::AbortTxn)));
-    }
-    for app in apps {
-        let fig = fig7_with_workers(app, workers);
-        if json {
-            println!("{}", fig.to_json());
-        } else {
-            println!("{}", fig.render());
-        }
-    }
-    if let Some(path) = metrics {
-        write_metrics(&path).unwrap_or_else(|e| {
-            eprintln!("failed to write metrics to {path}: {e}");
-            std::process::exit(1);
-        });
-    }
+    args.emit(
+        apps.into_iter()
+            .map(|app| fig7(&args.base, app, args.workers)),
+    );
 }

@@ -2,132 +2,33 @@
 //! instrumentation (`VT_confsync`).
 //!
 //! Usage: `fig8 [--part a|b|c] [--runs N] [--json] [--parallel [N]]
-//!              [--metrics out.json] [--faults seed[:profile]] [--txn]
-//!              [--degraded-policy abort-txn|exclude-node]
-//!              [--overhead-budget pct]`
+//!              [--metrics out.json] [--faults seed[:profile]]`
 //! (default: all parts, 16 runs per point — the paper's averaging).
-//! `--parallel` fans the independent (proc count, seed) runs across a
-//! worker-thread pool (N workers; default = available cores); output is
-//! byte-identical to the serial runner.
-//! `--faults` installs a deterministic fault-injection plan; profiles:
-//! none, drop, dup, delay, slow, crash, epochs, lossy (default).
-//! `--txn`/`--degraded-policy` configure the two-phase-commit control
-//! plane for sweep-script uniformity with fig7/fig9; the confsync
-//! experiments install no probes, so the knobs (and `--overhead-budget`)
-//! change nothing here.
+//!
+//! The flags after `--runs` are `dynprof_bench::FigureArgs`'. The
+//! confsync experiments install no probes, so `--txn`,
+//! `--degraded-policy` and `--overhead-budget` are not arguments here.
 
-use dynprof_bench::{
-    fig8a_with_workers, fig8b_with_workers, fig8c_with_workers, parallel, set_overhead_budget,
-    set_txn_policy, write_metrics, Figure,
-};
-use dynprof_dpcl::DegradedPolicy;
+use dynprof_bench::{fig8a, fig8b, fig8c, usage_error, FigureArgs};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = FigureArgs::from_env(&["--part", "--runs"], false);
     let mut parts = vec!['a', 'b', 'c'];
     let mut runs = 16usize;
-    let mut json = false;
-    let mut workers = 1;
-    let mut metrics: Option<String> = None;
-    let mut txn = false;
-    let mut policy: Option<DegradedPolicy> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--txn" => txn = true,
-            "--overhead-budget" => {
-                i += 1;
-                let pct = args.get(i).expect("--overhead-budget needs a percent");
-                match pct.parse::<f64>() {
-                    Ok(p) if p >= 0.0 => set_overhead_budget(Some(p)),
-                    _ => {
-                        eprintln!("bad --overhead-budget value {pct:?} (percent, >= 0)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--degraded-policy" => {
-                i += 1;
-                let p = args.get(i).expect("--degraded-policy needs a value");
-                policy = match DegradedPolicy::parse(p) {
-                    Some(p) => Some(p),
-                    None => {
-                        eprintln!("unknown policy {p:?} (abort-txn|exclude-node)");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--part" => {
-                i += 1;
-                let p = args.get(i).expect("--part needs a value");
-                parts = vec![p.chars().next().expect("part letter")];
-            }
-            "--runs" => {
-                i += 1;
-                runs = args
-                    .get(i)
-                    .expect("--runs needs a value")
-                    .parse()
-                    .expect("run count");
-            }
-            "--json" => json = true,
-            "--parallel" => {
-                // Optional worker count; defaults to the host parallelism.
-                workers = match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) => {
-                        i += 1;
-                        n.max(1)
-                    }
-                    None => parallel::default_workers(),
-                };
-            }
-            "--metrics" => {
-                i += 1;
-                let path = args.get(i).expect("--metrics needs a path").clone();
-                dynprof_obs::set_enabled(true);
-                metrics = Some(path);
-            }
-            "--faults" => {
-                i += 1;
-                let spec = args.get(i).expect("--faults needs seed[:profile]");
-                match dynprof_sim::fault::FaultSpec::parse(spec) {
-                    Ok(s) => dynprof_sim::fault::set_global_spec(Some(s)),
-                    Err(e) => {
-                        eprintln!("bad --faults value: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    if txn || policy.is_some() {
-        set_txn_policy(Some(policy.unwrap_or(DegradedPolicy::AbortTxn)));
-    }
-    for part in parts {
-        let fig: Figure = match part {
-            'a' => fig8a_with_workers(runs, workers),
-            'b' => fig8b_with_workers(runs, workers),
-            'c' => fig8c_with_workers(runs, workers),
-            other => {
-                eprintln!("unknown part {other:?}");
-                std::process::exit(2);
-            }
-        };
-        if json {
-            println!("{}", fig.to_json());
+    for (flag, value) in &args.own {
+        if flag == "--part" {
+            parts = value.chars().take(1).collect();
         } else {
-            println!("{}", fig.render());
+            runs = value
+                .parse()
+                .unwrap_or_else(|_| usage_error(&format!("bad --runs value {value:?}")));
         }
     }
-    if let Some(path) = metrics {
-        write_metrics(&path).unwrap_or_else(|e| {
-            eprintln!("failed to write metrics to {path}: {e}");
-            std::process::exit(1);
-        });
-    }
+    let (base, workers) = (&args.base, args.workers);
+    args.emit(parts.into_iter().map(|part| match part {
+        'a' => fig8a(base, runs, workers),
+        'b' => fig8b(base, runs, workers),
+        'c' => fig8c(base, runs, workers),
+        other => usage_error(&format!("unknown part {other:?}")),
+    }));
 }

@@ -7,80 +7,11 @@
 //!              [--degraded-policy abort-txn|exclude-node]
 //!              [--overhead-budget pct]`
 //!
-//! `--parallel` fans the independent (app, P) instrumentation sessions
-//! across a worker-thread pool (N workers; default = available cores);
-//! output is byte-identical to the serial runner.
-//! `--faults` installs a deterministic fault-injection plan; profiles:
-//! none, drop, dup, delay, slow, crash, epochs, lossy (default).
-//! `--txn` routes instrumentation through the two-phase-commit control
-//! plane; `--degraded-policy` (implies `--txn`) picks the reaction to
-//! failed participants — series that committed with excluded nodes are
-//! labelled `[degraded]`.
+//! The flags are `dynprof_bench::FigureArgs`'.
 
-use dynprof_bench::{
-    fig9_with_workers, parallel, set_overhead_budget, set_txn_policy, write_metrics,
-};
-use dynprof_dpcl::DegradedPolicy;
+use dynprof_bench::{fig9, FigureArgs};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    // Optional worker count; defaults to the host parallelism.
-    let workers = match args.iter().position(|a| a == "--parallel") {
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|v| v.parse::<usize>().ok())
-            .map_or_else(parallel::default_workers, |n| n.max(1)),
-        None => 1,
-    };
-    let txn = args.iter().any(|a| a == "--txn");
-    let policy = args.iter().position(|a| a == "--degraded-policy").map(|i| {
-        let p = args.get(i + 1).expect("--degraded-policy needs a value");
-        DegradedPolicy::parse(p).unwrap_or_else(|| {
-            eprintln!("unknown policy {p:?} (abort-txn|exclude-node)");
-            std::process::exit(2);
-        })
-    });
-    if txn || policy.is_some() {
-        set_txn_policy(Some(policy.unwrap_or(DegradedPolicy::AbortTxn)));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--overhead-budget") {
-        let pct = args.get(i + 1).expect("--overhead-budget needs a percent");
-        match pct.parse::<f64>() {
-            Ok(p) if p >= 0.0 => set_overhead_budget(Some(p)),
-            _ => {
-                eprintln!("bad --overhead-budget value {pct:?} (percent, >= 0)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let metrics = args
-        .iter()
-        .position(|a| a == "--metrics")
-        .map(|i| args.get(i + 1).expect("--metrics needs a path").clone());
-    if metrics.is_some() {
-        dynprof_obs::set_enabled(true);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--faults") {
-        let spec = args.get(i + 1).expect("--faults needs seed[:profile]");
-        match dynprof_sim::fault::FaultSpec::parse(spec) {
-            Ok(s) => dynprof_sim::fault::set_global_spec(Some(s)),
-            Err(e) => {
-                eprintln!("bad --faults value: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let fig = fig9_with_workers(workers);
-    if json {
-        println!("{}", fig.to_json());
-    } else {
-        println!("{}", fig.render());
-    }
-    if let Some(path) = metrics {
-        write_metrics(&path).unwrap_or_else(|e| {
-            eprintln!("failed to write metrics to {path}: {e}");
-            std::process::exit(1);
-        });
-    }
+    let args = FigureArgs::from_env(&[], true);
+    args.emit([fig9(&args.base, args.workers)]);
 }

@@ -9,113 +9,199 @@
 //! * [`fig9`] — dynprof's time to create and instrument each application;
 //! * table renderers for Tables 1–3.
 //!
+//! Every runner takes a base [`SessionConfig`] and a worker count. The
+//! base is the run configuration (fault spec, carrier, 2PC, overhead
+//! budget); each run is that base with its own machine, policy and seed,
+//! so runs on one base — or on two bases at once — never share state.
+//! The runners fan their independent runs across `workers` threads (see
+//! [`parallel`]) and assemble results in the serial sweep's order, so the
+//! output is byte-identical for any worker count.
+//!
 //! The binaries in `src/bin/` print the same rows/series the paper
-//! reports, plus machine-readable JSON next to each table. Each binary
-//! also accepts `--metrics <out.json>` (dump the [`dynprof_obs`] registry
-//! after the sweep) and `fig7` accepts `--parallel [N]` (fan the
-//! independent runs across a worker pool — see [`parallel`]).
+//! reports; [`FigureArgs`] is their one command-line parser.
 
 #![warn(missing_docs)]
 
 pub mod parallel;
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use dynprof_apps::paper_app;
 use dynprof_check::analyzer::{analyze, Budget, ProbePlan};
-use dynprof_core::{run_session, AdaptiveSettings, AppSpec, SessionConfig, TxnSettings};
+use dynprof_core::{
+    run_session, AdaptiveSettings, AppSpec, SessionConfig, SessionReport, TxnSettings,
+};
 use dynprof_dpcl::DegradedPolicy;
 use dynprof_mpi::{launch, JobSpec};
 use dynprof_obs::{self as obs, Json};
-use dynprof_sim::{Machine, OnlineStats, Sim, SimTime};
+use dynprof_sim::{FaultSpec, Machine, OnlineStats, SimTime};
 use dynprof_vt::{confsync, ConfigDelta, MonitorLink, Policy, VtConfig, VtLib, VtMpiHooks};
 
 // ---------------------------------------------------------------------------
-// Transactional-epoch mode (`--txn` / `--degraded-policy`)
+// The figure binaries' command line
 // ---------------------------------------------------------------------------
 
-/// Process-global transactional-epoch mode, set by the figure binaries:
-/// 0 = off, 1 = abort-txn, 2 = exclude-node. A plain atomic (not a
-/// `Mutex<Option<..>>`) so [`fig7_run`] workers can read it without
-/// contention inside the parallel sweep.
-static TXN_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Route every subsequent session's instrumentation through the 2PC
-/// control plane ([`dynprof_dpcl::InstrumentationTxn`]) with the given
-/// degraded-mode policy; `None` restores the untransacted path.
-pub fn set_txn_policy(policy: Option<DegradedPolicy>) {
-    let v = match policy {
-        None => 0,
-        Some(DegradedPolicy::AbortTxn) => 1,
-        Some(DegradedPolicy::ExcludeNode) => 2,
-    };
-    TXN_MODE.store(v, Ordering::SeqCst);
+/// What a figure binary's command line asks for. The flags every binary
+/// shares:
+///
+/// * `--json` — print figure JSON instead of the text table;
+/// * `--parallel [N]` — fan the independent runs across N worker threads
+///   (default: the host's parallelism); output is byte-identical;
+/// * `--metrics out.json` — observe the sweep and dump the
+///   [`dynprof_obs`] registry afterwards;
+/// * `--faults seed[:profile]` — run every session under a deterministic
+///   fault plan (`dynprof_sim::fault`; profiles none, drop, dup, delay,
+///   slow, crash, epochs, lossy — the default);
+///
+/// and, for binaries whose sessions install probes:
+///
+/// * `--txn` — instrument through the two-phase-commit control plane;
+/// * `--degraded-policy abort-txn|exclude-node` (implies `--txn`) — the
+///   reaction to a failed participant; series that committed with
+///   excluded nodes are labelled `[degraded]`;
+/// * `--overhead-budget pct` — attach the closed-loop overhead controller
+///   to every session; 100 or more attaches none (byte-identical output).
+pub struct FigureArgs {
+    /// The run configuration every session of the sweep starts from.
+    pub base: SessionConfig,
+    /// Worker threads for the sweep.
+    pub workers: usize,
+    /// Print JSON instead of text tables.
+    pub json: bool,
+    /// Where to write the metrics after the sweep.
+    pub metrics: Option<String>,
+    /// The binary's own `--flag value` options, in command-line order.
+    pub own: Vec<(String, String)>,
 }
 
-/// The currently configured transactional-epoch policy, if any.
-pub fn txn_policy() -> Option<DegradedPolicy> {
-    match TXN_MODE.load(Ordering::SeqCst) {
-        1 => Some(DegradedPolicy::AbortTxn),
-        2 => Some(DegradedPolicy::ExcludeNode),
-        _ => None,
+impl FigureArgs {
+    /// Parse `args` (without the program name). `own` names the binary's
+    /// own value-taking flags; `probes` says whether its sessions install
+    /// probes, and with it whether `--txn`, `--degraded-policy` and
+    /// `--overhead-budget` are arguments at all.
+    pub fn parse(args: &[String], own: &[&str], probes: bool) -> Result<FigureArgs, String> {
+        let mut out = FigureArgs {
+            base: SessionConfig::new(Machine::ibm_power3_colony(), Policy::Dynamic),
+            workers: 1,
+            json: false,
+            metrics: None,
+            own: Vec::new(),
+        };
+        let mut txn = None;
+        let mut args = args.iter().peekable();
+        while let Some(flag) = args.next() {
+            let mut value = || {
+                args.next()
+                    .cloned()
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            match flag.as_str() {
+                "--json" => out.json = true,
+                "--parallel" => {
+                    out.workers = match args.peek().and_then(|v| v.parse::<usize>().ok()) {
+                        Some(n) => {
+                            args.next();
+                            n.max(1)
+                        }
+                        None => parallel::default_workers(),
+                    }
+                }
+                "--metrics" => out.metrics = Some(value()?),
+                "--faults" => {
+                    let spec = FaultSpec::parse(&value()?);
+                    out.base.faults = Some(spec.map_err(|e| format!("bad --faults value: {e}"))?);
+                }
+                "--txn" if probes => txn = txn.or(Some(DegradedPolicy::AbortTxn)),
+                "--degraded-policy" if probes => {
+                    let p = value()?;
+                    let policy = DegradedPolicy::parse(&p)
+                        .ok_or_else(|| format!("unknown policy {p:?} (abort-txn|exclude-node)"))?;
+                    txn = Some(policy);
+                }
+                "--overhead-budget" if probes => {
+                    let pct = value()?;
+                    let p = pct
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|p| *p >= 0.0)
+                        .ok_or_else(|| {
+                            format!("bad --overhead-budget value {pct:?} (percent, >= 0)")
+                        })?;
+                    // An inert budget attaches no controller at all.
+                    out.base.adaptive = (p < 100.0).then(|| AdaptiveSettings::budget(p));
+                }
+                f if own.contains(&f) => out.own.push((f.to_string(), value()?)),
+                other => return Err(format!("unknown argument {other:?}")),
+            }
+        }
+        out.base.txn = txn.map(TxnSettings::new);
+        Ok(out)
+    }
+
+    /// [`FigureArgs::parse`] over the process's arguments: a bad command
+    /// line exits with status 2, and `--metrics` turns observation on.
+    pub fn from_env(own: &[&str], probes: bool) -> FigureArgs {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let out = FigureArgs::parse(&args, own, probes).unwrap_or_else(|e| usage_error(&e));
+        if out.metrics.is_some() {
+            obs::set_enabled(true);
+        }
+        out
+    }
+
+    /// Print each figure as it is produced, then write the metrics file if
+    /// one was asked for (exit status 1 if it cannot be written).
+    pub fn emit(&self, figures: impl IntoIterator<Item = Figure>) {
+        for fig in figures {
+            if self.json {
+                println!("{}", fig.to_json());
+            } else {
+                println!("{}", fig.render());
+            }
+        }
+        if let Some(path) = &self.metrics {
+            std::fs::write(path, obs::dump_json() + "\n").unwrap_or_else(|e| {
+                eprintln!("failed to write metrics to {path}: {e}");
+                std::process::exit(1);
+            });
+        }
     }
 }
 
-/// Build the session's [`TxnSettings`] for `app`, wiring the
-/// `dynprof-check` probe-safety analyzer in as the pre-flight validator
-/// (the dependency inversion that keeps `dpcl` free of a `check` edge).
-/// Returns `None` when transactional mode is off.
-fn txn_settings(app: &AppSpec) -> Option<TxnSettings> {
-    let policy = txn_policy()?;
-    let program = app.name.clone();
-    let manifest = app.functions.clone();
-    let mut settings = TxnSettings::new(policy);
-    settings.validator = Some(Arc::new(move |targets: &[String]| {
-        let plan = ProbePlan::timer_pair(targets.to_vec());
-        analyze(&program, &manifest, &plan, &Budget::default())
-    }));
-    Some(settings)
+/// Report a bad command line and exit with status 2.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
 }
 
 // ---------------------------------------------------------------------------
-// Overhead-budget mode (`--overhead-budget`)
+// Sessions from a base configuration
 // ---------------------------------------------------------------------------
 
-/// Process-global overhead budget in hundredths of a percent, set by the
-/// figure binaries; `u64::MAX` means no budget. Same lock-free shape as
-/// [`TXN_MODE`] so parallel sweep workers can read it without contention.
-static BUDGET_PCT_X100: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Set (or clear) the overhead budget applied to every subsequent
-/// session: the `vt::controller` closed loop deactivates probes at each
-/// `VT_confsync` epoch until measured instrumentation overhead fits in
-/// `pct` percent of application time. A budget of 100% or more is inert —
-/// no controller is attached at all, so output stays byte-identical to an
-/// unbudgeted run (the CI identity check relies on this).
-pub fn set_overhead_budget(pct: Option<f64>) {
-    let v = match pct {
-        Some(p) if p >= 0.0 => (p * 100.0).round() as u64,
-        _ => u64::MAX,
+/// One session of `app` on the IBM machine: `base` with its own policy and
+/// seed, and with `dynprof-check`'s probe-safety analyzer wired into
+/// `base.txn` as the pre-flight validator (the dependency inversion that
+/// keeps `dpcl` free of a `check` edge).
+fn session(base: &SessionConfig, app: &AppSpec, policy: Policy, seed: u64) -> SessionReport {
+    let txn = base.txn.clone().map(|mut settings| {
+        let program = app.name.clone();
+        let manifest = app.functions.clone();
+        settings.validator = Some(Arc::new(move |targets: &[String]| {
+            let plan = ProbePlan::timer_pair(targets.to_vec());
+            analyze(&program, &manifest, &plan, &Budget::default())
+        }));
+        settings
+    });
+    let cfg = SessionConfig {
+        machine: Machine::ibm_power3_colony(),
+        policy,
+        seed,
+        txn,
+        ..base.clone()
     };
-    BUDGET_PCT_X100.store(v, Ordering::SeqCst);
-}
-
-/// The currently configured overhead budget (percent), if any.
-pub fn overhead_budget() -> Option<f64> {
-    match BUDGET_PCT_X100.load(Ordering::SeqCst) {
-        u64::MAX => None,
-        v => Some(v as f64 / 100.0),
-    }
-}
-
-/// The session-level adaptive settings implied by the budget; `None` when
-/// unset or inert (≥ 100%).
-fn adaptive_settings() -> Option<AdaptiveSettings> {
-    let pct = overhead_budget()?;
-    (pct < 100.0).then(|| AdaptiveSettings::budget(pct))
+    run_session(app, cfg)
 }
 
 /// Suffix a series label when any of its runs committed degraded
@@ -233,11 +319,6 @@ impl Figure {
     }
 }
 
-/// Write the global [`dynprof_obs`] registry as pretty JSON to `path`.
-pub fn write_metrics(path: &str) -> std::io::Result<()> {
-    std::fs::write(path, obs::dump_json() + "\n")
-}
-
 /// The CPU counts of paper Fig 7 for each application.
 pub fn fig7_cpus(app: &str) -> Vec<usize> {
     match app {
@@ -266,46 +347,24 @@ pub fn fig7_policies(app: &str) -> Vec<Policy> {
 }
 
 /// One independent Fig-7 run: `app` under `policy` at `cpus` processors,
-/// with the exact seed the serial sweep has always used. Every run owns
-/// its seeded engine, so runs can execute concurrently without affecting
-/// each other's results.
-pub fn fig7_run(app_name: &str, cpus: usize, policy: Policy) -> f64 {
-    fig7_run_outcome(app_name, cpus, policy).0
-}
-
-/// [`fig7_run`] plus a degraded-mode marker: `true` when the run's
-/// transactional epochs committed with excluded nodes (only possible with
-/// `--txn`, an `exclude-node` policy, and a non-inert fault plan).
-pub fn fig7_run_outcome(app_name: &str, cpus: usize, policy: Policy) -> (f64, bool) {
+/// with the exact seed the sweep has always used. Returns the application
+/// time in seconds and whether the run's transactional epochs committed
+/// with excluded nodes (only possible with `--txn`, an `exclude-node`
+/// policy, and a live fault plan).
+pub fn fig7_run(base: &SessionConfig, app_name: &str, cpus: usize, policy: Policy) -> (f64, bool) {
     let _span = obs::span("bench.fig7.run.real_ns");
     if obs::enabled() {
         obs::counter("bench.fig7.runs").inc();
     }
     let (app, _outputs) =
         paper_app(app_name, cpus).unwrap_or_else(|| panic!("unknown app {app_name}"));
-    let mut cfg =
-        SessionConfig::new(Machine::ibm_power3_colony(), policy).with_seed(1000 + cpus as u64);
-    if let Some(settings) = txn_settings(&app) {
-        cfg = cfg.with_txn(settings);
-    }
-    if let Some(settings) = adaptive_settings() {
-        cfg = cfg.with_adaptive(settings);
-    }
-    let report = run_session(&app, cfg);
+    let report = session(base, &app, policy, 1000 + cpus as u64);
     (report.app_time.as_secs_f64(), report.vt.is_degraded())
 }
 
 /// Reproduce one sub-plot of Fig 7: run `app` under every policy across
-/// the paper's CPU counts on the IBM machine model, serially.
-pub fn fig7(app_name: &str) -> Figure {
-    fig7_with_workers(app_name, 1)
-}
-
-/// [`fig7`] with its independent (cpus × policy) runs fanned across
-/// `workers` threads. Results are assembled in the serial sweep's order,
-/// and each run is seed-deterministic, so the output — down to the JSON
-/// bytes — is identical to the serial runner's.
-pub fn fig7_with_workers(app_name: &str, workers: usize) -> Figure {
+/// the paper's CPU counts on the IBM machine model.
+pub fn fig7(base: &SessionConfig, app_name: &str, workers: usize) -> Figure {
     let cpus = fig7_cpus(app_name);
     let policies = fig7_policies(app_name);
     let mut series: Vec<Series> = policies
@@ -321,7 +380,7 @@ pub fn fig7_with_workers(app_name: &str, workers: usize) -> Figure {
         .flat_map(|&c| (0..policies.len()).map(move |si| (c, si)))
         .collect();
     let results = parallel::run(&jobs, workers, |&(c, si)| {
-        fig7_run_outcome(app_name, c, policies[si])
+        fig7_run(base, app_name, c, policies[si])
     });
     let mut degraded = vec![false; series.len()];
     for (&(c, si), (t, deg)) in jobs.iter().zip(results) {
@@ -361,23 +420,11 @@ pub enum ConfsyncExperiment {
     WriteStats,
 }
 
-/// Measure the cost of one `VT_confsync` at rank 0, averaged over `runs`
-/// seeds, for each processor count.
+/// Measure the cost of one `VT_confsync` at rank 0 on `base.machine`,
+/// averaged over `runs` seeds, for each processor count. The per-point
+/// averages are folded in the serial sweep's run order.
 pub fn confsync_cost(
-    machine: &Machine,
-    procs: &[usize],
-    experiment: ConfsyncExperiment,
-    runs: usize,
-) -> Series {
-    confsync_cost_with_workers(machine, procs, experiment, runs, 1)
-}
-
-/// [`confsync_cost`] with its independent (proc count × seed) runs fanned
-/// across `workers` threads. Each run owns its own seeded engine and the
-/// per-point averages are folded in the serial sweep's run order, so the
-/// resulting series is byte-identical to the serial one.
-pub fn confsync_cost_with_workers(
-    machine: &Machine,
+    base: &SessionConfig,
     procs: &[usize],
     experiment: ConfsyncExperiment,
     runs: usize,
@@ -394,7 +441,7 @@ pub fn confsync_cost_with_workers(
         .flat_map(|&p| (0..runs).map(move |run| (p, 0xF160 + run as u64)))
         .collect();
     let results = parallel::run(&jobs, workers, |&(p, seed)| {
-        one_confsync(machine, p, experiment, seed)
+        one_confsync(base, p, experiment, seed)
     });
     let mut points = Vec::new();
     for (pi, &p) in procs.iter().enumerate() {
@@ -411,12 +458,13 @@ pub fn confsync_cost_with_workers(
 }
 
 fn one_confsync(
-    machine: &Machine,
+    base: &SessionConfig,
     ranks: usize,
     experiment: ConfsyncExperiment,
     seed: u64,
 ) -> SimTime {
-    let vt = VtLib::new("confsync-probe", ranks, VtConfig::all_on(), machine.probe);
+    let probe = base.machine.probe;
+    let vt = VtLib::new("confsync-probe", ranks, VtConfig::all_on(), probe);
     let monitor = MonitorLink::new();
     if experiment == ConfsyncExperiment::WithChange {
         monitor.post_change(
@@ -426,7 +474,11 @@ fn one_confsync(
             SimTime::from_micros(500),
         );
     }
-    let sim = Sim::virtual_time(machine.clone(), seed);
+    let sim = SessionConfig {
+        seed,
+        ..base.clone()
+    }
+    .sim();
     let cost = Arc::new(Mutex::new(SimTime::ZERO));
     let (vt2, m2, c2) = (Arc::clone(&vt), Arc::clone(&monitor), Arc::clone(&cost));
     let write_stats = experiment == ConfsyncExperiment::WriteStats;
@@ -458,43 +510,39 @@ fn one_confsync(
     t
 }
 
-/// Reproduce Fig 8(a): confsync on the IBM machine, 2–512 processors.
-pub fn fig8a(runs: usize) -> Figure {
-    fig8a_with_workers(runs, 1)
+/// `base` on the machine `machine`.
+fn on(base: &SessionConfig, machine: Machine) -> SessionConfig {
+    SessionConfig {
+        machine,
+        ..base.clone()
+    }
 }
 
-/// [`fig8a`] with its runs fanned across `workers` threads
-/// (byte-identical output; see [`confsync_cost_with_workers`]).
-pub fn fig8a_with_workers(runs: usize, workers: usize) -> Figure {
-    let m = Machine::ibm_power3_colony();
+/// Reproduce Fig 8(a): confsync on the IBM machine, 2–512 processors.
+pub fn fig8a(base: &SessionConfig, runs: usize, workers: usize) -> Figure {
+    let base = on(base, Machine::ibm_power3_colony());
     let procs = [2, 4, 8, 16, 32, 64, 128, 256, 512];
     Figure {
         title: "Fig 8(a) VT_confsync on IBM (no change vs changes)".into(),
         unit: "seconds",
         xaxis: "CPUs",
         series: vec![
-            confsync_cost_with_workers(&m, &procs, ConfsyncExperiment::NoChange, runs, workers),
-            confsync_cost_with_workers(&m, &procs, ConfsyncExperiment::WithChange, runs, workers),
+            confsync_cost(&base, &procs, ConfsyncExperiment::NoChange, runs, workers),
+            confsync_cost(&base, &procs, ConfsyncExperiment::WithChange, runs, workers),
         ],
     }
 }
 
 /// Reproduce Fig 8(b): confsync writing statistics on the IBM machine.
-pub fn fig8b(runs: usize) -> Figure {
-    fig8b_with_workers(runs, 1)
-}
-
-/// [`fig8b`] with its runs fanned across `workers` threads
-/// (byte-identical output; see [`confsync_cost_with_workers`]).
-pub fn fig8b_with_workers(runs: usize, workers: usize) -> Figure {
-    let m = Machine::ibm_power3_colony();
+pub fn fig8b(base: &SessionConfig, runs: usize, workers: usize) -> Figure {
+    let base = on(base, Machine::ibm_power3_colony());
     let procs = [2, 4, 8, 16, 32, 64, 128, 256, 512];
     Figure {
         title: "Fig 8(b) VT_confsync writing statistics on IBM".into(),
         unit: "seconds",
         xaxis: "CPUs",
-        series: vec![confsync_cost_with_workers(
-            &m,
+        series: vec![confsync_cost(
+            &base,
             &procs,
             ConfsyncExperiment::WriteStats,
             runs,
@@ -504,21 +552,15 @@ pub fn fig8b_with_workers(runs: usize, workers: usize) -> Figure {
 }
 
 /// Reproduce Fig 8(c): confsync on the IA32 Pentium III cluster.
-pub fn fig8c(runs: usize) -> Figure {
-    fig8c_with_workers(runs, 1)
-}
-
-/// [`fig8c`] with its runs fanned across `workers` threads
-/// (byte-identical output; see [`confsync_cost_with_workers`]).
-pub fn fig8c_with_workers(runs: usize, workers: usize) -> Figure {
-    let m = Machine::ia32_pentium3_cluster();
+pub fn fig8c(base: &SessionConfig, runs: usize, workers: usize) -> Figure {
+    let base = on(base, Machine::ia32_pentium3_cluster());
     let procs: Vec<usize> = (2..=16).collect();
     Figure {
         title: "Fig 8(c) VT_confsync on IA32 (no change)".into(),
         unit: "seconds",
         xaxis: "CPUs",
-        series: vec![confsync_cost_with_workers(
-            &m,
+        series: vec![confsync_cost(
+            &base,
             &procs,
             ConfsyncExperiment::NoChange,
             runs,
@@ -535,15 +577,7 @@ pub fn fig8c_with_workers(runs: usize, workers: usize) -> Figure {
 ///
 /// The metric is independent of the modelled computation (the target is
 /// suspended throughout), so the kernels run with test-scale bodies.
-pub fn fig9() -> Figure {
-    fig9_with_workers(1)
-}
-
-/// [`fig9`] with its independent (app × CPU count) sessions fanned across
-/// `workers` threads. Each session owns its own seeded engine; results
-/// are assembled in the serial sweep's order, so the output is
-/// byte-identical to the serial runner's.
-pub fn fig9_with_workers(workers: usize) -> Figure {
+pub fn fig9(base: &SessionConfig, workers: usize) -> Figure {
     let apps = ["smg98", "sppm", "sweep3d", "umt98"];
     // Jobs in the serial sweep's order: outer app, inner CPU count.
     let jobs: Vec<(usize, usize)> = apps
@@ -553,15 +587,7 @@ pub fn fig9_with_workers(workers: usize) -> Figure {
         .collect();
     let results = parallel::run(&jobs, workers, |&(ai, c)| {
         let app = dynprof_apps::test_app(apps[ai], c).expect("app");
-        let mut cfg = SessionConfig::new(Machine::ibm_power3_colony(), Policy::Dynamic)
-            .with_seed(77 + c as u64);
-        if let Some(settings) = txn_settings(&app) {
-            cfg = cfg.with_txn(settings);
-        }
-        if let Some(settings) = adaptive_settings() {
-            cfg = cfg.with_adaptive(settings);
-        }
-        let report = run_session(&app, cfg);
+        let report = session(base, &app, Policy::Dynamic, 77 + c as u64);
         (
             c,
             report.create_and_instrument().as_secs_f64(),

@@ -5,7 +5,7 @@
 //! atomic cursor and writes each result back into the job's slot, which
 //! keeps result order equal to job order regardless of which worker
 //! finishes first. That order-preservation is what lets
-//! [`fig7_with_workers`](crate::fig7_with_workers) emit byte-identical
+//! [`fig7`](crate::fig7) emit byte-identical
 //! JSON to the serial sweep.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

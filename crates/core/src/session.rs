@@ -24,7 +24,7 @@ use dynprof_image::{Image, ProbePoint};
 use dynprof_mpi::{launch, launch_from, Comm, Job, JobSpec, MpiHooks};
 use dynprof_sim::hb::Finding;
 use dynprof_sim::sync::SimGate;
-use dynprof_sim::{Machine, Proc, Sim, SimTime};
+use dynprof_sim::{FaultPlan, FaultSpec, Machine, Proc, ProcBackend, Sim, SimTime};
 use dynprof_vt::{
     vt_begin_snippet, vt_end_snippet, ControllerConfig, MonitorLink, OverheadController, Policy,
     SharedSink, VtConfig, VtImageObserver, VtLib, VtMpiHooks, VtStaticHooks,
@@ -78,6 +78,12 @@ pub struct SessionConfig {
     /// when the run ends; the caller keeps a handle and finishes the sink
     /// once the session returns. Costs no virtual time either way.
     pub capture: Option<SharedSink>,
+    /// Fault-injection plan to instantiate for the run (`None`: no plan,
+    /// byte-identical to an inert one).
+    pub faults: Option<FaultSpec>,
+    /// What carries the simulated processes. Every output is
+    /// byte-identical on either; only host time differs.
+    pub backend: ProcBackend,
 }
 
 /// Settings of the closed-loop overhead controller attached to an
@@ -136,7 +142,8 @@ impl TxnSettings {
 }
 
 impl SessionConfig {
-    /// Defaults for `machine`/`policy`: seed 42, the default script.
+    /// Defaults for `machine`/`policy`: seed 42, the default script, no
+    /// faults, the default carrier ([`ProcBackend::default_backend`]).
     pub fn new(machine: Machine, policy: Policy) -> SessionConfig {
         SessionConfig {
             machine,
@@ -148,7 +155,19 @@ impl SessionConfig {
             suppress_floor: SimTime::ZERO,
             adaptive: None,
             capture: None,
+            faults: None,
+            backend: ProcBackend::default_backend(),
         }
+    }
+
+    /// The simulation this configuration runs on: its machine, seed and
+    /// carrier, with the fault plan instantiated when `faults` is set.
+    pub fn sim(&self) -> Sim {
+        let sim = Sim::virtual_time_with_backend(self.machine.clone(), self.seed, self.backend);
+        if let Some(spec) = &self.faults {
+            sim.set_fault_plan(FaultPlan::new(spec, &self.machine));
+        }
+        sim
     }
 
     /// Capture the run through `sink` as it happens instead of buffering
@@ -334,7 +353,7 @@ fn drive(app: &AppSpec, cfg: SessionConfig, launch: Launch, script: Vec<Command>
         vt.set_sink(Arc::clone(sink));
     }
     let images = process_images(app, &cfg, &vt, static_instr);
-    let sim = Sim::virtual_time(cfg.machine.clone(), cfg.seed);
+    let sim = cfg.sim();
     let (adaptive, controller) = make_adaptive(&cfg, &vt);
     let target = Target {
         app: Arc::new(app.clone()),

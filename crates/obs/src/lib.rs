@@ -46,8 +46,9 @@
 //! obs::reset();
 //! hot_path(); // flag off: no metric recorded
 //! obs::set_enabled(true);
+//! let live = obs::enabled(); // false with the `obs` feature compiled out
 //! hot_path();
-//! assert_eq!(obs::counter("demo.events").get(), 1);
+//! assert_eq!(obs::counter("demo.events").get(), u64::from(live));
 //! obs::set_enabled(false);
 //! ```
 //!

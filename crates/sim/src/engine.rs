@@ -51,7 +51,7 @@ use core::ffi::c_void;
 use std::cell::UnsafeCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
@@ -87,52 +87,20 @@ pub enum ProcBackend {
     Coroutine,
 }
 
-/// Process-global backend override: 0 = none, 1 = threads, 2 = coroutine.
-static BACKEND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Force (or, with `None`, stop forcing) the [`ProcBackend`] of every
-/// [`Sim::virtual_time`] created after this call, trumping both the
-/// `DYNPROF_PROC_BACKEND` environment variable and the platform default.
-///
-/// Intended for differential tests that replay a whole pipeline on both
-/// backends within one process; such tests must serialize themselves
-/// (the override is process-global state).
-pub fn set_backend_override(backend: Option<ProcBackend>) {
-    let v = match backend {
-        None => 0,
-        Some(ProcBackend::Threads) => 1,
-        Some(ProcBackend::Coroutine) => 2,
-    };
-    BACKEND_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
 impl ProcBackend {
-    /// The backend a plain [`Sim::virtual_time`] resolves to: the
-    /// process-global override ([`set_backend_override`]) if set, else
+    /// The backend a plain [`Sim::virtual_time`] resolves to:
     /// `DYNPROF_PROC_BACKEND` (`threads` / `coroutine`; read once), else
     /// coroutines where supported. A coroutine request on a platform
-    /// without the runtime falls back to threads.
+    /// without the runtime falls back to threads. A caller that wants a
+    /// particular carrier names it ([`Sim::virtual_time_with_backend`]).
     pub fn default_backend() -> ProcBackend {
-        let resolved = match BACKEND_OVERRIDE.load(Ordering::SeqCst) {
-            1 => ProcBackend::Threads,
-            2 => ProcBackend::Coroutine,
-            _ => {
-                static ENV: OnceLock<Option<ProcBackend>> = OnceLock::new();
-                let env =
-                    *ENV.get_or_init(|| match std::env::var("DYNPROF_PROC_BACKEND").as_deref() {
-                        Ok("threads") => Some(ProcBackend::Threads),
-                        Ok("coroutine") => Some(ProcBackend::Coroutine),
-                        _ => None,
-                    });
-                env.unwrap_or({
-                    if co::supported() {
-                        ProcBackend::Coroutine
-                    } else {
-                        ProcBackend::Threads
-                    }
-                })
-            }
-        };
+        static ENV: OnceLock<Option<ProcBackend>> = OnceLock::new();
+        let env = *ENV.get_or_init(|| match std::env::var("DYNPROF_PROC_BACKEND").as_deref() {
+            Ok("threads") => Some(ProcBackend::Threads),
+            Ok("coroutine") => Some(ProcBackend::Coroutine),
+            _ => None,
+        });
+        let resolved = env.unwrap_or(ProcBackend::Coroutine);
         if resolved == ProcBackend::Coroutine && !co::supported() {
             ProcBackend::Threads
         } else {
@@ -1018,27 +986,18 @@ pub struct Sim {
 
 impl Sim {
     /// A deterministic virtual-time simulation on `machine`, on the
-    /// default [`ProcBackend`] (see [`ProcBackend::default_backend`]).
-    ///
-    /// If a process-global fault spec is installed
-    /// ([`crate::fault::set_global_spec`]), the simulation instantiates
-    /// its own deterministic [`FaultPlan`] from it.
+    /// default [`ProcBackend`] (see [`ProcBackend::default_backend`]),
+    /// with no fault plan (see [`Sim::set_fault_plan`]).
     pub fn virtual_time(machine: Machine, seed: u64) -> Sim {
         Sim::virtual_time_with_backend(machine, seed, ProcBackend::default_backend())
     }
 
-    /// [`Sim::virtual_time`] on an explicit process backend (differential
-    /// tests and benchmarks). A coroutine request on a platform without
-    /// the runtime degrades to threads.
+    /// [`Sim::virtual_time`] on an explicit process backend. A coroutine
+    /// request on a platform without the runtime degrades to threads.
     pub fn virtual_time_with_backend(machine: Machine, seed: u64, backend: ProcBackend) -> Sim {
-        let sim = Sim {
+        Sim {
             eng: Arc::new(Engine::new(machine, seed, backend)),
-        };
-        if let Some(spec) = crate::fault::global_spec() {
-            let plan = FaultPlan::new(&spec, sim.machine());
-            let _ = sim.eng.faults.set(plan);
         }
-        sim
     }
 
     /// The process backend actually in force (after platform fallback).
@@ -1052,8 +1011,8 @@ impl Sim {
     }
 
     /// Install a fault plan for this simulation (at most once; before the
-    /// processes start exchanging messages). Returns `false` if a plan —
-    /// e.g. one instantiated from the global spec — was already in place.
+    /// processes start exchanging messages). This is the only way a plan
+    /// reaches a simulation. Returns `false` if one was already in place.
     pub fn set_fault_plan(&self, plan: Arc<FaultPlan>) -> bool {
         self.eng.faults.set(plan).is_ok()
     }

@@ -22,6 +22,12 @@
 //! draws no random numbers, schedules no events, and charges no time —
 //! the run is byte-identical to one with no plan installed at all.
 //!
+//! A plan reaches a simulation one way: [`FaultPlan::new`] instantiates a
+//! [`FaultSpec`] for the machine, and [`crate::Sim::set_fault_plan`]
+//! installs it before the run. A session does both from its
+//! configuration's `faults` field (`dynprof_core::SessionConfig::sim`);
+//! no simulation picks a plan up from anywhere else.
+//!
 //! [`SimChannel::send_ctl`]: crate::sync::SimChannel::send_ctl
 
 use parking_lot::Mutex;
@@ -174,21 +180,6 @@ impl FaultSpec {
             profile,
         })
     }
-}
-
-static GLOBAL_SPEC: Mutex<Option<FaultSpec>> = Mutex::new(None);
-
-/// Install (or clear) the process-global fault spec. Every virtual-mode
-/// [`crate::Sim`] constructed afterwards instantiates its own
-/// deterministic [`FaultPlan`] from it — this is how `--faults` on a
-/// harness binary reaches simulations built deep inside library code.
-pub fn set_global_spec(spec: Option<FaultSpec>) {
-    *GLOBAL_SPEC.lock() = spec;
-}
-
-/// The currently installed global fault spec, if any.
-pub fn global_spec() -> Option<FaultSpec> {
-    GLOBAL_SPEC.lock().clone()
 }
 
 /// Per-message link fault decision.

@@ -65,11 +65,15 @@
 //! use dynprof::vt::Policy;
 //!
 //! dynprof::obs::set_enabled(true);
+//! // Built without the `obs` feature, the layer is compiled out and
+//! // enabling it is a no-op.
+//! let observed = dynprof::obs::enabled();
 //! let app = smg98(4, Smg98Params::test());
 //! run_session(&app, SessionConfig::new(Machine::test_machine(), Policy::Dynamic));
 //! dynprof::obs::set_enabled(false);
 //! let snap = dynprof::obs::snapshot();
-//! assert!(snap.metrics.iter().any(|m| m.name == "sim.events_dispatched"));
+//! let dispatched = snap.metrics.iter().any(|m| m.name == "sim.events_dispatched");
+//! assert_eq!(dispatched, observed);
 //! println!("{}", snap.to_json().pretty());
 //! ```
 

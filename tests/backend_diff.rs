@@ -1,6 +1,7 @@
 //! Differential oracle for the process backends: everything observable —
-//! dispatch order, figure JSON, deterministic metrics, fault-injected and
-//! transactional runs, happens-before verdicts — must be byte-identical
+//! dispatch order, figure JSON, fault-injected and transactional runs,
+//! happens-before verdicts, and (in `tests/observability.rs`, which owns
+//! the obs registry) deterministic metrics — must be byte-identical
 //! whether simulated processes are OS threads (`ProcBackend::Threads`,
 //! the original engine) or stack-swapped coroutines
 //! (`ProcBackend::Coroutine`, the default since the threadless rewrite).
@@ -9,29 +10,18 @@
 //! any scheduling divergence the coroutine fast paths introduce shows up
 //! here as a first-divergence diff rather than as a silent golden drift.
 
-use std::sync::{Arc, Mutex};
+mod common;
 
-use dynprof::core::{run_session, SessionConfig, SessionReport};
-use dynprof::obs;
-use dynprof::sim::engine::set_backend_override;
-use dynprof::sim::fault::set_global_spec;
+use std::sync::Arc;
+
+use common::base;
+use dynprof::core::{run_session, SessionConfig, SessionReport, TxnSettings};
+use dynprof::dpcl::DegradedPolicy;
 use dynprof::sim::{hb, FaultSpec, Machine, ProcBackend, Sim, SimTime};
 use dynprof::vt::Policy;
-
-/// The backend override and the obs registry are process-global, so every
-/// test in this binary serializes on one gate.
-static GATE: Mutex<()> = Mutex::new(());
+use dynprof_bench::fig9;
 
 const BOTH: [ProcBackend; 2] = [ProcBackend::Threads, ProcBackend::Coroutine];
-
-/// Run `f` with the process-global backend override pinned to `backend`,
-/// restoring the default on exit.
-fn with_backend<T>(backend: ProcBackend, f: impl FnOnce() -> T) -> T {
-    set_backend_override(Some(backend));
-    let out = f();
-    set_backend_override(None);
-    out
-}
 
 /// The same mixed scheduler workload as `tests/properties.rs` (channels
 /// with jittered latencies, barrier storms, a gate broadcast, deadline
@@ -95,7 +85,6 @@ fn scheduler_trace(seed: u64, backend: ProcBackend) -> String {
 /// rewrite changed the cost of a handoff and nothing else.
 #[test]
 fn dispatch_goldens_replay_on_both_backends() {
-    let _g = GATE.lock().unwrap();
     for seed in [1u64, 7, 42] {
         let expected = std::fs::read_to_string(format!(
             "{}/tests/golden/dispatch_seed{seed}.txt",
@@ -112,12 +101,10 @@ fn dispatch_goldens_replay_on_both_backends() {
     }
 }
 
-fn session(app: &str, policy: Policy, seed: u64) -> SessionReport {
+fn session(app: &str, policy: Policy, seed: u64, backend: ProcBackend) -> SessionReport {
     let spec = dynprof::apps::test_app(app, 4).unwrap();
-    run_session(
-        &spec,
-        SessionConfig::new(Machine::ibm_power3_colony(), policy).with_seed(seed),
-    )
+    let cfg = SessionConfig::new(Machine::ibm_power3_colony(), policy).with_seed(seed);
+    run_session(&spec, SessionConfig { backend, ..cfg })
 }
 
 /// Seeded session matrix: every deterministic field of a full dynprof
@@ -126,15 +113,14 @@ fn session(app: &str, policy: Policy, seed: u64) -> SessionReport {
 /// dynamic policies, over several seeds.
 #[test]
 fn seeded_sessions_identical_across_backends() {
-    let _g = GATE.lock().unwrap();
     for (app, policy) in [
         ("smg98", Policy::Full),
         ("sweep3d", Policy::Dynamic),
         ("umt98", Policy::Dynamic),
     ] {
         for seed in [3u64, 11, 42] {
-            let t = with_backend(ProcBackend::Threads, || session(app, policy, seed));
-            let c = with_backend(ProcBackend::Coroutine, || session(app, policy, seed));
+            let t = session(app, policy, seed, ProcBackend::Threads);
+            let c = session(app, policy, seed, ProcBackend::Coroutine);
             let ctx = format!("{app}/{policy}/seed {seed}");
             assert_eq!(t.app_time, c.app_time, "app_time ({ctx})");
             assert_eq!(t.total_time, c.total_time, "total_time ({ctx})");
@@ -153,32 +139,13 @@ fn seeded_sessions_identical_across_backends() {
     }
 }
 
-/// Render figure JSON plus the full deterministic metrics snapshot
-/// (scheduler-transport counters *included* — the backends must agree
-/// even on direct-handoff and fallback counts, since the dispatch
-/// decisions are shared code) under one backend.
-fn figure_and_metrics(backend: ProcBackend) -> (String, String) {
-    with_backend(backend, || {
-        obs::reset();
-        obs::set_enabled(true);
-        let fig = dynprof_bench::fig9().to_json();
-        obs::set_enabled(false);
-        let snap = obs::snapshot().deterministic();
-        (fig, snap.to_json().pretty())
-    })
-}
-
-/// Figure JSON and deterministic metrics are byte-identical across
-/// backends, including the dispatch accounting the metrics goldens
-/// deliberately exclude.
-#[test]
-fn figures_and_metrics_identical_across_backends() {
-    let _g = GATE.lock().unwrap();
-    set_global_spec(None);
-    let (fig_t, met_t) = figure_and_metrics(ProcBackend::Threads);
-    let (fig_c, met_c) = figure_and_metrics(ProcBackend::Coroutine);
-    assert_eq!(fig_t, fig_c, "figure JSON must be byte-identical");
-    assert_eq!(met_t, met_c, "deterministic metrics must be byte-identical");
+/// Fig 9 JSON on `backend` from `base`.
+fn fig9_on(base: &SessionConfig, backend: ProcBackend) -> String {
+    let base = SessionConfig {
+        backend,
+        ..base.clone()
+    };
+    fig9(&base, 1).to_json()
 }
 
 /// `--faults` byte-identity: with an *active* fault plan (the default
@@ -188,11 +155,12 @@ fn figures_and_metrics_identical_across_backends() {
 /// to the unfaulted baseline on both.
 #[test]
 fn faulted_runs_identical_across_backends() {
-    let _g = GATE.lock().unwrap();
-    set_global_spec(Some(FaultSpec::parse("7:lossy").expect("spec")));
-    let fig_t = with_backend(ProcBackend::Threads, || dynprof_bench::fig9().to_json());
-    let fig_c = with_backend(ProcBackend::Coroutine, || dynprof_bench::fig9().to_json());
-    set_global_spec(None);
+    let lossy = SessionConfig {
+        faults: Some(FaultSpec::parse("7:lossy").expect("spec")),
+        ..base()
+    };
+    let fig_t = fig9_on(&lossy, ProcBackend::Threads);
+    let fig_c = fig9_on(&lossy, ProcBackend::Coroutine);
     assert_eq!(fig_t, fig_c, "faulted figure JSON must be byte-identical");
 }
 
@@ -200,13 +168,37 @@ fn faulted_runs_identical_across_backends() {
 /// degraded-mode policy armed) behaves identically on both backends.
 #[test]
 fn txn_runs_identical_across_backends() {
-    let _g = GATE.lock().unwrap();
-    set_global_spec(None);
-    dynprof_bench::set_txn_policy(Some(dynprof::dpcl::DegradedPolicy::ExcludeNode));
-    let fig_t = with_backend(ProcBackend::Threads, || dynprof_bench::fig9().to_json());
-    let fig_c = with_backend(ProcBackend::Coroutine, || dynprof_bench::fig9().to_json());
-    dynprof_bench::set_txn_policy(None);
+    let txn = SessionConfig {
+        txn: Some(TxnSettings::new(DegradedPolicy::ExcludeNode)),
+        ..base()
+    };
+    let fig_t = fig9_on(&txn, ProcBackend::Threads);
+    let fig_c = fig9_on(&txn, ProcBackend::Coroutine);
     assert_eq!(fig_t, fig_c, "txn figure JSON must be byte-identical");
+}
+
+/// Two sessions in one process: a lossy-faulted sweep on the threads
+/// carrier and a plain one on coroutines, run at once on two threads,
+/// each write exactly what they write alone. Nothing about a run — its
+/// fault plan, its carrier — lives outside its own configuration.
+#[test]
+fn concurrent_sweeps_keep_their_own_faults_and_carrier() {
+    let lossy = SessionConfig {
+        faults: Some(FaultSpec::parse("7:lossy").expect("spec")),
+        ..base()
+    };
+    let plain = base();
+    let (lossy_t, plain_c) = std::thread::scope(|s| {
+        let a = s.spawn(|| fig9_on(&lossy, ProcBackend::Threads));
+        let b = s.spawn(|| fig9_on(&plain, ProcBackend::Coroutine));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(lossy_t, fig9_on(&lossy, ProcBackend::Threads));
+    assert_eq!(plain_c, fig9_on(&plain, ProcBackend::Coroutine));
+    assert_ne!(
+        lossy_t, plain_c,
+        "the fault plan reached only its own sweep"
+    );
 }
 
 /// Happens-before clean on both backends (`--features check` builds):
@@ -215,34 +207,31 @@ fn txn_runs_identical_across_backends() {
 /// race-free with identical rendered reports.
 #[test]
 fn hb_check_clean_and_identical_across_backends() {
-    let _g = GATE.lock().unwrap();
     if !hb::compiled() {
         return; // detector not compiled in; covered by the check-feature CI leg
     }
     let run = |backend| {
-        with_backend(backend, || {
-            use dynprof::sim::sync::{SimBarrier, SimChannel};
-            let sim = Sim::virtual_time(Machine::test_machine(), 5);
-            sim.enable_check();
-            let check = sim.check_handle();
-            let chan = Arc::new(SimChannel::new());
-            let bar = Arc::new(SimBarrier::new(4, SimTime::from_nanos(250)));
-            for i in 0..4u64 {
-                let chan = Arc::clone(&chan);
-                let bar = Arc::clone(&bar);
-                sim.spawn(format!("p{i}"), (i % 2) as usize, move |p| {
-                    for r in 0..6u64 {
-                        p.advance(SimTime::from_nanos(100 * (i + 1)));
-                        chan.send(p, i * 10 + r, SimTime::from_nanos(300));
-                        let _ = chan.recv(p);
-                        bar.wait(p);
-                    }
-                });
-            }
-            let horizon = sim.run();
-            let report = check.report();
-            (horizon, report.is_clean(), report.render())
-        })
+        use dynprof::sim::sync::{SimBarrier, SimChannel};
+        let sim = Sim::virtual_time_with_backend(Machine::test_machine(), 5, backend);
+        sim.enable_check();
+        let check = sim.check_handle();
+        let chan = Arc::new(SimChannel::new());
+        let bar = Arc::new(SimBarrier::new(4, SimTime::from_nanos(250)));
+        for i in 0..4u64 {
+            let chan = Arc::clone(&chan);
+            let bar = Arc::clone(&bar);
+            sim.spawn(format!("p{i}"), (i % 2) as usize, move |p| {
+                for r in 0..6u64 {
+                    p.advance(SimTime::from_nanos(100 * (i + 1)));
+                    chan.send(p, i * 10 + r, SimTime::from_nanos(300));
+                    let _ = chan.recv(p);
+                    bar.wait(p);
+                }
+            });
+        }
+        let horizon = sim.run();
+        let report = check.report();
+        (horizon, report.is_clean(), report.render())
     };
     let (h_t, clean_t, rep_t) = run(ProcBackend::Threads);
     let (h_c, clean_c, rep_c) = run(ProcBackend::Coroutine);

@@ -5,31 +5,30 @@
 //! delay, node slowdown, daemon crash windows, and missed config epochs,
 //! asserting the *liveness* contract: every request eventually acks or
 //! returns a typed error, confsync never deadlocks, and the run completes.
-//! `no_faults_is_identity` is the companion safety contract: a plan with
-//! every fault disabled is byte-identical to running with no plan at all.
+//! The companion safety contract — a plan with every fault disabled is
+//! byte-identical to running with no plan at all — is
+//! `zero_fault_plan_matches_no_plan` here and `no_faults_is_identity` in
+//! `tests/observability.rs` (it compares metrics, too).
 //!
 //! Seeds come from `CHAOS_SEEDS` (comma-separated) or default to four
 //! fixed values; all fault decisions derive deterministically from them,
 //! so failures reproduce exactly.
 
-use std::sync::{Arc, Mutex, RwLock};
+mod common;
 
+use std::sync::{Arc, Mutex};
+
+use common::base;
+use dynprof::core::{SessionConfig, TxnSettings};
 use dynprof::dpcl::{
     AckResult, DegradedPolicy, DpclClient, DpclSystem, HeartbeatConfig, HeartbeatMonitor,
     InstrumentationTxn, NodeHealth, TxnOptions, TxnOutcome,
 };
 use dynprof::image::{FunctionInfo, ImageBuilder, ProbePoint, Snippet};
 use dynprof::mpi::{launch, JobSpec};
-use dynprof::obs;
-use dynprof::sim::fault::{set_global_spec, FaultPlan, FaultProfile, FaultSpec};
+use dynprof::sim::fault::{FaultPlan, FaultProfile, FaultSpec};
 use dynprof::sim::{hb, Machine, ProbeCosts, Sim, SimTime};
 use dynprof::vt::{confsync, ConfigDelta, MonitorLink, VtConfig, VtLib};
-
-/// The obs registry is process-global and recording is gated on a global
-/// flag, so a test that enables observation must not overlap any other
-/// test in this binary (their sim runs would pollute its snapshots).
-/// Ordinary tests take `read()`, obs-flipping tests take `write()`.
-static OBS_GATE: RwLock<()> = RwLock::new(());
 
 fn seeds() -> Vec<u64> {
     match std::env::var("CHAOS_SEEDS") {
@@ -128,7 +127,6 @@ fn dpcl_workout(seed: u64, profile: Option<&str>) -> (SimTime, usize, usize) {
 /// resolved one way or the other.
 #[test]
 fn fault_matrix_dpcl_workout_terminates() {
-    let _g = OBS_GATE.read().unwrap();
     for seed in seeds() {
         for profile in FaultProfile::all_names() {
             let (end, acked, failed) = dpcl_workout(seed, Some(profile));
@@ -155,7 +153,6 @@ fn fault_matrix_dpcl_workout_terminates() {
 /// identical outcomes.
 #[test]
 fn zero_fault_plan_matches_no_plan() {
-    let _g = OBS_GATE.read().unwrap();
     for seed in seeds() {
         assert_eq!(
             dpcl_workout(seed, None),
@@ -169,7 +166,6 @@ fn zero_fault_plan_matches_no_plan() {
 /// point of seed-driven fault plans.
 #[test]
 fn fault_runs_are_deterministic_per_seed() {
-    let _g = OBS_GATE.read().unwrap();
     for profile in ["lossy", "crash", "drop"] {
         assert_eq!(
             dpcl_workout(23, Some(profile)),
@@ -247,7 +243,6 @@ fn confsync_run(seed: u64, profile: &str, ranks: usize, rounds: usize) -> usize 
 /// epochs are recorded rather than silently lost.
 #[test]
 fn confsync_converges_under_missed_epochs() {
-    let _g = OBS_GATE.read().unwrap();
     let mut partials = 0;
     for seed in seeds() {
         for profile in ["epochs", "lossy"] {
@@ -264,41 +259,7 @@ fn confsync_converges_under_missed_epochs() {
 /// A zero-fault confsync run records no partial epochs.
 #[test]
 fn confsync_zero_faults_records_no_partials() {
-    let _g = OBS_GATE.read().unwrap();
     assert_eq!(confsync_run(11, "none", 4, 3), 0);
-}
-
-/// The headline invariant of the fault tentpole: a fault plan with every
-/// fault disabled produces byte-identical figure JSON *and* byte-identical
-/// deterministic metrics to a run with no plan installed at all. (The
-/// release harness binaries are checked the same way in CI-facing docs;
-/// this is the in-tree guard.)
-#[test]
-fn no_faults_is_identity() {
-    let _g = OBS_GATE.write().unwrap();
-    set_global_spec(None);
-
-    obs::reset();
-    obs::set_enabled(true);
-    let fig_base = dynprof_bench::fig9().to_json();
-    obs::set_enabled(false);
-    let snap_base = obs::snapshot().deterministic();
-
-    set_global_spec(Some(FaultSpec::parse("7:none").expect("spec")));
-    obs::reset();
-    obs::set_enabled(true);
-    let fig_none = dynprof_bench::fig9().to_json();
-    obs::set_enabled(false);
-    let snap_none = obs::snapshot().deterministic();
-    set_global_spec(None);
-
-    assert_eq!(fig_base, fig_none, "figure JSON must be byte-identical");
-    assert_eq!(snap_base, snap_none, "deterministic metrics must match");
-    assert_eq!(
-        snap_base.to_json().pretty(),
-        snap_none.to_json().pretty(),
-        "rendered metrics JSON must be byte-identical"
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -428,7 +389,6 @@ fn txn_cell(seed: u64, profile: &str, policy: DegradedPolicy) {
 /// seed): no cell may ever exhibit partial instrumentation.
 #[test]
 fn txn_matrix_no_partial_instrumentation() {
-    let _g = OBS_GATE.read().unwrap();
     for seed in seeds() {
         for profile in FaultProfile::all_names() {
             for policy in [DegradedPolicy::AbortTxn, DegradedPolicy::ExcludeNode] {
@@ -481,7 +441,6 @@ fn degraded_scenario() -> (u64, usize, SimTime) {
 /// and no image holds half an epoch.
 #[test]
 fn degraded_mode_excludes_or_aborts_cleanly() {
-    let _g = OBS_GATE.read().unwrap();
     let (seed, victim, start) = degraded_scenario();
     for policy in [DegradedPolicy::ExcludeNode, DegradedPolicy::AbortTxn] {
         let sim = Sim::virtual_time(Machine::test_machine(), seed);
@@ -595,7 +554,6 @@ fn degraded_mode_excludes_or_aborts_cleanly() {
 /// records a health transition on any seed, across many probe rounds.
 #[test]
 fn heartbeat_no_false_positives_without_faults() {
-    let _g = OBS_GATE.read().unwrap();
     for seed in seeds() {
         let sim = Sim::virtual_time(Machine::test_machine(), seed);
         assert!(sim.set_fault_plan(plan_for(&sim, seed, "none")));
@@ -640,7 +598,6 @@ fn heartbeat_no_false_positives_without_faults() {
 /// outage opens, reaches Dead, and healthy nodes never transition.
 #[test]
 fn heartbeat_detects_dead_node_within_bound() {
-    let _g = OBS_GATE.read().unwrap();
     let (seed, victim, start) = degraded_scenario();
     let sim = Sim::virtual_time(Machine::test_machine(), seed);
     assert!(sim.set_fault_plan(FaultPlan::new(&crash_forever_spec(seed), sim.machine())));
@@ -688,19 +645,17 @@ fn heartbeat_detects_dead_node_within_bound() {
 /// explicitly inert fault plan (the acceptance-criteria goldens).
 #[test]
 fn txn_without_faults_is_identity() {
-    let _g = OBS_GATE.write().unwrap();
-    set_global_spec(None);
-    dynprof_bench::set_txn_policy(None);
-    let fig_base = dynprof_bench::fig9().to_json();
-
-    dynprof_bench::set_txn_policy(Some(DegradedPolicy::ExcludeNode));
-    let fig_txn = dynprof_bench::fig9().to_json();
-
-    set_global_spec(Some(FaultSpec::parse("9:none").expect("spec")));
-    let fig_txn_none = dynprof_bench::fig9().to_json();
-
-    set_global_spec(None);
-    dynprof_bench::set_txn_policy(None);
+    let fig_base = dynprof_bench::fig9(&base(), 1).to_json();
+    let txn = SessionConfig {
+        txn: Some(TxnSettings::new(DegradedPolicy::ExcludeNode)),
+        ..base()
+    };
+    let fig_txn = dynprof_bench::fig9(&txn, 1).to_json();
+    let txn_none = SessionConfig {
+        faults: Some(FaultSpec::parse("9:none").expect("spec")),
+        ..txn
+    };
+    let fig_txn_none = dynprof_bench::fig9(&txn_none, 1).to_json();
     assert_eq!(fig_base, fig_txn, "txn-on (no plan) must be byte-identical");
     assert_eq!(
         fig_base, fig_txn_none,
@@ -712,14 +667,10 @@ fn txn_without_faults_is_identity() {
 // Overhead-budget controller under chaos
 // ---------------------------------------------------------------------------
 
-/// One adaptive (budget-controlled) sweep3d session under a global fault
-/// spec: probe-dense scaling, 4 ranks, one confsync epoch per iteration,
-/// 5% budget. Callers must hold the `OBS_GATE` write lock (the global
-/// fault spec is process-wide).
+/// One adaptive (budget-controlled) sweep3d session under the fault spec
+/// `seed:profile`: probe-dense scaling, 4 ranks, one confsync epoch per
+/// iteration, 5% budget.
 fn adaptive_chaos_run(seed: u64, profile: &str) -> dynprof::core::SessionReport {
-    set_global_spec(Some(
-        FaultSpec::parse(&format!("{seed}:{profile}")).expect("spec"),
-    ));
     let params = dynprof::apps::Sweep3dParams {
         global_n: 16,
         k_block: 1,
@@ -729,12 +680,13 @@ fn adaptive_chaos_run(seed: u64, profile: &str) -> dynprof::core::SessionReport 
         scale: 0.001,
         outputs: dynprof::apps::workload::Outputs::new(),
     };
-    let cfg = dynprof::core::SessionConfig::new(Machine::test_machine(), dynprof::vt::Policy::Full)
-        .with_seed(seed)
-        .with_adaptive(dynprof::core::AdaptiveSettings::budget(5.0));
-    let report = dynprof::core::run_session(&dynprof::apps::sweep3d(4, params), cfg);
-    set_global_spec(None);
-    report
+    let cfg = SessionConfig {
+        faults: Some(FaultSpec::parse(&format!("{seed}:{profile}")).expect("spec")),
+        ..SessionConfig::new(Machine::test_machine(), dynprof::vt::Policy::Full)
+            .with_seed(seed)
+            .with_adaptive(dynprof::core::AdaptiveSettings::budget(5.0))
+    };
+    dynprof::core::run_session(&dynprof::apps::sweep3d(4, params), cfg)
 }
 
 /// The controller leg of the fault matrix: adaptive sessions complete
@@ -745,8 +697,6 @@ fn adaptive_chaos_run(seed: u64, profile: &str) -> dynprof::core::SessionReport 
 /// epoch is deferred, but it may never hold a *different* table.
 #[test]
 fn adaptive_controller_survives_fault_matrix() {
-    let _g = OBS_GATE.write().unwrap();
-    set_global_spec(None);
     for seed in seeds() {
         for profile in ["delay", "dup", "epochs", "lossy"] {
             let report = adaptive_chaos_run(seed, profile);
@@ -805,7 +755,6 @@ fn adaptive_controller_survives_fault_matrix() {
 fn activation_txn_matrix_swaps_atomically() {
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    let _g = OBS_GATE.read().unwrap();
     for seed in seeds() {
         for profile in FaultProfile::all_names() {
             for policy in [DegradedPolicy::AbortTxn, DegradedPolicy::ExcludeNode] {
@@ -907,25 +856,16 @@ fn store_round_trip_survives_fault_runs() {
     use dynprof::analysis::store::{write_store_from_vt, StoreOptions, StoreReader};
     use dynprof::analysis::{Profile, ProfileOptions};
 
-    // Write side: `set_global_spec` below would leak this test's fault
-    // plan into any `Sim` a concurrent test constructs.
-    let _g = OBS_GATE.write().unwrap();
     let dir = std::env::temp_dir().join("dynprof-chaos-store");
     std::fs::create_dir_all(&dir).unwrap();
     for seed in seeds() {
-        set_global_spec(Some(
-            FaultSpec::parse(&format!("{seed}:lossy")).expect("spec"),
-        ));
         let spec = dynprof::apps::test_app("sweep3d", 4).expect("app");
-        let report = dynprof::core::run_session(
-            &spec,
-            dynprof::core::SessionConfig::new(
-                Machine::ibm_power3_colony(),
-                dynprof::vt::Policy::Full,
-            )
-            .with_seed(seed),
-        );
-        set_global_spec(None);
+        let cfg = SessionConfig {
+            faults: Some(FaultSpec::parse(&format!("{seed}:lossy")).expect("spec")),
+            ..SessionConfig::new(Machine::ibm_power3_colony(), dynprof::vt::Policy::Full)
+                .with_seed(seed)
+        };
+        let report = dynprof::core::run_session(&spec, cfg);
 
         let trace = report.vt.build_trace();
         let path = dir.join(format!("chaos-{seed}-{}.vgvs", std::process::id()));

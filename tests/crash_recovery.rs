@@ -11,9 +11,12 @@
 //! `repair` produces a file that plain `open` accepts whose queries
 //! match the salvaged view byte-for-byte.
 
+mod common;
+
 use std::io::Write as _;
 use std::sync::{Arc, Mutex};
 
+use common::{synth_trace, tmp, CHUNK_HDR};
 use dynprof::analysis::store::{
     fsck, repair, write_store_from_trace, EventSource, FaultScript, FaultyFile, FooterState,
     RetentionPolicy, RotatingWriter, RotationPolicy, SegmentSet, StoreOptions, StoreReader,
@@ -22,72 +25,9 @@ use dynprof::analysis::store::{
 use dynprof::analysis::{top_report, ProfileOptions, TraceError};
 use dynprof::apps::test_app;
 use dynprof::core::{run_session, SessionConfig, SessionReport};
-use dynprof::obs;
 use dynprof::sim::rng::SimRng;
 use dynprof::sim::{Machine, SimTime};
 use dynprof::vt::{Event, Policy, Trace, VtFuncId};
-
-/// The obs registry is process-global; tests that flip the recording
-/// flag must not overlap each other.
-static OBS_GATE: Mutex<()> = Mutex::new(());
-
-/// v2 on-disk chunk header size (rank, count, enc_len, crc, min_t,
-/// max_t, max_end) — the bound `offset + CHUNK_HDR + enc_len` is a
-/// chunk's end-of-payload position.
-const CHUNK_HDR: u64 = 40;
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("dynprof-crash-it");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{name}-{}.vgvs", std::process::id()))
-}
-
-/// Small seeded trace: alternating function spans and MPI calls across
-/// `ranks`, rank-major (the order per-rank buffers reach a writer).
-fn synth_trace(seed: u64, ranks: u32, steps: u64) -> Trace {
-    let mut events = Vec::new();
-    for rank in 0..ranks {
-        let mut rng = SimRng::new(seed, rank as u64);
-        let mut t = rng.gen_range_u64(0..=3_000);
-        for _ in 0..steps {
-            t += 500 + rng.gen_range_u64(0..=1_500);
-            let t0 = SimTime::from_nanos(t);
-            if rng.gen_index(2) == 0 {
-                let dur = 200 + rng.gen_range_u64(0..=900);
-                let func = VtFuncId(rng.gen_index(3) as u32);
-                events.push(Event::FuncEnter {
-                    t: t0,
-                    rank,
-                    thread: 0,
-                    func,
-                });
-                t += dur;
-                events.push(Event::FuncExit {
-                    t: SimTime::from_nanos(t),
-                    rank,
-                    thread: 0,
-                    func,
-                });
-            } else {
-                let dur = rng.gen_range_u64(100..=2_000);
-                events.push(Event::MpiCall {
-                    t: t0,
-                    t_end: SimTime::from_nanos(t + dur),
-                    rank,
-                    op: 2,
-                    peer: ((rank + 1) % ranks.max(2)) as i32,
-                    bytes: rng.gen_range_u64(8..=1_024),
-                });
-                t += dur;
-            }
-        }
-    }
-    Trace {
-        program: "crash-synth".into(),
-        functions: vec!["alpha".into(), "beta".into(), "gamma".into()],
-        events,
-    }
-}
 
 fn seeds() -> Vec<u64> {
     match std::env::var("CHAOS_SEEDS") {
@@ -822,82 +762,4 @@ fn live_rotation_slices_time_and_retention_keeps_the_end_of_the_run() {
     for p in &stats.segments {
         std::fs::remove_file(p).ok();
     }
-}
-
-// ---- satellite 5 groundwork: obs counters ---------------------------
-
-/// The new observability counters fire: `chunks_salvaged` on salvage,
-/// `chunks_bad_crc` + `events_lost` on degraded reads, and
-/// `segments_rotated` on rotation.
-#[test]
-fn obs_counters_cover_salvage_corruption_and_rotation() {
-    let _gate = OBS_GATE.lock().unwrap();
-    obs::reset();
-    obs::set_enabled(true);
-    if !obs::enabled() {
-        // Compiled out (`--no-default-features`): enabling is a no-op and
-        // there are no counters to look at.
-        return;
-    }
-
-    let trace = synth_trace(39, 2, 40);
-    let path = tmp("obs-salvage");
-    write_store_from_trace(&trace, &path, StoreOptions { chunk_events: 8 }).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    let reference = StoreReader::open(&path).unwrap();
-    let last_end = reference
-        .chunks()
-        .iter()
-        .map(|m| m.offset + CHUNK_HDR + m.enc_len as u64)
-        .max()
-        .unwrap() as usize;
-    let chunk0 = reference.chunks()[0];
-    drop(reference);
-
-    // Salvage a footer-less copy.
-    std::fs::write(&path, &bytes[..last_end]).unwrap();
-    let r = StoreReader::open_salvage(&path).unwrap();
-    assert!(obs::counter("analysis.chunks_salvaged").get() > 0);
-    drop(r);
-
-    // Degraded read over a corrupt chunk.
-    let mut bad = bytes.clone();
-    bad[chunk0.offset as usize + CHUNK_HDR as usize] ^= 0xff;
-    std::fs::write(&path, &bad).unwrap();
-    let mut r = StoreReader::open(&path).unwrap();
-    r.set_degraded(true);
-    r.read_all().unwrap();
-    assert_eq!(obs::counter("analysis.chunks_bad_crc").get(), 1);
-    assert_eq!(
-        obs::counter("analysis.events_lost").get(),
-        chunk0.count as u64
-    );
-    drop(r);
-    std::fs::remove_file(&path).ok();
-
-    // Rotation.
-    let base = tmp("obs-rot");
-    let mut w = RotatingWriter::create(
-        &base,
-        "obs",
-        StoreOptions { chunk_events: 8 },
-        RotationPolicy::by_events(30),
-        RetentionPolicy::default(),
-    )
-    .unwrap();
-    w.set_functions(trace.functions.clone());
-    for ev in &trace.events {
-        w.append(ev).unwrap();
-    }
-    let stats = w.finish().unwrap();
-    assert_eq!(
-        obs::counter("analysis.segments_rotated").get(),
-        stats.rotated as u64
-    );
-    for p in stats.segments.iter() {
-        std::fs::remove_file(p).ok();
-    }
-
-    obs::set_enabled(false);
-    obs::reset();
 }

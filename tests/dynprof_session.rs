@@ -282,17 +282,12 @@ fn attach_to_running_application() {
 
 // ---- `rotate=` / `keep=` through the product surface ---------------------
 
-/// The carrier override is process-global; the tests that set it take
-/// turns. (Every other test here gives the same answer on either carrier.)
-static CARRIER: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 const SCRIPT: &str = "insert-file subset\nstart\nquit\n";
 
-/// `dynprof <script> - - <app args…> trace=<base>` in-process on `carrier`,
-/// as `main` runs it; returns what it produced and the family's base path.
+/// `dynprof <script> - - <app args…> trace=<base>` in-process, as `main`
+/// runs it; returns what it produced and the family's base path.
 fn dynprof_cli(
     tag: &str,
-    carrier: dynprof::sim::engine::ProcBackend,
     app_args: &[&str],
 ) -> (dynprof::apps::cli::CliOutput, std::path::PathBuf) {
     use dynprof::apps::cli::{run_cli, CliArgs};
@@ -305,11 +300,7 @@ fn dynprof_cli(
     let mut argv = vec![script.to_str().unwrap().to_string(), "-".into(), "-".into()];
     argv.extend(app_args.iter().map(|s| s.to_string()));
     argv.push(format!("trace={}", base.display()));
-    let args = CliArgs::parse(&argv).unwrap();
-    dynprof::sim::engine::set_backend_override(Some(carrier));
-    let out = run_cli(&args);
-    dynprof::sim::engine::set_backend_override(None);
-    let out = out.unwrap();
+    let out = run_cli(&CliArgs::parse(&argv).unwrap()).unwrap();
     assert!(out.trace_error.is_none(), "{:?}", out.trace_error);
     (out, base)
 }
@@ -336,12 +327,14 @@ fn family(base: &std::path::Path) -> (Vec<Vec<Event>>, dynprof::analysis::store:
 /// The flight recorder on the paper's wide shape: no rank ever fills a
 /// chunk, so every roll is a sub-buffer switch. The line is the one the
 /// shared-lock capture printed; the family reads as one store of 64
-/// ranks, each holding the tail of what it recorded; and the threads
-/// carrier writes the same files.
+/// ranks, each holding the tail of what it recorded; and the same
+/// session captured by the library on the threads carrier writes the
+/// same files.
 #[test]
 fn rotating_session_keeps_the_tail_of_every_rank() {
-    use dynprof::sim::engine::ProcBackend;
-    let _turn = CARRIER.lock().unwrap_or_else(|e| e.into_inner());
+    use dynprof::analysis::store::{RetentionPolicy, RotatingWriter, RotationPolicy, StoreOptions};
+    use dynprof::sim::ProcBackend;
+    use std::sync::{Arc, Mutex};
     let app_args = [
         "sweep3d",
         "cpus=64",
@@ -350,7 +343,7 @@ fn rotating_session_keeps_the_tail_of_every_rank() {
         "rotate=65536",
         "keep=2",
     ];
-    let (out, base) = dynprof_cli("rot-co", ProcBackend::Coroutine, &app_args);
+    let (out, base) = dynprof_cli("rot", &app_args);
     let stats = out.segments.expect("a rotating capture reports its family");
     assert_eq!(
         (
@@ -366,12 +359,11 @@ fn rotating_session_keeps_the_tail_of_every_rank() {
     let (retained, info) = family(&base);
     assert_eq!((info.ranks, info.segments), (64, 2), "{info:?}");
     assert_eq!(info.file_bytes, 88_577);
-    let buffered = run_session(
-        &test_app("sweep3d", 64).unwrap(),
-        SessionConfig::new(Machine::ibm_power3_colony(), Policy::Dynamic)
-            .with_seed(42)
-            .with_script(Command::parse_script(SCRIPT).unwrap()),
-    );
+    let app = test_app("sweep3d", 64).unwrap();
+    let cfg = SessionConfig::new(Machine::ibm_power3_colony(), Policy::Dynamic)
+        .with_seed(42)
+        .with_script(Command::parse_script(SCRIPT).unwrap());
+    let buffered = run_session(&app, cfg.clone());
     for (rank, got) in retained.iter().enumerate() {
         assert!(!got.is_empty(), "rank {rank} retained nothing");
         buffered.vt.with_rank_events(rank, |all| {
@@ -383,17 +375,34 @@ fn rotating_session_keeps_the_tail_of_every_rank() {
         });
     }
 
-    let (_, base_th) = dynprof_cli("rot-th", ProcBackend::Threads, &app_args);
-    for seg in &stats.segments {
-        let name = seg.file_name().unwrap();
+    let rotation = RotationPolicy {
+        max_bytes: Some(65_536),
+        max_events: None,
+    };
+    let th = base.with_file_name("th.vgvs");
+    let w = RotatingWriter::create(
+        &th,
+        &app.name,
+        StoreOptions::default(),
+        rotation,
+        RetentionPolicy::keep_last(2),
+    )
+    .unwrap();
+    let slot = Arc::new(Mutex::new(Some(w)));
+    let threads = SessionConfig {
+        backend: ProcBackend::Threads,
+        ..cfg
+    };
+    run_session(&app, threads.with_capture(Arc::clone(&slot) as _));
+    let th = slot.lock().unwrap().take().unwrap().finish().unwrap();
+    assert_eq!(th.segments.len(), stats.segments.len());
+    for (seg, th) in stats.segments.iter().zip(&th.segments) {
         assert!(
-            std::fs::read(seg).unwrap() == std::fs::read(base_th.with_file_name(name)).unwrap(),
-            "{name:?} differs between carriers"
+            std::fs::read(seg).unwrap() == std::fs::read(th).unwrap(),
+            "{seg:?} differs between the CLI and the threads carrier"
         );
     }
-    for base in [base, base_th] {
-        std::fs::remove_dir_all(base.parent().unwrap()).ok();
-    }
+    std::fs::remove_dir_all(base.parent().unwrap()).ok();
 }
 
 /// The deep shape: one rank that fills chunk after chunk, so rolls and
@@ -402,8 +411,6 @@ fn rotating_session_keeps_the_tail_of_every_rank() {
 #[test]
 fn rotating_session_interleaves_rolls_and_seals() {
     use dynprof::analysis::store::StoreReader;
-    use dynprof::sim::engine::ProcBackend;
-    let _turn = CARRIER.lock().unwrap_or_else(|e| e.into_inner());
     let app_args = [
         "umt98",
         "cpus=8",
@@ -411,7 +418,7 @@ fn rotating_session_interleaves_rolls_and_seals() {
         "scale=1",
         "rotate=1000000",
     ];
-    let (out, base) = dynprof_cli("rot-deep", ProcBackend::default_backend(), &app_args);
+    let (out, base) = dynprof_cli("rot-deep", &app_args);
     let stats = out.segments.expect("a rotating capture reports its family");
     assert_eq!(
         (

@@ -6,60 +6,20 @@
 //! lines bend. Absolute seconds are our machine model's, not the 2003
 //! Power3's (see EXPERIMENTS.md).
 //!
-//! The `golden_*` tests additionally pin the figure JSON and the
-//! deterministic `--metrics` JSON byte-for-byte against the files in
-//! `tests/golden/`. To regenerate after an intentional model change:
+//! The `golden_*` tests additionally pin the figure JSON byte-for-byte
+//! against the files in `tests/golden/` (the `--metrics` goldens live in
+//! `tests/observability.rs`, the binary that owns the obs registry). To
+//! regenerate after an intentional model change:
 //! `UPDATE_GOLDENS=1 cargo test --test figures_shape golden_`.
 
-use std::sync::RwLock;
+mod common;
 
+use common::{base, check_golden, fig7_reduced};
 use dynprof::apps::paper_app;
 use dynprof::core::{run_session, SessionConfig};
-use dynprof::obs;
 use dynprof::sim::Machine;
 use dynprof::vt::Policy;
-use dynprof_bench::{fig7_policies, fig7_run, fig8c, fig9, Figure, Series};
-
-/// The obs registry is process-global and recording is gated on a global
-/// flag, so the metrics-golden test (which enables observation) must not
-/// overlap any other test in this binary. Ordinary tests take `read()`,
-/// obs-flipping tests take `write()`.
-static OBS_GATE: RwLock<()> = RwLock::new(());
-
-/// Compare `actual` byte-for-byte against `tests/golden/<name>`, or
-/// rewrite the file when `UPDATE_GOLDENS` is set.
-fn check_golden(name: &str, actual: &str) {
-    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("UPDATE_GOLDENS").is_some() {
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden {path}: {e} (regenerate with UPDATE_GOLDENS=1)")
-    });
-    assert_eq!(
-        actual, expected,
-        "golden {name} drifted; regenerate with UPDATE_GOLDENS=1 if intended"
-    );
-}
-
-/// The reduced Fig 7 reference workload: smg98 at 8 CPUs under every
-/// policy (the full sweep is a release-binary job, not a debug test).
-fn fig7_reduced() -> Figure {
-    let series = fig7_policies("smg98")
-        .into_iter()
-        .map(|p| Series {
-            label: p.label().to_string(),
-            points: vec![(8, fig7_run("smg98", 8, p))],
-        })
-        .collect();
-    Figure {
-        title: "Fig 7(a) smg98 at 8 CPUs (golden reference)".into(),
-        unit: "seconds",
-        xaxis: "CPUs",
-        series,
-    }
-}
+use dynprof_bench::{confsync_cost, fig7_run, fig8c, fig9, ConfsyncExperiment, FigureArgs};
 
 fn app_time(app_name: &str, cpus: usize, policy: Policy) -> f64 {
     let (app, _) = paper_app(app_name, cpus).expect("known app");
@@ -70,7 +30,6 @@ fn app_time(app_name: &str, cpus: usize, policy: Policy) -> f64 {
 /// Fig 7(a): Smg98's policy hierarchy at 8 CPUs.
 #[test]
 fn fig7a_smg98_policy_hierarchy() {
-    let _g = OBS_GATE.read().unwrap();
     let full = app_time("smg98", 8, Policy::Full);
     let off = app_time("smg98", 8, Policy::FullOff);
     let subset = app_time("smg98", 8, Policy::Subset);
@@ -100,7 +59,6 @@ fn fig7a_smg98_policy_hierarchy() {
 /// the Full/None gap is worst at scale.
 #[test]
 fn fig7a_smg98_weak_scaling_and_worst_case() {
-    let _g = OBS_GATE.read().unwrap();
     let none_2 = app_time("smg98", 2, Policy::None);
     let none_32 = app_time("smg98", 32, Policy::None);
     assert!(
@@ -119,7 +77,6 @@ fn fig7a_smg98_weak_scaling_and_worst_case() {
 /// Fig 7(b): Sppm shows the same ordering with a smaller gap.
 #[test]
 fn fig7b_sppm_same_ordering_smaller_gap() {
-    let _g = OBS_GATE.read().unwrap();
     let full = app_time("sppm", 8, Policy::Full);
     let off = app_time("sppm", 8, Policy::FullOff);
     let subset = app_time("sppm", 8, Policy::Subset);
@@ -141,7 +98,6 @@ fn fig7b_sppm_same_ordering_smaller_gap() {
 /// scales strongly.
 #[test]
 fn fig7c_sweep3d_policies_negligible() {
-    let _g = OBS_GATE.read().unwrap();
     let full = app_time("sweep3d", 8, Policy::Full);
     let none = app_time("sweep3d", 8, Policy::None);
     let dynamic = app_time("sweep3d", 8, Policy::Dynamic);
@@ -163,7 +119,6 @@ fn fig7c_sweep3d_policies_negligible() {
 /// and time decreases with threads.
 #[test]
 fn fig7d_umt98_ordering_and_strong_scaling() {
-    let _g = OBS_GATE.read().unwrap();
     let full = app_time("umt98", 4, Policy::Full);
     let off = app_time("umt98", 4, Policy::FullOff);
     let none = app_time("umt98", 4, Policy::None);
@@ -184,12 +139,9 @@ fn fig7d_umt98_ordering_and_strong_scaling() {
 /// costing slightly more than no change.
 #[test]
 fn fig8a_confsync_bounds() {
-    let _g = OBS_GATE.read().unwrap();
-    use dynprof_bench::{confsync_cost, ConfsyncExperiment};
-    let m = Machine::ibm_power3_colony();
     let procs = [2, 64, 256];
-    let none = confsync_cost(&m, &procs, ConfsyncExperiment::NoChange, 3);
-    let change = confsync_cost(&m, &procs, ConfsyncExperiment::WithChange, 3);
+    let none = confsync_cost(&base(), &procs, ConfsyncExperiment::NoChange, 3, 1);
+    let change = confsync_cost(&base(), &procs, ConfsyncExperiment::WithChange, 3, 1);
     for &(p, v) in &none.points {
         assert!(v < 0.04, "no-change at {p} procs = {v}");
         let c = change.at(p).unwrap();
@@ -204,12 +156,9 @@ fn fig8a_confsync_bounds() {
 /// than a plain sync at scale, but stays far below user-interaction time.
 #[test]
 fn fig8b_stats_an_order_of_magnitude_up() {
-    let _g = OBS_GATE.read().unwrap();
-    use dynprof_bench::{confsync_cost, ConfsyncExperiment};
-    let m = Machine::ibm_power3_colony();
     let procs = [256];
-    let plain = confsync_cost(&m, &procs, ConfsyncExperiment::NoChange, 3);
-    let stats = confsync_cost(&m, &procs, ConfsyncExperiment::WriteStats, 3);
+    let plain = confsync_cost(&base(), &procs, ConfsyncExperiment::NoChange, 3, 1);
+    let stats = confsync_cost(&base(), &procs, ConfsyncExperiment::WriteStats, 3, 1);
     let ratio = stats.at(256).unwrap() / plain.at(256).unwrap();
     assert!(
         (3.0..40.0).contains(&ratio),
@@ -221,10 +170,8 @@ fn fig8b_stats_an_order_of_magnitude_up() {
 /// Fig 8(c): the second architecture behaves the same way (low, flat).
 #[test]
 fn fig8c_ia32_same_behaviour() {
-    let _g = OBS_GATE.read().unwrap();
-    use dynprof_bench::{confsync_cost, ConfsyncExperiment};
-    let m = Machine::ia32_pentium3_cluster();
-    let s = confsync_cost(&m, &[2, 8, 16], ConfsyncExperiment::NoChange, 3);
+    let ia32 = SessionConfig::new(Machine::ia32_pentium3_cluster(), Policy::Dynamic);
+    let s = confsync_cost(&ia32, &[2, 8, 16], ConfsyncExperiment::NoChange, 3, 1);
     for &(p, v) in &s.points {
         assert!(v < 0.006, "IA32 confsync at {p} = {v}");
     }
@@ -235,7 +182,6 @@ fn fig8c_ia32_same_behaviour() {
 /// MPI codes but is flat for the OpenMP code (single shared image).
 #[test]
 fn fig9_instrument_time_shapes() {
-    let _g = OBS_GATE.read().unwrap();
     use dynprof::apps::test_app;
     let time_for = |name: &str, cpus: usize| {
         let app = test_app(name, cpus).unwrap();
@@ -260,22 +206,19 @@ fn fig9_instrument_time_shapes() {
 /// byte-identical JSON.
 #[test]
 fn golden_fig7_smg98_8_json() {
-    let _g = OBS_GATE.read().unwrap();
-    check_golden("fig7_smg98_8.json", &fig7_reduced().to_json());
+    check_golden("fig7_smg98_8.json", &fig7_reduced(&base()).to_json());
 }
 
 /// Golden regression: Fig 8(c) at 4 runs per point.
 #[test]
 fn golden_fig8c_json() {
-    let _g = OBS_GATE.read().unwrap();
-    check_golden("fig8c_r4.json", &fig8c(4).to_json());
+    check_golden("fig8c_r4.json", &fig8c(&base(), 4, 1).to_json());
 }
 
 /// Golden regression: the full Fig 9 sweep.
 #[test]
 fn golden_fig9_json() {
-    let _g = OBS_GATE.read().unwrap();
-    check_golden("fig9.json", &fig9().to_json());
+    check_golden("fig9.json", &fig9(&base(), 1).to_json());
 }
 
 /// An inert overhead budget (`--overhead-budget 100`) attaches no
@@ -285,24 +228,59 @@ fn golden_fig9_json() {
 /// actually plumbed through and the identity assertion is not vacuous.
 #[test]
 fn golden_inert_budget_byte_identical() {
-    let _g = OBS_GATE.write().unwrap();
-    dynprof_bench::set_overhead_budget(Some(100.0));
-    check_golden("fig7_smg98_8.json", &fig7_reduced().to_json());
-    check_golden("fig9.json", &fig9().to_json());
-    let inert = fig7_run("sweep3d", 4, Policy::Full);
-    dynprof_bench::set_overhead_budget(None);
+    let budget = |pct: &str| {
+        let args = ["--overhead-budget".to_string(), pct.to_string()];
+        FigureArgs::parse(&args, &[], true).expect("valid").base
+    };
+    let inert = budget("100");
+    assert!(inert.adaptive.is_none(), "100% attaches no controller");
+    check_golden("fig7_smg98_8.json", &fig7_reduced(&inert).to_json());
+    check_golden("fig9.json", &fig9(&inert, 1).to_json());
+    let (inert, _) = fig7_run(&inert, "sweep3d", 4, Policy::Full);
     assert_eq!(
         inert,
-        fig7_run("sweep3d", 4, Policy::Full),
+        fig7_run(&base(), "sweep3d", 4, Policy::Full).0,
         "budget 100% must not perturb a run"
     );
-    dynprof_bench::set_overhead_budget(Some(0.01));
-    let tight = fig7_run("sweep3d", 4, Policy::Full);
-    dynprof_bench::set_overhead_budget(None);
+    let (tight, _) = fig7_run(&budget("0.01"), "sweep3d", 4, Policy::Full);
     assert_ne!(
         inert, tight,
         "a tight budget should deactivate probes and move sweep3d's time"
     );
+}
+
+/// The figure binaries' one parser: `--txn` and `--degraded-policy` set
+/// `base.txn`, `--faults` sets `base.faults`, and a binary whose sessions
+/// install no probes (fig8) refuses the probe flags as unknown arguments.
+#[test]
+fn figure_args_parse_into_one_run_configuration() {
+    let parse = |args: &[&str], probes| {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        FigureArgs::parse(&args, &["--app"], probes)
+    };
+    let args = parse(
+        &[
+            "--app",
+            "umt98",
+            "--degraded-policy",
+            "exclude-node",
+            "--txn",
+        ],
+        true,
+    )
+    .unwrap();
+    let txn = args.base.txn.expect("--degraded-policy implies --txn");
+    assert_eq!(txn.policy, dynprof::dpcl::DegradedPolicy::ExcludeNode);
+    assert_eq!(args.own, [("--app".to_string(), "umt98".to_string())]);
+    let args = parse(&["--faults", "3:crash", "--parallel", "2", "--json"], false).unwrap();
+    assert_eq!(args.base.faults.expect("spec").profile_name, "crash");
+    assert_eq!((args.workers, args.json), (2, true));
+    for flag in ["--txn", "--degraded-policy", "--overhead-budget"] {
+        let err = parse(&[flag, "5"], false).err().expect("refused");
+        assert_eq!(err, format!("unknown argument {flag:?}"));
+    }
+    assert!(parse(&["--faults", "x:lossy"], true).is_err());
+    assert!(parse(&["--overhead-budget", "-1"], true).is_err());
 }
 
 /// The controller-convergence figure has the documented shape: the
@@ -310,7 +288,6 @@ fn golden_inert_budget_byte_identical() {
 /// at or under its budget after the first epochs.
 #[test]
 fn fig_controller_convergence_shape() {
-    let _g = OBS_GATE.read().unwrap();
     let fig = dynprof_bench::fig_controller(6);
     assert_eq!(fig.series.len(), dynprof_bench::CONTROLLER_BUDGETS.len());
     let unbudgeted = fig.series("unbudgeted").expect("observer series");
@@ -336,60 +313,4 @@ fn fig_controller_convergence_shape() {
     // The observer plateau sits well above the tightest budget.
     let (_, plateau) = *unbudgeted.points.last().unwrap();
     assert!(plateau > 10.0, "observer plateau at {plateau:.2}%");
-}
-
-/// Golden regression: the deterministic subset of the `--metrics` JSON
-/// for each reference workload. (Wall-clock gauges are excluded — they
-/// differ between any two runs; see `Snapshot::deterministic`.) With the
-/// `obs` feature off the snapshots are empty and the no-op goldens still
-/// hold, so this pins the feature-off behaviour too.
-#[test]
-fn golden_metrics_json() {
-    let _g = OBS_GATE.write().unwrap();
-    fn capture(run: impl FnOnce()) -> String {
-        obs::reset();
-        obs::set_enabled(true);
-        run();
-        obs::set_enabled(false);
-        let mut snap = obs::snapshot().deterministic();
-        // The scheduler-transport counters postdate the recorded goldens:
-        // they describe which thread performed each dispatch (and how
-        // timer heap entries were reclaimed), not anything the simulation
-        // model computed, so they are excluded to keep the goldens pinned
-        // across scheduler rewrites. Everything the model produces —
-        // events, context switches, queue depth, horizons — stays checked.
-        snap.metrics.retain(|m| {
-            !matches!(
-                m.name.as_str(),
-                "sim.direct_handoffs" | "sim.sched_fallbacks" | "sim.timers_cancelled_eagerly"
-            )
-        });
-        snap.to_json().pretty()
-    }
-    // The bench dev-dependency defaults the obs feature on, so test
-    // builds normally have live observation even under
-    // `--no-default-features`; probe at runtime rather than trusting the
-    // root crate's own feature flags.
-    obs::set_enabled(true);
-    let live = obs::enabled();
-    obs::set_enabled(false);
-    let suffix = if live { "" } else { "_nofeature" };
-    check_golden(
-        &format!("fig7_smg98_8_metrics{suffix}.json"),
-        &capture(|| {
-            fig7_reduced();
-        }),
-    );
-    check_golden(
-        &format!("fig8c_r4_metrics{suffix}.json"),
-        &capture(|| {
-            fig8c(4);
-        }),
-    );
-    check_golden(
-        &format!("fig9_metrics{suffix}.json"),
-        &capture(|| {
-            fig9();
-        }),
-    );
 }

@@ -10,23 +10,17 @@
 //! also pins each carrier explicitly, since the counts are part of what
 //! must not differ between them.
 
-use std::sync::Mutex;
-
 use dynprof::apps::test_app;
 use dynprof::core::{run_session, RecvCost, SessionConfig};
-use dynprof::sim::engine::set_backend_override;
 use dynprof::sim::{Machine, ProcBackend};
 use dynprof::vt::Policy;
 
-/// The backend override is process-global.
-static GATE: Mutex<()> = Mutex::new(());
-
-/// A dynamic session of `app` (script: insert the subset, start, quit),
-/// as `benchmark/run.sh` drives it.
-fn dynamic_session(app: &str, cpus: usize, seed: u64) -> RecvCost {
+/// A dynamic session of `app` (script: insert the subset, start, quit)
+/// on `backend`, as `benchmark/run.sh` drives it.
+fn dynamic_session(app: &str, cpus: usize, seed: u64, backend: ProcBackend) -> RecvCost {
     let app = test_app(app, cpus).expect("known app");
     let cfg = SessionConfig::new(Machine::ibm_power3_colony(), Policy::Dynamic).with_seed(seed);
-    let report = run_session(&app, cfg);
+    let report = run_session(&app, SessionConfig { backend, ..cfg });
     assert!(report.warnings.is_empty(), "{:?}", report.warnings);
     assert_eq!(report.probe_pairs_installed, app.subset.len() * cpus);
     report.recv_cost
@@ -38,13 +32,10 @@ fn per_receive((examined, received): (u64, u64)) -> f64 {
 
 #[test]
 fn fifo_receives_examine_a_bounded_number_of_entries_at_any_rank_count() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let mut per_backend = Vec::new();
     for backend in [ProcBackend::Threads, ProcBackend::Coroutine] {
-        set_backend_override(Some(backend));
-        let small = dynamic_session("smg98", 64, 7);
-        let large = dynamic_session("smg98", 256, 7);
-        set_backend_override(None);
+        let small = dynamic_session("smg98", 64, 7, backend);
+        let large = dynamic_session("smg98", 256, 7, backend);
         for (ranks, cost) in [(64u64, small), (256, large)] {
             // Two requests and two acks per probe pair, at the least.
             assert!(cost.fifo.1 >= 4 * 62 * ranks, "{ranks} ranks: {cost:?}");
@@ -84,7 +75,7 @@ fn print_benchmark_session_totals() {
         ("control_smg98_512", "smg98", 512),
         ("wide_sweep3d_1152", "sweep3d", 1152),
     ] {
-        let cost = dynamic_session(app, cpus, 1);
+        let cost = dynamic_session(app, cpus, 1, ProcBackend::default_backend());
         println!(
             "{name}: fifo examined {} for {} receives ({:.2} each), unordered examined {} for {} receives ({:.2} each)",
             cost.fifo.0,

@@ -16,8 +16,7 @@ use dynprof::core::{
     TxnSettings,
 };
 use dynprof::dpcl::DegradedPolicy;
-use dynprof::sim::fault::{set_global_spec, FaultSpec};
-use dynprof::sim::{Machine, SimTime};
+use dynprof::sim::{FaultSpec, Machine, SimTime};
 use dynprof::vt::Policy;
 
 const GOLDEN: &str = "tests/golden/session_fingerprints.txt";
@@ -120,11 +119,11 @@ fn fingerprints() -> Vec<String> {
                 &report,
             ));
 
-            set_global_spec(Some(FaultSpec::parse("7:none").expect("spec")));
-            let txn =
-                cfg(Policy::Dynamic, seed).with_txn(TxnSettings::new(DegradedPolicy::AbortTxn));
+            let txn = SessionConfig {
+                faults: Some(FaultSpec::parse("7:none").expect("spec")),
+                ..cfg(Policy::Dynamic, seed).with_txn(TxnSettings::new(DegradedPolicy::AbortTxn))
+            };
             let report = run_session(&app, txn);
-            set_global_spec(None);
             lines.push(fingerprint(
                 &format!("{name} txn-inert seed={seed}"),
                 &report,
@@ -147,8 +146,6 @@ fn fingerprints() -> Vec<String> {
     lines
 }
 
-/// One test, so the fault spec it sets for the inert-plan session is seen
-/// by no other session in this binary.
 #[test]
 fn session_fingerprints_match_golden() {
     let got = fingerprints().join("\n") + "\n";

@@ -1,13 +1,15 @@
 //! Integration tests of the chunk-indexed `VGVS` trace store: seeded
 //! round-trip properties, byte-identical determinism, index-driven chunk
 //! skipping at 1k-rank scale with bounded-memory witnesses, compaction,
-//! corruption boundaries, obs counters, and golden `vgv` report outputs.
+//! corruption boundaries, and golden `vgv` report outputs. (The store's
+//! obs counters are tested in `tests/observability.rs`.)
 //!
 //! Goldens live in `tests/golden/`; regenerate intentional changes with
 //! `UPDATE_GOLDENS=1 cargo test --test trace_store golden_`.
 
-use std::sync::RwLock;
+mod common;
 
+use common::{check_golden, synth_trace, tmp};
 use dynprof::analysis::store::{
     compact, event_overlaps, write_store_from_trace, SegmentSet, StoreOptions, StoreReader,
     StoreWriter, UNKNOWN_FUNC,
@@ -15,105 +17,8 @@ use dynprof::analysis::store::{
 use dynprof::analysis::{
     comm_report, slice_report, top_report, CommStats, Profile, ProfileOptions, TraceError,
 };
-use dynprof::obs;
-use dynprof::sim::rng::SimRng;
 use dynprof::sim::SimTime;
 use dynprof::vt::{Event, Trace, VtFuncId};
-
-/// The obs registry is process-global, and the obs test asserts exact
-/// counter values (`store_bytes == file size`), so it must not overlap any
-/// test that moves store counters: it takes `write()`, every other test
-/// here takes `read()`.
-static OBS_GATE: RwLock<()> = RwLock::new(());
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("dynprof-store-it");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{name}-{}.vgvs", std::process::id()))
-}
-
-/// A seeded synthetic trace: per-rank causal event streams mixing every
-/// span-carrying event kind, concatenated rank-major (the order a
-/// [`StoreWriter`] receives them from per-rank buffers).
-fn synth_trace(seed: u64, ranks: u32, steps: u64) -> Trace {
-    let mut events = Vec::new();
-    for rank in 0..ranks {
-        let mut rng = SimRng::new(seed, rank as u64);
-        let mut t = rng.gen_range_u64(0..=5_000);
-        for _ in 0..steps {
-            t += 1_000 + rng.gen_range_u64(0..=2_000);
-            let t0 = SimTime::from_nanos(t);
-            match rng.gen_range_u64(0..=4) {
-                0 => {
-                    let dur = 500 + rng.gen_range_u64(0..=1_500);
-                    let func = VtFuncId(rng.gen_range_u64(0..=2) as u32);
-                    events.push(Event::FuncEnter {
-                        t: t0,
-                        rank,
-                        thread: 0,
-                        func,
-                    });
-                    t += dur;
-                    events.push(Event::FuncExit {
-                        t: SimTime::from_nanos(t),
-                        rank,
-                        thread: 0,
-                        func,
-                    });
-                }
-                1 => {
-                    let dur = rng.gen_range_u64(100..=3_000);
-                    events.push(Event::MpiCall {
-                        t: t0,
-                        t_end: SimTime::from_nanos(t + dur),
-                        rank,
-                        op: 2,
-                        peer: ((rank + 1) % ranks.max(2)) as i32,
-                        bytes: rng.gen_range_u64(8..=4_096),
-                    });
-                    t += dur;
-                }
-                2 => {
-                    let span = rng.gen_range_u64(200..=2_000);
-                    events.push(Event::FuncBatch {
-                        t: t0,
-                        rank,
-                        thread: 0,
-                        func: VtFuncId(rng.gen_range_u64(0..=2) as u32),
-                        count: rng.gen_range_u64(1..=50),
-                        span: SimTime::from_nanos(span),
-                    });
-                    t += span;
-                }
-                3 => {
-                    let dur = rng.gen_range_u64(100..=1_000);
-                    events.push(Event::OmpThread {
-                        t: t0,
-                        t_end: SimTime::from_nanos(t + dur),
-                        rank,
-                        thread: rng.gen_range_u64(0..=3) as u16,
-                        region: 0,
-                    });
-                    t += dur;
-                }
-                _ => {
-                    let dur = rng.gen_range_u64(100..=800);
-                    events.push(Event::Suspended {
-                        t: t0,
-                        t_end: SimTime::from_nanos(t + dur),
-                        rank,
-                    });
-                    t += dur;
-                }
-            }
-        }
-    }
-    Trace {
-        program: "synth".into(),
-        functions: vec!["alpha".into(), "beta".into(), "gamma".into()],
-        events,
-    }
-}
 
 /// The reference ordering [`StoreReader::read_all`] promises: stable
 /// `(time, rank)` sort over the writer's input order.
@@ -125,7 +30,6 @@ fn reference_sorted(trace: &Trace) -> Trace {
 
 #[test]
 fn seeded_round_trip_matches_reference() {
-    let _gate = OBS_GATE.read().unwrap();
     for seed in [1u64, 7, 42] {
         let trace = synth_trace(seed, 8, 200);
         let path = tmp(&format!("rt-{seed}"));
@@ -155,7 +59,6 @@ fn seeded_round_trip_matches_reference() {
 
 #[test]
 fn suspension_exclusion_agrees_between_paths() {
-    let _gate = OBS_GATE.read().unwrap();
     let trace = synth_trace(5, 6, 150);
     let path = tmp("suspend");
     write_store_from_trace(&trace, &path, StoreOptions { chunk_events: 32 }).unwrap();
@@ -171,7 +74,6 @@ fn suspension_exclusion_agrees_between_paths() {
 
 #[test]
 fn store_files_are_byte_identical_for_same_seed() {
-    let _gate = OBS_GATE.read().unwrap();
     let opts = StoreOptions { chunk_events: 48 };
     let (a, b, c) = (tmp("det-a"), tmp("det-b"), tmp("det-c"));
     write_store_from_trace(&synth_trace(9, 10, 120), &a, opts).unwrap();
@@ -196,7 +98,6 @@ fn store_files_are_byte_identical_for_same_seed() {
 /// reference computes.
 #[test]
 fn thousand_rank_slice_decodes_only_overlapping_chunks() {
-    let _gate = OBS_GATE.read().unwrap();
     let ranks = 1_000u32;
     let trace = synth_trace(42, ranks, 40);
     let path = tmp("kilo");
@@ -283,7 +184,6 @@ fn thousand_rank_slice_decodes_only_overlapping_chunks() {
 
 #[test]
 fn compaction_merges_segments_and_remaps_dictionaries() {
-    let _gate = OBS_GATE.read().unwrap();
     // Three per-rank-group segments with different dictionary orders.
     let mut paths = Vec::new();
     for (i, names) in [
@@ -347,7 +247,6 @@ fn compaction_merges_segments_and_remaps_dictionaries() {
 
 #[test]
 fn corrupt_stores_fail_with_typed_errors() {
-    let _gate = OBS_GATE.read().unwrap();
     let trace = synth_trace(3, 2, 40);
     let path = tmp("corrupt");
     write_store_from_trace(&trace, &path, StoreOptions { chunk_events: 16 }).unwrap();
@@ -424,56 +323,7 @@ fn corrupt_stores_fail_with_typed_errors() {
     std::fs::remove_file(&path).ok();
 }
 
-#[test]
-fn obs_counters_track_store_traffic() {
-    let _gate = OBS_GATE.write().unwrap();
-    obs::reset();
-    obs::set_enabled(true);
-    let trace = synth_trace(11, 6, 100);
-    let path = tmp("obs");
-    write_store_from_trace(&trace, &path, StoreOptions { chunk_events: 16 }).unwrap();
-    let written = obs::counter("analysis.chunks_written").get();
-    let bytes = obs::counter("analysis.store_bytes").get();
-    assert!(written > 0, "chunks_written not recorded");
-    assert_eq!(
-        bytes,
-        std::fs::metadata(&path).unwrap().len(),
-        "store_bytes must equal the file size"
-    );
-
-    let mut r = StoreReader::open(&path).unwrap();
-    let info = r.info();
-    let mid = info.t_min + info.t_end.saturating_sub(info.t_min) / 2;
-    r.for_each_query(Some((info.t_min, mid)), None, |_| {})
-        .unwrap();
-    assert!(obs::counter("analysis.chunks_read").get() > 0);
-    assert!(
-        obs::counter("analysis.chunks_skipped").get() > 0,
-        "half-trace window must skip chunks via the index"
-    );
-    obs::set_enabled(false);
-    obs::reset();
-    std::fs::remove_file(&path).ok();
-}
-
 // ---- golden `vgv` report outputs ------------------------------------
-
-/// Compare `actual` byte-for-byte against `tests/golden/<name>`, or
-/// rewrite the file when `UPDATE_GOLDENS` is set.
-fn check_golden(name: &str, actual: &str) {
-    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("UPDATE_GOLDENS").is_some() {
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden {path}: {e} (regenerate with UPDATE_GOLDENS=1)")
-    });
-    assert_eq!(
-        actual, expected,
-        "golden {name} drifted; regenerate with UPDATE_GOLDENS=1 if intended"
-    );
-}
 
 /// `name` keeps the two golden tests, which run concurrently, off one file.
 fn golden_store(name: &str) -> std::path::PathBuf {
@@ -489,7 +339,6 @@ fn golden_store(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn golden_vgv_top() {
-    let _gate = OBS_GATE.read().unwrap();
     let path = golden_store("golden-top");
     let mut r = StoreReader::open(&path).unwrap();
     let report = top_report(&mut r, 10, ProfileOptions::default()).unwrap();
@@ -499,7 +348,6 @@ fn golden_vgv_top() {
 
 #[test]
 fn golden_vgv_slice() {
-    let _gate = OBS_GATE.read().unwrap();
     let path = golden_store("golden-slice");
     let mut r = StoreReader::open(&path).unwrap();
     let info = r.info();
@@ -520,7 +368,6 @@ fn golden_vgv_slice() {
 /// one replaced.
 #[test]
 fn golden_vgv_comm() {
-    let _gate = OBS_GATE.read().unwrap();
     let us = SimTime::from_micros;
     let mpi = |rank: u32, at: u64, op: u8, peer: i32, bytes: u64| Event::MpiCall {
         t: us(at),
@@ -665,7 +512,6 @@ fn check_golden_bytes(name: &str, actual: &[u8]) {
 
 #[test]
 fn v1_stores_still_open_read_only() {
-    let _gate = OBS_GATE.read().unwrap();
     let trace = synth_trace(9, 3, 50);
     let bytes = build_v1_store(&trace, 32);
     check_golden_bytes("store_v1.vgvs", &bytes);
@@ -692,7 +538,6 @@ fn v1_stores_still_open_read_only() {
 
 #[test]
 fn v1_store_without_footer_salvages_by_decoding() {
-    let _gate = OBS_GATE.read().unwrap();
     let trace = synth_trace(10, 2, 40);
     let bytes = build_v1_store(&trace, 16);
     let path = tmp("v1-salvage");
@@ -735,7 +580,6 @@ fn v1_store_without_footer_salvages_by_decoding() {
 /// catches the damage first.)
 #[test]
 fn corrupt_event_mid_chunk_yields_nothing_from_that_chunk() {
-    let _gate = OBS_GATE.read().unwrap();
     // Three bytes an event (kind, 1-byte delta, 1-byte epoch), five events
     // a chunk, three chunks a rank.
     let event = |rank: u32, i: u64| Event::ConfSync {
@@ -813,7 +657,6 @@ fn corrupt_event_mid_chunk_yields_nothing_from_that_chunk() {
 /// family both read it as `<unknown>`.
 #[test]
 fn undefined_function_ids_stay_unknown_across_a_union() {
-    let _gate = OBS_GATE.read().unwrap();
     // The family `base` names: base.0000.vgvs defines two names, and
     // base.0001.vgvs one — but calls id 1 as well, which it never defined
     // and which is "beta" in the union.
@@ -873,7 +716,6 @@ fn undefined_function_ids_stay_unknown_across_a_union() {
 
 #[test]
 fn compact_reverifies_and_rewrites_crcs() {
-    let _gate = OBS_GATE.read().unwrap();
     let t1 = synth_trace(21, 2, 40);
     let t2 = synth_trace(22, 2, 40);
     let (p1, p2, out) = (tmp("cmp-a"), tmp("cmp-b"), tmp("cmp-out"));
