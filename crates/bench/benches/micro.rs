@@ -1099,9 +1099,12 @@ fn alloc_probe_fire() {
     pinned_allocs("alloc/probe_fire", total, OPS, 0, 16);
 }
 
-/// Installing a probe at an idle point swaps in a one-snippet chain: one
-/// allocation, the chain's `Arc<[MiniTrampoline]>` (the snippet is all
-/// `Arc`s, and the image's chain table exists from its first patch on).
+/// Installing a probe at an idle point swaps in a one-snippet chain. The
+/// first rank to install it builds the chain: two allocations, the `Arc`
+/// and its links (the snippet is all `Arc`s, the image's chain table
+/// exists from its first patch on, and the program's chain pool grows by
+/// doubling). Every rank after it that installs the same snippets in the
+/// same order finds the chain in the pool: no allocation.
 fn alloc_probe_insert() {
     const OPS: u64 = 2048;
     const WARM: u64 = 64;
@@ -1109,20 +1112,26 @@ fn alloc_probe_insert() {
     let funcs: Vec<_> = (0..(WARM + OPS) / 2)
         .map(|i| bld.add(FunctionInfo::new(format!("f{i}"))))
         .collect();
-    let img = bld.build();
+    let first = bld.build();
+    let repeat = dynprof_image::Image::new(Arc::clone(first.shared_program()));
     let probe = Snippet::noop("probe");
-    let mut points = funcs
-        .iter()
-        .flat_map(|&f| [ProbePoint::entry(f), ProbePoint::exit(f)]);
-    let mut insert = |n: u64| {
-        for point in points.by_ref().take(n as usize) {
-            img.try_insert(point, probe.clone())
-                .expect("patchable target");
-        }
-    };
-    insert(WARM);
-    let total = alloc_delta(|| insert(OPS));
-    pinned_allocs("alloc/probe_insert", total, OPS, 1, 0);
+    for (name, img, per_op, amortized) in [
+        ("alloc/probe_insert_first_rank", &first, 2, 16),
+        ("alloc/probe_insert_repeat_rank", &repeat, 0, 0),
+    ] {
+        let mut points = funcs
+            .iter()
+            .flat_map(|&f| [ProbePoint::entry(f), ProbePoint::exit(f)]);
+        let mut insert = |n: u64| {
+            for point in points.by_ref().take(n as usize) {
+                img.try_insert(point, probe.clone())
+                    .expect("patchable target");
+            }
+        };
+        insert(WARM);
+        let total = alloc_delta(|| insert(OPS));
+        pinned_allocs(name, total, OPS, per_op, amortized);
+    }
 }
 
 /// A message through a channel in steady state — a keyed FIFO channel
@@ -1378,9 +1387,11 @@ fn alloc_coroutine_handoff() {
 
 /// The footprint ledger: what one process image of a 512-rank job holds
 /// on the heap once the job's program exists — idle (per-rank overlay
-/// only; the symbol table is the program's, shared) and with the smg98
-/// subset's 62 probe pairs installed (chain table + chains). The program
-/// itself is reported once, as the per-job constant it now is.
+/// only; the symbol table is the program's, shared) and with the app's
+/// subset installed (chain table, plus the chains the ranks share, spread
+/// over them). The program itself is reported once, as the per-job
+/// constant it now is. The patched rows carry ceilings: a rank's share of
+/// the patching must not grow back toward a private copy of every chain.
 fn bench_mem_ledger() {
     const RANKS: i64 = 512;
     println!("\nfootprint ledger (live heap bytes, {RANKS} images of one program)\n");
@@ -1398,23 +1409,33 @@ fn bench_mem_ledger() {
         let shared = format!("{} functions; program {program} bytes, once", idle[0].len());
         row(name, bytes / RANKS, shared);
     }
-    let app = test_app("smg98", 512).expect("known app");
-    let pool = images(&app);
-    let funcs: Vec<_> = app.subset.iter().filter_map(|n| pool[0].func(n)).collect();
-    let probe = Snippet::noop("probe");
-    let ((), bytes) = live_delta(|| {
-        for img in &pool {
-            for point in funcs
-                .iter()
-                .flat_map(|&f| [ProbePoint::entry(f), ProbePoint::exit(f)])
-            {
-                img.try_insert(point, probe.clone())
-                    .expect("patchable subset function");
+    for (name, app, ceiling) in [
+        ("mem/image_patched_bytes_smg98", "smg98", 4096),
+        ("mem/image_patched_bytes_sweep3d", "sweep3d", 1024),
+    ] {
+        let app = test_app(app, 512).expect("known app");
+        let pool = images(&app);
+        let funcs: Vec<_> = app.subset.iter().filter_map(|n| pool[0].func(n)).collect();
+        let probe = Snippet::noop("probe");
+        let ((), bytes) = live_delta(|| {
+            for img in &pool {
+                for point in funcs
+                    .iter()
+                    .flat_map(|&f| [ProbePoint::entry(f), ProbePoint::exit(f)])
+                {
+                    img.try_insert(point, probe.clone())
+                        .expect("patchable subset function");
+                }
             }
-        }
-    });
-    let pairs = format!("{} pairs installed, on top of idle", funcs.len());
-    row("mem/image_patched_bytes_smg98", bytes / RANKS, pairs);
+        });
+        let pairs = format!("{} pairs installed, on top of idle", funcs.len());
+        row(name, bytes / RANKS, pairs);
+        assert!(
+            bytes / RANKS <= ceiling,
+            "{name}: {} bytes per image, ceiling {ceiling}",
+            bytes / RANKS
+        );
+    }
 }
 
 /// The allocation ledger: exact per-op heap traffic of the fast paths.

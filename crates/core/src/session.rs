@@ -626,11 +626,6 @@ struct Instrumenter {
     pairs_installed: usize,
 }
 
-/// Does `p` run under a fault plan that can inject something?
-fn live_faults(p: &Proc) -> bool {
-    p.fault_plan().is_some_and(|plan| !plan.is_inert())
-}
-
 impl Instrumenter {
     /// Attach to every process of the target (at `nodes`); a process that
     /// cannot be attached is left out of instrumentation.
@@ -653,7 +648,7 @@ impl Instrumenter {
         // Heartbeat failure detection backs the 2PC coordinator, so it
         // runs only when that engages: a transacted session under a live
         // fault plan (an undisturbed run must stay byte-identical).
-        if self.txn.is_some() && live_faults(p) {
+        if self.txn.is_some() && p.live_faults() {
             let mut nodes = nodes.to_vec();
             nodes.sort_unstable();
             nodes.dedup();
@@ -778,7 +773,7 @@ impl Instrumenter {
             policy,
             ..TxnOptions::default()
         });
-        let two_phase = self.txn.clone().filter(|_| live_faults(p));
+        let two_phase = self.txn.clone().filter(|_| p.live_faults());
         let mut staged = Vec::new();
         for name in names {
             let Some(fid) = self.handles[0].image.func(name) else {

@@ -31,6 +31,10 @@ const BACKOFF_STREAM: u64 = 0xBAC0_FF5D;
 /// ([`BackoffSchedule`]) before resending **the same [`ReqId`]** — the
 /// daemon's dedup table makes re-application idempotent. Only after every
 /// attempt times out does the wait return [`AckResult::TimedOut`].
+///
+/// Resends happen only under a live fault plan ([`Proc::live_faults`]):
+/// without one a message cannot be lost, so a missed deadline just waits
+/// again, and neither side keeps the state a resend needs.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Per-attempt ack deadline.
@@ -157,7 +161,8 @@ pub struct DpclClient {
     next_txn: AtomicU64,
     policy: RetryPolicy,
     /// Unacknowledged requests, kept so a timed-out wait can resend the
-    /// identical message (same [`ReqId`]) to the same node.
+    /// identical message (same [`ReqId`]) to the same node — only under a
+    /// live fault plan, the one case where a message can be lost.
     pending: Mutex<BTreeMap<ReqId, (usize, DownMsg)>>,
     /// Requests that failed client-side before reaching any daemon (e.g.
     /// sent to a node with no connection); the wait surfaces these as
@@ -237,7 +242,8 @@ impl DpclClient {
     /// the node's super daemon). Idempotent. Under faults the Connect
     /// request (or its reply) may be lost; the client retries under the
     /// same [`ReqId`] — the super daemon dedups, so at most one
-    /// communication daemon is ever spawned per request.
+    /// communication daemon is ever spawned per request. Fault-free it
+    /// sends once.
     pub fn connect(&self, p: &Proc, node: usize) -> Result<(), String> {
         if self.daemons.lock().contains_key(&node) {
             return Ok(());
@@ -249,11 +255,14 @@ impl DpclClient {
             user: self.user.clone(),
             reply: Arc::clone(&self.inbox),
         };
+        let resend = p.live_faults();
         let mut backoff =
             BackoffSchedule::new(self.policy.backoff_base, self.policy.backoff_cap, req.0);
         for attempt in 1..=self.policy.max_attempts {
-            p.advance(CLIENT_SEND_COST);
-            sup.send_ctl(p, connect.clone(), self.daemon_delay(p));
+            if attempt == 1 || resend {
+                p.advance(CLIENT_SEND_COST);
+                sup.send_ctl(p, connect.clone(), self.daemon_delay(p));
+            }
             let deadline = p.now() + self.policy.timeout;
             let msg = self.inbox.recv_match_deadline(
                 p,
@@ -272,13 +281,14 @@ impl DpclClient {
                 // The matcher admits only the two arms above; anything
                 // else is a miss and falls into the retry path.
                 _ => {
+                    let again = resend && attempt < self.policy.max_attempts;
                     if obs::enabled() {
                         obs::counter("dpcl.retries").inc();
-                        if attempt < self.policy.max_attempts {
+                        if again {
                             obs::counter("dpcl.resends").inc();
                         }
                     }
-                    if attempt < self.policy.max_attempts {
+                    if again {
                         p.sleep(backoff.next_delay());
                     }
                 }
@@ -298,7 +308,7 @@ impl DpclClient {
             obs::counter("dpcl.requests").inc();
         }
         let req = msg.req_id();
-        if let Some(req) = req {
+        if let Some(req) = req.filter(|_| p.live_faults()) {
             self.pending.lock().insert(req, (node, msg.clone()));
         }
         p.advance(CLIENT_SEND_COST);
@@ -321,9 +331,11 @@ impl DpclClient {
 
     /// Resend the still-unacknowledged request `req` byte-for-byte to its
     /// original node (same [`ReqId`]; daemon-side dedup keeps this
-    /// idempotent). Returns false if `req` is unknown or already
-    /// acknowledged. Called by the retry loop in
-    /// [`DpclClient::wait_ack`]; public as a fault-drill hook for tests.
+    /// idempotent). Returns false if `req` is unknown, already
+    /// acknowledged, or was sent without a fault plan that could lose it
+    /// (no copy is kept then, and no daemon keeps a dedup entry). Called
+    /// by the retry loop in [`DpclClient::wait_ack`]; public as a
+    /// fault-drill hook for tests.
     pub fn resend_pending(&self, p: &Proc, req: ReqId) -> bool {
         let entry = self.pending.lock().get(&req).cloned();
         let Some((node, msg)) = entry else {
@@ -491,15 +503,17 @@ impl DpclClient {
     /// Block until the acknowledgement of `req` arrives, or the retry
     /// budget is exhausted.
     ///
-    /// Each attempt waits [`RetryPolicy::timeout`]; a miss sleeps the next
-    /// [`BackoffSchedule`] delay and resends the request under the same
-    /// [`ReqId`] (idempotent — the daemon dedups). After
+    /// Each attempt waits [`RetryPolicy::timeout`]; under a live fault
+    /// plan a miss sleeps the next [`BackoffSchedule`] delay and resends
+    /// the request under the same [`ReqId`] (idempotent — the daemon
+    /// dedups), and fault-free it just waits again. After
     /// [`RetryPolicy::max_attempts`] misses this returns the typed
     /// [`AckResult::TimedOut`] instead of blocking forever.
     pub fn wait_ack(&self, p: &Proc, req: ReqId) -> AckResult {
         if let Some(message) = self.failed.lock().remove(&req) {
             return AckResult::Error { message };
         }
+        let resend = p.live_faults();
         let mut backoff =
             BackoffSchedule::new(self.policy.backoff_base, self.policy.backoff_cap, req.0);
         for attempt in 1..=self.policy.max_attempts {
@@ -530,7 +544,7 @@ impl DpclClient {
                     if obs::enabled() {
                         obs::counter("dpcl.retries").inc();
                     }
-                    if attempt < self.policy.max_attempts {
+                    if resend && attempt < self.policy.max_attempts {
                         p.sleep(backoff.next_delay());
                         self.resend_pending(p, req);
                     }

@@ -13,7 +13,7 @@
 //! inserted code snippets become active in all processes at the same
 //! time".
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use dynprof_obs as obs;
@@ -183,9 +183,11 @@ impl DpclSystem {
 /// program is enough, however many processes and points it is installed
 /// at; it is known by the address of its `Arc`, which the memo keeps so
 /// that the address cannot be recycled for another program while the
-/// verdict — a rejection as much as a pass — is remembered.
+/// verdict — a rejection as much as a pass — is remembered. Hashed, not
+/// ordered: what the memo allocates must not depend on where the heap
+/// happened to put the programs.
 #[derive(Default)]
-struct VerifyMemo(BTreeMap<usize, (Arc<SnippetProgram>, Result<(), String>)>);
+struct VerifyMemo(HashMap<usize, (Arc<SnippetProgram>, Result<(), String>)>);
 
 impl VerifyMemo {
     fn verdict(&mut self, snippet: &Snippet) -> Result<(), String> {
@@ -213,6 +215,8 @@ fn super_daemon_loop(dp: &Proc, inbox: &SimChannel<SuperMsg>, system: &Arc<DpclS
     // Replies already issued, keyed by request: a retried Connect (the
     // first reply was lost, or slow) re-sends the original outcome instead
     // of authenticating again and spawning a second communication daemon.
+    // Fault-free no Connect is retried, so nothing is kept.
+    let dedup = dp.live_faults();
     let mut done: BTreeMap<ReqId, UpMsg> = BTreeMap::new();
     loop {
         match inbox.recv(dp) {
@@ -239,7 +243,9 @@ fn super_daemon_loop(dp: &Proc, inbox: &SimChannel<SuperMsg>, system: &Arc<DpclS
                         req,
                         message: format!("user {user:?} not authorized on node {}", dp.node()),
                     };
-                    done.insert(req, msg.clone());
+                    if dedup {
+                        done.insert(req, msg.clone());
+                    }
                     reply.send_ctl(dp, msg, delay);
                     continue;
                 }
@@ -264,7 +270,9 @@ fn super_daemon_loop(dp: &Proc, inbox: &SimChannel<SuperMsg>, system: &Arc<DpclS
                     node: dp.node(),
                     daemon: daemon_inbox,
                 };
-                done.insert(req, msg.clone());
+                if dedup {
+                    done.insert(req, msg.clone());
+                }
                 reply.send_ctl(dp, msg, delay);
             }
             SuperMsg::Ping { seq, reply } => {
@@ -309,7 +317,10 @@ fn comm_daemon_loop(
     // Results of completed requests: a retried request (its first ack was
     // lost, or slow) is re-acknowledged with the stored result instead of
     // being applied a second time — this is what makes client resends
-    // under the same `ReqId` idempotent.
+    // under the same `ReqId` idempotent. Kept only under a live fault
+    // plan: without one no request arrives twice, and the table would
+    // hold every result of the session.
+    let dedup = cp.live_faults();
     let mut done: BTreeMap<ReqId, AckResult> = BTreeMap::new();
     let mut verified = VerifyMemo::default();
     let ack = |cp: &Proc, req: ReqId, result: AckResult| {
@@ -613,7 +624,9 @@ fn comm_daemon_loop(
                 break;
             }
         };
-        done.insert(req, result.clone());
+        if dedup {
+            done.insert(req, result.clone());
+        }
         ack(cp, req, result);
     }
 }

@@ -55,7 +55,9 @@ impl StagedOp {
 ///
 /// `Clone` so the client can keep an idempotent-resend buffer: a request
 /// that times out is re-sent byte-for-byte under the **same** [`ReqId`],
-/// and the daemon's dedup table makes re-application a no-op.
+/// and the daemon's dedup table makes re-application a no-op. Both are
+/// kept only under a live fault plan; fault-free, a request is sent once
+/// and leaves nothing behind on either side once it is acknowledged.
 #[derive(Clone)]
 pub(crate) enum DownMsg {
     /// Register a target process image with the daemon.

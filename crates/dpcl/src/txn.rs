@@ -327,8 +327,7 @@ impl InstrumentationTxn {
         // Fast path: with no fault plan (or an inert one) there is nothing
         // 2PC can protect against, and the whole point is to change *zero*
         // bytes of undisturbed runs.
-        let inert = p.fault_plan().is_none_or(|plan| plan.is_inert());
-        if inert {
+        if !p.live_faults() {
             self.send_plain(p, client);
             let (applied, failed) = self.wait_plain(p, client);
             let reason = |(node, ack)| match ack {

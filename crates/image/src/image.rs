@@ -21,7 +21,7 @@ use dynprof_sim::{Proc, SimTime};
 
 use crate::func::{FuncId, FunctionInfo, ProbePoint, ProbePointKind};
 use crate::snippet::{ProbeCtx, Snippet, SnippetId};
-use crate::trampoline::{BaseTrampoline, MIN_PATCHABLE_BYTES};
+use crate::trampoline::{BaseTrampoline, ChainPool, MIN_PATCHABLE_BYTES};
 
 /// Why a probe could not be installed at a point.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -112,13 +112,16 @@ pub struct CallerCtx {
 }
 
 /// What every process running one executable shares: the program's name
-/// and its symbol table. Immutable once built, so one `Arc<Program>`
+/// and its symbol table, immutable once built, so one `Arc<Program>`
 /// serves any number of [`Image`]s — as one text segment and symbol table,
-/// mapped once per node, serve every rank of a real job.
+/// mapped once per node, serve every rank of a real job. It also keeps the
+/// pool its images take trampoline chains from, so ranks patched alike
+/// hold one chain per probe point between them.
 pub struct Program {
     name: String,
     info: Vec<FunctionInfo>,
     by_name: HashMap<String, FuncId>,
+    chains: ChainPool,
 }
 
 impl Program {
@@ -134,6 +137,7 @@ impl Program {
             name: name.into(),
             info,
             by_name,
+            chains: ChainPool::default(),
         })
     }
 
@@ -223,8 +227,8 @@ fn slot(func: FuncId, kind: ProbePointKind) -> usize {
 /// image regardless of thread count — paper Fig 9).
 pub struct Image {
     program: Arc<Program>,
-    /// Trampoline chains by [`slot`]. Empty until the first insert: an
-    /// image nobody patches never allocates the table.
+    /// Trampoline chains by [`slot`], one word each. Empty until the first
+    /// insert: an image nobody patches never allocates the table.
     probes: RwLock<Vec<BaseTrampoline>>,
     /// `probes[slot].occupied()`, republished by [`Image::patch`] under the
     /// `probes` write lock (`Release`) and read by the call path without it
@@ -337,16 +341,20 @@ impl Image {
         }
     }
 
-    /// Run `f` on the trampoline at `point` under the instrumenter lock —
-    /// allocating the chain table if this is the image's first patch — and
-    /// republish the point's occupancy.
-    fn patch<R>(&self, point: ProbePoint, f: impl FnOnce(&mut BaseTrampoline) -> R) -> R {
+    /// Run `f` on the trampoline at `point`, with the program's chain pool,
+    /// under the instrumenter lock — allocating the chain table if this is
+    /// the image's first patch — and republish the point's occupancy.
+    fn patch<R>(
+        &self,
+        point: ProbePoint,
+        f: impl FnOnce(&mut BaseTrampoline, &ChainPool) -> R,
+    ) -> R {
         let slot = slot(point.func, point.kind);
         let mut probes = self.probes.write();
         if probes.is_empty() {
             probes.resize_with(self.occupancy.len(), BaseTrampoline::new);
         }
-        let r = f(&mut probes[slot]);
+        let r = f(&mut probes[slot], &self.program.chains);
         self.occupancy[slot].store(probes[slot].occupied(), Ordering::Release);
         r
     }
@@ -360,9 +368,9 @@ impl Image {
         let id = SnippetId(self.next_snippet.fetch_add(1, Ordering::Relaxed));
         // Writing the jump instruction at an idle probe point is a patch,
         // and so is the mini-trampoline store.
-        let writes = self.patch(point, |base| {
+        let writes = self.patch(point, |base, pool| {
             let jump = !base.occupied();
-            base.push(id, snippet);
+            base.push(id, snippet, pool);
             1 + u64::from(jump)
         });
         self.patches.fetch_add(writes, Ordering::Relaxed);
@@ -371,7 +379,7 @@ impl Image {
 
     /// Remove the snippet `id` from `point`. Returns `true` if present.
     pub fn remove(&self, point: ProbePoint, id: SnippetId) -> bool {
-        let removed = self.occupied(point) && self.patch(point, |base| base.remove(id));
+        let removed = self.occupied(point) && self.patch(point, |base, pool| base.remove(id, pool));
         if removed {
             self.patches.fetch_add(1, Ordering::Relaxed);
         }
@@ -384,7 +392,7 @@ impl Image {
         let n = [ProbePoint::entry(fid), ProbePoint::exit(fid)]
             .into_iter()
             .filter(|&point| self.occupied(point))
-            .map(|point| self.patch(point, BaseTrampoline::clear))
+            .map(|point| self.patch(point, |base, _| base.clear()))
             .sum();
         self.patches.fetch_add(n as u64, Ordering::Relaxed);
         n
@@ -758,6 +766,62 @@ mod tests {
     }
 
     #[test]
+    fn images_patched_alike_share_chains_and_repatch_alone() {
+        // Two ranks of one program, patched alike, hold one chain at the
+        // point; a snippet on one rank that re-patches its own point while
+        // it runs changes that rank's chain only, from the next traversal.
+        let program = two_fn_image().shared_program().clone();
+        let (a, b) = (
+            Arc::new(Image::new(Arc::clone(&program))),
+            Arc::new(Image::new(program)),
+        );
+        let f = a.func("test").unwrap();
+        let point = ProbePoint::entry(f);
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        let (a2, fired2) = (Arc::clone(&a), Arc::clone(&fired));
+        let armed = Arc::new(AtomicUsize::new(1));
+        let patcher = Snippet::new("patcher", SimTime::ZERO, move |ctx| {
+            fired2.lock().push((ctx.rank, "patcher"));
+            if ctx.rank == 0 && armed.swap(0, Ordering::Relaxed) == 1 {
+                let fired3 = Arc::clone(&fired2);
+                a2.insert(
+                    point,
+                    Snippet::new("late", SimTime::ZERO, move |ctx| {
+                        fired3.lock().push((ctx.rank, "late"))
+                    }),
+                );
+            }
+        });
+        for img in [&a, &b] {
+            img.insert(point, patcher.clone());
+        }
+        let at = slot(f, point.kind);
+        let chain = |img: &Image| img.probes.read()[at].snapshot().unwrap();
+        assert!(
+            Arc::ptr_eq(&chain(&a), &chain(&b)),
+            "one chain for both ranks"
+        );
+        let (a3, b3) = (Arc::clone(&a), Arc::clone(&b));
+        let sim = Sim::virtual_time(Machine::test_machine(), 1);
+        sim.spawn("p", 0, move |p| {
+            let (r0, r1) = (CallerCtx::default(), CallerCtx { rank: 1, thread: 0 });
+            a3.call(p, r0, f, || ());
+            b3.call(p, r1, f, || ());
+            a3.call(p, r0, f, || ());
+        });
+        sim.run();
+        assert_eq!(
+            *fired.lock(),
+            [(0, "patcher"), (1, "patcher"), (0, "patcher"), (0, "late")]
+        );
+        assert_eq!((chain(&a).len(), chain(&b).len()), (2, 1));
+        // A removal on `a` splices back to the chain `b` still holds.
+        let late = SnippetId(2);
+        assert!(a.remove(point, late));
+        assert!(Arc::ptr_eq(&chain(&a), &chain(&b)));
+    }
+
+    #[test]
     fn an_unpatched_image_answers_without_a_chain_table() {
         let img = two_fn_image();
         let f = img.func("test").unwrap();
@@ -770,10 +834,13 @@ mod tests {
         assert_eq!(img.allocated_trampoline_bytes(), 0);
         assert_eq!(img.patch_count(), 0);
         assert!(img.probes.read().is_empty(), "asking allocated nothing");
-        // The first insert allocates the table; emptied again, the image
-        // gives the same answers with the table in place.
+        // The first insert allocates the table — one word per probe point,
+        // exactly — and emptied again, the image gives the same answers
+        // with the table in place.
         let id = img.insert(entry, Snippet::noop("n"));
+        assert_eq!(std::mem::size_of::<BaseTrampoline>(), 8);
         assert_eq!(img.probes.read().len(), 2 * img.len());
+        assert_eq!(img.probes.read().capacity(), 2 * img.len());
         assert_eq!(img.instrumented_functions(), [f]);
         assert!(img.remove(entry, id));
         assert!(!img.remove(entry, id), "double remove reports absence");

@@ -10,9 +10,10 @@
 //! (closures) and an explicit cost model, preserving the property the
 //! paper's results hinge on: *an uninstrumented probe point costs zero*.
 //!
-//! An [`Image`] is two things: the immutable [`Program`] (name, symbol
-//! table) that every process of a job shares behind one `Arc`, and a
-//! per-process overlay of what patching and running change. A job builds
+//! An [`Image`] is two things: the [`Program`] (name, symbol table, and
+//! the pool of trampoline chains its images share) that every process of
+//! a job shares behind one `Arc`, and a per-process overlay of what
+//! patching and running change. A job builds
 //! the program once and an `Image::new` per process; [`ImageBuilder`] is
 //! the one-image convenience over the same constructor.
 //!
@@ -57,6 +58,6 @@ pub use ir::{
 };
 pub use snippet::{ProbeCtx, Snippet, SnippetId};
 pub use trampoline::{
-    BaseTrampoline, MiniTrampoline, BASE_TRAMPOLINE_BYTES, MINI_TRAMPOLINE_BYTES,
+    BaseTrampoline, Chain, ChainPool, MiniTrampoline, BASE_TRAMPOLINE_BYTES, MINI_TRAMPOLINE_BYTES,
     MIN_PATCHABLE_BYTES,
 };

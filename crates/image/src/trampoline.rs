@@ -15,7 +15,12 @@
 //! splices the chain; and (d) allocated trampoline bytes are tracked, as
 //! `dynprof` reports in its timefile.
 
-use std::sync::Arc;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Weak};
+
+use parking_lot::Mutex;
 
 use dynprof_sim::SimTime;
 
@@ -40,6 +45,73 @@ pub struct MiniTrampoline {
     pub snippet: Snippet,
 }
 
+impl MiniTrampoline {
+    /// The snippet's code, by address: a live chain keeps it alive, so no
+    /// other code can sit there while the chain does.
+    fn code_addr(&self) -> usize {
+        Arc::as_ptr(&self.snippet.code) as *const () as usize
+    }
+
+    /// Same snippet, same handle: interchangeable in a chain.
+    fn same(&self, other: &MiniTrampoline) -> bool {
+        let (a, b) = (&self.snippet, &other.snippet);
+        self.id == other.id
+            && self.code_addr() == other.code_addr()
+            && a.cost == b.cost
+            && a.derived_cost == b.derived_cost
+            && a.name == b.name
+            && a.program.as_ref().map(Arc::as_ptr) == b.program.as_ref().map(Arc::as_ptr)
+    }
+}
+
+/// An installed chain: immutable, behind a thin (8-byte) pointer so an
+/// idle slot of the chain table costs one word.
+pub type Chain = Arc<Box<[MiniTrampoline]>>;
+
+/// Every chain built for the images of one program, by content, so that
+/// ranks installing the same snippets in the same order share one chain
+/// instead of holding one copy each.
+///
+/// An entry is a `Weak`, used only if it still upgrades: the live chain
+/// keeps its snippets alive, so the code addresses it is keyed by cannot
+/// have been reused. Dead entries are pruned before the map would grow.
+#[derive(Default)]
+pub struct ChainPool {
+    chains: Mutex<HashMap<u64, Weak<Box<[MiniTrampoline]>>>>,
+}
+
+impl ChainPool {
+    /// The chain of `links`, shared with an equal live one if the pool
+    /// has it; `None` for no links.
+    fn intern<'a, I>(&self, links: I) -> Option<Chain>
+    where
+        I: Iterator<Item = &'a MiniTrampoline> + Clone,
+    {
+        let mut h = DefaultHasher::new();
+        let mut len = 0;
+        for m in links.clone() {
+            (m.id.0, m.code_addr()).hash(&mut h);
+            len += 1;
+        }
+        if len == 0 {
+            return None;
+        }
+        let key = h.finish();
+        let mut chains = self.chains.lock();
+        if let Some(hit) = chains.get(&key).and_then(Weak::upgrade) {
+            if hit.len() == len && hit.iter().zip(links.clone()).all(|(a, b)| a.same(b)) {
+                return Some(hit);
+            }
+        }
+        let chain: Chain = Arc::new(links.cloned().collect());
+        if chains.len() == chains.capacity() {
+            chains.retain(|_, c| c.strong_count() > 0);
+        }
+        chains.insert(key, Arc::downgrade(&chain));
+        Some(chain)
+    }
+}
+
 /// A base trampoline with its chain of mini-trampolines.
 ///
 /// The base exists only while at least one mini-trampoline is installed;
@@ -47,15 +119,16 @@ pub struct MiniTrampoline {
 /// probe costs nothing again.
 ///
 /// **The chain is immutable and shared.** Inserting or removing a snippet
-/// builds a new chain and swaps it in; a traversal in flight keeps the one
-/// it took ([`BaseTrampoline::snapshot`], one reference-count bump
-/// whatever the chain's length) and runs it to the end. That is what lets
-/// a snippet insert or remove probes — at its own point included — while
-/// it runs: the change shows from the next traversal on.
+/// obtains the new chain from the program's [`ChainPool`] and swaps it
+/// in; a traversal in flight keeps the one it took
+/// ([`BaseTrampoline::snapshot`], one reference-count bump whatever the
+/// chain's length) and runs it to the end. That is what lets a snippet
+/// insert or remove probes — at its own point included — while it runs:
+/// the change shows from the next traversal on.
 #[derive(Clone, Debug, Default)]
 pub struct BaseTrampoline {
     /// `None` while nothing is installed (no allocation per idle point).
-    chain: Option<Arc<[MiniTrampoline]>>,
+    chain: Option<Chain>,
 }
 
 impl BaseTrampoline {
@@ -65,7 +138,7 @@ impl BaseTrampoline {
     }
 
     fn chain(&self) -> &[MiniTrampoline] {
-        self.chain.as_deref().unwrap_or(&[])
+        self.chain.as_ref().map_or(&[], |c| &c[..])
     }
 
     /// Is any instrumentation installed at this point?
@@ -80,41 +153,43 @@ impl BaseTrampoline {
 
     /// The chain as installed right now, for a traversal to run outside
     /// whatever lock guards this trampoline; `None` if the point is idle.
-    pub fn snapshot(&self) -> Option<Arc<[MiniTrampoline]>> {
+    pub fn snapshot(&self) -> Option<Chain> {
         self.chain.clone()
     }
 
     /// Append a mini-trampoline to the end of the chain (Dyninst appends;
-    /// the last trampoline jumps back to the base).
-    ///
-    /// The new chain is collected straight into its `Arc` — both halves
-    /// know their length, so that is the swap's one allocation.
-    pub fn push(&mut self, id: SnippetId, snippet: Snippet) {
-        let grown = self.iter().cloned().chain([MiniTrampoline { id, snippet }]);
-        self.chain = Some(grown.collect());
+    /// the last trampoline jumps back to the base), taking the grown chain
+    /// from `pool`: an image that repeats what another image of the
+    /// program installed allocates nothing.
+    pub fn push(&mut self, id: SnippetId, snippet: Snippet, pool: &ChainPool) {
+        let link = MiniTrampoline { id, snippet };
+        self.chain = pool.intern(self.chain().iter().chain([&link]));
     }
 
     /// Remove every mini-trampoline `doomed` picks, splicing the chain;
     /// returns how many went.
-    fn remove_where(&mut self, doomed: impl Fn(&MiniTrampoline) -> bool) -> usize {
-        let kept: Arc<[_]> = self.iter().filter(|m| !doomed(m)).cloned().collect();
-        let gone = self.chain_len() - kept.len();
+    fn remove_where(
+        &mut self,
+        pool: &ChainPool,
+        doomed: impl Fn(&MiniTrampoline) -> bool,
+    ) -> usize {
+        let gone = self.iter().filter(|m| doomed(m)).count();
         if gone > 0 {
             // Empty = uninstall the base.
-            self.chain = (!kept.is_empty()).then_some(kept);
+            self.chain = pool.intern(self.chain().iter().filter(|m| !doomed(m)));
         }
         gone
     }
 
     /// Remove the mini-trampoline with the given id, splicing the chain.
     /// Returns `true` if found.
-    pub fn remove(&mut self, id: SnippetId) -> bool {
-        self.remove_where(|m| m.id == id) > 0
+    pub fn remove(&mut self, id: SnippetId, pool: &ChainPool) -> bool {
+        self.remove_where(pool, |m| m.id == id) > 0
     }
 
     /// Remove every mini-trampoline whose snippet name matches.
-    pub fn remove_named(&mut self, name: &str) -> usize {
-        self.remove_where(|m| &*m.snippet.name == name)
+    pub fn remove_named(&mut self, name: &str, pool: &ChainPool) -> usize {
+        self.remove_where(pool, |m| &*m.snippet.name == name)
     }
 
     /// Uninstall the whole chain; returns how many mini-trampolines went.
@@ -150,6 +225,10 @@ mod tests {
         Snippet::new(name, SimTime::from_nanos(ns), |_| {})
     }
 
+    fn chain_of(b: &BaseTrampoline) -> Chain {
+        b.snapshot().expect("an installed chain")
+    }
+
     #[test]
     fn empty_base_costs_nothing() {
         let b = BaseTrampoline::new();
@@ -160,9 +239,10 @@ mod tests {
 
     #[test]
     fn chaining_accumulates_cost_in_order() {
+        let pool = ChainPool::default();
         let mut b = BaseTrampoline::new();
-        b.push(SnippetId(1), snip("a", 100));
-        b.push(SnippetId(2), snip("b", 50));
+        b.push(SnippetId(1), snip("a", 100), &pool);
+        b.push(SnippetId(2), snip("b", 50), &pool);
         assert!(b.occupied());
         assert_eq!(b.chain_len(), 2);
         assert_eq!(b.chain_cost(), SimTime::from_nanos(150));
@@ -176,12 +256,16 @@ mod tests {
 
     #[test]
     fn remove_splices_chain() {
+        let pool = ChainPool::default();
         let mut b = BaseTrampoline::new();
-        b.push(SnippetId(1), snip("a", 100));
-        b.push(SnippetId(2), snip("b", 50));
-        b.push(SnippetId(3), snip("c", 25));
-        assert!(b.remove(SnippetId(2)));
-        assert!(!b.remove(SnippetId(2)), "double remove reports absence");
+        b.push(SnippetId(1), snip("a", 100), &pool);
+        b.push(SnippetId(2), snip("b", 50), &pool);
+        b.push(SnippetId(3), snip("c", 25), &pool);
+        assert!(b.remove(SnippetId(2), &pool));
+        assert!(
+            !b.remove(SnippetId(2), &pool),
+            "double remove reports absence"
+        );
         let names: Vec<_> = b.iter().map(|m| m.snippet.name.to_string()).collect();
         assert_eq!(names, ["a", "c"]);
         assert_eq!(b.chain_cost(), SimTime::from_nanos(125));
@@ -189,20 +273,73 @@ mod tests {
 
     #[test]
     fn base_deallocates_when_chain_empties() {
+        let pool = ChainPool::default();
         let mut b = BaseTrampoline::new();
-        b.push(SnippetId(1), snip("a", 100));
-        assert!(b.remove(SnippetId(1)));
+        b.push(SnippetId(1), snip("a", 100), &pool);
+        assert!(b.remove(SnippetId(1), &pool));
         assert!(!b.occupied());
         assert_eq!(b.allocated_bytes(), 0);
     }
 
     #[test]
     fn remove_named_removes_all_matching() {
+        let pool = ChainPool::default();
         let mut b = BaseTrampoline::new();
-        b.push(SnippetId(1), snip("vt", 10));
-        b.push(SnippetId(2), snip("other", 10));
-        b.push(SnippetId(3), snip("vt", 10));
-        assert_eq!(b.remove_named("vt"), 2);
+        b.push(SnippetId(1), snip("vt", 10), &pool);
+        b.push(SnippetId(2), snip("other", 10), &pool);
+        b.push(SnippetId(3), snip("vt", 10), &pool);
+        assert_eq!(b.remove_named("vt", &pool), 2);
         assert_eq!(b.chain_len(), 1);
+    }
+
+    #[test]
+    fn equal_installs_share_one_chain_and_diverge_on_change() {
+        let pool = ChainPool::default();
+        let (s, t) = (snip("s", 10), snip("t", 20));
+        let (mut a, mut b) = (BaseTrampoline::new(), BaseTrampoline::new());
+        for base in [&mut a, &mut b] {
+            base.push(SnippetId(1), s.clone(), &pool);
+            base.push(SnippetId(2), t.clone(), &pool);
+        }
+        assert!(Arc::ptr_eq(&chain_of(&a), &chain_of(&b)), "one chain");
+        // Changing one point leaves the other's chain as it was.
+        let before = chain_of(&b);
+        a.push(SnippetId(3), snip("u", 5), &pool);
+        assert!(Arc::ptr_eq(&chain_of(&b), &before));
+        assert_eq!((a.chain_len(), b.chain_len()), (3, 2));
+        assert!(a.remove(SnippetId(3), &pool));
+        assert!(
+            Arc::ptr_eq(&chain_of(&a), &before),
+            "spliced back to the shared chain"
+        );
+        assert!(b.remove(SnippetId(1), &pool));
+        assert_eq!(a.chain_len(), 2, "a removal on one point leaves the other");
+        // The same handles over different code are different chains.
+        let mut c = BaseTrampoline::new();
+        c.push(SnippetId(1), snip("s", 10), &pool);
+        c.push(SnippetId(2), t, &pool);
+        assert!(!Arc::ptr_eq(&chain_of(&c), &chain_of(&a)));
+    }
+
+    #[test]
+    fn a_dead_chain_never_comes_back() {
+        // Every chain of the pool dies, then a different snippet — maybe at
+        // the dead one's address — goes in under the same handle: it runs
+        // its own code, never the stale chain's.
+        let pool = ChainPool::default();
+        for _ in 0..64 {
+            let mut b = BaseTrampoline::new();
+            let s = snip("s", 10);
+            b.push(SnippetId(1), s.clone(), &pool);
+            let installed = &chain_of(&b)[0].snippet.code;
+            assert!(Arc::ptr_eq(installed, &s.code), "the stale chain came back");
+            assert!(b.remove(SnippetId(1), &pool));
+        }
+        // Dead entries are pruned, not accumulated.
+        assert!(
+            pool.chains.lock().len() <= 8,
+            "{}",
+            pool.chains.lock().len()
+        );
     }
 }

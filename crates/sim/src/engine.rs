@@ -1377,6 +1377,13 @@ impl Proc {
         self.eng.faults.get().cloned()
     }
 
+    /// Does this process run under a fault plan that can inject something
+    /// (installed and not [inert](FaultPlan::is_inert))? Without one, no
+    /// message can be lost or duplicated.
+    pub fn live_faults(&self) -> bool {
+        self.eng.faults.get().is_some_and(|plan| !plan.is_inert())
+    }
+
     /// Is happens-before recording live for this process? One relaxed
     /// atomic load; callers gate on [`crate::hb::on`] (which folds this
     /// call away entirely when the `check` feature is off).

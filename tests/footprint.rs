@@ -8,6 +8,12 @@
 //! a rank can change — chains, counts, suspension, hooks — leaks through
 //! it to another rank.
 //!
+//! Patching shares too: ranks patched alike hold one trampoline chain per
+//! probe point between them (the program's chain pool), and a fault-free
+//! control plane keeps nothing per request once it is acknowledged. The
+//! allocator's high-water mark pins what a whole in-process session peaks
+//! at.
+//!
 //! The same allocator pins the read side's footprint: a store reader owns
 //! its chunk buffers, so a pass over a store it has already walked once
 //! allocates nothing.
@@ -19,24 +25,32 @@ use std::sync::Arc;
 
 use dynprof::analysis::store::{StoreOptions, StoreReader, StoreWriter};
 use dynprof::apps::cli::{run_cli, CliArgs};
-use dynprof::apps::{smg98, Smg98Params};
-use dynprof::image::{CallerCtx, Image, ProbeCtx, ProbePoint, Snippet, StaticHooks};
-use dynprof::sim::{Machine, Sim, SimTime};
-use dynprof::vt::{Event, VtFuncId};
+use dynprof::apps::{smg98, test_app, Smg98Params};
+use dynprof::core::{run_session, SessionConfig};
+use dynprof::dpcl::{AckResult, DpclClient, DpclSystem};
+use dynprof::image::{CallerCtx, Image, ProbeCtx, ProbePoint, Snippet, SnippetId, StaticHooks};
+use dynprof::sim::{Machine, ProcBackend, Sim, SimTime};
+use dynprof::vt::{Event, Policy, VtFuncId};
 
-/// Live heap bytes, and allocator calls that obtained memory, of the
-/// *calling thread*: the test harness runs this file's tests on parallel
-/// threads, and a measurement must not see its neighbours' allocations.
+/// Live heap bytes, its high-water mark, and allocator calls that obtained
+/// memory, of the *calling thread*: the test harness runs this file's
+/// tests on parallel threads, and a measurement must not see its
+/// neighbours' allocations.
 struct LiveBytes;
 
 thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
 fn note(delta: isize) {
     // `try_with`: a thread may free memory while its locals are torn down.
-    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
     if delta > 0 {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
     }
@@ -71,6 +85,26 @@ fn live_bytes_of<T>(build: impl FnOnce() -> T) -> (T, isize) {
     let before = LIVE.with(Cell::get);
     let built = build();
     (built, LIVE.with(Cell::get) - before)
+}
+
+/// How far above its starting point this thread's live heap rose while
+/// `work` ran.
+fn peak_bytes_of<T>(work: impl FnOnce() -> T) -> (T, isize) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let done = work();
+    (done, PEAK.with(Cell::get) - before)
+}
+
+/// Does every simulated process run on the calling thread? Only then does
+/// this thread's count see a whole session; the threads carrier spreads
+/// it over one OS thread per process.
+fn one_thread_carrier() -> bool {
+    let on = ProcBackend::default_backend() != ProcBackend::Threads;
+    if !on {
+        println!("skipped: the threads carrier allocates off this thread");
+    }
+    on
 }
 
 /// Allocations (and growing reallocations) `work` made on this thread.
@@ -218,6 +252,233 @@ fn two_sessions_in_one_process_write_the_same_bytes() {
     assert_eq!(first.0, second.0, "summary");
     assert_eq!(first.1, second.1, "timefile");
     assert!(first.2 == second.2, ".vgvs bytes differ");
+}
+
+/// Every probe point of `funcs`, entry then exit.
+fn points(funcs: &[dynprof::image::FuncId]) -> Vec<ProbePoint> {
+    funcs
+        .iter()
+        .flat_map(|&f| [ProbePoint::entry(f), ProbePoint::exit(f)])
+        .collect()
+}
+
+#[test]
+fn ranks_patched_alike_share_chains_and_change_alone() {
+    let app = smg98(3, Smg98Params::test());
+    let images: Vec<_> = (0..3).map(|_| app.build_image(false)).collect();
+    let funcs: Vec<_> = app
+        .subset
+        .iter()
+        .filter_map(|n| images[0].func(n))
+        .collect();
+    let hits = Arc::new(AtomicUsize::new(0));
+    let probe = counting_snippet(&hits);
+    let patch = |img: &Image| {
+        for point in points(&funcs) {
+            img.insert(point, probe.clone());
+        }
+    };
+    // The first rank builds the chains; a rank patched alike allocates its
+    // chain table — one word per probe point — and nothing else.
+    let ((), first) = live_bytes_of(|| patch(&images[0]));
+    let ((), repeat) = live_bytes_of(|| patch(&images[1]));
+    patch(&images[2]);
+    let table = (2 * images[0].len() * std::mem::size_of::<usize>()) as isize;
+    assert_eq!(repeat, table, "a repeat rank holds its table only");
+    assert!(
+        first > repeat,
+        "the first rank built the chains ({first} bytes)"
+    );
+
+    // Re-patching one rank, or unpatching another, leaves the third's
+    // chains as they were: one probe per call.
+    let f = funcs[0];
+    let extra = Arc::new(AtomicUsize::new(0));
+    images[0].insert(ProbePoint::entry(f), counting_snippet(&extra));
+    assert_eq!(images[1].remove_function_instr(f), 2);
+    let imgs = images.clone();
+    in_sim(move |p| {
+        for img in &imgs {
+            img.call(p, CallerCtx::default(), f, || ());
+        }
+    });
+    // Rank 0: entry + extra + exit; rank 1: nothing; rank 2: entry + exit.
+    assert_eq!(hits.load(Ordering::Relaxed), 4);
+    assert_eq!(extra.load(Ordering::Relaxed), 1);
+}
+
+#[test]
+fn a_dropped_chain_never_comes_back_for_another_snippet() {
+    // Every rank drops every chain; then a different snippet goes in at
+    // the same points under the same handles. It runs; the old one never
+    // does again.
+    let app = smg98(4, Smg98Params::test());
+    let images: Vec<_> = (0..4).map(|_| app.build_image(false)).collect();
+    let funcs: Vec<_> = app
+        .subset
+        .iter()
+        .filter_map(|n| images[0].func(n))
+        .collect();
+    let (old, new) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    for round in [&old, &new] {
+        let probe = counting_snippet(round);
+        for img in &images {
+            for &f in &funcs {
+                img.remove_function_instr(f);
+            }
+            for point in points(&funcs) {
+                img.insert(point, probe.clone());
+            }
+        }
+    }
+    let imgs = images.clone();
+    let calls = funcs.clone();
+    in_sim(move |p| {
+        for img in &imgs {
+            for &f in &calls {
+                img.call(p, CallerCtx::default(), f, || ());
+            }
+        }
+    });
+    assert_eq!(old.load(Ordering::Relaxed), 0, "a stale chain ran");
+    assert_eq!(new.load(Ordering::Relaxed), 2 * funcs.len() * images.len());
+}
+
+#[test]
+fn two_concurrent_sessions_of_one_app_stay_apart() {
+    // Both sessions' images share the app's program, and with it its chain
+    // pool; each session compiles its own snippets, so neither may ever
+    // run the other's chain. Each must trace exactly what it traces alone.
+    let app = test_app("smg98", 16).unwrap();
+    let cfg = SessionConfig::new(Machine::ibm_power3_colony(), Policy::Dynamic).with_seed(7);
+    let solo = run_session(&app, cfg.clone());
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| run_session(&app, cfg.clone()));
+        let b = s.spawn(|| run_session(&app, cfg.clone()));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    let alone = solo.vt.build_trace();
+    assert!(!alone.events.is_empty());
+    for r in [&a, &b] {
+        assert!(Arc::ptr_eq(
+            r.images[0].shared_program(),
+            solo.images[0].shared_program()
+        ));
+        assert_eq!(r.probe_pairs_installed, solo.probe_pairs_installed);
+        assert_eq!((r.app_time, r.total_time), (solo.app_time, solo.total_time));
+        assert!(
+            r.vt.build_trace() == alone,
+            "a session traced the other's probes"
+        );
+    }
+}
+
+#[test]
+fn fault_free_installs_leave_no_retry_state() {
+    // A fault-free control plane cannot lose or repeat a message, so the
+    // client keeps no resend copy and the daemons no dedup entry: after
+    // the first round, installing and removing a probe in 64 ranks again
+    // and again leaves the heap where it was — give or take a queue's
+    // capacity, far below one byte per request sent.
+    if !one_thread_carrier() {
+        return;
+    }
+    const RANKS: usize = 64;
+    const ROUNDS: usize = 6;
+    let app = smg98(RANKS, Smg98Params::test());
+    let images: Vec<_> = (0..RANKS).map(|_| app.build_image(false)).collect();
+    let f = images[0].func(&app.subset[0]).unwrap();
+    let live = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let live2 = Arc::clone(&live);
+    let sim = Sim::virtual_time(Machine::ibm_power3_colony(), 3);
+    sim.spawn("dynprof", 0, move |p| {
+        let client = DpclClient::new(DpclSystem::new(["u"]), "u");
+        let nodes = p.machine().nodes;
+        let handles: Vec<_> = images
+            .iter()
+            .enumerate()
+            .map(|(i, img)| {
+                client
+                    .attach(p, 1 + i % (nodes - 1), Arc::clone(img), "r")
+                    .unwrap()
+            })
+            .collect();
+        for _ in 0..ROUNDS {
+            // One snippet for every rank, as dynprof compiles it.
+            let (point, probe) = (ProbePoint::entry(f), Snippet::noop("n"));
+            let installs: Vec<_> = handles
+                .iter()
+                .map(|h| client.install_probe(p, h, point, probe.clone()))
+                .collect();
+            for &req in &installs {
+                assert!(!client.resend_pending(p, req), "a resend copy was kept");
+            }
+            let removes: Vec<_> = client
+                .wait_all(p, &installs)
+                .into_iter()
+                .zip(&handles)
+                .map(|((_, ack), h)| {
+                    let AckResult::Ok { detail } = ack else {
+                        panic!("{ack:?}")
+                    };
+                    client.remove_probe(p, h, point, SnippetId(detail))
+                })
+                .collect();
+            assert!(client.wait_all(p, &removes).iter().all(|(_, a)| a.is_ok()));
+            live2.lock().unwrap().push(LIVE.with(Cell::get));
+        }
+        client.shutdown(p);
+    });
+    sim.run();
+    let live = live.lock().unwrap();
+    println!("live heap after each round of 64 installs and removes: {live:?}");
+    let sent = (ROUNDS - 2) * 2 * RANKS;
+    let grew = live[ROUNDS - 1] - live[1];
+    assert!(
+        grew < sent as isize,
+        "control-plane state grew {grew} bytes over {sent} requests: {live:?}"
+    );
+}
+
+#[test]
+fn a_64_rank_dynamic_session_peaks_under_its_ceiling() {
+    // The deterministic count behind the session-RSS claim: the live heap
+    // high-water mark of `dynprof smg98 cpus=64 policy=dynamic` with the
+    // subset inserted, every rank and daemon on this thread. The first run
+    // pays for process-wide lazy state; the two after it must agree to the
+    // byte.
+    const CEILING: isize = 2_250_000;
+    if !one_thread_carrier() {
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("dynprof-footprint-peak-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let script = dir.join("script.dp");
+    std::fs::write(&script, "insert-file subset\nstart\nquit\n").unwrap();
+    let args = [
+        script.to_str().unwrap(),
+        "-",
+        "-",
+        "smg98",
+        "cpus=64",
+        "policy=dynamic",
+        "seed=42",
+    ]
+    .map(String::from);
+    let session = || {
+        let out = run_cli(&CliArgs::parse(&args).unwrap()).unwrap();
+        assert_eq!(out.report.probe_pairs_installed, 62 * 64);
+    };
+    session();
+    let ((), peak) = peak_bytes_of(session);
+    let ((), again) = peak_bytes_of(session);
+    std::fs::remove_dir_all(&dir).ok();
+    println!("smg98 cpus=64 policy=dynamic, subset inserted: peak live heap {peak} bytes");
+    assert_eq!(peak, again, "the peak is a function of the seed");
+    assert!(
+        peak <= CEILING,
+        "peak live heap {peak} bytes, ceiling {CEILING}"
+    );
 }
 
 #[test]

@@ -15,6 +15,7 @@ use dynprof::dpcl::{BackoffSchedule, DpclClient, DpclSystem};
 use dynprof::image::{FunctionInfo, ImageBuilder, ProbePoint, Snippet};
 use dynprof::mpi::{launch, JobSpec};
 use dynprof::omp::Schedule;
+use dynprof::sim::fault::{FaultPlan, FaultSpec};
 use dynprof::sim::rng::SimRng;
 use dynprof::sim::SimTime;
 use dynprof::sim::{Machine, Sim};
@@ -897,6 +898,16 @@ fn backoff_schedule_is_monotone_bounded_deterministic() {
     assert!(seeds_diverged > 150, "only {seeds_diverged}/200 diverged");
 }
 
+/// A simulation under a live fault plan of `profile`: the only kind in
+/// which a request can arrive twice, so the only kind in which the client
+/// keeps resend copies and daemons keep dedup entries.
+fn faulted_sim(seed: u64, profile: &str) -> Sim {
+    let sim = Sim::virtual_time(Machine::test_machine(), seed);
+    let spec = FaultSpec::parse(&format!("{seed}:{profile}")).expect("fault profile");
+    assert!(sim.set_fault_plan(FaultPlan::new(&spec, sim.machine())));
+    sim
+}
+
 /// Resending an already-acked request is a no-op: the client refuses
 /// (the pending entry is gone) and the target image state is unchanged.
 #[test]
@@ -904,7 +915,7 @@ fn resend_after_ack_is_noop() {
     let mut r = rng(10);
     for _ in 0..20 {
         let seed = r.gen_range_u64(0..=9999);
-        let sim = Sim::virtual_time(Machine::test_machine(), seed);
+        let sim = faulted_sim(seed, "delay");
         let system = DpclSystem::new(["u"]);
         let mut b = ImageBuilder::new("t");
         let f = b.add(FunctionInfo::new("hot"));
@@ -937,7 +948,7 @@ fn duplicate_in_flight_request_applies_once() {
     for _ in 0..20 {
         let seed = r.gen_range_u64(0..=9999);
         let dups = 1 + r.gen_index(4);
-        let sim = Sim::virtual_time(Machine::test_machine(), seed);
+        let sim = faulted_sim(seed, "delay");
         let system = DpclSystem::new(["u"]);
         let mut b = ImageBuilder::new("t");
         let f = b.add(FunctionInfo::new("hot"));
@@ -962,6 +973,45 @@ fn duplicate_in_flight_request_applies_once() {
             client.shutdown(p);
         });
         sim.run();
+    }
+}
+
+/// Under `dup`, the link delivers some requests twice; every install
+/// still applies exactly once (the daemon's dedup table, kept because the
+/// plan is live, re-acks instead of re-applying).
+#[test]
+fn duplicated_installs_apply_once() {
+    let mut r = rng(12);
+    for _ in 0..10 {
+        let seed = r.gen_range_u64(0..=9999);
+        let sim = faulted_sim(seed, "dup");
+        let system = DpclSystem::new(["u"]);
+        let mut b = ImageBuilder::new("t");
+        let fs: Vec<_> = (0..16)
+            .map(|i| b.add(FunctionInfo::new(format!("f{i}"))))
+            .collect();
+        let image = Arc::new(b.build());
+        let img2 = Arc::clone(&image);
+        sim.spawn("instrumenter", 0, move |p| {
+            let client = DpclClient::new(system, "u");
+            let h = client.attach(p, 1, Arc::clone(&img2), "t").unwrap();
+            let reqs: Vec<_> = fs
+                .iter()
+                .map(|&f| client.install_probe(p, &h, ProbePoint::entry(f), Snippet::noop("n")))
+                .collect();
+            for (_, ack) in client.wait_all(p, &reqs) {
+                assert!(ack.is_ok());
+            }
+            p.sleep(SimTime::from_secs(1));
+            client.shutdown(p);
+        });
+        sim.run();
+        assert_eq!(
+            image.patch_count(),
+            2 * 16,
+            "an install applied more than once"
+        );
+        assert_eq!(image.instrumented_functions().len(), 16);
     }
 }
 
