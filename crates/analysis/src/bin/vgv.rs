@@ -7,16 +7,15 @@
 //! $ vgv slice run.vgvs --t0 2ms --t1 5ms [--rank N] [--width N]
 //! $ vgv comm run.vgvs                 # rank x rank byte matrix
 //! $ vgv fsck run.vgvs [--repair [--out fixed.vgvs]]
-//! $ vgv convert run.vgvt|run.vgvs out.vgvs [--chunk-events N]
+//! $ vgv convert run.vgvs out.vgvs [--chunk-events N]
 //! $ vgv view run.vgvs [--width N] [--per-thread] [--top N]
 //! $ vgv run.vgvs                      # same as `vgv view`
 //! ```
 //!
-//! Subcommands other than `view`/`convert` operate on chunk-indexed
-//! `VGVS` stores and decode only what the query needs; `view` (whole
-//! time-line, matrix and statistics) and `convert` are the
-//! load-everything paths and take a store file or a legacy flat `VGVT`
-//! trace, told apart by their magic. A store argument
+//! Every subcommand reads chunk-indexed `VGVS` stores. All but `view`
+//! and `convert` decode only what the query needs; `view` (whole
+//! time-line, matrix and statistics) and `convert` (re-chunking) are the
+//! load-everything paths. A store argument
 //! names either one file or a rotated segment family (`run.vgvs` finds
 //! `run.0000.vgvs`, `run.0001.vgvs`, …); `--salvage` opens crashed
 //! captures without a footer, `--degraded` skips (and reports) corrupt
@@ -26,16 +25,19 @@
 //! on success — and when the reader of a pipe closes it early
 //! (`vgv comm run.vgvs | head`), which ends the report quietly; 1 on a
 //! trace or write error (`vgv: <file>: <error>` on stderr) and for an
-//! unclean `fsck`; 2 on a usage error.
+//! unclean `fsck`; 2 on a usage error, a malformed flag value included.
 
 use std::io::{BufWriter, ErrorKind, Write};
 
-use dynprof_analysis::store::{fsck, repair, SegmentSet, StoreOptions};
+use dynprof_analysis::store::{
+    fsck, repair, write_store_from_trace, EventSource, SegmentSet, StoreOptions,
+};
 use dynprof_analysis::{
-    convert, info_report, load_trace, ranks_report, render, slice_report, top_report, trace_volume,
-    write_comm_report, CommStats, Profile, ProfileOptions, TimelineOptions, TraceError,
+    info_report, ranks_report, render, slice_report, top_report, trace_volume, write_comm_report,
+    CommStats, Profile, ProfileOptions, TimelineOptions, TraceError,
 };
 use dynprof_sim::SimTime;
+use dynprof_vt::Trace;
 
 fn usage() -> ! {
     eprintln!(
@@ -47,8 +49,8 @@ fn usage() -> ! {
          \x20 slice <store.vgvs> --t0 T --t1 T [--rank N] [--width N]\n\
          \x20 comm <store.vgvs>                    communication matrix\n\
          \x20 fsck <store.vgvs> [--repair] [--out F]  verify chunks, footer; rebuild if asked\n\
-         \x20 convert <in.vgvt|in.vgvs> <out.vgvs> [--chunk-events N]   re-encode / re-chunk\n\
-         \x20 view <store.vgvs|trace.vgvt> [--width N] [--per-thread] [--top N] [--exclude-suspensions]\n\
+         \x20 convert <in.vgvs> <out.vgvs> [--chunk-events N]   re-chunk into one store\n\
+         \x20 view <store.vgvs> [--width N] [--per-thread] [--top N] [--exclude-suspensions]\n\
          store commands also take --salvage (open footer-less captures) and\n\
          --degraded (skip corrupt chunks, reporting the loss); a store path\n\
          may name a rotated segment family (run.vgvs -> run.0000.vgvs, ...)\n\
@@ -60,6 +62,12 @@ fn usage() -> ! {
 fn fail(context: &str, err: impl std::fmt::Display) -> ! {
     eprintln!("vgv: {context}: {err}");
     std::process::exit(1);
+}
+
+/// A malformed flag value is a usage error: name the flag, exit 2.
+fn bad_value(flag: &str, err: impl std::fmt::Display) -> ! {
+    eprintln!("vgv: {flag}: {err}");
+    std::process::exit(2);
 }
 
 /// Parse `12`, `12us`, `2.5ms`, `1s` into a [`SimTime`].
@@ -75,11 +83,9 @@ fn parse_time(s: &str) -> Option<SimTime> {
     } else {
         (s, 1.0)
     };
-    let v: f64 = num.parse().ok()?;
-    if v < 0.0 {
-        return None;
-    }
-    Some(SimTime::from_nanos((v * scale).round() as u64))
+    let ns = num.parse::<f64>().ok()? * scale;
+    // `nan`, `inf` and `1e400` parse as floats too; none is a time.
+    (ns.is_finite() && ns >= 0.0).then(|| SimTime::from_nanos(ns.round() as u64))
 }
 
 struct Flags {
@@ -128,12 +134,12 @@ fn parse_flags(args: &[String]) -> Flags {
             "--top" => {
                 f.top = need(args, &mut i)
                     .parse()
-                    .unwrap_or_else(|e| fail("--top", e))
+                    .unwrap_or_else(|e| bad_value("--top", e))
             }
             "--width" => {
                 f.width = need(args, &mut i)
                     .parse()
-                    .unwrap_or_else(|e| fail("--width", e))
+                    .unwrap_or_else(|e| bad_value("--width", e))
             }
             "--per-thread" => f.per_thread = true,
             "--exclude-suspensions" => f.exclude = true,
@@ -141,21 +147,23 @@ fn parse_flags(args: &[String]) -> Flags {
                 f.rank = Some(
                     need(args, &mut i)
                         .parse()
-                        .unwrap_or_else(|e| fail("--rank", e)),
+                        .unwrap_or_else(|e| bad_value("--rank", e)),
                 )
             }
             "--t0" => {
-                f.t0 =
-                    Some(parse_time(need(args, &mut i)).unwrap_or_else(|| fail("--t0", "bad time")))
+                f.t0 = Some(
+                    parse_time(need(args, &mut i)).unwrap_or_else(|| bad_value("--t0", "bad time")),
+                )
             }
             "--t1" => {
-                f.t1 =
-                    Some(parse_time(need(args, &mut i)).unwrap_or_else(|| fail("--t1", "bad time")))
+                f.t1 = Some(
+                    parse_time(need(args, &mut i)).unwrap_or_else(|| bad_value("--t1", "bad time")),
+                )
             }
             "--chunk-events" => {
                 f.chunk_events = need(args, &mut i)
                     .parse()
-                    .unwrap_or_else(|e| fail("--chunk-events", e))
+                    .unwrap_or_else(|e| bad_value("--chunk-events", e))
             }
             "--salvage" => f.salvage = true,
             "--degraded" => f.degraded = true,
@@ -185,6 +193,19 @@ fn open_source(path: &str, f: &Flags) -> Result<SegmentSet, TraceError> {
         set.set_degraded(true);
     }
     Ok(set)
+}
+
+/// Every event of a source as one `(time, rank)`-ordered [`Trace`]: what
+/// `view` renders and `convert` re-chunks.
+fn whole_trace(set: &mut SegmentSet) -> Result<Trace, TraceError> {
+    let mut events = Vec::with_capacity(set.source_info().events as usize);
+    set.query(None, None, &mut |ev| events.push(ev.clone()))?;
+    events.sort_by_key(|e| (e.time(), e.rank()));
+    Ok(Trace {
+        program: set.program().to_string(),
+        functions: set.functions().to_vec(),
+        events,
+    })
 }
 
 /// After a degraded query, say what was dropped (on stderr, so report
@@ -248,7 +269,9 @@ fn run(command: &str, path: &str, f: &Flags, out: &mut impl Write) -> Result<i32
             let opts = StoreOptions {
                 chunk_events: f.chunk_events,
             };
-            let stats = convert(from, to, opts)?;
+            let mut r = open_source(from, f)?;
+            let stats = write_store_from_trace(&whole_trace(&mut r)?, to, opts)?;
+            report_drops(&r);
             writeln!(
                 out,
                 "converted {from} -> {to}: {} events in {} chunks, {} bytes",
@@ -256,7 +279,9 @@ fn run(command: &str, path: &str, f: &Flags, out: &mut impl Write) -> Result<i32
             )?;
         }
         "view" => {
-            let trace = load_trace(path)?;
+            let mut r = open_source(path, f)?;
+            let trace = whole_trace(&mut r)?;
+            report_drops(&r);
             let opts = TimelineOptions {
                 width: f.width,
                 per_thread: f.per_thread,

@@ -1,13 +1,12 @@
 //! Typed trace-I/O errors.
 //!
-//! Both trace decoders — the legacy whole-file `VGVT` reader
-//! ([`crate::read_trace`]) and the chunk-indexed `VGVS` store reader
-//! ([`crate::store::StoreReader`]) — report corruption through one enum,
-//! so callers can distinguish "this is not a trace file at all"
-//! ([`TraceError::BadMagic`]) from "this is a trace file that was cut
-//! short" ([`TraceError::TruncatedHeader`], [`TraceError::ShortChunk`])
-//! and react accordingly (e.g. retry a partially-copied file, or refuse
-//! a wrong-format one outright).
+//! The `VGVS` store reader ([`crate::store::StoreReader`]) and its salvage
+//! scan report corruption through one enum, so callers can distinguish
+//! "this is not a store at all" ([`TraceError::BadMagic`]) from "this is a
+//! store that was cut short" ([`TraceError::TruncatedHeader`],
+//! [`TraceError::TruncatedFooter`], [`TraceError::ShortChunk`]) and react
+//! accordingly (e.g. salvage a crashed capture, or refuse a wrong-format
+//! file outright).
 
 use std::fmt;
 use std::io;
@@ -20,7 +19,7 @@ pub enum TraceError {
     /// The file ends before the fixed-size header (or a header-resident
     /// table such as the function dictionary) is complete.
     TruncatedHeader,
-    /// The magic number is neither `VGVT` (legacy) nor `VGVS` (store).
+    /// The file does not start with the `VGVS` store magic.
     BadMagic,
     /// The magic matched but the format version is unknown.
     UnsupportedVersion(u16),
@@ -41,8 +40,7 @@ pub enum TraceError {
         /// Position of the offending chunk in the footer index.
         index: usize,
     },
-    /// Event `index` within the current chunk (or legacy event stream)
-    /// failed to decode.
+    /// Event `index` within the current chunk failed to decode.
     BadEvent {
         /// Ordinal of the malformed event.
         index: u64,
@@ -57,7 +55,7 @@ impl fmt::Display for TraceError {
         match self {
             TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
             TraceError::TruncatedHeader => write!(f, "truncated trace header"),
-            TraceError::BadMagic => write!(f, "bad magic (not a VGVT/VGVS trace file)"),
+            TraceError::BadMagic => write!(f, "bad magic (not a VGVS store)"),
             TraceError::UnsupportedVersion(v) => write!(f, "unsupported trace version {v}"),
             TraceError::TruncatedFooter => write!(f, "truncated store footer (unfinished write?)"),
             TraceError::ShortChunk { index } => write!(f, "chunk {index} shorter than declared"),

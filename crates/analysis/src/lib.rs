@@ -7,14 +7,12 @@
 //! processor" problem), communication statistics, and the main time-line
 //! display rendered as ASCII art.
 //!
-//! ## Two trace formats
+//! ## One trace format
 //!
-//! | | legacy `VGVT` ([`read_trace`]) | store `VGVS` ([`store`]) |
-//! |---|---|---|
-//! | layout | one flat event array | fixed-size chunks + footer index |
-//! | read cost | whole file, always | only chunks overlapping the query |
-//! | memory | `O(trace)` | `O(chunk)` |
-//! | written by | [`write_trace`] | [`store::StoreWriter`] (what `dynprof trace=` streams) |
+//! Traces live on disk as `VGVS` stores ([`store`]): fixed-size per-rank
+//! chunks behind a footer index, each chunk checksummed, so a query
+//! decodes only the chunks overlapping it and memory is `O(chunk)`.
+//! [`store::StoreWriter`] is what `dynprof trace=` streams into.
 //!
 //! The analyses consume **event streams**, not materialized traces:
 //! [`ProfileBuilder`], [`TimelineBuilder`] and [`CommStats::push`] accept
@@ -66,7 +64,6 @@ mod profile;
 mod query;
 pub mod store;
 mod timeline;
-mod tracefile;
 
 pub use comm::CommStats;
 pub use error::TraceError;
@@ -78,4 +75,3 @@ pub use query::{
     comm_report, info_report, ranks_report, slice_report, top_report, write_comm_report,
 };
 pub use timeline::{render, TimelineBuilder, TimelineOptions};
-pub use tracefile::{convert, decode_legacy, load_trace, read_trace, write_trace};

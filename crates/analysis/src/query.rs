@@ -30,12 +30,9 @@ pub fn info_report<S: EventSource + ?Sized>(reader: &S) -> String {
         "  time:      {} .. {} (spans end {})\n",
         info.t_min, info.t_max, info.t_end
     ));
-    let checks = if info.version >= STORE_VERSION {
-        "crc32 per chunk"
-    } else {
-        "none (v1 legacy, read-only)"
-    };
-    out.push_str(&format!("  format:    v{} ({checks})\n", info.version));
+    out.push_str(&format!(
+        "  format:    v{STORE_VERSION} (crc32 per chunk)\n"
+    ));
     if info.segments > 1 {
         out.push_str(&format!("  segments:  {}\n", info.segments));
     }
@@ -44,9 +41,6 @@ pub fn info_report<S: EventSource + ?Sized>(reader: &S) -> String {
             "  salvage:   {} chunks ({} events) recovered, {} tail bytes dropped\n",
             s.chunks_recovered, s.events_recovered, s.tail_bytes_dropped
         ));
-        if !s.dict_from_preamble {
-            out.push_str("  salvage:   function names synthesized (no preamble)\n");
-        }
     }
     out
 }

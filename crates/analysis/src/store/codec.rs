@@ -6,7 +6,7 @@
 //! against the previous event's timestamp (zigzag, because a `FuncBatch`
 //! carries its *start* time and can step backwards), and every other
 //! integer field is a varint. A typical `FuncEnter` costs 4–6 bytes
-//! against 19 in the legacy flat encoding.
+//! against the 19 of a fixed-width record.
 
 use bytes::{Buf, BufMut, BytesMut};
 use dynprof_sim::SimTime;

@@ -1,12 +1,12 @@
 //! # Chunk-indexed trace store (`VGVS`)
 //!
-//! The legacy `VGVT` format is one flat event array: reading *anything*
-//! means decoding *everything*, which dies at the paper's 144×8 scale and
-//! is hopeless at 10k+ ranks. The store replaces it with a seekable,
-//! chunk-compressed layout so every query touches only the bytes it
-//! needs. Format **version 2** (this layout) is also crash-consistent:
-//! every chunk carries a CRC-32 and the file is salvageable without its
-//! footer (see [`StoreReader::open_salvage`] and DESIGN §17).
+//! A flat event array means reading *anything* decodes *everything*,
+//! which dies at the paper's 144×8 scale and is hopeless at 10k+ ranks.
+//! The store is a seekable, chunk-compressed layout so every query
+//! touches only the bytes it needs. It is also crash-consistent: every
+//! chunk carries a CRC-32 and the file is salvageable without its footer
+//! (see [`StoreReader::open_salvage`] and DESIGN §17). Format **version
+//! 2** (this layout) is the only one written or read.
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────────────┐
@@ -31,11 +31,6 @@
 //! └────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Version-1 files (written before the CRC era: 36-byte chunk headers,
-//! 44-byte index entries, no preamble, 14-byte trailer) still open
-//! **read-only** through the same [`StoreReader`]; they simply have no
-//! checksums to verify.
-//!
 //! **Bounded memory.** The writer holds one open chunk per rank
 //! (`O(ranks × chunk_events)` events, never `O(trace)`); a chunk is
 //! encoded incrementally and written out the moment it fills. The reader
@@ -59,8 +54,8 @@
 //! [`EventSink`](dynprof_vt::EventSink)s: installed on a `VtLib` they
 //! capture a run as it happens, which is how `dynprof trace=` writes
 //! ([`write_store_from_vt`] flushes a buffered library after the run — the
-//! reference path — and [`write_store_from_trace`] converts legacy
-//! traces); [`compact`] merges
+//! reference path — and [`write_store_from_trace`] writes an in-memory
+//! [`Trace`](dynprof_vt::Trace)); [`compact`] merges
 //! small per-rank segment files into one indexed store, re-mapping
 //! function ids when the segments' dictionaries differ and re-verifying
 //! every input CRC on the way through.
@@ -138,10 +133,8 @@ use crate::error::TraceError;
 
 /// File magic of the chunk-indexed store format.
 pub const STORE_MAGIC: &[u8; 4] = b"VGVS";
-/// Current store format version (CRC-32 chunks, salvageable preamble).
+/// The store format version (CRC-32 chunks, salvageable preamble).
 pub const STORE_VERSION: u16 = 2;
-/// The pre-CRC store format version; such files open read-only.
-pub const STORE_VERSION_V1: u16 = 1;
 /// What [`compact`] and [`SegmentSet`] re-number a function id to when the
 /// member that recorded it never defined it (a capture torn before a late
 /// `VT_funcdef` reached a footer). No dictionary can define it — the
@@ -150,39 +143,12 @@ pub const STORE_VERSION_V1: u16 = 1;
 pub const UNKNOWN_FUNC: VtFuncId = VtFuncId(u32::MAX);
 /// Bytes of the fixed file header (magic + version + flags).
 pub(crate) const HEADER_BYTES: u64 = 8;
-
-/// Bytes of the per-chunk on-disk header the writer emits (version 2).
+/// Bytes of the per-chunk on-disk header.
 pub(crate) const CHUNK_HEADER_BYTES: usize = 40;
-
-/// Bytes of the per-chunk on-disk header for format `version`.
-pub(crate) fn chunk_header_bytes(version: u16) -> usize {
-    match version {
-        STORE_VERSION_V1 => 36,
-        _ => CHUNK_HEADER_BYTES,
-    }
-}
-
-/// Bytes of one footer-index entry for format `version`.
-pub(crate) fn index_entry_bytes(version: u16) -> usize {
-    match version {
-        STORE_VERSION_V1 => 44,
-        _ => 48,
-    }
-}
-
-/// Bytes of the trailing `footer_len | [footer crc] | magic | version`
-/// trailer for format `version`.
-pub(crate) fn trailer_bytes(version: u16) -> u64 {
-    match version {
-        STORE_VERSION_V1 => 14,
-        _ => 18,
-    }
-}
-
-/// Is `version` one this reader understands?
-pub(crate) fn version_supported(version: u16) -> bool {
-    version == STORE_VERSION_V1 || version == STORE_VERSION
-}
+/// Bytes of one footer-index entry.
+pub(crate) const INDEX_ENTRY_BYTES: usize = 48;
+/// Bytes of the `footer_len | footer crc | magic | version` trailer.
+pub(crate) const TRAILER_BYTES: u64 = 18;
 
 /// Writer/reader tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -211,12 +177,12 @@ pub struct ChunkMeta {
     /// Number of events.
     pub count: u32,
     /// CRC-32 over the chunk header's non-crc bytes followed by the
-    /// payload (0 in version-1 files, which carry no checksums).
+    /// payload.
     pub crc: u32,
     /// Minimum event timestamp.
     pub min_t: SimTime,
-    /// Maximum event *start* timestamp (the legacy trace's notion of the
-    /// last event time — timeline bounds use this).
+    /// Maximum event *start* timestamp ([`Trace`](dynprof_vt::Trace)'s
+    /// notion of the last event time — timeline bounds use this).
     pub max_t: SimTime,
     /// Maximum event *end* timestamp (spans included); window-overlap
     /// tests use `[min_t, max_end]`.
@@ -230,10 +196,9 @@ impl ChunkMeta {
         self.min_t <= t1 && self.max_end >= t0
     }
 
-    /// Total on-disk bytes of the chunk (header + payload) under format
-    /// `version`.
-    pub(crate) fn disk_bytes(&self, version: u16) -> u64 {
-        chunk_header_bytes(version) as u64 + self.enc_len as u64
+    /// Total on-disk bytes of the chunk (header + payload).
+    pub(crate) fn disk_bytes(&self) -> u64 {
+        CHUNK_HEADER_BYTES as u64 + self.enc_len as u64
     }
 }
 

@@ -22,8 +22,8 @@ use dynprof_vt::{Event, Trace};
 use super::codec::{decode_chunk, event_overlaps};
 use super::crc::{crc32, Crc32};
 use super::{
-    chunk_header_bytes, index_entry_bytes, trailer_bytes, version_supported, ChunkMeta,
-    EventSource, HEADER_BYTES, STORE_MAGIC, STORE_VERSION,
+    ChunkMeta, EventSource, CHUNK_HEADER_BYTES, HEADER_BYTES, INDEX_ENTRY_BYTES, STORE_MAGIC,
+    STORE_VERSION, TRAILER_BYTES,
 };
 use crate::error::TraceError;
 
@@ -82,9 +82,6 @@ pub struct SalvageSummary {
     /// the torn tail the crash destroyed. 0 means the scan consumed the
     /// file exactly.
     pub tail_bytes_dropped: u64,
-    /// The dictionary came from the salvage preamble (`true`) or had to
-    /// be synthesized as placeholder names (`false`, version-1 files).
-    pub dict_from_preamble: bool,
 }
 
 /// Summary of a store file, computed from the footer index alone
@@ -109,8 +106,6 @@ pub struct StoreInfo {
     pub t_max: SimTime,
     /// Latest event *end* timestamp (spans included).
     pub t_end: SimTime,
-    /// Store format version (2 = CRC-32 chunks, 1 = pre-CRC read-only).
-    pub version: u16,
     /// Segments backing this source (1 for a single file; rotated
     /// [`SegmentSet`](super::SegmentSet)s report their member count).
     pub segments: usize,
@@ -158,7 +153,7 @@ impl ChunkBuf {
         (head.get_u32_le(), head.get_u32_le(), head.get_u32_le())
     }
 
-    /// The CRC-32 a version-2 header stores (bytes 12..16).
+    /// The CRC-32 the header stores (bytes 12..16).
     pub(crate) fn stored_crc(&self) -> u32 {
         (&self.bytes()[12..16]).get_u32_le()
     }
@@ -170,15 +165,10 @@ impl ChunkBuf {
         Crc32::new().update(&raw[..12]).update(&raw[16..]).finish()
     }
 
-    /// Decode the payload behind a `header_bytes` header as `count` events
-    /// of `rank` (see [`decode_chunk`]: whole chunk or nothing).
-    pub(crate) fn decode(
-        &mut self,
-        header_bytes: usize,
-        rank: u32,
-        count: u32,
-    ) -> Result<usize, TraceError> {
-        let payload = &self.raw[header_bytes..self.len];
+    /// Decode the payload behind the header as `count` events of `rank`
+    /// (see [`decode_chunk`]: whole chunk or nothing).
+    fn decode(&mut self, rank: u32, count: u32) -> Result<usize, TraceError> {
+        let payload = &self.raw[CHUNK_HEADER_BYTES..self.len];
         decode_chunk(payload, rank, count, &mut self.events)
     }
 
@@ -190,10 +180,9 @@ impl ChunkBuf {
 
 /// Reader over a `VGVS` store file. Holds the footer index in memory
 /// (48 bytes per chunk); payloads are decoded one chunk at a time and
-/// verified against their CRC-32 (format version 2).
+/// verified against their CRC-32.
 pub struct StoreReader {
     file: std::fs::File,
-    version: u16,
     program: String,
     functions: Vec<String>,
     index: Vec<ChunkMeta>,
@@ -212,59 +201,40 @@ pub struct StoreReader {
 
 impl StoreReader {
     /// Open a store file: validate magic/version, read the footer index.
-    /// Accepts both current (version 2, checksummed) and legacy
-    /// (version 1, read-only) files; a missing or torn footer is the
-    /// typed [`TraceError::TruncatedFooter`] — reach for
-    /// [`StoreReader::open_salvage`] to recover such a capture.
+    /// A missing or torn footer is the typed [`TraceError::TruncatedFooter`]
+    /// — reach for [`StoreReader::open_salvage`] to recover such a
+    /// capture.
     pub fn open(path: impl AsRef<Path>) -> Result<StoreReader, TraceError> {
         let mut file = std::fs::File::open(path)?;
-        let file_bytes = file.seek(SeekFrom::End(0))?;
-        if file_bytes < HEADER_BYTES {
-            return Err(TraceError::TruncatedHeader);
-        }
-        let mut head = [0u8; HEADER_BYTES as usize];
-        file.seek(SeekFrom::Start(0))?;
-        file.read_exact(&mut head)?;
-        if &head[..4] != STORE_MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let version = u16::from_le_bytes([head[4], head[5]]);
-        if !version_supported(version) {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        let tbytes = trailer_bytes(version);
-        if file_bytes < HEADER_BYTES + tbytes {
+        let file_bytes = check_header(&mut file)?;
+        if file_bytes < HEADER_BYTES + TRAILER_BYTES {
             return Err(TraceError::TruncatedFooter);
         }
-        // Trailer: footer_len u64 | [footer crc u32] | magic | version.
-        let mut trailer = vec![0u8; tbytes as usize];
-        file.seek(SeekFrom::End(-(tbytes as i64)))?;
+        // Trailer: footer_len u64 | footer crc u32 | magic | version.
+        let mut trailer = [0u8; TRAILER_BYTES as usize];
+        file.seek(SeekFrom::End(-(TRAILER_BYTES as i64)))?;
         file.read_exact(&mut trailer)?;
-        let magic_at = trailer.len() - 6;
-        if &trailer[magic_at..magic_at + 4] != STORE_MAGIC
-            || u16::from_le_bytes([trailer[magic_at + 4], trailer[magic_at + 5]]) != version
-        {
+        if &trailer[12..16] != STORE_MAGIC || trailer[16..] != STORE_VERSION.to_le_bytes() {
             return Err(TraceError::TruncatedFooter);
         }
         let footer_len = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
+        let footer_crc = u32::from_le_bytes(trailer[8..12].try_into().expect("4 bytes"));
         // Checked arithmetic: a garbage footer_len near u64::MAX must be
         // a typed error, not a wrapping add that sneaks past the bound.
         let needed = footer_len
-            .checked_add(tbytes)
+            .checked_add(TRAILER_BYTES)
             .and_then(|v| v.checked_add(HEADER_BYTES))
             .ok_or(TraceError::TruncatedFooter)?;
         if needed > file_bytes {
             return Err(TraceError::TruncatedFooter);
         }
-        let back = i64::try_from(tbytes + footer_len).map_err(|_| TraceError::TruncatedFooter)?;
+        let back =
+            i64::try_from(TRAILER_BYTES + footer_len).map_err(|_| TraceError::TruncatedFooter)?;
         file.seek(SeekFrom::End(-back))?;
         let mut footer = vec![0u8; footer_len as usize];
         file.read_exact(&mut footer)?;
-        if version >= STORE_VERSION {
-            let footer_crc = u32::from_le_bytes(trailer[8..12].try_into().expect("4 bytes"));
-            if crc32(&footer) != footer_crc {
-                return Err(TraceError::TruncatedFooter);
-            }
+        if crc32(&footer) != footer_crc {
+            return Err(TraceError::TruncatedFooter);
         }
         let mut buf: &[u8] = &footer;
         let program = take_string(&mut buf)?;
@@ -280,34 +250,24 @@ impl StoreReader {
             return Err(TraceError::TruncatedFooter);
         }
         let nc = buf.get_u32_le() as usize;
-        let entry = index_entry_bytes(version);
         let mut index = Vec::with_capacity(nc.min(1 << 24));
         for i in 0..nc {
-            if buf.remaining() < entry {
+            if buf.remaining() < INDEX_ENTRY_BYTES {
                 return Err(TraceError::TruncatedFooter);
             }
-            let rank = buf.get_u32_le();
-            let offset = buf.get_u64_le();
-            let enc_len = buf.get_u32_le();
-            let count = buf.get_u32_le();
-            let crc = if version >= STORE_VERSION {
-                buf.get_u32_le()
-            } else {
-                0
-            };
             let meta = ChunkMeta {
-                rank,
-                offset,
-                enc_len,
-                count,
-                crc,
+                rank: buf.get_u32_le(),
+                offset: buf.get_u64_le(),
+                enc_len: buf.get_u32_le(),
+                count: buf.get_u32_le(),
+                crc: buf.get_u32_le(),
                 min_t: SimTime::from_nanos(buf.get_u64_le()),
                 max_t: SimTime::from_nanos(buf.get_u64_le()),
                 max_end: SimTime::from_nanos(buf.get_u64_le()),
             };
             let end = meta
                 .offset
-                .checked_add(meta.disk_bytes(version))
+                .checked_add(meta.disk_bytes())
                 .ok_or(TraceError::ShortChunk { index: i })?;
             if end > file_bytes {
                 return Err(TraceError::ShortChunk { index: i });
@@ -315,7 +275,7 @@ impl StoreReader {
             index.push(meta);
         }
         Ok(StoreReader::from_parts(
-            file, version, program, functions, index, file_bytes, None,
+            file, program, functions, index, file_bytes, None,
         ))
     }
 
@@ -323,7 +283,6 @@ impl StoreReader {
     /// scanner builds its index without a footer).
     pub(crate) fn from_parts(
         file: std::fs::File,
-        version: u16,
         program: String,
         functions: Vec<String>,
         index: Vec<ChunkMeta>,
@@ -333,7 +292,6 @@ impl StoreReader {
         let events = index.iter().map(|m| m.count as u64).sum();
         StoreReader {
             file,
-            version,
             program,
             functions,
             index,
@@ -363,11 +321,6 @@ impl StoreReader {
     /// [`StoreReader::salvage`]. See `vgv fsck [--repair]`.
     pub fn open_salvage(path: impl AsRef<Path>) -> Result<StoreReader, TraceError> {
         super::salvage::open_salvage(path)
-    }
-
-    /// Store format version (2 = current, 1 = pre-CRC legacy).
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Program name recorded by the writer.
@@ -454,7 +407,6 @@ impl StoreReader {
             t_min,
             t_max,
             t_end,
-            version: self.version,
             segments: 1,
             salvage: self.salvage,
         }
@@ -462,9 +414,9 @@ impl StoreReader {
 
     /// Chunk `i`'s events, read into the reader's own buffers (exactly one
     /// chunk resident at a time): its header checked against the index,
-    /// its CRC-32 verified on version-2 files, and every event decoded
-    /// before any is handed out — a chunk with one malformed event yields
-    /// an error, never its intact front half.
+    /// its CRC-32 verified, and every event decoded before any is handed
+    /// out — a chunk with one malformed event yields an error, never its
+    /// intact front half.
     pub fn chunk_events(&mut self, i: usize) -> Result<&[Event], TraceError> {
         let meta = *self
             .index
@@ -475,26 +427,23 @@ impl StoreReader {
         } else {
             None
         };
-        let hbytes = chunk_header_bytes(self.version);
         // `open` checked that the index entry lies inside the file, so the
         // length is bounded by the file's size.
         self.chunk
-            .read(&mut self.file, meta.offset, hbytes + meta.enc_len as usize)
+            .read(&mut self.file, meta.offset, meta.disk_bytes() as usize)
             .map_err(|_| TraceError::ShortChunk { index: i })?;
         if self.chunk.head() != (meta.rank, meta.count, meta.enc_len) {
             return Err(TraceError::ShortChunk { index: i });
         }
-        if self.version >= STORE_VERSION {
-            let actual = self.chunk.crc();
-            if actual != self.chunk.stored_crc() || actual != meta.crc {
-                if obs::enabled() {
-                    obs_chunks_bad_crc(1);
-                }
-                return Err(TraceError::ChecksumMismatch { index: i });
+        let actual = self.chunk.crc();
+        if actual != self.chunk.stored_crc() || actual != meta.crc {
+            if obs::enabled() {
+                obs_chunks_bad_crc(1);
             }
+            return Err(TraceError::ChecksumMismatch { index: i });
         }
         self.peak_chunk_bytes = self.peak_chunk_bytes.max(meta.enc_len as usize);
-        self.chunk.decode(hbytes, meta.rank, meta.count)?;
+        self.chunk.decode(meta.rank, meta.count)?;
         if let Some(t0) = start {
             obs::histogram("analysis.decode_real_ns").record(t0.elapsed().as_nanos() as u64);
             obs_chunks_read(1);
@@ -613,9 +562,9 @@ impl StoreReader {
         out
     }
 
-    /// Materialize the whole store as a legacy [`Trace`] (merged across
-    /// ranks, `(time, rank)`-sorted) — the compatibility escape hatch and
-    /// the reference path the streaming queries are tested against.
+    /// Materialize the whole store as a [`Trace`] (merged across ranks,
+    /// `(time, rank)`-sorted) — the reference path the streaming queries
+    /// are tested against.
     /// Memory is `O(trace)`; avoid on large stores.
     pub fn read_all(&mut self) -> Result<Trace, TraceError> {
         let mut events = Vec::with_capacity(self.events as usize);
@@ -663,6 +612,26 @@ impl EventSource for StoreReader {
     ) -> Result<QueryStats, TraceError> {
         self.query_dyn(window, rank, f)
     }
+}
+
+/// Check the 8-byte file header — the `VGVS` magic, then the one version
+/// this reader knows — and return the file's size.
+pub(crate) fn check_header(file: &mut std::fs::File) -> Result<u64, TraceError> {
+    let file_bytes = file.seek(SeekFrom::End(0))?;
+    if file_bytes < HEADER_BYTES {
+        return Err(TraceError::TruncatedHeader);
+    }
+    let mut head = [0u8; HEADER_BYTES as usize];
+    file.seek(SeekFrom::Start(0))?;
+    file.read_exact(&mut head)?;
+    if &head[..4] != STORE_MAGIC {
+        return Err(TraceError::BadMagic);
+    }
+    let version = u16::from_le_bytes([head[4], head[5]]);
+    if version != STORE_VERSION {
+        return Err(TraceError::UnsupportedVersion(version));
+    }
+    Ok(file_bytes)
 }
 
 pub(crate) fn take_string(buf: &mut &[u8]) -> Result<String, TraceError> {

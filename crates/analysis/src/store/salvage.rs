@@ -14,17 +14,15 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::Buf;
 use dynprof_obs as obs;
 use dynprof_sim::SimTime;
-use dynprof_vt::Event;
 
 use super::crc::crc32;
-use super::reader::{take_string, ChunkBuf, SalvageSummary, StoreReader};
-use super::writer::{encode_preamble, put_string};
+use super::reader::{check_header, take_string, ChunkBuf, SalvageSummary, StoreReader};
+use super::writer::{encode_footer_and_trailer, encode_preamble};
 use super::{
-    chunk_header_bytes, trailer_bytes, version_supported, ChunkMeta, HEADER_BYTES, STORE_MAGIC,
-    STORE_VERSION, STORE_VERSION_V1,
+    ChunkMeta, CHUNK_HEADER_BYTES, HEADER_BYTES, STORE_MAGIC, STORE_VERSION, TRAILER_BYTES,
 };
 use crate::error::TraceError;
 
@@ -37,7 +35,7 @@ fn obs_chunks_salvaged(n: u64) {
 /// What `fsck` concluded about the store's footer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FooterState {
-    /// Footer and trailer parse and (version 2) the footer CRC matches.
+    /// Footer and trailer parse and the footer CRC matches.
     Valid,
     /// Trailer magic is present but the footer is unreadable — torn
     /// mid-write or corrupted afterwards.
@@ -72,8 +70,6 @@ pub struct ChunkFault {
 pub struct FsckReport {
     /// The store that was checked.
     pub path: PathBuf,
-    /// Store format version (2 = checksummed, 1 = pre-CRC legacy).
-    pub version: u16,
     /// File size in bytes.
     pub file_bytes: u64,
     /// Footer verdict.
@@ -89,9 +85,6 @@ pub struct FsckReport {
     /// Bytes past the last provable chunk that salvage would drop
     /// (torn final chunk, partial footer). 0 on a clean file.
     pub tail_bytes: u64,
-    /// Whether the function dictionary was recovered (preamble or
-    /// footer) rather than synthesized.
-    pub dict_recovered: bool,
 }
 
 impl FsckReport {
@@ -110,8 +103,8 @@ impl FsckReport {
         let mut out = String::new();
         let name = self.path.display();
         out.push_str(&format!(
-            "fsck {name}: format v{}, {} bytes, program \"{}\"\n",
-            self.version, self.file_bytes, self.program
+            "fsck {name}: format v{STORE_VERSION}, {} bytes, program \"{}\"\n",
+            self.file_bytes, self.program
         ));
         out.push_str(&format!("  footer: {}\n", self.footer));
         out.push_str(&format!(
@@ -148,11 +141,9 @@ impl FsckReport {
 
 /// What a forward scan recovered from a footer-less (or torn) store.
 struct ScanOutcome {
-    version: u16,
     file_bytes: u64,
     program: String,
     functions: Vec<String>,
-    dict_recovered: bool,
     chunks: Vec<ChunkMeta>,
     /// Offset just past the last recovered chunk.
     chunks_end: u64,
@@ -160,79 +151,42 @@ struct ScanOutcome {
     stop_reason: Option<String>,
 }
 
-/// Read the 8-byte file header, returning the format version.
-fn read_version(file: &mut std::fs::File, file_bytes: u64) -> Result<u16, TraceError> {
-    if file_bytes < HEADER_BYTES {
-        return Err(TraceError::TruncatedHeader);
-    }
-    let mut head = [0u8; HEADER_BYTES as usize];
-    file.seek(SeekFrom::Start(0))?;
-    file.read_exact(&mut head)?;
-    if &head[..4] != STORE_MAGIC {
-        return Err(TraceError::BadMagic);
-    }
-    let version = u16::from_le_bytes([head[4], head[5]]);
-    if !version_supported(version) {
-        return Err(TraceError::UnsupportedVersion(version));
-    }
-    Ok(version)
-}
-
 /// Forward-scan `file` for self-describing chunks, trusting nothing the
-/// bytes cannot prove: version-2 chunks must pass their CRC-32,
-/// version-1 chunks must decode event-by-event to exactly their declared
-/// length.
+/// bytes cannot prove: each chunk must pass its CRC-32.
 fn forward_scan(file: &mut std::fs::File) -> Result<ScanOutcome, TraceError> {
-    let file_bytes = file.seek(SeekFrom::End(0))?;
-    let version = read_version(file, file_bytes)?;
-    let mut program = String::from("unknown");
-    let mut functions: Vec<String> = Vec::new();
-    let mut dict_recovered = false;
-    let mut pos = HEADER_BYTES;
-    let mut stop_reason: Option<String> = None;
-
-    if version >= STORE_VERSION {
-        // The CRC-framed preamble precedes the first chunk. If it cannot
-        // be validated we do not know where chunk data starts — which
-        // only happens when the writer died before flushing anything.
-        match read_preamble(file, file_bytes, pos) {
-            Ok((p, fns, end)) => {
-                program = p;
-                functions = fns;
-                dict_recovered = true;
-                pos = end;
-            }
-            Err(reason) => {
-                return Ok(ScanOutcome {
-                    version,
-                    file_bytes,
-                    program,
-                    functions,
-                    dict_recovered: false,
-                    chunks: Vec::new(),
-                    chunks_end: pos,
-                    stop_reason: Some(reason),
-                });
-            }
+    let file_bytes = check_header(file)?;
+    // The CRC-framed preamble precedes the first chunk. If it cannot be
+    // validated we do not know where chunk data starts — which only
+    // happens when the writer died before flushing anything.
+    let (program, functions, mut pos) = match read_preamble(file, file_bytes, HEADER_BYTES) {
+        Ok(preamble) => preamble,
+        Err(reason) => {
+            return Ok(ScanOutcome {
+                file_bytes,
+                program: String::from("unknown"),
+                functions: Vec::new(),
+                chunks: Vec::new(),
+                chunks_end: HEADER_BYTES,
+                stop_reason: Some(reason),
+            });
         }
-    }
+    };
 
-    let hbytes = chunk_header_bytes(version);
     let mut chunks: Vec<ChunkMeta> = Vec::new();
-    let mut max_func: Option<u32> = None;
+    let mut stop_reason: Option<String> = None;
     let mut chunk = ChunkBuf::default();
     loop {
         let remaining = file_bytes - pos;
-        if remaining < hbytes as u64 {
+        if remaining < CHUNK_HEADER_BYTES as u64 {
             if remaining > 0 {
                 stop_reason = Some(format!("{remaining} trailing bytes, no chunk header"));
             }
             break;
         }
         // The header alone first: nothing else says how long the chunk is.
-        chunk.read(file, pos, hbytes)?;
+        chunk.read(file, pos, CHUNK_HEADER_BYTES)?;
         let (rank, count, enc_len) = chunk.head();
-        let mut times = &chunk.bytes()[hbytes - 24..];
+        let mut times = &chunk.bytes()[CHUNK_HEADER_BYTES - 24..];
         let (min_t, max_t, max_end) = (times.get_u64_le(), times.get_u64_le(), times.get_u64_le());
         // A writer never flushes an empty chunk; zero fields mean we are
         // looking at footer bytes or a torn header.
@@ -241,7 +195,7 @@ fn forward_scan(file: &mut std::fs::File) -> Result<ScanOutcome, TraceError> {
             break;
         }
         let end = match pos
-            .checked_add(hbytes as u64)
+            .checked_add(CHUNK_HEADER_BYTES as u64)
             .and_then(|v| v.checked_add(enc_len as u64))
         {
             Some(end) if end <= file_bytes => end,
@@ -252,32 +206,18 @@ fn forward_scan(file: &mut std::fs::File) -> Result<ScanOutcome, TraceError> {
                 break;
             }
         };
-        chunk.read(file, pos, hbytes + enc_len as usize)?;
-        let crc_field;
-        if version >= STORE_VERSION {
-            crc_field = chunk.stored_crc();
-            if chunk.crc() != crc_field {
-                stop_reason = Some("chunk CRC-32 mismatch".to_string());
-                break;
-            }
-        } else {
-            // Version 1 has no checksum: prove the chunk by decoding it,
-            // to the last byte.
-            crc_field = 0;
-            if !matches!(chunk.decode(hbytes, rank, count), Ok(0)) {
-                stop_reason = Some("chunk does not decode".to_string());
-                break;
-            }
-            for ev in chunk.events() {
-                track_max_func(ev, &mut max_func);
-            }
+        chunk.read(file, pos, CHUNK_HEADER_BYTES + enc_len as usize)?;
+        let crc = chunk.stored_crc();
+        if chunk.crc() != crc {
+            stop_reason = Some("chunk CRC-32 mismatch".to_string());
+            break;
         }
         chunks.push(ChunkMeta {
             rank,
             offset: pos,
             enc_len,
             count,
-            crc: crc_field,
+            crc,
             min_t: SimTime::from_nanos(min_t),
             max_t: SimTime::from_nanos(max_t),
             max_end: SimTime::from_nanos(max_end),
@@ -285,34 +225,14 @@ fn forward_scan(file: &mut std::fs::File) -> Result<ScanOutcome, TraceError> {
         pos = end;
     }
 
-    if version == STORE_VERSION_V1 && !dict_recovered {
-        // No preamble in version 1: synthesize placeholder names wide
-        // enough for every function id the recovered events reference.
-        if let Some(max) = max_func {
-            functions = (0..=max).map(|i| format!("fn#{i}")).collect();
-        }
-    }
-
     Ok(ScanOutcome {
-        version,
         file_bytes,
         program,
         functions,
-        dict_recovered,
         chunks,
         chunks_end: pos,
         stop_reason,
     })
-}
-
-fn track_max_func(ev: &Event, max_func: &mut Option<u32>) {
-    if let Event::FuncEnter { func, .. }
-    | Event::FuncExit { func, .. }
-    | Event::FuncBatch { func, .. }
-    | Event::FuncSuppressed { func, .. } = ev
-    {
-        *max_func = Some(max_func.map_or(func.0, |m| m.max(func.0)));
-    }
 }
 
 /// Parse the CRC-framed preamble at `pos`. Returns the program, the
@@ -367,7 +287,6 @@ pub(crate) fn open_salvage(path: impl AsRef<Path>) -> Result<StoreReader, TraceE
                 chunks_recovered: r.chunks().len(),
                 events_recovered: events,
                 tail_bytes_dropped: 0,
-                dict_from_preamble: r.version() >= STORE_VERSION,
             };
             Ok(r.with_salvage(summary))
         }
@@ -378,14 +297,12 @@ pub(crate) fn open_salvage(path: impl AsRef<Path>) -> Result<StoreReader, TraceE
                 chunks_recovered: scan.chunks.len(),
                 events_recovered: scan.chunks.iter().map(|m| m.count as u64).sum(),
                 tail_bytes_dropped: scan.file_bytes - scan.chunks_end,
-                dict_from_preamble: scan.dict_recovered,
             };
             if obs::enabled() {
                 obs_chunks_salvaged(summary.chunks_recovered as u64);
             }
             Ok(StoreReader::from_parts(
                 file,
-                scan.version,
                 scan.program,
                 scan.functions,
                 scan.chunks,
@@ -399,14 +316,14 @@ pub(crate) fn open_salvage(path: impl AsRef<Path>) -> Result<StoreReader, TraceE
 
 /// Classify a file that failed the normal footer parse: trailer magic
 /// present → [`FooterState::Torn`], absent → [`FooterState::Missing`].
-fn classify_footer(path: &Path, version: u16) -> FooterState {
+fn classify_footer(path: &Path) -> FooterState {
     let Ok(mut file) = std::fs::File::open(path) else {
         return FooterState::Missing;
     };
     let Ok(file_bytes) = file.seek(SeekFrom::End(0)) else {
         return FooterState::Missing;
     };
-    if file_bytes < HEADER_BYTES + trailer_bytes(version) {
+    if file_bytes < HEADER_BYTES + TRAILER_BYTES {
         return FooterState::Missing;
     }
     let mut tail = [0u8; 6];
@@ -421,8 +338,8 @@ fn classify_footer(path: &Path, version: u16) -> FooterState {
 }
 
 /// Check a store end to end: footer parse, then per-chunk verification
-/// (CRC on version 2, full decode on version 1); footer-less files get
-/// the forward salvage scan. Corruption is *reported*, not an error —
+/// (CRC, then a full decode); footer-less files get the forward salvage
+/// scan. Corruption is *reported*, not an error —
 /// `fsck` only fails on I/O problems or a file that is not a store at
 /// all.
 pub fn fsck(path: impl AsRef<Path>) -> Result<FsckReport, TraceError> {
@@ -449,7 +366,6 @@ pub fn fsck(path: impl AsRef<Path>) -> Result<FsckReport, TraceError> {
             let info = r.info();
             Ok(FsckReport {
                 path: path.to_path_buf(),
-                version: r.version(),
                 file_bytes: info.file_bytes,
                 footer: FooterState::Valid,
                 program: r.program().to_string(),
@@ -457,7 +373,6 @@ pub fn fsck(path: impl AsRef<Path>) -> Result<FsckReport, TraceError> {
                 events_ok,
                 faults,
                 tail_bytes: 0,
-                dict_recovered: true,
             })
         }
         Err(TraceError::TruncatedFooter) => {
@@ -474,15 +389,13 @@ pub fn fsck(path: impl AsRef<Path>) -> Result<FsckReport, TraceError> {
             }
             Ok(FsckReport {
                 path: path.to_path_buf(),
-                version: scan.version,
                 file_bytes: scan.file_bytes,
-                footer: classify_footer(path, scan.version),
+                footer: classify_footer(path),
                 program: scan.program.clone(),
                 chunks_ok: scan.chunks.len(),
                 events_ok: scan.chunks.iter().map(|m| m.count as u64).sum(),
                 faults,
                 tail_bytes,
-                dict_recovered: scan.dict_recovered,
             })
         }
         Err(e) => Err(e),
@@ -499,7 +412,7 @@ pub fn repair(path: impl AsRef<Path>, out: impl AsRef<Path>) -> Result<FsckRepor
     let path = path.as_ref();
     let report = fsck(path)?;
     // Collect the good chunks (index + metadata) the same way fsck did.
-    let (version, program, functions, good): (u16, String, Vec<String>, Vec<ChunkMeta>) =
+    let (program, functions, good): (String, Vec<String>, Vec<ChunkMeta>) =
         match StoreReader::open(path) {
             Ok(mut r) => {
                 let mut good = Vec::new();
@@ -509,17 +422,12 @@ pub fn repair(path: impl AsRef<Path>, out: impl AsRef<Path>) -> Result<FsckRepor
                         good.push(meta);
                     }
                 }
-                (
-                    r.version(),
-                    r.program().to_string(),
-                    r.functions().to_vec(),
-                    good,
-                )
+                (r.program().to_string(), r.functions().to_vec(), good)
             }
             Err(TraceError::TruncatedFooter) => {
                 let mut file = std::fs::File::open(path)?;
                 let scan = forward_scan(&mut file)?;
-                (scan.version, scan.program, scan.functions, scan.chunks)
+                (scan.program, scan.functions, scan.chunks)
             }
             Err(e) => return Err(e),
         };
@@ -528,17 +436,14 @@ pub fn repair(path: impl AsRef<Path>, out: impl AsRef<Path>) -> Result<FsckRepor
     let mut sink = std::io::BufWriter::new(std::fs::File::create(out.as_ref())?);
     let mut header = [0u8; HEADER_BYTES as usize];
     header[..4].copy_from_slice(STORE_MAGIC);
-    header[4..6].copy_from_slice(&version.to_le_bytes());
+    header[4..6].copy_from_slice(&STORE_VERSION.to_le_bytes());
     sink.write_all(&header)?;
-    let mut pos = HEADER_BYTES;
-    if version >= STORE_VERSION {
-        let framed = encode_preamble(&program, &functions);
-        sink.write_all(&framed)?;
-        pos += framed.len() as u64;
-    }
+    let framed = encode_preamble(&program, &functions);
+    sink.write_all(&framed)?;
+    let mut pos = HEADER_BYTES + framed.len() as u64;
     let mut index = Vec::with_capacity(good.len());
     for meta in &good {
-        let disk = meta.disk_bytes(version);
+        let disk = meta.disk_bytes();
         let mut raw = vec![0u8; disk as usize];
         input.seek(SeekFrom::Start(meta.offset))?;
         input.read_exact(&mut raw)?;
@@ -548,43 +453,8 @@ pub fn repair(path: impl AsRef<Path>, out: impl AsRef<Path>) -> Result<FsckRepor
         index.push(moved);
         pos += disk;
     }
-    let footer = encode_footer_versioned(version, &program, &functions, &index);
+    let footer = encode_footer_and_trailer(&program, &functions, &index);
     sink.write_all(&footer)?;
     sink.flush()?;
     Ok(report)
-}
-
-/// Encode the footer + trailer in the given format version (repair must
-/// preserve the input's version so its raw-copied chunk headers stay
-/// self-consistent).
-fn encode_footer_versioned(
-    version: u16,
-    program: &str,
-    functions: &[String],
-    index: &[ChunkMeta],
-) -> BytesMut {
-    if version >= STORE_VERSION {
-        return super::writer::encode_footer_and_trailer(program, functions, index);
-    }
-    let mut footer = BytesMut::new();
-    put_string(&mut footer, program);
-    footer.put_u32_le(functions.len() as u32);
-    for f in functions {
-        put_string(&mut footer, f);
-    }
-    footer.put_u32_le(index.len() as u32);
-    for m in index {
-        footer.put_u32_le(m.rank);
-        footer.put_u64_le(m.offset);
-        footer.put_u32_le(m.enc_len);
-        footer.put_u32_le(m.count);
-        footer.put_u64_le(m.min_t.as_nanos());
-        footer.put_u64_le(m.max_t.as_nanos());
-        footer.put_u64_le(m.max_end.as_nanos());
-    }
-    let footer_len = footer.len() as u64;
-    footer.put_u64_le(footer_len);
-    footer.put_slice(STORE_MAGIC);
-    footer.put_u16_le(STORE_VERSION_V1);
-    footer
 }

@@ -520,7 +520,6 @@ impl EventSource for SegmentSet {
             out.chunks += info.chunks;
             out.events += info.events;
             out.file_bytes += info.file_bytes;
-            out.version = out.version.max(info.version);
             ranks.extend(m.reader.ranks());
             if info.chunks == 0 {
                 continue;

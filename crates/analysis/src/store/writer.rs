@@ -565,7 +565,7 @@ pub(crate) fn encode_footer_and_trailer(
     footer
 }
 
-pub(crate) fn put_string(buf: &mut BytesMut, s: &str) {
+fn put_string(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
@@ -591,7 +591,7 @@ pub fn write_store_from_vt(
     w.finish()
 }
 
-/// Convert an in-memory (legacy) [`Trace`] into a store file.
+/// Write an in-memory [`Trace`] as a store file.
 pub fn write_store_from_trace(
     trace: &Trace,
     path: impl AsRef<Path>,

@@ -1,34 +1,59 @@
 //! The `vgv` binary at its process boundary: what it does when its
-//! standard output goes away or fills up.
+//! standard output goes away or fills up, how it opens what it is given,
+//! and how it exits on input it cannot use.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
-use dynprof_analysis::store::{StoreOptions, StoreWriter};
+use dynprof_analysis::store::{
+    RetentionPolicy, RotatingWriter, RotationPolicy, StoreOptions, StoreReader, StoreWriter,
+};
 use dynprof_sim::SimTime;
 use dynprof_vt::Event;
 
 const RANKS: u32 = 160;
 
+fn tmp(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("dynprof-vgv-cli");
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join(format!("{name}-{}.vgvs", std::process::id()))
+}
+
+/// Rank `rank`'s one event: a send to its neighbour.
+fn send(rank: u32) -> Event {
+    Event::MpiCall {
+        t: SimTime::from_micros(10),
+        t_end: SimTime::from_micros(90),
+        rank,
+        op: 2,
+        peer: ((rank + 1) % RANKS) as i32,
+        bytes: 4_096,
+    }
+}
+
 /// A store whose `comm` and `slice` reports are both far larger than a
 /// pipe's buffer (64 KB): 160 ranks, each sending to its neighbour.
 fn store(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("dynprof-vgv-cli");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{name}-{}.vgvs", std::process::id()));
+    let path = tmp(name);
     let mut w = StoreWriter::create(&path, "cli", StoreOptions::default()).unwrap();
     for rank in 0..RANKS {
-        w.append(&Event::MpiCall {
-            t: SimTime::from_micros(10),
-            t_end: SimTime::from_micros(90),
-            rank,
-            op: 2,
-            peer: ((rank + 1) % RANKS) as i32,
-            bytes: 4_096,
-        });
+        w.append(&send(rank));
     }
     w.finish().unwrap();
     path
+}
+
+/// Run `vgv` to completion, capturing both output streams.
+fn run(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_vgv"))
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .expect("vgv runs")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
 fn vgv(args: &[&str], stdout: Stdio) -> Output {
@@ -87,5 +112,127 @@ fn a_full_device_is_a_typed_error() {
             "one line, no backtrace: {stderr}"
         );
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// `view` and `convert` open a footer-less capture with `--salvage`, as
+/// every other store command does, and refuse it without.
+#[test]
+fn view_and_convert_salvage_a_footerless_store() {
+    let path = store("footerless");
+    let data_end = StoreReader::open(&path)
+        .unwrap()
+        .chunks()
+        .iter()
+        .map(|c| c.offset + 40 + c.enc_len as u64)
+        .max()
+        .unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..data_end as usize]).unwrap();
+    let (cut, copy) = (path.to_str().unwrap(), tmp("footerless-copy"));
+    let copy = copy.to_str().unwrap();
+
+    for args in [&["view", cut][..], &["convert", cut, copy][..]] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert!(stderr(&out).contains("truncated store footer"), "{out:?}");
+    }
+    let view = run(&["view", cut, "--salvage"]);
+    assert_eq!(view.status.code(), Some(0), "{view:?}");
+    let text = String::from_utf8_lossy(&view.stdout);
+    assert!(text.contains(&format!("\n{RANKS} events, ")), "{text}");
+    let convert = run(&["convert", cut, copy, "--salvage"]);
+    assert_eq!(convert.status.code(), Some(0), "{convert:?}");
+    assert_eq!(StoreReader::open(copy).unwrap().info().events, RANKS as u64);
+    for p in [cut, copy] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+/// `view` reads a rotated `run.NNNN.vgvs` family as the one store it was
+/// cut from: the same bytes out.
+#[test]
+fn view_reads_a_rotated_family_as_one_store() {
+    let whole = store("whole");
+    let base = tmp("family");
+    let mut w = RotatingWriter::create(
+        &base,
+        "cli",
+        StoreOptions::default(),
+        RotationPolicy::by_events(RANKS as u64 / 2),
+        RetentionPolicy::default(),
+    )
+    .unwrap();
+    for rank in 0..RANKS {
+        w.append(&send(rank)).unwrap();
+    }
+    let segments = w.finish().unwrap().segments;
+    assert_eq!(segments.len(), 2);
+
+    let family = run(&["view", base.to_str().unwrap()]);
+    assert_eq!(family.status.code(), Some(0), "{family:?}");
+    let one = run(&["view", whole.to_str().unwrap()]);
+    assert_eq!(one.status.code(), Some(0), "{one:?}");
+    assert_eq!(family.stdout, one.stdout);
+    for p in segments.iter().chain([&whole]) {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+/// A flat trace file, in the format the store replaced, is not a store:
+/// one line naming the file, exit 1.
+#[test]
+fn a_flat_trace_is_bad_magic() {
+    let path = tmp("flat");
+    std::fs::write(&path, b"VGVT\x01\x00\x03\x00\x00\x00cli\x00\x00\x00\x00").unwrap();
+    let (name, out_path) = (path.to_str().unwrap(), tmp("flat-out"));
+    let copy = out_path.to_str().unwrap();
+    for args in [
+        &["view", name][..],
+        &["info", name],
+        &["convert", name, copy],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert_eq!(
+            stderr(&out),
+            format!("vgv: {name}: bad magic (not a VGVS store)\n"),
+            "{args:?}"
+        );
+    }
+    assert!(
+        !out_path.exists(),
+        "nothing is written from a file that is not a store"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// A flag value that does not parse — a count that is not a number, a
+/// time that is not finite — is a usage error: one line, exit 2.
+#[test]
+fn malformed_flag_values_are_usage_errors() {
+    let path = store("flags");
+    let name = path.to_str().unwrap();
+    let slice = |t0: &str| run(&["slice", name, "--t0", t0, "--t1", "1ms"]);
+    for (out, flag) in [
+        (run(&["top", name, "--top", "x"]), "--top"),
+        (run(&["view", name, "--width", "-1"]), "--width"),
+        (
+            run(&["slice", name, "--t0", "0", "--t1", "1ms", "--rank", "r"]),
+            "--rank",
+        ),
+        (slice("bad"), "--t0"),
+        (slice("nan"), "--t0"),
+        (slice("inf"), "--t0"),
+        (slice("1e400"), "--t0"),
+        (slice("1e300s"), "--t0"),
+        (slice("-1us"), "--t0"),
+    ] {
+        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+        let err = stderr(&out);
+        assert!(err.starts_with(&format!("vgv: {flag}: ")), "{err}");
+        assert_eq!(err.lines().count(), 1, "{err}");
+    }
+    assert_eq!(slice("2.5ms").status.code(), Some(0));
     std::fs::remove_file(&path).ok();
 }

@@ -525,7 +525,7 @@ mod tests {
     fn trace_option_streams_a_store_identical_to_the_buffered_flush() {
         let dir = std::env::temp_dir().join("dynprof-cli-test");
         // Whatever the extension says, `trace=` writes a VGVS store.
-        let store = dir.join(format!("vs-{}.vgvt", std::process::id()));
+        let store = dir.join(format!("vs-{}.trace", std::process::id()));
         let trace_opt = format!("trace={}", store.display());
         let (args, script) = sweep3d_args("vs", &[&trace_opt]);
         let out = run_cli(&args).unwrap();

@@ -498,40 +498,6 @@ fn bench_verifier() {
     );
 }
 
-fn bench_trace_codec() {
-    let trace = {
-        let mut events = Vec::new();
-        for i in 0..10_000u64 {
-            events.push(dynprof_vt::Event::FuncEnter {
-                t: SimTime::from_nanos(i * 100),
-                rank: (i % 64) as u32,
-                thread: 0,
-                func: dynprof_vt::VtFuncId((i % 199) as u32),
-            });
-        }
-        Trace {
-            program: "bench".into(),
-            functions: (0..199).map(|i| format!("fn_{i}")).collect(),
-            events,
-        }
-    };
-    bench("trace/encode_10k_events", |iters| {
-        let t = Instant::now();
-        for _ in 0..iters {
-            black_box(trace.encode());
-        }
-        t.elapsed()
-    });
-    let encoded = trace.encode();
-    bench("trace/decode_10k_events", |iters| {
-        let t = Instant::now();
-        for _ in 0..iters {
-            black_box(Trace::decode(black_box(encoded.clone())).unwrap());
-        }
-        t.elapsed()
-    });
-}
-
 /// The store's CRC bill: appending a 10k-event trace through the full
 /// chunked writer (encode + checksum + buffered I/O to memory) next to
 /// the raw CRC-32 pass over the same bytes. The checksum must stay a
@@ -1460,7 +1426,6 @@ fn main() {
     bench_vt_fast_paths();
     bench_image_call();
     bench_verifier();
-    bench_trace_codec();
     bench_store_crc();
     bench_stage_event();
     bench_query_path();

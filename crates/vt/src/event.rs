@@ -1,4 +1,4 @@
-//! Trace events and the binary trace-file format.
+//! Trace events and the in-memory trace.
 //!
 //! The trace file "contains time-stamped events describing function
 //! entries and exits, MPI library calls, and OpenMP parallel region
@@ -7,8 +7,6 @@
 //! pairs of a very hot leaf function: its *accounted* trace volume is that
 //! of `2 × count` plain events (see `trace_bytes_of`), keeping the paper's
 //! data-volume arithmetic intact while the in-memory trace stays tractable.
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use dynprof_sim::SimTime;
 
@@ -188,239 +186,6 @@ impl Event {
             _ => event_bytes as u64,
         }
     }
-
-    fn kind(&self) -> u8 {
-        match self {
-            Event::FuncEnter { .. } => 1,
-            Event::FuncExit { .. } => 2,
-            Event::FuncBatch { .. } => 3,
-            Event::MpiCall { .. } => 4,
-            Event::OmpFork { .. } => 5,
-            Event::OmpJoin { .. } => 6,
-            Event::OmpThread { .. } => 7,
-            Event::ConfSync { .. } => 8,
-            Event::Suspended { .. } => 9,
-            Event::FuncSuppressed { .. } => 10,
-        }
-    }
-
-    /// Append the binary encoding of this event.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(self.kind());
-        match *self {
-            Event::FuncEnter {
-                t,
-                rank,
-                thread,
-                func,
-            }
-            | Event::FuncExit {
-                t,
-                rank,
-                thread,
-                func,
-            } => {
-                buf.put_u64_le(t.as_nanos());
-                buf.put_u32_le(rank);
-                buf.put_u16_le(thread);
-                buf.put_u32_le(func.0);
-            }
-            Event::FuncBatch {
-                t,
-                rank,
-                thread,
-                func,
-                count,
-                span,
-            } => {
-                buf.put_u64_le(t.as_nanos());
-                buf.put_u32_le(rank);
-                buf.put_u16_le(thread);
-                buf.put_u32_le(func.0);
-                buf.put_u64_le(count);
-                buf.put_u64_le(span.as_nanos());
-            }
-            Event::MpiCall {
-                t,
-                t_end,
-                rank,
-                op,
-                peer,
-                bytes,
-            } => {
-                buf.put_u64_le(t.as_nanos());
-                buf.put_u64_le(t_end.as_nanos());
-                buf.put_u32_le(rank);
-                buf.put_u8(op);
-                buf.put_i32_le(peer);
-                buf.put_u64_le(bytes);
-            }
-            Event::OmpFork {
-                t,
-                rank,
-                region,
-                team,
-            }
-            | Event::OmpJoin {
-                t,
-                rank,
-                region,
-                team,
-            } => {
-                buf.put_u64_le(t.as_nanos());
-                buf.put_u32_le(rank);
-                buf.put_u32_le(region);
-                buf.put_u16_le(team);
-            }
-            Event::OmpThread {
-                t,
-                t_end,
-                rank,
-                thread,
-                region,
-            } => {
-                buf.put_u64_le(t.as_nanos());
-                buf.put_u64_le(t_end.as_nanos());
-                buf.put_u32_le(rank);
-                buf.put_u16_le(thread);
-                buf.put_u32_le(region);
-            }
-            Event::ConfSync { t, rank, epoch } => {
-                buf.put_u64_le(t.as_nanos());
-                buf.put_u32_le(rank);
-                buf.put_u32_le(epoch);
-            }
-            Event::Suspended { t, t_end, rank } => {
-                buf.put_u64_le(t.as_nanos());
-                buf.put_u64_le(t_end.as_nanos());
-                buf.put_u32_le(rank);
-            }
-            Event::FuncSuppressed {
-                t,
-                rank,
-                thread,
-                func,
-                count,
-                span,
-            } => {
-                buf.put_u64_le(t.as_nanos());
-                buf.put_u32_le(rank);
-                buf.put_u16_le(thread);
-                buf.put_u32_le(func.0);
-                buf.put_u64_le(count);
-                buf.put_u64_le(span.as_nanos());
-            }
-        }
-    }
-
-    /// Decode one event from the buffer. Returns `None` on malformed or
-    /// truncated input.
-    pub fn decode(buf: &mut Bytes) -> Option<Event> {
-        if buf.remaining() < 1 {
-            return None;
-        }
-        let kind = buf.get_u8();
-        let need = match kind {
-            1 | 2 => 18,
-            3 => 34,
-            4 => 33,
-            5 | 6 => 18,
-            7 => 26,
-            8 => 16,
-            9 => 20,
-            10 => 34,
-            _ => return None,
-        };
-        if buf.remaining() < need {
-            return None;
-        }
-        Some(match kind {
-            1 | 2 => {
-                let t = SimTime::from_nanos(buf.get_u64_le());
-                let rank = buf.get_u32_le();
-                let thread = buf.get_u16_le();
-                let func = VtFuncId(buf.get_u32_le());
-                if kind == 1 {
-                    Event::FuncEnter {
-                        t,
-                        rank,
-                        thread,
-                        func,
-                    }
-                } else {
-                    Event::FuncExit {
-                        t,
-                        rank,
-                        thread,
-                        func,
-                    }
-                }
-            }
-            3 => Event::FuncBatch {
-                t: SimTime::from_nanos(buf.get_u64_le()),
-                rank: buf.get_u32_le(),
-                thread: buf.get_u16_le(),
-                func: VtFuncId(buf.get_u32_le()),
-                count: buf.get_u64_le(),
-                span: SimTime::from_nanos(buf.get_u64_le()),
-            },
-            4 => Event::MpiCall {
-                t: SimTime::from_nanos(buf.get_u64_le()),
-                t_end: SimTime::from_nanos(buf.get_u64_le()),
-                rank: buf.get_u32_le(),
-                op: buf.get_u8(),
-                peer: buf.get_i32_le(),
-                bytes: buf.get_u64_le(),
-            },
-            5 | 6 => {
-                let t = SimTime::from_nanos(buf.get_u64_le());
-                let rank = buf.get_u32_le();
-                let region = buf.get_u32_le();
-                let team = buf.get_u16_le();
-                if kind == 5 {
-                    Event::OmpFork {
-                        t,
-                        rank,
-                        region,
-                        team,
-                    }
-                } else {
-                    Event::OmpJoin {
-                        t,
-                        rank,
-                        region,
-                        team,
-                    }
-                }
-            }
-            7 => Event::OmpThread {
-                t: SimTime::from_nanos(buf.get_u64_le()),
-                t_end: SimTime::from_nanos(buf.get_u64_le()),
-                rank: buf.get_u32_le(),
-                thread: buf.get_u16_le(),
-                region: buf.get_u32_le(),
-            },
-            8 => Event::ConfSync {
-                t: SimTime::from_nanos(buf.get_u64_le()),
-                rank: buf.get_u32_le(),
-                epoch: buf.get_u32_le(),
-            },
-            9 => Event::Suspended {
-                t: SimTime::from_nanos(buf.get_u64_le()),
-                t_end: SimTime::from_nanos(buf.get_u64_le()),
-                rank: buf.get_u32_le(),
-            },
-            10 => Event::FuncSuppressed {
-                t: SimTime::from_nanos(buf.get_u64_le()),
-                rank: buf.get_u32_le(),
-                thread: buf.get_u16_le(),
-                func: VtFuncId(buf.get_u32_le()),
-                count: buf.get_u64_le(),
-                span: SimTime::from_nanos(buf.get_u64_le()),
-            },
-            _ => unreachable!(),
-        })
-    }
 }
 
 /// A complete postmortem trace: the function dictionary plus all events,
@@ -434,9 +199,6 @@ pub struct Trace {
     /// Events sorted by (time, rank).
     pub events: Vec<Event>,
 }
-
-const MAGIC: &[u8; 4] = b"VGVT";
-const VERSION: u16 = 1;
 
 impl Trace {
     /// Name of a registered function.
@@ -454,171 +216,11 @@ impl Trace {
             .map(|e| e.trace_bytes_of(event_bytes))
             .sum()
     }
-
-    /// Serialize to the binary trace format.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(VERSION);
-        let name = self.program.as_bytes();
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name);
-        buf.put_u32_le(self.functions.len() as u32);
-        for f in &self.functions {
-            let b = f.as_bytes();
-            buf.put_u32_le(b.len() as u32);
-            buf.put_slice(b);
-        }
-        buf.put_u64_le(self.events.len() as u64);
-        for e in &self.events {
-            e.encode(&mut buf);
-        }
-        buf.freeze()
-    }
-
-    /// Deserialize from the binary trace format.
-    pub fn decode(mut buf: Bytes) -> Result<Trace, String> {
-        fn take_string(buf: &mut Bytes) -> Result<String, String> {
-            if buf.remaining() < 4 {
-                return Err("truncated string length".into());
-            }
-            let n = buf.get_u32_le() as usize;
-            if buf.remaining() < n {
-                return Err("truncated string body".into());
-            }
-            let s = buf.split_to(n);
-            String::from_utf8(s.to_vec()).map_err(|e| e.to_string())
-        }
-        if buf.remaining() < 6 || &buf.split_to(4)[..] != MAGIC {
-            return Err("bad magic".into());
-        }
-        let version = buf.get_u16_le();
-        if version != VERSION {
-            return Err(format!("unsupported trace version {version}"));
-        }
-        let program = take_string(&mut buf)?;
-        if buf.remaining() < 4 {
-            return Err("truncated function table".into());
-        }
-        let nf = buf.get_u32_le() as usize;
-        let mut functions = Vec::with_capacity(nf.min(1 << 20));
-        for _ in 0..nf {
-            functions.push(take_string(&mut buf)?);
-        }
-        if buf.remaining() < 8 {
-            return Err("truncated event count".into());
-        }
-        let ne = buf.get_u64_le() as usize;
-        let mut events = Vec::with_capacity(ne.min(1 << 24));
-        for i in 0..ne {
-            match Event::decode(&mut buf) {
-                Some(e) => events.push(e),
-                None => return Err(format!("malformed event {i}")),
-            }
-        }
-        Ok(Trace {
-            program,
-            functions,
-            events,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_events() -> Vec<Event> {
-        vec![
-            Event::FuncEnter {
-                t: SimTime::from_micros(10),
-                rank: 0,
-                thread: 0,
-                func: VtFuncId(3),
-            },
-            Event::MpiCall {
-                t: SimTime::from_micros(12),
-                t_end: SimTime::from_micros(20),
-                rank: 0,
-                op: 4,
-                peer: 1,
-                bytes: 8192,
-            },
-            Event::FuncBatch {
-                t: SimTime::from_micros(21),
-                rank: 1,
-                thread: 2,
-                func: VtFuncId(7),
-                count: 1000,
-                span: SimTime::from_millis(3),
-            },
-            Event::OmpFork {
-                t: SimTime::from_micros(30),
-                rank: 1,
-                region: 4,
-                team: 8,
-            },
-            Event::OmpThread {
-                t: SimTime::from_micros(31),
-                t_end: SimTime::from_micros(40),
-                rank: 1,
-                thread: 5,
-                region: 4,
-            },
-            Event::OmpJoin {
-                t: SimTime::from_micros(41),
-                rank: 1,
-                region: 4,
-                team: 8,
-            },
-            Event::ConfSync {
-                t: SimTime::from_micros(50),
-                rank: 0,
-                epoch: 2,
-            },
-            Event::Suspended {
-                t: SimTime::from_micros(55),
-                t_end: SimTime::from_micros(58),
-                rank: 1,
-            },
-            Event::FuncSuppressed {
-                t: SimTime::from_micros(59),
-                rank: 1,
-                thread: 2,
-                func: VtFuncId(7),
-                count: 12,
-                span: SimTime::from_micros(36),
-            },
-            Event::FuncExit {
-                t: SimTime::from_micros(60),
-                rank: 0,
-                thread: 0,
-                func: VtFuncId(3),
-            },
-        ]
-    }
-
-    #[test]
-    fn events_round_trip() {
-        for e in sample_events() {
-            let mut buf = BytesMut::new();
-            e.encode(&mut buf);
-            let mut b = buf.freeze();
-            assert_eq!(Event::decode(&mut b), Some(e));
-            assert_eq!(b.remaining(), 0);
-        }
-    }
-
-    #[test]
-    fn trace_round_trips() {
-        let trace = Trace {
-            program: "sweep3d".into(),
-            functions: vec!["main".into(), "sweep".into(), "source".into()],
-            events: sample_events(),
-        };
-        let decoded = Trace::decode(trace.encode()).expect("decode");
-        assert_eq!(decoded, trace);
-    }
 
     #[test]
     fn batch_accounts_for_full_volume() {
@@ -638,24 +240,6 @@ mod tests {
             func: VtFuncId(0),
         };
         assert_eq!(plain.trace_bytes_of(24), 24);
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(Trace::decode(Bytes::from_static(b"nope")).is_err());
-        assert!(Trace::decode(Bytes::from_static(b"VGVT\xff\xff")).is_err());
-        let mut buf = BytesMut::new();
-        Event::FuncEnter {
-            t: SimTime::ZERO,
-            rank: 0,
-            thread: 0,
-            func: VtFuncId(0),
-        }
-        .encode(&mut buf);
-        let mut truncated = buf.freeze().slice(0..5);
-        assert_eq!(Event::decode(&mut truncated), None);
-        let mut bad_kind = Bytes::from_static(&[99, 0, 0, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(Event::decode(&mut bad_kind), None);
     }
 
     #[test]

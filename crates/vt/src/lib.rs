@@ -24,8 +24,8 @@
 //! * [`vt_begin_snippet`] / [`vt_end_snippet`] — the dynamically
 //!   insertable probes dynprof places through DPCL.
 //! * [`Policy`] — the five instrumentation policies of Table 3.
-//! * [`Trace`] / [`Event`] — the time-stamped event model and binary
-//!   trace-file format consumed by `dynprof-analysis`.
+//! * [`Trace`] / [`Event`] — the time-stamped event model consumed by
+//!   `dynprof-analysis`, whose `VGVS` store is the one on-disk format.
 
 #![warn(missing_docs)]
 

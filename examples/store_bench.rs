@@ -1,14 +1,12 @@
-//! Measure the chunk-indexed trace store against the load-everything
-//! path: peak RSS and query latency for `top` (full-trace profile) and
-//! `slice` (short window), on a legacy `.vgvt` flat file vs a `.vgvs`
-//! store of the same events. Feeds the EXPERIMENTS.md "Trace store"
-//! table; run each mode in a fresh process so `VmHWM` isolates one path.
-//! The `stream` mode goes through the entry points `vgv top`, `vgv slice`
-//! and `vgv comm` call, the last written to a sink as `vgv` streams it.
+//! Measure the chunk-indexed trace store: peak RSS and query latency for
+//! `top` (full-trace profile), `slice` (short window) and `comm`, on a
+//! synthetic store. Feeds the EXPERIMENTS.md "Trace store" table; run
+//! each mode in a fresh process so `VmHWM` isolates one path. The
+//! `stream` mode goes through the entry points `vgv top`, `vgv slice` and
+//! `vgv comm` call, the last written to a sink as `vgv` streams it.
 //!
 //! ```console
 //! $ cargo run --release --example store_bench -- gen 1000 40 42 /tmp/synth
-//! $ cargo run --release --example store_bench -- legacy /tmp/synth.vgvt <t0ns> <t1ns>
 //! $ cargo run --release --example store_bench -- stream /tmp/synth.vgvs <t0ns> <t1ns>
 //! $ cargo run --release --example store_bench -- salvage /tmp/synth.vgvs
 //! ```
@@ -20,10 +18,7 @@
 use std::time::Instant;
 
 use dynprof::analysis::store::{write_store_from_trace, StoreOptions, StoreReader};
-use dynprof::analysis::{
-    read_trace, slice_report, top_report, write_comm_report, write_trace, Profile, ProfileOptions,
-    TimelineBuilder, TimelineOptions,
-};
+use dynprof::analysis::{slice_report, top_report, write_comm_report, ProfileOptions};
 use dynprof::sim::rng::SimRng;
 use dynprof::sim::SimTime;
 use dynprof::vt::{Event, Trace, VtFuncId};
@@ -103,7 +98,6 @@ fn synth_trace(seed: u64, ranks: u32, steps: u64) -> Trace {
 fn usage() -> ! {
     eprintln!(
         "usage: store_bench gen <ranks> <steps> <seed> <base-path>\n\
-         \x20      store_bench legacy <trace.vgvt> <t0ns> <t1ns>\n\
          \x20      store_bench stream <store.vgvs> <t0ns> <t1ns>\n\
          \x20      store_bench salvage <store.vgvs>"
     );
@@ -122,60 +116,18 @@ fn main() {
                 ranks.parse().unwrap(),
                 steps.parse().unwrap(),
             );
-            let vgvt = format!("{base}.vgvt");
             let vgvs = format!("{base}.vgvs");
-            let legacy_bytes = write_trace(&trace, &vgvt).unwrap();
             let stats =
                 write_store_from_trace(&trace, &vgvs, StoreOptions { chunk_events: 256 }).unwrap();
             let (lo, hi) = trace.events.iter().fold((u64::MAX, 0), |(lo, hi), e| {
                 (lo.min(e.time().as_nanos()), hi.max(e.time().as_nanos()))
             });
             println!(
-                "gen: {} events, {} ranks | {vgvt}: {legacy_bytes} bytes | {vgvs}: {} bytes in {} chunks | span {lo}..{hi} ns",
+                "gen: {} events, {} ranks | {vgvs}: {} bytes in {} chunks | span {lo}..{hi} ns",
                 trace.events.len(),
                 ranks,
                 stats.bytes,
                 stats.chunks,
-            );
-        }
-        Some("legacy") => {
-            let [_, path, t0, t1] = &args[..] else {
-                usage()
-            };
-            let (t0, t1): (u64, u64) = (t0.parse().unwrap(), t1.parse().unwrap());
-            let start = Instant::now();
-            let trace = read_trace(path).unwrap();
-            let load = start.elapsed();
-
-            let start = Instant::now();
-            let profile = Profile::from_trace_opts(&trace, ProfileOptions::default());
-            let top = start.elapsed();
-
-            // The legacy slice still has to scan (and hold) every event.
-            let start = Instant::now();
-            let mut tl = TimelineBuilder::new(
-                &trace.program,
-                SimTime::from_nanos(t0),
-                SimTime::from_nanos(t1),
-                TimelineOptions {
-                    width: 64,
-                    per_thread: false,
-                },
-            );
-            for ev in &trace.events {
-                tl.push(ev);
-            }
-            let slice = tl.finish();
-            let slice_t = start.elapsed();
-
-            println!(
-                "legacy: load {:.1} ms | top {:.1} ms ({} functions) | slice {:.1} ms ({} rows) | peak RSS {} kB",
-                load.as_secs_f64() * 1e3,
-                top.as_secs_f64() * 1e3,
-                profile.hot_functions().len(),
-                slice_t.as_secs_f64() * 1e3,
-                slice.lines().count(),
-                peak_rss_kb(),
             );
         }
         Some("stream") => {

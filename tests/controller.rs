@@ -242,5 +242,5 @@ fn floor_zero_is_byte_identical_to_suppression_off() {
     assert_eq!(base.trace_bytes, off.trace_bytes);
     let (tb, to) = (base.vt.build_trace(), off.vt.build_trace());
     assert_eq!(tb.events.len(), to.events.len());
-    assert_eq!(tb.encode(), to.encode(), "traces must be byte-identical");
+    assert_eq!(tb, to, "traces must be identical");
 }

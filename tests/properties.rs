@@ -8,6 +8,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use dynprof::analysis::store::{write_store_from_trace, StoreOptions, StoreReader};
 use dynprof::analysis::{
     CommStats, FuncProfile, ProfileBuilder, ProfileOptions, TimelineBuilder, TimelineOptions,
 };
@@ -42,12 +43,14 @@ fn arb_time(r: &mut SimRng) -> SimTime {
     SimTime::from_nanos(r.gen_range_u64(0..=u64::MAX / 4))
 }
 
+/// Any of the ten event kinds, its fields drawn from wide ranges.
 fn arb_event(r: &mut SimRng) -> Event {
     let t = arb_time(r);
     let rank = r.next_u64() as u32;
     let thread = r.next_u64() as u16;
     let func = VtFuncId(r.next_u64() as u32);
-    match r.gen_index(8) {
+    let span = |r: &mut SimRng| SimTime::from_nanos(r.gen_range_u64(0..=(1 << 40) - 1));
+    match r.gen_index(10) {
         0 => Event::FuncEnter {
             t,
             rank,
@@ -66,11 +69,11 @@ fn arb_event(r: &mut SimRng) -> Event {
             thread,
             func,
             count: r.gen_range_u64(1..=1 << 40),
-            span: SimTime::from_nanos(r.gen_range_u64(0..=(1 << 40) - 1)),
+            span: span(r),
         },
         3 => Event::MpiCall {
             t,
-            t_end: t + SimTime::from_nanos(r.gen_range_u64(0..=(1 << 40) - 1)),
+            t_end: t + span(r),
             rank,
             op: r.gen_index(11) as u8,
             peer: r.next_u64() as i32,
@@ -84,7 +87,7 @@ fn arb_event(r: &mut SimRng) -> Event {
         },
         5 => Event::OmpThread {
             t,
-            t_end: t + SimTime::from_nanos(r.gen_range_u64(0..=(1 << 40) - 1)),
+            t_end: t + span(r),
             rank,
             thread,
             region: r.next_u64() as u32,
@@ -95,20 +98,34 @@ fn arb_event(r: &mut SimRng) -> Event {
             thread,
             func,
             count: r.gen_range_u64(1..=1 << 40),
-            span: SimTime::from_nanos(r.gen_range_u64(0..=(1 << 40) - 1)),
+            span: span(r),
         },
-        _ => Event::ConfSync {
+        7 => Event::ConfSync {
             t,
             rank,
             epoch: r.next_u64() as u32,
         },
+        8 => Event::OmpJoin {
+            t,
+            rank,
+            region: r.next_u64() as u32,
+            team: thread,
+        },
+        _ => Event::Suspended {
+            t,
+            t_end: t + span(r),
+            rank,
+        },
     }
 }
 
-/// Binary trace encoding round-trips for arbitrary event sequences.
+/// The store round-trips arbitrary event sequences through any chunk
+/// size: what `read_all` returns is the input, stable-sorted by
+/// `(time, rank)`.
 #[test]
 fn trace_encode_decode_round_trip() {
     let mut r = rng(1);
+    let path = std::env::temp_dir().join(format!("dynprof-codec-{}.vgvs", std::process::id()));
     for _ in 0..200 {
         let trace = Trace {
             program: if r.gen_index(4) == 0 {
@@ -119,9 +136,17 @@ fn trace_encode_decode_round_trip() {
             functions: (0..r.gen_index(20)).map(|_| ident(&mut r, 1, 40)).collect(),
             events: (0..r.gen_index(200)).map(|_| arb_event(&mut r)).collect(),
         };
-        let decoded = Trace::decode(trace.encode()).expect("decode");
-        assert_eq!(decoded, trace);
+        let chunk_events = 1 + r.gen_index(64);
+        write_store_from_trace(&trace, &path, StoreOptions { chunk_events }).expect("write");
+        let back = StoreReader::open(&path)
+            .expect("open")
+            .read_all()
+            .expect("read");
+        let mut want = trace;
+        want.events.sort_by_key(|e| (e.time(), e.rank()));
+        assert_eq!(back, want, "chunk_events {chunk_events}");
     }
+    std::fs::remove_file(&path).ok();
 }
 
 /// The profile accumulator the dense `ProfileBuilder` replaced: plain

@@ -3,11 +3,11 @@
 use std::sync::{Arc, Mutex};
 
 use dynprof::analysis::store::{
-    write_store_from_vt, EventSource, StoreOptions, StoreReader, StoreStats, StoreWriter,
+    write_store_from_trace, write_store_from_vt, EventSource, StoreOptions, StoreReader,
+    StoreStats, StoreWriter,
 };
 use dynprof::analysis::{
-    read_trace, render, top_report, trace_volume, write_trace, Profile, ProfileBuilder,
-    ProfileOptions, TimelineOptions,
+    render, top_report, trace_volume, Profile, ProfileBuilder, ProfileOptions, TimelineOptions,
 };
 use dynprof::apps::test_app;
 use dynprof::core::{run_session, AppSpec, Command, SessionConfig, SessionReport};
@@ -292,11 +292,9 @@ fn live_capture_memory_is_independent_of_run_length() {
 #[test]
 fn trace_survives_disk_round_trip() {
     let (trace, _) = traced_run("sppm", 2, Policy::Subset);
-    let dir = std::env::temp_dir().join("dynprof-pipeline");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("sppm-{}.vgvt", std::process::id()));
-    write_trace(&trace, &path).unwrap();
-    let back = read_trace(&path).unwrap();
+    let path = tmp_store("sppm round trip");
+    write_store_from_trace(&trace, &path, StoreOptions { chunk_events: 64 }).unwrap();
+    let back = StoreReader::open(&path).unwrap().read_all().unwrap();
     assert_eq!(back, trace);
     std::fs::remove_file(&path).ok();
 }

@@ -11,8 +11,8 @@ mod common;
 
 use common::{check_golden, synth_trace, tmp};
 use dynprof::analysis::store::{
-    compact, event_overlaps, write_store_from_trace, SegmentSet, StoreOptions, StoreReader,
-    StoreWriter, UNKNOWN_FUNC,
+    compact, crc32, event_overlaps, write_store_from_trace, Crc32, SegmentSet, StoreOptions,
+    StoreReader, StoreWriter, UNKNOWN_FUNC,
 };
 use dynprof::analysis::{
     comm_report, slice_report, top_report, CommStats, Profile, ProfileOptions, TraceError,
@@ -406,178 +406,11 @@ fn golden_vgv_comm() {
     std::fs::remove_file(&path).ok();
 }
 
-// ---- format back-compat: version-1 (pre-CRC) stores ------------------
-
-/// Hand-encode a version-1 store: 36-byte chunk headers (no CRC field),
-/// no salvage preamble, 44-byte index entries, 14-byte trailer — the
-/// exact bytes every pre-CRC writer produced. Pinned as a binary golden
-/// so the v2 reader can never silently drop legacy compatibility.
-fn build_v1_store(trace: &Trace, chunk_events: usize) -> Vec<u8> {
-    use bytes::{BufMut, BytesMut};
-    use dynprof::analysis::store::codec::encode_event;
-    use dynprof::analysis::store::event_end;
-
-    fn put_string(b: &mut BytesMut, s: &str) {
-        b.put_u32_le(s.len() as u32);
-        b.put_slice(s.as_bytes());
-    }
-
-    struct Meta {
-        rank: u32,
-        offset: u64,
-        enc_len: u32,
-        count: u32,
-        min_t: u64,
-        max_t: u64,
-        max_end: u64,
-    }
-
-    let mut out = BytesMut::new();
-    out.put_slice(b"VGVS");
-    out.put_u16_le(1); // version 1
-    out.put_u16_le(0); // flags
-
-    let mut ranks: Vec<u32> = trace.events.iter().map(|e| e.rank()).collect();
-    ranks.sort_unstable();
-    ranks.dedup();
-    let mut index: Vec<Meta> = Vec::new();
-    for rank in ranks {
-        let evs: Vec<&Event> = trace.events.iter().filter(|e| e.rank() == rank).collect();
-        for chunk in evs.chunks(chunk_events) {
-            let mut payload = BytesMut::new();
-            let mut prev_t = 0u64;
-            let (mut min_t, mut max_t, mut max_end) = (u64::MAX, 0u64, 0u64);
-            for ev in chunk {
-                encode_event(&mut payload, ev, &mut prev_t);
-                let t = ev.time().as_nanos();
-                min_t = min_t.min(t);
-                max_t = max_t.max(t);
-                max_end = max_end.max(event_end(ev).as_nanos());
-            }
-            let meta = Meta {
-                rank,
-                offset: out.len() as u64,
-                enc_len: payload.len() as u32,
-                count: chunk.len() as u32,
-                min_t,
-                max_t,
-                max_end,
-            };
-            out.put_u32_le(meta.rank);
-            out.put_u32_le(meta.count);
-            out.put_u32_le(meta.enc_len);
-            out.put_u64_le(meta.min_t);
-            out.put_u64_le(meta.max_t);
-            out.put_u64_le(meta.max_end);
-            out.put_slice(&payload);
-            index.push(meta);
-        }
-    }
-    let footer_start = out.len();
-    put_string(&mut out, &trace.program);
-    out.put_u32_le(trace.functions.len() as u32);
-    for f in &trace.functions {
-        put_string(&mut out, f);
-    }
-    out.put_u32_le(index.len() as u32);
-    for m in &index {
-        out.put_u32_le(m.rank);
-        out.put_u64_le(m.offset);
-        out.put_u32_le(m.enc_len);
-        out.put_u32_le(m.count);
-        out.put_u64_le(m.min_t);
-        out.put_u64_le(m.max_t);
-        out.put_u64_le(m.max_end);
-    }
-    let footer_len = (out.len() - footer_start) as u64;
-    out.put_u64_le(footer_len);
-    out.put_slice(b"VGVS");
-    out.put_u16_le(1);
-    out.to_vec()
-}
-
-/// Binary golden: compare bytes against `tests/golden/<name>`, or write
-/// the file when `UPDATE_GOLDENS` is set.
-fn check_golden_bytes(name: &str, actual: &[u8]) {
-    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("UPDATE_GOLDENS").is_some() {
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read(&path).unwrap_or_else(|e| {
-        panic!("missing golden {path}: {e} (regenerate with UPDATE_GOLDENS=1)")
-    });
-    assert_eq!(actual, &expected[..], "golden {name} drifted");
-}
-
-#[test]
-fn v1_stores_still_open_read_only() {
-    let trace = synth_trace(9, 3, 50);
-    let bytes = build_v1_store(&trace, 32);
-    check_golden_bytes("store_v1.vgvs", &bytes);
-
-    let path = tmp("v1-compat");
-    std::fs::write(&path, &bytes).unwrap();
-    let mut r = StoreReader::open(&path).unwrap();
-    assert_eq!(r.version(), 1);
-    assert_eq!(r.info().version, 1);
-    assert_eq!(r.info().events as usize, trace.events.len());
-    assert_eq!(r.functions(), &trace.functions[..]);
-
-    // Contents decode identically to the modern writer's view.
-    let v1_all = r.read_all().unwrap();
-    let mut expect = trace.events.clone();
-    expect.sort_by_key(|e| (e.time(), e.rank()));
-    assert_eq!(v1_all.events, expect);
-
-    // And the profile pipeline is version-agnostic.
-    let p = Profile::from_store(&mut r, ProfileOptions::default()).unwrap();
-    assert!(!p.per_rank.is_empty());
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn v1_store_without_footer_salvages_by_decoding() {
-    let trace = synth_trace(10, 2, 40);
-    let bytes = build_v1_store(&trace, 16);
-    let path = tmp("v1-salvage");
-    // Chop the footer and trailer off entirely.
-    let full = StoreReader::open({
-        std::fs::write(&path, &bytes).unwrap();
-        &path
-    })
-    .unwrap();
-    let data_end = full
-        .chunks()
-        .iter()
-        .map(|m| m.offset + 36 + m.enc_len as u64)
-        .max()
-        .unwrap();
-    let n_chunks = full.chunks().len();
-    drop(full);
-    std::fs::write(&path, &bytes[..data_end as usize]).unwrap();
-
-    assert!(matches!(
-        StoreReader::open(&path),
-        Err(TraceError::TruncatedFooter)
-    ));
-    let mut r = StoreReader::open_salvage(&path).unwrap();
-    let s = r.salvage().unwrap();
-    assert_eq!(s.chunks_recovered, n_chunks);
-    assert_eq!(s.events_recovered as usize, trace.events.len());
-    assert_eq!(s.tail_bytes_dropped, 0);
-    assert!(!s.dict_from_preamble, "v1 has no preamble");
-    // Synthesized names cover every referenced function id.
-    assert!(!r.functions().is_empty());
-    assert!(r.functions().iter().all(|f| f.starts_with("fn#")));
-    assert_eq!(r.read_all().unwrap().events.len(), trace.events.len());
-    std::fs::remove_file(&path).ok();
-}
-
 /// A chunk is delivered whole or not at all: one malformed event in the
-/// middle of a chunk means no callback for the four intact events before
-/// it either, strict or degraded. (A version-1 chunk, so that no CRC
-/// catches the damage first.)
+/// middle of a chunk means no callback for the intact events before it
+/// either, strict or degraded. The damage is re-sealed under fresh CRCs —
+/// the chunk header's, its index entry's and the footer's — so that the
+/// decoder, not the checksum, is what rejects the chunk.
 #[test]
 fn corrupt_event_mid_chunk_yields_nothing_from_that_chunk() {
     // Three bytes an event (kind, 1-byte delta, 1-byte epoch), five events
@@ -594,15 +427,33 @@ fn corrupt_event_mid_chunk_yields_nothing_from_that_chunk() {
             .flat_map(|rank| (0..15).map(move |i| event(rank, i)))
             .collect(),
     };
-    let mut bytes = build_v1_store(&trace, 5);
     let path = tmp("mid-chunk");
-    std::fs::write(&path, &bytes).unwrap();
+    write_store_from_trace(&trace, &path, StoreOptions { chunk_events: 5 }).unwrap();
     let clean = StoreReader::open(&path).unwrap();
     let bad_chunk = 4; // rank 1's middle chunk
     let meta = clean.chunks()[bad_chunk];
     assert_eq!((meta.rank, meta.count, meta.enc_len), (1, 5, 15));
     drop(clean);
-    bytes[meta.offset as usize + 36 + 2 * 3] = 99; // third event's kind
+    let mut bytes = std::fs::read(&path).unwrap();
+    let chunk = meta.offset as usize;
+    bytes[chunk + 40 + 2 * 3] = 99; // third event's kind, past the 40-byte header
+                                    // The chunk CRC covers the header's other 36 bytes, then the payload.
+    let crc = Crc32::new()
+        .update(&bytes[chunk..chunk + 12])
+        .update(&bytes[chunk + 16..chunk + 40 + 15])
+        .finish();
+    bytes[chunk + 12..chunk + 16].copy_from_slice(&crc.to_le_bytes());
+    // Trailer: footer_len u64 | footer crc u32 | magic | version. The
+    // footer: program, empty dictionary, chunk count, then 48-byte entries
+    // with the crc after rank, offset, enc_len and count.
+    let end = bytes.len() - 18;
+    let footer_len = u64::from_le_bytes(bytes[end..end + 8].try_into().unwrap()) as usize;
+    let footer = end - footer_len;
+    let entry = footer + 4 + "mid".len() + 4 + 4 + bad_chunk * 48;
+    assert_eq!(bytes[entry + 20..entry + 24], meta.crc.to_le_bytes());
+    bytes[entry + 20..entry + 24].copy_from_slice(&crc.to_le_bytes());
+    let footer_crc = crc32(&bytes[footer..end]);
+    bytes[end + 8..end + 12].copy_from_slice(&footer_crc.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     let from_bad_chunk = |ev: &Event| ev.rank() == 1 && (5..10).contains(&ev.time().as_nanos());
 
@@ -724,7 +575,6 @@ fn compact_reverifies_and_rewrites_crcs() {
 
     compact(&[&p1, &p2], &out, StoreOptions { chunk_events: 64 }).unwrap();
     let mut r = StoreReader::open(&out).unwrap();
-    assert_eq!(r.version(), 2);
     assert!(r.chunks().iter().all(|m| m.crc != 0));
     // Every output chunk re-verifies against its fresh CRC.
     for i in 0..r.chunks().len() {
