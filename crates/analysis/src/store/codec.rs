@@ -5,8 +5,24 @@
 //! into the chunk header and never repeated. Timestamps are delta-encoded
 //! against the previous event's timestamp (zigzag, because a `FuncBatch`
 //! carries its *start* time and can step backwards), and every other
-//! integer field is a varint. A typical `FuncEnter` costs 4–6 bytes
-//! against the 19 of a fixed-width record.
+//! integer field is a varint: a **literal**, 4–6 bytes for a typical
+//! `FuncEnter` against the 19 of a fixed-width record.
+//!
+//! **Recurrence (format v3).** A rank repeats itself: the same call to the
+//! same function, the same send to the same neighbour, sweep after sweep.
+//! So each chunk keeps a table of 32 recent event *shapes* — the kind and
+//! every field but time and duration — with, per slot, the Δt and
+//! duration that shape had last time. The table is two-way
+//! set-associative: a shape hashes to a set of two adjacent slots and may
+//! sit in either. An event whose shape is in its set is one **tag** byte,
+//! `0x40 + 4 × slot + flags`, followed by a zigzag residual for each of
+//! Δt (flag 1) and duration (flag 2) that differs from the slot's; the
+//! slot then takes the new values. Any other event is a literal: its
+//! shape takes its set's first slot and moves the one there to the
+//! second. The table starts empty in every chunk, so chunks stay
+//! independently decodable. A v2 payload is a v3 payload that holds no
+//! tag — literals are the v2 encoding byte for byte — so [`decode_chunk`]
+//! reads both.
 
 use bytes::{Buf, BufMut, BytesMut};
 use dynprof_sim::SimTime;
@@ -73,52 +89,87 @@ pub fn event_overlaps(ev: &Event, t0: SimTime, t1: SimTime) -> bool {
     ev.time() <= t1 && event_end(ev) >= t0
 }
 
-fn kind_of(ev: &Event) -> u8 {
-    match ev {
-        Event::FuncEnter { .. } => 1,
-        Event::FuncExit { .. } => 2,
-        Event::FuncBatch { .. } => 3,
-        Event::MpiCall { .. } => 4,
-        Event::OmpFork { .. } => 5,
-        Event::OmpJoin { .. } => 6,
-        Event::OmpThread { .. } => 7,
-        Event::ConfSync { .. } => 8,
-        Event::Suspended { .. } => 9,
-        Event::FuncSuppressed { .. } => 10,
+/// Entries in a chunk's shape table: a constant of the format (v3), not a
+/// knob — a reader must rebuild the writer's table exactly.
+const SHAPE_SLOTS: usize = 32;
+/// Slots a shape may occupy: its set's, adjacent in the table.
+const WAYS: usize = 2;
+/// The first tag byte. Below it a byte is a literal's kind (1–10); from it
+/// on, `TAG_BASE + 4 × slot + flags` names a slot, which a well-formed
+/// payload has filled and which is below [`SHAPE_SLOTS`].
+const TAG_BASE: u8 = 0x40;
+/// Tag flag: a zigzag Δt residual follows the tag.
+const TAG_DT: u8 = 1;
+/// Tag flag: a zigzag duration residual follows (the Δt one, if any).
+const TAG_DUR: u8 = 2;
+
+/// An event without its time and duration: the kind (`0` = an empty slot)
+/// and up to three fields `a: u16`, `b: u32`, `c: u64`, laid out per kind
+/// as [`split`] says. Kind, `a` and `b` share one word, so two shapes
+/// compare in two.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+struct Shape {
+    /// `kind | a << 8 | b << 24`.
+    key: u64,
+    c: u64,
+}
+
+impl Shape {
+    #[inline]
+    fn new(kind: u8, a: u16, b: u32, c: u64) -> Shape {
+        Shape {
+            key: u64::from(kind) | u64::from(a) << 8 | u64::from(b) << 24,
+            c,
+        }
+    }
+
+    fn kind(&self) -> u8 {
+        self.key as u8
+    }
+
+    fn a(&self) -> u16 {
+        (self.key >> 8) as u16
+    }
+
+    fn b(&self) -> u32 {
+        (self.key >> 24) as u32
     }
 }
 
-/// Append the chunk encoding of `ev`. `prev_t` carries the running
-/// timestamp of the delta chain and is updated to `ev.time()`.
-pub fn encode_event(buf: &mut BytesMut, ev: &Event, prev_t: &mut u64) {
-    buf.put_u8(kind_of(ev));
-    let t = ev.time().as_nanos();
-    put_varint(buf, zigzag(t as i64 - *prev_t as i64));
-    *prev_t = t;
+/// One table entry: a shape and the Δt (wrapping, as on the wire) and
+/// duration it had last time. 32 bytes.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    shape: Shape,
+    dt: u64,
+    dur: u64,
+}
+
+/// Kinds that carry a duration (`t_end − t`, or a batch's span).
+fn has_dur(kind: u8) -> bool {
+    matches!(kind, 3 | 4 | 7 | 9 | 10)
+}
+
+/// `ev` as its shape, its time and its duration.
+#[inline]
+fn split(ev: &Event) -> (Shape, u64, u64) {
+    let shape = Shape::new;
+    let dur = |t: SimTime, t_end: SimTime| t_end.saturating_sub(t).as_nanos();
     match *ev {
-        Event::FuncEnter { thread, func, .. } | Event::FuncExit { thread, func, .. } => {
-            put_varint(buf, thread as u64);
-            put_varint(buf, func.0 as u64);
-        }
+        Event::FuncEnter {
+            t, thread, func, ..
+        } => (shape(1, thread, func.0, 0), t.0, 0),
+        Event::FuncExit {
+            t, thread, func, ..
+        } => (shape(2, thread, func.0, 0), t.0, 0),
         Event::FuncBatch {
+            t,
             thread,
             func,
             count,
             span,
             ..
-        }
-        | Event::FuncSuppressed {
-            thread,
-            func,
-            count,
-            span,
-            ..
-        } => {
-            put_varint(buf, thread as u64);
-            put_varint(buf, func.0 as u64);
-            put_varint(buf, count);
-            put_varint(buf, span.as_nanos());
-        }
+        } => (shape(3, thread, func.0, count), t.0, span.0),
         Event::MpiCall {
             t,
             t_end,
@@ -126,144 +177,277 @@ pub fn encode_event(buf: &mut BytesMut, ev: &Event, prev_t: &mut u64) {
             peer,
             bytes,
             ..
-        } => {
-            put_varint(buf, t_end.saturating_sub(t).as_nanos());
-            buf.put_u8(op);
-            put_varint(buf, zigzag(peer as i64));
-            put_varint(buf, bytes);
-        }
-        Event::OmpFork { region, team, .. } | Event::OmpJoin { region, team, .. } => {
-            put_varint(buf, region as u64);
-            put_varint(buf, team as u64);
-        }
+        } => (shape(4, op.into(), peer as u32, bytes), t.0, dur(t, t_end)),
+        Event::OmpFork {
+            t, region, team, ..
+        } => (shape(5, team, region, 0), t.0, 0),
+        Event::OmpJoin {
+            t, region, team, ..
+        } => (shape(6, team, region, 0), t.0, 0),
         Event::OmpThread {
             t,
             t_end,
             thread,
             region,
             ..
-        } => {
-            put_varint(buf, t_end.saturating_sub(t).as_nanos());
-            put_varint(buf, thread as u64);
-            put_varint(buf, region as u64);
+        } => (shape(7, thread, region, 0), t.0, dur(t, t_end)),
+        Event::ConfSync { t, epoch, .. } => (shape(8, 0, epoch, 0), t.0, 0),
+        Event::Suspended { t, t_end, .. } => (shape(9, 0, 0, 0), t.0, dur(t, t_end)),
+        Event::FuncSuppressed {
+            t,
+            thread,
+            func,
+            count,
+            span,
+            ..
+        } => (shape(10, thread, func.0, count), t.0, span.0),
+    }
+}
+
+/// Inverse of [`split`]; `None` for an empty or unknown kind, or an end
+/// past the end of time.
+#[inline]
+fn join(s: Shape, rank: u32, t: u64, dur: u64) -> Option<Event> {
+    let t_end = SimTime(t.checked_add(dur)?);
+    let (t, span) = (SimTime(t), SimTime(dur));
+    let (a, b, c) = (s.a(), s.b(), s.c);
+    let (thread, func) = (a, VtFuncId(b));
+    Some(match s.kind() {
+        1 => Event::FuncEnter {
+            t,
+            rank,
+            thread,
+            func,
+        },
+        2 => Event::FuncExit {
+            t,
+            rank,
+            thread,
+            func,
+        },
+        3 => Event::FuncBatch {
+            t,
+            rank,
+            thread,
+            func,
+            count: c,
+            span,
+        },
+        4 => Event::MpiCall {
+            t,
+            t_end,
+            rank,
+            op: a as u8,
+            peer: b as i32,
+            bytes: c,
+        },
+        5 => Event::OmpFork {
+            t,
+            rank,
+            region: b,
+            team: a,
+        },
+        6 => Event::OmpJoin {
+            t,
+            rank,
+            region: b,
+            team: a,
+        },
+        7 => Event::OmpThread {
+            t,
+            t_end,
+            rank,
+            thread,
+            region: b,
+        },
+        8 => Event::ConfSync { t, rank, epoch: b },
+        9 => Event::Suspended { t, t_end, rank },
+        10 => Event::FuncSuppressed {
+            t,
+            rank,
+            thread,
+            func,
+            count: c,
+            span,
+        },
+        _ => return None,
+    })
+}
+
+/// The first slot of the set `s` maps to: a multiplicative hash of all
+/// its fields.
+#[inline]
+fn set_of(s: &Shape) -> usize {
+    const SET_BITS: u32 = (SHAPE_SLOTS / WAYS).trailing_zeros();
+    let h = (s.key ^ s.c.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    (h >> (64 - SET_BITS)) as usize * WAYS
+}
+
+/// Append the literal (v2) encoding of an event: kind, Δt, then the
+/// kind's fields in its own order.
+fn put_literal(buf: &mut BytesMut, s: &Shape, dt: u64, dur: u64) {
+    buf.put_u8(s.kind());
+    put_varint(buf, zigzag(dt as i64));
+    match s.kind() {
+        1 | 2 => {
+            put_varint(buf, s.a().into());
+            put_varint(buf, s.b().into());
         }
-        Event::ConfSync { epoch, .. } => {
-            put_varint(buf, epoch as u64);
+        3 | 10 => {
+            put_varint(buf, s.a().into());
+            put_varint(buf, s.b().into());
+            put_varint(buf, s.c);
+            put_varint(buf, dur);
         }
-        Event::Suspended { t, t_end, .. } => {
-            put_varint(buf, t_end.saturating_sub(t).as_nanos());
+        4 => {
+            put_varint(buf, dur);
+            buf.put_u8(s.a() as u8);
+            put_varint(buf, zigzag(i64::from(s.b() as i32)));
+            put_varint(buf, s.c);
+        }
+        5 | 6 => {
+            put_varint(buf, s.b().into());
+            put_varint(buf, s.a().into());
+        }
+        7 => {
+            put_varint(buf, dur);
+            put_varint(buf, s.a().into());
+            put_varint(buf, s.b().into());
+        }
+        8 => put_varint(buf, s.b().into()),
+        _ => put_varint(buf, dur),
+    }
+}
+
+/// Read the rest of a literal whose kind byte was `kind`: its shape, Δt
+/// and duration. `None` on an unknown kind or truncated fields.
+fn get_literal(buf: &mut &[u8], kind: u8) -> Option<(Shape, u64, u64)> {
+    let dt = unzigzag(get_varint(buf)?) as u64;
+    let (mut a, mut b, mut c, mut dur) = (0, 0, 0, 0);
+    match kind {
+        1 | 2 => {
+            a = get_varint(buf)? as u16;
+            b = get_varint(buf)? as u32;
+        }
+        3 | 10 => {
+            a = get_varint(buf)? as u16;
+            b = get_varint(buf)? as u32;
+            c = get_varint(buf)?;
+            dur = get_varint(buf)?;
+        }
+        4 => {
+            dur = get_varint(buf)?;
+            if buf.remaining() < 1 {
+                return None;
+            }
+            a = buf.get_u8().into();
+            b = unzigzag(get_varint(buf)?) as i32 as u32;
+            c = get_varint(buf)?;
+        }
+        5 | 6 => {
+            b = get_varint(buf)? as u32;
+            a = get_varint(buf)? as u16;
+        }
+        7 => {
+            dur = get_varint(buf)?;
+            a = get_varint(buf)? as u16;
+            b = get_varint(buf)? as u32;
+        }
+        8 => b = get_varint(buf)? as u32,
+        9 => dur = get_varint(buf)?,
+        _ => return None,
+    }
+    Some((Shape::new(kind, a, b, c), dt, dur))
+}
+
+/// A chunk's shape table, on either side of the wire: the writer's stage
+/// keeps one per open chunk, [`decode_chunk`] rebuilds it as it reads.
+/// 1 KB, and empty again at every chunk boundary.
+pub(crate) struct ShapeTable {
+    slots: [Slot; SHAPE_SLOTS],
+}
+
+impl Default for ShapeTable {
+    fn default() -> ShapeTable {
+        ShapeTable {
+            slots: [Slot::default(); SHAPE_SLOTS],
         }
     }
 }
 
-/// Decode one event of `rank` from a chunk payload, advancing `prev_t`.
-/// `None` on truncated or malformed input.
-pub fn decode_event(buf: &mut impl Buf, rank: u32, prev_t: &mut u64) -> Option<Event> {
-    if buf.remaining() < 1 {
-        return None;
-    }
-    let kind = buf.get_u8();
-    let dt = unzigzag(get_varint(buf)?);
-    let t_nanos = prev_t.checked_add_signed(dt)?;
-    *prev_t = t_nanos;
-    let t = SimTime::from_nanos(t_nanos);
-    Some(match kind {
-        1 | 2 => {
-            let thread = get_varint(buf)? as u16;
-            let func = VtFuncId(get_varint(buf)? as u32);
-            if kind == 1 {
-                Event::FuncEnter {
-                    t,
-                    rank,
-                    thread,
-                    func,
-                }
-            } else {
-                Event::FuncExit {
-                    t,
-                    rank,
-                    thread,
-                    func,
-                }
-            }
+impl ShapeTable {
+    /// A literal's shape enters its set: first in line, the rest move down
+    /// one and the last drops out.
+    #[inline]
+    fn admit(&mut self, slot: Slot) {
+        let set = set_of(&slot.shape);
+        for way in (1..WAYS).rev() {
+            self.slots[set + way] = self.slots[set + way - 1];
         }
-        3 => Event::FuncBatch {
-            t,
-            rank,
-            thread: get_varint(buf)? as u16,
-            func: VtFuncId(get_varint(buf)? as u32),
-            count: get_varint(buf)?,
-            span: SimTime::from_nanos(get_varint(buf)?),
-        },
-        4 => {
-            let dur = get_varint(buf)?;
-            if buf.remaining() < 1 {
+        self.slots[set] = slot;
+    }
+
+    /// Append the encoding of `ev`. `prev_t` carries the running timestamp
+    /// of the delta chain and is updated to `ev.time()`.
+    #[inline]
+    pub(crate) fn encode(&mut self, buf: &mut BytesMut, ev: &Event, prev_t: &mut u64) {
+        let (shape, t, dur) = split(ev);
+        let dt = t.wrapping_sub(*prev_t);
+        *prev_t = t;
+        let set = set_of(&shape);
+        let Some(i) = (set..set + WAYS).find(|&i| self.slots[i].shape == shape) else {
+            put_literal(buf, &shape, dt, dur);
+            self.admit(Slot { shape, dt, dur });
+            return;
+        };
+        let slot = &mut self.slots[i];
+        let (r_dt, r_dur) = (dt.wrapping_sub(slot.dt), dur.wrapping_sub(slot.dur));
+        let flags = (u8::from(r_dt != 0) * TAG_DT) | (u8::from(r_dur != 0) * TAG_DUR);
+        buf.put_u8(TAG_BASE + 4 * i as u8 + flags);
+        if r_dt != 0 {
+            put_varint(buf, zigzag(r_dt as i64));
+        }
+        if r_dur != 0 {
+            put_varint(buf, zigzag(r_dur as i64));
+        }
+        (slot.dt, slot.dur) = (dt, dur);
+    }
+
+    /// Decode one event of `rank`, advancing `prev_t`. `None` on truncated
+    /// or malformed input: an unknown kind, a tag naming an empty or
+    /// nonexistent slot, a residual the shape cannot carry, or a time
+    /// outside `u64`. A tag names its slot, so only a literal needs the
+    /// hash.
+    #[inline]
+    fn decode(&mut self, buf: &mut &[u8], rank: u32, prev_t: &mut u64) -> Option<Event> {
+        if buf.remaining() < 1 {
+            return None;
+        }
+        let tag = buf.get_u8();
+        let (shape, dt, dur) = if tag < TAG_BASE {
+            let (shape, dt, dur) = get_literal(buf, tag)?;
+            self.admit(Slot { shape, dt, dur });
+            (shape, dt, dur)
+        } else {
+            let slot = self.slots.get_mut(usize::from((tag - TAG_BASE) / 4))?;
+            if slot.shape.kind() == 0 {
                 return None;
             }
-            let op = buf.get_u8();
-            let peer = unzigzag(get_varint(buf)?) as i32;
-            let bytes = get_varint(buf)?;
-            Event::MpiCall {
-                t,
-                t_end: t + SimTime::from_nanos(dur),
-                rank,
-                op,
-                peer,
-                bytes,
+            if tag & TAG_DT != 0 {
+                slot.dt = slot.dt.wrapping_add(unzigzag(get_varint(buf)?) as u64);
             }
-        }
-        5 | 6 => {
-            let region = get_varint(buf)? as u32;
-            let team = get_varint(buf)? as u16;
-            if kind == 5 {
-                Event::OmpFork {
-                    t,
-                    rank,
-                    region,
-                    team,
+            if tag & TAG_DUR != 0 {
+                if !has_dur(slot.shape.kind()) {
+                    return None;
                 }
-            } else {
-                Event::OmpJoin {
-                    t,
-                    rank,
-                    region,
-                    team,
-                }
+                slot.dur = slot.dur.wrapping_add(unzigzag(get_varint(buf)?) as u64);
             }
-        }
-        7 => {
-            let dur = get_varint(buf)?;
-            Event::OmpThread {
-                t,
-                t_end: t + SimTime::from_nanos(dur),
-                rank,
-                thread: get_varint(buf)? as u16,
-                region: get_varint(buf)? as u32,
-            }
-        }
-        8 => Event::ConfSync {
-            t,
-            rank,
-            epoch: get_varint(buf)? as u32,
-        },
-        9 => {
-            let dur = get_varint(buf)?;
-            Event::Suspended {
-                t,
-                t_end: t + SimTime::from_nanos(dur),
-                rank,
-            }
-        }
-        10 => Event::FuncSuppressed {
-            t,
-            rank,
-            thread: get_varint(buf)? as u16,
-            func: VtFuncId(get_varint(buf)? as u32),
-            count: get_varint(buf)?,
-            span: SimTime::from_nanos(get_varint(buf)?),
-        },
-        _ => return None,
-    })
+            (slot.shape, slot.dt, slot.dur)
+        };
+        let t = prev_t.checked_add_signed(dt as i64)?;
+        *prev_t = t;
+        join(shape, rank, t, dur)
+    }
 }
 
 /// Decode a whole chunk payload — `count` events of `rank` — into `out`,
@@ -271,7 +455,7 @@ pub fn decode_event(buf: &mut impl Buf, rank: u32, prev_t: &mut u64) -> Option<E
 /// a malformed event leaves `out` empty and is reported by its position,
 /// so no caller ever acts on the front half of a damaged chunk. Returns
 /// the payload bytes left over after the last event (none in a chunk a
-/// writer produced).
+/// writer produced). Reads v2 and v3 payloads alike.
 pub fn decode_chunk(
     mut payload: &[u8],
     rank: u32,
@@ -279,12 +463,13 @@ pub fn decode_chunk(
     out: &mut Vec<Event>,
 ) -> Result<usize, TraceError> {
     out.clear();
-    // No event is shorter than three bytes, so a lying `count` cannot
+    // No event is shorter than one byte, so a lying `count` cannot
     // reserve more than the payload could hold.
     out.reserve((count as usize).min(payload.len()));
+    let mut table = ShapeTable::default();
     let mut prev_t = 0u64;
     for n in 0..count {
-        match decode_event(&mut payload, rank, &mut prev_t) {
+        match table.decode(&mut payload, rank, &mut prev_t) {
             Some(ev) => out.push(ev),
             None => {
                 out.clear();
@@ -299,6 +484,15 @@ pub fn decode_chunk(
 mod tests {
     use super::*;
     use bytes::Bytes;
+
+    /// `events` encoded as one chunk.
+    fn encode(events: &[Event]) -> BytesMut {
+        let (mut buf, mut table, mut prev) = (BytesMut::new(), ShapeTable::default(), 0);
+        for e in events {
+            table.encode(&mut buf, e, &mut prev);
+        }
+        buf
+    }
 
     #[test]
     fn varints_round_trip() {
@@ -409,38 +603,109 @@ mod tests {
                 func: VtFuncId(12),
             },
         ];
-        let mut buf = BytesMut::new();
-        let mut prev = 0u64;
-        for e in &events {
-            encode_event(&mut buf, e, &mut prev);
-        }
-        let mut b = buf.freeze();
-        let mut prev = 0u64;
-        for e in &events {
-            assert_eq!(decode_event(&mut b, 7, &mut prev).as_ref(), Some(e));
-        }
-        assert_eq!(b.remaining(), 0);
+        let buf = encode(&events);
+        let mut out = Vec::new();
+        assert_eq!(
+            decode_chunk(&buf, 7, events.len() as u32, &mut out).unwrap(),
+            0
+        );
+        assert_eq!(out, events);
     }
 
     #[test]
     fn delta_encoding_is_compact() {
-        // 1000 events 1us apart should take ~4-6 bytes each, far below
-        // the 19-byte flat encoding.
-        let mut buf = BytesMut::new();
-        let mut prev = 0u64;
-        for i in 0..1000u64 {
-            encode_event(
-                &mut buf,
-                &Event::FuncEnter {
-                    t: SimTime::from_micros(i),
-                    rank: 0,
-                    thread: 0,
-                    func: VtFuncId(3),
-                },
-                &mut prev,
-            );
+        // 1000 events 1us apart should take ~4-6 bytes each as literals
+        // (a new function each time), far below the 19-byte flat encoding
+        // — and one byte each as repeats (the same function each time).
+        let enter = |i: u64, func: u64| Event::FuncEnter {
+            t: SimTime::from_micros(i),
+            rank: 0,
+            thread: 0,
+            func: VtFuncId(func as u32),
+        };
+        let literals = encode(&(0..1000).map(|i| enter(i, i)).collect::<Vec<_>>());
+        assert!(literals.len() < 1000 * 8, "not compact: {}", literals.len());
+        let repeats = encode(&(0..1000).map(|i| enter(i, 3)).collect::<Vec<_>>());
+        assert!(
+            repeats.len() < 1000 + 8,
+            "repeats not one byte: {}",
+            repeats.len()
+        );
+    }
+
+    /// A repeat is a tag and its residuals; the slot remembers the last
+    /// occurrence, so the next repeat is measured against it.
+    #[test]
+    fn repeats_are_tags_with_residuals() {
+        let us = SimTime::from_micros;
+        let send = |t: u64, dur: u64| Event::MpiCall {
+            t: us(t),
+            t_end: us(t + dur),
+            rank: 0,
+            op: 2,
+            peer: 1,
+            bytes: 4096,
+        };
+        let events = [
+            send(10, 5), // literal
+            send(20, 5), // Δt 10 → 10, duration 5 → 5: tag alone
+            send(40, 5), // Δt residual +10
+            send(60, 7), // duration residual +2
+            send(70, 1), // both: Δt −10, duration −6
+            send(80, 1), // tag alone again
+        ];
+        let buf = encode(&events);
+        let tag = TAG_BASE + 4 * set_of(&split(&events[0]).0) as u8;
+        let mut want = encode(&events[..1]);
+        for (flags, residuals) in [
+            (0, &[][..]),
+            (TAG_DT, &[10_000][..]),
+            (TAG_DUR, &[2_000][..]),
+            (TAG_DT + TAG_DUR, &[-10_000, -6_000][..]),
+            (0, &[][..]),
+        ] {
+            want.put_u8(tag + flags);
+            for &r in residuals {
+                put_varint(&mut want, zigzag(r));
+            }
         }
-        assert!(buf.len() < 1000 * 8, "encoding not compact: {}", buf.len());
+        assert_eq!(buf[..], want[..]);
+        let mut out = Vec::new();
+        decode_chunk(&buf, 0, events.len() as u32, &mut out).unwrap();
+        assert_eq!(out, events);
+    }
+
+    /// A set holds two shapes. Two that share a set both stay; a third
+    /// pushes out the oldest, so three taking turns are literals every
+    /// time — and nothing is mistaken either way.
+    #[test]
+    fn colliding_shapes_share_a_set_and_a_third_evicts() {
+        let conf = |epoch: u32, t: u64| Event::ConfSync {
+            t: SimTime(t),
+            rank: 0,
+            epoch,
+        };
+        let set = |epoch| set_of(&split(&conf(epoch, 0)).0);
+        let mut rivals = (1..).filter(|&e| set(e) == set(0));
+        let epochs = [0, rivals.next().unwrap(), rivals.next().unwrap()];
+        let literals = |events: &[Event]| {
+            let (mut buf, mut prev) = (BytesMut::new(), 0);
+            for e in events {
+                ShapeTable::default().encode(&mut buf, e, &mut prev);
+            }
+            buf
+        };
+        for (ways, all_literal) in [(2, false), (3, true)] {
+            let events: Vec<_> = (0..12u64)
+                .map(|i| conf(epochs[i as usize % ways], 10 * i))
+                .collect();
+            let buf = encode(&events);
+            let want = literals(&events);
+            assert_eq!(buf[..] == want[..], all_literal, "{ways} shapes");
+            let mut out = Vec::new();
+            decode_chunk(&buf, 0, 12, &mut out).unwrap();
+            assert_eq!(out, events, "{ways} shapes");
+        }
     }
 
     #[test]
@@ -470,8 +735,6 @@ mod tests {
 
     #[test]
     fn chunk_decodes_whole_or_not_at_all() {
-        let mut buf = BytesMut::new();
-        let mut prev = 0u64;
         let events: Vec<Event> = (0..5u64)
             .map(|i| Event::ConfSync {
                 t: SimTime::from_nanos(i), // three bytes an event
@@ -479,9 +742,7 @@ mod tests {
                 epoch: i as u32,
             })
             .collect();
-        for e in &events {
-            encode_event(&mut buf, e, &mut prev);
-        }
+        let buf = encode(&events);
         let mut out = Vec::new();
         assert_eq!(decode_chunk(&buf, 3, 5, &mut out).unwrap(), 0);
         assert_eq!(out, events);
@@ -493,7 +754,7 @@ mod tests {
         assert!(out.is_empty(), "nothing survives a damaged chunk");
         // A bad kind byte in the third event.
         let mut bad = buf.to_vec();
-        bad[2 * 3] = 99;
+        bad[2 * 3] = 11;
         assert!(matches!(
             decode_chunk(&bad, 3, 5, &mut out),
             Err(TraceError::BadEvent { index: 2 })
@@ -506,11 +767,87 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        let mut b = Bytes::from(vec![99, 0]); // unknown kind
-        assert_eq!(decode_event(&mut b, 0, &mut 0), None);
-        let mut b = Bytes::from(vec![1]); // kind with no timestamp
-        assert_eq!(decode_event(&mut b, 0, &mut 0), None);
-        let mut b = Bytes::from(vec![1, 0]); // timestamp but no fields
-        assert_eq!(decode_event(&mut b, 0, &mut 0), None);
+        let mut out = Vec::new();
+        for (payload, what) in [
+            (&[99u8, 0][..], "unknown kind"),
+            (&[0, 0], "kind 0"),
+            (&[1], "kind with no timestamp"),
+            (&[1, 0], "timestamp but no fields"),
+        ] {
+            assert!(
+                matches!(
+                    decode_chunk(payload, 0, 1, &mut out),
+                    Err(TraceError::BadEvent { index: 0 })
+                ),
+                "{what}"
+            );
+        }
+    }
+
+    /// Every way a tag can lie is a typed error at its event, never a
+    /// panic or a wrong event.
+    #[test]
+    fn corrupt_tags_are_bad_events() {
+        let suspended = |t: u64, dur: u64| Event::Suspended {
+            t: SimTime(t),
+            t_end: SimTime(t + dur),
+            rank: 0,
+        };
+        let conf = Event::ConfSync {
+            t: SimTime(5),
+            rank: 0,
+            epoch: 1,
+        };
+        let first = encode(&[suspended(1_000, 10)]);
+        let tag = TAG_BASE + 4 * set_of(&split(&suspended(0, 0)).0) as u8;
+        let conf_tag = TAG_BASE + 4 * set_of(&split(&conf).0) as u8;
+        let empty = (0..SHAPE_SLOTS as u8)
+            .map(|s| TAG_BASE + 4 * s)
+            .find(|&t| t != tag)
+            .unwrap();
+        // `first`, then `tag` and the zigzag varint of each residual.
+        let with = |tag: u8, residuals: &[i64]| {
+            let mut buf = BytesMut::new();
+            buf.put_slice(&first);
+            buf.put_u8(tag);
+            for &r in residuals {
+                put_varint(&mut buf, zigzag(r));
+            }
+            buf.to_vec()
+        };
+        let mut conf_dur = encode(std::slice::from_ref(&conf)).to_vec();
+        conf_dur.extend_from_slice(&[conf_tag + TAG_DUR, 2]);
+        let mut overflow = with(tag + TAG_DT, &[i64::MAX - 1_000]);
+        overflow.push(tag);
+        let cases = [
+            (vec![tag], 0, "a tag before any literal"),
+            (with(empty, &[]), 1, "a tag naming an empty slot"),
+            (
+                with(TAG_BASE + 4 * SHAPE_SLOTS as u8, &[]),
+                1,
+                "the first slot past the table",
+            ),
+            (with(0xff, &[]), 1, "the last tag byte"),
+            (with(tag + TAG_DT, &[]), 1, "a Δt residual cut off"),
+            (with(tag + TAG_DUR, &[]), 1, "a duration residual cut off"),
+            (conf_dur, 1, "a duration residual on a ConfSync"),
+            // Δt 1000 − 3000 from t = 1000: before the start of time.
+            (with(tag + TAG_DT, &[-3_000]), 1, "a Δt before time zero"),
+            // Duration 10 − 20 wraps: t_end past the end of time.
+            (with(tag + TAG_DUR, &[-20]), 1, "a duration past u64::MAX"),
+            // Δt i64::MAX twice from t = 1000: t past the end of time.
+            (overflow, 2, "a Δt residual that overflows the time"),
+        ];
+
+        let mut out = vec![conf];
+        for (payload, index, what) in cases {
+            let count = index as u32 + 1;
+            let got = decode_chunk(&payload, 0, count, &mut out);
+            assert!(
+                matches!(got, Err(TraceError::BadEvent { index: i }) if i == index),
+                "{what}: {got:?}"
+            );
+            assert!(out.is_empty(), "{what}");
+        }
     }
 }

@@ -6,7 +6,9 @@
 //! touches only the bytes it needs. It is also crash-consistent: every
 //! chunk carries a CRC-32 and the file is salvageable without its footer
 //! (see [`StoreReader::open_salvage`] and DESIGN §17). Format **version
-//! 2** (this layout) is the only one written or read.
+//! 3** is written; versions 2 and 3 are read. They share this layout and
+//! differ only inside chunk payloads: v3 adds the recurrence tags of
+//! [`codec`], and a v2 payload is a v3 payload that uses none.
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────────────┐
@@ -19,7 +21,7 @@
 //! │ chunk 0: ┌ disk header (40B) ───────────────────────────────┐      │
 //! │          │ rank u32 │ count u32 │ enc_len u32 │ crc32 u32   │      │
 //! │          │ min_t u64 │ max_t u64 │ max_end u64              │      │
-//! │          └ payload: enc_len bytes, delta/varint events ─────┘      │
+//! │          └ payload: enc_len bytes, literals and repeat tags ┘      │
 //! │ chunk 1: …  (one rank per chunk; ≤ chunk_events events)            │
 //! │   ⋮       crc32 covers the header's non-crc bytes + the payload    │
 //! ├────────────────────────────────────────────────────────────────────┤
@@ -133,8 +135,12 @@ use crate::error::TraceError;
 
 /// File magic of the chunk-indexed store format.
 pub const STORE_MAGIC: &[u8; 4] = b"VGVS";
-/// The store format version (CRC-32 chunks, salvageable preamble).
-pub const STORE_VERSION: u16 = 2;
+/// The store format version the writer writes: CRC-32 chunks, a
+/// salvageable preamble, and recurrence-coded payloads.
+pub const STORE_VERSION: u16 = 3;
+/// The oldest version the reader reads: v2, whose payloads are v3
+/// payloads without a repeat tag.
+pub(crate) const STORE_VERSION_MIN: u16 = 2;
 /// What [`compact`] and [`SegmentSet`] re-number a function id to when the
 /// member that recorded it never defined it (a capture torn before a late
 /// `VT_funcdef` reached a footer). No dictionary can define it — the

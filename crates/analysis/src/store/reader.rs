@@ -23,7 +23,7 @@ use super::codec::{decode_chunk, event_overlaps};
 use super::crc::{crc32, Crc32};
 use super::{
     ChunkMeta, EventSource, CHUNK_HEADER_BYTES, HEADER_BYTES, INDEX_ENTRY_BYTES, STORE_MAGIC,
-    STORE_VERSION, TRAILER_BYTES,
+    STORE_VERSION, STORE_VERSION_MIN, TRAILER_BYTES,
 };
 use crate::error::TraceError;
 
@@ -90,6 +90,8 @@ pub struct SalvageSummary {
 pub struct StoreInfo {
     /// Program name.
     pub program: String,
+    /// Format version of the file (of a family's oldest segment).
+    pub version: u16,
     /// Registered function count.
     pub functions: usize,
     /// Total chunks.
@@ -183,6 +185,7 @@ impl ChunkBuf {
 /// verified against their CRC-32.
 pub struct StoreReader {
     file: std::fs::File,
+    version: u16,
     program: String,
     functions: Vec<String>,
     index: Vec<ChunkMeta>,
@@ -206,7 +209,7 @@ impl StoreReader {
     /// capture.
     pub fn open(path: impl AsRef<Path>) -> Result<StoreReader, TraceError> {
         let mut file = std::fs::File::open(path)?;
-        let file_bytes = check_header(&mut file)?;
+        let (file_bytes, version) = check_header(&mut file)?;
         if file_bytes < HEADER_BYTES + TRAILER_BYTES {
             return Err(TraceError::TruncatedFooter);
         }
@@ -214,7 +217,7 @@ impl StoreReader {
         let mut trailer = [0u8; TRAILER_BYTES as usize];
         file.seek(SeekFrom::End(-(TRAILER_BYTES as i64)))?;
         file.read_exact(&mut trailer)?;
-        if &trailer[12..16] != STORE_MAGIC || trailer[16..] != STORE_VERSION.to_le_bytes() {
+        if &trailer[12..16] != STORE_MAGIC || trailer[16..] != version.to_le_bytes() {
             return Err(TraceError::TruncatedFooter);
         }
         let footer_len = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
@@ -275,7 +278,7 @@ impl StoreReader {
             index.push(meta);
         }
         Ok(StoreReader::from_parts(
-            file, program, functions, index, file_bytes, None,
+            file, version, program, functions, index, file_bytes, None,
         ))
     }
 
@@ -283,6 +286,7 @@ impl StoreReader {
     /// scanner builds its index without a footer).
     pub(crate) fn from_parts(
         file: std::fs::File,
+        version: u16,
         program: String,
         functions: Vec<String>,
         index: Vec<ChunkMeta>,
@@ -292,6 +296,7 @@ impl StoreReader {
         let events = index.iter().map(|m| m.count as u64).sum();
         StoreReader {
             file,
+            version,
             program,
             functions,
             index,
@@ -326,6 +331,12 @@ impl StoreReader {
     /// Program name recorded by the writer.
     pub fn program(&self) -> &str {
         &self.program
+    }
+
+    /// Format version of the file: [`STORE_VERSION`], or an older one the
+    /// reader still reads.
+    pub fn version(&self) -> u16 {
+        self.version
     }
 
     /// Function dictionary (names indexed by `VtFuncId`).
@@ -399,6 +410,7 @@ impl StoreReader {
             .unwrap_or(SimTime::ZERO);
         StoreInfo {
             program: self.program.clone(),
+            version: self.version,
             functions: self.functions.len(),
             chunks: self.index.len(),
             events: self.events,
@@ -614,9 +626,9 @@ impl EventSource for StoreReader {
     }
 }
 
-/// Check the 8-byte file header — the `VGVS` magic, then the one version
-/// this reader knows — and return the file's size.
-pub(crate) fn check_header(file: &mut std::fs::File) -> Result<u64, TraceError> {
+/// Check the 8-byte file header — the `VGVS` magic, then a version this
+/// reader knows — and return the file's size and version.
+pub(crate) fn check_header(file: &mut std::fs::File) -> Result<(u64, u16), TraceError> {
     let file_bytes = file.seek(SeekFrom::End(0))?;
     if file_bytes < HEADER_BYTES {
         return Err(TraceError::TruncatedHeader);
@@ -628,10 +640,10 @@ pub(crate) fn check_header(file: &mut std::fs::File) -> Result<u64, TraceError> 
         return Err(TraceError::BadMagic);
     }
     let version = u16::from_le_bytes([head[4], head[5]]);
-    if version != STORE_VERSION {
+    if !(STORE_VERSION_MIN..=STORE_VERSION).contains(&version) {
         return Err(TraceError::UnsupportedVersion(version));
     }
-    Ok(file_bytes)
+    Ok((file_bytes, version))
 }
 
 pub(crate) fn take_string(buf: &mut &[u8]) -> Result<String, TraceError> {

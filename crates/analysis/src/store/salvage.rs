@@ -72,6 +72,8 @@ pub struct FsckReport {
     pub path: PathBuf,
     /// File size in bytes.
     pub file_bytes: u64,
+    /// Format version of the file.
+    pub version: u16,
     /// Footer verdict.
     pub footer: FooterState,
     /// Program name (from footer, preamble, or `"unknown"`).
@@ -103,8 +105,8 @@ impl FsckReport {
         let mut out = String::new();
         let name = self.path.display();
         out.push_str(&format!(
-            "fsck {name}: format v{STORE_VERSION}, {} bytes, program \"{}\"\n",
-            self.file_bytes, self.program
+            "fsck {name}: format v{}, {} bytes, program \"{}\"\n",
+            self.version, self.file_bytes, self.program
         ));
         out.push_str(&format!("  footer: {}\n", self.footer));
         out.push_str(&format!(
@@ -142,6 +144,7 @@ impl FsckReport {
 /// What a forward scan recovered from a footer-less (or torn) store.
 struct ScanOutcome {
     file_bytes: u64,
+    version: u16,
     program: String,
     functions: Vec<String>,
     chunks: Vec<ChunkMeta>,
@@ -154,7 +157,7 @@ struct ScanOutcome {
 /// Forward-scan `file` for self-describing chunks, trusting nothing the
 /// bytes cannot prove: each chunk must pass its CRC-32.
 fn forward_scan(file: &mut std::fs::File) -> Result<ScanOutcome, TraceError> {
-    let file_bytes = check_header(file)?;
+    let (file_bytes, version) = check_header(file)?;
     // The CRC-framed preamble precedes the first chunk. If it cannot be
     // validated we do not know where chunk data starts — which only
     // happens when the writer died before flushing anything.
@@ -163,6 +166,7 @@ fn forward_scan(file: &mut std::fs::File) -> Result<ScanOutcome, TraceError> {
         Err(reason) => {
             return Ok(ScanOutcome {
                 file_bytes,
+                version,
                 program: String::from("unknown"),
                 functions: Vec::new(),
                 chunks: Vec::new(),
@@ -227,6 +231,7 @@ fn forward_scan(file: &mut std::fs::File) -> Result<ScanOutcome, TraceError> {
 
     Ok(ScanOutcome {
         file_bytes,
+        version,
         program,
         functions,
         chunks,
@@ -303,6 +308,7 @@ pub(crate) fn open_salvage(path: impl AsRef<Path>) -> Result<StoreReader, TraceE
             }
             Ok(StoreReader::from_parts(
                 file,
+                scan.version,
                 scan.program,
                 scan.functions,
                 scan.chunks,
@@ -367,6 +373,7 @@ pub fn fsck(path: impl AsRef<Path>) -> Result<FsckReport, TraceError> {
             Ok(FsckReport {
                 path: path.to_path_buf(),
                 file_bytes: info.file_bytes,
+                version: info.version,
                 footer: FooterState::Valid,
                 program: r.program().to_string(),
                 chunks_ok,
@@ -390,6 +397,7 @@ pub fn fsck(path: impl AsRef<Path>) -> Result<FsckReport, TraceError> {
             Ok(FsckReport {
                 path: path.to_path_buf(),
                 file_bytes: scan.file_bytes,
+                version: scan.version,
                 footer: classify_footer(path),
                 program: scan.program.clone(),
                 chunks_ok: scan.chunks.len(),

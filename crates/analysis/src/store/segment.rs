@@ -508,6 +508,7 @@ impl EventSource for SegmentSet {
     fn source_info(&self) -> StoreInfo {
         let mut out = StoreInfo {
             program: self.program.clone(),
+            version: self.members.first().map_or(0, |m| m.reader.version()),
             functions: self.functions.len(),
             segments: self.members.len(),
             salvage: self.salvage(),

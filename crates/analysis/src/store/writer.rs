@@ -27,7 +27,7 @@ use dynprof_obs as obs;
 use dynprof_sim::SimTime;
 use dynprof_vt::{locked, Event, EventSink, Lane, Trace, VtFuncId, VtLib};
 
-use super::codec::{encode_event, event_end};
+use super::codec::{event_end, ShapeTable};
 use super::crc::{crc32, Crc32};
 use super::reader::StoreReader;
 use super::{
@@ -65,7 +65,8 @@ pub struct StoreStats {
 }
 
 /// One rank's open chunk, encoded incrementally: a stage. Sealing it
-/// empties it and keeps its allocation for the rank's next chunk.
+/// empties it — the shape table too, so every chunk decodes on its own —
+/// and keeps its allocation for the rank's next chunk.
 pub struct ChunkBuf {
     payload: BytesMut,
     count: u32,
@@ -73,6 +74,8 @@ pub struct ChunkBuf {
     max_t: SimTime,
     max_end: SimTime,
     prev_t: u64,
+    /// The open chunk's recurrence table (see [`super::codec`]).
+    shapes: ShapeTable,
     /// The largest payload this stage has handed over
     /// ([`StoreStats::peak_buffered_bytes`]).
     high_water: usize,
@@ -88,6 +91,7 @@ impl Default for ChunkBuf {
             max_t: SimTime::ZERO,
             max_end: SimTime::ZERO,
             prev_t: 0,
+            shapes: ShapeTable::default(),
             high_water: 0,
         }
     }
@@ -109,7 +113,7 @@ impl ChunkBuf {
     #[inline]
     pub fn stage(&mut self, ev: &Event) -> usize {
         let before = self.payload.len();
-        encode_event(&mut self.payload, ev, &mut self.prev_t);
+        self.shapes.encode(&mut self.payload, ev, &mut self.prev_t);
         self.count += 1;
         let t = ev.time();
         self.min_t = self.min_t.min(t);
@@ -407,7 +411,8 @@ impl<W: Write + Seek> Seal for FileHalf<W> {
 }
 
 /// Streaming writer of the `VGVS` chunk-indexed store format
-/// (version 2: CRC-32 chunks + salvageable preamble).
+/// (version 3: CRC-32 chunks, a salvageable preamble, recurrence-coded
+/// payloads).
 ///
 /// Append events in any rank order; each rank accumulates into its own
 /// stage, sealed to disk when [`StoreOptions::chunk_events`] is reached.
@@ -493,7 +498,7 @@ impl<W: Write + Seek + Send + 'static> EventSink for StoreWriter<W> {
     }
 }
 
-/// Encode the version-2 chunk header for `meta`, computing and stamping
+/// Encode the chunk header for `meta`, computing and stamping
 /// `meta.crc` (CRC-32 over the header's non-crc bytes then the payload).
 pub(crate) fn encode_chunk_header(
     meta: &mut ChunkMeta,
@@ -532,7 +537,7 @@ pub(crate) fn encode_preamble(program: &str, functions: &[String]) -> BytesMut {
     framed
 }
 
-/// Encode the version-2 footer (program, dictionary, chunk index) plus
+/// Encode the footer (program, dictionary, chunk index) plus
 /// the 18-byte trailer (`footer_len | footer crc | magic | version`).
 pub(crate) fn encode_footer_and_trailer(
     program: &str,

@@ -795,8 +795,10 @@ impl Instrumenter {
             staged.push(name.clone());
             if two_phase.is_none() {
                 // A function's probes leave before the next one is
-                // registered.
+                // registered, and what the daemons have answered by then
+                // is taken off the wire (DESIGN §8, the install window).
                 txn.send_plain(p, &self.client);
+                txn.collect_acks(p, &self.client);
             }
         }
         let pairs = staged.len() * self.handles.len();

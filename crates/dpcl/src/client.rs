@@ -524,20 +524,7 @@ impl DpclClient {
                     result,
                     completed_at,
                     ..
-                }) => {
-                    self.pending.lock().remove(&req);
-                    if obs::enabled() {
-                        // Virtual time from request issue to daemon
-                        // completion (the ack's transit back is the
-                        // client's wait, not the daemon's work, so it is
-                        // excluded).
-                        if let Some((metric, sent)) = self.issued.lock().remove(&req) {
-                            obs::histogram(metric)
-                                .record(completed_at.saturating_sub(sent).as_nanos());
-                        }
-                    }
-                    return result;
-                }
+                }) => return self.acked(req, result, completed_at),
                 // The matcher admits only Ack; anything else is a miss
                 // and falls into the retry path.
                 _ => {
@@ -559,6 +546,39 @@ impl DpclClient {
         AckResult::TimedOut {
             attempts: self.policy.max_attempts,
         }
+    }
+
+    /// The acknowledgement of `req` if it has already arrived, as
+    /// [`DpclClient::wait_ack`] would return it; `None` without waiting
+    /// otherwise.
+    pub(crate) fn try_ack(&self, p: &Proc, req: ReqId) -> Option<AckResult> {
+        if let Some(message) = self.failed.lock().remove(&req) {
+            return Some(AckResult::Error { message });
+        }
+        match self.inbox.try_recv_key(p, req.0)? {
+            UpMsg::Ack {
+                result,
+                completed_at,
+                ..
+            } => Some(self.acked(req, result, completed_at)),
+            // Only an ack carries a key.
+            _ => None,
+        }
+    }
+
+    /// `req` is acknowledged with `result`, completed by the daemon at
+    /// `completed_at`: forget its resend copy and note its latency.
+    fn acked(&self, req: ReqId, result: AckResult, completed_at: SimTime) -> AckResult {
+        self.pending.lock().remove(&req);
+        if obs::enabled() {
+            // Virtual time from request issue to daemon completion (the
+            // ack's transit back is the client's wait, not the daemon's
+            // work, so it is excluded).
+            if let Some((metric, sent)) = self.issued.lock().remove(&req) {
+                obs::histogram(metric).record(completed_at.saturating_sub(sent).as_nanos());
+            }
+        }
+        result
     }
 
     /// Wait once for the acknowledgement of `req`, up to the absolute

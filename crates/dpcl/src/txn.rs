@@ -27,7 +27,7 @@
 //! RNG draws, same counters — so enabling transactions without faults
 //! cannot move a single golden byte.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use dynprof_obs as obs;
 
@@ -179,10 +179,15 @@ pub struct InstrumentationTxn {
     opts: TxnOptions,
     /// `(node, op)` in staging order.
     staged: Vec<(usize, StagedOp)>,
-    /// Installs sent plain, in staging order: `(node, pending request)`.
-    sent: Vec<(usize, ReqId)>,
-    /// Activation swaps sent plain (applied in place).
-    swapped: u64,
+    /// Installs sent plain and not yet acknowledged, in staging order:
+    /// `(node, pending request)`.
+    sent: VecDeque<(usize, ReqId)>,
+    /// Ops sent plain that have applied: activation swaps (in place) and
+    /// installs acknowledged `Ok`.
+    applied: u64,
+    /// Installs sent plain whose ack was a failure: `(node, ack)`, in
+    /// staging order.
+    failed: Vec<(usize, AckResult)>,
 }
 
 impl InstrumentationTxn {
@@ -191,8 +196,9 @@ impl InstrumentationTxn {
         InstrumentationTxn {
             opts,
             staged: Vec::new(),
-            sent: Vec::new(),
-            swapped: 0,
+            sent: VecDeque::new(),
+            applied: 0,
+            failed: Vec::new(),
         }
     }
 
@@ -258,28 +264,62 @@ impl InstrumentationTxn {
                     snippet,
                 } => self
                     .sent
-                    .push((node, client.install_at(p, node, target, point, snippet))),
+                    .push_back((node, client.install_at(p, node, target, point, snippet))),
                 StagedOp::Activation { apply, .. } => {
                     apply();
-                    self.swapped += 1;
+                    self.applied += 1;
                 }
             }
         }
     }
 
-    /// Wait for the ack of every install [`InstrumentationTxn::send_plain`]
-    /// sent. Returns the ops applied (swaps, and installs acknowledged
-    /// `Ok`) and each failed install's `(node, ack)`, in staging order.
-    pub fn wait_plain(self, p: &Proc, client: &DpclClient) -> (u64, Vec<(usize, AckResult)>) {
-        let mut applied = self.swapped;
-        let mut failed = Vec::new();
-        for (node, req) in self.sent {
-            match client.wait_ack(p, req) {
-                AckResult::Ok { .. } => applied += 1,
-                ack => failed.push((node, ack)),
-            }
+    /// Between sends, take what has already come back: let every daemon
+    /// catch up with the client's clock ([`Proc::yield_now`]), then collect
+    /// the acks of the oldest installs still out, in staging order up to
+    /// the first that has not arrived. Nothing waits and no clock moves;
+    /// the gain is that a batch's requests and acks stop queueing in the
+    /// daemons' and the client's inboxes all at once.
+    ///
+    /// Fault-free only: under a live plan every control message draws on
+    /// the plan's link stream, whose order must not depend on when the
+    /// daemons run.
+    pub fn collect_acks(&mut self, p: &Proc, client: &DpclClient) {
+        if p.live_faults() {
+            return;
         }
-        (applied, failed)
+        p.yield_now();
+        while let Some(&(node, req)) = self.sent.front() {
+            let Some(ack) = client.try_ack(p, req) else {
+                break;
+            };
+            self.sent.pop_front();
+            self.settle(node, ack);
+        }
+    }
+
+    /// Installs sent plain whose ack has not been taken yet.
+    pub fn unacked(&self) -> usize {
+        self.sent.len()
+    }
+
+    /// Wait for the ack of every install [`InstrumentationTxn::send_plain`]
+    /// sent that [`InstrumentationTxn::collect_acks`] has not taken.
+    /// Returns the ops applied (swaps, and installs acknowledged `Ok`) and
+    /// each failed install's `(node, ack)`, in staging order.
+    pub fn wait_plain(mut self, p: &Proc, client: &DpclClient) -> (u64, Vec<(usize, AckResult)>) {
+        while let Some((node, req)) = self.sent.pop_front() {
+            let ack = client.wait_ack(p, req);
+            self.settle(node, ack);
+        }
+        (self.applied, self.failed)
+    }
+
+    /// Account one install's ack.
+    fn settle(&mut self, node: usize, ack: AckResult) {
+        match ack {
+            AckResult::Ok { .. } => self.applied += 1,
+            ack => self.failed.push((node, ack)),
+        }
     }
 
     /// Run the transaction to completion on the coordinator process `p`.

@@ -512,6 +512,17 @@ impl Engine {
         h.timers.push(Reverse((at, seq, pid, gen)));
     }
 
+    /// Is a wake or a timer pending at or before `t`?
+    fn due_by(&self, t: SimTime) -> bool {
+        let mut h = self.heaps.lock();
+        let timer = h.timers.peek().map(|&Reverse((at, ..))| at);
+        h.peek_wake()
+            .map(|(at, _)| at)
+            .into_iter()
+            .chain(timer)
+            .any(|at| at <= t)
+    }
+
     /// Invalidate every outstanding timer of `pid`, removing its dead heap
     /// entries eagerly so they never surface at dispatch (the generation
     /// bump still guards any entry a future refactor might leave behind).
@@ -1404,6 +1415,19 @@ impl Proc {
         self.block();
     }
 
+    /// Let every process with a wake due at or before this process's clock
+    /// run first, then carry on at the same time. With nothing due this is
+    /// a no-op: no dispatch, no switch. Virtual time moves for nobody — a
+    /// process due now would run at this time anyway, only later in the
+    /// host's order; what the yield buys is that its work (an ack sent, a
+    /// message consumed) is done before this process goes on.
+    pub fn yield_now(&self) {
+        let now = self.now();
+        if self.eng.due_by(now) {
+            self.sleep_until(now);
+        }
+    }
+
     /// Sleep for a relative duration.
     pub fn sleep(&self, dt: SimTime) {
         let t = self.now() + dt;
@@ -1761,6 +1785,36 @@ mod tests {
         assert_eq!(stats.events_dispatched(), 3);
         assert_eq!(stats.sched_fallbacks(), 1, "startup dispatch only");
         assert_eq!(stats.direct_handoffs(), 0, "self-dispatches are free");
+    }
+
+    #[test]
+    fn yield_now_runs_what_is_due_first_and_costs_nothing_otherwise() {
+        on_both_backends(|sim| {
+            let us = SimTime::from_micros;
+            let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let (mine, theirs) = (Arc::clone(&log), Arc::clone(&log));
+            let stats = sim.stats();
+            sim.spawn("yielder", 0, move |p| {
+                p.advance(us(10));
+                // "other" has not started, and then sleeps to 5 us: both
+                // wakes are due by 10 us, so both run before this returns.
+                p.yield_now();
+                assert_eq!(p.now(), us(10), "a yield moves no clock");
+                mine.lock().unwrap().push(("yielder", p.now()));
+                // Its next wake is at 50 us: nothing is due, no dispatch.
+                let before = stats.events_dispatched();
+                p.yield_now();
+                assert_eq!(stats.events_dispatched(), before);
+            });
+            sim.spawn("other", 0, move |p| {
+                p.sleep_until(us(5));
+                theirs.lock().unwrap().push(("other", p.now()));
+                p.sleep_until(us(50));
+            });
+            assert_eq!(sim.run(), us(50));
+            let log = log.lock().unwrap();
+            assert_eq!(*log, [("other", us(5)), ("yielder", us(10))]);
+        });
     }
 
     #[test]

@@ -374,6 +374,16 @@ impl<T> SimChannel<T> {
         }
     }
 
+    /// [`SimChannel::recv_key_deadline`] without the wait: the message with
+    /// `key` if it has already arrived.
+    pub fn try_recv_key(&self, p: &Proc, key: u64) -> Option<T> {
+        let mut s = self.state.lock();
+        match s.earliest_keyed(key) {
+            Some((i, arrival)) if arrival <= p.now() => Some(self.take(p, &mut s, i)),
+            _ => None,
+        }
+    }
+
     /// Receive a matching message if one has already arrived.
     pub fn try_recv_match(&self, p: &Proc, pred: impl FnMut(&T) -> bool) -> Option<T> {
         let mut s = self.state.lock();
@@ -835,6 +845,22 @@ mod tests {
             assert_eq!(c.try_recv(p), None); // still in flight
             p.advance(SimTime::from_micros(100));
             assert_eq!(c.try_recv(p), Some(9));
+        });
+        sim.run();
+
+        // The keyed form: in flight is `None`, an absent key is `None`.
+        let sim = vsim(1);
+        let ch: Arc<SimChannel<u8>> = Arc::new(SimChannel::new_fifo_keyed(|m| Some(*m as u64)));
+        let c = Arc::clone(&ch);
+        sim.spawn("solo", 0, move |p| {
+            c.send(p, 9, SimTime::from_micros(100));
+            c.send(p, 4, SimTime::from_micros(100));
+            assert_eq!(c.try_recv_key(p, 4), None);
+            p.advance(SimTime::from_micros(100));
+            assert_eq!(c.try_recv_key(p, 7), None);
+            assert_eq!(c.try_recv_key(p, 4), Some(4));
+            assert_eq!(c.try_recv_key(p, 9), Some(9));
+            assert!(c.is_empty());
         });
         sim.run();
     }

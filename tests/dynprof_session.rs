@@ -325,8 +325,8 @@ fn family(base: &std::path::Path) -> (Vec<Vec<Event>>, dynprof::analysis::store:
 }
 
 /// The flight recorder on the paper's wide shape: no rank ever fills a
-/// chunk, so every roll is a sub-buffer switch. The line is the one the
-/// shared-lock capture printed; the family reads as one store of 64
+/// chunk, so every roll is a sub-buffer switch. The line pins the
+/// family's shape and bytes; the family reads as one store of 64
 /// ranks, each holding the tail of what it recorded; and the same
 /// session captured by the library on the threads carrier writes the
 /// same files.
@@ -352,13 +352,13 @@ fn rotating_session_keeps_the_tail_of_every_rank() {
             stats.deleted,
             stats.bytes
         ),
-        (2, 9, 8, 88_577),
-        "2 segments on disk (9 rotated, 8 retired), 88577 bytes"
+        (2, 2, 1, 123_904),
+        "2 segments on disk (2 rotated, 1 retired), 123904 bytes"
     );
 
     let (retained, info) = family(&base);
     assert_eq!((info.ranks, info.segments), (64, 2), "{info:?}");
-    assert_eq!(info.file_bytes, 88_577);
+    assert_eq!(info.file_bytes, 123_904);
     let app = test_app("sweep3d", 64).unwrap();
     let cfg = SessionConfig::new(Machine::ibm_power3_colony(), Policy::Dynamic)
         .with_seed(42)
@@ -456,5 +456,5 @@ fn rotating_session_interleaves_rolls_and_seals() {
 }
 
 /// `(segments on disk, rotated, retired, bytes)` of `umt98 cpus=8
-/// policy=full scale=1 rotate=1000000` with the shared-lock capture.
-const ROLLED: (usize, usize, usize, u64) = (6, 5, 0, 5_122_394);
+/// policy=full scale=1 rotate=1000000`.
+const ROLLED: (usize, usize, usize, u64) = (4, 3, 0, 3_346_621);

@@ -9,10 +9,11 @@
 //! it to another rank.
 //!
 //! Patching shares too: ranks patched alike hold one trampoline chain per
-//! probe point between them (the program's chain pool), and a fault-free
-//! control plane keeps nothing per request once it is acknowledged. The
-//! allocator's high-water mark pins what a whole in-process session peaks
-//! at.
+//! probe point between them (the program's chain pool), a fault-free
+//! control plane keeps nothing per request once it is acknowledged, and an
+//! install batch takes its acks as it goes instead of queueing whole in
+//! the inboxes. The allocator's high-water mark pins what a whole
+//! in-process session peaks at.
 //!
 //! The same allocator pins the read side's footprint: a store reader owns
 //! its chunk buffers, so a pass over a store it has already walked once
@@ -27,7 +28,7 @@ use dynprof::analysis::store::{StoreOptions, StoreReader, StoreWriter};
 use dynprof::apps::cli::{run_cli, CliArgs};
 use dynprof::apps::{smg98, test_app, Smg98Params};
 use dynprof::core::{run_session, SessionConfig};
-use dynprof::dpcl::{AckResult, DpclClient, DpclSystem};
+use dynprof::dpcl::{AckResult, DpclClient, DpclSystem, InstrumentationTxn, TxnOptions};
 use dynprof::image::{CallerCtx, Image, ProbeCtx, ProbePoint, Snippet, SnippetId, StaticHooks};
 use dynprof::sim::{Machine, ProcBackend, Sim, SimTime};
 use dynprof::vt::{Event, Policy, VtFuncId};
@@ -440,18 +441,18 @@ fn fault_free_installs_leave_no_retry_state() {
     );
 }
 
-#[test]
-fn a_64_rank_dynamic_session_peaks_under_its_ceiling() {
-    // The deterministic count behind the session-RSS claim: the live heap
-    // high-water mark of `dynprof smg98 cpus=64 policy=dynamic` with the
-    // subset inserted, every rank and daemon on this thread. The first run
-    // pays for process-wide lazy state; the two after it must agree to the
-    // byte.
-    const CEILING: isize = 2_250_000;
+/// The live heap high-water mark of `dynprof smg98 cpus=CPUS
+/// policy=dynamic` with the subset inserted, every rank and daemon on this
+/// thread; `None` on the threads carrier. The first run pays for
+/// process-wide lazy state; the two after it must agree to the byte.
+fn dynamic_session_peak(cpus: usize) -> Option<isize> {
     if !one_thread_carrier() {
-        return;
+        return None;
     }
-    let dir = std::env::temp_dir().join(format!("dynprof-footprint-peak-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "dynprof-footprint-peak-{cpus}-{}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     let script = dir.join("script.dp");
     std::fs::write(&script, "insert-file subset\nstart\nquit\n").unwrap();
@@ -460,25 +461,106 @@ fn a_64_rank_dynamic_session_peaks_under_its_ceiling() {
         "-",
         "-",
         "smg98",
-        "cpus=64",
+        &format!("cpus={cpus}"),
         "policy=dynamic",
         "seed=42",
     ]
     .map(String::from);
     let session = || {
         let out = run_cli(&CliArgs::parse(&args).unwrap()).unwrap();
-        assert_eq!(out.report.probe_pairs_installed, 62 * 64);
+        assert_eq!(out.report.probe_pairs_installed, 62 * cpus);
     };
     session();
     let ((), peak) = peak_bytes_of(session);
     let ((), again) = peak_bytes_of(session);
     std::fs::remove_dir_all(&dir).ok();
-    println!("smg98 cpus=64 policy=dynamic, subset inserted: peak live heap {peak} bytes");
+    println!("smg98 cpus={cpus} policy=dynamic, subset inserted: peak live heap {peak} bytes");
     assert_eq!(peak, again, "the peak is a function of the seed");
-    assert!(
-        peak <= CEILING,
-        "peak live heap {peak} bytes, ceiling {CEILING}"
+    Some(peak)
+}
+
+#[test]
+fn a_fault_free_install_takes_most_acks_while_it_sends() {
+    // The session's install of smg98's subset at 512 ranks, through the
+    // same calls: one function's probes in every rank, sent, then what
+    // has come back taken — and only the rest left for `wait_plain`.
+    const RANKS: usize = 512;
+    let app = smg98(RANKS, Smg98Params::test());
+    let images: Vec<_> = (0..RANKS).map(|_| app.build_image(false)).collect();
+    let funcs: Vec<_> = app
+        .subset
+        .iter()
+        .filter_map(|n| images[0].func(n))
+        .collect();
+    let sent = 2 * funcs.len() * RANKS;
+    let left = Arc::new(std::sync::Mutex::new((0, 0)));
+    let left2 = Arc::clone(&left);
+    let machine = Machine::ibm_power3_colony();
+    let sim = Sim::virtual_time(machine.clone(), 1);
+    sim.spawn("dynprof", machine.nodes - 1, move |p| {
+        let client = DpclClient::new(DpclSystem::new(["u"]), "u");
+        let handles: Vec<_> = images
+            .iter()
+            .enumerate()
+            .map(|(rank, img)| {
+                let node = p.machine().node_of_rank(rank);
+                client.attach(p, node, Arc::clone(img), "r").unwrap()
+            })
+            .collect();
+        let mut txn = InstrumentationTxn::new(TxnOptions::default());
+        for &f in &funcs {
+            for h in &handles {
+                txn.stage_install(h, ProbePoint::entry(f), Snippet::noop("begin"));
+                txn.stage_install(h, ProbePoint::exit(f), Snippet::noop("end"));
+            }
+            txn.send_plain(p, &client);
+            txn.collect_acks(p, &client);
+        }
+        let unacked = txn.unacked();
+        let (applied, failed) = txn.wait_plain(p, &client);
+        assert!(failed.is_empty(), "{failed:?}");
+        *left2.lock().unwrap() = (unacked, applied);
+        client.shutdown(p);
+    });
+    sim.run();
+    let (unacked, applied) = *left.lock().unwrap();
+    println!(
+        "{sent} installs: {} acks taken while sending, {unacked} left",
+        sent - unacked
     );
+    assert_eq!(applied as usize, sent);
+    assert!(
+        unacked * 20 < sent,
+        "{unacked} of {sent} acks were still out when the batch was sent"
+    );
+}
+
+#[test]
+fn a_64_rank_dynamic_session_peaks_under_its_ceiling() {
+    // The deterministic count behind the session-RSS claim.
+    const CEILING: isize = 1_750_000;
+    if let Some(peak) = dynamic_session_peak(64) {
+        assert!(
+            peak <= CEILING,
+            "peak live heap {peak} bytes, ceiling {CEILING}"
+        );
+    }
+}
+
+#[test]
+fn a_256_rank_dynamic_session_peaks_under_its_ceiling() {
+    // An install batch is 62 functions × 2 probes × every rank: sent
+    // without a pause, all of its requests and then all of its acks sit
+    // in the control plane's inboxes at once, so the peak grows with the
+    // batch. Taking each function's acks as it goes bounds the queues by
+    // about one function's worth.
+    const CEILING: isize = 4_500_000;
+    if let Some(peak) = dynamic_session_peak(256) {
+        assert!(
+            peak <= CEILING,
+            "peak live heap {peak} bytes, ceiling {CEILING}"
+        );
+    }
 }
 
 #[test]

@@ -149,6 +149,111 @@ fn trace_encode_decode_round_trip() {
     std::fs::remove_file(&path).ok();
 }
 
+/// `shape` — an event's kind and every field but time and duration — at
+/// time `t`, lasting `dur` if its kind has a duration, on `rank`.
+fn recur(shape: &Event, rank: u32, t: u64, dur: u64) -> Event {
+    let (t, span) = (SimTime::from_nanos(t), SimTime::from_nanos(dur));
+    let mut ev = shape.clone();
+    match &mut ev {
+        Event::FuncBatch { span: s, .. } | Event::FuncSuppressed { span: s, .. } => *s = span,
+        Event::MpiCall { t_end, .. }
+        | Event::OmpThread { t_end, .. }
+        | Event::Suspended { t_end, .. } => *t_end = t + span,
+        _ => {}
+    }
+    match &mut ev {
+        Event::FuncEnter { t: at, rank: r, .. }
+        | Event::FuncExit { t: at, rank: r, .. }
+        | Event::FuncBatch { t: at, rank: r, .. }
+        | Event::MpiCall { t: at, rank: r, .. }
+        | Event::OmpFork { t: at, rank: r, .. }
+        | Event::OmpJoin { t: at, rank: r, .. }
+        | Event::OmpThread { t: at, rank: r, .. }
+        | Event::ConfSync { t: at, rank: r, .. }
+        | Event::Suspended { t: at, rank: r, .. }
+        | Event::FuncSuppressed { t: at, rank: r, .. } => (*at, *r) = (t, rank),
+    }
+    ev
+}
+
+/// Store v3's recurrence codec on the streams it exists for: ranks
+/// repeating a vocabulary of event shapes (every kind, with and without a
+/// duration; from one shape to far more than the table holds, so shapes
+/// collide and evict each other), each time with the same gap and
+/// duration as last time, slightly more or less, or something unrelated,
+/// and now and then a step back in time — through every chunk size from 1
+/// to 64. What `read_all` returns is the input, stable-sorted; and the
+/// repeats are what makes it small: the same stream sealed one event a
+/// chunk, all literals, takes at least a third more bytes.
+#[test]
+fn recurrence_codec_round_trip() {
+    let mut r = rng(2);
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("dynprof-recur-{}.vgvs", std::process::id()));
+    let (mut tagged, mut literal) = (0u64, 0u64);
+    let payload = |path: &std::path::Path| -> u64 {
+        let r = StoreReader::open(path).expect("open");
+        r.chunks().iter().map(|m| u64::from(m.enc_len)).sum()
+    };
+    for _ in 0..200 {
+        let vocab: Vec<Event> = (0..1 + r.gen_index(80))
+            .map(|_| arb_event(&mut r))
+            .collect();
+        let mut events = Vec::new();
+        for rank in 0..1 + r.gen_index(3) as u32 {
+            let cyclic = r.gen_index(2) == 0;
+            let mut last = vec![(1_000i64, 50u64); vocab.len()];
+            let mut t = r.gen_range_u64(0..=1 << 40) as i64;
+            for i in 0..r.gen_index(300) {
+                let k = if cyclic {
+                    i % vocab.len()
+                } else {
+                    r.gen_index(vocab.len())
+                };
+                let (gap, dur) = &mut last[k];
+                match r.gen_index(6) {
+                    0..=2 => {} // the same gap and duration again
+                    3 => {
+                        *gap += r.gen_range_u64(0..=1_000) as i64 - 500;
+                        *dur = dur.saturating_add_signed(r.gen_range_u64(0..=200) as i64 - 100);
+                    }
+                    4 => *gap = -(r.gen_range_u64(0..=5_000) as i64),
+                    _ => {
+                        *gap = r.gen_range_u64(0..=1 << 30) as i64;
+                        *dur = r.gen_range_u64(0..=1 << 30);
+                    }
+                }
+                t = (t + *gap).max(0);
+                events.push(recur(&vocab[k], rank, t as u64, *dur));
+            }
+        }
+        let trace = Trace {
+            program: "recur".into(),
+            functions: vec!["f".into()],
+            events,
+        };
+        let chunk_events = 1 + r.gen_index(64);
+        write_store_from_trace(&trace, &path, StoreOptions { chunk_events }).expect("write");
+        let back = StoreReader::open(&path)
+            .expect("open")
+            .read_all()
+            .expect("read");
+        let mut want = trace.clone();
+        want.events.sort_by_key(|e| (e.time(), e.rank()));
+        assert_eq!(back, want, "chunk_events {chunk_events}");
+        if chunk_events >= 8 {
+            tagged += payload(&path);
+            write_store_from_trace(&trace, &path, StoreOptions { chunk_events: 1 }).expect("write");
+            literal += payload(&path);
+        }
+    }
+    assert!(
+        tagged * 4 < literal * 3,
+        "repeats took {tagged} payload bytes, the same events as literals {literal}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
 /// The profile accumulator the dense `ProfileBuilder` replaced: plain
 /// ordered maps keyed `(rank, thread)` and `(rank, func)`, one search per
 /// event. Kept here as the reference the dense builder is tested against.

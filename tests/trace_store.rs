@@ -11,11 +11,12 @@ mod common;
 
 use common::{check_golden, synth_trace, tmp};
 use dynprof::analysis::store::{
-    compact, crc32, event_overlaps, write_store_from_trace, Crc32, SegmentSet, StoreOptions,
-    StoreReader, StoreWriter, UNKNOWN_FUNC,
+    compact, crc32, event_overlaps, fsck, repair, write_store_from_trace, Crc32, SegmentSet,
+    StoreOptions, StoreReader, StoreWriter, STORE_VERSION, UNKNOWN_FUNC,
 };
 use dynprof::analysis::{
-    comm_report, slice_report, top_report, CommStats, Profile, ProfileOptions, TraceError,
+    comm_report, info_report, slice_report, top_report, CommStats, Profile, ProfileOptions,
+    TraceError,
 };
 use dynprof::sim::SimTime;
 use dynprof::vt::{Event, Trace, VtFuncId};
@@ -595,4 +596,184 @@ fn compact_reverifies_and_rewrites_crcs() {
     for p in [p1, p2, out] {
         std::fs::remove_file(&p).ok();
     }
+}
+
+// ---- reading format v2 ------------------------------------------------
+
+/// What `tests/golden/store_v2.vgvs` was written from, by the last v2
+/// writer with `chunk_events: 8`: three ranks of thirteen events — every
+/// kind, a repeated send, a batch that steps back in time — so two chunks
+/// a rank.
+fn store_v2_trace() -> Trace {
+    let us = SimTime::from_micros;
+    let mut events = Vec::new();
+    for rank in 0..3u32 {
+        let b = 100 * u64::from(rank);
+        let right = ((rank + 1) % 3) as i32;
+        let left = ((rank + 2) % 3) as i32;
+        let send = |t: u64, op: u8, peer: i32| Event::MpiCall {
+            t: us(b + t),
+            t_end: us(b + t + 2 + u64::from(op == 3)),
+            rank,
+            op,
+            peer,
+            bytes: 4096,
+        };
+        let func = |kind: u8, t: u64, func: u32, count: u64, span: u64| {
+            let (t, thread, func, span) = (us(b + t), 0, VtFuncId(func), us(span));
+            match kind {
+                1 => Event::FuncEnter {
+                    t,
+                    rank,
+                    thread,
+                    func,
+                },
+                2 => Event::FuncExit {
+                    t,
+                    rank,
+                    thread,
+                    func,
+                },
+                3 => Event::FuncBatch {
+                    t,
+                    rank,
+                    thread,
+                    func,
+                    count,
+                    span,
+                },
+                _ => Event::FuncSuppressed {
+                    t,
+                    rank,
+                    thread,
+                    func,
+                    count,
+                    span,
+                },
+            }
+        };
+        events.extend([
+            Event::ConfSync {
+                t: us(b + 1),
+                rank,
+                epoch: 1,
+            },
+            func(1, 2, 0, 0, 0),
+            send(3, 2, right),
+            send(6, 3, left),
+            Event::OmpFork {
+                t: us(b + 10),
+                rank,
+                region: 1,
+                team: 4,
+            },
+            Event::OmpThread {
+                t: us(b + 10),
+                t_end: us(b + 14),
+                rank,
+                thread: 1,
+                region: 1,
+            },
+            Event::OmpJoin {
+                t: us(b + 15),
+                rank,
+                region: 1,
+                team: 4,
+            },
+            func(3, 12, 1, 40, 3),
+            func(10, 16, 1, 7, 1),
+            Event::Suspended {
+                t: us(b + 17),
+                t_end: us(b + 20),
+                rank,
+            },
+            send(21, 2, right),
+            func(2, 24, 0, 0, 0),
+            Event::ConfSync {
+                t: us(b + 25),
+                rank,
+                epoch: 2,
+            },
+        ]);
+    }
+    Trace {
+        program: "v2-golden".into(),
+        functions: vec!["solve".into(), "leaf".into()],
+        events,
+    }
+}
+
+fn store_v2_golden() -> std::path::PathBuf {
+    format!("{}/tests/golden/store_v2.vgvs", env!("CARGO_MANIFEST_DIR")).into()
+}
+
+/// A store the v2 writer produced still reads, event for event, and says
+/// which format it is.
+#[test]
+fn store_v2_golden_reads_as_written() {
+    let mut r = StoreReader::open(store_v2_golden()).unwrap();
+    assert_eq!(r.version(), 2);
+    assert_eq!((r.chunks().len(), r.info().events), (6, 39));
+    assert_eq!(r.read_all().unwrap(), reference_sorted(&store_v2_trace()));
+    assert!(info_report(&r).contains("  format:    v2 (crc32 per chunk)\n"));
+    let report = fsck(store_v2_golden()).unwrap();
+    assert!(report.is_clean(), "{}", report.render());
+    assert!(report.render().starts_with(&format!(
+        "fsck {}: format v2, 885 bytes",
+        store_v2_golden().display()
+    )));
+
+    // The same events written today. No chunk repeats a shape, so every
+    // event is a literal — the v2 encoding — and the two files differ in
+    // the version fields of the header and the trailer only.
+    let path = tmp("v2-rewritten");
+    write_store_from_trace(&store_v2_trace(), &path, StoreOptions { chunk_events: 8 }).unwrap();
+    let mut now = StoreReader::open(&path).unwrap();
+    assert_eq!(now.version(), STORE_VERSION);
+    assert_eq!(now.read_all().unwrap(), reference_sorted(&store_v2_trace()));
+    let (mut v2, mut v3) = (
+        std::fs::read(store_v2_golden()).unwrap(),
+        std::fs::read(&path).unwrap(),
+    );
+    assert_eq!(v3.len(), v2.len());
+    for bytes in [&mut v2, &mut v3] {
+        let end = bytes.len();
+        for i in [4, 5, end - 2, end - 1] {
+            bytes[i] = 0;
+        }
+    }
+    assert!(v2 == v3, "the literals are not the v2 encoding");
+    std::fs::remove_file(&path).ok();
+}
+
+/// `fsck --repair` copies chunks byte for byte under a fresh header, so a
+/// repaired v2 store is labelled v3 — its payloads are v3 payloads that
+/// use no repeat tag — and answers every query as the original does.
+#[test]
+fn repairing_a_v2_store_yields_an_equal_v3_store() {
+    let out = tmp("v2-repaired");
+    let report = repair(store_v2_golden(), &out).unwrap();
+    assert_eq!((report.version, report.chunks_ok), (2, 6));
+    let (mut old, mut new) = (
+        StoreReader::open(store_v2_golden()).unwrap(),
+        StoreReader::open(&out).unwrap(),
+    );
+    assert_eq!(new.version(), STORE_VERSION);
+    assert_eq!(fsck(&out).unwrap().version, STORE_VERSION);
+    assert_eq!(new.read_all().unwrap(), old.read_all().unwrap());
+    let opts = ProfileOptions::default();
+    assert_eq!(
+        top_report(&mut new, 10, opts).unwrap(),
+        top_report(&mut old, 10, opts).unwrap()
+    );
+    assert_eq!(
+        comm_report(&mut new).unwrap(),
+        comm_report(&mut old).unwrap()
+    );
+    let window = (SimTime::from_micros(100), SimTime::from_micros(125));
+    assert_eq!(
+        slice_report(&mut new, window.0, window.1, None, 40).unwrap(),
+        slice_report(&mut old, window.0, window.1, None, 40).unwrap()
+    );
+    std::fs::remove_file(&out).ok();
 }
