@@ -216,15 +216,14 @@ fn check_pingpong(iters: u64, check_on: bool) -> Duration {
 }
 
 fn bench_check_primitives() {
-    // The gate every sync primitive pays when happens-before checking is
-    // compiled in but not enabled at runtime. With the `check` feature
-    // off, `hb::on` is a const false and this row measures the compiled-
-    // away floor (the loop itself).
+    // What a recording site costs in a run `enable_check` did not arm:
+    // one branch on the run's recorder handle (every sync primitive pays
+    // it per operation).
     bench("check/gate_runtime_off", |iters| {
         in_virtual_proc(move |p| {
             let t = Instant::now();
-            for _ in 0..iters {
-                black_box(hb::on(p));
+            for i in 0..iters {
+                hb::chan_send(p, 0, black_box(i));
             }
             t.elapsed()
         })

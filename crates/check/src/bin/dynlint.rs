@@ -10,8 +10,8 @@
 //! 3. the snippet-program verifier over the standard VT snippet set
 //!    (`VT_begin`, `VT_end`, counter, configuration break) under both
 //!    machine cost models;
-//! 4. a happens-before smoke run: a small MPI job under the `check`
-//!    feature whose report must contain no errors.
+//! 4. a happens-before smoke run: a small MPI job with the checker armed
+//!    whose report must contain no errors.
 //!
 //! `--fixture <name>` instead runs a seeded negative — an input
 //! deliberately constructed to trip one detector class — and therefore
@@ -154,9 +154,6 @@ fn real_tree() -> Vec<Finding> {
 /// A 4-rank job doing matched collectives and point-to-point traffic; its
 /// happens-before report must be error-free.
 fn smoke_run() -> Vec<Finding> {
-    if !hb::compiled() {
-        return Vec::new();
-    }
     let sim = Sim::virtual_time(Machine::test_machine(), 7);
     sim.enable_check();
     let handle = sim.check_handle();
@@ -178,10 +175,6 @@ fn smoke_run() -> Vec<Finding> {
 /// Two ranks enter the same collective slot with different roots: the
 /// collective-mismatch detector must flag it.
 fn fixture_collective_mismatch() -> Vec<Finding> {
-    if !hb::compiled() {
-        eprintln!("dynlint: built without the `check` feature; fixture unavailable");
-        return vec![synthetic_error()];
-    }
     let sim = Sim::virtual_time(Machine::test_machine(), 3);
     sim.enable_check();
     let handle = sim.check_handle();
@@ -202,10 +195,6 @@ fn fixture_collective_mismatch() -> Vec<Finding> {
 /// A configuration epoch applied on a process with no causal path from
 /// the decision: the paper §5 safe-point invariant is violated.
 fn fixture_epoch_unsafe() -> Vec<Finding> {
-    if !hb::compiled() {
-        eprintln!("dynlint: built without the `check` feature; fixture unavailable");
-        return vec![synthetic_error()];
-    }
     let sim = Sim::virtual_time(Machine::test_machine(), 5);
     sim.enable_check();
     let handle = sim.check_handle();
@@ -313,12 +302,4 @@ fn fixture_branch_into_patch() -> Vec<Finding> {
     ];
     let plan = ProbePlan::timer_pair(vec!["hot_loop".into()]);
     analyze("fixture", &manifest, &plan, &Budget::default())
-}
-
-fn synthetic_error() -> Finding {
-    Finding {
-        severity: Severity::Error,
-        detector: "fixture-unavailable",
-        message: "happens-before fixtures need `--features check`".into(),
-    }
 }

@@ -7,8 +7,8 @@
 //!   [`hb`]): vector clocks threaded through every simulator
 //!   synchronization primitive detect collective mismatches, unmatched
 //!   sends, barrier-participation divergence, and confsync epochs applied
-//!   out of order (paper §5's safe-point invariant). Recording is gated
-//!   behind the `check` cargo feature and compiles away entirely when off.
+//!   out of order (paper §5's safe-point invariant). A run records only
+//!   when [`dynprof_sim::Sim::enable_check`] arms it.
 //! * **Probe-safety static analysis** ([`analyzer`]): a pass over a
 //!   program's function manifest *before* any instrumentation is
 //!   installed, flagging probe points that cannot legally hold a patch,

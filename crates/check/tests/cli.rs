@@ -26,20 +26,14 @@ fn real_tree_is_clean() {
 fn collective_mismatch_fixture_fails() {
     let (ok, text) = dynlint(&["--fixture", "collective-mismatch"]);
     assert!(!ok);
-    assert!(
-        text.contains("collective-mismatch") || text.contains("fixture-unavailable"),
-        "{text}"
-    );
+    assert!(text.contains("collective-mismatch"), "{text}");
 }
 
 #[test]
 fn epoch_unsafe_fixture_fails() {
     let (ok, text) = dynlint(&["--fixture", "epoch-unsafe"]);
     assert!(!ok);
-    assert!(
-        text.contains("epoch-safety") || text.contains("fixture-unavailable"),
-        "{text}"
-    );
+    assert!(text.contains("epoch-safety"), "{text}");
 }
 
 #[test]

@@ -580,9 +580,7 @@ fn comm_daemon_loop(
                                 }
                             }
                         }
-                        if hb::on(cp) {
-                            hb::epoch_apply(cp, hb_lib, epoch);
-                        }
+                        hb::epoch_apply(cp, hb_lib, epoch);
                         match first_err {
                             // PREPARE validated every op, so a commit-time
                             // failure means the world changed between the

@@ -115,8 +115,8 @@ impl Comm {
     }
 
     /// Record this rank entering its next collective with the
-    /// happens-before checker (`check` feature; folds away when off).
-    /// Must run before the collective consumes its sequence number.
+    /// happens-before checker (if the run is armed). Must run before the
+    /// collective consumes its sequence number.
     pub(crate) fn hb_coll(&self, p: &Proc, op: &'static str, root: Option<usize>) {
         if hb::on(p) {
             hb::collective(

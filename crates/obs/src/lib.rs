@@ -11,9 +11,8 @@
 //!
 //! | State | Cost at an instrumented site |
 //! |---|---|
-//! | `obs` cargo feature off | zero — [`enabled`] is `const false`, the site folds away |
-//! | feature on, runtime flag off (default) | one relaxed atomic load + branch |
-//! | feature on, runtime flag on | the relaxed-atomic instrument update |
+//! | flag off (default) | one relaxed atomic load + branch |
+//! | flag on | the relaxed-atomic instrument update |
 //!
 //! Hot layers (`sim::engine`, `mpi`, `dpcl`, `vt`) guard every metric site
 //! with `if obs::enabled()` and **never** charge virtual time for it, so
@@ -46,9 +45,8 @@
 //! obs::reset();
 //! hot_path(); // flag off: no metric recorded
 //! obs::set_enabled(true);
-//! let live = obs::enabled(); // false with the `obs` feature compiled out
 //! hot_path();
-//! assert_eq!(obs::counter("demo.events").get(), u64::from(live));
+//! assert_eq!(obs::counter("demo.events").get(), 1);
 //! obs::set_enabled(false);
 //! ```
 //!
@@ -67,34 +65,18 @@ pub use registry::{
     HistogramSnapshot, Metric, MetricValue, Snapshot, Span,
 };
 
-#[cfg(feature = "obs")]
 use std::sync::atomic::{AtomicBool, Ordering};
 
-#[cfg(feature = "obs")]
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Whether metric sites should record. The hot-path check: a relaxed
-/// atomic load and branch when the `obs` feature is on, `const false`
-/// (fully folded away) when it is off.
-#[cfg(feature = "obs")]
+/// atomic load and branch.
 #[inline(always)]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Whether metric sites should record. The `obs` cargo feature is
-/// disabled, so this is `const false` and instrumented sites compile away.
-#[cfg(not(feature = "obs"))]
-#[inline(always)]
-pub const fn enabled() -> bool {
-    false
-}
-
-/// Turn runtime observation on or off. A no-op (observation stays off)
-/// when the `obs` cargo feature is disabled.
+/// Turn runtime observation on or off.
 pub fn set_enabled(on: bool) {
-    #[cfg(feature = "obs")]
     ENABLED.store(on, Ordering::Relaxed);
-    #[cfg(not(feature = "obs"))]
-    let _ = on;
 }

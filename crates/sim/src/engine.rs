@@ -429,8 +429,8 @@ pub(crate) struct Engine {
     /// Fault plan in force, if any (set at most once, before processes
     /// start exchanging messages).
     faults: OnceLock<Arc<FaultPlan>>,
-    /// Happens-before recorder (`check` feature; inert unless enabled).
-    hb: Arc<crate::hb::HbState>,
+    /// Happens-before recorder, installed by [`Sim::enable_check`] only.
+    hb: OnceLock<Arc<dyn crate::hb::Recorder>>,
 }
 
 impl Engine {
@@ -488,7 +488,7 @@ impl Engine {
             seed,
             handles: Mutex::new(Vec::new()),
             faults: OnceLock::new(),
-            hb: Arc::new(crate::hb::HbState::new()),
+            hb: OnceLock::new(),
         }
     }
 
@@ -715,6 +715,7 @@ impl Engine {
             node,
             clock,
             rng: Mutex::new(SimRng::for_process(self.seed, pid)),
+            hb: self.hb.get().cloned(),
         };
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&proc_))) {
             Ok(()) => ProcExit::Normal,
@@ -949,7 +950,7 @@ impl Engine {
     }
 
     /// Push the bookkeeping for a new process — slot, liveness, heap
-    /// registration, start event, HB registration and (coroutine
+    /// registration, start event, HB registration (armed runs) and (coroutine
     /// backend) the coroutine slot — under one `inner` hold, and return
     /// the pid. The single hold is what serializes concurrent pre-run
     /// spawners, including their coroutine-pool pushes.
@@ -962,8 +963,8 @@ impl Engine {
     ) -> Pid {
         let mut g = self.inner.lock();
         let pid = g.procs.len();
-        if crate::hb::compiled() {
-            self.hb.register(pid, name);
+        if let Some(r) = self.hb.get() {
+            r.register(pid, name);
         }
         let start = clock.get();
         g.procs.push(ProcSlot {
@@ -1033,19 +1034,21 @@ impl Sim {
         self.eng.faults.get().cloned()
     }
 
-    /// Turn on happens-before recording for this simulation. A no-op
-    /// unless the crate was built with the `check` feature (the recorder
-    /// exists but every recording site is compiled away). Call before
-    /// spawning processes so registration and events are complete.
+    /// Arm happens-before recording for this simulation: install its
+    /// recorder (see [`crate::hb`]). Call before spawning processes so
+    /// registration and events are complete.
     pub fn enable_check(&self) {
-        self.eng.hb.set_enabled(crate::hb::compiled());
+        self.eng.hb.get_or_init(crate::hb::recorder);
     }
 
     /// A handle for reading this simulation's happens-before verdict.
-    /// Take it before [`Sim::run`] consumes the `Sim`; call
-    /// [`crate::hb::CheckHandle::report`] after the run completes.
+    /// Take it after [`Sim::enable_check`] and before [`Sim::run`]
+    /// consumes the `Sim`; call [`crate::hb::CheckHandle::report`] after
+    /// the run completes.
     pub fn check_handle(&self) -> crate::hb::CheckHandle {
-        crate::hb::CheckHandle::new(Arc::clone(&self.eng.hb))
+        crate::hb::CheckHandle {
+            recorder: self.eng.hb.get().cloned(),
+        }
     }
 
     /// Wake events dispatched so far (a throughput metric for harnesses
@@ -1310,6 +1313,9 @@ pub struct Proc {
     /// This process's clock, shared with its engine slot (see [`Clock`]).
     clock: Arc<Clock>,
     rng: Mutex<SimRng>,
+    /// The run's happens-before recorder, if armed: every recording site
+    /// is one branch on this.
+    hb: Option<Arc<dyn crate::hb::Recorder>>,
 }
 
 impl Proc {
@@ -1395,17 +1401,11 @@ impl Proc {
         self.eng.faults.get().is_some_and(|plan| !plan.is_inert())
     }
 
-    /// Is happens-before recording live for this process? One relaxed
-    /// atomic load; callers gate on [`crate::hb::on`] (which folds this
-    /// call away entirely when the `check` feature is off).
+    /// This run's happens-before recorder, if [`Sim::enable_check`]
+    /// armed it.
     #[inline(always)]
-    pub(crate) fn hb_on(&self) -> bool {
-        self.eng.hb.is_on()
-    }
-
-    /// This simulation's happens-before recorder.
-    pub(crate) fn hb_state(&self) -> &crate::hb::HbState {
-        &self.eng.hb
+    pub(crate) fn recorder(&self) -> Option<&dyn crate::hb::Recorder> {
+        self.hb.as_deref()
     }
 
     /// Schedule a wake for this process at absolute time `at`, then block.

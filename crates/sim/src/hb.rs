@@ -1,4 +1,4 @@
-//! Happens-before correctness analysis (the `check` cargo feature).
+//! Happens-before correctness analysis, armed per run.
 //!
 //! The paper's premise is that instrumentation must be *safe to insert
 //! while the program runs* (trampoline patching §3, `VT_confsync` safe
@@ -27,61 +27,41 @@
 //!
 //! # Cost model
 //!
-//! The gating mirrors `dynprof-obs`: with the `check` feature disabled,
-//! [`compiled`] is a `const fn` returning `false` and every recording
-//! site folds away entirely; with the feature enabled but
-//! [`crate::Sim::enable_check`] not called, each site costs one relaxed
-//! atomic load. Recording never charges virtual time and never touches
-//! the metrics registry, so toggling the checker cannot change simulated
-//! results — figure JSON is byte-identical either way.
+//! A run is checked only if [`crate::Sim::enable_check`] armed it, which
+//! installs the run's one recorder; each process holds a copy of the
+//! handle. Every recording site is one branch on it and builds its event
+//! only when that branch is taken: an unarmed run pays a load and a
+//! not-taken branch per site and keeps no checker state, and — because
+//! the recorder is reached only through a trait object that
+//! `enable_check` alone creates — a binary that never arms a run links
+//! none of the recorder's code.
+//! Recording never charges virtual time and never touches the metrics
+//! registry, so arming the checker cannot change simulated results —
+//! figure JSON is byte-identical either way.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::engine::{Pid, Proc};
 
-/// True iff the crate was built with the `check` feature: the
-/// compile-time gate. With the feature off this is a `const fn` returning
-/// `false`, so every `if hb::on(p) { … }` site folds away.
-#[cfg(feature = "check")]
-#[inline(always)]
-pub fn compiled() -> bool {
-    true
-}
-
-/// True iff the crate was built with the `check` feature (it was not).
-#[cfg(not(feature = "check"))]
-#[inline(always)]
-pub const fn compiled() -> bool {
-    false
-}
-
-/// Should this event be recorded? Compile-time gate (`check` feature)
-/// plus the per-simulation runtime flag plus virtual clock mode.
+/// Is this process's run armed for happens-before recording? A site that
+/// must do work to build its record (format a message, read a sequence
+/// number) tests this first; the recording functions test it themselves.
 #[inline(always)]
 pub fn on(p: &Proc) -> bool {
-    compiled() && p.hb_on()
+    p.recorder().is_some()
 }
 
 /// A fresh process-global identifier for a trackable object (channel,
-/// barrier, gate, queue, MPI job, VT library instance). Returns 0 when
-/// the `check` feature is off — the ids are only ever used as recording
-/// keys, so collisions on 0 are harmless there.
-#[cfg(feature = "check")]
+/// barrier, gate, queue, MPI job, VT library instance). The ids are only
+/// ever used as recording keys.
 pub fn unique_id() -> u64 {
-    use std::sync::atomic::AtomicU64;
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-/// A fresh object identifier (`check` feature off: always 0).
-#[cfg(not(feature = "check"))]
-pub const fn unique_id() -> u64 {
-    0
 }
 
 // ---------------------------------------------------------------------------
@@ -210,8 +190,54 @@ struct CollSite {
     entries: Vec<(usize, &'static str, Option<usize>)>,
 }
 
+/// The events a run's recorder records. Built by the functions below only
+/// when the run is armed.
+pub(crate) enum Event<'a> {
+    /// (channel, envelope sequence)
+    ChanSend(u64, u64),
+    ChanRecv(u64, u64),
+    /// (barrier, generation)
+    BarrierArrive(u64, u64),
+    BarrierDepart(u64, u64),
+    GateOpen(u64),
+    GatePass(u64),
+    QueuePush(u64),
+    QueuePop(u64),
+    Collective {
+        job: u64,
+        job_name: &'a str,
+        size: usize,
+        rank: usize,
+        seq: u64,
+        op: &'static str,
+        root: Option<usize>,
+    },
+    /// (VT library or transaction id, epoch)
+    EpochDecision(u64, u64),
+    EpochApply(u64, u64),
+    EpochAbort(u64, u64),
+    UnsafePatch(&'a str),
+}
+
+/// A run's happens-before recorder: the handle [`crate::Sim::enable_check`]
+/// installs. A trait object, so that only a binary that arms a run links
+/// the implementation.
+pub(crate) trait Recorder: Send + Sync {
+    /// Remember `pid`'s display name (called at spawn).
+    fn register(&self, pid: Pid, name: &str);
+    /// Record `ev`, performed by `pid`.
+    fn record(&self, pid: Pid, ev: Event<'_>);
+    /// Run every detector over the history recorded so far.
+    fn report(&self) -> Report;
+}
+
+/// A fresh recorder, for [`crate::Sim::enable_check`].
+pub(crate) fn recorder() -> Arc<dyn Recorder> {
+    Arc::new(Mutex::new(History::default()))
+}
+
 #[derive(Default)]
-struct HbInner {
+struct History {
     /// Per-pid vector clocks and names (dense, grown on registration).
     clocks: Vec<VClock>,
     names: Vec<String>,
@@ -240,7 +266,7 @@ struct HbInner {
     unsafe_patches: Vec<(Pid, String)>,
 }
 
-impl HbInner {
+impl History {
     fn name(&self, pid: Pid) -> String {
         match self.names.get(pid) {
             Some(n) if !n.is_empty() => n.clone(),
@@ -261,255 +287,105 @@ impl HbInner {
         c.tick(pid);
         c.clone()
     }
-}
 
-/// Per-simulation happens-before recorder. One lives inside every
-/// [`crate::Sim`]; obtain a [`CheckHandle`] to read the verdict after
-/// the run.
-pub struct HbState {
-    enabled: AtomicBool,
-    inner: Mutex<HbInner>,
-}
-
-impl HbState {
-    pub(crate) fn new() -> HbState {
-        HbState {
-            enabled: AtomicBool::new(false),
-            inner: Mutex::new(HbInner::default()),
+    fn record(&mut self, pid: Pid, ev: Event<'_>) {
+        match ev {
+            Event::ChanSend(chan, seq) => {
+                let clock = self.tick(pid);
+                self.chan_sends.insert((chan, seq), (pid, clock));
+            }
+            Event::ChanRecv(chan, seq) => {
+                let sender = self.chan_sends.remove(&(chan, seq)).map(|(_, clock)| clock);
+                self.acquire(pid, sender);
+            }
+            Event::BarrierArrive(bar, gen) => {
+                let clock = self.tick(pid);
+                self.barrier_accum
+                    .entry((bar, gen))
+                    .or_default()
+                    .join(&clock);
+                self.barrier_parts
+                    .entry(bar)
+                    .or_default()
+                    .entry(gen)
+                    .or_default()
+                    .insert(pid);
+            }
+            Event::BarrierDepart(bar, gen) => {
+                let merged = self.barrier_accum.get(&(bar, gen)).cloned();
+                self.acquire(pid, merged);
+            }
+            Event::GateOpen(gate) => {
+                let clock = self.tick(pid);
+                self.gates.entry(gate).or_default().join(&clock);
+            }
+            Event::GatePass(gate) => {
+                let openers = self.gates.get(&gate).cloned();
+                self.acquire(pid, openers);
+            }
+            Event::QueuePush(q) => {
+                let clock = self.tick(pid);
+                self.queues.entry(q).or_default().join(&clock);
+            }
+            Event::QueuePop(q) => {
+                let pushers = self.queues.get(&q).cloned();
+                self.acquire(pid, pushers);
+            }
+            Event::Collective {
+                job,
+                job_name,
+                size,
+                rank,
+                seq,
+                op,
+                root,
+            } => {
+                self.tick(pid);
+                let site = self.colls.entry((job, seq)).or_default();
+                if site.entries.is_empty() {
+                    site.job_name = job_name.to_string();
+                    site.size = size;
+                }
+                site.entries.push((rank, op, root));
+            }
+            Event::EpochDecision(lib, round) => {
+                let clock = self.tick(pid);
+                self.epoch_decisions
+                    .entry((lib, round))
+                    .or_insert((pid, clock));
+            }
+            Event::EpochApply(lib, round) => {
+                let clock = self.tick(pid);
+                self.epoch_applies.push((lib, round, pid, clock));
+            }
+            Event::EpochAbort(lib, round) => {
+                self.tick(pid);
+                self.epoch_aborts.insert((lib, round), pid);
+            }
+            Event::UnsafePatch(detail) => {
+                self.tick(pid);
+                self.unsafe_patches.push((pid, detail.to_string()));
+            }
         }
     }
 
-    pub(crate) fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    #[inline(always)]
-    pub(crate) fn is_on(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Remember `pid`'s display name (called at spawn).
-    pub(crate) fn register(&self, pid: Pid, name: &str) {
-        let mut g = self.inner.lock();
-        if g.names.len() <= pid {
-            g.names.resize(pid + 1, String::new());
+    /// Tick `pid`, then join `from` (the clock it synchronizes with, if
+    /// any was recorded) into its clock.
+    fn acquire(&mut self, pid: Pid, from: Option<VClock>) {
+        self.tick(pid);
+        if let Some(from) = from {
+            self.clock_mut(pid).join(&from);
         }
-        g.names[pid] = name.to_string();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Recording API (called by sync primitives and higher layers)
-// ---------------------------------------------------------------------------
-
-/// Record a message send on channel `chan` with envelope sequence `seq`.
-pub fn chan_send(p: &Proc, chan: u64, seq: u64) {
-    if !on(p) {
-        return;
-    }
-    let mut g = p.hb_state().inner.lock();
-    let clock = g.tick(p.pid());
-    g.chan_sends.insert((chan, seq), (p.pid(), clock));
-}
-
-/// Record the receipt of the envelope `(chan, seq)`: joins the sender's
-/// clock at send into the receiver's clock.
-pub fn chan_recv(p: &Proc, chan: u64, seq: u64) {
-    if !on(p) {
-        return;
-    }
-    let mut g = p.hb_state().inner.lock();
-    g.tick(p.pid());
-    if let Some((_, sender_clock)) = g.chan_sends.remove(&(chan, seq)) {
-        g.clock_mut(p.pid()).join(&sender_clock);
-    }
-}
-
-/// Record arrival at generation `gen` of barrier `bar`.
-pub fn barrier_arrive(p: &Proc, bar: u64, gen: u64) {
-    if !on(p) {
-        return;
-    }
-    let mut g = p.hb_state().inner.lock();
-    let clock = g.tick(p.pid());
-    g.barrier_accum.entry((bar, gen)).or_default().join(&clock);
-    g.barrier_parts
-        .entry(bar)
-        .or_default()
-        .entry(gen)
-        .or_default()
-        .insert(p.pid());
-}
-
-/// Record departure from generation `gen` of barrier `bar`: joins the
-/// merged clock of every arriver into the departing process.
-pub fn barrier_depart(p: &Proc, bar: u64, gen: u64) {
-    if !on(p) {
-        return;
-    }
-    let mut g = p.hb_state().inner.lock();
-    g.tick(p.pid());
-    if let Some(merged) = g.barrier_accum.get(&(bar, gen)).cloned() {
-        g.clock_mut(p.pid()).join(&merged);
-    }
-}
-
-/// Record the opening of gate `gate`.
-pub fn gate_open(p: &Proc, gate: u64) {
-    if !on(p) {
-        return;
-    }
-    let mut g = p.hb_state().inner.lock();
-    let clock = g.tick(p.pid());
-    g.gates.entry(gate).or_default().join(&clock);
-}
-
-/// Record a process passing through open gate `gate`.
-pub fn gate_pass(p: &Proc, gate: u64) {
-    if !on(p) {
-        return;
-    }
-    let mut g = p.hb_state().inner.lock();
-    g.tick(p.pid());
-    if let Some(openers) = g.gates.get(&gate).cloned() {
-        g.clock_mut(p.pid()).join(&openers);
-    }
-}
-
-/// Record a push into (or closing of) work queue `q`. Conservative: pops
-/// join the cumulative clock of *all* pushers, which can only over- (never
-/// under-) approximate the ordering.
-pub fn queue_push(p: &Proc, q: u64) {
-    if !on(p) {
-        return;
-    }
-    let mut g = p.hb_state().inner.lock();
-    let clock = g.tick(p.pid());
-    g.queues.entry(q).or_default().join(&clock);
-}
-
-/// Record a successful pop from work queue `q`.
-pub fn queue_pop(p: &Proc, q: u64) {
-    if !on(p) {
-        return;
-    }
-    let mut g = p.hb_state().inner.lock();
-    g.tick(p.pid());
-    if let Some(pushers) = g.queues.get(&q).cloned() {
-        g.clock_mut(p.pid()).join(&pushers);
-    }
-}
-
-/// Record that `rank` of job `job` (display name `job_name`, `size`
-/// ranks) entered its `seq`-th collective `op` (rooted at `root`, if
-/// rooted). Called by every MPI collective before any traffic moves.
-#[allow(clippy::too_many_arguments)]
-pub fn collective(
-    p: &Proc,
-    job: u64,
-    job_name: &str,
-    size: usize,
-    rank: usize,
-    seq: u64,
-    op: &'static str,
-    root: Option<usize>,
-) {
-    if !on(p) {
-        return;
-    }
-    let mut g = p.hb_state().inner.lock();
-    g.tick(p.pid());
-    let site = g.colls.entry((job, seq)).or_default();
-    if site.entries.is_empty() {
-        site.job_name = job_name.to_string();
-        site.size = size;
-    }
-    site.entries.push((rank, op, root));
-}
-
-/// Record that the monitor rank decided configuration epoch `round` of
-/// VT library instance `lib` (the safe-point decision, paper §5).
-pub fn epoch_decision(p: &Proc, lib: u64, round: u64) {
-    if !on(p) {
-        return;
-    }
-    let mut g = p.hb_state().inner.lock();
-    let clock = g.tick(p.pid());
-    g.epoch_decisions
-        .entry((lib, round))
-        .or_insert((p.pid(), clock));
-}
-
-/// Record that the calling rank applied the delta of epoch `round`
-/// (immediately at the safe point, or later via deferred catch-up).
-pub fn epoch_apply(p: &Proc, lib: u64, round: u64) {
-    if !on(p) {
-        return;
-    }
-    let mut g = p.hb_state().inner.lock();
-    let clock = g.tick(p.pid());
-    g.epoch_applies.push((lib, round, p.pid(), clock));
-}
-
-/// Record that epoch `round` of `lib` was aborted (rolled back) rather
-/// than committed. The epoch-safety detector reports any application of
-/// an aborted epoch as an error: an abort means every staged change was
-/// discarded, so an apply anywhere is exactly the partially-instrumented
-/// state the 2PC control plane exists to prevent.
-pub fn epoch_abort(p: &Proc, lib: u64, round: u64) {
-    if !on(p) {
-        return;
-    }
-    let mut g = p.hb_state().inner.lock();
-    g.tick(p.pid());
-    let pid = p.pid();
-    g.epoch_aborts.insert((lib, round), pid);
-}
-
-/// Record a probe install/remove performed while the target image was
-/// not suspended.
-pub fn unsafe_patch(p: &Proc, detail: &str) {
-    if !on(p) {
-        return;
-    }
-    let mut g = p.hb_state().inner.lock();
-    g.tick(p.pid());
-    let pid = p.pid();
-    let detail = detail.to_string();
-    g.unsafe_patches.push((pid, detail));
-}
-
-// ---------------------------------------------------------------------------
-// Reporting
-// ---------------------------------------------------------------------------
-
-/// A read handle onto a simulation's recorded happens-before history.
-/// Obtain with [`crate::Sim::check_handle`] *before* `run` consumes the
-/// `Sim`; call [`CheckHandle::report`] after the run.
-#[derive(Clone)]
-pub struct CheckHandle {
-    state: Arc<HbState>,
-}
-
-impl CheckHandle {
-    pub(crate) fn new(state: Arc<HbState>) -> CheckHandle {
-        CheckHandle { state }
-    }
-
-    /// Was recording enabled on this simulation?
-    pub fn enabled(&self) -> bool {
-        self.state.is_on()
     }
 
     /// Run every detector over the recorded history.
-    pub fn report(&self) -> Report {
-        let g = self.state.inner.lock();
+    fn report(&self) -> Report {
         let mut errors = Vec::new();
         let mut warnings = Vec::new();
 
         // Collective mismatch: within one job, the k-th collective of
         // every rank must agree on op and root, and all ranks must enter.
-        for (&(_job, seq), site) in &g.colls {
+        for (&(_job, seq), site) in &self.colls {
             let ops: BTreeSet<&str> = site.entries.iter().map(|e| e.1).collect();
             if ops.len() > 1 {
                 let detail: Vec<String> = site
@@ -579,28 +455,28 @@ impl CheckHandle {
         // Epoch safety (paper §5): every application of a config delta
         // must be ordered after the epoch's decision, and an aborted
         // epoch must never be applied at all.
-        for (lib, round, pid, clock) in &g.epoch_applies {
-            if let Some(aborter) = g.epoch_aborts.get(&(*lib, *round)) {
+        for (lib, round, pid, clock) in &self.epoch_applies {
+            if let Some(aborter) = self.epoch_aborts.get(&(*lib, *round)) {
                 errors.push(Finding {
                     severity: Severity::Error,
                     detector: "epoch-safety",
                     message: format!(
                         "epoch {round}: {} applied changes of an epoch that {} \
                          aborted — partially-instrumented state",
-                        g.name(*pid),
-                        g.name(*aborter)
+                        self.name(*pid),
+                        self.name(*aborter)
                     ),
                 });
                 continue;
             }
-            match g.epoch_decisions.get(&(*lib, *round)) {
+            match self.epoch_decisions.get(&(*lib, *round)) {
                 None => errors.push(Finding {
                     severity: Severity::Error,
                     detector: "epoch-safety",
                     message: format!(
                         "confsync epoch {round}: {} applied a config delta but \
                          no safe-point decision was recorded for that epoch",
-                        g.name(*pid)
+                        self.name(*pid)
                     ),
                 }),
                 Some((decider, decision_clock)) => {
@@ -612,8 +488,8 @@ impl CheckHandle {
                                 "confsync epoch {round}: {} applied the config \
                                  delta without the decision by {} \
                                  happening-before it",
-                                g.name(*pid),
-                                g.name(*decider)
+                                self.name(*pid),
+                                self.name(*decider)
                             ),
                         });
                     }
@@ -623,7 +499,7 @@ impl CheckHandle {
 
         // Unmatched sends / never-drained channels at shutdown.
         let mut per_chan: BTreeMap<u64, (usize, Pid)> = BTreeMap::new();
-        for (&(chan, _), &(sender, _)) in &g.chan_sends {
+        for (&(chan, _), &(sender, _)) in &self.chan_sends {
             per_chan.entry(chan).or_insert((0, sender)).0 += 1;
         }
         for (chan, (count, first_sender)) in per_chan {
@@ -633,18 +509,18 @@ impl CheckHandle {
                 message: format!(
                     "channel #{chan}: {count} message(s) sent but never received \
                      (first sender: {})",
-                    g.name(first_sender)
+                    self.name(first_sender)
                 ),
             });
         }
 
         // Barrier participation divergence across generations.
-        for (bar, gens) in &g.barrier_parts {
+        for (bar, gens) in &self.barrier_parts {
             let sets: BTreeSet<&BTreeSet<Pid>> = gens.values().collect();
             if sets.len() > 1 {
                 let render = |s: &BTreeSet<Pid>| {
                     s.iter()
-                        .map(|&pid| g.name(pid))
+                        .map(|&pid| self.name(pid))
                         .collect::<Vec<_>>()
                         .join(", ")
                 };
@@ -664,11 +540,11 @@ impl CheckHandle {
         }
 
         // Patches on a live (non-suspended) image.
-        for (pid, detail) in &g.unsafe_patches {
+        for (pid, detail) in &self.unsafe_patches {
             warnings.push(Finding {
                 severity: Severity::Warning,
                 detector: "unsafe-patch",
-                message: format!("{}: {detail}", g.name(*pid)),
+                message: format!("{}: {detail}", self.name(*pid)),
             });
         }
 
@@ -677,7 +553,175 @@ impl CheckHandle {
     }
 }
 
-#[cfg(all(test, feature = "check"))]
+impl Recorder for Mutex<History> {
+    fn register(&self, pid: Pid, name: &str) {
+        let mut g = self.lock();
+        if g.names.len() <= pid {
+            g.names.resize(pid + 1, String::new());
+        }
+        g.names[pid] = name.to_string();
+    }
+
+    fn record(&self, pid: Pid, ev: Event<'_>) {
+        self.lock().record(pid, ev);
+    }
+
+    fn report(&self) -> Report {
+        self.lock().report()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Recording API (called by sync primitives and higher layers)
+// ---------------------------------------------------------------------------
+
+/// Record the event `ev` builds on `p`'s run, if the run is armed (the
+/// event is built only then).
+#[inline(always)]
+fn record<'a>(p: &Proc, ev: impl FnOnce() -> Event<'a>) {
+    if let Some(r) = p.recorder() {
+        r.record(p.pid(), ev());
+    }
+}
+
+/// Record a message send on channel `chan` with envelope sequence `seq`.
+#[inline]
+pub fn chan_send(p: &Proc, chan: u64, seq: u64) {
+    record(p, || Event::ChanSend(chan, seq));
+}
+
+/// Record the receipt of the envelope `(chan, seq)`: joins the sender's
+/// clock at send into the receiver's clock.
+#[inline]
+pub fn chan_recv(p: &Proc, chan: u64, seq: u64) {
+    record(p, || Event::ChanRecv(chan, seq));
+}
+
+/// Record arrival at generation `gen` of barrier `bar`.
+#[inline]
+pub fn barrier_arrive(p: &Proc, bar: u64, gen: u64) {
+    record(p, || Event::BarrierArrive(bar, gen));
+}
+
+/// Record departure from generation `gen` of barrier `bar`: joins the
+/// merged clock of every arriver into the departing process.
+#[inline]
+pub fn barrier_depart(p: &Proc, bar: u64, gen: u64) {
+    record(p, || Event::BarrierDepart(bar, gen));
+}
+
+/// Record the opening of gate `gate`.
+#[inline]
+pub fn gate_open(p: &Proc, gate: u64) {
+    record(p, || Event::GateOpen(gate));
+}
+
+/// Record a process passing through open gate `gate`.
+#[inline]
+pub fn gate_pass(p: &Proc, gate: u64) {
+    record(p, || Event::GatePass(gate));
+}
+
+/// Record a push into (or closing of) work queue `q`. Conservative: pops
+/// join the cumulative clock of *all* pushers, which can only over- (never
+/// under-) approximate the ordering.
+#[inline]
+pub fn queue_push(p: &Proc, q: u64) {
+    record(p, || Event::QueuePush(q));
+}
+
+/// Record a successful pop from work queue `q`.
+#[inline]
+pub fn queue_pop(p: &Proc, q: u64) {
+    record(p, || Event::QueuePop(q));
+}
+
+/// Record that `rank` of job `job` (display name `job_name`, `size`
+/// ranks) entered its `seq`-th collective `op` (rooted at `root`, if
+/// rooted). Called by every MPI collective before any traffic moves.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn collective(
+    p: &Proc,
+    job: u64,
+    job_name: &str,
+    size: usize,
+    rank: usize,
+    seq: u64,
+    op: &'static str,
+    root: Option<usize>,
+) {
+    record(p, || Event::Collective {
+        job,
+        job_name,
+        size,
+        rank,
+        seq,
+        op,
+        root,
+    });
+}
+
+/// Record that the monitor rank decided configuration epoch `round` of
+/// VT library instance `lib` (the safe-point decision, paper §5).
+#[inline]
+pub fn epoch_decision(p: &Proc, lib: u64, round: u64) {
+    record(p, || Event::EpochDecision(lib, round));
+}
+
+/// Record that the calling rank applied the delta of epoch `round`
+/// (immediately at the safe point, or later via deferred catch-up).
+#[inline]
+pub fn epoch_apply(p: &Proc, lib: u64, round: u64) {
+    record(p, || Event::EpochApply(lib, round));
+}
+
+/// Record that epoch `round` of `lib` was aborted (rolled back) rather
+/// than committed. The epoch-safety detector reports any application of
+/// an aborted epoch as an error: an abort means every staged change was
+/// discarded, so an apply anywhere is exactly the partially-instrumented
+/// state the 2PC control plane exists to prevent.
+#[inline]
+pub fn epoch_abort(p: &Proc, lib: u64, round: u64) {
+    record(p, || Event::EpochAbort(lib, round));
+}
+
+/// Record a probe install/remove performed while the target image was
+/// not suspended.
+#[inline]
+pub fn unsafe_patch(p: &Proc, detail: &str) {
+    record(p, || Event::UnsafePatch(detail));
+}
+
+// ---------------------------------------------------------------------------
+// Reporting
+// ---------------------------------------------------------------------------
+
+/// A read handle onto a run's recorded happens-before history. Obtain
+/// with [`crate::Sim::check_handle`] after [`crate::Sim::enable_check`]
+/// and *before* `run` consumes the `Sim`; call [`CheckHandle::report`]
+/// after the run.
+#[derive(Clone)]
+pub struct CheckHandle {
+    pub(crate) recorder: Option<Arc<dyn Recorder>>,
+}
+
+impl CheckHandle {
+    /// Was this run armed for recording?
+    pub fn enabled(&self) -> bool {
+        self.recorder.is_some()
+    }
+
+    /// Run every detector over the recorded history (an unarmed run's
+    /// report is clean).
+    pub fn report(&self) -> Report {
+        self.recorder
+            .as_ref()
+            .map_or_else(Report::default, |r| r.report())
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Sim;
@@ -833,6 +877,10 @@ mod tests {
         let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
         let tx = Arc::clone(&ch);
         sim.spawn("tx", 0, move |p| tx.send(p, 1, SimTime::from_micros(5)));
+        assert!(
+            sim.check_handle().recorder.is_none(),
+            "an unarmed run keeps no recorder, so no process was registered"
+        );
         sim.run();
         assert!(!h.enabled());
         assert!(h.report().is_clean(), "nothing may be recorded when off");

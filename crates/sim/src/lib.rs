@@ -16,7 +16,7 @@
 //!   ([`Sim`], [`Proc`]).
 //! * [`fault`] — deterministic seed-driven fault-injection plans.
 //! * [`hb`] — happens-before recording and correctness detectors
-//!   (`check` feature; zero-cost when off).
+//!   (armed per run; one branch per site when not).
 //! * [`sync`] — latency-aware channels, barriers, gates, work queues.
 //! * [`topology`] — machine models (nodes, CPUs, links, daemon delays).
 //! * [`costs`] — probe/trace cost models.

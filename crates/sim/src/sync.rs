@@ -168,9 +168,7 @@ impl<T> SimChannel<T> {
         }
         s.seq += 1;
         let seq = s.seq;
-        if hb::on(p) {
-            hb::chan_send(p, self.id, seq);
-        }
+        hb::chan_send(p, self.id, seq);
         if let Some((key_of, index)) = s.keys.as_deref_mut() {
             if let Some(key) = key_of(&msg) {
                 index.entry(key).or_insert((seq, 0)).1 += 1;
@@ -274,9 +272,7 @@ impl<T> SimChannel<T> {
         if s.queue.is_empty() && s.queue.capacity() > 64 {
             s.queue = Vec::new(); // a drained burst gives its buffer back
         }
-        if hb::on(p) {
-            hb::chan_recv(p, self.id, env.seq.get());
-        }
+        hb::chan_recv(p, self.id, env.seq.get());
         env.msg
     }
 
@@ -468,9 +464,7 @@ impl SimBarrier {
         let my_gen = s.generation;
         s.arrived += 1;
         s.latest = s.latest.max(p.now());
-        if hb::on(p) {
-            hb::barrier_arrive(p, self.id, my_gen);
-        }
+        hb::barrier_arrive(p, self.id, my_gen);
         if s.arrived == self.n {
             // Last arriver releases the episode.
             let release = s.latest + self.cost;
@@ -484,9 +478,7 @@ impl SimBarrier {
                 p.wake_other(pid, release);
             }
             p.lift_clock(release);
-            if hb::on(p) {
-                hb::barrier_depart(p, self.id, my_gen);
-            }
+            hb::barrier_depart(p, self.id, my_gen);
             release
         } else {
             let pid = p.pid();
@@ -498,9 +490,7 @@ impl SimBarrier {
                 if s.generation > my_gen {
                     let release = t.max(s.release_time);
                     drop(s);
-                    if hb::on(p) {
-                        hb::barrier_depart(p, self.id, my_gen);
-                    }
+                    hb::barrier_depart(p, self.id, my_gen);
                     return release;
                 }
                 // Spurious wake: re-register and keep waiting.
@@ -558,9 +548,7 @@ impl SimGate {
     /// Open the gate, releasing waiters `latency` after the opener's time.
     pub fn open(&self, p: &Proc, latency: SimTime) {
         let at = p.now() + latency;
-        if hb::on(p) {
-            hb::gate_open(p, self.id);
-        }
+        hb::gate_open(p, self.id);
         let mut s = self.state.lock();
         s.open_at = Some(match s.open_at {
             Some(prev) => prev.min(at),
@@ -583,16 +571,12 @@ impl SimGate {
             let mut s = self.state.lock();
             if let Some(at) = s.open_at {
                 if at <= p.now() {
-                    if hb::on(p) {
-                        hb::gate_pass(p, self.id);
-                    }
+                    hb::gate_pass(p, self.id);
                     return p.now();
                 }
                 drop(s);
                 p.sleep_until(at);
-                if hb::on(p) {
-                    hb::gate_pass(p, self.id);
-                }
+                hb::gate_pass(p, self.id);
                 return p.now();
             }
             let pid = p.pid();
@@ -637,9 +621,7 @@ impl<T> SimQueue<T> {
 
     /// Push one item.
     pub fn push(&self, p: &Proc, item: T) {
-        if hb::on(p) {
-            hb::queue_push(p, self.id);
-        }
+        hb::queue_push(p, self.id);
         let mut s = self.state.lock();
         s.0.push_back(item);
         Self::notify(p, &mut s);
@@ -647,9 +629,7 @@ impl<T> SimQueue<T> {
 
     /// Close the queue: poppers drain remaining items, then observe `None`.
     pub fn close(&self, p: &Proc) {
-        if hb::on(p) {
-            hb::queue_push(p, self.id);
-        }
+        hb::queue_push(p, self.id);
         let mut s = self.state.lock();
         s.1 = true;
         Self::notify(p, &mut s);
@@ -668,9 +648,7 @@ impl<T> SimQueue<T> {
         loop {
             let mut s = self.state.lock();
             if let Some(item) = s.0.pop_front() {
-                if hb::on(p) {
-                    hb::queue_pop(p, self.id);
-                }
+                hb::queue_pop(p, self.id);
                 return Some(item);
             }
             if s.1 {

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use common::base;
 use dynprof::core::{run_session, SessionConfig, SessionReport, TxnSettings};
 use dynprof::dpcl::DegradedPolicy;
-use dynprof::sim::{hb, FaultSpec, Machine, ProcBackend, Sim, SimTime};
+use dynprof::sim::{FaultSpec, Machine, ProcBackend, Sim, SimTime};
 use dynprof::vt::Policy;
 use dynprof_bench::fig9;
 
@@ -201,15 +201,11 @@ fn concurrent_sweeps_keep_their_own_faults_and_carrier() {
     );
 }
 
-/// Happens-before clean on both backends (`--features check` builds):
-/// the detector sees the same event graph through the coroutine
+/// Happens-before clean on both backends: the detector sees the same event graph through the coroutine
 /// suspension points as through the threaded ones, and both runs are
 /// race-free with identical rendered reports.
 #[test]
 fn hb_check_clean_and_identical_across_backends() {
-    if !hb::compiled() {
-        return; // detector not compiled in; covered by the check-feature CI leg
-    }
     let run = |backend| {
         use dynprof::sim::sync::{SimBarrier, SimChannel};
         let sim = Sim::virtual_time_with_backend(Machine::test_machine(), 5, backend);

@@ -46,17 +46,13 @@ fn plan_for(sim: &Sim, seed: u64, profile: &str) -> Arc<FaultPlan> {
     FaultPlan::new(&spec, sim.machine())
 }
 
-/// With the `check` feature on, every chaos cell doubles as a
+/// Every chaos cell arms the checker, so each doubles as a
 /// happens-before regression: faults may leave *warnings* (dropped or
 /// duplicated control messages surface as unmatched sends, and the
 /// workout patches without suspending), but error-severity findings —
 /// collective mismatches, epochs applied out of causal order — mean the
-/// recovery machinery broke an invariant. Without the feature this is a
-/// no-op and the handle costs nothing.
+/// recovery machinery broke an invariant.
 fn assert_no_hb_errors(handle: &hb::CheckHandle, ctx: &str) {
-    if !hb::compiled() {
-        return;
-    }
     let report = handle.report();
     assert!(
         report.errors().is_empty(),

@@ -223,6 +223,37 @@ fn five_hundred_idle_smg98_images_fit_in_five_megabytes() {
     assert_eq!(images.len(), RANKS);
 }
 
+/// The happens-before checker keeps its per-process name table only in a
+/// run armed with `enable_check`: spawning the same idle processes costs
+/// the names more when armed, and an unarmed run holds no checker state.
+#[test]
+fn only_an_armed_run_keeps_checker_state_per_process() {
+    const PROCS: usize = 1_000;
+    let name = |i: usize| format!("idle-process-{i:05}");
+    let spawned = |armed: bool| {
+        let sim =
+            Sim::virtual_time_with_backend(Machine::test_machine(), 1, ProcBackend::Coroutine);
+        if armed {
+            sim.enable_check();
+        }
+        let ((), bytes) = live_bytes_of(|| {
+            for i in 0..PROCS {
+                sim.spawn(name(i), 0, |_| {});
+            }
+        });
+        sim.run();
+        bytes
+    };
+    let (unarmed, armed) = (spawned(false), spawned(true));
+    println!("{PROCS} idle processes: {unarmed} bytes unarmed, {armed} armed");
+    let names = (PROCS * name(0).len()) as isize;
+    assert!(
+        armed - unarmed >= names,
+        "arming added {} bytes; the name table alone is {names}",
+        armed - unarmed
+    );
+}
+
 #[test]
 fn two_sessions_in_one_process_write_the_same_bytes() {
     // Each `run_cli` builds its own `AppSpec`, hence its own program: the

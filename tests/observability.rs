@@ -1,5 +1,5 @@
 //! The self-observability layer: counter determinism, the
-//! zero-cost-when-off guarantee, the metrics goldens, the counters of the
+//! cheap-when-off guarantee, the metrics goldens, the counters of the
 //! store and of the figure harnesses, and the parallel figure runner.
 //!
 //! The obs registry is process-global, so every test that resets, reads
@@ -68,14 +68,6 @@ fn observe<T>(run: impl FnOnce() -> T) -> (T, obs::Snapshot) {
     (out, obs::snapshot().deterministic())
 }
 
-/// Is the obs feature compiled in? (Compiled out ⇒ enabling is a no-op.)
-fn obs_compiled_in() -> bool {
-    obs::set_enabled(true);
-    let live = obs::enabled();
-    obs::set_enabled(false);
-    live
-}
-
 /// One observed session's deterministic metrics.
 fn observed_session(app: &str, policy: Policy, seed: u64) -> obs::Snapshot {
     let spec = test_app(app, 4).unwrap();
@@ -88,11 +80,7 @@ fn counters_are_bit_reproducible_per_seed() {
     let _g = registry();
     let a = observed_session("sweep3d", Policy::Dynamic, 7);
     let b = observed_session("sweep3d", Policy::Dynamic, 7);
-    assert_eq!(
-        a.metrics.is_empty(),
-        !obs_compiled_in(),
-        "an observed session records metrics exactly when obs is compiled in"
-    );
+    assert!(!a.metrics.is_empty(), "an observed session records metrics");
     assert_eq!(a, b, "same seed must reproduce every deterministic metric");
     // JSON rendering is deterministic too (the figure harness relies on
     // this for byte-identical parallel output).
@@ -102,9 +90,6 @@ fn counters_are_bit_reproducible_per_seed() {
 #[test]
 fn counters_cover_every_layer() {
     let _g = registry();
-    if !obs_compiled_in() {
-        return;
-    }
     let snap = observed_session("smg98", Policy::Dynamic, 42);
     for expect in [
         "sim.events_dispatched",
@@ -136,9 +121,6 @@ fn counters_cover_every_layer() {
 fn coroutine_stack_high_water_is_reported() {
     use dynprof::sim::{Sim, SimTime};
     let _g = registry();
-    if !obs_compiled_in() {
-        return;
-    }
     const GAUGE: &str = "sim.co_stack_high_water_real_bytes";
     let reading = |backend| {
         obs::reset();
@@ -242,23 +224,13 @@ fn golden_capture(run: impl FnOnce()) -> String {
 
 /// Golden regression: the deterministic subset of the `--metrics` JSON
 /// for each reference workload. (Wall-clock gauges are excluded — they
-/// differ between any two runs; see `Snapshot::deterministic`.) With the
-/// `obs` feature compiled out every capture is the empty document.
+/// differ between any two runs; see `Snapshot::deterministic`.)
 #[test]
 fn golden_metrics_json() {
     let _g = registry();
     let captures = GOLDEN_CAPTURES.get().expect("taken with the lock");
-    let live = obs_compiled_in();
     for (name, capture) in GOLDEN_METRICS.iter().zip(captures) {
-        if live {
-            check_golden(name, capture);
-        } else {
-            assert_eq!(
-                *capture,
-                obs::Snapshot::default().to_json().pretty(),
-                "{name}"
-            );
-        }
+        check_golden(name, capture);
     }
 }
 
@@ -303,9 +275,6 @@ fn figures_and_metrics_identical_across_backends() {
 #[test]
 fn obs_counters_track_store_traffic() {
     let _g = registry();
-    if !obs_compiled_in() {
-        return;
-    }
     obs::reset();
     obs::set_enabled(true);
     let trace = synth_trace(11, 6, 100);
@@ -341,9 +310,6 @@ fn obs_counters_track_store_traffic() {
 #[test]
 fn obs_counters_cover_salvage_corruption_and_rotation() {
     let _g = registry();
-    if !obs_compiled_in() {
-        return;
-    }
     obs::reset();
     obs::set_enabled(true);
 
