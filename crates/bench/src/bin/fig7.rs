@@ -2,12 +2,14 @@
 //! kernels under the five Table-3 policies.
 //!
 //! Usage: `fig7 [--app smg98|sppm|sweep3d|umt98] [--json] [--parallel [N]]
-//!              [--metrics out.json] [--faults seed[:profile]] [--txn]
+//!              [--metrics out.json] [--faults seed[:profile]]
 //!              [--degraded-policy abort-txn|exclude-node]
 //!              [--overhead-budget pct]`
 //!
 //! `--app` regenerates one panel; the other flags are
-//! `dynprof_bench::FigureArgs`'.
+//! `dynprof_bench::FigureArgs`'. Under a live `--faults` plan every
+//! install is a 2PC transaction, and `--degraded-policy` picks how one
+//! reacts to a failed participant.
 
 use dynprof_bench::{fig7, usage_error, FigureArgs};
 

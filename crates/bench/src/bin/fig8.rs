@@ -6,8 +6,8 @@
 //! (default: all parts, 16 runs per point — the paper's averaging).
 //!
 //! The flags after `--runs` are `dynprof_bench::FigureArgs`'. The
-//! confsync experiments install no probes, so `--txn`,
-//! `--degraded-policy` and `--overhead-budget` are not arguments here.
+//! confsync experiments install no probes, so `--degraded-policy` and
+//! `--overhead-budget` are not arguments here.
 
 use dynprof_bench::{fig8a, fig8b, fig8c, usage_error, FigureArgs};
 

@@ -3,11 +3,13 @@
 //! threads share a single process image).
 //!
 //! Usage: `fig9 [--json] [--parallel [N]] [--metrics out.json]
-//!              [--faults seed[:profile]] [--txn]
+//!              [--faults seed[:profile]]
 //!              [--degraded-policy abort-txn|exclude-node]
 //!              [--overhead-budget pct]`
 //!
-//! The flags are `dynprof_bench::FigureArgs`'.
+//! The flags are `dynprof_bench::FigureArgs`'. Under a live `--faults`
+//! plan every install is a 2PC transaction, and `--degraded-policy` picks
+//! how one reacts to a failed participant.
 
 use dynprof_bench::{fig9, FigureArgs};
 

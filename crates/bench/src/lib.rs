@@ -10,9 +10,10 @@
 //! * table renderers for Tables 1–3.
 //!
 //! Every runner takes a base [`SessionConfig`] and a worker count. The
-//! base is the run configuration (fault spec, carrier, 2PC, overhead
-//! budget); each run is that base with its own machine, policy and seed,
-//! so runs on one base — or on two bases at once — never share state.
+//! base is the run configuration (fault spec, carrier, degraded-mode
+//! policy, overhead budget); each run is that base with its own machine,
+//! policy and seed, so runs on one base — or on two bases at once — never
+//! share state.
 //! The runners fan their independent runs across `workers` threads (see
 //! [`parallel`]) and assemble results in the serial sweep's order, so the
 //! output is byte-identical for any worker count.
@@ -53,14 +54,14 @@ use dynprof_vt::{confsync, ConfigDelta, MonitorLink, Policy, VtConfig, VtLib, Vt
 ///   [`dynprof_obs`] registry afterwards;
 /// * `--faults seed[:profile]` — run every session under a deterministic
 ///   fault plan (`dynprof_sim::fault`; profiles none, drop, dup, delay,
-///   slow, crash, epochs, lossy — the default);
+///   slow, crash, epochs, lossy — the default); under a live plan every
+///   install runs through the two-phase-commit control plane;
 ///
 /// and, for binaries whose sessions install probes:
 ///
-/// * `--txn` — instrument through the two-phase-commit control plane;
-/// * `--degraded-policy abort-txn|exclude-node` (implies `--txn`) — the
-///   reaction to a failed participant; series that committed with
-///   excluded nodes are labelled `[degraded]`;
+/// * `--degraded-policy abort-txn|exclude-node` — how a faulted install
+///   reacts to a failed participant (default `abort-txn`); series with an
+///   epoch that did not land on every node are labelled `[degraded]`;
 /// * `--overhead-budget pct` — attach the closed-loop overhead controller
 ///   to every session; 100 or more attaches none (byte-identical output).
 pub struct FigureArgs {
@@ -79,7 +80,7 @@ pub struct FigureArgs {
 impl FigureArgs {
     /// Parse `args` (without the program name). `own` names the binary's
     /// own value-taking flags; `probes` says whether its sessions install
-    /// probes, and with it whether `--txn`, `--degraded-policy` and
+    /// probes, and with it whether `--degraded-policy` and
     /// `--overhead-budget` are arguments at all.
     pub fn parse(args: &[String], own: &[&str], probes: bool) -> Result<FigureArgs, String> {
         let mut out = FigureArgs {
@@ -89,7 +90,6 @@ impl FigureArgs {
             metrics: None,
             own: Vec::new(),
         };
-        let mut txn = None;
         let mut args = args.iter().peekable();
         while let Some(flag) = args.next() {
             let mut value = || {
@@ -113,12 +113,10 @@ impl FigureArgs {
                     let spec = FaultSpec::parse(&value()?);
                     out.base.faults = Some(spec.map_err(|e| format!("bad --faults value: {e}"))?);
                 }
-                "--txn" if probes => txn = txn.or(Some(DegradedPolicy::AbortTxn)),
                 "--degraded-policy" if probes => {
                     let p = value()?;
-                    let policy = DegradedPolicy::parse(&p)
+                    out.base.txn.policy = DegradedPolicy::parse(&p)
                         .ok_or_else(|| format!("unknown policy {p:?} (abort-txn|exclude-node)"))?;
-                    txn = Some(policy);
                 }
                 "--overhead-budget" if probes => {
                     let pct = value()?;
@@ -136,7 +134,6 @@ impl FigureArgs {
                 other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        out.base.txn = txn.map(TxnSettings::new);
         Ok(out)
     }
 
@@ -182,18 +179,17 @@ pub fn usage_error(msg: &str) -> ! {
 
 /// One session of `app` on the IBM machine: `base` with its own policy and
 /// seed, and with `dynprof-check`'s probe-safety analyzer wired into
-/// `base.txn` as the pre-flight validator (the dependency inversion that
-/// keeps `dpcl` free of a `check` edge).
+/// `base.txn` as the pre-flight validator of faulted installs (the
+/// dependency inversion that keeps `dpcl` free of a `check` edge).
 fn session(base: &SessionConfig, app: &AppSpec, policy: Policy, seed: u64) -> SessionReport {
-    let txn = base.txn.clone().map(|mut settings| {
-        let program = app.name.clone();
-        let manifest = app.functions.clone();
-        settings.validator = Some(Arc::new(move |targets: &[String]| {
+    let (program, manifest) = (app.name.clone(), app.functions.clone());
+    let txn = TxnSettings {
+        validator: Some(Arc::new(move |targets: &[String]| {
             let plan = ProbePlan::timer_pair(targets.to_vec());
             analyze(&program, &manifest, &plan, &Budget::default())
-        }));
-        settings
-    });
+        })),
+        ..base.txn.clone()
+    };
     let cfg = SessionConfig {
         machine: Machine::ibm_power3_colony(),
         policy,
@@ -204,10 +200,10 @@ fn session(base: &SessionConfig, app: &AppSpec, policy: Policy, seed: u64) -> Se
     run_session(app, cfg)
 }
 
-/// Suffix a series label when any of its runs committed degraded
-/// (exclude-node policy dropped participants), so figure output is never
-/// silently mixed-provenance. Inert runs keep their exact labels, which
-/// preserves the byte-identity goldens.
+/// Suffix a series label when any of its runs left an instrumentation
+/// epoch off some nodes (an aborted epoch, or an exclude-node commit), so
+/// figure output is never silently mixed-provenance. Inert runs keep their
+/// exact labels, which preserves the byte-identity goldens.
 fn degraded_label(label: &str, degraded: bool) -> String {
     if degraded {
         format!("{label} [degraded]")
@@ -348,9 +344,8 @@ pub fn fig7_policies(app: &str) -> Vec<Policy> {
 
 /// One independent Fig-7 run: `app` under `policy` at `cpus` processors,
 /// with the exact seed the sweep has always used. Returns the application
-/// time in seconds and whether the run's transactional epochs committed
-/// with excluded nodes (only possible with `--txn`, an `exclude-node`
-/// policy, and a live fault plan).
+/// time in seconds and whether one of the run's transactional epochs left
+/// nodes uninstrumented (possible only under a live fault plan).
 pub fn fig7_run(base: &SessionConfig, app_name: &str, cpus: usize, policy: Policy) -> (f64, bool) {
     let _span = obs::span("bench.fig7.run.real_ns");
     if obs::enabled() {

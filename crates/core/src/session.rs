@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 
 use dynprof_dpcl::{
     AckResult, DegradedPolicy, DpclClient, DpclSystem, HeartbeatConfig, HeartbeatMonitor,
-    InstrumentationTxn, ProcessHandle, TxnOptions, TxnOutcome,
+    InstrumentationTxn, ProcessHandle, ReqId, TxnOptions, TxnOutcome,
 };
 use dynprof_image::{Image, ProbePoint};
 use dynprof_mpi::{launch, launch_from, Comm, Job, JobSpec, MpiHooks};
@@ -60,9 +60,10 @@ pub struct SessionConfig {
     /// evaluation of an ideal statistical sampler; see
     /// `dynprof_vt::sample_image`).
     pub enable_pc_log: bool,
-    /// Run multi-node instrumentation changes as 2PC transactions
-    /// (`None`: plain installs).
-    pub txn: Option<TxnSettings>,
+    /// How instrumentation changes run as 2PC transactions, which they do
+    /// exactly when the fault plan is live; an undisturbed run installs
+    /// plain and never reads this.
+    pub txn: TxnSettings,
     /// Redundancy-suppression floor: entry/exit pairs shorter than this
     /// are elided from the trace (coalesced into per-function
     /// suppressed-count events; profiles stay exact). `ZERO` disables
@@ -116,10 +117,11 @@ impl AdaptiveSettings {
     }
 }
 
-/// Transactional-epoch settings for instrumented sessions. Under a live
-/// fault plan the session also runs a heartbeat failure detector, which
-/// feeds the coordinator's dead-node pre-check.
-#[derive(Clone)]
+/// Transactional-epoch settings for instrumented sessions, used under a
+/// live fault plan, where every install is a 2PC transaction and a
+/// heartbeat failure detector feeds the coordinator's dead-node pre-check.
+/// The default aborts an epoch a participant fails, with no validator.
+#[derive(Clone, Default)]
 pub struct TxnSettings {
     /// Reaction to a failed participant.
     pub policy: DegradedPolicy,
@@ -129,16 +131,6 @@ pub struct TxnSettings {
     /// error finding aborts the transaction before a message is sent.
     #[allow(clippy::type_complexity)]
     pub validator: Option<Arc<dyn Fn(&[String]) -> Vec<Finding> + Send + Sync>>,
-}
-
-impl TxnSettings {
-    /// Settings with the given degraded-mode policy and no validator.
-    pub fn new(policy: DegradedPolicy) -> TxnSettings {
-        TxnSettings {
-            policy,
-            validator: None,
-        }
-    }
 }
 
 impl SessionConfig {
@@ -151,7 +143,7 @@ impl SessionConfig {
             policy,
             script: None,
             enable_pc_log: false,
-            txn: None,
+            txn: TxnSettings::default(),
             suppress_floor: SimTime::ZERO,
             adaptive: None,
             capture: None,
@@ -174,13 +166,6 @@ impl SessionConfig {
     /// the trace in the library.
     pub fn with_capture(mut self, sink: SharedSink) -> SessionConfig {
         self.capture = Some(sink);
-        self
-    }
-
-    /// Run instrumentation changes through the 2PC transactional control
-    /// plane.
-    pub fn with_txn(mut self, settings: TxnSettings) -> SessionConfig {
-        self.txn = Some(settings);
         self
     }
 
@@ -620,7 +605,7 @@ struct Instrumenter {
     hold: Option<Hold>,
     /// Insert requests queued until the target is safe to patch (§3.4).
     pending: Vec<String>,
-    txn: Option<TxnSettings>,
+    txn: TxnSettings,
     monitor: Option<Arc<HeartbeatMonitor>>,
     warnings: Vec<String>,
     pairs_installed: usize,
@@ -646,9 +631,9 @@ impl Instrumenter {
     /// quit: detach, leaving active instrumentation in place.
     fn run(&mut self, p: &Proc, nodes: &[usize], script: &[Command]) {
         // Heartbeat failure detection backs the 2PC coordinator, so it
-        // runs only when that engages: a transacted session under a live
-        // fault plan (an undisturbed run must stay byte-identical).
-        if self.txn.is_some() && p.live_faults() {
+        // runs only when that engages: under a live fault plan (an
+        // undisturbed run must stay byte-identical).
+        if p.live_faults() {
             let mut nodes = nodes.to_vec();
             nodes.sort_unstable();
             nodes.dedup();
@@ -756,8 +741,8 @@ impl Instrumenter {
 
     /// Install entry/exit VT probes for `names` in every process: stage
     /// the batch, then run it through 2PC where that can protect something
-    /// — a transacted session under a live fault plan — and send it plain
-    /// everywhere else (an inert plan cannot produce a partial epoch).
+    /// — under a live fault plan — and send it plain everywhere else (an
+    /// inert plan cannot produce a partial epoch).
     fn install(&mut self, p: &Proc, names: &[String]) {
         let t0 = p.now();
         if self.handles.is_empty() {
@@ -765,15 +750,10 @@ impl Instrumenter {
                 .push("install: no attached processes; nothing to do".into());
             return;
         }
-        let policy = self
-            .txn
-            .as_ref()
-            .map_or(DegradedPolicy::AbortTxn, |s| s.policy);
         let mut txn = InstrumentationTxn::new(TxnOptions {
-            policy,
-            ..TxnOptions::default()
+            policy: self.txn.policy,
         });
-        let two_phase = self.txn.clone().filter(|_| p.live_faults());
+        let two_phase = p.live_faults();
         let mut staged = Vec::new();
         for name in names {
             let Some(fid) = self.handles[0].image.func(name) else {
@@ -793,7 +773,7 @@ impl Instrumenter {
                 txn.stage_install(h, ProbePoint::exit(fid), end.clone());
             }
             staged.push(name.clone());
-            if two_phase.is_none() {
+            if !two_phase {
                 // A function's probes leave before the next one is
                 // registered, and what the daemons have answered by then
                 // is taken off the wire (DESIGN §8, the install window).
@@ -801,31 +781,25 @@ impl Instrumenter {
                 txn.collect_acks(p, &self.client);
             }
         }
-        let pairs = staged.len() * self.handles.len();
-        self.pairs_installed += match two_phase {
-            Some(settings) => self.commit(p, txn, staged, &settings, pairs),
-            None => {
-                let (_, failed) = txn.wait_plain(p, &self.client);
-                self.warnings.extend(install_failures(&failed));
-                pairs
-            }
+        self.pairs_installed += if two_phase {
+            self.commit(p, txn, staged)
+        } else {
+            let (_, failed) = txn.wait_plain(p, &self.client);
+            let failed = failed.iter().map(|(_, ack)| ack);
+            self.warnings.extend(ack_failures("probe installs", failed));
+            staged.len() * self.handles.len()
         };
         self.timefile.record("instrument", t0, p.now());
     }
 
     /// Run a staged batch through the 2PC protocol, so either every
-    /// process gets the epoch or none does (or, under `exclude-node`, the
-    /// run is explicitly degraded). Returns the pairs that landed.
-    fn commit(
-        &mut self,
-        p: &Proc,
-        txn: InstrumentationTxn,
-        staged: Vec<String>,
-        settings: &TxnSettings,
-        pairs: usize,
-    ) -> usize {
-        let validator = settings.validator.clone().map(|v| move || v(&staged));
+    /// process gets the epoch or none does; a run where an epoch did not
+    /// land everywhere (an abort, or an `exclude-node` commit) is marked
+    /// degraded. Returns the pairs that landed.
+    fn commit(&mut self, p: &Proc, txn: InstrumentationTxn, staged: Vec<String>) -> usize {
+        let validator = self.txn.validator.clone().map(|v| move || v(&staged));
         let validator = validator.as_ref().map(|c| c as &dyn Fn() -> Vec<Finding>);
+        let nodes = txn.nodes();
         let report = txn.execute(p, &self.client, validator, self.monitor.as_deref());
         match &report.outcome {
             TxnOutcome::Committed => {}
@@ -837,6 +811,7 @@ impl Instrumenter {
                 ));
             }
             TxnOutcome::Aborted { reason } => {
+                self.target.vt.note_degraded(report.epoch, &nodes);
                 self.warnings
                     .push(format!("txn epoch {} aborted: {reason}", report.epoch));
             }
@@ -854,11 +829,7 @@ impl Instrumenter {
                 .push(format!("txn decision to node {node} unconfirmed"));
         }
         // Actual coverage: each committed op is one probe.
-        if report.two_phase {
-            (report.applied / 2) as usize
-        } else {
-            pairs
-        }
+        (report.applied / 2) as usize
     }
 
     /// Remove all instrumentation from `names` in every process.
@@ -880,7 +851,7 @@ impl Instrumenter {
                 reqs.push(self.client.remove_function(p, h, fid));
             }
         }
-        self.client.wait_all(p, &reqs);
+        self.wait_all(p, "probe removals", &reqs);
         self.timefile.record("remove", t0, p.now());
     }
 
@@ -893,7 +864,7 @@ impl Instrumenter {
             .iter()
             .map(|h| self.client.suspend(p, h))
             .collect();
-        self.client.wait_all(p, &reqs);
+        self.wait_all(p, "suspends", &reqs);
         f(self, p);
         let reqs: Vec<_> = self
             .handles
@@ -902,17 +873,24 @@ impl Instrumenter {
             .collect();
         // Wait for the resumes to land so a subsequent quit/shutdown can
         // never overtake them.
-        self.client.wait_all(p, &reqs);
+        self.wait_all(p, "resumes", &reqs);
+    }
+
+    /// Wait for every ack of `reqs`, one batch of `what`, and summarize
+    /// those that failed into one warning.
+    fn wait_all(&mut self, p: &Proc, what: &str, reqs: &[ReqId]) {
+        let acks = self.client.wait_all(p, reqs);
+        let acks = acks.iter().map(|(_, ack)| ack);
+        self.warnings.extend(ack_failures(what, acks));
     }
 }
 
-/// Summarize failed install acks: the count plus each distinct typed
-/// reason (verifier rejections, patch hazards, timeouts). `None` when
-/// there are none.
-fn install_failures(acks: &[(usize, AckResult)]) -> Option<String> {
+/// Summarize the failed acks of a batch of `what` (e.g. "probe installs"):
+/// the count plus each distinct typed reason (verifier rejections, patch
+/// hazards, timeouts). `None` when there are none.
+fn ack_failures<'a>(what: &str, acks: impl Iterator<Item = &'a AckResult>) -> Option<String> {
     let mut reasons: Vec<String> = acks
-        .iter()
-        .filter_map(|(_, r)| match r {
+        .filter_map(|r| match r {
             AckResult::Ok { .. } => None,
             AckResult::Error { message } => Some(message.clone()),
             AckResult::TimedOut { attempts } => {
@@ -923,5 +901,5 @@ fn install_failures(acks: &[(usize, AckResult)]) -> Option<String> {
     let n = reasons.len();
     reasons.sort_unstable();
     reasons.dedup();
-    (n > 0).then(|| format!("{n} probe installs failed: {}", reasons.join("; ")))
+    (n > 0).then(|| format!("{n} {what} failed: {}", reasons.join("; ")))
 }

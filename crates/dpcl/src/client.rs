@@ -24,42 +24,23 @@ pub const CLIENT_SEND_COST: SimTime = SimTime::from_micros(20);
 /// per-process streams).
 const BACKOFF_STREAM: u64 = 0xBAC0_FF5D;
 
-/// How the client waits for acknowledgements.
-///
-/// A request is (re)sent up to `max_attempts` times; each attempt waits
-/// `timeout` for its ack, then sleeps a bounded-exponential backoff
-/// ([`BackoffSchedule`]) before resending **the same [`ReqId`]** — the
-/// daemon's dedup table makes re-application idempotent. Only after every
-/// attempt times out does the wait return [`AckResult::TimedOut`].
-///
-/// Resends happen only under a live fault plan ([`Proc::live_faults`]):
-/// without one a message cannot be lost, so a missed deadline just waits
-/// again, and neither side keeps the state a resend needs.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Per-attempt ack deadline.
-    pub timeout: SimTime,
-    /// Total send attempts (first send included) before giving up.
-    pub max_attempts: u32,
-    /// First backoff delay; doubles each retry.
-    pub backoff_base: SimTime,
-    /// Ceiling on the exponential term.
-    pub backoff_cap: SimTime,
-}
+// How the client waits for acknowledgements: a request is (re)sent up to
+// `MAX_ATTEMPTS` times, each attempt waiting `ACK_TIMEOUT`, then sleeping a
+// `BackoffSchedule` delay before resending the same `ReqId` (daemon dedup
+// makes that idempotent). Resends happen only under a live fault plan;
+// without one a message cannot be lost, so a missed deadline waits again.
+// The timeout sits far above any fault-free ack latency (~350ms worst
+// bursts), and timeout + backoffs outlive the longest profile's daemon
+// downtime.
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        // timeout far above any fault-free ack latency (~350ms worst
-        // bursts), and timeout+backoffs spanning well past the longest
-        // profile's daemon downtime so crashed daemons are outlived.
-        RetryPolicy {
-            timeout: SimTime::from_secs(2),
-            max_attempts: 6,
-            backoff_base: SimTime::from_millis(100),
-            backoff_cap: SimTime::from_millis(1600),
-        }
-    }
-}
+/// Per-attempt ack deadline.
+const ACK_TIMEOUT: SimTime = SimTime::from_secs(2);
+/// Total send attempts (first send included) before giving up.
+const MAX_ATTEMPTS: u32 = 6;
+/// First backoff delay; doubles each retry.
+const BACKOFF_BASE: SimTime = SimTime::from_millis(100);
+/// Ceiling on the exponential backoff term.
+const BACKOFF_CAP: SimTime = SimTime::from_millis(1600);
 
 /// Deterministic bounded-exponential backoff with per-request jitter.
 ///
@@ -159,7 +140,6 @@ pub struct DpclClient {
     next_req: AtomicU64,
     next_target: AtomicU32,
     next_txn: AtomicU64,
-    policy: RetryPolicy,
     /// Unacknowledged requests, kept so a timed-out wait can resend the
     /// identical message (same [`ReqId`]) to the same node — only under a
     /// live fault plan, the one case where a message can be lost.
@@ -175,18 +155,8 @@ pub struct DpclClient {
 }
 
 impl DpclClient {
-    /// A client for `user` against `system` with the default
-    /// [`RetryPolicy`].
+    /// A client for `user` against `system`.
     pub fn new(system: Arc<DpclSystem>, user: impl Into<String>) -> DpclClient {
-        DpclClient::with_retry_policy(system, user, RetryPolicy::default())
-    }
-
-    /// A client with an explicit [`RetryPolicy`].
-    pub fn with_retry_policy(
-        system: Arc<DpclSystem>,
-        user: impl Into<String>,
-        policy: RetryPolicy,
-    ) -> DpclClient {
         // FIFO: acks and callbacks arrive stream-ordered, as over the
         // client's socket to each daemon. Keyed: an ack is found by its
         // request, however many others are queued around it.
@@ -203,7 +173,6 @@ impl DpclClient {
             next_req: AtomicU64::new(1),
             next_target: AtomicU32::new(1),
             next_txn: AtomicU64::new(1),
-            policy,
             pending: Mutex::new(BTreeMap::new()),
             failed: Mutex::new(BTreeMap::new()),
             issued: Mutex::new(BTreeMap::new()),
@@ -256,14 +225,13 @@ impl DpclClient {
             reply: Arc::clone(&self.inbox),
         };
         let resend = p.live_faults();
-        let mut backoff =
-            BackoffSchedule::new(self.policy.backoff_base, self.policy.backoff_cap, req.0);
-        for attempt in 1..=self.policy.max_attempts {
+        let mut backoff = BackoffSchedule::new(BACKOFF_BASE, BACKOFF_CAP, req.0);
+        for attempt in 1..=MAX_ATTEMPTS {
             if attempt == 1 || resend {
                 p.advance(CLIENT_SEND_COST);
                 sup.send_ctl(p, connect.clone(), self.daemon_delay(p));
             }
-            let deadline = p.now() + self.policy.timeout;
+            let deadline = p.now() + ACK_TIMEOUT;
             let msg = self.inbox.recv_match_deadline(
                 p,
                 |m| match m {
@@ -281,7 +249,7 @@ impl DpclClient {
                 // The matcher admits only the two arms above; anything
                 // else is a miss and falls into the retry path.
                 _ => {
-                    let again = resend && attempt < self.policy.max_attempts;
+                    let again = resend && attempt < MAX_ATTEMPTS;
                     if obs::enabled() {
                         obs::counter("dpcl.retries").inc();
                         if again {
@@ -298,8 +266,7 @@ impl DpclClient {
             obs::counter("dpcl.timeouts").inc();
         }
         Err(format!(
-            "connect to node {node} timed out after {} attempts",
-            self.policy.max_attempts
+            "connect to node {node} timed out after {MAX_ATTEMPTS} attempts"
         ))
     }
 
@@ -503,21 +470,19 @@ impl DpclClient {
     /// Block until the acknowledgement of `req` arrives, or the retry
     /// budget is exhausted.
     ///
-    /// Each attempt waits [`RetryPolicy::timeout`]; under a live fault
-    /// plan a miss sleeps the next [`BackoffSchedule`] delay and resends
-    /// the request under the same [`ReqId`] (idempotent — the daemon
-    /// dedups), and fault-free it just waits again. After
-    /// [`RetryPolicy::max_attempts`] misses this returns the typed
+    /// Each attempt waits 2 s; under a live fault plan a miss sleeps the
+    /// next [`BackoffSchedule`] delay and resends the request under the
+    /// same [`ReqId`] (idempotent — the daemon dedups), and fault-free it
+    /// just waits again. After 6 misses this returns the typed
     /// [`AckResult::TimedOut`] instead of blocking forever.
     pub fn wait_ack(&self, p: &Proc, req: ReqId) -> AckResult {
         if let Some(message) = self.failed.lock().remove(&req) {
             return AckResult::Error { message };
         }
         let resend = p.live_faults();
-        let mut backoff =
-            BackoffSchedule::new(self.policy.backoff_base, self.policy.backoff_cap, req.0);
-        for attempt in 1..=self.policy.max_attempts {
-            let deadline = p.now() + self.policy.timeout;
+        let mut backoff = BackoffSchedule::new(BACKOFF_BASE, BACKOFF_CAP, req.0);
+        for attempt in 1..=MAX_ATTEMPTS {
+            let deadline = p.now() + ACK_TIMEOUT;
             let msg = self.inbox.recv_key_deadline(p, req.0, deadline);
             match msg {
                 Some(UpMsg::Ack {
@@ -531,7 +496,7 @@ impl DpclClient {
                     if obs::enabled() {
                         obs::counter("dpcl.retries").inc();
                     }
-                    if resend && attempt < self.policy.max_attempts {
+                    if resend && attempt < MAX_ATTEMPTS {
                         p.sleep(backoff.next_delay());
                         self.resend_pending(p, req);
                     }
@@ -544,7 +509,7 @@ impl DpclClient {
             obs::counter("dpcl.timeouts").inc();
         }
         AckResult::TimedOut {
-            attempts: self.policy.max_attempts,
+            attempts: MAX_ATTEMPTS,
         }
     }
 

@@ -54,9 +54,7 @@ mod journal;
 mod messages;
 mod txn;
 
-pub use client::{
-    BackoffSchedule, CallbackSender, DpclClient, ProcessHandle, RetryPolicy, CLIENT_SEND_COST,
-};
+pub use client::{BackoffSchedule, CallbackSender, DpclClient, ProcessHandle, CLIENT_SEND_COST};
 pub use daemon::{
     DpclSystem, AUTH_COST, DAEMON_RESTART_COST, JOURNAL_REPLAY_COST, JOURNAL_WRITE_COST,
     RESTART_REPLAY_COST, SPAWN_DAEMON_COST,

@@ -40,10 +40,11 @@ use crate::heartbeat::{HeartbeatMonitor, NodeHealth};
 use crate::messages::{AckResult, ReqId, StagedOp, TxnId};
 
 /// What a coordinator does when a participant fails to vote yes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DegradedPolicy {
     /// Roll the whole transaction back: the job stays uninstrumented
     /// rather than partially observed. The conservative default.
+    #[default]
     AbortTxn,
     /// Commit on the surviving nodes and exclude the failed ones; the
     /// run is marked degraded so figure output can label it.
@@ -69,25 +70,17 @@ impl DegradedPolicy {
     }
 }
 
+/// PREPARE vote deadline, shared (absolute) across all participants.
+/// Must exceed one daemon round trip; 500ms also spans the fault
+/// profiles' 400ms daemon downtime, so a node that crashes *and
+/// recovers* mid-vote can still answer.
+const VOTE_TIMEOUT: SimTime = SimTime::from_millis(500);
+
 /// Coordinator tuning.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TxnOptions {
     /// Reaction to a failed participant.
     pub policy: DegradedPolicy,
-    /// PREPARE vote deadline, shared (absolute) across all participants.
-    /// Must exceed one daemon round trip; 500ms also spans the fault
-    /// profiles' 400ms daemon downtime, so a node that crashes *and
-    /// recovers* mid-vote can still answer.
-    pub vote_timeout: SimTime,
-}
-
-impl Default for TxnOptions {
-    fn default() -> TxnOptions {
-        TxnOptions {
-            policy: DegradedPolicy::AbortTxn,
-            vote_timeout: SimTime::from_millis(500),
-        }
-    }
 }
 
 /// One participant's PREPARE vote.
@@ -279,14 +272,7 @@ impl InstrumentationTxn {
     /// the first that has not arrived. Nothing waits and no clock moves;
     /// the gain is that a batch's requests and acks stop queueing in the
     /// daemons' and the client's inboxes all at once.
-    ///
-    /// Fault-free only: under a live plan every control message draws on
-    /// the plan's link stream, whose order must not depend on when the
-    /// daemons run.
     pub fn collect_acks(&mut self, p: &Proc, client: &DpclClient) {
-        if p.live_faults() {
-            return;
-        }
         p.yield_now();
         while let Some(&(node, req)) = self.sent.front() {
             let Some(ack) = client.try_ack(p, req) else {
@@ -477,7 +463,7 @@ impl InstrumentationTxn {
             .iter()
             .map(|&node| (node, client.txn_prepare(p, node, txn, epoch)))
             .collect();
-        let deadline = p.now() + self.opts.vote_timeout;
+        let deadline = p.now() + VOTE_TIMEOUT;
         for (node, req) in prepare_reqs {
             let vote = match client.wait_ack_until(p, req, deadline) {
                 Some(AckResult::Ok { .. }) => Vote::Yes,

@@ -190,9 +190,10 @@ pub struct VtLib {
     /// `(rank, epoch)` markers for safe points a rank passed without
     /// applying that epoch's delta (it caught up later).
     partials: Mutex<Vec<(usize, u32)>>,
-    /// Degraded-mode instrumentation epochs: `(txn epoch, excluded nodes)`
-    /// recorded by the 2PC control plane when it committed without the
-    /// full node set. Figure output labels runs with a non-empty list.
+    /// Degraded-mode instrumentation epochs: `(txn epoch, nodes left
+    /// uninstrumented)` recorded by the 2PC control plane when an epoch
+    /// committed without the full node set or aborted. Figure output
+    /// labels runs with a non-empty list.
     degraded: Mutex<Vec<(u64, Vec<usize>)>>,
     /// Redundancy-suppression duration floor in nanoseconds (0 = off):
     /// active entry/exit pairs shorter than this are elided into
@@ -333,21 +334,22 @@ impl VtLib {
         self.partials.lock().clone()
     }
 
-    /// Record that instrumentation txn `epoch` committed degraded,
-    /// excluding `nodes` (the 2PC coordinator calls this so the trace
-    /// carries the reduced coverage alongside the measurements).
+    /// Record that instrumentation txn `epoch` left `nodes` uninstrumented
+    /// (excluded from a degraded commit, or every participant of an
+    /// aborted epoch), so the trace carries the reduced coverage alongside
+    /// the measurements.
     pub fn note_degraded(&self, epoch: u64, nodes: &[usize]) {
         self.degraded.lock().push((epoch, nodes.to_vec()));
     }
 
     /// Degraded-mode instrumentation epochs recorded by
-    /// [`VtLib::note_degraded`]: `(txn epoch, excluded nodes)`.
+    /// [`VtLib::note_degraded`]: `(txn epoch, nodes left uninstrumented)`.
     pub fn degraded_epochs(&self) -> Vec<(u64, Vec<usize>)> {
         self.degraded.lock().clone()
     }
 
-    /// True if any instrumentation epoch committed degraded — figure
-    /// harnesses use this to label output rows.
+    /// True if any instrumentation epoch landed on fewer than all of its
+    /// nodes — figure harnesses use this to label output rows.
     pub fn is_degraded(&self) -> bool {
         !self.degraded.lock().is_empty()
     }

@@ -1,5 +1,5 @@
 //! Differential oracle for the process backends: everything observable —
-//! dispatch order, figure JSON, fault-injected and transactional runs,
+//! dispatch order, figure JSON, fault-injected (and so transactional) runs,
 //! happens-before verdicts, and (in `tests/observability.rs`, which owns
 //! the obs registry) deterministic metrics — must be byte-identical
 //! whether simulated processes are OS threads (`ProcBackend::Threads`,
@@ -15,8 +15,7 @@ mod common;
 use std::sync::Arc;
 
 use common::base;
-use dynprof::core::{run_session, SessionConfig, SessionReport, TxnSettings};
-use dynprof::dpcl::DegradedPolicy;
+use dynprof::core::{run_session, SessionConfig, SessionReport};
 use dynprof::sim::{FaultSpec, Machine, ProcBackend, Sim, SimTime};
 use dynprof::vt::Policy;
 use dynprof_bench::fig9;
@@ -149,10 +148,10 @@ fn fig9_on(base: &SessionConfig, backend: ProcBackend) -> String {
 }
 
 /// `--faults` byte-identity: with an *active* fault plan (the default
-/// `lossy` profile: drops, duplicates, delays), every fault decision
+/// `lossy` profile: drops, duplicates, delays), every install runs
+/// through 2PC with the heartbeat monitor armed, and every fault decision
 /// derives from the seed, so the two backends must still produce
-/// byte-identical figures — and with the plan removed the output returns
-/// to the unfaulted baseline on both.
+/// byte-identical figures.
 #[test]
 fn faulted_runs_identical_across_backends() {
     let lossy = SessionConfig {
@@ -162,19 +161,6 @@ fn faulted_runs_identical_across_backends() {
     let fig_t = fig9_on(&lossy, ProcBackend::Threads);
     let fig_c = fig9_on(&lossy, ProcBackend::Coroutine);
     assert_eq!(fig_t, fig_c, "faulted figure JSON must be byte-identical");
-}
-
-/// `--txn` byte-identity: the transactional control plane (2PC epochs,
-/// degraded-mode policy armed) behaves identically on both backends.
-#[test]
-fn txn_runs_identical_across_backends() {
-    let txn = SessionConfig {
-        txn: Some(TxnSettings::new(DegradedPolicy::ExcludeNode)),
-        ..base()
-    };
-    let fig_t = fig9_on(&txn, ProcBackend::Threads);
-    let fig_c = fig9_on(&txn, ProcBackend::Coroutine);
-    assert_eq!(fig_t, fig_c, "txn figure JSON must be byte-identical");
 }
 
 /// Two sessions in one process: a lossy-faulted sweep on the threads

@@ -14,12 +14,9 @@
 //! fixed values; all fault decisions derive deterministically from them,
 //! so failures reproduce exactly.
 
-mod common;
-
 use std::sync::{Arc, Mutex};
 
-use common::base;
-use dynprof::core::{SessionConfig, TxnSettings};
+use dynprof::core::{run_session, Command, SessionConfig, SessionReport, TxnSettings};
 use dynprof::dpcl::{
     AckResult, DegradedPolicy, DpclClient, DpclSystem, HeartbeatConfig, HeartbeatMonitor,
     InstrumentationTxn, NodeHealth, TxnOptions, TxnOutcome,
@@ -28,7 +25,7 @@ use dynprof::image::{FunctionInfo, ImageBuilder, ProbePoint, Snippet};
 use dynprof::mpi::{launch, JobSpec};
 use dynprof::sim::fault::{FaultPlan, FaultProfile, FaultSpec};
 use dynprof::sim::{hb, Machine, ProbeCosts, Sim, SimTime};
-use dynprof::vt::{confsync, ConfigDelta, MonitorLink, VtConfig, VtLib};
+use dynprof::vt::{confsync, ConfigDelta, MonitorLink, Policy, VtConfig, VtLib};
 
 fn seeds() -> Vec<u64> {
     match std::env::var("CHAOS_SEEDS") {
@@ -298,10 +295,7 @@ fn txn_cell(seed: u64, profile: &str, policy: DegradedPolicy) {
                 Err(msg) => assert!(!msg.is_empty()),
             }
         }
-        let mut txn = InstrumentationTxn::new(TxnOptions {
-            policy,
-            ..TxnOptions::default()
-        });
+        let mut txn = InstrumentationTxn::new(TxnOptions { policy });
         for (_, h) in &handles {
             txn.stage_install(h, ProbePoint::entry(f), Snippet::noop("b"));
             txn.stage_install(h, ProbePoint::exit(f), Snippet::noop("e"));
@@ -411,23 +405,27 @@ fn crash_forever_spec(seed: u64) -> FaultSpec {
     }
 }
 
-/// Find a seed whose crash-forever plan downs exactly one of nodes 1–3,
-/// with the outage opening late enough (> 400 ms) that attach completes
-/// first. Scanning the plan (not the run) keeps the test deterministic
-/// and robust to RNG-stream changes.
-fn degraded_scenario() -> (u64, usize, SimTime) {
+/// Find a seed whose crash-forever plan downs exactly one of `nodes`,
+/// with the outage opening between `after_ms` and `before_ms` (after
+/// attach completes, and before the work under test). Scanning the plan
+/// (not the run) keeps the test deterministic and robust to RNG-stream
+/// changes.
+fn outage_scenario(nodes: &[usize], after_ms: u64, before_ms: u64) -> (u64, usize, SimTime) {
+    let after = SimTime::from_millis(after_ms);
+    let before = SimTime::from_millis(before_ms);
     for seed in 0..512 {
         let plan = FaultPlan::new(&crash_forever_spec(seed), &Machine::test_machine());
-        let down: Vec<(usize, SimTime)> = (1..=3usize)
-            .filter_map(|n| plan.daemon_outage(n).map(|(s, _)| (n, s)))
+        let down: Vec<(usize, SimTime)> = nodes
+            .iter()
+            .filter_map(|&n| plan.daemon_outage(n).map(|(s, _)| (n, s)))
             .collect();
         if let [(victim, start)] = down[..] {
-            if start > SimTime::from_millis(400) && start < SimTime::from_millis(1200) {
+            if start > after && start < before {
                 return (seed, victim, start);
             }
         }
     }
-    panic!("no crash-forever seed in 0..512 downs exactly one node late enough");
+    panic!("no crash-forever seed downs exactly one of {nodes:?} in {after_ms}..{before_ms} ms");
 }
 
 /// Degraded-mode decision paths, deterministically: one node dies after
@@ -437,7 +435,7 @@ fn degraded_scenario() -> (u64, usize, SimTime) {
 /// and no image holds half an epoch.
 #[test]
 fn degraded_mode_excludes_or_aborts_cleanly() {
-    let (seed, victim, start) = degraded_scenario();
+    let (seed, victim, start) = outage_scenario(&[1, 2, 3], 400, 1200);
     for policy in [DegradedPolicy::ExcludeNode, DegradedPolicy::AbortTxn] {
         let sim = Sim::virtual_time(Machine::test_machine(), seed);
         sim.enable_check();
@@ -472,10 +470,7 @@ fn degraded_mode_excludes_or_aborts_cleanly() {
             // Step past the victim's outage start so the 2PC rounds hit a
             // daemon that is down for good.
             p.sleep_until(start + SimTime::from_millis(1));
-            let mut txn = InstrumentationTxn::new(TxnOptions {
-                policy,
-                ..TxnOptions::default()
-            });
+            let mut txn = InstrumentationTxn::new(TxnOptions { policy });
             for h in &handles {
                 txn.stage_install(h, ProbePoint::entry(f), Snippet::noop("b"));
                 txn.stage_install(h, ProbePoint::exit(f), Snippet::noop("e"));
@@ -594,7 +589,7 @@ fn heartbeat_no_false_positives_without_faults() {
 /// outage opens, reaches Dead, and healthy nodes never transition.
 #[test]
 fn heartbeat_detects_dead_node_within_bound() {
-    let (seed, victim, start) = degraded_scenario();
+    let (seed, victim, start) = outage_scenario(&[1, 2, 3], 400, 1200);
     let sim = Sim::virtual_time(Machine::test_machine(), seed);
     assert!(sim.set_fault_plan(FaultPlan::new(&crash_forever_spec(seed), sim.machine())));
     let system = DpclSystem::new(["u"]);
@@ -636,27 +631,117 @@ fn heartbeat_detects_dead_node_within_bound() {
     }
 }
 
-/// Transactional mode with no faults is invisible: figure output is
-/// byte-identical whether the txn control plane is off, on, or on with an
-/// explicitly inert fault plan (the acceptance-criteria goldens).
+// ---------------------------------------------------------------------------
+// Sessions under faults: one install protocol
+// ---------------------------------------------------------------------------
+
+/// Whether `report`'s attached images hold the entry and exit probes of
+/// every function in `subset`: `Some(true)` if all do, `Some(false)` if
+/// none holds any, `None` for anything in between.
+fn instrumented(report: &SessionReport, subset: &[String]) -> Option<bool> {
+    let mut seen = Vec::new();
+    for (i, img) in report.images.iter().enumerate() {
+        let failed = format!("attach failed for process {i}:");
+        if report.warnings.iter().any(|w| w.starts_with(&failed)) {
+            continue;
+        }
+        for name in subset {
+            let f = img.func(name).expect("subset function in the manifest");
+            seen.push(img.occupied(ProbePoint::entry(f)));
+            seen.push(img.occupied(ProbePoint::exit(f)));
+        }
+    }
+    let all = seen.iter().all(|&held| held);
+    (all || seen.iter().all(|&held| !held)).then_some(all)
+}
+
+/// Under every live profile a session's install is one 2PC epoch: either
+/// every attached image holds each subset function's entry and exit
+/// probe, or none holds any and the run says it is degraded.
 #[test]
-fn txn_without_faults_is_identity() {
-    let fig_base = dynprof_bench::fig9(&base(), 1).to_json();
-    let txn = SessionConfig {
-        txn: Some(TxnSettings::new(DegradedPolicy::ExcludeNode)),
-        ..base()
+fn faulted_sessions_instrument_all_or_nothing() {
+    let app = dynprof::apps::test_app("smg98", 4).expect("app");
+    for seed in seeds() {
+        for profile in FaultProfile::all_names().iter().filter(|&&p| p != "none") {
+            let cfg = SessionConfig {
+                faults: Some(FaultSpec::parse(&format!("{seed}:{profile}")).expect("spec")),
+                ..SessionConfig::new(Machine::ibm_power3_colony(), Policy::Dynamic)
+            };
+            let report = run_session(&app, cfg);
+            let ctx = format!(
+                "smg98 session (seed {seed}, {profile}): {:?}",
+                report.warnings
+            );
+            match instrumented(&report, &app.subset) {
+                Some(true) => {}
+                Some(false) => assert!(report.vt.is_degraded(), "silent abort in {ctx}"),
+                None => panic!("partial instrumentation in {ctx}"),
+            }
+        }
+    }
+}
+
+/// A faulted install whose validator rejects the plan sends nothing, and
+/// the session counts nothing installed.
+#[test]
+fn rejected_epoch_installs_nothing() {
+    let reject = |_: &[String]| {
+        vec![hb::Finding {
+            severity: hb::Severity::Error,
+            detector: "test",
+            message: "plan rejected".into(),
+        }]
     };
-    let fig_txn = dynprof_bench::fig9(&txn, 1).to_json();
-    let txn_none = SessionConfig {
-        faults: Some(FaultSpec::parse("9:none").expect("spec")),
-        ..txn
+    let cfg = SessionConfig {
+        faults: Some(FaultSpec::parse("3:delay").expect("spec")),
+        txn: TxnSettings {
+            validator: Some(Arc::new(reject)),
+            ..TxnSettings::default()
+        },
+        ..SessionConfig::new(Machine::ibm_power3_colony(), Policy::Dynamic)
     };
-    let fig_txn_none = dynprof_bench::fig9(&txn_none, 1).to_json();
-    assert_eq!(fig_base, fig_txn, "txn-on (no plan) must be byte-identical");
-    assert_eq!(
-        fig_base, fig_txn_none,
-        "txn-on + inert plan must be byte-identical"
+    let app = dynprof::apps::test_app("smg98", 4).expect("app");
+    let report = run_session(&app, cfg);
+    let warnings = &report.warnings;
+    assert_eq!(report.probe_pairs_installed, 0, "{warnings:?}");
+    let rejected = |w: &String| w.starts_with("txn validation: ") && w.ends_with("plan rejected");
+    assert!(warnings.iter().any(rejected), "{warnings:?}");
+    assert_eq!(instrumented(&report, &app.subset), Some(false));
+}
+
+/// A node that dies for good after attach: the mid-run insert aborts (the
+/// default `abort-txn`), so the run is marked degraded and counts no
+/// pairs, and what the dead node never answered — its suspends, resumes
+/// and removals — is reported once per command instead of dropped.
+#[test]
+fn faulted_session_reports_what_did_not_land() {
+    // 8 ranks on the test machine: nodes 0 and 1; dynprof runs on node 3.
+    let (seed, victim, start) = outage_scenario(&[0, 1], 1000, 1500);
+    let script = Command::parse_script(
+        "start\nwait 2\ninsert-file subset\nwait 0.01\nremove-file subset\nquit\n",
+    )
+    .expect("script");
+    let cfg = SessionConfig {
+        faults: Some(crash_forever_spec(seed)),
+        ..SessionConfig::new(Machine::test_machine(), Policy::Dynamic)
+            .with_seed(seed)
+            .with_script(script)
+    };
+    let report = run_session(&dynprof::apps::test_app("smg98", 8).expect("app"), cfg);
+    let ctx = format!(
+        "node {victim} down at {start:?} (seed {seed}): {:?}",
+        report.warnings
     );
+    assert!(report.vt.is_degraded(), "{ctx}");
+    assert_eq!(report.probe_pairs_installed, 0, "{ctx}");
+    let count = |what: &str| report.warnings.iter().filter(|w| w.contains(what)).count();
+    assert_eq!(count("aborted"), 1, "{ctx}");
+    assert_eq!(count("probe removals failed"), 1, "{ctx}");
+    // One per command that suspends: the insert and the remove. (The
+    // outage lasts an hour of virtual time, so the 220 timed-out removals
+    // outlive it and the remove's resumes land.)
+    assert_eq!(count("suspends failed"), 2, "{ctx}");
+    assert_eq!(count("resumes failed"), 1, "{ctx}");
 }
 
 // ---------------------------------------------------------------------------
@@ -666,7 +751,7 @@ fn txn_without_faults_is_identity() {
 /// One adaptive (budget-controlled) sweep3d session under the fault spec
 /// `seed:profile`: probe-dense scaling, 4 ranks, one confsync epoch per
 /// iteration, 5% budget.
-fn adaptive_chaos_run(seed: u64, profile: &str) -> dynprof::core::SessionReport {
+fn adaptive_chaos_run(seed: u64, profile: &str) -> SessionReport {
     let params = dynprof::apps::Sweep3dParams {
         global_n: 16,
         k_block: 1,
@@ -678,11 +763,11 @@ fn adaptive_chaos_run(seed: u64, profile: &str) -> dynprof::core::SessionReport 
     };
     let cfg = SessionConfig {
         faults: Some(FaultSpec::parse(&format!("{seed}:{profile}")).expect("spec")),
-        ..SessionConfig::new(Machine::test_machine(), dynprof::vt::Policy::Full)
+        ..SessionConfig::new(Machine::test_machine(), Policy::Full)
             .with_seed(seed)
             .with_adaptive(dynprof::core::AdaptiveSettings::budget(5.0))
     };
-    dynprof::core::run_session(&dynprof::apps::sweep3d(4, params), cfg)
+    run_session(&dynprof::apps::sweep3d(4, params), cfg)
 }
 
 /// The controller leg of the fault matrix: adaptive sessions complete
@@ -782,10 +867,7 @@ fn activation_txn_matrix_swaps_atomically() {
                             Err(msg) => assert!(!msg.is_empty()),
                         }
                     }
-                    let mut txn = InstrumentationTxn::new(TxnOptions {
-                        policy,
-                        ..TxnOptions::default()
-                    });
+                    let mut txn = InstrumentationTxn::new(TxnOptions { policy });
                     for (node, h, counter) in &handles {
                         let counter = Arc::clone(counter);
                         txn.stage_activation(
@@ -858,10 +940,9 @@ fn store_round_trip_survives_fault_runs() {
         let spec = dynprof::apps::test_app("sweep3d", 4).expect("app");
         let cfg = SessionConfig {
             faults: Some(FaultSpec::parse(&format!("{seed}:lossy")).expect("spec")),
-            ..SessionConfig::new(Machine::ibm_power3_colony(), dynprof::vt::Policy::Full)
-                .with_seed(seed)
+            ..SessionConfig::new(Machine::ibm_power3_colony(), Policy::Full).with_seed(seed)
         };
-        let report = dynprof::core::run_session(&spec, cfg);
+        let report = run_session(&spec, cfg);
 
         let trace = report.vt.build_trace();
         let path = dir.join(format!("chaos-{seed}-{}.vgvs", std::process::id()));

@@ -14,8 +14,8 @@ use dynprof_bench::{fig7_policies, fig7_run, Figure, Series};
 /// chunk's end-of-payload position.
 pub const CHUNK_HDR: u64 = 40;
 
-/// The figure harnesses' base run configuration: no faults, no 2PC, no
-/// overhead budget, the default carrier.
+/// The figure harnesses' base run configuration: no faults (so plain
+/// installs), no overhead budget, the default carrier.
 pub fn base() -> SessionConfig {
     SessionConfig::new(Machine::ibm_power3_colony(), Policy::Dynamic)
 }

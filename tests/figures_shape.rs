@@ -249,9 +249,10 @@ fn golden_inert_budget_byte_identical() {
     );
 }
 
-/// The figure binaries' one parser: `--txn` and `--degraded-policy` set
-/// `base.txn`, `--faults` sets `base.faults`, and a binary whose sessions
-/// install no probes (fig8) refuses the probe flags as unknown arguments.
+/// The figure binaries' one parser: `--degraded-policy` sets
+/// `base.txn.policy`, `--faults` sets `base.faults`, and a binary whose
+/// sessions install no probes (fig8) refuses the probe flags as unknown
+/// arguments.
 #[test]
 fn figure_args_parse_into_one_run_configuration() {
     let parse = |args: &[&str], probes| {
@@ -259,23 +260,19 @@ fn figure_args_parse_into_one_run_configuration() {
         FigureArgs::parse(&args, &["--app"], probes)
     };
     let args = parse(
-        &[
-            "--app",
-            "umt98",
-            "--degraded-policy",
-            "exclude-node",
-            "--txn",
-        ],
+        &["--app", "umt98", "--degraded-policy", "exclude-node"],
         true,
     )
     .unwrap();
-    let txn = args.base.txn.expect("--degraded-policy implies --txn");
-    assert_eq!(txn.policy, dynprof::dpcl::DegradedPolicy::ExcludeNode);
+    assert_eq!(
+        args.base.txn.policy,
+        dynprof::dpcl::DegradedPolicy::ExcludeNode
+    );
     assert_eq!(args.own, [("--app".to_string(), "umt98".to_string())]);
     let args = parse(&["--faults", "3:crash", "--parallel", "2", "--json"], false).unwrap();
     assert_eq!(args.base.faults.expect("spec").profile_name, "crash");
     assert_eq!((args.workers, args.json), (2, true));
-    for flag in ["--txn", "--degraded-policy", "--overhead-budget"] {
+    for flag in ["--degraded-policy", "--overhead-budget"] {
         let err = parse(&[flag, "5"], false).err().expect("refused");
         assert_eq!(err, format!("unknown argument {flag:?}"));
     }

@@ -1,6 +1,6 @@
 //! Session fingerprints: one line per session over every way a session can
 //! run — the four kernels under every policy, a set of `dynprof` script
-//! shapes, a transactional session on an inert fault plan, and an attach
+//! shapes, a session on an inert fault plan, and an attach
 //! to a running job — byte-compared against
 //! `tests/golden/session_fingerprints.txt`.
 //!
@@ -13,9 +13,7 @@
 use dynprof::apps::{sppm, test_app, SppmParams};
 use dynprof::core::{
     run_attach_session, run_session, AdaptiveSettings, Command, SessionConfig, SessionReport,
-    TxnSettings,
 };
-use dynprof::dpcl::DegradedPolicy;
 use dynprof::sim::{FaultSpec, Machine, SimTime};
 use dynprof::vt::Policy;
 
@@ -119,13 +117,13 @@ fn fingerprints() -> Vec<String> {
                 &report,
             ));
 
-            let txn = SessionConfig {
+            let inert = SessionConfig {
                 faults: Some(FaultSpec::parse("7:none").expect("spec")),
-                ..cfg(Policy::Dynamic, seed).with_txn(TxnSettings::new(DegradedPolicy::AbortTxn))
+                ..cfg(Policy::Dynamic, seed)
             };
-            let report = run_session(&app, txn);
+            let report = run_session(&app, inert);
             lines.push(fingerprint(
-                &format!("{name} txn-inert seed={seed}"),
+                &format!("{name} inert-plan seed={seed}"),
                 &report,
             ));
         }
