@@ -14,15 +14,11 @@
 //!   output, without sorting — nondeterministic output order.
 //!
 //! A second, scope-aware pass enforces the engine's locking discipline
-//! (see `crates/sim/src/engine.rs`):
+//! (see `crates/sim/src/engine.rs`, whose one mutex is `inner`):
 //!
-//! * `unpark-under-lock` — calling `.unpark()` while an `inner` or
-//!   `heaps` mutex guard is live wakes a thread that immediately blocks
-//!   on the mutex we still hold (an extra context switch plus a futex
-//!   round trip per event);
-//! * `heaps-before-inner` — acquiring `inner` while a `heaps` guard is
-//!   live inverts the one allowed nesting order (`inner` before `heaps`)
-//!   and can deadlock against the dispatch path;
+//! * `unpark-under-lock` — calling `.unpark()` while an `inner` guard is
+//!   live wakes a thread that immediately blocks on the mutex we still
+//!   hold (an extra context switch plus a futex round trip per event);
 //! * `clock-under-lock` — the bodies of `Proc::now` and `Proc::advance`
 //!   acquire nothing (`.lock()`, `.read()`, `.write()`): a process owns
 //!   its clock, and every timestamp and every charge of every simulated
@@ -452,16 +448,8 @@ fn lint_query_dense_state(path: &str, stripped: &str) -> Vec<Finding> {
     hits.into_iter().map(finding).collect()
 }
 
-/// Which engine mutex a tracked guard holds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum LockKind {
-    Inner,
-    Heaps,
-}
-
-/// One live mutex guard tracked by the lock-discipline scanner.
+/// One live `inner` guard tracked by the lock-discipline scanner.
 struct Guard {
-    kind: LockKind,
     name: String,
     /// Brace depth where the guard was bound; the guard dies for good
     /// when scanning exits this scope.
@@ -501,11 +489,10 @@ fn binding_name(line: &str, pos: usize) -> Option<String> {
 }
 
 /// Scope-aware scan for the engine's locking discipline: `unpark` calls
-/// while an `inner`/`heaps` guard is held, and `inner` acquisition while
-/// a `heaps` guard is held (the reverse of the one allowed nesting
-/// order). Guards bound by `let` are tracked through nested blocks;
-/// `drop(guard)` releases them for the remainder of that block only, so
-/// a sibling `match` arm still sees the guard as held.
+/// while an `inner` guard is held. Guards bound by `let` are tracked
+/// through nested blocks; `drop(guard)` releases them for the remainder
+/// of that block only, so a sibling `match` arm still sees the guard as
+/// held.
 fn lint_lock_discipline(path: &str, stripped: &str) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut depth: usize = 0;
@@ -532,42 +519,14 @@ fn lint_lock_discipline(path: &str, stripped: &str) -> Vec<Finding> {
             }
             let rest = &line[i..];
             if rest.starts_with(".inner.lock()") {
-                if let Some(h) = guards
-                    .iter()
-                    .find(|g| g.kind == LockKind::Heaps && g.live())
-                {
-                    out.push(Finding {
-                        severity: Severity::Error,
-                        detector: "lint:heaps-before-inner",
-                        message: format!(
-                            "{path}:{}: acquiring `inner` while heaps guard `{}` is \
-                             held — the allowed nesting order is inner before heaps",
-                            lineno + 1,
-                            h.name
-                        ),
-                    });
-                }
                 if let Some(name) = binding_name(line, i) {
                     guards.push(Guard {
-                        kind: LockKind::Inner,
                         name,
                         bind_depth: depth,
                         suppressed_at: None,
                     });
                 }
                 i += ".inner.lock()".len();
-                continue;
-            }
-            if rest.starts_with(".heaps.lock()") {
-                if let Some(name) = binding_name(line, i) {
-                    guards.push(Guard {
-                        kind: LockKind::Heaps,
-                        name,
-                        bind_depth: depth,
-                        suppressed_at: None,
-                    });
-                }
-                i += ".heaps.lock()".len();
                 continue;
             }
             if rest.starts_with(".unpark()") {
@@ -777,10 +736,6 @@ mod tests {
         let src =
             "fn f(&self) {\n    let mut g = self.inner.lock();\n    drop(g);\n    t.unpark();\n}\n";
         assert!(lint_source("x.rs", src, &[]).is_empty());
-        // A heaps guard counts too.
-        let src = "fn f(&self) {\n    let h = self.heaps.lock();\n    t.unpark();\n}\n";
-        let f = lint_source("x.rs", src, &[]);
-        assert_eq!(f.len(), 1, "{f:?}");
     }
 
     #[test]
@@ -814,17 +769,6 @@ mod tests {
                    \x20   t.unpark();\n\
                    }\n";
         assert!(lint_source("x.rs", src, &[]).is_empty());
-    }
-
-    #[test]
-    fn heaps_before_inner_flagged_but_inner_before_heaps_allowed() {
-        let bad = "fn f(&self) {\n    let mut h = self.heaps.lock();\n    let mut g = self.inner.lock();\n}\n";
-        let f = lint_source("x.rs", bad, &[]);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].detector, "lint:heaps-before-inner");
-        // The one allowed nesting order: inner, then heaps.
-        let good = "fn f(&self) {\n    let mut g = self.inner.lock();\n    let mut h = self.heaps.lock();\n}\n";
-        assert!(lint_source("x.rs", good, &[]).is_empty());
     }
 
     #[test]
@@ -918,11 +862,6 @@ mod tests {
         assert_eq!(unparks.len(), 0, "{unparks:?}");
         // The scan does see the carrier's wake-ups: they exist, unlocked.
         assert!(strip_code(&src).matches(".unpark()").count() >= 3);
-        // And the nesting order is never inverted, allowlist or not.
-        assert!(
-            !f.iter().any(|x| x.detector == "lint:heaps-before-inner"),
-            "{f:?}"
-        );
     }
 
     #[test]

@@ -98,16 +98,24 @@ mod imp {
     /// Default usable stack per coroutine (virtual; committed lazily).
     const DEFAULT_STACK_BYTES: usize = 1024 * 1024;
 
-    /// Usable stack size, read once from `DYNPROF_CO_STACK_KB`.
+    /// Usable stack size, read once from `DYNPROF_CO_STACK_KB`. A value
+    /// that does not parse stops the run with [`parse_stack_kb`]'s message.
     pub(crate) fn stack_bytes() -> usize {
         static BYTES: OnceLock<usize> = OnceLock::new();
-        *BYTES.get_or_init(|| {
-            std::env::var("DYNPROF_CO_STACK_KB")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .map(|kb| (kb.max(16) * 1024).next_multiple_of(PAGE))
-                .unwrap_or(DEFAULT_STACK_BYTES)
+        *BYTES.get_or_init(|| match std::env::var_os("DYNPROF_CO_STACK_KB") {
+            Some(v) => parse_stack_kb(&v.to_string_lossy()).unwrap_or_else(|e| panic!("{e}")),
+            None => DEFAULT_STACK_BYTES,
         })
+    }
+
+    /// A `DYNPROF_CO_STACK_KB` value as usable stack bytes: a whole
+    /// number of KiB, at least 16, rounded up to whole pages.
+    pub(super) fn parse_stack_kb(value: &str) -> Result<usize, String> {
+        value
+            .parse::<usize>()
+            .ok()
+            .and_then(|kb| kb.max(16).checked_mul(1024)?.checked_next_multiple_of(PAGE))
+            .ok_or_else(|| format!("DYNPROF_CO_STACK_KB={value:?}: expected a whole number of KiB"))
     }
 
     // The context switch and the entry thunk.
@@ -369,6 +377,19 @@ mod tests {
     use super::*;
     use core::ffi::c_void;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+    #[test]
+    fn stack_size_parse_accepts_whole_kib_and_names_the_variable_otherwise() {
+        use imp::parse_stack_kb;
+        assert_eq!(parse_stack_kb("1024"), Ok(1024 * 1024));
+        assert_eq!(parse_stack_kb("4"), Ok(16 * 1024), "floored at 16 KiB");
+        assert_eq!(parse_stack_kb("17"), Ok(20 * 1024), "rounded up to pages");
+        for bad in ["", "64k", " 64", "-1", "1e3", "99999999999999999999"] {
+            let err = parse_stack_kb(bad).expect_err(bad);
+            assert!(err.starts_with("DYNPROF_CO_STACK_KB="), "{err}");
+            assert!(err.contains("whole number of KiB"), "{err}");
+        }
+    }
 
     /// Shared slots the test coroutine and the test thread bounce
     /// through. Heap-allocated so raw pointers into it stay valid across

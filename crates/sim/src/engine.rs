@@ -42,10 +42,12 @@
 //! [`Sim::run`]), or it was unwound by the quiet `Poison` payload that
 //! tears the survivors down once a run has failed.
 //!
-//! Event storage is per *node* (one heap per simulated node plus a
-//! cross-node frontier heap), so a conservative parallel scheduler with
-//! topology-derived lookahead can partition nodes across workers later
-//! without changing the event order the sequential backends produce.
+//! All scheduler state — the process slots, the wake heap, the timers,
+//! the threads carrier's join handles, the dispatch log — sits behind one
+//! mutex, `inner`. Producers (`schedule`, timer arming) take it only on
+//! the running process, and a yielder drops it before resuming its
+//! successor, so no two contexts ever want it at once on the per-event
+//! path.
 
 use core::ffi::c_void;
 use std::cell::UnsafeCell;
@@ -93,18 +95,31 @@ impl ProcBackend {
     /// coroutines where supported. A coroutine request on a platform
     /// without the runtime falls back to threads. A caller that wants a
     /// particular carrier names it ([`Sim::virtual_time_with_backend`]).
+    ///
+    /// A value other than those two stops the run with
+    /// `ProcBackend::parse`'s message.
     pub fn default_backend() -> ProcBackend {
         static ENV: OnceLock<Option<ProcBackend>> = OnceLock::new();
-        let env = *ENV.get_or_init(|| match std::env::var("DYNPROF_PROC_BACKEND").as_deref() {
-            Ok("threads") => Some(ProcBackend::Threads),
-            Ok("coroutine") => Some(ProcBackend::Coroutine),
-            _ => None,
+        let env = *ENV.get_or_init(|| {
+            let v = std::env::var_os("DYNPROF_PROC_BACKEND")?;
+            Some(ProcBackend::parse(&v.to_string_lossy()).unwrap_or_else(|e| panic!("{e}")))
         });
         let resolved = env.unwrap_or(ProcBackend::Coroutine);
         if resolved == ProcBackend::Coroutine && !co::supported() {
             ProcBackend::Threads
         } else {
             resolved
+        }
+    }
+
+    /// A `DYNPROF_PROC_BACKEND` value: `threads` or `coroutine`.
+    fn parse(value: &str) -> Result<ProcBackend, String> {
+        match value {
+            "threads" => Ok(ProcBackend::Threads),
+            "coroutine" => Ok(ProcBackend::Coroutine),
+            _ => Err(format!(
+                "DYNPROF_PROC_BACKEND={value:?}: expected `threads` or `coroutine`"
+            )),
         }
     }
 }
@@ -187,120 +202,35 @@ struct ProcSlot {
     node: usize,
     state: PState,
     clock: Arc<Clock>,
-    /// OS thread backing this process, for `unpark` wakes. Registered by
-    /// `spawn_at` (under the `inner` lock) before any dispatch can target
-    /// the pid, so the dispatcher never races a missing handle.
-    thread: Option<Thread>,
+    /// Timer generation: a timer entry fires only if the generation it
+    /// recorded still matches (see [`Engine::cancel_timers`]).
+    timer_gen: u64,
+    /// OS thread backing this process (threads carrier), for `unpark`
+    /// wakes and the join at teardown. Registered by `spawn_at` before
+    /// any dispatch can target the pid, so the dispatcher never races a
+    /// missing handle.
+    thread: Option<JoinHandle<()>>,
 }
 
-/// The event heaps, split from [`EngineInner`] so that scheduling a wake
-/// (`send`, `wake_other`, timer arming — the hottest producers) touches
-/// only this small mutex and never contends with per-process bookkeeping
-/// (state flips, handoff accounting).
-///
-/// **Lock order**: `inner` before `heaps`, never the reverse. The
-/// dispatcher holds `inner` and briefly takes `heaps` to pop; producers
-/// take `heaps` alone.
-struct Heaps {
-    /// Pending wake events `(at, seq, pid)`, min-first, **one heap per
-    /// simulated node** (indexed by the target pid's node). Partitioning
-    /// by node is the shape a conservative parallel scheduler needs —
-    /// workers own disjoint node sets and exchange lookahead bounds —
-    /// and the sequential backends pay only the `frontier` merge for it.
-    node_queues: Vec<BinaryHeap<Reverse<(SimTime, u64, Pid)>>>,
-    /// Cross-node merge heap: `(at, seq, node)` candidates, one valid
-    /// entry per nonempty node heap plus lazily-discarded stale ones. An
-    /// entry is valid iff it still equals its node heap's top (`(at,
-    /// seq)` pairs are unique, so equality is exact); staleness arises
-    /// when a smaller event arrived after the entry was pushed, or when
-    /// the entry's event was already popped. The valid minimum over this
-    /// heap equals the minimum over all node tops, so the pop order is
-    /// bit-for-bit the single-global-heap order.
-    frontier: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-    /// Total pending wake events across `node_queues`.
-    queued: usize,
-    /// pid → node, for routing pushes to the right heap.
-    node_of: Vec<usize>,
+/// All scheduler state, behind the engine's one mutex.
+struct EngineInner {
+    procs: Vec<ProcSlot>,
+    /// Pending wake events `(at, seq, pid)`, min-first. `(at, seq)` is
+    /// unique, so the pop order is total and the same on every run.
+    queue: BinaryHeap<Reverse<(SimTime, u64, Pid)>>,
     /// Deadline timers `(at, seq, pid, gen)`. Kept apart from the wake
-    /// queues so a timed wait whose timer never fires (the no-fault fast
+    /// queue so a timed wait whose timer never fires (the no-fault fast
     /// path) leaves every queue metric — and thus the metrics dump —
-    /// untouched. Timers stay global: they are rare (armed only by
-    /// deadline waits) and never on the hot path.
+    /// untouched.
     timers: BinaryHeap<Reverse<(SimTime, u64, Pid, u64)>>,
-    /// Tie-break sequence number shared by all heaps (insertion order).
+    /// Tie-break sequence number shared by both heaps (insertion order).
     seq: u64,
-    /// Per-pid timer generation: a timer entry fires only if its recorded
-    /// generation still matches. Cancellation bumps the generation *and*
-    /// eagerly removes the dead entries (the generation check remains as
-    /// defense in depth).
-    timer_gens: Vec<u64>,
-    /// Deepest the wake queues have grown in total (only tracked while
-    /// observation is enabled; deterministic, since pushes are
-    /// serialized).
+    /// Deepest the wake queue has grown (only tracked while observation
+    /// is enabled; deterministic, since pushes are serialized).
     queue_hw: usize,
     /// Cancelled timer entries removed from the heap at the cancellation
     /// site rather than lingering until they surface at the top.
     timers_cancelled: u64,
-}
-
-impl Heaps {
-    /// Push a wake event for `pid` at `at`, maintaining the frontier
-    /// invariant: if the event became its node's earliest, it becomes a
-    /// frontier candidate (the entry it supersedes goes stale and is
-    /// discarded lazily by [`Heaps::peek_wake`]).
-    fn push_wake(&mut self, at: SimTime, pid: Pid) {
-        self.seq += 1;
-        let seq = self.seq;
-        let node = self.node_of[pid];
-        let q = &mut self.node_queues[node];
-        q.push(Reverse((at, seq, pid)));
-        self.queued += 1;
-        if let Some(&Reverse((qt, qs, _))) = q.peek() {
-            if (qt, qs) == (at, seq) {
-                self.frontier.push(Reverse((at, seq, node)));
-            }
-        }
-        if obs::enabled() {
-            self.queue_hw = self.queue_hw.max(self.queued);
-        }
-    }
-
-    /// The earliest pending wake `(time, seq)` across all node heaps, or
-    /// `None` if no wake is pending. Pops stale frontier entries as it
-    /// encounters them; on `Some`, the frontier top is validated and
-    /// [`Heaps::pop_wake`] may be called.
-    fn peek_wake(&mut self) -> Option<(SimTime, u64)> {
-        while let Some(&Reverse((t, s, node))) = self.frontier.peek() {
-            match self.node_queues[node].peek() {
-                Some(&Reverse((qt, qs, _))) if (qt, qs) == (t, s) => return Some((t, s)),
-                _ => {
-                    self.frontier.pop();
-                }
-            }
-        }
-        None
-    }
-
-    /// Pop the wake event a successful [`Heaps::peek_wake`] validated,
-    /// promoting its node's next event (if any) into the frontier.
-    fn pop_wake(&mut self) -> (SimTime, Pid) {
-        let Reverse((_, _, node)) = self.frontier.pop().expect("validated frontier entry");
-        let Reverse((t, _, pid)) = self.node_queues[node]
-            .pop()
-            .expect("frontier entry matched node top");
-        self.queued -= 1;
-        if let Some(&Reverse((nt, ns, _))) = self.node_queues[node].peek() {
-            self.frontier.push(Reverse((nt, ns, node)));
-        }
-        (t, pid)
-    }
-}
-
-/// Shared buffer behind [`DispatchLog`]: `(pid, resumed clock)` pairs.
-type DispatchEntries = Arc<Mutex<Vec<(Pid, SimTime)>>>;
-
-struct EngineInner {
-    procs: Vec<ProcSlot>,
     /// Currently running pid; `None` while a dispatch is
     /// being chosen. `None` is never observable outside the lock during a
     /// successful handoff: the yielder clears and re-fills it under one
@@ -318,8 +248,8 @@ struct EngineInner {
     ctx_switches: u64,
     /// Optional dispatch recorder: every dispatched wake appends
     /// `(pid, resumed clock)`. Used by the dispatch-order equivalence
-    /// tests; `None` (one pointer test per dispatch) in normal runs.
-    dispatch_log: Option<DispatchEntries>,
+    /// tests; `None` (one test per dispatch) in normal runs.
+    dispatch_log: Option<Vec<(Pid, SimTime)>>,
     /// Dispatches performed by a yielding/finishing process handing
     /// straight to its successor (one OS-thread switch each; a process
     /// popping its own wake costs none and is also counted here as zero).
@@ -331,6 +261,17 @@ struct EngineInner {
     /// First real panic payload of a process, re-raised from
     /// [`Sim::run`] after teardown.
     panic_payload: Option<Box<dyn std::any::Any + Send>>,
+}
+
+impl EngineInner {
+    /// Push a wake event for `pid` at `at`.
+    fn push_wake(&mut self, at: SimTime, pid: Pid) {
+        self.seq += 1;
+        self.queue.push(Reverse((at, self.seq, pid)));
+        if obs::enabled() {
+            self.queue_hw = self.queue_hw.max(self.queue.len());
+        }
+    }
 }
 
 /// Engine-side per-process coroutine state (`coroutine` backend only).
@@ -399,7 +340,6 @@ pub(crate) struct Engine {
     /// Process carrier (after platform fallback).
     backend: ProcBackend,
     inner: Mutex<EngineInner>,
-    heaps: Mutex<Heaps>,
     /// Coroutine state (`coroutine` backend only; empty otherwise).
     co: CoPool,
     /// The thread inside [`Sim::run`], which the threads carrier unparks
@@ -424,8 +364,6 @@ pub(crate) struct Engine {
     epoch: Instant,
     machine: Machine,
     seed: u64,
-    /// Process threads to reap at teardown (threads carrier).
-    handles: Mutex<Vec<JoinHandle<()>>>,
     /// Fault plan in force, if any (set at most once, before processes
     /// start exchanging messages).
     faults: OnceLock<Arc<FaultPlan>>,
@@ -442,11 +380,15 @@ impl Engine {
         } else {
             ProcBackend::Threads
         };
-        let nodes = machine.nodes;
         Engine {
             backend,
             inner: Mutex::new(EngineInner {
                 procs: Vec::new(),
+                queue: BinaryHeap::new(),
+                timers: BinaryHeap::new(),
+                seq: 0,
+                queue_hw: 0,
+                timers_cancelled: 0,
                 current: None,
                 live: 0,
                 horizon: SimTime::ZERO,
@@ -458,17 +400,6 @@ impl Engine {
                 sched_fallbacks: 0,
                 panicked: false,
                 panic_payload: None,
-            }),
-            heaps: Mutex::new(Heaps {
-                node_queues: (0..nodes).map(|_| BinaryHeap::new()).collect(),
-                frontier: BinaryHeap::new(),
-                queued: 0,
-                node_of: Vec::new(),
-                timers: BinaryHeap::new(),
-                seq: 0,
-                timer_gens: Vec::new(),
-                queue_hw: 0,
-                timers_cancelled: 0,
             }),
             co: CoPool(UnsafeCell::new(CoPoolInner {
                 slots: Vec::new(),
@@ -486,7 +417,6 @@ impl Engine {
             epoch: Instant::now(),
             machine,
             seed,
-            handles: Mutex::new(Vec::new()),
             faults: OnceLock::new(),
             hb: OnceLock::new(),
         }
@@ -497,42 +427,38 @@ impl Engine {
     /// Producers only ever run on the currently-executing process (or on
     /// the spawning thread before `run()` starts), so no dispatcher can be
     /// idle-waiting on this event: it will be considered at the producer's
-    /// next yield point. Hence no signalling here — the heaps mutex is
-    /// the entire cost.
+    /// next yield point. Hence no signalling here, and the `inner` lock
+    /// is uncontended: the yielder dropped it before resuming us.
     pub(crate) fn schedule(&self, pid: Pid, at: SimTime) {
-        self.heaps.lock().push_wake(at, pid);
+        self.inner.lock().push_wake(at, pid);
     }
 
     /// Arm a deadline timer waking `pid` at `at` unless cancelled first.
     pub(crate) fn schedule_timer(&self, pid: Pid, at: SimTime) {
-        let mut h = self.heaps.lock();
-        h.seq += 1;
-        let seq = h.seq;
-        let gen = h.timer_gens[pid];
-        h.timers.push(Reverse((at, seq, pid, gen)));
+        let mut g = self.inner.lock();
+        g.seq += 1;
+        let entry = (at, g.seq, pid, g.procs[pid].timer_gen);
+        g.timers.push(Reverse(entry));
     }
 
     /// Is a wake or a timer pending at or before `t`?
     fn due_by(&self, t: SimTime) -> bool {
-        let mut h = self.heaps.lock();
-        let timer = h.timers.peek().map(|&Reverse((at, ..))| at);
-        h.peek_wake()
-            .map(|(at, _)| at)
-            .into_iter()
-            .chain(timer)
-            .any(|at| at <= t)
+        let g = self.inner.lock();
+        let wake = g.queue.peek().map(|&Reverse((at, ..))| at);
+        let timer = g.timers.peek().map(|&Reverse((at, ..))| at);
+        wake.into_iter().chain(timer).any(|at| at <= t)
     }
 
     /// Invalidate every outstanding timer of `pid`, removing its dead heap
     /// entries eagerly so they never surface at dispatch (the generation
     /// bump still guards any entry a future refactor might leave behind).
     pub(crate) fn cancel_timers(&self, pid: Pid) {
-        let mut h = self.heaps.lock();
-        h.timer_gens[pid] += 1;
-        let before = h.timers.len();
+        let mut g = self.inner.lock();
+        g.procs[pid].timer_gen += 1;
+        let before = g.timers.len();
         if before > 0 {
-            h.timers.retain(|&Reverse((_, _, tpid, _))| tpid != pid);
-            h.timers_cancelled += (before - h.timers.len()) as u64;
+            g.timers.retain(|&Reverse((_, _, tpid, _))| tpid != pid);
+            g.timers_cancelled += (before - g.timers.len()) as u64;
         }
     }
 
@@ -555,41 +481,38 @@ impl Engine {
     /// a futex round trip on every single event. Deferring the wake is
     /// safe because the park token cannot be lost and `current_word` is
     /// already published.
-    fn dispatch_next(
-        &self,
-        g: &mut parking_lot::MutexGuard<'_, EngineInner>,
-    ) -> Option<Dispatched> {
+    fn dispatch_next(&self, g: &mut EngineInner) -> Option<Dispatched> {
         debug_assert!(g.current.is_none());
         loop {
-            let (t, pid) = {
-                let mut h = self.heaps.lock();
-                // Discard stale timers at the top: cancelled generations
-                // (normally already removed eagerly) or finished procs.
-                while let Some(&Reverse((_, _, tpid, tgen))) = h.timers.peek() {
-                    if h.timer_gens[tpid] != tgen || g.procs[tpid].state == PState::Done {
-                        h.timers.pop();
-                    } else {
-                        break;
-                    }
-                }
-                let wake = h.peek_wake();
-                let take_timer = match (wake, h.timers.peek()) {
-                    (None, None) => return None,
-                    (Some(_), None) => false,
-                    (None, Some(_)) => true,
-                    (Some((qt, _)), Some(&Reverse((tt, _, _, _)))) => {
-                        // Strict precedence only: at equal times the wake
-                        // event wins, so a message arriving exactly at a
-                        // receive deadline is delivered (and observed)
-                        // before the timeout can fire.
-                        tt < qt
-                    }
-                };
-                if take_timer {
-                    let Reverse((t, _seq, pid, _gen)) = h.timers.pop().expect("peeked timer");
-                    (t, pid)
+            // Discard stale timers at the top: cancelled generations
+            // (normally already removed eagerly) or finished procs.
+            while let Some(&Reverse((_, _, tpid, tgen))) = g.timers.peek() {
+                let target = &g.procs[tpid];
+                if target.timer_gen != tgen || target.state == PState::Done {
+                    g.timers.pop();
                 } else {
-                    h.pop_wake()
+                    break;
+                }
+            }
+            let wake = g.queue.peek().map(|&Reverse((at, _, pid))| (at, pid));
+            let timer = g.timers.peek().map(|&Reverse((at, _, pid, _))| (at, pid));
+            let (t, pid) = match (wake, timer) {
+                (None, None) => return None,
+                // Strict precedence only: at equal times the wake event
+                // wins, so a message arriving exactly at a receive
+                // deadline is delivered (and observed) before the
+                // timeout can fire.
+                (Some(w), Some(tm)) if w.0 <= tm.0 => {
+                    g.queue.pop();
+                    w
+                }
+                (Some(w), None) => {
+                    g.queue.pop();
+                    w
+                }
+                (_, Some(tm)) => {
+                    g.timers.pop();
+                    tm
                 }
             };
             match g.procs[pid].state {
@@ -604,8 +527,8 @@ impl Engine {
                     g.procs[pid].state = PState::Running;
                     g.horizon = g.horizon.max(clock);
                     g.dispatched += 1;
-                    if let Some(log) = &g.dispatch_log {
-                        log.lock().push((pid, clock));
+                    if let Some(log) = &mut g.dispatch_log {
+                        log.push((pid, clock));
                     }
                     if g.last_pid != Some(pid) {
                         g.ctx_switches += 1;
@@ -613,7 +536,8 @@ impl Engine {
                     }
                     g.current = Some(pid);
                     self.current_word.store(pid, Ordering::Release);
-                    return Some((pid, g.procs[pid].thread.clone()));
+                    let thread = g.procs[pid].thread.as_ref().map(|h| h.thread().clone());
+                    return Some((pid, thread));
                 }
             }
         }
@@ -801,7 +725,9 @@ impl Engine {
     fn teardown(&self) {
         match self.backend {
             ProcBackend::Threads => {
-                let handles = std::mem::take(&mut *self.handles.lock());
+                let mut g = self.inner.lock();
+                let handles: Vec<_> = g.procs.iter_mut().filter_map(|p| p.thread.take()).collect();
+                drop(g);
                 for h in &handles {
                     h.thread().unpark();
                 }
@@ -949,9 +875,9 @@ impl Engine {
         }
     }
 
-    /// Push the bookkeeping for a new process — slot, liveness, heap
-    /// registration, start event, HB registration (armed runs) and (coroutine
-    /// backend) the coroutine slot — under one `inner` hold, and return
+    /// Push the bookkeeping for a new process — slot, liveness, start
+    /// event, HB registration (armed runs) and (coroutine backend) the
+    /// coroutine slot — under one `inner` hold, and return
     /// the pid. The single hold is what serializes concurrent pre-run
     /// spawners, including their coroutine-pool pushes.
     fn register_proc(
@@ -972,16 +898,11 @@ impl Engine {
             node,
             state: PState::Blocked,
             clock,
+            timer_gen: 0,
             thread: None,
         });
         g.live += 1;
-        {
-            // `inner` before `heaps` — the one allowed nesting order.
-            let mut h = self.heaps.lock();
-            h.timer_gens.push(0);
-            h.node_of.push(node);
-            h.push_wake(start, pid);
-        }
+        g.push_wake(start, pid);
         if let Some(boot) = boot {
             // SAFETY: serialized by the `inner` hold above (pre-run
             // spawners) or by being the driving thread (`spawn_child`).
@@ -1072,9 +993,10 @@ impl Sim {
     /// `Sim`; used by the dispatch-order equivalence tests to pin the
     /// scheduler's exact event ordering.
     pub fn record_dispatches(&self) -> DispatchLog {
-        let entries = Arc::new(Mutex::new(Vec::new()));
-        self.eng.inner.lock().dispatch_log = Some(Arc::clone(&entries));
-        DispatchLog { entries }
+        self.eng.inner.lock().dispatch_log = Some(Vec::new());
+        DispatchLog {
+            eng: Arc::clone(&self.eng),
+        }
     }
 
     /// Spawn a process named `name` on `node`, starting at time `start`.
@@ -1148,8 +1070,7 @@ impl Sim {
                 // thread before `run()`) does not yield between the slot
                 // push above and here, so no dispatcher can race a
                 // still-missing handle.
-                self.eng.inner.lock().procs[pid].thread = Some(handle.thread().clone());
-                self.eng.handles.lock().push(handle);
+                self.eng.inner.lock().procs[pid].thread = Some(handle);
                 pid
             }
         }
@@ -1235,22 +1156,17 @@ impl Sim {
     }
 
     /// Flush the per-run throughput counters and gauges. Called once at
-    /// the end of a successful run, under the `inner` lock (the
-    /// `heaps` lock nests inside — the one allowed order).
+    /// the end of a successful run, under the `inner` lock.
     fn flush_obs(eng: &Engine, g: &EngineInner) {
         if obs::enabled() {
             // Flushed once per run, so nothing touches the
             // per-event hot path and nothing advances virtual time.
-            let (queue_hw, timers_cancelled) = {
-                let h = eng.heaps.lock();
-                (h.queue_hw, h.timers_cancelled)
-            };
             obs::counter("sim.events_dispatched").add(g.dispatched);
             obs::counter("sim.context_switches").add(g.ctx_switches);
             obs::counter("sim.direct_handoffs").add(g.direct_handoffs);
             obs::counter("sim.sched_fallbacks").add(g.sched_fallbacks);
-            obs::counter("sim.timers_cancelled_eagerly").add(timers_cancelled);
-            obs::gauge("sim.queue_depth_high_water").set(queue_hw as u64);
+            obs::counter("sim.timers_cancelled_eagerly").add(g.timers_cancelled);
+            obs::gauge("sim.queue_depth_high_water").set(g.queue_hw as u64);
             obs::gauge("sim.virtual_horizon_ns").set(g.horizon.as_nanos());
             obs::gauge("sim.real_elapsed_ns").set(eng.epoch.elapsed().as_nanos() as u64);
         }
@@ -1289,19 +1205,24 @@ impl EngineStats {
 
     /// Cancelled timer entries removed eagerly at cancellation sites.
     pub fn timers_cancelled_eagerly(&self) -> u64 {
-        self.eng.heaps.lock().timers_cancelled
+        self.eng.inner.lock().timers_cancelled
     }
 }
 
 /// A recorded dispatch sequence (see [`Sim::record_dispatches`]).
 pub struct DispatchLog {
-    entries: DispatchEntries,
+    eng: Arc<Engine>,
 }
 
 impl DispatchLog {
     /// The `(pid, clock-at-resumption)` pairs, in dispatch order.
     pub fn entries(&self) -> Vec<(Pid, SimTime)> {
-        self.entries.lock().clone()
+        self.eng
+            .inner
+            .lock()
+            .dispatch_log
+            .clone()
+            .unwrap_or_default()
     }
 }
 
@@ -1489,6 +1410,17 @@ mod tests {
 
     fn machine() -> Machine {
         Machine::test_machine()
+    }
+
+    #[test]
+    fn backend_parse_accepts_the_two_carriers_and_names_the_variable_otherwise() {
+        assert_eq!(ProcBackend::parse("threads"), Ok(ProcBackend::Threads));
+        assert_eq!(ProcBackend::parse("coroutine"), Ok(ProcBackend::Coroutine));
+        for bad in ["thread", "Threads", "coroutines", "", " threads"] {
+            let err = ProcBackend::parse(bad).expect_err(bad);
+            assert!(err.starts_with("DYNPROF_PROC_BACKEND="), "{err}");
+            assert!(err.contains("`threads` or `coroutine`"), "{err}");
+        }
     }
 
     #[test]
@@ -1869,6 +1801,78 @@ mod tests {
         let stats = sim.stats();
         sim.run();
         assert_eq!(stats.timers_cancelled_eagerly(), 1);
+    }
+
+    #[test]
+    fn dispatch_order_across_many_nodes_is_the_time_then_scheduling_order_sort() {
+        // One process per node on a 72-node machine. Every wake is logged
+        // as it is scheduled (one process runs at a time, so the log order
+        // is the scheduling order); since no wake is ever scheduled before
+        // the time being dispatched, the dispatch sequence must be exactly
+        // the log sorted by time, ties in scheduling order. Roles by
+        // `i % 4`: 0 sleeps to a shared instant; 1 schedules its own wake
+        // and arms a deadline it then cancels; 2 sleeps to a staggered
+        // instant and wakes its neighbour; 3 only waits for that wake.
+        const N: usize = 72;
+        const ROUNDS: u64 = 5;
+        let ns = SimTime::from_nanos;
+        let machine = Machine {
+            nodes: N,
+            ..Machine::test_machine()
+        };
+        for backend in [ProcBackend::Coroutine, ProcBackend::Threads] {
+            let sim = Sim::virtual_time_with_backend(machine.clone(), 1, backend);
+            let dispatches = sim.record_dispatches();
+            let stats = sim.stats();
+            let log: Arc<Mutex<Vec<(SimTime, Pid)>>> = Arc::new(Mutex::new(Vec::new()));
+            for i in 0..N {
+                let start = if i % 3 == 0 { 0 } else { (N - i) as u64 * 7 };
+                log.lock().push((ns(start), i));
+                let log = Arc::clone(&log);
+                sim.spawn_at(format!("n{i}"), i, ns(start), move |p| {
+                    let stagger = (i as u64 * 37) % 101;
+                    for r in 0..ROUNDS {
+                        let base = (r + 1) * 1000;
+                        let at = match (i % 4, r % 2) {
+                            (0, _) | (1, 0) => ns(base),
+                            _ => ns(base + stagger),
+                        };
+                        p.advance(ns(i as u64 % 5));
+                        match i % 4 {
+                            0 | 2 => {
+                                log.lock().push((at, i));
+                                p.sleep_until(at);
+                            }
+                            1 => {
+                                log.lock().push((at, i));
+                                p.eng.schedule(i, at);
+                                p.block_until_deadline(at + ns(400));
+                            }
+                            _ => {
+                                p.block();
+                            }
+                        }
+                        if i % 4 == 2 {
+                            let wake = p.now() + ns(50 + (i as u64 % 7) * 3);
+                            log.lock().push((wake, i + 1));
+                            p.wake_other(i + 1, wake);
+                        }
+                    }
+                });
+            }
+            sim.run();
+            let mut expected = log.lock().clone();
+            expected.sort_by_key(|&(at, _)| at);
+            let expected: Vec<(Pid, SimTime)> =
+                expected.into_iter().map(|(at, pid)| (pid, at)).collect();
+            assert_eq!(dispatches.entries(), expected, "{backend:?}");
+            assert_eq!(stats.events_dispatched(), expected.len() as u64);
+            assert_eq!(
+                stats.timers_cancelled_eagerly(),
+                (N / 4) as u64 * ROUNDS,
+                "{backend:?}: every armed deadline was cancelled"
+            );
+        }
     }
 
     #[test]
