@@ -182,9 +182,10 @@ fn in_virtual_proc(f: impl FnOnce(&Proc) -> Duration + Send + 'static) -> Durati
     d
 }
 
-/// The des/pingpong_1k workload with happens-before checking optionally
-/// armed: the on/off delta is the runtime cost of vector-clock recording
-/// per channel operation.
+/// Two processes ping-ponging 500 rounds through a pair of channels, with
+/// happens-before checking optionally armed: unarmed it is the engine's
+/// handoff cost (`des/pingpong_1k`), and the on/off delta is the runtime
+/// cost of vector-clock recording per channel operation.
 fn check_pingpong(iters: u64, check_on: bool) -> Duration {
     let t = Instant::now();
     for _ in 0..iters {
@@ -483,7 +484,7 @@ fn bench_verifier() {
     );
     // Typical measured ratio is 1.01-1.03 (the fused store path pays one
     // extra virtual-clock advance); the default allows 10% so residual
-    // slice noise cannot fail a healthy build, and CI relaxes further.
+    // slice noise cannot fail a healthy build.
     let tolerance: f64 = std::env::var("FIRE_IR_TOLERANCE")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -759,32 +760,7 @@ fn bench_config_resolve() {
 fn bench_des_engine() {
     // Virtual-mode event throughput: two processes ping-pong through a
     // channel; measures scheduler handoff cost per event.
-    bench("des/pingpong_1k", |iters| {
-        let t = Instant::now();
-        for _ in 0..iters {
-            let sim = Sim::virtual_time(Machine::test_machine(), 1);
-            let ch_a: Arc<dynprof_sim::sync::SimChannel<u32>> =
-                Arc::new(dynprof_sim::sync::SimChannel::new());
-            let ch_b: Arc<dynprof_sim::sync::SimChannel<u32>> =
-                Arc::new(dynprof_sim::sync::SimChannel::new());
-            let (a1, b1) = (Arc::clone(&ch_a), Arc::clone(&ch_b));
-            sim.spawn("ping", 0, move |p| {
-                for i in 0..500u32 {
-                    a1.send(p, i, SimTime::from_micros(1));
-                    let _ = b1.recv(p);
-                }
-            });
-            let (a2, b2) = (ch_a, ch_b);
-            sim.spawn("pong", 1, move |p| {
-                for _ in 0..500u32 {
-                    let v = a2.recv(p);
-                    b2.send(p, v, SimTime::from_micros(1));
-                }
-            });
-            black_box(sim.run());
-        }
-        t.elapsed()
-    });
+    bench("des/pingpong_1k", |iters| check_pingpong(iters, false));
     // Allocation regression guard for the control-plane fast path: with
     // no fault plan installed, `send_ctl` must be exactly `send` — no
     // message clone, no RNG draw. The payload is a 64-byte boxed slice,

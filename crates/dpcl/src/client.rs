@@ -193,9 +193,7 @@ impl DpclClient {
 
     /// Nodes with an established communication daemon.
     pub fn connected_nodes(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.daemons.lock().keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.daemons.lock().keys().copied().collect()
     }
 
     fn req(&self) -> ReqId {
@@ -561,22 +559,14 @@ impl DpclClient {
             self.pending.lock().remove(&req);
             return Some(AckResult::Error { message });
         }
-        let msg = self.inbox.recv_key_deadline(p, req.0, deadline);
-        self.pending.lock().remove(&req);
-        match msg {
+        match self.inbox.recv_key_deadline(p, req.0, deadline) {
             Some(UpMsg::Ack {
                 result,
                 completed_at,
                 ..
-            }) => {
-                if obs::enabled() {
-                    if let Some((metric, sent)) = self.issued.lock().remove(&req) {
-                        obs::histogram(metric).record(completed_at.saturating_sub(sent).as_nanos());
-                    }
-                }
-                Some(result)
-            }
+            }) => Some(self.acked(req, result, completed_at)),
             _ => {
+                self.pending.lock().remove(&req);
                 self.issued.lock().remove(&req);
                 None
             }

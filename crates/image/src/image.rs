@@ -327,20 +327,6 @@ impl Image {
 
     // -- dynamic instrumentation -------------------------------------------
 
-    /// Insert `snippet` at `point`, returning a handle for removal.
-    ///
-    /// Panics if the target function is too small to patch; use
-    /// [`Image::try_insert`] for a recoverable error.
-    ///
-    /// The caller is expected to have suspended the process (DPCL does);
-    /// the image itself only requires the instrumenter lock.
-    pub fn insert(&self, point: ProbePoint, snippet: Snippet) -> SnippetId {
-        match self.try_insert(point, snippet) {
-            Ok(id) => id,
-            Err(e) => panic!("probe install rejected: {e}"),
-        }
-    }
-
     /// Run `f` on the trampoline at `point`, with the program's chain pool,
     /// under the instrumenter lock — allocating the chain table if this is
     /// the image's first patch — and republish the point's occupancy.
@@ -659,14 +645,15 @@ mod tests {
         let f = img.func("test").unwrap();
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
-        img.insert(
+        img.try_insert(
             ProbePoint::entry(f),
             Snippet::new("timer", SimTime::from_nanos(500), move |ctx| {
                 assert_eq!(ctx.name, "test");
                 assert_eq!(ctx.point, ProbePointKind::Entry);
                 h.fetch_add(ctx.reps as usize, Ordering::Relaxed);
             }),
-        );
+        )
+        .expect("patchable");
         let img2 = Arc::clone(&img);
         let sim = Sim::virtual_time(Machine::test_machine(), 1);
         sim.spawn("p", 0, move |p| {
@@ -682,10 +669,11 @@ mod tests {
     fn batch_call_multiplies_costs_and_counts() {
         let img = two_fn_image();
         let f = img.func("test").unwrap();
-        img.insert(
+        img.try_insert(
             ProbePoint::entry(f),
             Snippet::new("t", SimTime::from_nanos(100), |_| {}),
-        );
+        )
+        .expect("patchable");
         let img2 = Arc::clone(&img);
         let sim = Sim::virtual_time(Machine::test_machine(), 1);
         sim.spawn("p", 0, move |p| {
@@ -706,10 +694,11 @@ mod tests {
         let order = Arc::new(Mutex::new(Vec::new()));
         for tag in ["first", "second", "third"] {
             let o = Arc::clone(&order);
-            img.insert(
+            img.try_insert(
                 ProbePoint::exit(f),
                 Snippet::new(tag, SimTime::ZERO, move |_| o.lock().push(tag)),
-            );
+            )
+            .expect("patchable");
         }
         let img2 = Arc::clone(&img);
         let sim = Sim::virtual_time(Machine::test_machine(), 1);
@@ -730,27 +719,32 @@ mod tests {
         let fired = Arc::new(Mutex::new(Vec::new()));
         let victim = Arc::new(Mutex::new(None));
         let (img2, fired2, victim2) = (Arc::clone(&img), Arc::clone(&fired), Arc::clone(&victim));
-        img.insert(
+        img.try_insert(
             point,
             Snippet::new("patcher", SimTime::ZERO, move |_| {
                 fired2.lock().push("patcher");
                 if let Some(id) = victim2.lock().take() {
                     assert!(img2.remove(point, id));
                     let fired3 = Arc::clone(&fired2);
-                    img2.insert(
+                    img2.try_insert(
                         point,
                         Snippet::new("late", SimTime::ZERO, move |_| fired3.lock().push("late")),
-                    );
+                    )
+                    .expect("patchable");
                 }
             }),
-        );
+        )
+        .expect("patchable");
         let fired2 = Arc::clone(&fired);
-        *victim.lock() = Some(img.insert(
-            point,
-            Snippet::new("victim", SimTime::ZERO, move |_| {
-                fired2.lock().push("victim")
-            }),
-        ));
+        *victim.lock() = Some(
+            img.try_insert(
+                point,
+                Snippet::new("victim", SimTime::ZERO, move |_| {
+                    fired2.lock().push("victim")
+                }),
+            )
+            .expect("patchable"),
+        );
         let img2 = Arc::clone(&img);
         let sim = Sim::virtual_time(Machine::test_machine(), 1);
         sim.spawn("p", 0, move |p| {
@@ -784,16 +778,17 @@ mod tests {
             fired2.lock().push((ctx.rank, "patcher"));
             if ctx.rank == 0 && armed.swap(0, Ordering::Relaxed) == 1 {
                 let fired3 = Arc::clone(&fired2);
-                a2.insert(
+                a2.try_insert(
                     point,
                     Snippet::new("late", SimTime::ZERO, move |ctx| {
                         fired3.lock().push((ctx.rank, "late"))
                     }),
-                );
+                )
+                .expect("patchable");
             }
         });
         for img in [&a, &b] {
-            img.insert(point, patcher.clone());
+            img.try_insert(point, patcher.clone()).expect("patchable");
         }
         let at = slot(f, point.kind);
         let chain = |img: &Image| img.probes.read()[at].snapshot().unwrap();
@@ -837,7 +832,9 @@ mod tests {
         // The first insert allocates the table — one word per probe point,
         // exactly — and emptied again, the image gives the same answers
         // with the table in place.
-        let id = img.insert(entry, Snippet::noop("n"));
+        let id = img
+            .try_insert(entry, Snippet::noop("n"))
+            .expect("patchable");
         assert_eq!(std::mem::size_of::<BaseTrampoline>(), 8);
         assert_eq!(img.probes.read().len(), 2 * img.len());
         assert_eq!(img.probes.read().capacity(), 2 * img.len());
@@ -863,9 +860,12 @@ mod tests {
                     let late = Snippet::new("late", SimTime::ZERO, move |_| {
                         hits.fetch_add(1, Ordering::Relaxed);
                     });
-                    let id = img.insert(ProbePoint::exit(ctx.func), late.clone());
+                    let id = img
+                        .try_insert(ProbePoint::exit(ctx.func), late.clone())
+                        .expect("patchable");
                     assert!(img.remove(ProbePoint::exit(ctx.func), id));
-                    img.insert(ProbePoint::exit(ctx.func), late);
+                    img.try_insert(ProbePoint::exit(ctx.func), late)
+                        .expect("patchable");
                 }
             }
             fn end(&self, _: &ProbeCtx<'_>) {}
@@ -894,7 +894,9 @@ mod tests {
     fn remove_stops_firing_and_frees_bytes() {
         let img = two_fn_image();
         let f = img.func("test").unwrap();
-        let id = img.insert(ProbePoint::entry(f), Snippet::noop("n"));
+        let id = img
+            .try_insert(ProbePoint::entry(f), Snippet::noop("n"))
+            .expect("patchable");
         assert!(img.occupied(ProbePoint::entry(f)));
         assert!(img.allocated_trampoline_bytes() > 0);
         assert!(img.remove(ProbePoint::entry(f), id));
@@ -978,9 +980,12 @@ mod tests {
     fn remove_function_instr_clears_both_points() {
         let img = two_fn_image();
         let f = img.func("test").unwrap();
-        img.insert(ProbePoint::entry(f), Snippet::noop("a"));
-        img.insert(ProbePoint::entry(f), Snippet::noop("b"));
-        img.insert(ProbePoint::exit(f), Snippet::noop("c"));
+        img.try_insert(ProbePoint::entry(f), Snippet::noop("a"))
+            .expect("patchable");
+        img.try_insert(ProbePoint::entry(f), Snippet::noop("b"))
+            .expect("patchable");
+        img.try_insert(ProbePoint::exit(f), Snippet::noop("c"))
+            .expect("patchable");
         assert_eq!(img.remove_function_instr(f), 3);
         assert!(!img.occupied(ProbePoint::entry(f)));
         assert!(!img.occupied(ProbePoint::exit(f)));
@@ -1058,15 +1063,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "probe install rejected")]
-    fn insert_panics_on_unpatchable_function() {
-        let mut b = ImageBuilder::new("app");
-        let tiny = b.add(FunctionInfo::new("tiny").with_size(8));
-        let img = b.build();
-        img.insert(ProbePoint::entry(tiny), Snippet::noop("n"));
-    }
-
-    #[test]
     #[should_panic(expected = "duplicate function name")]
     fn duplicate_names_rejected() {
         let mut b = ImageBuilder::new("app");
@@ -1080,9 +1076,12 @@ mod tests {
         let img = two_fn_image();
         let f = img.func("test").unwrap();
         assert_eq!(img.patch_count(), 0);
-        let id = img.insert(ProbePoint::entry(f), Snippet::noop("a")); // jump + mini
+        let id = img
+            .try_insert(ProbePoint::entry(f), Snippet::noop("a"))
+            .expect("patchable"); // jump + mini
         assert_eq!(img.patch_count(), 2);
-        img.insert(ProbePoint::entry(f), Snippet::noop("b")); // mini only
+        img.try_insert(ProbePoint::entry(f), Snippet::noop("b"))
+            .expect("patchable"); // mini only
         assert_eq!(img.patch_count(), 3);
         img.remove(ProbePoint::entry(f), id);
         assert_eq!(img.patch_count(), 4);

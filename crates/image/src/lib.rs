@@ -25,8 +25,9 @@
 //! let mut b = ImageBuilder::new("demo");
 //! let f = b.add(FunctionInfo::new("test"));
 //! let img = Arc::new(b.build());
-//! img.insert(ProbePoint::entry(f), Snippet::new("start_timer",
-//!     SimTime::from_nanos(800), |_ctx| { /* e.g. VT_begin(ctx) */ }));
+//! img.try_insert(ProbePoint::entry(f), Snippet::new("start_timer",
+//!     SimTime::from_nanos(800), |_ctx| { /* e.g. VT_begin(ctx) */ }))
+//!     .expect("`test` is large enough to patch");
 //!
 //! let sim = Sim::virtual_time(Machine::test_machine(), 0);
 //! let img2 = Arc::clone(&img);

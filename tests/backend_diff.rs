@@ -1,6 +1,7 @@
 //! Differential oracle for the process backends: everything observable —
-//! dispatch order, figure JSON, fault-injected (and so transactional) runs,
-//! happens-before verdicts, and (in `tests/observability.rs`, which owns
+//! dispatch order, the engine's work on five scheduler shapes, figure
+//! JSON, fault-injected (and so transactional) runs, happens-before
+//! verdicts, and (in `tests/observability.rs`, which owns
 //! the obs registry) deterministic metrics — must be byte-identical
 //! whether simulated processes are OS threads (`ProcBackend::Threads`,
 //! the original engine) or stack-swapped coroutines
@@ -14,8 +15,9 @@ mod common;
 
 use std::sync::Arc;
 
-use common::base;
+use common::{base, check_golden};
 use dynprof::core::{run_session, SessionConfig, SessionReport};
+use dynprof::sim::sync::{SimBarrier, SimChannel};
 use dynprof::sim::{FaultSpec, Machine, ProcBackend, Sim, SimTime};
 use dynprof::vt::Policy;
 use dynprof_bench::fig9;
@@ -27,7 +29,7 @@ const BOTH: [ProcBackend; 2] = [ProcBackend::Threads, ProcBackend::Coroutine];
 /// receives, self-wakes), parameterized by backend. Returns the rendered
 /// golden-format trace.
 fn scheduler_trace(seed: u64, backend: ProcBackend) -> String {
-    use dynprof::sim::sync::{SimBarrier, SimChannel, SimGate};
+    use dynprof::sim::sync::SimGate;
     use std::fmt::Write as _;
     const N: usize = 8;
     const ROUNDS: usize = 12;
@@ -98,6 +100,196 @@ fn dispatch_goldens_replay_on_both_backends() {
             );
         }
     }
+}
+
+/// Run `sim` and count its work: events dispatched, and handoffs paid —
+/// a direct handoff (one switch) counts one, a scheduler fallback (two
+/// switches) counts two.
+fn work(sim: Sim) -> (u64, u64) {
+    let stats = sim.stats();
+    sim.run();
+    (
+        stats.events_dispatched(),
+        stats.direct_handoffs() + 2 * stats.sched_fallbacks(),
+    )
+}
+
+/// Two processes ping-ponging `rounds` messages through two channels:
+/// the pure handoff, one blocking receive per event.
+fn pingpong(rounds: u32, backend: ProcBackend) -> Sim {
+    let sim = Sim::virtual_time_with_backend(Machine::test_machine(), 1, backend);
+    let ch_a: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
+    let ch_b: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
+    let (a1, b1) = (Arc::clone(&ch_a), Arc::clone(&ch_b));
+    sim.spawn("ping", 0, move |p| {
+        for i in 0..rounds {
+            a1.send(p, i, SimTime::from_micros(1));
+            let _ = b1.recv(p);
+        }
+    });
+    let (a2, b2) = (ch_a, ch_b);
+    sim.spawn("pong", 1, move |p| {
+        for _ in 0..rounds {
+            let v = a2.recv(p);
+            b2.send(p, v, SimTime::from_micros(1));
+        }
+    });
+    sim
+}
+
+/// `n` processes; every round each sends one jittered message to every
+/// other process's mailbox, then drains `n - 1` receipts: a deep event
+/// queue and cross-process wakes.
+fn alltoall(n: usize, rounds: usize, backend: ProcBackend) -> Sim {
+    let sim = Sim::virtual_time_with_backend(Machine::test_machine(), 2, backend);
+    let chans: Vec<Arc<SimChannel<u32>>> = (0..n).map(|_| Arc::new(SimChannel::new())).collect();
+    for i in 0..n {
+        let chans = chans.clone();
+        sim.spawn(format!("a2a{i}"), i % 4, move |p| {
+            for _ in 0..rounds {
+                for (j, ch) in chans.iter().enumerate() {
+                    if j != i {
+                        let lat =
+                            SimTime::from_nanos(500 + p.jitter(SimTime::from_micros(2)).as_nanos());
+                        ch.send(p, i as u32, lat);
+                    }
+                }
+                for _ in 0..n - 1 {
+                    let _ = chans[i].recv(p);
+                }
+            }
+        });
+    }
+    sim
+}
+
+/// `n` processes hammering one cyclic barrier for `rounds` episodes with
+/// jittered arrival skew: bursts of simultaneous wakes at one instant.
+fn barrier_storm(n: usize, rounds: usize, backend: ProcBackend) -> Sim {
+    let sim = Sim::virtual_time_with_backend(Machine::test_machine(), 3, backend);
+    let bar = Arc::new(SimBarrier::new(n, SimTime::from_nanos(200)));
+    for i in 0..n {
+        let bar = Arc::clone(&bar);
+        sim.spawn(format!("storm{i}"), i % 4, move |p| {
+            for _ in 0..rounds {
+                let skew = p.jitter(SimTime::from_micros(1));
+                p.advance(skew + SimTime::from_nanos(1));
+                bar.wait(p);
+            }
+        });
+    }
+    sim
+}
+
+/// `n` processes sweeping `rounds` confsync-style reconfiguration waves:
+/// rank 0 broadcasts through per-rank channels, drains one ack per peer,
+/// and a barrier releases everyone into the next epoch — the shape the
+/// adaptive controller's activation broadcasts travel on.
+fn reconfig_wave(n: usize, rounds: usize, backend: ProcBackend) -> Sim {
+    let sim = Sim::virtual_time_with_backend(Machine::test_machine(), 4, backend);
+    let down: Vec<Arc<SimChannel<u32>>> = (0..n).map(|_| Arc::new(SimChannel::new())).collect();
+    let up: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
+    let bar = Arc::new(SimBarrier::new(n, SimTime::from_nanos(200)));
+    for i in 0..n {
+        let down = down.clone();
+        let up = Arc::clone(&up);
+        let bar = Arc::clone(&bar);
+        sim.spawn(format!("wave{i}"), i % 4, move |p| {
+            for round in 0..rounds {
+                if i == 0 {
+                    for ch in down.iter().skip(1) {
+                        ch.send(p, round as u32, SimTime::from_micros(1));
+                    }
+                    for _ in 1..n {
+                        let _ = up.recv(p);
+                    }
+                } else {
+                    let v = down[i].recv(p);
+                    up.send(p, v, SimTime::from_micros(1));
+                }
+                bar.wait(p);
+            }
+        });
+    }
+    sim
+}
+
+/// The paper-scale shape (§6, Fig 7c): 1152 ranks (144 nodes × 8 CPUs)
+/// on a 36×32 KBA process grid, sweeping `iters` wavefront pairs. Each
+/// rank blocks on its west and north inflows, "computes" a plane,
+/// forwards east and south, then the grid reverses direction, and a
+/// barrier closes the iteration.
+fn fig7_sweep3d_144x8(iters: usize, backend: ProcBackend) -> Sim {
+    const PX: usize = 36;
+    const PY: usize = 32;
+    let machine = Machine::ibm_power3_colony();
+    let nodes = machine.nodes;
+    let sim = Sim::virtual_time_with_backend(machine, 5, backend);
+    // chans[dir][rank]: dir 0 = eastward flow (recv from west), dir 1 =
+    // southward, dir 2/3 the reversed sweep.
+    let chans: Vec<Vec<Arc<SimChannel<u8>>>> = (0..4)
+        .map(|_| (0..PX * PY).map(|_| Arc::new(SimChannel::new())).collect())
+        .collect();
+    let bar = Arc::new(SimBarrier::new(PX * PY, SimTime::from_nanos(400)));
+    for py in 0..PY {
+        for px in 0..PX {
+            let rank = py * PX + px;
+            let in_w = (px > 0).then(|| Arc::clone(&chans[0][rank]));
+            let in_n = (py > 0).then(|| Arc::clone(&chans[1][rank]));
+            let out_e = (px + 1 < PX).then(|| Arc::clone(&chans[0][rank + 1]));
+            let out_s = (py + 1 < PY).then(|| Arc::clone(&chans[1][rank + PX]));
+            let rin_e = (px + 1 < PX).then(|| Arc::clone(&chans[2][rank]));
+            let rin_s = (py + 1 < PY).then(|| Arc::clone(&chans[3][rank]));
+            let rout_w = (px > 0).then(|| Arc::clone(&chans[2][rank - 1]));
+            let rout_n = (py > 0).then(|| Arc::clone(&chans[3][rank - PX]));
+            let bar = Arc::clone(&bar);
+            sim.spawn(format!("sweep{rank}"), rank / 8 % nodes, move |p| {
+                let lat = SimTime::from_nanos(1_500); // one KBA block face
+                let compute = SimTime::from_nanos(800 + (rank as u64 % 7) * 50);
+                for _ in 0..iters {
+                    for ch in [&in_w, &in_n].into_iter().flatten() {
+                        let _ = ch.recv(p);
+                    }
+                    p.advance(compute);
+                    for ch in [&out_e, &out_s].into_iter().flatten() {
+                        ch.send(p, 0, lat);
+                    }
+                    for ch in [&rin_e, &rin_s].into_iter().flatten() {
+                        let _ = ch.recv(p);
+                    }
+                    p.advance(compute);
+                    for ch in [&rout_w, &rout_n].into_iter().flatten() {
+                        ch.send(p, 0, lat);
+                    }
+                    bar.wait(p);
+                }
+            });
+        }
+    }
+    sim
+}
+
+/// The engine's work, counted instead of timed: each scheduler shape's
+/// events and handoffs are exact, equal on both carriers, and pinned in
+/// `tests/golden/engine_work.txt`. Host-time rows for the engine live in
+/// the micro bench (`des/pingpong_1k`) and the session benchmark.
+#[test]
+fn engine_work_is_pinned_on_both_carriers() {
+    type Workload = (&'static str, fn(ProcBackend) -> Sim);
+    let workloads: [Workload; 5] = [
+        ("pingpong", |b| pingpong(20_000, b)),
+        ("alltoall", |b| alltoall(16, 60, b)),
+        ("barrier_storm", |b| barrier_storm(32, 1_500, b)),
+        ("reconfig_wave", |b| reconfig_wave(16, 600, b)),
+        ("fig7_sweep3d_144x8", |b| fig7_sweep3d_144x8(3, b)),
+    ];
+    let mut out = String::from("# workload events handoffs\n");
+    for (name, build) in workloads {
+        let [threads, coroutine] = BOTH.map(|b| work(build(b)));
+        assert_eq!(threads, coroutine, "{name}: work diverged across carriers");
+        out += &format!("{name} {} {}\n", threads.0, threads.1);
+    }
+    check_golden("engine_work.txt", &out);
 }
 
 fn session(app: &str, policy: Policy, seed: u64, backend: ProcBackend) -> SessionReport {
@@ -193,7 +385,6 @@ fn concurrent_sweeps_keep_their_own_faults_and_carrier() {
 #[test]
 fn hb_check_clean_and_identical_across_backends() {
     let run = |backend| {
-        use dynprof::sim::sync::{SimBarrier, SimChannel};
         let sim = Sim::virtual_time_with_backend(Machine::test_machine(), 5, backend);
         sim.enable_check();
         let check = sim.check_handle();

@@ -141,7 +141,8 @@ fn images_of_one_app_share_the_program_and_nothing_else() {
 
     // Patching `a` leaves `b` unpatched, down to the patch counter.
     let hits = Arc::new(AtomicUsize::new(0));
-    a.insert(ProbePoint::entry(f), counting_snippet(&hits));
+    a.try_insert(ProbePoint::entry(f), counting_snippet(&hits))
+        .expect("patchable");
     assert!(a.occupied(ProbePoint::entry(f)));
     assert!(!b.occupied(ProbePoint::entry(f)));
     assert!(b.instrumented_functions().is_empty());
@@ -307,7 +308,7 @@ fn ranks_patched_alike_share_chains_and_change_alone() {
     let probe = counting_snippet(&hits);
     let patch = |img: &Image| {
         for point in points(&funcs) {
-            img.insert(point, probe.clone());
+            img.try_insert(point, probe.clone()).expect("patchable");
         }
     };
     // The first rank builds the chains; a rank patched alike allocates its
@@ -326,7 +327,9 @@ fn ranks_patched_alike_share_chains_and_change_alone() {
     // chains as they were: one probe per call.
     let f = funcs[0];
     let extra = Arc::new(AtomicUsize::new(0));
-    images[0].insert(ProbePoint::entry(f), counting_snippet(&extra));
+    images[0]
+        .try_insert(ProbePoint::entry(f), counting_snippet(&extra))
+        .expect("patchable");
     assert_eq!(images[1].remove_function_instr(f), 2);
     let imgs = images.clone();
     in_sim(move |p| {
@@ -359,7 +362,7 @@ fn a_dropped_chain_never_comes_back_for_another_snippet() {
                 img.remove_function_instr(f);
             }
             for point in points(&funcs) {
-                img.insert(point, probe.clone());
+                img.try_insert(point, probe.clone()).expect("patchable");
             }
         }
     }
