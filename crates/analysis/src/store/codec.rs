@@ -483,7 +483,6 @@ pub fn decode_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
 
     /// `events` encoded as one chunk.
     fn encode(events: &[Event]) -> BytesMut {
@@ -511,7 +510,7 @@ mod tests {
         for &v in &samples {
             put_varint(&mut buf, v);
         }
-        let mut b = buf.freeze();
+        let mut b: &[u8] = &buf;
         for &v in &samples {
             assert_eq!(get_varint(&mut b), Some(v));
         }
@@ -520,7 +519,7 @@ mod tests {
 
     #[test]
     fn varint_rejects_truncation() {
-        let mut b = Bytes::from(vec![0x80, 0x80]); // continuation with no end
+        let mut b: &[u8] = &[0x80, 0x80]; // continuation with no end
         assert_eq!(get_varint(&mut b), None);
     }
 

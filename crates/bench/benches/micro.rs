@@ -15,87 +15,23 @@
 //! one sample lasts ≥ ~10 ms, five samples are taken, and the best is
 //! reported, criterion-style.
 //!
-//! Besides timing, this binary pins **per-operation allocation counts**
-//! on the engine's hot paths (`alloc/*` rows): a counting
-//! `#[global_allocator]` measures exactly how many heap allocations one
-//! steady-state operation performs — control-plane send, probe fire and
-//! insert, a message through a channel, trace append, a captured event,
-//! profile push, query pass, coroutine handoff — and the run fails if a
-//! path gains an allocation. Timing rows tolerate noise; the allocation
-//! ledger is exact, so an accidental `clone()` or `Box::new` on a fast
-//! path is a deterministic failure rather than a 3%-slower shrug.
-//!
-//! The same allocator keeps the **live byte count**, which the `mem/*`
-//! rows read: what one process image holds on the heap, idle and patched
-//! — memory attributed to its owner the way the rows above attribute time.
+//! Allocation counts and live heap bytes are not measured here: they are
+//! exact, so they are pinned as Tier-1 tests in `tests/footprint.rs`,
+//! which owns the workspace's one counting allocator. This binary runs on
+//! the system allocator, and what it times pays no bookkeeping.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Counts every allocation (and reallocation) so fast paths can pin
-/// their exact per-op heap traffic. Frees are not counted there: the
-/// pinned paths are judged on what they *acquire* per op. `LIVE` is the
-/// heap bytes currently held, for the `mem/*` rows.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static LIVE: AtomicI64 = AtomicI64::new(0);
-
-// SAFETY: defers to `System` for every operation; only bookkeeping is
-// added, and the counters are relaxed atomics (signal-safe, no locks).
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations performed while running `f`.
-fn alloc_delta(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
-
-/// Heap bytes `build` left allocated, with what it built (nothing else
-/// runs while a `mem/*` row is taken, so the process-wide count is its).
-fn live_delta<T>(build: impl FnOnce() -> T) -> (T, i64) {
-    let before = LIVE.load(Ordering::Relaxed);
-    let built = build();
-    (built, LIVE.load(Ordering::Relaxed) - before)
-}
-
 use parking_lot::Mutex;
 
-use dynprof_apps::test_app;
-use dynprof_core::AppSpec;
 use dynprof_image::{
     BinOp, CallerCtx, CtxField, Expr, FunctionInfo, ImageBuilder, IntrinsicTable, ProbePoint,
     Snippet, SnippetProgram, Stmt,
 };
 use dynprof_obs as obs;
-use dynprof_sim::{hb, Machine, ProbeCosts, Proc, ProcBackend, Sim, SimTime};
+use dynprof_sim::{hb, Machine, ProbeCosts, Proc, Sim, SimTime};
 use dynprof_vt::{vt_begin_snippet, vt_end_snippet, Trace, VtConfig, VtLib};
 
 /// Run one benchmark: `f(iters)` must perform `iters` iterations and
@@ -278,8 +214,8 @@ fn bench_vt_fast_paths() {
                 let vt = VtLib::new("b", 1, VtConfig::all_on(), ProbeCosts::power3());
                 match sink {
                     None => {}
-                    Some(false) => vt.set_sink(store_slot(2048) as _),
-                    Some(true) => vt.set_sink(capture_slot("micro") as _),
+                    Some(false) => vt.set_sink(store_slot(2048)),
+                    Some(true) => vt.set_sink(capture_slot()),
                 }
                 vt.init(p, 0);
                 let f = vt.funcdef(p, "hot");
@@ -767,7 +703,7 @@ fn bench_des_engine() {
     // so reintroducing a speculative clone on the duplication path would
     // add a heap alloc + copy per send and show up here as a step change;
     // sync.rs's `send_ctl_never_clones_without_a_fault_plan` pins the
-    // exact clone count to zero.
+    // exact clone count to zero, and `tests/footprint.rs` the allocations.
     bench("des/send_ctl_nofault_1k", |iters| {
         let t = Instant::now();
         for _ in 0..iters {
@@ -951,180 +887,12 @@ fn bench_runtimes() {
     });
 }
 
-/// Print and pin one fast path's allocation ledger: `total` allocations
-/// over `ops` steady-state operations must floor-divide to exactly
-/// `expect_per_op`, and the amortized remainder (container doublings,
-/// chunk flushes) must stay under `max_amortized`. The remainder bound is
-/// what catches a fractional regression — a path that allocates every
-/// other op still floors to its old per-op count but blows the remainder.
-fn pinned_allocs(name: &str, total: u64, ops: u64, expect_per_op: u64, max_amortized: u64) {
-    let per_op = total / ops;
-    let amortized = total - per_op * ops;
-    println!("{name:<34} {per_op:>12} allocs/op  (+{amortized} amortized over {ops} ops)");
-    assert_eq!(
-        per_op, expect_per_op,
-        "{name}: per-op allocation count drifted (total {total} over {ops} ops)"
-    );
-    assert!(
-        amortized <= max_amortized,
-        "{name}: amortized allocations {amortized} exceed budget {max_amortized} \
-         (a fast path likely gained a conditional allocation)"
-    );
-}
-
-/// The control-plane send guard, now as an exact ledger: with no fault
-/// plan installed, `send_ctl` + `try_recv` of a pre-allocated boxed
-/// payload performs **zero** heap allocations per op — no speculative
-/// clone for the duplication path, no RNG draw, no queue churn.
-fn alloc_send_ctl_nofault() {
-    const OPS: u64 = 4096;
-    const WARM: u64 = 256;
-    let out = Arc::new(Mutex::new(0u64));
-    let out2 = Arc::clone(&out);
-    let sim = Sim::virtual_time(Machine::test_machine(), 1);
-    sim.spawn("ledger", 0, move |p| {
-        let ch: Arc<dynprof_sim::sync::SimChannel<Box<[u8]>>> =
-            Arc::new(dynprof_sim::sync::SimChannel::new());
-        let mut payloads: Vec<Box<[u8]>> = (0..WARM + OPS)
-            .map(|_| vec![0u8; 64].into_boxed_slice())
-            .collect();
-        for _ in 0..WARM {
-            ch.send_ctl(p, payloads.pop().expect("payload"), SimTime::ZERO);
-            black_box(ch.try_recv(p));
-        }
-        *out2.lock() = alloc_delta(|| {
-            for _ in 0..OPS {
-                ch.send_ctl(p, payloads.pop().expect("payload"), SimTime::ZERO);
-                black_box(ch.try_recv(p));
-            }
-        });
-    });
-    sim.run();
-    let total = *out.lock();
-    pinned_allocs("alloc/send_ctl_nofault", total, OPS, 0, 16);
-}
-
-/// A counting probe fired through a patched image: the whole dispatch —
-/// probe-table lookup, trampoline, snippet closure, cost charge — is
-/// allocation-free per fire.
-fn alloc_probe_fire() {
-    const OPS: u64 = 4096;
-    const WARM: u64 = 256;
-    let out = Arc::new(Mutex::new(0u64));
-    let out2 = Arc::clone(&out);
-    let sim = Sim::virtual_time(Machine::test_machine(), 1);
-    sim.spawn("ledger", 0, move |p| {
-        let mut bld = ImageBuilder::new("ledger");
-        let f = bld.add(FunctionInfo::new("f"));
-        let img = bld.build();
-        let data = Arc::new(Mutex::new(vec![0i64]));
-        img.try_insert(
-            ProbePoint::entry(f),
-            Snippet::new("count", dynprof_image::STORE_COST, move |ctx| {
-                let mut d = data.lock();
-                d[0] = d[0].wrapping_add(ctx.reps as i64);
-            }),
-        )
-        .expect("patchable target");
-        for _ in 0..WARM {
-            img.call(p, CallerCtx::default(), f, || black_box(1));
-        }
-        *out2.lock() = alloc_delta(|| {
-            for _ in 0..OPS {
-                img.call(p, CallerCtx::default(), f, || black_box(1));
-            }
-        });
-    });
-    sim.run();
-    let total = *out.lock();
-    pinned_allocs("alloc/probe_fire", total, OPS, 0, 16);
-}
-
-/// Installing a probe at an idle point swaps in a one-snippet chain. The
-/// first rank to install it builds the chain: two allocations, the `Arc`
-/// and its links (the snippet is all `Arc`s, the image's chain table
-/// exists from its first patch on, and the program's chain pool grows by
-/// doubling). Every rank after it that installs the same snippets in the
-/// same order finds the chain in the pool: no allocation.
-fn alloc_probe_insert() {
-    const OPS: u64 = 2048;
-    const WARM: u64 = 64;
-    let mut bld = ImageBuilder::new("ledger");
-    let funcs: Vec<_> = (0..(WARM + OPS) / 2)
-        .map(|i| bld.add(FunctionInfo::new(format!("f{i}"))))
-        .collect();
-    let first = bld.build();
-    let repeat = dynprof_image::Image::new(Arc::clone(first.shared_program()));
-    let probe = Snippet::noop("probe");
-    for (name, img, per_op, amortized) in [
-        ("alloc/probe_insert_first_rank", &first, 2, 16),
-        ("alloc/probe_insert_repeat_rank", &repeat, 0, 0),
-    ] {
-        let mut points = funcs
-            .iter()
-            .flat_map(|&f| [ProbePoint::entry(f), ProbePoint::exit(f)]);
-        let mut insert = |n: u64| {
-            for point in points.by_ref().take(n as usize) {
-                img.try_insert(point, probe.clone())
-                    .expect("patchable target");
-            }
-        };
-        insert(WARM);
-        let total = alloc_delta(|| insert(OPS));
-        pinned_allocs(name, total, OPS, per_op, amortized);
-    }
-}
-
-/// A message through a channel in steady state — a keyed FIFO channel
-/// (send, index, receive by key and from the front) and an unordered
-/// mailbox (send, receive by predicate) — allocates nothing: queue and
-/// index keep their capacity, and a hole costs no more than a message.
-fn alloc_chan_send_recv() {
-    use dynprof_sim::sync::SimChannel;
-    const OPS: u64 = 4096;
-    const WARM: u64 = 256;
-    const DEPTH: u64 = 8;
-    let out = Arc::new(Mutex::new(0u64));
-    let out2 = Arc::clone(&out);
-    let sim = Sim::virtual_time(Machine::test_machine(), 1);
-    sim.spawn("ledger", 0, move |p| {
-        let keyed: SimChannel<u64> = SimChannel::new_fifo_keyed(|&v| (v % 2 == 0).then_some(v));
-        let mailbox: SimChannel<u64> = SimChannel::new();
-        let far = SimTime::from_secs(3600);
-        let round = |base: u64| {
-            for v in base..base + DEPTH {
-                keyed.send(p, v, SimTime::ZERO);
-                mailbox.send(p, v, SimTime::ZERO);
-            }
-            for v in (base..base + DEPTH).rev() {
-                match v % 2 {
-                    0 => black_box(keyed.recv_key_deadline(p, v, far)),
-                    _ => black_box(keyed.try_recv_match(p, |&m| m == v)),
-                };
-                black_box(mailbox.recv_match(p, |&m| m == v));
-            }
-        };
-        (0..WARM / DEPTH).for_each(|r| round(r * DEPTH));
-        *out2.lock() = alloc_delta(|| {
-            (WARM / DEPTH..(WARM + OPS) / DEPTH).for_each(|r| round(r * DEPTH));
-        });
-    });
-    sim.run();
-    let total = *out.lock();
-    // OPS messages through each of the two channels.
-    pinned_allocs("alloc/chan_send_recv", total, 2 * OPS, 0, 0);
-}
-
-/// A store writer over an in-memory file, in the slot a capture sink is
-/// shared through (the owner takes it back out to finish it).
-type StoreSlot =
-    Arc<std::sync::Mutex<Option<dynprof_analysis::store::StoreWriter<std::io::Cursor<Vec<u8>>>>>>;
-
-fn store_slot(chunk_events: usize) -> StoreSlot {
+/// A store writer over an in-memory file, as a capture sink.
+fn store_slot(chunk_events: usize) -> dynprof_vt::SharedSink {
     use dynprof_analysis::store::{StoreOptions, StoreWriter};
     let w = StoreWriter::new(
         std::io::Cursor::new(Vec::new()),
-        "ledger".to_string(),
+        "micro".to_string(),
         StoreOptions { chunk_events },
     )
     .expect("in-memory sink");
@@ -1132,18 +900,16 @@ fn store_slot(chunk_events: usize) -> StoreSlot {
 }
 
 /// The pair `dynprof trace=` installs — summary profile + store, here a
-/// temporary file — in the slot a capture sink is shared through.
-type CaptureSlot = Arc<std::sync::Mutex<Option<dynprof_apps::cli::Capture>>>;
-
-fn capture_slot(tag: &str) -> CaptureSlot {
+/// temporary file — as a capture sink.
+fn capture_slot() -> dynprof_vt::SharedSink {
     use dynprof_analysis::store::{RotatingWriter, StoreOptions};
     use dynprof_analysis::ProfileBuilder;
 
     let path =
-        std::env::temp_dir().join(format!("dynprof-bench-{tag}-{}.vgvs", std::process::id()));
+        std::env::temp_dir().join(format!("dynprof-bench-micro-{}.vgvs", std::process::id()));
     let store = RotatingWriter::create(
         &path,
-        "ledger",
+        "micro",
         StoreOptions::default(),
         Default::default(),
         Default::default(),
@@ -1155,242 +921,6 @@ fn capture_slot(tag: &str) -> CaptureSlot {
         profile: ProfileBuilder::new(Vec::new(), Default::default()),
         store: Some(store),
     })))
-}
-
-/// Allocations of `OPS` steady-state events — `VT_begin`/`VT_end` through
-/// the one emit path into `sink`'s lanes — after a warm-up in which every
-/// rank has sealed a chunk, so its stage has reached its size. Returns
-/// `(allocations, ops, ranks)`.
-fn capture_allocs(sink: dynprof_vt::SharedSink, chunk_events: u64) -> (u64, u64, u64) {
-    const OPS: u64 = 8192;
-    const RANKS: u64 = 16;
-    let warm = 2 * RANKS * chunk_events;
-    let vt = VtLib::new(
-        "ledger",
-        RANKS as usize,
-        VtConfig::all_on(),
-        ProbeCosts::power3(),
-    );
-    vt.set_sink(sink);
-    let out = Arc::new(Mutex::new(0u64));
-    let out2 = Arc::clone(&out);
-    let sim = Sim::virtual_time(Machine::test_machine(), 1);
-    sim.spawn("ledger", 0, move |p| {
-        (0..RANKS as usize).for_each(|r| vt.init(p, r));
-        let funcs: Vec<_> = (0..199)
-            .map(|i| vt.funcdef(p, &format!("fn_{i}")))
-            .collect();
-        let pair = |i: u64| {
-            let (rank, f) = ((i % RANKS) as usize, funcs[(i % 199) as usize]);
-            vt.begin(p, rank, 0, f, 1);
-            p.advance(SimTime::from_nanos(100));
-            vt.end(p, rank, 0, f);
-        };
-        (0..warm / 2).for_each(pair);
-        *out2.lock() = alloc_delta(|| (warm / 2..(warm + OPS) / 2).for_each(pair));
-        vt.with_rank_events(0, |evs| assert!(evs.is_empty(), "nothing is buffered"));
-        vt.close_lanes();
-    });
-    sim.run();
-    let total = *out.lock();
-    (total, OPS, RANKS)
-}
-
-/// The live capture path end to end into a store writer installed as the
-/// library's sink (delta encode, varint, CRC, buffered file): zero
-/// allocations per event. A sealed stage keeps its allocation and the
-/// chunk header is built on the stack, so the amortized remainder is what
-/// the in-memory file and the chunk index grow by — a constant — plus at
-/// most one regrowth per rank whose later chunk runs longer than its
-/// first.
-fn alloc_trace_append() {
-    const CHUNK_EVENTS: u64 = 256;
-    let slot = store_slot(CHUNK_EVENTS as usize);
-    let (total, ops, ranks) = capture_allocs(Arc::clone(&slot) as _, CHUNK_EVENTS);
-    let writer = slot.lock().expect("slot").take().expect("sink comes back");
-    let stats = writer.finish().expect("in-memory finish");
-    assert_eq!(stats.events, 2 * ranks * CHUNK_EVENTS + ops);
-    pinned_allocs("alloc/trace_append", total, ops, 0, ranks + 8);
-}
-
-/// The same through the pair `dynprof trace=` installs: a rank's lane is
-/// its profile state and its store stage, and an event allocates in
-/// neither.
-fn alloc_capture_event() {
-    let slot = capture_slot("ledger");
-    let (total, ops, ranks) = capture_allocs(Arc::clone(&slot) as _, 2048);
-    let capture = slot.lock().expect("slot").take().expect("sink comes back");
-    let stats = capture.store.expect("installed").finish().expect("finish");
-    assert_eq!(stats.events, 2 * ranks * 2048 + ops);
-    black_box(capture.profile.finish());
-    pinned_allocs("alloc/capture_event", total, ops, 0, ranks + 8);
-}
-
-/// The session summary's accumulator: a `ProfileBuilder::push` on a rank,
-/// thread and function it has already seen is three array indexings —
-/// **zero** allocations, whatever order the ranks arrive in.
-fn alloc_profile_push() {
-    use dynprof_analysis::{ProfileBuilder, ProfileOptions};
-    use dynprof_vt::{Event, VtFuncId};
-
-    const OPS: u64 = 8192;
-    // Enter/exit pairs cycle through 64 interleaved ranks x 4 threads x
-    // 199 functions; 64 and 199 are coprime, so this many pairs visit
-    // every (rank, function) row and every (rank, thread) stack.
-    const WARM_PAIRS: u64 = 64 * 199;
-    let functions = (0..199).map(|i| format!("fn_{i}")).collect();
-    let mut b = ProfileBuilder::new(functions, ProfileOptions::default());
-    let mut push_pair = |pair: u64| {
-        let (rank, thread) = ((pair % 64) as u32, (pair / 64 % 4) as u16);
-        let func = VtFuncId((pair % 199) as u32);
-        b.push(&Event::FuncEnter {
-            t: SimTime::from_nanos(pair * 200),
-            rank,
-            thread,
-            func,
-        });
-        b.push(&Event::FuncExit {
-            t: SimTime::from_nanos(pair * 200 + 100),
-            rank,
-            thread,
-            func,
-        });
-    };
-    (0..WARM_PAIRS).for_each(&mut push_pair);
-    let total = alloc_delta(|| (WARM_PAIRS..WARM_PAIRS + OPS / 2).for_each(&mut push_pair));
-    black_box(b.finish());
-    pinned_allocs("alloc/profile_push", total, OPS, 0, 0);
-}
-
-/// A pass of a query over a store the reader has already walked once —
-/// chunk reads into the reader's own buffers, decode, the callback — is
-/// **zero** allocations: none per event, none per chunk.
-fn alloc_query_pass() {
-    use dynprof_analysis::store::StoreReader;
-
-    let store = QueryStore::create();
-    let mut reader = StoreReader::open(&store.path).expect("bench store opens");
-    let pass = |reader: &mut StoreReader| {
-        let mut seen = 0u64;
-        let stats = reader.for_each_query(None, None, |ev| seen += u64::from(ev.rank() < 64));
-        assert_eq!(stats.expect("clean store").events, seen);
-        seen
-    };
-    let events = pass(&mut reader);
-    let total = alloc_delta(|| {
-        black_box(pass(&mut reader));
-    });
-    pinned_allocs("alloc/query_pass", total, events, 0, 0);
-}
-
-/// The headline ledger of the threadless engine: one steady-state
-/// coroutine handoff — block the receiver, pop the next event, pre-set
-/// its clock, swap stacks — performs **zero** heap allocations. (On the
-/// threads backend the same dispatch logic holds, but the park/unpark
-/// syscalls hide any such regression; the coroutine path makes it
-/// measurable and therefore pinnable.)
-fn alloc_coroutine_handoff() {
-    const ROUNDS: u64 = 2048; // two handoffs per round: ping->pong->ping
-    const WARM: u64 = 128;
-    let out = Arc::new(Mutex::new(0u64));
-    let out2 = Arc::clone(&out);
-    let sim = Sim::virtual_time_with_backend(Machine::test_machine(), 1, ProcBackend::Coroutine);
-    let ch_a: Arc<dynprof_sim::sync::SimChannel<u32>> =
-        Arc::new(dynprof_sim::sync::SimChannel::new());
-    let ch_b: Arc<dynprof_sim::sync::SimChannel<u32>> =
-        Arc::new(dynprof_sim::sync::SimChannel::new());
-    let (a1, b1) = (Arc::clone(&ch_a), Arc::clone(&ch_b));
-    sim.spawn("ping", 0, move |p| {
-        for i in 0..WARM {
-            a1.send(p, i as u32, SimTime::from_micros(1));
-            let _ = b1.recv(p);
-        }
-        // The window covers both sides' steady-state work: pong's sends
-        // and receives interleave with ours on the same counter.
-        *out2.lock() = alloc_delta(|| {
-            for i in 0..ROUNDS {
-                a1.send(p, i as u32, SimTime::from_micros(1));
-                let _ = b1.recv(p);
-            }
-        });
-    });
-    let (a2, b2) = (ch_a, ch_b);
-    sim.spawn("pong", 1, move |p| {
-        for _ in 0..WARM + ROUNDS {
-            let v = a2.recv(p);
-            b2.send(p, v, SimTime::from_micros(1));
-        }
-    });
-    sim.run();
-    let total = *out.lock();
-    pinned_allocs("alloc/coroutine_handoff", total, 2 * ROUNDS, 0, 16);
-}
-
-/// The footprint ledger: what one process image of a 512-rank job holds
-/// on the heap once the job's program exists — idle (per-rank overlay
-/// only; the symbol table is the program's, shared) and with the app's
-/// subset installed (chain table, plus the chains the ranks share, spread
-/// over them). The program itself is reported once, as the per-job
-/// constant it now is. The patched rows carry ceilings: a rank's share of
-/// the patching must not grow back toward a private copy of every chain.
-fn bench_mem_ledger() {
-    const RANKS: i64 = 512;
-    println!("\nfootprint ledger (live heap bytes, {RANKS} images of one program)\n");
-    let row = |name: &str, bytes: i64, note: String| {
-        println!("{name:<34} {bytes:>12} bytes/image  ({note})");
-    };
-    let images = |app: &AppSpec| -> Vec<_> { (0..RANKS).map(|_| app.build_image(false)).collect() };
-    for (name, app) in [
-        ("mem/image_idle_bytes_smg98", test_app("smg98", 512)),
-        ("mem/image_idle_bytes_sweep3d", test_app("sweep3d", 512)),
-    ] {
-        let app = app.expect("known app");
-        let (_, program) = live_delta(|| Arc::clone(app.program(false)));
-        let (idle, bytes) = live_delta(|| images(&app));
-        let shared = format!("{} functions; program {program} bytes, once", idle[0].len());
-        row(name, bytes / RANKS, shared);
-    }
-    for (name, app, ceiling) in [
-        ("mem/image_patched_bytes_smg98", "smg98", 4096),
-        ("mem/image_patched_bytes_sweep3d", "sweep3d", 1024),
-    ] {
-        let app = test_app(app, 512).expect("known app");
-        let pool = images(&app);
-        let funcs: Vec<_> = app.subset.iter().filter_map(|n| pool[0].func(n)).collect();
-        let probe = Snippet::noop("probe");
-        let ((), bytes) = live_delta(|| {
-            for img in &pool {
-                for point in funcs
-                    .iter()
-                    .flat_map(|&f| [ProbePoint::entry(f), ProbePoint::exit(f)])
-                {
-                    img.try_insert(point, probe.clone())
-                        .expect("patchable subset function");
-                }
-            }
-        });
-        let pairs = format!("{} pairs installed, on top of idle", funcs.len());
-        row(name, bytes / RANKS, pairs);
-        assert!(
-            bytes / RANKS <= ceiling,
-            "{name}: {} bytes per image, ceiling {ceiling}",
-            bytes / RANKS
-        );
-    }
-}
-
-/// The allocation ledger: exact per-op heap traffic of the fast paths.
-fn bench_alloc_ledger() {
-    println!("\nallocation ledger (exact counts, pinned)\n");
-    alloc_send_ctl_nofault();
-    alloc_probe_fire();
-    alloc_probe_insert();
-    alloc_chan_send_recv();
-    alloc_trace_append();
-    alloc_capture_event();
-    alloc_profile_push();
-    alloc_query_pass();
-    alloc_coroutine_handoff();
 }
 
 fn main() {
@@ -1407,6 +937,4 @@ fn main() {
     bench_config_resolve();
     bench_des_engine();
     bench_runtimes();
-    bench_alloc_ledger();
-    bench_mem_ledger();
 }

@@ -555,7 +555,7 @@ impl Image {
         // traversal takes the point's chain — immutable, shared, swapped
         // whole on insert and remove — with it: one reference-count bump
         // whatever the chain's length, and no allocation (pinned by
-        // `alloc/probe_fire` in the micro bench ledger).
+        // `a_probe_fire_allocates_nothing` in `tests/footprint.rs`).
         let slot = slot(fid, kind);
         if !self.occupancy[slot].load(Ordering::Acquire) {
             return;

@@ -2,8 +2,8 @@
 //!
 //! The build environment has no network access to crates.io, so this
 //! workspace vendors the tiny slice of the `parking_lot` API it actually
-//! uses as a shim over the standard library: [`Mutex`], [`RwLock`] and
-//! [`Condvar`] whose lock methods return guards directly (no
+//! uses as a shim over the standard library: [`Mutex`] and [`RwLock`]
+//! whose lock methods return `std`'s guards directly (no
 //! `Result`/poisoning — a panicked holder's poison is swallowed, exactly
 //! the ergonomics `parking_lot` provides and the simulator's
 //! one-thread-at-a-time scheduler relies on).
@@ -15,8 +15,9 @@
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::sync;
+
+pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// A mutual-exclusion lock whose [`Mutex::lock`] returns the guard
 /// directly, ignoring poisoning.
@@ -43,22 +44,16 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking the current thread until it is free.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard {
-            inner: Some(
-                self.inner
-                    .lock()
-                    .unwrap_or_else(sync::PoisonError::into_inner),
-            ),
-        }
+        self.inner
+            .lock()
+            .unwrap_or_else(sync::PoisonError::into_inner)
     }
 
     /// Try to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: Some(p.into_inner()),
-            }),
+            Ok(g) => Some(g),
+            Err(sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
             Err(sync::TryLockError::WouldBlock) => None,
         }
     }
@@ -83,93 +78,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
             Some(g) => f.debug_struct("Mutex").field("data", &&*g).finish(),
             None => f.write_str("Mutex { <locked> }"),
         }
-    }
-}
-
-/// RAII guard for [`Mutex`]; the lock is released on drop.
-///
-/// The inner `Option` exists so [`Condvar::wait`] can temporarily take the
-/// underlying std guard by value; outside `wait` it is always `Some`.
-pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<sync::MutexGuard<'a, T>>,
-}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// A condition variable compatible with [`Mutex`] / [`MutexGuard`].
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-impl Condvar {
-    /// A new condition variable.
-    pub const fn new() -> Condvar {
-        Condvar {
-            inner: sync::Condvar::new(),
-        }
-    }
-
-    /// Atomically release the guard's lock and block until notified; the
-    /// lock is re-acquired before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let std_guard = guard.inner.take().expect("guard present");
-        let std_guard = self
-            .inner
-            .wait(std_guard)
-            .unwrap_or_else(sync::PoisonError::into_inner);
-        guard.inner = Some(std_guard);
-    }
-
-    /// Atomically release the guard's lock and block until notified or
-    /// `timeout` elapses; the lock is re-acquired before returning.
-    /// Returns `true` if the wait timed out.
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: std::time::Duration) -> bool {
-        let std_guard = guard.inner.take().expect("guard present");
-        let (std_guard, result) = self
-            .inner
-            .wait_timeout(std_guard, timeout)
-            .unwrap_or_else(sync::PoisonError::into_inner);
-        guard.inner = Some(std_guard);
-        result.timed_out()
-    }
-
-    /// Wake one waiting thread.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake every waiting thread.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Condvar {
-        Condvar::new()
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar")
     }
 }
 
@@ -198,22 +106,16 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Acquire shared read access.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            inner: self
-                .inner
-                .read()
-                .unwrap_or_else(sync::PoisonError::into_inner),
-        }
+        self.inner
+            .read()
+            .unwrap_or_else(sync::PoisonError::into_inner)
     }
 
     /// Acquire exclusive write access.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            inner: self
-                .inner
-                .write()
-                .unwrap_or_else(sync::PoisonError::into_inner),
-        }
+        self.inner
+            .write()
+            .unwrap_or_else(sync::PoisonError::into_inner)
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -236,48 +138,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
     }
 }
 
-/// RAII shared-read guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-/// RAII exclusive-write guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockReadGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockWriteGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,25 +149,6 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut g = m.lock();
-            while !*g {
-                cv.wait(&mut g);
-            }
-        });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_all();
-        }
-        t.join().unwrap();
     }
 
     #[test]

@@ -15,28 +15,39 @@
 //! the inboxes. The allocator's high-water mark pins what a whole
 //! in-process session peaks at.
 //!
-//! The same allocator pins the read side's footprint: a store reader owns
-//! its chunk buffers, so a pass over a store it has already walked once
-//! allocates nothing.
+//! The same allocator keeps the **allocation ledger**: exactly how many
+//! heap allocations one steady-state operation of a fast path performs —
+//! control-plane send, probe fire and insert, a message through a
+//! channel, a captured event, profile push, query pass, coroutine handoff.
+//! The paper's cost hierarchy (absent probes free, deactivated probes a
+//! lookup) has a host-side half, and the ledger is it: an accidental
+//! `clone()` or `Box::new` on a fast path is a deterministic failure, not
+//! a 3 %-slower shrug.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hint::black_box;
+use std::io::Cursor;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use dynprof::analysis::store::{StoreOptions, StoreReader, StoreWriter};
-use dynprof::apps::cli::{run_cli, CliArgs};
+use dynprof::analysis::store::{RotatingWriter, StoreOptions, StoreReader, StoreWriter};
+use dynprof::analysis::{ProfileBuilder, ProfileOptions};
+use dynprof::apps::cli::{run_cli, Capture, CliArgs};
 use dynprof::apps::{smg98, test_app, Smg98Params};
 use dynprof::core::{run_session, SessionConfig};
 use dynprof::dpcl::{AckResult, DpclClient, DpclSystem, InstrumentationTxn, TxnOptions};
-use dynprof::image::{CallerCtx, Image, ProbeCtx, ProbePoint, Snippet, SnippetId, StaticHooks};
-use dynprof::sim::{Machine, ProcBackend, Sim, SimTime};
-use dynprof::vt::{Event, Policy, VtFuncId};
+use dynprof::image::{
+    CallerCtx, FunctionInfo, Image, ImageBuilder, ProbeCtx, ProbePoint, Snippet, SnippetId,
+    StaticHooks,
+};
+use dynprof::sim::sync::SimChannel;
+use dynprof::sim::{Machine, ProbeCosts, Proc, ProcBackend, Sim, SimTime};
+use dynprof::vt::{Event, Policy, SharedSink, VtConfig, VtFuncId, VtLib};
 
-/// Live heap bytes, its high-water mark, and allocator calls that obtained
-/// memory, of the *calling thread*: the test harness runs this file's
-/// tests on parallel threads, and a measurement must not see its
-/// neighbours' allocations.
+/// Live heap bytes, its high-water mark, and allocator calls, of the
+/// *calling thread*: the test harness runs this file's tests on parallel
+/// threads, and a measurement must not see its neighbours' allocations.
 struct LiveBytes;
 
 thread_local! {
@@ -45,22 +56,27 @@ thread_local! {
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
+// `try_with`: a thread may free memory while its locals are torn down.
+
+/// Move this thread's live heap by `delta` bytes.
 fn note(delta: isize) {
-    // `try_with`: a thread may free memory while its locals are torn down.
     let _ = LIVE.try_with(|live| {
         let now = live.get() + delta;
         live.set(now);
         let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
     });
-    if delta > 0 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-    }
+}
+
+/// Count one call that asked the allocator for memory.
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
 // SAFETY: defers to `System` for every operation; the bookkeeping is a
 // const-initialised thread-local `Cell` (no allocation, no destructor).
 unsafe impl GlobalAlloc for LiveBytes {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
         note(layout.size() as isize);
         System.alloc(layout)
     }
@@ -69,10 +85,12 @@ unsafe impl GlobalAlloc for LiveBytes {
         System.dealloc(ptr, layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
         note(layout.size() as isize);
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
         note(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
@@ -108,11 +126,41 @@ fn one_thread_carrier() -> bool {
     on
 }
 
-/// Allocations (and growing reallocations) `work` made on this thread.
+/// Calls `work` made on this thread to `alloc`, `alloc_zeroed` and
+/// `realloc`, a shrinking `realloc` included: every time it went to the
+/// allocator for memory.
 fn allocations_of<T>(work: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOCS.with(Cell::get);
     let done = work();
     (done, ALLOCS.with(Cell::get) - before)
+}
+
+/// Pin one fast path's ledger: `total` allocations over `ops`
+/// steady-state operations must floor-divide to exactly `per_op`, and the
+/// amortized remainder (container doublings, chunk flushes) must stay
+/// within `max_amortized`. The remainder bound catches a fractional
+/// regression: a path that allocates every other op still floors to its
+/// old per-op count but blows the remainder.
+fn pin_allocs(name: &str, total: usize, ops: usize, per_op: usize, max_amortized: usize) {
+    let (floor, amortized) = (total / ops, total % ops);
+    println!("{name}: {floor} allocs/op (+{amortized} amortized over {ops} ops)");
+    assert_eq!(
+        floor, per_op,
+        "{name}: per-op allocation count drifted (total {total} over {ops} ops)"
+    );
+    assert!(
+        amortized <= max_amortized,
+        "{name}: amortized allocations {amortized} exceed budget {max_amortized} \
+         (a fast path likely gained a conditional allocation)"
+    );
+}
+
+/// A directory of this process's own under the system temp dir, so two
+/// suites running at once never share a path.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("dynprof-footprint-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 fn counting_snippet(hits: &Arc<AtomicUsize>) -> Snippet {
@@ -122,11 +170,15 @@ fn counting_snippet(hits: &Arc<AtomicUsize>) -> Snippet {
     })
 }
 
-/// Run `body` as one simulated process.
-fn in_sim(body: impl FnOnce(&dynprof::sim::Proc) + Send + 'static) {
+/// Run `body` as one simulated process, and return what it returned.
+fn in_sim<T: Send + 'static>(body: impl FnOnce(&Proc) -> T + Send + 'static) -> T {
+    let out = Arc::new(Mutex::new(None));
+    let out2 = Arc::clone(&out);
     let sim = Sim::virtual_time(Machine::test_machine(), 1);
-    sim.spawn("p", 0, body);
+    sim.spawn("p", 0, move |p| *out2.lock().unwrap() = Some(body(p)));
     sim.run();
+    let done = out.lock().unwrap().take();
+    done.expect("the process ran to its end")
 }
 
 #[test]
@@ -207,21 +259,63 @@ fn static_hooks_and_static_flags_stay_with_their_image() {
 
 #[test]
 fn five_hundred_idle_smg98_images_fit_in_five_megabytes() {
+    // sweep3d's too: an idle image is its per-rank overlay, whatever the
+    // size of the program it shares.
     const RANKS: usize = 512;
-    let app = smg98(RANKS, Smg98Params::test());
-    let (images, total) = live_bytes_of(|| {
-        (0..RANKS)
-            .map(|_| app.build_image(false))
-            .collect::<Vec<Arc<Image>>>()
-    });
-    let (one_more, each) = live_bytes_of(|| app.build_image(false));
-    println!(
-        "{RANKS} idle smg98 images ({} functions): {total} bytes live, {each} per image",
-        one_more.len()
-    );
-    assert!(each <= 8 << 10, "an idle image holds {each} bytes");
-    assert!(total <= 5 << 20, "{RANKS} idle images hold {total} bytes");
-    assert_eq!(images.len(), RANKS);
+    for name in ["smg98", "sweep3d"] {
+        let app = test_app(name, RANKS).expect("known app");
+        let (images, total) = live_bytes_of(|| {
+            (0..RANKS)
+                .map(|_| app.build_image(false))
+                .collect::<Vec<Arc<Image>>>()
+        });
+        let (one_more, each) = live_bytes_of(|| app.build_image(false));
+        println!(
+            "{RANKS} idle {name} images ({} functions): {total} bytes live, {each} per image",
+            one_more.len()
+        );
+        assert!(each <= 8 << 10, "an idle {name} image holds {each} bytes");
+        assert!(
+            total <= 5 << 20,
+            "{RANKS} idle {name} images hold {total} bytes"
+        );
+        assert_eq!(images.len(), RANKS);
+    }
+}
+
+/// What patching adds to an image of a 512-rank job: its chain table, plus
+/// its share of the chains the ranks share. A ceiling per app keeps that
+/// share from growing back toward a private copy of every chain.
+#[test]
+fn five_hundred_patched_images_stay_under_their_ceilings() {
+    const RANKS: usize = 512;
+    for (name, ceiling) in [("smg98", 4096), ("sweep3d", 1024)] {
+        let app = test_app(name, RANKS).expect("known app");
+        let images: Vec<_> = (0..RANKS).map(|_| app.build_image(false)).collect();
+        let funcs: Vec<_> = app
+            .subset
+            .iter()
+            .filter_map(|n| images[0].func(n))
+            .collect();
+        let probe = Snippet::noop("probe");
+        let ((), bytes) = live_bytes_of(|| {
+            for img in &images {
+                for point in points(&funcs) {
+                    img.try_insert(point, probe.clone())
+                        .expect("patchable subset function");
+                }
+            }
+        });
+        let each = bytes / RANKS as isize;
+        println!(
+            "{RANKS} {name} images, {} probe pairs each: {each} bytes per image on top of idle",
+            funcs.len()
+        );
+        assert!(
+            each <= ceiling,
+            "{name}: {each} bytes per image, ceiling {ceiling}"
+        );
+    }
 }
 
 /// The happens-before checker keeps its per-process name table only in a
@@ -259,8 +353,7 @@ fn only_an_armed_run_keeps_checker_state_per_process() {
 fn two_sessions_in_one_process_write_the_same_bytes() {
     // Each `run_cli` builds its own `AppSpec`, hence its own program: the
     // cache is per application value, not per process.
-    let dir = std::env::temp_dir().join("dynprof-footprint");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir("sessions");
     let script = dir.join("script.dp");
     std::fs::write(&script, "insert-file subset\nstart\nquit\n").unwrap();
     let run = |tag: &str| {
@@ -282,6 +375,7 @@ fn two_sessions_in_one_process_write_the_same_bytes() {
         (out.summary, out.timefile, std::fs::read(store).unwrap())
     };
     let (first, second) = (run("first"), run("second"));
+    std::fs::remove_dir_all(&dir).ok();
     assert_eq!(first.0, second.0, "summary");
     assert_eq!(first.1, second.1, "timefile");
     assert!(first.2 == second.2, ".vgvs bytes differ");
@@ -306,15 +400,21 @@ fn ranks_patched_alike_share_chains_and_change_alone() {
         .collect();
     let hits = Arc::new(AtomicUsize::new(0));
     let probe = counting_snippet(&hits);
+    // Allocations of every insert after the rank's first, and how many
+    // inserts that is: the first allocates the rank's chain table.
     let patch = |img: &Image| {
-        for point in points(&funcs) {
+        let mut points = points(&funcs).into_iter();
+        let insert = |point| {
             img.try_insert(point, probe.clone()).expect("patchable");
-        }
+        };
+        points.by_ref().take(1).for_each(insert);
+        let ops = points.len();
+        (allocations_of(|| points.for_each(insert)).1, ops)
     };
     // The first rank builds the chains; a rank patched alike allocates its
     // chain table — one word per probe point — and nothing else.
-    let ((), first) = live_bytes_of(|| patch(&images[0]));
-    let ((), repeat) = live_bytes_of(|| patch(&images[1]));
+    let ((first_allocs, ops), first) = live_bytes_of(|| patch(&images[0]));
+    let ((repeat_allocs, _), repeat) = live_bytes_of(|| patch(&images[1]));
     patch(&images[2]);
     let table = (2 * images[0].len() * std::mem::size_of::<usize>()) as isize;
     assert_eq!(repeat, table, "a repeat rank holds its table only");
@@ -322,6 +422,11 @@ fn ranks_patched_alike_share_chains_and_change_alone() {
         first > repeat,
         "the first rank built the chains ({first} bytes)"
     );
+    // Counted: the first rank's insert allocates the chain's `Arc` and its
+    // links (the snippet is all `Arc`s, and the program's chain pool grows
+    // by doubling); a repeat rank's finds the chain in the pool.
+    pin_allocs("probe_insert_first_rank", first_allocs, ops, 2, 16);
+    pin_allocs("probe_insert_repeat_rank", repeat_allocs, ops, 0, 0);
 
     // Re-patching one rank, or unpatching another, leaves the third's
     // chains as they were: one probe per call.
@@ -423,7 +528,7 @@ fn fault_free_installs_leave_no_retry_state() {
     let app = smg98(RANKS, Smg98Params::test());
     let images: Vec<_> = (0..RANKS).map(|_| app.build_image(false)).collect();
     let f = images[0].func(&app.subset[0]).unwrap();
-    let live = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let live = Arc::new(Mutex::new(Vec::new()));
     let live2 = Arc::clone(&live);
     let sim = Sim::virtual_time(Machine::ibm_power3_colony(), 3);
     sim.spawn("dynprof", 0, move |p| {
@@ -483,11 +588,7 @@ fn dynamic_session_peak(cpus: usize) -> Option<isize> {
     if !one_thread_carrier() {
         return None;
     }
-    let dir = std::env::temp_dir().join(format!(
-        "dynprof-footprint-peak-{cpus}-{}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = scratch_dir(&format!("peak-{cpus}"));
     let script = dir.join("script.dp");
     std::fs::write(&script, "insert-file subset\nstart\nquit\n").unwrap();
     let args = [
@@ -527,7 +628,7 @@ fn a_fault_free_install_takes_most_acks_while_it_sends() {
         .filter_map(|n| images[0].func(n))
         .collect();
     let sent = 2 * funcs.len() * RANKS;
-    let left = Arc::new(std::sync::Mutex::new((0, 0)));
+    let left = Arc::new(Mutex::new((0, 0)));
     let left2 = Arc::clone(&left);
     let machine = Machine::ibm_power3_colony();
     let sim = Sim::virtual_time(machine.clone(), 1);
@@ -599,30 +700,46 @@ fn a_256_rank_dynamic_session_peaks_under_its_ceiling() {
 
 #[test]
 fn a_second_pass_over_a_store_allocates_nothing() {
-    // 64 ranks, chunks of every size up to 256 events: rank r records
-    // 260 + 3r events, so each leaves one full chunk and a shorter one.
+    // 64 ranks, chunks of every size up to 256 events: rank r records an
+    // enter, a send, an exit and a collective 260 + 3r times, so each
+    // leaves full chunks and a shorter one of its own length.
     let path = std::env::temp_dir().join(format!("dynprof-footprint-{}.vgvs", std::process::id()));
     let mut w = StoreWriter::create(&path, "pass", StoreOptions { chunk_events: 256 }).unwrap();
     w.set_functions(vec!["step".to_string()]);
     let mut events = 0u64;
     for rank in 0..64u32 {
         for i in 0..260 + 3 * u64::from(rank) {
-            let t = SimTime::from_micros(3 * i);
+            let (t, us) = (SimTime::from_micros(5 * i), SimTime::from_micros);
+            let (thread, func) = (0, VtFuncId(0));
             w.append(&Event::FuncEnter {
                 t,
                 rank,
-                thread: 0,
-                func: VtFuncId(0),
+                thread,
+                func,
             });
             w.append(&Event::MpiCall {
-                t: t + SimTime::from_micros(1),
-                t_end: t + SimTime::from_micros(2),
+                t: t + us(1),
+                t_end: t + us(2),
                 rank,
                 op: 2,
                 peer: (rank as i32 + 1) % 64,
                 bytes: 1 << (i % 40),
             });
-            events += 2;
+            w.append(&Event::FuncExit {
+                t: t + us(3),
+                rank,
+                thread,
+                func,
+            });
+            w.append(&Event::MpiCall {
+                t: t + us(3),
+                t_end: t + us(4),
+                rank,
+                op: 7,
+                peer: -1,
+                bytes: 8,
+            });
+            events += 4;
         }
     }
     let stats = w.finish().unwrap();
@@ -644,10 +761,236 @@ fn a_second_pass_over_a_store_allocates_nothing() {
     // …and that is the last the allocator hears of it: nothing per event,
     // nothing per chunk.
     let ((), second) = allocations_of(|| pass(&mut r));
-    assert_eq!(
-        second, 0,
-        "a steady-state pass over {} chunks",
-        stats.chunks
-    );
+    pin_allocs("query_pass", second, events as usize, 0, 0);
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_fault_free_control_send_allocates_nothing() {
+    // With no fault plan installed, `send_ctl` + `try_recv` of a
+    // pre-allocated payload is exactly `send`: no speculative clone for
+    // the duplication path, no RNG draw, no queue churn.
+    const OPS: usize = 4096;
+    const WARM: usize = 256;
+    let total = in_sim(|p| {
+        let ch: SimChannel<Box<[u8]>> = SimChannel::new();
+        let mut payloads: Vec<Box<[u8]>> = (0..WARM + OPS)
+            .map(|_| vec![0u8; 64].into_boxed_slice())
+            .collect();
+        let mut op = || {
+            ch.send_ctl(p, payloads.pop().expect("payload"), SimTime::ZERO);
+            black_box(ch.try_recv(p));
+        };
+        (0..WARM).for_each(|_| op());
+        allocations_of(|| (0..OPS).for_each(|_| op())).1
+    });
+    pin_allocs("send_ctl_nofault", total, OPS, 0, 16);
+}
+
+#[test]
+fn a_probe_fire_allocates_nothing() {
+    // A counting probe fired through a patched image: probe-table lookup,
+    // trampoline, snippet closure, cost charge.
+    const OPS: usize = 4096;
+    const WARM: usize = 256;
+    let hits = Arc::new(AtomicUsize::new(0));
+    let probe = counting_snippet(&hits);
+    let total = in_sim(move |p| {
+        let mut bld = ImageBuilder::new("ledger");
+        let f = bld.add(FunctionInfo::new("f"));
+        let img = bld.build();
+        img.try_insert(ProbePoint::entry(f), probe)
+            .expect("patchable");
+        let fire = || {
+            img.call(p, CallerCtx::default(), f, || black_box(1));
+        };
+        (0..WARM).for_each(|_| fire());
+        allocations_of(|| (0..OPS).for_each(|_| fire())).1
+    });
+    assert_eq!(hits.load(Ordering::Relaxed), WARM + OPS);
+    pin_allocs("probe_fire", total, OPS, 0, 16);
+}
+
+#[test]
+fn a_channel_message_allocates_nothing() {
+    // A keyed FIFO channel (send, index, receive by key and from the
+    // front) and an unordered mailbox (send, receive by predicate) in
+    // steady state: queue and index keep their capacity, and a hole costs
+    // no more than a message.
+    const OPS: u64 = 4096;
+    const WARM: u64 = 256;
+    const DEPTH: u64 = 8;
+    let total = in_sim(|p| {
+        let keyed: SimChannel<u64> = SimChannel::new_fifo_keyed(|&v| (v % 2 == 0).then_some(v));
+        let mailbox: SimChannel<u64> = SimChannel::new();
+        let far = SimTime::from_secs(3600);
+        let round = |r: u64| {
+            let base = r * DEPTH;
+            for v in base..base + DEPTH {
+                keyed.send(p, v, SimTime::ZERO);
+                mailbox.send(p, v, SimTime::ZERO);
+            }
+            for v in (base..base + DEPTH).rev() {
+                match v % 2 {
+                    0 => black_box(keyed.recv_key_deadline(p, v, far)),
+                    _ => black_box(keyed.try_recv_match(p, |&m| m == v)),
+                };
+                black_box(mailbox.recv_match(p, |&m| m == v));
+            }
+        };
+        (0..WARM / DEPTH).for_each(round);
+        allocations_of(|| (WARM / DEPTH..(WARM + OPS) / DEPTH).for_each(round)).1
+    });
+    // OPS messages through each of the two channels.
+    pin_allocs("chan_send_recv", total, 2 * OPS as usize, 0, 0);
+}
+
+/// Allocations of `OPS` steady-state events — `VT_begin`/`VT_end` through
+/// the one emit path into `sink`'s lanes — after a warm-up in which every
+/// rank has sealed a chunk of `chunk_events`, so its stage has reached its
+/// size. Returns `(allocations, ops, ranks)`.
+fn capture_allocs(sink: SharedSink, chunk_events: usize) -> (usize, usize, usize) {
+    const OPS: usize = 8192;
+    const RANKS: usize = 16;
+    let warm = 2 * RANKS * chunk_events;
+    let vt = VtLib::new("ledger", RANKS, VtConfig::all_on(), ProbeCosts::power3());
+    vt.set_sink(sink);
+    let total = in_sim(move |p| {
+        (0..RANKS).for_each(|r| vt.init(p, r));
+        let funcs: Vec<_> = (0..199)
+            .map(|i| vt.funcdef(p, &format!("fn_{i}")))
+            .collect();
+        let pair = |i: usize| {
+            let (rank, f) = (i % RANKS, funcs[i % 199]);
+            vt.begin(p, rank, 0, f, 1);
+            p.advance(SimTime::from_nanos(100));
+            vt.end(p, rank, 0, f);
+        };
+        (0..warm / 2).for_each(pair);
+        let ((), total) = allocations_of(|| (warm / 2..(warm + OPS) / 2).for_each(pair));
+        vt.with_rank_events(0, |evs| assert!(evs.is_empty(), "nothing is buffered"));
+        vt.close_lanes();
+        total
+    });
+    (total, OPS, RANKS)
+}
+
+#[test]
+fn a_captured_event_allocates_nothing() {
+    // Into a store writer installed as the library's sink: delta encode,
+    // varint, CRC, buffered file. A sealed stage keeps its allocation and
+    // the chunk header is built on the stack, so the amortized remainder
+    // is what the in-memory file and the chunk index grow by — a constant
+    // — plus at most one regrowth per rank whose later chunk runs longer
+    // than its first.
+    let chunk_events = 256;
+    let opts = StoreOptions { chunk_events };
+    let writer = StoreWriter::new(Cursor::new(Vec::new()), "ledger".to_string(), opts).unwrap();
+    let slot = Arc::new(Mutex::new(Some(writer)));
+    let (total, ops, ranks) = capture_allocs(Arc::clone(&slot) as _, chunk_events);
+    let writer = slot.lock().unwrap().take().expect("sink comes back");
+    let stats = writer.finish().unwrap();
+    assert_eq!(stats.events as usize, 2 * ranks * chunk_events + ops);
+    pin_allocs("trace_append", total, ops, 0, ranks + 8);
+
+    // Into the pair `dynprof trace=` installs, summary profile and store:
+    // a rank's lane is its profile state and its store stage, and an
+    // event allocates in neither.
+    let dir = scratch_dir("capture");
+    let opts = StoreOptions::default();
+    let path = dir.join("capture.vgvs");
+    let store = RotatingWriter::create(
+        &path,
+        "ledger",
+        opts,
+        Default::default(),
+        Default::default(),
+    );
+    let capture = Capture {
+        profile: ProfileBuilder::new(Vec::new(), ProfileOptions::default()),
+        store: Some(store.unwrap()),
+    };
+    // Unlinked at once: the open file is all the capture needs.
+    std::fs::remove_dir_all(&dir).ok();
+    let slot = Arc::new(Mutex::new(Some(capture)));
+    let (total, ops, ranks) = capture_allocs(Arc::clone(&slot) as _, opts.chunk_events);
+    let capture = slot.lock().unwrap().take().expect("sink comes back");
+    let stats = capture.store.expect("installed").finish().unwrap();
+    assert_eq!(stats.events as usize, 2 * ranks * opts.chunk_events + ops);
+    black_box(capture.profile.finish());
+    pin_allocs("capture_event", total, ops, 0, ranks + 8);
+}
+
+#[test]
+fn a_profile_push_allocates_nothing() {
+    // The session summary's accumulator: a push on a rank, thread and
+    // function it has already seen is three array indexings, whatever
+    // order the ranks arrive in.
+    const OPS: usize = 8192;
+    // Enter/exit pairs cycle through 64 interleaved ranks x 4 threads x
+    // 199 functions; 64 and 199 are coprime, so this many pairs visit
+    // every (rank, function) row and every (rank, thread) stack.
+    const WARM_PAIRS: u64 = 64 * 199;
+    let functions = (0..199).map(|i| format!("fn_{i}")).collect();
+    let mut b = ProfileBuilder::new(functions, ProfileOptions::default());
+    let mut push_pair = |pair: u64| {
+        let (rank, thread) = ((pair % 64) as u32, (pair / 64 % 4) as u16);
+        let func = VtFuncId((pair % 199) as u32);
+        let t = SimTime::from_nanos(pair * 200);
+        b.push(&Event::FuncEnter {
+            t,
+            rank,
+            thread,
+            func,
+        });
+        b.push(&Event::FuncExit {
+            t: t + SimTime::from_nanos(100),
+            rank,
+            thread,
+            func,
+        });
+    };
+    (0..WARM_PAIRS).for_each(&mut push_pair);
+    let steady = WARM_PAIRS..WARM_PAIRS + OPS as u64 / 2;
+    let ((), total) = allocations_of(|| steady.for_each(&mut push_pair));
+    black_box(b.finish());
+    pin_allocs("profile_push", total, OPS, 0, 0);
+}
+
+#[test]
+fn a_coroutine_handoff_allocates_nothing() {
+    // Block the receiver, pop the next event, pre-set its clock, swap
+    // stacks. On the coroutine carrier, whatever the run's default: there
+    // both sides run on this thread, so its count sees the whole handoff
+    // (on the threads carrier, park and unpark would hide one).
+    const ROUNDS: u32 = 2048; // two handoffs per round: ping->pong->ping
+    const WARM: u32 = 128;
+    let sim = Sim::virtual_time_with_backend(Machine::test_machine(), 1, ProcBackend::Coroutine);
+    let (to_pong, to_ping) = (Arc::new(SimChannel::new()), Arc::new(SimChannel::new()));
+    let total = Arc::new(AtomicUsize::new(0));
+    let (a, b, total2) = (
+        Arc::clone(&to_pong),
+        Arc::clone(&to_ping),
+        Arc::clone(&total),
+    );
+    sim.spawn("ping", 0, move |p| {
+        let round = |i: u32| {
+            a.send(p, i, SimTime::from_micros(1));
+            let _: u32 = b.recv(p);
+        };
+        (0..WARM).for_each(round);
+        // The window covers both sides' steady-state work: pong's sends
+        // and receives interleave with ours on this thread's count.
+        let ((), n) = allocations_of(|| (WARM..WARM + ROUNDS).for_each(round));
+        total2.store(n, Ordering::Relaxed);
+    });
+    sim.spawn("pong", 1, move |p| {
+        for _ in 0..WARM + ROUNDS {
+            let v: u32 = to_pong.recv(p);
+            to_ping.send(p, v, SimTime::from_micros(1));
+        }
+    });
+    sim.run();
+    let total = total.load(Ordering::Relaxed);
+    pin_allocs("coroutine_handoff", total, 2 * ROUNDS as usize, 0, 16);
 }
