@@ -1,7 +1,7 @@
 //! Session fingerprints: one line per session over every way a session can
 //! run — the four kernels under every policy, a set of `dynprof` script
-//! shapes, a session on an inert fault plan, and an attach
-//! to a running job — byte-compared against
+//! shapes, a session on an inert fault plan, an attach to a running job
+//! and the Dynamic install under live fault plans — byte-compared against
 //! `tests/golden/session_fingerprints.txt`.
 //!
 //! A line holds the report's times and counts, the warnings, the rendered
@@ -140,6 +140,17 @@ fn fingerprints() -> Vec<String> {
             SimTime::from_millis(400),
         );
         lines.push(fingerprint(&format!("sppm attach seed={seed}"), &report));
+    }
+    for name in ["smg98", "sweep3d"] {
+        let app = test_app(name, 4).expect("known app");
+        for profile in ["drop", "crash", "lossy"] {
+            let faulted = SessionConfig {
+                faults: Some(FaultSpec::parse(&format!("7:{profile}")).expect("spec")),
+                ..cfg(Policy::Dynamic, 7)
+            };
+            let report = run_session(&app, faulted);
+            lines.push(fingerprint(&format!("{name} faults=7:{profile}"), &report));
+        }
     }
     lines
 }
