@@ -593,6 +593,15 @@ fn launch_app(
     }
 }
 
+/// What a staged batch does to each function it names.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Change {
+    /// Install the entry/exit VT probe pair.
+    Install,
+    /// Remove all instrumentation.
+    Remove,
+}
+
 /// dynprof after it has started: its DPCL connection, the processes it
 /// attached, and what the script has asked of it so far.
 struct Instrumenter {
@@ -707,7 +716,7 @@ impl Instrumenter {
         if self.hold.is_some() {
             self.pending.extend(names);
         } else {
-            self.while_suspended(p, |st, p| st.install(p, &names));
+            self.while_suspended(p, |st, p| st.patch(p, Change::Install, &names));
         }
     }
 
@@ -717,7 +726,7 @@ impl Instrumenter {
         if self.hold.is_some() {
             self.pending.retain(|n| !names.contains(n));
         } else {
-            self.while_suspended(p, |st, p| st.uninstall(p, names));
+            self.while_suspended(p, |st, p| st.patch(p, Change::Remove, names));
         }
     }
 
@@ -733,21 +742,29 @@ impl Instrumenter {
         hold.sync.await_ready(&self.client, p);
         self.timefile.record("start-to-callback", t0, p.now());
         let names = std::mem::take(&mut self.pending);
-        self.install(p, &names);
+        self.patch(p, Change::Install, &names);
         let t_rel = p.now();
         hold.sync.release_all(p);
         self.timefile.record("release", t_rel, p.now());
     }
 
-    /// Install entry/exit VT probes for `names` in every process: stage
-    /// the batch, then run it through 2PC where that can protect something
-    /// — under a live fault plan — and send it plain everywhere else (an
-    /// inert plan cannot produce a partial epoch).
-    fn install(&mut self, p: &Proc, names: &[String]) {
+    /// Install entry/exit VT probes for `names` in every process, or
+    /// remove all instrumentation from them: stage the batch, then run it
+    /// through 2PC where that can protect something — under a live fault
+    /// plan — and send it plain everywhere else (an inert plan cannot
+    /// produce a partial epoch).
+    fn patch(&mut self, p: &Proc, change: Change, names: &[String]) {
         let t0 = p.now();
+        let install = change == Change::Install;
+        // The script command, its batch in ack warnings, its timefile row.
+        let (command, batch, label) = if install {
+            ("insert", "probe installs", "instrument")
+        } else {
+            ("remove", "probe removals", "remove")
+        };
         if self.handles.is_empty() {
             self.warnings
-                .push("install: no attached processes; nothing to do".into());
+                .push(format!("{command}: no attached processes; nothing to do"));
             return;
         }
         let mut txn = InstrumentationTxn::new(TxnOptions {
@@ -758,9 +775,16 @@ impl Instrumenter {
         for name in names {
             let Some(fid) = self.handles[0].image.func(name) else {
                 self.warnings
-                    .push(format!("insert: unknown function {name:?}"));
+                    .push(format!("{command}: unknown function {name:?}"));
                 continue;
             };
+            staged.push(name.clone());
+            if !install {
+                for h in &self.handles {
+                    txn.stage_remove(h, fid);
+                }
+                continue;
+            }
             // dynprof registers the symbol with Vampirtrace (§3.4), then
             // compiles its snippet pair once; every process gets a clone (a
             // `Snippet` is all `Arc`s).
@@ -772,7 +796,6 @@ impl Instrumenter {
                 txn.stage_install(h, ProbePoint::entry(fid), begin.clone());
                 txn.stage_install(h, ProbePoint::exit(fid), end.clone());
             }
-            staged.push(name.clone());
             if !two_phase {
                 // A function's probes leave before the next one is
                 // registered, and what the daemons have answered by then
@@ -781,23 +804,40 @@ impl Instrumenter {
                 txn.collect_acks(p, &self.client);
             }
         }
-        self.pairs_installed += if two_phase {
-            self.commit(p, txn, staged)
+        if two_phase {
+            let applied = self.commit(p, txn, install, staged);
+            if install {
+                // Actual coverage: each committed install is one probe.
+                self.pairs_installed += (applied / 2) as usize;
+            }
         } else {
+            // Removals leave all at once: every send, then every wait.
+            txn.send_plain(p, &self.client);
             let (_, failed) = txn.wait_plain(p, &self.client);
             let failed = failed.iter().map(|(_, ack)| ack);
-            self.warnings.extend(ack_failures("probe installs", failed));
-            staged.len() * self.handles.len()
-        };
-        self.timefile.record("instrument", t0, p.now());
+            self.warnings.extend(ack_failures(batch, failed));
+            if install {
+                self.pairs_installed += staged.len() * self.handles.len();
+            }
+        }
+        self.timefile.record(label, t0, p.now());
     }
 
     /// Run a staged batch through the 2PC protocol, so either every
     /// process gets the epoch or none does; a run where an epoch did not
     /// land everywhere (an abort, or an `exclude-node` commit) is marked
-    /// degraded. Returns the pairs that landed.
-    fn commit(&mut self, p: &Proc, txn: InstrumentationTxn, staged: Vec<String>) -> usize {
-        let validator = self.txn.validator.clone().map(|v| move || v(&staged));
+    /// degraded. The validator judges only an `install` batch. Returns
+    /// the ops that landed.
+    fn commit(
+        &mut self,
+        p: &Proc,
+        txn: InstrumentationTxn,
+        install: bool,
+        staged: Vec<String>,
+    ) -> u64 {
+        let validator = (self.txn.validator.clone())
+            .filter(|_| install)
+            .map(|v| move || v(&staged));
         let validator = validator.as_ref().map(|c| c as &dyn Fn() -> Vec<Finding>);
         let nodes = txn.nodes();
         let report = txn.execute(p, &self.client, validator, self.monitor.as_deref());
@@ -822,37 +862,13 @@ impl Instrumenter {
             }
         }
         for f in &report.op_failures {
-            self.warnings.push(format!("txn install failed: {f}"));
+            self.warnings.push(format!("txn op failed: {f}"));
         }
         for node in &report.unconfirmed {
             self.warnings
                 .push(format!("txn decision to node {node} unconfirmed"));
         }
-        // Actual coverage: each committed op is one probe.
-        (report.applied / 2) as usize
-    }
-
-    /// Remove all instrumentation from `names` in every process.
-    fn uninstall(&mut self, p: &Proc, names: &[String]) {
-        let t0 = p.now();
-        if self.handles.is_empty() {
-            self.warnings
-                .push("remove: no attached processes; nothing to do".into());
-            return;
-        }
-        let mut reqs = Vec::new();
-        for name in names {
-            let Some(fid) = self.handles[0].image.func(name) else {
-                self.warnings
-                    .push(format!("remove: unknown function {name:?}"));
-                continue;
-            };
-            for h in &self.handles {
-                reqs.push(self.client.remove_function(p, h, fid));
-            }
-        }
-        self.wait_all(p, "probe removals", &reqs);
-        self.timefile.record("remove", t0, p.now());
+        report.applied
     }
 
     /// Suspend every process, run `f`, resume every process — the paper's

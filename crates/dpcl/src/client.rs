@@ -84,6 +84,39 @@ impl BackoffSchedule {
     }
 }
 
+/// The one retry loop: wait up to [`ACK_TIMEOUT`] per attempt for
+/// `recv` to take the reply to `req` (the request itself already sent),
+/// at most [`MAX_ATTEMPTS`] times. Under a live fault plan a miss sleeps
+/// the next [`BackoffSchedule`] delay and calls `resend`, which sends
+/// the request again under the same [`ReqId`]; fault-free a message
+/// cannot be lost, so a miss just waits again. `None` once the budget
+/// is spent.
+fn await_reply<T>(
+    p: &Proc,
+    req: ReqId,
+    mut recv: impl FnMut(SimTime) -> Option<T>,
+    mut resend: impl FnMut(),
+) -> Option<T> {
+    let live = p.live_faults();
+    let mut backoff = BackoffSchedule::new(BACKOFF_BASE, BACKOFF_CAP, req.0);
+    for attempt in 1..=MAX_ATTEMPTS {
+        if let Some(reply) = recv(p.now() + ACK_TIMEOUT) {
+            return Some(reply);
+        }
+        if obs::enabled() {
+            obs::counter("dpcl.retries").inc();
+        }
+        if live && attempt < MAX_ATTEMPTS {
+            p.sleep(backoff.next_delay());
+            resend();
+        }
+    }
+    if obs::enabled() {
+        obs::counter("dpcl.timeouts").inc();
+    }
+    None
+}
+
 /// A process the client has attached to.
 #[derive(Clone)]
 pub struct ProcessHandle {
@@ -131,7 +164,7 @@ impl CallbackSender {
 ///
 /// All mutation requests are *asynchronous*: they return a [`ReqId`]
 /// immediately; [`DpclClient::wait_ack`] blocks for the daemon's
-/// acknowledgement. `*_sync` conveniences combine the two.
+/// acknowledgement.
 pub struct DpclClient {
     system: Arc<DpclSystem>,
     user: String,
@@ -222,50 +255,39 @@ impl DpclClient {
             user: self.user.clone(),
             reply: Arc::clone(&self.inbox),
         };
-        let resend = p.live_faults();
-        let mut backoff = BackoffSchedule::new(BACKOFF_BASE, BACKOFF_CAP, req.0);
-        for attempt in 1..=MAX_ATTEMPTS {
-            if attempt == 1 || resend {
-                p.advance(CLIENT_SEND_COST);
-                sup.send_ctl(p, connect.clone(), self.daemon_delay(p));
-            }
-            let deadline = p.now() + ACK_TIMEOUT;
-            let msg = self.inbox.recv_match_deadline(
-                p,
-                |m| match m {
+        let send = || {
+            p.advance(CLIENT_SEND_COST);
+            sup.send_ctl(p, connect.clone(), self.daemon_delay(p));
+        };
+        send();
+        let reply = await_reply(
+            p,
+            req,
+            |deadline| {
+                let is_reply = |m: &UpMsg| match m {
                     UpMsg::Connected { req: r, .. } | UpMsg::AuthFailed { req: r, .. } => *r == req,
                     _ => false,
-                },
-                deadline,
-            );
-            match msg {
-                Some(UpMsg::Connected { daemon, node, .. }) => {
-                    self.daemons.lock().insert(node, daemon);
-                    return Ok(());
+                };
+                self.inbox.recv_match_deadline(p, is_reply, deadline)
+            },
+            || {
+                if obs::enabled() {
+                    obs::counter("dpcl.resends").inc();
                 }
-                Some(UpMsg::AuthFailed { message, .. }) => return Err(message),
-                // The matcher admits only the two arms above; anything
-                // else is a miss and falls into the retry path.
-                _ => {
-                    let again = resend && attempt < MAX_ATTEMPTS;
-                    if obs::enabled() {
-                        obs::counter("dpcl.retries").inc();
-                        if again {
-                            obs::counter("dpcl.resends").inc();
-                        }
-                    }
-                    if again {
-                        p.sleep(backoff.next_delay());
-                    }
-                }
+                send();
+            },
+        );
+        match reply {
+            Some(UpMsg::Connected { daemon, node, .. }) => {
+                self.daemons.lock().insert(node, daemon);
+                Ok(())
             }
+            Some(UpMsg::AuthFailed { message, .. }) => Err(message),
+            // The matcher admits only the two arms above.
+            _ => Err(format!(
+                "connect to node {node} timed out after {MAX_ATTEMPTS} attempts"
+            )),
         }
-        if obs::enabled() {
-            obs::counter("dpcl.timeouts").inc();
-        }
-        Err(format!(
-            "connect to node {node} timed out after {MAX_ATTEMPTS} attempts"
-        ))
     }
 
     fn send_down(&self, p: &Proc, node: usize, msg: DownMsg) {
@@ -416,17 +438,15 @@ impl DpclClient {
 
     /// Asynchronously remove all instrumentation from `func` of `h`.
     pub fn remove_function(&self, p: &Proc, h: &ProcessHandle, func: FuncId) -> ReqId {
+        self.remove_at(p, h.node, h.target, func)
+    }
+
+    /// [`DpclClient::remove_function`] addressed by `(node, target)`, as
+    /// [`DpclClient::install_at`] is for installs.
+    pub(crate) fn remove_at(&self, p: &Proc, node: usize, target: TargetId, func: FuncId) -> ReqId {
         let req = self.req();
         self.note_issue(p, req, "dpcl.remove_latency_ns");
-        self.send_down(
-            p,
-            h.node,
-            DownMsg::RemoveFunction {
-                req,
-                target: h.target,
-                func,
-            },
-        );
+        self.send_down(p, node, DownMsg::RemoveFunction { req, target, func });
         req
     }
 
@@ -477,35 +497,27 @@ impl DpclClient {
         if let Some(message) = self.failed.lock().remove(&req) {
             return AckResult::Error { message };
         }
-        let resend = p.live_faults();
-        let mut backoff = BackoffSchedule::new(BACKOFF_BASE, BACKOFF_CAP, req.0);
-        for attempt in 1..=MAX_ATTEMPTS {
-            let deadline = p.now() + ACK_TIMEOUT;
-            let msg = self.inbox.recv_key_deadline(p, req.0, deadline);
-            match msg {
-                Some(UpMsg::Ack {
+        let acked = await_reply(
+            p,
+            req,
+            |deadline| match self.inbox.recv_key_deadline(p, req.0, deadline)? {
+                UpMsg::Ack {
                     result,
                     completed_at,
                     ..
-                }) => return self.acked(req, result, completed_at),
-                // The matcher admits only Ack; anything else is a miss
-                // and falls into the retry path.
-                _ => {
-                    if obs::enabled() {
-                        obs::counter("dpcl.retries").inc();
-                    }
-                    if resend && attempt < MAX_ATTEMPTS {
-                        p.sleep(backoff.next_delay());
-                        self.resend_pending(p, req);
-                    }
-                }
-            }
+                } => Some((result, completed_at)),
+                // Only an ack carries a key.
+                _ => None,
+            },
+            || {
+                self.resend_pending(p, req);
+            },
+        );
+        if let Some((result, completed_at)) = acked {
+            return self.acked(req, result, completed_at);
         }
         self.pending.lock().remove(&req);
         self.issued.lock().remove(&req);
-        if obs::enabled() {
-            obs::counter("dpcl.timeouts").inc();
-        }
         AckResult::TimedOut {
             attempts: MAX_ATTEMPTS,
         }
@@ -587,7 +599,7 @@ impl DpclClient {
         (TxnId(n), n)
     }
 
-    /// Stage a batch of installs on `node` under `txn` (2PC phase 0).
+    /// Stage a batch of probe changes on `node` under `txn` (2PC phase 0).
     pub(crate) fn txn_stage(&self, p: &Proc, node: usize, txn: TxnId, ops: Vec<StagedOp>) -> ReqId {
         let req = self.req();
         self.send_down(p, node, DownMsg::TxnStage { req, txn, ops });

@@ -506,10 +506,10 @@ fn comm_daemon_loop(
                         "vote abort: nothing staged for {txn:?} on node {}",
                         cp.node()
                     )),
-                    // Validate every staged op before voting yes: the
-                    // target must be attached, and a staged install must
-                    // both verify (IR programs) and be a safe patch
-                    // (size, branch-into-patch CFG hazard) on its target.
+                    // Validate every staged op before voting yes: its
+                    // target must be attached (all a removal needs), and a
+                    // staged install must both verify (IR programs) and be
+                    // a safe patch (size, branch-into-patch CFG hazard).
                     Some(ops) => ops.iter().find_map(|op| {
                         let target = op.target();
                         let Some((img, _name)) = targets.get(&target) else {
@@ -558,24 +558,15 @@ fn comm_daemon_loop(
                                         }
                                     }
                                 }
-                                (Some(_), StagedOp::Activation { apply, .. }) => {
-                                    // A table swap is a data write, not a
-                                    // code patch: charged like one patch,
-                                    // but no trampoline is minted and no
-                                    // quiesce hazard arises.
+                                (Some((img, _name)), StagedOp::RemoveFunction { func, .. }) => {
                                     cp.advance(machine.daemon.patch_cost);
-                                    apply();
+                                    note_unsafe(cp, img, "txn_commit");
+                                    img.remove_function_instr(func);
                                     applied += 1;
                                 }
-                                (None, op) => {
-                                    let what = match &op {
-                                        StagedOp::Install { .. } => "install".to_string(),
-                                        StagedOp::Activation { label, .. } => {
-                                            format!("activation {label:?}")
-                                        }
-                                    };
+                                (None, _) => {
                                     first_err.get_or_insert_with(|| {
-                                        format!("no attached target {target:?} for {what}")
+                                        format!("no attached target {target:?}")
                                     });
                                 }
                             }

@@ -62,7 +62,7 @@ pub use daemon::{
 pub use heartbeat::{HeartbeatConfig, HeartbeatMonitor, NodeHealth};
 pub use journal::{JournalEntry, ProbeJournal, TxnPhase};
 pub use messages::{AckResult, DownMsgEnvelope, ReqId, TargetId, TxnId, UpMsg};
-pub use txn::{DegradedPolicy, InstrumentationTxn, TxnOptions, TxnOutcome, TxnReport, Vote};
+pub use txn::{DegradedPolicy, InstrumentationTxn, TxnOptions, TxnOutcome, TxnReport};
 
 #[cfg(test)]
 mod tests {
@@ -223,29 +223,39 @@ mod tests {
         assert_eq!(*got.lock(), vec![0, 1, 2]);
     }
 
+    /// A removal clears both points, whether sent as a request or staged
+    /// and committed as a 2PC epoch.
     #[test]
     fn remove_function_clears_probes_via_daemon() {
         let sim = Sim::virtual_time(Machine::test_machine(), 5);
         let system = DpclSystem::new(["u"]);
-        let image = image_with(&["f"]);
-        let f = image.func("f").unwrap();
-        image
-            .try_insert(ProbePoint::entry(f), Snippet::noop("a"))
-            .expect("patchable target");
-        image
-            .try_insert(ProbePoint::exit(f), Snippet::noop("b"))
-            .expect("patchable target");
-        let img2 = Arc::clone(&image);
+        let images = [image_with(&["f"]), image_with(&["f"])];
+        let f = images[0].func("f").unwrap();
+        for image in &images {
+            for point in [ProbePoint::entry(f), ProbePoint::exit(f)] {
+                image
+                    .try_insert(point, Snippet::noop("p"))
+                    .expect("patchable target");
+            }
+        }
+        let imgs = images.clone();
         sim.spawn("instrumenter", 0, move |p| {
             let client = DpclClient::new(system, "u");
-            let h = client.attach(p, 1, Arc::clone(&img2), "t").unwrap();
+            let h = client.attach(p, 1, Arc::clone(&imgs[0]), "t:0").unwrap();
             let req = client.remove_function(p, &h, f);
             assert_eq!(client.wait_ack(p, req), AckResult::Ok { detail: 2 });
+            let h = client.attach(p, 2, Arc::clone(&imgs[1]), "t:1").unwrap();
+            let mut txn = InstrumentationTxn::new(TxnOptions::default());
+            txn.stage_remove(&h, f);
+            let r = txn.execute(p, &client, None, None);
+            assert_eq!((r.outcome, r.applied), (TxnOutcome::Committed, 1));
             client.shutdown(p);
         });
         sim.run();
-        assert!(!image.occupied(ProbePoint::entry(f)));
-        assert!(!image.occupied(ProbePoint::exit(f)));
+        for image in &images {
+            assert!(!image.occupied(ProbePoint::entry(f)));
+            assert!(!image.occupied(ProbePoint::exit(f)));
+        }
     }
 
     #[test]
@@ -374,17 +384,8 @@ mod tests {
     #[test]
     fn txn_prepare_votes_abort_on_branch_into_patch_hazard() {
         use dynprof_image::BasicBlock;
-        use dynprof_sim::{FaultPlan, FaultProfile, FaultSpec};
 
         let sim = Sim::virtual_time(Machine::test_machine(), 3);
-        // A delay-only plan forces the full 2PC protocol (the inert fast
-        // path would bypass the PREPARE vote under test).
-        let spec = FaultSpec {
-            seed: 3,
-            profile_name: "delay".to_string(),
-            profile: FaultProfile::named("delay").unwrap(),
-        };
-        assert!(sim.set_fault_plan(FaultPlan::new(&spec, sim.machine())));
         let system = DpclSystem::new(["u"]);
         let mut b = ImageBuilder::new("target");
         let f = b.add(FunctionInfo::new("f").with_blocks(vec![
@@ -404,71 +405,12 @@ mod tests {
         });
         sim.run();
         let r = report.lock().take().unwrap();
-        assert!(r.two_phase);
         assert!(
             matches!(&r.outcome, TxnOutcome::Aborted { reason } if reason.contains("branch-into-patch")),
             "{:?}",
             r.outcome
         );
         assert!(!image.occupied(ProbePoint::entry(f)), "rolled back");
-    }
-
-    #[test]
-    fn activation_op_applies_on_fast_path_and_under_2pc() {
-        use dynprof_sim::{FaultPlan, FaultProfile, FaultSpec};
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        // `faulted = false` exercises the inert fast path (closures apply
-        // client-side, no wire traffic); `true` installs a delay-only
-        // fault plan so the full 2PC protocol runs and the closures fire
-        // at COMMIT on the daemons.
-        fn run(faulted: bool) -> (TxnReport, u64) {
-            let sim = Sim::virtual_time(Machine::test_machine(), 3);
-            if faulted {
-                let spec = FaultSpec {
-                    seed: 3,
-                    profile_name: "delay".to_string(),
-                    profile: FaultProfile::named("delay").unwrap(),
-                };
-                assert!(sim.set_fault_plan(FaultPlan::new(&spec, sim.machine())));
-            }
-            let system = DpclSystem::new(["u"]);
-            let swaps = Arc::new(AtomicU64::new(0));
-            let swaps2 = Arc::clone(&swaps);
-            let report = Arc::new(Mutex::new(None));
-            let report2 = Arc::clone(&report);
-            sim.spawn("instrumenter", 0, move |p| {
-                let client = DpclClient::new(system, "u");
-                let mut txn = InstrumentationTxn::new(TxnOptions::default());
-                for node in 1..3 {
-                    let h = client.attach(p, node, image_with(&["f"]), "t").unwrap();
-                    let s = Arc::clone(&swaps2);
-                    txn.stage_activation(
-                        &h,
-                        format!("table@node{node}"),
-                        Arc::new(move || {
-                            s.fetch_add(1, Ordering::Relaxed);
-                        }),
-                    );
-                }
-                *report2.lock() = Some(txn.execute(p, &client, None, None));
-                client.shutdown(p);
-            });
-            sim.run();
-            let r = report.lock().take().unwrap();
-            let n = swaps.load(Ordering::Relaxed);
-            (r, n)
-        }
-
-        let (fast, n_fast) = run(false);
-        assert!(!fast.two_phase);
-        assert_eq!(fast.outcome, TxnOutcome::Committed);
-        assert_eq!((fast.applied, n_fast), (2, 2));
-
-        let (full, n_full) = run(true);
-        assert!(full.two_phase);
-        assert!(full.is_committed(), "{:?}", full.outcome);
-        assert_eq!((full.applied, n_full), (2, 2), "{:?}", full.op_failures);
     }
 
     #[test]

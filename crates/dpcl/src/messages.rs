@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use dynprof_image::{Image, ProbePoint, Snippet, SnippetId};
+use dynprof_image::{FuncId, Image, ProbePoint, Snippet, SnippetId};
 use dynprof_sim::sync::SimChannel;
 use dynprof_sim::SimTime;
 
@@ -29,24 +29,15 @@ pub(crate) enum StagedOp {
         point: ProbePoint,
         snippet: Snippet,
     },
-    /// Swap a probe activation table on `target`. The swap itself is a
-    /// caller-supplied closure (dpcl stays ignorant of the trace
-    /// library's table types); `label` identifies the change in votes
-    /// and failure messages. Because the closure only runs at COMMIT,
-    /// a partially applied table is impossible: either every
-    /// participant's journal commits the epoch and swaps, or none does.
-    Activation {
-        target: TargetId,
-        label: String,
-        apply: Arc<dyn Fn() + Send + Sync>,
-    },
+    /// Remove all instrumentation from `func` of `target` (both points).
+    RemoveFunction { target: TargetId, func: FuncId },
 }
 
 impl StagedOp {
     /// The target process this op applies to.
     pub(crate) fn target(&self) -> TargetId {
         match self {
-            StagedOp::Install { target, .. } | StagedOp::Activation { target, .. } => *target,
+            StagedOp::Install { target, .. } | StagedOp::RemoveFunction { target, .. } => *target,
         }
     }
 }
@@ -85,13 +76,13 @@ pub(crate) enum DownMsg {
     RemoveFunction {
         req: ReqId,
         target: TargetId,
-        func: dynprof_image::FuncId,
+        func: FuncId,
     },
     /// Suspend the target process.
     Suspend { req: ReqId, target: TargetId },
     /// Resume the target process.
     Resume { req: ReqId, target: TargetId },
-    /// Stage a batch of installs under a transaction (2PC phase 0). The
+    /// Stage a batch of probe changes under a transaction (2PC phase 0). The
     /// daemon journals the ops durably but does not touch the image.
     TxnStage {
         req: ReqId,

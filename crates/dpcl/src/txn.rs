@@ -21,23 +21,18 @@
 //! 4. **Commit / abort** — unanimous yes commits everywhere (the commit
 //!    send outlives any crash window via the client's retry budget);
 //!    anything else rolls back per the [`DegradedPolicy`].
-//!
-//! With no fault plan (or an inert one) the transaction takes a **fast
-//! path** that issues byte-identical plain installs — same messages, same
-//! RNG draws, same counters — so enabling transactions without faults
-//! cannot move a single golden byte.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use dynprof_obs as obs;
 
-use dynprof_image::{ProbePoint, Snippet};
+use dynprof_image::{FuncId, ProbePoint, Snippet};
 use dynprof_sim::hb::{self, Finding, Severity};
 use dynprof_sim::{Proc, SimTime};
 
 use crate::client::{DpclClient, ProcessHandle};
 use crate::heartbeat::{HeartbeatMonitor, NodeHealth};
-use crate::messages::{AckResult, ReqId, StagedOp, TxnId};
+use crate::messages::{AckResult, ReqId, StagedOp};
 
 /// What a coordinator does when a participant fails to vote yes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -85,7 +80,7 @@ pub struct TxnOptions {
 
 /// One participant's PREPARE vote.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Vote {
+enum Vote {
     /// Staged ops validated; ready to apply.
     Yes,
     /// Daemon refused (reason attached).
@@ -119,33 +114,34 @@ pub enum TxnOutcome {
 /// The coordinator's account of one transaction.
 #[derive(Debug)]
 pub struct TxnReport {
-    /// Transaction id (zero on the fast path and validation failures —
-    /// neither mints one).
-    pub txn: TxnId,
-    /// Epoch number carried by commit/abort messages.
+    /// Epoch number carried by commit/abort messages (zero when the
+    /// validator stopped the transaction before one was minted).
     pub epoch: u64,
     /// Terminal state.
     pub outcome: TxnOutcome,
-    /// PREPARE votes, one per participating node (2PC path only).
-    pub votes: Vec<(usize, Vote)>,
     /// Nodes whose commit/abort ack never arrived even after the full
     /// retry budget. The decision was *sent* (and resent); the journals
     /// on those nodes decide what actually happened.
     pub unconfirmed: Vec<usize>,
-    /// Validator findings (errors and warnings).
-    pub findings: Vec<Finding>,
     /// Per-op apply failures (messages from daemons).
     pub op_failures: Vec<String>,
     /// Ops successfully applied across all nodes.
     pub applied: u64,
-    /// Virtual time from `execute` entry to return.
-    pub latency: SimTime,
-    /// True when the full 2PC protocol ran (false: inert fast path).
-    pub two_phase: bool,
 }
 
 impl TxnReport {
-    /// Did instrumentation land (fully or degraded)?
+    /// A transaction that ended as `outcome` before applying anything.
+    fn ended(epoch: u64, outcome: TxnOutcome) -> TxnReport {
+        TxnReport {
+            epoch,
+            outcome,
+            unconfirmed: Vec::new(),
+            op_failures: Vec::new(),
+            applied: 0,
+        }
+    }
+
+    /// Did the epoch land (fully or degraded)?
     pub fn is_committed(&self) -> bool {
         matches!(
             self.outcome,
@@ -162,24 +158,23 @@ impl TxnReport {
     }
 }
 
-/// A transactional batch of probe installs across many nodes.
+/// A transactional batch of probe changes across many nodes.
 ///
-/// Build with [`InstrumentationTxn::stage_install`] (insertion order is
-/// preserved — the fast path replays it exactly), then run with
-/// [`InstrumentationTxn::execute`] or send plain with
-/// [`InstrumentationTxn::send_plain`].
+/// Build with [`InstrumentationTxn::stage_install`] and
+/// [`InstrumentationTxn::stage_remove`] (staging order is preserved), then
+/// run it through 2PC with [`InstrumentationTxn::execute`], or send it
+/// plain with [`InstrumentationTxn::send_plain`].
 pub struct InstrumentationTxn {
     opts: TxnOptions,
     /// `(node, op)` in staging order.
     staged: Vec<(usize, StagedOp)>,
-    /// Installs sent plain and not yet acknowledged, in staging order:
+    /// Ops sent plain and not yet acknowledged, in staging order:
     /// `(node, pending request)`.
     sent: VecDeque<(usize, ReqId)>,
-    /// Ops sent plain that have applied: activation swaps (in place) and
-    /// installs acknowledged `Ok`.
+    /// Ops sent plain and acknowledged `Ok`.
     applied: u64,
-    /// Installs sent plain whose ack was a failure: `(node, ack)`, in
-    /// staging order.
+    /// Ops sent plain whose ack was a failure: `(node, ack)`, in staging
+    /// order.
     failed: Vec<(usize, AckResult)>,
 }
 
@@ -209,29 +204,12 @@ impl InstrumentationTxn {
         ));
     }
 
-    /// Queue an activation-table swap on `h`: `apply` runs at COMMIT on
-    /// the daemon owning the target (after its journal records the epoch),
-    /// so the table either changes everywhere the transaction commits or
-    /// nowhere. `label` names the change in votes and failure messages.
-    pub fn stage_activation(
-        &mut self,
-        h: &ProcessHandle,
-        label: impl Into<String>,
-        apply: std::sync::Arc<dyn Fn() + Send + Sync>,
-    ) {
-        self.staged.push((
-            h.node,
-            StagedOp::Activation {
-                target: h.target,
-                label: label.into(),
-                apply,
-            },
-        ));
-    }
-
-    /// Ops staged so far.
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
+    /// Queue the removal of all instrumentation from `func` of `h`, sent
+    /// like an install.
+    pub fn stage_remove(&mut self, h: &ProcessHandle, func: FuncId) {
+        let target = h.target;
+        self.staged
+            .push((h.node, StagedOp::RemoveFunction { target, func }));
     }
 
     /// Participating nodes, ascending and deduplicated.
@@ -243,32 +221,30 @@ impl InstrumentationTxn {
     }
 
     /// Send the ops staged so far without the protocol, for a batch 2PC
-    /// has nothing to protect: installs go out in staging order as
-    /// [`DpclClient::install_probe`] sends them, activation swaps apply in
-    /// place. Stage and send may alternate (the caller's work in between
-    /// keeps its place in virtual time); [`InstrumentationTxn::wait_plain`]
-    /// then collects every ack.
+    /// has nothing to protect: they go out in staging order, as
+    /// [`DpclClient::install_probe`] and [`DpclClient::remove_function`]
+    /// send them. Stage and send may alternate (the caller's work in
+    /// between keeps its place in virtual time);
+    /// [`InstrumentationTxn::wait_plain`] then collects every ack.
     pub fn send_plain(&mut self, p: &Proc, client: &DpclClient) {
         for (node, op) in self.staged.drain(..) {
-            match op {
+            let req = match op {
                 StagedOp::Install {
                     target,
                     point,
                     snippet,
-                } => self
-                    .sent
-                    .push_back((node, client.install_at(p, node, target, point, snippet))),
-                StagedOp::Activation { apply, .. } => {
-                    apply();
-                    self.applied += 1;
+                } => client.install_at(p, node, target, point, snippet),
+                StagedOp::RemoveFunction { target, func } => {
+                    client.remove_at(p, node, target, func)
                 }
-            }
+            };
+            self.sent.push_back((node, req));
         }
     }
 
     /// Between sends, take what has already come back: let every daemon
     /// catch up with the client's clock ([`Proc::yield_now`]), then collect
-    /// the acks of the oldest installs still out, in staging order up to
+    /// the acks of the oldest ops still out, in staging order up to
     /// the first that has not arrived. Nothing waits and no clock moves;
     /// the gain is that a batch's requests and acks stop queueing in the
     /// daemons' and the client's inboxes all at once.
@@ -283,15 +259,15 @@ impl InstrumentationTxn {
         }
     }
 
-    /// Installs sent plain whose ack has not been taken yet.
+    /// Ops sent plain whose ack has not been taken yet.
     pub fn unacked(&self) -> usize {
         self.sent.len()
     }
 
-    /// Wait for the ack of every install [`InstrumentationTxn::send_plain`]
+    /// Wait for the ack of every op [`InstrumentationTxn::send_plain`]
     /// sent that [`InstrumentationTxn::collect_acks`] has not taken.
-    /// Returns the ops applied (swaps, and installs acknowledged `Ok`) and
-    /// each failed install's `(node, ack)`, in staging order.
+    /// Returns the ops acknowledged `Ok` and each failed op's
+    /// `(node, ack)`, in staging order.
     pub fn wait_plain(mut self, p: &Proc, client: &DpclClient) -> (u64, Vec<(usize, AckResult)>) {
         while let Some((node, req)) = self.sent.pop_front() {
             let ack = client.wait_ack(p, req);
@@ -300,7 +276,7 @@ impl InstrumentationTxn {
         (self.applied, self.failed)
     }
 
-    /// Account one install's ack.
+    /// Account one op's ack.
     fn settle(&mut self, node: usize, ack: AckResult) {
         match ack {
             AckResult::Ok { .. } => self.applied += 1,
@@ -315,19 +291,19 @@ impl InstrumentationTxn {
     /// coordinator act on heartbeat verdicts *before* wasting a vote
     /// round on a node already declared dead.
     pub fn execute(
-        mut self,
+        self,
         p: &Proc,
         client: &DpclClient,
         validator: Option<&dyn Fn() -> Vec<Finding>>,
         monitor: Option<&HeartbeatMonitor>,
     ) -> TxnReport {
         let start = p.now();
-        let elapsed = |p: &Proc| p.now().saturating_sub(start);
 
         // Phase 0: client-side pre-validation. Errors abort before any
         // message leaves the coordinator.
-        let findings = validator.map(|v| v()).unwrap_or_default();
-        let errors: Vec<String> = findings
+        let errors: Vec<String> = validator
+            .map(|v| v())
+            .unwrap_or_default()
             .iter()
             .filter(|f| f.severity == Severity::Error)
             .map(|f| f.to_string())
@@ -336,49 +312,9 @@ impl InstrumentationTxn {
             if obs::enabled() {
                 obs::counter("dpcl.txn.validation_failures").inc();
             }
-            return TxnReport {
-                txn: TxnId(0),
-                epoch: 0,
-                outcome: TxnOutcome::ValidationFailed { errors },
-                votes: Vec::new(),
-                unconfirmed: Vec::new(),
-                findings,
-                op_failures: Vec::new(),
-                applied: 0,
-                latency: elapsed(p),
-                two_phase: false,
-            };
+            return TxnReport::ended(0, TxnOutcome::ValidationFailed { errors });
         }
 
-        // Fast path: with no fault plan (or an inert one) there is nothing
-        // 2PC can protect against, and the whole point is to change *zero*
-        // bytes of undisturbed runs.
-        if !p.live_faults() {
-            self.send_plain(p, client);
-            let (applied, failed) = self.wait_plain(p, client);
-            let reason = |(node, ack)| match ack {
-                AckResult::Ok { .. } => None,
-                AckResult::Error { message } => Some(message),
-                AckResult::TimedOut { attempts } => Some(format!(
-                    "install on node {node} unacknowledged after {attempts} attempts"
-                )),
-            };
-            let op_failures = failed.into_iter().filter_map(reason).collect();
-            return TxnReport {
-                txn: TxnId(0),
-                epoch: 0,
-                outcome: TxnOutcome::Committed,
-                votes: Vec::new(),
-                unconfirmed: Vec::new(),
-                findings,
-                op_failures,
-                applied,
-                latency: elapsed(p),
-                two_phase: false,
-            };
-        }
-
-        // Full 2PC path.
         let (txn, epoch) = client.next_txn_epoch();
         let hb_lib = hb::unique_id();
         if obs::enabled() {
@@ -406,20 +342,8 @@ impl InstrumentationTxn {
                             if obs::enabled() {
                                 obs::counter("dpcl.txn.aborts").inc();
                             }
-                            return TxnReport {
-                                txn,
-                                epoch,
-                                outcome: TxnOutcome::Aborted {
-                                    reason: format!("node {node} declared dead by heartbeat"),
-                                },
-                                votes,
-                                unconfirmed,
-                                findings,
-                                op_failures,
-                                applied: 0,
-                                latency: elapsed(p),
-                                two_phase: true,
-                            };
+                            let reason = format!("node {node} declared dead by heartbeat");
+                            return TxnReport::ended(epoch, TxnOutcome::Aborted { reason });
                         }
                         DegradedPolicy::ExcludeNode => excluded.push(node),
                     }
@@ -583,20 +507,16 @@ impl InstrumentationTxn {
                 TxnOutcome::Aborted { .. } => obs::counter("dpcl.txn.aborts").inc(),
                 TxnOutcome::ValidationFailed { .. } => {}
             }
-            obs::histogram("dpcl.txn.latency_ns").record(elapsed(p).as_nanos());
+            let latency = p.now().saturating_sub(start);
+            obs::histogram("dpcl.txn.latency_ns").record(latency.as_nanos());
         }
 
         TxnReport {
-            txn,
             epoch,
             outcome,
-            votes,
             unconfirmed,
-            findings,
             op_failures,
             applied,
-            latency: elapsed(p),
-            two_phase: true,
         }
     }
 }

@@ -310,9 +310,6 @@ fn txn_cell(seed: u64, profile: &str, policy: DegradedPolicy) {
     let report = report_slot.lock().unwrap().take().expect("txn executed");
     let attached: Vec<usize> = attached_slot.lock().unwrap().clone();
 
-    // Only the inert profile may take the untransacted fast path.
-    assert_eq!(report.two_phase, profile != "none", "{ctx}");
-
     // Invariant 1: no journal ends with an open (staged/prepared but
     // undecided) transaction — the retry budget outlasts every standard
     // crash window, so decisions always land.
@@ -337,9 +334,7 @@ fn txn_cell(seed: u64, profile: &str, policy: DegradedPolicy) {
         })
         .collect();
     let expect: Vec<usize> = match &report.outcome {
-        TxnOutcome::Committed if report.two_phase => attached.clone(),
-        // Fast path: installs bypass the journal entirely.
-        TxnOutcome::Committed => Vec::new(),
+        TxnOutcome::Committed => attached.clone(),
         TxnOutcome::CommittedDegraded { excluded } => attached
             .iter()
             .copied()
@@ -357,11 +352,7 @@ fn txn_cell(seed: u64, profile: &str, policy: DegradedPolicy) {
         if !attached.contains(&node) {
             continue;
         }
-        let expect_occupied = if report.two_phase {
-            committed.contains(&node)
-        } else {
-            report.is_committed()
-        };
+        let expect_occupied = committed.contains(&node);
         assert_eq!(
             img.occupied(ProbePoint::entry(f)),
             expect_occupied,
@@ -655,17 +646,19 @@ fn instrumented(report: &SessionReport, subset: &[String]) -> Option<bool> {
     (all || seen.iter().all(|&held| !held)).then_some(all)
 }
 
-/// Under every live profile a session's install is one 2PC epoch: either
-/// every attached image holds each subset function's entry and exit
-/// probe, or none holds any and the run says it is degraded.
-#[test]
-fn faulted_sessions_instrument_all_or_nothing() {
+/// Run `script` on smg98 at 4 CPUs under every live profile and seed, and
+/// assert each run ends all or nothing: every attached image holds each
+/// subset function's entry and exit probe, or none holds any, and a run
+/// that does not end `holding` says it is degraded.
+fn assert_faulted_epochs_all_or_nothing(script: &str, holding: bool) {
     let app = dynprof::apps::test_app("smg98", 4).expect("app");
+    let script = Command::parse_script(script).expect("script");
     for seed in seeds() {
         for profile in FaultProfile::all_names().iter().filter(|&&p| p != "none") {
             let cfg = SessionConfig {
                 faults: Some(FaultSpec::parse(&format!("{seed}:{profile}")).expect("spec")),
                 ..SessionConfig::new(Machine::ibm_power3_colony(), Policy::Dynamic)
+                    .with_script(script.clone())
             };
             let report = run_session(&app, cfg);
             let ctx = format!(
@@ -673,12 +666,47 @@ fn faulted_sessions_instrument_all_or_nothing() {
                 report.warnings
             );
             match instrumented(&report, &app.subset) {
-                Some(true) => {}
-                Some(false) => assert!(report.vt.is_degraded(), "silent abort in {ctx}"),
-                None => panic!("partial instrumentation in {ctx}"),
+                Some(held) if held == holding => {}
+                Some(_) => assert!(report.vt.is_degraded(), "silent abort in {ctx}"),
+                None => panic!("partial epoch in {ctx}"),
             }
         }
     }
+}
+
+/// Under every live profile a session's install is one 2PC epoch.
+#[test]
+fn faulted_sessions_instrument_all_or_nothing() {
+    assert_faulted_epochs_all_or_nothing("insert-file subset\nstart\nquit\n", true);
+}
+
+/// Under every live profile a mid-run removal is one 2PC epoch too; and
+/// a node that dies for good between the install and the removal aborts
+/// the removal, so every image keeps every probe.
+#[test]
+fn faulted_removals_are_all_or_nothing() {
+    assert_faulted_epochs_all_or_nothing(
+        "start\nwait 0.0002\ninsert-file subset\nwait 0.0002\nremove-file subset\nquit\n",
+        false,
+    );
+    // 8 ranks on the test machine: the install ends before 1 s, the
+    // removal starts after 2 s.
+    let (seed, victim, start) = outage_scenario(&[0, 1], 1000, 1500);
+    let script = "insert-file subset\nstart\nwait 2\nremove-file subset\nquit\n";
+    let cfg = SessionConfig {
+        faults: Some(crash_forever_spec(seed)),
+        ..SessionConfig::new(Machine::test_machine(), Policy::Dynamic)
+            .with_seed(seed)
+            .with_script(Command::parse_script(script).expect("script"))
+    };
+    let app = dynprof::apps::test_app("smg98", 8).expect("app");
+    let report = run_session(&app, cfg);
+    let ctx = format!(
+        "node {victim} down at {start:?} (seed {seed}): {:?}",
+        report.warnings
+    );
+    assert_eq!(instrumented(&report, &app.subset), Some(true), "{ctx}");
+    assert!(report.vt.is_degraded(), "{ctx}");
 }
 
 /// A faulted install whose validator rejects the plan sends nothing, and
@@ -711,8 +739,9 @@ fn rejected_epoch_installs_nothing() {
 
 /// A node that dies for good after attach: the mid-run insert aborts (the
 /// default `abort-txn`), so the run is marked degraded and counts no
-/// pairs, and what the dead node never answered — its suspends, resumes
-/// and removals — is reported once per command instead of dropped.
+/// pairs; the removal aborts as a second epoch; and what the dead node
+/// never answered — its suspends and resumes — is reported once per
+/// command instead of dropped.
 #[test]
 fn faulted_session_reports_what_did_not_land() {
     // 8 ranks on the test machine: nodes 0 and 1; dynprof runs on node 3.
@@ -727,7 +756,8 @@ fn faulted_session_reports_what_did_not_land() {
             .with_seed(seed)
             .with_script(script)
     };
-    let report = run_session(&dynprof::apps::test_app("smg98", 8).expect("app"), cfg);
+    let app = dynprof::apps::test_app("smg98", 8).expect("app");
+    let report = run_session(&app, cfg);
     let ctx = format!(
         "node {victim} down at {start:?} (seed {seed}): {:?}",
         report.warnings
@@ -735,13 +765,13 @@ fn faulted_session_reports_what_did_not_land() {
     assert!(report.vt.is_degraded(), "{ctx}");
     assert_eq!(report.probe_pairs_installed, 0, "{ctx}");
     let count = |what: &str| report.warnings.iter().filter(|w| w.contains(what)).count();
-    assert_eq!(count("aborted"), 1, "{ctx}");
-    assert_eq!(count("probe removals failed"), 1, "{ctx}");
-    // One per command that suspends: the insert and the remove. (The
-    // outage lasts an hour of virtual time, so the 220 timed-out removals
-    // outlive it and the remove's resumes land.)
+    assert_eq!(count("aborted"), 2, "{ctx}");
+    // One per command that suspends: the insert and the remove. (Both
+    // epochs end within the hour-long outage, so neither command's
+    // resumes reach the dead node.)
     assert_eq!(count("suspends failed"), 2, "{ctx}");
-    assert_eq!(count("resumes failed"), 1, "{ctx}");
+    assert_eq!(count("resumes failed"), 2, "{ctx}");
+    assert_eq!(instrumented(&report, &app.subset), Some(false), "{ctx}");
 }
 
 // ---------------------------------------------------------------------------
@@ -825,99 +855,6 @@ fn adaptive_controller_survives_fault_matrix() {
         b.controller.unwrap().decision_log(),
         "same (seed, profile) must reproduce the same decisions"
     );
-}
-
-/// Activation-table reconfigurations riding the transactional epoch path:
-/// over the full (seed × profile × policy) matrix, each daemon's table
-/// swap runs exactly once iff its journal committed the epoch — never
-/// twice (duplicate commits are deduped), never on an aborted or excluded
-/// node — and no journal is left open.
-#[test]
-fn activation_txn_matrix_swaps_atomically() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    for seed in seeds() {
-        for profile in FaultProfile::all_names() {
-            for policy in [DegradedPolicy::AbortTxn, DegradedPolicy::ExcludeNode] {
-                let ctx = format!(
-                    "activation txn (seed {seed}, {profile}, {})",
-                    policy.label()
-                );
-                let sim = Sim::virtual_time(Machine::test_machine(), seed);
-                sim.enable_check();
-                let check = sim.check_handle();
-                assert!(sim.set_fault_plan(plan_for(&sim, seed, profile)));
-                let system = DpclSystem::new(["u"]);
-                let swaps: Vec<Arc<AtomicU64>> =
-                    (0..3).map(|_| Arc::new(AtomicU64::new(0))).collect();
-                let mut b = ImageBuilder::new("t");
-                b.add(FunctionInfo::new("hot"));
-                let image = Arc::new(b.build());
-
-                let report_slot = Arc::new(Mutex::new(None));
-                let attached_slot = Arc::new(Mutex::new(Vec::new()));
-                let (sys2, img2, swaps2) = (Arc::clone(&system), image, swaps.clone());
-                let (rep2, att2) = (Arc::clone(&report_slot), Arc::clone(&attached_slot));
-                sim.spawn("instrumenter", 0, move |p| {
-                    let client = DpclClient::new(sys2, "u");
-                    let mut handles = Vec::new();
-                    for (i, counter) in swaps2.iter().enumerate() {
-                        match client.attach(p, 1 + i, Arc::clone(&img2), format!("t:{i}")) {
-                            Ok(h) => handles.push((1 + i, h, Arc::clone(counter))),
-                            Err(msg) => assert!(!msg.is_empty()),
-                        }
-                    }
-                    let mut txn = InstrumentationTxn::new(TxnOptions { policy });
-                    for (node, h, counter) in &handles {
-                        let counter = Arc::clone(counter);
-                        txn.stage_activation(
-                            h,
-                            format!("table@node{node}"),
-                            Arc::new(move || {
-                                counter.fetch_add(1, Ordering::Relaxed);
-                            }),
-                        );
-                    }
-                    *att2.lock().unwrap() = handles.iter().map(|&(n, ..)| n).collect::<Vec<_>>();
-                    let report = txn.execute(p, &client, None, None);
-                    client.shutdown(p);
-                    *rep2.lock().unwrap() = Some(report);
-                });
-                sim.run();
-                assert_no_hb_errors(&check, &ctx);
-                let report = report_slot.lock().unwrap().take().expect("txn executed");
-                let attached: Vec<usize> = attached_slot.lock().unwrap().clone();
-
-                for j in system.journals() {
-                    assert!(
-                        j.open_txns().is_empty(),
-                        "node {} journal left open in {ctx}",
-                        j.node()
-                    );
-                }
-                for (i, counter) in swaps.iter().enumerate() {
-                    let node = 1 + i;
-                    let expect = if !attached.contains(&node) {
-                        0
-                    } else if report.two_phase {
-                        u64::from(
-                            system
-                                .journal(node, "u")
-                                .is_some_and(|j| j.committed_epochs().contains(&report.epoch)),
-                        )
-                    } else {
-                        u64::from(report.is_committed())
-                    };
-                    assert_eq!(
-                        counter.load(Ordering::Relaxed),
-                        expect,
-                        "node {node} table swap count in {ctx} (outcome {:?})",
-                        report.outcome
-                    );
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
