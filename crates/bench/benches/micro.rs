@@ -338,10 +338,10 @@ fn paired_counting_fire_ns() -> (f64, f64, f64) {
             prog.compile().expect("count program verifies"),
         )
         .expect("patchable target");
-        // The legacy shape: a hand-written closure with a *declared*
-        // (trusted) cost — exactly what the IR's derived bound replaces.
-        // `fire_point` charges the declared cost, the interpreter charges
-        // per-op; both sides advance the same virtual time per fire.
+        // The `Snippet::new` shape: a closure lowered as the one-call
+        // program over a charged intrinsic, which charges its declared
+        // cost; the counting program charges per-op. Both sides advance
+        // the same virtual time per fire.
         let data = Arc::new(Mutex::new(vec![0i64]));
         img.try_insert(
             ProbePoint::entry(f_cl),
@@ -409,8 +409,8 @@ fn bench_verifier() {
         t.elapsed()
     });
 
-    // Interpreted IR must stay in the same cost class as a hand-written
-    // closure on the fire path (install-time verification is where the
+    // Interpreted IR must stay in the same cost class as a closure's
+    // one-call lowering on the fire path (install-time verification is where the
     // IR pays; the per-fire tree walk has to be near-free next to the
     // dispatch + context machinery).
     let (ir_ns, closure_ns, ratio) = paired_counting_fire_ns();
@@ -418,9 +418,9 @@ fn bench_verifier() {
         "{:<34} {ir_ns:>12.1} ns/iter   (closure {closure_ns:.1} ns/iter, ratio {ratio:.3})",
         "image/fire_ir_vs_closure"
     );
-    // Typical measured ratio is 1.01-1.03 (the fused store path pays one
-    // extra virtual-clock advance); the default allows 10% so residual
-    // slice noise cannot fail a healthy build.
+    // Typical measured ratio is 1.01-1.03 (the fused store path takes a
+    // lock); the default allows 10% so residual slice noise cannot fail
+    // a healthy build.
     let tolerance: f64 = std::env::var("FIRE_IR_TOLERANCE")
         .ok()
         .and_then(|v| v.parse().ok())

@@ -49,32 +49,17 @@ pub fn verify_program(program: &SnippetProgram) -> Vec<Finding> {
 
 /// Verify the standard VT snippet set (`VT_begin`, `VT_end`, the counter
 /// snippet, and the configuration-break marker) under `costs`.
-///
-/// Every snippet the runtime installs must carry a verified IR program;
-/// a standard snippet with no program attached is itself an error — it
-/// would reach the daemons unverifiable.
 pub fn verify_standard_snippets(costs: ProbeCosts) -> Vec<Finding> {
     let vt = VtLib::new("dynlint-verify", 1, VtConfig::default(), costs);
-    let snippets = [
-        ("VT_begin", vt_begin_snippet(vt.clone(), VtFuncId(0))),
-        ("VT_end", vt_end_snippet(vt.clone(), VtFuncId(0))),
-        ("VT_count", vt_count_snippet().0),
-        ("configuration_break", configuration_break_snippet()),
-    ];
-    let mut out = Vec::new();
-    for (name, snippet) in &snippets {
-        match &snippet.program {
-            None => out.push(Finding {
-                severity: Severity::Error,
-                detector: "verify:unverified-snippet",
-                message: format!(
-                    "standard snippet {name:?} carries no IR program — daemons cannot verify it"
-                ),
-            }),
-            Some(program) => out.extend(verify_program(program)),
-        }
-    }
-    out
+    [
+        vt_begin_snippet(vt.clone(), VtFuncId(0)),
+        vt_end_snippet(vt.clone(), VtFuncId(0)),
+        vt_count_snippet().0,
+        configuration_break_snippet(),
+    ]
+    .iter()
+    .flat_map(|snippet| verify_program(&snippet.program))
+    .collect()
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! time".
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use dynprof_obs as obs;
 use parking_lot::Mutex;
@@ -181,24 +181,29 @@ impl DpclSystem {
 /// [`verify_snippet`] verdicts of the programs one daemon process has
 /// judged. A program is immutable, so one abstract interpretation per
 /// program is enough, however many processes and points it is installed
-/// at; it is known by the address of its `Arc`, which the memo keeps so
-/// that the address cannot be recycled for another program while the
-/// verdict — a rejection as much as a pass — is remembered. Hashed, not
-/// ordered: what the memo allocates must not depend on where the heap
-/// happened to put the programs.
+/// at. It is known by the address of its `Arc`; the memo holds a `Weak`
+/// to it, which keeps the allocation, so the address cannot be recycled
+/// for another program while the verdict — a rejection as much as a
+/// pass — is remembered, yet a program nobody else holds is not kept
+/// alive. Dead entries are pruned before the map would grow. Hashed,
+/// not ordered: what the memo allocates must not depend on where the
+/// heap happened to put the programs.
 #[derive(Default)]
-struct VerifyMemo(HashMap<usize, (Arc<SnippetProgram>, Result<(), String>)>);
+struct VerifyMemo(HashMap<usize, (Weak<SnippetProgram>, Result<(), String>)>);
 
 impl VerifyMemo {
     fn verdict(&mut self, snippet: &Snippet) -> Result<(), String> {
-        let Some(program) = &snippet.program else {
-            return verify_snippet(snippet);
-        };
-        let judged = self
-            .0
-            .entry(Arc::as_ptr(program) as usize)
-            .or_insert_with(|| (Arc::clone(program), verify_snippet(snippet)));
-        judged.1.clone()
+        let key = Arc::as_ptr(&snippet.program) as usize;
+        if let Some((_, judged)) = self.0.get(&key) {
+            return judged.clone();
+        }
+        if self.0.len() == self.0.capacity() {
+            self.0.retain(|_, (program, _)| program.strong_count() > 0);
+        }
+        let judged = verify_snippet(snippet);
+        self.0
+            .insert(key, (Arc::downgrade(&snippet.program), judged.clone()));
+        judged
     }
 }
 
@@ -427,9 +432,9 @@ fn comm_daemon_loop(
                 Some((img, _name)) => {
                     cp.advance(machine.daemon.patch_cost);
                     note_unsafe(cp, img, "install");
-                    // Snippets carrying a typed IR program must verify
-                    // before the patch is attempted (paper §5's "know what
-                    // the snippet can do before it runs" safety story).
+                    // The snippet's program must verify before the patch
+                    // is attempted (paper §5's "know what the snippet can
+                    // do before it runs" safety story).
                     match verified.verdict(&snippet) {
                         Err(message) => {
                             if obs::enabled() {
@@ -508,7 +513,7 @@ fn comm_daemon_loop(
                     )),
                     // Validate every staged op before voting yes: its
                     // target must be attached (all a removal needs), and a
-                    // staged install must both verify (IR programs) and be
+                    // staged install must both verify and be
                     // a safe patch (size, branch-into-patch CFG hazard).
                     Some(ops) => ops.iter().find_map(|op| {
                         let target = op.target();
@@ -519,7 +524,7 @@ fn comm_daemon_loop(
                             if let Err(e) = verified.verdict(snippet) {
                                 return Some(format!("vote abort: {e}"));
                             }
-                            if let Err(e) = img.validate_patch(*point, snippet) {
+                            if let Err(e) = img.validate_patch(*point) {
                                 return Some(format!("vote abort: {e}"));
                             }
                         }

@@ -93,15 +93,15 @@ mod tests {
             let client = DpclClient::new(system, "u");
             let h = client.attach(p, 1, Arc::clone(&img2), "t:0").unwrap();
             let f2 = Arc::clone(&fired2);
-            let req = client.install_probe(
-                p,
-                &h,
-                ProbePoint::entry(f),
-                Snippet::new("probe", SimTime::ZERO, move |_| {
-                    *f2.lock() += 1;
-                }),
-            );
+            let probe = Snippet::new("probe", SimTime::ZERO, move |_| {
+                *f2.lock() += 1;
+            });
+            let program = Arc::clone(&probe.program);
+            let req = client.install_probe(p, &h, ProbePoint::entry(f), probe);
             assert!(client.wait_ack(p, req).is_ok());
+            // A closure is a program too: the daemon's verdict memo judged
+            // it, and holds the one `Weak` to it.
+            assert_eq!(Arc::weak_count(&program), 1, "the memo judged the closure");
             client.shutdown(p);
         });
         let img3 = Arc::clone(&image);
@@ -351,9 +351,9 @@ mod tests {
             let program =
                 SnippetProgram::new("rogue", 0, vec![Stmt::StopTimer], IntrinsicTable::empty());
             let bad = program.compile_unchecked();
-            // Who holds the program tells whether the daemon remembers it:
-            // this test and its snippet do, and a memo entry would.
-            let held = Arc::strong_count(&program);
+            // A memo entry is the only `Weak` to the program: its count
+            // tells whether the daemon remembers the verdict.
+            let judged = || Arc::weak_count(&program);
             let rejected = |r: AckResult| {
                 assert!(
                     matches!(&r, AckResult::Error { message } if message.contains("unbalanced timer")),
@@ -362,15 +362,15 @@ mod tests {
             };
             for _ in 0..3 {
                 rejected(install(bad.clone()));
-                assert_eq!(Arc::strong_count(&program), held + 1, "judged once, remembered");
+                assert_eq!(judged(), 1, "judged once, remembered");
             }
             assert!(p.now() < start, "all of that before the crash");
             p.sleep_until(end + SimTime::from_millis(1));
             // The first request after the window restarts the daemon.
             assert!(install(Snippet::noop("fine")).is_ok());
-            assert_eq!(Arc::strong_count(&program), held, "verdicts died with the process");
+            assert_eq!(judged(), 0, "verdicts died with the process");
             rejected(install(bad.clone()));
-            assert_eq!(Arc::strong_count(&program), held + 1, "judged again");
+            assert_eq!(judged(), 1, "judged again");
             client.shutdown(p);
         });
         sim.run();

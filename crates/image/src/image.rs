@@ -11,7 +11,7 @@
 //! the paper's `Dynamic` policy track `None` so closely (Fig 7).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
@@ -96,9 +96,6 @@ pub trait StaticHooks: Send + Sync {
     fn end(&self, ctx: &ProbeCtx<'_>);
 }
 
-/// Threads whose shadow program counter is tracked for sampling.
-pub const MAX_SAMPLED_THREADS: usize = 64;
-
 /// The PC journal: per-thread `(enter, exit, function index)` intervals.
 pub type PcLog = HashMap<usize, Vec<(SimTime, SimTime, u32)>>;
 
@@ -182,12 +179,12 @@ impl Program {
         self.info[fid.index()].size_bytes >= MIN_PATCHABLE_BYTES
     }
 
-    /// Would installing `snippet` at `point` be a safe patch? Checks the
-    /// target's size against the probe-point jump and, for entry points,
-    /// its CFG for the branch-into-patch hazard — without installing
-    /// anything. DPCL daemons run this (plus snippet-program
-    /// verification) when voting on a transaction's staged installs.
-    pub fn validate_patch(&self, point: ProbePoint, _snippet: &Snippet) -> Result<(), PatchError> {
+    /// Would a patch at `point` be safe? Checks the target's size against
+    /// the probe-point jump and, for entry points, its CFG for the
+    /// branch-into-patch hazard — without installing anything. DPCL
+    /// daemons run this (plus snippet-program verification) when voting
+    /// on a transaction's staged installs.
+    pub fn validate_patch(&self, point: ProbePoint) -> Result<(), PatchError> {
         let info = &self.info[point.func.index()];
         if info.size_bytes < MIN_PATCHABLE_BYTES {
             return Err(PatchError::FunctionTooSmall {
@@ -246,10 +243,6 @@ pub struct Image {
     suspend: Mutex<Arc<SimGate>>,
     next_snippet: AtomicU64,
     counts: Box<[AtomicU64]>,
-    /// Shadow program counter per thread (function id + 1; 0 = outside
-    /// any manifest function). The real machine has a PC for free; this
-    /// is what a statistical sampler reads (paper §2).
-    pc: [AtomicU32; MAX_SAMPLED_THREADS],
     /// When enabled, every call's `[enter, exit)` interval is journaled
     /// per thread so an ideal interrupt sampler can be evaluated on the
     /// virtual timeline (see `dynprof_vt::sampling`).
@@ -281,7 +274,6 @@ impl Image {
             suspend: Mutex::new(Arc::new(SimGate::new())),
             next_snippet: AtomicU64::new(1),
             counts: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            pc: std::array::from_fn(|_| AtomicU32::new(0)),
             pc_log_enabled: AtomicBool::new(false),
             pc_log: Mutex::new(HashMap::new()),
             patches: AtomicU64::new(0),
@@ -350,7 +342,7 @@ impl Image {
     /// The caller is expected to have suspended the process (DPCL does);
     /// the image itself only requires the instrumenter lock.
     pub fn try_insert(&self, point: ProbePoint, snippet: Snippet) -> Result<SnippetId, PatchError> {
-        self.validate_patch(point, &snippet)?;
+        self.validate_patch(point)?;
         let id = SnippetId(self.next_snippet.fetch_add(1, Ordering::Relaxed));
         // Writing the jump instruction at an idle probe point is a patch,
         // and so is the mini-trampoline store.
@@ -472,9 +464,6 @@ impl Image {
         debug_assert!(reps > 0, "call_batch with zero reps");
         self.wait_if_suspended(p);
         self.counts[fid.index()].fetch_add(reps, Ordering::Relaxed);
-        // Shadow PC for statistical samplers (restored on return).
-        let pc_slot = self.pc.get(cc.thread);
-        let prev_pc = pc_slot.map(|s| s.swap(fid.0 + 1, Ordering::Relaxed));
         let t_enter = self.pc_log_enabled.load(Ordering::Relaxed).then(|| p.now());
 
         let static_hooks = if self.info(fid).statically_instrumented {
@@ -496,9 +485,6 @@ impl Image {
             h.end(&self.ctx(p, cc, fid, ProbePointKind::Exit, reps));
         }
         self.fire_point(p, cc, fid, ProbePointKind::Exit, reps);
-        if let (Some(slot), Some(prev)) = (pc_slot, prev_pc) {
-            slot.store(prev, Ordering::Relaxed);
-        }
         if let Some(t0) = t_enter {
             self.pc_log
                 .lock()
@@ -507,15 +493,6 @@ impl Image {
                 .push((t0, p.now(), fid.0));
         }
         r
-    }
-
-    /// The function `thread` is currently executing, if any (what a
-    /// statistical sampler's interrupt would see as the PC). A sampler
-    /// outside the simulation reads this; virtual-time samplers use the
-    /// PC journal.
-    pub fn current_function(&self, thread: usize) -> Option<FuncId> {
-        let v = self.pc.get(thread)?.load(Ordering::Relaxed);
-        (v != 0).then(|| FuncId(v - 1))
     }
 
     /// Enable journaling of per-call PC intervals (virtual-time sampling).
@@ -569,7 +546,6 @@ impl Image {
         p.advance(dispatch * reps);
         let ctx = self.ctx(p, cc, fid, kind, reps);
         for m in chain.iter() {
-            p.advance(m.snippet.cost * reps);
             (m.snippet.code)(&ctx);
         }
     }
@@ -1057,9 +1033,7 @@ mod tests {
             .try_insert(ProbePoint::entry(clean), Snippet::noop("n"))
             .is_ok());
         // validate_patch alone installs nothing.
-        assert!(img
-            .validate_patch(ProbePoint::entry(clean), &Snippet::noop("n"))
-            .is_ok());
+        assert!(img.validate_patch(ProbePoint::entry(clean)).is_ok());
     }
 
     #[test]

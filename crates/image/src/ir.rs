@@ -1,31 +1,26 @@
 //! The typed snippet IR and its static verifier (paper §5 safety story).
 //!
-//! A [`crate::Snippet`] used to be an opaque `Arc<dyn Fn>` plus a
-//! *trusted, hand-declared* cost — the probe-safety analyzer could check
-//! sizes and budgets but never the instrumentation code itself. This
-//! module replaces that with a small Dyninst-style mini-AST
-//! ([`SnippetProgram`]): probe-context reads, load/store to a declared
+//! Every [`crate::Snippet`] is a [`SnippetProgram`], a small
+//! Dyninst-style mini-AST: probe-context reads, load/store to a declared
 //! per-probe data region, integer arithmetic, start/stop timer, trace
 //! emission, bounded loops, conditionals, and calls into a whitelisted
-//! [`IntrinsicTable`] with per-intrinsic cost.
+//! [`IntrinsicTable`] with per-intrinsic cost. [`crate::Snippet::new`]
+//! wraps a closure as the one-call program over a charged intrinsic.
 //!
 //! Two consumers share the IR:
 //!
-//! * [`SnippetProgram::compile`] lowers a program to today's `Snippet`
-//!   closure (a small interpreter), so the fire path through
-//!   [`crate::Image::call`] is unchanged;
+//! * [`SnippetProgram::compile`] lowers a program to the snippet's
+//!   executable code (a small interpreter, with direct paths for the
+//!   counting and one-call shapes), which [`crate::Image::call`] runs;
 //! * [`SnippetProgram::verify`] abstractly interprets it **before any
 //!   install**, computing a *derived* worst-case cost bound (loop bound ×
-//!   body cost, branch maxima — this replaces the trusted `cost` field),
-//!   a side-effect summary (stores stay inside the declared region,
-//!   timers balance on every path, no emission after the final stop) and
-//!   termination (loop trip counts statically bounded, no recursion
-//!   through intrinsics).
+//!   body cost, branch maxima), a side-effect summary (stores stay inside
+//!   the declared region, timers balance on every path, no emission after
+//!   the final stop) and termination (loop trip counts statically
+//!   bounded, no recursion through intrinsics).
 //!
-//! The DPCL daemons run [`verify_snippet`] before `Image::try_insert`
-//! and reject programs that fail with a typed error; opaque legacy
-//! closures (no attached program) pass through unverified, exactly as
-//! before this module existed.
+//! The DPCL daemons run [`verify_snippet`] on every snippet before
+//! `Image::try_insert` and reject programs that fail with a typed error.
 //!
 //! # Cost model
 //!
@@ -36,10 +31,8 @@
 //! intrinsics are charged by the interpreter; `Internal` intrinsics
 //! charge the virtual clock themselves (e.g. `VT_begin`, whose charge
 //! depends on the activation table) and their declared cost is used only
-//! as the verifier's upper bound. This is what keeps an IR-compiled
-//! `VT_begin` byte-identical on the timeline to the hand-written closure
-//! it replaces: the snippet's `cost` field stays zero and the library
-//! charges itself, while the *derived* bound still covers the worst case.
+//! as the verifier's upper bound: `VT_begin`'s library charges itself,
+//! while the *derived* bound still covers the worst case.
 
 use std::fmt;
 use std::sync::Arc;
@@ -327,7 +320,7 @@ impl IntrinsicTable {
 /// A typed, statically-verifiable instrumentation program.
 #[derive(Clone, Debug)]
 pub struct SnippetProgram {
-    /// Snippet name (shows up in diagnostics, same as `Snippet::name`).
+    /// Snippet name (shows up in diagnostics; read as `Snippet::name`).
     pub name: String,
     /// Number of `i64` slots in the per-probe data region. All stores
     /// and loads are verified against this bound.
@@ -361,12 +354,11 @@ impl SnippetProgram {
 
     /// Verify, then lower to an executable [`Snippet`].
     ///
-    /// The returned snippet's `cost` field is **zero** — primitive-op
-    /// charges happen inside the interpreter (and `Internal` intrinsics
-    /// charge themselves), so the probe-point dispatch accounting in
-    /// [`crate::Image`] is unchanged. The verifier's worst-case bound is stamped into
-    /// `Snippet::derived_cost` for the analyzer and the overhead
-    /// controller.
+    /// Every charge happens inside the lowered code (primitive ops and
+    /// `Charged` intrinsics; `Internal` intrinsics charge themselves), so
+    /// [`crate::Image`] charges only the trampoline dispatch. The
+    /// verifier's worst-case bound is stamped into `Snippet::derived_cost`
+    /// for the analyzer and the overhead controller.
     ///
     /// Returns the failing [`VerifyReport`] if verification rejects the
     /// program.
@@ -438,10 +430,8 @@ impl SnippetProgram {
                 Arc::new(move |ctx| exec_block(&prog.body, &prog.intrinsics, &st, ctx))
             };
         let snippet = Snippet {
-            name: Arc::from(self.name.as_str()),
-            cost: SimTime::ZERO,
             code,
-            program: Some(Arc::clone(self)),
+            program: Arc::clone(self),
             derived_cost: derived,
         };
         (snippet, state)
@@ -999,19 +989,13 @@ pub fn verify(prog: &SnippetProgram) -> VerifyReport {
 }
 
 /// Install-time verification of a snippet, as run by the DPCL daemons
-/// before `Image::try_insert`: a snippet carrying an IR program must
-/// verify; an opaque legacy closure (no program) passes unchecked.
+/// before `Image::try_insert`: its program must verify.
 pub fn verify_snippet(s: &Snippet) -> Result<(), String> {
-    match &s.program {
-        None => Ok(()),
-        Some(prog) => {
-            let report = prog.verify();
-            if report.ok() {
-                Ok(())
-            } else {
-                Err(format!("snippet {:?} rejected: {report}", s.name))
-            }
-        }
+    let report = s.program.verify();
+    if report.ok() {
+        Ok(())
+    } else {
+        Err(format!("snippet {:?} rejected: {report}", s.name()))
     }
 }
 
@@ -1059,7 +1043,6 @@ mod tests {
         assert_eq!(report.derived_cost, STORE_COST);
         assert_eq!(report.stores, 1);
         let (s, state) = prog.compile_with_state().expect("verifies");
-        assert_eq!(s.cost, SimTime::ZERO);
         assert_eq!(s.derived_cost, Some(STORE_COST));
         in_proc(move |p| {
             (s.code)(&ctx_for(p, 3));
@@ -1282,8 +1265,10 @@ mod tests {
 
     #[test]
     fn verify_snippet_accepts_legacy_and_rejects_bad_programs() {
-        let legacy = Snippet::noop("legacy");
+        // `Snippet::new`'s closure is the one-call program: it verifies.
+        let legacy = Snippet::new("legacy", SimTime::from_nanos(30), |_| {});
         assert!(verify_snippet(&legacy).is_ok());
+        assert!(matches!(legacy.program.body[..], [Stmt::Call(0)]));
         let good = count_program().compile().expect("verifies");
         assert!(verify_snippet(&good).is_ok());
         let bad = SnippetProgram::new("bad", 0, vec![Stmt::StopTimer], IntrinsicTable::empty())

@@ -6,9 +6,10 @@
 //! **base trampoline**, which saves registers and dispatches a chain of
 //! **mini-trampolines**, each holding one instrumentation snippet.
 //!
-//! The crate models that machinery with real executable snippets
-//! (closures) and an explicit cost model, preserving the property the
-//! paper's results hinge on: *an uninstrumented probe point costs zero*.
+//! The crate models that machinery with real executable snippets (each
+//! a verified [`ir::SnippetProgram`]) and an explicit cost model,
+//! preserving the property the paper's results hinge on: *an
+//! uninstrumented probe point costs zero*.
 //!
 //! An [`Image`] is two things: the [`Program`] (name, symbol table, and
 //! the pool of trampoline chains its images share) that every process of
@@ -50,7 +51,6 @@ mod trampoline;
 pub use func::{BasicBlock, FuncId, FunctionInfo, ProbePoint, ProbePointKind};
 pub use image::{
     CallerCtx, Image, ImageBuilder, ImageObserver, PatchError, PcLog, Program, StaticHooks,
-    MAX_SAMPLED_THREADS,
 };
 pub use ir::{
     verify_snippet, BinOp, ChargeMode, CtxField, Expr, Intrinsic, IntrinsicTable, ProgramState,

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use dynprof_sim::{Proc, SimTime};
 
 use crate::func::{FuncId, ProbePointKind};
-use crate::ir::SnippetProgram;
+use crate::ir::{Intrinsic, IntrinsicTable, SnippetProgram, Stmt};
 
 /// Unique handle for an inserted snippet (for later removal).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -33,59 +33,59 @@ pub struct ProbeCtx<'a> {
     pub reps: u64,
 }
 
-/// A block of dynamically-insertable instrumentation code: an executable
-/// closure plus the simulated cost of one execution.
+/// A block of dynamically-insertable instrumentation code: a typed
+/// [`SnippetProgram`] plus the code lowered from it.
 ///
 /// In Dyninst terms this is the *instrumentation primitive* placed in a
 /// mini-trampoline (paper Fig 1), e.g. `start_timer()`.
 #[derive(Clone)]
 pub struct Snippet {
-    /// Human-readable snippet name (shows up in diagnostics).
-    pub name: Arc<str>,
-    /// The instrumentation code itself.
+    /// The code lowered from `program`: what a probe fire runs, charges
+    /// included.
     pub code: Arc<dyn Fn(&ProbeCtx<'_>) + Send + Sync>,
-    /// Simulated cost of one execution of the snippet body (what the
-    /// closure costs the host is measured separately, by `micro.rs`).
-    pub cost: SimTime,
-    /// The typed IR this snippet was compiled from, when it was built via
-    /// [`SnippetProgram::compile`]. Install-time verification
-    /// ([`crate::ir::verify_snippet`]) re-checks this program; opaque
-    /// legacy closures carry `None` and pass unverified.
-    pub program: Option<Arc<SnippetProgram>>,
+    /// The typed IR `code` was lowered from. Install-time verification
+    /// ([`crate::ir::verify_snippet`]) re-checks it.
+    pub program: Arc<SnippetProgram>,
     /// The verifier's worst-case cost bound for one `reps = 1` firing,
-    /// stamped by [`SnippetProgram::compile`]. Unlike `cost` this is
-    /// *derived*, not trusted — the overhead controller prefers it.
+    /// stamped by [`SnippetProgram::compile`]; `None` only from
+    /// [`SnippetProgram::compile_unchecked`].
     pub derived_cost: Option<SimTime>,
 }
 
 impl Snippet {
-    /// Create a snippet.
+    /// A snippet whose body is one call to `code`, charged `cost` per
+    /// firing: the one-call program over [`Intrinsic::charged`], so its
+    /// derived cost is `cost`.
     pub fn new(
         name: impl Into<String>,
         cost: SimTime,
         code: impl Fn(&ProbeCtx<'_>) + Send + Sync + 'static,
     ) -> Snippet {
-        Snippet {
-            name: Arc::from(name.into()),
-            code: Arc::new(code),
-            cost,
-            program: None,
-            derived_cost: None,
-        }
+        let name = name.into();
+        let table = IntrinsicTable::new(vec![Intrinsic::charged(name.as_str(), cost, code)]);
+        SnippetProgram::new(name, 0, vec![Stmt::Call(0)], table)
+            .compile()
+            .expect("a one-call program verifies")
     }
 
-    /// A snippet that does nothing and costs nothing (useful in tests and
-    /// as the `configuration_break` no-op body).
+    /// The empty program: does nothing and costs nothing (useful in tests
+    /// and as the `configuration_break` body).
     pub fn noop(name: impl Into<String>) -> Snippet {
-        Snippet::new(name, SimTime::ZERO, |_| {})
+        SnippetProgram::new(name, 0, Vec::new(), IntrinsicTable::empty())
+            .compile()
+            .expect("the empty program verifies")
+    }
+
+    /// The program's name (diagnostics, [`crate::BaseTrampoline::remove_named`]).
+    pub fn name(&self) -> &str {
+        &self.program.name
     }
 }
 
 impl fmt::Debug for Snippet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Snippet")
-            .field("name", &self.name)
-            .field("cost", &self.cost)
+            .field("name", &self.name())
             .field("derived_cost", &self.derived_cost)
             .finish()
     }
@@ -94,6 +94,7 @@ impl fmt::Debug for Snippet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::verify_snippet;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -103,16 +104,20 @@ mod tests {
         let s = Snippet::new("count", SimTime::from_nanos(10), move |ctx| {
             h.fetch_add(ctx.reps, Ordering::Relaxed);
         });
-        assert_eq!(s.cost, SimTime::from_nanos(10));
+        // The declared cost is the one-call program's derived bound.
+        assert_eq!(s.derived_cost, Some(SimTime::from_nanos(10)));
+        assert!(verify_snippet(&s).is_ok());
         // Execute outside a simulation by faking a context is not possible
         // (needs a Proc); full execution is covered in image::tests.
-        assert_eq!(&*s.name, "count");
+        assert_eq!(s.name(), "count");
         assert_eq!(hits.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn noop_is_free() {
         let s = Snippet::noop("nop");
-        assert_eq!(s.cost, SimTime::ZERO);
+        assert_eq!(s.derived_cost, Some(SimTime::ZERO));
+        assert!(s.program.body.is_empty());
+        assert!(verify_snippet(&s).is_ok());
     }
 }

