@@ -6,9 +6,10 @@
 //! touches only the bytes it needs. It is also crash-consistent: every
 //! chunk carries a CRC-32 and the file is salvageable without its footer
 //! (see [`StoreReader::open_salvage`] and DESIGN §17). Format **version
-//! 3** is written; versions 2 and 3 are read. They share this layout and
+//! 4** is written; versions 2 to 4 are read. They share this layout and
 //! differ only inside chunk payloads: v3 adds the recurrence tags of
-//! [`codec`], and a v2 payload is a v3 payload that uses none.
+//! [`codec`], v4 keeps them over a larger table, and a v2 payload is a
+//! payload of either that uses none.
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────────────┐
@@ -136,9 +137,10 @@ use crate::error::TraceError;
 /// File magic of the chunk-indexed store format.
 pub const STORE_MAGIC: &[u8; 4] = b"VGVS";
 /// The store format version the writer writes: CRC-32 chunks, a
-/// salvageable preamble, and recurrence-coded payloads.
-pub const STORE_VERSION: u16 = 3;
-/// The oldest version the reader reads: v2, whose payloads are v3
+/// salvageable preamble, and recurrence-coded payloads over a 48-slot,
+/// eight-way shape table.
+pub const STORE_VERSION: u16 = 4;
+/// The oldest version the reader reads: v2, whose payloads are v3 or v4
 /// payloads without a repeat tag.
 pub(crate) const STORE_VERSION_MIN: u16 = 2;
 /// What [`compact`] and [`SegmentSet`] re-number a function id to when the

@@ -169,9 +169,9 @@ impl ChunkBuf {
 
     /// Decode the payload behind the header as `count` events of `rank`
     /// (see [`decode_chunk`]: whole chunk or nothing).
-    fn decode(&mut self, rank: u32, count: u32) -> Result<usize, TraceError> {
+    fn decode(&mut self, rank: u32, count: u32, version: u16) -> Result<usize, TraceError> {
         let payload = &self.raw[CHUNK_HEADER_BYTES..self.len];
-        decode_chunk(payload, rank, count, &mut self.events)
+        decode_chunk(payload, rank, count, version, &mut self.events)
     }
 
     /// The events of the last successful [`ChunkBuf::decode`].
@@ -455,7 +455,7 @@ impl StoreReader {
             return Err(TraceError::ChecksumMismatch { index: i });
         }
         self.peak_chunk_bytes = self.peak_chunk_bytes.max(meta.enc_len as usize);
-        self.chunk.decode(meta.rank, meta.count)?;
+        self.chunk.decode(meta.rank, meta.count, self.version)?;
         if let Some(t0) = start {
             obs::histogram("analysis.decode_real_ns").record(t0.elapsed().as_nanos() as u64);
             obs_chunks_read(1);

@@ -20,10 +20,8 @@ use dynprof_sim::SimTime;
 
 use super::crc::crc32;
 use super::reader::{check_header, take_string, ChunkBuf, SalvageSummary, StoreReader};
-use super::writer::{encode_footer_and_trailer, encode_preamble};
-use super::{
-    ChunkMeta, CHUNK_HEADER_BYTES, HEADER_BYTES, STORE_MAGIC, STORE_VERSION, TRAILER_BYTES,
-};
+use super::writer::{encode_footer_and_trailer, encode_header, encode_preamble};
+use super::{ChunkMeta, CHUNK_HEADER_BYTES, HEADER_BYTES, STORE_MAGIC, TRAILER_BYTES};
 use crate::error::TraceError;
 
 fn obs_chunks_salvaged(n: u64) {
@@ -415,6 +413,8 @@ pub fn fsck(path: impl AsRef<Path>) -> Result<FsckReport, TraceError> {
 /// preserves CRCs and chunk boundaries — queries against the repaired
 /// file match the salvaged view exactly), then a fresh preamble, footer,
 /// and trailer are written so [`StoreReader::open`] accepts the result.
+/// Header and trailer keep the version `path` has: it names the shape
+/// table the copied payloads were encoded with.
 /// Returns the pre-repair [`FsckReport`] describing what was recovered.
 pub fn repair(path: impl AsRef<Path>, out: impl AsRef<Path>) -> Result<FsckReport, TraceError> {
     let path = path.as_ref();
@@ -442,10 +442,7 @@ pub fn repair(path: impl AsRef<Path>, out: impl AsRef<Path>) -> Result<FsckRepor
 
     let mut input = std::fs::File::open(path)?;
     let mut sink = std::io::BufWriter::new(std::fs::File::create(out.as_ref())?);
-    let mut header = [0u8; HEADER_BYTES as usize];
-    header[..4].copy_from_slice(STORE_MAGIC);
-    header[4..6].copy_from_slice(&STORE_VERSION.to_le_bytes());
-    sink.write_all(&header)?;
+    sink.write_all(&encode_header(report.version))?;
     let framed = encode_preamble(&program, &functions);
     sink.write_all(&framed)?;
     let mut pos = HEADER_BYTES + framed.len() as u64;
@@ -461,7 +458,7 @@ pub fn repair(path: impl AsRef<Path>, out: impl AsRef<Path>) -> Result<FsckRepor
         index.push(moved);
         pos += disk;
     }
-    let footer = encode_footer_and_trailer(&program, &functions, &index);
+    let footer = encode_footer_and_trailer(&program, &functions, &index, report.version);
     sink.write_all(&footer)?;
     sink.flush()?;
     Ok(report)

@@ -352,13 +352,13 @@ fn rotating_session_keeps_the_tail_of_every_rank() {
             stats.deleted,
             stats.bytes
         ),
-        (2, 2, 1, 123_904),
-        "2 segments on disk (2 rotated, 1 retired), 123904 bytes"
+        (2, 2, 1, 88_160),
+        "2 segments on disk (2 rotated, 1 retired), 88160 bytes"
     );
 
     let (retained, info) = family(&base);
     assert_eq!((info.ranks, info.segments), (64, 2), "{info:?}");
-    assert_eq!(info.file_bytes, 123_904);
+    assert_eq!(info.file_bytes, 88_160);
     let app = test_app("sweep3d", 64).unwrap();
     let cfg = SessionConfig::new(Machine::ibm_power3_colony(), Policy::Dynamic)
         .with_seed(42)
@@ -411,13 +411,7 @@ fn rotating_session_keeps_the_tail_of_every_rank() {
 #[test]
 fn rotating_session_interleaves_rolls_and_seals() {
     use dynprof::analysis::store::StoreReader;
-    let app_args = [
-        "umt98",
-        "cpus=8",
-        "policy=full",
-        "scale=1",
-        "rotate=1000000",
-    ];
+    let app_args = ["umt98", "cpus=8", "policy=full", "scale=1", "rotate=200000"];
     let (out, base) = dynprof_cli("rot-deep", &app_args);
     let stats = out.segments.expect("a rotating capture reports its family");
     assert_eq!(
@@ -456,5 +450,5 @@ fn rotating_session_interleaves_rolls_and_seals() {
 }
 
 /// `(segments on disk, rotated, retired, bytes)` of `umt98 cpus=8
-/// policy=full scale=1 rotate=1000000`.
-const ROLLED: (usize, usize, usize, u64) = (4, 3, 0, 3_346_621);
+/// policy=full scale=1 rotate=200000`.
+const ROLLED: (usize, usize, usize, u64) = (4, 3, 0, 756_300);

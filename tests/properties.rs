@@ -176,7 +176,7 @@ fn recur(shape: &Event, rank: u32, t: u64, dur: u64) -> Event {
     ev
 }
 
-/// Store v3's recurrence codec on the streams it exists for: ranks
+/// Store v4's recurrence codec on the streams it exists for: ranks
 /// repeating a vocabulary of event shapes (every kind, with and without a
 /// duration; from one shape to far more than the table holds, so shapes
 /// collide and evict each other), each time with the same gap and
@@ -218,9 +218,11 @@ fn recurrence_codec_round_trip() {
                         *dur = dur.saturating_add_signed(r.gen_range_u64(0..=200) as i64 - 100);
                     }
                     4 => *gap = -(r.gen_range_u64(0..=5_000) as i64),
+                    // Past what a v4 slot keeps (an `i32` Δt, a `u32`
+                    // duration), so the narrowed words get exercised.
                     _ => {
-                        *gap = r.gen_range_u64(0..=1 << 30) as i64;
-                        *dur = r.gen_range_u64(0..=1 << 30);
+                        *gap = r.gen_range_u64(0..=1 << 34) as i64 - (1 << 33);
+                        *dur = r.gen_range_u64(0..=1 << 34);
                     }
                 }
                 t = (t + *gap).max(0);
