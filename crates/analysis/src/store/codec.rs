@@ -29,34 +29,31 @@
 //! of the file's version, never a knob: [`decode_chunk`] rebuilds the
 //! table the version names, and the writer writes v4 only.
 
-use bytes::{Buf, BufMut, BytesMut};
 use dynprof_sim::SimTime;
 use dynprof_vt::{Event, VtFuncId};
 
+use super::take_u8;
 use crate::error::TraceError;
 
 /// Append `v` as an LEB128 varint (7 bits per byte, little-endian).
 #[inline]
-pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
 /// Decode one LEB128 varint; `None` on truncation or overlong input.
-pub fn get_varint(buf: &mut impl Buf) -> Option<u64> {
+pub fn get_varint(buf: &mut &[u8]) -> Option<u64> {
     let mut v: u64 = 0;
     for shift in (0..64).step_by(7) {
-        if buf.remaining() < 1 {
-            return None;
-        }
-        let byte = buf.get_u8();
+        let byte = take_u8(buf)?;
         v |= ((byte & 0x7f) as u64) << shift;
         if byte & 0x80 == 0 {
             return Some(v);
@@ -336,8 +333,8 @@ fn set_of(s: &Shape, sets: usize) -> usize {
 
 /// Append the literal (v2) encoding of an event: kind, Δt, then the
 /// kind's fields in its own order.
-fn put_literal(buf: &mut BytesMut, s: &Shape, dt: u64, dur: u64) {
-    buf.put_u8(s.kind());
+fn put_literal(buf: &mut Vec<u8>, s: &Shape, dt: u64, dur: u64) {
+    buf.push(s.kind());
     put_varint(buf, zigzag(dt as i64));
     match s.kind() {
         1 | 2 => {
@@ -352,7 +349,7 @@ fn put_literal(buf: &mut BytesMut, s: &Shape, dt: u64, dur: u64) {
         }
         4 => {
             put_varint(buf, dur);
-            buf.put_u8(s.a() as u8);
+            buf.push(s.a() as u8);
             put_varint(buf, zigzag(i64::from(s.b() as i32)));
             put_varint(buf, s.c);
         }
@@ -388,10 +385,7 @@ fn get_literal(buf: &mut &[u8], kind: u8) -> Option<(Shape, u64, u64)> {
         }
         4 => {
             dur = get_varint(buf)?;
-            if buf.remaining() < 1 {
-                return None;
-            }
-            a = buf.get_u8().into();
+            a = take_u8(buf)?.into();
             b = unzigzag(get_varint(buf)?) as i32 as u32;
             c = get_varint(buf)?;
         }
@@ -462,7 +456,7 @@ impl<W: Words, const SLOTS: usize, const WAYS: usize> ShapeTable<W, SLOTS, WAYS>
     /// Append the encoding of `ev`. `prev_t` carries the running timestamp
     /// of the delta chain and is updated to `ev.time()`.
     #[inline]
-    pub(crate) fn encode(&mut self, buf: &mut BytesMut, ev: &Event, prev_t: &mut u64) {
+    pub(crate) fn encode(&mut self, buf: &mut Vec<u8>, ev: &Event, prev_t: &mut u64) {
         let () = Self::FITS;
         let (shape, t, dur) = split(ev);
         let dt = t.wrapping_sub(*prev_t);
@@ -483,7 +477,7 @@ impl<W: Words, const SLOTS: usize, const WAYS: usize> ShapeTable<W, SLOTS, WAYS>
         let (was_dt, was_dur) = slot.words.get();
         let (r_dt, r_dur) = (dt.wrapping_sub(was_dt), dur.wrapping_sub(was_dur));
         let flags = (u8::from(r_dt != 0) * TAG_DT) | (u8::from(r_dur != 0) * TAG_DUR);
-        buf.put_u8(TAG_BASE + 4 * (set + way) as u8 + flags);
+        buf.push(TAG_BASE + 4 * (set + way) as u8 + flags);
         if r_dt != 0 {
             put_varint(buf, zigzag(r_dt as i64));
         }
@@ -500,10 +494,7 @@ impl<W: Words, const SLOTS: usize, const WAYS: usize> ShapeTable<W, SLOTS, WAYS>
     /// hash.
     #[inline]
     fn decode(&mut self, buf: &mut &[u8], rank: u32, prev_t: &mut u64) -> Option<Event> {
-        if buf.remaining() < 1 {
-            return None;
-        }
-        let tag = buf.get_u8();
+        let tag = take_u8(buf)?;
         let (shape, dt, dur) = if tag < TAG_BASE {
             let (shape, dt, dur) = get_literal(buf, tag)?;
             Self::admit(
@@ -591,8 +582,8 @@ mod tests {
     use crate::store::STORE_VERSION;
 
     /// `events` encoded as one chunk with `T`'s table.
-    fn encode_in<T: Encode>(events: &[Event]) -> BytesMut {
-        let (mut buf, mut table, mut prev) = (BytesMut::new(), T::default(), 0);
+    fn encode_in<T: Encode>(events: &[Event]) -> Vec<u8> {
+        let (mut buf, mut table, mut prev) = (Vec::new(), T::default(), 0);
         for e in events {
             table.encode(&mut buf, e, &mut prev);
         }
@@ -600,14 +591,14 @@ mod tests {
     }
 
     /// `events` encoded as one chunk, as the writer does.
-    fn encode(events: &[Event]) -> BytesMut {
+    fn encode(events: &[Event]) -> Vec<u8> {
         encode_in::<ShapeTableV4>(events)
     }
 
     /// A table of either geometry, as the tests drive it.
     trait Encode: Default {
         const WAYS: usize;
-        fn encode(&mut self, buf: &mut BytesMut, ev: &Event, prev_t: &mut u64);
+        fn encode(&mut self, buf: &mut Vec<u8>, ev: &Event, prev_t: &mut u64);
         fn set(s: &Shape) -> usize;
         /// The Δt a slot given `dt` hands back.
         fn kept_dt(dt: u64) -> u64;
@@ -615,7 +606,7 @@ mod tests {
 
     impl<W: Words, const SLOTS: usize, const WAYS: usize> Encode for ShapeTable<W, SLOTS, WAYS> {
         const WAYS: usize = WAYS;
-        fn encode(&mut self, buf: &mut BytesMut, ev: &Event, prev_t: &mut u64) {
+        fn encode(&mut self, buf: &mut Vec<u8>, ev: &Event, prev_t: &mut u64) {
             ShapeTable::encode(self, buf, ev, prev_t)
         }
         fn set(s: &Shape) -> usize {
@@ -628,7 +619,7 @@ mod tests {
 
     #[test]
     fn varints_round_trip() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let samples = [
             0u64,
             1,
@@ -647,7 +638,7 @@ mod tests {
         for &v in &samples {
             assert_eq!(get_varint(&mut b), Some(v));
         }
-        assert_eq!(b.remaining(), 0);
+        assert!(b.is_empty());
     }
 
     #[test]
@@ -796,7 +787,7 @@ mod tests {
             (TAG_DT + TAG_DUR, &[-10_000, -6_000][..]),
             (0, &[][..]),
         ] {
-            want.put_u8(tag + flags);
+            want.push(tag + flags);
             for &r in residuals {
                 put_varint(&mut want, zigzag(r));
             }
@@ -822,7 +813,7 @@ mod tests {
             .take(T::WAYS + 1)
             .collect();
         let literals = |events: &[Event]| {
-            let (mut buf, mut prev) = (BytesMut::new(), 0);
+            let (mut buf, mut prev) = (Vec::new(), 0);
             for e in events {
                 T::default().encode(&mut buf, e, &mut prev);
             }
@@ -889,7 +880,7 @@ mod tests {
         let tag = TAG_BASE + 4 * ShapeTableV4::set(&split(&events[0]).0) as u8;
         let mut want = encode(&events[..1]);
         for &(_, (r_dt, r_dur)) in &steps[1..] {
-            want.put_u8(tag + u8::from(r_dt != 0) * TAG_DT + u8::from(r_dur != 0) * TAG_DUR);
+            want.push(tag + u8::from(r_dt != 0) * TAG_DT + u8::from(r_dur != 0) * TAG_DUR);
             for r in [r_dt, r_dur].into_iter().filter(|&r| r != 0) {
                 put_varint(&mut want, zigzag(r));
             }
@@ -1008,9 +999,9 @@ mod tests {
         };
         // `first`, then `tag` and the zigzag varint of each residual.
         let with = |tag: u8, residuals: &[i64]| {
-            let mut buf = BytesMut::new();
-            buf.put_slice(&first);
-            buf.put_u8(tag);
+            let mut buf = Vec::new();
+            buf.extend_from_slice(&first);
+            buf.push(tag);
             for &r in residuals {
                 put_varint(&mut buf, zigzag(r));
             }
@@ -1021,9 +1012,9 @@ mod tests {
         // Δt 1000 → i64::MAX, then i64::MAX again against whatever the
         // slot kept of it: t past the end of time.
         let max = i64::MAX as u64;
-        let mut overflow = BytesMut::new();
-        overflow.put_slice(&with(tag + TAG_DT, &[i64::MAX - 1_000]));
-        overflow.put_u8(tag + TAG_DT);
+        let mut overflow = Vec::new();
+        overflow.extend_from_slice(&with(tag + TAG_DT, &[i64::MAX - 1_000]));
+        overflow.push(tag + TAG_DT);
         put_varint(
             &mut overflow,
             zigzag(max.wrapping_sub(T::kept_dt(max)) as i64),

@@ -360,7 +360,7 @@ fn obs_counters_cover_salvage_corruption_and_rotation() {
     .unwrap();
     w.set_functions(trace.functions.clone());
     for ev in &trace.events {
-        w.append(ev).unwrap();
+        w.append(ev);
     }
     let stats = w.finish().unwrap();
     assert_eq!(
