@@ -6,10 +6,9 @@
 //! expose (paper §1).
 //!
 //! Profiles are accumulated by [`ProfileBuilder`], which consumes events
-//! one at a time. It has four feeders: a merged [`Trace`]
+//! one at a time. It has three feeders: a merged [`Trace`]
 //! ([`Profile::from_trace`]), a chunk-indexed store streamed in file order
-//! ([`Profile::from_store`]), a [`VtLib`]'s per-rank buffers replayed in
-//! place ([`Profile::from_vt`]), and the running library itself — the
+//! ([`Profile::from_store`]), and the running library itself — the
 //! builder is an [`EventSink`] whose per-rank state goes out to the rank
 //! as its [`Lane`] and comes home when the lane closes, which is how
 //! `dynprof` computes its summary without ever holding the trace or
@@ -20,7 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use dynprof_sim::SimTime;
-use dynprof_vt::{locked, Event, EventSink, Lane, Trace, VtFuncId, VtLib};
+use dynprof_vt::{locked, Event, EventSink, Lane, Trace, VtFuncId};
 
 use crate::dense::{DenseMap, DENSE_RANKS, DENSE_THREADS};
 use crate::error::TraceError;
@@ -163,7 +162,7 @@ fn windows_of(opts: ProfileOptions, all: &Windows, rank: u32) -> Option<&[(SimTi
 /// Streaming profile accumulator: feed events in each rank's causal
 /// order via [`ProfileBuilder::push`], then [`ProfileBuilder::finish`].
 /// Ranks may interleave freely (a time-sorted [`Trace`]) or arrive one
-/// after another (a store, a [`VtLib`]): only the order *within* a rank
+/// after another (a store): only the order *within* a rank
 /// matters. Memory is `O(functions × ranks + open frames)` — independent
 /// of trace length — and a push on an already-seen rank, thread and
 /// function is three array indexings: no search, no allocation.
@@ -306,29 +305,6 @@ impl Profile {
         }
         reader.query(None, None, &mut |ev| b.push(ev))?;
         Ok(b.finish())
-    }
-
-    /// Replay a live library's per-rank buffers in place, rank by rank in
-    /// append order — the session summary's path. Nothing is cloned,
-    /// merged or sorted: a profile needs each rank's causal order and no
-    /// cross-rank order at all, so the result equals
-    /// `Profile::from_trace_opts(&vt.build_trace(), opts)` without the
-    /// merged event array ever existing.
-    pub fn from_vt(vt: &VtLib, opts: ProfileOptions) -> Profile {
-        let mut b = ProfileBuilder::new(vt.function_names(), opts);
-        if opts.exclude_suspensions {
-            let mut windows = Windows::new();
-            for rank in 0..vt.ranks() {
-                vt.with_rank_events(rank, |evs| {
-                    evs.iter().for_each(|ev| note_suspension(&mut windows, ev))
-                });
-            }
-            b.set_suspensions(sorted_windows(windows));
-        }
-        for rank in 0..vt.ranks() {
-            vt.with_rank_events(rank, |evs| evs.iter().for_each(|ev| b.push(ev)));
-        }
-        b.finish()
     }
 
     /// Function name lookup.

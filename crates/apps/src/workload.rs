@@ -13,7 +13,6 @@
 
 use dynprof_core::AppCtx;
 use dynprof_image::FuncId;
-use dynprof_sim::SimTime;
 
 /// A 3-D process decomposition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -307,11 +306,6 @@ impl Outputs {
 /// Scale a `u64` count by the params' scale factor (min 1).
 pub fn scaled(count: u64, scale: f64) -> u64 {
     dynprof_sim::time::round_to_u64(count as f64 * scale).max(1)
-}
-
-/// Scale a [`SimTime`].
-pub fn scaled_time(t: SimTime, scale: f64) -> SimTime {
-    t.mul_f64(scale)
 }
 
 #[cfg(test)]

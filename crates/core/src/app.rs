@@ -111,25 +111,6 @@ impl<'a> AppCtx<'a> {
         )
     }
 
-    /// Call `fid` from OpenMP thread `thread` on the worker process `wp`.
-    pub fn call_on_thread<R>(
-        &self,
-        wp: &Proc,
-        thread: usize,
-        fid: FuncId,
-        body: impl FnOnce() -> R,
-    ) -> R {
-        self.image.call(
-            wp,
-            CallerCtx {
-                rank: self.rank,
-                thread,
-            },
-            fid,
-            body,
-        )
-    }
-
     /// Batched call from an OpenMP worker thread.
     pub fn call_batch_on_thread<R>(
         &self,

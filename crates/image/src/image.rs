@@ -307,11 +307,6 @@ impl Image {
         self.counts[fid.index()].load(Ordering::Relaxed)
     }
 
-    /// Total calls recorded across all functions.
-    pub fn total_calls(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
     /// Number of probe-point patch operations performed so far.
     pub fn patch_count(&self) -> u64 {
         self.patches.load(Ordering::Relaxed)

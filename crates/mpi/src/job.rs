@@ -74,18 +74,6 @@ impl Job {
         &self.state.name
     }
 
-    /// A fresh communicator handle for `rank` (for monitoring tools that
-    /// need to reason about the job; application ranks receive their own).
-    ///
-    /// The handle carries its own collective-sequence counter, so do NOT
-    /// issue collectives through it concurrently with the application's
-    /// own communicator — the collective tags would not line up. Use it
-    /// for point-to-point probes and metadata only.
-    pub fn comm_for(&self, rank: usize) -> Comm {
-        assert!(rank < self.state.size);
-        Comm::new(Arc::clone(&self.state), rank)
-    }
-
     /// What receiving has cost on the job's mailboxes so far: `(examined,
     /// received)`, [`SimChannel::examined`] and [`SimChannel::received`]
     /// summed over the ranks.

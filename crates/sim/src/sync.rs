@@ -540,11 +540,6 @@ impl SimGate {
         }
     }
 
-    /// Is the gate open?
-    pub fn is_open(&self) -> bool {
-        self.state.lock().open_at.is_some()
-    }
-
     /// Open the gate, releasing waiters `latency` after the opener's time.
     pub fn open(&self, p: &Proc, latency: SimTime) {
         let at = p.now() + latency;
@@ -663,11 +658,6 @@ impl<T> SimQueue<T> {
             let mut s = self.state.lock();
             s.2.retain(|&w| w != pid);
         }
-    }
-
-    /// Pop without blocking.
-    pub fn try_pop(&self) -> Option<T> {
-        self.state.lock().0.pop_front()
     }
 }
 

@@ -342,12 +342,6 @@ impl VtLib {
         self.degraded.lock().push((epoch, nodes.to_vec()));
     }
 
-    /// Degraded-mode instrumentation epochs recorded by
-    /// [`VtLib::note_degraded`]: `(txn epoch, nodes left uninstrumented)`.
-    pub fn degraded_epochs(&self) -> Vec<(u64, Vec<usize>)> {
-        self.degraded.lock().clone()
-    }
-
     /// True if any instrumentation epoch landed on fewer than all of its
     /// nodes — figure harnesses use this to label output rows.
     pub fn is_degraded(&self) -> bool {
@@ -484,11 +478,6 @@ impl VtLib {
 
     pub(crate) fn with_config<R>(&self, rank: usize, f: impl FnOnce(&mut VtConfig) -> R) -> R {
         f(&mut self.procs[rank].config.lock())
-    }
-
-    /// A snapshot of `rank`'s current configuration.
-    pub fn config_of(&self, rank: usize) -> VtConfig {
-        self.procs[rank].config.lock().clone()
     }
 
     fn assert_ready(&self, rank: usize) {

@@ -112,11 +112,11 @@ fn identity(m: &ChunkMeta) -> (u32, u32, u32, u32, SimTime, SimTime, SimTime) {
 /// — chunk for chunk per rank (header fields and CRC, so payload bytes)
 /// and name for name, and byte for byte whenever no chunk sealed before
 /// the run ended (a live capture interleaves the ranks' chunks in time and
-/// writes its preamble at the first); the profile must be
-/// `Profile::from_vt`'s; each rank's recorded stream its buffered one.
+/// writes its preamble at the first); the profile must be the buffered
+/// trace's; each rank's recorded stream its buffered one.
 fn assert_lanes_match_the_shared_path(app: &AppSpec, cfg: SessionConfig, ctx: &str) {
     let buffered = run_session(app, cfg.clone());
-    let expected = Profile::from_vt(&buffered.vt, ProfileOptions::default());
+    let expected = Profile::from_trace(&buffered.vt.build_trace());
     let streams: Vec<Vec<Event>> = (0..buffered.vt.ranks())
         .map(|r| buffered.vt.with_rank_events(r, <[Event]>::to_vec))
         .collect();

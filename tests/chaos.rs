@@ -869,7 +869,7 @@ fn adaptive_controller_survives_fault_matrix() {
 #[test]
 fn store_round_trip_survives_fault_runs() {
     use dynprof::analysis::store::{write_store_from_vt, StoreOptions, StoreReader};
-    use dynprof::analysis::{Profile, ProfileOptions};
+    use dynprof::analysis::{Profile, ProfileBuilder, ProfileOptions};
 
     let dir = std::env::temp_dir().join("dynprof-chaos-store");
     std::fs::create_dir_all(&dir).unwrap();
@@ -879,7 +879,7 @@ fn store_round_trip_survives_fault_runs() {
             faults: Some(FaultSpec::parse(&format!("{seed}:lossy")).expect("spec")),
             ..SessionConfig::new(Machine::ibm_power3_colony(), Policy::Full).with_seed(seed)
         };
-        let report = run_session(&spec, cfg);
+        let report = run_session(&spec, cfg.clone());
 
         let trace = report.vt.build_trace();
         let path = dir.join(format!("chaos-{seed}-{}.vgvs", std::process::id()));
@@ -904,11 +904,15 @@ fn store_round_trip_survives_fault_runs() {
             from_store.per_rank, from_trace.per_rank,
             "streaming profile under faults, seed {seed}"
         );
-        // So does the session summary's merge-free replay of the buffers.
-        let from_vt = Profile::from_vt(&report.vt, ProfileOptions::default());
-        assert_eq!(from_vt.per_rank, from_trace.per_rank, "seed {seed}");
-        assert_eq!(from_vt.ranks, from_trace.ranks, "seed {seed}");
-        assert_eq!(from_vt.render_top(15), from_trace.render_top(15));
+        // So does the session summary's feeder: a `ProfileBuilder`
+        // installed as the capture of the same session.
+        let builder = ProfileBuilder::new(Vec::new(), ProfileOptions::default());
+        let slot = Arc::new(Mutex::new(Some(builder)));
+        run_session(&spec, cfg.with_capture(Arc::clone(&slot) as _));
+        let from_live = slot.lock().unwrap().take().unwrap().finish();
+        assert_eq!(from_live.per_rank, from_trace.per_rank, "seed {seed}");
+        assert_eq!(from_live.ranks, from_trace.ranks, "seed {seed}");
+        assert_eq!(from_live.render_top(15), from_trace.render_top(15));
         std::fs::remove_file(&path).ok();
     }
 }

@@ -347,7 +347,7 @@ impl MapProfile {
 /// names — interleaved, sparse, descending, up to the type's maximum,
 /// beyond the function dictionary — it must produce exactly what the
 /// map-based reference does, and feeding the same events grouped by rank
-/// (the order `Profile::from_vt` and `from_store` use) must change nothing.
+/// (the order a store and a live capture's lanes use) must change nothing.
 #[test]
 fn profile_builder_matches_map_reference_on_arbitrary_ids() {
     // Both sides of every dense/spill boundary, listed descending.
