@@ -176,11 +176,6 @@ impl AckResult {
     pub fn is_ok(&self) -> bool {
         matches!(self, AckResult::Ok { .. })
     }
-
-    /// True for `TimedOut`.
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, AckResult::TimedOut { .. })
-    }
 }
 
 /// Daemon → instrumenter messages.

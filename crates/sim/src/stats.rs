@@ -67,11 +67,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation (0 if empty).
     pub fn min(&self) -> f64 {
         if self.n == 0 {
