@@ -541,6 +541,67 @@ mod tests {
     }
 
     #[test]
+    fn unmatched_ends_record_as_before() {
+        // Rank 1 of a hybrid job: its image observer and its OpenMP hooks
+        // write to the same rank.
+        let vtl = vt(2, VtConfig::all_on());
+        let img = Arc::new(ImageBuilder::new("app").build());
+        img.set_observer(VtImageObserver::new(Arc::clone(&vtl), 1));
+        let omp = VtOmpHooks::new(Arc::clone(&vtl), 1);
+        let (v2, img2) = (Arc::clone(&vtl), Arc::clone(&img));
+        let sim = Sim::virtual_time(Machine::test_machine(), 1);
+        let step = SimTime::from_micros(10);
+        let charge = vtl.costs().omp_region_event;
+        sim.spawn("p", 0, move |p| {
+            v2.init(p, 1);
+            let t0 = p.now();
+            // A thread end with no recorded begin: a zero-length span at now.
+            omp.on_thread_end(p, RegionId(7), 3);
+            // A resume with no suspend records nothing.
+            img2.resume(p, SimTime::ZERO);
+            VtImageObserver::new(Arc::clone(&v2), 1).on_resume(p);
+            // A suspension inside an open thread span: both spans, nested.
+            omp.on_thread_begin(p, RegionId(8), 0);
+            p.advance(step);
+            img2.suspend(p);
+            p.advance(step);
+            img2.resume(p, SimTime::ZERO);
+            p.advance(step);
+            omp.on_thread_end(p, RegionId(8), 0);
+            assert_eq!(p.now(), t0 + charge * 3 + step * 3);
+        });
+        sim.run();
+        let events = vtl.with_rank_events(1, <[Event]>::to_vec);
+        let t0 = SimTime::from_micros(400);
+        let (t1, t2) = (t0 + charge, t0 + charge * 2);
+        assert_eq!(
+            events,
+            [
+                Event::OmpThread {
+                    t: t1,
+                    t_end: t1,
+                    rank: 1,
+                    thread: 3,
+                    region: 7,
+                },
+                Event::Suspended {
+                    t: t2 + step,
+                    t_end: t2 + step * 2,
+                    rank: 1,
+                },
+                Event::OmpThread {
+                    t: t2,
+                    t_end: t2 + charge + step * 3,
+                    rank: 1,
+                    thread: 0,
+                    region: 8,
+                },
+            ]
+        );
+        vtl.with_rank_events(0, |evs| assert!(evs.is_empty()));
+    }
+
+    #[test]
     fn hooks_stay_silent_before_vt_init() {
         // A pure-OpenMP app whose VT_init has not run yet must not log.
         let vtl = vt(1, VtConfig::all_on());
