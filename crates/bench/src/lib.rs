@@ -38,7 +38,7 @@ use dynprof_dpcl::DegradedPolicy;
 use dynprof_mpi::{launch, JobSpec};
 use dynprof_obs::{self as obs, Json};
 use dynprof_sim::{FaultSpec, Machine, OnlineStats, SimTime};
-use dynprof_vt::{confsync, ConfigDelta, MonitorLink, Policy, VtConfig, VtLib, VtMpiHooks};
+use dynprof_vt::{confsync, ConfigDelta, MonitorLink, Policy, VtConfig, VtLib};
 
 // ---------------------------------------------------------------------------
 // The figure binaries' command line
@@ -480,7 +480,7 @@ fn one_confsync(
     launch(
         &sim,
         JobSpec::new("confsync-probe", ranks),
-        vec![VtMpiHooks::new(Arc::clone(&vt))],
+        vec![Arc::clone(&vt) as _],
         move |p, comm| {
             comm.init(p);
             // Populate statistics so Experiment 3 has data to write

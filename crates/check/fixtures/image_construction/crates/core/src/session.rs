@@ -7,7 +7,7 @@
 fn process_images(app: &AppSpec, vt: &Arc<VtLib>, static_instr: bool) -> Arc<Vec<Arc<Image>>> {
     let image = |rank| {
         let img = app.build_image(static_instr);
-        img.set_observer(VtImageObserver::new(Arc::clone(vt), rank));
+        img.set_observer(VtRankHooks::new(Arc::clone(vt), rank));
         img
     };
     Arc::new((0..app.mode.processes()).map(image).collect())

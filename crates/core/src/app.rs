@@ -12,7 +12,7 @@ use dynprof_image::{CallerCtx, FuncId, FunctionInfo, Image, Program};
 use dynprof_mpi::Comm;
 use dynprof_omp::OmpRuntime;
 use dynprof_sim::Proc;
-use dynprof_vt::{MonitorLink, VtLib, VtOmpHooks};
+use dynprof_vt::{MonitorLink, VtLib, VtRankHooks};
 
 /// Parallel execution mode of the target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -157,7 +157,7 @@ impl<'a> AppCtx<'a> {
             self.p,
             format!("{}:{}", self.image.program(), self.rank),
             threads,
-            vec![VtOmpHooks::new(Arc::clone(self.vt), self.rank)],
+            vec![VtRankHooks::new(Arc::clone(self.vt), self.rank)],
         )
     }
 }

@@ -27,7 +27,7 @@ use dynprof_sim::sync::SimGate;
 use dynprof_sim::{FaultPlan, FaultSpec, Machine, Proc, ProcBackend, Sim, SimTime};
 use dynprof_vt::{
     vt_begin_snippet, vt_end_snippet, ControllerConfig, MonitorLink, OverheadController, Policy,
-    SharedSink, VtConfig, VtImageObserver, VtLib, VtMpiHooks, VtStaticHooks,
+    SharedSink, VtConfig, VtLib, VtRankHooks, VtStaticHooks,
 };
 
 use crate::app::{AppCtx, AppMode, AppSpec};
@@ -448,12 +448,13 @@ fn process_images(
     vt: &Arc<VtLib>,
     static_instr: bool,
 ) -> Arc<Vec<Arc<Image>>> {
+    let hooks = static_instr.then(|| VtStaticHooks::for_program(Arc::clone(vt), app.program(true)));
     let image = |rank| {
         let img = app.build_image(static_instr);
-        if static_instr {
-            img.set_static_hooks(VtStaticHooks::for_image(Arc::clone(vt), &img));
+        if let Some(hooks) = &hooks {
+            img.set_static_hooks(Arc::clone(hooks) as _);
         }
-        img.set_observer(VtImageObserver::new(Arc::clone(vt), rank));
+        img.set_observer(VtRankHooks::new(Arc::clone(vt), rank));
         if cfg.enable_pc_log {
             img.enable_pc_log();
         }
@@ -549,7 +550,7 @@ fn launch_app(
     match app.mode {
         AppMode::Mpi { ranks } => {
             let mut spec = JobSpec::new(&app.name, ranks).on_node(APP_NODE);
-            let mut hooks: Vec<Arc<dyn MpiHooks>> = vec![VtMpiHooks::new(Arc::clone(&target.vt))];
+            let mut hooks: Vec<Arc<dyn MpiHooks>> = vec![Arc::clone(&target.vt) as _];
             if let Some(hold) = hold {
                 spec = spec.held_by(Arc::clone(&hold.gate));
                 hooks.push(hold.sync.mpi_hook());

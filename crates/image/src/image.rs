@@ -237,7 +237,8 @@ pub struct Image {
     /// library when it is compiled, so the hooks are published once and the
     /// call path borrows them — no lock, no reference count.
     static_hooks: OnceLock<Arc<dyn StaticHooks>>,
-    observer: RwLock<Option<Arc<dyn ImageObserver>>>,
+    /// Published once too, and borrowed at each suspend and resume.
+    observer: OnceLock<Arc<dyn ImageObserver>>,
     suspended: AtomicBool,
     /// The gate suspended callers wait at; replaced at each suspension.
     suspend: Mutex<Arc<SimGate>>,
@@ -269,7 +270,7 @@ impl Image {
             probes: RwLock::new(Vec::new()),
             occupancy: (0..2 * n).map(|_| AtomicBool::new(false)).collect(),
             static_hooks: OnceLock::new(),
-            observer: RwLock::new(None),
+            observer: OnceLock::new(),
             suspended: AtomicBool::new(false),
             suspend: Mutex::new(Arc::new(SimGate::new())),
             next_snippet: AtomicU64::new(1),
@@ -297,9 +298,14 @@ impl Image {
         );
     }
 
-    /// Install a process-state observer (suspension tracking, §5.1).
+    /// Install a process-state observer (suspension tracking, §5.1). An
+    /// image has one: a second call panics.
     pub fn set_observer(&self, obs: Arc<dyn ImageObserver>) {
-        *self.observer.write() = Some(obs);
+        assert!(
+            self.observer.set(obs).is_ok(),
+            "observer installed twice on an image of {:?}",
+            self.program.name
+        );
     }
 
     /// Total calls recorded for `fid` (including batched reps).
@@ -399,7 +405,7 @@ impl Image {
         let mut s = self.suspend.lock();
         if !self.suspended.swap(true, Ordering::SeqCst) {
             *s = Arc::new(SimGate::new());
-            if let Some(obs) = self.observer.read().clone() {
+            if let Some(obs) = self.observer.get() {
                 obs.on_suspend(p);
             }
         }
@@ -410,7 +416,7 @@ impl Image {
         let s = self.suspend.lock();
         if self.suspended.swap(false, Ordering::SeqCst) {
             s.open(p, latency);
-            if let Some(obs) = self.observer.read().clone() {
+            if let Some(obs) = self.observer.get() {
                 obs.on_resume(p);
             }
         }
@@ -921,6 +927,19 @@ mod tests {
         let img = two_fn_image();
         img.set_static_hooks(Arc::new(Nop));
         img.set_static_hooks(Arc::new(Nop));
+    }
+
+    #[test]
+    #[should_panic(expected = "observer installed twice")]
+    fn observer_is_installed_once() {
+        struct Nop;
+        impl ImageObserver for Nop {
+            fn on_suspend(&self, _: &Proc) {}
+            fn on_resume(&self, _: &Proc) {}
+        }
+        let img = two_fn_image();
+        img.set_observer(Arc::new(Nop));
+        img.set_observer(Arc::new(Nop));
     }
 
     #[test]

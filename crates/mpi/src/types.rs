@@ -81,7 +81,10 @@ pub struct Status {
 }
 
 /// The MPI operations observable through the wrapper (profiling) interface.
+/// `op as u8` is the operation's code in a trace, and on disk: append new
+/// operations at the end, never in between.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum MpiOp {
     /// `MPI_Init`
     Init,
@@ -110,6 +113,22 @@ pub enum MpiOp {
 }
 
 impl MpiOp {
+    /// Every operation, indexed by its code (`MpiOp::ALL[op as usize] == op`).
+    pub const ALL: [MpiOp; 12] = [
+        MpiOp::Init,
+        MpiOp::Finalize,
+        MpiOp::Send,
+        MpiOp::Recv,
+        MpiOp::Barrier,
+        MpiOp::Bcast,
+        MpiOp::Reduce,
+        MpiOp::Allreduce,
+        MpiOp::Gather,
+        MpiOp::Allgather,
+        MpiOp::Alltoall,
+        MpiOp::Scan,
+    ];
+
     /// The conventional C name of the operation.
     pub fn c_name(self) -> &'static str {
         match self {
@@ -196,5 +215,9 @@ mod tests {
     fn op_names() {
         assert_eq!(MpiOp::Init.c_name(), "MPI_Init");
         assert_eq!(MpiOp::Allreduce.c_name(), "MPI_Allreduce");
+        assert!(MpiOp::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, &op)| op as usize == i));
     }
 }

@@ -6,48 +6,17 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use dynprof_image::ir::{BinOp, CtxField, Expr, Intrinsic, IntrinsicTable, SnippetProgram, Stmt};
-use dynprof_image::{Image, ImageObserver, ProbeCtx, ProbePointKind, Snippet, StaticHooks};
+use dynprof_image::{ImageObserver, ProbeCtx, ProbePointKind, Program, Snippet, StaticHooks};
 use dynprof_mpi::{Comm, MpiHooks, MpiOp};
 use dynprof_omp::{RegionHooks, RegionId};
-use dynprof_sim::{Proc, SimTime};
+use dynprof_sim::Proc;
 
 use crate::event::{Event, VtFuncId};
 use crate::vtlib::VtLib;
 
-fn op_code(op: MpiOp) -> u8 {
-    match op {
-        MpiOp::Init => 0,
-        MpiOp::Finalize => 1,
-        MpiOp::Send => 2,
-        MpiOp::Recv => 3,
-        MpiOp::Barrier => 4,
-        MpiOp::Bcast => 5,
-        MpiOp::Reduce => 6,
-        MpiOp::Allreduce => 7,
-        MpiOp::Gather => 8,
-        MpiOp::Allgather => 9,
-        MpiOp::Alltoall => 10,
-        MpiOp::Scan => 11,
-    }
-}
-
 /// Decode an op code back to the operation (for analysis tools).
 pub fn op_from_code(code: u8) -> Option<MpiOp> {
-    Some(match code {
-        0 => MpiOp::Init,
-        1 => MpiOp::Finalize,
-        2 => MpiOp::Send,
-        3 => MpiOp::Recv,
-        4 => MpiOp::Barrier,
-        5 => MpiOp::Bcast,
-        6 => MpiOp::Reduce,
-        7 => MpiOp::Allreduce,
-        8 => MpiOp::Gather,
-        9 => MpiOp::Allgather,
-        10 => MpiOp::Alltoall,
-        11 => MpiOp::Scan,
-        _ => return None,
-    })
+    MpiOp::ALL.get(usize::from(code)).copied()
 }
 
 // ---------------------------------------------------------------------------
@@ -56,19 +25,20 @@ pub fn op_from_code(code: u8) -> Option<MpiOp> {
 
 /// [`StaticHooks`] implementation: the entry/exit profile calls the Guide
 /// compiler inserts into every subroutine (paper §3.1). Function ids are
-/// registered with `VT_funcdef` on first call and cached per image slot.
+/// registered with `VT_funcdef` on first call and cached per program
+/// slot, so one instance serves every image of the program.
 pub struct VtStaticHooks {
     vt: Arc<VtLib>,
-    /// Image function index → VtFuncId + 1 (0 = not yet registered).
+    /// Program function index → VtFuncId + 1 (0 = not yet registered).
     cache: Vec<AtomicU32>,
 }
 
 impl VtStaticHooks {
-    /// Build the hooks for `image`, to install with
-    /// [`Image::set_static_hooks`].
-    pub fn for_image(vt: Arc<VtLib>, image: &Image) -> Arc<VtStaticHooks> {
+    /// Build the hooks for the images of `program`, to install on each
+    /// with [`dynprof_image::Image::set_static_hooks`].
+    pub fn for_program(vt: Arc<VtLib>, program: &Program) -> Arc<VtStaticHooks> {
         Arc::new(VtStaticHooks {
-            cache: (0..image.len()).map(|_| AtomicU32::new(0)).collect(),
+            cache: (0..program.len()).map(|_| AtomicU32::new(0)).collect(),
             vt,
         })
     }
@@ -169,88 +139,35 @@ pub fn configuration_break_snippet() -> Snippet {
 }
 
 // ---------------------------------------------------------------------------
-// Suspension tracking (paper §5.1)
-// ---------------------------------------------------------------------------
-
-/// [`ImageObserver`] implementation: records instrumenter-initiated
-/// suspensions as [`Event::Suspended`] intervals, so the time-line shows
-/// them as inactivity and profiles can disregard them.
-pub struct VtImageObserver {
-    vt: Arc<VtLib>,
-    rank: usize,
-    open_since: parking_lot::Mutex<Option<SimTime>>,
-}
-
-impl VtImageObserver {
-    /// Observer for the process running MPI rank `rank`.
-    pub fn new(vt: Arc<VtLib>, rank: usize) -> Arc<VtImageObserver> {
-        Arc::new(VtImageObserver {
-            vt,
-            rank,
-            open_since: parking_lot::Mutex::new(None),
-        })
-    }
-}
-
-impl ImageObserver for VtImageObserver {
-    fn on_suspend(&self, p: &Proc) {
-        *self.open_since.lock() = Some(p.now());
-    }
-
-    fn on_resume(&self, p: &Proc) {
-        if let Some(t0) = self.open_since.lock().take() {
-            self.vt.record(
-                self.rank,
-                Event::Suspended {
-                    t: t0,
-                    t_end: p.now().max(t0),
-                    rank: self.rank as u32,
-                },
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // MPI wrapper interface
 // ---------------------------------------------------------------------------
 
-/// [`MpiHooks`] implementation: logs every MPI call as a time-spanned
-/// event, and performs `VT_init` inside `MPI_Init` (the Vampirtrace
-/// library "initializes its own data structures within MPI_Init", §3.4).
-pub struct VtMpiHooks {
-    vt: Arc<VtLib>,
-}
-
-impl VtMpiHooks {
-    /// Wrap `vt` as an MPI hook.
-    pub fn new(vt: Arc<VtLib>) -> Arc<VtMpiHooks> {
-        Arc::new(VtMpiHooks { vt })
-    }
-}
-
-impl MpiHooks for VtMpiHooks {
+/// The library is its own MPI hook: it logs every MPI call as a
+/// time-spanned event, and performs `VT_init` inside `MPI_Init` (the
+/// Vampirtrace library "initializes its own data structures within
+/// MPI_Init", §3.4).
+impl MpiHooks for VtLib {
     fn on_init(&self, p: &Proc, comm: &Comm) {
-        self.vt.init(p, comm.rank());
+        self.init(p, comm.rank());
     }
 
     fn on_call_begin(&self, p: &Proc, comm: &Comm, op: MpiOp, _peer: Option<usize>, _bytes: usize) {
         let rank = comm.rank();
-        if !self.vt.is_initialized(rank) {
+        if !self.is_initialized(rank) {
             return; // MPI_Init's own begin precedes VT_init
         }
-        self.vt.mpi_push(rank, op_code(op), p.now());
+        self.mpi_push(rank, op as u8, p.now());
     }
 
     fn on_call_end(&self, p: &Proc, comm: &Comm, op: MpiOp, peer: Option<usize>, bytes: usize) {
         let rank = comm.rank();
-        if !self.vt.is_initialized(rank) {
+        if !self.is_initialized(rank) {
             return;
         }
-        p.advance(self.vt.costs().mpi_wrapper_event);
-        self.vt.mpi_end(
+        p.advance(self.costs().mpi_wrapper_event);
+        self.mpi_end(
             rank,
-            op_code(op),
+            op as u8,
             p.now(),
             peer.map_or(-1, |r| r as i32),
             bytes as u64,
@@ -258,100 +175,92 @@ impl MpiHooks for VtMpiHooks {
     }
 
     fn on_finalize(&self, p: &Proc, comm: &Comm) {
-        self.vt.finalize(p, comm.rank());
+        self.finalize(p, comm.rank());
     }
 }
 
 // ---------------------------------------------------------------------------
-// OpenMP (Guidetrace) events
+// Suspension tracking (paper §5.1) and OpenMP (Guidetrace) events
 // ---------------------------------------------------------------------------
 
-/// [`RegionHooks`] implementation for one process: logs parallel-region
-/// fork/join and per-thread occupancy (the VGV time-line's wiggle glyphs).
-pub struct VtOmpHooks {
+/// One process's attachment to the library, for MPI rank `rank` (0 for
+/// pure OpenMP): as its image's [`ImageObserver`] it records
+/// instrumenter-initiated suspensions as [`Event::Suspended`] intervals,
+/// so the time-line shows them as inactivity and profiles can disregard
+/// them; as its OpenMP runtime's [`RegionHooks`] it logs parallel-region
+/// fork/join and per-thread occupancy (the VGV time-line's wiggle
+/// glyphs). It keeps no state: an open span waits in the rank's buffer.
+pub struct VtRankHooks {
     vt: Arc<VtLib>,
     rank: usize,
-    /// Open per-thread region entries (thread, region, t_begin).
-    open: parking_lot::Mutex<Vec<(usize, u32, SimTime)>>,
 }
 
-impl VtOmpHooks {
-    /// Hooks for the process running MPI rank `rank` (0 for pure OpenMP).
-    pub fn new(vt: Arc<VtLib>, rank: usize) -> Arc<VtOmpHooks> {
-        Arc::new(VtOmpHooks {
-            vt,
-            rank,
-            open: parking_lot::Mutex::new(Vec::new()),
-        })
+impl VtRankHooks {
+    /// Hooks for the process running MPI rank `rank`.
+    pub fn new(vt: Arc<VtLib>, rank: usize) -> Arc<VtRankHooks> {
+        Arc::new(VtRankHooks { vt, rank })
+    }
+
+    /// Charge one Guidetrace event; `false` before `VT_init`, when the
+    /// OpenMP hooks stay silent.
+    fn charge(&self, p: &Proc) -> bool {
+        let ready = self.vt.is_initialized(self.rank);
+        if ready {
+            p.advance(self.vt.costs().omp_region_event);
+        }
+        ready
     }
 }
 
-impl RegionHooks for VtOmpHooks {
+impl ImageObserver for VtRankHooks {
+    fn on_suspend(&self, p: &Proc) {
+        self.vt.suspend_at(self.rank, p.now());
+    }
+
+    fn on_resume(&self, p: &Proc) {
+        self.vt.resume_at(self.rank, p.now());
+    }
+}
+
+impl RegionHooks for VtRankHooks {
     fn on_fork(&self, p: &Proc, region: RegionId, _name: &str, team: usize) {
-        if !self.vt.is_initialized(self.rank) {
-            return;
+        if self.charge(p) {
+            self.vt.record(
+                self.rank,
+                Event::OmpFork {
+                    t: p.now(),
+                    rank: self.rank as u32,
+                    region: region.0,
+                    team: team as u16,
+                },
+            );
         }
-        p.advance(self.vt.costs().omp_region_event);
-        self.vt.record(
-            self.rank,
-            Event::OmpFork {
-                t: p.now(),
-                rank: self.rank as u32,
-                region: region.0,
-                team: team as u16,
-            },
-        );
     }
 
     fn on_join(&self, p: &Proc, region: RegionId, _name: &str, team: usize) {
-        if !self.vt.is_initialized(self.rank) {
-            return;
+        if self.charge(p) {
+            self.vt.record(
+                self.rank,
+                Event::OmpJoin {
+                    t: p.now(),
+                    rank: self.rank as u32,
+                    region: region.0,
+                    team: team as u16,
+                },
+            );
         }
-        p.advance(self.vt.costs().omp_region_event);
-        self.vt.record(
-            self.rank,
-            Event::OmpJoin {
-                t: p.now(),
-                rank: self.rank as u32,
-                region: region.0,
-                team: team as u16,
-            },
-        );
     }
 
     fn on_thread_begin(&self, p: &Proc, region: RegionId, tid: usize) {
-        if !self.vt.is_initialized(self.rank) {
-            return;
+        if self.charge(p) {
+            self.vt.omp_thread_begin(self.rank, tid, region.0, p.now());
         }
-        p.advance(self.vt.costs().omp_region_event);
-        self.open.lock().push((tid, region.0, p.now()));
     }
 
     fn on_thread_end(&self, p: &Proc, region: RegionId, tid: usize) {
-        if !self.vt.is_initialized(self.rank) {
-            return;
+        if self.charge(p) {
+            self.vt.omp_thread_end(self.rank, tid, region.0, p.now());
         }
-        p.advance(self.vt.costs().omp_region_event);
-        let t0 = {
-            let mut open = self.open.lock();
-            match open
-                .iter()
-                .rposition(|&(t, r, _)| t == tid && r == region.0)
-            {
-                Some(i) => open.swap_remove(i).2,
-                None => p.now(),
-            }
-        };
-        self.vt.record(
-            self.rank,
-            Event::OmpThread {
-                t: t0,
-                t_end: p.now(),
-                rank: self.rank as u32,
-                thread: tid as u16,
-                region: region.0,
-            },
-        );
     }
 }
 
@@ -362,7 +271,7 @@ mod tests {
     use dynprof_image::{CallerCtx, FunctionInfo, ImageBuilder, ProbePoint};
     use dynprof_mpi::{launch, JobSpec, Source, Tag, TagSel};
     use dynprof_omp::OmpRuntime;
-    use dynprof_sim::{Machine, ProbeCosts, Sim};
+    use dynprof_sim::{Machine, ProbeCosts, Sim, SimTime};
 
     fn vt(ranks: usize, cfg: VtConfig) -> Arc<VtLib> {
         VtLib::new("app", ranks, cfg, ProbeCosts::power3())
@@ -374,7 +283,10 @@ mod tests {
         let mut b = ImageBuilder::new("app");
         let f = b.add(FunctionInfo::new("solve").static_instr(true));
         let img = Arc::new(b.build());
-        img.set_static_hooks(VtStaticHooks::for_image(Arc::clone(&vtl), &img));
+        img.set_static_hooks(VtStaticHooks::for_program(
+            Arc::clone(&vtl),
+            img.shared_program(),
+        ));
         let (img2, vt2) = (Arc::clone(&img), Arc::clone(&vtl));
         let sim = Sim::virtual_time(Machine::test_machine(), 1);
         sim.spawn("p", 0, move |p| {
@@ -455,20 +367,24 @@ mod tests {
     #[test]
     fn mpi_hooks_initialize_vt_and_log_calls() {
         let vtl = vt(2, VtConfig::all_on());
-        let hook = VtMpiHooks::new(Arc::clone(&vtl));
         let sim = Sim::virtual_time(Machine::test_machine(), 1);
         let v2 = Arc::clone(&vtl);
-        launch(&sim, JobSpec::new("app", 2), vec![hook], move |p, c| {
-            c.init(p);
-            assert!(v2.is_initialized(c.rank()), "VT_init ran inside MPI_Init");
-            if c.rank() == 0 {
-                c.send(p, 1, Tag::user(0), 64u64);
-            } else {
-                let _ = c.recv::<u64>(p, Source::Any, TagSel::Any);
-            }
-            c.barrier(p);
-            c.finalize(p);
-        });
+        launch(
+            &sim,
+            JobSpec::new("app", 2),
+            vec![Arc::clone(&vtl) as _],
+            move |p, c| {
+                c.init(p);
+                assert!(v2.is_initialized(c.rank()), "VT_init ran inside MPI_Init");
+                if c.rank() == 0 {
+                    c.send(p, 1, Tag::user(0), 64u64);
+                } else {
+                    let _ = c.recv::<u64>(p, Source::Any, TagSel::Any);
+                }
+                c.barrier(p);
+                c.finalize(p);
+            },
+        );
         sim.run();
         let trace = vtl.build_trace();
         let mpi_events: Vec<_> = trace
@@ -505,7 +421,7 @@ mod tests {
         let sim = Sim::virtual_time(Machine::test_machine(), 1);
         sim.spawn("app", 0, move |p| {
             v2.init(p, 0);
-            let hooks = VtOmpHooks::new(Arc::clone(&v2), 0);
+            let hooks = VtRankHooks::new(Arc::clone(&v2), 0);
             let rt = OmpRuntime::new(p, "app", 4, vec![hooks]);
             rt.parallel(p, "region", |ctx| {
                 ctx.proc.advance(SimTime::from_micros(10));
@@ -546,8 +462,8 @@ mod tests {
         // write to the same rank.
         let vtl = vt(2, VtConfig::all_on());
         let img = Arc::new(ImageBuilder::new("app").build());
-        img.set_observer(VtImageObserver::new(Arc::clone(&vtl), 1));
-        let omp = VtOmpHooks::new(Arc::clone(&vtl), 1);
+        img.set_observer(VtRankHooks::new(Arc::clone(&vtl), 1));
+        let omp = VtRankHooks::new(Arc::clone(&vtl), 1);
         let (v2, img2) = (Arc::clone(&vtl), Arc::clone(&img));
         let sim = Sim::virtual_time(Machine::test_machine(), 1);
         let step = SimTime::from_micros(10);
@@ -559,7 +475,7 @@ mod tests {
             omp.on_thread_end(p, RegionId(7), 3);
             // A resume with no suspend records nothing.
             img2.resume(p, SimTime::ZERO);
-            VtImageObserver::new(Arc::clone(&v2), 1).on_resume(p);
+            VtRankHooks::new(Arc::clone(&v2), 1).on_resume(p);
             // A suspension inside an open thread span: both spans, nested.
             omp.on_thread_begin(p, RegionId(8), 0);
             p.advance(step);
@@ -608,7 +524,7 @@ mod tests {
         let v2 = Arc::clone(&vtl);
         let sim = Sim::virtual_time(Machine::test_machine(), 1);
         sim.spawn("app", 0, move |p| {
-            let hooks = VtOmpHooks::new(Arc::clone(&v2), 0);
+            let hooks = VtRankHooks::new(Arc::clone(&v2), 0);
             let rt = OmpRuntime::new(p, "app", 2, vec![hooks]);
             rt.parallel(p, "early", |_| {});
             rt.shutdown(p);

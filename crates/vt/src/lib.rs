@@ -18,9 +18,10 @@
 //! * [`OverheadController`] — closed-loop adaptive instrumentation: keeps
 //!   measured probe overhead inside a user budget by deactivating
 //!   overhead-dense probes at safe points and re-probing periodically.
-//! * [`VtStaticHooks`] / [`VtMpiHooks`] / [`VtOmpHooks`] — the attachment
-//!   points into Guide static instrumentation, the MPI wrapper interface,
-//!   and the Guidetrace OpenMP runtime.
+//! * [`VtStaticHooks`] / [`VtLib`] as an `MpiHooks` / [`VtRankHooks`] —
+//!   the attachment points into Guide static instrumentation, the MPI
+//!   wrapper interface, and the Guidetrace OpenMP runtime and suspension
+//!   tracking of one process.
 //! * [`vt_begin_snippet`] / [`vt_end_snippet`] — the dynamically
 //!   insertable probes dynprof places through DPCL.
 //! * [`Policy`] — the five instrumentation policies of Table 3.
@@ -45,7 +46,7 @@ pub use controller::{ControllerConfig, DecisionRecord, OverheadController};
 pub use event::{Event, Trace, VtFuncId};
 pub use hooks::{
     configuration_break_snippet, op_from_code, vt_begin_snippet, vt_count_snippet, vt_end_snippet,
-    VtImageObserver, VtMpiHooks, VtOmpHooks, VtStaticHooks,
+    VtRankHooks, VtStaticHooks,
 };
 pub use policy::{Policy, ALL_POLICIES};
 pub use sampling::{sample_image, SampleProfile, SAMPLE_INTERRUPT_COST};

@@ -119,6 +119,10 @@ struct ProcBuf {
     /// Pending MPI operations (op code, entry time), a stack because
     /// `MPI_Init`'s inserted snippet issues nested `MPI_Barrier`s.
     mpi_stack: Vec<(u8, SimTime)>,
+    /// OpenMP threads inside a region: (thread, region, entry time).
+    omp_open: Vec<(usize, u32, SimTime)>,
+    /// When the instrumenter suspended the process, while it is suspended.
+    suspended_since: Option<SimTime>,
     /// Resolved activation per registered function: this rank's table,
     /// filled lazily against its configuration ([`VtLib::active_in`]).
     active: Vec<bool>,
@@ -138,11 +142,12 @@ impl ProcBuf {
 /// One rank's share of the library.
 ///
 /// **One guard per call.** Everything `VT_begin`, `VT_end` and the
-/// MPI/OpenMP hooks touch on their way out — the event buffer or the
-/// capture lane, the call stacks, the pending MPI operations, the
-/// activation table — lives in `buf`, and each of those calls takes that
-/// lock exactly once and no other: an event reaches its lane's open chunk
-/// under the guard the rank already holds.
+/// MPI, OpenMP and suspension hooks touch on their way out — the event
+/// buffer or the capture lane, the call stacks, the open MPI operations,
+/// OpenMP thread shares and suspension, the activation table — lives in
+/// `buf`, and each of those calls takes that lock exactly once and no
+/// other: an event reaches its lane's open chunk under the guard the rank
+/// already holds.
 ///
 /// **Lock order**: `buf` → `registry` (read) → `config`, then the capture
 /// sink innermost — per lane opened, and inside a lane per chunk handed
@@ -155,7 +160,9 @@ impl ProcBuf {
 /// with its `buf` held. Nothing that holds the `registry` *write* lock may
 /// take a `buf` lock (`VT_funcdef` takes the sink, which takes nothing;
 /// [`VtLib::set_sink`] looks at the buffers before it takes the registry,
-/// never under it).
+/// never under it). One lock from outside comes before `buf`: an image's
+/// `suspend` lock, under which the image opens and closes a suspension
+/// window ([`VtLib::suspend_at`], [`VtLib::resume_at`]).
 struct ProcState {
     initialized: AtomicBool,
     finalized: AtomicBool,
@@ -703,6 +710,56 @@ impl VtLib {
             if let Some(lane) = lane {
                 lane.close();
             }
+        }
+    }
+
+    /// OpenMP thread `thread` of `rank` enters its share of `region` at `t`.
+    pub(crate) fn omp_thread_begin(&self, rank: usize, thread: usize, region: u32, t: SimTime) {
+        self.procs[rank]
+            .buf
+            .lock()
+            .omp_open
+            .push((thread, region, t));
+    }
+
+    /// The thread leaves its share at `t_end`: record the span from its
+    /// entry — a zero-length one at `t_end` if none was recorded.
+    pub(crate) fn omp_thread_end(&self, rank: usize, thread: usize, region: u32, t_end: SimTime) {
+        let mut buf = self.procs[rank].buf.lock();
+        let open = &mut buf.omp_open;
+        let t = match open
+            .iter()
+            .rposition(|&(th, r, _)| (th, r) == (thread, region))
+        {
+            Some(i) => open.swap_remove(i).2,
+            None => t_end,
+        };
+        let ev = Event::OmpThread {
+            t,
+            t_end,
+            rank: rank as u32,
+            thread: thread as u16,
+            region,
+        };
+        self.emit(&mut buf, ev);
+    }
+
+    /// The instrumenter suspended `rank`'s process at `t` (paper §5.1).
+    pub(crate) fn suspend_at(&self, rank: usize, t: SimTime) {
+        self.procs[rank].buf.lock().suspended_since = Some(t);
+    }
+
+    /// The process resumed at `t`: record the window as inactivity. A
+    /// resume with no suspension records nothing.
+    pub(crate) fn resume_at(&self, rank: usize, t: SimTime) {
+        let mut buf = self.procs[rank].buf.lock();
+        if let Some(t0) = buf.suspended_since.take() {
+            let ev = Event::Suspended {
+                t: t0,
+                t_end: t.max(t0),
+                rank: rank as u32,
+            };
+            self.emit(&mut buf, ev);
         }
     }
 

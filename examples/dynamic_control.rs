@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use dynprof::mpi::{launch, JobSpec};
 use dynprof::sim::{Machine, Sim, SimTime};
-use dynprof::vt::{confsync, ConfigDelta, MonitorLink, VtConfig, VtLib, VtMpiHooks};
+use dynprof::vt::{confsync, ConfigDelta, MonitorLink, VtConfig, VtLib};
 
 fn main() {
     let ranks = 4;
@@ -36,7 +36,7 @@ fn main() {
     launch(
         &sim,
         JobSpec::new("phased-solver", ranks),
-        vec![VtMpiHooks::new(Arc::clone(&vt))],
+        vec![Arc::clone(&vt) as _],
         move |p, comm| {
             comm.init(p);
             let solve = vt2.funcdef(p, "solve_pressure");
