@@ -40,9 +40,9 @@ use dynprof_analysis::store::{
     RetentionPolicy, RotatingWriter, RotationPolicy, SegmentStats, StoreOptions,
 };
 use dynprof_analysis::ProfileBuilder;
-use dynprof_core::{run_session, AdaptiveSettings, AppSpec, Command, SessionConfig, SessionReport};
+use dynprof_core::{run_session, AppSpec, Command, SessionConfig, SessionReport};
 use dynprof_sim::{Machine, SimTime};
-use dynprof_vt::{Event, EventSink, Lane, Policy, VtFuncId};
+use dynprof_vt::{ControllerConfig, Event, EventSink, Lane, Policy, VtFuncId};
 
 use crate::workload::Outputs;
 
@@ -309,7 +309,7 @@ pub fn run_cli(args: &CliArgs) -> Result<CliOutput, String> {
         cfg = cfg.with_script(script);
     }
     if let Some(pct) = args.budget {
-        cfg = cfg.with_adaptive(AdaptiveSettings::budget(pct));
+        cfg = cfg.with_adaptive(ControllerConfig::budget(pct));
     }
     if args.floor_us > 0 {
         cfg = cfg.with_suppress_floor(SimTime::from_micros(args.floor_us));

@@ -854,7 +854,8 @@ fn bench_runtimes() {
                     }
                 }
             }
-            let ctl = dynprof_vt::OverheadController::budgeted(5.0);
+            let ctl =
+                dynprof_vt::OverheadController::new(dynprof_vt::ControllerConfig::budget(5.0));
             let t = Instant::now();
             for round in 0..iters {
                 black_box(ctl.decide(&vt, SimTime::from_micros(round + 1), round));

@@ -31,14 +31,12 @@ use parking_lot::Mutex;
 
 use dynprof_apps::paper_app;
 use dynprof_check::analyzer::{analyze, Budget, ProbePlan};
-use dynprof_core::{
-    run_session, AdaptiveSettings, AppSpec, SessionConfig, SessionReport, TxnSettings,
-};
+use dynprof_core::{run_session, AppSpec, SessionConfig, SessionReport, TxnSettings};
 use dynprof_dpcl::DegradedPolicy;
 use dynprof_mpi::{launch, JobSpec};
 use dynprof_obs::{self as obs, Json};
 use dynprof_sim::{FaultSpec, Machine, OnlineStats, SimTime};
-use dynprof_vt::{confsync, ConfigDelta, MonitorLink, Policy, VtConfig, VtLib};
+use dynprof_vt::{confsync, ConfigDelta, ControllerConfig, MonitorLink, Policy, VtConfig, VtLib};
 
 // ---------------------------------------------------------------------------
 // The figure binaries' command line
@@ -128,7 +126,7 @@ impl FigureArgs {
                             format!("bad --overhead-budget value {pct:?} (percent, >= 0)")
                         })?;
                     // An inert budget attaches no controller at all.
-                    out.base.adaptive = (p < 100.0).then(|| AdaptiveSettings::budget(p));
+                    out.base.adaptive = (p < 100.0).then(|| ControllerConfig::budget(p));
                 }
                 f if own.contains(&f) => out.own.push((f.to_string(), value()?)),
                 other => return Err(format!("unknown argument {other:?}")),
@@ -635,14 +633,9 @@ pub fn controller_convergence_run(budget_pct: f64, epochs: usize) -> Vec<f64> {
         scale: 0.001,
         outputs: dynprof_apps::workload::Outputs::new(),
     };
-    let settings = if budget_pct.is_finite() {
-        AdaptiveSettings::budget(budget_pct)
-    } else {
-        AdaptiveSettings::observer()
-    };
     let cfg = SessionConfig::new(Machine::test_machine(), Policy::Full)
         .with_seed(42)
-        .with_adaptive(settings);
+        .with_adaptive(ControllerConfig::budget(budget_pct));
     let report = run_session(&dynprof_apps::sweep3d(4, params), cfg);
     report
         .controller

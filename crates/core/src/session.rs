@@ -69,9 +69,10 @@ pub struct SessionConfig {
     /// suppressed-count events; profiles stay exact). `ZERO` disables
     /// suppression and is byte-identical to not setting it at all.
     pub suppress_floor: SimTime,
-    /// Closed-loop adaptive instrumentation (`None`: no controller, no
-    /// confsync at safe points — byte-identical to earlier sessions).
-    pub adaptive: Option<AdaptiveSettings>,
+    /// Closed-loop adaptive instrumentation: the overhead controller's
+    /// settings, its budget and re-probe schedule (`None`: no controller,
+    /// no confsync at safe points — byte-identical to earlier sessions).
+    pub adaptive: Option<ControllerConfig>,
     /// Capture sink: the session's trace library sends every event into
     /// this sink's per-rank lanes as it happens and buffers none (`None`:
     /// events stay in the library's per-rank buffers, readable from
@@ -85,36 +86,6 @@ pub struct SessionConfig {
     /// What carries the simulated processes. Every output is
     /// byte-identical on either; only host time differs.
     pub backend: ProcBackend,
-}
-
-/// Settings of the closed-loop overhead controller attached to an
-/// adaptive session. The controller observes per-probe cost at each
-/// `VT_confsync` safe point and rewrites the activation table to keep
-/// measured instrumentation overhead under `budget_pct`.
-#[derive(Clone, Copy, Debug)]
-pub struct AdaptiveSettings {
-    /// Overhead budget in percent of application time
-    /// (`f64::INFINITY`: observe only, never reconfigure).
-    pub budget_pct: f64,
-    /// Re-probe one deactivated function every this many under-budget
-    /// decisions (0 disables re-probing).
-    pub reprobe_every: u64,
-}
-
-impl AdaptiveSettings {
-    /// A controller enforcing `budget_pct`, with the default re-probe
-    /// schedule.
-    pub fn budget(budget_pct: f64) -> AdaptiveSettings {
-        AdaptiveSettings {
-            budget_pct,
-            reprobe_every: ControllerConfig::default().reprobe_every,
-        }
-    }
-
-    /// Observe-only: record measured overhead per epoch, never deactivate.
-    pub fn observer() -> AdaptiveSettings {
-        AdaptiveSettings::budget(f64::INFINITY)
-    }
 }
 
 /// Transactional-epoch settings for instrumented sessions, used under a
@@ -171,7 +142,7 @@ impl SessionConfig {
 
     /// Attach a closed-loop overhead controller; the application's
     /// [`AppCtx::safe_point`]s become live `VT_confsync` epochs.
-    pub fn with_adaptive(mut self, settings: AdaptiveSettings) -> SessionConfig {
+    pub fn with_adaptive(mut self, settings: ControllerConfig) -> SessionConfig {
         self.adaptive = Some(settings);
         self
     }
@@ -476,12 +447,8 @@ fn make_adaptive(
     }
     match &cfg.adaptive {
         None => (None, None),
-        Some(s) => {
-            let ctrl = OverheadController::new(ControllerConfig {
-                budget_pct: s.budget_pct,
-                reprobe_every: s.reprobe_every,
-                ..ControllerConfig::default()
-            });
+        Some(settings) => {
+            let ctrl = OverheadController::new(*settings);
             let monitor = MonitorLink::new();
             monitor.attach_controller(Arc::clone(&ctrl));
             (Some(monitor), Some(ctrl))

@@ -70,6 +70,18 @@ pub struct ControllerConfig {
     pub respond_delay: SimTime,
 }
 
+impl ControllerConfig {
+    /// Enforce `budget_pct`, with the default re-probe schedule.
+    pub fn budget(budget_pct: f64) -> ControllerConfig {
+        ControllerConfig {
+            budget_pct,
+            ..ControllerConfig::default()
+        }
+    }
+}
+
+/// The default is a pure observer: it measures per-epoch overhead and
+/// never reconfigures.
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
@@ -131,19 +143,6 @@ impl OverheadController {
             cfg,
             state: Mutex::new(CtrlState::default()),
         })
-    }
-
-    /// A controller enforcing `budget_pct` with default re-probe schedule.
-    pub fn budgeted(budget_pct: f64) -> Arc<OverheadController> {
-        OverheadController::new(ControllerConfig {
-            budget_pct,
-            ..ControllerConfig::default()
-        })
-    }
-
-    /// A pure observer: measures per-epoch overhead, never reconfigures.
-    pub fn observer() -> Arc<OverheadController> {
-        OverheadController::new(ControllerConfig::default())
     }
 
     /// The configuration in force.
@@ -342,7 +341,7 @@ mod tests {
     #[test]
     fn over_budget_deactivates_hot_first() {
         let vt = VtLib::new("app", 1, VtConfig::all_on(), ProbeCosts::power3());
-        let ctrl = OverheadController::budgeted(10.0);
+        let ctrl = OverheadController::new(ControllerConfig::budget(10.0));
         let c2 = Arc::clone(&ctrl);
         run_workload(Arc::clone(&vt), 2000, move |p, vt| {
             let pc = c2
@@ -369,7 +368,7 @@ mod tests {
     #[test]
     fn observer_never_reconfigures() {
         let vt = VtLib::new("app", 1, VtConfig::all_on(), ProbeCosts::power3());
-        let ctrl = OverheadController::observer();
+        let ctrl = OverheadController::new(ControllerConfig::default());
         let c2 = Arc::clone(&ctrl);
         run_workload(Arc::clone(&vt), 2000, move |p, vt| {
             assert!(c2.decide(vt, p.now(), 0).is_none());

@@ -795,7 +795,7 @@ fn adaptive_chaos_run(seed: u64, profile: &str) -> SessionReport {
         faults: Some(FaultSpec::parse(&format!("{seed}:{profile}")).expect("spec")),
         ..SessionConfig::new(Machine::test_machine(), Policy::Full)
             .with_seed(seed)
-            .with_adaptive(dynprof::core::AdaptiveSettings::budget(5.0))
+            .with_adaptive(dynprof::vt::ControllerConfig::budget(5.0))
     };
     run_session(&dynprof::apps::sweep3d(4, params), cfg)
 }

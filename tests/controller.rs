@@ -11,8 +11,9 @@
 use dynprof::analysis::Profile;
 use dynprof::apps::workload::Outputs;
 use dynprof::apps::{sweep3d, Sweep3dParams};
-use dynprof::core::{run_session, AdaptiveSettings, SessionConfig, SessionReport};
+use dynprof::core::{run_session, SessionConfig, SessionReport};
 use dynprof::sim::{Machine, SimTime};
+use dynprof::vt::ControllerConfig;
 use dynprof::vt::Policy;
 
 /// A sweep3d workload scaled so instrumentation overhead is *visible*:
@@ -32,7 +33,7 @@ fn hot_params(iterations: usize) -> Sweep3dParams {
 
 /// One adaptive sweep3d session: 4 ranks, fully instrumented, one
 /// confsync epoch per flux iteration.
-fn adaptive_run(settings: AdaptiveSettings, seed: u64, iterations: usize) -> SessionReport {
+fn adaptive_run(settings: ControllerConfig, seed: u64, iterations: usize) -> SessionReport {
     let cfg = SessionConfig::new(Machine::test_machine(), Policy::Full)
         .with_seed(seed)
         .with_adaptive(settings);
@@ -46,7 +47,7 @@ const BUDGET: f64 = 5.0;
 /// an unbudgeted run exceeds it at every epoch.
 #[test]
 fn overhead_budget_converges_on_sweep3d() {
-    let observer = adaptive_run(AdaptiveSettings::observer(), 42, 8);
+    let observer = adaptive_run(ControllerConfig::default(), 42, 8);
     let ctrl = observer.controller.as_ref().expect("controller attached");
     let unbudgeted = ctrl.measured_series();
     assert!(
@@ -58,7 +59,7 @@ fn overhead_budget_converges_on_sweep3d() {
         "observer mode must never reconfigure"
     );
 
-    let budgeted = adaptive_run(AdaptiveSettings::budget(BUDGET), 42, 8);
+    let budgeted = adaptive_run(ControllerConfig::budget(BUDGET), 42, 8);
     let ctrl = budgeted.controller.as_ref().expect("controller attached");
     let measured = ctrl.measured_series();
     let converged_at = measured
@@ -85,7 +86,7 @@ fn overhead_budget_converges_on_sweep3d() {
 /// returns under budget within two epochs.
 #[test]
 fn reprobe_excursions_recover() {
-    let report = adaptive_run(AdaptiveSettings::budget(BUDGET), 42, 12);
+    let report = adaptive_run(ControllerConfig::budget(BUDGET), 42, 12);
     let ctrl = report.controller.as_ref().expect("controller attached");
     let measured = ctrl.measured_series();
     let converged_at = measured
@@ -107,9 +108,9 @@ fn reprobe_excursions_recover() {
 /// reaches a fixed point: after convergence no decision changes anything.
 #[test]
 fn activation_table_reaches_fixed_point_on_steady_workload() {
-    let settings = AdaptiveSettings {
-        budget_pct: BUDGET,
+    let settings = ControllerConfig {
         reprobe_every: 0,
+        ..ControllerConfig::budget(BUDGET)
     };
     let report = adaptive_run(settings, 42, 10);
     let ctrl = report.controller.as_ref().expect("controller attached");
@@ -138,7 +139,7 @@ fn activation_table_reaches_fixed_point_on_steady_workload() {
 #[test]
 fn controller_decisions_are_deterministic_across_runs() {
     let log = |seed| {
-        let report = adaptive_run(AdaptiveSettings::budget(BUDGET), seed, 8);
+        let report = adaptive_run(ControllerConfig::budget(BUDGET), seed, 8);
         report.controller.as_ref().unwrap().decision_log()
     };
     assert_eq!(log(42), log(42));
@@ -150,7 +151,7 @@ fn controller_decisions_are_deterministic_across_runs() {
 #[test]
 fn controller_decisions_match_recorded_goldens() {
     for seed in [7u64, 21, 42] {
-        let report = adaptive_run(AdaptiveSettings::budget(BUDGET), seed, 8);
+        let report = adaptive_run(ControllerConfig::budget(BUDGET), seed, 8);
         let actual = report.controller.as_ref().unwrap().decision_log();
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join(format!("tests/golden/controller_seed{seed}.txt"));

@@ -1316,7 +1316,7 @@ fn dispatch_order_is_deterministic_across_runs() {
 /// a probe-dense scaling of the workload (the regime where the controller
 /// has real work to do), 4 ranks, one confsync epoch per iteration.
 fn controller_session(
-    settings: dynprof::core::AdaptiveSettings,
+    settings: dynprof::vt::ControllerConfig,
     seed: u64,
     iterations: usize,
 ) -> Arc<dynprof::vt::OverheadController> {
@@ -1346,9 +1346,9 @@ fn controller_session(
 fn controller_converges_for_any_seed_and_budget() {
     for seed in [1u64, 5, 9] {
         for budget in [4.0f64, 6.0, 12.0] {
-            let settings = dynprof::core::AdaptiveSettings {
-                budget_pct: budget,
+            let settings = dynprof::vt::ControllerConfig {
                 reprobe_every: 0,
+                ..dynprof::vt::ControllerConfig::budget(budget)
             };
             let ctrl = controller_session(settings, seed, 6);
             let measured = ctrl.measured_series();
@@ -1374,9 +1374,9 @@ fn controller_converges_for_any_seed_and_budget() {
 /// run's (the extra epochs cannot rewrite history).
 #[test]
 fn controller_deactivation_order_is_deterministic() {
-    let settings = dynprof::core::AdaptiveSettings {
-        budget_pct: 5.0,
+    let settings = dynprof::vt::ControllerConfig {
         reprobe_every: 4,
+        ..dynprof::vt::ControllerConfig::budget(5.0)
     };
     let log_a = controller_session(settings, 3, 6).decision_log();
     let log_b = controller_session(settings, 3, 6).decision_log();

@@ -11,11 +11,9 @@
 //! with `UPDATE_GOLDENS=1 cargo test --test session_fingerprint`.
 
 use dynprof::apps::{sppm, test_app, SppmParams};
-use dynprof::core::{
-    run_attach_session, run_session, AdaptiveSettings, Command, SessionConfig, SessionReport,
-};
+use dynprof::core::{run_attach_session, run_session, Command, SessionConfig, SessionReport};
 use dynprof::sim::{FaultSpec, Machine, SimTime};
-use dynprof::vt::Policy;
+use dynprof::vt::{ControllerConfig, Policy};
 
 const GOLDEN: &str = "tests/golden/session_fingerprints.txt";
 const APPS: [&str; 4] = ["smg98", "sppm", "sweep3d", "umt98"];
@@ -109,7 +107,7 @@ fn fingerprints() -> Vec<String> {
                 lines.push(fingerprint(&format!("{name} {label} seed={seed}"), &report));
             }
             let adaptive = cfg(Policy::Dynamic, seed)
-                .with_adaptive(AdaptiveSettings::budget(5.0))
+                .with_adaptive(ControllerConfig::budget(5.0))
                 .with_suppress_floor(SimTime::from_micros(10));
             let report = run_session(&app, adaptive);
             lines.push(fingerprint(
