@@ -14,10 +14,11 @@
 //!   DPCL's asynchronous message jitter.
 
 use dynprof_apps::{paper_app, smg98, Smg98Params};
+use dynprof_bench::sampling::sample_image;
 use dynprof_core::{run_session, SessionConfig};
 use dynprof_obs::Json;
 use dynprof_sim::{Machine, SimTime};
-use dynprof_vt::{sample_image, Policy};
+use dynprof_vt::Policy;
 
 fn study_sampling(json: bool) {
     let cpus = 4;

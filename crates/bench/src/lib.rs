@@ -7,7 +7,9 @@
 //! * [`fig8a`]/[`fig8b`]/[`fig8c`] — `VT_confsync` costs: no-change vs
 //!   change, statistics writing, and the IA32 cross-check (Fig 8 a–c);
 //! * [`fig9`] — dynprof's time to create and instrument each application;
-//! * table renderers for Tables 1–3.
+//! * table renderers for Tables 1–3;
+//! * [`sampling`] — the ideal interrupt sampler `ablation` sets against
+//!   complete profiling (§2).
 //!
 //! Every runner takes a base [`SessionConfig`] and a worker count. The
 //! base is the run configuration (fault spec, carrier, degraded-mode
@@ -24,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod parallel;
+pub mod sampling;
 
 use std::sync::Arc;
 

@@ -8,7 +8,7 @@
 //!
 //! VGV itself uses complete profiling (its time-line views need every
 //! event), but a sampler is the natural baseline to compare against — the
-//! `ablation` harness does exactly that. In virtual time the sampler is
+//! `ablation` harness does exactly that, and is this module's one user. In virtual time the sampler is
 //! evaluated as an *ideal interrupt sampler*: the image journals each
 //! call's `[enter, exit)` interval (the shadow program counter's history),
 //! and [`sample_image`] attributes one tick per interval expiry to the

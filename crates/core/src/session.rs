@@ -58,7 +58,7 @@ pub struct SessionConfig {
     pub script: Option<Vec<Command>>,
     /// Journal per-call PC intervals in every image (enables post-run
     /// evaluation of an ideal statistical sampler; see
-    /// `dynprof_vt::sample_image`).
+    /// `dynprof_bench::sampling::sample_image`).
     pub enable_pc_log: bool,
     /// How instrumentation changes run as 2PC transactions, which they do
     /// exactly when the fault plan is live; an undisturbed run installs

@@ -246,7 +246,7 @@ pub struct Image {
     counts: Box<[AtomicU64]>,
     /// When enabled, every call's `[enter, exit)` interval is journaled
     /// per thread so an ideal interrupt sampler can be evaluated on the
-    /// virtual timeline (see `dynprof_vt::sampling`).
+    /// virtual timeline (see `dynprof_bench::sampling`).
     pc_log_enabled: AtomicBool,
     pc_log: Mutex<PcLog>,
     /// Count of probe-point patches performed (jump written or removed),

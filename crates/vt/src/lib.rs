@@ -36,7 +36,6 @@ mod controller;
 mod event;
 mod hooks;
 mod policy;
-mod sampling;
 mod sink;
 mod vtlib;
 
@@ -49,6 +48,5 @@ pub use hooks::{
     VtRankHooks, VtStaticHooks,
 };
 pub use policy::{Policy, ALL_POLICIES};
-pub use sampling::{sample_image, SampleProfile, SAMPLE_INTERRUPT_COST};
 pub use sink::{locked, EventSink, Lane, SharedSink};
 pub use vtlib::{FuncStat, FuncStatRow, VtLib};
