@@ -156,7 +156,11 @@ impl MpiHooks for VtLib {
         if !self.is_initialized(rank) {
             return; // MPI_Init's own begin precedes VT_init
         }
-        self.mpi_push(rank, op as u8, p.now());
+        let t = p.now();
+        self.with_rank(rank, |buf| {
+            buf.mpi_stack.push((op as u8, t));
+            None
+        });
     }
 
     fn on_call_end(&self, p: &Proc, comm: &Comm, op: MpiOp, peer: Option<usize>, bytes: usize) {
@@ -165,13 +169,23 @@ impl MpiHooks for VtLib {
             return;
         }
         p.advance(self.costs().mpi_wrapper_event);
-        self.mpi_end(
-            rank,
-            op as u8,
-            p.now(),
-            peer.map_or(-1, |r| r as i32),
-            bytes as u64,
-        );
+        let (op, t_end) = (op as u8, p.now());
+        self.with_rank(rank, |buf| {
+            let t = match buf.mpi_stack.pop() {
+                Some((code, t0)) if code == op => t0,
+                // MPI_Init's end has no matching begin (VT came up
+                // mid-call); log it as a point event.
+                _ => t_end,
+            };
+            Some(Event::MpiCall {
+                t,
+                t_end,
+                rank: rank as u32,
+                op,
+                peer: peer.map_or(-1, |r| r as i32),
+                bytes: bytes as u64,
+            })
+        });
     }
 
     fn on_finalize(&self, p: &Proc, comm: &Comm) {
@@ -214,11 +228,20 @@ impl VtRankHooks {
 
 impl ImageObserver for VtRankHooks {
     fn on_suspend(&self, p: &Proc) {
-        self.vt.suspend_at(self.rank, p.now());
+        self.vt.with_rank(self.rank, |buf| {
+            buf.suspended_since = Some(p.now());
+            None
+        });
     }
 
+    /// A resume with no suspension records nothing.
     fn on_resume(&self, p: &Proc) {
-        self.vt.resume_at(self.rank, p.now());
+        let (t_end, rank) = (p.now(), self.rank as u32);
+        self.vt.with_rank(self.rank, |buf| {
+            let t = buf.suspended_since.take()?;
+            let t_end = t_end.max(t);
+            Some(Event::Suspended { t, t_end, rank })
+        });
     }
 }
 
@@ -253,14 +276,32 @@ impl RegionHooks for VtRankHooks {
 
     fn on_thread_begin(&self, p: &Proc, region: RegionId, tid: usize) {
         if self.charge(p) {
-            self.vt.omp_thread_begin(self.rank, tid, region.0, p.now());
+            self.vt.with_rank(self.rank, |buf| {
+                buf.omp_open.push((tid, region.0, p.now()));
+                None
+            });
         }
     }
 
+    /// A thread end with no recorded begin is a zero-length span at now.
     fn on_thread_end(&self, p: &Proc, region: RegionId, tid: usize) {
-        if self.charge(p) {
-            self.vt.omp_thread_end(self.rank, tid, region.0, p.now());
+        if !self.charge(p) {
+            return;
         }
+        let t_end = p.now();
+        self.vt.with_rank(self.rank, |buf| {
+            let open = &mut buf.omp_open;
+            let found = open
+                .iter()
+                .rposition(|&(t, r, _)| (t, r) == (tid, region.0));
+            Some(Event::OmpThread {
+                t: found.map_or(t_end, |i| open.swap_remove(i).2),
+                t_end,
+                rank: self.rank as u32,
+                thread: tid as u16,
+                region: region.0,
+            })
+        });
     }
 }
 
@@ -398,20 +439,8 @@ mod tests {
         // Init end on both, send/recv, barrier x2, finalize x2.
         assert!(mpi_events.contains(&(0, MpiOp::Send)));
         assert!(mpi_events.contains(&(1, MpiOp::Recv)));
-        assert_eq!(
-            mpi_events
-                .iter()
-                .filter(|(_, op)| *op == MpiOp::Barrier)
-                .count(),
-            2
-        );
-        assert_eq!(
-            mpi_events
-                .iter()
-                .filter(|(_, op)| *op == MpiOp::Init)
-                .count(),
-            2
-        );
+        let count = |op| mpi_events.iter().filter(|e| e.1 == op).count();
+        assert_eq!((count(MpiOp::Barrier), count(MpiOp::Init)), (2, 2));
     }
 
     #[test]
@@ -430,30 +459,15 @@ mod tests {
         });
         sim.run();
         let trace = vtl.build_trace();
-        let forks = trace
-            .events
-            .iter()
-            .filter(|e| matches!(e, Event::OmpFork { .. }))
-            .count();
-        let joins = trace
-            .events
-            .iter()
-            .filter(|e| matches!(e, Event::OmpJoin { .. }))
-            .count();
-        let threads = trace
-            .events
-            .iter()
-            .filter(|e| matches!(e, Event::OmpThread { .. }))
-            .count();
-        assert_eq!(forks, 1);
-        assert_eq!(joins, 1);
-        assert_eq!(threads, 4);
-        // Thread events carry positive spans.
-        for e in &trace.events {
-            if let Event::OmpThread { t, t_end, .. } = e {
-                assert!(t_end >= t);
-            }
-        }
+        let count = |f: fn(&&Event) -> bool| trace.events.iter().filter(f).count();
+        assert_eq!(count(|e| matches!(e, Event::OmpFork { .. })), 1);
+        assert_eq!(count(|e| matches!(e, Event::OmpJoin { .. })), 1);
+        // Four thread events, each with a positive span.
+        assert_eq!(
+            count(|e| matches!(e, Event::OmpThread { t, t_end, .. } if t_end >= t)),
+            4
+        );
+        assert_eq!(trace.events.len(), 6);
     }
 
     #[test]
@@ -490,30 +504,20 @@ mod tests {
         let events = vtl.with_rank_events(1, <[Event]>::to_vec);
         let t0 = SimTime::from_micros(400);
         let (t1, t2) = (t0 + charge, t0 + charge * 2);
-        assert_eq!(
-            events,
-            [
-                Event::OmpThread {
-                    t: t1,
-                    t_end: t1,
-                    rank: 1,
-                    thread: 3,
-                    region: 7,
-                },
-                Event::Suspended {
-                    t: t2 + step,
-                    t_end: t2 + step * 2,
-                    rank: 1,
-                },
-                Event::OmpThread {
-                    t: t2,
-                    t_end: t2 + charge + step * 3,
-                    rank: 1,
-                    thread: 0,
-                    region: 8,
-                },
-            ]
-        );
+        let span = |t, t_end, thread, region| Event::OmpThread {
+            t,
+            t_end,
+            rank: 1,
+            thread,
+            region,
+        };
+        let suspended = Event::Suspended {
+            t: t2 + step,
+            t_end: t2 + step * 2,
+            rank: 1,
+        };
+        let nested = span(t2, t2 + charge + step * 3, 0, 8);
+        assert_eq!(events, [span(t1, t1, 3, 7), suspended, nested]);
         vtl.with_rank_events(0, |evs| assert!(evs.is_empty()));
     }
 

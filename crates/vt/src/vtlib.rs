@@ -94,7 +94,7 @@ struct Frame {
 }
 
 #[derive(Default)]
-struct ProcBuf {
+pub(crate) struct ProcBuf {
     /// The default in-memory sink: this rank's settled events in append
     /// order. Stays empty once a capture sink is installed.
     events: Vec<Event>,
@@ -118,11 +118,11 @@ struct ProcBuf {
     orphans: Vec<Event>,
     /// Pending MPI operations (op code, entry time), a stack because
     /// `MPI_Init`'s inserted snippet issues nested `MPI_Barrier`s.
-    mpi_stack: Vec<(u8, SimTime)>,
+    pub(crate) mpi_stack: Vec<(u8, SimTime)>,
     /// OpenMP threads inside a region: (thread, region, entry time).
-    omp_open: Vec<(usize, u32, SimTime)>,
+    pub(crate) omp_open: Vec<(usize, u32, SimTime)>,
     /// When the instrumenter suspended the process, while it is suspended.
-    suspended_since: Option<SimTime>,
+    pub(crate) suspended_since: Option<SimTime>,
     /// Resolved activation per registered function: this rank's table,
     /// filled lazily against its configuration ([`VtLib::active_in`]).
     active: Vec<bool>,
@@ -162,7 +162,7 @@ impl ProcBuf {
 /// [`VtLib::set_sink`] looks at the buffers before it takes the registry,
 /// never under it). One lock from outside comes before `buf`: an image's
 /// `suspend` lock, under which the image opens and closes a suspension
-/// window ([`VtLib::suspend_at`], [`VtLib::resume_at`]).
+/// window (its observer's [`VtLib::with_rank`]).
 struct ProcState {
     initialized: AtomicBool,
     finalized: AtomicBool,
@@ -713,80 +713,15 @@ impl VtLib {
         }
     }
 
-    /// OpenMP thread `thread` of `rank` enters its share of `region` at `t`.
-    pub(crate) fn omp_thread_begin(&self, rank: usize, thread: usize, region: u32, t: SimTime) {
-        self.procs[rank]
-            .buf
-            .lock()
-            .omp_open
-            .push((thread, region, t));
-    }
-
-    /// The thread leaves its share at `t_end`: record the span from its
-    /// entry — a zero-length one at `t_end` if none was recorded.
-    pub(crate) fn omp_thread_end(&self, rank: usize, thread: usize, region: u32, t_end: SimTime) {
+    /// One hook event on `rank`: `f` updates the rank's buffer — an open
+    /// MPI call, OpenMP thread share or suspension — and the event it
+    /// returns, if any, leaves through [`VtLib::emit`], all under the
+    /// rank's one guard.
+    pub(crate) fn with_rank(&self, rank: usize, f: impl FnOnce(&mut ProcBuf) -> Option<Event>) {
         let mut buf = self.procs[rank].buf.lock();
-        let open = &mut buf.omp_open;
-        let t = match open
-            .iter()
-            .rposition(|&(th, r, _)| (th, r) == (thread, region))
-        {
-            Some(i) => open.swap_remove(i).2,
-            None => t_end,
-        };
-        let ev = Event::OmpThread {
-            t,
-            t_end,
-            rank: rank as u32,
-            thread: thread as u16,
-            region,
-        };
-        self.emit(&mut buf, ev);
-    }
-
-    /// The instrumenter suspended `rank`'s process at `t` (paper §5.1).
-    pub(crate) fn suspend_at(&self, rank: usize, t: SimTime) {
-        self.procs[rank].buf.lock().suspended_since = Some(t);
-    }
-
-    /// The process resumed at `t`: record the window as inactivity. A
-    /// resume with no suspension records nothing.
-    pub(crate) fn resume_at(&self, rank: usize, t: SimTime) {
-        let mut buf = self.procs[rank].buf.lock();
-        if let Some(t0) = buf.suspended_since.take() {
-            let ev = Event::Suspended {
-                t: t0,
-                t_end: t.max(t0),
-                rank: rank as u32,
-            };
+        if let Some(ev) = f(&mut buf) {
             self.emit(&mut buf, ev);
         }
-    }
-
-    pub(crate) fn mpi_push(&self, rank: usize, op: u8, t: SimTime) {
-        self.procs[rank].buf.lock().mpi_stack.push((op, t));
-    }
-
-    /// Close the MPI operation `op` on `rank` at `t_end`: pop its pending
-    /// entry and record the call as one time-spanned event, under one
-    /// `buf` guard.
-    pub(crate) fn mpi_end(&self, rank: usize, op: u8, t_end: SimTime, peer: i32, bytes: u64) {
-        let mut buf = self.procs[rank].buf.lock();
-        let t = match buf.mpi_stack.pop() {
-            Some((code, t0)) if code == op => t0,
-            // MPI_Init's end has no matching begin (VT came up mid-call);
-            // log it as a point event.
-            _ => t_end,
-        };
-        let ev = Event::MpiCall {
-            t,
-            t_end,
-            rank: rank as u32,
-            op,
-            peer,
-            bytes,
-        };
-        self.emit(&mut buf, ev);
     }
 
     /// `VT_finalize` on `rank`: flush the rank's buffer to the trace file
