@@ -65,10 +65,11 @@ pub struct ControllerConfig {
     /// Reactivate one deactivated function every this many under-budget
     /// decisions (`0` disables re-probing).
     pub reprobe_every: u64,
-    /// Monitoring-tool response time charged when a reconfiguration is
-    /// emitted (the paper's `configuration_break` release latency).
-    pub respond_delay: SimTime,
 }
+
+/// Monitoring-tool response time charged when a reconfiguration is
+/// emitted (the paper's `configuration_break` release latency).
+const RESPOND_DELAY: SimTime = SimTime::from_micros(50);
 
 impl ControllerConfig {
     /// Enforce `budget_pct`, with the default re-probe schedule.
@@ -87,7 +88,6 @@ impl Default for ControllerConfig {
         ControllerConfig {
             budget_pct: f64::INFINITY,
             reprobe_every: 4,
-            respond_delay: SimTime::from_micros(50),
         }
     }
 }
@@ -153,9 +153,9 @@ impl OverheadController {
     /// Make one decision at safe-point `round`, time `now`. Returns the
     /// pending change to broadcast, or `None` when the activation table
     /// should stay as it is. Called by `VT_confsync` on rank 0; pure
-    /// bookkeeping (no simulated time passes here — the emitted change
-    /// is charged `respond_delay` by the safe-point protocol, exactly
-    /// like a manual change).
+    /// bookkeeping (no simulated time passes here — the safe-point
+    /// protocol charges the emitted change the monitoring tool's response
+    /// time, exactly like a manual change).
     pub fn decide(&self, vt: &VtLib, now: SimTime, round: u64) -> Option<PendingChange> {
         let ranks = vt.ranks();
         let costs = vt.costs();
@@ -263,7 +263,7 @@ impl OverheadController {
         if changed {
             Some(PendingChange {
                 delta: ConfigDelta::Set(set),
-                respond_delay: self.cfg.respond_delay,
+                respond_delay: RESPOND_DELAY,
             })
         } else {
             None
@@ -385,7 +385,6 @@ mod tests {
         let ctrl = OverheadController::new(ControllerConfig {
             budget_pct: 10.0,
             reprobe_every: 2,
-            respond_delay: SimTime::from_micros(50),
         });
         let c2 = Arc::clone(&ctrl);
         run_workload(Arc::clone(&vt), 2000, move |p, vt| {
