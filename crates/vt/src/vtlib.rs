@@ -653,7 +653,8 @@ impl VtLib {
         }
     }
 
-    /// Record a raw event (used by the MPI/OMP hook implementations).
+    /// Record an event that closes no open span (a fork, a join, a safe
+    /// point): [`VtLib::with_rank`] with nothing to update.
     pub(crate) fn record(&self, rank: usize, ev: Event) {
         self.emit(&mut self.procs[rank].buf.lock(), ev);
     }
