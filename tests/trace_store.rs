@@ -258,6 +258,43 @@ fn corrupt_stores_fail_with_typed_errors() {
     assert_eq!(r.dropped_chunks(), 1);
     assert_eq!(r.dropped_events(), lost);
 
+    // Either copy of a chunk's CRC disagreeing with its bytes condemns the
+    // chunk: the chunk header's (bytes 12..16), or its footer index
+    // entry's (bytes 20..24 of the 48-byte entries that end the footer).
+    // The footer CRC is re-sealed over the changed entry, so `open` reads
+    // the index instead of failing over to the forward scan.
+    let chunks = r.chunks().len();
+    let end = good.len() - 18;
+    let footer = end - u64::from_le_bytes(good[end..end + 8].try_into().unwrap()) as usize;
+    let entry0 = end - chunks * 48;
+    let mut header_crc = good.clone();
+    header_crc[chunk0 + 12] ^= 0xff;
+    let mut entry_crc = good.clone();
+    entry_crc[entry0 + 20] ^= 0xff;
+    let footer_crc = crc32(&entry_crc[footer..end]);
+    entry_crc[end + 8..end + 12].copy_from_slice(&footer_crc.to_le_bytes());
+    for (case, bad) in [("chunk header", header_crc), ("index entry", entry_crc)] {
+        std::fs::write(&path, &bad).unwrap();
+        let mut r = StoreReader::open(&path).unwrap();
+        assert!(
+            matches!(
+                r.read_chunk(0),
+                Err(TraceError::ChecksumMismatch { index: 0 })
+            ),
+            "{case}"
+        );
+        let report = fsck(&path).unwrap();
+        assert_eq!(report.chunks_ok, chunks - 1, "{case}");
+        assert_eq!(report.faults.len(), 1, "{case}");
+        assert_eq!(report.faults[0].index, 0, "{case}");
+        let mut salvaged = StoreReader::open_salvage(&path).unwrap();
+        salvaged.set_degraded(true);
+        let mut seen = 0;
+        let stats = salvaged.for_each_query(None, None, |_| seen += 1).unwrap();
+        assert_eq!((stats.chunks_bad, stats.events_lost), (1, lost), "{case}");
+        assert_eq!(seen, trace.events.len() as u64 - lost, "{case}");
+    }
+
     std::fs::remove_file(&path).ok();
 }
 
