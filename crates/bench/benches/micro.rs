@@ -26,10 +26,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use dynprof_image::{
-    BinOp, CallerCtx, CtxField, Expr, FunctionInfo, ImageBuilder, IntrinsicTable, ProbePoint,
-    Snippet, SnippetProgram, Stmt,
-};
+use dynprof_image::{CallerCtx, FunctionInfo, ImageBuilder, ProbePoint};
 use dynprof_obs as obs;
 use dynprof_sim::{hb, Machine, ProbeCosts, Proc, Sim, SimTime};
 use dynprof_vt::{vt_begin_snippet, vt_end_snippet, Trace, VtConfig, VtLib};
@@ -308,130 +305,19 @@ fn bench_image_call() {
     });
 }
 
-/// A counting probe fired through an image, as an IR-compiled program and
-/// as an equivalent hand-written closure, timed in fine-grained alternating
-/// slices inside one process. Returns `(ir_ns, closure_ns, ratio)` from the
-/// per-side minima over the slices: noise (scheduler preemption, competing
-/// load) only ever inflates a slice, so the minimum is the least-noise
-/// estimate of each side's true fire cost, and interleaving keeps slow
-/// drift from favouring whichever side ran first.
-fn paired_counting_fire_ns() -> (f64, f64, f64) {
-    let out = Arc::new(Mutex::new((f64::NAN, f64::NAN, f64::INFINITY)));
-    let out2 = Arc::clone(&out);
-    let sim = Sim::virtual_time(Machine::test_machine(), 1);
-    sim.spawn("bench", 0, move |p| {
-        let mut bld = ImageBuilder::new("b");
-        let f_ir = bld.add(FunctionInfo::new("f_ir"));
-        let f_cl = bld.add(FunctionInfo::new("f_cl"));
-        let img = bld.build();
-        let prog = SnippetProgram::new(
-            "count_ir",
-            1,
-            vec![Stmt::Store {
-                slot: Expr::Const(0),
-                value: Expr::bin(BinOp::Add, Expr::load(0), Expr::Ctx(CtxField::Reps)),
-            }],
-            IntrinsicTable::empty(),
-        );
-        img.try_insert(
-            ProbePoint::entry(f_ir),
-            prog.compile().expect("count program verifies"),
-        )
-        .expect("patchable target");
-        // The `Snippet::new` shape: a closure lowered as the one-call
-        // program over a charged intrinsic, which charges its declared
-        // cost; the counting program charges per-op. Both sides advance
-        // the same virtual time per fire.
-        let data = Arc::new(Mutex::new(vec![0i64]));
-        img.try_insert(
-            ProbePoint::entry(f_cl),
-            Snippet::new("count_closure", dynprof_image::STORE_COST, move |ctx| {
-                let mut d = data.lock();
-                d[0] = d[0].wrapping_add(ctx.reps as i64);
-            }),
-        )
-        .expect("patchable target");
-        const BATCH: u64 = 20_000;
-        let slice = |f| {
-            let t = Instant::now();
-            for _ in 0..BATCH {
-                img.call(p, CallerCtx::default(), f, || black_box(1));
-            }
-            t.elapsed().as_nanos() as f64 / BATCH as f64
-        };
-        slice(f_cl); // warm-up
-        slice(f_ir);
-        let (mut ir, mut cl) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..80 {
-            cl = cl.min(slice(f_cl));
-            ir = ir.min(slice(f_ir));
-        }
-        *out2.lock() = (ir, cl, ir / cl);
-    });
-    sim.run();
-    let r = *out.lock();
-    r
-}
-
 fn bench_verifier() {
-    // A representative branchy program: timer pair around a bounded loop
-    // and a conditional emit — every verifier domain gets exercised.
-    let prog = SnippetProgram::new(
-        "bench_verify",
-        4,
-        vec![
-            Stmt::StartTimer,
-            Stmt::Loop {
-                trips: Expr::Const(8),
-                body: vec![Stmt::Store {
-                    slot: Expr::Const(0),
-                    value: Expr::bin(BinOp::Add, Expr::load(0), Expr::Ctx(CtxField::Reps)),
-                }],
-            },
-            Stmt::If {
-                cond: Expr::Ctx(CtxField::IsEntry),
-                then_body: vec![Stmt::Emit {
-                    tag: 1,
-                    value: Expr::load(0),
-                }],
-                else_body: vec![],
-            },
-            Stmt::StopTimer,
-        ],
-        IntrinsicTable::empty(),
-    );
-    assert!(prog.verify().ok(), "bench program must verify");
+    // The program every dynprof entry probe carries: one call to the
+    // `VT_begin` intrinsic, checked against its table at each install.
+    let vt = VtLib::new("b", 1, VtConfig::all_on(), ProbeCosts::power3());
+    let prog = Arc::clone(&vt_begin_snippet(vt, dynprof_vt::VtFuncId(0)).program);
+    assert!(prog.verify().is_ok(), "bench program must verify");
     bench("verify/snippet_program", |iters| {
         let t = Instant::now();
         for _ in 0..iters {
-            black_box(black_box(&prog).verify());
+            black_box(black_box(&prog).verify()).ok();
         }
         t.elapsed()
     });
-
-    // Interpreted IR must stay in the same cost class as a closure's
-    // one-call lowering on the fire path (install-time verification is where the
-    // IR pays; the per-fire tree walk has to be near-free next to the
-    // dispatch + context machinery).
-    let (ir_ns, closure_ns, ratio) = paired_counting_fire_ns();
-    println!(
-        "{:<34} {ir_ns:>12.1} ns/iter   (closure {closure_ns:.1} ns/iter, ratio {ratio:.3})",
-        "image/fire_ir_vs_closure"
-    );
-    // Typical measured ratio is 1.01-1.03 (the fused store path takes a
-    // lock); the default allows 10% so residual slice noise cannot fail
-    // a healthy build.
-    let tolerance: f64 = std::env::var("FIRE_IR_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.10);
-    assert!(
-        ratio <= 1.0 + tolerance,
-        "IR-compiled fire is {:.1}% slower than the closure fire (tolerance {:.0}%; \
-         override with FIRE_IR_TOLERANCE)",
-        (ratio - 1.0) * 100.0,
-        tolerance * 100.0
-    );
 }
 
 /// The store's CRC bill: appending a 10k-event trace through the full
@@ -487,9 +373,8 @@ fn bench_store_crc() {
         bytes
     };
 
-    // Paired minima, the fire_ir_vs_closure technique: noise only ever
-    // inflates a slice, so each side's minimum over interleaved slices
-    // is its least-noise estimate.
+    // Paired minima: noise only ever inflates a slice, so each side's
+    // minimum over interleaved slices is its least-noise estimate.
     let (mut append_ns, mut crc_ns) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..30 {
         let t = Instant::now();

@@ -7,19 +7,18 @@
 //!    the simulation crates;
 //! 2. the probe-safety analyzer over the four ASCI benchmark images
 //!    (each app's `Dynamic`-policy subset as the probe plan);
-//! 3. the snippet-program verifier over the standard VT snippet set
-//!    (`VT_begin`, `VT_end`, counter, configuration break) under both
-//!    machine cost models;
+//! 3. the snippet-program check over the standard VT snippet set
+//!    (`VT_begin`, `VT_end`, configuration break) under both machine
+//!    cost models;
 //! 4. a happens-before smoke run: a small MPI job with the checker armed
 //!    whose report must contain no errors.
 //!
 //! `--fixture <name>` instead runs a seeded negative — an input
 //! deliberately constructed to trip one detector class — and therefore
 //! exits nonzero. Fixtures: `collective-mismatch`, `epoch-unsafe`,
-//! `unsafe-probe`, `banned-source`, `unbalanced-timer`,
-//! `unbounded-loop`, `oob-write`, `branch-into-patch`, `clock-under-lock`,
-//! `trace-readback`, `image-construction`, `query-dense-state`,
-//! `stale-allow`.
+//! `unsafe-probe`, `banned-source`, `unknown-intrinsic`,
+//! `branch-into-patch`, `clock-under-lock`, `trace-readback`,
+//! `image-construction`, `query-dense-state`, `stale-allow`.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -27,7 +26,7 @@ use std::process::ExitCode;
 use dynprof_check::analyzer::{analyze, Budget, ProbePlan};
 use dynprof_check::hb::{self, Finding, Severity};
 use dynprof_check::{lint, verify};
-use dynprof_image::{BasicBlock, Expr, FunctionInfo, IntrinsicTable, SnippetProgram, Stmt};
+use dynprof_image::{BasicBlock, FunctionInfo, IntrinsicTable, SnippetProgram};
 use dynprof_mpi::{launch, JobSpec};
 use dynprof_sim::ProbeCosts;
 use dynprof_sim::{Machine, Sim, SimTime};
@@ -59,9 +58,7 @@ fn main() -> ExitCode {
             Some("epoch-unsafe") => fixture_epoch_unsafe(),
             Some("unsafe-probe") => fixture_unsafe_probe(),
             Some("banned-source") => fixture_source("bad_instant.rs"),
-            Some("unbalanced-timer") => fixture_unbalanced_timer(),
-            Some("unbounded-loop") => fixture_unbounded_loop(),
-            Some("oob-write") => fixture_oob_write(),
+            Some("unknown-intrinsic") => fixture_unknown_intrinsic(),
             Some("branch-into-patch") => fixture_branch_into_patch(),
             Some("clock-under-lock") => fixture_source("clock_under_lock.rs"),
             Some("trace-readback") => fixture_source("trace_readback/crates/apps/src/cli.rs"),
@@ -243,46 +240,12 @@ fn fixture_stale_allow() -> Vec<Finding> {
     lint::lint_tree(repo_root(), &[dir], &lint::parse_allowlist(&allow_text))
 }
 
-/// A snippet program that stops a timer it never started: every path
-/// must keep the start/stop stack balanced.
-fn fixture_unbalanced_timer() -> Vec<Finding> {
+/// A snippet program that calls past the end of its intrinsic table:
+/// the daemons would reject it at install.
+fn fixture_unknown_intrinsic() -> Vec<Finding> {
     let prog = SnippetProgram::new(
-        "fixture_unbalanced_timer",
-        0,
-        vec![Stmt::StartTimer, Stmt::StopTimer, Stmt::StopTimer],
-        IntrinsicTable::empty(),
-    );
-    verify::verify_program(&prog)
-}
-
-/// A loop whose trip count comes from a runtime slot: no static bound,
-/// so no worst-case cost can be derived.
-fn fixture_unbounded_loop() -> Vec<Finding> {
-    let prog = SnippetProgram::new(
-        "fixture_unbounded_loop",
-        1,
-        vec![Stmt::Loop {
-            trips: Expr::load(0),
-            body: vec![Stmt::Emit {
-                tag: 1,
-                value: Expr::Const(0),
-            }],
-        }],
-        IntrinsicTable::empty(),
-    );
-    verify::verify_program(&prog)
-}
-
-/// A store whose slot expression can land outside the declared data
-/// region.
-fn fixture_oob_write() -> Vec<Finding> {
-    let prog = SnippetProgram::new(
-        "fixture_oob_write",
-        2,
-        vec![Stmt::Store {
-            slot: Expr::Const(7),
-            value: Expr::Const(1),
-        }],
+        "fixture_unknown_intrinsic",
+        vec![7],
         IntrinsicTable::empty(),
     );
     verify::verify_program(&prog)

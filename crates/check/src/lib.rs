@@ -15,10 +15,9 @@
 //!   double instrumentation, duplicate symbols, and snippet chains that
 //!   blow a cost budget.
 //! * **Snippet-program verification** ([`verify`]): a finding-typed
-//!   facade over the abstract interpreter in `dynprof_image::ir`,
-//!   rejecting instrumentation programs with unbounded loops,
-//!   out-of-region accesses, or unbalanced timers before they reach a
-//!   daemon.
+//!   facade over the check in `dynprof_image::ir`, rejecting
+//!   instrumentation programs that call outside their intrinsic table
+//!   before they reach a daemon.
 //! * **Determinism source lint** ([`lint`]): a token-level scan of the
 //!   workspace sources for constructs that would break the simulator's
 //!   bit-for-bit reproducibility (wall clocks, unordered hash iteration

@@ -99,24 +99,10 @@ fn stale_allow_fixture_fails() {
 }
 
 #[test]
-fn unbalanced_timer_fixture_fails() {
-    let (ok, text) = dynlint(&["--fixture", "unbalanced-timer"]);
+fn unknown_intrinsic_fixture_fails() {
+    let (ok, text) = dynlint(&["--fixture", "unknown-intrinsic"]);
     assert!(!ok);
-    assert!(text.contains("verify:unbalanced-timer"), "{text}");
-}
-
-#[test]
-fn unbounded_loop_fixture_fails() {
-    let (ok, text) = dynlint(&["--fixture", "unbounded-loop"]);
-    assert!(!ok);
-    assert!(text.contains("verify:unbounded-loop"), "{text}");
-}
-
-#[test]
-fn oob_write_fixture_fails() {
-    let (ok, text) = dynlint(&["--fixture", "oob-write"]);
-    assert!(!ok);
-    assert!(text.contains("verify:oob-write"), "{text}");
+    assert!(text.contains("verify:unknown-intrinsic"), "{text}");
 }
 
 #[test]

@@ -13,14 +13,13 @@
 //! inserted code snippets become active in all processes at the same
 //! time".
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Weak};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use dynprof_obs as obs;
 use parking_lot::Mutex;
 
-use dynprof_image::ir::SnippetProgram;
-use dynprof_image::{verify_snippet, Image, Snippet};
+use dynprof_image::{verify_snippet, Image, Snippet, VerifyError};
 use dynprof_sim::sync::SimChannel;
 use dynprof_sim::{hb, Proc, SimTime};
 
@@ -178,33 +177,9 @@ impl DpclSystem {
     }
 }
 
-/// [`verify_snippet`] verdicts of the programs one daemon process has
-/// judged. A program is immutable, so one abstract interpretation per
-/// program is enough, however many processes and points it is installed
-/// at. It is known by the address of its `Arc`; the memo holds a `Weak`
-/// to it, which keeps the allocation, so the address cannot be recycled
-/// for another program while the verdict — a rejection as much as a
-/// pass — is remembered, yet a program nobody else holds is not kept
-/// alive. Dead entries are pruned before the map would grow. Hashed,
-/// not ordered: what the memo allocates must not depend on where the
-/// heap happened to put the programs.
-#[derive(Default)]
-struct VerifyMemo(HashMap<usize, (Weak<SnippetProgram>, Result<(), String>)>);
-
-impl VerifyMemo {
-    fn verdict(&mut self, snippet: &Snippet) -> Result<(), String> {
-        let key = Arc::as_ptr(&snippet.program) as usize;
-        if let Some((_, judged)) = self.0.get(&key) {
-            return judged.clone();
-        }
-        if self.0.len() == self.0.capacity() {
-            self.0.retain(|_, (program, _)| program.strong_count() > 0);
-        }
-        let judged = verify_snippet(snippet);
-        self.0
-            .insert(key, (Arc::downgrade(&snippet.program), judged.clone()));
-        judged
-    }
+/// The message an ack carries for a snippet [`verify_snippet`] rejected.
+fn rejected(snippet: &Snippet, e: VerifyError) -> String {
+    format!("snippet {:?} rejected: {e}", snippet.name())
 }
 
 /// Per-channel message accounting (callers guard with [`obs::enabled`]).
@@ -327,7 +302,6 @@ fn comm_daemon_loop(
     // hold every result of the session.
     let dedup = cp.live_faults();
     let mut done: BTreeMap<ReqId, AckResult> = BTreeMap::new();
-    let mut verified = VerifyMemo::default();
     let ack = |cp: &Proc, req: ReqId, result: AckResult| {
         let delay = machine.daemon.base_delay + cp.jitter(machine.daemon.jitter);
         reply.send_ctl(
@@ -377,8 +351,6 @@ fn comm_daemon_loop(
             // Back from the crash window: replay the probe journal to
             // re-synchronize with the last committed epoch before serving
             // the first post-restart request.
-            // What the crashed process had verified died with it.
-            verified = VerifyMemo::default();
             let records = journal.replay();
             cp.advance(SimTime::from_nanos(
                 JOURNAL_REPLAY_COST.as_nanos() * records as u64,
@@ -435,11 +407,12 @@ fn comm_daemon_loop(
                     // The snippet's program must verify before the patch
                     // is attempted (paper §5's "know what the snippet can
                     // do before it runs" safety story).
-                    match verified.verdict(&snippet) {
-                        Err(message) => {
+                    match verify_snippet(&snippet) {
+                        Err(e) => {
                             if obs::enabled() {
                                 obs::counter("dpcl.installs_rejected").inc();
                             }
+                            let message = rejected(&snippet, e);
                             (req, AckResult::Error { message })
                         }
                         Ok(()) => match img.try_insert(point, snippet) {
@@ -521,8 +494,8 @@ fn comm_daemon_loop(
                             return Some(format!("vote abort: no attached target {target:?}"));
                         };
                         if let StagedOp::Install { point, snippet, .. } = op {
-                            if let Err(e) = verified.verdict(snippet) {
-                                return Some(format!("vote abort: {e}"));
+                            if let Err(e) = verify_snippet(snippet) {
+                                return Some(format!("vote abort: {}", rejected(snippet, e)));
                             }
                             if let Err(e) = img.validate_patch(*point) {
                                 return Some(format!("vote abort: {e}"));

@@ -53,9 +53,7 @@ pub use image::{
     CallerCtx, Image, ImageBuilder, ImageObserver, PatchError, PcLog, Program, StaticHooks,
 };
 pub use ir::{
-    verify_snippet, BinOp, ChargeMode, CtxField, Expr, Intrinsic, IntrinsicTable, ProgramState,
-    SnippetProgram, Stmt, VerifyError, VerifyReport, BRANCH_COST, EMIT_COST, LOOP_ITER_COST,
-    MAX_LOOP_TRIPS, STORE_COST, TIMER_COST,
+    verify_snippet, ChargeMode, Intrinsic, IntrinsicTable, SnippetProgram, VerifyError, STORE_COST,
 };
 pub use snippet::{ProbeCtx, Snippet, SnippetId};
 pub use trampoline::{

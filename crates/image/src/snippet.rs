@@ -6,7 +6,7 @@ use std::sync::Arc;
 use dynprof_sim::{Proc, SimTime};
 
 use crate::func::{FuncId, ProbePointKind};
-use crate::ir::{Intrinsic, IntrinsicTable, SnippetProgram, Stmt};
+use crate::ir::{Intrinsic, IntrinsicTable, SnippetProgram};
 
 /// Unique handle for an inserted snippet (for later removal).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -33,7 +33,7 @@ pub struct ProbeCtx<'a> {
     pub reps: u64,
 }
 
-/// A block of dynamically-insertable instrumentation code: a typed
+/// A block of dynamically-insertable instrumentation code: a
 /// [`SnippetProgram`] plus the code lowered from it.
 ///
 /// In Dyninst terms this is the *instrumentation primitive* placed in a
@@ -43,10 +43,10 @@ pub struct Snippet {
     /// The code lowered from `program`: what a probe fire runs, charges
     /// included.
     pub code: Arc<dyn Fn(&ProbeCtx<'_>) + Send + Sync>,
-    /// The typed IR `code` was lowered from. Install-time verification
+    /// The program `code` was lowered from. Install-time verification
     /// ([`crate::ir::verify_snippet`]) re-checks it.
     pub program: Arc<SnippetProgram>,
-    /// The verifier's worst-case cost bound for one `reps = 1` firing,
+    /// The derived worst-case cost bound for one `reps = 1` firing,
     /// stamped by [`SnippetProgram::compile`]; `None` only from
     /// [`SnippetProgram::compile_unchecked`].
     pub derived_cost: Option<SimTime>,
@@ -63,7 +63,7 @@ impl Snippet {
     ) -> Snippet {
         let name = name.into();
         let table = IntrinsicTable::new(vec![Intrinsic::charged(name.as_str(), cost, code)]);
-        SnippetProgram::new(name, 0, vec![Stmt::Call(0)], table)
+        SnippetProgram::new(name, vec![0], table)
             .compile()
             .expect("a one-call program verifies")
     }
@@ -71,7 +71,7 @@ impl Snippet {
     /// The empty program: does nothing and costs nothing (useful in tests
     /// and as the `configuration_break` body).
     pub fn noop(name: impl Into<String>) -> Snippet {
-        SnippetProgram::new(name, 0, Vec::new(), IntrinsicTable::empty())
+        SnippetProgram::new(name, Vec::new(), IntrinsicTable::empty())
             .compile()
             .expect("the empty program verifies")
     }
@@ -106,7 +106,7 @@ mod tests {
         });
         // The declared cost is the one-call program's derived bound.
         assert_eq!(s.derived_cost, Some(SimTime::from_nanos(10)));
-        assert!(verify_snippet(&s).is_ok());
+        assert_eq!(verify_snippet(&s), Ok(()));
         // Execute outside a simulation by faking a context is not possible
         // (needs a Proc); full execution is covered in image::tests.
         assert_eq!(s.name(), "count");
@@ -117,7 +117,7 @@ mod tests {
     fn noop_is_free() {
         let s = Snippet::noop("nop");
         assert_eq!(s.derived_cost, Some(SimTime::ZERO));
-        assert!(s.program.body.is_empty());
-        assert!(verify_snippet(&s).is_ok());
+        assert!(s.program.calls.is_empty());
+        assert_eq!(verify_snippet(&s), Ok(()));
     }
 }

@@ -26,8 +26,9 @@
 //! at this layer: these primitives behave identically on both, and the
 //! differential suite in `tests/backend_diff.rs` holds them to that.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::{DefaultHasher, Entry, HashMap};
 use std::collections::VecDeque;
+use std::hash::BuildHasherDefault;
 use std::num::NonZeroU64;
 
 use dynprof_obs as obs;
@@ -49,8 +50,13 @@ struct Envelope<T> {
 }
 
 /// A keyed channel's key function and, per queued key, the `seq` of its
-/// earliest message and how many messages carry it.
-type KeyIndex<T> = (fn(&T) -> Option<u64>, HashMap<u64, (u64, u32)>);
+/// earliest message and how many messages carry it. Hashed with fixed
+/// keys: under per-map random keys the table would rehash at a point that
+/// moves from run to run, and a session's heap peak with it.
+type KeyIndex<T> = (
+    fn(&T) -> Option<u64>,
+    HashMap<u64, (u64, u32), BuildHasherDefault<DefaultHasher>>,
+);
 
 struct ChannelState<T> {
     /// FIFO: insertion order from `head` on, which is `(arrival, seq)`
@@ -139,7 +145,7 @@ impl<T> SimChannel<T> {
     /// not indexed) for [`SimChannel::recv_key_deadline`]; every other
     /// receive sees a keyed message as it would any other.
     pub fn new_fifo_keyed(key_of: fn(&T) -> Option<u64>) -> SimChannel<T> {
-        Self::with_fifo(true, Some(Box::new((key_of, HashMap::new()))))
+        Self::with_fifo(true, Some(Box::new((key_of, HashMap::default()))))
     }
 
     fn with_fifo(fifo: bool, keys: Option<Box<KeyIndex<T>>>) -> SimChannel<T> {

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use dynprof_image::ir::{BinOp, CtxField, Expr, Intrinsic, IntrinsicTable, SnippetProgram, Stmt};
+use dynprof_image::ir::{Intrinsic, IntrinsicTable, SnippetProgram};
 use dynprof_image::{ImageObserver, ProbeCtx, ProbePointKind, Program, Snippet, StaticHooks};
 use dynprof_mpi::{Comm, MpiHooks, MpiOp};
 use dynprof_omp::{RegionHooks, RegionId};
@@ -76,12 +76,12 @@ impl StaticHooks for VtStaticHooks {
 /// The function must already be registered (`VT_funcdef`), which dynprof
 /// does at insertion time (paper §3.4).
 ///
-/// The snippet is expressed in the typed IR and verified before it is
-/// handed out: its body is a single call to an *internal* `VT_begin`
-/// intrinsic — the library charges the clock itself (active vs
-/// deactivated charge depends on the activation table), while the
-/// intrinsic's declared cost (`vt_begin_active`, the worst case) feeds
-/// the verifier's derived bound, which the overhead controller consumes.
+/// The snippet is a program verified before it is handed out: its body
+/// is a single call to an *internal* `VT_begin` intrinsic — the library
+/// charges the clock itself (active vs deactivated charge depends on the
+/// activation table), while the intrinsic's declared cost
+/// (`vt_begin_active`, the worst case) is the derived bound, which the
+/// overhead controller consumes.
 pub fn vt_begin_snippet(vt: Arc<VtLib>, func: VtFuncId) -> Snippet {
     let worst = vt.costs().vt_begin_active;
     let lib = Arc::clone(&vt);
@@ -89,14 +89,14 @@ pub fn vt_begin_snippet(vt: Arc<VtLib>, func: VtFuncId) -> Snippet {
         debug_assert_eq!(ctx.point, ProbePointKind::Entry);
         lib.begin(ctx.proc, ctx.rank, ctx.thread as u16, func, ctx.reps);
     })]);
-    let prog = SnippetProgram::new("VT_begin", 0, vec![Stmt::Call(0)], table);
+    let prog = SnippetProgram::new("VT_begin", vec![0], table);
     let snippet = prog.compile().expect("VT_begin program verifies");
     vt.register_derived_begin(snippet.derived_cost);
     snippet
 }
 
 /// Build the `VT_end` snippet dynprof inserts at a function's exit.
-/// IR-expressed and verified, like [`vt_begin_snippet`].
+/// A verified one-call program, like [`vt_begin_snippet`].
 pub fn vt_end_snippet(vt: Arc<VtLib>, func: VtFuncId) -> Snippet {
     let worst = vt.costs().vt_end_active;
     let lib = Arc::clone(&vt);
@@ -104,32 +104,13 @@ pub fn vt_end_snippet(vt: Arc<VtLib>, func: VtFuncId) -> Snippet {
         debug_assert_eq!(ctx.point, ProbePointKind::Exit);
         lib.end(ctx.proc, ctx.rank, ctx.thread as u16, func);
     })]);
-    let prog = SnippetProgram::new("VT_end", 0, vec![Stmt::Call(0)], table);
+    let prog = SnippetProgram::new("VT_end", vec![0], table);
     let snippet = prog.compile().expect("VT_end program verifies");
     vt.register_derived_end(snippet.derived_cost);
     snippet
 }
 
-/// Build a pure-IR counting snippet: `region[0] += reps`, no library
-/// calls at all. Useful when dynprof only needs call counts (paper §2's
-/// "how often is this function called" question) without paying the
-/// trace-event cost; the count is read back through the snippet's
-/// [`dynprof_image::ir::ProgramState`].
-pub fn vt_count_snippet() -> (Snippet, Arc<dynprof_image::ir::ProgramState>) {
-    let prog = SnippetProgram::new(
-        "VT_count",
-        1,
-        vec![Stmt::Store {
-            slot: Expr::Const(0),
-            value: Expr::bin(BinOp::Add, Expr::load(0), Expr::Ctx(CtxField::Reps)),
-        }],
-        IntrinsicTable::empty(),
-    );
-    prog.compile_with_state()
-        .expect("VT_count program verifies")
-}
-
-/// Build the `configuration_break` snippet: the empty IR program whose
+/// Build the `configuration_break` snippet: the empty program whose
 /// only job is to *be a probe point* — `VT_confsync`'s safe-point
 /// breakpoint body (paper §5). Verifies trivially with a zero derived
 /// bound, which is the point: the breakpoint must never perturb the
@@ -375,9 +356,8 @@ mod tests {
         assert_eq!(vtl.derived_pair(), None, "no programs built yet");
         let begin = vt_begin_snippet(Arc::clone(&vtl), VtFuncId(0));
         let end = vt_end_snippet(Arc::clone(&vtl), VtFuncId(0));
-        let (count, _) = vt_count_snippet();
         let brk = configuration_break_snippet();
-        for s in [&begin, &end, &count, &brk] {
+        for s in [&begin, &end, &brk] {
             assert_eq!(dynprof_image::verify_snippet(s), Ok(()));
         }
         assert_eq!(begin.derived_cost, Some(vtl.costs().vt_begin_active));
@@ -385,24 +365,6 @@ mod tests {
         assert_eq!(brk.derived_cost, Some(SimTime::ZERO));
         // Building both registered the derived pair == the declared pair.
         assert_eq!(vtl.derived_pair(), Some(vtl.costs().active_pair()));
-    }
-
-    #[test]
-    fn count_snippet_counts_without_library_calls() {
-        let mut b = ImageBuilder::new("app");
-        let f = b.add(FunctionInfo::new("hot"));
-        let img = Arc::new(b.build());
-        let (snippet, state) = vt_count_snippet();
-        img.try_insert(ProbePoint::entry(f), snippet)
-            .expect("patchable target");
-        let img2 = Arc::clone(&img);
-        let sim = Sim::virtual_time(Machine::test_machine(), 1);
-        sim.spawn("p", 0, move |p| {
-            img2.call(p, CallerCtx::default(), f, || ());
-            img2.call_batch(p, CallerCtx::default(), f, 41, |_| ());
-        });
-        sim.run();
-        assert_eq!(state.slot(0), 42);
     }
 
     #[test]

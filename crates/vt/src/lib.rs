@@ -44,8 +44,8 @@ pub use confsync::{confsync, ConfsyncOutcome, MonitorLink, PendingChange, StatsS
 pub use controller::{ControllerConfig, DecisionRecord, OverheadController};
 pub use event::{Event, Trace, VtFuncId};
 pub use hooks::{
-    configuration_break_snippet, op_from_code, vt_begin_snippet, vt_count_snippet, vt_end_snippet,
-    VtRankHooks, VtStaticHooks,
+    configuration_break_snippet, op_from_code, vt_begin_snippet, vt_end_snippet, VtRankHooks,
+    VtStaticHooks,
 };
 pub use policy::{Policy, ALL_POLICIES};
 pub use sink::{locked, EventSink, Lane, SharedSink};

@@ -1389,205 +1389,6 @@ fn controller_deactivation_order_is_deterministic() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Snippet IR: derived cost bounds and compile/fire round trips
-// ---------------------------------------------------------------------------
-
-use dynprof::image::{
-    BinOp, CtxField, Expr, FuncId, IntrinsicTable, ProbeCtx, ProbePointKind, SnippetProgram, Stmt,
-};
-use dynprof::sim::Proc;
-
-/// A random expression whose `Load`s stay inside `slots` (so generated
-/// programs always verify).
-fn arb_expr(r: &mut SimRng, slots: usize, depth: usize) -> Expr {
-    match if depth == 0 {
-        r.gen_index(3)
-    } else {
-        r.gen_index(4)
-    } {
-        0 => Expr::Const(r.gen_range_u64(0..=1000) as i64),
-        1 => Expr::Ctx(
-            [
-                CtxField::Rank,
-                CtxField::Thread,
-                CtxField::FuncIndex,
-                CtxField::Reps,
-                CtxField::IsEntry,
-            ][r.gen_index(5)],
-        ),
-        2 => Expr::load(r.gen_index(slots) as i64),
-        _ => Expr::bin(
-            [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Min, BinOp::Max][r.gen_index(5)],
-            arb_expr(r, slots, depth - 1),
-            arb_expr(r, slots, depth - 1),
-        ),
-    }
-}
-
-/// A random timer-free block: stores and emits stay in bounds, loops are
-/// statically bounded, branches are balanced by construction. Timer
-/// pairs are added only at the top level (see [`arb_program`]) so every
-/// path is trivially balanced and no emit can follow a stop.
-fn arb_block(r: &mut SimRng, slots: usize, depth: usize) -> Vec<Stmt> {
-    let n = 1 + r.gen_index(3);
-    let mut body = Vec::with_capacity(n);
-    for _ in 0..n {
-        body.push(
-            match if depth == 0 {
-                r.gen_index(2)
-            } else {
-                r.gen_index(4)
-            } {
-                0 => Stmt::Store {
-                    slot: Expr::Const(r.gen_index(slots) as i64),
-                    value: arb_expr(r, slots, 2),
-                },
-                1 => Stmt::Emit {
-                    tag: r.next_u64() as u32,
-                    value: arb_expr(r, slots, 1),
-                },
-                2 => Stmt::Loop {
-                    trips: Expr::Const(r.gen_index(9) as i64),
-                    body: arb_block(r, slots, depth - 1),
-                },
-                _ => Stmt::If {
-                    cond: arb_expr(r, slots, 1),
-                    then_body: arb_block(r, slots, depth - 1),
-                    else_body: arb_block(r, slots, depth - 1),
-                },
-            },
-        );
-    }
-    body
-}
-
-/// A random well-formed snippet program, optionally wrapped in one
-/// top-level timer pair.
-fn arb_program(r: &mut SimRng, case: usize) -> Arc<SnippetProgram> {
-    let slots = 1 + r.gen_index(4);
-    let mut body = arb_block(r, slots, 2);
-    if r.gen_index(2) == 0 {
-        body.insert(0, Stmt::StartTimer);
-        body.push(Stmt::StopTimer);
-    }
-    SnippetProgram::new(format!("arb_{case}"), slots, body, IntrinsicTable::empty())
-}
-
-fn probe_ctx<'a>(p: &'a Proc, reps: u64) -> ProbeCtx<'a> {
-    ProbeCtx {
-        proc: p,
-        rank: 0,
-        thread: 0,
-        func: FuncId(0),
-        name: "f",
-        point: ProbePointKind::Entry,
-        reps,
-    }
-}
-
-/// The verifier's derived worst-case cost dominates the interpreter's
-/// actual virtual-time charge on every generated program, for any reps.
-#[test]
-fn derived_cost_bounds_observed_cost() {
-    let mut r = rng(23);
-    let programs: Vec<_> = (0..150).map(|case| arb_program(&mut r, case)).collect();
-    let reps_seed = r.next_u64();
-    let sim = Sim::virtual_time(Machine::test_machine(), 11);
-    sim.spawn("p", 0, move |p| {
-        let mut r = SimRng::new(0xD15C_0B5E, reps_seed);
-        for prog in &programs {
-            let report = prog.verify();
-            assert!(
-                report.ok(),
-                "{}: generated program must verify: {report}",
-                prog.name
-            );
-            let snippet = prog.compile().expect("verified program compiles");
-            assert_eq!(snippet.derived_cost, Some(report.derived_cost));
-            let reps = 1 + r.gen_range_u64(0..=3);
-            let t0 = p.now();
-            (snippet.code)(&probe_ctx(p, reps));
-            let observed = p.now().saturating_sub(t0);
-            assert!(
-                observed <= report.derived_cost * reps,
-                "{}: observed {observed} exceeds derived bound {} x reps {reps}",
-                prog.name,
-                report.derived_cost
-            );
-        }
-    });
-    sim.run();
-}
-
-/// Two independent compiles of the same program, fired with the same
-/// context sequence, land in identical runtime states — and the counting
-/// idiom's fused fast path agrees with a hand-written closure oracle.
-#[test]
-fn compile_fire_round_trip_is_deterministic() {
-    let mut r = rng(29);
-    let programs: Vec<_> = (0..60).map(|case| arb_program(&mut r, case)).collect();
-    let fire_seed = r.next_u64();
-    let sim = Sim::virtual_time(Machine::test_machine(), 13);
-    sim.spawn("p", 0, move |p| {
-        let mut r = SimRng::new(0xD15C_0B5E, fire_seed);
-        for prog in &programs {
-            let (s1, st1) = prog.compile_with_state().expect("verifies");
-            let (s2, st2) = prog.compile_with_state().expect("verifies");
-            let fires: Vec<u64> = (0..3).map(|_| 1 + r.gen_range_u64(0..=4)).collect();
-            // Interleave so both instances see the same clock readings
-            // (StartTimer records `p.now()`; advancing between the two
-            // copies would skew timer totals, not state equality).
-            for &reps in &fires {
-                let t0 = p.now();
-                (s1.code)(&probe_ctx(p, reps));
-                let after = p.now();
-                // Replay the second copy from the same virtual instant.
-                assert!(after >= t0);
-                (s2.code)(&probe_ctx(p, reps));
-            }
-            let slots = (0..prog.region_slots)
-                .map(|i| st1.slot(i))
-                .collect::<Vec<_>>();
-            let slots2 = (0..prog.region_slots)
-                .map(|i| st2.slot(i))
-                .collect::<Vec<_>>();
-            assert_eq!(slots, slots2, "{}: slot state diverged", prog.name);
-            assert_eq!(
-                st1.emitted(),
-                st2.emitted(),
-                "{}: emits diverged",
-                prog.name
-            );
-        }
-
-        // Counting idiom vs hand-written closure oracle.
-        let counter = SnippetProgram::new(
-            "counter",
-            1,
-            vec![Stmt::Store {
-                slot: Expr::Const(0),
-                value: Expr::bin(BinOp::Add, Expr::load(0), Expr::Ctx(CtxField::Reps)),
-            }],
-            IntrinsicTable::empty(),
-        );
-        let (snippet, state) = counter.compile_with_state().expect("verifies");
-        let mut oracle = 0i64;
-        let mut r = SimRng::new(0xD15C_0B5E, 31);
-        for _ in 0..200 {
-            let reps = 1 + r.gen_range_u64(0..=100);
-            (snippet.code)(&probe_ctx(p, reps));
-            oracle = oracle.saturating_add(reps as i64);
-        }
-        assert_eq!(
-            state.slot(0),
-            oracle,
-            "fused counter must match the closure oracle"
-        );
-    });
-    sim.run();
-}
-
 // ---------------------------------------------------------------------
 // SimChannel against the queue it replaced
 // ---------------------------------------------------------------------
