@@ -12,7 +12,8 @@
 //!   worst-case cost, which [`SnippetProgram::compile`] stamps into the
 //!   snippet for the analyzer and the overhead controller;
 //! * [`SnippetProgram::compile`] lowers the program to the snippet's
-//!   executable code: a no-op for no call, a direct call for one.
+//!   executable code: a no-op for no call, a direct call for one, a loop
+//!   over more.
 //!
 //! The DPCL daemons run [`verify_snippet`] on every snippet before
 //! `Image::try_insert` and reject programs that fail with a typed error.
