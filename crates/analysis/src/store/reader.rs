@@ -12,50 +12,18 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
-use std::sync::OnceLock;
 
-use dynprof_obs as obs;
 use dynprof_sim::SimTime;
 use dynprof_vt::{Event, Trace};
 
 use super::codec::{decode_chunk, event_overlaps};
 use super::crc::crc32;
-use super::salvage::{survey, FooterState};
+use super::salvage::survey;
 use super::{
     chunk_crc, take_dictionary, take_u32, take_u64, ChunkMeta, EventSource, CHUNK_HEADER_BYTES,
     HEADER_BYTES, STORE_MAGIC, STORE_VERSION, STORE_VERSION_MIN, TRAILER_BYTES,
 };
 use crate::error::TraceError;
-
-fn obs_chunks_read(n: u64) {
-    static C: OnceLock<&'static obs::Counter> = OnceLock::new();
-    C.get_or_init(|| obs::counter("analysis.chunks_read"))
-        .add(n);
-}
-
-fn obs_chunks_skipped(n: u64) {
-    static C: OnceLock<&'static obs::Counter> = OnceLock::new();
-    C.get_or_init(|| obs::counter("analysis.chunks_skipped"))
-        .add(n);
-}
-
-fn obs_chunks_bad_crc(n: u64) {
-    static C: OnceLock<&'static obs::Counter> = OnceLock::new();
-    C.get_or_init(|| obs::counter("analysis.chunks_bad_crc"))
-        .add(n);
-}
-
-fn obs_chunks_salvaged(n: u64) {
-    static C: OnceLock<&'static obs::Counter> = OnceLock::new();
-    C.get_or_init(|| obs::counter("analysis.chunks_salvaged"))
-        .add(n);
-}
-
-fn obs_events_lost(n: u64) {
-    static C: OnceLock<&'static obs::Counter> = OnceLock::new();
-    C.get_or_init(|| obs::counter("analysis.events_lost"))
-        .add(n);
-}
 
 /// What one windowed query cost — and, in degraded mode, exactly what it
 /// had to drop.
@@ -294,9 +262,6 @@ impl StoreReader {
         let survey = survey(path.as_ref())?;
         let mut reader = survey.reader;
         let chunks_recovered = reader.index.len();
-        if survey.footer != FooterState::Valid && obs::enabled() {
-            obs_chunks_salvaged(chunks_recovered as u64);
-        }
         reader.salvage = Some(SalvageSummary {
             chunks_recovered,
             events_recovered: reader.events,
@@ -410,11 +375,6 @@ impl StoreReader {
             .index
             .get(i)
             .ok_or(TraceError::ShortChunk { index: i })?;
-        let start = if obs::enabled() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
         // `open` checked that the index entry lies inside the file, so the
         // length is bounded by the file's size.
         self.chunk
@@ -426,17 +386,10 @@ impl StoreReader {
         }
         let actual = self.chunk.crc();
         if actual != head.crc || actual != meta.crc {
-            if obs::enabled() {
-                obs_chunks_bad_crc(1);
-            }
             return Err(TraceError::ChecksumMismatch { index: i });
         }
         self.peak_chunk_bytes = self.peak_chunk_bytes.max(meta.enc_len as usize);
         self.chunk.decode(meta.rank, meta.count, self.version)?;
-        if let Some(t0) = start {
-            obs::histogram("analysis.decode_real_ns").record(t0.elapsed().as_nanos() as u64);
-            obs_chunks_read(1);
-        }
         Ok(self.chunk.bytes())
     }
 
@@ -468,9 +421,6 @@ impl StoreReader {
         if let Some(stats) = stats {
             stats.chunks_bad += 1;
             stats.events_lost += count;
-        }
-        if obs::enabled() {
-            obs_events_lost(count);
         }
         Ok(())
     }
@@ -568,9 +518,6 @@ impl EventSource for StoreReader {
             if let Some((t0, t1)) = window {
                 if !meta.overlaps(t0, t1) {
                     stats.chunks_skipped += 1;
-                    if obs::enabled() {
-                        obs_chunks_skipped(1);
-                    }
                     continue;
                 }
             }

@@ -19,9 +19,8 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, ErrorKind};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-use dynprof_obs as obs;
 use dynprof_sim::SimTime;
 use dynprof_vt::{locked, Event, EventSink, Lane, VtFuncId};
 
@@ -29,12 +28,6 @@ use super::reader::{QueryStats, StoreInfo, StoreReader};
 use super::writer::{remap_func, ChunkBuf, FileHalf, Lanes, Meter, Seal, StoreStats};
 use super::{EventSource, StoreOptions, STORE_VERSION};
 use crate::error::TraceError;
-
-fn obs_segments_rotated(n: u64) {
-    static C: OnceLock<&'static obs::Counter> = OnceLock::new();
-    C.get_or_init(|| obs::counter("analysis.segments_rotated"))
-        .add(n);
-}
 
 /// When to roll to a new segment. A cap of `None` never triggers; the
 /// default policy never rotates: one file, named as given, byte-identical
@@ -131,9 +124,6 @@ impl Rotor {
         };
         self.sealed.push(file.finish()?);
         self.rotated += 1;
-        if obs::enabled() {
-            obs_segments_rotated(1);
-        }
         self.prune()?;
         let next = segment_path(&self.base, self.next_seg);
         self.next_seg += 1;

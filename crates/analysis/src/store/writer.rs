@@ -21,32 +21,18 @@
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-use dynprof_obs as obs;
 use dynprof_sim::SimTime;
 use dynprof_vt::{locked, Event, EventSink, Lane, Trace, VtFuncId, VtLib};
 
 use super::codec::{event_end, ShapeTableV4};
 use super::crc::crc32;
 use super::{
-    put_dictionary, ChunkMeta, StoreOptions, CHUNK_HEADER_BYTES, HEADER_BYTES, STORE_MAGIC,
-    STORE_VERSION, UNKNOWN_FUNC,
+    put_dictionary, ChunkMeta, StoreOptions, HEADER_BYTES, STORE_MAGIC, STORE_VERSION, UNKNOWN_FUNC,
 };
 use crate::dense::{DenseMap, DENSE_RANKS};
 use crate::error::TraceError;
-
-fn obs_chunks_written(n: u64) {
-    static C: OnceLock<&'static obs::Counter> = OnceLock::new();
-    C.get_or_init(|| obs::counter("analysis.chunks_written"))
-        .add(n);
-}
-
-fn obs_store_bytes(n: u64) {
-    static C: OnceLock<&'static obs::Counter> = OnceLock::new();
-    C.get_or_init(|| obs::counter("analysis.store_bytes"))
-        .add(n);
-}
 
 /// What one finished store write produced.
 #[derive(Clone, Copy, Debug, Default)]
@@ -327,7 +313,6 @@ pub(crate) struct FileHalf<W: Write + Seek> {
     index: Vec<ChunkMeta>,
     events: u64,
     peak_buffered: usize,
-    obs_counted: u64,
     deferred_err: Option<std::io::Error>,
 }
 
@@ -355,7 +340,6 @@ impl<W: Write + Seek> FileHalf<W> {
             index: Vec::new(),
             events: 0,
             peak_buffered: 0,
-            obs_counted: 0,
             deferred_err: None,
         })
     }
@@ -443,11 +427,6 @@ impl<W: Write + Seek> FileHalf<W> {
                 "store write lost bytes (disk full mid-chunk?)",
             )));
         }
-        if obs::enabled() {
-            // Everything not yet counted per-chunk: header, preamble,
-            // footer, trailer — so analysis.store_bytes == file length.
-            obs_store_bytes(self.pos - self.obs_counted);
-        }
         Ok(StoreStats {
             chunks: self.index.len(),
             events: self.events,
@@ -466,27 +445,14 @@ impl<W: Write + Seek> Seal for FileHalf<W> {
         if chunk.is_empty() {
             return;
         }
-        let start = obs::enabled().then(std::time::Instant::now);
         let len = chunk.payload.len();
         self.events += u64::from(chunk.count);
         if len > chunk.high_water {
             self.peak_buffered += len - chunk.high_water;
             chunk.high_water = len;
         }
-        match self.write_chunk(rank, chunk) {
-            Ok(()) => {
-                if let Some(t0) = start {
-                    obs::histogram("analysis.encode_real_ns")
-                        .record(t0.elapsed().as_nanos() as u64);
-                    obs_chunks_written(1);
-                    let disk = (CHUNK_HEADER_BYTES + len) as u64;
-                    obs_store_bytes(disk);
-                    self.obs_counted += disk;
-                }
-            }
-            Err(e) => {
-                self.deferred_err.get_or_insert(e);
-            }
+        if let Err(e) = self.write_chunk(rank, chunk) {
+            self.deferred_err.get_or_insert(e);
         }
         chunk.clear();
     }

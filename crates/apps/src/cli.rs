@@ -305,6 +305,7 @@ pub fn run_cli(args: &CliArgs) -> Result<CliOutput, String> {
     let script = read_script(&args.script)?;
     let machine = args.machine_model()?;
     let mut cfg = SessionConfig::new(machine, args.policy).with_seed(args.seed);
+    cfg.check_map_budget(args.cpus).map_err(|e| e.to_string())?;
     if args.policy == Policy::Dynamic {
         cfg = cfg.with_script(script);
     }

@@ -74,39 +74,49 @@ fn bench_clock() {
 }
 
 fn bench_obs_primitives() {
-    // The branch every instrumented layer pays when observation is off:
-    // a relaxed atomic load + test. This is the whole disabled-obs cost.
+    // The branch every instrumented layer pays in an unobserved run: the
+    // load of the run's registry and a test for `None`, through the
+    // process handle as a real site reads it. This is the whole
+    // disabled-obs cost.
     bench("obs/enabled_check_disabled", |iters| {
-        obs::set_enabled(false);
-        let t = Instant::now();
-        for _ in 0..iters {
-            if black_box(obs::enabled()) {
-                obs::counter("bench.micro.never").inc();
+        in_virtual_proc(move |p| {
+            let t = Instant::now();
+            for _ in 0..iters {
+                if let Some(m) = black_box(p).metrics() {
+                    m.counter("bench.micro.never").inc();
+                }
             }
-        }
-        t.elapsed()
+            t.elapsed()
+        })
     });
     bench("obs/counter_add_enabled", |iters| {
-        obs::set_enabled(true);
-        let c = obs::counter("bench.micro.counter");
+        let metrics = obs::Registry::new();
+        let c = metrics.counter("bench.micro.counter");
         let t = Instant::now();
         for _ in 0..iters {
-            if obs::enabled() {
-                c.add(black_box(1));
-            }
+            c.add(black_box(1));
         }
-        let d = t.elapsed();
-        obs::set_enabled(false);
-        d
+        t.elapsed()
     });
 }
 
 /// Run `f` inside a simulated process and return the host duration it
 /// measured (setup excluded).
 fn in_virtual_proc(f: impl FnOnce(&Proc) -> Duration + Send + 'static) -> Duration {
+    in_observed_proc(None, f)
+}
+
+/// [`in_virtual_proc`] in a run observed into `metrics`, if given.
+fn in_observed_proc(
+    metrics: Option<Arc<obs::Registry>>,
+    f: impl FnOnce(&Proc) -> Duration + Send + 'static,
+) -> Duration {
     let out = Arc::new(Mutex::new(Duration::ZERO));
     let out2 = Arc::clone(&out);
     let sim = Sim::virtual_time(Machine::test_machine(), 1);
+    if let Some(metrics) = metrics {
+        sim.set_metrics(metrics);
+    }
     sim.spawn("bench", 0, move |p| {
         *out2.lock() = f(p);
     });
@@ -230,8 +240,7 @@ fn bench_vt_fast_paths() {
     // Same active path with runtime observation on: the delta against
     // vt/begin_end_active is the cost of live metric updates.
     bench("vt/begin_end_active_obs_on", |iters| {
-        in_virtual_proc(move |p| {
-            obs::set_enabled(true);
+        in_observed_proc(Some(Arc::default()), move |p| {
             let vt = VtLib::new("b", 1, VtConfig::all_on(), ProbeCosts::power3());
             vt.init(p, 0);
             let f = vt.funcdef(p, "hot");
@@ -240,9 +249,7 @@ fn bench_vt_fast_paths() {
                 vt.begin(p, 0, 0, f, 1);
                 vt.end(p, 0, 0, f);
             }
-            let d = t.elapsed();
-            obs::set_enabled(false);
-            d
+            t.elapsed()
         })
     });
 }
@@ -743,7 +750,7 @@ fn bench_runtimes() {
                 dynprof_vt::OverheadController::new(dynprof_vt::ControllerConfig::budget(5.0));
             let t = Instant::now();
             for round in 0..iters {
-                black_box(ctl.decide(&vt, SimTime::from_micros(round + 1), round));
+                black_box(ctl.decide(&vt, SimTime::from_micros(round + 1), round, None));
             }
             t.elapsed()
         })

@@ -37,7 +37,7 @@ use dynprof_check::analyzer::{analyze, Budget, ProbePlan};
 use dynprof_core::{run_session, AppSpec, SessionConfig, SessionReport, TxnSettings};
 use dynprof_dpcl::DegradedPolicy;
 use dynprof_mpi::{launch, JobSpec};
-use dynprof_obs::{self as obs, Json};
+use dynprof_obs::{Json, Registry};
 use dynprof_sim::{FaultSpec, Machine, OnlineStats, SimTime};
 use dynprof_vt::{confsync, ConfigDelta, ControllerConfig, MonitorLink, Policy, VtConfig, VtLib};
 
@@ -51,8 +51,8 @@ use dynprof_vt::{confsync, ConfigDelta, ControllerConfig, MonitorLink, Policy, V
 /// * `--json` — print figure JSON instead of the text table;
 /// * `--parallel [N]` — fan the independent runs across N worker threads
 ///   (default: the host's parallelism); output is byte-identical;
-/// * `--metrics out.json` — observe the sweep and dump the
-///   [`dynprof_obs`] registry afterwards;
+/// * `--metrics out.json` — observe the sweep into one registry, which
+///   all its sessions share, and dump it afterwards;
 /// * `--faults seed[:profile]` — run every session under a deterministic
 ///   fault plan (`dynprof_sim::fault`; profiles none, drop, dup, delay,
 ///   slow, crash, epochs, lossy — the default); under a live plan every
@@ -72,7 +72,8 @@ pub struct FigureArgs {
     pub workers: usize,
     /// Print JSON instead of text tables.
     pub json: bool,
-    /// Where to write the metrics after the sweep.
+    /// Where to write the metrics after the sweep (`base.metrics` is the
+    /// registry then).
     pub metrics: Option<String>,
     /// The binary's own `--flag value` options, in command-line order.
     pub own: Vec<(String, String)>,
@@ -109,7 +110,10 @@ impl FigureArgs {
                         None => parallel::default_workers(),
                     }
                 }
-                "--metrics" => out.metrics = Some(value()?),
+                "--metrics" => {
+                    out.metrics = Some(value()?);
+                    out.base.metrics = Some(Arc::new(Registry::new()));
+                }
                 "--faults" => {
                     let spec = FaultSpec::parse(&value()?);
                     out.base.faults = Some(spec.map_err(|e| format!("bad --faults value: {e}"))?);
@@ -139,14 +143,10 @@ impl FigureArgs {
     }
 
     /// [`FigureArgs::parse`] over the process's arguments: a bad command
-    /// line exits with status 2, and `--metrics` turns observation on.
+    /// line exits with status 2.
     pub fn from_env(own: &[&str], probes: bool) -> FigureArgs {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let out = FigureArgs::parse(&args, own, probes).unwrap_or_else(|e| usage_error(&e));
-        if out.metrics.is_some() {
-            obs::set_enabled(true);
-        }
-        out
+        FigureArgs::parse(&args, own, probes).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// Print each figure as it is produced, then write the metrics file if
@@ -159,8 +159,8 @@ impl FigureArgs {
                 println!("{}", fig.render());
             }
         }
-        if let Some(path) = &self.metrics {
-            std::fs::write(path, obs::dump_json() + "\n").unwrap_or_else(|e| {
+        if let (Some(path), Some(metrics)) = (&self.metrics, &self.base.metrics) {
+            std::fs::write(path, metrics.dump_json() + "\n").unwrap_or_else(|e| {
                 eprintln!("failed to write metrics to {path}: {e}");
                 std::process::exit(1);
             });
@@ -348,9 +348,10 @@ pub fn fig7_policies(app: &str) -> Vec<Policy> {
 /// time in seconds and whether one of the run's transactional epochs left
 /// nodes uninstrumented (possible only under a live fault plan).
 pub fn fig7_run(base: &SessionConfig, app_name: &str, cpus: usize, policy: Policy) -> (f64, bool) {
-    let _span = obs::span("bench.fig7.run.real_ns");
-    if obs::enabled() {
-        obs::counter("bench.fig7.runs").inc();
+    let metrics = base.metrics.as_deref();
+    let _span = metrics.map(|m| m.span("bench.fig7.run.real_ns"));
+    if let Some(m) = metrics {
+        m.counter("bench.fig7.runs").inc();
     }
     let (app, _outputs) =
         paper_app(app_name, cpus).unwrap_or_else(|| panic!("unknown app {app_name}"));
@@ -375,7 +376,7 @@ pub fn fig7(base: &SessionConfig, app_name: &str, workers: usize) -> Figure {
         .iter()
         .flat_map(|&c| (0..policies.len()).map(move |si| (c, si)))
         .collect();
-    let results = parallel::run(&jobs, workers, |&(c, si)| {
+    let results = parallel::run(&jobs, workers, base.metrics.as_deref(), |&(c, si)| {
         fig7_run(base, app_name, c, policies[si])
     });
     let mut degraded = vec![false; series.len()];
@@ -436,7 +437,7 @@ pub fn confsync_cost(
         .iter()
         .flat_map(|&p| (0..runs).map(move |run| (p, 0xF160 + run as u64)))
         .collect();
-    let results = parallel::run(&jobs, workers, |&(p, seed)| {
+    let results = parallel::run(&jobs, workers, base.metrics.as_deref(), |&(p, seed)| {
         one_confsync(base, p, experiment, seed)
     });
     let mut points = Vec::new();
@@ -581,7 +582,7 @@ pub fn fig9(base: &SessionConfig, workers: usize) -> Figure {
         .enumerate()
         .flat_map(|(ai, &a)| fig7_cpus(a).into_iter().map(move |c| (ai, c)))
         .collect();
-    let results = parallel::run(&jobs, workers, |&(ai, c)| {
+    let results = parallel::run(&jobs, workers, base.metrics.as_deref(), |&(ai, c)| {
         let app = dynprof_apps::test_app(apps[ai], c).expect("app");
         let report = session(base, &app, Policy::Dynamic, 77 + c as u64);
         (

@@ -16,10 +16,11 @@ use dynprof_obs as obs;
 
 /// Run `f` over every job on `workers` threads, returning results in job
 /// order. `workers <= 1` (or a single job) degenerates to a plain serial
-/// loop on the calling thread.
+/// loop on the calling thread. A pool records its size and time into
+/// `metrics`, the registry its jobs' sessions share, if there is one.
 ///
 /// Worker panics propagate to the caller once the pool is joined.
-pub fn run<T, R, F>(jobs: &[T], workers: usize, f: F) -> Vec<R>
+pub fn run<T, R, F>(jobs: &[T], workers: usize, metrics: Option<&obs::Registry>, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -30,10 +31,10 @@ where
     if workers == 1 {
         return jobs.iter().map(f).collect();
     }
-    let _span = obs::span("bench.pool.real_ns");
-    if obs::enabled() {
-        obs::gauge("bench.pool.workers").set(workers as u64);
-        obs::counter("bench.pool.jobs").add(n as u64);
+    let _span = metrics.map(|m| m.span("bench.pool.real_ns"));
+    if let Some(m) = metrics {
+        m.gauge("bench.pool.workers").set(workers as u64);
+        m.counter("bench.pool.jobs").add(n as u64);
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -67,22 +68,26 @@ mod tests {
     #[test]
     fn preserves_job_order() {
         let jobs: Vec<u64> = (0..100).collect();
-        let out = run(&jobs, 8, |&j| j * j);
+        let out = run(&jobs, 8, None, |&j| j * j);
         assert_eq!(out, jobs.iter().map(|j| j * j).collect::<Vec<_>>());
     }
 
     #[test]
     fn serial_and_parallel_agree() {
         let jobs: Vec<u64> = (0..25).collect();
-        let serial = run(&jobs, 1, |&j| j.wrapping_mul(0x9E37_79B9).rotate_left(7));
-        let par = run(&jobs, 4, |&j| j.wrapping_mul(0x9E37_79B9).rotate_left(7));
+        let serial = run(&jobs, 1, None, |&j| {
+            j.wrapping_mul(0x9E37_79B9).rotate_left(7)
+        });
+        let par = run(&jobs, 4, None, |&j| {
+            j.wrapping_mul(0x9E37_79B9).rotate_left(7)
+        });
         assert_eq!(serial, par);
     }
 
     #[test]
     fn empty_and_single_job_edges() {
         let jobs: Vec<()> = Vec::new();
-        assert!(run(&jobs, 4, |_| 1u32).is_empty());
-        assert_eq!(run(&[7], 4, |&j: &u32| j + 1), vec![8]);
+        assert!(run(&jobs, 4, None, |_| 1u32).is_empty());
+        assert_eq!(run(&[7], 4, None, |&j: &u32| j + 1), vec![8]);
     }
 }

@@ -22,9 +22,13 @@ use dynprof_dpcl::{
 };
 use dynprof_image::{Image, ProbePoint};
 use dynprof_mpi::{launch, launch_from, Comm, Job, JobSpec, MpiHooks};
+use dynprof_obs as obs;
 use dynprof_sim::hb::Finding;
 use dynprof_sim::sync::SimGate;
-use dynprof_sim::{FaultPlan, FaultSpec, Machine, Proc, ProcBackend, Sim, SimTime};
+use dynprof_sim::{
+    check_map_budget, max_map_count, FaultPlan, FaultSpec, Machine, MapBudgetExceeded, Proc,
+    ProcBackend, Sim, SimTime,
+};
 use dynprof_vt::{
     vt_begin_snippet, vt_end_snippet, ControllerConfig, MonitorLink, OverheadController, Policy,
     SharedSink, VtConfig, VtLib, VtRankHooks, VtStaticHooks,
@@ -86,6 +90,11 @@ pub struct SessionConfig {
     /// What carries the simulated processes. Every output is
     /// byte-identical on either; only host time differs.
     pub backend: ProcBackend,
+    /// The registry the run records its metrics into (`None`: the run is
+    /// not observed, unless the process default is armed — see
+    /// [`obs::process_default`]). Sessions may share one, as a figure
+    /// sweep's do. Costs no virtual time either way.
+    pub metrics: Option<Arc<obs::Registry>>,
 }
 
 /// Transactional-epoch settings for instrumented sessions, used under a
@@ -120,17 +129,41 @@ impl SessionConfig {
             capture: None,
             faults: None,
             backend: ProcBackend::default_backend(),
+            metrics: None,
         }
     }
 
     /// The simulation this configuration runs on: its machine, seed and
-    /// carrier, with the fault plan instantiated when `faults` is set.
+    /// carrier, with the fault plan instantiated when `faults` is set,
+    /// observed into `metrics` (or the armed process default).
     pub fn sim(&self) -> Sim {
         let sim = Sim::virtual_time_with_backend(self.machine.clone(), self.seed, self.backend);
         if let Some(spec) = &self.faults {
             sim.set_fault_plan(FaultPlan::new(spec, &self.machine));
         }
+        if let Some(metrics) = self.metrics.as_ref().or(obs::process_default()) {
+            sim.set_metrics(Arc::clone(metrics));
+        }
         sim
+    }
+
+    /// The simulated processes a session of `cpus` application processes
+    /// and threads spawns at most: those, a super and a communication
+    /// daemon on every node, the instrumenter and its heartbeat monitor.
+    pub fn processes(&self, cpus: usize) -> usize {
+        cpus + 2 * self.machine.nodes + 2
+    }
+
+    /// Refuse, before anything is spawned, a session of `cpus` that the
+    /// coroutine carrier could not map (see [`check_map_budget`]).
+    pub fn check_map_budget(&self, cpus: usize) -> Result<(), MapBudgetExceeded> {
+        if self.backend != ProcBackend::Coroutine {
+            return Ok(());
+        }
+        match max_map_count() {
+            Some(limit) => check_map_budget(self.processes(cpus), limit),
+            None => Ok(()),
+        }
     }
 
     /// Capture the run through `sink` as it happens instead of buffering
@@ -216,6 +249,9 @@ pub struct SessionReport {
     /// What the session's receives cost (inspection: the queue-discipline
     /// bounds).
     pub recv_cost: RecvCost,
+    /// Simulated processes the session spawned, its own and the
+    /// application's (inspection: [`SessionConfig::processes`] bounds it).
+    pub processes: usize,
 }
 
 /// What receiving cost a session, per kind of channel: `(examined,
@@ -372,7 +408,10 @@ fn drive(app: &AppSpec, cfg: SessionConfig, launch: Launch, script: Vec<Command>
     }
 
     // ---- run, then close.
+    let stats = sim.stats();
     let total = sim.run();
+    let processes = stats.processes();
+    drop(stats);
     vt.close_lanes();
     let out = std::mem::take(&mut *outcome.lock());
     SessionReport {
@@ -392,6 +431,7 @@ fn drive(app: &AppSpec, cfg: SessionConfig, launch: Launch, script: Vec<Command>
             fifo: system.recv_cost(),
             mpi: out.job.map_or((0, 0), |job| job.recv_cost()),
         },
+        processes,
     }
 }
 

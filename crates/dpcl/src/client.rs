@@ -4,10 +4,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dynprof_obs as obs;
 use parking_lot::Mutex;
 
-use dynprof_image::{FuncId, Image, ProbePoint, Snippet, SnippetId};
+use dynprof_image::{FuncId, Image, ProbePoint, Snippet};
 use dynprof_sim::rng::SimRng;
 use dynprof_sim::sync::SimChannel;
 use dynprof_sim::{Proc, SimTime};
@@ -103,19 +102,51 @@ fn await_reply<T>(
         if let Some(reply) = recv(p.now() + ACK_TIMEOUT) {
             return Some(reply);
         }
-        if obs::enabled() {
-            obs::counter("dpcl.retries").inc();
+        if let Some(m) = p.metrics() {
+            m.counter("dpcl.retries").inc();
         }
         if live && attempt < MAX_ATTEMPTS {
             p.sleep(backoff.next_delay());
             resend();
         }
     }
-    if obs::enabled() {
-        obs::counter("dpcl.timeouts").inc();
+    if let Some(m) = p.metrics() {
+        m.counter("dpcl.timeouts").inc();
     }
     None
 }
+
+/// Why [`DpclClient::connect`] or [`DpclClient::attach`] failed. Its
+/// text is the one line a user sees.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum DpclError {
+    /// A daemon refused the request (an unknown user, a failed attach);
+    /// the daemon's message.
+    Rejected(String),
+    /// No reply within the retry budget. `op` names the request as the
+    /// message words it (`connect to node 3`, `attach to "t" on node 3`).
+    TimedOut {
+        /// The request, as the message words it.
+        op: String,
+        /// The node it was sent to.
+        node: usize,
+        /// Sends made before giving up.
+        attempts: u32,
+    },
+}
+
+impl std::fmt::Display for DpclError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DpclError::Rejected(message) => f.write_str(message),
+            DpclError::TimedOut { op, attempts, .. } => {
+                write!(f, "{op} timed out after {attempts} attempts")
+            }
+        }
+    }
+}
+
+impl std::error::Error for DpclError {}
 
 /// A process the client has attached to.
 #[derive(Clone)]
@@ -214,7 +245,7 @@ impl DpclClient {
 
     /// Stamp `req`'s issue time under `metric` (no-op unless observing).
     fn note_issue(&self, p: &Proc, req: ReqId, metric: &'static str) {
-        if obs::enabled() {
+        if p.metrics().is_some() {
             self.issued.lock().insert(req, (metric, p.now()));
         }
     }
@@ -244,7 +275,7 @@ impl DpclClient {
     /// same [`ReqId`] — the super daemon dedups, so at most one
     /// communication daemon is ever spawned per request. Fault-free it
     /// sends once.
-    pub fn connect(&self, p: &Proc, node: usize) -> Result<(), String> {
+    pub fn connect(&self, p: &Proc, node: usize) -> Result<(), DpclError> {
         if self.daemons.lock().contains_key(&node) {
             return Ok(());
         }
@@ -271,8 +302,8 @@ impl DpclClient {
                 self.inbox.recv_match_deadline(p, is_reply, deadline)
             },
             || {
-                if obs::enabled() {
-                    obs::counter("dpcl.resends").inc();
+                if let Some(m) = p.metrics() {
+                    m.counter("dpcl.resends").inc();
                 }
                 send();
             },
@@ -282,17 +313,19 @@ impl DpclClient {
                 self.daemons.lock().insert(node, daemon);
                 Ok(())
             }
-            Some(UpMsg::AuthFailed { message, .. }) => Err(message),
+            Some(UpMsg::AuthFailed { message, .. }) => Err(DpclError::Rejected(message)),
             // The matcher admits only the two arms above.
-            _ => Err(format!(
-                "connect to node {node} timed out after {MAX_ATTEMPTS} attempts"
-            )),
+            _ => Err(DpclError::TimedOut {
+                op: format!("connect to node {node}"),
+                node,
+                attempts: MAX_ATTEMPTS,
+            }),
         }
     }
 
     fn send_down(&self, p: &Proc, node: usize, msg: DownMsg) {
-        if obs::enabled() {
-            obs::counter("dpcl.requests").inc();
+        if let Some(m) = p.metrics() {
+            m.counter("dpcl.requests").inc();
         }
         let req = msg.req_id();
         if let Some(req) = req.filter(|_| p.live_faults()) {
@@ -328,8 +361,8 @@ impl DpclClient {
         let Some((node, msg)) = entry else {
             return false;
         };
-        if obs::enabled() {
-            obs::counter("dpcl.resends").inc();
+        if let Some(m) = p.metrics() {
+            m.counter("dpcl.resends").inc();
         }
         p.advance(CLIENT_SEND_COST);
         let daemon = {
@@ -350,7 +383,7 @@ impl DpclClient {
         node: usize,
         image: Arc<Image>,
         name: impl Into<String>,
-    ) -> Result<ProcessHandle, String> {
+    ) -> Result<ProcessHandle, DpclError> {
         self.connect(p, node)?;
         let name = name.into();
         let target = TargetId(self.next_target.fetch_add(1, Ordering::Relaxed));
@@ -372,10 +405,12 @@ impl DpclClient {
                 image,
                 name,
             }),
-            AckResult::Error { message } => Err(message),
-            AckResult::TimedOut { attempts } => Err(format!(
-                "attach to {name:?} on node {node} timed out after {attempts} attempts"
-            )),
+            AckResult::Error { message } => Err(DpclError::Rejected(message)),
+            AckResult::TimedOut { attempts } => Err(DpclError::TimedOut {
+                op: format!("attach to {name:?} on node {node}"),
+                node,
+                attempts,
+            }),
         }
     }
 
@@ -410,29 +445,6 @@ impl DpclClient {
             snippet,
         };
         self.send_down(p, node, msg);
-        req
-    }
-
-    /// Asynchronously remove a snippet.
-    pub fn remove_probe(
-        &self,
-        p: &Proc,
-        h: &ProcessHandle,
-        point: ProbePoint,
-        snippet: SnippetId,
-    ) -> ReqId {
-        let req = self.req();
-        self.note_issue(p, req, "dpcl.remove_latency_ns");
-        self.send_down(
-            p,
-            h.node,
-            DownMsg::Remove {
-                req,
-                target: h.target,
-                point,
-                snippet,
-            },
-        );
         req
     }
 
@@ -514,7 +526,7 @@ impl DpclClient {
             },
         );
         if let Some((result, completed_at)) = acked {
-            return self.acked(req, result, completed_at);
+            return self.acked(p, req, result, completed_at);
         }
         self.pending.lock().remove(&req);
         self.issued.lock().remove(&req);
@@ -535,7 +547,7 @@ impl DpclClient {
                 result,
                 completed_at,
                 ..
-            } => Some(self.acked(req, result, completed_at)),
+            } => Some(self.acked(p, req, result, completed_at)),
             // Only an ack carries a key.
             _ => None,
         }
@@ -543,14 +555,15 @@ impl DpclClient {
 
     /// `req` is acknowledged with `result`, completed by the daemon at
     /// `completed_at`: forget its resend copy and note its latency.
-    fn acked(&self, req: ReqId, result: AckResult, completed_at: SimTime) -> AckResult {
+    fn acked(&self, p: &Proc, req: ReqId, result: AckResult, completed_at: SimTime) -> AckResult {
         self.pending.lock().remove(&req);
-        if obs::enabled() {
+        if let Some(m) = p.metrics() {
             // Virtual time from request issue to daemon completion (the
             // ack's transit back is the client's wait, not the daemon's
             // work, so it is excluded).
             if let Some((metric, sent)) = self.issued.lock().remove(&req) {
-                obs::histogram(metric).record(completed_at.saturating_sub(sent).as_nanos());
+                m.histogram(metric)
+                    .record(completed_at.saturating_sub(sent).as_nanos());
             }
         }
         result
@@ -576,7 +589,7 @@ impl DpclClient {
                 result,
                 completed_at,
                 ..
-            }) => Some(self.acked(req, result, completed_at)),
+            }) => Some(self.acked(p, req, result, completed_at)),
             _ => {
                 self.pending.lock().remove(&req);
                 self.issued.lock().remove(&req);

@@ -16,7 +16,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dynprof_obs as obs;
 use parking_lot::Mutex;
 
 use dynprof_image::{verify_snippet, Image, Snippet, VerifyError};
@@ -56,16 +55,16 @@ fn outage_check(
     };
     let now = p.now();
     if now >= start && now < end {
-        if obs::enabled() {
-            obs::counter("dpcl.daemon_msgs_lost").inc();
+        if let Some(m) = p.metrics() {
+            m.counter("dpcl.daemon_msgs_lost").inc();
         }
         return true;
     }
     if now >= end && !*restarted {
         *restarted = true;
         p.advance(DAEMON_RESTART_COST + replay);
-        if obs::enabled() {
-            obs::counter("dpcl.daemon_restarts").inc();
+        if let Some(m) = p.metrics() {
+            m.counter("dpcl.daemon_restarts").inc();
         }
     }
     false
@@ -182,9 +181,11 @@ fn rejected(snippet: &Snippet, e: VerifyError) -> String {
     format!("snippet {:?} rejected: {e}", snippet.name())
 }
 
-/// Per-channel message accounting (callers guard with [`obs::enabled`]).
-fn note_msg(channel: &'static str) {
-    obs::counter(channel).inc();
+/// Per-channel message accounting, in an observed run.
+fn note_msg(p: &Proc, channel: &'static str) {
+    if let Some(m) = p.metrics() {
+        m.counter(channel).inc();
+    }
 }
 
 fn super_daemon_loop(dp: &Proc, inbox: &SimChannel<SuperMsg>, system: &Arc<DpclSystem>) {
@@ -204,13 +205,11 @@ fn super_daemon_loop(dp: &Proc, inbox: &SimChannel<SuperMsg>, system: &Arc<DpclS
                 if outage_check(dp, outage, &mut restarted, SimTime::ZERO) {
                     continue;
                 }
-                if obs::enabled() {
-                    note_msg("dpcl.msgs.connect");
-                }
+                note_msg(dp, "dpcl.msgs.connect");
                 let machine = dp.machine().clone();
                 if let Some(prev) = done.get(&req) {
-                    if obs::enabled() {
-                        obs::counter("dpcl.dedup_hits").inc();
+                    if let Some(m) = dp.metrics() {
+                        m.counter("dpcl.dedup_hits").inc();
                     }
                     let delay = machine.daemon.base_delay + dp.jitter(machine.daemon.jitter);
                     reply.send_ctl(dp, prev.clone(), delay);
@@ -261,9 +260,7 @@ fn super_daemon_loop(dp: &Proc, inbox: &SimChannel<SuperMsg>, system: &Arc<DpclS
                 if outage_check(dp, outage, &mut restarted, SimTime::ZERO) {
                     continue;
                 }
-                if obs::enabled() {
-                    note_msg("dpcl.msgs.ping");
-                }
+                note_msg(dp, "dpcl.msgs.ping");
                 let machine = dp.machine().clone();
                 let delay = machine.daemon.base_delay + dp.jitter(machine.daemon.jitter);
                 reply.send_ctl(
@@ -355,25 +352,26 @@ fn comm_daemon_loop(
             cp.advance(SimTime::from_nanos(
                 JOURNAL_REPLAY_COST.as_nanos() * records as u64,
             ));
-            if obs::enabled() {
-                obs::counter("dpcl.journal.replays").inc();
-                obs::counter("dpcl.journal.replayed_records").add(records as u64);
+            if let Some(m) = cp.metrics() {
+                m.counter("dpcl.journal.replays").inc();
+                m.counter("dpcl.journal.replayed_records")
+                    .add(records as u64);
             }
         }
         if let Some(req) = msg.req_id() {
             if let Some(prev) = done.get(&req) {
-                if obs::enabled() {
-                    obs::counter("dpcl.dedup_hits").inc();
+                if let Some(m) = cp.metrics() {
+                    m.counter("dpcl.dedup_hits").inc();
                 }
                 ack(cp, req, prev.clone());
                 continue;
             }
         }
-        if obs::enabled() {
-            note_msg(match &msg {
+        note_msg(
+            cp,
+            match &msg {
                 DownMsg::Attach { .. } => "dpcl.msgs.attach",
                 DownMsg::Install { .. } => "dpcl.msgs.install",
-                DownMsg::Remove { .. } => "dpcl.msgs.remove",
                 DownMsg::RemoveFunction { .. } => "dpcl.msgs.remove_function",
                 DownMsg::Suspend { .. } => "dpcl.msgs.suspend",
                 DownMsg::Resume { .. } => "dpcl.msgs.resume",
@@ -382,8 +380,8 @@ fn comm_daemon_loop(
                 DownMsg::TxnCommit { .. } => "dpcl.msgs.txn_commit",
                 DownMsg::TxnAbort { .. } => "dpcl.msgs.txn_abort",
                 DownMsg::Shutdown { .. } => "dpcl.msgs.shutdown",
-            });
-        }
+            },
+        );
         let (req, result) = match msg {
             DownMsg::Attach {
                 req,
@@ -409,8 +407,8 @@ fn comm_daemon_loop(
                     // do before it runs" safety story).
                     match verify_snippet(&snippet) {
                         Err(e) => {
-                            if obs::enabled() {
-                                obs::counter("dpcl.installs_rejected").inc();
+                            if let Some(m) = cp.metrics() {
+                                m.counter("dpcl.installs_rejected").inc();
                             }
                             let message = rejected(&snippet, e);
                             (req, AckResult::Error { message })
@@ -425,25 +423,6 @@ fn comm_daemon_loop(
                             ),
                         },
                     }
-                }
-                None => (req, missing(target)),
-            },
-            DownMsg::Remove {
-                req,
-                target,
-                point,
-                snippet,
-            } => match targets.get(&target) {
-                Some((img, _name)) => {
-                    cp.advance(machine.daemon.patch_cost);
-                    note_unsafe(cp, img, "remove");
-                    let removed = img.remove(point, snippet);
-                    (
-                        req,
-                        AckResult::Ok {
-                            detail: u64::from(removed),
-                        },
-                    )
                 }
                 None => (req, missing(target)),
             },

@@ -16,7 +16,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dynprof_obs as obs;
 use parking_lot::Mutex;
 
 use dynprof_sim::sync::SimChannel;
@@ -195,8 +194,8 @@ impl HeartbeatMonitor {
                 },
                 d.base_delay + p.jitter(d.jitter),
             );
-            if obs::enabled() {
-                obs::counter("dpcl.heartbeat.pings").inc();
+            if let Some(m) = p.metrics() {
+                m.counter("dpcl.heartbeat.pings").inc();
             }
             seqs.push((node, seq));
         }
@@ -208,8 +207,8 @@ impl HeartbeatMonitor {
                 deadline,
             );
             let answered = pong.is_some();
-            if obs::enabled() {
-                obs::counter(if answered {
+            if let Some(m) = p.metrics() {
+                m.counter(if answered {
                     "dpcl.heartbeat.pongs"
                 } else {
                     "dpcl.heartbeat.misses"
@@ -238,8 +237,8 @@ impl HeartbeatMonitor {
         };
         if next != s.health {
             s.health = next;
-            if obs::enabled() {
-                obs::counter(match next {
+            if let Some(m) = p.metrics() {
+                m.counter(match next {
                     NodeHealth::Alive => "dpcl.heartbeat.recoveries",
                     NodeHealth::Suspect => "dpcl.heartbeat.suspects",
                     NodeHealth::Dead => "dpcl.heartbeat.deaths",

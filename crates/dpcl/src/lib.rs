@@ -54,7 +54,9 @@ mod journal;
 mod messages;
 mod txn;
 
-pub use client::{BackoffSchedule, CallbackSender, DpclClient, ProcessHandle, CLIENT_SEND_COST};
+pub use client::{
+    BackoffSchedule, CallbackSender, DpclClient, DpclError, ProcessHandle, CLIENT_SEND_COST,
+};
 pub use daemon::{
     DpclSystem, AUTH_COST, DAEMON_RESTART_COST, JOURNAL_REPLAY_COST, JOURNAL_WRITE_COST,
     RESTART_REPLAY_COST, SPAWN_DAEMON_COST,
@@ -118,7 +120,10 @@ mod tests {
         sim.spawn("instrumenter", 0, move |p| {
             let client = DpclClient::new(system, "mallory");
             let err = client.attach(p, 1, image, "t").unwrap_err();
-            assert!(err.contains("not authorized"), "{err}");
+            assert!(
+                matches!(&err, DpclError::Rejected(m) if m.contains("not authorized")),
+                "{err}"
+            );
             client.shutdown(p);
         });
         sim.run();

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use dynprof_image::{FuncId, Image, ProbePoint, Snippet, SnippetId};
+use dynprof_image::{FuncId, Image, ProbePoint, Snippet};
 use dynprof_sim::sync::SimChannel;
 use dynprof_sim::SimTime;
 
@@ -65,13 +65,6 @@ pub(crate) enum DownMsg {
         point: ProbePoint,
         snippet: Snippet,
     },
-    /// Remove a snippet.
-    Remove {
-        req: ReqId,
-        target: TargetId,
-        point: ProbePoint,
-        snippet: SnippetId,
-    },
     /// Remove all instrumentation from a function (both points).
     RemoveFunction {
         req: ReqId,
@@ -113,7 +106,6 @@ impl DownMsg {
         match self {
             DownMsg::Attach { req, .. }
             | DownMsg::Install { req, .. }
-            | DownMsg::Remove { req, .. }
             | DownMsg::RemoveFunction { req, .. }
             | DownMsg::Suspend { req, .. }
             | DownMsg::Resume { req, .. }

@@ -24,8 +24,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use dynprof_obs as obs;
-
 use dynprof_image::{FuncId, ProbePoint, Snippet};
 use dynprof_sim::hb::{self, Finding, Severity};
 use dynprof_sim::{Proc, SimTime};
@@ -309,17 +307,18 @@ impl InstrumentationTxn {
             .map(|f| f.to_string())
             .collect();
         if !errors.is_empty() {
-            if obs::enabled() {
-                obs::counter("dpcl.txn.validation_failures").inc();
+            if let Some(m) = p.metrics() {
+                m.counter("dpcl.txn.validation_failures").inc();
             }
             return TxnReport::ended(0, TxnOutcome::ValidationFailed { errors });
         }
 
         let (txn, epoch) = client.next_txn_epoch();
         let hb_lib = hb::unique_id();
-        if obs::enabled() {
-            obs::counter("dpcl.txn.started").inc();
-            obs::counter("dpcl.txn.staged_ops").add(self.staged.len() as u64);
+        if let Some(m) = p.metrics() {
+            m.counter("dpcl.txn.started").inc();
+            m.counter("dpcl.txn.staged_ops")
+                .add(self.staged.len() as u64);
         }
 
         let mut by_node: BTreeMap<usize, Vec<StagedOp>> = BTreeMap::new();
@@ -339,8 +338,8 @@ impl InstrumentationTxn {
                 if m.health(node) == Some(NodeHealth::Dead) {
                     match self.opts.policy {
                         DegradedPolicy::AbortTxn => {
-                            if obs::enabled() {
-                                obs::counter("dpcl.txn.aborts").inc();
+                            if let Some(m) = p.metrics() {
+                                m.counter("dpcl.txn.aborts").inc();
                             }
                             let reason = format!("node {node} declared dead by heartbeat");
                             return TxnReport::ended(epoch, TxnOutcome::Aborted { reason });
@@ -393,8 +392,8 @@ impl InstrumentationTxn {
                 Some(AckResult::Ok { .. }) => Vote::Yes,
                 Some(AckResult::Error { message }) => Vote::No(message),
                 Some(AckResult::TimedOut { .. }) | None => {
-                    if obs::enabled() {
-                        obs::counter("dpcl.txn.vote_timeouts").inc();
+                    if let Some(m) = p.metrics() {
+                        m.counter("dpcl.txn.vote_timeouts").inc();
                     }
                     Vote::Timeout
                 }
@@ -496,19 +495,21 @@ impl InstrumentationTxn {
             }
         }
 
-        if obs::enabled() {
+        if let Some(m) = p.metrics() {
             match &outcome {
-                TxnOutcome::Committed => obs::counter("dpcl.txn.commits").inc(),
+                TxnOutcome::Committed => m.counter("dpcl.txn.commits").inc(),
                 TxnOutcome::CommittedDegraded { excluded } => {
-                    obs::counter("dpcl.txn.commits").inc();
-                    obs::counter("dpcl.txn.degraded").inc();
-                    obs::counter("dpcl.txn.excluded_nodes").add(excluded.len() as u64);
+                    m.counter("dpcl.txn.commits").inc();
+                    m.counter("dpcl.txn.degraded").inc();
+                    m.counter("dpcl.txn.excluded_nodes")
+                        .add(excluded.len() as u64);
                 }
-                TxnOutcome::Aborted { .. } => obs::counter("dpcl.txn.aborts").inc(),
+                TxnOutcome::Aborted { .. } => m.counter("dpcl.txn.aborts").inc(),
                 TxnOutcome::ValidationFailed { .. } => {}
             }
             let latency = p.now().saturating_sub(start);
-            obs::histogram("dpcl.txn.latency_ns").record(latency.as_nanos());
+            m.histogram("dpcl.txn.latency_ns")
+                .record(latency.as_nanos());
         }
 
         TxnReport {

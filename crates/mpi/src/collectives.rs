@@ -7,12 +7,10 @@
 //! is observed).
 
 use std::sync::atomic::Ordering;
-use std::sync::OnceLock;
 
-use dynprof_obs as obs;
 use dynprof_sim::Proc;
 
-use crate::comm::{note_send, Comm, Envelope, Kind};
+use crate::comm::{Comm, Envelope, Kind};
 use crate::data::{MpiData, Sized};
 use crate::types::{MpiOp, Source, Status, Tag, TagSel};
 
@@ -112,14 +110,11 @@ impl Comm {
         let tag = self.next_coll_tag();
         let up = self.reduce_internal::<u8>(p, 0, 0, &|a, b| a | b, tag);
         self.bcast_internal::<u8>(p, 0, up, tag);
-        if obs::enabled() {
-            static N: OnceLock<&'static obs::Counter> = OnceLock::new();
-            static WAIT: OnceLock<&'static obs::Histogram> = OnceLock::new();
-            N.get_or_init(|| obs::counter("mpi.barriers")).inc();
+        if let Some(m) = p.metrics() {
             // Virtual time this rank spent inside the barrier — recorded
             // after the fact, never advancing the clock itself.
-            WAIT.get_or_init(|| obs::histogram("mpi.barrier_wait_ns"))
-                .record(p.now().saturating_sub(entered).as_nanos());
+            let wait = p.now().saturating_sub(entered).as_nanos();
+            self.job.metrics.note_barrier(m, wait);
         }
     }
 
@@ -323,8 +318,8 @@ impl Comm {
     ) -> (R, Status) {
         // Eager-forced to stay deadlock-free regardless of size.
         let bytes = data.byte_len();
-        if obs::enabled() {
-            note_send(bytes);
+        if let Some(m) = p.metrics() {
+            self.job.metrics.note_send(m, bytes);
         }
         let machine = p.machine();
         let link = machine.link_between(
@@ -350,9 +345,8 @@ impl Comm {
             "MPI collective before MPI_Init on rank {}",
             self.rank()
         );
-        if obs::enabled() {
-            static COLLS: OnceLock<&'static obs::Counter> = OnceLock::new();
-            COLLS.get_or_init(|| obs::counter("mpi.collectives")).inc();
+        if let Some(m) = p.metrics() {
+            self.job.metrics.note_collective(m);
         }
         self.job.hooks.begin(p, self, op, None, bytes);
         p.advance(self.job.call_overhead);

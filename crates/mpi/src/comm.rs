@@ -22,15 +22,43 @@ use crate::data::MpiData;
 use crate::hooks::HookChain;
 use crate::types::{MpiOp, Source, Status, Tag, TagSel};
 
-/// Count one outgoing message (handles cached so the enabled path pays
-/// two atomic adds; callers guard with [`obs::enabled`]).
-pub(crate) fn note_send(bytes: usize) {
-    static MSGS: OnceLock<&'static obs::Counter> = OnceLock::new();
-    static BYTES: OnceLock<&'static obs::Counter> = OnceLock::new();
-    MSGS.get_or_init(|| obs::counter("mpi.messages")).inc();
-    BYTES
-        .get_or_init(|| obs::counter("mpi.bytes"))
-        .add(bytes as u64);
+/// A job's handles into its run's registry `m`, each resolved at its
+/// site's first use, so a message costs two atomic adds and no lookup.
+#[derive(Default)]
+pub(crate) struct JobMetrics {
+    sends: OnceLock<(Arc<obs::Counter>, Arc<obs::Counter>)>,
+    barriers: OnceLock<(Arc<obs::Counter>, Arc<obs::Histogram>)>,
+    collectives: OnceLock<Arc<obs::Counter>>,
+}
+
+impl JobMetrics {
+    /// Count one outgoing message of `bytes`.
+    pub fn note_send(&self, m: &obs::Registry, bytes: usize) {
+        let (messages, total) = self
+            .sends
+            .get_or_init(|| (m.counter("mpi.messages"), m.counter("mpi.bytes")));
+        messages.inc();
+        total.add(bytes as u64);
+    }
+
+    /// Count one barrier that kept this rank `wait_ns` of virtual time.
+    pub fn note_barrier(&self, m: &obs::Registry, wait_ns: u64) {
+        let (barriers, wait) = self.barriers.get_or_init(|| {
+            (
+                m.counter("mpi.barriers"),
+                m.histogram("mpi.barrier_wait_ns"),
+            )
+        });
+        barriers.inc();
+        wait.record(wait_ns);
+    }
+
+    /// Count one top-level collective call.
+    pub fn note_collective(&self, m: &obs::Registry) {
+        self.collectives
+            .get_or_init(|| m.counter("mpi.collectives"))
+            .inc();
+    }
 }
 
 pub(crate) enum Kind {
@@ -59,6 +87,8 @@ pub(crate) struct JobState {
     pub rndv_ids: AtomicU32,
     /// Identity for happens-before recording (0 when `check` is off).
     pub check_id: u64,
+    /// The job's instruments, if its run is observed.
+    pub metrics: JobMetrics,
 }
 
 impl JobState {
@@ -182,8 +212,8 @@ impl Comm {
     pub(crate) fn send_raw<T: MpiData>(&self, p: &Proc, dst: usize, tag: Tag, data: T) {
         assert!(dst < self.size(), "send to invalid rank {dst}");
         let bytes = data.byte_len();
-        if obs::enabled() {
-            note_send(bytes);
+        if let Some(m) = p.metrics() {
+            self.job.metrics.note_send(m, bytes);
         }
         let machine = p.machine();
         let link = machine.link_between(
@@ -393,8 +423,8 @@ impl Comm {
     fn send_eager_forced<T: MpiData>(&self, p: &Proc, dst: usize, tag: Tag, data: T) {
         assert!(dst < self.size(), "send to invalid rank {dst}");
         let bytes = data.byte_len();
-        if obs::enabled() {
-            note_send(bytes);
+        if let Some(m) = p.metrics() {
+            self.job.metrics.note_send(m, bytes);
         }
         let machine = p.machine();
         let link = machine.link_between(

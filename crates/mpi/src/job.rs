@@ -11,7 +11,7 @@ use std::sync::Arc;
 use dynprof_sim::sync::{SimChannel, SimGate};
 use dynprof_sim::{Machine, Pid, Proc, Sim, SimTime};
 
-use crate::comm::{Comm, JobState};
+use crate::comm::{Comm, JobMetrics, JobState};
 use crate::hooks::{HookChain, MpiHooks};
 
 /// Description of an MPI job to launch.
@@ -120,6 +120,7 @@ where
         call_overhead: spec.call_overhead,
         rndv_ids: AtomicU32::new(0),
         check_id: dynprof_sim::hb::unique_id(),
+        metrics: JobMetrics::default(),
     });
     let body = Arc::new(body);
     for rank in 0..spec.ranks {

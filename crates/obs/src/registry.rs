@@ -1,8 +1,8 @@
-//! The process-global metric registry and its instruments.
+//! The metric registry and its instruments.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::json::Json;
@@ -184,94 +184,131 @@ impl HistogramSnapshot {
     }
 }
 
+#[derive(Clone)]
 enum Slot {
-    Counter(&'static Counter),
-    Gauge(&'static Gauge),
-    Histogram(&'static Histogram),
+    Counter(Arc<Counter>),
+    Gauge(Arc<Gauge>),
+    Histogram(Arc<Histogram>),
 }
 
-fn registry() -> &'static Mutex<BTreeMap<&'static str, Slot>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<&'static str, Slot>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-fn with_registry<R>(f: impl FnOnce(&mut BTreeMap<&'static str, Slot>) -> R) -> R {
-    f(&mut registry().lock().unwrap_or_else(|e| e.into_inner()))
-}
-
-/// The counter registered under `name`, created on first use. The handle
-/// is `'static`: hot paths should cache it in a `OnceLock` rather than
-/// re-resolving the name.
-///
-/// Panics if `name` is already registered as a different instrument kind.
-pub fn counter(name: &'static str) -> &'static Counter {
-    with_registry(|r| {
-        match r
-            .entry(name)
-            .or_insert_with(|| Slot::Counter(Box::leak(Box::default())))
-        {
-            Slot::Counter(c) => *c,
-            _ => panic!("metric {name:?} is not a counter"),
-        }
-    })
-}
-
-/// The gauge registered under `name`, created on first use.
-///
-/// Panics if `name` is already registered as a different instrument kind.
-pub fn gauge(name: &'static str) -> &'static Gauge {
-    with_registry(|r| {
-        match r
-            .entry(name)
-            .or_insert_with(|| Slot::Gauge(Box::leak(Box::default())))
-        {
-            Slot::Gauge(g) => *g,
-            _ => panic!("metric {name:?} is not a gauge"),
-        }
-    })
-}
-
-/// The histogram registered under `name`, created on first use.
-///
-/// Panics if `name` is already registered as a different instrument kind.
-pub fn histogram(name: &'static str) -> &'static Histogram {
-    with_registry(|r| {
-        match r
-            .entry(name)
-            .or_insert_with(|| Slot::Histogram(Box::leak(Box::default())))
-        {
-            Slot::Histogram(h) => *h,
-            _ => panic!("metric {name:?} is not a histogram"),
-        }
-    })
-}
-
-/// Read one metric by name without creating it: the per-probe cost
-/// readback API. Controllers and tests use this to inspect instruments
-/// registered by hot paths (fire counts, latency histograms) without
-/// materializing a full [`Snapshot`]. Returns `None` for unknown names.
-pub fn read(name: &str) -> Option<MetricValue> {
-    with_registry(|r| {
-        r.get(name).map(|slot| match slot {
+impl Slot {
+    fn value(&self) -> MetricValue {
+        match self {
             Slot::Counter(c) => MetricValue::Counter(c.get()),
             Slot::Gauge(g) => MetricValue::Gauge(g.get(), g.high_water()),
             Slot::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-        })
-    })
+        }
+    }
 }
 
-/// Zero every registered instrument (instruments stay registered — handles
-/// cached by hot paths remain valid).
-pub fn reset() {
-    with_registry(|r| {
-        for slot in r.values() {
+/// One run's instruments, by name.
+///
+/// A run owns its registry: a session is given one
+/// (`SessionConfig::metrics`), its engine holds it, and every layer of
+/// the run records into it through its process handle or its owner.
+/// Two runs with two registries share nothing, so they may run at once.
+/// Instruments are created on first use and stay registered until the
+/// registry is dropped; [`Registry::reset`] zeroes them.
+#[derive(Default)]
+pub struct Registry {
+    slots: Mutex<BTreeMap<&'static str, Slot>>,
+}
+
+impl Registry {
+    /// An empty registry.
+    pub fn new() -> Registry {
+        Registry::default()
+    }
+
+    /// The instruments (a panic elsewhere while holding them leaves
+    /// nothing half-written: every update is one atomic).
+    fn slots(&self) -> MutexGuard<'_, BTreeMap<&'static str, Slot>> {
+        self.slots.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The instrument registered under `name`, made by `make` on first
+    /// use.
+    fn slot(&self, name: &'static str, make: fn() -> Slot) -> Slot {
+        self.slots().entry(name).or_insert_with(make).clone()
+    }
+
+    /// The counter registered under `name`, created on first use. A hot
+    /// path resolves it once per run and keeps the handle.
+    ///
+    /// Panics if `name` is already registered as a different instrument kind.
+    pub fn counter(&self, name: &'static str) -> Arc<Counter> {
+        match self.slot(name, || Slot::Counter(Arc::default())) {
+            Slot::Counter(c) => c,
+            _ => panic!("metric {name:?} is not a counter"),
+        }
+    }
+
+    /// The gauge registered under `name`, created on first use.
+    ///
+    /// Panics if `name` is already registered as a different instrument kind.
+    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
+        match self.slot(name, || Slot::Gauge(Arc::default())) {
+            Slot::Gauge(g) => g,
+            _ => panic!("metric {name:?} is not a gauge"),
+        }
+    }
+
+    /// The histogram registered under `name`, created on first use.
+    ///
+    /// Panics if `name` is already registered as a different instrument kind.
+    pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
+        match self.slot(name, || Slot::Histogram(Arc::default())) {
+            Slot::Histogram(h) => h,
+            _ => panic!("metric {name:?} is not a histogram"),
+        }
+    }
+
+    /// Read one metric by name without creating it. Returns `None` for
+    /// unknown names.
+    pub fn read(&self, name: &str) -> Option<MetricValue> {
+        self.slots().get(name).map(Slot::value)
+    }
+
+    /// Zero every registered instrument (instruments stay registered —
+    /// handles held by hot paths remain valid).
+    pub fn reset(&self) {
+        for slot in self.slots().values() {
             match slot {
                 Slot::Counter(c) => c.reset(),
                 Slot::Gauge(g) => g.reset(),
                 Slot::Histogram(h) => h.reset(),
             }
         }
-    });
+    }
+
+    /// Capture every registered instrument.
+    pub fn snapshot(&self) -> Snapshot {
+        let metrics = self
+            .slots()
+            .iter()
+            .map(|(name, slot)| Metric {
+                name: (*name).to_string(),
+                value: slot.value(),
+            })
+            .collect();
+        Snapshot { metrics }
+    }
+
+    /// The whole registry as pretty-printed JSON (a [`Registry::snapshot`]
+    /// rendered with [`Json::pretty`]).
+    pub fn dump_json(&self) -> String {
+        self.snapshot().to_json().pretty()
+    }
+
+    /// Start a [`Span`] feeding the histogram `name` (which must contain
+    /// `real`: spans read the host clock).
+    pub fn span(&self, name: &'static str) -> Span {
+        debug_assert!(name.contains("real"), "span names must contain \"real\"");
+        Span {
+            hist: self.histogram(name),
+            start: Instant::now(),
+        }
+    }
 }
 
 /// The value of one metric in a [`Snapshot`].
@@ -345,58 +382,21 @@ impl Snapshot {
     }
 }
 
-/// Capture every registered instrument.
-pub fn snapshot() -> Snapshot {
-    let metrics = with_registry(|r| {
-        r.iter()
-            .map(|(name, slot)| Metric {
-                name: (*name).to_string(),
-                value: match slot {
-                    Slot::Counter(c) => MetricValue::Counter(c.get()),
-                    Slot::Gauge(g) => MetricValue::Gauge(g.get(), g.high_water()),
-                    Slot::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                },
-            })
-            .collect()
-    });
-    Snapshot { metrics }
-}
-
-/// The whole registry as pretty-printed JSON (a [`snapshot`] rendered with
-/// [`Json::pretty`]).
-pub fn dump_json() -> String {
-    snapshot().to_json().pretty()
-}
-
 /// A scoped wall-clock timer: on drop, the elapsed nanoseconds are
-/// recorded into the histogram `name`. Inert (no clock read at all) when
-/// observation is disabled at creation.
+/// recorded into its histogram. Made by [`Registry::span`], so a run
+/// without a registry reads no clock at all.
 ///
 /// Spans measure *host* time — by the naming convention, span names must
 /// contain `real` (e.g. `bench.sweep.real_ns`).
 #[must_use = "a span records on drop; binding it to `_` drops it immediately"]
 pub struct Span {
-    start: Option<(&'static str, Instant)>,
+    hist: Arc<Histogram>,
+    start: Instant,
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((name, t0)) = self.start.take() {
-            histogram(name).record(t0.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
-/// Start a [`Span`] feeding the histogram `name` (which must contain
-/// `real`: spans read the host clock).
-pub fn span(name: &'static str) -> Span {
-    Span {
-        start: if crate::enabled() {
-            debug_assert!(name.contains("real"), "span names must contain \"real\"");
-            Some((name, Instant::now()))
-        } else {
-            None
-        },
+        self.hist.record(self.start.elapsed().as_nanos() as u64);
     }
 }
 
@@ -434,15 +434,16 @@ mod tests {
 
     #[test]
     fn registry_is_typed_and_resettable() {
-        let c = counter("test.registry.counter");
+        let r = Registry::new();
+        let c = r.counter("test.registry.counter");
         c.add(3);
-        assert_eq!(counter("test.registry.counter").get(), 3);
-        let g = gauge("test.registry.gauge");
+        assert_eq!(r.counter("test.registry.counter").get(), 3);
+        let g = r.gauge("test.registry.gauge");
         g.set(9);
         g.set(4);
         assert_eq!(g.get(), 4);
         assert_eq!(g.high_water(), 9);
-        reset();
+        r.reset();
         assert_eq!(c.get(), 0);
         assert_eq!(g.high_water(), 0);
     }
@@ -450,32 +451,34 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a gauge")]
     fn kind_mismatch_panics() {
-        counter("test.registry.mismatch");
-        gauge("test.registry.mismatch");
+        let r = Registry::new();
+        r.counter("test.registry.mismatch");
+        r.gauge("test.registry.mismatch");
     }
 
     #[test]
     fn read_back_by_name_without_creating() {
-        assert_eq!(read("test.read.missing"), None);
-        counter("test.read.counter").add(7);
-        assert!(matches!(
-            read("test.read.counter"),
-            Some(MetricValue::Counter(n)) if n >= 7
-        ));
-        assert_eq!(read("test.read.missing"), None, "read never registers");
+        let r = Registry::new();
+        assert_eq!(r.read("test.read.missing"), None);
+        r.counter("test.read.counter").add(7);
+        assert_eq!(r.read("test.read.counter"), Some(MetricValue::Counter(7)));
+        assert_eq!(r.read("test.read.missing"), None, "read never registers");
     }
 
     #[test]
     fn snapshot_is_sorted_and_filterable() {
-        counter("test.snap.b_real_ns").add(1);
-        counter("test.snap.a").add(1);
-        let s = snapshot();
+        let r = Registry::new();
+        r.counter("test.snap.b_real_ns").add(1);
+        r.counter("test.snap.a").add(1);
+        drop(r.span("test.snap.c_real_ns"));
+        let s = r.snapshot();
         let names: Vec<&str> = s.metrics.iter().map(|m| m.name.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted);
+        assert_eq!(
+            names,
+            ["test.snap.a", "test.snap.b_real_ns", "test.snap.c_real_ns"]
+        );
         let det = s.deterministic();
-        assert!(det.metrics.iter().any(|m| m.name == "test.snap.a"));
-        assert!(!det.metrics.iter().any(|m| m.name.contains("real")));
+        assert_eq!(det.metrics.len(), 1);
+        assert_eq!(det.metrics[0].name, "test.snap.a");
     }
 }

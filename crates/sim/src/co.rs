@@ -237,10 +237,15 @@ mod imp {
                 );
                 assert!(
                     !core::ptr::eq(map, usize::MAX as *mut c_void),
-                    "coroutine stack mmap ({len} bytes) failed"
+                    "coroutine stack mmap ({len} bytes) failed: out of address space, \
+                     or the process holds vm.max_map_count mappings"
                 );
                 let rc = mprotect(map, GUARD_BYTES, PROT_NONE);
-                assert_eq!(rc, 0, "coroutine stack guard mprotect failed");
+                assert_eq!(
+                    rc, 0,
+                    "coroutine stack guard mprotect failed: the process holds \
+                     vm.max_map_count mappings (two per coroutine stack)"
+                );
                 CoStack {
                     map: map as *mut u8,
                     len,

@@ -124,6 +124,62 @@ impl ProcBackend {
     }
 }
 
+/// Memory mappings the process needs besides its coroutine stacks (the
+/// binary, its libraries, the heap, large allocations), with room to
+/// spare.
+pub const MAP_HEADROOM: u64 = 512;
+
+/// A coroutine run too large for the kernel's `vm.max_map_count`: see
+/// [`check_map_budget`]. Its text is one line naming the sysctl, the
+/// process count and the limit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MapBudgetExceeded {
+    /// Simulated processes the run would start.
+    pub processes: usize,
+    /// Mappings they and the rest of the process need.
+    pub needed: u64,
+    /// The host's `vm.max_map_count`.
+    pub limit: u64,
+}
+
+impl std::fmt::Display for MapBudgetExceeded {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} simulated processes need {} memory mappings on the coroutine carrier, above \
+             vm.max_map_count = {}; raise vm.max_map_count or run fewer processes",
+            self.processes, self.needed, self.limit
+        )
+    }
+}
+
+impl std::error::Error for MapBudgetExceeded {}
+
+/// Whether a coroutine run of `processes` simulated processes fits under
+/// the kernel's `vm.max_map_count` of `limit`: each coroutine stack is
+/// two mappings (the stack and its guard page), and [`MAP_HEADROOM`] more
+/// are left for the rest of the process.
+pub fn check_map_budget(processes: usize, limit: u64) -> Result<(), MapBudgetExceeded> {
+    let needed = 2 * processes as u64 + MAP_HEADROOM;
+    if needed <= limit {
+        return Ok(());
+    }
+    Err(MapBudgetExceeded {
+        processes,
+        needed,
+        limit,
+    })
+}
+
+/// This host's `vm.max_map_count`, if it reports one.
+pub fn max_map_count() -> Option<u64> {
+    std::fs::read_to_string("/proc/sys/vm/max_map_count")
+        .ok()?
+        .trim()
+        .parse()
+        .ok()
+}
+
 /// Unwind payload used to tear blocked processes down: raised with
 /// `resume_unwind` (no panic-hook noise) at the resume point in
 /// [`Engine::yield_and_wait`] once the simulation is poisoned, caught by
@@ -225,8 +281,8 @@ struct EngineInner {
     timers: BinaryHeap<Reverse<(SimTime, u64, Pid, u64)>>,
     /// Tie-break sequence number shared by both heaps (insertion order).
     seq: u64,
-    /// Deepest the wake queue has grown (only tracked while observation
-    /// is enabled; deterministic, since pushes are serialized).
+    /// Deepest the wake queue has grown (deterministic, since pushes are
+    /// serialized).
     queue_hw: usize,
     /// Cancelled timer entries removed from the heap at the cancellation
     /// site rather than lingering until they surface at the top.
@@ -268,9 +324,7 @@ impl EngineInner {
     fn push_wake(&mut self, at: SimTime, pid: Pid) {
         self.seq += 1;
         self.queue.push(Reverse((at, self.seq, pid)));
-        if obs::enabled() {
-            self.queue_hw = self.queue_hw.max(self.queue.len());
-        }
+        self.queue_hw = self.queue_hw.max(self.queue.len());
     }
 }
 
@@ -323,14 +377,15 @@ struct CoPoolInner {
     /// scheduler loop, or a just-resumed process).
     retired: Vec<Pid>,
     /// Deepest any freed coroutine's stack was ever written, in bytes
-    /// (tracked only while observation is enabled).
+    /// (tracked only in an observed run).
     stack_hw: usize,
 }
 
 impl CoPoolInner {
-    /// Note how deep `slot`'s stack got, on its way out.
-    fn note_stack(&mut self, slot: &CoSlot) {
-        if obs::enabled() {
+    /// Note how deep `slot`'s stack got, on its way out, if the run is
+    /// `observed` (the reading costs a syscall).
+    fn note_stack(&mut self, slot: &CoSlot, observed: bool) {
+        if observed {
             self.stack_hw = self.stack_hw.max(slot.raw.stack_high_water());
         }
     }
@@ -369,6 +424,9 @@ pub(crate) struct Engine {
     faults: OnceLock<Arc<FaultPlan>>,
     /// Happens-before recorder, installed by [`Sim::enable_check`] only.
     hb: OnceLock<Arc<dyn crate::hb::Recorder>>,
+    /// The run's metrics registry, if it is observed (set at most once,
+    /// by [`Sim::set_metrics`], before processes start).
+    metrics: OnceLock<Arc<obs::Registry>>,
 }
 
 impl Engine {
@@ -419,6 +477,7 @@ impl Engine {
             seed,
             faults: OnceLock::new(),
             hb: OnceLock::new(),
+            metrics: OnceLock::new(),
         }
     }
 
@@ -829,7 +888,7 @@ impl Engine {
         let pool = &mut *self.co.0.get();
         while let Some(pid) = pool.retired.pop() {
             if let Some(slot) = pool.slots[pid].take() {
-                pool.note_stack(&slot);
+                pool.note_stack(&slot, self.metrics.get().is_some());
             }
         }
     }
@@ -864,14 +923,16 @@ impl Engine {
         }
         let pool = &mut *self.co.0.get();
         pool.retired.clear();
+        let metrics = self.metrics.get();
         for slot in std::mem::take(&mut pool.slots).into_iter().flatten() {
-            pool.note_stack(&slot);
+            pool.note_stack(&slot, metrics.is_some());
         }
-        if obs::enabled() {
+        if let Some(m) = metrics {
             // A host-side reading (it moves with the compiler, the build
             // profile and the backend), hence `real` in the name:
             // outside every deterministic snapshot.
-            obs::gauge("sim.co_stack_high_water_real_bytes").set(pool.stack_hw as u64);
+            m.gauge("sim.co_stack_high_water_real_bytes")
+                .set(pool.stack_hw as u64);
         }
     }
 
@@ -960,6 +1021,13 @@ impl Sim {
     /// registration and events are complete.
     pub fn enable_check(&self) {
         self.eng.hb.get_or_init(crate::hb::recorder);
+    }
+
+    /// Observe this simulation into `metrics` (at most once; before
+    /// processes start). Every layer of the run records into it through
+    /// [`Proc::metrics`]. Returns `false` if one was already in place.
+    pub fn set_metrics(&self, metrics: Arc<obs::Registry>) -> bool {
+        self.eng.metrics.set(metrics).is_ok()
     }
 
     /// A handle for reading this simulation's happens-before verdict.
@@ -1155,20 +1223,23 @@ impl Sim {
         g.horizon
     }
 
-    /// Flush the per-run throughput counters and gauges. Called once at
-    /// the end of a successful run, under the `inner` lock.
+    /// Flush the per-run throughput counters and gauges into the run's
+    /// registry. Called once at the end of a successful run, under the
+    /// `inner` lock.
     fn flush_obs(eng: &Engine, g: &EngineInner) {
-        if obs::enabled() {
+        if let Some(m) = eng.metrics.get() {
             // Flushed once per run, so nothing touches the
             // per-event hot path and nothing advances virtual time.
-            obs::counter("sim.events_dispatched").add(g.dispatched);
-            obs::counter("sim.context_switches").add(g.ctx_switches);
-            obs::counter("sim.direct_handoffs").add(g.direct_handoffs);
-            obs::counter("sim.sched_fallbacks").add(g.sched_fallbacks);
-            obs::counter("sim.timers_cancelled_eagerly").add(g.timers_cancelled);
-            obs::gauge("sim.queue_depth_high_water").set(g.queue_hw as u64);
-            obs::gauge("sim.virtual_horizon_ns").set(g.horizon.as_nanos());
-            obs::gauge("sim.real_elapsed_ns").set(eng.epoch.elapsed().as_nanos() as u64);
+            m.counter("sim.events_dispatched").add(g.dispatched);
+            m.counter("sim.context_switches").add(g.ctx_switches);
+            m.counter("sim.direct_handoffs").add(g.direct_handoffs);
+            m.counter("sim.sched_fallbacks").add(g.sched_fallbacks);
+            m.counter("sim.timers_cancelled_eagerly")
+                .add(g.timers_cancelled);
+            m.gauge("sim.queue_depth_high_water").set(g.queue_hw as u64);
+            m.gauge("sim.virtual_horizon_ns").set(g.horizon.as_nanos());
+            m.gauge("sim.real_elapsed_ns")
+                .set(eng.epoch.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -1206,6 +1277,11 @@ impl EngineStats {
     /// Cancelled timer entries removed eagerly at cancellation sites.
     pub fn timers_cancelled_eagerly(&self) -> u64 {
         self.eng.inner.lock().timers_cancelled
+    }
+
+    /// Processes spawned so far, finished ones included.
+    pub fn processes(&self) -> usize {
+        self.eng.inner.lock().procs.len()
     }
 }
 
@@ -1322,6 +1398,13 @@ impl Proc {
         self.eng.faults.get().is_some_and(|plan| !plan.is_inert())
     }
 
+    /// The run's metrics registry, if [`Sim::set_metrics`] gave it one:
+    /// every metric site of every layer is one branch on this.
+    #[inline]
+    pub fn metrics(&self) -> Option<&Arc<obs::Registry>> {
+        self.eng.metrics.get()
+    }
+
     /// This run's happens-before recorder, if [`Sim::enable_check`]
     /// armed it.
     #[inline(always)]
@@ -1421,6 +1504,24 @@ mod tests {
             assert!(err.starts_with("DYNPROF_PROC_BACKEND="), "{err}");
             assert!(err.contains("`threads` or `coroutine`"), "{err}");
         }
+    }
+
+    #[test]
+    fn map_budget_is_two_mappings_per_process_plus_headroom() {
+        let limit = 2 * 10 + MAP_HEADROOM;
+        assert_eq!(check_map_budget(0, MAP_HEADROOM), Ok(()));
+        assert_eq!(check_map_budget(10, limit), Ok(()));
+        let err = check_map_budget(11, limit)
+            .expect_err("one process too many")
+            .to_string();
+        assert!(!err.contains('\n'), "{err}");
+        for part in [
+            "11 simulated processes",
+            &format!("vm.max_map_count = {limit}"),
+        ] {
+            assert!(err.contains(part), "{err}");
+        }
+        assert!(check_map_budget(1, 0).is_err());
     }
 
     #[test]

@@ -31,7 +31,6 @@ use std::collections::VecDeque;
 use std::hash::BuildHasherDefault;
 use std::num::NonZeroU64;
 
-use dynprof_obs as obs;
 use parking_lot::Mutex;
 
 use crate::engine::{Pid, Proc};
@@ -206,18 +205,19 @@ impl<T> SimChannel<T> {
             _ => return self.send(p, msg, latency),
         };
         let d = plan.decide_link();
+        let metrics = p.metrics();
         if d.drop {
-            if obs::enabled() {
-                obs::counter("fault.msgs_dropped").inc();
+            if let Some(m) = metrics {
+                m.counter("fault.msgs_dropped").inc();
             }
             return;
         }
-        if obs::enabled() && d.extra_delay > SimTime::ZERO {
-            obs::counter("fault.msgs_delayed").inc();
+        if let Some(m) = metrics.filter(|_| d.extra_delay > SimTime::ZERO) {
+            m.counter("fault.msgs_delayed").inc();
         }
         if d.duplicate {
-            if obs::enabled() {
-                obs::counter("fault.msgs_duplicated").inc();
+            if let Some(m) = metrics {
+                m.counter("fault.msgs_duplicated").inc();
             }
             self.send(p, msg.clone(), latency + d.extra_delay);
         }

@@ -11,7 +11,6 @@
 
 use std::sync::Arc;
 
-use dynprof_obs as obs;
 use parking_lot::Mutex;
 
 use dynprof_mpi::{Comm, MpiData};
@@ -161,8 +160,8 @@ pub fn confsync(
             hb::epoch_apply(p, vt.check_id, *decided_round);
         }
         vt.reresolve(rank);
-        if obs::enabled() {
-            obs::counter("vt.confsync.catchups").add(deferred.len() as u64);
+        if let Some(m) = p.metrics() {
+            m.counter("vt.confsync.catchups").add(deferred.len() as u64);
         }
     }
 
@@ -175,7 +174,7 @@ pub fn confsync(
         let pending = monitor.take().or_else(|| {
             monitor
                 .controller()
-                .and_then(|ctrl| ctrl.decide(vt, p.now(), round))
+                .and_then(|ctrl| ctrl.decide(vt, p.now(), round, p.metrics()))
         });
         match pending {
             Some(pc) => {
@@ -205,8 +204,8 @@ pub fn confsync(
                 .is_some_and(|plan| plan.missed_epoch(rank, round))
             {
                 vt.defer_delta(rank, round, d);
-                if obs::enabled() {
-                    obs::counter("vt.confsync.missed_epochs").inc();
+                if let Some(m) = p.metrics() {
+                    m.counter("vt.confsync.missed_epochs").inc();
                 }
                 (false, 0, true)
             } else {
@@ -258,6 +257,7 @@ pub fn confsync(
     // force everywhere.
     comm.barrier_unlogged(p);
     vt.record(
+        p,
         rank,
         Event::ConfSync {
             t: p.now(),

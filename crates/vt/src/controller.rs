@@ -155,8 +155,15 @@ impl OverheadController {
     /// should stay as it is. Called by `VT_confsync` on rank 0; pure
     /// bookkeeping (no simulated time passes here — the safe-point
     /// protocol charges the emitted change the monitoring tool's response
-    /// time, exactly like a manual change).
-    pub fn decide(&self, vt: &VtLib, now: SimTime, round: u64) -> Option<PendingChange> {
+    /// time, exactly like a manual change). The decision is counted into
+    /// `metrics`, the run's registry, if the run is observed.
+    pub fn decide(
+        &self,
+        vt: &VtLib,
+        now: SimTime,
+        round: u64,
+        metrics: Option<&Arc<obs::Registry>>,
+    ) -> Option<PendingChange> {
         let ranks = vt.ranks();
         let costs = vt.costs();
         // Prefer the verifier-derived worst-case pair bound (checked, not
@@ -245,10 +252,12 @@ impl OverheadController {
         let projected_pct = 100.0 * projected_ns as f64 / window as f64;
         let off_count = st.off.len();
         let changed = !deactivated.is_empty() || !reactivated.is_empty();
-        if obs::enabled() {
-            obs::counter("vt.controller.decisions").inc();
-            obs::counter("vt.controller.deactivations").add(deactivated.len() as u64);
-            obs::counter("vt.controller.reactivations").add(reactivated.len() as u64);
+        if let Some(m) = metrics {
+            m.counter("vt.controller.decisions").inc();
+            m.counter("vt.controller.deactivations")
+                .add(deactivated.len() as u64);
+            m.counter("vt.controller.reactivations")
+                .add(reactivated.len() as u64);
         }
         let mut set: Vec<(String, bool)> = deactivated.iter().map(|n| (n.clone(), false)).collect();
         set.extend(reactivated.iter().map(|n| (n.clone(), true)));
@@ -345,7 +354,7 @@ mod tests {
         let c2 = Arc::clone(&ctrl);
         run_workload(Arc::clone(&vt), 2000, move |p, vt| {
             let pc = c2
-                .decide(vt, p.now(), 0)
+                .decide(vt, p.now(), 0, None)
                 .expect("over budget: must reconfigure");
             match pc.delta {
                 ConfigDelta::Set(set) => {
@@ -371,7 +380,7 @@ mod tests {
         let ctrl = OverheadController::new(ControllerConfig::default());
         let c2 = Arc::clone(&ctrl);
         run_workload(Arc::clone(&vt), 2000, move |p, vt| {
-            assert!(c2.decide(vt, p.now(), 0).is_none());
+            assert!(c2.decide(vt, p.now(), 0, None).is_none());
         });
         let d = ctrl.decisions();
         assert_eq!(d.len(), 1);
@@ -389,11 +398,11 @@ mod tests {
         let c2 = Arc::clone(&ctrl);
         run_workload(Arc::clone(&vt), 2000, move |p, vt| {
             // Round 0: over budget → deactivate `hot`.
-            assert!(c2.decide(vt, p.now(), 0).is_some());
+            assert!(c2.decide(vt, p.now(), 0, None).is_some());
             // Quiet window, decision 2: under budget and divisible by
             // reprobe_every → reactivate the rotation pick.
             p.advance(SimTime::from_millis(50));
-            let pc = c2.decide(vt, p.now(), 1).expect("re-probe fires");
+            let pc = c2.decide(vt, p.now(), 1, None).expect("re-probe fires");
             match pc.delta {
                 ConfigDelta::Set(set) => assert_eq!(set, vec![("hot".to_string(), true)]),
                 other => panic!("unexpected delta {other:?}"),

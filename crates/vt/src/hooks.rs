@@ -138,7 +138,7 @@ impl MpiHooks for VtLib {
             return; // MPI_Init's own begin precedes VT_init
         }
         let t = p.now();
-        self.with_rank(rank, |buf| {
+        self.with_rank(p, rank, |buf| {
             buf.mpi_stack.push((op as u8, t));
             None
         });
@@ -151,7 +151,7 @@ impl MpiHooks for VtLib {
         }
         p.advance(self.costs().mpi_wrapper_event);
         let (op, t_end) = (op as u8, p.now());
-        self.with_rank(rank, |buf| {
+        self.with_rank(p, rank, |buf| {
             let t = match buf.mpi_stack.pop() {
                 Some((code, t0)) if code == op => t0,
                 // MPI_Init's end has no matching begin (VT came up
@@ -209,7 +209,7 @@ impl VtRankHooks {
 
 impl ImageObserver for VtRankHooks {
     fn on_suspend(&self, p: &Proc) {
-        self.vt.with_rank(self.rank, |buf| {
+        self.vt.with_rank(p, self.rank, |buf| {
             buf.suspended_since = Some(p.now());
             None
         });
@@ -218,7 +218,7 @@ impl ImageObserver for VtRankHooks {
     /// A resume with no suspension records nothing.
     fn on_resume(&self, p: &Proc) {
         let (t_end, rank) = (p.now(), self.rank as u32);
-        self.vt.with_rank(self.rank, |buf| {
+        self.vt.with_rank(p, self.rank, |buf| {
             let t = buf.suspended_since.take()?;
             let t_end = t_end.max(t);
             Some(Event::Suspended { t, t_end, rank })
@@ -230,6 +230,7 @@ impl RegionHooks for VtRankHooks {
     fn on_fork(&self, p: &Proc, region: RegionId, _name: &str, team: usize) {
         if self.charge(p) {
             self.vt.record(
+                p,
                 self.rank,
                 Event::OmpFork {
                     t: p.now(),
@@ -244,6 +245,7 @@ impl RegionHooks for VtRankHooks {
     fn on_join(&self, p: &Proc, region: RegionId, _name: &str, team: usize) {
         if self.charge(p) {
             self.vt.record(
+                p,
                 self.rank,
                 Event::OmpJoin {
                     t: p.now(),
@@ -257,7 +259,7 @@ impl RegionHooks for VtRankHooks {
 
     fn on_thread_begin(&self, p: &Proc, region: RegionId, tid: usize) {
         if self.charge(p) {
-            self.vt.with_rank(self.rank, |buf| {
+            self.vt.with_rank(p, self.rank, |buf| {
                 buf.omp_open.push((tid, region.0, p.now()));
                 None
             });
@@ -270,7 +272,7 @@ impl RegionHooks for VtRankHooks {
             return;
         }
         let t_end = p.now();
-        self.vt.with_rank(self.rank, |buf| {
+        self.vt.with_rank(p, self.rank, |buf| {
             let open = &mut buf.omp_open;
             let found = open
                 .iter()

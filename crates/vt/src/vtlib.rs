@@ -39,11 +39,13 @@ pub struct FuncStat {
 /// Wire row of one function's statistics: `(func, count, incl_ns, excl_ns)`.
 pub type FuncStatRow = (u32, u64, u64, u64);
 
-/// Count one settled trace event (cached handle; callers guard with
-/// [`obs::enabled`]).
-fn note_event() {
-    static EVENTS: OnceLock<&'static obs::Counter> = OnceLock::new();
-    EVENTS.get_or_init(|| obs::counter("vt.events")).add(1);
+/// The library's handles into its run's registry, each resolved at its
+/// first use, so a fast path pays one atomic add and no lookup.
+#[derive(Default)]
+struct VtMetrics {
+    events: OnceLock<Arc<obs::Counter>>,
+    deactivated_lookups: OnceLock<Arc<obs::Counter>>,
+    suppressed_pairs: OnceLock<Arc<obs::Counter>>,
 }
 
 /// Fold one elided `func` pair on `thread` into `pending`, the coalesced
@@ -215,6 +217,8 @@ pub struct VtLib {
     sink: OnceLock<SharedSink>,
     /// Identity of this library in happens-before reports (`check`).
     pub(crate) check_id: u64,
+    /// The run's instruments (see [`VtLib::registry`]).
+    metrics: VtMetrics,
 }
 
 impl VtLib {
@@ -251,6 +255,7 @@ impl VtLib {
             derived_costs: Mutex::new((None, None)),
             sink: OnceLock::new(),
             check_id: dynprof_sim::hb::unique_id(),
+            metrics: VtMetrics::default(),
         })
     }
 
@@ -517,10 +522,10 @@ impl VtLib {
                     self.suppress_floor() > SimTime::ZERO && !st.finalized.load(Ordering::Acquire);
                 if hold {
                     if let Some(prev) = buf.held.replace(ev) {
-                        self.settle(&mut buf, prev);
+                        self.settle(p, &mut buf, prev);
                     }
                 } else {
-                    self.emit(&mut buf, ev);
+                    self.emit(p, &mut buf, ev);
                 }
             }
         } else {
@@ -528,10 +533,10 @@ impl VtLib {
             // and bails out (paper §4.2).
             p.advance(self.costs.vt_deactivated * reps);
             buf.deactivated_lookups += reps;
-            if obs::enabled() {
-                static LOOKUPS: OnceLock<&'static obs::Counter> = OnceLock::new();
-                LOOKUPS
-                    .get_or_init(|| obs::counter("vt.deactivated_lookups"))
+            if let Some(m) = p.metrics() {
+                self.metrics
+                    .deactivated_lookups
+                    .get_or_init(|| m.counter("vt.deactivated_lookups"))
                     .add(reps);
             }
         }
@@ -581,7 +586,7 @@ impl VtLib {
         // innermost open one, so a profile charges them to it. (A frame
         // that collected any has settled its own entry long before.)
         for ev in frame.suppressed {
-            self.emit(&mut buf, ev);
+            self.emit(p, &mut buf, ev);
         }
         if frame.active {
             p.advance(self.costs.vt_end_active * frame.reps);
@@ -610,11 +615,11 @@ impl VtLib {
                 };
                 coalesce(pending, rank as u32, thread, func, frame.t0, span);
                 buf.suppressed_pairs += 1;
-                if obs::enabled() {
-                    static SUPPRESSED: OnceLock<&'static obs::Counter> = OnceLock::new();
-                    SUPPRESSED
-                        .get_or_init(|| obs::counter("vt.suppressed_pairs"))
-                        .add(1);
+                if let Some(m) = p.metrics() {
+                    self.metrics
+                        .suppressed_pairs
+                        .get_or_init(|| m.counter("vt.suppressed_pairs"))
+                        .inc();
                 }
             } else {
                 let ev = if frame.reps == 1 {
@@ -634,7 +639,7 @@ impl VtLib {
                         span,
                     }
                 };
-                self.emit(&mut buf, ev);
+                self.emit(p, &mut buf, ev);
             }
             // Statistics (identical whether or not the pair was elided —
             // suppression changes the trace, never the runtime stats).
@@ -655,27 +660,30 @@ impl VtLib {
 
     /// Record an event that closes no open span (a fork, a join, a safe
     /// point): [`VtLib::with_rank`] with nothing to update.
-    pub(crate) fn record(&self, rank: usize, ev: Event) {
-        self.emit(&mut self.procs[rank].buf.lock(), ev);
+    pub(crate) fn record(&self, p: &Proc, rank: usize, ev: Event) {
+        self.emit(p, &mut self.procs[rank].buf.lock(), ev);
     }
 
     /// The one path out of the library: settle whatever the rank still
     /// holds back, then `ev`. `VT_begin`, `VT_end` and the MPI/OpenMP
     /// hooks all end here.
-    fn emit(&self, buf: &mut ProcBuf, ev: Event) {
+    fn emit(&self, p: &Proc, buf: &mut ProcBuf, ev: Event) {
         if let Some(held) = buf.held.take() {
-            self.settle(buf, held);
+            self.settle(p, buf, held);
         }
-        self.settle(buf, ev);
+        self.settle(p, buf, ev);
     }
 
     /// Account one event that will never be taken back and put it in the
     /// rank's capture lane (opened here, at the rank's first), or in the
     /// rank's buffer when no sink is installed.
-    fn settle(&self, buf: &mut ProcBuf, ev: Event) {
+    fn settle(&self, p: &Proc, buf: &mut ProcBuf, ev: Event) {
         buf.trace_bytes += ev.trace_bytes_of(self.costs.event_bytes);
-        if obs::enabled() {
-            note_event();
+        if let Some(m) = p.metrics() {
+            self.metrics
+                .events
+                .get_or_init(|| m.counter("vt.events"))
+                .inc();
         }
         let Some(sink) = self.sink.get() else {
             buf.events.push(ev);
@@ -718,10 +726,15 @@ impl VtLib {
     /// MPI call, OpenMP thread share or suspension — and the event it
     /// returns, if any, leaves through [`VtLib::emit`], all under the
     /// rank's one guard.
-    pub(crate) fn with_rank(&self, rank: usize, f: impl FnOnce(&mut ProcBuf) -> Option<Event>) {
+    pub(crate) fn with_rank(
+        &self,
+        p: &Proc,
+        rank: usize,
+        f: impl FnOnce(&mut ProcBuf) -> Option<Event>,
+    ) {
         let mut buf = self.procs[rank].buf.lock();
         if let Some(ev) = f(&mut buf) {
-            self.emit(&mut buf, ev);
+            self.emit(p, &mut buf, ev);
         }
     }
 
@@ -737,20 +750,20 @@ impl VtLib {
         // Settle what suppression still holds back: the trailing entry,
         // the pairs elided under frames left open, the top-level ones.
         if let Some(held) = buf.held.take() {
-            self.settle(&mut buf, held);
+            self.settle(p, &mut buf, held);
         }
         let mut pending = std::mem::take(&mut buf.orphans);
         for frame in buf.stacks.iter_mut().flatten() {
             pending.append(&mut frame.suppressed);
         }
         for ev in pending {
-            self.settle(&mut buf, ev);
+            self.settle(p, &mut buf, ev);
         }
         let bytes = buf.trace_bytes;
         drop(buf);
         p.advance(self.costs.flush_per_byte.mul_f64(bytes as f64));
-        if obs::enabled() {
-            obs::counter("vt.bytes_flushed").add(bytes);
+        if let Some(m) = p.metrics() {
+            m.counter("vt.bytes_flushed").add(bytes);
         }
     }
 

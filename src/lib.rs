@@ -53,25 +53,27 @@
 //!
 //! ## Observing the tool itself
 //!
-//! The instrumentation layers carry their own instrumentation: enable the
-//! [`obs`] registry and every session reports scheduler, MPI, daemon, and
-//! trace-library metrics. Observation never advances virtual time, so the
-//! simulated results are bit-identical with it on or off.
+//! The instrumentation layers carry their own instrumentation: give a
+//! session an [`obs::Registry`] and it reports scheduler, MPI, daemon,
+//! and trace-library metrics into it. Observation never advances virtual
+//! time, so the simulated results are bit-identical with it or without.
 //!
 //! ```
+//! use std::sync::Arc;
 //! use dynprof::apps::{smg98, Smg98Params};
 //! use dynprof::core::{run_session, SessionConfig};
+//! use dynprof::obs::Registry;
 //! use dynprof::sim::Machine;
 //! use dynprof::vt::Policy;
 //!
-//! dynprof::obs::set_enabled(true);
-//! let app = smg98(4, Smg98Params::test());
-//! run_session(&app, SessionConfig::new(Machine::test_machine(), Policy::Dynamic));
-//! dynprof::obs::set_enabled(false);
-//! let snap = dynprof::obs::snapshot();
-//! let dispatched = snap.metrics.iter().any(|m| m.name == "sim.events_dispatched");
-//! assert!(dispatched);
-//! println!("{}", snap.to_json().pretty());
+//! let metrics = Arc::new(Registry::new());
+//! let cfg = SessionConfig {
+//!     metrics: Some(Arc::clone(&metrics)),
+//!     ..SessionConfig::new(Machine::test_machine(), Policy::Dynamic)
+//! };
+//! run_session(&smg98(4, Smg98Params::test()), cfg);
+//! assert!(metrics.read("sim.events_dispatched").is_some());
+//! println!("{}", metrics.dump_json());
 //! ```
 
 #![warn(missing_docs)]

@@ -18,8 +18,8 @@ use std::sync::{Arc, Mutex};
 
 use dynprof::core::{run_session, Command, SessionConfig, SessionReport, TxnSettings};
 use dynprof::dpcl::{
-    AckResult, DegradedPolicy, DpclClient, DpclSystem, HeartbeatConfig, HeartbeatMonitor,
-    InstrumentationTxn, NodeHealth, TxnOptions, TxnOutcome,
+    AckResult, DegradedPolicy, DpclClient, DpclError, DpclSystem, HeartbeatConfig,
+    HeartbeatMonitor, InstrumentationTxn, NodeHealth, TxnOptions, TxnOutcome,
 };
 use dynprof::image::{FunctionInfo, ImageBuilder, ProbePoint, Snippet};
 use dynprof::mpi::{launch, JobSpec};
@@ -86,7 +86,7 @@ fn dpcl_workout(seed: u64, profile: Option<&str>) -> (SimTime, usize, usize) {
                 Ok(h) => handles.push(h),
                 // A typed attach failure (retry budget exhausted) is an
                 // acceptable outcome; liveness only demands we get here.
-                Err(msg) => assert!(!msg.is_empty()),
+                Err(e) => assert!(matches!(e, DpclError::TimedOut { .. }), "{e}"),
             }
         }
         let mut reqs = Vec::new();
@@ -292,7 +292,7 @@ fn txn_cell(seed: u64, profile: &str, policy: DegradedPolicy) {
             match client.attach(p, 1 + i, Arc::clone(img), format!("t:{i}")) {
                 Ok(h) => handles.push((1 + i, h)),
                 // A typed attach failure excludes the node from the txn.
-                Err(msg) => assert!(!msg.is_empty()),
+                Err(e) => assert!(matches!(e, DpclError::TimedOut { .. }), "{e}"),
             }
         }
         let mut txn = InstrumentationTxn::new(TxnOptions { policy });

@@ -84,13 +84,19 @@ fn omp_app_is_reproducible() {
 #[test]
 fn observation_adds_zero_virtual_time() {
     // The self-observability layer must be free on the virtual clock:
-    // every simulated result is bit-identical with it off or on. (Counter
-    // reproducibility itself is pinned in tests/observability.rs, which
-    // owns the global registry.)
+    // every simulated result is bit-identical whether the run records
+    // into a registry or not. (Counter reproducibility itself is pinned
+    // in tests/observability.rs.)
     let off = session("smg98", Policy::Dynamic, 42);
-    dynprof::obs::set_enabled(true);
-    let on = session("smg98", Policy::Dynamic, 42);
-    dynprof::obs::set_enabled(false);
+    let metrics = std::sync::Arc::new(dynprof::obs::Registry::new());
+    let on = run_session(
+        &test_app("smg98", 4).unwrap(),
+        SessionConfig {
+            metrics: Some(std::sync::Arc::clone(&metrics)),
+            ..SessionConfig::new(Machine::ibm_power3_colony(), Policy::Dynamic).with_seed(42)
+        },
+    );
+    assert!(metrics.read("vt.events").is_some(), "the run was observed");
     assert_eq!(off.app_time, on.app_time);
     assert_eq!(off.total_time, on.total_time);
     assert_eq!(off.create_time, on.create_time);

@@ -2,7 +2,7 @@
 
 use dynprof::apps::test_app;
 use dynprof::core::{run_session, Command, SessionConfig};
-use dynprof::sim::{Machine, SimTime};
+use dynprof::sim::{FaultSpec, Machine, SimTime};
 use dynprof::vt::{Event, Policy};
 
 fn dynamic_session(app_name: &str, cpus: usize) -> dynprof::core::SessionReport {
@@ -44,6 +44,27 @@ fn dynamic_sessions_run_on_every_kernel() {
             })
             .count();
         assert!(func_events > 0, "{name}: no function events");
+    }
+}
+
+/// `SessionConfig::processes` is what the coroutine carrier's preflight
+/// charges a run, so it must count every process a session spawns: it is
+/// exact when the ranks fill every node and a fault plan arms the
+/// heartbeat monitor, and an upper bound otherwise.
+#[test]
+fn sessions_spawn_the_processes_their_config_counts() {
+    let app = test_app("sweep3d", 16).expect("known app");
+    for (faults, monitor) in [(None, 0), (Some("3:delay"), 1)] {
+        let cfg = SessionConfig {
+            faults: faults.map(|f| FaultSpec::parse(f).expect("spec")),
+            ..SessionConfig::new(Machine::test_machine(), Policy::Dynamic).with_seed(3)
+        };
+        let report = run_session(&app, cfg.clone());
+        assert_eq!(
+            report.processes + 1 - monitor,
+            cfg.processes(16),
+            "faults {faults:?}"
+        );
     }
 }
 

@@ -36,10 +36,9 @@ use dynprof::analysis::{ProfileBuilder, ProfileOptions};
 use dynprof::apps::cli::{run_cli, Capture, CliArgs};
 use dynprof::apps::{smg98, test_app, Smg98Params};
 use dynprof::core::{run_session, SessionConfig};
-use dynprof::dpcl::{AckResult, DpclClient, DpclSystem, InstrumentationTxn, TxnOptions};
+use dynprof::dpcl::{DpclClient, DpclSystem, InstrumentationTxn, TxnOptions};
 use dynprof::image::{
-    CallerCtx, FunctionInfo, Image, ImageBuilder, ProbeCtx, ProbePoint, Snippet, SnippetId,
-    StaticHooks,
+    CallerCtx, FunctionInfo, Image, ImageBuilder, ProbeCtx, ProbePoint, Snippet, StaticHooks,
 };
 use dynprof::sim::sync::SimChannel;
 use dynprof::sim::{Machine, ProbeCosts, Proc, ProcBackend, Sim, SimTime};
@@ -558,10 +557,8 @@ fn fault_free_installs_leave_no_retry_state() {
                 .into_iter()
                 .zip(&handles)
                 .map(|((_, ack), h)| {
-                    let AckResult::Ok { detail } = ack else {
-                        panic!("{ack:?}")
-                    };
-                    client.remove_probe(p, h, point, SnippetId(detail))
+                    assert!(ack.is_ok(), "{ack:?}");
+                    client.remove_function(p, h, f)
                 })
                 .collect();
             assert!(client.wait_all(p, &removes).iter().all(|(_, a)| a.is_ok()));
