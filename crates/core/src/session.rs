@@ -241,7 +241,7 @@ pub struct SessionReport {
     pub vt: Arc<VtLib>,
     /// Diagnostics (unknown functions, failed installs, ...).
     pub warnings: Vec<String>,
-    /// The per-process images (inspection: call counts, PC journals).
+    /// The per-process images (inspection: probe state, PC journals).
     pub images: Vec<Arc<Image>>,
     /// The overhead controller, when the session ran adaptively
     /// (decision log, measured-overhead series).

@@ -11,7 +11,7 @@
 //! the paper's `Dynamic` policy track `None` so closely (Fig 7).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
@@ -21,7 +21,7 @@ use dynprof_sim::{Proc, SimTime};
 
 use crate::func::{FuncId, FunctionInfo, ProbePoint, ProbePointKind};
 use crate::snippet::{ProbeCtx, Snippet, SnippetId};
-use crate::trampoline::{BaseTrampoline, ChainPool, MIN_PATCHABLE_BYTES};
+use crate::trampoline::{BaseTrampoline, Chain, ChainPool, MIN_PATCHABLE_BYTES};
 
 /// Why a probe could not be installed at a point.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -119,6 +119,9 @@ pub struct Program {
     info: Vec<FunctionInfo>,
     by_name: HashMap<String, FuncId>,
     chains: ChainPool,
+    /// The longest chain list any image of the program has held: the size
+    /// an image's list is first allocated at (see [`ChainList::vacant`]).
+    longest_list: AtomicUsize,
 }
 
 impl Program {
@@ -135,6 +138,7 @@ impl Program {
             info,
             by_name,
             chains: ChainPool::default(),
+            longest_list: AtomicUsize::new(0),
         })
     }
 
@@ -208,31 +212,68 @@ impl Program {
     }
 }
 
-/// Index of a probe point in an image's per-point tables: the entry and
-/// exit of function *f* sit at 2*f* and 2*f* + 1.
+/// Index of a probe point in an image's point index: the entry and exit
+/// of function *f* sit at 2*f* and 2*f* + 1.
 fn slot(func: FuncId, kind: ProbePointKind) -> usize {
     2 * func.index() + kind as usize
+}
+
+/// The chains an image's patches installed, one entry per occupied probe
+/// point, found through the image's point index.
+#[derive(Default)]
+struct ChainList {
+    /// Entry *k* − 1 belongs to the point whose index reads *k*. An entry a
+    /// removal emptied stays, idle, until an insert takes it again.
+    entries: Vec<BaseTrampoline>,
+    /// How many of `entries` are idle.
+    idle: usize,
+}
+
+impl ChainList {
+    /// An idle entry for a point about to be occupied: a freed one if there
+    /// is one, else a new one. A full list grows to `longest` (the longest
+    /// list an image of the program has held) in one step, so a rank
+    /// patched like one before it allocates its list once, exactly.
+    fn vacant(&mut self, longest: &AtomicUsize) -> usize {
+        if self.idle > 0 {
+            self.idle -= 1;
+            return self
+                .entries
+                .iter()
+                .position(|b| !b.occupied())
+                .expect("an idle entry");
+        }
+        if self.entries.len() == self.entries.capacity() {
+            let grown = longest.load(Ordering::Relaxed);
+            self.entries
+                .reserve_exact(grown.saturating_sub(self.entries.len()));
+        }
+        self.entries.push(BaseTrampoline::new());
+        longest.fetch_max(self.entries.len(), Ordering::Relaxed);
+        self.entries.len() - 1
+    }
 }
 
 /// A process's executable image: a shared [`Program`] (reached through
 /// `Deref`, so `image.func(..)`, `image.info(..)`, `image.len()` read the
 /// symbol table) under a private overlay of what patching and running
-/// change — trampoline chains, call counts, the suspend gate, hooks.
+/// change — the chains its patches installed, the suspend gate, hooks.
 ///
 /// One `Image` per MPI process; OpenMP threads of a process share a single
 /// image (which is why instrumenting an OpenMP application patches one
 /// image regardless of thread count — paper Fig 9).
 pub struct Image {
     program: Arc<Program>,
-    /// Trampoline chains by [`slot`], one word each. Empty until the first
-    /// insert: an image nobody patches never allocates the table.
-    probes: RwLock<Vec<BaseTrampoline>>,
-    /// `probes[slot].occupied()`, republished by [`Image::patch`] under the
-    /// `probes` write lock (`Release`) and read by the call path without it
-    /// (`Acquire`): a caller that sees `false` ran before the patch, as one
-    /// that won the lock would have; a caller that sees `true` takes the
-    /// lock and runs whatever chain is there by then.
-    occupancy: Box<[AtomicBool]>,
+    /// Per probe point, by [`slot`]: 0 while the point is idle, *k* while
+    /// its chain is `chains` entry *k* − 1. Allocated by the first patch —
+    /// an image nobody patches holds no per-point state at all — and
+    /// stored by [`Image::patch`] under the `chains` write lock
+    /// (`Release`); the call path reads it without the lock (`Acquire`): a
+    /// caller that sees 0 ran before the patch, as one that won the lock
+    /// would have; any other value sends it to the lock, where it reads
+    /// the index again and runs whatever chain is there by then.
+    index: OnceLock<Box<[AtomicU16]>>,
+    chains: RwLock<ChainList>,
     /// Link-time state: the paper links the target against the trace
     /// library when it is compiled, so the hooks are published once and the
     /// call path borrows them — no lock, no reference count.
@@ -243,7 +284,6 @@ pub struct Image {
     /// The gate suspended callers wait at; replaced at each suspension.
     suspend: Mutex<Arc<SimGate>>,
     next_snippet: AtomicU64,
-    counts: Box<[AtomicU64]>,
     /// When enabled, every call's `[enter, exit)` interval is journaled
     /// per thread so an ideal interrupt sampler can be evaluated on the
     /// virtual timeline (see `dynprof_bench::sampling`).
@@ -265,16 +305,14 @@ impl std::ops::Deref for Image {
 impl Image {
     /// A fresh, unpatched process image of `program`.
     pub fn new(program: Arc<Program>) -> Image {
-        let n = program.len();
         Image {
-            probes: RwLock::new(Vec::new()),
-            occupancy: (0..2 * n).map(|_| AtomicBool::new(false)).collect(),
+            index: OnceLock::new(),
+            chains: RwLock::new(ChainList::default()),
             static_hooks: OnceLock::new(),
             observer: OnceLock::new(),
             suspended: AtomicBool::new(false),
             suspend: Mutex::new(Arc::new(SimGate::new())),
             next_snippet: AtomicU64::new(1),
-            counts: (0..n).map(|_| AtomicU64::new(0)).collect(),
             pc_log_enabled: AtomicBool::new(false),
             pc_log: Mutex::new(HashMap::new()),
             patches: AtomicU64::new(0),
@@ -308,11 +346,6 @@ impl Image {
         );
     }
 
-    /// Total calls recorded for `fid` (including batched reps).
-    pub fn call_count(&self, fid: FuncId) -> u64 {
-        self.counts[fid.index()].load(Ordering::Relaxed)
-    }
-
     /// Number of probe-point patch operations performed so far.
     pub fn patch_count(&self) -> u64 {
         self.patches.load(Ordering::Relaxed)
@@ -321,20 +354,33 @@ impl Image {
     // -- dynamic instrumentation -------------------------------------------
 
     /// Run `f` on the trampoline at `point`, with the program's chain pool,
-    /// under the instrumenter lock — allocating the chain table if this is
-    /// the image's first patch — and republish the point's occupancy.
+    /// under the instrumenter lock — allocating the point index if this is
+    /// the image's first patch, and a chain-list entry if the point was
+    /// idle — and republish the point's index: its entry while the point
+    /// is occupied, 0 (freeing the entry) once it is not.
     fn patch<R>(
         &self,
         point: ProbePoint,
         f: impl FnOnce(&mut BaseTrampoline, &ChainPool) -> R,
     ) -> R {
-        let slot = slot(point.func, point.kind);
-        let mut probes = self.probes.write();
-        if probes.is_empty() {
-            probes.resize_with(self.occupancy.len(), BaseTrampoline::new);
-        }
-        let r = f(&mut probes[slot], &self.program.chains);
-        self.occupancy[slot].store(probes[slot].occupied(), Ordering::Release);
+        let at = slot(point.func, point.kind);
+        let mut list = self.chains.write();
+        let index = self
+            .index
+            .get_or_init(|| (0..2 * self.len()).map(|_| AtomicU16::new(0)).collect());
+        let entry = match index[at].load(Ordering::Relaxed) {
+            0 => list.vacant(&self.program.longest_list),
+            k => usize::from(k) - 1,
+        };
+        let base = &mut list.entries[entry];
+        let r = f(base, &self.program.chains);
+        let k = if base.occupied() {
+            u16::try_from(entry + 1).expect("an image holds at most 65 535 occupied probe points")
+        } else {
+            list.idle += 1;
+            0
+        };
+        index[at].store(k, Ordering::Release);
         r
     }
 
@@ -379,13 +425,18 @@ impl Image {
 
     /// Is any instrumentation installed at `point`?
     pub fn occupied(&self, point: ProbePoint) -> bool {
-        self.occupancy[slot(point.func, point.kind)].load(Ordering::Acquire)
+        self.index
+            .get()
+            .is_some_and(|index| index[slot(point.func, point.kind)].load(Ordering::Acquire) != 0)
     }
 
     /// Total dynamically-allocated trampoline bytes.
     pub fn allocated_trampoline_bytes(&self) -> usize {
-        let probes = self.probes.read();
-        probes.iter().map(BaseTrampoline::allocated_bytes).sum()
+        let list = self.chains.read();
+        list.entries
+            .iter()
+            .map(BaseTrampoline::allocated_bytes)
+            .sum()
     }
 
     /// Functions that currently have instrumentation at entry or exit.
@@ -451,7 +502,7 @@ impl Image {
     /// Very hot leaf functions (called millions of times in the real ASCI
     /// kernels) would make the simulation itself intractable if every call
     /// were played out; `call_batch` preserves *accounting* fidelity — all
-    /// instrumentation costs, call counts, and trace volume are multiplied
+    /// instrumentation costs, snippet runs, and trace volume are multiplied
     /// by `reps` — while executing the probe machinery once. `body`
     /// receives `reps` so the application can scale its own modelled work.
     pub fn call_batch<R>(
@@ -464,7 +515,6 @@ impl Image {
     ) -> R {
         debug_assert!(reps > 0, "call_batch with zero reps");
         self.wait_if_suspended(p);
-        self.counts[fid.index()].fetch_add(reps, Ordering::Relaxed);
         let t_enter = self.pc_log_enabled.load(Ordering::Relaxed).then(|| p.now());
 
         let static_hooks = if self.info(fid).statically_instrumented {
@@ -526,19 +576,34 @@ impl Image {
         }
     }
 
+    /// The chain at slot `at`, taken under the `chains` read guard for a
+    /// traversal to run outside it; `None` if the point is idle. The index
+    /// is read again under the guard: an entry read before it may have
+    /// been freed, and taken by another point, since.
+    fn chain(&self, index: &[AtomicU16], at: usize) -> Option<Chain> {
+        let list = self.chains.read();
+        match index[at].load(Ordering::Relaxed) {
+            0 => None,
+            k => list.entries[usize::from(k) - 1].snapshot(),
+        }
+    }
+
     fn fire_point(&self, p: &Proc, cc: CallerCtx, fid: FuncId, kind: ProbePointKind, reps: u64) {
-        // An idle point costs one load and no lock (see `occupancy`). At an
-        // occupied one, snippet code must run outside the `probes` read
+        // An idle point costs one load and no lock (see `index`). At an
+        // occupied one, snippet code must run outside the `chains` read
         // guard (a snippet may itself insert/remove probes), so the
         // traversal takes the point's chain — immutable, shared, swapped
         // whole on insert and remove — with it: one reference-count bump
         // whatever the chain's length, and no allocation (pinned by
         // `a_probe_fire_allocates_nothing` in `tests/footprint.rs`).
-        let slot = slot(fid, kind);
-        if !self.occupancy[slot].load(Ordering::Acquire) {
+        let Some(index) = self.index.get() else {
+            return;
+        };
+        let at = slot(fid, kind);
+        if index[at].load(Ordering::Acquire) == 0 {
             return;
         }
-        let Some(chain) = self.probes.read()[slot].snapshot() else {
+        let Some(chain) = self.chain(index, at) else {
             return;
         };
         // Base trampoline dispatch: jump, save regs, relocated instruction,
@@ -591,7 +656,7 @@ impl ImageBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynprof_sim::{Machine, Sim};
+    use dynprof_sim::{Machine, ProcBackend, Sim};
     use std::sync::atomic::AtomicUsize;
 
     fn two_fn_image() -> Arc<Image> {
@@ -603,8 +668,10 @@ mod tests {
 
     #[test]
     fn uninstrumented_call_is_free_and_counted() {
+        // Counted by the PC journal, which charges nothing.
         let img = two_fn_image();
         let f = img.func("test").unwrap();
+        img.enable_pc_log();
         let img2 = Arc::clone(&img);
         let sim = Sim::virtual_time(Machine::test_machine(), 1);
         sim.spawn("p", 0, move |p| {
@@ -613,7 +680,12 @@ mod tests {
             assert_eq!(p.now(), dynprof_sim::SimTime::ZERO, "no probe, no cost");
         });
         sim.run();
-        assert_eq!(img.call_count(f), 1);
+        let journal = img.pc_log_snapshot();
+        assert_eq!(journal[&0], [(SimTime::ZERO, SimTime::ZERO, f.0)]);
+        assert!(
+            img.index.get().is_none(),
+            "calling allocated no point index"
+        );
     }
 
     #[test]
@@ -646,9 +718,13 @@ mod tests {
     fn batch_call_multiplies_costs_and_counts() {
         let img = two_fn_image();
         let f = img.func("test").unwrap();
+        let hits = Arc::new(AtomicUsize::new(0));
+        let h = Arc::clone(&hits);
         img.try_insert(
             ProbePoint::entry(f),
-            Snippet::new("t", SimTime::from_nanos(100), |_| {}),
+            Snippet::new("t", SimTime::from_nanos(100), move |ctx| {
+                h.fetch_add(ctx.reps as usize, Ordering::Relaxed);
+            }),
         )
         .expect("patchable");
         let img2 = Arc::clone(&img);
@@ -661,7 +737,7 @@ mod tests {
             assert_eq!(p.now(), per * 1000);
         });
         sim.run();
-        assert_eq!(img.call_count(f), 1000);
+        assert_eq!(hits.load(Ordering::Relaxed), 1000);
     }
 
     #[test]
@@ -768,7 +844,7 @@ mod tests {
             img.try_insert(point, patcher.clone()).expect("patchable");
         }
         let at = slot(f, point.kind);
-        let chain = |img: &Image| img.probes.read()[at].snapshot().unwrap();
+        let chain = |img: &Image| img.chain(img.index.get().unwrap(), at).unwrap();
         assert!(
             Arc::ptr_eq(&chain(&a), &chain(&b)),
             "one chain for both ranks"
@@ -805,29 +881,35 @@ mod tests {
         assert!(img.instrumented_functions().is_empty());
         assert_eq!(img.allocated_trampoline_bytes(), 0);
         assert_eq!(img.patch_count(), 0);
-        assert!(img.probes.read().is_empty(), "asking allocated nothing");
-        // The first insert allocates the table — one word per probe point,
-        // exactly — and emptied again, the image gives the same answers
-        // with the table in place.
+        assert!(img.index.get().is_none(), "asking allocated nothing");
+        assert_eq!(img.chains.read().entries.capacity(), 0);
+        // The first insert allocates the index — one `u16` per probe
+        // point — and one chain word, and emptied again, the image gives
+        // the same answers with both in place.
         let id = img
             .try_insert(entry, Snippet::noop("n"))
             .expect("patchable");
         assert_eq!(std::mem::size_of::<BaseTrampoline>(), 8);
-        assert_eq!(img.probes.read().len(), 2 * img.len());
-        assert_eq!(img.probes.read().capacity(), 2 * img.len());
+        assert_eq!(img.index.get().unwrap().len(), 2 * img.len());
+        assert_eq!(img.chains.read().entries.len(), 1);
         assert_eq!(img.instrumented_functions(), [f]);
         assert!(img.remove(entry, id));
         assert!(!img.remove(entry, id), "double remove reports absence");
         assert_eq!(img.remove_function_instr(f), 0);
         assert!(img.instrumented_functions().is_empty());
         assert_eq!(img.allocated_trampoline_bytes(), 0);
+        assert_eq!(
+            img.chains.read().idle,
+            1,
+            "the emptied entry waits for reuse"
+        );
     }
 
     #[test]
     fn the_insert_that_allocates_the_table_may_come_from_inside_a_call() {
         // A static hook patches its own function's exit while the call is
         // in flight, on an image nothing has patched before: the insert
-        // allocates the chain table, and the exit of that same call — whose
+        // allocates the point index, and the exit of that same call — whose
         // idle entry was passed without the lock — already runs the probe.
         struct Patcher(Mutex<Option<Arc<Image>>>, Arc<AtomicUsize>);
         impl StaticHooks for Patcher {
@@ -855,7 +937,7 @@ mod tests {
             Mutex::new(Some(Arc::clone(&img))),
             Arc::clone(&hits),
         )));
-        assert!(img.probes.read().is_empty());
+        assert!(img.index.get().is_none());
         let img2 = Arc::clone(&img);
         let sim = Sim::virtual_time(Machine::test_machine(), 1);
         sim.spawn("p", 0, move |p| {
@@ -865,6 +947,62 @@ mod tests {
         sim.run();
         assert_eq!(hits.load(Ordering::Relaxed), 2);
         assert_eq!(img.patch_count(), 5, "jump + mini, splice, jump + mini");
+    }
+
+    #[test]
+    fn a_freed_chain_entry_is_reused_by_another_function() {
+        // `a`'s two entries are freed and `b` takes them: the list does not
+        // grow, `a`'s old snippet never runs again, and `b`'s runs once at
+        // each of its points per call — on either carrier.
+        for backend in [ProcBackend::Threads, ProcBackend::Coroutine] {
+            let mut bld = ImageBuilder::new("app");
+            let [main, a, b] = ["main", "a", "b"].map(|n| bld.add_named(n));
+            let img = Arc::new(bld.build());
+            let log = |tag: &'static str, ran: &Arc<Mutex<Vec<_>>>| {
+                let ran = Arc::clone(ran);
+                Snippet::new(tag, SimTime::ZERO, move |ctx| {
+                    ran.lock().push((ctx.func, ctx.point))
+                })
+            };
+            let (old, new) = (
+                Arc::new(Mutex::new(Vec::new())),
+                Arc::new(Mutex::new(Vec::new())),
+            );
+            img.try_insert(ProbePoint::exit(main), Snippet::noop("keep"))
+                .expect("patchable");
+            for point in [ProbePoint::entry(a), ProbePoint::exit(a)] {
+                img.try_insert(point, log("old", &old)).expect("patchable");
+            }
+            assert_eq!(img.remove_function_instr(a), 2);
+            for point in [ProbePoint::entry(b), ProbePoint::exit(b)] {
+                img.try_insert(point, log("new", &new)).expect("patchable");
+            }
+            let list = img.chains.read();
+            assert_eq!((list.entries.len(), list.idle), (3, 0), "{backend:?}");
+            drop(list);
+            let img2 = Arc::clone(&img);
+            let sim = Sim::virtual_time_with_backend(Machine::test_machine(), 1, backend);
+            sim.spawn("p", 0, move |p| {
+                for f in [main, a, b, main, a, b] {
+                    img2.call(p, CallerCtx::default(), f, || ());
+                }
+            });
+            sim.run();
+            assert!(old.lock().is_empty(), "{backend:?}: a freed chain ran");
+            let once = [(b, ProbePointKind::Entry), (b, ProbePointKind::Exit)];
+            assert_eq!(*new.lock(), [once, once].concat(), "{backend:?}");
+            // The answers a dense table of one chain per point gives.
+            let occupied = [main, a, b].map(|f| {
+                (
+                    img.occupied(ProbePoint::entry(f)),
+                    img.occupied(ProbePoint::exit(f)),
+                )
+            });
+            assert_eq!(occupied, [(false, true), (false, false), (true, true)]);
+            assert_eq!(img.instrumented_functions(), [main, b]);
+            assert_eq!(img.allocated_trampoline_bytes(), 576);
+            assert_eq!(img.patch_count(), 12);
+        }
     }
 
     #[test]

@@ -21,13 +21,18 @@
 //! ```
 //! use dynprof_image::{CallerCtx, FunctionInfo, ImageBuilder, ProbePoint, Snippet};
 //! use dynprof_sim::{Machine, Sim, SimTime};
+//! use std::sync::atomic::{AtomicU64, Ordering};
 //! use std::sync::Arc;
 //!
 //! let mut b = ImageBuilder::new("demo");
 //! let f = b.add(FunctionInfo::new("test"));
 //! let img = Arc::new(b.build());
+//! let calls = Arc::new(AtomicU64::new(0));
+//! let seen = Arc::clone(&calls);
 //! img.try_insert(ProbePoint::entry(f), Snippet::new("start_timer",
-//!     SimTime::from_nanos(800), |_ctx| { /* e.g. VT_begin(ctx) */ }))
+//!     SimTime::from_nanos(800), move |ctx| {
+//!         seen.fetch_add(ctx.reps, Ordering::Relaxed); // e.g. VT_begin(ctx)
+//!     }))
 //!     .expect("`test` is large enough to patch");
 //!
 //! let sim = Sim::virtual_time(Machine::test_machine(), 0);
@@ -36,7 +41,7 @@
 //!     img2.call(p, CallerCtx::default(), f, || { /* body */ });
 //! });
 //! sim.run();
-//! assert_eq!(img.call_count(f), 1);
+//! assert_eq!(calls.load(Ordering::Relaxed), 1);
 //! ```
 
 #![warn(missing_docs)]

@@ -61,7 +61,7 @@ impl MiniTrampoline {
 }
 
 /// An installed chain: immutable, behind a thin (8-byte) pointer so an
-/// idle slot of the chain table costs one word.
+/// entry of an image's chain list costs one word.
 pub type Chain = Arc<Box<[MiniTrampoline]>>;
 
 /// Every chain built for the images of one program, by content, so that
