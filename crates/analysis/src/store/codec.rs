@@ -35,17 +35,31 @@ use dynprof_vt::{Event, VtFuncId};
 use super::take_u8;
 use crate::error::TraceError;
 
+/// Where an encoding goes, a byte at a time: a growing `Vec<u8>`, or the
+/// writer's fixed per-event scratch.
+pub(crate) trait Put {
+    /// Append one byte.
+    fn put(&mut self, byte: u8);
+}
+
+impl Put for Vec<u8> {
+    #[inline]
+    fn put(&mut self, byte: u8) {
+        self.push(byte);
+    }
+}
+
 /// Append `v` as an LEB128 varint (7 bits per byte, little-endian).
 #[inline]
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn put_varint(buf: &mut impl Put, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.push(byte);
+            buf.put(byte);
             return;
         }
-        buf.push(byte | 0x80);
+        buf.put(byte | 0x80);
     }
 }
 
@@ -333,8 +347,8 @@ fn set_of(s: &Shape, sets: usize) -> usize {
 
 /// Append the literal (v2) encoding of an event: kind, Δt, then the
 /// kind's fields in its own order.
-fn put_literal(buf: &mut Vec<u8>, s: &Shape, dt: u64, dur: u64) {
-    buf.push(s.kind());
+fn put_literal(buf: &mut impl Put, s: &Shape, dt: u64, dur: u64) {
+    buf.put(s.kind());
     put_varint(buf, zigzag(dt as i64));
     match s.kind() {
         1 | 2 => {
@@ -349,7 +363,7 @@ fn put_literal(buf: &mut Vec<u8>, s: &Shape, dt: u64, dur: u64) {
         }
         4 => {
             put_varint(buf, dur);
-            buf.push(s.a() as u8);
+            buf.put(s.a() as u8);
             put_varint(buf, zigzag(i64::from(s.b() as i32)));
             put_varint(buf, s.c);
         }
@@ -456,7 +470,7 @@ impl<W: Words, const SLOTS: usize, const WAYS: usize> ShapeTable<W, SLOTS, WAYS>
     /// Append the encoding of `ev`. `prev_t` carries the running timestamp
     /// of the delta chain and is updated to `ev.time()`.
     #[inline]
-    pub(crate) fn encode(&mut self, buf: &mut Vec<u8>, ev: &Event, prev_t: &mut u64) {
+    pub(crate) fn encode(&mut self, buf: &mut impl Put, ev: &Event, prev_t: &mut u64) {
         let () = Self::FITS;
         let (shape, t, dur) = split(ev);
         let dt = t.wrapping_sub(*prev_t);
@@ -477,7 +491,7 @@ impl<W: Words, const SLOTS: usize, const WAYS: usize> ShapeTable<W, SLOTS, WAYS>
         let (was_dt, was_dur) = slot.words.get();
         let (r_dt, r_dur) = (dt.wrapping_sub(was_dt), dur.wrapping_sub(was_dur));
         let flags = (u8::from(r_dt != 0) * TAG_DT) | (u8::from(r_dur != 0) * TAG_DUR);
-        buf.push(TAG_BASE + 4 * (set + way) as u8 + flags);
+        buf.put(TAG_BASE + 4 * (set + way) as u8 + flags);
         if r_dt != 0 {
             put_varint(buf, zigzag(r_dt as i64));
         }

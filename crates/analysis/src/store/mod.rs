@@ -203,9 +203,13 @@ impl ChunkMeta {
         CHUNK_HEADER_BYTES as u64 + self.enc_len as u64
     }
 
-    /// The chunk's on-disk header, with `crc` computed over it and
-    /// `payload` and stamped into both the header and `self`.
-    pub(crate) fn seal_header(&mut self, payload: &[u8]) -> [u8; CHUNK_HEADER_BYTES] {
+    /// The chunk's on-disk header, with `crc` computed over it and the
+    /// `payload` pieces in order and stamped into both the header and
+    /// `self`.
+    pub(crate) fn seal_header<'a>(
+        &mut self,
+        payload: impl IntoIterator<Item = &'a [u8]>,
+    ) -> [u8; CHUNK_HEADER_BYTES] {
         let mut header = [0u8; CHUNK_HEADER_BYTES];
         header[0..4].copy_from_slice(&self.rank.to_le_bytes());
         header[4..8].copy_from_slice(&self.count.to_le_bytes());
@@ -270,13 +274,16 @@ impl ChunkMeta {
     }
 }
 
-/// A chunk's CRC-32: its header's non-crc bytes, then its payload.
-pub(crate) fn chunk_crc(header: &[u8], payload: &[u8]) -> u32 {
-    Crc32::new()
-        .update(&header[..12])
-        .update(&header[16..CHUNK_HEADER_BYTES])
-        .update(payload)
-        .finish()
+/// A chunk's CRC-32: its header's non-crc bytes, then its payload, in as
+/// many pieces as it is held in.
+pub(crate) fn chunk_crc<'a>(header: &[u8], payload: impl IntoIterator<Item = &'a [u8]>) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(&header[..12])
+        .update(&header[16..CHUNK_HEADER_BYTES]);
+    for piece in payload {
+        crc.update(piece);
+    }
+    crc.finish()
 }
 
 /// Take `N` bytes off the front of `buf`; `None`, leaving `buf` as it was,
@@ -399,8 +406,8 @@ mod tests {
             max_t: us(9),
             max_end: us(11),
         };
-        let header = meta.seal_header(b"abc");
-        assert_eq!(meta.crc, chunk_crc(&header, b"abc"));
+        let header = meta.seal_header([&b"ab"[..], b"c"]);
+        assert_eq!(meta.crc, chunk_crc(&header, [&b"abc"[..]]));
         assert_eq!(
             ChunkMeta::from_header(&header, meta.offset, 0).unwrap(),
             meta

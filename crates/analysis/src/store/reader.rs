@@ -126,7 +126,7 @@ impl ChunkBuf {
     /// The CRC-32 of what was read, a header and its payload.
     pub(crate) fn crc(&self) -> u32 {
         let (header, payload) = self.bytes().split_at(CHUNK_HEADER_BYTES);
-        chunk_crc(header, payload)
+        chunk_crc(header, [payload])
     }
 
     /// Decode the payload behind the header as `count` events of `rank`

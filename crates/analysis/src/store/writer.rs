@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use dynprof_sim::SimTime;
 use dynprof_vt::{locked, Event, EventSink, Lane, Trace, VtFuncId, VtLib};
 
-use super::codec::{event_end, ShapeTableV4};
+use super::codec::{event_end, Put, ShapeTableV4};
 use super::crc::crc32;
 use super::{
     put_dictionary, ChunkMeta, StoreOptions, HEADER_BYTES, STORE_MAGIC, STORE_VERSION, UNKNOWN_FUNC,
@@ -49,11 +49,38 @@ pub struct StoreStats {
     pub peak_buffered_bytes: usize,
 }
 
+/// Bytes in one block of a stage. A stage holds its payload in blocks of
+/// this size, taken as it grows and never moved or regrown: a doubling
+/// vector holds up to twice what it staged and frees each buffer it
+/// outgrows, and a rank's whole trace may wait in its stage until the
+/// capture closes.
+const BLOCK: usize = 256;
+
+/// One event's encoding on its way into a stage: the longest, a literal
+/// with every field at its full width, is 39 bytes.
+struct Scratch {
+    bytes: [u8; 64],
+    len: usize,
+}
+
+impl Put for Scratch {
+    #[inline]
+    fn put(&mut self, byte: u8) {
+        self.bytes[self.len] = byte;
+        self.len += 1;
+    }
+}
+
 /// One rank's open chunk, encoded incrementally: a stage. Sealing it
 /// empties it — the shape table too, so every chunk decodes on its own —
-/// and keeps its allocation for the rank's next chunk.
+/// and keeps its blocks for the rank's next chunk.
 pub struct ChunkBuf {
-    payload: Vec<u8>,
+    /// The payload: its first `len` bytes, in order, an event straddling
+    /// a block edge where it falls. Boxed: a `Vec` of arrays would be one
+    /// buffer again, regrown by doubling.
+    #[allow(clippy::vec_box)]
+    blocks: Vec<Box<[u8; BLOCK]>>,
+    len: usize,
     count: u32,
     min_t: SimTime,
     max_t: SimTime,
@@ -67,10 +94,11 @@ pub struct ChunkBuf {
 }
 
 impl Default for ChunkBuf {
-    /// An empty stage; allocates at the first event.
+    /// An empty stage; takes its first block at the first event.
     fn default() -> ChunkBuf {
         ChunkBuf {
-            payload: Vec::new(),
+            blocks: Vec::new(),
+            len: 0,
             count: 0,
             min_t: SimTime(u64::MAX),
             max_t: SimTime::ZERO,
@@ -97,26 +125,64 @@ impl ChunkBuf {
     /// bytes it took.
     #[inline]
     pub fn stage(&mut self, ev: &Event) -> usize {
-        let before = self.payload.len();
-        self.shapes.encode(&mut self.payload, ev, &mut self.prev_t);
+        let mut scratch = Scratch {
+            bytes: [0; 64],
+            len: 0,
+        };
+        self.shapes.encode(&mut scratch, ev, &mut self.prev_t);
+        self.append(&scratch);
         self.count += 1;
         let t = ev.time();
         self.min_t = self.min_t.min(t);
         self.max_t = self.max_t.max(t);
         self.max_end = self.max_end.max(event_end(ev));
-        self.payload.len() - before
+        scratch.len
+    }
+
+    /// Append an event's bytes to the payload, across a block edge if
+    /// they reach one, taking a block at each edge past the last this
+    /// stage holds.
+    #[inline]
+    fn append(&mut self, event: &Scratch) {
+        let at = self.len % BLOCK;
+        let block = self.blocks.get_mut(self.len / BLOCK);
+        // Room for the whole scratch: one fixed-size copy. What it copies
+        // past the event lies past the payload, and the next event
+        // overwrites it.
+        if let Some(room) = block.and_then(|b| b.get_mut(at..at + event.bytes.len())) {
+            room.copy_from_slice(&event.bytes);
+            self.len += event.len;
+            return;
+        }
+        let mut bytes = &event.bytes[..event.len];
+        while !bytes.is_empty() {
+            let (block, at) = (self.len / BLOCK, self.len % BLOCK);
+            if block == self.blocks.len() {
+                self.blocks.push(Box::new([0; BLOCK]));
+            }
+            let (now, rest) = bytes.split_at(bytes.len().min(BLOCK - at));
+            self.blocks[block][at..at + now.len()].copy_from_slice(now);
+            self.len += now.len();
+            bytes = rest;
+        }
+    }
+
+    /// The payload in order, one piece per block it occupies.
+    fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+        let starts = (0..self.len).step_by(BLOCK);
+        let pieces = self.blocks.iter().zip(starts);
+        pieces.map(|(block, at)| &block[..BLOCK.min(self.len - at)])
     }
 
     /// Encoded bytes staged since the last seal.
     pub(crate) fn staged_bytes(&self) -> usize {
-        self.payload.len()
+        self.len
     }
 
-    /// Start the next chunk in the same allocation.
+    /// Start the next chunk in the same blocks.
     pub fn clear(&mut self) {
-        self.payload.clear();
         *self = ChunkBuf {
-            payload: std::mem::take(&mut self.payload),
+            blocks: std::mem::take(&mut self.blocks),
             high_water: self.high_water,
             ..ChunkBuf::default()
         };
@@ -393,16 +459,18 @@ impl<W: Write + Seek> FileHalf<W> {
         let mut meta = ChunkMeta {
             rank,
             offset: self.pos,
-            enc_len: chunk.payload.len() as u32,
+            enc_len: chunk.len as u32,
             count: chunk.count,
             crc: 0,
             min_t: chunk.min_t,
             max_t: chunk.max_t,
             max_end: chunk.max_end,
         };
-        let header = meta.seal_header(&chunk.payload);
+        let header = meta.seal_header(chunk.pieces());
         self.write_all_tracked(&header)?;
-        self.write_all_tracked(&chunk.payload)?;
+        for piece in chunk.pieces() {
+            self.write_all_tracked(piece)?;
+        }
         self.index.push(meta);
         Ok(())
     }
@@ -445,7 +513,7 @@ impl<W: Write + Seek> Seal for FileHalf<W> {
         if chunk.is_empty() {
             return;
         }
-        let len = chunk.payload.len();
+        let len = chunk.len;
         self.events += u64::from(chunk.count);
         if len > chunk.high_water {
             self.peak_buffered += len - chunk.high_water;
@@ -623,32 +691,111 @@ pub(crate) fn remap_func(ev: &mut Event, remap: &[u32]) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::io::Cursor;
 
-    /// A sealed stage starts its next chunk in the allocation the last one
-    /// grew: nothing is dropped and regrown by doubling.
+    use super::*;
+    use crate::store::codec::decode_chunk;
+    use crate::store::{chunk_crc, CHUNK_HEADER_BYTES};
+
+    /// A sealed stage starts its next chunk in the blocks the last one
+    /// took: three chunks alike hold the same blocks, at the same
+    /// addresses, so the second and third take none.
     #[test]
     fn a_sealed_stage_keeps_its_allocation() {
-        let opts = StoreOptions { chunk_events: 64 };
-        let mut w = StoreWriter::new(std::io::Cursor::new(Vec::new()), "t", opts).unwrap();
+        let opts = StoreOptions { chunk_events: 100 };
+        let mut w = StoreWriter::new(Cursor::new(Vec::new()), "t", opts).unwrap();
         let chunk = |w: &mut StoreWriter<_>| {
-            for i in 0..64 {
+            for i in 0..100 {
                 w.append(&Event::ConfSync {
                     t: SimTime::from_micros(i),
                     rank: 0,
-                    epoch: i as u32,
+                    epoch: u32::MAX - i as u32,
                 });
             }
             let stage = &w.lanes.by_rank.get(0).expect("rank 0 staged").stage;
-            assert!(stage.is_empty(), "the 64th event sealed the chunk");
-            stage.payload.capacity()
+            assert!(stage.is_empty(), "the 100th event sealed the chunk");
+            let blocks = stage.blocks.iter().map(|b| b.as_ptr() as usize);
+            (stage.blocks.as_ptr() as usize, blocks.collect::<Vec<_>>())
         };
-        let cap = chunk(&mut w);
-        assert!(cap >= 64 * 3, "{cap}");
-        assert_eq!(chunk(&mut w), cap);
-        assert_eq!(chunk(&mut w), cap);
+        let held = chunk(&mut w);
+        assert_eq!(chunk(&mut w), held);
+        assert_eq!(chunk(&mut w), held);
         let stats = w.finish().unwrap();
-        assert_eq!((stats.chunks, stats.events), (3, 192));
-        assert!(stats.peak_buffered_bytes <= cap);
+        assert_eq!((stats.chunks, stats.events), (3, 300));
+        // 7 + 99 × 8 bytes: three full blocks and part of a fourth.
+        assert_eq!(stats.peak_buffered_bytes, 799);
+        assert_eq!(held.1.len(), 4);
+    }
+
+    /// Rounds of literals at full width — a 2³³ Δt, a `u64` count, a
+    /// `FuncBatch` span of 2⁶², each a shape of its own, 33 bytes — between
+    /// runs of one-byte repeats of varying length, so events cross block
+    /// edges at many offsets.
+    fn edge_events() -> Vec<Event> {
+        let (mut events, mut t) = (Vec::new(), 0u64);
+        for round in 0..24u64 {
+            for i in 0..round % 5 + 1 {
+                t += 1 << 33;
+                events.push(Event::FuncBatch {
+                    t: SimTime(t),
+                    rank: 3,
+                    thread: u16::MAX,
+                    func: VtFuncId(u32::MAX - i as u32),
+                    count: u64::MAX - 8 * round - i,
+                    span: SimTime(1 << 62 | round),
+                });
+            }
+            for _ in 0..round * 7 % 23 + 2 {
+                t += 100;
+                events.push(Event::FuncEnter {
+                    t: SimTime(t),
+                    rank: 3,
+                    thread: 0,
+                    func: VtFuncId(1),
+                });
+            }
+        }
+        events
+    }
+
+    /// Two chunks through one stage, the second shorter and in the blocks
+    /// the first filled: each is sealed byte for byte as the codec encodes
+    /// it into one `Vec<u8>`, under that encoding's CRC, and decodes back
+    /// event for event.
+    #[test]
+    fn a_chunk_sealed_from_blocks_is_its_contiguous_encoding() {
+        let events = edge_events();
+        let chunks = [&events[..], &events[..events.len() / 3]];
+        let mut file = FileHalf::new(Cursor::new(Vec::new()), "t".into(), STORE_VERSION).unwrap();
+        let mut stage = ChunkBuf::default();
+        for chunk in chunks {
+            let mut straddles = 0;
+            for ev in chunk {
+                let at = stage.staged_bytes();
+                let took = stage.stage(ev);
+                straddles += usize::from(at / BLOCK != (at + took - 1) / BLOCK);
+            }
+            let len = stage.staged_bytes();
+            assert!(len > 2 * BLOCK && len % BLOCK != 0, "{len}");
+            assert!(straddles >= 2, "{straddles} events straddle an edge");
+            file.seal(3, &mut stage);
+        }
+        let bytes = file.out.get_ref();
+        assert_eq!(file.index.len(), 2);
+        for (meta, chunk) in file.index.iter().zip(chunks) {
+            let (mut want, mut table, mut prev) = (Vec::new(), ShapeTableV4::default(), 0);
+            for ev in chunk {
+                table.encode(&mut want, ev, &mut prev);
+            }
+            let at = meta.offset as usize;
+            let raw = &bytes[at..at + meta.disk_bytes() as usize];
+            let (header, payload) = raw.split_at(CHUNK_HEADER_BYTES);
+            assert_eq!(payload, &want[..]);
+            assert_eq!(meta.crc, chunk_crc(header, [&want[..]]));
+            assert_eq!(header[12..16], meta.crc.to_le_bytes());
+            let mut back = Vec::new();
+            decode_chunk(payload, 3, meta.count, STORE_VERSION, &mut back).unwrap();
+            assert_eq!(back, chunk);
+        }
     }
 }

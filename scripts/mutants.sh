@@ -19,7 +19,12 @@ work=$(mktemp -d "${TMPDIR:-/tmp}/dynprof-mutants.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 tree="$work/tree"
 mkdir -p "$tree"
+# Only the listed paths that exist: a tracked file deleted in the working
+# tree is still listed, and would fail the copy.
 git ls-files -z --cached --others --exclude-standard |
+    while IFS= read -r -d '' path; do
+        if [[ -e $path ]]; then printf '%s\0' "$path"; fi
+    done |
     xargs -0 cp --parents -t "$tree"
 export CARGO_TARGET_DIR="$work/target"
 
