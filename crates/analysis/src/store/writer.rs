@@ -71,15 +71,37 @@ impl Put for Scratch {
     }
 }
 
+/// One block of a stage's payload, and the block chained after it.
+struct Block {
+    bytes: [u8; BLOCK],
+    next: Option<Box<Block>>,
+}
+
+impl Drop for Block {
+    /// Unchain the rest first: a chain as long as a chunk is dropped in a
+    /// loop, not one frame a block.
+    fn drop(&mut self) {
+        let mut next = self.next.take();
+        while let Some(mut block) = next {
+            next = block.next.take();
+        }
+    }
+}
+
 /// One rank's open chunk, encoded incrementally: a stage. Sealing it
 /// empties it — the shape table too, so every chunk decodes on its own —
 /// and keeps its blocks for the rank's next chunk.
 pub struct ChunkBuf {
-    /// The payload: its first `len` bytes, in order, an event straddling
-    /// a block edge where it falls. Boxed: a `Vec` of arrays would be one
-    /// buffer again, regrown by doubling.
-    #[allow(clippy::vec_box)]
-    blocks: Vec<Box<[u8; BLOCK]>>,
+    /// The payload's blocks while it is staged, the one being filled
+    /// first, each chained to the one filled before it: the payload is
+    /// its first `len` bytes in the reverse order, an event straddling a
+    /// block edge where it falls.
+    filled: Option<Box<Block>>,
+    /// The blocks to fill next, in order: those earlier chunks filled.
+    /// Sealing puts the payload's blocks at the front, in payload order
+    /// ([`ChunkBuf::settle`]), so the next chunk fills the same blocks in
+    /// the same order.
+    spare: Option<Box<Block>>,
     len: usize,
     count: u32,
     min_t: SimTime,
@@ -97,7 +119,8 @@ impl Default for ChunkBuf {
     /// An empty stage; takes its first block at the first event.
     fn default() -> ChunkBuf {
         ChunkBuf {
-            blocks: Vec::new(),
+            filled: None,
+            spare: None,
             len: 0,
             count: 0,
             min_t: SimTime(u64::MAX),
@@ -140,38 +163,66 @@ impl ChunkBuf {
     }
 
     /// Append an event's bytes to the payload, across a block edge if
-    /// they reach one, taking a block at each edge past the last this
-    /// stage holds.
+    /// they reach one, taking a block at each edge.
     #[inline]
     fn append(&mut self, event: &Scratch) {
         let at = self.len % BLOCK;
-        let block = self.blocks.get_mut(self.len / BLOCK);
-        // Room for the whole scratch: one fixed-size copy. What it copies
-        // past the event lies past the payload, and the next event
-        // overwrites it.
-        if let Some(room) = block.and_then(|b| b.get_mut(at..at + event.bytes.len())) {
+        // Room for the whole scratch in the block being filled: one
+        // fixed-size copy. What it copies past the event lies past the
+        // payload, and the next event overwrites it.
+        let block = self.filled.as_mut().filter(|_| at > 0);
+        if let Some(room) = block.and_then(|b| b.bytes.get_mut(at..at + event.bytes.len())) {
             room.copy_from_slice(&event.bytes);
             self.len += event.len;
             return;
         }
         let mut bytes = &event.bytes[..event.len];
         while !bytes.is_empty() {
-            let (block, at) = (self.len / BLOCK, self.len % BLOCK);
-            if block == self.blocks.len() {
-                self.blocks.push(Box::new([0; BLOCK]));
+            let at = self.len % BLOCK;
+            if at == 0 {
+                self.take_block();
             }
+            let block = self.filled.as_mut().expect("a block is being filled");
             let (now, rest) = bytes.split_at(bytes.len().min(BLOCK - at));
-            self.blocks[block][at..at + now.len()].copy_from_slice(now);
+            block.bytes[at..at + now.len()].copy_from_slice(now);
             self.len += now.len();
             bytes = rest;
         }
     }
 
-    /// The payload in order, one piece per block it occupies.
+    /// Start filling the next spare block, or a new one.
+    fn take_block(&mut self) {
+        let mut block = match self.spare.take() {
+            Some(mut block) => {
+                self.spare = block.next.take();
+                block
+            }
+            None => Box::new(Block {
+                bytes: [0; BLOCK],
+                next: None,
+            }),
+        };
+        block.next = self.filled.take();
+        self.filled = Some(block);
+    }
+
+    /// Chain the payload's blocks at the front of the spare ones, in
+    /// payload order, for [`ChunkBuf::pieces`] to read.
+    fn settle(&mut self) {
+        while let Some(mut block) = self.filled.take() {
+            self.filled = block.next.take();
+            block.next = self.spare.take();
+            self.spare = Some(block);
+        }
+    }
+
+    /// The payload in order, one piece per block it occupies. The stage
+    /// is settled.
     fn pieces(&self) -> impl Iterator<Item = &[u8]> {
-        let starts = (0..self.len).step_by(BLOCK);
-        let pieces = self.blocks.iter().zip(starts);
-        pieces.map(|(block, at)| &block[..BLOCK.min(self.len - at)])
+        debug_assert!(self.filled.is_none(), "pieces of an unsettled stage");
+        let blocks = std::iter::successors(self.spare.as_deref(), |b| b.next.as_deref());
+        let pieces = blocks.zip((0..self.len).step_by(BLOCK));
+        pieces.map(|(block, at)| &block.bytes[..BLOCK.min(self.len - at)])
     }
 
     /// Encoded bytes staged since the last seal.
@@ -181,8 +232,9 @@ impl ChunkBuf {
 
     /// Start the next chunk in the same blocks.
     pub fn clear(&mut self) {
+        self.settle();
         *self = ChunkBuf {
-            blocks: std::mem::take(&mut self.blocks),
+            spare: self.spare.take(),
             high_water: self.high_water,
             ..ChunkBuf::default()
         };
@@ -519,6 +571,7 @@ impl<W: Write + Seek> Seal for FileHalf<W> {
             self.peak_buffered += len - chunk.high_water;
             chunk.high_water = len;
         }
+        chunk.settle();
         if let Err(e) = self.write_chunk(rank, chunk) {
             self.deferred_err.get_or_insert(e);
         }
@@ -714,8 +767,11 @@ mod tests {
             }
             let stage = &w.lanes.by_rank.get(0).expect("rank 0 staged").stage;
             assert!(stage.is_empty(), "the 100th event sealed the chunk");
-            let blocks = stage.blocks.iter().map(|b| b.as_ptr() as usize);
-            (stage.blocks.as_ptr() as usize, blocks.collect::<Vec<_>>())
+            assert!(stage.filled.is_none(), "every block is spare again");
+            let blocks = std::iter::successors(stage.spare.as_deref(), |b| b.next.as_deref());
+            blocks
+                .map(|b| b as *const Block as usize)
+                .collect::<Vec<_>>()
         };
         let held = chunk(&mut w);
         assert_eq!(chunk(&mut w), held);
@@ -724,7 +780,7 @@ mod tests {
         assert_eq!((stats.chunks, stats.events), (3, 300));
         // 7 + 99 × 8 bytes: three full blocks and part of a fourth.
         assert_eq!(stats.peak_buffered_bytes, 799);
-        assert_eq!(held.1.len(), 4);
+        assert_eq!(held.len(), 4);
     }
 
     /// Rounds of literals at full width — a 2³³ Δt, a `u64` count, a

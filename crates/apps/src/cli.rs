@@ -40,7 +40,7 @@ use dynprof_analysis::store::{
     RetentionPolicy, RotatingWriter, RotationPolicy, SegmentStats, StoreOptions,
 };
 use dynprof_analysis::ProfileBuilder;
-use dynprof_core::{run_session, AppSpec, Command, SessionConfig, SessionReport};
+use dynprof_core::{try_run_session, AppSpec, Command, SessionConfig, SessionReport};
 use dynprof_sim::{Machine, SimTime};
 use dynprof_vt::{ControllerConfig, Event, EventSink, Lane, Policy, VtFuncId};
 
@@ -305,7 +305,7 @@ pub fn run_cli(args: &CliArgs) -> Result<CliOutput, String> {
     let script = read_script(&args.script)?;
     let machine = args.machine_model()?;
     let mut cfg = SessionConfig::new(machine, args.policy).with_seed(args.seed);
-    cfg.check_map_budget(args.cpus).map_err(|e| e.to_string())?;
+    cfg.check_memory(args.cpus).map_err(|e| e.to_string())?;
     if args.policy == Policy::Dynamic {
         cfg = cfg.with_script(script);
     }
@@ -319,7 +319,8 @@ pub fn run_cli(args: &CliArgs) -> Result<CliOutput, String> {
         profile: ProfileBuilder::new(Vec::new(), Default::default()),
         store: open_trace(args, &app.name)?,
     })));
-    let report = run_session(&app, cfg.with_capture(Arc::clone(&capture) as _));
+    let report = try_run_session(&app, cfg.with_capture(Arc::clone(&capture) as _))
+        .map_err(|e| e.to_string())?;
     // The library keeps its handle on the slot; the sink comes back out.
     let Capture { profile, store } = capture
         .lock()
@@ -420,6 +421,7 @@ pub fn write_outputs(args: &CliArgs, out: &CliOutput) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynprof_core::run_session;
 
     fn strs(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()

@@ -242,9 +242,9 @@ fn run_rank(ctx: &AppCtx<'_>, params: &Sweep3dParams) {
                                         "sweep_angles",
                                         0..rt.nthreads(),
                                         Schedule::static_block(),
-                                        |chunk, rctx| {
+                                        move |chunk, rctx| {
                                             let share =
-                                                flops * chunk.len() as u64 / rt.nthreads() as u64;
+                                                flops * chunk.len() as u64 / rctx.nthreads() as u64;
                                             let cpu = rctx.proc.machine().cpu;
                                             rctx.proc.advance(cpu.work(share, share / 4));
                                         },

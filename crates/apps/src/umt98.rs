@@ -14,13 +14,14 @@
 //! `Dynamic` its "small but noticeable" edge over the static policies
 //! (Fig 7d).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use dynprof_core::{AppCtx, AppMode, AppSpec};
-use dynprof_image::FunctionInfo;
-use dynprof_omp::Schedule;
+use dynprof_image::{CallerCtx, FuncId, FunctionInfo, Image};
+use dynprof_omp::{RegionCtx, Schedule};
 
-use crate::workload::{generate_names, leaf_on_thread, scaled, synthetic_blocks, work, Outputs};
+use crate::workload::{generate_names, scaled, synthetic_blocks, work, Outputs};
 
 /// Number of functions in the Umt98 manifest (paper §4.3).
 pub const FUNCTIONS: usize = 44;
@@ -141,16 +142,57 @@ pub fn umt98(threads: usize, params: Umt98Params) -> AppSpec {
 /// Modelled flops of one zone-angle chunk element in `snswp3d`.
 const FLOPS_PER_ZONE_ANGLE: u64 = 5800;
 
+/// What a team thread of the zone sweep uses: the process's image and
+/// rank, and the functions it calls. The team shares one.
+struct ZoneSweep {
+    image: Arc<Image>,
+    rank: usize,
+    swp: FuncId,
+    helpers: Vec<FuncId>,
+    scale: f64,
+}
+
+impl ZoneSweep {
+    /// One team thread's chunk of zones, for one ordinate.
+    fn run(&self, zones: Range<usize>, rctx: &RegionCtx<'_>) {
+        let n = zones.len() as u64;
+        let (wp, caller) = (
+            rctx.proc,
+            CallerCtx {
+                rank: self.rank,
+                thread: rctx.tid,
+            },
+        );
+        let charge = |flops: u64, bytes: u64| wp.advance(wp.machine().cpu.work(flops, bytes));
+        // snswp3d: one coarse call per zone chunk, doing the per-zone-angle
+        // transport work.
+        self.image.call_batch(wp, caller, self.swp, 1, |_| {
+            charge(scaled(n * FLOPS_PER_ZONE_ANGLE, self.scale), n * 96);
+        });
+        // Per-zone helpers dominate the call count.
+        for &h in &self.helpers {
+            let reps = scaled(n, self.scale);
+            self.image
+                .call_batch(wp, caller, h, reps, |r| charge(r * 150, r * 48));
+        }
+    }
+}
+
 fn run_process(ctx: &AppCtx<'_>, params: &Umt98Params) {
     let zones = params.zones as u64;
 
     let f_sched = ctx.fid("sweepscheduler");
-    let f_swp = ctx.fid("snswp3d");
     let f_flw = ctx.fid("snflwxyz");
     let f_need = ctx.fid("snneed");
     let f_mom = ctx.fid("snmoments");
     let f_qq = ctx.fid("snqq");
-    let helpers: Vec<_> = RUN_HELPERS.iter().map(|f| ctx.fid(f)).collect();
+    let sweep = Arc::new(ZoneSweep {
+        image: Arc::clone(ctx.image),
+        rank: ctx.rank,
+        swp: ctx.fid("snswp3d"),
+        helpers: RUN_HELPERS.iter().map(|f| ctx.fid(f)).collect(),
+        scale: params.scale,
+    });
 
     // Initialization: most of the 44 functions run exactly once here.
     for stem in INIT_STEMS {
@@ -173,6 +215,7 @@ fn run_process(ctx: &AppCtx<'_>, params: &Umt98Params) {
                 ctx.call(f_need, || {
                     work(ctx, scaled(zones * 4, params.scale), zones * 4);
                 });
+                let sweep = Arc::clone(&sweep);
                 rt.parallel_for(
                     ctx.p,
                     "snswp3d_zones",
@@ -180,29 +223,7 @@ fn run_process(ctx: &AppCtx<'_>, params: &Umt98Params) {
                     Schedule::Dynamic {
                         chunk: params.chunk,
                     },
-                    |zone_chunk, rctx| {
-                        let n = zone_chunk.len() as u64;
-                        // snswp3d: one coarse call per zone chunk, doing
-                        // the per-zone-angle transport work.
-                        ctx.call_batch_on_thread(rctx.proc, rctx.tid, f_swp, 1, |_| {
-                            let cpu = rctx.proc.machine().cpu;
-                            rctx.proc.advance(
-                                cpu.work(scaled(n * FLOPS_PER_ZONE_ANGLE, params.scale), n * 96),
-                            );
-                        });
-                        // Per-zone helpers dominate the call count.
-                        for &h in &helpers {
-                            leaf_on_thread(
-                                ctx,
-                                rctx.proc,
-                                rctx.tid,
-                                h,
-                                scaled(n, params.scale),
-                                150,
-                                48,
-                            );
-                        }
-                    },
+                    move |zones, rctx| sweep.run(zones, rctx),
                 );
             });
         }

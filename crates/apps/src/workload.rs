@@ -26,20 +26,17 @@ pub struct Decomp3 {
 }
 
 impl Decomp3 {
-    /// Factor `p` into a near-cubic grid (px ≥ py ≥ pz, px·py·pz = p).
+    /// Factor `p` into a near-cubic grid (px ≥ py ≥ pz, px·py·pz = p):
+    /// the first factorisation, taking pz and then py in ascending order,
+    /// whose largest and smallest factors are closest.
     pub fn new(p: usize) -> Decomp3 {
         assert!(p > 0);
+        let divisors = divisors(p);
         let mut best = [1, 1, p];
         let mut best_spread = usize::MAX;
-        for pz in 1..=p {
-            if !p.is_multiple_of(pz) {
-                continue;
-            }
+        for &pz in &divisors {
             let rest = p / pz;
-            for py in 1..=rest {
-                if !rest.is_multiple_of(py) {
-                    continue;
-                }
+            for &py in divisors.iter().filter(|&&py| rest.is_multiple_of(py)) {
                 let mut dims = [rest / py, py, pz];
                 dims.sort_unstable();
                 let spread = dims[2] - dims[0];
@@ -96,18 +93,33 @@ impl Decomp3 {
     }
 }
 
-/// A 2-D process decomposition (for Sweep3d's KBA sweeps).
+/// A 2-D process decomposition (for Sweep3d's KBA sweeps): the most
+/// balanced factor pair, larger first.
 pub fn decomp2(p: usize) -> (usize, usize) {
     let mut best = (p, 1);
-    for a in 1..=p {
-        if p.is_multiple_of(a) {
-            let b = p / a;
-            if a.abs_diff(b) < best.0.abs_diff(best.1) {
-                best = (a.max(b), a.min(b));
-            }
+    for a in divisors(p) {
+        let b = p / a;
+        if a.abs_diff(b) < best.0.abs_diff(best.1) {
+            best = (a.max(b), a.min(b));
         }
     }
     best
+}
+
+/// The divisors of `n`, ascending: trial division up to √n, so that a
+/// rank's decomposition costs O(√P) and a job's O(P √P), not O(P²).
+fn divisors(n: usize) -> Vec<usize> {
+    let (mut low, mut high) = (Vec::new(), Vec::new());
+    for d in (1..).take_while(|&d| d <= n / d) {
+        if n.is_multiple_of(d) {
+            low.push(d);
+            if d != n / d {
+                high.push(n / d);
+            }
+        }
+    }
+    low.extend(high.into_iter().rev());
+    low
 }
 
 /// A small real 3-D grid with 7-point Jacobi relaxation — the genuine
@@ -228,25 +240,6 @@ pub fn leaf(ctx: &AppCtx<'_>, fid: FuncId, reps: u64, flops_per_call: u64, bytes
     });
 }
 
-/// As [`leaf`], from an OpenMP worker thread.
-pub fn leaf_on_thread(
-    ctx: &AppCtx<'_>,
-    wp: &dynprof_sim::Proc,
-    thread: usize,
-    fid: FuncId,
-    reps: u64,
-    flops_per_call: u64,
-    bytes_per_call: u64,
-) {
-    if reps == 0 {
-        return;
-    }
-    ctx.call_batch_on_thread(wp, thread, fid, reps, |r| {
-        let cpu = wp.machine().cpu;
-        wp.advance(cpu.work(r * flops_per_call, r * bytes_per_call));
-    });
-}
-
 /// Charge modelled serial work directly.
 pub fn work(ctx: &AppCtx<'_>, flops: u64, bytes: u64) {
     let cpu = ctx.p.machine().cpu;
@@ -350,6 +343,49 @@ mod tests {
         let centre = d.rank_at(1, 1, 1).unwrap();
         assert_eq!(d.neighbours(centre).len(), 6);
         assert_eq!(d.neighbours(0).len(), 3, "corner has three");
+    }
+
+    /// The decompositions by trial division over every 1..=p, as they
+    /// were: the reference the divisor walk must agree with exactly.
+    fn by_trial_division(p: usize) -> (Decomp3, (usize, usize)) {
+        let mut best = [1, 1, p];
+        let mut best_spread = usize::MAX;
+        for pz in (1..=p).filter(|pz| p.is_multiple_of(*pz)) {
+            let rest = p / pz;
+            for py in (1..=rest).filter(|py| rest.is_multiple_of(*py)) {
+                let mut dims = [rest / py, py, pz];
+                dims.sort_unstable();
+                if dims[2] - dims[0] < best_spread {
+                    best_spread = dims[2] - dims[0];
+                    best = dims;
+                }
+            }
+        }
+        let mut two = (p, 1);
+        for a in (1..=p).filter(|a| p.is_multiple_of(*a)) {
+            let b = p / a;
+            if a.abs_diff(b) < two.0.abs_diff(two.1) {
+                two = (a.max(b), a.min(b));
+            }
+        }
+        let three = Decomp3 {
+            px: best[2],
+            py: best[1],
+            pz: best[0],
+        };
+        (three, two)
+    }
+
+    #[test]
+    fn decompositions_match_trial_division_at_every_size() {
+        let sizes = (1..=4096).chain([512, 1152, 16_384, 32_768, 65_536]);
+        for p in sizes {
+            let (three, two) = by_trial_division(p);
+            assert_eq!(Decomp3::new(p), three, "p={p}");
+            assert_eq!(decomp2(p), two, "p={p}");
+        }
+        assert_eq!(divisors(36), [1, 2, 3, 4, 6, 9, 12, 18, 36]);
+        assert_eq!(divisors(1), [1]);
     }
 
     #[test]

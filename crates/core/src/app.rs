@@ -111,27 +111,6 @@ impl<'a> AppCtx<'a> {
         )
     }
 
-    /// Batched call from an OpenMP worker thread.
-    pub fn call_batch_on_thread<R>(
-        &self,
-        wp: &Proc,
-        thread: usize,
-        fid: FuncId,
-        reps: u64,
-        body: impl FnOnce(u64) -> R,
-    ) -> R {
-        self.image.call_batch(
-            wp,
-            CallerCtx {
-                rank: self.rank,
-                thread,
-            },
-            fid,
-            reps,
-            body,
-        )
-    }
-
     /// A `VT_confsync` safe point (paper §5): in an adaptive MPI session,
     /// collectively synchronize the activation table — applying any
     /// pending configuration change or controller decision. Outside

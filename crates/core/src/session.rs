@@ -25,10 +25,7 @@ use dynprof_mpi::{launch, launch_from, Comm, Job, JobSpec, MpiHooks};
 use dynprof_obs as obs;
 use dynprof_sim::hb::Finding;
 use dynprof_sim::sync::SimGate;
-use dynprof_sim::{
-    check_map_budget, max_map_count, FaultPlan, FaultSpec, Machine, MapBudgetExceeded, Proc,
-    ProcBackend, Sim, SimTime,
-};
+use dynprof_sim::{CarrierError, FaultPlan, FaultSpec, Machine, Proc, ProcBackend, Sim, SimTime};
 use dynprof_vt::{
     vt_begin_snippet, vt_end_snippet, ControllerConfig, MonitorLink, OverheadController, Policy,
     SharedSink, VtConfig, VtLib, VtRankHooks, VtStaticHooks,
@@ -136,15 +133,24 @@ impl SessionConfig {
     /// The simulation this configuration runs on: its machine, seed and
     /// carrier, with the fault plan instantiated when `faults` is set,
     /// observed into `metrics` (or the armed process default).
+    ///
+    /// Panics with [`SessionConfig::try_sim`]'s error.
     pub fn sim(&self) -> Sim {
-        let sim = Sim::virtual_time_with_backend(self.machine.clone(), self.seed, self.backend);
+        self.try_sim().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`SessionConfig::sim`], or the error that the coroutine carrier
+    /// could not map its run stacks.
+    pub fn try_sim(&self) -> Result<Sim, CarrierError> {
+        let sim =
+            Sim::try_virtual_time_with_backend(self.machine.clone(), self.seed, self.backend)?;
         if let Some(spec) = &self.faults {
             sim.set_fault_plan(FaultPlan::new(spec, &self.machine));
         }
         if let Some(metrics) = self.metrics.as_ref().or(obs::process_default()) {
             sim.set_metrics(Arc::clone(metrics));
         }
-        sim
+        Ok(sim)
     }
 
     /// The simulated processes a session of `cpus` application processes
@@ -154,14 +160,11 @@ impl SessionConfig {
         cpus + 2 * self.machine.nodes + 2
     }
 
-    /// Refuse, before anything is spawned, a session of `cpus` that the
-    /// coroutine carrier could not map (see [`check_map_budget`]).
-    pub fn check_map_budget(&self, cpus: usize) -> Result<(), MapBudgetExceeded> {
-        if self.backend != ProcBackend::Coroutine {
-            return Ok(());
-        }
-        match max_map_count() {
-            Some(limit) => check_map_budget(self.processes(cpus), limit),
+    /// Refuse, before anything is spawned, a session of `cpus` that this
+    /// host's available memory cannot hold (see [`check_memory`]).
+    pub fn check_memory(&self, cpus: usize) -> Result<(), MemoryBudgetExceeded> {
+        match mem_available() {
+            Some(available) => check_memory(self.processes(cpus), available),
             None => Ok(()),
         }
     }
@@ -273,7 +276,18 @@ impl SessionReport {
 }
 
 /// Run one session of `app` under `cfg` and return the measurements.
-pub fn run_session(app: &AppSpec, mut cfg: SessionConfig) -> SessionReport {
+///
+/// Panics with [`try_run_session`]'s error.
+pub fn run_session(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
+    try_run_session(app, cfg).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`run_session`], or the error that the coroutine carrier could not map
+/// its run stacks.
+pub fn try_run_session(
+    app: &AppSpec,
+    mut cfg: SessionConfig,
+) -> Result<SessionReport, CarrierError> {
     let launch = match cfg.policy {
         Policy::Dynamic => Launch::Held,
         _ => Launch::Static,
@@ -304,7 +318,7 @@ pub fn run_attach_session(
         Command::RemoveFile(subset),
         Command::Quit,
     ];
-    drive(app, cfg, Launch::Running { attach_at }, script)
+    drive(app, cfg, Launch::Running { attach_at }, script).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// How the target starts, and so who spawns what, in which order (spawn
@@ -328,7 +342,12 @@ struct Outcome {
 }
 
 /// The staged driver behind both entry points.
-fn drive(app: &AppSpec, cfg: SessionConfig, launch: Launch, script: Vec<Command>) -> SessionReport {
+fn drive(
+    app: &AppSpec,
+    cfg: SessionConfig,
+    launch: Launch,
+    script: Vec<Command>,
+) -> Result<SessionReport, CarrierError> {
     // ---- create: trace library, images, simulation.
     let processes = app.mode.processes();
     let (config, static_instr) = if launch == Launch::Static {
@@ -345,7 +364,7 @@ fn drive(app: &AppSpec, cfg: SessionConfig, launch: Launch, script: Vec<Command>
         vt.set_sink(Arc::clone(sink));
     }
     let images = process_images(app, &cfg, &vt, static_instr);
-    let sim = cfg.sim();
+    let sim = cfg.try_sim()?;
     let (adaptive, controller) = make_adaptive(&cfg, &vt);
     let target = Target {
         app: Arc::new(app.clone()),
@@ -414,7 +433,7 @@ fn drive(app: &AppSpec, cfg: SessionConfig, launch: Launch, script: Vec<Command>
     drop(stats);
     vt.close_lanes();
     let out = std::mem::take(&mut *outcome.lock());
-    SessionReport {
+    Ok(SessionReport {
         policy: cfg.policy,
         app_time: app_time(&target.times),
         total_time: total,
@@ -432,7 +451,60 @@ fn drive(app: &AppSpec, cfg: SessionConfig, launch: Launch, script: Vec<Command>
             mpi: out.job.map_or((0, 0), |job| job.recv_cost()),
         },
         processes,
+    })
+}
+
+/// Resident bytes a session needs per simulated process, with room to
+/// spare. On the coroutine carrier a traced smg98 rank, the heaviest of
+/// the four kernels, adds about 19 KB to a session's peak (measured
+/// between 1 024 and 4 096 ranks), a traced sweep3d rank about 16 KB and
+/// an untraced one about 11 KB.
+pub const BYTES_PER_PROCESS: u64 = 32 * 1024;
+
+/// A session too large for the memory its host has available: see
+/// [`check_memory`]. Its text is one line naming both.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MemoryBudgetExceeded {
+    processes: usize,
+    available: u64,
+}
+
+impl std::fmt::Display for MemoryBudgetExceeded {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        const MB: u64 = 1 << 20;
+        let needed = (self.processes as u64).saturating_mul(BYTES_PER_PROCESS);
+        write!(
+            f,
+            "{} simulated processes need about {} MB ({} KiB each), above the {} MB \
+             this host has available; run fewer processes",
+            self.processes,
+            needed.div_ceil(MB),
+            BYTES_PER_PROCESS / 1024,
+            self.available / MB
+        )
     }
+}
+
+impl std::error::Error for MemoryBudgetExceeded {}
+
+/// Refuse `processes` simulated processes, at [`BYTES_PER_PROCESS`] each,
+/// that do not fit in `available` bytes.
+pub fn check_memory(processes: usize, available: u64) -> Result<(), MemoryBudgetExceeded> {
+    match (processes as u64).checked_mul(BYTES_PER_PROCESS) {
+        Some(needed) if needed <= available => Ok(()),
+        _ => Err(MemoryBudgetExceeded {
+            processes,
+            available,
+        }),
+    }
+}
+
+/// This host's `MemAvailable`, in bytes, if it reports one.
+pub fn mem_available() -> Option<u64> {
+    let info = std::fs::read_to_string("/proc/meminfo").ok()?;
+    let line = info.lines().find(|l| l.starts_with("MemAvailable:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    kb.checked_mul(1024)
 }
 
 /// When each process ran its body: `(start, end)` per rank.
@@ -926,4 +998,30 @@ fn ack_failures<'a>(what: &str, acks: impl Iterator<Item = &'a AckResult>) -> Op
     reasons.sort_unstable();
     reasons.dedup();
     (n > 0).then(|| format!("{n} {what} failed: {}", reasons.join("; ")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn memory_preflight_is_processes_times_bytes_per_process_against_what_is_available() {
+        let fits = 1000 * BYTES_PER_PROCESS;
+        assert_eq!(check_memory(0, 0), Ok(()));
+        assert_eq!(check_memory(1000, fits), Ok(()));
+        let err = check_memory(1001, fits).expect_err("one process too many");
+        let text = err.to_string();
+        assert!(!text.contains('\n'), "{text}");
+        for part in ["1001 simulated processes", "32 KiB each", "available"] {
+            assert!(text.contains(part), "{part:?} missing from {text:?}");
+        }
+        assert!(check_memory(usize::MAX, u64::MAX).is_err(), "no overflow");
+    }
+
+    #[test]
+    fn this_host_reports_the_memory_it_has_available() {
+        if std::path::Path::new("/proc/meminfo").exists() {
+            assert!(mem_available().is_some_and(|bytes| bytes > 0));
+        }
+    }
 }

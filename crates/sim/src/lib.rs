@@ -56,8 +56,9 @@ pub mod sync;
 pub mod time;
 pub mod topology;
 
+pub use co::CarrierError;
 pub use costs::ProbeCosts;
-pub use engine::{check_map_budget, max_map_count, MapBudgetExceeded, Pid, Proc, ProcBackend, Sim};
+pub use engine::{Pid, Proc, ProcBackend, Sim};
 pub use fault::{FaultPlan, FaultProfile, FaultSpec};
 pub use stats::OnlineStats;
 pub use time::SimTime;

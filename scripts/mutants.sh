@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Apply each hand-written mutant of tests/mutants.txt to a scratch copy of
-# the tree, run the Tier-1 tests there, and print which tests killed it.
+# the tree, run the Tier-1 tests there one at a time, and print which tests
+# killed it.
 #
 # Usage: scripts/mutants.sh [mutant-list]
 #   One mutant a line, four tab-separated fields: the file, a pattern (a
 #   fixed string that must occur exactly once in it), its replacement, and
 #   the test expected to kill it. '#' starts a comment line.
-# Prints one block per mutant: its kill list (binary::test), or SURVIVED.
+# Prints one block per mutant: its kill list (binary::test, or
+# binary::crashed when a test binary died of a signal before it could
+# report), or SURVIVED.
 # Exits 1 if a mutant survives or cannot be applied. The copy and its
 # build directory live under $TMPDIR and are removed on exit; the first
 # mutant pays a full debug build, the rest rebuild what they touch.
@@ -44,14 +47,17 @@ while IFS=$'\t' read -r file pattern replacement killer; do
     fi
     cp "$target" "$work/original"
     sed -i "s/$(sed_pattern "$pattern")/$(sed_replacement "$replacement")/" "$target"
-    # The Tier-1 tests. `Running` and `Doc-tests` lines name the binary
-    # the `test ... FAILED` lines after them belong to.
+    # The Tier-1 tests, one at a time: a mutant that crashes a test binary
+    # stops it at the first test that dies, after every test before it
+    # has reported. `Running` and `Doc-tests` lines name the binary the
+    # `test ... FAILED` and crash lines after them belong to.
     log="$work/log"
-    (cd "$tree" && cargo test --no-fail-fast >"$log" 2>&1) || true
+    (cd "$tree" && cargo test --no-fail-fast -- --test-threads=1 >"$log" 2>&1) || true
     killed=$(sed -n \
         -e 's/^ *Running .*\/\([^/]*\)-[0-9a-f]\{16\})$/@\1/p' \
         -e 's/^ *Doc-tests \(.*\)$/@doc \1/p' \
         -e 's/^test \(.*\) \.\.\. FAILED$/\1/p' \
+        -e 's/^ *process didn.t exit successfully: .*(signal: \([0-9]*\).*/crashed (signal \1)/p' \
         -e 's/^error: could not compile `\([^`]*\)`.*/compile error in \1/p' "$log" |
         sed -n -e '/^@/{h;d;}' -e '/^compile error/{p;d;}' \
             -e 'G;s/^\(.*\)\n@\(.*\)$/\2::\1/p' |

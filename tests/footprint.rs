@@ -155,9 +155,12 @@ fn pin_allocs(name: &str, total: usize, ops: usize, per_op: usize, max_amortized
 }
 
 /// A directory of this process's own under the system temp dir, so two
-/// suites running at once never share a path.
+/// suites running at once never share a path. The process id is padded to
+/// a fixed width: a session keeps its paths, so its peak would otherwise
+/// move with the number of digits in the id.
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dynprof-footprint-{tag}-{}", std::process::id()));
+    let id = std::process::id();
+    let dir = std::env::temp_dir().join(format!("dynprof-footprint-{tag}-{id:010}"));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
