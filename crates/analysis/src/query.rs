@@ -10,7 +10,7 @@ use std::io::Write;
 use dynprof_sim::SimTime;
 
 use crate::error::TraceError;
-use crate::store::{EventSource, QueryStats};
+use crate::store::{EventSource, QueryStats, STORE_VERSION};
 use crate::{CommStats, Profile, ProfileOptions, TimelineBuilder, TimelineOptions};
 
 /// `vgv info`: the store summary, computed from the footer index alone —
@@ -31,8 +31,7 @@ pub fn info_report<S: EventSource + ?Sized>(reader: &S) -> String {
         info.t_min, info.t_max, info.t_end
     ));
     out.push_str(&format!(
-        "  format:    v{} (crc32 per chunk)\n",
-        info.version
+        "  format:    v{STORE_VERSION} (crc32 per chunk)\n"
     ));
     if info.segments > 1 {
         out.push_str(&format!("  segments:  {}\n", info.segments));

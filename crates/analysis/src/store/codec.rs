@@ -8,9 +8,9 @@
 //! integer field is a varint: a **literal**, 4–6 bytes for a typical
 //! `FuncEnter` against the 19 of a fixed-width record.
 //!
-//! **Recurrence (format v4).** A rank repeats itself: the same call to the
-//! same function, the same send to the same neighbour, sweep after sweep.
-//! So each chunk keeps a table of 48 recent event *shapes* — the kind and
+//! **Recurrence.** A rank repeats itself: the same call to the same
+//! function, the same send to the same neighbour, sweep after sweep. So
+//! each chunk keeps a table of 48 recent event *shapes* — the kind and
 //! every field but time and duration — with, per slot, the Δt and
 //! duration that shape had last time, narrowed to a sign-extended `i32`
 //! and a `u32`. The table is eight-way set-associative: a shape hashes to
@@ -21,13 +21,8 @@
 //! slot then takes the new values, narrowed. Any other event is a literal:
 //! its shape takes its set's first slot and the others move down one, the
 //! last dropping out. The table starts empty in every chunk, so chunks
-//! stay independently decodable.
-//!
-//! A v3 payload uses the same tags over a table of 32 slots in two ways
-//! that keeps Δt and duration at full width; a v2 payload holds no tag —
-//! literals are the v2 encoding byte for byte. The geometry is a constant
-//! of the file's version, never a knob: [`decode_chunk`] rebuilds the
-//! table the version names, and the writer writes v4 only.
+//! stay independently decodable. Its geometry is a constant of the format
+//! ([`super::STORE_VERSION`]), never a knob.
 
 use dynprof_sim::SimTime;
 use dynprof_vt::{Event, VtFuncId};
@@ -107,8 +102,7 @@ pub fn event_overlaps(ev: &Event, t0: SimTime, t1: SimTime) -> bool {
 
 /// The first tag byte. Below it a byte is a literal's kind (1–10); from it
 /// on, `TAG_BASE + 4 × slot + flags` names a slot, which a well-formed
-/// payload has filled and which is inside the table. v4's 48 slots use
-/// every byte up to `0xFF`.
+/// payload has filled. The table's 48 slots use every byte up to `0xFF`.
 const TAG_BASE: u8 = 0x40;
 /// Tag flag: a zigzag Δt residual follows the tag.
 const TAG_DT: u8 = 1;
@@ -148,63 +142,34 @@ impl Shape {
     }
 }
 
-/// How a slot keeps the Δt (wrapping, as on the wire) and duration its
-/// shape had last time. Both sides of the wire store what [`Words::new`]
-/// keeps and take residuals against what [`Words::get`] gives back, so a
-/// narrowed slot costs bytes, never exactness.
-pub(crate) trait Words: Copy + Default {
-    fn new(dt: u64, dur: u64) -> Self;
-    fn get(self) -> (u64, u64);
-}
-
-/// v3's slot words: full width. A slot is 32 bytes.
+/// One table entry: a shape and the Δt (wrapping, as on the wire) and
+/// duration it had last time, narrowed — Δt to an `i32` (a `FuncBatch` or
+/// an `OmpThread` steps back in time), duration to a `u32`. Both sides of
+/// the wire keep what [`Slot::new`] keeps and take residuals against what
+/// [`Slot::words`] gives back, so narrowing costs bytes, never exactness.
+/// A slot is 24 bytes.
 #[derive(Clone, Copy, Default)]
-pub(crate) struct Wide {
-    dt: u64,
-    dur: u64,
-}
-
-impl Words for Wide {
-    #[inline]
-    fn new(dt: u64, dur: u64) -> Wide {
-        Wide { dt, dur }
-    }
-
-    #[inline]
-    fn get(self) -> (u64, u64) {
-        (self.dt, self.dur)
-    }
-}
-
-/// v4's slot words: Δt sign-extended from an `i32` (a `FuncBatch` or an
-/// `OmpThread` steps back in time), duration from a `u32`. A slot is 24
-/// bytes.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct Narrow {
+struct Slot {
+    shape: Shape,
     dt: i32,
     dur: u32,
 }
 
-impl Words for Narrow {
+impl Slot {
     #[inline]
-    fn new(dt: u64, dur: u64) -> Narrow {
-        Narrow {
+    fn new(shape: Shape, dt: u64, dur: u64) -> Slot {
+        Slot {
+            shape,
             dt: dt as i32,
             dur: dur as u32,
         }
     }
 
+    /// The Δt, sign-extended, and the duration the slot keeps.
     #[inline]
-    fn get(self) -> (u64, u64) {
+    fn words(&self) -> (u64, u64) {
         (i64::from(self.dt) as u64, u64::from(self.dur))
     }
-}
-
-/// One table entry: a shape and its last Δt and duration.
-#[derive(Clone, Copy, Default)]
-struct Slot<W> {
-    shape: Shape,
-    words: W,
 }
 
 /// Kinds that carry a duration (`t_end − t`, or a batch's span).
@@ -336,16 +301,15 @@ fn join(s: Shape, rank: u32, t: u64, dur: u64) -> Option<Event> {
     })
 }
 
-/// The set of `sets` that `s` maps to: a multiplicative hash of all its
-/// fields, scaled onto the sets by its high half. At v3's 16 sets this is
-/// the hash's top four bits.
+/// The first slot of the set `s` maps to: a multiplicative hash of all
+/// its fields, scaled onto the sets by its high half.
 #[inline]
-fn set_of(s: &Shape, sets: usize) -> usize {
+fn set_of(s: &Shape) -> usize {
     let h = (s.key ^ s.c.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    (((h >> 32) * sets as u64) >> 32) as usize
+    (((h >> 32) * (SLOTS / WAYS) as u64) >> 32) as usize * WAYS
 }
 
-/// Append the literal (v2) encoding of an event: kind, Δt, then the
+/// Append the literal encoding of an event: kind, Δt, then the
 /// kind's fields in its own order.
 fn put_literal(buf: &mut impl Put, s: &Shape, dt: u64, dur: u64) {
     buf.put(s.kind());
@@ -419,21 +383,22 @@ fn get_literal(buf: &mut &[u8], kind: u8) -> Option<(Shape, u64, u64)> {
     Some((Shape::new(kind, a, b, c), dt, dur))
 }
 
+/// Slots in a chunk's shape table.
+const SLOTS: usize = 48;
+/// Slots in a set: a shape may sit in any of the eight its hash names.
+const WAYS: usize = 8;
+/// Every slot has a tag byte of its own.
+const _: () = assert!(TAG_BASE as usize + 4 * SLOTS - 1 <= u8::MAX as usize);
+
 /// A chunk's shape table, on either side of the wire: the writer's stage
 /// keeps one per open chunk, [`decode_chunk`] rebuilds it as it reads.
-/// `SLOTS` slots in sets of `WAYS` adjacent ones, each keeping its Δt and
-/// duration as `W`; empty again at every chunk boundary.
-pub(crate) struct ShapeTable<W, const SLOTS: usize, const WAYS: usize> {
-    slots: [Slot<W>; SLOTS],
+/// [`SLOTS`] slots in sets of [`WAYS`] adjacent ones, 1 152 B; empty again
+/// at every chunk boundary.
+pub(crate) struct ShapeTable {
+    slots: [Slot; SLOTS],
 }
 
-/// Format v3's table: 32 slots of 32 bytes in two ways, 1 KB.
-pub(crate) type ShapeTableV3 = ShapeTable<Wide, 32, 2>;
-/// Format v4's table, the one the writer builds: 48 slots of 24 bytes in
-/// eight ways, 1 152 B.
-pub(crate) type ShapeTableV4 = ShapeTable<Narrow, 48, 8>;
-
-impl<W: Words, const SLOTS: usize, const WAYS: usize> Default for ShapeTable<W, SLOTS, WAYS> {
+impl Default for ShapeTable {
     fn default() -> Self {
         ShapeTable {
             slots: [Slot::default(); SLOTS],
@@ -441,20 +406,11 @@ impl<W: Words, const SLOTS: usize, const WAYS: usize> Default for ShapeTable<W, 
     }
 }
 
-impl<W: Words, const SLOTS: usize, const WAYS: usize> ShapeTable<W, SLOTS, WAYS> {
-    /// Every slot has a tag byte of its own.
-    const FITS: () = assert!(TAG_BASE as usize + 4 * SLOTS - 1 <= u8::MAX as usize);
-
-    /// The first slot of the set `s` maps to.
-    #[inline]
-    fn set(s: &Shape) -> usize {
-        set_of(s, SLOTS / WAYS) * WAYS
-    }
-
+impl ShapeTable {
     /// The set `s` maps to: its first slot, and its ways.
     #[inline]
-    fn ways(&mut self, s: &Shape) -> (usize, &mut [Slot<W>; WAYS]) {
-        let set = Self::set(s);
+    fn ways(&mut self, s: &Shape) -> (usize, &mut [Slot; WAYS]) {
+        let set = set_of(s);
         let ways = (&mut self.slots[set..set + WAYS]).try_into();
         (set, ways.expect("a set is WAYS slots"))
     }
@@ -462,7 +418,7 @@ impl<W: Words, const SLOTS: usize, const WAYS: usize> ShapeTable<W, SLOTS, WAYS>
     /// A literal's shape enters its set: first in line, the rest move down
     /// one and the last drops out.
     #[inline]
-    fn admit(ways: &mut [Slot<W>; WAYS], slot: Slot<W>) {
+    fn admit(ways: &mut [Slot; WAYS], slot: Slot) {
         ways.copy_within(..WAYS - 1, 1);
         ways[0] = slot;
     }
@@ -471,24 +427,17 @@ impl<W: Words, const SLOTS: usize, const WAYS: usize> ShapeTable<W, SLOTS, WAYS>
     /// of the delta chain and is updated to `ev.time()`.
     #[inline]
     pub(crate) fn encode(&mut self, buf: &mut impl Put, ev: &Event, prev_t: &mut u64) {
-        let () = Self::FITS;
         let (shape, t, dur) = split(ev);
         let dt = t.wrapping_sub(*prev_t);
         *prev_t = t;
         let (set, ways) = self.ways(&shape);
         let Some(way) = ways.iter().position(|slot| slot.shape == shape) else {
             put_literal(buf, &shape, dt, dur);
-            Self::admit(
-                ways,
-                Slot {
-                    shape,
-                    words: W::new(dt, dur),
-                },
-            );
+            Self::admit(ways, Slot::new(shape, dt, dur));
             return;
         };
         let slot = &mut ways[way];
-        let (was_dt, was_dur) = slot.words.get();
+        let (was_dt, was_dur) = slot.words();
         let (r_dt, r_dur) = (dt.wrapping_sub(was_dt), dur.wrapping_sub(was_dur));
         let flags = (u8::from(r_dt != 0) * TAG_DT) | (u8::from(r_dur != 0) * TAG_DUR);
         buf.put(TAG_BASE + 4 * (set + way) as u8 + flags);
@@ -498,33 +447,26 @@ impl<W: Words, const SLOTS: usize, const WAYS: usize> ShapeTable<W, SLOTS, WAYS>
         if r_dur != 0 {
             put_varint(buf, zigzag(r_dur as i64));
         }
-        slot.words = W::new(dt, dur);
+        *slot = Slot::new(shape, dt, dur);
     }
 
     /// Decode one event of `rank`, advancing `prev_t`. `None` on truncated
-    /// or malformed input: an unknown kind, a tag naming an empty or
-    /// nonexistent slot, a residual the shape cannot carry, or a time
-    /// outside `u64`. A tag names its slot, so only a literal needs the
-    /// hash.
+    /// or malformed input: an unknown kind, a tag naming an empty slot, a
+    /// residual the shape cannot carry, or a time outside `u64`. A tag
+    /// names its slot, so only a literal needs the hash.
     #[inline]
     fn decode(&mut self, buf: &mut &[u8], rank: u32, prev_t: &mut u64) -> Option<Event> {
         let tag = take_u8(buf)?;
         let (shape, dt, dur) = if tag < TAG_BASE {
             let (shape, dt, dur) = get_literal(buf, tag)?;
-            Self::admit(
-                self.ways(&shape).1,
-                Slot {
-                    shape,
-                    words: W::new(dt, dur),
-                },
-            );
+            Self::admit(self.ways(&shape).1, Slot::new(shape, dt, dur));
             (shape, dt, dur)
         } else {
             let slot = self.slots.get_mut(usize::from((tag - TAG_BASE) / 4))?;
             if slot.shape.kind() == 0 {
                 return None;
             }
-            let (mut dt, mut dur) = slot.words.get();
+            let (mut dt, mut dur) = slot.words();
             if tag & TAG_DT != 0 {
                 dt = dt.wrapping_add(unzigzag(get_varint(buf)?) as u64);
             }
@@ -534,101 +476,55 @@ impl<W: Words, const SLOTS: usize, const WAYS: usize> ShapeTable<W, SLOTS, WAYS>
                 }
                 dur = dur.wrapping_add(unzigzag(get_varint(buf)?) as u64);
             }
-            slot.words = W::new(dt, dur);
+            *slot = Slot::new(slot.shape, dt, dur);
             (slot.shape, dt, dur)
         };
         let t = prev_t.checked_add_signed(dt as i64)?;
         *prev_t = t;
         join(shape, rank, t, dur)
     }
-
-    /// [`decode_chunk`] over this table's geometry.
-    fn decode_all(
-        mut self,
-        mut payload: &[u8],
-        rank: u32,
-        count: u32,
-        out: &mut Vec<Event>,
-    ) -> Result<usize, TraceError> {
-        let mut prev_t = 0u64;
-        for n in 0..count {
-            match self.decode(&mut payload, rank, &mut prev_t) {
-                Some(ev) => out.push(ev),
-                None => {
-                    out.clear();
-                    return Err(TraceError::BadEvent { index: n as u64 });
-                }
-            }
-        }
-        Ok(payload.len())
-    }
 }
 
-/// Decode a whole chunk payload of format `version` — `count` events of
-/// `rank` — into `out`, which is cleared first and keeps its capacity.
-/// Whole chunk or nothing: a malformed event leaves `out` empty and is
-/// reported by its position, so no caller ever acts on the front half of
-/// a damaged chunk. Returns the payload bytes left over after the last
-/// event (none in a chunk a writer produced). v2 and v3 payloads are read
-/// with v3's table, v4 payloads with v4's.
+/// Decode a whole chunk payload — `count` events of `rank` — into `out`,
+/// which is cleared first and keeps its capacity. Whole chunk or nothing:
+/// a malformed event leaves `out` empty and is reported by its position,
+/// so no caller ever acts on the front half of a damaged chunk. Returns
+/// the payload bytes left over after the last event (none in a chunk a
+/// writer produced).
 pub fn decode_chunk(
-    payload: &[u8],
+    mut payload: &[u8],
     rank: u32,
     count: u32,
-    version: u16,
     out: &mut Vec<Event>,
 ) -> Result<usize, TraceError> {
     out.clear();
     // No event is shorter than one byte, so a lying `count` cannot
     // reserve more than the payload could hold.
     out.reserve((count as usize).min(payload.len()));
-    if version < 4 {
-        ShapeTableV3::default().decode_all(payload, rank, count, out)
-    } else {
-        ShapeTableV4::default().decode_all(payload, rank, count, out)
+    let (mut table, mut prev_t) = (ShapeTable::default(), 0u64);
+    for n in 0..count {
+        match table.decode(&mut payload, rank, &mut prev_t) {
+            Some(ev) => out.push(ev),
+            None => {
+                out.clear();
+                return Err(TraceError::BadEvent { index: n as u64 });
+            }
+        }
     }
+    Ok(payload.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    use crate::store::STORE_VERSION;
-
-    /// `events` encoded as one chunk with `T`'s table.
-    fn encode_in<T: Encode>(events: &[Event]) -> Vec<u8> {
-        let (mut buf, mut table, mut prev) = (Vec::new(), T::default(), 0);
+    /// `events` encoded as one chunk, as the writer does.
+    fn encode(events: &[Event]) -> Vec<u8> {
+        let (mut buf, mut table, mut prev) = (Vec::new(), ShapeTable::default(), 0);
         for e in events {
             table.encode(&mut buf, e, &mut prev);
         }
         buf
-    }
-
-    /// `events` encoded as one chunk, as the writer does.
-    fn encode(events: &[Event]) -> Vec<u8> {
-        encode_in::<ShapeTableV4>(events)
-    }
-
-    /// A table of either geometry, as the tests drive it.
-    trait Encode: Default {
-        const WAYS: usize;
-        fn encode(&mut self, buf: &mut Vec<u8>, ev: &Event, prev_t: &mut u64);
-        fn set(s: &Shape) -> usize;
-        /// The Δt a slot given `dt` hands back.
-        fn kept_dt(dt: u64) -> u64;
-    }
-
-    impl<W: Words, const SLOTS: usize, const WAYS: usize> Encode for ShapeTable<W, SLOTS, WAYS> {
-        const WAYS: usize = WAYS;
-        fn encode(&mut self, buf: &mut Vec<u8>, ev: &Event, prev_t: &mut u64) {
-            ShapeTable::encode(self, buf, ev, prev_t)
-        }
-        fn set(s: &Shape) -> usize {
-            ShapeTable::<W, SLOTS, WAYS>::set(s)
-        }
-        fn kept_dt(dt: u64) -> u64 {
-            W::new(dt, 0).get().0
-        }
     }
 
     #[test]
@@ -743,7 +639,7 @@ mod tests {
         let buf = encode(&events);
         let mut out = Vec::new();
         assert_eq!(
-            decode_chunk(&buf, 7, events.len() as u32, STORE_VERSION, &mut out).unwrap(),
+            decode_chunk(&buf, 7, events.len() as u32, &mut out).unwrap(),
             0
         );
         assert_eq!(out, events);
@@ -792,7 +688,7 @@ mod tests {
             send(80, 1), // tag alone again
         ];
         let buf = encode(&events);
-        let tag = TAG_BASE + 4 * ShapeTableV4::set(&split(&events[0]).0) as u8;
+        let tag = TAG_BASE + 4 * set_of(&split(&events[0]).0) as u8;
         let mut want = encode(&events[..1]);
         for (flags, residuals) in [
             (0, &[][..]),
@@ -808,56 +704,47 @@ mod tests {
         }
         assert_eq!(buf[..], want[..]);
         let mut out = Vec::new();
-        decode_chunk(&buf, 0, events.len() as u32, STORE_VERSION, &mut out).unwrap();
+        decode_chunk(&buf, 0, events.len() as u32, &mut out).unwrap();
         assert_eq!(out, events);
     }
 
     /// A set holds `WAYS` shapes. That many sharing a set all stay; one
     /// more pushes out the oldest, so `WAYS + 1` taking turns are literals
     /// every time — and nothing is mistaken either way.
-    fn a_full_set_evicts<T: Encode>(version: u16) {
+    #[test]
+    fn nine_shapes_in_an_eight_way_set_evict() {
         let conf = |epoch: u32, t: u64| Event::ConfSync {
             t: SimTime(t),
             rank: 0,
             epoch,
         };
-        let set = |epoch| T::set(&split(&conf(epoch, 0)).0);
-        let epochs: Vec<u32> = (0..)
-            .filter(|&e| set(e) == set(0))
-            .take(T::WAYS + 1)
-            .collect();
+        let set = |epoch| set_of(&split(&conf(epoch, 0)).0);
+        let epochs: Vec<u32> = (0..).filter(|&e| set(e) == set(0)).take(WAYS + 1).collect();
         let literals = |events: &[Event]| {
             let (mut buf, mut prev) = (Vec::new(), 0);
             for e in events {
-                T::default().encode(&mut buf, e, &mut prev);
+                ShapeTable::default().encode(&mut buf, e, &mut prev);
             }
             buf
         };
-        for (ways, all_literal) in [(T::WAYS, false), (T::WAYS + 1, true)] {
+        for (ways, all_literal) in [(WAYS, false), (WAYS + 1, true)] {
             let n = 3 * ways;
             let events: Vec<_> = (0..n as u64)
                 .map(|i| conf(epochs[i as usize % ways], 10 * i))
                 .collect();
-            let buf = encode_in::<T>(&events);
-            let want = literals(&events);
-            assert_eq!(buf[..] == want[..], all_literal, "{ways} shapes");
+            let buf = encode(&events);
+            assert_eq!(
+                buf[..] == literals(&events)[..],
+                all_literal,
+                "{ways} shapes"
+            );
             let mut out = Vec::new();
-            decode_chunk(&buf, 0, n as u32, version, &mut out).unwrap();
+            decode_chunk(&buf, 0, n as u32, &mut out).unwrap();
             assert_eq!(out, events, "{ways} shapes");
         }
     }
 
-    #[test]
-    fn colliding_shapes_share_a_set_and_a_third_evicts() {
-        a_full_set_evicts::<ShapeTableV3>(3);
-    }
-
-    #[test]
-    fn nine_shapes_in_an_eight_way_set_evict() {
-        a_full_set_evicts::<ShapeTableV4>(4);
-    }
-
-    /// A v4 slot keeps Δt as an `i32` and duration as a `u32`. At and just
+    /// A slot keeps Δt as an `i32` and duration as a `u32`. At and just
     /// past their edges a repeat still decodes exactly: what does not fit
     /// costs a residual against the narrowed value, what fits costs none.
     #[test]
@@ -872,8 +759,8 @@ mod tests {
             count: 3,
             span: SimTime(span),
         };
-        // (Δt, duration), and the (Δt, duration) residuals a v4 tag
-        // carries for them; 0 is none.
+        // (Δt, duration), and the (Δt, duration) residuals a tag carries
+        // for them; 0 is none.
         let steps = [
             ((I31, U32), (0, 0)), // the literal
             ((I31, U32), (1 << 32, 1 << 32)),
@@ -891,7 +778,7 @@ mod tests {
             })
             .collect();
         let buf = encode(&events);
-        let tag = TAG_BASE + 4 * ShapeTableV4::set(&split(&events[0]).0) as u8;
+        let tag = TAG_BASE + 4 * set_of(&split(&events[0]).0) as u8;
         let mut want = encode(&events[..1]);
         for &(_, (r_dt, r_dur)) in &steps[1..] {
             want.push(tag + u8::from(r_dt != 0) * TAG_DT + u8::from(r_dur != 0) * TAG_DUR);
@@ -900,11 +787,9 @@ mod tests {
             }
         }
         assert_eq!(buf[..], want[..]);
-        for (payload, version) in [(buf, 4), (encode_in::<ShapeTableV3>(&events), 3)] {
-            let mut out = Vec::new();
-            decode_chunk(&payload, 0, events.len() as u32, version, &mut out).unwrap();
-            assert_eq!(out, events, "v{version}");
-        }
+        let mut out = Vec::new();
+        decode_chunk(&buf, 0, events.len() as u32, &mut out).unwrap();
+        assert_eq!(out, events);
     }
 
     #[test]
@@ -943,14 +828,11 @@ mod tests {
             .collect();
         let buf = encode(&events);
         let mut out = Vec::new();
-        assert_eq!(
-            decode_chunk(&buf, 3, 5, STORE_VERSION, &mut out).unwrap(),
-            0
-        );
+        assert_eq!(decode_chunk(&buf, 3, 5, &mut out).unwrap(), 0);
         assert_eq!(out, events);
         // One event short of the declared count: the bytes run out.
         assert!(matches!(
-            decode_chunk(&buf, 3, 6, STORE_VERSION, &mut out),
+            decode_chunk(&buf, 3, 6, &mut out),
             Err(TraceError::BadEvent { index: 5 })
         ));
         assert!(out.is_empty(), "nothing survives a damaged chunk");
@@ -958,15 +840,12 @@ mod tests {
         let mut bad = buf.to_vec();
         bad[2 * 3] = 11;
         assert!(matches!(
-            decode_chunk(&bad, 3, 5, STORE_VERSION, &mut out),
+            decode_chunk(&bad, 3, 5, &mut out),
             Err(TraceError::BadEvent { index: 2 })
         ));
         assert!(out.is_empty());
         // Fewer events than bytes: the remainder is reported, not decoded.
-        assert_eq!(
-            decode_chunk(&buf, 3, 4, STORE_VERSION, &mut out).unwrap(),
-            3
-        );
+        assert_eq!(decode_chunk(&buf, 3, 4, &mut out).unwrap(), 3);
         assert_eq!(out, events[..4]);
     }
 
@@ -981,7 +860,7 @@ mod tests {
         ] {
             assert!(
                 matches!(
-                    decode_chunk(payload, 0, 1, STORE_VERSION, &mut out),
+                    decode_chunk(payload, 0, 1, &mut out),
                     Err(TraceError::BadEvent { index: 0 })
                 ),
                 "{what}"
@@ -990,9 +869,9 @@ mod tests {
     }
 
     /// Every way a tag can lie is a typed error at its event, never a
-    /// panic or a wrong event — under `T`'s table, which writes `version`,
-    /// plus `extra` cases built from the same first event.
-    fn corrupt_tags<T: Encode>(version: u16, extra: &[(u8, &str)]) {
+    /// panic or a wrong event.
+    #[test]
+    fn corrupt_tags_are_bad_events() {
         let suspended = |t: u64, dur: u64| Event::Suspended {
             t: SimTime(t),
             t_end: SimTime(t + dur),
@@ -1003,9 +882,9 @@ mod tests {
             rank: 0,
             epoch: 1,
         };
-        let first = encode_in::<T>(&[suspended(1_000, 10)]);
-        let tag = TAG_BASE + 4 * T::set(&split(&suspended(0, 0)).0) as u8;
-        let conf_tag = TAG_BASE + 4 * T::set(&split(&conf).0) as u8;
+        let first = encode(&[suspended(1_000, 10)]);
+        let tag = TAG_BASE + 4 * set_of(&split(&suspended(0, 0)).0) as u8;
+        let conf_tag = TAG_BASE + 4 * set_of(&split(&conf).0) as u8;
         let empty = if tag == TAG_BASE {
             TAG_BASE + 4
         } else {
@@ -1013,27 +892,23 @@ mod tests {
         };
         // `first`, then `tag` and the zigzag varint of each residual.
         let with = |tag: u8, residuals: &[i64]| {
-            let mut buf = Vec::new();
-            buf.extend_from_slice(&first);
+            let mut buf = first.clone();
             buf.push(tag);
             for &r in residuals {
                 put_varint(&mut buf, zigzag(r));
             }
-            buf.to_vec()
+            buf
         };
-        let mut conf_dur = encode_in::<T>(std::slice::from_ref(&conf)).to_vec();
+        let mut conf_dur = encode(std::slice::from_ref(&conf));
         conf_dur.extend_from_slice(&[conf_tag + TAG_DUR, 2]);
-        // Δt 1000 → i64::MAX, then i64::MAX again against whatever the
-        // slot kept of it: t past the end of time.
+        // Δt 1000 → i64::MAX, then i64::MAX again against what the slot
+        // kept of it: t past the end of time.
         let max = i64::MAX as u64;
-        let mut overflow = Vec::new();
-        overflow.extend_from_slice(&with(tag + TAG_DT, &[i64::MAX - 1_000]));
+        let kept = Slot::new(Shape::default(), max, 0).words().0;
+        let mut overflow = with(tag + TAG_DT, &[i64::MAX - 1_000]);
         overflow.push(tag + TAG_DT);
-        put_varint(
-            &mut overflow,
-            zigzag(max.wrapping_sub(T::kept_dt(max)) as i64),
-        );
-        let mut cases = vec![
+        put_varint(&mut overflow, zigzag(max.wrapping_sub(kept) as i64));
+        let cases = [
             (vec![tag], 0, "a tag before any literal"),
             (with(empty, &[]), 1, "a tag naming an empty slot"),
             (with(0xff, &[]), 1, "the last tag byte"),
@@ -1044,34 +919,18 @@ mod tests {
             (with(tag + TAG_DT, &[-3_000]), 1, "a Δt before time zero"),
             // Duration 10 − 20 wraps: t_end past the end of time.
             (with(tag + TAG_DUR, &[-20]), 1, "a duration past u64::MAX"),
-            (
-                overflow.to_vec(),
-                2,
-                "a Δt residual that overflows the time",
-            ),
+            (overflow, 2, "a Δt residual that overflows the time"),
         ];
-        cases.extend(extra.iter().map(|&(tag, what)| (with(tag, &[]), 1, what)));
 
         let mut out = vec![conf];
         for (payload, index, what) in cases {
             let count = index as u32 + 1;
-            let got = decode_chunk(&payload, 0, count, version, &mut out);
+            let got = decode_chunk(&payload, 0, count, &mut out);
             assert!(
                 matches!(got, Err(TraceError::BadEvent { index: i }) if i == index),
-                "v{version} {what}: {got:?}"
+                "{what}: {got:?}"
             );
             assert!(out.is_empty(), "{what}");
         }
-    }
-
-    #[test]
-    fn corrupt_tags_are_bad_events() {
-        corrupt_tags::<ShapeTableV3>(3, &[(TAG_BASE + 4 * 32, "the first slot past the table")]);
-    }
-
-    /// v4 has no slot past the table: its 48 slots end at `0xFF`.
-    #[test]
-    fn corrupt_v4_tags_are_bad_events() {
-        corrupt_tags::<ShapeTableV4>(4, &[]);
     }
 }

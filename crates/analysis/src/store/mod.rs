@@ -6,10 +6,8 @@
 //! touches only the bytes it needs. It is also crash-consistent: every
 //! chunk carries a CRC-32 and the file is salvageable without its footer
 //! (see [`StoreReader::open_salvage`] and DESIGN §17). Format **version
-//! 4** is written; versions 2 to 4 are read. They share this layout and
-//! differ only inside chunk payloads: v3 adds the recurrence tags of
-//! [`codec`], v4 keeps them over a larger table, and a v2 payload is a
-//! payload of either that uses none.
+//! 4** ([`STORE_VERSION`]) is the one version written and read; chunk
+//! payloads are the recurrence-coded events of [`codec`].
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────────────┐
@@ -132,13 +130,11 @@ use crate::error::TraceError;
 
 /// File magic of the chunk-indexed store format.
 pub const STORE_MAGIC: &[u8; 4] = b"VGVS";
-/// The store format version the writer writes: CRC-32 chunks, a
-/// salvageable preamble, and recurrence-coded payloads over a 48-slot,
-/// eight-way shape table.
+/// The store format version, the only one written and read: CRC-32
+/// chunks, a salvageable preamble, and recurrence-coded payloads over a
+/// 48-slot, eight-way shape table. A file of any other version is
+/// [`TraceError::UnsupportedVersion`].
 pub const STORE_VERSION: u16 = 4;
-/// The oldest version the reader reads: v2, whose payloads are v3 or v4
-/// payloads without a repeat tag.
-pub(crate) const STORE_VERSION_MIN: u16 = 2;
 /// What [`SegmentSet`] re-numbers a function id to when the member that
 /// recorded it never defined it (a capture torn before a late
 /// `VT_funcdef` reached a footer). No dictionary can define it — the

@@ -21,7 +21,7 @@ use super::crc::crc32;
 use super::salvage::survey;
 use super::{
     chunk_crc, take_dictionary, take_u32, take_u64, ChunkMeta, EventSource, CHUNK_HEADER_BYTES,
-    HEADER_BYTES, STORE_MAGIC, STORE_VERSION, STORE_VERSION_MIN, TRAILER_BYTES,
+    HEADER_BYTES, STORE_MAGIC, STORE_VERSION, TRAILER_BYTES,
 };
 use crate::error::TraceError;
 
@@ -64,8 +64,6 @@ pub struct SalvageSummary {
 pub struct StoreInfo {
     /// Program name.
     pub program: String,
-    /// Format version of the file (of a family's oldest segment).
-    pub version: u16,
     /// Registered function count.
     pub functions: usize,
     /// Total chunks.
@@ -131,9 +129,9 @@ impl ChunkBuf {
 
     /// Decode the payload behind the header as `count` events of `rank`
     /// (see [`decode_chunk`]: whole chunk or nothing).
-    fn decode(&mut self, rank: u32, count: u32, version: u16) -> Result<usize, TraceError> {
+    fn decode(&mut self, rank: u32, count: u32) -> Result<usize, TraceError> {
         let payload = &self.raw[CHUNK_HEADER_BYTES..self.len];
-        decode_chunk(payload, rank, count, version, &mut self.events)
+        decode_chunk(payload, rank, count, &mut self.events)
     }
 
     /// The events of the last successful [`ChunkBuf::decode`].
@@ -147,7 +145,6 @@ impl ChunkBuf {
 /// verified against their CRC-32.
 pub struct StoreReader {
     file: std::fs::File,
-    version: u16,
     program: String,
     functions: Vec<String>,
     index: Vec<ChunkMeta>,
@@ -171,7 +168,7 @@ impl StoreReader {
     /// capture.
     pub fn open(path: impl AsRef<Path>) -> Result<StoreReader, TraceError> {
         let mut file = std::fs::File::open(path)?;
-        let (file_bytes, version) = check_header(&mut file)?;
+        let file_bytes = check_header(&mut file)?;
         if file_bytes < HEADER_BYTES + TRAILER_BYTES {
             return Err(TraceError::TruncatedFooter);
         }
@@ -179,7 +176,7 @@ impl StoreReader {
         let mut trailer = [0u8; TRAILER_BYTES as usize];
         file.seek(SeekFrom::End(-(TRAILER_BYTES as i64)))?;
         file.read_exact(&mut trailer)?;
-        if &trailer[12..16] != STORE_MAGIC || trailer[16..] != version.to_le_bytes() {
+        if &trailer[12..16] != STORE_MAGIC || trailer[16..] != STORE_VERSION.to_le_bytes() {
             return Err(TraceError::TruncatedFooter);
         }
         let mut fields = &trailer[..12];
@@ -220,7 +217,7 @@ impl StoreReader {
             index.push(meta);
         }
         Ok(StoreReader::from_parts(
-            file, version, program, functions, index, file_bytes,
+            file, program, functions, index, file_bytes,
         ))
     }
 
@@ -228,7 +225,6 @@ impl StoreReader {
     /// scanner builds its index without a footer).
     pub(crate) fn from_parts(
         file: std::fs::File,
-        version: u16,
         program: String,
         functions: Vec<String>,
         index: Vec<ChunkMeta>,
@@ -237,7 +233,6 @@ impl StoreReader {
         let events = index.iter().map(|m| m.count as u64).sum();
         StoreReader {
             file,
-            version,
             program,
             functions,
             index,
@@ -273,12 +268,6 @@ impl StoreReader {
     /// Program name recorded by the writer.
     pub fn program(&self) -> &str {
         &self.program
-    }
-
-    /// Format version of the file: [`STORE_VERSION`], or an older one the
-    /// reader still reads.
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Function dictionary (names indexed by `VtFuncId`).
@@ -344,7 +333,6 @@ impl StoreReader {
             .unwrap_or(SimTime::ZERO);
         StoreInfo {
             program: self.program.clone(),
-            version: self.version,
             functions: self.functions.len(),
             chunks: self.index.len(),
             events: self.events,
@@ -389,7 +377,7 @@ impl StoreReader {
             return Err(TraceError::ChecksumMismatch { index: i });
         }
         self.peak_chunk_bytes = self.peak_chunk_bytes.max(meta.enc_len as usize);
-        self.chunk.decode(meta.rank, meta.count, self.version)?;
+        self.chunk.decode(meta.rank, meta.count)?;
         Ok(self.chunk.bytes())
     }
 
@@ -541,9 +529,9 @@ impl EventSource for StoreReader {
     }
 }
 
-/// Check the 8-byte file header — the `VGVS` magic, then a version this
-/// reader knows — and return the file's size and version.
-pub(crate) fn check_header(file: &mut std::fs::File) -> Result<(u64, u16), TraceError> {
+/// Check the 8-byte file header — the `VGVS` magic, then
+/// [`STORE_VERSION`] — and return the file's size.
+pub(crate) fn check_header(file: &mut std::fs::File) -> Result<u64, TraceError> {
     let file_bytes = file.seek(SeekFrom::End(0))?;
     if file_bytes < HEADER_BYTES {
         return Err(TraceError::TruncatedHeader);
@@ -555,8 +543,8 @@ pub(crate) fn check_header(file: &mut std::fs::File) -> Result<(u64, u16), Trace
         return Err(TraceError::BadMagic);
     }
     let version = u16::from_le_bytes([head[4], head[5]]);
-    if !(STORE_VERSION_MIN..=STORE_VERSION).contains(&version) {
+    if version != STORE_VERSION {
         return Err(TraceError::UnsupportedVersion(version));
     }
-    Ok((file_bytes, version))
+    Ok(file_bytes)
 }

@@ -19,7 +19,7 @@ use super::reader::{check_header, ChunkBuf, StoreReader};
 use super::writer::FileHalf;
 use super::{
     take_dictionary, take_u32, ChunkMeta, CHUNK_HEADER_BYTES, HEADER_BYTES, STORE_MAGIC,
-    TRAILER_BYTES,
+    STORE_VERSION, TRAILER_BYTES,
 };
 use crate::error::TraceError;
 
@@ -63,8 +63,6 @@ pub struct FsckReport {
     pub path: PathBuf,
     /// File size in bytes.
     pub file_bytes: u64,
-    /// Format version of the file.
-    pub version: u16,
     /// Footer verdict.
     pub footer: FooterState,
     /// Program name (from footer, preamble, or `"unknown"`).
@@ -96,8 +94,8 @@ impl FsckReport {
         let mut out = String::new();
         let name = self.path.display();
         out.push_str(&format!(
-            "fsck {name}: format v{}, {} bytes, program \"{}\"\n",
-            self.version, self.file_bytes, self.program
+            "fsck {name}: format v{STORE_VERSION}, {} bytes, program \"{}\"\n",
+            self.file_bytes, self.program
         ));
         out.push_str(&format!("  footer: {}\n", self.footer));
         out.push_str(&format!(
@@ -161,7 +159,7 @@ pub(crate) fn survey(path: &Path) -> Result<Survey, TraceError> {
 /// Forward-scan `file` for self-describing chunks, trusting nothing the
 /// bytes cannot prove: each chunk must pass its CRC-32.
 fn forward_scan(mut file: File) -> Result<Survey, TraceError> {
-    let (file_bytes, version) = check_header(&mut file)?;
+    let file_bytes = check_header(&mut file)?;
     let footer = classify_footer(&mut file, file_bytes);
     let mut chunks = Vec::new();
     // The CRC-framed preamble precedes the first chunk. If it cannot be
@@ -179,7 +177,7 @@ fn forward_scan(mut file: File) -> Result<Survey, TraceError> {
             Some(reason),
         ),
     };
-    let reader = StoreReader::from_parts(file, version, program, functions, chunks, file_bytes);
+    let reader = StoreReader::from_parts(file, program, functions, chunks, file_bytes);
     Ok(Survey {
         reader,
         footer,
@@ -316,7 +314,6 @@ impl Survey {
         Ok(FsckReport {
             path: path.to_path_buf(),
             file_bytes: info.file_bytes,
-            version: info.version,
             footer: self.footer,
             program: info.program,
             chunks_ok,
@@ -342,15 +339,14 @@ pub fn fsck(path: impl AsRef<Path>) -> Result<FsckReport, TraceError> {
 /// preserves CRCs and chunk boundaries — queries against the repaired
 /// file match the salvaged view exactly) by the writer's own file half,
 /// which frames them in a fresh preamble, footer and trailer so
-/// [`StoreReader::open`] accepts the result. Header and trailer keep the
-/// version `path` has: it names the shape table the copied payloads were
-/// encoded with. One pass: each chunk is verified as `fsck` verifies it
-/// and copied while it is read. Returns the [`FsckReport`] of `path`.
+/// [`StoreReader::open`] accepts the result. One pass: each chunk is
+/// verified as `fsck` verifies it and copied while it is read. Returns the
+/// [`FsckReport`] of `path`.
 pub fn repair(path: impl AsRef<Path>, out: impl AsRef<Path>) -> Result<FsckReport, TraceError> {
     let path = path.as_ref();
     let survey = survey(path)?;
     let r = &survey.reader;
-    let mut file = FileHalf::create(out.as_ref(), r.program().to_string(), r.version())?;
+    let mut file = FileHalf::create(out.as_ref(), r.program().to_string())?;
     file.set_functions(r.functions().to_vec());
     let report = survey.check(path, |meta, raw| file.copy_chunk(meta, raw))?;
     file.finish()?;

@@ -26,7 +26,7 @@ use dynprof_vt::{locked, Event, EventSink, Lane, VtFuncId};
 
 use super::reader::{QueryStats, StoreInfo, StoreReader};
 use super::writer::{remap_func, ChunkBuf, FileHalf, Lanes, Meter, Seal, StoreStats};
-use super::{EventSource, StoreOptions, STORE_VERSION};
+use super::{EventSource, StoreOptions};
 use crate::error::TraceError;
 
 /// When to roll to a new segment. A cap of `None` never triggers; the
@@ -127,7 +127,7 @@ impl Rotor {
         self.prune()?;
         let next = segment_path(&self.base, self.next_seg);
         self.next_seg += 1;
-        let mut file = FileHalf::create(&next, self.program.clone(), STORE_VERSION)?;
+        let mut file = FileHalf::create(&next, self.program.clone())?;
         file.set_functions(self.functions.clone());
         if let Some(meter) = &self.meter {
             meter.reset(file.pos());
@@ -210,7 +210,7 @@ impl RotatingWriter {
         } else {
             base.clone()
         };
-        let file = FileHalf::create(&first, program.clone(), STORE_VERSION)?;
+        let file = FileHalf::create(&first, program.clone())?;
         let meter = rotates.then(|| {
             Arc::new(Meter::new(
                 rotation.max_bytes,
@@ -451,7 +451,6 @@ impl EventSource for SegmentSet {
     fn source_info(&self) -> StoreInfo {
         let mut out = StoreInfo {
             program: self.program.clone(),
-            version: self.members.first().map_or(0, |m| m.reader.version()),
             functions: self.functions.len(),
             segments: self.members.len(),
             salvage: self.salvage(),

@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use dynprof_sim::SimTime;
 use dynprof_vt::{locked, Event, EventSink, Lane, Trace, VtFuncId, VtLib};
 
-use super::codec::{event_end, Put, ShapeTableV4};
+use super::codec::{event_end, Put, ShapeTable};
 use super::crc::crc32;
 use super::{
     put_dictionary, ChunkMeta, StoreOptions, HEADER_BYTES, STORE_MAGIC, STORE_VERSION, UNKNOWN_FUNC,
@@ -109,7 +109,7 @@ pub struct ChunkBuf {
     max_end: SimTime,
     prev_t: u64,
     /// The open chunk's recurrence table (see [`super::codec`]).
-    shapes: ShapeTableV4,
+    shapes: ShapeTable,
     /// The largest payload this stage has handed over
     /// ([`StoreStats::peak_buffered_bytes`]).
     high_water: usize,
@@ -127,7 +127,7 @@ impl Default for ChunkBuf {
             max_t: SimTime::ZERO,
             max_end: SimTime::ZERO,
             prev_t: 0,
-            shapes: ShapeTableV4::default(),
+            shapes: ShapeTable::default(),
             high_water: 0,
         }
     }
@@ -422,8 +422,6 @@ impl Lane for StoreLane {
 /// The file half of a store being written: everything but the open chunks.
 pub(crate) struct FileHalf<W: Write + Seek> {
     out: W,
-    /// The format version header and trailer name.
-    version: u16,
     pos: u64,
     program: String,
     functions: Vec<String>,
@@ -435,22 +433,17 @@ pub(crate) struct FileHalf<W: Write + Seek> {
 }
 
 impl FileHalf<BufWriter<std::fs::File>> {
-    /// The file half of a new store file of format `version` at `path`.
-    pub(crate) fn create(path: &Path, program: String, version: u16) -> Result<Self, TraceError> {
-        FileHalf::new(
-            BufWriter::new(std::fs::File::create(path)?),
-            program,
-            version,
-        )
+    /// The file half of a new store file at `path`.
+    pub(crate) fn create(path: &Path, program: String) -> Result<Self, TraceError> {
+        FileHalf::new(BufWriter::new(std::fs::File::create(path)?), program)
     }
 }
 
 impl<W: Write + Seek> FileHalf<W> {
-    fn new(mut out: W, program: String, version: u16) -> Result<Self, TraceError> {
-        out.write_all(&encode_header(version))?;
+    fn new(mut out: W, program: String) -> Result<Self, TraceError> {
+        out.write_all(&encode_header())?;
         Ok(FileHalf {
             out,
-            version,
             pos: HEADER_BYTES,
             program,
             functions: Vec::new(),
@@ -535,8 +528,7 @@ impl<W: Write + Seek> FileHalf<W> {
         }
         // An empty store still carries its preamble.
         self.ensure_preamble()?;
-        let footer =
-            encode_footer_and_trailer(&self.program, &self.functions, &self.index, self.version);
+        let footer = encode_footer_and_trailer(&self.program, &self.functions, &self.index);
         self.write_all_tracked(&footer)?;
         self.out.flush()?;
         // Verify nothing was silently lost to a deferred chunk-write
@@ -609,7 +601,7 @@ impl StoreWriter<BufWriter<std::fs::File>> {
 impl<W: Write + Seek + Send + 'static> StoreWriter<W> {
     /// Wrap any seekable sink.
     pub fn new(out: W, program: impl Into<String>, opts: StoreOptions) -> Result<Self, TraceError> {
-        let file = FileHalf::new(out, program.into(), STORE_VERSION)?;
+        let file = FileHalf::new(out, program.into())?;
         let file = Arc::new(Mutex::new(file));
         let lanes = Lanes::new(opts, Arc::clone(&file) as _, None);
         Ok(StoreWriter { file, lanes })
@@ -660,22 +652,17 @@ fn encode_preamble(program: &str, functions: &[String]) -> Vec<u8> {
     framed
 }
 
-/// The 8-byte file header: magic, `version`, no flags.
-fn encode_header(version: u16) -> [u8; HEADER_BYTES as usize] {
+/// The 8-byte file header: magic, version, no flags.
+fn encode_header() -> [u8; HEADER_BYTES as usize] {
     let mut header = [0u8; HEADER_BYTES as usize];
     header[..4].copy_from_slice(STORE_MAGIC);
-    header[4..6].copy_from_slice(&version.to_le_bytes());
+    header[4..6].copy_from_slice(&STORE_VERSION.to_le_bytes());
     header
 }
 
 /// Encode the footer (program, dictionary, chunk index) plus
 /// the 18-byte trailer (`footer_len | footer crc | magic | version`).
-fn encode_footer_and_trailer(
-    program: &str,
-    functions: &[String],
-    index: &[ChunkMeta],
-    version: u16,
-) -> Vec<u8> {
+fn encode_footer_and_trailer(program: &str, functions: &[String], index: &[ChunkMeta]) -> Vec<u8> {
     let mut footer = Vec::new();
     put_dictionary(&mut footer, program, functions);
     footer.extend_from_slice(&(index.len() as u32).to_le_bytes());
@@ -687,7 +674,7 @@ fn encode_footer_and_trailer(
     footer.extend_from_slice(&footer_len.to_le_bytes());
     footer.extend_from_slice(&footer_crc.to_le_bytes());
     footer.extend_from_slice(STORE_MAGIC);
-    footer.extend_from_slice(&version.to_le_bytes());
+    footer.extend_from_slice(&STORE_VERSION.to_le_bytes());
     footer
 }
 
@@ -822,7 +809,7 @@ mod tests {
     fn a_chunk_sealed_from_blocks_is_its_contiguous_encoding() {
         let events = edge_events();
         let chunks = [&events[..], &events[..events.len() / 3]];
-        let mut file = FileHalf::new(Cursor::new(Vec::new()), "t".into(), STORE_VERSION).unwrap();
+        let mut file = FileHalf::new(Cursor::new(Vec::new()), "t".into()).unwrap();
         let mut stage = ChunkBuf::default();
         for chunk in chunks {
             let mut straddles = 0;
@@ -839,7 +826,7 @@ mod tests {
         let bytes = file.out.get_ref();
         assert_eq!(file.index.len(), 2);
         for (meta, chunk) in file.index.iter().zip(chunks) {
-            let (mut want, mut table, mut prev) = (Vec::new(), ShapeTableV4::default(), 0);
+            let (mut want, mut table, mut prev) = (Vec::new(), ShapeTable::default(), 0);
             for ev in chunk {
                 table.encode(&mut want, ev, &mut prev);
             }
@@ -850,7 +837,7 @@ mod tests {
             assert_eq!(meta.crc, chunk_crc(header, [&want[..]]));
             assert_eq!(header[12..16], meta.crc.to_le_bytes());
             let mut back = Vec::new();
-            decode_chunk(payload, 3, meta.count, STORE_VERSION, &mut back).unwrap();
+            decode_chunk(payload, 3, meta.count, &mut back).unwrap();
             assert_eq!(back, chunk);
         }
     }
