@@ -174,25 +174,31 @@ fn disabled_check_costs_nanoseconds() {
     // branch on `None`. Budget 50 ns/check — an order of magnitude above
     // reality (~1 ns) so the test stays robust on loaded CI hosts, while
     // still catching a regression to, say, a lock or a registry lookup on
-    // the fast path.
-    const ITERS: u64 = 10_000_000;
-    let elapsed = Arc::new(Mutex::new(Duration::ZERO));
-    let out = Arc::clone(&elapsed);
+    // the fast path. The loop runs as five batches and the fastest one is
+    // judged, so a slice the host gives to another process cannot decide
+    // the result; a regression slows every batch.
+    const BATCHES: usize = 5;
+    const ITERS: u64 = 2_000_000;
+    let fastest = Arc::new(Mutex::new(Duration::MAX));
+    let out = Arc::clone(&fastest);
     let sim = Sim::virtual_time(Machine::test_machine(), 1);
     sim.spawn("guard", 0, move |p| {
-        let t = Instant::now();
         let mut sink = 0u64;
-        for i in 0..ITERS {
-            if let Some(m) = std::hint::black_box(p).metrics() {
-                m.counter("test.never").inc();
+        for _ in 0..BATCHES {
+            let t = Instant::now();
+            for i in 0..ITERS {
+                if let Some(m) = std::hint::black_box(p).metrics() {
+                    m.counter("test.never").inc();
+                }
+                sink = sink.wrapping_add(i);
             }
-            sink = sink.wrapping_add(i);
+            let mut fastest = out.lock().unwrap();
+            *fastest = (*fastest).min(t.elapsed());
         }
-        *out.lock().unwrap() = t.elapsed();
         assert!(std::hint::black_box(sink) != 1);
     });
     sim.run();
-    let per_iter = elapsed.lock().unwrap().as_nanos() as f64 / ITERS as f64;
+    let per_iter = fastest.lock().unwrap().as_nanos() as f64 / ITERS as f64;
     assert!(
         per_iter < 50.0,
         "disabled obs check costs {per_iter:.1} ns/iter (budget 50 ns)"
