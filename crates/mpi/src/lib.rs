@@ -43,5 +43,5 @@ pub use comm::Comm;
 pub use data::{MpiData, Sized};
 pub use hooks::{HookChain, MpiHooks};
 pub use job::{launch, launch_from, Job, JobSpec};
-pub use nonblocking::{RecvRequest, SendRequest};
-pub use types::{MpiError, MpiOp, Source, Status, Tag, TagSel};
+pub use nonblocking::SendRequest;
+pub use types::{MpiOp, Source, Status, Tag, TagSel};

@@ -82,7 +82,9 @@ pub struct Status {
 
 /// The MPI operations observable through the wrapper (profiling) interface.
 /// `op as u8` is the operation's code in a trace, and on disk: append new
-/// operations at the end, never in between.
+/// operations at the end, never in between. `Reduce`, `Gather`,
+/// `Allgather` and `Scan` keep their codes although the runtime no longer
+/// offers those calls.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum MpiOp {
@@ -90,9 +92,9 @@ pub enum MpiOp {
     Init,
     /// `MPI_Finalize`
     Finalize,
-    /// `MPI_Send` (and the send half of sendrecv)
+    /// `MPI_Send` (and `MPI_Isend`)
     Send,
-    /// `MPI_Recv` (and the receive half of sendrecv)
+    /// `MPI_Recv`
     Recv,
     /// `MPI_Barrier`
     Barrier,
@@ -128,53 +130,7 @@ impl MpiOp {
         MpiOp::Alltoall,
         MpiOp::Scan,
     ];
-
-    /// The conventional C name of the operation.
-    pub fn c_name(self) -> &'static str {
-        match self {
-            MpiOp::Init => "MPI_Init",
-            MpiOp::Finalize => "MPI_Finalize",
-            MpiOp::Send => "MPI_Send",
-            MpiOp::Recv => "MPI_Recv",
-            MpiOp::Barrier => "MPI_Barrier",
-            MpiOp::Bcast => "MPI_Bcast",
-            MpiOp::Reduce => "MPI_Reduce",
-            MpiOp::Allreduce => "MPI_Allreduce",
-            MpiOp::Gather => "MPI_Gather",
-            MpiOp::Allgather => "MPI_Allgather",
-            MpiOp::Alltoall => "MPI_Alltoall",
-            MpiOp::Scan => "MPI_Scan",
-        }
-    }
 }
-
-/// Errors surfaced by the MPI layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MpiError {
-    /// Received payload could not be downcast to the requested type.
-    TypeMismatch {
-        /// Expected Rust type name.
-        expected: &'static str,
-    },
-    /// Rank argument out of range for the communicator.
-    InvalidRank(usize),
-    /// Operation attempted before `MPI_Init` or after `MPI_Finalize`.
-    NotInitialized,
-}
-
-impl std::fmt::Display for MpiError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MpiError::TypeMismatch { expected } => {
-                write!(f, "received payload is not of type {expected}")
-            }
-            MpiError::InvalidRank(r) => write!(f, "rank {r} out of range"),
-            MpiError::NotInitialized => write!(f, "MPI not initialized"),
-        }
-    }
-}
-
-impl std::error::Error for MpiError {}
 
 #[cfg(test)]
 mod tests {
@@ -213,8 +169,6 @@ mod tests {
 
     #[test]
     fn op_names() {
-        assert_eq!(MpiOp::Init.c_name(), "MPI_Init");
-        assert_eq!(MpiOp::Allreduce.c_name(), "MPI_Allreduce");
         assert!(MpiOp::ALL
             .iter()
             .enumerate()

@@ -399,17 +399,6 @@ impl<T> SimChannel<T> {
     pub fn try_recv(&self, p: &Proc) -> Option<T> {
         self.try_recv_match(p, |_| true)
     }
-
-    /// Arrival time of the earliest matching message (for probing).
-    pub fn peek_arrival(&self, pred: impl Fn(&T) -> bool) -> Option<SimTime> {
-        let s = self.state.lock();
-        s.queue
-            .iter()
-            .flatten()
-            .filter(|e| pred(&e.msg))
-            .map(|e| e.arrival)
-            .min()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1144,7 +1133,6 @@ mod tests {
             for m in [(5, 1), (6, 2), (5, 3), (6, 4)] {
                 c.send(p, m, SimTime::ZERO);
             }
-            assert_eq!(c.peek_arrival(|m| m.0 == 6), Some(SimTime::ZERO));
             // `recv` takes the earliest (5, 1); the index moves on to (5, 3).
             assert_eq!(c.recv(p), (5, 1));
             // A predicate takes the *later* duplicate of key 6 ...
