@@ -9,6 +9,10 @@
 # test harnesses and trait impls are left out; closures count as the
 # function they are in.
 #
+# It counts linked symbols, so it is blind to what nothing links: a
+# generic function that nothing instantiates, or a type that nothing
+# names. Neither shows here, even with no caller anywhere.
+#
 # Usage: scripts/surface.sh [-q]
 #   Builds debug, then prints each test-only function under its crate,
 #   a count per crate and the total. -q prints only the counts.
