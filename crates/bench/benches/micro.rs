@@ -137,9 +137,9 @@ fn check_pingpong(iters: u64, check_on: bool) -> Duration {
             sim.enable_check();
         }
         let ch_a: Arc<dynprof_sim::sync::SimChannel<u32>> =
-            Arc::new(dynprof_sim::sync::SimChannel::new());
+            Arc::new(dynprof_sim::sync::SimChannel::new_fifo());
         let ch_b: Arc<dynprof_sim::sync::SimChannel<u32>> =
-            Arc::new(dynprof_sim::sync::SimChannel::new());
+            Arc::new(dynprof_sim::sync::SimChannel::new_fifo());
         let (a1, b1) = (Arc::clone(&ch_a), Arc::clone(&ch_b));
         sim.spawn("ping", 0, move |p| {
             for i in 0..500u32 {
@@ -601,11 +601,11 @@ fn bench_des_engine() {
         for _ in 0..iters {
             let sim = Sim::virtual_time(Machine::test_machine(), 1);
             let ch: Arc<dynprof_sim::sync::SimChannel<Box<[u8]>>> =
-                Arc::new(dynprof_sim::sync::SimChannel::new());
+                Arc::new(dynprof_sim::sync::SimChannel::new_fifo());
             sim.spawn("solo", 0, move |p| {
                 for _ in 0..1_000 {
                     ch.send_ctl(p, vec![0u8; 64].into_boxed_slice(), SimTime::ZERO);
-                    black_box(ch.try_recv(p));
+                    black_box(ch.try_recv_match(p, |_| true));
                 }
             });
             black_box(sim.run());
@@ -625,13 +625,13 @@ fn bench_des_engine() {
 ///   arrive in the opposite order to the one they are asked for in, as
 ///   acks reach a client that waits for them request by request:
 ///   `recv_key_deadline`;
-/// * `des/mpi_recv_match` — an unordered mailbox, depth 8, matched by
-///   tag out of arrival order: `recv_match`.
+/// * `des/mpi_recv_match` — a mailbox of a set, depth 8, matched by tag
+///   out of arrival order: `recv_match`.
 ///
 /// The first two read the same at a backlog of 10 and of 1 000; before
 /// the queue kept its order they grew with it.
 fn bench_channel_backlog() {
-    use dynprof_sim::sync::SimChannel;
+    use dynprof_sim::sync::{Mailboxes, SimChannel};
     let far = SimTime::from_secs(3600);
     for backlog in [10u64, 1_000] {
         let name = format!(
@@ -678,15 +678,15 @@ fn bench_channel_backlog() {
     bench("des/mpi_recv_match", |iters| {
         in_virtual_proc(move |p| {
             const DEPTH: u64 = 8;
-            let ch: SimChannel<u64> = SimChannel::new();
+            let set: Mailboxes<u64> = Mailboxes::new(1, |_| None);
             let rounds = iters.div_ceil(DEPTH);
             let t = Instant::now();
             for _ in 0..rounds {
                 for tag in 0..DEPTH {
-                    ch.send(p, tag, SimTime::ZERO);
+                    set.send(p, 0, tag, SimTime::ZERO);
                 }
                 for tag in (0..DEPTH).map(|i| (i * 3) % DEPTH) {
-                    black_box(ch.recv_match(p, |&v| v == tag));
+                    black_box(set.recv_match(p, 0, |&v| v == tag));
                 }
             }
             t.elapsed() * iters as u32 / (rounds * DEPTH) as u32

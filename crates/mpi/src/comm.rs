@@ -1,8 +1,10 @@
 //! Communicators and point-to-point messaging.
 //!
-//! Messages travel through per-rank mailboxes ([`SimChannel`]) with
-//! arrival times computed from the machine's link models, so intra-node
-//! and inter-node transfers cost what the topology says they cost.
+//! Messages travel through per-rank mailboxes (one [`Mailboxes`] set per
+//! job) with arrival times computed from the machine's link models, so
+//! intra-node and inter-node transfers cost what the topology says they
+//! cost. A message may overtake an earlier one from another rank, never
+//! an earlier match from its own sender (MPI's non-overtaking rule).
 //!
 //! Two transfer protocols are modelled, as in real MPI implementations:
 //! **eager** (payload pushed immediately; messages up to [`EAGER_LIMIT`],
@@ -15,7 +17,7 @@ use std::sync::{Arc, OnceLock};
 
 use dynprof_obs as obs;
 use dynprof_sim::hb;
-use dynprof_sim::sync::SimChannel;
+use dynprof_sim::sync::Mailboxes;
 use dynprof_sim::{LinkModel, Proc, SimTime};
 
 use crate::data::MpiData;
@@ -85,7 +87,7 @@ pub(crate) struct JobState {
     pub name: String,
     pub size: usize,
     pub base_node: usize,
-    pub mailboxes: Vec<SimChannel<Envelope>>,
+    pub mailboxes: Mailboxes<Envelope>,
     pub hooks: HookChain,
     pub rndv_ids: AtomicU32,
     /// Identity for happens-before recording (0 when `check` is off).
@@ -232,8 +234,9 @@ impl Comm {
     pub(crate) fn send_eager<T: MpiData>(&self, p: &Proc, dst: usize, tag: Tag, data: T) {
         let bytes = data.byte_len();
         let link = self.depart(p, dst, bytes);
-        self.job.mailboxes[dst].send(
+        self.job.mailboxes.send(
             p,
+            dst,
             Envelope {
                 src: self.rank,
                 tag,
@@ -254,8 +257,9 @@ impl Comm {
         // is occupied for the bandwidth term (buffer in use).
         let link = self.depart(p, dst, bytes);
         let id = self.job.rndv_ids.fetch_add(1, Ordering::Relaxed);
-        self.job.mailboxes[dst].send(
+        self.job.mailboxes.send(
             p,
+            dst,
             Envelope {
                 src: self.rank,
                 tag,
@@ -268,12 +272,14 @@ impl Comm {
             link.transfer(32),
         );
         let rtag = Tag::rendezvous(id);
-        let _cts = self.job.mailboxes[self.rank]
-            .recv_match(p, |e| e.tag == rtag && matches!(e.kind, Kind::Cts));
+        let _cts = self.job.mailboxes.recv_match(p, self.rank, |e| {
+            e.tag == rtag && matches!(e.kind, Kind::Cts)
+        });
         let bw_term = link.transfer(bytes) - link.latency;
         p.advance(bw_term);
-        self.job.mailboxes[dst].send(
+        self.job.mailboxes.send(
             p,
+            dst,
             Envelope {
                 src: self.rank,
                 tag: rtag,
@@ -285,7 +291,7 @@ impl Comm {
     }
 
     pub(crate) fn recv_raw<T: MpiData>(&self, p: &Proc, src: Source, tag: TagSel) -> (T, Status) {
-        let env = self.job.mailboxes[self.rank].recv_match(p, |e| {
+        let env = self.job.mailboxes.recv_match(p, self.rank, |e| {
             src.matches(e.src)
                 && tag.matches(e.tag)
                 && matches!(e.kind, Kind::Eager(_) | Kind::Rts { .. })
@@ -297,8 +303,9 @@ impl Comm {
                     // Clear-to-send, then wait for the streamed data.
                     let link = self.link_to(p, env.src);
                     let rtag = Tag::rendezvous(id);
-                    self.job.mailboxes[env.src].send(
+                    self.job.mailboxes.send(
                         p,
+                        env.src,
                         Envelope {
                             src: self.rank,
                             tag: rtag,
@@ -307,8 +314,9 @@ impl Comm {
                         },
                         link.transfer(16),
                     );
-                    let data = self.job.mailboxes[self.rank]
-                        .recv_match(p, |e| e.tag == rtag && matches!(e.kind, Kind::Data(_)));
+                    let data = self.job.mailboxes.recv_match(p, self.rank, |e| {
+                        e.tag == rtag && matches!(e.kind, Kind::Data(_))
+                    });
                     match data.kind {
                         Kind::Data(b) => (b, env.src, env.tag, data_bytes),
                         _ => unreachable!("matched Data"),

@@ -8,7 +8,7 @@
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
 
-use dynprof_sim::sync::{SimChannel, SimGate};
+use dynprof_sim::sync::{Mailboxes, SimGate};
 use dynprof_sim::{Machine, Pid, Proc, Sim};
 
 use crate::comm::{Comm, JobMetrics, JobState};
@@ -69,12 +69,12 @@ impl Job {
     }
 
     /// What receiving has cost on the job's mailboxes so far: `(examined,
-    /// received)`, [`SimChannel::examined`] and [`SimChannel::received`]
+    /// received)`, [`Mailboxes::examined`] and [`Mailboxes::received`]
     /// summed over the ranks.
     pub fn recv_cost(&self) -> (u64, u64) {
-        let boxes = self.state.mailboxes.iter();
-        boxes.fold((0, 0), |sum, m| {
-            (sum.0 + m.examined(), sum.1 + m.received())
+        let boxes = &self.state.mailboxes;
+        (0..self.size()).fold((0, 0), |sum, rank| {
+            (sum.0 + boxes.examined(rank), sum.1 + boxes.received(rank))
         })
     }
 
@@ -108,7 +108,7 @@ where
         name: spec.name.clone(),
         size: spec.ranks,
         base_node: spec.base_node,
-        mailboxes: (0..spec.ranks).map(|_| SimChannel::new()).collect(),
+        mailboxes: Mailboxes::new(spec.ranks, |e| Some(e.src)),
         hooks: chain,
         rndv_ids: AtomicU32::new(0),
         check_id: dynprof_sim::hb::unique_id(),
@@ -300,15 +300,36 @@ mod tests {
                 let t0 = p.now();
                 c.send(p, 1, Tag::user(1), vec![0u8; EAGER_LIMIT]);
                 assert!(p.now() - t0 < SimTime::from_millis(1), "eager");
-                c.send(p, 1, Tag::user(2), vec![0u8; EAGER_LIMIT + 1]);
+                c.send(p, 1, Tag::user(1), vec![0u8; EAGER_LIMIT + 1]);
                 assert!(p.now() - t0 > SimTime::from_millis(9), "rendezvous");
             } else {
                 p.advance(SimTime::from_millis(10));
-                for (tag, bytes) in [(1, EAGER_LIMIT), (2, EAGER_LIMIT + 1)] {
-                    let tag = TagSel::Is(Tag::user(tag));
+                let tag = TagSel::Is(Tag::user(1));
+                for bytes in [EAGER_LIMIT, EAGER_LIMIT + 1] {
                     let (_, st) = c.recv::<Vec<u8>>(p, Source::Rank(0), tag);
                     assert_eq!(st.bytes, bytes);
                 }
+            }
+            c.finalize(p);
+        });
+    }
+
+    #[test]
+    fn a_rendezvous_request_does_not_overtake_an_earlier_eager_send() {
+        // The request to send 64 KiB + 1 is 32 bytes on the wire, so it
+        // arrives before the 64 KiB eager message sent ahead of it; MPI
+        // still delivers the two in the order they were sent.
+        run_job(2, |p, c| {
+            c.init(p);
+            if c.rank() == 0 {
+                c.send(p, 1, Tag::user(1), vec![0u8; EAGER_LIMIT]);
+                c.send(p, 1, Tag::user(2), vec![0u8; EAGER_LIMIT + 1]);
+            } else {
+                p.advance(SimTime::from_millis(10)); // both have arrived
+                let (_, st) = c.recv::<Vec<u8>>(p, Source::Rank(0), TagSel::Any);
+                assert_eq!((st.bytes, st.tag), (EAGER_LIMIT, Tag::user(1)));
+                let (_, st) = c.recv::<Vec<u8>>(p, Source::Rank(0), TagSel::Any);
+                assert_eq!((st.bytes, st.tag), (EAGER_LIMIT + 1, Tag::user(2)));
             }
             c.finalize(p);
         });

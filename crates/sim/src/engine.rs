@@ -1545,7 +1545,8 @@ mod tests {
     #[test]
     fn a_sender_that_ran_meanwhile_lifts_the_blocked_receivers_clock() {
         on_both_backends(|sim| {
-            let ch: Arc<crate::sync::SimChannel<u32>> = Arc::new(crate::sync::SimChannel::new());
+            let ch: Arc<crate::sync::SimChannel<u32>> =
+                Arc::new(crate::sync::SimChannel::new_fifo());
             let rx = Arc::clone(&ch);
             sim.spawn("receiver", 0, move |p| {
                 p.advance(SimTime::from_micros(2));
@@ -1803,8 +1804,8 @@ mod tests {
         // the total switch count by at least 40% on the ping-pong
         // workload; by design it achieves ~50% (one per event).
         let sim = Sim::virtual_time(machine(), 1);
-        let ch_a: Arc<crate::sync::SimChannel<u32>> = Arc::new(crate::sync::SimChannel::new());
-        let ch_b: Arc<crate::sync::SimChannel<u32>> = Arc::new(crate::sync::SimChannel::new());
+        let ch_a: Arc<crate::sync::SimChannel<u32>> = Arc::new(crate::sync::SimChannel::new_fifo());
+        let ch_b: Arc<crate::sync::SimChannel<u32>> = Arc::new(crate::sync::SimChannel::new_fifo());
         let (a1, b1) = (Arc::clone(&ch_a), Arc::clone(&ch_b));
         sim.spawn("ping", 0, move |p| {
             for i in 0..200u32 {

@@ -739,7 +739,7 @@ mod tests {
     #[test]
     fn clean_message_exchange_has_no_findings() {
         let (sim, h) = checked_sim(1);
-        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
+        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new_fifo());
         let tx = Arc::clone(&ch);
         sim.spawn("tx", 0, move |p| tx.send(p, 1, SimTime::from_micros(5)));
         let rx = Arc::clone(&ch);
@@ -758,7 +758,7 @@ mod tests {
     #[test]
     fn undelivered_message_is_an_unmatched_send() {
         let (sim, h) = checked_sim(1);
-        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
+        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new_fifo());
         let tx = Arc::clone(&ch);
         sim.spawn("tx", 0, move |p| tx.send(p, 1, SimTime::from_micros(5)));
         sim.run();
@@ -830,7 +830,7 @@ mod tests {
     #[test]
     fn applying_an_aborted_epoch_is_an_error() {
         let (sim, h) = checked_sim(1);
-        let ch: Arc<SimChannel<u8>> = Arc::new(SimChannel::new());
+        let ch: Arc<SimChannel<u8>> = Arc::new(SimChannel::new_fifo());
         let tx = Arc::clone(&ch);
         sim.spawn("coordinator", 0, move |p| {
             epoch_decision(p, 5, 2);
@@ -854,7 +854,7 @@ mod tests {
     #[test]
     fn epoch_apply_ordered_through_channel_is_clean() {
         let (sim, h) = checked_sim(1);
-        let ch: Arc<SimChannel<u8>> = Arc::new(SimChannel::new());
+        let ch: Arc<SimChannel<u8>> = Arc::new(SimChannel::new_fifo());
         let tx = Arc::clone(&ch);
         sim.spawn("decider", 0, move |p| {
             epoch_decision(p, 4, 1);
@@ -874,7 +874,7 @@ mod tests {
     fn disabled_recording_is_inert() {
         let sim = Sim::virtual_time(Machine::test_machine(), 1);
         let h = sim.check_handle();
-        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
+        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new_fifo());
         let tx = Arc::clone(&ch);
         sim.spawn("tx", 0, move |p| tx.send(p, 1, SimTime::from_micros(5)));
         assert!(

@@ -1,13 +1,16 @@
 //! Simulation-aware synchronization primitives.
 //!
-//! Three building blocks sit under every higher layer:
+//! Four building blocks sit under every higher layer:
 //!
-//! * [`SimChannel`] — a mailbox whose messages carry *arrival times*
+//! * [`SimChannel`] — a FIFO mailbox whose messages carry *arrival times*
 //!   (`sender.now() + latency`). Receivers cannot observe a message before
-//!   it arrives. MPI point-to-point, DPCL daemon traffic, and the
-//!   instrumenter callback path are all built on it. A receive costs
-//!   what it looks at, not what is queued: the front of a FIFO channel,
-//!   one index entry of a keyed one (DESIGN, "SimChannel queue discipline").
+//!   it arrives. DPCL daemon traffic and the instrumenter callback path are
+//!   built on it. A receive costs what it looks at, not what is queued:
+//!   the front of the channel, or one index entry of a keyed one (DESIGN,
+//!   "SimChannel queue discipline").
+//! * [`Mailboxes`] — a set of unordered mailboxes under one lock, one per
+//!   MPI rank, whose queued messages share one slab: the set holds what is
+//!   in flight, not what each mailbox once held.
 //! * [`SimBarrier`] — a cyclic barrier over a fixed participant count with
 //!   a configurable release cost; used by `MPI_Barrier` and OpenMP joins.
 //! * [`SimGate`] — a broadcast flag: processes blocked on the gate are all
@@ -58,16 +61,14 @@ type KeyIndex<T> = (
 );
 
 struct ChannelState<T> {
-    /// FIFO: insertion order from `head` on, which is `(arrival, seq)`
-    /// order. A take from the middle leaves a hole, passed over when it
-    /// reaches `head`, so message `seq` stays at [`ChannelState::slot_of`].
-    /// Unordered: dense, `head` 0.
+    /// Insertion order from `head` on, which is `(arrival, seq)` order. A
+    /// take from the middle leaves a hole, passed over when it reaches
+    /// `head`, so message `seq` stays at [`ChannelState::slot_of`].
     queue: Vec<Option<Envelope<T>>>,
     head: usize,
     waiters: Vec<Pid>,
     seq: u64,
-    fifo: bool,
-    /// FIFO mode: latest enqueued arrival time (delivery never reorders).
+    /// Latest enqueued arrival time (delivery never reorders).
     last_arrival: SimTime,
     /// Queued messages a receive has looked at: arrival, key or predicate.
     examined: u64,
@@ -75,26 +76,21 @@ struct ChannelState<T> {
 }
 
 impl<T> ChannelState<T> {
-    /// Queue index and arrival time of the earliest message satisfying
-    /// `pred`, by `(arrival, seq)`: the first match of a FIFO queue, found
-    /// by a scan of the whole of an unordered one. `pred` must be pure —
-    /// which messages it is shown, and in what order, is not promised.
+    /// Queue index and arrival time of the first message satisfying
+    /// `pred`, which is the earliest by `(arrival, seq)`. `pred` must be
+    /// pure — which messages it is shown is not promised.
     fn earliest_match(&mut self, mut pred: impl FnMut(&T) -> bool) -> Option<(usize, SimTime)> {
-        let mut hit: Option<(usize, SimTime, NonZeroU64)> = None;
         for (i, e) in (self.head..).zip(&self.queue[self.head..]) {
             let Some(e) = e else { continue };
             self.examined += 1;
-            if pred(&e.msg) && hit.is_none_or(|h| (e.arrival, e.seq) < (h.1, h.2)) {
-                hit = Some((i, e.arrival, e.seq));
-                if self.fifo {
-                    break;
-                }
+            if pred(&e.msg) {
+                return Some((i, e.arrival));
             }
         }
-        hit.map(|(i, arrival, _)| (i, arrival))
+        None
     }
 
-    /// FIFO queue index of message `seq`: slots enter at the back, one per
+    /// Queue index of message `seq`: slots enter at the back, one per
     /// send, and leave at the front only, so the back is `self.seq`.
     fn slot_of(&self, seq: u64) -> usize {
         (seq + self.queue.len() as u64 - self.seq - 1) as usize
@@ -109,52 +105,38 @@ impl<T> ChannelState<T> {
     }
 }
 
-/// A latency-aware mailbox. Any process may send; any process may receive.
-/// Messages become visible to receivers only once the receiver's clock has
-/// reached the message's arrival time.
-///
-/// A channel may be created FIFO ([`SimChannel::new_fifo`]): deliveries
-/// then never reorder, as over a stream socket — each message arrives no
-/// earlier than the one enqueued before it. The DPCL daemon connections
-/// use this; MPI mailboxes do not (the network may reorder).
+/// A latency-aware FIFO mailbox. Any process may send; any process may
+/// receive. Messages become visible to receivers only once the receiver's
+/// clock has reached the message's arrival time, and deliveries never
+/// reorder, as over a stream socket: each message arrives no earlier than
+/// the one enqueued before it. The DPCL daemon connections use this; MPI
+/// mailboxes, where the network may reorder, are a [`Mailboxes`] set.
 pub struct SimChannel<T> {
     state: Mutex<ChannelState<T>>,
     /// Identity for happens-before recording (0 when `check` is off).
     id: u64,
 }
 
-impl<T> Default for SimChannel<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> SimChannel<T> {
-    /// An empty channel.
-    pub fn new() -> SimChannel<T> {
-        Self::with_fifo(false, None)
-    }
-
     /// An empty FIFO channel (stream-ordered delivery).
     pub fn new_fifo() -> SimChannel<T> {
-        Self::with_fifo(true, None)
+        Self::with_keys(None)
     }
 
     /// An empty FIFO channel that indexes its messages by `key_of` (`None`:
     /// not indexed) for [`SimChannel::recv_key_deadline`]; every other
     /// receive sees a keyed message as it would any other.
     pub fn new_fifo_keyed(key_of: fn(&T) -> Option<u64>) -> SimChannel<T> {
-        Self::with_fifo(true, Some(Box::new((key_of, HashMap::default()))))
+        Self::with_keys(Some(Box::new((key_of, HashMap::default()))))
     }
 
-    fn with_fifo(fifo: bool, keys: Option<Box<KeyIndex<T>>>) -> SimChannel<T> {
+    fn with_keys(keys: Option<Box<KeyIndex<T>>>) -> SimChannel<T> {
         SimChannel {
             state: Mutex::new(ChannelState {
                 queue: Vec::new(),
                 head: 0,
                 waiters: Vec::new(),
                 seq: 0,
-                fifo,
                 last_arrival: SimTime::ZERO,
                 examined: 0,
                 keys,
@@ -163,14 +145,12 @@ impl<T> SimChannel<T> {
         }
     }
 
-    /// Send `msg`, arriving `latency` after the sender's current time.
+    /// Send `msg`, arriving `latency` after the sender's current time, or
+    /// with the message before it if that arrives later.
     pub fn send(&self, p: &Proc, msg: T, latency: SimTime) {
-        let mut arrival = p.now() + latency;
         let mut s = self.state.lock();
-        if s.fifo {
-            arrival = arrival.max(s.last_arrival);
-            s.last_arrival = arrival;
-        }
+        let arrival = (p.now() + latency).max(s.last_arrival);
+        s.last_arrival = arrival;
         s.seq += 1;
         let seq = s.seq;
         hb::chan_send(p, self.id, seq);
@@ -248,11 +228,7 @@ impl<T> SimChannel<T> {
 
     /// Take message `i` out of the queue, recording the receive.
     fn take(&self, p: &Proc, s: &mut ChannelState<T>, i: usize) -> T {
-        let slot = match s.fifo {
-            true => s.queue[i].take(),
-            false => s.queue.swap_remove(i),
-        };
-        let env = slot.expect("a receive found this message");
+        let env = s.queue[i].take().expect("a receive found this message");
         if let Some((key_of, index)) = s.keys.as_deref_mut() {
             if let Some(Entry::Occupied(mut held)) = key_of(&env.msg).map(|k| index.entry(k)) {
                 held.get_mut().1 -= 1;
@@ -296,10 +272,6 @@ impl<T> SimChannel<T> {
                 Some((i, arrival)) if arrival <= p.now() => return self.take(p, &mut s, i),
                 Some((_, arrival)) => {
                     // Matching message still in flight: sleep to it.
-                    // (If an even earlier-arriving match is enqueued
-                    // while we sleep, we take it on re-check but our
-                    // clock has already advanced to `arrival` — a
-                    // bounded conservative skew, never a rewind.)
                     drop(s);
                     p.sleep_until(arrival);
                 }
@@ -394,10 +366,286 @@ impl<T> SimChannel<T> {
             _ => None,
         }
     }
+}
 
-    /// Receive a message if one has already arrived.
-    pub fn try_recv(&self, p: &Proc) -> Option<T> {
-        self.try_recv_match(p, |_| true)
+// ---------------------------------------------------------------------------
+// Mailboxes
+// ---------------------------------------------------------------------------
+
+/// No slot: the end of a mailbox's list, or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// Slots a slab block holds. The slab grows a block at a time and never
+/// moves a slot, so a growth costs one allocation and no copy.
+const SLAB_BLOCK: usize = 16;
+
+/// A slab slot: a queued message and the next slot of its mailbox, or a
+/// free slot (`env` is `None`) and the next free one.
+struct Slot<T> {
+    env: Option<Envelope<T>>,
+    next: u32,
+}
+
+/// One mailbox of a set. Its messages are a list through the slab, in
+/// send (`seq`) order.
+struct Mailbox {
+    head: u32,
+    tail: u32,
+    waiters: Vec<Pid>,
+    seq: u64,
+    /// Queued messages a receive here has looked at.
+    examined: u64,
+    received: u64,
+    /// The last scan in which a message *from* this mailbox's owner
+    /// matched: a later one from it in the same scan may not overtake it.
+    matched_in: u64,
+    /// Identity for happens-before recording.
+    id: u64,
+}
+
+impl Mailbox {
+    fn register(&mut self, pid: Pid) {
+        if !self.waiters.contains(&pid) {
+            self.waiters.push(pid);
+        }
+    }
+}
+
+struct SetState<T> {
+    boxes: Vec<Mailbox>,
+    slab: Vec<Box<[Slot<T>]>>,
+    /// Head of the free list.
+    free: u32,
+    /// Receive scans so far, which stamps [`Mailbox::matched_in`].
+    scans: u64,
+}
+
+/// What a scan found: the message's slot, the slot before it in its
+/// mailbox's list (or [`NIL`]), and its arrival.
+struct Hit {
+    slot: u32,
+    prev: u32,
+    arrival: SimTime,
+}
+
+impl<T> SetState<T> {
+    fn slot_mut(&mut self, i: u32) -> &mut Slot<T> {
+        &mut self.slab[i as usize / SLAB_BLOCK][i as usize % SLAB_BLOCK]
+    }
+
+    /// A free slot holding `env`, the slab grown by a block if none is.
+    fn alloc(&mut self, env: Envelope<T>) -> u32 {
+        if self.free == NIL {
+            let base = self.slab.len() * SLAB_BLOCK;
+            let end = u32::try_from(base + SLAB_BLOCK).expect("slab within u32 slots");
+            let block = (base as u32 + 1..=end).map(|next| Slot {
+                env: None,
+                next: if next == end { NIL } else { next },
+            });
+            self.slab.push(block.collect());
+            self.free = base as u32;
+        }
+        let i = self.free;
+        let slot = self.slot_mut(i);
+        let next = std::mem::replace(&mut slot.next, NIL);
+        slot.env = Some(env);
+        self.free = next;
+        i
+    }
+
+    /// The earliest message in mailbox `to` satisfying `pred`, by
+    /// `(arrival, seq)`, among those with no earlier-sent match from the
+    /// same sender still queued (MPI's non-overtaking rule). The scan
+    /// looks at every queued message once, in send order, so the first
+    /// match from a sender is its earliest-sent one.
+    fn earliest_match(
+        &mut self,
+        to: usize,
+        sender_of: fn(&T) -> Option<usize>,
+        mut pred: impl FnMut(&T) -> bool,
+    ) -> Option<Hit> {
+        self.scans += 1;
+        let scan = self.scans;
+        let mut hit: Option<Hit> = None;
+        let (mut prev, mut i, mut looked) = (NIL, self.boxes[to].head, 0);
+        while i != NIL {
+            let slot = &self.slab[i as usize / SLAB_BLOCK][i as usize % SLAB_BLOCK];
+            let e = slot.env.as_ref().expect("a listed slot holds a message");
+            looked += 1;
+            if pred(&e.msg) {
+                let first_from_sender = match sender_of(&e.msg) {
+                    Some(s) => std::mem::replace(&mut self.boxes[s].matched_in, scan) != scan,
+                    None => true,
+                };
+                if first_from_sender && hit.as_ref().is_none_or(|h| e.arrival < h.arrival) {
+                    hit = Some(Hit {
+                        slot: i,
+                        prev,
+                        arrival: e.arrival,
+                    });
+                }
+            }
+            (prev, i) = (i, slot.next);
+        }
+        self.boxes[to].examined += looked;
+        hit
+    }
+
+    /// Unlink `hit` from mailbox `to`, free its slot, record the receive.
+    fn take(&mut self, p: &Proc, to: usize, hit: Hit) -> T {
+        let free = self.free;
+        let slot = self.slot_mut(hit.slot);
+        let env = slot.env.take().expect("a receive found this message");
+        let next = std::mem::replace(&mut slot.next, free);
+        self.free = hit.slot; // the slot heads the free list
+        match hit.prev {
+            NIL => self.boxes[to].head = next,
+            prev => self.slot_mut(prev).next = next,
+        }
+        let mailbox = &mut self.boxes[to];
+        if mailbox.tail == hit.slot {
+            mailbox.tail = hit.prev;
+        }
+        mailbox.received += 1;
+        hb::chan_recv(p, mailbox.id, env.seq.get());
+        env.msg
+    }
+}
+
+/// `n` unordered latency-aware mailboxes under one lock — one per rank of
+/// an MPI job — whose queued messages live in one slab. The slab grows in
+/// fixed blocks and reuses freed slots, so the set holds as many slots as
+/// were ever in flight at once across all its mailboxes, not the sum of
+/// every mailbox's own peak.
+///
+/// A receive takes the earliest-arriving match — the network may reorder —
+/// except that a message never overtakes an earlier-sent match from the
+/// same sender, as `sender_of` names it (`None`: no sender, never held
+/// back). A receive looks at every queued message of its mailbox.
+pub struct Mailboxes<T> {
+    state: Mutex<SetState<T>>,
+    sender_of: fn(&T) -> Option<usize>,
+}
+
+impl<T> Mailboxes<T> {
+    /// `n` empty mailboxes; `sender_of` gives the mailbox index of a
+    /// message's sender, for the non-overtaking rule.
+    pub fn new(n: usize, sender_of: fn(&T) -> Option<usize>) -> Mailboxes<T> {
+        let boxes = (0..n).map(|_| Mailbox {
+            head: NIL,
+            tail: NIL,
+            waiters: Vec::new(),
+            seq: 0,
+            examined: 0,
+            received: 0,
+            matched_in: 0,
+            id: hb::unique_id(),
+        });
+        Mailboxes {
+            state: Mutex::new(SetState {
+                boxes: boxes.collect(),
+                slab: Vec::new(),
+                free: NIL,
+                scans: 0,
+            }),
+            sender_of,
+        }
+    }
+
+    /// Send `msg` to mailbox `to`, arriving `latency` after the sender's
+    /// current time; every process waiting there is woken at the arrival.
+    pub fn send(&self, p: &Proc, to: usize, msg: T, latency: SimTime) {
+        let arrival = p.now() + latency;
+        let mut s = self.state.lock();
+        let mailbox = &mut s.boxes[to];
+        mailbox.seq += 1;
+        let seq = mailbox.seq;
+        hb::chan_send(p, mailbox.id, seq);
+        let seq = NonZeroU64::new(seq).expect("seq counts from 1");
+        let at = s.alloc(Envelope { arrival, seq, msg });
+        let mailbox = &mut s.boxes[to];
+        let tail = std::mem::replace(&mut mailbox.tail, at);
+        match tail {
+            NIL => mailbox.head = at,
+            tail => s.slot_mut(tail).next = at,
+        }
+        for pid in s.boxes[to].waiters.drain(..) {
+            p.wake_other(pid, arrival);
+        }
+    }
+
+    /// Queued messages that receives on mailbox `at` have looked at so
+    /// far: what delivering [`Mailboxes::received`] messages cost.
+    pub fn examined(&self, at: usize) -> u64 {
+        self.state.lock().boxes[at].examined
+    }
+
+    /// Messages taken off mailbox `at` so far.
+    pub fn received(&self, at: usize) -> u64 {
+        self.state.lock().boxes[at].received
+    }
+
+    /// Receive at mailbox `at` the earliest-arriving message satisfying
+    /// `pred` that overtakes no earlier-sent match from its sender.
+    /// Blocks until such a message arrives.
+    pub fn recv_match(&self, p: &Proc, at: usize, mut pred: impl FnMut(&T) -> bool) -> T {
+        loop {
+            let mut s = self.state.lock();
+            match s.earliest_match(at, self.sender_of, &mut pred) {
+                Some(hit) if hit.arrival <= p.now() => return s.take(p, at, hit),
+                Some(hit) => {
+                    // Matching message still in flight: sleep to it. (If
+                    // an even earlier-arriving match is enqueued while we
+                    // sleep, we take it on re-check but our clock has
+                    // already advanced — a bounded conservative skew,
+                    // never a rewind.)
+                    drop(s);
+                    p.sleep_until(hit.arrival);
+                }
+                None => {
+                    let pid = p.pid();
+                    s.boxes[at].register(pid);
+                    drop(s);
+                    // Race-free: no other process can run between the
+                    // drop above and this yield.
+                    p.block();
+                    // Deregister (we may have been woken spuriously).
+                    self.state.lock().boxes[at].waiters.retain(|&w| w != pid);
+                }
+            }
+        }
+    }
+
+    /// Like [`Mailboxes::recv_match`], but give up at `deadline`: returns
+    /// `None` if no matching message has arrived by then.
+    pub fn recv_match_deadline(
+        &self,
+        p: &Proc,
+        at: usize,
+        mut pred: impl FnMut(&T) -> bool,
+        deadline: SimTime,
+    ) -> Option<T> {
+        loop {
+            let mut s = self.state.lock();
+            match s.earliest_match(at, self.sender_of, &mut pred) {
+                Some(hit) if hit.arrival <= p.now() => return Some(s.take(p, at, hit)),
+                Some(hit) if hit.arrival <= deadline => {
+                    drop(s);
+                    p.sleep_until(hit.arrival);
+                }
+                _ => {
+                    // No match, or the only matches arrive too late.
+                    if p.now() >= deadline {
+                        return None;
+                    }
+                    let pid = p.pid();
+                    s.boxes[at].register(pid);
+                    drop(s);
+                    p.block_until_deadline(deadline);
+                    self.state.lock().boxes[at].waiters.retain(|&w| w != pid);
+                }
+            }
+        }
     }
 }
 
@@ -685,14 +933,14 @@ mod tests {
     fn send_ctl_never_clones_without_a_fault_plan() {
         let sim = vsim(3);
         let clones = Arc::new(AtomicUsize::new(0));
-        let ch: Arc<SimChannel<Counted>> = Arc::new(SimChannel::new());
+        let ch: Arc<SimChannel<Counted>> = Arc::new(SimChannel::new_fifo());
         let (tx, c) = (Arc::clone(&ch), Arc::clone(&clones));
         sim.spawn("solo", 0, move |p| {
             for _ in 0..100 {
                 tx.send_ctl(p, Counted(Arc::clone(&c)), SimTime::ZERO);
             }
             assert_eq!(tx.len(), 100, "fault-free send_ctl delivers every send");
-            while tx.try_recv(p).is_some() {}
+            while tx.try_recv_match(p, |_| true).is_some() {}
         });
         sim.run();
         assert_eq!(
@@ -714,14 +962,14 @@ mod tests {
         assert!(sim.set_fault_plan(FaultPlan::new(&spec, sim.machine())));
         let clones = Arc::new(AtomicUsize::new(0));
         let delivered = Arc::new(AtomicUsize::new(0));
-        let ch: Arc<SimChannel<Counted>> = Arc::new(SimChannel::new());
+        let ch: Arc<SimChannel<Counted>> = Arc::new(SimChannel::new_fifo());
         let (tx, c, d) = (Arc::clone(&ch), Arc::clone(&clones), Arc::clone(&delivered));
         sim.spawn("solo", 0, move |p| {
             for _ in 0..SENDS {
                 tx.send_ctl(p, Counted(Arc::clone(&c)), SimTime::ZERO);
             }
             let mut n = 0usize;
-            while tx.try_recv(p).is_some() {
+            while tx.try_recv_match(p, |_| true).is_some() {
                 n += 1;
             }
             d.store(n, Ordering::Relaxed);
@@ -742,7 +990,7 @@ mod tests {
     #[test]
     fn channel_delivers_after_latency() {
         let sim = vsim(1);
-        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
+        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new_fifo());
         let tx = Arc::clone(&ch);
         sim.spawn("sender", 0, move |p| {
             p.advance(SimTime::from_micros(10));
@@ -760,7 +1008,7 @@ mod tests {
     #[test]
     fn channel_receiver_already_past_arrival() {
         let sim = vsim(1);
-        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
+        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new_fifo());
         let tx = Arc::clone(&ch);
         sim.spawn("sender", 0, move |p| {
             tx.send(p, 7, SimTime::from_micros(1));
@@ -779,20 +1027,20 @@ mod tests {
     #[test]
     fn channel_match_picks_earliest_matching() {
         let sim = vsim(1);
-        let ch: Arc<SimChannel<(u32, &'static str)>> = Arc::new(SimChannel::new());
-        let tx = Arc::clone(&ch);
+        let set: Arc<Mailboxes<(u32, &'static str)>> = Arc::new(Mailboxes::new(1, |_| None));
+        let tx = Arc::clone(&set);
         sim.spawn("sender", 0, move |p| {
-            tx.send(p, (1, "a"), SimTime::from_micros(30));
-            tx.send(p, (2, "b"), SimTime::from_micros(10));
-            tx.send(p, (3, "b"), SimTime::from_micros(20));
+            tx.send(p, 0, (1, "a"), SimTime::from_micros(30));
+            tx.send(p, 0, (2, "b"), SimTime::from_micros(10));
+            tx.send(p, 0, (3, "b"), SimTime::from_micros(20));
         });
-        let rx = Arc::clone(&ch);
+        let rx = Arc::clone(&set);
         sim.spawn("receiver", 1, move |p| {
-            let (id, tag) = rx.recv_match(p, |m| m.1 == "b");
+            let (id, tag) = rx.recv_match(p, 0, |m| m.1 == "b");
             assert_eq!((id, tag), (2, "b"));
-            let (id, _) = rx.recv_match(p, |m| m.1 == "b");
+            let (id, _) = rx.recv_match(p, 0, |m| m.1 == "b");
             assert_eq!(id, 3);
-            let (id, _) = rx.recv(p);
+            let (id, _) = rx.recv_match(p, 0, |_| true);
             assert_eq!(id, 1);
         });
         sim.run();
@@ -801,13 +1049,13 @@ mod tests {
     #[test]
     fn try_recv_respects_arrival_time() {
         let sim = vsim(1);
-        let ch: Arc<SimChannel<u8>> = Arc::new(SimChannel::new());
+        let ch: Arc<SimChannel<u8>> = Arc::new(SimChannel::new_fifo());
         let c = Arc::clone(&ch);
         sim.spawn("solo", 0, move |p| {
             c.send(p, 9, SimTime::from_micros(100));
-            assert_eq!(c.try_recv(p), None); // still in flight
+            assert_eq!(c.try_recv_match(p, |_| true), None); // still in flight
             p.advance(SimTime::from_micros(100));
-            assert_eq!(c.try_recv(p), Some(9));
+            assert_eq!(c.try_recv_match(p, |_| true), Some(9));
         });
         sim.run();
 
@@ -937,7 +1185,7 @@ mod tests {
         // could happen, so the receive timed out even though the message
         // arrives exactly at the deadline. Wake events must win the tie.
         let sim = vsim(1);
-        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
+        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new_fifo());
         let rx = Arc::clone(&ch);
         sim.spawn("receiver", 0, move |p| {
             let v = rx.recv_match_deadline(p, |_| true, SimTime::from_micros(50));
@@ -960,7 +1208,7 @@ mod tests {
     fn deadline_recv_takes_message_at_deadline_sender_spawned_first() {
         // Same tie, opposite spawn (and therefore heap-seq) order.
         let sim = vsim(1);
-        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
+        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new_fifo());
         let tx = Arc::clone(&ch);
         sim.spawn("sender", 0, move |p| {
             p.sleep_until(SimTime::from_micros(50));
@@ -978,7 +1226,7 @@ mod tests {
     #[test]
     fn deadline_recv_still_times_out_when_message_is_late() {
         let sim = vsim(1);
-        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
+        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new_fifo());
         let rx = Arc::clone(&ch);
         sim.spawn("receiver", 0, move |p| {
             let v = rx.recv_match_deadline(p, |_| true, SimTime::from_micros(50));
@@ -1046,27 +1294,30 @@ mod tests {
     #[test]
     fn a_predicate_is_shown_only_what_the_walk_needs() {
         // The old queue called the predicate once per queued message; a
-        // FIFO walk stops at the first match, an unordered scan still has
-        // to see everything.
-        for (fifo, calls_expected) in [(true, 3), (false, 10)] {
-            let sim = vsim(1);
-            let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::with_fifo(fifo, None));
-            let c = Arc::clone(&ch);
-            sim.spawn("solo", 0, move |p| {
-                for v in 0..10 {
-                    c.send(p, v, SimTime::ZERO);
-                }
-                let mut calls = 0;
-                let got = c.try_recv_match(p, |&v| {
-                    calls += 1;
-                    v >= 2
-                });
-                assert_eq!(got, Some(2));
-                assert_eq!(calls, calls_expected, "fifo={fifo}");
-                assert_eq!(c.examined(), calls_expected);
+        // FIFO walk stops at the first match, a mailbox scan still has to
+        // see everything.
+        let sim = vsim(1);
+        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new_fifo());
+        let set: Arc<Mailboxes<u32>> = Arc::new(Mailboxes::new(1, |_| None));
+        sim.spawn("solo", 0, move |p| {
+            for v in 0..10 {
+                ch.send(p, v, SimTime::ZERO);
+                set.send(p, 0, v, SimTime::ZERO);
+            }
+            let mut calls = 0;
+            let got = ch.try_recv_match(p, |&v| {
+                calls += 1;
+                v >= 2
             });
-            sim.run();
-        }
+            assert_eq!((got, calls, ch.examined()), (Some(2), 3, 3));
+            let mut calls = 0;
+            let got = set.recv_match(p, 0, |&v| {
+                calls += 1;
+                v >= 2
+            });
+            assert_eq!((got, calls, set.examined(0)), (2, 10, 10));
+        });
+        sim.run();
     }
 
     #[test]
@@ -1190,7 +1441,7 @@ mod tests {
                 c.send(p, v, SimTime::ZERO);
             }
             assert!(c.state.lock().queue.capacity() >= 1000);
-            while c.try_recv(p).is_some() {}
+            while c.try_recv_match(p, |_| true).is_some() {}
             assert_eq!(c.state.lock().queue.capacity(), 0);
         });
         sim.run();
@@ -1223,18 +1474,74 @@ mod tests {
 
     #[test]
     fn unordered_channel_may_reorder() {
+        // Message `(from, n)`: the sender's mailbox index and its number.
         let sim = vsim(5);
-        let ch: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
-        let tx = Arc::clone(&ch);
+        let set: Arc<Mailboxes<(usize, u32)>> = Arc::new(Mailboxes::new(3, |m| Some(m.0)));
+        let tx = Arc::clone(&set);
         sim.spawn("sender", 0, move |p| {
-            tx.send(p, 1, SimTime::from_micros(100));
-            tx.send(p, 2, SimTime::from_micros(1));
+            tx.send(p, 0, (1, 1), SimTime::from_micros(100));
+            tx.send(p, 0, (2, 2), SimTime::from_micros(1));
         });
-        let rx = Arc::clone(&ch);
+        let rx = Arc::clone(&set);
         sim.spawn("receiver", 1, move |p| {
-            assert_eq!(rx.recv(p), 2, "earlier arrival wins");
-            assert_eq!(rx.recv(p), 1);
+            let any = |_: &(usize, u32)| true;
+            assert_eq!(rx.recv_match(p, 0, any), (2, 2), "earlier arrival wins");
+            assert_eq!(rx.recv_match(p, 0, any), (1, 1));
         });
         sim.run();
+    }
+
+    #[test]
+    fn a_message_never_overtakes_an_earlier_match_from_its_sender() {
+        // Sender 1's second message arrives first; sender 2's arrives
+        // between the two. The scan takes the earliest arrival among each
+        // sender's earliest-sent match, and looks at everything once.
+        let sim = vsim(5);
+        let set: Arc<Mailboxes<(usize, u32)>> = Arc::new(Mailboxes::new(3, |m| Some(m.0)));
+        let c = Arc::clone(&set);
+        sim.spawn("solo", 0, move |p| {
+            c.send(p, 0, (1, 10), SimTime::from_micros(30));
+            c.send(p, 0, (1, 11), SimTime::from_micros(10));
+            c.send(p, 0, (2, 20), SimTime::from_micros(20));
+            c.send(p, 0, (1, 12), SimTime::from_micros(5));
+            p.advance(SimTime::from_micros(40)); // all four have arrived
+            let any = |_: &(usize, u32)| true;
+            assert_eq!(c.recv_match(p, 0, any), (2, 20));
+            assert_eq!(c.examined(0), 4);
+            // Only a match holds a later message back: 11 may pass 10.
+            assert_eq!(c.recv_match(p, 0, |m| m.1 != 10), (1, 11));
+            assert_eq!(c.recv_match(p, 0, any), (1, 10));
+            assert_eq!(c.recv_match(p, 0, any), (1, 12));
+            assert_eq!((c.received(0), c.examined(0)), (4, 10));
+            assert_eq!(c.state.lock().boxes[0].head, NIL);
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn a_slab_holds_what_is_in_flight_not_what_each_mailbox_held() {
+        // 1 152 mailboxes filled and drained one after another, 16 messages
+        // each: per-mailbox buffers would keep 1 152 x 16 slots, the slab
+        // one mailbox's worth (16, plus at most one growth step).
+        const RANKS: usize = 1152;
+        let sim = vsim(1);
+        let set: Arc<Mailboxes<u64>> = Arc::new(Mailboxes::new(RANKS, |_| None));
+        let c = Arc::clone(&set);
+        sim.spawn("solo", 0, move |p| {
+            for to in 0..RANKS {
+                for v in 0..16 {
+                    c.send(p, to, v, SimTime::ZERO);
+                }
+                for v in (0..16).rev() {
+                    assert_eq!(c.recv_match(p, to, |&m| m == v), v);
+                }
+            }
+        });
+        sim.run();
+        let s = set.state.lock();
+        let slots = s.slab.len() * SLAB_BLOCK;
+        assert!(slots <= 16 + SLAB_BLOCK, "{slots} slots for 16 in flight");
+        assert!(s.boxes.iter().all(|b| b.head == NIL && b.tail == NIL));
+        assert_eq!(s.boxes.iter().map(|b| b.received).sum::<u64>(), 16 * 1152);
     }
 }

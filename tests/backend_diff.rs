@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use common::{base, check_golden};
 use dynprof::core::{run_session, SessionConfig, SessionReport};
-use dynprof::sim::sync::{SimBarrier, SimChannel};
+use dynprof::sim::sync::{Mailboxes, SimBarrier, SimChannel};
 use dynprof::sim::{FaultSpec, Machine, ProcBackend, Sim, SimTime};
 use dynprof::vt::Policy;
 use dynprof_bench::fig9;
@@ -36,11 +36,11 @@ fn scheduler_trace(seed: u64, backend: ProcBackend) -> String {
     let sim = Sim::virtual_time_with_backend(Machine::test_machine(), seed, backend);
     let log = sim.record_dispatches();
     let stats = sim.stats();
-    let chans: Vec<Arc<SimChannel<u32>>> = (0..N).map(|_| Arc::new(SimChannel::new())).collect();
+    let chans: Arc<Mailboxes<u32>> = Arc::new(Mailboxes::new(N, |_| None));
     let bar = Arc::new(SimBarrier::new(N, SimTime::from_nanos(300)));
     let gate = Arc::new(SimGate::new());
     for i in 0..N {
-        let chans = chans.clone();
+        let chans = Arc::clone(&chans);
         let bar = Arc::clone(&bar);
         let gate = Arc::clone(&gate);
         sim.spawn(format!("mix{i}"), i % 4, move |p| {
@@ -53,15 +53,15 @@ fn scheduler_trace(seed: u64, backend: ProcBackend) -> String {
             for r in 0..ROUNDS {
                 p.advance(p.jitter(SimTime::from_micros(1)) + SimTime::from_nanos(10));
                 let lat = SimTime::from_nanos(200 + p.jitter(SimTime::from_micros(2)).as_nanos());
-                chans[(i + 1) % N].send(p, (i * ROUNDS + r) as u32, lat);
+                chans.send(p, (i + 1) % N, (i * ROUNDS + r) as u32, lat);
                 if r % 3 == 2 {
                     bar.wait(p);
                 }
                 if r % 4 == 1 {
                     let deadline = p.now() + p.jitter(SimTime::from_micros(3));
-                    let _ = chans[i].recv_match_deadline(p, |_| true, deadline);
+                    let _ = chans.recv_match_deadline(p, i, |_| true, deadline);
                 } else {
-                    let _ = chans[i].recv(p);
+                    let _ = chans.recv_match(p, i, |_| true);
                 }
                 if r % 5 == 0 {
                     p.sleep(p.jitter(SimTime::from_micros(2)) + SimTime::from_nanos(1));
@@ -118,8 +118,8 @@ fn work(sim: Sim) -> (u64, u64) {
 /// the pure handoff, one blocking receive per event.
 fn pingpong(rounds: u32, backend: ProcBackend) -> Sim {
     let sim = Sim::virtual_time_with_backend(Machine::test_machine(), 1, backend);
-    let ch_a: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
-    let ch_b: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
+    let ch_a: Arc<SimChannel<u32>> = Arc::new(SimChannel::new_fifo());
+    let ch_b: Arc<SimChannel<u32>> = Arc::new(SimChannel::new_fifo());
     let (a1, b1) = (Arc::clone(&ch_a), Arc::clone(&ch_b));
     sim.spawn("ping", 0, move |p| {
         for i in 0..rounds {
@@ -142,20 +142,18 @@ fn pingpong(rounds: u32, backend: ProcBackend) -> Sim {
 /// queue and cross-process wakes.
 fn alltoall(n: usize, rounds: usize, backend: ProcBackend) -> Sim {
     let sim = Sim::virtual_time_with_backend(Machine::test_machine(), 2, backend);
-    let chans: Vec<Arc<SimChannel<u32>>> = (0..n).map(|_| Arc::new(SimChannel::new())).collect();
+    let chans: Arc<Mailboxes<u32>> = Arc::new(Mailboxes::new(n, |_| None));
     for i in 0..n {
-        let chans = chans.clone();
+        let chans = Arc::clone(&chans);
         sim.spawn(format!("a2a{i}"), i % 4, move |p| {
             for _ in 0..rounds {
-                for (j, ch) in chans.iter().enumerate() {
-                    if j != i {
-                        let lat =
-                            SimTime::from_nanos(500 + p.jitter(SimTime::from_micros(2)).as_nanos());
-                        ch.send(p, i as u32, lat);
-                    }
+                for j in (0..n).filter(|&j| j != i) {
+                    let lat =
+                        SimTime::from_nanos(500 + p.jitter(SimTime::from_micros(2)).as_nanos());
+                    chans.send(p, j, i as u32, lat);
                 }
                 for _ in 0..n - 1 {
-                    let _ = chans[i].recv(p);
+                    let _ = chans.recv_match(p, i, |_| true);
                 }
             }
         });
@@ -187,25 +185,25 @@ fn barrier_storm(n: usize, rounds: usize, backend: ProcBackend) -> Sim {
 /// adaptive controller's activation broadcasts travel on.
 fn reconfig_wave(n: usize, rounds: usize, backend: ProcBackend) -> Sim {
     let sim = Sim::virtual_time_with_backend(Machine::test_machine(), 4, backend);
-    let down: Vec<Arc<SimChannel<u32>>> = (0..n).map(|_| Arc::new(SimChannel::new())).collect();
-    let up: Arc<SimChannel<u32>> = Arc::new(SimChannel::new());
+    let down: Arc<Mailboxes<u32>> = Arc::new(Mailboxes::new(n, |_| None));
+    let up: Arc<Mailboxes<u32>> = Arc::new(Mailboxes::new(1, |_| None));
     let bar = Arc::new(SimBarrier::new(n, SimTime::from_nanos(200)));
     for i in 0..n {
-        let down = down.clone();
+        let down = Arc::clone(&down);
         let up = Arc::clone(&up);
         let bar = Arc::clone(&bar);
         sim.spawn(format!("wave{i}"), i % 4, move |p| {
             for round in 0..rounds {
                 if i == 0 {
-                    for ch in down.iter().skip(1) {
-                        ch.send(p, round as u32, SimTime::from_micros(1));
+                    for to in 1..n {
+                        down.send(p, to, round as u32, SimTime::from_micros(1));
                     }
                     for _ in 1..n {
-                        let _ = up.recv(p);
+                        let _ = up.recv_match(p, 0, |_| true);
                     }
                 } else {
-                    let v = down[i].recv(p);
-                    up.send(p, v, SimTime::from_micros(1));
+                    let v = down.recv_match(p, i, |_| true);
+                    up.send(p, 0, v, SimTime::from_micros(1));
                 }
                 bar.wait(p);
             }
@@ -227,39 +225,39 @@ fn fig7_sweep3d_144x8(iters: usize, backend: ProcBackend) -> Sim {
     let sim = Sim::virtual_time_with_backend(machine, 5, backend);
     // chans[dir][rank]: dir 0 = eastward flow (recv from west), dir 1 =
     // southward, dir 2/3 the reversed sweep.
-    let chans: Vec<Vec<Arc<SimChannel<u8>>>> = (0..4)
-        .map(|_| (0..PX * PY).map(|_| Arc::new(SimChannel::new())).collect())
-        .collect();
+    let chans: Arc<Vec<Mailboxes<u8>>> =
+        Arc::new((0..4).map(|_| Mailboxes::new(PX * PY, |_| None)).collect());
     let bar = Arc::new(SimBarrier::new(PX * PY, SimTime::from_nanos(400)));
     for py in 0..PY {
         for px in 0..PX {
             let rank = py * PX + px;
-            let in_w = (px > 0).then(|| Arc::clone(&chans[0][rank]));
-            let in_n = (py > 0).then(|| Arc::clone(&chans[1][rank]));
-            let out_e = (px + 1 < PX).then(|| Arc::clone(&chans[0][rank + 1]));
-            let out_s = (py + 1 < PY).then(|| Arc::clone(&chans[1][rank + PX]));
-            let rin_e = (px + 1 < PX).then(|| Arc::clone(&chans[2][rank]));
-            let rin_s = (py + 1 < PY).then(|| Arc::clone(&chans[3][rank]));
-            let rout_w = (px > 0).then(|| Arc::clone(&chans[2][rank - 1]));
-            let rout_n = (py > 0).then(|| Arc::clone(&chans[3][rank - PX]));
-            let bar = Arc::clone(&bar);
+            // (dir, mailbox) of each inflow and outflow.
+            let in_w = (px > 0).then_some((0, rank));
+            let in_n = (py > 0).then_some((1, rank));
+            let out_e = (px + 1 < PX).then(|| (0, rank + 1));
+            let out_s = (py + 1 < PY).then(|| (1, rank + PX));
+            let rin_e = (px + 1 < PX).then_some((2, rank));
+            let rin_s = (py + 1 < PY).then_some((3, rank));
+            let rout_w = (px > 0).then(|| (2, rank - 1));
+            let rout_n = (py > 0).then(|| (3, rank - PX));
+            let (chans, bar) = (Arc::clone(&chans), Arc::clone(&bar));
             sim.spawn(format!("sweep{rank}"), rank / 8 % nodes, move |p| {
                 let lat = SimTime::from_nanos(1_500); // one KBA block face
                 let compute = SimTime::from_nanos(800 + (rank as u64 % 7) * 50);
                 for _ in 0..iters {
-                    for ch in [&in_w, &in_n].into_iter().flatten() {
-                        let _ = ch.recv(p);
+                    for (dir, at) in [in_w, in_n].into_iter().flatten() {
+                        let _ = chans[dir].recv_match(p, at, |_| true);
                     }
                     p.advance(compute);
-                    for ch in [&out_e, &out_s].into_iter().flatten() {
-                        ch.send(p, 0, lat);
+                    for (dir, to) in [out_e, out_s].into_iter().flatten() {
+                        chans[dir].send(p, to, 0, lat);
                     }
-                    for ch in [&rin_e, &rin_s].into_iter().flatten() {
-                        let _ = ch.recv(p);
+                    for (dir, at) in [rin_e, rin_s].into_iter().flatten() {
+                        let _ = chans[dir].recv_match(p, at, |_| true);
                     }
                     p.advance(compute);
-                    for ch in [&rout_w, &rout_n].into_iter().flatten() {
-                        ch.send(p, 0, lat);
+                    for (dir, to) in [rout_w, rout_n].into_iter().flatten() {
+                        chans[dir].send(p, to, 0, lat);
                     }
                     bar.wait(p);
                 }
@@ -388,7 +386,7 @@ fn hb_check_clean_and_identical_across_backends() {
         let sim = Sim::virtual_time_with_backend(Machine::test_machine(), 5, backend);
         sim.enable_check();
         let check = sim.check_handle();
-        let chan = Arc::new(SimChannel::new());
+        let chan = Arc::new(Mailboxes::new(1, |_| None));
         let bar = Arc::new(SimBarrier::new(4, SimTime::from_nanos(250)));
         for i in 0..4u64 {
             let chan = Arc::clone(&chan);
@@ -396,8 +394,8 @@ fn hb_check_clean_and_identical_across_backends() {
             sim.spawn(format!("p{i}"), (i % 2) as usize, move |p| {
                 for r in 0..6u64 {
                     p.advance(SimTime::from_nanos(100 * (i + 1)));
-                    chan.send(p, i * 10 + r, SimTime::from_nanos(300));
-                    let _ = chan.recv(p);
+                    chan.send(p, 0, i * 10 + r, SimTime::from_nanos(300));
+                    let _ = chan.recv_match(p, 0, |_| true);
                     bar.wait(p);
                 }
             });

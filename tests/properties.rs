@@ -1171,17 +1171,17 @@ fn simtime_conversions() {
 /// run's event count and horizon. Runs on `backend` so the recorded
 /// oracle pins both the threaded and the coroutine scheduler.
 fn scheduler_trace(seed: u64, backend: dynprof::sim::ProcBackend) -> (Vec<(usize, u64)>, u64, u64) {
-    use dynprof::sim::sync::{SimBarrier, SimChannel, SimGate};
+    use dynprof::sim::sync::{Mailboxes, SimBarrier, SimGate};
     const N: usize = 8;
     const ROUNDS: usize = 12;
     let sim = Sim::virtual_time_with_backend(Machine::test_machine(), seed, backend);
     let log = sim.record_dispatches();
     let stats = sim.stats();
-    let chans: Vec<Arc<SimChannel<u32>>> = (0..N).map(|_| Arc::new(SimChannel::new())).collect();
+    let chans: Arc<Mailboxes<u32>> = Arc::new(Mailboxes::new(N, |_| None));
     let bar = Arc::new(SimBarrier::new(N, SimTime::from_nanos(300)));
     let gate = Arc::new(SimGate::new());
     for i in 0..N {
-        let chans = chans.clone();
+        let chans = Arc::clone(&chans);
         let bar = Arc::clone(&bar);
         let gate = Arc::clone(&gate);
         sim.spawn(format!("mix{i}"), i % 4, move |p| {
@@ -1194,7 +1194,7 @@ fn scheduler_trace(seed: u64, backend: dynprof::sim::ProcBackend) -> (Vec<(usize
             for r in 0..ROUNDS {
                 p.advance(p.jitter(SimTime::from_micros(1)) + SimTime::from_nanos(10));
                 let lat = SimTime::from_nanos(200 + p.jitter(SimTime::from_micros(2)).as_nanos());
-                chans[(i + 1) % N].send(p, (i * ROUNDS + r) as u32, lat);
+                chans.send(p, (i + 1) % N, (i * ROUNDS + r) as u32, lat);
                 if r % 3 == 2 {
                     bar.wait(p);
                 }
@@ -1203,9 +1203,9 @@ fn scheduler_trace(seed: u64, backend: dynprof::sim::ProcBackend) -> (Vec<(usize
                     // message beats the deadline or the timer fires, so both
                     // timer outcomes appear across seeds and rounds.
                     let deadline = p.now() + p.jitter(SimTime::from_micros(3));
-                    let _ = chans[i].recv_match_deadline(p, |_| true, deadline);
+                    let _ = chans.recv_match_deadline(p, i, |_| true, deadline);
                 } else {
-                    let _ = chans[i].recv(p);
+                    let _ = chans.recv_match(p, i, |_| true);
                 }
                 if r % 5 == 0 {
                     p.sleep(p.jitter(SimTime::from_micros(2)) + SimTime::from_nanos(1));
@@ -1387,15 +1387,16 @@ fn controller_deactivation_order_is_deterministic() {
 }
 
 // ---------------------------------------------------------------------
-// SimChannel against the queue it replaced
+// SimChannel and Mailboxes against the queue they replaced
 // ---------------------------------------------------------------------
 
 mod channel_oracle {
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex, MutexGuard};
 
     use dynprof::sim::fault::{FaultPlan, FaultSpec};
     use dynprof::sim::rng::SimRng;
-    use dynprof::sim::sync::SimChannel;
+    use dynprof::sim::sync::{Mailboxes, SimChannel};
     use dynprof::sim::{Machine, Proc, ProcBackend, Sim, SimTime};
 
     /// `(key, id)`; key 0 is "no key".
@@ -1410,7 +1411,21 @@ mod channel_oracle {
     /// drive the real channel and the oracle.
     trait Chan: Send + Sync {
         fn send(&self, p: &Proc, m: Msg, latency: SimTime);
-        fn send_ctl(&self, p: &Proc, m: Msg, latency: SimTime);
+        /// What `SimChannel::send_ctl` does, without its metrics.
+        fn send_ctl(&self, p: &Proc, m: Msg, latency: SimTime) {
+            let plan = match p.fault_plan() {
+                Some(plan) if plan.links_enabled() => plan,
+                _ => return self.send(p, m, latency),
+            };
+            let d = plan.decide_link();
+            if d.drop {
+                return;
+            }
+            if d.duplicate {
+                self.send(p, m, latency + d.extra_delay);
+            }
+            self.send(p, m, latency + d.extra_delay);
+        }
         fn recv(&self, p: &Proc) -> Msg;
         fn recv_match(&self, p: &Proc, pred: Pred) -> Msg;
         fn recv_match_deadline(&self, p: &Proc, pred: Pred, deadline: SimTime) -> Option<Msg>;
@@ -1443,6 +1458,40 @@ mod channel_oracle {
         }
         fn len(&self) -> usize {
             SimChannel::len(self)
+        }
+    }
+
+    /// A set of one mailbox, whose messages have no sender: the unordered
+    /// discipline without the non-overtaking rule, which the old queue
+    /// did not have. It counts what it sent, so it can tell what is left.
+    struct OneMailbox {
+        set: Mailboxes<Msg>,
+        sent: AtomicU64,
+    }
+
+    impl Chan for OneMailbox {
+        fn send(&self, p: &Proc, m: Msg, latency: SimTime) {
+            self.sent.fetch_add(1, Ordering::Relaxed);
+            self.set.send(p, 0, m, latency)
+        }
+        fn recv(&self, p: &Proc) -> Msg {
+            self.set.recv_match(p, 0, |_| true)
+        }
+        fn recv_match(&self, p: &Proc, pred: Pred) -> Msg {
+            self.set.recv_match(p, 0, pred)
+        }
+        fn recv_match_deadline(&self, p: &Proc, pred: Pred, deadline: SimTime) -> Option<Msg> {
+            self.set.recv_match_deadline(p, 0, pred, deadline)
+        }
+        fn recv_key_deadline(&self, _: &Proc, _: u64, _: SimTime) -> Option<Msg> {
+            unreachable!("an unordered run asks for a key by predicate")
+        }
+        /// A deadline of now: an arrived match or `None`, never a wait.
+        fn try_recv_match(&self, p: &Proc, pred: Pred) -> Option<Msg> {
+            self.set.recv_match_deadline(p, 0, pred, p.now())
+        }
+        fn len(&self) -> usize {
+            (self.sent.load(Ordering::Relaxed) - self.set.received(0)) as usize
         }
     }
 
@@ -1483,7 +1532,7 @@ mod channel_oracle {
 
     impl OldChannel {
         fn wait(&self, p: &Proc, mut s: MutexGuard<'_, OldState>, until: Option<SimTime>) {
-            let token = Arc::new(SimChannel::new());
+            let token = Arc::new(SimChannel::new_fifo());
             s.waiters.push(Arc::clone(&token));
             drop(s);
             match until {
@@ -1512,21 +1561,6 @@ mod channel_oracle {
             for w in s.waiters.drain(..) {
                 w.send(p, (), arrival - p.now());
             }
-        }
-
-        fn send_ctl(&self, p: &Proc, m: Msg, latency: SimTime) {
-            let plan = match p.fault_plan() {
-                Some(plan) if plan.links_enabled() => plan,
-                _ => return self.send(p, m, latency),
-            };
-            let d = plan.decide_link();
-            if d.drop {
-                return;
-            }
-            if d.duplicate {
-                self.send(p, m, latency + d.extra_delay);
-            }
-            self.send(p, m, latency + d.extra_delay);
         }
 
         fn recv(&self, p: &Proc) -> Msg {
@@ -1704,7 +1738,10 @@ mod channel_oracle {
                     for backend in [ProcBackend::Threads, ProcBackend::Coroutine] {
                         let new: Arc<dyn Chan> = match fifo {
                             true => Arc::new(SimChannel::new_fifo_keyed(key_of)),
-                            false => Arc::new(SimChannel::new()),
+                            false => Arc::new(OneMailbox {
+                                set: Mailboxes::new(1, |_| None),
+                                sent: AtomicU64::new(0),
+                            }),
                         };
                         let old = Arc::new(OldChannel {
                             fifo,
