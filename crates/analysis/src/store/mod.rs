@@ -121,7 +121,9 @@ pub use iofault::{FaultScript, FaultyFile};
 pub use reader::{QueryStats, SalvageSummary, StoreInfo, StoreReader};
 pub use salvage::{fsck, repair, ChunkFault, FooterState, FsckReport};
 pub use segment::{RetentionPolicy, RotatingWriter, RotationPolicy, SegmentSet, SegmentStats};
-pub use writer::{write_store_from_trace, write_store_from_vt, ChunkBuf, StoreStats, StoreWriter};
+pub use writer::{
+    write_store_from_trace, write_store_from_vt, ChunkBuf, StoreStats, StoreWriter, STAGE_BUDGET,
+};
 
 use dynprof_sim::SimTime;
 use dynprof_vt::{Event, VtFuncId};

@@ -25,7 +25,7 @@ use dynprof_sim::SimTime;
 use dynprof_vt::{locked, Event, EventSink, Lane, VtFuncId};
 
 use super::reader::{QueryStats, StoreInfo, StoreReader};
-use super::writer::{remap_func, ChunkBuf, FileHalf, Lanes, Meter, Seal, StoreStats};
+use super::writer::{remap_func, ChunkBuf, FileHalf, Lanes, Meter, Seal, Spill, StoreStats};
 use super::{EventSource, StoreOptions};
 use crate::error::TraceError;
 
@@ -218,6 +218,7 @@ impl RotatingWriter {
                 file.pos(),
             ))
         });
+        let spill = Spill::beside(&base);
         let rotor = Arc::new(Mutex::new(Rotor {
             base,
             program,
@@ -233,7 +234,7 @@ impl RotatingWriter {
             meter: meter.clone(),
             deferred_err: None,
         }));
-        let lanes = Lanes::new(opts, Arc::clone(&rotor) as _, meter);
+        let lanes = Lanes::new(opts, Arc::clone(&rotor) as _, meter, spill);
         Ok(RotatingWriter { rotor, lanes })
     }
 
@@ -263,6 +264,7 @@ impl RotatingWriter {
         if let Some(e) = rotor.deferred_err.take() {
             return Err(e);
         }
+        self.lanes.spill.check()?;
         let mut file = rotor
             .current
             .take()

@@ -1,5 +1,5 @@
-//! The streaming store writer: bounded memory per rank, chunks sealed the
-//! moment they fill, footer index written once at `finish()`.
+//! The streaming store writer: bounded memory per capture, chunks sealed
+//! the moment they fill, footer index written once at `finish()`.
 //!
 //! A rank's open chunk — its **stage**, a [`ChunkBuf`] — lives in that
 //! rank's [`Lane`]: held by the trace library for a live capture (the
@@ -10,6 +10,14 @@
 //! staging step and `FileHalf::seal` the only writer of a chunk, whoever
 //! feeds them.
 //!
+//! A stage holds its payload in memory until the capture's stages hold
+//! more than [`STAGE_BUDGET`]; from then on a stage that finishes a block
+//! moves its full blocks to the capture's [`Spill`], an unlinked scratch
+//! file, and keeps one block in memory. A capture therefore holds about
+//! one block per rank plus the budget, however many ranks it has; the seal
+//! reads the spilled blocks back, and the chunk it writes is the same
+//! bytes either way.
+//!
 //! Crash-consistency discipline (DESIGN §17): the salvageable preamble
 //! (program + function dictionary) is written before the first chunk;
 //! every chunk carries a CRC-32 over its header and payload; the footer
@@ -18,9 +26,11 @@
 //! [`StoreReader::open_salvage`](super::StoreReader::open_salvage), and
 //! only the unflushed tail is at risk.
 
+use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dynprof_sim::SimTime;
@@ -49,12 +59,21 @@ pub struct StoreStats {
     pub peak_buffered_bytes: usize,
 }
 
-/// Bytes in one block of a stage. A stage holds its payload in blocks of
-/// this size, taken as it grows and never moved or regrown: a doubling
-/// vector holds up to twice what it staged and frees each buffer it
-/// outgrows, and a rank's whole trace may wait in its stage until the
-/// capture closes.
+/// Bytes in one block of a stage, and in one slot of a [`Spill`]. A stage
+/// holds its payload in blocks of this size, taken as it grows and never
+/// moved or regrown (a doubling vector holds up to twice what it staged
+/// and frees each buffer it outgrows); a stage past the capture's
+/// [`STAGE_BUDGET`] keeps only the block it is filling and spills the
+/// rest whole.
 const BLOCK: usize = 256;
+
+/// Staged payload, in bytes, a capture holds in memory across its ranks
+/// before its stages start to spill: counted in whole blocks, spare ones
+/// included. Above the most one rank stages in a chunk of the default
+/// size (2 048 events of at most 39 bytes, about 80 KB), so a one-process
+/// capture never spills; a wide one holds about this plus a block per
+/// rank.
+pub const STAGE_BUDGET: usize = 256 * 1024;
 
 /// One event's encoding on its way into a stage: the longest, a literal
 /// with every field at its full width, is 39 bytes.
@@ -92,10 +111,13 @@ impl Drop for Block {
 /// empties it — the shape table too, so every chunk decodes on its own —
 /// and keeps its blocks for the rank's next chunk.
 pub struct ChunkBuf {
-    /// The payload's blocks while it is staged, the one being filled
-    /// first, each chained to the one filled before it: the payload is
-    /// its first `len` bytes in the reverse order, an event straddling a
-    /// block edge where it falls.
+    /// The spilled head of the payload, in order: its first
+    /// `slots.len() * BLOCK` bytes are these slots of the spill.
+    slots: Vec<u32>,
+    /// The payload's blocks in memory while it is staged, the one being
+    /// filled first, each chained to the one filled before it: the rest
+    /// of the payload is their bytes in the reverse order, an event
+    /// straddling a block edge where it falls.
     filled: Option<Box<Block>>,
     /// The blocks to fill next, in order: those earlier chunks filled.
     /// Sealing puts the payload's blocks at the front, in payload order
@@ -113,12 +135,16 @@ pub struct ChunkBuf {
     /// The largest payload this stage has handed over
     /// ([`StoreStats::peak_buffered_bytes`]).
     high_water: usize,
+    /// The capture's spill, for a stage that may spill.
+    stash: Option<Stash>,
 }
 
 impl Default for ChunkBuf {
-    /// An empty stage; takes its first block at the first event.
+    /// An empty stage that never spills; takes its first block at the
+    /// first event.
     fn default() -> ChunkBuf {
         ChunkBuf {
+            slots: Vec::new(),
             filled: None,
             spare: None,
             len: 0,
@@ -129,6 +155,7 @@ impl Default for ChunkBuf {
             prev_t: 0,
             shapes: ShapeTable::default(),
             high_water: 0,
+            stash: None,
         }
     }
 }
@@ -190,20 +217,50 @@ impl ChunkBuf {
         }
     }
 
-    /// Start filling the next spare block, or a new one.
+    /// Start filling the next spare block, or a new one. The blocks filled
+    /// so far are full: a stage that spills moves them to the spill first,
+    /// and fills the newest again.
     fn take_block(&mut self) {
+        if self.filled.is_some() && self.stash.as_mut().is_some_and(Stash::spills_at_edge) {
+            self.spill_full();
+        }
         let mut block = match self.spare.take() {
             Some(mut block) => {
                 self.spare = block.next.take();
                 block
             }
-            None => Box::new(Block {
-                bytes: [0; BLOCK],
-                next: None,
-            }),
+            None => {
+                if let Some(stash) = &mut self.stash {
+                    stash.hold();
+                }
+                Box::new(Block {
+                    bytes: [0; BLOCK],
+                    next: None,
+                })
+            }
         };
         block.next = self.filled.take();
         self.filled = Some(block);
+    }
+
+    /// Write every filled block, all full, to the spill, and keep the
+    /// newest as the only block, spare: the stage spills from here on.
+    /// Nothing moves if the spill fails; the error waits for `finish()`.
+    fn spill_full(&mut self) {
+        let Some(stash) = &mut self.stash else {
+            return;
+        };
+        let spilled = self.slots.len();
+        let full = self.len / BLOCK - spilled;
+        let blocks = std::iter::successors(self.filled.as_deref(), |b| b.next.as_deref());
+        if !stash.spill.put(blocks, full, &mut self.slots) {
+            return;
+        }
+        debug_assert_eq!(self.slots.len(), spilled + full);
+        let mut keep = self.filled.take().expect("a block was filled");
+        keep.next = None;
+        self.spare = Some(keep);
+        stash.keep_one();
     }
 
     /// Chain the payload's blocks at the front of the spare ones, in
@@ -216,13 +273,26 @@ impl ChunkBuf {
         }
     }
 
-    /// The payload in order, one piece per block it occupies. The stage
+    /// Read the spilled head of the payload into `into`, one read per run
+    /// of consecutive slots; `into` is left empty when nothing spilled.
+    fn unspill(&self, into: &mut Vec<u8>) -> std::io::Result<()> {
+        into.clear();
+        match &self.stash {
+            Some(stash) if !self.slots.is_empty() => stash.spill.read(&self.slots, into),
+            _ => Ok(()),
+        }
+    }
+
+    /// The payload in order: `spilled`, its head as [`ChunkBuf::unspill`]
+    /// read it, then one piece per block it occupies in memory. The stage
     /// is settled.
-    fn pieces(&self) -> impl Iterator<Item = &[u8]> {
+    fn pieces<'a>(&'a self, spilled: &'a [u8]) -> impl Iterator<Item = &'a [u8]> {
         debug_assert!(self.filled.is_none(), "pieces of an unsettled stage");
+        debug_assert_eq!(spilled.len(), self.slots.len() * BLOCK);
         let blocks = std::iter::successors(self.spare.as_deref(), |b| b.next.as_deref());
-        let pieces = blocks.zip((0..self.len).step_by(BLOCK));
-        pieces.map(|(block, at)| &block.bytes[..BLOCK.min(self.len - at)])
+        let pieces = blocks.zip((spilled.len()..self.len).step_by(BLOCK));
+        let held = pieces.map(|(block, at)| &block.bytes[..BLOCK.min(self.len - at)]);
+        std::iter::once(spilled).chain(held)
     }
 
     /// Encoded bytes staged since the last seal.
@@ -230,14 +300,249 @@ impl ChunkBuf {
         self.len
     }
 
-    /// Start the next chunk in the same blocks.
+    /// Start the next chunk in the same blocks, and free its slots.
     pub fn clear(&mut self) {
         self.settle();
+        if let Some(stash) = &self.stash {
+            stash.spill.free(&self.slots);
+        }
+        self.slots.clear();
         *self = ChunkBuf {
+            slots: std::mem::take(&mut self.slots),
             spare: self.spare.take(),
             high_water: self.high_water,
+            stash: self.stash.take(),
             ..ChunkBuf::default()
         };
+    }
+
+    /// An empty stage that spills to `spill`.
+    fn spilling(spill: Arc<Spill>) -> ChunkBuf {
+        ChunkBuf {
+            stash: Some(Stash {
+                spill,
+                blocks: 0,
+                spills: false,
+            }),
+            ..ChunkBuf::default()
+        }
+    }
+
+    /// An empty stage that spills where this one does, if it does.
+    fn sibling(&self) -> ChunkBuf {
+        match &self.stash {
+            Some(stash) => ChunkBuf::spilling(Arc::clone(&stash.spill)),
+            None => ChunkBuf::default(),
+        }
+    }
+}
+
+/// A stage's hold on its capture's spill: the blocks it counts in the
+/// spill's [`Spill::held`], given back when the stage is dropped.
+struct Stash {
+    spill: Arc<Spill>,
+    blocks: u32,
+    /// The stage has spilled and holds one block. It stays so: grown back
+    /// in memory, it would take its blocks afresh for every chunk.
+    spills: bool,
+}
+
+impl Stash {
+    /// Does the stage spill its full blocks at this edge? From the first
+    /// edge it meets with the capture over budget, on.
+    fn spills_at_edge(&mut self) -> bool {
+        self.spills = self.spills || self.spill.over_budget();
+        self.spills
+    }
+
+    /// The stage took a new block.
+    fn hold(&mut self) {
+        self.blocks += 1;
+        self.spill.held.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The stage dropped all its blocks but one.
+    fn keep_one(&mut self) {
+        let dropped = self.blocks - 1;
+        self.blocks = 1;
+        self.spill
+            .held
+            .fetch_sub(dropped as usize, Ordering::Relaxed);
+    }
+}
+
+impl Drop for Stash {
+    fn drop(&mut self) {
+        self.spill
+            .held
+            .fetch_sub(self.blocks as usize, Ordering::Relaxed);
+    }
+}
+
+/// Where a capture's stages move their full blocks once its stages hold
+/// more than [`STAGE_BUDGET`]: a scratch file of `BLOCK`-byte slots, made
+/// in the store's directory at the first spill and unlinked at once, so
+/// nothing is left of it however the capture ends. A slot freed at a seal
+/// is taken again before the file grows, so the file never holds more
+/// slots than were spilled at once. A capture's lanes share one, as they
+/// share the [`Meter`].
+pub(crate) struct Spill {
+    /// Blocks the capture's stages hold in memory, spare ones included.
+    /// `Relaxed`, as the meter.
+    held: AtomicUsize,
+    file: Mutex<SpillFile>,
+}
+
+struct SpillFile {
+    /// Where the file is made.
+    dir: PathBuf,
+    /// The file, unlinked; `None` until the first spill.
+    file: Option<File>,
+    /// Slots freed at seals, to take again from the top.
+    free: Vec<u32>,
+    /// Slots the file holds.
+    slots: u32,
+    /// The first I/O error: nothing spills after it.
+    err: Option<std::io::Error>,
+}
+
+impl Spill {
+    /// A spill whose file, once needed, is made in `dir`.
+    pub(crate) fn new(dir: PathBuf) -> Spill {
+        Spill {
+            held: AtomicUsize::new(0),
+            file: Mutex::new(SpillFile {
+                dir,
+                file: None,
+                free: Vec::new(),
+                slots: 0,
+                err: None,
+            }),
+        }
+    }
+
+    /// A spill beside the store at `path`.
+    pub(crate) fn beside(path: &Path) -> Spill {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        Spill::new(dir.unwrap_or(Path::new(".")).to_path_buf())
+    }
+
+    /// Do the capture's stages hold more than the budget?
+    #[inline]
+    fn over_budget(&self) -> bool {
+        self.held.load(Ordering::Relaxed) * BLOCK > STAGE_BUDGET
+    }
+
+    /// Write the `n` blocks of `newest_first`, the end of a payload in
+    /// reverse order, to `n` slots appended to `slots` in payload order.
+    /// On an error nothing is appended, and the error is kept.
+    fn put<'a>(
+        &self,
+        newest_first: impl Iterator<Item = &'a Block>,
+        n: usize,
+        slots: &mut Vec<u32>,
+    ) -> bool {
+        let mut file = locked(&self.file);
+        let at = slots.len();
+        match file.put(newest_first, n, slots) {
+            Ok(()) => true,
+            Err(e) => {
+                file.free(&slots[at..]);
+                slots.truncate(at);
+                file.err.get_or_insert(e);
+                false
+            }
+        }
+    }
+
+    /// Read `slots` into `into`, one read per run of consecutive slots.
+    fn read(&self, slots: &[u32], into: &mut Vec<u8>) -> std::io::Result<()> {
+        let file = locked(&self.file);
+        let file = file.file.as_ref().expect("slots were written");
+        into.resize(slots.len() * BLOCK, 0);
+        let mut runs = slots.iter().enumerate().peekable();
+        while let Some((first, &slot)) = runs.next() {
+            let mut last = first;
+            while let Some((i, _)) = runs.next_if(|&(i, &s)| s == slot + (i - first) as u32) {
+                last = i;
+            }
+            let bytes = &mut into[first * BLOCK..(last + 1) * BLOCK];
+            file.read_exact_at(bytes, u64::from(slot) * BLOCK as u64)?;
+        }
+        Ok(())
+    }
+
+    /// Give `slots` back, to be taken again.
+    fn free(&self, slots: &[u32]) {
+        if !slots.is_empty() {
+            locked(&self.file).free(slots);
+        }
+    }
+
+    /// The first spill I/O error, as the capture's.
+    pub(crate) fn check(&self) -> Result<(), TraceError> {
+        match locked(&self.file).err.take() {
+            Some(e) => Err(TraceError::Io(e)),
+            None => Ok(()),
+        }
+    }
+}
+
+impl SpillFile {
+    /// Make the file at the first spill, and unlink it at once; fails
+    /// again once anything has failed.
+    fn open(&mut self) -> std::io::Result<()> {
+        if let Some(e) = &self.err {
+            return Err(e.kind().into());
+        }
+        if self.file.is_none() {
+            // Fixed-width names: a session's allocations are the same
+            // bytes in every process.
+            static MADE: AtomicU64 = AtomicU64::new(0);
+            let made = MADE.fetch_add(1, Ordering::Relaxed);
+            let name = format!(".spill-{:010}-{made:010}", std::process::id());
+            let path = self.dir.join(name);
+            let file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create_new(true)
+                .open(&path)?;
+            std::fs::remove_file(&path)?;
+            self.file = Some(file);
+        }
+        Ok(())
+    }
+
+    /// [`Spill::put`]: take the slots and write the blocks. The slots taken
+    /// stay in `slots` on an error.
+    fn put<'a>(
+        &mut self,
+        newest_first: impl Iterator<Item = &'a Block>,
+        n: usize,
+        slots: &mut Vec<u32>,
+    ) -> std::io::Result<()> {
+        self.open()?;
+        let at = slots.len();
+        slots.extend((0..n).map(|_| self.take_slot()));
+        let file = self.file.as_ref().expect("opened above");
+        for (block, &slot) in newest_first.zip(slots[at..].iter().rev()) {
+            file.write_all_at(&block.bytes, u64::from(slot) * BLOCK as u64)?;
+        }
+        Ok(())
+    }
+
+    /// A free slot, or a new one at the end of the file.
+    fn take_slot(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.slots += 1;
+            self.slots - 1
+        })
+    }
+
+    /// Free a stage's slots, last first, so that the next stage takes
+    /// them in the order this one did.
+    fn free(&mut self, slots: &[u32]) {
+        self.free.extend(slots.iter().rev());
     }
 }
 
@@ -327,7 +632,7 @@ impl StoreLane {
     fn open(&self, rank: u32) -> StoreLane {
         StoreLane {
             rank,
-            stage: ChunkBuf::default(),
+            stage: self.stage.sibling(),
             chunk_events: self.chunk_events,
             shared: Arc::clone(&self.shared),
             meter: self.meter.clone(),
@@ -343,6 +648,8 @@ pub(crate) struct Lanes {
     by_rank: DenseMap<StoreLane>,
     /// What every lane is opened from.
     proto: StoreLane,
+    /// The capture's spill, for its error at `finish()`.
+    pub(crate) spill: Arc<Spill>,
 }
 
 impl Lanes {
@@ -350,10 +657,12 @@ impl Lanes {
         opts: StoreOptions,
         shared: Arc<Mutex<dyn Seal + Send>>,
         meter: Option<Arc<Meter>>,
+        spill: Spill,
     ) -> Lanes {
+        let spill = Arc::new(spill);
         let proto = StoreLane {
             rank: 0,
-            stage: ChunkBuf::default(),
+            stage: ChunkBuf::spilling(Arc::clone(&spill)),
             chunk_events: opts.chunk_events.max(1),
             shared,
             meter,
@@ -361,6 +670,7 @@ impl Lanes {
         Lanes {
             by_rank: DenseMap::new(DENSE_RANKS),
             proto,
+            spill,
         }
     }
 
@@ -372,7 +682,7 @@ impl Lanes {
     /// Stage `ev` in its rank's lane, opening the lane at its first event.
     pub(crate) fn push(&mut self, ev: &Event) {
         let rank = ev.rank();
-        let Lanes { by_rank, proto } = self;
+        let Lanes { by_rank, proto, .. } = self;
         if !by_rank.entry(rank, || proto.open(rank)).push(ev) {
             self.switch();
             let lane = self.by_rank.get_mut(rank).expect("opened above");
@@ -430,6 +740,8 @@ pub(crate) struct FileHalf<W: Write + Seek> {
     events: u64,
     peak_buffered: usize,
     deferred_err: Option<std::io::Error>,
+    /// A spilled stage's head, read back at its seal.
+    spilled: Vec<u8>,
 }
 
 impl FileHalf<BufWriter<std::fs::File>> {
@@ -452,6 +764,7 @@ impl<W: Write + Seek> FileHalf<W> {
             events: 0,
             peak_buffered: 0,
             deferred_err: None,
+            spilled: Vec::new(),
         })
     }
 
@@ -501,23 +814,28 @@ impl<W: Write + Seek> FileHalf<W> {
 
     fn write_chunk(&mut self, rank: u32, chunk: &ChunkBuf) -> std::io::Result<()> {
         self.ensure_preamble()?;
-        let mut meta = ChunkMeta {
-            rank,
-            offset: self.pos,
-            enc_len: chunk.len as u32,
-            count: chunk.count,
-            crc: 0,
-            min_t: chunk.min_t,
-            max_t: chunk.max_t,
-            max_end: chunk.max_end,
-        };
-        let header = meta.seal_header(chunk.pieces());
-        self.write_all_tracked(&header)?;
-        for piece in chunk.pieces() {
-            self.write_all_tracked(piece)?;
-        }
-        self.index.push(meta);
-        Ok(())
+        let mut spilled = std::mem::take(&mut self.spilled);
+        let written = chunk.unspill(&mut spilled).and_then(|()| {
+            let mut meta = ChunkMeta {
+                rank,
+                offset: self.pos,
+                enc_len: chunk.len as u32,
+                count: chunk.count,
+                crc: 0,
+                min_t: chunk.min_t,
+                max_t: chunk.max_t,
+                max_end: chunk.max_end,
+            };
+            let header = meta.seal_header(chunk.pieces(&spilled));
+            self.write_all_tracked(&header)?;
+            for piece in chunk.pieces(&spilled) {
+                self.write_all_tracked(piece)?;
+            }
+            self.index.push(meta);
+            Ok(())
+        });
+        self.spilled = spilled;
+        written
     }
 
     /// Write the footer index and trailer, and return the write
@@ -587,23 +905,34 @@ pub struct StoreWriter<W: Write + Seek> {
 }
 
 impl StoreWriter<BufWriter<std::fs::File>> {
-    /// Create a store file at `path`.
+    /// Create a store file at `path`; its stages spill beside it.
     pub fn create(
         path: impl AsRef<Path>,
         program: impl Into<String>,
         opts: StoreOptions,
     ) -> Result<Self, TraceError> {
-        let file = std::fs::File::create(path)?;
-        StoreWriter::new(BufWriter::new(file), program, opts)
+        let file = std::fs::File::create(path.as_ref())?;
+        let spill = Spill::beside(path.as_ref());
+        StoreWriter::with_spill(BufWriter::new(file), program.into(), opts, spill)
     }
 }
 
 impl<W: Write + Seek + Send + 'static> StoreWriter<W> {
-    /// Wrap any seekable sink.
+    /// Wrap any seekable sink; its stages spill into the system's
+    /// temporary directory.
     pub fn new(out: W, program: impl Into<String>, opts: StoreOptions) -> Result<Self, TraceError> {
-        let file = FileHalf::new(out, program.into())?;
-        let file = Arc::new(Mutex::new(file));
-        let lanes = Lanes::new(opts, Arc::clone(&file) as _, None);
+        let spill = Spill::new(std::env::temp_dir());
+        StoreWriter::with_spill(out, program.into(), opts, spill)
+    }
+
+    fn with_spill(
+        out: W,
+        program: String,
+        opts: StoreOptions,
+        spill: Spill,
+    ) -> Result<Self, TraceError> {
+        let file = Arc::new(Mutex::new(FileHalf::new(out, program)?));
+        let lanes = Lanes::new(opts, Arc::clone(&file) as _, None, spill);
         Ok(StoreWriter { file, lanes })
     }
 
@@ -621,9 +950,10 @@ impl<W: Write + Seek + Send + 'static> StoreWriter<W> {
     }
 
     /// Seal every partial chunk, write the footer index and trailer, and
-    /// return the write statistics.
+    /// return the write statistics. A spill's I/O error is the capture's.
     pub fn finish(mut self) -> Result<StoreStats, TraceError> {
         self.lanes.switch();
+        self.lanes.spill.check()?;
         locked(&self.file).finish()
     }
 }
@@ -801,30 +1131,52 @@ mod tests {
         events
     }
 
-    /// Two chunks through one stage, the second shorter and in the blocks
-    /// the first filled: each is sealed byte for byte as the codec encodes
-    /// it into one `Vec<u8>`, under that encoding's CRC, and decodes back
-    /// event for event.
+    /// Three chunks through one stage of a capture: the second shorter and
+    /// in the blocks the first filled, the third spilling from mid-chunk,
+    /// once the capture's other stages come to hold the budget, an event
+    /// straddling the edge where it starts. Each is sealed byte for byte as
+    /// the codec encodes it into one `Vec<u8>`, under that encoding's CRC,
+    /// and decodes back event for event.
     #[test]
     fn a_chunk_sealed_from_blocks_is_its_contiguous_encoding() {
         let events = edge_events();
-        let chunks = [&events[..], &events[..events.len() / 3]];
+        let chunks = [&events[..], &events[..events.len() / 3], &events[..]];
+        let spill = Arc::new(Spill::new(std::env::temp_dir()));
         let mut file = FileHalf::new(Cursor::new(Vec::new()), "t".into()).unwrap();
-        let mut stage = ChunkBuf::default();
-        for chunk in chunks {
+        let mut stage = ChunkBuf::spilling(Arc::clone(&spill));
+        let others = STAGE_BUDGET / BLOCK;
+        for (round, chunk) in chunks.into_iter().enumerate() {
             let mut straddles = 0;
-            for ev in chunk {
-                let at = stage.staged_bytes();
+            for (i, ev) in chunk.iter().enumerate() {
+                if round == 2 && i == chunk.len() / 2 {
+                    spill.held.fetch_add(others, Ordering::Relaxed);
+                }
+                let (at, spilled) = (stage.staged_bytes(), stage.slots.len());
                 let took = stage.stage(ev);
-                straddles += usize::from(at / BLOCK != (at + took - 1) / BLOCK);
+                let straddle = at / BLOCK != (at + took - 1) / BLOCK;
+                straddles += usize::from(straddle);
+                if spilled == 0 && !stage.slots.is_empty() {
+                    assert!(
+                        straddle && at % BLOCK != 0,
+                        "event {i} at {at} began the spill"
+                    );
+                    assert!(
+                        stage.slots.len() >= 2,
+                        "{} blocks spilled",
+                        stage.slots.len()
+                    );
+                }
             }
             let len = stage.staged_bytes();
-            assert!(len > 2 * BLOCK && len % BLOCK != 0, "{len}");
+            assert!(len > 2 * BLOCK && !len.is_multiple_of(BLOCK), "{len}");
             assert!(straddles >= 2, "{straddles} events straddle an edge");
+            assert_eq!(!stage.slots.is_empty(), round == 2, "round {round}");
             file.seal(3, &mut stage);
+            assert!(stage.slots.is_empty(), "a seal frees the slots");
         }
+        spill.held.fetch_sub(others, Ordering::Relaxed);
         let bytes = file.out.get_ref();
-        assert_eq!(file.index.len(), 2);
+        assert_eq!(file.index.len(), 3);
         for (meta, chunk) in file.index.iter().zip(chunks) {
             let (mut want, mut table, mut prev) = (Vec::new(), ShapeTable::default(), 0);
             for ev in chunk {
@@ -840,5 +1192,120 @@ mod tests {
             decode_chunk(payload, 3, meta.count, &mut back).unwrap();
             assert_eq!(back, chunk);
         }
+    }
+
+    /// `rounds` rounds of `events` eight-byte events on each of 16 ranks,
+    /// the ranks taking turns event by event, every stage sealed at the end
+    /// of a round: a round of 4 096 stages 512 KiB. `each` sees the writer
+    /// after every event.
+    fn feed<W: Write + Seek + Send + 'static>(
+        w: &mut StoreWriter<W>,
+        rounds: u64,
+        events: u64,
+        mut each: impl FnMut(&StoreWriter<W>),
+    ) {
+        let mut t = 0;
+        for _ in 0..rounds {
+            for _ in 0..events * 16 {
+                w.append(&Event::ConfSync {
+                    t: SimTime(t),
+                    rank: (t % 16) as u32,
+                    epoch: u32::MAX - t as u32,
+                });
+                each(w);
+                t += 1;
+            }
+            w.lanes.switch();
+        }
+    }
+
+    /// Slots in use in the spill of `w`'s capture.
+    fn slots_in_use<W: Write + Seek>(w: &StoreWriter<W>) -> usize {
+        let file = locked(&w.lanes.spill.file);
+        file.slots as usize - file.free.len()
+    }
+
+    /// Four rounds of chunks over the budget, every rank sealing at the end
+    /// of each: a slot freed at a seal is taken again before the file
+    /// grows, so the file never holds more slots than were spilled at once.
+    /// Only a round's end seals, so what is in use after each event is all
+    /// that ever was.
+    #[test]
+    fn the_spill_file_holds_no_more_than_was_spilled_at_once() {
+        let opts = StoreOptions {
+            chunk_events: 1 << 20,
+        };
+        let mut w = StoreWriter::new(Cursor::new(Vec::new()), "t", opts).unwrap();
+        let mut most = 0;
+        feed(&mut w, 4, 4096, |w| most = most.max(slots_in_use(w)));
+        let spill = Arc::clone(&w.lanes.spill);
+        let stats = w.finish().unwrap();
+        assert_eq!((stats.chunks, stats.events), (64, 4 * 16 * 4096));
+        let file = locked(&spill.file);
+        let len = file.file.as_ref().expect("the capture spilled").metadata();
+        // A round stages 2 048 blocks, at most the budget's 1 024 of them
+        // in memory.
+        assert!(most > 512, "{most} slots in use at most");
+        assert_eq!(file.slots as usize, most);
+        assert_eq!(len.unwrap().len(), (most * BLOCK) as u64);
+        assert_eq!(file.free.len(), most, "every slot is free again");
+    }
+
+    /// A one-process capture never spills: the widest chunk one rank
+    /// stages at the default chunk size stays under the budget.
+    #[test]
+    fn one_rank_stays_under_the_budget() {
+        let opts = StoreOptions::default();
+        assert!(opts.chunk_events * 39 < STAGE_BUDGET);
+        let mut w = StoreWriter::new(Cursor::new(Vec::new()), "t", opts).unwrap();
+        let mut t = 0u64;
+        for i in 0..3 * opts.chunk_events as u64 {
+            t += 1 << 33;
+            w.append(&Event::FuncBatch {
+                t: SimTime(t),
+                rank: 0,
+                thread: u16::MAX,
+                func: VtFuncId(u32::MAX - i as u32 % 64),
+                count: u64::MAX - i,
+                span: SimTime(1 << 62 | i),
+            });
+        }
+        assert!(
+            locked(&w.lanes.spill.file).file.is_none(),
+            "nothing spilled"
+        );
+        let stats = w.finish().unwrap();
+        assert_eq!(stats.chunks, 3);
+        assert!(stats.peak_buffered_bytes > 30 * opts.chunk_events);
+    }
+
+    /// A capture beside a store spills there, and leaves no file of it; a
+    /// spill that cannot be made is the capture's I/O error at `finish()`.
+    #[test]
+    fn a_spill_leaves_no_file_and_its_error_waits_for_finish() {
+        let dir = std::env::temp_dir().join(format!("dynprof-spill-{}", std::process::id()));
+        let path = dir.join("s.vgvs");
+        let listing = || {
+            let names = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name());
+            names.collect::<Vec<_>>()
+        };
+        let opts = StoreOptions { chunk_events: 4096 };
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut w = StoreWriter::create(&path, "t", opts).unwrap();
+        feed(&mut w, 1, 4000, |_| {});
+        let made = locked(&w.lanes.spill.file).file.is_some();
+        assert!(made, "the capture spilled");
+        assert_eq!(listing(), ["s.vgvs"]);
+        assert_eq!(w.finish().unwrap().events, 16 * 4000);
+        assert_eq!(listing(), ["s.vgvs"]);
+
+        let mut w = StoreWriter::create(&path, "t", opts).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        feed(&mut w, 1, 4000, |_| {});
+        let made = locked(&w.lanes.spill.file).file.is_some();
+        assert!(!made, "nothing could spill");
+        assert!(matches!(w.finish(), Err(TraceError::Io(_))));
     }
 }

@@ -90,7 +90,9 @@ pub(crate) struct JobState {
     pub mailboxes: Mailboxes<Envelope>,
     pub hooks: HookChain,
     pub rndv_ids: AtomicU32,
-    /// Identity for happens-before recording (0 when `check` is off).
+    /// Identity for happens-before recording: a process-global id
+    /// ([`dynprof_sim::hb::unique_id`]) taken whether or not the run is
+    /// armed.
     pub check_id: u64,
     /// The job's instruments, if its run is observed.
     pub metrics: JobMetrics,

@@ -113,7 +113,8 @@ impl<T> ChannelState<T> {
 /// mailboxes, where the network may reorder, are a [`Mailboxes`] set.
 pub struct SimChannel<T> {
     state: Mutex<ChannelState<T>>,
-    /// Identity for happens-before recording (0 when `check` is off).
+    /// Identity for happens-before recording: a process-global id
+    /// ([`hb::unique_id`]) taken whether or not the run is armed.
     id: u64,
 }
 
@@ -672,7 +673,8 @@ pub struct SimBarrier {
     n: usize,
     cost: SimTime,
     state: Mutex<BarrierState>,
-    /// Identity for happens-before recording (0 when `check` is off).
+    /// Identity for happens-before recording: a process-global id
+    /// ([`hb::unique_id`]) taken whether or not the run is armed.
     id: u64,
 }
 
@@ -761,7 +763,8 @@ struct GateState {
 /// through immediately (their clocks raised to the opening time).
 pub struct SimGate {
     state: Mutex<GateState>,
-    /// Identity for happens-before recording (0 when `check` is off).
+    /// Identity for happens-before recording: a process-global id
+    /// ([`hb::unique_id`]) taken whether or not the run is armed.
     id: u64,
 }
 
@@ -838,7 +841,8 @@ impl SimGate {
 /// arrival latency; a `None` sentinel (closed queue) releases poppers.
 pub struct SimQueue<T> {
     state: Mutex<(VecDeque<T>, bool, Vec<Pid>)>,
-    /// Identity for happens-before recording (0 when `check` is off).
+    /// Identity for happens-before recording: a process-global id
+    /// ([`hb::unique_id`]) taken whether or not the run is armed.
     id: u64,
 }
 

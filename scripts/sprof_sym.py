@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Symbolise sprof dumps into self and inclusive profiles.
+"""Symbolise sprof dumps into self and inclusive profiles, or two acensus
+dumps into a per-rank heap census.
 
     python3 scripts/sprof_sym.py --self self.txt --inclusive incl.txt DUMP...
+    python3 scripts/sprof_sym.py --census A B
 
 Each dump (written by scripts/sprof.c) carries its own executable mappings,
 so dumps of different runs merge by *symbol*, ASLR or not.
@@ -21,6 +23,15 @@ unwinds only as far as `dynprof_sim_co_entry`.
 A stripped shared library is symbolised from its dynamic table (`nm -D`), so
 a sample in one of its internal functions is named after the nearest exported
 symbol below it: glibc's copy routines show up as `__nss_database_lookup`.
+
+Census: A and B are scripts/acensus.c dumps of one command line at two rank
+counts (`cpus=N`). Each stack's live bytes at the heap's peak are charged to
+its owner, the innermost frame in the program's own crates (`dynprof*`) that
+is not a generic container, and the table prints, per owner, the bytes at
+each count and the slope between them: what one more rank costs, and who
+holds it. Each owner is classed by its crate as the application (`apps`),
+the simulated machine (`sim`, `mpi`, `omp`) or the tool (the rest), and the
+classes' slopes close the table; together they are the live heap's slope.
 """
 
 import argparse
@@ -85,11 +96,19 @@ def nm(path, flags):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--self", dest="self_out", required=True)
-    ap.add_argument("--inclusive", dest="incl_out", required=True)
+    ap.add_argument("--self", dest="self_out")
+    ap.add_argument("--inclusive", dest="incl_out")
+    ap.add_argument("--census", action="store_true", help="two acensus dumps: per-rank slope by owner")
     ap.add_argument("--top", type=int, default=60)
     ap.add_argument("dumps", nargs="+")
     args = ap.parse_args()
+    if args.census:
+        if len(args.dumps) != 2:
+            ap.error("--census takes two dumps")
+        census(args.dumps, args.top)
+        return
+    if not (args.self_out and args.incl_out):
+        ap.error("--self and --inclusive are required without --census")
 
     images = {}
     self_counts, incl_counts = collections.Counter(), collections.Counter()
@@ -122,6 +141,82 @@ def main():
             out.write(header)
             for name, n in counts.most_common(args.top):
                 out.write(f"{100.0 * n / samples:6.2f}% {n:7d}  {name}\n")
+
+
+# Frames a census passes over on its way to an owner: the tracer, the C
+# library, and the standard library's containers and allocator plumbing.
+PLUMBING = re.compile(
+    r"^(<)?(alloc|core|std|hashbrown)::|^__rust|^__rdl|^_?(malloc|calloc|realloc|free)\b"
+)
+
+
+def owner(names):
+    """The innermost frame of the program's own crates that is not plumbing,
+    else the innermost frame that is not plumbing."""
+    frames = [n for n in names if not n.endswith(("[acensus.so]", "[libc.so.6]"))]
+    for name in frames:
+        if "dynprof" in name and not PLUMBING.match(name):
+            return name
+    for name in frames:
+        if not PLUMBING.match(name):
+            return name
+    return frames[0] if frames else "[unknown]"
+
+
+def read_census(path, images):
+    """(ranks, peak bytes, {owner: live bytes at the peak}) of one dump."""
+    maps, by_owner, ranks, peak = [], collections.Counter(), None, 0
+    with open(path) as f:
+        for line in f:
+            if line.startswith("acensus "):
+                peak = int(re.search(r"snapshot=(\d+)", line).group(1))
+            elif line.startswith("cmd "):
+                m = re.search(r"\bcpus=(\d+)", line)
+                ranks = int(m.group(1)) if m else None
+            elif line.startswith("map "):
+                fields = line.split()
+                if len(fields) >= 7:
+                    lo, hi = (int(x, 16) for x in fields[1].split("-"))
+                    maps.append((lo, hi, int(fields[3], 16), fields[6]))
+            elif line.startswith("c "):
+                fields = line.split()
+                names = [resolve(int(pc, 16), maps, images) for pc in fields[3:]]
+                by_owner[owner(names)] += int(fields[1])
+    if ranks is None:
+        sys.exit(f"sprof_sym: {path}: no cpus=N on the command line")
+    return ranks, peak, by_owner
+
+
+CRATE = re.compile(r"dynprof_(\w+?)::")
+
+
+def owner_class(name):
+    m = CRATE.search(name)
+    crate = m.group(1) if m else ""
+    if crate == "apps":
+        return "app"
+    if crate in ("sim", "mpi", "omp"):
+        return "machine"
+    return "tool" if crate else "other"
+
+
+def census(paths, top):
+    images = {}
+    (ra, pa, a), (rb, pb, b) = (read_census(p, images) for p in paths)
+    if ra == rb:
+        sys.exit("sprof_sym: both dumps are of the same rank count")
+    per = rb - ra
+    print(f"# live heap at its peak: {pa} B at {ra} ranks, {pb} B at {rb} ranks,"
+          f" {(pb - pa) / per:.1f} B per rank")
+    print(f"{'B/rank':>9} {'at ' + str(ra):>11} {'at ' + str(rb):>11}  {'class':<8} owner")
+    rows = sorted(set(a) | set(b), key=lambda o: -abs(b[o] - a[o]))
+    for o in rows[:top]:
+        print(f"{(b[o] - a[o]) / per:9.1f} {a[o]:11d} {b[o]:11d}  {owner_class(o):<8} {o}")
+    classes = collections.Counter()
+    for o in rows:
+        classes[owner_class(o)] += b[o] - a[o]
+    for c in ("app", "machine", "tool", "other"):
+        print(f"{classes[c] / per:9.1f} {'':11} {'':11}  {c:<8} (class total)")
 
 
 def resolve(pc, maps, images):

@@ -31,7 +31,9 @@ use std::io::Cursor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use dynprof::analysis::store::{RotatingWriter, StoreOptions, StoreReader, StoreWriter};
+use dynprof::analysis::store::{
+    RotatingWriter, StoreOptions, StoreReader, StoreWriter, STAGE_BUDGET,
+};
 use dynprof::analysis::{ProfileBuilder, ProfileOptions};
 use dynprof::apps::cli::{run_cli, Capture, CliArgs};
 use dynprof::apps::{smg98, test_app, Smg98Params};
@@ -722,12 +724,12 @@ fn a_256_rank_dynamic_session_peaks_under_its_ceiling() {
 
 #[test]
 fn a_traced_256_rank_sweep3d_session_peaks_under_its_ceiling() {
-    // Every rank's whole trace waits in its stage until the capture
-    // closes, so the stages are full at the peak: what each holds beyond
-    // its encoded bytes is paid once per rank. Stages of fixed blocks and
-    // one envelope slab for the job's mailboxes peak at about 3.08 MB;
-    // per-rank mailbox queues added 0.36 MB to that, above this ceiling.
-    const CEILING: isize = 3_380_000;
+    // Every rank's trace is one chunk, open until the capture closes: the
+    // 256 stages would hold about 590 KB at the peak, past the capture's
+    // stage budget, so all but about the budget is spilled and each rank
+    // keeps one block. Held in memory whole, the stages peaked at about
+    // 3.08 MB, above this ceiling; spilling, about 2.80 MB.
+    const CEILING: isize = 3_000_000;
     if let Some(peak) = dynamic_session_peak("sweep3d", 256, true) {
         assert!(
             peak <= CEILING,
@@ -949,16 +951,21 @@ fn a_captured_event_allocates_nothing() {
     // the chunk header is built on the stack, so the amortized remainder
     // is what the in-memory file and the chunk index grow by — a constant
     // — plus at most one regrowth per rank whose later chunk runs longer
-    // than its first.
-    let chunk_events = 256;
-    let opts = StoreOptions { chunk_events };
-    let writer = StoreWriter::new(Cursor::new(Vec::new()), "ledger".to_string(), opts).unwrap();
-    let slot = Arc::new(Mutex::new(Some(writer)));
-    let (total, ops, ranks) = capture_allocs(Arc::clone(&slot) as _, chunk_events);
-    let writer = slot.lock().unwrap().take().expect("sink comes back");
-    let stats = writer.finish().unwrap();
-    assert_eq!(stats.events as usize, 2 * ranks * chunk_events + ops);
-    pin_allocs("trace_append", total, ops, 0, ranks + 8);
+    // than its first. Chunks of 16 384 events take the stages past the
+    // budget: a stage that spills writes its full blocks out and fills
+    // the one it kept, and a seal reads them back into one buffer.
+    for (name, chunk_events) in [("trace_append", 256), ("trace_append_spilled", 16_384)] {
+        let opts = StoreOptions { chunk_events };
+        let writer = StoreWriter::new(Cursor::new(Vec::new()), "ledger", opts).unwrap();
+        let slot = Arc::new(Mutex::new(Some(writer)));
+        let (total, ops, ranks) = capture_allocs(Arc::clone(&slot) as _, chunk_events);
+        let writer = slot.lock().unwrap().take().expect("sink comes back");
+        let stats = writer.finish().unwrap();
+        assert_eq!(stats.events as usize, 2 * ranks * chunk_events + ops);
+        let spilled = stats.peak_buffered_bytes > STAGE_BUDGET;
+        assert_eq!(spilled, chunk_events > 256, "{name}: {stats:?}");
+        pin_allocs(name, total, ops, 0, ranks + 8);
+    }
 
     // Into the pair `dynprof trace=` installs, summary profile and store:
     // a rank's lane is its profile state and its store stage, and an
