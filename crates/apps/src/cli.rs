@@ -236,7 +236,7 @@ fn read_script(path: &str) -> Result<Vec<Command>, String> {
 /// Open the store `args` asks for (if any) for `program`: one file, or
 /// with `rotate=` a family of segments sealed at the byte cap, the oldest
 /// pruned per `keep=N`, readable as one store via `SegmentSet`.
-fn open_trace(args: &CliArgs, program: &str) -> Result<Option<RotatingWriter>, String> {
+fn open_trace(args: &CliArgs, program: &str) -> Result<Option<Box<RotatingWriter>>, String> {
     let Some(path) = &args.trace else {
         return Ok(None);
     };
@@ -248,7 +248,7 @@ fn open_trace(args: &CliArgs, program: &str) -> Result<Option<RotatingWriter>, S
         keep_last: args.keep_segments,
     };
     RotatingWriter::create(path, program, StoreOptions::default(), rotation, retention)
-        .map(Some)
+        .map(|w| Some(Box::new(w)))
         .map_err(|e| format!("creating store {path:?}: {e}"))
 }
 
@@ -257,8 +257,9 @@ fn open_trace(args: &CliArgs, program: &str) -> Result<Option<RotatingWriter>, S
 pub struct Capture {
     /// What the summary's function table is rendered from.
     pub profile: ProfileBuilder,
-    /// The `trace=` store, if one was asked for.
-    pub store: Option<RotatingWriter>,
+    /// The `trace=` store, if one was asked for; boxed, so an untraced
+    /// session does not carry the writer.
+    pub store: Option<Box<RotatingWriter>>,
 }
 
 impl EventSink for Capture {

@@ -812,7 +812,7 @@ fn capture_slot() -> dynprof_vt::SharedSink {
     std::fs::remove_file(&path).ok();
     Arc::new(std::sync::Mutex::new(Some(dynprof_apps::cli::Capture {
         profile: ProfileBuilder::new(Vec::new(), Default::default()),
-        store: Some(store),
+        store: Some(Box::new(store)),
     })))
 }
 

@@ -29,8 +29,7 @@ pub use app::{AppBody, AppCtx, AppMode, AppSpec};
 pub use command::{Command, ParseError, HELP_TEXT};
 pub use initsync::{InitSync, InitSyncHook, INIT_CALLBACK_TAG};
 pub use session::{
-    check_memory, mem_available, run_attach_session, run_session, try_run_session,
-    MemoryBudgetExceeded, RecvCost, SessionConfig, SessionReport, TxnSettings, BYTES_PER_PROCESS,
-    POE_BASE, POE_PER_PROC,
+    check_memory, mem_available, run_session, try_run_session, MemoryBudgetExceeded, RecvCost,
+    SessionConfig, SessionReport, TxnSettings, BYTES_PER_PROCESS, POE_BASE, POE_PER_PROC,
 };
 pub use timefile::{Timefile, TimefileEntry};

@@ -97,6 +97,18 @@ impl<S: EventSink> EventSink for Option<S> {
     }
 }
 
+/// A boxed sink: an owner keeps a large, often absent sink (a store writer)
+/// behind a box, so a slot without one costs a pointer.
+impl<S: EventSink + ?Sized> EventSink for Box<S> {
+    fn funcdef(&mut self, id: VtFuncId, name: &str) {
+        (**self).funcdef(id, name);
+    }
+
+    fn lane(&mut self, rank: u32) -> Box<dyn Lane> {
+        (**self).lane(rank)
+    }
+}
+
 /// The shared half of a capture, held by the library that feeds it and by
 /// the owner that finishes it after the run.
 pub type SharedSink = Arc<Mutex<dyn EventSink>>;

@@ -7,9 +7,9 @@
 #   One mutant a line, four tab-separated fields: the file, a pattern (a
 #   fixed string that must occur exactly once in it), its replacement, and
 #   the test expected to kill it. '#' starts a comment line.
-# Prints one block per mutant: its kill list (binary::test, or
-# binary::crashed when a test binary died of a signal before it could
-# report), or SURVIVED.
+# Prints one block per mutant: its kill list (binary::test, and one
+# `signal` line when a test binary died of a signal before it could
+# report: which binary dies first varies from run to run), or SURVIVED.
 # Exits 1 if a mutant survives or cannot be applied. The copy and its
 # build directory live under $TMPDIR and are removed on exit; the first
 # mutant pays a full debug build, the rest rebuild what they touch.
@@ -57,9 +57,9 @@ while IFS=$'\t' read -r file pattern replacement killer; do
         -e 's/^ *Running .*\/\([^/]*\)-[0-9a-f]\{16\})$/@\1/p' \
         -e 's/^ *Doc-tests \(.*\)$/@doc \1/p' \
         -e 's/^test \(.*\) \.\.\. FAILED$/\1/p' \
-        -e 's/^ *process didn.t exit successfully: .*(signal: \([0-9]*\).*/crashed (signal \1)/p' \
+        -e 's/^ *process didn.t exit successfully: .*(signal: .*/signal/p' \
         -e 's/^error: could not compile `\([^`]*\)`.*/compile error in \1/p' "$log" |
-        sed -n -e '/^@/{h;d;}' -e '/^compile error/{p;d;}' \
+        sed -n -e '/^@/{h;d;}' -e '/^compile error/{p;d;}' -e '/^signal$/{p;d;}' \
             -e 'G;s/^\(.*\)\n@\(.*\)$/\2::\1/p' |
         sort -u)
     if [[ -n $killed ]]; then

@@ -622,6 +622,47 @@ fn heartbeat_detects_dead_node_within_bound() {
     }
 }
 
+/// A verdict follows the consecutive miss count exactly: a node that has
+/// gone silent turns Suspect at its `suspect_after`-th missed round and
+/// Dead at its `dead_after`-th, not a round later.
+#[test]
+fn heartbeat_verdicts_follow_the_consecutive_miss_count() {
+    let (seed, victim, start) = outage_scenario(&[1, 2, 3], 400, 1200);
+    let sim = Sim::virtual_time(Machine::test_machine(), seed);
+    assert!(sim.set_fault_plan(FaultPlan::new(&crash_forever_spec(seed), sim.machine())));
+    let system = DpclSystem::new(["u"]);
+    let cfg = HeartbeatConfig::default();
+    assert_eq!((cfg.suspect_after, cfg.dead_after), (2, 4));
+    let monitor = HeartbeatMonitor::new(Arc::clone(&system), 1..=3usize, cfg);
+    let verdicts = Arc::new(Mutex::new(Vec::new()));
+    let (sys2, m2, v2) = (
+        Arc::clone(&system),
+        Arc::clone(&monitor),
+        Arc::clone(&verdicts),
+    );
+    sim.spawn("driver", 0, move |p| {
+        let client = DpclClient::new(sys2, "u");
+        for n in 1..=3usize {
+            client.connect(p, n).unwrap();
+        }
+        p.sleep_until(start + SimTime::from_millis(1));
+        for _ in 0..5 {
+            m2.probe_round(p);
+            v2.lock()
+                .unwrap()
+                .push(m2.health(victim).expect("monitored"));
+        }
+        client.shutdown(p);
+    });
+    sim.run();
+    use NodeHealth::{Alive, Dead, Suspect};
+    assert_eq!(
+        *verdicts.lock().unwrap(),
+        [Alive, Suspect, Suspect, Dead, Dead],
+        "the victim's verdict after each missed round"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Sessions under faults: one install protocol
 // ---------------------------------------------------------------------------

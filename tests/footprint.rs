@@ -696,8 +696,10 @@ fn a_fault_free_install_takes_most_acks_while_it_sends() {
 
 #[test]
 fn a_64_rank_dynamic_session_peaks_under_its_ceiling() {
-    // The deterministic count behind the session-RSS claim.
-    const CEILING: isize = 1_455_000;
+    // The deterministic count behind the session-RSS claim: 1 323 838
+    // bytes with the temp dir at `/tmp`. The session keeps its script's
+    // path, so the peak grows a byte per byte of a longer temp dir.
+    const CEILING: isize = 1_324_000;
     if let Some(peak) = dynamic_session_peak("smg98", 64, false) {
         assert!(
             peak <= CEILING,
@@ -712,8 +714,8 @@ fn a_256_rank_dynamic_session_peaks_under_its_ceiling() {
     // without a pause, all of its requests and then all of its acks sit
     // in the control plane's inboxes at once, so the peak grows with the
     // batch. Taking each function's acks as it goes bounds the queues by
-    // about one function's worth.
-    const CEILING: isize = 3_480_000;
+    // about one function's worth. Measured: 3 162 866 bytes under `/tmp`.
+    const CEILING: isize = 3_163_000;
     if let Some(peak) = dynamic_session_peak("smg98", 256, false) {
         assert!(
             peak <= CEILING,
@@ -982,7 +984,7 @@ fn a_captured_event_allocates_nothing() {
     );
     let capture = Capture {
         profile: ProfileBuilder::new(Vec::new(), ProfileOptions::default()),
-        store: Some(store.unwrap()),
+        store: Some(Box::new(store.unwrap())),
     };
     // Unlinked at once: the open file is all the capture needs.
     std::fs::remove_dir_all(&dir).ok();

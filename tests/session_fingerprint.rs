@@ -1,7 +1,7 @@
 //! Session fingerprints: one line per session over every way a session can
 //! run — the four kernels under every policy, a set of `dynprof` script
-//! shapes, a session on an inert fault plan, an attach to a running job
-//! and the Dynamic install under live fault plans — byte-compared against
+//! shapes, a session on an inert fault plan and the Dynamic install under
+//! live fault plans — byte-compared against
 //! `tests/golden/session_fingerprints.txt`.
 //!
 //! A line holds the report's times and counts, the warnings, the rendered
@@ -10,8 +10,8 @@
 //! up here as the line it moved. Regenerate (only when a change is meant)
 //! with `UPDATE_GOLDENS=1 cargo test --test session_fingerprint`.
 
-use dynprof::apps::{sppm, test_app, SppmParams};
-use dynprof::core::{run_attach_session, run_session, Command, SessionConfig, SessionReport};
+use dynprof::apps::test_app;
+use dynprof::core::{run_session, Command, SessionConfig, SessionReport};
 use dynprof::sim::{FaultSpec, Machine, SimTime};
 use dynprof::vt::{ControllerConfig, Policy};
 
@@ -125,19 +125,6 @@ fn fingerprints() -> Vec<String> {
                 &report,
             ));
         }
-    }
-    let mut params = SppmParams::test();
-    params.scale = 1.0;
-    params.base_steps = 10;
-    let app = sppm(2, params);
-    for seed in SEEDS {
-        let report = run_attach_session(
-            &app,
-            cfg(Policy::Dynamic, seed),
-            SimTime::from_millis(100),
-            SimTime::from_millis(400),
-        );
-        lines.push(fingerprint(&format!("sppm attach seed={seed}"), &report));
     }
     for name in ["smg98", "sweep3d"] {
         let app = test_app(name, 4).expect("known app");
