@@ -13,7 +13,7 @@ fn process_images(app: &AppSpec, vt: &Arc<VtLib>, static_instr: bool) -> Arc<Vec
     Arc::new((0..app.mode.processes()).map(image).collect())
 }
 
-fn drive(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
+fn try_run_session(app: &AppSpec, cfg: SessionConfig) -> SessionReport {
     let images = process_images(app, &vt, true);
     let scratch = Image::new(Program::new(app.name.clone(), app.functions.clone()));
     run(images, scratch)
